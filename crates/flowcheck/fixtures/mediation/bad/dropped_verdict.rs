@@ -1,4 +1,8 @@
-//! Must pass: the canonical shape — label check dominates the access.
+//! Must fail: the arm counts and charges a label check on the object but
+//! drops the verdict `count_label_check` returns, so the read can never be
+//! refused on the object's own label. (The container check keeps the arm
+//! clean under the check-before-access rule; only the dropped verdict is
+//! wrong.)
 impl Kernel {
     fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
         self.sys_read(tid, entry)
@@ -6,13 +10,10 @@ impl Kernel {
 
     fn sys_read(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
         let (tl, _) = self.calling_thread(tid)?;
-        self.check_entry(&tl, entry)?;
-        self.check_observe(&tl, entry.object)?;
+        self.check_observe(&tl, entry.container)?;
+        let olabel = self.label_of(entry.object)?;
+        self.count_label_check(&olabel, &tl, true, Access::Observe);
         self.obj(entry.object).map(|o| o.size())
-    }
-
-    fn check_entry(&mut self, tl: &Label, entry: ContainerEntry) -> Result<(), E> {
-        self.check_observe(tl, entry.container)
     }
 
     fn check_observe(&mut self, tl: &Label, object: ObjectId) -> Result<(), E> {

@@ -37,7 +37,11 @@
 //! `self.sys_<name>` call in `dispatch_inner`; no inline state access in
 //! the dispatcher itself) and sanity-checks the trusted check helpers
 //! (each `check_*` must contain an actual label comparison: `leq`,
-//! `leq_high_rhs`, `leq_high_both`, or `count_label_check`).
+//! `leq_high_rhs`, `leq_high_both`, or `count_label_check`). The helpers
+//! act on the verdict `count_label_check` returns (for immutable labels it
+//! comes from the comparison cache), so a call that drops it — in statement
+//! position, or bound to `_` — is a check that cannot refuse, and is
+//! flagged wherever it appears.
 
 use crate::model::{matches_seq, SourceFile};
 use crate::report::{Exemption, Finding};
@@ -317,6 +321,49 @@ pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>, exemptions: &mut V
             }
         }
     }
+
+    // A counted check whose verdict is dropped decides nothing.
+    for f in files {
+        let toks = &f.tokens;
+        for i in 2..toks.len() {
+            if toks[i].text == "count_label_check"
+                && matches_seq(toks, i - 2, &["self", "."])
+                && next_is(toks, i, "(")
+                && !f.in_test_range(i)
+                && verdict_dropped(toks, i)
+            {
+                findings.push(Finding {
+                    rule: "mediation",
+                    file: f.path.clone(),
+                    line: toks[i].line,
+                    message: "`count_label_check` verdict is dropped; the caller must refuse when it is false".into(),
+                });
+            }
+        }
+    }
+}
+
+/// Whether the `self.count_label_check(…)` call at token `i` is bound to
+/// `_`, or is a whole statement (`…; self.count_label_check(…);`).
+fn verdict_dropped(toks: &[crate::lex::Token], i: usize) -> bool {
+    if i >= 5 && matches_seq(toks, i - 5, &["let", "_", "="]) {
+        return true;
+    }
+    let starts_statement = i >= 3 && matches!(toks[i - 3].text.as_str(), ";" | "{" | "}");
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(i + 1) {
+        match t.text.as_str() {
+            "(" => depth += 1,
+            ")" => {
+                depth -= 1;
+                if depth == 0 {
+                    return starts_statement && next_is(toks, j, ";");
+                }
+            }
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Scans a fn body for the first check, first heap access, record access,

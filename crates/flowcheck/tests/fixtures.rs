@@ -59,6 +59,15 @@ fn mediation_bad_fixtures_all_fail() {
 }
 
 #[test]
+fn dropped_verdict_is_the_finding_in_its_fixture() {
+    let path = fixture_dir("mediation", "bad").join("dropped_verdict.rs");
+    let a = analyze_fixture("mediation", &path);
+    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+    assert!(a.findings[0].message.contains("verdict is dropped"));
+    assert_eq!(a.findings[0].line, 15);
+}
+
+#[test]
 fn mediation_good_fixtures_all_pass() {
     let results = run_dir("mediation", "good");
     assert!(results.len() >= 4, "need >=4 must-pass mediation fixtures");

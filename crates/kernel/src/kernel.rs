@@ -76,6 +76,15 @@ pub enum WakeReason {
     Parked,
 }
 
+/// Which access a label check decides.
+#[derive(Clone, Copy)]
+enum Access {
+    /// "No read up": `L_O ⊑ L_T^J`.
+    Observe,
+    /// "No write down": `L_T ⊑ L_O ⊑ L_T^J`.
+    Modify,
+}
+
 /// Where a page fault resolved to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageFaultResolution {
@@ -374,14 +383,9 @@ impl Kernel {
         self.objects.len()
     }
 
-    /// The label-comparison cache statistics (for the ablation benchmark).
+    /// The label-comparison cache statistics.
     pub fn label_cache_stats(&self) -> histar_label::cache::CacheStats {
         self.label_cache.stats()
-    }
-
-    /// Disables the immutable-label comparison cache (ablation benchmark).
-    pub fn clear_label_cache(&mut self) {
-        self.label_cache.clear_comparisons();
     }
 
     // ----- internal helpers ---------------------------------------------
@@ -926,8 +930,7 @@ impl Kernel {
         key: u64,
         rlabel: &Label,
     ) -> Result<(), SyscallError> {
-        self.count_label_check(rlabel, tl, true);
-        if rlabel.leq_high_rhs(tl) {
+        if self.count_label_check(rlabel, tl, true, Access::Observe) {
             Ok(())
         } else {
             Err(SyscallError::CannotObserveRecord(key))
@@ -941,8 +944,7 @@ impl Kernel {
         key: u64,
         rlabel: &Label,
     ) -> Result<(), SyscallError> {
-        self.count_label_check(rlabel, tl, true);
-        if tl.leq(rlabel) && rlabel.leq_high_rhs(tl) {
+        if self.count_label_check(rlabel, tl, true, Access::Modify) {
             Ok(())
         } else {
             Err(SyscallError::CannotModifyRecord(key))
@@ -1165,23 +1167,39 @@ impl Kernel {
         result.inspect_err(|_| self.stats.errors += 1)
     }
 
-    fn count_label_check(&mut self, a: &Label, b: &Label, immutable: bool) {
+    /// Counts, charges and answers one access check of a thread labelled
+    /// `tl` on an object labelled `ol`.  An immutable object label takes its
+    /// verdict from the comparison cache (§4); a thread object's label can
+    /// change, so that check is computed and never cached.
+    fn count_label_check(
+        &mut self,
+        ol: &Label,
+        tl: &Label,
+        immutable: bool,
+        access: Access,
+    ) -> bool {
         self.stats.label_checks += 1;
-        let cached = if immutable {
-            // Memoize comparisons between immutable labels (§4).
-            let ia = self.label_cache.intern(a);
-            let ib = self.label_cache.intern(b);
-            let before = self.label_cache.stats().hits;
-            let _ = self.label_cache.leq_high_rhs(ia, ib);
-            self.label_cache.stats().hits > before
+        let direct = || match access {
+            Access::Observe => tl.can_observe(ol),
+            Access::Modify => tl.can_modify(ol),
+        };
+        let (verdict, cached) = if immutable {
+            let (o, t) = (self.label_cache.intern(ol), self.label_cache.intern(tl));
+            let memo = match access {
+                Access::Observe => self.label_cache.leq_high_rhs(o, t),
+                Access::Modify => self.label_cache.can_modify(t, o),
+            };
+            debug_assert_eq!(memo.verdict, direct());
+            (memo.verdict, memo.hit)
         } else {
-            false
+            (direct(), false)
         };
         if cached {
             self.stats.label_cache_hits += 1;
         }
-        let c = self.cost.label_check(a.len() + b.len(), cached);
+        let c = self.cost.label_check(ol.len() + tl.len(), cached);
         self.charge(c);
+        verdict
     }
 
     /// "No read up": may a thread labelled `tl` observe object `o`?
@@ -1193,8 +1211,7 @@ impl Kernel {
                 o.header.object_type != ObjectType::Thread,
             )
         };
-        self.count_label_check(&olabel, tl, immutable);
-        if olabel.leq_high_rhs(tl) {
+        if self.count_label_check(&olabel, tl, immutable, Access::Observe) {
             Ok(())
         } else {
             Err(SyscallError::CannotObserve(oid))
@@ -1214,8 +1231,7 @@ impl Kernel {
         if immutable_flag {
             return Err(SyscallError::Immutable(oid));
         }
-        self.count_label_check(&olabel, tl, otype != ObjectType::Thread);
-        if tl.leq(&olabel) && olabel.leq_high_rhs(tl) {
+        if self.count_label_check(&olabel, tl, otype != ObjectType::Thread, Access::Modify) {
             Ok(())
         } else {
             Err(SyscallError::CannotModify(oid))

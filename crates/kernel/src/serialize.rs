@@ -72,9 +72,8 @@ fn object_type_from_tag(tag: u8) -> Result<ObjectType, SerializeError> {
 /// word per entry.
 pub fn encode_label(e: &mut Encoder, label: &Label) {
     e.put_u8(label.default_level().encode());
-    let entries: Vec<(Category, Level)> = label.entries().collect();
-    e.put_u64(entries.len() as u64);
-    for (c, l) in entries {
+    e.put_u64(label.len() as u64);
+    for (c, l) in label.entries() {
         e.put_u64(c.pack_with_level(l.encode()));
     }
 }

@@ -2,36 +2,86 @@
 //!
 //! A label maps every category to a level; all but a small number of
 //! categories map to a *default* level (usually `1`).  We therefore store a
-//! default level plus a sorted vector of `(category, level)` exceptions.
+//! default level plus a sorted slice of `(category, level)` exceptions.
 //! The paper's notation `{w0, r3, 1}` corresponds to
 //! `Label::builder().set(w, L0).set(r, L3).default_level(L1).build()`.
+//!
+//! A `Label` is a handle: the exceptions live in one shared, immutable
+//! allocation, so `clone()` is a reference-count bump, and the structural
+//! hash is computed once, when the label is built, so `Hash` is O(1) and
+//! `Eq` rejects almost every unequal pair without reading the entries.
+//! Every two-label operation is one linear merge of the two sorted slices.
 
 use crate::category::Category;
 use crate::error::LabelError;
 use crate::level::{CheckLevel, Level};
+use core::cmp::{max, Ordering};
 use core::fmt;
+use core::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+type Entry = (Category, Level);
 
 /// A label: a total function from [`Category`] to [`Level`].
 ///
 /// Labels are immutable once built (matching the kernel, where object labels
 /// are fixed at creation; only thread labels change, and they change by
 /// replacement).  All lattice operations return new labels.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Label {
     /// Default level for categories not listed in `entries`.
     default: Level,
+    /// Hash of `default` and `entries`, fixed at construction.
+    hash: u64,
     /// Non-default entries, sorted by category, with no entry equal to the
     /// default level (a normal form that makes `Eq`/`Hash` structural).
-    entries: Vec<(Category, Level)>,
+    /// `None` when there are none, so `{1}` costs no allocation.
+    entries: Option<Arc<[Entry]>>,
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Label) -> bool {
+        let (a, b) = (self.slice(), other.slice());
+        self.hash == other.hash && self.default == other.default && (core::ptr::eq(a, b) || a == b)
+    }
+}
+
+impl Eq for Label {}
+
+impl Hash for Label {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl Label {
-    /// Creates a label with the given default level and no exceptions.
-    pub fn new(default: Level) -> Label {
+    /// The one constructor: `entries` must be sorted by category, without
+    /// duplicates and without entries at the default level.
+    fn from_sorted(default: Level, entries: Vec<Entry>) -> Label {
+        let hash = entries
+            .iter()
+            .fold(u64::from(default.encode()), |h, &(c, l)| {
+                (h.rotate_left(5) ^ c.pack_with_level(l.encode()))
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            });
+        let entries = (!entries.is_empty()).then(|| Arc::from(entries));
         Label {
             default,
-            entries: Vec::new(),
+            hash,
+            entries,
         }
+    }
+
+    fn slice(&self) -> &[Entry] {
+        match &self.entries {
+            Some(entries) => entries,
+            None => &[],
+        }
+    }
+
+    /// Creates a label with the given default level and no exceptions.
+    pub fn new(default: Level) -> Label {
+        Label::from_sorted(default, Vec::new())
     }
 
     /// The conventional unrestricted label `{1}`.
@@ -59,56 +109,47 @@ impl Label {
 
     /// Returns the level of `category` under this label.
     pub fn level(&self, category: Category) -> Level {
-        match self.entries.binary_search_by_key(&category, |e| e.0) {
-            Ok(idx) => self.entries[idx].1,
+        let entries = self.slice();
+        match entries.binary_search_by_key(&category, |e| e.0) {
+            Ok(idx) => entries[idx].1,
             Err(_) => self.default,
         }
     }
 
     /// Returns the non-default `(category, level)` pairs in category order.
     pub fn entries(&self) -> impl Iterator<Item = (Category, Level)> + '_ {
-        self.entries.iter().copied()
+        self.slice().iter().copied()
     }
 
     /// Number of non-default entries (the "size" of the label, which drives
     /// the cost of label operations in the kernel).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slice().len()
     }
 
     /// Returns true if the label has no non-default entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.is_none()
     }
 
     /// Returns a copy of this label with `category` set to `level`.
     pub fn with(&self, category: Category, level: Level) -> Label {
-        let mut b = LabelBuilder {
+        LabelBuilder {
             default: self.default,
-            entries: self.entries.clone(),
-        };
-        b = b.set(category, level);
-        b.build()
+            entries: self.slice().to_vec(),
+        }
+        .set(category, level)
+        .build()
     }
 
     /// Returns a copy of this label with `category` restored to the default.
     pub fn without(&self, category: Category) -> Label {
-        let mut entries = self.entries.clone();
-        if let Ok(idx) = entries.binary_search_by_key(&category, |e| e.0) {
-            entries.remove(idx);
-        }
-        Label {
-            default: self.default,
-            entries,
-        }
+        self.with(category, self.default)
     }
 
     /// The categories this label owns (maps to `⋆`).
     pub fn owned_categories(&self) -> impl Iterator<Item = Category> + '_ {
-        self.entries
-            .iter()
-            .filter(|(_, l)| l.is_star())
-            .map(|(c, _)| *c)
+        self.entries().filter(|(_, l)| l.is_star()).map(|(c, _)| c)
     }
 
     /// Returns true if this label owns (`⋆`) the given category.
@@ -122,18 +163,19 @@ impl Label {
     /// validate labels supplied for segments, containers, address spaces and
     /// devices.
     pub fn contains_star(&self) -> bool {
-        self.default.is_star() || self.entries.iter().any(|(_, l)| l.is_star())
+        self.default.is_star() || self.entries().any(|(_, l)| l.is_star())
     }
 
     // ----- Lattice operations (paper §2.2) -----------------------------
 
-    /// Iterates over every category mentioned by either label, merged.
-    fn merged_categories<'a>(&'a self, other: &'a Label) -> impl Iterator<Item = Category> + 'a {
-        MergedCategories {
-            a: &self.entries,
-            b: &other.entries,
-            ia: 0,
-            ib: 0,
+    /// Every category either label lists, in order, with both labels'
+    /// levels there.
+    fn merge<'a>(&'a self, other: &'a Label) -> Merge<'a> {
+        Merge {
+            l: self.slice(),
+            r: other.slice(),
+            default_l: self.default,
+            default_r: other.default,
         }
     }
 
@@ -141,7 +183,7 @@ impl Label {
     /// category `c`, `self(c) ≤ other(c)` under the order
     /// `⋆ < 0 < 1 < 2 < 3 < J`, with `⋆` in *both* labels treated low.
     pub fn leq(&self, other: &Label) -> bool {
-        self.leq_mapped(other, |l| l.as_low(), |l| l.as_low())
+        self.leq_mapped(other, Level::as_low, Level::as_low)
     }
 
     /// `self^J ⊑ other`, i.e. `⋆` in `self` treated as `J` (high).
@@ -150,7 +192,7 @@ impl Label {
     /// useful direction is [`Label::leq_high_rhs`]; it is provided for
     /// completeness and for expressing the paper's formulas literally.
     pub fn leq_high_lhs(&self, other: &Label) -> bool {
-        self.leq_mapped(other, |l| l.as_high(), |l| l.as_low())
+        self.leq_mapped(other, Level::as_high, Level::as_low)
     }
 
     /// `self ⊑ other^J`, i.e. `⋆` in `other` treated as `J` (high).
@@ -158,7 +200,7 @@ impl Label {
     /// This is the form used by the kernel's observation check
     /// (`L_O ⊑ L_T^J`) and by most clearance rules.
     pub fn leq_high_rhs(&self, other: &Label) -> bool {
-        self.leq_mapped(other, |l| l.as_low(), |l| l.as_high())
+        self.leq_mapped(other, Level::as_low, Level::as_high)
     }
 
     /// `self^J ⊑ other^J` — both sides with ownership treated high.
@@ -166,7 +208,7 @@ impl Label {
     /// Used, for example, to decide whether one thread may read another
     /// thread's (mutable) label: `L_{T'}^J ⊑ L_T^J`.
     pub fn leq_high_both(&self, other: &Label) -> bool {
-        self.leq_mapped(other, |l| l.as_high(), |l| l.as_high())
+        self.leq_mapped(other, Level::as_high, Level::as_high)
     }
 
     fn leq_mapped(
@@ -177,15 +219,8 @@ impl Label {
     ) -> bool {
         // Default-vs-default must also satisfy the order because the set of
         // categories is effectively unbounded.
-        if map_l(self.default) > map_r(other.default) {
-            return false;
-        }
-        for c in self.merged_categories(other) {
-            if map_l(self.level(c)) > map_r(other.level(c)) {
-                return false;
-            }
-        }
-        true
+        map_l(self.default) <= map_r(other.default)
+            && self.merge(other).all(|(_, l, r)| map_l(l) <= map_r(r))
     }
 
     /// Least upper bound `self ⊔ other`: pointwise maximum level, with `⋆`
@@ -200,17 +235,16 @@ impl Label {
         self.combine(other, |a, b| if a.as_low() <= b.as_low() { a } else { b })
     }
 
+    /// The label mapping every category `c` to `pick(self(c), other(c))`.
     fn combine(&self, other: &Label, pick: impl Fn(Level, Level) -> Level) -> Label {
         let default = pick(self.default, other.default);
-        let mut b = LabelBuilder {
-            default,
-            entries: Vec::new(),
-        };
-        let cats: Vec<Category> = self.merged_categories(other).collect();
-        for c in cats {
-            b = b.set(c, pick(self.level(c), other.level(c)));
-        }
-        b.build()
+        let mut entries = Vec::with_capacity(self.len() + other.len());
+        entries.extend(
+            self.merge(other)
+                .map(|(c, a, b)| (c, pick(a, b)))
+                .filter(|e| e.1 != default),
+        );
+        Label::from_sorted(default, entries)
     }
 
     /// The lowest label a thread labelled `self` must raise itself to in
@@ -219,25 +253,11 @@ impl Label {
     ///
     /// Ownership (`⋆`) in `self` is preserved in the result.
     pub fn raise_for_observe(&self, observed: &Label) -> Label {
-        // Compute pointwise max where self's ⋆ counts as J (high), then map
-        // J back down to ⋆.
-        let default = {
-            let a = self.default.as_high();
-            let b = observed.default.as_low();
-            core::cmp::max(a, b).lower_ownership().to_level()
-        };
-        let mut builder = LabelBuilder {
-            default,
-            entries: Vec::new(),
-        };
-        let cats: Vec<Category> = self.merged_categories(observed).collect();
-        for c in cats {
-            let a = self.level(c).as_high();
-            let b = observed.level(c).as_low();
-            let lvl = core::cmp::max(a, b).lower_ownership().to_level();
-            builder = builder.set(c, lvl);
-        }
-        builder.build()
+        // Pointwise max where self's ⋆ counts as J (high), then J maps back
+        // down to ⋆.
+        self.combine(observed, |a, b| {
+            max(a.as_high(), b.as_low()).lower_ownership().to_level()
+        })
     }
 
     /// The ownership-preserving union `(self^J ⊔ other^J)^⋆`: pointwise
@@ -248,21 +268,9 @@ impl Label {
     /// entering a gate labelled `other` (§3.5): the thread keeps its own
     /// taint, gains the gate's taint, and the union of their ownership.
     pub fn ownership_union(&self, other: &Label) -> Label {
-        let pick = |a: Level, b: Level| {
-            core::cmp::max(a.as_high(), b.as_high())
-                .lower_ownership()
-                .to_level()
-        };
-        let default = pick(self.default, other.default);
-        let mut builder = LabelBuilder {
-            default,
-            entries: Vec::new(),
-        };
-        let cats: Vec<Category> = self.merged_categories(other).collect();
-        for c in cats {
-            builder = builder.set(c, pick(self.level(c), other.level(c)));
-        }
-        builder.build()
+        self.combine(other, |a, b| {
+            max(a.as_high(), b.as_high()).lower_ownership().to_level()
+        })
     }
 
     // ----- Kernel access checks (paper §2.2) ----------------------------
@@ -313,28 +321,10 @@ impl Label {
         if !self.leq(new) {
             return Err(LabelError::ClearanceBelowLabel);
         }
-        // upper bound: clearance ⊔ self^J, i.e. new ⊑ bound where self's ⋆
-        // counts as J.  Equivalently: for each category, new(c) must be ≤
-        // max(clearance(c), self(c)-as-high).
-        let ok = {
-            let bound_ok = |c: Category| {
-                let n = new.level(c).as_low();
-                let cl = clearance.level(c).as_low();
-                let own = self.level(c).as_high();
-                n <= core::cmp::max(cl, own)
-            };
-            let default_ok = {
-                let n = new.default.as_low();
-                let cl = clearance.default.as_low();
-                let own = self.default.as_high();
-                n <= core::cmp::max(cl, own)
-            };
-            default_ok
-                && new
-                    .merged_categories(clearance)
-                    .chain(new.merged_categories(self))
-                    .all(bound_ok)
-        };
+        // Where `self` owns a category any level is within bounds; write `⋆`
+        // there, and what is left must fit under the ordinary join.
+        let unowned = self.combine(new, |own, n| if own.is_star() { own } else { n });
+        let ok = unowned.leq(&clearance.lub(self));
         if ok {
             Ok(())
         } else {
@@ -367,19 +357,14 @@ impl Label {
     /// numeric levels unchanged.  `label.drop_ownership(Level::L1)` is what
     /// a gate grants to a caller that only *verifies* categories.
     pub fn drop_ownership(&self, replacement: Level) -> Label {
-        let default = if self.default.is_star() {
-            replacement
-        } else {
-            self.default
-        };
-        let mut b = LabelBuilder {
-            default,
-            entries: Vec::new(),
-        };
-        for (c, l) in self.entries() {
-            b = b.set(c, if l.is_star() { replacement } else { l });
-        }
-        b.build()
+        let lower = |l: Level| if l.is_star() { replacement } else { l };
+        let default = lower(self.default);
+        let entries = self
+            .entries()
+            .map(|(c, l)| (c, lower(l)))
+            .filter(|e| e.1 != default)
+            .collect();
+        Label::from_sorted(default, entries)
     }
 
     /// Parses the paper's brace notation, e.g. `"{br *, v3, 1}"` given a
@@ -452,43 +437,48 @@ fn parse_level(s: &str) -> Option<Level> {
     }
 }
 
-struct MergedCategories<'a> {
-    a: &'a [(Category, Level)],
-    b: &'a [(Category, Level)],
-    ia: usize,
-    ib: usize,
+/// Walks two category-sorted entry slices in step: yields every category
+/// either one lists, once, in order, with the level each side gives it (its
+/// default where it lists nothing).
+struct Merge<'a> {
+    l: &'a [Entry],
+    r: &'a [Entry],
+    default_l: Level,
+    default_r: Level,
 }
 
-impl Iterator for MergedCategories<'_> {
-    type Item = Category;
+impl Iterator for Merge<'_> {
+    type Item = (Category, Level, Level);
 
-    fn next(&mut self) -> Option<Category> {
-        let ca = self.a.get(self.ia).map(|e| e.0);
-        let cb = self.b.get(self.ib).map(|e| e.0);
-        match (ca, cb) {
-            (None, None) => None,
-            (Some(c), None) => {
-                self.ia += 1;
-                Some(c)
-            }
-            (None, Some(c)) => {
-                self.ib += 1;
-                Some(c)
-            }
-            (Some(x), Some(y)) => {
-                if x < y {
-                    self.ia += 1;
-                    Some(x)
-                } else if y < x {
-                    self.ib += 1;
-                    Some(y)
-                } else {
-                    self.ia += 1;
-                    self.ib += 1;
-                    Some(x)
-                }
-            }
-        }
+    fn next(&mut self) -> Option<(Category, Level, Level)> {
+        let order = match (self.l.first(), self.r.first()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(l), Some(r)) => l.0.cmp(&r.0),
+        };
+        // Advance whichever side holds the smaller category (both on a tie).
+        let take = |side: &mut &[Entry]| {
+            let (&first, rest) = side.split_first()?;
+            *side = rest;
+            Some(first)
+        };
+        let l = if order.is_le() {
+            take(&mut self.l)
+        } else {
+            None
+        };
+        let r = if order.is_ge() {
+            take(&mut self.r)
+        } else {
+            None
+        };
+        let category = l.or(r)?.0;
+        Some((
+            category,
+            l.map_or(self.default_l, |e| e.1),
+            r.map_or(self.default_r, |e| e.1),
+        ))
     }
 }
 
@@ -501,7 +491,7 @@ impl fmt::Debug for Label {
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (c, l) in &self.entries {
+        for (c, l) in self.entries() {
             write!(f, "{c} {l}, ")?;
         }
         write!(f, "{}}}", self.default)
@@ -535,7 +525,7 @@ where
 #[derive(Clone, Debug)]
 pub struct LabelBuilder {
     default: Level,
-    entries: Vec<(Category, Level)>,
+    entries: Vec<Entry>,
 }
 
 impl LabelBuilder {
@@ -560,14 +550,10 @@ impl LabelBuilder {
     }
 
     /// Finishes building, normalizing away entries equal to the default.
-    pub fn build(self) -> Label {
+    pub fn build(mut self) -> Label {
         let default = self.default;
-        let entries: Vec<(Category, Level)> = self
-            .entries
-            .into_iter()
-            .filter(|(_, l)| *l != default)
-            .collect();
-        Label { default, entries }
+        self.entries.retain(|e| e.1 != default);
+        Label::from_sorted(default, self.entries)
     }
 }
 

@@ -52,6 +52,8 @@ pub mod category;
 pub mod error;
 pub mod label;
 pub mod level;
+#[cfg(test)]
+mod oracle;
 
 pub use cache::LabelCache;
 pub use category::{Category, CategoryAllocator};

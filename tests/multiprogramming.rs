@@ -140,6 +140,19 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     assert!(!t1.is_empty());
     assert_eq!(t1, t2);
 
+    // The label-check bill is part of simulated time (a cache hit is
+    // charged less than a miss), so it is pinned: a faster label
+    // representation or cache must reproduce these counts exactly.
+    let kernel = w1.env.machine().kernel();
+    let cache = kernel.label_cache_stats();
+    assert_eq!(
+        (cache.hits, cache.misses, cache.interned),
+        (7144, 1315, 539),
+        "label cache hits/misses/interned"
+    );
+    assert_eq!(kernel.stats().label_checks, 10795);
+    assert_eq!(kernel.stats().label_cache_hits, cache.hits);
+
     // A different seed reorders the wake interleaving but serves exactly
     // the same burst.
     let (w3, r3) = run_httpd(HttpdParams {
