@@ -2,6 +2,7 @@
 //! this reproduction, next to the paper's C line counts for the HiStar
 //! kernel components.
 
+use histar_bench::report::BenchJson;
 use std::fs;
 use std::path::Path;
 
@@ -35,31 +36,35 @@ fn main() {
     println!("== Code-size inventory (cf. paper §4.1: 15,200 lines of C kernel code) ==");
     println!("{:<28} {:>12} {:>12}", "crate", "total lines", "code lines");
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // Every crate in the workspace (sorted, so the rows are stable) plus
+    // the root package's own trees: no list to fall out of date.
+    let mut dirs: Vec<String> = fs::read_dir(root.join("crates"))
+        .expect("the workspace has a crates/ directory")
+        .flatten()
+        .filter(|e| e.path().is_dir())
+        .map(|e| format!("crates/{}", e.file_name().to_string_lossy()))
+        .collect();
+    dirs.sort();
+    dirs.extend(["src", "examples", "tests"].map(String::from));
+
+    let mut json = BenchJson::new("codesize");
     let mut grand = (0, 0);
-    for crate_dir in [
-        "crates/label",
-        "crates/sim",
-        "crates/store",
-        "crates/kernel",
-        "crates/unix",
-        "crates/net",
-        "crates/auth",
-        "crates/apps",
-        "crates/baseline",
-        "crates/bench",
-        "src",
-        "examples",
-        "tests",
-    ] {
-        let (total, code) = count_lines(&root.join(crate_dir));
+    for dir in &dirs {
+        let (total, code) = count_lines(&root.join(dir));
         grand.0 += total;
         grand.1 += code;
-        println!("{crate_dir:<28} {total:>12} {code:>12}");
+        println!("{dir:<28} {total:>12} {code:>12}");
+        json.metric(&format!("{dir}.total_lines"), total as f64, 0);
+        json.metric(&format!("{dir}.code_lines"), code as f64, 0);
     }
     println!("{:<28} {:>12} {:>12}", "TOTAL", grand.0, grand.1);
+    json.metric("total.total_lines", grand.0 as f64, 0);
+    json.metric("total.code_lines", grand.1 as f64, 0);
     println!();
     println!("Paper kernel breakdown (C): 3,400 arch, 4,000 B+-tree/log/persistence,");
     println!("3,000 device drivers, 4,800 syscalls/containers/misc = 15,200 total;");
     println!("Unix emulation library: ~10,000 lines; wrap: 110 lines;");
     println!("auth services: 58 + 188 + 233 + 370 + 30 lines.");
+    let path = json.write().expect("write BENCH_codesize.json");
+    println!("wrote {}", path.display());
 }

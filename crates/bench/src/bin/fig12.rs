@@ -1,6 +1,6 @@
 //! Regenerates Figure 12 (microbenchmarks).  Run with `--full` for the
 //! paper-scale parameters (slower) or no arguments for the default scaled
-//! run recorded in EXPERIMENTS.md.
+//! run.
 
 use histar_bench::fig12::{run, Fig12Params};
 use histar_bench::BenchJson;

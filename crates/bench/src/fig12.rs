@@ -247,7 +247,7 @@ pub fn histar_lfs_large(file_size: u64, chunk: u64) -> LfsLargeResult {
 }
 
 /// Scale factors used by the default `fig12` binary so it completes in
-/// seconds of wall-clock time; EXPERIMENTS.md records them.
+/// seconds of wall-clock time.
 #[derive(Clone, Copy, Debug)]
 pub struct Fig12Params {
     /// Pipe round trips (paper: 1,000,000).

@@ -29,8 +29,8 @@
 //!   paper-vs-measured comparisons, and emitting machine-readable
 //!   `BENCH_<name>.json` files for CI.
 //!
-//! Absolute numbers are *simulated* time; EXPERIMENTS.md discusses how the
-//! shapes compare against the paper's measurements on real hardware.
+//! Absolute numbers are *simulated* time; the tables print the paper's
+//! real-hardware measurements beside them so the shapes can be compared.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

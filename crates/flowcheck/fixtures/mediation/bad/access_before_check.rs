@@ -1,9 +1,9 @@
 //! Must fail: the syscall reads the object table before its label check.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        self.sys_peek(tid, entry)
-    }
+syscalls! {
+    Peek peek sys_peek trap_peek (entry: ContainerEntry) -> Bytes(Vec<u8>);
+}
 
+impl Kernel {
     fn sys_peek(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
         let (tl, _) = self.calling_thread(tid)?;
         let data = self.obj(entry.object)?.payload.clone();

@@ -3,11 +3,11 @@
 //! refused on the object's own label. (The container check keeps the arm
 //! clean under the check-before-access rule; only the dropped verdict is
 //! wrong.)
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        self.sys_read(tid, entry)
-    }
+syscalls! {
+    Read read sys_read trap_read (entry: ContainerEntry) -> U64(u64);
+}
 
+impl Kernel {
     fn sys_read(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
         let (tl, _) = self.calling_thread(tid)?;
         self.check_observe(&tl, entry.container)?;

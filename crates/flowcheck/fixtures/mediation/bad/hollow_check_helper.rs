@@ -1,10 +1,10 @@
 //! Must fail: the trusted helper `check_observe` compares no labels —
 //! a mediation rule that trusts it would be circular.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        self.sys_read(tid, entry)
-    }
+syscalls! {
+    Read read sys_read trap_read (entry: ContainerEntry) -> U64(u64);
+}
 
+impl Kernel {
     fn sys_read(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
         let (tl, _) = self.calling_thread(tid)?;
         self.check_observe(&tl, entry.object)?;

@@ -1,9 +1,9 @@
 //! Must fail: object-table access with no label check anywhere.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        self.sys_steal(tid, entry)
-    }
+syscalls! {
+    Steal steal sys_steal trap_steal (entry: ContainerEntry) -> Unit(());
+}
 
+impl Kernel {
     fn sys_steal(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
         let (_, body) = self.obj_mut(entry.object)?;
         body.owner = tid;

@@ -1,10 +1,10 @@
 //! Must fail: returns a persist record's payload without any
 //! check_record_* call.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        self.sys_persist_peek(tid, key)
-    }
+syscalls! {
+    PersistPeek persist_peek sys_persist_peek trap_persist_peek (key: u64) -> Bytes(Vec<u8>);
+}
 
+impl Kernel {
     fn sys_persist_peek(&mut self, tid: ObjectId, key: u64) -> R {
         self.calling_thread(tid)?;
         let bytes = self.persist_record(key)?.ok_or(E::NoSuchRecord(key))?;

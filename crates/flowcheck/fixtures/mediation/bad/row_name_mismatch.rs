@@ -1,18 +1,15 @@
-//! Must pass: the canonical shape — label check dominates the access.
+//! Must fail: a copy-pasted row routes `trap_peek` to `sys_read` — the
+//! wrapper's name promises one call and the dispatch arm runs another.
 syscalls! {
     Read read sys_read trap_read (entry: ContainerEntry) -> U64(u64);
+    Peek peek sys_read trap_peek (entry: ContainerEntry) -> U64(u64);
 }
 
 impl Kernel {
     fn sys_read(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
         let (tl, _) = self.calling_thread(tid)?;
-        self.check_entry(&tl, entry)?;
         self.check_observe(&tl, entry.object)?;
         self.obj(entry.object).map(|o| o.size())
-    }
-
-    fn check_entry(&mut self, tl: &Label, entry: ContainerEntry) -> Result<(), E> {
-        self.check_observe(tl, entry.container)
     }
 
     fn check_observe(&mut self, tl: &Label, object: ObjectId) -> Result<(), E> {

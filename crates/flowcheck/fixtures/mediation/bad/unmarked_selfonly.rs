@@ -1,11 +1,11 @@
 //! Must fail: a check-free self-only syscall without an exempt marker.
 //! Check-free is sometimes legitimate, but it must be *declared* so the
 //! exemption list stays the complete audit surface.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        self.sys_whoami(tid)
-    }
+syscalls! {
+    Whoami whoami sys_whoami trap_whoami -> ObjectId(ObjectId);
+}
 
+impl Kernel {
     fn sys_whoami(&mut self, tid: ObjectId) -> R {
         Ok(tid)
     }

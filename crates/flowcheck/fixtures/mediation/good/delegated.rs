@@ -1,12 +1,10 @@
 //! Must pass: an alias syscall that delegates to a mediated one.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        match call {
-            Syscall::Read { entry } => self.sys_read(tid, entry),
-            Syscall::ReadAlias { entry } => self.sys_read_alias(tid, entry),
-        }
-    }
+syscalls! {
+    Read read sys_read trap_read (entry: ContainerEntry) -> U64(u64);
+    ReadAlias read_alias sys_read_alias trap_read_alias (entry: ContainerEntry) -> U64(u64);
+}
 
+impl Kernel {
     fn sys_read_alias(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
         self.sys_read(tid, entry)
     }

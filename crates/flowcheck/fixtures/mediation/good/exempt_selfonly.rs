@@ -1,9 +1,9 @@
 //! Must pass: a check-free self-only syscall carrying its marker.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        self.sys_whoami(tid)
-    }
+syscalls! {
+    Whoami whoami sys_whoami trap_whoami -> ObjectId(ObjectId);
+}
 
+impl Kernel {
     // flowcheck: exempt(returns the caller's own id; self-only metadata)
     fn sys_whoami(&mut self, tid: ObjectId) -> R {
         Ok(tid)

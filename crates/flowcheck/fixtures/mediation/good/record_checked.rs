@@ -1,10 +1,10 @@
 //! Must pass: record syscalls fetch the record first (the label rides
 //! inside it), then check before the payload flows out.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        self.sys_persist_read(tid, key)
-    }
+syscalls! {
+    PersistRead persist_read sys_persist_read trap_persist_read (key: u64) -> Bytes(Vec<u8>);
+}
 
+impl Kernel {
     fn sys_persist_read(&mut self, tid: ObjectId, key: u64) -> R {
         let (tl, _) = self.calling_thread(tid)?;
         let bytes = self.persist_record(key)?.ok_or(E::NoSuchRecord(key))?;

@@ -1,13 +1,11 @@
 //! Must pass: ABI-edge state keyed by the calling thread is self access;
 //! the ownership test (`owns`) mediates the category bind.
-impl Kernel {
-    fn dispatch_inner(&mut self, tid: ObjectId, call: Syscall) -> R {
-        match call {
-            Syscall::TakeAlert => self.sys_take(tid),
-            Syscall::Bind { category, name } => self.sys_bind(tid, category, name),
-        }
-    }
+syscalls! {
+    Take take sys_take trap_take -> Alert(Option<Alert>);
+    Bind bind sys_bind trap_bind (category: Category, name: Name) -> Unit(());
+}
 
+impl Kernel {
     // flowcheck: exempt(pops the caller's own completion queue)
     fn sys_take(&mut self, tid: ObjectId) -> R {
         let queue = self.completions.get_mut(&tid);

@@ -1,11 +1,12 @@
 //! Rule 1 — mediation: every syscall reaching object state is dominated
 //! by a label check.
 //!
-//! The engine walks `dispatch_inner` (the single choke point every
-//! `Kernel::dispatch` / batched-ABI call funnels through), collects the
-//! `self.sys_*` targets of its match arms plus the batched handle ops
-//! (`handle_open` / `handle_close` from `dispatch_batch_collect`), and
-//! analyzes each target body as a token stream:
+//! The engine reads the `syscalls! { … }` table (the one list of the ABI:
+//! the dispatch arms every `Kernel::dispatch` / batched-ABI call funnels
+//! through are expanded from its rows), takes the `sys_*` handler each row
+//! names plus the batched handle ops (`handle_open` / `handle_close` from
+//! `dispatch_batch_collect`), and analyzes each target body as a token
+//! stream:
 //!
 //! * **Checks** are calls whose job is a label decision:
 //!   `check_observe`, `check_modify`, `check_entry`, `check_spawn`,
@@ -33,9 +34,9 @@
 //! access and *no* check is check-free and must carry a marker too —
 //! that's the auditable TCB list. Delegation (`self.sys_x` calling
 //! `self.sys_y`) inherits the delegate's verdict. The engine also
-//! verifies completeness (every name in `SYSCALL_NAMES` has a
-//! `self.sys_<name>` call in `dispatch_inner`; no inline state access in
-//! the dispatcher itself) and sanity-checks the trusted check helpers
+//! verifies each table row spells one call (`name`, `sys_<name>` and
+//! `trap_<name>` agree, so no row routes `trap_a` to `sys_b`) and
+//! sanity-checks the trusted check helpers
 //! (each `check_*` must contain an actual label comparison: `leq`,
 //! `leq_high_rhs`, `leq_high_both`, or `count_label_check`). The helpers
 //! act on the verdict `count_label_check` returns (for immutable labels it
@@ -114,48 +115,29 @@ struct BodyScan {
 /// Analysis entry: runs the mediation rule over the given files and
 /// appends findings/exemptions.
 pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>, exemptions: &mut Vec<Exemption>) {
-    // Locate dispatch_inner and the batched-path handle ops.
+    // Entry points: the handler named by every row of the syscall table.
     let mut entry_points: BTreeSet<String> = BTreeSet::new();
-    let mut dispatch_file: Option<(&SourceFile, usize, usize)> = None;
-
-    for f in files {
-        if let Some(item) = f.find_fn("dispatch_inner") {
-            dispatch_file = Some((f, item.body_open, item.body_close));
-        }
-    }
-
-    let Some((df, dopen, dclose)) = dispatch_file else {
+    let Some((df, rows)) = files.iter().find_map(|f| Some((f, table_rows(f)?))) else {
         findings.push(Finding {
             rule: "mediation",
             file: files.first().map(|f| f.path.clone()).unwrap_or_default(),
             line: 0,
-            message: "no `dispatch_inner` found: the syscall choke point is missing".into(),
+            message: "no `syscalls!` table found: the syscall choke point is missing".into(),
         });
         return;
     };
-
-    // Collect `self . sys_* (` targets from dispatch_inner, and flag any
-    // inline state access in the dispatcher itself (arms must delegate).
-    for i in dopen..dclose {
-        let t = &df.tokens[i];
-        if t.text.starts_with("sys_")
-            && i >= 2
-            && matches_seq(&df.tokens, i - 2, &["self", "."])
-            && df.tokens.get(i + 1).map(|t| t.text.as_str()) == Some("(")
-        {
-            entry_points.insert(t.text.clone());
+    for (line, [name, sys, trap]) in rows {
+        if sys != format!("sys_{name}") || trap != format!("trap_{name}") {
+            findings.push(Finding {
+                rule: "mediation",
+                file: df.path.clone(),
+                line,
+                message: format!(
+                    "table row `{name}` routes `{trap}` to `{sys}`; a row must spell one call"
+                ),
+            });
         }
-    }
-    if let Some((idx, line, what)) = first_state_access(df, dopen, dclose) {
-        let _ = idx;
-        findings.push(Finding {
-            rule: "mediation",
-            file: df.path.clone(),
-            line,
-            message: format!(
-                "dispatch arm accesses `{what}` inline; arms must delegate to a sys_* method"
-            ),
-        });
+        entry_points.insert(sys);
     }
 
     // Batched ABI path: handle ops invoked from dispatch_batch_collect
@@ -176,23 +158,6 @@ pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>, exemptions: &mut V
                 {
                     entry_points.insert(t.text.clone());
                 }
-            }
-        }
-    }
-
-    // Completeness: every SYSCALL_NAMES entry must have a sys_ call.
-    if let Some(names) = syscall_names(df) {
-        for name in names {
-            let want = format!("sys_{name}");
-            if !entry_points.contains(&want) {
-                findings.push(Finding {
-                    rule: "mediation",
-                    file: df.path.clone(),
-                    line: 0,
-                    message: format!(
-                        "syscall `{name}` is in SYSCALL_NAMES but dispatch_inner never calls `{want}`"
-                    ),
-                });
             }
         }
     }
@@ -452,28 +417,6 @@ fn next_is(toks: &[crate::lex::Token], i: usize, text: &str) -> bool {
     toks.get(i + 1).map(|t| t.text.as_str()) == Some(text)
 }
 
-/// First inline state access in a token range that is *not* part of a
-/// `self.sys_*` / `self.handle_*` call chain (dispatcher hygiene).
-fn first_state_access(f: &SourceFile, open: usize, close: usize) -> Option<(usize, u32, String)> {
-    let toks = &f.tokens;
-    for i in open..close {
-        let t = &toks[i].text;
-        if !(i >= 2 && matches_seq(toks, i - 2, &["self", "."])) {
-            continue;
-        }
-        if STATE_FIELDS.contains(&t.as_str()) || t == "store" {
-            return Some((i, toks[i].line, format!("self.{t}")));
-        }
-        if ACCESSORS.contains(&t.as_str()) && next_is(toks, i, "(") {
-            let first_arg = toks.get(i + 2).map(|t| t.text.as_str());
-            if first_arg != Some("tid") {
-                return Some((i, toks[i].line, format!("self.{t}()")));
-            }
-        }
-    }
-    None
-}
-
 /// Locates a method definition by name across the analyzed files.
 fn find_method<'a>(
     files: &'a [SourceFile],
@@ -487,65 +430,31 @@ fn find_method<'a>(
     None
 }
 
-/// Parses `pub const SYSCALL_NAMES: … = [ "a", "b", … ];` if present.
-/// String literals are stripped by the lexer, so read them straight from
-/// the source line span instead — the model keeps tokens only. To keep
-/// the lexer simple, SYSCALL_NAMES completeness instead uses the enum:
-/// `pub enum Syscall { VariantA { … }, VariantB, … }` and maps each
-/// variant to its snake_case syscall name.
-fn syscall_names(f: &SourceFile) -> Option<Vec<String>> {
+/// The rows of the `syscalls! { … }` invocation, if the file has a
+/// non-empty one: each row's line and its `name sys_name trap_name`
+/// identifiers (a row is `Variant name sys_name trap_name (args…) ->
+/// Result(Ty);`). Only the invocation is `syscalls ! {` — the definition
+/// is `macro_rules ! syscalls` and the macro's internal calls use
+/// parentheses.
+fn table_rows(f: &SourceFile) -> Option<Vec<(u32, [String; 3])>> {
     let toks = &f.tokens;
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].text == "enum" && toks[i + 1].text == "Syscall" {
-            // find `{`
-            let mut j = i + 2;
-            while j < toks.len() && toks[j].text != "{" {
-                j += 1;
-            }
-            if j >= toks.len() {
-                return None;
-            }
-            let close = crate::model::match_brace(toks, j);
-            let mut names = Vec::new();
-            let mut k = j + 1;
-            let mut depth = 0i32;
-            let mut expect_variant = true;
-            while k < close {
-                match toks[k].text.as_str() {
-                    "{" | "(" => depth += 1,
-                    "}" | ")" => depth -= 1,
-                    "," if depth == 0 => expect_variant = true,
-                    "#" | "[" | "]" => {}
-                    s if depth == 0
-                        && expect_variant
-                        && s.chars().next().is_some_and(|c| c.is_ascii_uppercase()) =>
-                    {
-                        names.push(to_snake(s));
-                        expect_variant = false;
-                    }
-                    _ => {}
+    let open = (0..toks.len()).find(|&i| matches_seq(toks, i, &["syscalls", "!", "{"]))? + 2;
+    let mut rows = Vec::new();
+    let mut depth = 0usize;
+    let mut start = open + 1;
+    for i in open + 1..crate::model::match_brace(toks, open) {
+        match toks[i].text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth = depth.saturating_sub(1),
+            ";" if depth == 0 => {
+                if i >= start + 4 {
+                    let ident = |k: usize| toks[start + k].text.clone();
+                    rows.push((toks[start].line, [ident(1), ident(2), ident(3)]));
                 }
-                k += 1;
+                start = i + 1;
             }
-            return Some(names);
-        }
-        i += 1;
-    }
-    None
-}
-
-fn to_snake(name: &str) -> String {
-    let mut out = String::new();
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_uppercase() {
-            if i > 0 {
-                out.push('_');
-            }
-            out.push(c.to_ascii_lowercase());
-        } else {
-            out.push(c);
+            _ => {}
         }
     }
-    out
+    (!rows.is_empty()).then_some(rows)
 }

@@ -68,6 +68,20 @@ fn dropped_verdict_is_the_finding_in_its_fixture() {
 }
 
 #[test]
+fn table_findings_name_the_row_or_the_missing_table() {
+    let path = fixture_dir("mediation", "bad").join("row_name_mismatch.rs");
+    let a = analyze_fixture("mediation", &path);
+    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+    assert!(a.findings[0].message.contains("`trap_peek` to `sys_read`"));
+    assert_eq!(a.findings[0].line, 5);
+
+    let no_table = SourceFile::parse("x.rs", "impl Kernel { fn sys_x(&mut self) {} }");
+    let a = flowcheck::analyze(&[no_table], &[]);
+    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+    assert!(a.findings[0].message.contains("no `syscalls!` table found"));
+}
+
+#[test]
 fn mediation_good_fixtures_all_pass() {
     let results = run_dir("mediation", "good");
     assert!(results.len() >= 4, "need >=4 must-pass mediation fixtures");

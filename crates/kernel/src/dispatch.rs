@@ -19,6 +19,10 @@
 //! `histar-net`, `histar-exporter`) use these instead of calling the
 //! `sys_*` methods directly, so the whole system's kernel interaction is
 //! visible in one stream.
+//!
+//! The ABI is spelled once, in the `syscalls!` table below: the [`Syscall`]
+//! enum, [`SYSCALL_NAMES`], the dispatch arms, handle resolution and every
+//! `trap_*` wrapper are expanded from its rows.
 
 use crate::abi::{Completion, CompletionKind, SqEntry, SqOp, SubmissionQueue};
 use crate::bodies::{Alert, Mapping};
@@ -29,112 +33,299 @@ use histar_label::{Category, Label};
 use histar_obs::{Histogram, Span};
 use std::collections::VecDeque;
 
-/// One system call with its arguments — what a real thread would place in
-/// registers before trapping.
+/// The container entries inside one syscall argument — the only thing
+/// handle resolution may rewrite.  The rule is per argument *type*, not per
+/// call: every `ContainerEntry`, `Option<ContainerEntry>` and
+/// `Mapping::segment` resolves, in argument order, so a new entry-bearing
+/// syscall names objects by handle without being listed anywhere.
+trait EntryArgs {
+    fn visit_entries(&mut self, _f: &mut impl FnMut(&mut ContainerEntry)) {}
+}
+
+impl EntryArgs for ContainerEntry {
+    fn visit_entries(&mut self, f: &mut impl FnMut(&mut ContainerEntry)) {
+        f(self)
+    }
+}
+
+impl<T: EntryArgs> EntryArgs for Option<T> {
+    fn visit_entries(&mut self, f: &mut impl FnMut(&mut ContainerEntry)) {
+        if let Some(arg) = self {
+            arg.visit_entries(f)
+        }
+    }
+}
+
+impl EntryArgs for Mapping {
+    fn visit_entries(&mut self, f: &mut impl FnMut(&mut ContainerEntry)) {
+        f(&mut self.segment)
+    }
+}
+
+macro_rules! no_entries {
+    ($($ty:ty),*) => { $(impl EntryArgs for $ty {})* };
+}
+no_entries! {
+    ObjectId, Label, Category, RemoteCategoryName, String, bool, u8, u64, i64,
+    Vec<u8>, Vec<u64>, [u8; METADATA_LEN]
+}
+
+/// Expands the syscall table below into everything that has to agree about
+/// the ABI: the [`Syscall`] enum, [`SYSCALL_NAMES`] / [`SYSCALL_COUNT`],
+/// [`Syscall::index`], the entry visitor behind handle resolution,
+/// `Kernel::dispatch_inner`, and every `Kernel::trap_*` wrapper.
 ///
-/// Every variant corresponds 1:1 to a `sys_*` method on [`Kernel`]; the
-/// calling thread is supplied separately to [`Kernel::dispatch`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum Syscall {
+/// Row grammar:
+///
+/// ```text
+/// /// doc
+/// Variant name sys_name trap_name (arg: Ty, arg: Borrowed => Owned, …) -> Result(RetTy);
+/// ```
+///
+/// * `Variant` is the [`Syscall`] variant, `name` the stable string in
+///   traces and stats, `sys_name` the hand-written handler in `kernel.rs`,
+///   `trap_name` the generated wrapper (flowcheck checks the three
+///   spellings agree; `macro_rules!` cannot paste identifiers).
+/// * A row without an argument list is a *unit* variant.  Each argument is
+///   a documented variant field.  `arg: B => O` means the wrapper takes
+///   `B` (`&str`, `&[u8]`), the variant owns an `O` built with `O::from`,
+///   and the handler borrows it back as `&O`; plain arguments move through
+///   unchanged.
+/// * `Result` is the [`SyscallResult`] variant carrying the handler's
+///   `RetTy` (`Unit(())` for calls that return nothing).
+///
+/// The row position is the call's ABI index.
+macro_rules! syscalls {
+    (@owned $ty:ty) => { $ty };
+    (@owned $ty:ty, $owned:ty) => { $owned };
+    (@lend $arg:ident) => { $arg };
+    (@lend $arg:ident, $owned:ty) => { &$arg };
+    (@wrap Unit) => { |()| SyscallResult::Unit };
+    (@wrap Info) => {
+        |(object_type, descrip, quota)| SyscallResult::Info { object_type, descrip, quota }
+    };
+    (@wrap $Res:ident) => { SyscallResult::$Res };
+    (@unwrap Unit, $result:expr, $mismatch:expr) => {
+        match $result {
+            SyscallResult::Unit => Ok(()),
+            _ => $mismatch,
+        }
+    };
+    (@unwrap Info, $result:expr, $mismatch:expr) => {
+        match $result {
+            SyscallResult::Info { object_type, descrip, quota } => {
+                Ok((object_type, descrip, quota))
+            }
+            _ => $mismatch,
+        }
+    };
+    (@unwrap $Res:ident, $result:expr, $mismatch:expr) => {
+        match $result {
+            SyscallResult::$Res(value) => Ok(value),
+            _ => $mismatch,
+        }
+    };
+    ($(
+        $(#[$doc:meta])*
+        $Variant:ident $name:ident $sys:ident $trap:ident
+        $(( $( $(#[$arg_doc:meta])* $arg:ident : $ty:ty $(=> $owned:ty)? ),+ $(,)? ))?
+        -> $Res:ident ( $ret:ty );
+    )*) => {
+        /// One system call with its arguments — what a real thread would
+        /// place in registers before trapping.
+        ///
+        /// Every variant corresponds 1:1 to a `sys_*` method on [`Kernel`];
+        /// the calling thread is supplied separately to [`Kernel::dispatch`].
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Syscall {$(
+            $(#[$doc])*
+            $Variant $({$(
+                $(#[$arg_doc])*
+                $arg: syscalls!(@owned $ty $(, $owned)?),
+            )+})?,
+        )*}
+
+        /// The table's rows as plain discriminants: `Row::X as usize` is
+        /// `X`'s position in the table.
+        enum Row {$($Variant,)*}
+
+        /// Number of distinct system calls in the ABI.
+        pub const SYSCALL_COUNT: usize = [$(Row::$Variant as usize),*].len();
+
+        /// The names of all system calls, indexed by [`Syscall::index`].
+        pub const SYSCALL_NAMES: [&str; SYSCALL_COUNT] = [$(stringify!($name)),*];
+
+        impl Syscall {
+            /// The call's index into [`SYSCALL_NAMES`] and the per-syscall
+            /// stats.
+            pub fn index(&self) -> usize {
+                match self {$(
+                    Syscall::$Variant { .. } => Row::$Variant as usize,
+                )*}
+            }
+
+            /// The call's name (stable, used in traces and stats dumps).
+            pub fn name(&self) -> &'static str {
+                SYSCALL_NAMES[self.index()]
+            }
+
+            /// Calls `f` on every container-entry argument, in argument
+            /// order — the entries handle resolution rewrites.
+            pub fn for_each_entry_mut(&mut self, mut f: impl FnMut(&mut ContainerEntry)) {
+                match self {$(
+                    Syscall::$Variant $({ $($arg),+ })? => {
+                        $($( $arg.visit_entries(&mut f); )+)?
+                    }
+                )*}
+            }
+        }
+
+        impl Kernel {
+            fn dispatch_inner(
+                &mut self,
+                tid: ObjectId,
+                call: Syscall,
+            ) -> Result<SyscallResult, SyscallError> {
+                match call {$(
+                    Syscall::$Variant $({ $($arg),+ })? => self
+                        .$sys(tid $($(, syscalls!(@lend $arg $(, $owned)?))+)?)
+                        .map(syscalls!(@wrap $Res)),
+                )*}
+            }
+        }
+
+        /// The `trap_*` calling convention: typed wrappers over
+        /// [`Kernel::dispatch`].
+        ///
+        /// Each method mirrors the corresponding `sys_*` signature exactly,
+        /// but the call crosses the dispatch boundary, so it is counted and
+        /// traced.
+        impl Kernel {$(
+            #[doc = concat!("Traps `", stringify!($sys), "`.")]
+            #[allow(clippy::too_many_arguments)]
+            pub fn $trap(
+                &mut self,
+                tid: ObjectId
+                $($(, $arg: $ty)+)?
+            ) -> Result<$ret, SyscallError> {
+                let call = Syscall::$Variant $({ $($arg $(: <$owned>::from($arg))?),+ })?;
+                // The `dispatch_inner` arm expanded from this same row maps
+                // `$sys`'s value into `SyscallResult::$Res`, so a successful
+                // dispatch of `$Variant` returns no other variant.
+                syscalls!(
+                    @unwrap $Res,
+                    self.dispatch(tid, call)?,
+                    unreachable!("dispatch result variant mismatch")
+                )
+            }
+        )*}
+    };
+}
+
+// The syscall table: the one list of the ABI.  Adding a syscall is one row
+// here plus its `sys_*` handler in `kernel.rs`; the row grammar is
+// documented on `syscalls!` above.
+syscalls! {
     /// `sys_create_category`.
-    CreateCategory,
+    CreateCategory create_category sys_create_category trap_create_category -> Category(Category);
     /// `sys_self_set_label`.
-    SelfSetLabel {
+    SelfSetLabel self_set_label sys_self_set_label trap_self_set_label (
         /// The requested new thread label.
         label: Label,
-    },
+    ) -> Unit(());
     /// `sys_self_set_clearance`.
-    SelfSetClearance {
+    SelfSetClearance self_set_clearance sys_self_set_clearance trap_self_set_clearance (
         /// The requested new clearance.
         clearance: Label,
-    },
+    ) -> Unit(());
     /// `sys_self_get_label`.
-    SelfGetLabel,
+    SelfGetLabel self_get_label sys_self_get_label trap_self_get_label -> Label(Label);
     /// `sys_self_get_clearance`.
-    SelfGetClearance,
+    SelfGetClearance self_get_clearance sys_self_get_clearance trap_self_get_clearance
+        -> Label(Label);
     /// `sys_container_create`.
-    ContainerCreate {
+    ContainerCreate container_create sys_container_create trap_container_create (
         /// Parent container.
         parent: ObjectId,
         /// Label of the new container.
         label: Label,
         /// Descriptive string.
-        descrip: String,
+        descrip: &str => String,
         /// Object-type mask forbidden under the new container.
         avoid_types: u8,
         /// Quota charged to the parent.
         quota: u64,
-    },
+    ) -> ObjectId(ObjectId);
     /// `sys_obj_unref`.
-    ObjUnref {
+    ObjUnref obj_unref sys_obj_unref trap_obj_unref (
         /// The container entry to unlink.
         entry: ContainerEntry,
-    },
+    ) -> Unit(());
     /// `sys_hard_link`.
-    HardLink {
+    HardLink hard_link sys_hard_link trap_hard_link (
         /// Source container entry.
         entry: ContainerEntry,
         /// Destination container.
         dst: ObjectId,
-    },
+    ) -> Unit(());
     /// `sys_container_quota_avail`.
-    ContainerQuotaAvail {
+    ContainerQuotaAvail container_quota_avail sys_container_quota_avail trap_container_quota_avail (
         /// The container to query.
         container: ObjectId,
-    },
+    ) -> U64(u64);
     /// `sys_container_get_parent`.
-    ContainerGetParent {
+    ContainerGetParent container_get_parent sys_container_get_parent trap_container_get_parent (
         /// The container to query.
         container: ObjectId,
-    },
+    ) -> ObjectId(ObjectId);
     /// `sys_container_list`.
-    ContainerList {
+    ContainerList container_list sys_container_list trap_container_list (
         /// The container to list.
         container: ObjectId,
-    },
+    ) -> ObjectIds(Vec<ObjectId>);
     /// `sys_quota_move`.
-    QuotaMove {
+    QuotaMove quota_move sys_quota_move trap_quota_move (
         /// The container quota moves out of (or back into).
         container: ObjectId,
         /// The object quota moves into (or out of).
         object: ObjectId,
         /// Bytes to move (negative moves quota back to the container).
         delta: i64,
-    },
+    ) -> Unit(());
     /// `sys_obj_get_label`.
-    ObjGetLabel {
+    ObjGetLabel obj_get_label sys_obj_get_label trap_obj_get_label (
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    ) -> Label(Label);
     /// `sys_obj_get_info`.
-    ObjGetInfo {
+    ObjGetInfo obj_get_info sys_obj_get_info trap_obj_get_info (
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    ) -> Info((ObjectType, String, u64));
     /// `sys_obj_get_metadata`.
-    ObjGetMetadata {
+    ObjGetMetadata obj_get_metadata sys_obj_get_metadata trap_obj_get_metadata (
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    ) -> Metadata([u8; METADATA_LEN]);
     /// `sys_obj_set_metadata`.
-    ObjSetMetadata {
+    ObjSetMetadata obj_set_metadata sys_obj_set_metadata trap_obj_set_metadata (
         /// The object, named through a container entry.
         entry: ContainerEntry,
         /// The new 64-byte metadata area.
         metadata: [u8; METADATA_LEN],
-    },
+    ) -> Unit(());
     /// `sys_obj_set_immutable`.
-    ObjSetImmutable {
+    ObjSetImmutable obj_set_immutable sys_obj_set_immutable trap_obj_set_immutable (
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    ) -> Unit(());
     /// `sys_obj_set_fixed_quota`.
-    ObjSetFixedQuota {
+    ObjSetFixedQuota obj_set_fixed_quota sys_obj_set_fixed_quota trap_obj_set_fixed_quota (
         /// The object, named through a container entry.
         entry: ContainerEntry,
-    },
+    ) -> Unit(());
     /// `sys_segment_create`.
-    SegmentCreate {
+    SegmentCreate segment_create sys_segment_create trap_segment_create (
         /// The container the segment is created in.
         container: ObjectId,
         /// The segment's label.
@@ -142,40 +333,40 @@ pub enum Syscall {
         /// Initial length in bytes.
         len: u64,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: &str => String,
+    ) -> ObjectId(ObjectId);
     /// `sys_segment_resize`.
-    SegmentResize {
+    SegmentResize segment_resize sys_segment_resize trap_segment_resize (
         /// The segment, named through a container entry.
         entry: ContainerEntry,
         /// The new length.
         len: u64,
-    },
+    ) -> Unit(());
     /// `sys_segment_read`.
-    SegmentRead {
+    SegmentRead segment_read sys_segment_read trap_segment_read (
         /// The segment, named through a container entry.
         entry: ContainerEntry,
         /// Byte offset of the read.
         offset: u64,
         /// Bytes to read.
         len: u64,
-    },
+    ) -> Bytes(Vec<u8>);
     /// `sys_segment_write`.
-    SegmentWrite {
+    SegmentWrite segment_write sys_segment_write trap_segment_write (
         /// The segment, named through a container entry.
         entry: ContainerEntry,
         /// Byte offset of the write.
         offset: u64,
         /// The bytes to write.
-        data: Vec<u8>,
-    },
+        data: &[u8] => Vec<u8>,
+    ) -> Unit(());
     /// `sys_segment_len`.
-    SegmentLen {
+    SegmentLen segment_len sys_segment_len trap_segment_len (
         /// The segment, named through a container entry.
         entry: ContainerEntry,
-    },
+    ) -> U64(u64);
     /// `sys_segment_copy`.
-    SegmentCopy {
+    SegmentCopy segment_copy sys_segment_copy trap_segment_copy (
         /// Source segment.
         src: ContainerEntry,
         /// Destination container.
@@ -183,19 +374,19 @@ pub enum Syscall {
         /// Label of the copy.
         label: Label,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: &str => String,
+    ) -> ObjectId(ObjectId);
     /// `sys_as_create`.
-    AsCreate {
+    AsCreate as_create sys_as_create trap_as_create (
         /// The container the address space is created in.
         container: ObjectId,
         /// The address space's label.
         label: Label,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: &str => String,
+    ) -> ObjectId(ObjectId);
     /// `sys_as_copy`.
-    AsCopy {
+    AsCopy as_copy sys_as_copy trap_as_copy (
         /// Source address space.
         src: ContainerEntry,
         /// Destination container.
@@ -203,36 +394,36 @@ pub enum Syscall {
         /// Label of the copy.
         label: Label,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: &str => String,
+    ) -> ObjectId(ObjectId);
     /// `sys_as_map`.
-    AsMap {
+    AsMap as_map sys_as_map trap_as_map (
         /// The address space, named through a container entry.
         aspace: ContainerEntry,
         /// The mapping to insert or replace.
         mapping: Mapping,
-    },
+    ) -> Unit(());
     /// `sys_as_unmap`.
-    AsUnmap {
+    AsUnmap as_unmap sys_as_unmap trap_as_unmap (
         /// The address space, named through a container entry.
         aspace: ContainerEntry,
         /// Virtual address of the mapping to remove.
         va: u64,
-    },
+    ) -> Unit(());
     /// `sys_self_set_as`.
-    SelfSetAs {
+    SelfSetAs self_set_as sys_self_set_as trap_self_set_as (
         /// The address space to switch to.
         aspace: ContainerEntry,
-    },
+    ) -> Unit(());
     /// `sys_page_fault`.
-    PageFault {
+    PageFault page_fault sys_page_fault trap_page_fault (
         /// The faulting virtual address.
         va: u64,
         /// Whether the access was a write.
         write: bool,
-    },
+    ) -> PageFault(PageFaultResolution);
     /// `sys_thread_create`.
-    ThreadCreate {
+    ThreadCreate thread_create sys_thread_create trap_thread_create (
         /// The container the thread is created in.
         container: ObjectId,
         /// The new thread's label.
@@ -242,28 +433,29 @@ pub enum Syscall {
         /// Abstract entry point.
         entry_point: u64,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: &str => String,
+    ) -> ObjectId(ObjectId);
     /// `sys_self_local_segment`.
-    SelfLocalSegment,
+    SelfLocalSegment self_local_segment sys_self_local_segment trap_self_local_segment
+        -> ObjectId(ObjectId);
     /// `sys_self_halt`.
-    SelfHalt,
+    SelfHalt self_halt sys_self_halt trap_self_halt -> Unit(());
     /// `sys_thread_alert`.
-    ThreadAlert {
+    ThreadAlert thread_alert sys_thread_alert trap_thread_alert (
         /// The target thread, named through a container entry.
         target: ContainerEntry,
         /// The alert code (Unix signal number, for the library).
         code: u64,
-    },
+    ) -> Unit(());
     /// `sys_self_take_alert`.
-    SelfTakeAlert,
+    SelfTakeAlert self_take_alert sys_self_take_alert trap_self_take_alert -> Alert(Option<Alert>);
     /// `sys_thread_get_label`.
-    ThreadGetLabel {
+    ThreadGetLabel thread_get_label sys_thread_get_label trap_thread_get_label (
         /// The target thread, named through a container entry.
         target: ContainerEntry,
-    },
+    ) -> Label(Label);
     /// `sys_gate_create`.
-    GateCreate {
+    GateCreate gate_create sys_gate_create trap_gate_create (
         /// The container the gate is created in.
         container: ObjectId,
         /// The gate's label (may contain `⋆`).
@@ -277,10 +469,10 @@ pub enum Syscall {
         /// Closure arguments passed to the entry point.
         closure_args: Vec<u64>,
         /// Descriptive string.
-        descrip: String,
-    },
+        descrip: &str => String,
+    ) -> ObjectId(ObjectId);
     /// `sys_gate_enter`.
-    GateEnter {
+    GateEnter gate_enter sys_gate_enter trap_gate_enter (
         /// The gate to invoke.
         gate: ContainerEntry,
         /// The label the thread requests on entry.
@@ -289,49 +481,50 @@ pub enum Syscall {
         requested_clearance: Label,
         /// The verify label proving category possession to the gate code.
         verify: Label,
-    },
+    ) -> GateEntry(GateEntryResult);
     /// `sys_gate_clearance`.
-    GateClearance {
+    GateClearance gate_clearance sys_gate_clearance trap_gate_clearance (
         /// The gate to query.
         gate: ContainerEntry,
-    },
+    ) -> Label(Label);
     /// `sys_category_bind_remote`.
-    CategoryBindRemote {
+    CategoryBindRemote category_bind_remote sys_category_bind_remote trap_category_bind_remote (
         /// The local category.
         category: Category,
         /// Its self-certifying global name.
         name: RemoteCategoryName,
-    },
+    ) -> Unit(());
     /// `sys_category_get_remote`.
-    CategoryGetRemote {
+    CategoryGetRemote category_get_remote sys_category_get_remote trap_category_get_remote (
         /// The local category.
         category: Category,
-    },
+    ) -> RemoteName(Option<RemoteCategoryName>);
     /// `sys_category_resolve_remote`.
-    CategoryResolveRemote {
+    CategoryResolveRemote category_resolve_remote
+        sys_category_resolve_remote trap_category_resolve_remote (
         /// The global name to resolve.
         name: RemoteCategoryName,
-    },
+    ) -> ResolvedCategory(Option<Category>);
     /// `sys_net_mac`.
-    NetMac {
+    NetMac net_mac sys_net_mac trap_net_mac (
         /// The device, named through a container entry.
         device: ContainerEntry,
-    },
+    ) -> Mac([u8; 6]);
     /// `sys_net_transmit`.
-    NetTransmit {
+    NetTransmit net_transmit sys_net_transmit trap_net_transmit (
         /// The device, named through a container entry.
         device: ContainerEntry,
         /// The frame to queue for transmission.
         frame: Vec<u8>,
-    },
+    ) -> Unit(());
     /// `sys_net_receive`.
-    NetReceive {
+    NetReceive net_receive sys_net_receive trap_net_receive (
         /// The device, named through a container entry.
         device: ContainerEntry,
-    },
+    ) -> Frame(Option<Vec<u8>>);
     /// `sys_persist_put`: create or update a labeled record in the
     /// single-level store's persist namespace.
-    PersistPut {
+    PersistPut persist_put sys_persist_put trap_persist_put (
         /// The record key (must lie in the persist namespace).
         key: u64,
         /// Label for a newly created record (ignored when the record
@@ -341,176 +534,52 @@ pub enum Syscall {
         /// Byte offset of the write within the record payload.
         offset: u64,
         /// The bytes to write.
-        data: Vec<u8>,
-    },
+        data: &[u8] => Vec<u8>,
+    ) -> Unit(());
     /// `sys_persist_read`: read bytes out of a persist record.
-    PersistRead {
+    PersistRead persist_read sys_persist_read trap_persist_read (
         /// The record key.
         key: u64,
         /// Byte offset of the read.
         offset: u64,
         /// Bytes to read (`u64::MAX` reads to the end of the record).
         len: u64,
-    },
+    ) -> Bytes(Vec<u8>);
     /// `sys_persist_delete`: remove a persist record.
-    PersistDelete {
+    PersistDelete persist_delete sys_persist_delete trap_persist_delete (
         /// The record key.
         key: u64,
-    },
+    ) -> Unit(());
     /// `sys_persist_scan`: range-scan the persist namespace, returning
     /// each observable record's key and payload.
-    PersistScan {
+    PersistScan persist_scan sys_persist_scan trap_persist_scan (
         /// Inclusive lower key bound.
         lo: u64,
         /// Exclusive upper key bound.
         hi: u64,
         /// Maximum number of records to return.
         max: u64,
-    },
+    ) -> Records(Vec<(u64, Vec<u8>)>);
     /// `sys_persist_sync`: make the named records durable (a write-ahead
     /// log append per record — HiStar's `fsync` primitive for data living
     /// directly in the store).
-    PersistSync {
+    PersistSync persist_sync sys_persist_sync trap_persist_sync (
         /// The record keys to sync; keys with no record log a durable
         /// deletion instead.
-        keys: Vec<u64>,
-    },
+        keys: Vec<u64> => Vec<u64>,
+    ) -> Unit(());
     /// `sys_persist_get_label`: the label a persist record carries.
-    PersistGetLabel {
+    PersistGetLabel persist_get_label sys_persist_get_label trap_persist_get_label (
         /// The record key.
         key: u64,
-    },
+    ) -> Label(Label);
     /// `sys_segment_watch`: register a one-shot readiness watch on a
     /// segment; the kernel pushes an `ObjectReady` completion when the
     /// segment is next written or deallocated.
-    SegmentWatch {
+    SegmentWatch segment_watch sys_segment_watch trap_segment_watch (
         /// The segment, named through a container entry.
         entry: ContainerEntry,
-    },
-}
-
-/// Number of distinct system calls in the ABI.
-pub const SYSCALL_COUNT: usize = 52;
-
-/// The names of all system calls, indexed by [`Syscall::index`].
-pub const SYSCALL_NAMES: [&str; SYSCALL_COUNT] = [
-    "create_category",
-    "self_set_label",
-    "self_set_clearance",
-    "self_get_label",
-    "self_get_clearance",
-    "container_create",
-    "obj_unref",
-    "hard_link",
-    "container_quota_avail",
-    "container_get_parent",
-    "container_list",
-    "quota_move",
-    "obj_get_label",
-    "obj_get_info",
-    "obj_get_metadata",
-    "obj_set_metadata",
-    "obj_set_immutable",
-    "obj_set_fixed_quota",
-    "segment_create",
-    "segment_resize",
-    "segment_read",
-    "segment_write",
-    "segment_len",
-    "segment_copy",
-    "as_create",
-    "as_copy",
-    "as_map",
-    "as_unmap",
-    "self_set_as",
-    "page_fault",
-    "thread_create",
-    "self_local_segment",
-    "self_halt",
-    "thread_alert",
-    "self_take_alert",
-    "thread_get_label",
-    "gate_create",
-    "gate_enter",
-    "gate_clearance",
-    "category_bind_remote",
-    "category_get_remote",
-    "category_resolve_remote",
-    "net_mac",
-    "net_transmit",
-    "net_receive",
-    "persist_put",
-    "persist_read",
-    "persist_delete",
-    "persist_scan",
-    "persist_sync",
-    "persist_get_label",
-    "segment_watch",
-];
-
-impl Syscall {
-    /// The call's index into [`SYSCALL_NAMES`] and the per-syscall stats.
-    pub fn index(&self) -> usize {
-        match self {
-            Syscall::CreateCategory => 0,
-            Syscall::SelfSetLabel { .. } => 1,
-            Syscall::SelfSetClearance { .. } => 2,
-            Syscall::SelfGetLabel => 3,
-            Syscall::SelfGetClearance => 4,
-            Syscall::ContainerCreate { .. } => 5,
-            Syscall::ObjUnref { .. } => 6,
-            Syscall::HardLink { .. } => 7,
-            Syscall::ContainerQuotaAvail { .. } => 8,
-            Syscall::ContainerGetParent { .. } => 9,
-            Syscall::ContainerList { .. } => 10,
-            Syscall::QuotaMove { .. } => 11,
-            Syscall::ObjGetLabel { .. } => 12,
-            Syscall::ObjGetInfo { .. } => 13,
-            Syscall::ObjGetMetadata { .. } => 14,
-            Syscall::ObjSetMetadata { .. } => 15,
-            Syscall::ObjSetImmutable { .. } => 16,
-            Syscall::ObjSetFixedQuota { .. } => 17,
-            Syscall::SegmentCreate { .. } => 18,
-            Syscall::SegmentResize { .. } => 19,
-            Syscall::SegmentRead { .. } => 20,
-            Syscall::SegmentWrite { .. } => 21,
-            Syscall::SegmentLen { .. } => 22,
-            Syscall::SegmentCopy { .. } => 23,
-            Syscall::AsCreate { .. } => 24,
-            Syscall::AsCopy { .. } => 25,
-            Syscall::AsMap { .. } => 26,
-            Syscall::AsUnmap { .. } => 27,
-            Syscall::SelfSetAs { .. } => 28,
-            Syscall::PageFault { .. } => 29,
-            Syscall::ThreadCreate { .. } => 30,
-            Syscall::SelfLocalSegment => 31,
-            Syscall::SelfHalt => 32,
-            Syscall::ThreadAlert { .. } => 33,
-            Syscall::SelfTakeAlert => 34,
-            Syscall::ThreadGetLabel { .. } => 35,
-            Syscall::GateCreate { .. } => 36,
-            Syscall::GateEnter { .. } => 37,
-            Syscall::GateClearance { .. } => 38,
-            Syscall::CategoryBindRemote { .. } => 39,
-            Syscall::CategoryGetRemote { .. } => 40,
-            Syscall::CategoryResolveRemote { .. } => 41,
-            Syscall::NetMac { .. } => 42,
-            Syscall::NetTransmit { .. } => 43,
-            Syscall::NetReceive { .. } => 44,
-            Syscall::PersistPut { .. } => 45,
-            Syscall::PersistRead { .. } => 46,
-            Syscall::PersistDelete { .. } => 47,
-            Syscall::PersistScan { .. } => 48,
-            Syscall::PersistSync { .. } => 49,
-            Syscall::PersistGetLabel { .. } => 50,
-            Syscall::SegmentWatch { .. } => 51,
-        }
-    }
-
-    /// The call's name (stable, used in traces and stats dumps).
-    pub fn name(&self) -> &'static str {
-        SYSCALL_NAMES[self.index()]
-    }
+    ) -> Unit(());
 }
 
 /// The typed result of a successful [`Kernel::dispatch`].
@@ -1059,976 +1128,25 @@ impl Kernel {
         tid: ObjectId,
         call: &mut Syscall,
     ) -> Result<(), SyscallError> {
-        use Syscall as S;
-        let mut args: [Option<&mut ContainerEntry>; 2] = [None, None];
-        match call {
-            S::ObjUnref { entry }
-            | S::HardLink { entry, .. }
-            | S::ObjGetLabel { entry }
-            | S::ObjGetInfo { entry }
-            | S::ObjGetMetadata { entry }
-            | S::ObjSetMetadata { entry, .. }
-            | S::ObjSetImmutable { entry }
-            | S::ObjSetFixedQuota { entry }
-            | S::SegmentResize { entry, .. }
-            | S::SegmentRead { entry, .. }
-            | S::SegmentWrite { entry, .. }
-            | S::SegmentLen { entry }
-            | S::SegmentWatch { entry } => args[0] = Some(entry),
-            S::SegmentCopy { src, .. } | S::AsCopy { src, .. } => args[0] = Some(src),
-            S::AsMap { aspace, mapping } => {
-                args[0] = Some(aspace);
-                args[1] = Some(&mut mapping.segment);
-            }
-            S::AsUnmap { aspace, .. } | S::SelfSetAs { aspace } => args[0] = Some(aspace),
-            S::ThreadAlert { target, .. } | S::ThreadGetLabel { target } => args[0] = Some(target),
-            S::GateCreate { address_space, .. } => args[0] = address_space.as_mut(),
-            S::GateEnter { gate, .. } | S::GateClearance { gate } => args[0] = Some(gate),
-            S::NetMac { device } | S::NetTransmit { device, .. } | S::NetReceive { device } => {
-                args[0] = Some(device)
-            }
-            _ => {}
-        }
         let mut resolved = 0;
-        for entry in args.into_iter().flatten() {
-            if let Some(h) = entry.as_handle() {
-                *entry = self
-                    .handle_entry(tid, h)
-                    .ok_or(SyscallError::BadHandle(h.raw()))?;
-                resolved += 1;
+        let mut stale = None;
+        call.for_each_entry_mut(|entry| {
+            // Nothing resolves past the first stale handle.
+            if let (None, Some(h)) = (stale, entry.as_handle()) {
+                match self.handle_entry(tid, h) {
+                    Some(installed) => {
+                        *entry = installed;
+                        resolved += 1;
+                    }
+                    None => stale = Some(h),
+                }
             }
+        });
+        if let Some(h) = stale {
+            return Err(SyscallError::BadHandle(h.raw()));
         }
         self.dispatch_stats_mut().handle_resolutions += resolved;
         Ok(())
-    }
-
-    fn dispatch_inner(
-        &mut self,
-        tid: ObjectId,
-        call: Syscall,
-    ) -> Result<SyscallResult, SyscallError> {
-        use Syscall as S;
-        use SyscallResult as R;
-        match call {
-            S::CreateCategory => self.sys_create_category(tid).map(R::Category),
-            S::SelfSetLabel { label } => self.sys_self_set_label(tid, label).map(|()| R::Unit),
-            S::SelfSetClearance { clearance } => self
-                .sys_self_set_clearance(tid, clearance)
-                .map(|()| R::Unit),
-            S::SelfGetLabel => self.sys_self_get_label(tid).map(R::Label),
-            S::SelfGetClearance => self.sys_self_get_clearance(tid).map(R::Label),
-            S::ContainerCreate {
-                parent,
-                label,
-                descrip,
-                avoid_types,
-                quota,
-            } => self
-                .sys_container_create(tid, parent, label, &descrip, avoid_types, quota)
-                .map(R::ObjectId),
-            S::ObjUnref { entry } => self.sys_obj_unref(tid, entry).map(|()| R::Unit),
-            S::HardLink { entry, dst } => self.sys_hard_link(tid, entry, dst).map(|()| R::Unit),
-            S::ContainerQuotaAvail { container } => {
-                self.sys_container_quota_avail(tid, container).map(R::U64)
-            }
-            S::ContainerGetParent { container } => self
-                .sys_container_get_parent(tid, container)
-                .map(R::ObjectId),
-            S::ContainerList { container } => {
-                self.sys_container_list(tid, container).map(R::ObjectIds)
-            }
-            S::QuotaMove {
-                container,
-                object,
-                delta,
-            } => self
-                .sys_quota_move(tid, container, object, delta)
-                .map(|()| R::Unit),
-            S::ObjGetLabel { entry } => self.sys_obj_get_label(tid, entry).map(R::Label),
-            S::ObjGetInfo { entry } => {
-                self.sys_obj_get_info(tid, entry)
-                    .map(|(object_type, descrip, quota)| R::Info {
-                        object_type,
-                        descrip,
-                        quota,
-                    })
-            }
-            S::ObjGetMetadata { entry } => self.sys_obj_get_metadata(tid, entry).map(R::Metadata),
-            S::ObjSetMetadata { entry, metadata } => self
-                .sys_obj_set_metadata(tid, entry, metadata)
-                .map(|()| R::Unit),
-            S::ObjSetImmutable { entry } => {
-                self.sys_obj_set_immutable(tid, entry).map(|()| R::Unit)
-            }
-            S::ObjSetFixedQuota { entry } => {
-                self.sys_obj_set_fixed_quota(tid, entry).map(|()| R::Unit)
-            }
-            S::SegmentCreate {
-                container,
-                label,
-                len,
-                descrip,
-            } => self
-                .sys_segment_create(tid, container, label, len, &descrip)
-                .map(R::ObjectId),
-            S::SegmentResize { entry, len } => {
-                self.sys_segment_resize(tid, entry, len).map(|()| R::Unit)
-            }
-            S::SegmentRead { entry, offset, len } => {
-                self.sys_segment_read(tid, entry, offset, len).map(R::Bytes)
-            }
-            S::SegmentWrite {
-                entry,
-                offset,
-                data,
-            } => self
-                .sys_segment_write(tid, entry, offset, &data)
-                .map(|()| R::Unit),
-            S::SegmentLen { entry } => self.sys_segment_len(tid, entry).map(R::U64),
-            S::SegmentWatch { entry } => self.sys_segment_watch(tid, entry).map(|()| R::Unit),
-            S::SegmentCopy {
-                src,
-                dst_container,
-                label,
-                descrip,
-            } => self
-                .sys_segment_copy(tid, src, dst_container, label, &descrip)
-                .map(R::ObjectId),
-            S::AsCreate {
-                container,
-                label,
-                descrip,
-            } => self
-                .sys_as_create(tid, container, label, &descrip)
-                .map(R::ObjectId),
-            S::AsCopy {
-                src,
-                dst_container,
-                label,
-                descrip,
-            } => self
-                .sys_as_copy(tid, src, dst_container, label, &descrip)
-                .map(R::ObjectId),
-            S::AsMap { aspace, mapping } => self.sys_as_map(tid, aspace, mapping).map(|()| R::Unit),
-            S::AsUnmap { aspace, va } => self.sys_as_unmap(tid, aspace, va).map(|()| R::Unit),
-            S::SelfSetAs { aspace } => self.sys_self_set_as(tid, aspace).map(|()| R::Unit),
-            S::PageFault { va, write } => self.sys_page_fault(tid, va, write).map(R::PageFault),
-            S::ThreadCreate {
-                container,
-                label,
-                clearance,
-                entry_point,
-                descrip,
-            } => self
-                .sys_thread_create(tid, container, label, clearance, entry_point, &descrip)
-                .map(R::ObjectId),
-            S::SelfLocalSegment => self.sys_self_local_segment(tid).map(R::ObjectId),
-            S::SelfHalt => self.sys_self_halt(tid).map(|()| R::Unit),
-            S::ThreadAlert { target, code } => {
-                self.sys_thread_alert(tid, target, code).map(|()| R::Unit)
-            }
-            S::SelfTakeAlert => self.sys_self_take_alert(tid).map(R::Alert),
-            S::ThreadGetLabel { target } => self.sys_thread_get_label(tid, target).map(R::Label),
-            S::GateCreate {
-                container,
-                label,
-                clearance,
-                address_space,
-                entry_point,
-                closure_args,
-                descrip,
-            } => self
-                .sys_gate_create(
-                    tid,
-                    container,
-                    label,
-                    clearance,
-                    address_space,
-                    entry_point,
-                    closure_args,
-                    &descrip,
-                )
-                .map(R::ObjectId),
-            S::GateEnter {
-                gate,
-                requested,
-                requested_clearance,
-                verify,
-            } => self
-                .sys_gate_enter(tid, gate, requested, requested_clearance, verify)
-                .map(R::GateEntry),
-            S::GateClearance { gate } => self.sys_gate_clearance(tid, gate).map(R::Label),
-            S::CategoryBindRemote { category, name } => self
-                .sys_category_bind_remote(tid, category, name)
-                .map(|()| R::Unit),
-            S::CategoryGetRemote { category } => self
-                .sys_category_get_remote(tid, category)
-                .map(R::RemoteName),
-            S::CategoryResolveRemote { name } => self
-                .sys_category_resolve_remote(tid, name)
-                .map(R::ResolvedCategory),
-            S::NetMac { device } => self.sys_net_mac(tid, device).map(R::Mac),
-            S::NetTransmit { device, frame } => {
-                self.sys_net_transmit(tid, device, frame).map(|()| R::Unit)
-            }
-            S::NetReceive { device } => self.sys_net_receive(tid, device).map(R::Frame),
-            S::PersistPut {
-                key,
-                label,
-                offset,
-                data,
-            } => self
-                .sys_persist_put(tid, key, label, offset, &data)
-                .map(|()| R::Unit),
-            S::PersistRead { key, offset, len } => {
-                self.sys_persist_read(tid, key, offset, len).map(R::Bytes)
-            }
-            S::PersistDelete { key } => self.sys_persist_delete(tid, key).map(|()| R::Unit),
-            S::PersistScan { lo, hi, max } => {
-                self.sys_persist_scan(tid, lo, hi, max).map(R::Records)
-            }
-            S::PersistSync { keys } => self.sys_persist_sync(tid, &keys).map(|()| R::Unit),
-            S::PersistGetLabel { key } => self.sys_persist_get_label(tid, key).map(R::Label),
-        }
-    }
-}
-
-/// The `trap_*` calling convention: typed wrappers over [`Kernel::dispatch`].
-///
-/// Each method mirrors the corresponding `sys_*` signature exactly, but the
-/// call crosses the dispatch boundary, so it is counted and traced.
-impl Kernel {
-    /// Traps `sys_create_category`.
-    pub fn trap_create_category(&mut self, tid: ObjectId) -> Result<Category, SyscallError> {
-        match self.dispatch(tid, Syscall::CreateCategory)? {
-            SyscallResult::Category(c) => Ok(c),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_set_label`.
-    pub fn trap_self_set_label(&mut self, tid: ObjectId, label: Label) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SelfSetLabel { label })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_set_clearance`.
-    pub fn trap_self_set_clearance(
-        &mut self,
-        tid: ObjectId,
-        clearance: Label,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SelfSetClearance { clearance })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_get_label`.
-    pub fn trap_self_get_label(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::SelfGetLabel)? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_get_clearance`.
-    pub fn trap_self_get_clearance(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::SelfGetClearance)? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_container_create`.
-    pub fn trap_container_create(
-        &mut self,
-        tid: ObjectId,
-        parent: ObjectId,
-        label: Label,
-        descrip: &str,
-        avoid_types: u8,
-        quota: u64,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::ContainerCreate {
-                parent,
-                label,
-                descrip: descrip.to_string(),
-                avoid_types,
-                quota,
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_unref`.
-    pub fn trap_obj_unref(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjUnref { entry })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_hard_link`.
-    pub fn trap_hard_link(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        dst: ObjectId,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::HardLink { entry, dst })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_container_quota_avail`.
-    pub fn trap_container_quota_avail(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-    ) -> Result<u64, SyscallError> {
-        match self.dispatch(tid, Syscall::ContainerQuotaAvail { container })? {
-            SyscallResult::U64(v) => Ok(v),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_container_get_parent`.
-    pub fn trap_container_get_parent(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(tid, Syscall::ContainerGetParent { container })? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_container_list`.
-    pub fn trap_container_list(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-    ) -> Result<Vec<ObjectId>, SyscallError> {
-        match self.dispatch(tid, Syscall::ContainerList { container })? {
-            SyscallResult::ObjectIds(ids) => Ok(ids),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_quota_move`.
-    pub fn trap_quota_move(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        object: ObjectId,
-        delta: i64,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::QuotaMove {
-                container,
-                object,
-                delta,
-            },
-        )? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_get_label`.
-    pub fn trap_obj_get_label(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::ObjGetLabel { entry })? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_get_info`.
-    pub fn trap_obj_get_info(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(ObjectType, String, u64), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjGetInfo { entry })? {
-            SyscallResult::Info {
-                object_type,
-                descrip,
-                quota,
-            } => Ok((object_type, descrip, quota)),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_get_metadata`.
-    pub fn trap_obj_get_metadata(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<[u8; METADATA_LEN], SyscallError> {
-        match self.dispatch(tid, Syscall::ObjGetMetadata { entry })? {
-            SyscallResult::Metadata(m) => Ok(m),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_set_metadata`.
-    pub fn trap_obj_set_metadata(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        metadata: [u8; METADATA_LEN],
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjSetMetadata { entry, metadata })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_set_immutable`.
-    pub fn trap_obj_set_immutable(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjSetImmutable { entry })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_obj_set_fixed_quota`.
-    pub fn trap_obj_set_fixed_quota(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ObjSetFixedQuota { entry })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_create`.
-    pub fn trap_segment_create(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        label: Label,
-        len: u64,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::SegmentCreate {
-                container,
-                label,
-                len,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_resize`.
-    pub fn trap_segment_resize(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        len: u64,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SegmentResize { entry, len })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_read`.
-    pub fn trap_segment_read(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, SyscallError> {
-        match self.dispatch(tid, Syscall::SegmentRead { entry, offset, len })? {
-            SyscallResult::Bytes(b) => Ok(b),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_write`.
-    pub fn trap_segment_write(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::SegmentWrite {
-                entry,
-                offset,
-                data: data.to_vec(),
-            },
-        )? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_watch`.
-    pub fn trap_segment_watch(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SegmentWatch { entry })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_len`.
-    pub fn trap_segment_len(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<u64, SyscallError> {
-        match self.dispatch(tid, Syscall::SegmentLen { entry })? {
-            SyscallResult::U64(v) => Ok(v),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_segment_copy`.
-    pub fn trap_segment_copy(
-        &mut self,
-        tid: ObjectId,
-        src: ContainerEntry,
-        dst_container: ObjectId,
-        label: Label,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::SegmentCopy {
-                src,
-                dst_container,
-                label,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_as_create`.
-    pub fn trap_as_create(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        label: Label,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::AsCreate {
-                container,
-                label,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_as_copy`.
-    pub fn trap_as_copy(
-        &mut self,
-        tid: ObjectId,
-        src: ContainerEntry,
-        dst_container: ObjectId,
-        label: Label,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::AsCopy {
-                src,
-                dst_container,
-                label,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_as_map`.
-    pub fn trap_as_map(
-        &mut self,
-        tid: ObjectId,
-        aspace: ContainerEntry,
-        mapping: Mapping,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::AsMap { aspace, mapping })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_as_unmap`.
-    pub fn trap_as_unmap(
-        &mut self,
-        tid: ObjectId,
-        aspace: ContainerEntry,
-        va: u64,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::AsUnmap { aspace, va })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_set_as`.
-    pub fn trap_self_set_as(
-        &mut self,
-        tid: ObjectId,
-        aspace: ContainerEntry,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SelfSetAs { aspace })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_page_fault`.
-    pub fn trap_page_fault(
-        &mut self,
-        tid: ObjectId,
-        va: u64,
-        write: bool,
-    ) -> Result<PageFaultResolution, SyscallError> {
-        match self.dispatch(tid, Syscall::PageFault { va, write })? {
-            SyscallResult::PageFault(r) => Ok(r),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_thread_create`.
-    pub fn trap_thread_create(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        label: Label,
-        clearance: Label,
-        entry_point: u64,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::ThreadCreate {
-                container,
-                label,
-                clearance,
-                entry_point,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_local_segment`.
-    pub fn trap_self_local_segment(&mut self, tid: ObjectId) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(tid, Syscall::SelfLocalSegment)? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_halt`.
-    pub fn trap_self_halt(&mut self, tid: ObjectId) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::SelfHalt)? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_thread_alert`.
-    pub fn trap_thread_alert(
-        &mut self,
-        tid: ObjectId,
-        target: ContainerEntry,
-        code: u64,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::ThreadAlert { target, code })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_self_take_alert`.
-    pub fn trap_self_take_alert(&mut self, tid: ObjectId) -> Result<Option<Alert>, SyscallError> {
-        match self.dispatch(tid, Syscall::SelfTakeAlert)? {
-            SyscallResult::Alert(a) => Ok(a),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_thread_get_label`.
-    pub fn trap_thread_get_label(
-        &mut self,
-        tid: ObjectId,
-        target: ContainerEntry,
-    ) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::ThreadGetLabel { target })? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_gate_create`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn trap_gate_create(
-        &mut self,
-        tid: ObjectId,
-        container: ObjectId,
-        label: Label,
-        clearance: Label,
-        address_space: Option<ContainerEntry>,
-        entry_point: u64,
-        closure_args: Vec<u64>,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::GateCreate {
-                container,
-                label,
-                clearance,
-                address_space,
-                entry_point,
-                closure_args,
-                descrip: descrip.to_string(),
-            },
-        )? {
-            SyscallResult::ObjectId(id) => Ok(id),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_gate_enter`.
-    pub fn trap_gate_enter(
-        &mut self,
-        tid: ObjectId,
-        gate: ContainerEntry,
-        requested: Label,
-        requested_clearance: Label,
-        verify: Label,
-    ) -> Result<GateEntryResult, SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::GateEnter {
-                gate,
-                requested,
-                requested_clearance,
-                verify,
-            },
-        )? {
-            SyscallResult::GateEntry(r) => Ok(r),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_gate_clearance`.
-    pub fn trap_gate_clearance(
-        &mut self,
-        tid: ObjectId,
-        gate: ContainerEntry,
-    ) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::GateClearance { gate })? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_category_bind_remote`.
-    pub fn trap_category_bind_remote(
-        &mut self,
-        tid: ObjectId,
-        category: Category,
-        name: RemoteCategoryName,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::CategoryBindRemote { category, name })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_category_get_remote`.
-    pub fn trap_category_get_remote(
-        &mut self,
-        tid: ObjectId,
-        category: Category,
-    ) -> Result<Option<RemoteCategoryName>, SyscallError> {
-        match self.dispatch(tid, Syscall::CategoryGetRemote { category })? {
-            SyscallResult::RemoteName(n) => Ok(n),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_category_resolve_remote`.
-    pub fn trap_category_resolve_remote(
-        &mut self,
-        tid: ObjectId,
-        name: RemoteCategoryName,
-    ) -> Result<Option<Category>, SyscallError> {
-        match self.dispatch(tid, Syscall::CategoryResolveRemote { name })? {
-            SyscallResult::ResolvedCategory(c) => Ok(c),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_net_mac`.
-    pub fn trap_net_mac(
-        &mut self,
-        tid: ObjectId,
-        device: ContainerEntry,
-    ) -> Result<[u8; 6], SyscallError> {
-        match self.dispatch(tid, Syscall::NetMac { device })? {
-            SyscallResult::Mac(m) => Ok(m),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_net_transmit`.
-    pub fn trap_net_transmit(
-        &mut self,
-        tid: ObjectId,
-        device: ContainerEntry,
-        frame: Vec<u8>,
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::NetTransmit { device, frame })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_net_receive`.
-    pub fn trap_net_receive(
-        &mut self,
-        tid: ObjectId,
-        device: ContainerEntry,
-    ) -> Result<Option<Vec<u8>>, SyscallError> {
-        match self.dispatch(tid, Syscall::NetReceive { device })? {
-            SyscallResult::Frame(f) => Ok(f),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_put`.
-    pub fn trap_persist_put(
-        &mut self,
-        tid: ObjectId,
-        key: u64,
-        label: Option<Label>,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), SyscallError> {
-        match self.dispatch(
-            tid,
-            Syscall::PersistPut {
-                key,
-                label,
-                offset,
-                data: data.to_vec(),
-            },
-        )? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_read`.
-    pub fn trap_persist_read(
-        &mut self,
-        tid: ObjectId,
-        key: u64,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, SyscallError> {
-        match self.dispatch(tid, Syscall::PersistRead { key, offset, len })? {
-            SyscallResult::Bytes(b) => Ok(b),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_delete`.
-    pub fn trap_persist_delete(&mut self, tid: ObjectId, key: u64) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::PersistDelete { key })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_scan`.
-    pub fn trap_persist_scan(
-        &mut self,
-        tid: ObjectId,
-        lo: u64,
-        hi: u64,
-        max: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
-        match self.dispatch(tid, Syscall::PersistScan { lo, hi, max })? {
-            SyscallResult::Records(r) => Ok(r),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_sync`.
-    pub fn trap_persist_sync(&mut self, tid: ObjectId, keys: Vec<u64>) -> Result<(), SyscallError> {
-        match self.dispatch(tid, Syscall::PersistSync { keys })? {
-            SyscallResult::Unit => Ok(()),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
-    }
-
-    /// Traps `sys_persist_get_label`.
-    pub fn trap_persist_get_label(
-        &mut self,
-        tid: ObjectId,
-        key: u64,
-    ) -> Result<Label, SyscallError> {
-        match self.dispatch(tid, Syscall::PersistGetLabel { key })? {
-            SyscallResult::Label(l) => Ok(l),
-            _ => unreachable!("dispatch result variant mismatch"),
-        }
     }
 }
 
@@ -2136,21 +1254,14 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), SYSCALL_COUNT, "names must be unique");
-        assert_eq!(Syscall::CreateCategory.name(), "create_category");
-        assert_eq!(
-            Syscall::NetReceive {
-                device: ContainerEntry::self_entry(ObjectId::from_raw(1))
-            }
-            .name(),
-            "net_receive"
-        );
-        assert_eq!(
-            Syscall::SegmentWatch {
-                entry: ContainerEntry::self_entry(ObjectId::from_raw(1))
-            }
-            .index(),
-            SYSCALL_COUNT - 1
-        );
+        // Row position is the index; `tests/dispatch_equivalence.rs` checks
+        // index and name for a value of every variant.
+        assert_eq!(Syscall::CreateCategory.index(), 0);
+        let last = Syscall::SegmentWatch {
+            entry: ContainerEntry::self_entry(ObjectId::from_raw(1)),
+        };
+        assert_eq!(last.index(), SYSCALL_COUNT - 1);
+        assert_eq!(last.name(), "segment_watch");
     }
 
     #[test]

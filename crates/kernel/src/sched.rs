@@ -318,12 +318,6 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
         }
     }
 
-    /// Creates a scheduler from a bare seed and quantum.
-    #[deprecated(note = "use Scheduler::new(SchedConfig::new().seed(..).quantum(..))")]
-    pub fn from_seed_quantum(seed: u64, quantum: SimDuration) -> Scheduler<Ctx> {
-        Scheduler::new(SchedConfig::new().seed(seed).quantum(quantum))
-    }
-
     /// Schedules `program` to run as thread `tid`.  Threads spawned between
     /// two `run` calls form one admission batch whose queue order is
     /// decided by the scheduler seed.
@@ -734,20 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_seed_quantum_shim_still_constructs() {
-        #[allow(deprecated)]
-        let mut sched: Scheduler<Machine> =
-            Scheduler::from_seed_quantum(7, SimDuration::from_micros(10));
-        assert_eq!(sched.config().seed, 7);
-        assert_eq!(sched.config().shards, DEFAULT_SHARDS);
-        let mut m = Machine::boot(MachineConfig::default());
-        let t = spawn_thread(&mut m, "t");
-        sched.spawn(t, Box::new(|_m, _tid| Step::Done));
-        let report = m.run_until(&mut sched, RunLimit::to_completion());
-        assert_eq!(report.stop, StopReason::AllComplete);
-    }
-
-    #[test]
     fn each_run_charges_its_first_context_switch() {
         // Regression: `last_run` must not leak across `run` invocations.
         // A scheduler that remembers the previous run's last thread would
@@ -756,6 +736,8 @@ mod tests {
         let mut m = Machine::boot(MachineConfig::default());
         let t = spawn_thread(&mut m, "spinner");
         let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1, 10));
+        assert_eq!(sched.config().seed, 1);
+        assert_eq!(sched.config().shards, DEFAULT_SHARDS);
         sched.spawn(t, Box::new(|_m, _tid| Step::Yield));
         let first = m.run_until(&mut sched, RunLimit::quanta(3));
         assert_eq!(first.stats.quanta, 3);

@@ -13,7 +13,7 @@
 
 use histar_kernel::abi::{CompletionKind, SqEntry, SqOp, SubmissionQueue};
 use histar_kernel::bodies::{DeviceBody, Mapping, MappingFlags};
-use histar_kernel::dispatch::{Syscall, SyscallResult, SYSCALL_COUNT};
+use histar_kernel::dispatch::{Syscall, SyscallResult, SYSCALL_COUNT, SYSCALL_NAMES};
 use histar_kernel::kernel::RemoteCategoryName;
 use histar_kernel::object::{ContainerEntry, ObjectId, METADATA_LEN};
 use histar_kernel::syscall::{SyscallError, SyscallStats};
@@ -462,7 +462,7 @@ fn cases(fx: &Fx) -> Vec<(Syscall, Direct)> {
                 container: fx.root,
                 label: fx.gate_label.clone(),
                 clearance: Label::default_clearance(),
-                address_space: None,
+                address_space: Some(e_as),
                 entry_point: 0x44,
                 closure_args: vec![1],
                 descrip: "g2".into(),
@@ -475,7 +475,7 @@ fn cases(fx: &Fx) -> Vec<(Syscall, Direct)> {
                         fx.root,
                         gl.clone(),
                         Label::default_clearance(),
-                        None,
+                        Some(entry(fx, fx.aspace)),
                         0x44,
                         vec![1],
                         "g2",
@@ -622,20 +622,18 @@ fn every_syscall_dispatches_identically_to_its_direct_call() {
     let (_, fx_probe) = setup();
     let all = cases(&fx_probe);
 
-    // Coverage: the case list must touch every ABI index exactly once.
-    let mut seen = [false; SYSCALL_COUNT];
-    for (call, _) in &all {
-        assert!(!seen[call.index()], "duplicate case for {}", call.name());
-        seen[call.index()] = true;
+    // Coverage: the case list is the table in row order, so it touches
+    // every ABI index exactly once, at its row position.
+    assert_eq!(all.len(), SYSCALL_COUNT);
+    for (i, (call, _)) in all.iter().enumerate() {
+        assert_eq!(
+            call.index(),
+            i,
+            "{}: index is the row position",
+            call.name()
+        );
+        assert_eq!(call.name(), SYSCALL_NAMES[i]);
     }
-    assert!(
-        seen.iter().all(|s| *s),
-        "missing cases: {:?}",
-        (0..SYSCALL_COUNT)
-            .filter(|&i| !seen[i])
-            .map(|i| histar_kernel::dispatch::SYSCALL_NAMES[i])
-            .collect::<Vec<_>>()
-    );
 
     for (call, direct) in all {
         let name = call.name();
@@ -775,46 +773,65 @@ fn any_batch_split_is_equivalent_to_one_call_per_trap() {
 
 #[test]
 fn handle_encoded_calls_are_equivalent_to_raw_entries() {
-    let (mut ka, fxa) = setup();
-    let (mut kb, fxb) = setup();
-    let e_seg_a = entry(&fxa, fxa.seg);
-    let e_seg_b = entry(&fxb, fxb.seg);
+    let (_, fx_probe) = setup();
+    let mut entry_bearing = 0;
+    for (i, (call, _)) in cases(&fx_probe).into_iter().enumerate() {
+        let name = call.name();
+        let mut entries = Vec::new();
+        call.clone().for_each_entry_mut(|e| entries.push(*e));
+        if entries.is_empty() {
+            continue;
+        }
+        entry_bearing += 1;
 
-    // Kernel B resolves the segment into a capability handle; the install
-    // performs the same reachability check every syscall performs, hence
-    // exactly one extra label check relative to kernel A.
-    let checks_before = kb.stats().label_checks - ka.stats().label_checks;
-    assert_eq!(checks_before, 0, "identical setups");
-    let h = kb.handle_open(fxb.boot, e_seg_b).unwrap();
-    let install_checks = kb.stats().label_checks - ka.stats().label_checks;
+        // Both kernels install the same handles (an install is
+        // reachability-checked, so it moves the counters); only B names
+        // the call's arguments through them.
+        let (mut ka, fxa) = setup();
+        let (mut kb, fxb) = setup();
+        for e in &entries {
+            ka.handle_open(fxa.boot, *e).unwrap();
+        }
+        let mut by_handle = call.clone();
+        by_handle.for_each_entry_mut(|e| *e = kb.handle_open(fxb.boot, *e).unwrap().entry());
+        let ra = ka.dispatch(fxa.boot, call.clone());
+        let rb = kb.dispatch(fxb.boot, by_handle);
+        assert_eq!(ra, rb, "{name}: handle naming must not change the result");
+        assert_eq!(ka.stats(), kb.stats(), "{name}: identical label checks");
+        assert_eq!(ka.object_count(), kb.object_count(), "{name}");
+        assert_eq!(ka.dispatch_stats().handle_resolutions, 0, "{name}");
+        assert_eq!(
+            kb.dispatch_stats().handle_resolutions,
+            entries.len() as u64,
+            "{name}: every entry argument resolves"
+        );
+
+        // A stale handle fails the call before anything is touched.
+        let (mut kc, fxc) = setup();
+        let mut stale = call;
+        stale.for_each_entry_mut(|e| {
+            let h = kc.handle_open(fxc.boot, *e).unwrap();
+            assert!(kc.handle_close(fxc.boot, h));
+            *e = h.entry();
+        });
+        let (stats, dstats) = (kc.stats(), kc.dispatch_stats());
+        let err = kc.dispatch(fxc.boot, stale).unwrap_err();
+        assert!(matches!(err, SyscallError::BadHandle(_)), "{name}: {err:?}");
+        assert_eq!(kc.stats(), stats, "{name}: no label check may run");
+        let after = kc.dispatch_stats();
+        assert_eq!(after.handle_resolutions, dstats.handle_resolutions);
+        assert_eq!(after.errors[i], 1, "{name}: the error is counted once");
+        assert_eq!(after.total_errors(), dstats.total_errors() + 1);
+    }
+    assert!(entry_bearing >= 26, "the sweep must not pass vacuously");
+
+    let (mut kb, fxb) = setup();
+    let checks = kb.stats().label_checks;
+    kb.handle_open(fxb.boot, entry(&fxb, fxb.seg)).unwrap();
     assert!(
-        install_checks >= 1,
+        kb.stats().label_checks > checks,
         "handle install is reachability-checked"
     );
-
-    let ra = ka.dispatch(
-        fxa.boot,
-        Syscall::SegmentRead {
-            entry: e_seg_a,
-            offset: 0,
-            len: 13,
-        },
-    );
-    let rb = kb.dispatch(
-        fxb.boot,
-        Syscall::SegmentRead {
-            entry: h.entry(),
-            offset: 0,
-            len: 13,
-        },
-    );
-    assert_eq!(ra, rb, "handle naming must not change the result");
-    assert_eq!(
-        kb.stats().label_checks - ka.stats().label_checks,
-        install_checks,
-        "the dispatched call performs identical label checks either way"
-    );
-
     // A thread that could not traverse to an object cannot install a
     // handle for it: reachability is checked at install time.
     let secret = Label::builder().set(fxb.cat_unbound, Level::L3).build();

@@ -10,7 +10,7 @@
 //! charge them to the [`SimClock`](crate::clock::SimClock).
 //!
 //! The per-operation constants are calibrated to a 2.4 GHz Athlon64-class
-//! machine (the paper's testbed).  EXPERIMENTS.md discusses calibration.
+//! machine (the paper's testbed).
 
 use crate::clock::SimDuration;
 
