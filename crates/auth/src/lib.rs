@@ -79,12 +79,6 @@ impl AuthService {
             retries_left: 5,
         }
     }
-
-    /// Changes the password (only the user's own code would be able to do
-    /// this, since the service runs with the user's privilege).
-    pub fn set_password(&mut self, password: &str) {
-        self.password_hash = hash_password(password);
-    }
 }
 
 /// Outcome of a login attempt.
@@ -337,6 +331,13 @@ mod tests {
         assert!(label.owns(bob.write_cat));
         // The login is recorded by the logging service.
         assert!(auth.log.entries().iter().any(|e| e.contains("success")));
+        // `/proc` renders from the live process table, so the new user
+        // shows at once.
+        let status = env
+            .read_file_as(sshd, &format!("/proc/{sshd}/status"))
+            .unwrap();
+        let status = String::from_utf8(status).unwrap();
+        assert!(status.contains("user:\tbob\n"), "got: {status}");
         // And the process can now read bob's private files.
         env.mkdir(sshd, "/home", None).unwrap();
         env.write_file_as(sshd, "/home/secret", b"x", Some(bob.private_file_label()))

@@ -1,4 +1,5 @@
-//! Must pass: ABI-edge state keyed by the calling thread is self access;
+//! Must pass: runtime state reached through the calling thread's own
+//! object (`thread_mut(tid)`) is self access;
 //! the ownership test (`owns`) mediates the category bind.
 syscalls! {
     Take take sys_take trap_take -> Alert(Option<Alert>);
@@ -8,8 +9,8 @@ syscalls! {
 impl Kernel {
     // flowcheck: exempt(pops the caller's own completion queue)
     fn sys_take(&mut self, tid: ObjectId) -> R {
-        let queue = self.completions.get_mut(&tid);
-        Ok(queue.and_then(|q| q.pop_front()))
+        let (_, body) = self.thread_mut(tid)?;
+        Ok(body.runtime.completions.pop_front())
     }
 
     fn sys_bind(&mut self, tid: ObjectId, category: Category, name: Name) -> R {

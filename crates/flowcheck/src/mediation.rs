@@ -14,9 +14,11 @@
 //!   `check_record_modify`, `create_object` (which internally performs
 //!   `check_modify` + `can_allocate`), `can_allocate`, and `.owns(…)`
 //!   (category-ownership tests).
-//! * **Heap accesses** reach the object table or ABI-edge state:
-//!   `self.objects`, `self.handles`, `self.completions`, `self.watchers`,
-//!   `self.remote_bindings`, `self.remote_index`, and the typed accessors
+//! * **Heap accesses** reach the kernel's only id-keyed state: the
+//!   object table `self.objects` (every object's runtime state — queues,
+//!   handles, watchers, holder counts — lives inside its object), the
+//!   category-translation pair `self.remote_bindings` /
+//!   `self.remote_index`, and the typed accessors
 //!   `obj`/`obj_mut`/`typed`/`container`/`thread`/`thread_mut`/`dealloc`.
 //!   Accessors keyed by the calling thread itself (`tid` literal) are
 //!   *self accesses*: a thread may always touch its own state (§3 of the
@@ -61,16 +63,9 @@ const CHECK_CALLS: &[&str] = &[
     "can_allocate",
 ];
 
-/// `self.<field>` uses that count as heap access. Keyed self-probes
-/// (`self.completions.get_mut(&tid)`) are self accesses.
-const STATE_FIELDS: &[&str] = &[
-    "objects",
-    "handles",
-    "completions",
-    "watchers",
-    "remote_bindings",
-    "remote_index",
-];
+/// `self.<field>` uses that count as heap access: every id-keyed
+/// collection `struct Kernel` holds.
+const STATE_FIELDS: &[&str] = &["objects", "remote_bindings", "remote_index"];
 
 /// `self.<accessor>(arg, …)`: heap access unless the first argument is
 /// the literal `tid` (the calling thread's own state).
@@ -375,7 +370,7 @@ fn scan_body(f: &SourceFile, open: usize, close: usize) -> BodyScan {
         }
 
         if STATE_FIELDS.contains(&t.as_str()) {
-            if !is_self_keyed_field_use(toks, i) && scan.first_heap.is_none() {
+            if scan.first_heap.is_none() {
                 scan.first_heap = Some((i, toks[i].line, format!("self.{t}")));
             }
             continue;
@@ -396,21 +391,6 @@ fn scan_body(f: &SourceFile, open: usize, close: usize) -> BodyScan {
         }
     }
     scan
-}
-
-/// `self.<field>.method(&tid…)` — keyed by the calling thread — is a
-/// self access; everything else reaching a state field is a heap access.
-fn is_self_keyed_field_use(toks: &[crate::lex::Token], i: usize) -> bool {
-    if next_is(toks, i, ".") && toks.get(i + 3).map(|t| t.text.as_str()) == Some("(") {
-        let mut j = i + 4;
-        if toks.get(j).map(|t| t.text.as_str()) == Some("&") {
-            j += 1;
-        }
-        if toks.get(j).map(|t| t.text.as_str()) == Some("tid") {
-            return true;
-        }
-    }
-    false
 }
 
 fn next_is(toks: &[crate::lex::Token], i: usize, text: &str) -> bool {

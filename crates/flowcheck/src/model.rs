@@ -50,16 +50,6 @@ impl SourceFile {
         self.test_ranges.iter().any(|&(a, b)| idx >= a && idx < b)
     }
 
-    /// The fn item whose body contains the given token index, if any.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnItem> {
-        // Bodies can nest (closures don't produce FnItems, but nested fns
-        // would); pick the innermost (latest-opening) match.
-        self.fns
-            .iter()
-            .filter(|f| idx > f.body_open && idx < f.body_close)
-            .max_by_key(|f| f.body_open)
-    }
-
     /// Looks up a fn item by name (first match).
     pub fn find_fn(&self, name: &str) -> Option<&FnItem> {
         self.fns.iter().find(|f| f.name == name)

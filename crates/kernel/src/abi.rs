@@ -183,8 +183,14 @@ impl HandleTable {
         self.live == 0
     }
 
+    /// True once any handle was ever installed (slots are reused, never
+    /// dropped) — what `kernel.threads_with_handles` counts.
+    pub fn ever_used(&self) -> bool {
+        !self.slots.is_empty()
+    }
+
     /// Live handle counts aggregated per named object, in object order —
-    /// what the kernel's holder index must forget when this table's
+    /// the holder counts other objects must forget when this table's
     /// thread dies.
     pub fn live_holdings(&self) -> Vec<(ObjectId, u64)> {
         let mut counts: std::collections::BTreeMap<ObjectId, u64> = Default::default();
@@ -287,6 +293,20 @@ impl Completion {
             other => panic!("expected a handle-open completion, got {other:?}"),
         }
     }
+}
+
+/// A thread's runtime state at the ABI edge.  It is part of the thread
+/// object ([`ThreadBody::runtime`](crate::bodies::ThreadBody), boxed so a
+/// thread does not widen every `KObject`), is never serialized, and is
+/// gone with the thread — there is no side table to keep in step.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ThreadRuntime {
+    /// Unreaped completions, oldest first.
+    pub(crate) completions: VecDeque<Completion>,
+    /// Installed capability handles.
+    pub(crate) handles: HandleTable,
+    /// Dispatched-syscall count (served by `/metrics/tasks`).
+    pub(crate) syscalls: u64,
 }
 
 /// The user-side submission queue: entries accumulate here and cross the

@@ -6,6 +6,7 @@
 //! address spaces soft-link segments, threads soft-link address spaces, and
 //! gates soft-link address spaces.
 
+use crate::abi::ThreadRuntime;
 use crate::object::{ContainerEntry, ObjectId, ObjectType};
 use histar_label::Label;
 
@@ -135,11 +136,6 @@ pub struct Alert {
     pub code: u64,
 }
 
-/// Wake-state bit: the thread has at least one undelivered alert.
-pub const WAKE_ALERT: u8 = 1 << 0;
-/// Wake-state bit: the thread has at least one unreaped completion.
-pub const WAKE_COMPLETION: u8 = 1 << 1;
-
 /// A thread: the only active object type (§3.1).
 ///
 /// The thread's label and clearance are mutable (via `self_set_label` /
@@ -160,13 +156,11 @@ pub struct ThreadBody {
     pub local_segment: Option<ObjectId>,
     /// Alerts queued for delivery.
     pub pending_alerts: Vec<Alert>,
-    /// Wake-state bits ([`WAKE_ALERT`] | [`WAKE_COMPLETION`]), maintained
-    /// by the kernel at alert-post/take and completion-push/reap time so
-    /// the scheduler's wake probe is a single O(1) read instead of three
-    /// queue inspections.  Not persisted: the alert bit is recomputed from
-    /// `pending_alerts` on decode, and completions are ABI-edge state that
-    /// dies with a snapshot anyway.
-    pub wake_flags: u8,
+    /// Completion queue, handle table and syscall count: runtime state,
+    /// never serialized (a decoded thread starts with a fresh one).  The
+    /// scheduler's wake probe reads this queue's and `pending_alerts`'
+    /// emptiness directly.
+    pub(crate) runtime: Box<ThreadRuntime>,
 }
 
 impl ThreadBody {
@@ -179,7 +173,7 @@ impl ThreadBody {
             state: ThreadState::Runnable,
             local_segment: None,
             pending_alerts: Vec::new(),
-            wake_flags: 0,
+            runtime: Box::default(),
         }
     }
 }

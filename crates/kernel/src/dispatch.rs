@@ -663,27 +663,11 @@ impl SyscallResult {
         }
     }
 
-    /// Unwraps a plain-number result; panics on any other variant.
-    pub fn into_u64(self) -> u64 {
-        match self {
-            SyscallResult::U64(v) => v,
-            other => panic!("expected a U64 completion, got {other:?}"),
-        }
-    }
-
     /// Unwraps a received-frame result; panics on any other variant.
     pub fn into_frame(self) -> Option<Vec<u8>> {
         match self {
             SyscallResult::Frame(f) => f,
             other => panic!("expected a Frame completion, got {other:?}"),
-        }
-    }
-
-    /// Unwraps a persist-scan result; panics on any other variant.
-    pub fn into_records(self) -> Vec<(u64, Vec<u8>)> {
-        match self {
-            SyscallResult::Records(r) => r,
-            other => panic!("expected a Records completion, got {other:?}"),
         }
     }
 }
@@ -777,16 +761,6 @@ impl DispatchStats {
             .filter(|&i| self.invocations[i] > 0)
             .map(|i| (SYSCALL_NAMES[i], self.invocations[i], self.errors[i]))
             .collect()
-    }
-
-    /// The histogram bucket a batch of `size` entries falls into.
-    pub fn batch_bucket(size: u64) -> usize {
-        Histogram::new(&BATCH_HIST_BUCKETS).bucket_of(size)
-    }
-
-    /// Human-readable label for histogram bucket `i` (e.g. `"3-4"`).
-    pub fn batch_bucket_label(i: usize) -> String {
-        Histogram::new(&BATCH_HIST_BUCKETS).bucket_label(i)
     }
 
     /// Mean submission-batch size (1.0 when everything was single-call).
@@ -992,20 +966,16 @@ impl Kernel {
     {
         let done = self.dispatch_batch_collect(tid, entries);
         let n = done.len();
-        // A deallocated thread's queue was dropped by `dealloc`; do not
-        // resurrect it for completions nobody can reap.
-        if self.thread_state(tid).is_ok() {
-            for completion in done {
-                self.push_completion(tid, completion);
-            }
+        for completion in done {
+            self.push_completion(tid, completion);
         }
         n
     }
 
     /// The batch execution loop, returning the completions directly
     /// instead of routing them through the thread's completion queue —
-    /// the queue can vanish mid-batch if an entry deallocates the calling
-    /// thread, so synchronous callers take results from here.
+    /// the queue vanishes with the thread if an entry deallocates the
+    /// caller mid-batch, so synchronous callers take results from here.
     fn dispatch_batch_collect<I>(&mut self, tid: ObjectId, entries: I) -> Vec<Completion>
     where
         I: IntoIterator<Item = SqEntry>,
@@ -1088,7 +1058,6 @@ impl Kernel {
         let name = call.name();
         let span_start = self.recorder().is_enabled().then(|| self.now().as_nanos());
         self.dispatch_stats_mut().invocations[index] += 1;
-        self.note_thread_syscall(tid);
         let result = match self.resolve_handle_args(tid, &mut call) {
             Ok(()) => self.dispatch_inner(tid, call),
             Err(e) => Err(e),
@@ -1117,23 +1086,25 @@ impl Kernel {
         result
     }
 
-    /// Substitutes handle-encoded `ContainerEntry` arguments with the
-    /// entries installed in `tid`'s handle table.  A stale or unknown
-    /// handle fails the call with [`SyscallError::BadHandle`] before any
-    /// state is touched; the substituted entry is still re-validated by
-    /// the `sys_*` implementation like any raw entry, so handles add a
-    /// naming indirection, never a checking shortcut.
+    /// Counts the call against `tid` and substitutes handle-encoded
+    /// `ContainerEntry` arguments with the entries installed in `tid`'s
+    /// handle table.  A stale or unknown handle fails the call with
+    /// [`SyscallError::BadHandle`] before any object is touched; the
+    /// substituted entry is still re-validated by the `sys_*`
+    /// implementation like any raw entry, so handles add a naming
+    /// indirection, never a checking shortcut.
     fn resolve_handle_args(
         &mut self,
         tid: ObjectId,
         call: &mut Syscall,
     ) -> Result<(), SyscallError> {
+        let handles = self.begin_thread_call(tid);
         let mut resolved = 0;
         let mut stale = None;
         call.for_each_entry_mut(|entry| {
             // Nothing resolves past the first stale handle.
             if let (None, Some(h)) = (stale, entry.as_handle()) {
-                match self.handle_entry(tid, h) {
+                match handles.and_then(|t| t.resolve(h)) {
                     Some(installed) => {
                         *entry = installed;
                         resolved += 1;

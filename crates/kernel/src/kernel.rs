@@ -9,12 +9,12 @@
 use crate::abi::{Completion, CompletionKind, Handle, HandleTable, KERNEL_USER_DATA};
 use crate::bodies::{
     AddressSpaceBody, Alert, ContainerBody, DeviceBody, GateBody, Mapping, ObjectBody, SegmentBody,
-    ThreadBody, ThreadState, WAKE_ALERT, WAKE_COMPLETION,
+    ThreadBody, ThreadState,
 };
 use crate::dispatch::{DispatchStats, SyscallTrace};
 use crate::object::{
-    truncate_descrip, ContainerEntry, ObjectHeader, ObjectId, ObjectType, METADATA_LEN,
-    OBJECT_ID_MASK, QUOTA_INFINITE,
+    ContainerEntry, ObjectHeader, ObjectId, ObjectType, METADATA_LEN, OBJECT_ID_MASK,
+    QUOTA_INFINITE,
 };
 use crate::syscall::{SyscallError, SyscallStats};
 use histar_label::category::FeistelCipher;
@@ -33,13 +33,37 @@ use std::collections::{BTreeMap, HashMap};
 /// Size of one page, matching the simulated hardware.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// One kernel object: header plus type-specific body.
+/// One kernel object: header plus type-specific body, plus the runtime
+/// state other threads hang on it.  Runtime fields are never serialized
+/// and are gone with the object.
 #[derive(Clone, Debug)]
 pub struct KObject {
     /// The object's header (identity, label, quota, flags).
     pub header: ObjectHeader,
     /// The object's type-specific payload.
     pub body: ObjectBody,
+    /// One-shot readiness watches: threads to notify (with an
+    /// `ObjectReady` completion) when this object is next written or
+    /// deallocated.  Registered via `segment_watch`; this is how blocking
+    /// pipe/socket reads park without polling.
+    pub(crate) watchers: Vec<ObjectId>,
+    /// Threads holding live handles naming this object, with a count per
+    /// thread — the reverse of every thread's handle table, so the
+    /// unref/dealloc revocation sweeps visit exactly the holders and
+    /// severing one link stays O(holders) with 10⁵ threads resident.
+    pub(crate) holders: BTreeMap<ObjectId, u64>,
+}
+
+impl KObject {
+    /// An object with no runtime state yet.
+    pub fn new(header: ObjectHeader, body: ObjectBody) -> KObject {
+        KObject {
+            header,
+            body,
+            watchers: Vec::new(),
+            holders: BTreeMap::new(),
+        }
+    }
 }
 
 /// The result of a successful gate invocation: where the thread now runs.
@@ -138,24 +162,10 @@ pub struct Kernel {
     /// can correlate a span with its audit-trace record even after ring
     /// eviction.
     dispatch_seq: u64,
-    /// Dispatched-syscall counts per calling thread, for the per-activity
-    /// metrics filesystem.  Entries die with their thread.
-    per_thread_syscalls: BTreeMap<ObjectId, u64>,
-    /// Per-thread capability handle tables (ABI-edge state, not persisted).
-    handles: BTreeMap<ObjectId, HandleTable>,
-    /// Reverse index over every thread's handle table: object → the
-    /// threads holding live handles naming it (with a refcount per
-    /// thread).  Unref/dealloc revocation sweeps visit exactly the holder
-    /// threads instead of every thread that ever opened a handle, so
-    /// severing one link stays O(holders) with 10⁵ threads resident.
-    handle_holders: BTreeMap<ObjectId, BTreeMap<ObjectId, u64>>,
-    /// Per-thread completion queues (ABI-edge state, not persisted).
-    completions: BTreeMap<ObjectId, std::collections::VecDeque<Completion>>,
-    /// One-shot readiness watches: object → threads to notify (with an
-    /// `ObjectReady` completion) when the object is next written or
-    /// deallocated.  Registered via `segment_watch`; this is how blocking
-    /// pipe/socket reads park without polling.
-    watchers: BTreeMap<ObjectId, Vec<ObjectId>>,
+    /// Live threads that ever installed a capability handle (the
+    /// `kernel.threads_with_handles` gauge, counted at first install and
+    /// at thread death rather than scanned).
+    threads_with_handles: u64,
     /// Threads whose wake conditions may have changed since the scheduler
     /// last looked (completion pushed, explicitly woken, or deallocated),
     /// in event order.  The scheduler drains this instead of scanning its
@@ -204,11 +214,7 @@ impl Kernel {
             trace: None,
             recorder: Recorder::disabled(),
             dispatch_seq: 0,
-            per_thread_syscalls: BTreeMap::new(),
-            handles: BTreeMap::new(),
-            handle_holders: BTreeMap::new(),
-            completions: BTreeMap::new(),
-            watchers: BTreeMap::new(),
+            threads_with_handles: 0,
             sched_dirty: Vec::new(),
             sched_dirty_set: std::collections::BTreeSet::new(),
             sched_metrics: MetricSet::new(),
@@ -227,10 +233,7 @@ impl Kernel {
         header.links = 1; // the root is always referenced
         kernel.objects.insert(
             root_id,
-            KObject {
-                header,
-                body: ObjectBody::Container(ContainerBody::default()),
-            },
+            KObject::new(header, ObjectBody::Container(ContainerBody::default())),
         );
         kernel.root = root_id;
         kernel
@@ -312,14 +315,21 @@ impl Kernel {
         seq
     }
 
-    pub(crate) fn note_thread_syscall(&mut self, tid: ObjectId) {
-        *self.per_thread_syscalls.entry(tid).or_insert(0) += 1;
+    /// The calling thread's side of one dispatched syscall, in one probe
+    /// of the thread object: counts the call against `tid` and hands back
+    /// its handle table for argument resolution.  `None`, and nothing
+    /// counted, when `tid` names no live thread.
+    pub(crate) fn begin_thread_call(&mut self, tid: ObjectId) -> Option<&HandleTable> {
+        let (_, body) = self.thread_mut(tid).ok()?;
+        body.runtime.syscalls += 1;
+        Some(&body.runtime.handles)
     }
 
     /// Dispatched-syscall count for one thread (zero if it never trapped,
-    /// or was deallocated — the counter dies with the thread).
+    /// or was deallocated — the counter is part of the thread).
     pub fn thread_syscalls(&self, tid: ObjectId) -> u64 {
-        self.per_thread_syscalls.get(&tid).copied().unwrap_or(0)
+        self.thread(tid)
+            .map_or(0, |(_, body)| body.runtime.syscalls)
     }
 
     /// IDs of every live container, in stable (sorted) order — the
@@ -346,7 +356,7 @@ impl Kernel {
         set.collect(&self.dispatch_stats);
         set.collect(&self.label_cache.stats());
         set.gauge("kernel.objects", self.object_count() as u64);
-        set.gauge("kernel.threads_with_handles", self.handles.len() as u64);
+        set.gauge("kernel.threads_with_handles", self.threads_with_handles);
         if let Some(trace) = &self.trace {
             set.counter("trace.recorded", trace.total_recorded());
             set.counter("trace.dropped", trace.dropped());
@@ -537,12 +547,10 @@ impl Kernel {
     }
 
     /// What the scheduler should do with a parked thread — the single O(1)
-    /// wake probe.  The answer is read from the thread's scheduling state
-    /// and its wake-state bits, which the kernel maintains at the moment
-    /// an alert is posted or taken and a completion is pushed or reaped;
-    /// no queue is inspected here.  This replaced the three-call probe
-    /// (`thread_state` + pending-alert scan + completion-queue scan) the
-    /// scheduler used to make per dirty thread.
+    /// wake probe.  The answer is read off the thread object: its
+    /// scheduling state, then whether its alert list and its completion
+    /// queue are empty.  Nothing is derived or cached, so there is nothing
+    /// to keep in step.
     pub fn wake_eligibility(&self, tid: ObjectId) -> WakeReason {
         match self.thread(tid) {
             Err(_) => WakeReason::Retired,
@@ -552,9 +560,9 @@ impl Kernel {
                 ThreadState::Blocked => {
                     // Alerts outrank completions, preserving the wake
                     // priority the scheduler has always applied.
-                    if body.wake_flags & WAKE_ALERT != 0 {
+                    if !body.pending_alerts.is_empty() {
                         WakeReason::Alert
-                    } else if body.wake_flags & WAKE_COMPLETION != 0 {
+                    } else if !body.runtime.completions.is_empty() {
                         WakeReason::Completion
                     } else {
                         WakeReason::Parked
@@ -639,36 +647,28 @@ impl Kernel {
         self.charge_boundary();
         self.check_entry(&tl, entry)?;
         self.dispatch_stats.handle_opens += 1;
-        let handle = self.handles.entry(tid).or_default().install(entry);
-        self.holders_note_install(entry.object, tid);
+        *self.obj_mut(entry.object)?.holders.entry(tid).or_insert(0) += 1;
+        let handles = &mut self.thread_mut(tid)?.1.runtime.handles;
+        let first = !handles.ever_used();
+        let handle = handles.install(entry);
+        self.threads_with_handles += first as u64;
         Ok(handle)
     }
 
-    /// Records one more live handle `tid` holds for `object`.
-    fn holders_note_install(&mut self, object: ObjectId, tid: ObjectId) {
-        *self
-            .handle_holders
-            .entry(object)
-            .or_default()
-            .entry(tid)
-            .or_insert(0) += 1;
+    /// `tid`'s handle table, if `tid` is a live thread.
+    fn handles(&self, tid: ObjectId) -> Option<&HandleTable> {
+        self.thread(tid).ok().map(|(_, body)| &body.runtime.handles)
     }
 
-    /// Releases `n` of the live handles `tid` held for `object`, dropping
-    /// empty index entries so the map stays proportional to live holders.
+    /// Releases `n` of the live handles `tid` held for `object`.
     fn holders_release(&mut self, object: ObjectId, tid: ObjectId, n: u64) {
-        if n == 0 {
+        let Ok(obj) = self.obj_mut(object) else {
             return;
-        }
-        if let Some(holders) = self.handle_holders.get_mut(&object) {
-            if let Some(count) = holders.get_mut(&tid) {
-                *count = count.saturating_sub(n);
-                if *count == 0 {
-                    holders.remove(&tid);
-                }
-            }
-            if holders.is_empty() {
-                self.handle_holders.remove(&object);
+        };
+        if let Some(count) = obj.holders.get_mut(&tid) {
+            *count = count.saturating_sub(n);
+            if *count == 0 {
+                obj.holders.remove(&tid);
             }
         }
     }
@@ -684,7 +684,7 @@ impl Kernel {
         tid: ObjectId,
         entry: ContainerEntry,
     ) -> Result<Handle, SyscallError> {
-        if let Some(h) = self.handles.get(&tid).and_then(|t| t.find(entry)) {
+        if let Some(h) = self.handles(tid).and_then(|t| t.find(entry)) {
             self.dispatch_stats.handle_reuses += 1;
             return Ok(h);
         }
@@ -697,74 +697,68 @@ impl Kernel {
     pub fn handle_close(&mut self, tid: ObjectId, handle: Handle) -> bool {
         self.charge_boundary();
         self.dispatch_stats.handle_closes += 1;
-        match self.handles.get_mut(&tid).and_then(|t| t.revoke(handle)) {
-            Some(entry) => {
-                self.holders_release(entry.object, tid, 1);
-                true
-            }
-            None => false,
+        let revoked = self
+            .thread_mut(tid)
+            .ok()
+            .and_then(|(_, body)| body.runtime.handles.revoke(handle));
+        if let Some(entry) = revoked {
+            self.holders_release(entry.object, tid, 1);
         }
+        revoked.is_some()
     }
 
     /// The entry a handle currently resolves to for `tid`, if live.
     pub fn handle_entry(&self, tid: ObjectId, handle: Handle) -> Option<ContainerEntry> {
-        self.handles.get(&tid).and_then(|t| t.resolve(handle))
+        self.handles(tid).and_then(|t| t.resolve(handle))
     }
 
     /// Number of live handles installed for `tid`.
     pub fn handle_count(&self, tid: ObjectId) -> usize {
-        self.handles.get(&tid).map_or(0, |t| t.len())
+        self.handles(tid).map_or(0, |t| t.len())
     }
 
     /// Revokes, across every thread, handles installed through exactly
-    /// this severed container link.  Served from the holder index: only
-    /// the threads actually holding a handle for this object are visited,
-    /// so the sweep is O(holders), not O(threads) — with 10⁵ resident
-    /// threads an unref touching nobody's handles costs one map probe.
+    /// this severed container link.  Served from the object's holder
+    /// counts: only the threads actually holding a handle for it are
+    /// visited, so the sweep is O(holders), not O(threads) — with 10⁵
+    /// resident threads an unref touching nobody's handles costs one probe.
     fn revoke_handles_for_entry(&mut self, entry: ContainerEntry) {
-        let Some(holders) = self.handle_holders.get(&entry.object) else {
+        let Ok(obj) = self.obj(entry.object) else {
             return;
         };
-        let tids: Vec<ObjectId> = holders.keys().copied().collect();
+        let tids: Vec<ObjectId> = obj.holders.keys().copied().collect();
         for tid in tids {
-            let revoked = self
-                .handles
-                .get_mut(&tid)
-                .map_or(0, |t| t.revoke_entry(entry));
-            self.dispatch_stats.handle_revocations += revoked as u64;
+            let revoked = self.revoke_in_thread(tid, |t| t.revoke_entry(entry));
             // The thread may still hold handles for the same object
             // through a different link, so release only what was revoked.
-            self.holders_release(entry.object, tid, revoked as u64);
+            self.holders_release(entry.object, tid, revoked);
         }
     }
 
-    /// Revokes, across every thread, handles naming a deallocated object
-    /// through any link.  O(holders), like the by-entry sweep.
-    fn revoke_handles_for_object(&mut self, object: ObjectId) {
-        let Some(holders) = self.handle_holders.remove(&object) else {
-            return;
-        };
-        for tid in holders.keys() {
-            if let Some(table) = self.handles.get_mut(tid) {
-                self.dispatch_stats.handle_revocations += table.revoke_object(object) as u64;
-            }
-        }
+    /// Runs one revocation on `tid`'s handle table and counts what it
+    /// revoked (nothing, when the holder thread is already gone).
+    fn revoke_in_thread(
+        &mut self,
+        tid: ObjectId,
+        f: impl FnOnce(&mut HandleTable) -> usize,
+    ) -> u64 {
+        let revoked = self
+            .thread_mut(tid)
+            .map_or(0, |(_, body)| f(&mut body.runtime.handles) as u64);
+        self.dispatch_stats.handle_revocations += revoked;
+        revoked
     }
 
-    /// Pushes a completion onto `tid`'s completion queue.  The thread is
-    /// marked sched-dirty (if it is parked on an empty completion queue,
-    /// the scheduler's next wake pass will find it without a scan) and its
-    /// completion wake-state bit is set, so `wake_eligibility` never has
-    /// to look at the queue itself.
+    /// Pushes a completion onto `tid`'s completion queue and marks the
+    /// thread sched-dirty: if it is parked on an empty queue, the
+    /// scheduler's next wake pass finds it without a scan.  A `tid` that
+    /// names no live thread has no queue — its completions have nobody to
+    /// reap them and are dropped.
     pub(crate) fn push_completion(&mut self, tid: ObjectId, completion: Completion) {
-        self.sched_mark_dirty(tid);
         if let Ok((_, body)) = self.thread_mut(tid) {
-            body.wake_flags |= WAKE_COMPLETION;
+            body.runtime.completions.push_back(completion);
+            self.sched_mark_dirty(tid);
         }
-        self.completions
-            .entry(tid)
-            .or_default()
-            .push_back(completion);
     }
 
     // ----- readiness watches (blocking I/O) -----------------------------
@@ -785,78 +779,53 @@ impl Kernel {
         let tl = self.thread_label(tid)?;
         self.check_entry(&tl, entry)?;
         self.check_observe(&tl, entry.object)?;
-        let list = self.watchers.entry(entry.object).or_default();
+        let list = &mut self.obj_mut(entry.object)?.watchers;
         if !list.contains(&tid) {
             list.push(tid);
         }
         Ok(())
     }
 
-    /// Wakes every watcher of `object` with an `ObjectReady` completion
-    /// and clears the watch list (watches are one-shot).  Called on the
-    /// success path of `segment_write` and on deallocation.
-    fn notify_watchers(&mut self, object: ObjectId) {
-        if let Some(list) = self.watchers.remove(&object) {
-            for tid in list {
-                if !self.objects.contains_key(&tid) {
-                    continue; // the watcher died while parked
-                }
-                self.push_completion(
-                    tid,
-                    Completion {
-                        user_data: KERNEL_USER_DATA,
-                        kind: CompletionKind::ObjectReady { object },
-                    },
-                );
-            }
+    /// Wakes every watcher in `watchers` (the list taken off `object`:
+    /// watches are one-shot) with an `ObjectReady` completion.  Called on
+    /// the success path of `segment_write` and on deallocation; a watcher
+    /// that died while parked is skipped by `push_completion`.
+    fn notify_watchers(&mut self, object: ObjectId, watchers: Vec<ObjectId>) {
+        for tid in watchers {
+            self.push_completion(
+                tid,
+                Completion {
+                    user_data: KERNEL_USER_DATA,
+                    kind: CompletionKind::ObjectReady { object },
+                },
+            );
         }
-    }
-
-    /// Number of threads currently watching `object` (test hook).
-    pub fn watcher_count(&self, object: ObjectId) -> usize {
-        self.watchers.get(&object).map_or(0, |l| l.len())
     }
 
     /// Whether `tid` has unreaped completions (scheduler wake condition: a
     /// thread blocked on an empty completion queue is woken when one
     /// arrives).
     pub fn completion_pending(&self, tid: ObjectId) -> bool {
-        self.completions.get(&tid).is_some_and(|q| !q.is_empty())
+        self.completion_count(tid) != 0
     }
 
     /// Number of unreaped completions for `tid`.
     pub fn completion_count(&self, tid: ObjectId) -> usize {
-        self.completions.get(&tid).map_or(0, |q| q.len())
+        self.thread(tid)
+            .map_or(0, |(_, body)| body.runtime.completions.len())
     }
 
     /// Removes and returns `tid`'s oldest unreaped completion.
     pub fn reap_completion(&mut self, tid: ObjectId) -> Option<Completion> {
-        let taken = self.completions.get_mut(&tid).and_then(|q| q.pop_front());
-        if taken.is_some() && !self.completion_pending(tid) {
-            self.clear_wake_flag(tid, WAKE_COMPLETION);
-        }
-        taken
+        self.thread_mut(tid).ok()?.1.runtime.completions.pop_front()
     }
 
     /// Removes and returns all of `tid`'s unreaped completions, oldest
     /// first.
     pub fn reap_completions(&mut self, tid: ObjectId) -> Vec<Completion> {
-        let taken: Vec<Completion> = self
-            .completions
-            .get_mut(&tid)
-            .map(|q| q.drain(..).collect())
-            .unwrap_or_default();
-        if !taken.is_empty() {
-            self.clear_wake_flag(tid, WAKE_COMPLETION);
-        }
-        taken
-    }
-
-    /// Clears a wake-state bit once the matching queue drained.
-    fn clear_wake_flag(&mut self, tid: ObjectId, flag: u8) {
-        if let Ok((_, body)) = self.thread_mut(tid) {
-            body.wake_flags &= !flag;
-        }
+        self.thread_mut(tid)
+            .map(|(_, body)| body.runtime.completions.drain(..).collect())
+            .unwrap_or_default()
     }
 
     // ----- the single-level store and persist records -------------------
@@ -1305,7 +1274,7 @@ impl Kernel {
         let mut header = ObjectHeader::new(id, otype, label, quota, descrip);
         header.usage = body.storage_bytes();
         header.links = 1;
-        self.objects.insert(id, KObject { header, body });
+        self.objects.insert(id, KObject::new(header, body));
 
         // Charge the container.
         let parent_container = container;
@@ -1335,33 +1304,36 @@ impl Kernel {
             return;
         };
         self.stats.objects_deallocated += 1;
-        self.revoke_handles_for_object(id);
+        // Every holder's handles naming this object, through any link, are
+        // revoked; O(holders), like the by-entry sweep.
+        for tid in obj.holders.into_keys() {
+            self.revoke_in_thread(tid, |t| t.revoke_object(id));
+        }
         // Threads watching this object wake (reads see EOF / a dead fd
         // rather than sleeping forever), and the scheduler gets a chance
         // to retire the object if it was itself a parked thread.
-        self.notify_watchers(id);
+        self.notify_watchers(id, obj.watchers);
         self.sched_mark_dirty(id);
-        if obj.header.object_type == ObjectType::Thread {
-            // A dead thread's ABI-edge state dies with it — including its
-            // slots in the holder index, or the index would pin ghost
-            // threads forever.
-            if let Some(table) = self.handles.remove(&id) {
-                for (object, count) in table.live_holdings() {
+        match obj.body {
+            // A dead thread's runtime state went with `obj`; what is left
+            // is its count on the objects it held handles for.
+            ObjectBody::Thread(t) => {
+                self.threads_with_handles -= t.runtime.handles.ever_used() as u64;
+                for (object, count) in t.runtime.handles.live_holdings() {
                     self.holders_release(object, id, count);
                 }
             }
-            self.completions.remove(&id);
-            self.per_thread_syscalls.remove(&id);
-        }
-        if let ObjectBody::Container(c) = obj.body {
-            for child in c.links {
-                if let Some(child_obj) = self.objects.get_mut(&child) {
-                    child_obj.header.links = child_obj.header.links.saturating_sub(1);
-                    if child_obj.header.links == 0 {
-                        self.dealloc(child);
+            ObjectBody::Container(c) => {
+                for child in c.links {
+                    if let Some(child_obj) = self.objects.get_mut(&child) {
+                        child_obj.header.links = child_obj.header.links.saturating_sub(1);
+                        if child_obj.header.links == 0 {
+                            self.dealloc(child);
+                        }
                     }
                 }
             }
+            _ => {}
         }
     }
 
@@ -1898,7 +1870,7 @@ impl Kernel {
         data: &[u8],
     ) -> Result<(), SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
+        let result = (|| -> Result<Vec<ObjectId>, SyscallError> {
             let local = self.thread(tid)?.1.local_segment;
             if local != Some(entry.object) {
                 self.check_entry(&tl, entry)?;
@@ -1923,7 +1895,7 @@ impl Kernel {
                         o.header.usage = end;
                     }
                     s.bytes[offset as usize..end as usize].copy_from_slice(data);
-                    Ok(())
+                    Ok(std::mem::take(&mut o.watchers))
                 }
                 _ => Err(SyscallError::WrongType {
                     found: o.header.object_type,
@@ -1931,12 +1903,11 @@ impl Kernel {
                 }),
             }
         })();
-        if result.is_ok() {
-            // Readiness: wake anyone parked waiting for this segment to
-            // make progress (blocked pipe/socket readers and pollers).
-            self.notify_watchers(entry.object);
-        }
-        result.inspect_err(|_| self.stats.errors += 1)
+        // Readiness: wake anyone parked waiting for this segment to make
+        // progress (blocked pipe/socket readers and pollers).
+        result
+            .map(|watchers| self.notify_watchers(entry.object, watchers))
+            .inspect_err(|_| self.stats.errors += 1)
     }
 
     /// Returns the length of a segment (requires observe).
@@ -2269,18 +2240,13 @@ impl Kernel {
         body.local_segment = Some(local_id);
         self.objects.insert(
             local_id,
-            KObject {
-                header: local_header,
-                body: ObjectBody::Segment(SegmentBody::zeroed(PAGE_SIZE as usize)),
-            },
+            KObject::new(
+                local_header,
+                ObjectBody::Segment(SegmentBody::zeroed(PAGE_SIZE as usize)),
+            ),
         );
-        self.objects.insert(
-            id,
-            KObject {
-                header,
-                body: ObjectBody::Thread(body),
-            },
-        );
+        self.objects
+            .insert(id, KObject::new(header, ObjectBody::Thread(body)));
         // Link both into the container and charge quota.
         let cobj = self.obj_mut(container)?;
         cobj.header.usage += 2 * PAGE_SIZE;
@@ -2351,7 +2317,6 @@ impl Kernel {
             }
             let (_, body) = self.thread_mut(target.object)?;
             body.pending_alerts.push(Alert { code });
-            body.wake_flags |= WAKE_ALERT;
             // The alert is also announced on the target's completion
             // queue, so a thread blocked on an empty queue wakes without
             // polling `self_take_alert` every quantum.
@@ -2376,22 +2341,15 @@ impl Kernel {
             Ok(None)
         } else {
             let alert = body.pending_alerts.remove(0);
-            if body.pending_alerts.is_empty() {
-                body.wake_flags &= !WAKE_ALERT;
-            }
             // The alert's completion-queue notification is consumed with
             // it; a stale notification would re-wake a blocked thread
             // forever (the busy-poll the completion queue exists to avoid).
-            if let Some(q) = self.completions.get_mut(&tid) {
-                if let Some(i) = q
-                    .iter()
-                    .position(|c| matches!(c.kind, CompletionKind::AlertPending { .. }))
-                {
-                    q.remove(i);
-                }
-            }
-            if !self.completion_pending(tid) {
-                self.clear_wake_flag(tid, WAKE_COMPLETION);
+            let q = &mut body.runtime.completions;
+            if let Some(i) = q
+                .iter()
+                .position(|c| matches!(c.kind, CompletionKind::AlertPending { .. }))
+            {
+                q.remove(i);
             }
             Ok(Some(alert))
         }
@@ -2655,13 +2613,8 @@ impl Kernel {
         let id = self.fresh_id();
         let mut header = ObjectHeader::new(id, ObjectType::Device, label, PAGE_SIZE, descrip);
         header.links = 1;
-        self.objects.insert(
-            id,
-            KObject {
-                header,
-                body: ObjectBody::Device(body),
-            },
-        );
+        self.objects
+            .insert(id, KObject::new(header, ObjectBody::Device(body)));
         let cobj = self.obj_mut(container)?;
         cobj.header.usage += PAGE_SIZE;
         match &mut cobj.body {
@@ -2817,11 +2770,6 @@ impl Kernel {
     /// Counters needed to persist allocator state across snapshots.
     pub fn allocator_counters(&self) -> (u64, u64) {
         (self.id_counter, self.categories.allocated())
-    }
-
-    /// Truncates a descriptive string the way object creation would.
-    pub fn normalize_descrip(s: &str) -> String {
-        truncate_descrip(s)
     }
 }
 

@@ -31,10 +31,6 @@ pub struct MachineConfig {
     pub seed: u64,
     /// Configuration of the single-level store and its disk.
     pub store: StoreConfig,
-    /// Whether to create a network device at boot.
-    pub network_device: bool,
-    /// Whether to create a console device at boot.
-    pub console_device: bool,
 }
 
 impl Default for MachineConfig {
@@ -42,8 +38,6 @@ impl Default for MachineConfig {
         MachineConfig {
             seed: 0x5157_4f53_4f31_3337,
             store: StoreConfig::default(),
-            network_device: true,
-            console_device: true,
         }
     }
 }
@@ -117,34 +111,16 @@ impl Machine {
             )
             .expect("bootstrap thread creation cannot fail on a fresh kernel");
 
-        let net_device = if config.network_device {
-            Some(
-                kernel
-                    .boot_create_device(
-                        root,
-                        Label::unrestricted(),
-                        DeviceBody::network([0x52, 0x54, 0x00, 0x12, 0x34, 0x56]),
-                        "eth0",
-                    )
-                    .expect("boot device creation cannot fail on a fresh kernel"),
-            )
-        } else {
-            None
+        let mut boot_device = |body, name| {
+            kernel
+                .boot_create_device(root, Label::unrestricted(), body, name)
+                .expect("boot device creation cannot fail on a fresh kernel")
         };
-        let console_device = if config.console_device {
-            Some(
-                kernel
-                    .boot_create_device(
-                        root,
-                        Label::unrestricted(),
-                        DeviceBody::console(),
-                        "console",
-                    )
-                    .expect("boot device creation cannot fail on a fresh kernel"),
-            )
-        } else {
-            None
-        };
+        let net_device = Some(boot_device(
+            DeviceBody::network([0x52, 0x54, 0x00, 0x12, 0x34, 0x56]),
+            "eth0",
+        ));
+        let console_device = Some(boot_device(DeviceBody::console(), "console"));
 
         Machine {
             kernel,

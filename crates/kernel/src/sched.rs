@@ -18,9 +18,9 @@
 //!   lets the wait side hold 10⁵ parked users without any global scan;
 //! * waking is **O(events)**: parked threads are re-examined only when the
 //!   kernel marks them sched-dirty, and eligibility is a single
-//!   [`Kernel::wake_eligibility`] probe against per-thread wake-state bits
-//!   (maintained at alert-post, completion-push and `sched_wake` time),
-//!   not a walk over the thread's alert and completion queues;
+//!   [`Kernel::wake_eligibility`] probe that reads the thread object
+//!   (its state, and whether its alert list and completion queue are
+//!   empty) — no derived wake bits, and no walk over either queue;
 //! * scheduling is **deterministic**: shard assignment, shard visit order
 //!   and admission tie-breaks are pure functions of the seed and the spawn
 //!   order, and wakes within a shard apply in park order — so the same
@@ -346,11 +346,6 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
         self.config.quantum
     }
 
-    /// Current depth of each shard's run queue, in shard order.
-    pub fn shard_queue_depths(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.queue.len()).collect()
-    }
-
     /// Admits the pending batch: seeded-shuffle, then hash each thread to
     /// its shard.  The shuffle is the scheduler's only use of randomness
     /// and is fully determined by the seed and the spawn order; the shard
@@ -422,9 +417,9 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
     /// Re-examines exactly the parked threads whose wake conditions may
     /// have changed — the kernel's sched-dirty list — and moves the
     /// eligible ones back to their shard's run queue.  Eligibility is one
-    /// [`Kernel::wake_eligibility`] probe per dirtied thread: the kernel
-    /// maintains per-thread wake-state bits at alert/completion time, so
-    /// the pass never walks a thread's queues.  Shards are visited in the
+    /// [`Kernel::wake_eligibility`] probe per dirtied thread, answered
+    /// from the emptiness of the queues the thread object carries, so the
+    /// pass never walks them.  Shards are visited in the
     /// seed-fixed order and wakes within a shard apply in park order,
     /// keeping the interleaving a pure function of (seed, shard count).
     /// Threads with no event stay parked untouched, so 10⁵ idle users

@@ -284,21 +284,15 @@ fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, Serial
             for _ in 0..n {
                 pending_alerts.push(Alert { code: d.get_u64()? });
             }
-            // The completion-side wake bit is ABI-edge state (completion
-            // queues are not persisted); the alert bit is derivable.
-            let wake_flags = if pending_alerts.is_empty() {
-                0
-            } else {
-                crate::bodies::WAKE_ALERT
-            };
+            // Runtime state (completions, handles) is never encoded: a
+            // decoded thread starts with a fresh record.
             ObjectBody::Thread(ThreadBody {
-                clearance,
                 address_space,
                 entry_point,
                 state,
                 local_segment,
                 pending_alerts,
-                wake_flags,
+                ..ThreadBody::new(clearance)
             })
         }
         ObjectType::AddressSpace => {
@@ -389,7 +383,7 @@ pub fn decode_object(bytes: &[u8]) -> Result<KObject, SerializeError> {
     let mut d = Decoder::new(bytes);
     let header = decode_header(&mut d)?;
     let body = decode_body(&mut d, header.object_type)?;
-    Ok(KObject { header, body })
+    Ok(KObject::new(header, body))
 }
 
 #[cfg(test)]
@@ -477,24 +471,24 @@ mod tests {
 
     #[test]
     fn segment_round_trip() {
-        round_trip(KObject {
-            header: header(ObjectType::Segment),
-            body: ObjectBody::Segment(SegmentBody {
+        round_trip(KObject::new(
+            header(ObjectType::Segment),
+            ObjectBody::Segment(SegmentBody {
                 bytes: (0..255u8).collect(),
             }),
-        });
+        ));
     }
 
     #[test]
     fn container_round_trip() {
-        round_trip(KObject {
-            header: header(ObjectType::Container),
-            body: ObjectBody::Container(ContainerBody::with_links(
+        round_trip(KObject::new(
+            header(ObjectType::Container),
+            ObjectBody::Container(ContainerBody::with_links(
                 vec![oid(1), oid(2), oid(3)],
                 Some(oid(99)),
                 0b10_0101,
             )),
-        });
+        ));
     }
 
     #[test]
@@ -505,10 +499,10 @@ mod tests {
         t.state = ThreadState::Blocked;
         t.local_segment = Some(oid(6));
         t.pending_alerts = vec![Alert { code: 9 }, Alert { code: 17 }];
-        round_trip(KObject {
-            header: header(ObjectType::Thread),
-            body: ObjectBody::Thread(t),
-        });
+        round_trip(KObject::new(
+            header(ObjectType::Thread),
+            ObjectBody::Thread(t),
+        ));
     }
 
     #[test]
@@ -531,10 +525,10 @@ mod tests {
                 },
             ],
         };
-        round_trip(KObject {
-            header: header(ObjectType::AddressSpace),
-            body: ObjectBody::AddressSpace(body),
-        });
+        round_trip(KObject::new(
+            header(ObjectType::AddressSpace),
+            ObjectBody::AddressSpace(body),
+        ));
     }
 
     #[test]
@@ -543,10 +537,7 @@ mod tests {
         g.address_space = Some(ContainerEntry::new(oid(7), oid(8)));
         g.stack_pointer = 0x9000;
         g.closure_args = vec![5, 6, 7];
-        round_trip(KObject {
-            header: header(ObjectType::Gate),
-            body: ObjectBody::Gate(g),
-        });
+        round_trip(KObject::new(header(ObjectType::Gate), ObjectBody::Gate(g)));
     }
 
     #[test]
@@ -554,18 +545,18 @@ mod tests {
         let mut d = DeviceBody::network([9, 8, 7, 6, 5, 4]);
         d.rx_queue = vec![vec![1, 2, 3], vec![4]];
         d.tx_queue = vec![vec![5; 100]];
-        round_trip(KObject {
-            header: header(ObjectType::Device),
-            body: ObjectBody::Device(d),
-        });
+        round_trip(KObject::new(
+            header(ObjectType::Device),
+            ObjectBody::Device(d),
+        ));
     }
 
     #[test]
     fn corrupt_input_is_rejected() {
-        let obj = KObject {
-            header: header(ObjectType::Segment),
-            body: ObjectBody::Segment(SegmentBody { bytes: vec![1; 64] }),
-        };
+        let obj = KObject::new(
+            header(ObjectType::Segment),
+            ObjectBody::Segment(SegmentBody { bytes: vec![1; 64] }),
+        );
         let bytes = encode_object(&obj);
         assert!(decode_object(&bytes[..bytes.len() / 2]).is_err());
         let mut bad_tag = bytes.clone();

@@ -1024,6 +1024,7 @@ fn batch_that_tears_down_its_own_thread_still_reports_every_result() {
     // still return one aligned result per entry, and the dead thread's
     // queue must not be resurrected for completions nobody can reap.
     let (mut k, fx) = setup();
+    k.handle_open(fx.boot, entry(&fx, fx.seg)).unwrap();
     let objects_before = k.object_count();
     let results = k.submit_calls(
         fx.boot,
@@ -1044,7 +1045,30 @@ fn batch_that_tears_down_its_own_thread_still_reports_every_result() {
         "entries after the teardown fail like any call from a dead thread"
     );
     assert_eq!(k.object_count(), objects_before - 1, "the thread is gone");
-    assert_eq!(k.completion_count(fx.boot), 0, "no resurrected queue");
+    // The thread's runtime state is part of the thread: nothing outlives it.
+    assert_eq!(k.completion_count(fx.boot), 0);
+    assert_eq!(k.thread_syscalls(fx.boot), 0);
+    assert_eq!(k.handle_count(fx.boot), 0);
+}
+
+#[test]
+fn dispatch_on_an_id_that_is_not_a_thread_fails_typed_and_leaves_no_state() {
+    let (mut k, fx) = setup();
+    for bogus in [fx.seg, ObjectId::from_raw(0x7777)] {
+        let err = k.dispatch(bogus, Syscall::SelfGetLabel).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SyscallError::WrongType { .. } | SyscallError::NoSuchObject(_)
+            ),
+            "{err:?}"
+        );
+        let mut sq = SubmissionQueue::new();
+        sq.call(Syscall::SelfGetLabel);
+        assert_eq!(k.submit(bogus, &mut sq), 1);
+        assert_eq!(k.thread_syscalls(bogus), 0);
+        assert_eq!(k.completion_count(bogus), 0);
+    }
 }
 
 #[test]

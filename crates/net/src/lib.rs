@@ -27,7 +27,7 @@ use histar_unix::fdtable::{
 };
 use histar_unix::net_queue::{self, ConnHandoff};
 use histar_unix::process::Pid;
-use histar_unix::vnode::{self, VfsCtx};
+use histar_unix::vnode;
 use histar_unix::{gatecall, Fd, UnixEnv, UnixError};
 
 /// Result alias for networking operations.
@@ -252,10 +252,7 @@ impl Netd {
         )?;
         let queue_entry = ContainerEntry::new(self.conns, queue);
         {
-            let mut ctx = VfsCtx {
-                machine: env.machine_mut(),
-                thread: netd_thread,
-            };
+            let mut ctx = env.vfs_ctx(netd_thread);
             net_queue::init_queue_segment(&mut ctx, queue_entry)?;
         }
         self.ensure_net_taint(env, server)?;
@@ -314,10 +311,7 @@ impl Netd {
         let conn = kernel.trap_segment_create(netd_thread, self.conns, conn_label, 0, "conn")?;
         let conn_entry = ContainerEntry::new(self.conns, conn);
         {
-            let mut ctx = VfsCtx {
-                machine: env.machine_mut(),
-                thread: netd_thread,
-            };
+            let mut ctx = env.vfs_ctx(netd_thread);
             vnode::init_socket_segment(&mut ctx, conn_entry)?;
         }
         self.ensure_net_taint(env, client)?;
@@ -343,10 +337,7 @@ impl Netd {
             &[c_r, c_w],
             Some(listener.guard),
         )?;
-        let mut ctx = VfsCtx {
-            machine: env.machine_mut(),
-            thread: netd_thread,
-        };
+        let mut ctx = env.vfs_ctx(netd_thread);
         net_queue::enqueue(
             &mut ctx,
             queue,
@@ -396,10 +387,7 @@ impl Netd {
             .reap_completions(server_thread);
         let queue = ContainerEntry::new(state.target_container, state.target);
         let handoff = {
-            let mut ctx = VfsCtx {
-                machine: env.machine_mut(),
-                thread: server_thread,
-            };
+            let mut ctx = env.vfs_ctx(server_thread);
             match net_queue::dequeue(&mut ctx, queue) {
                 Ok(handoff) => handoff,
                 Err(UnixError::WouldBlock) if state.flags & FLAG_NONBLOCK == 0 => {

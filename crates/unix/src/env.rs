@@ -20,10 +20,10 @@ use crate::devfs::DevFs;
 use crate::fdtable::{Fd, FdState, FdTable, FLAG_NONBLOCK};
 use crate::fs::DirEntry;
 use crate::fs::{join_path, FileStat, OpenFlags};
-use crate::metricsfs::{MetricsFs, TaskInfo};
+use crate::metricsfs::MetricsFs;
 use crate::persistfs::PersistFs;
 use crate::process::{ExitStatus, Pid, Process, ProcessState};
-use crate::procfs::{ProcFs, ProcInfo};
+use crate::procfs::ProcFs;
 use crate::segfs::SegFs;
 use crate::users::{User, UserTable};
 use crate::vfs::{ensure_quota, Vfs};
@@ -165,39 +165,36 @@ impl UnixEnv {
     pub fn on_machine(mut machine: Machine) -> UnixEnv {
         let boot_thread = machine.kernel_thread();
         let kroot = machine.kernel().root_container();
-        // The root directory and its filesystem.
-        let root_fs = {
+        let processes = BTreeMap::new();
+        let (root_fs, persistfs) = {
             let mut ctx = VfsCtx {
                 machine: &mut machine,
                 thread: boot_thread,
+                processes: &processes,
             };
-            SegFs::format(&mut ctx, kroot, Label::unrestricted(), "/")
-                .expect("creating the root directory cannot fail on a fresh machine")
+            // The root directory and its filesystem.
+            let root_fs = SegFs::format(&mut ctx, kroot, Label::unrestricted(), "/")
+                .expect("creating the root directory cannot fail on a fresh machine");
+            // The store-backed persistent filesystem: reattached when the
+            // store already holds a formatted tree (this machine was
+            // recovered from a crash — the write-ahead log has been
+            // replayed by the store and the tree is simply mounted again),
+            // formatted fresh otherwise.
+            let persistfs = PersistFs::mount_or_format(&mut ctx, Label::unrestricted())
+                .expect("mounting /persist cannot fail on a bootable machine");
+            (root_fs, persistfs)
         };
         let fs_root = root_fs.root_container();
         let mut vfs = Vfs::new(Box::new(root_fs));
-        let procfs = vfs.add_filesystem(Box::new(ProcFs::new()));
+        let procfs = vfs.add_filesystem(Box::new(ProcFs));
         vfs.mount("/proc", procfs);
         let devfs = vfs.add_filesystem(Box::new(DevFs::new(DEV_RNG_SEED)));
         vfs.mount("/dev", devfs);
-        // The store-backed persistent filesystem: reattached when the
-        // store already holds a formatted tree (this machine was
-        // recovered from a crash — the write-ahead log has been replayed
-        // by the store and the tree is simply mounted again), formatted
-        // fresh otherwise.
-        let persistfs = {
-            let mut ctx = VfsCtx {
-                machine: &mut machine,
-                thread: boot_thread,
-            };
-            PersistFs::mount_or_format(&mut ctx, Label::unrestricted())
-                .expect("mounting /persist cannot fail on a bootable machine")
-        };
         let persistfs = vfs.add_filesystem(Box::new(persistfs));
         vfs.mount("/persist", persistfs);
         let mut env = UnixEnv {
             machine,
-            processes: BTreeMap::new(),
+            processes,
             next_pid: 1,
             users: UserTable::new(),
             vfs,
@@ -238,9 +235,6 @@ impl UnixEnv {
                 .push(mr);
             let metricsfs = env.vfs.add_filesystem(Box::new(MetricsFs::new(gate)));
             env.vfs.mount("/metrics", metricsfs);
-            // Init was created before the mount existed; refresh its
-            // task mirror now.
-            env.sync_proc_mirror(init);
         }
         // A store that has never checkpointed cannot recover at all (no
         // superblock); seed one system snapshot at boot so that from here
@@ -338,48 +332,32 @@ impl UnixEnv {
             .count()
     }
 
-    /// Refreshes one process's `/proc` mirror from the library's
-    /// bookkeeping (called on every lifecycle and descriptor change).
-    fn sync_proc_mirror(&mut self, pid: Pid) {
-        let Some(p) = self.processes.get(&pid) else {
-            return;
+    /// The context one VFS/vnode operation on `thread` runs against — the
+    /// machine plus the live process table `/proc` and `/metrics/tasks`
+    /// render from — alongside the environment's other halves, borrowed
+    /// disjointly so a caller can drive the mount layer or a cached vnode
+    /// with it.
+    #[allow(clippy::type_complexity)]
+    fn split(
+        &mut self,
+        thread: ObjectId,
+    ) -> (
+        VfsCtx<'_>,
+        &mut Vfs,
+        &mut BTreeMap<(ObjectId, ObjectId), OpenFd>,
+    ) {
+        let ctx = VfsCtx {
+            machine: &mut self.machine,
+            thread,
+            processes: &self.processes,
         };
-        let reaped = p.state == ProcessState::Reaped;
-        let info = ProcInfo {
-            pid,
-            parent: p.parent,
-            user: p.user.clone(),
-            executable: p.executable.clone(),
-            state: match p.state {
-                ProcessState::Running => "running",
-                ProcessState::Zombie(_) => "zombie",
-                ProcessState::Reaped => "reaped",
-            },
-            thread: p.thread,
-            process_container: p.process_container,
-            internal_container: p.internal_container,
-            open_fds: p.fds.open_count() as u64,
-        };
-        let task = TaskInfo {
-            thread: info.thread,
-            internal_container: info.internal_container,
-        };
-        if let Some(procfs) = self.vfs.find_fs_mut::<ProcFs>() {
-            if reaped {
-                procfs.remove(pid);
-            } else {
-                procfs.update(info);
-            }
-        }
-        // The same lifecycle events keep `/metrics/tasks` fresh; its
-        // entries are gated by the same per-process internal container.
-        if let Some(mfs) = self.vfs.find_fs_mut::<MetricsFs>() {
-            if reaped {
-                mfs.remove_task(pid);
-            } else {
-                mfs.update_task(pid, task);
-            }
-        }
+        (ctx, &mut self.vfs, &mut self.open_vnodes)
+    }
+
+    /// The context alone, for vnode-level helpers that need neither the
+    /// mount layer nor the vnode cache (here and in netd).
+    pub fn vfs_ctx(&mut self, thread: ObjectId) -> VfsCtx<'_> {
+        self.split(thread).0
     }
 
     // ----- users -----------------------------------------------------------
@@ -519,7 +497,6 @@ impl UnixEnv {
         for (_, seg) in fds {
             self.adjust_fd_refs(parent, seg, 1)?;
         }
-        self.sync_proc_mirror(child);
         Ok(child)
     }
 
@@ -582,7 +559,6 @@ impl UnixEnv {
             p.stack_segment = stack;
             p.executable = path.to_string();
         }
-        self.sync_proc_mirror(pid);
         Ok(())
     }
 
@@ -616,7 +592,6 @@ impl UnixEnv {
         )?;
         kernel.trap_self_halt(thread)?;
         self.process_mut(pid)?.state = ProcessState::Zombie(status);
-        self.sync_proc_mirror(pid);
         Ok(())
     }
 
@@ -650,7 +625,6 @@ impl UnixEnv {
         let child_thread = self.process(child)?.thread;
         self.process_mut(child)?.state = ProcessState::Reaped;
         self.open_vnodes.retain(|(t, _), _| *t != child_thread);
-        self.sync_proc_mirror(child);
         Ok(status)
     }
 
@@ -862,7 +836,6 @@ impl UnixEnv {
         };
         self.processes.insert(pid, process);
         self.map_process_image(pid, address_space, text, heap, stack)?;
-        self.sync_proc_mirror(pid);
         Ok(pid)
     }
 
@@ -986,21 +959,10 @@ impl UnixEnv {
             .handle_open_reuse(thread, entry)
             .ok();
         let fd_ref = FdRef { seg, entry, handle };
-        let state = {
-            let mut ctx = VfsCtx {
-                machine: &mut self.machine,
-                thread,
-            };
-            vnode::read_fd_state(&mut ctx, &fd_ref)?
-        };
-        let vnode = {
-            let mut ctx = VfsCtx {
-                machine: &mut self.machine,
-                thread,
-            };
-            self.vfs.vnode_from_state(&mut ctx, &state)?
-        };
-        self.open_vnodes.insert(
+        let (mut ctx, vfs, open_vnodes) = self.split(thread);
+        let state = vnode::read_fd_state(&mut ctx, &fd_ref)?;
+        let vnode = vfs.vnode_from_state(&mut ctx, &state)?;
+        open_vnodes.insert(
             (thread, seg),
             OpenFd {
                 fd_ref,
@@ -1025,14 +987,10 @@ impl UnixEnv {
             (p.thread, p.process_container, seg)
         };
         self.ensure_open_fd(thread, container, seg)?;
-        let ofd = self
-            .open_vnodes
+        let (mut ctx, _, open_vnodes) = self.split(thread);
+        let ofd = open_vnodes
             .get_mut(&(thread, seg))
             .expect("ensure_open_fd installed the entry");
-        let mut ctx = VfsCtx {
-            machine: &mut self.machine,
-            thread,
-        };
         // The descriptor-segment handle is primed on first I/O (not at
         // open), so open/close-only descriptors never pay for one.
         if ofd.fd_ref.handle.is_none() {
@@ -1083,7 +1041,6 @@ impl UnixEnv {
             );
         }
         let fd = self.process_mut(pid)?.fds.allocate(fd_seg);
-        self.sync_proc_mirror(pid);
         Ok(fd)
     }
 
@@ -1099,10 +1056,7 @@ impl UnixEnv {
             entry,
             handle: None,
         };
-        let mut ctx = VfsCtx {
-            machine: &mut self.machine,
-            thread,
-        };
+        let mut ctx = self.vfs_ctx(thread);
         vnode::update_fd_state(&mut ctx, &fd_ref, |st| {
             if delta < 0 {
                 st.refs = st.refs.saturating_sub(delta.unsigned_abs() as u32);
@@ -1133,11 +1087,8 @@ impl UnixEnv {
             (p.thread, p.cwd.clone())
         };
         let (state, vnode) = {
-            let mut ctx = VfsCtx {
-                machine: &mut self.machine,
-                thread,
-            };
-            self.vfs.open(&mut ctx, &cwd, path, flags, label)?
+            let (mut ctx, vfs, _) = self.split(thread);
+            vfs.open(&mut ctx, &cwd, path, flags, label)?
         };
         self.install_fd(pid, state, Some(vnode))
     }
@@ -1169,10 +1120,7 @@ impl UnixEnv {
                 }
             }
         };
-        let mut ctx = VfsCtx {
-            machine: &mut self.machine,
-            thread,
-        };
+        let (mut ctx, vfs, _) = self.split(thread);
         let state =
             vnode::update_fd_state(&mut ctx, &fd_ref, |st| st.refs = st.refs.saturating_sub(1))?;
         let mut vnode = match cached {
@@ -1180,7 +1128,7 @@ impl UnixEnv {
             // Only the last-close hook needs a vnode; building one can
             // legitimately fail (label-gated /proc state), in which case
             // there is nothing to clean up anyway.
-            None if state.refs == 0 => self.vfs.vnode_from_state(&mut ctx, &state).ok(),
+            None if state.refs == 0 => vfs.vnode_from_state(&mut ctx, &state).ok(),
             None => None,
         };
         if let Some(vnode) = vnode.as_mut() {
@@ -1195,7 +1143,6 @@ impl UnixEnv {
         if state.refs == 0 {
             self.fd_homes.remove(&seg);
         }
-        self.sync_proc_mirror(pid);
         Ok(())
     }
 
@@ -1208,7 +1155,6 @@ impl UnixEnv {
         };
         self.adjust_fd_refs(pid, seg, 1)?;
         let new_fd = self.process_mut(pid)?.fds.allocate(seg);
-        self.sync_proc_mirror(pid);
         Ok(new_fd)
     }
 
@@ -1244,13 +1190,7 @@ impl UnixEnv {
             let p = self.process(pid)?;
             (p.thread, p.process_container)
         };
-        let (read_state, write_state) = {
-            let mut ctx = VfsCtx {
-                machine: &mut self.machine,
-                thread,
-            };
-            create_pipe(&mut ctx, container)?
-        };
+        let (read_state, write_state) = create_pipe(&mut self.vfs_ctx(thread), container)?;
         let read_fd = self.install_fd(pid, read_state, None)?;
         let write_fd = self.install_fd(pid, write_state, None)?;
         Ok((read_fd, write_fd))
@@ -1283,7 +1223,6 @@ impl UnixEnv {
         };
         self.adjust_fd_refs(from, seg, 1)?;
         let new_fd = self.process_mut(to)?.fds.allocate(seg);
-        self.sync_proc_mirror(to);
         Ok(new_fd)
     }
 
@@ -1300,11 +1239,7 @@ impl UnixEnv {
             entry,
             handle: None,
         };
-        let mut ctx = VfsCtx {
-            machine: &mut self.machine,
-            thread,
-        };
-        vnode::read_fd_state(&mut ctx, &fd_ref)
+        vnode::read_fd_state(&mut self.vfs_ctx(thread), &fd_ref)
     }
 
     /// Blocking read: `Ok(Some(bytes))` on progress (empty = EOF),
@@ -1528,11 +1463,8 @@ impl UnixEnv {
             let p = self.process(pid)?;
             (p.thread, p.cwd.clone())
         };
-        let mut ctx = VfsCtx {
-            machine: &mut self.machine,
-            thread,
-        };
-        f(&mut self.vfs, &mut ctx, &cwd)
+        let (mut ctx, vfs, _) = self.split(thread);
+        f(vfs, &mut ctx, &cwd)
     }
 
     // ----- higher-level file helpers ------------------------------------------
@@ -1990,6 +1922,32 @@ mod tests {
             err,
             UnixError::Kernel(SyscallError::CannotObserve(_))
         ));
+    }
+
+    #[test]
+    fn reaped_pid_is_absent_from_proc_and_metrics_tasks() {
+        let (mut env, init) = env();
+        let child = env.spawn(init, "/bin_child", None).unwrap();
+        let listed = |env: &mut UnixEnv, reader: Pid, dir: &str| {
+            let entries = env.readdir(reader, dir).unwrap();
+            entries.iter().any(|e| e.name == child.to_string())
+        };
+        // `/proc` names are public; a task entry shows to whoever may
+        // observe the process — here, the process itself.
+        assert!(listed(&mut env, init, "/proc"));
+        assert!(listed(&mut env, child, "/metrics/tasks"));
+        env.exit(child, ExitStatus::Exited(0)).unwrap();
+        assert!(listed(&mut env, init, "/proc"), "a zombie is still listed");
+        env.wait(init, child).unwrap();
+        assert!(!listed(&mut env, init, "/proc"));
+        assert!(!listed(&mut env, init, "/metrics/tasks"));
+        for path in [
+            format!("/proc/{child}/status"),
+            format!("/metrics/tasks/{child}"),
+        ] {
+            let err = env.read_file_as(init, &path).unwrap_err();
+            assert!(matches!(err, UnixError::NotFound(_)), "{path}: {err:?}");
+        }
     }
 
     #[test]

@@ -76,13 +76,6 @@ pub struct GateSession {
     pub entry: GateEntryResult,
 }
 
-impl GateSession {
-    /// The label the calling thread is running with inside the service.
-    pub fn service_label(&self) -> &Label {
-        &self.entry.label
-    }
-}
-
 /// Invokes a service gate on behalf of `caller`, optionally tainting the
 /// call so the service cannot leak the caller's arguments.
 ///

@@ -31,11 +31,9 @@ use crate::fdtable::{FdKind, FdState, FLAG_RDONLY};
 use crate::fs::{DirEntry, FileStat, OpenFlags};
 use crate::process::Pid;
 use crate::vfs::{Filesystem, FsNode};
-use crate::vnode::{FdRef, VfsCtx, Vnode};
-use histar_kernel::dispatch::Syscall;
+use crate::vnode::{SnapshotVnode, VfsCtx, Vnode};
 use histar_kernel::object::{ObjectId, OBJECT_ID_MASK};
 use histar_label::Label;
-use std::collections::BTreeMap;
 
 type Result<T> = core::result::Result<T, UnixError>;
 
@@ -67,23 +65,11 @@ fn node_of(tag: u64, payload: u64) -> u64 {
     (payload << 4) | tag
 }
 
-/// The per-process state the task namespace serves, mirrored from the
-/// Unix library's process table like `/proc`'s mirror.
-#[derive(Clone, Copy, Debug)]
-pub struct TaskInfo {
-    /// The process's thread (whose dispatch counter is served).
-    pub thread: ObjectId,
-    /// The internal container whose label gates the entry.
-    pub internal_container: ObjectId,
-}
-
 /// The `/metrics` filesystem.
 #[derive(Debug)]
 pub struct MetricsFs {
     /// The container whose label gates the global counter files.
     gate: ObjectId,
-    /// pid → task info, mirrored by the environment.
-    tasks: BTreeMap<Pid, TaskInfo>,
     /// Interned container IDs; a container's node payload is its index
     /// here, stable for the lifetime of the mount.
     containers: Vec<ObjectId>,
@@ -96,19 +82,8 @@ impl MetricsFs {
     pub fn new(gate: ObjectId) -> MetricsFs {
         MetricsFs {
             gate,
-            tasks: BTreeMap::new(),
             containers: Vec::new(),
         }
-    }
-
-    /// Inserts or refreshes one process's mirrored state.
-    pub fn update_task(&mut self, pid: Pid, info: TaskInfo) {
-        self.tasks.insert(pid, info);
-    }
-
-    /// Removes a reaped process from the namespace.
-    pub fn remove_task(&mut self, pid: Pid) {
-        self.tasks.remove(&pid);
     }
 
     fn intern_container(&mut self, id: ObjectId) -> u64 {
@@ -122,17 +97,12 @@ impl MetricsFs {
     }
 
     /// The gate for a node, given its tag and payload: which container
-    /// must be observable, and whether denial must read as absence.
-    fn gate_of(&self, tag: u64, payload: u64) -> Result<(ObjectId, bool)> {
+    /// must be observable, and whether denial must read as absence.  A
+    /// task's gate is its process's internal container, as in `/proc`.
+    fn gate_of(&self, ctx: &VfsCtx, tag: u64, payload: u64) -> Result<(ObjectId, bool)> {
         match tag {
             TAG_SPECIAL => Ok((self.gate, false)),
-            TAG_TASK => {
-                let info = self
-                    .tasks
-                    .get(&payload)
-                    .ok_or_else(|| UnixError::NotFound(format!("{payload}")))?;
-                Ok((info.internal_container, true))
-            }
+            TAG_TASK => Ok((ctx.live_process(payload)?.internal_container, true)),
             TAG_CONTAINER => {
                 let id = self
                     .containers
@@ -149,7 +119,7 @@ impl MetricsFs {
     /// denial is flattened to the same `NotFound` a missing entry
     /// produces — the no-existence-channel property.
     fn check_gate(&self, ctx: &mut VfsCtx, tag: u64, payload: u64, name: &str) -> Result<()> {
-        let (container, absence) = self.gate_of(tag, payload)?;
+        let (container, absence) = self.gate_of(ctx, tag, payload)?;
         let thread = ctx.thread;
         match ctx.kernel().trap_container_list(thread, container) {
             Ok(_) => Ok(()),
@@ -177,11 +147,8 @@ impl MetricsFs {
                 out
             }
             TAG_TASK => {
-                let info = self
-                    .tasks
-                    .get(&payload)
-                    .ok_or_else(|| UnixError::NotFound(format!("{payload}")))?;
-                let syscalls = ctx.kernel().thread_syscalls(info.thread);
+                let thread = ctx.live_process(payload)?.thread;
+                let syscalls = ctx.kernel().thread_syscalls(thread);
                 format!("task.pid\t{payload}\ntask.syscalls\t{syscalls}\n")
             }
             TAG_CONTAINER => {
@@ -242,11 +209,10 @@ impl Filesystem for MetricsFs {
                 let pid: Pid = name
                     .parse()
                     .map_err(|_| UnixError::NotFound(name.to_string()))?;
-                if !self.tasks.contains_key(&pid) {
-                    return Err(UnixError::NotFound(name.to_string()));
-                }
                 // Denied and absent must be the same error before any
                 // state is revealed.
+                ctx.live_process(pid)
+                    .map_err(|_| UnixError::NotFound(name.to_string()))?;
                 self.check_gate(ctx, TAG_TASK, pid, name)?;
                 Ok(FsNode {
                     node: node_of(TAG_TASK, pid),
@@ -302,7 +268,7 @@ impl Filesystem for MetricsFs {
             (TAG_SPECIAL, SPECIAL_TASKS_DIR) => {
                 // Silently omit entries the caller may not observe: the
                 // listing must not leak the existence of gated activity.
-                let pids: Vec<Pid> = self.tasks.keys().copied().collect();
+                let pids: Vec<Pid> = ctx.live_processes().map(|p| p.pid).collect();
                 let mut out = Vec::new();
                 for pid in pids {
                     if self.check_gate(ctx, TAG_TASK, pid, "").is_ok() {
@@ -364,7 +330,7 @@ impl Filesystem for MetricsFs {
         let (tag, payload) = (node.node & 15, node.node >> 4);
         self.check_gate(ctx, tag, payload, name)?;
         let content = self.render(ctx, tag, payload)?;
-        let (gate_container, absence) = self.gate_of(tag, payload)?;
+        let (gate_container, absence) = self.gate_of(ctx, tag, payload)?;
         let state = FdState {
             kind: FdKind::Metrics,
             target: ObjectId::from_raw(node.node),
@@ -373,14 +339,8 @@ impl Filesystem for MetricsFs {
             flags: FLAG_RDONLY,
             refs: 1,
         };
-        Ok((
-            state,
-            Box::new(MetricsVnode {
-                content,
-                absence,
-                name: name.to_string(),
-            }),
-        ))
+        let absence = absence.then(|| name.to_string());
+        Ok((state, Box::new(SnapshotVnode { content, absence })))
     }
 
     fn vnode_from_state(&mut self, ctx: &mut VfsCtx, state: &FdState) -> Result<Box<dyn Vnode>> {
@@ -388,74 +348,11 @@ impl Filesystem for MetricsFs {
         let name = payload.to_string();
         self.check_gate(ctx, tag, payload, &name)?;
         let content = self.render(ctx, tag, payload)?;
-        let (_, absence) = self.gate_of(tag, payload)?;
-        Ok(Box::new(MetricsVnode {
-            content,
-            absence,
-            name,
-        }))
+        let absence = self.gate_of(ctx, tag, payload)?.1.then_some(name);
+        Ok(Box::new(SnapshotVnode { content, absence }))
     }
 
     fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
         self
-    }
-}
-
-/// An open `/metrics` pseudo-file: an open-time snapshot of the rendered
-/// counters.  Every read re-runs the gate against the node's container
-/// (batched with the seek update, like every hot path); per-activity
-/// nodes flatten a denial into `NotFound` so revocation-by-relabeling is
-/// as silent as never having existed.
-#[derive(Debug)]
-pub struct MetricsVnode {
-    content: Vec<u8>,
-    absence: bool,
-    name: String,
-}
-
-impl Vnode for MetricsVnode {
-    fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>> {
-        let start = (state.position as usize).min(self.content.len());
-        let end = (start as u64)
-            .saturating_add(len)
-            .min(self.content.len() as u64) as usize;
-        let thread = ctx.thread;
-        let calls = vec![
-            Syscall::ContainerList {
-                container: state.target_container,
-            },
-            fd.position_update(end as u64),
-        ];
-        let mut results = ctx.kernel().submit_calls(thread, calls).into_iter();
-        let gate = results.next().expect("label gate completes");
-        let seek = results.next().expect("seek update completes");
-        if let Err(e) = gate {
-            crate::vnode::undo_seek(ctx, fd, state.position);
-            return Err(if self.absence {
-                UnixError::NotFound(self.name.clone())
-            } else {
-                e.into()
-            });
-        }
-        seek?;
-        Ok(self.content[start..end].to_vec())
-    }
-
-    fn write(
-        &mut self,
-        _ctx: &mut VfsCtx,
-        _fd: &FdRef,
-        _state: &FdState,
-        _data: &[u8],
-    ) -> Result<u64> {
-        Err(UnixError::ReadOnly("metricsfs"))
-    }
-
-    fn stat(&mut self, _ctx: &mut VfsCtx, state: &FdState) -> Result<FileStat> {
-        Ok(FileStat {
-            object: state.target,
-            is_dir: false,
-            len: self.content.len() as u64,
-        })
     }
 }

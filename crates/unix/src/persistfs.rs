@@ -188,15 +188,6 @@ impl PersistFs {
         }
     }
 
-    /// Whether the store behind `ctx` holds a formatted PersistFs.
-    pub fn is_formatted(ctx: &mut VfsCtx) -> bool {
-        let thread = ctx.thread;
-        matches!(
-            ctx.kernel().trap_persist_read(thread, META_KEY, 0, u64::MAX),
-            Ok(bytes) if decode_meta(&bytes).is_some()
-        )
-    }
-
     fn read_inode(ctx: &mut VfsCtx, ino: u32) -> Result<Inode> {
         let thread = ctx.thread;
         let bytes = ctx

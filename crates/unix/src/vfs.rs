@@ -125,8 +125,8 @@ pub trait Filesystem: core::fmt::Debug {
         Ok(None)
     }
 
-    /// Downcast hook (the environment uses it to reach `procfs`'s process
-    /// mirror and `segfs`'s quota helpers).
+    /// Downcast hook (how [`Vfs::find_fs_mut`] finds a filesystem by type,
+    /// e.g. to reach `segfs`'s quota helpers).
     fn as_any_mut(&mut self) -> &mut dyn core::any::Any;
 }
 
@@ -449,6 +449,8 @@ impl Vfs {
     ) -> Result<Box<dyn Vnode>> {
         use crate::fdtable::FdKind;
         use crate::vnode::{ConsoleVnode, PipeVnode, SocketVnode};
+        use crate::{devfs::DevFs, metricsfs::MetricsFs, persistfs::PersistFs};
+        use crate::{procfs::ProcFs, segfs::SegFs};
         match state.kind {
             FdKind::PipeRead | FdKind::PipeWrite => Ok(Box::new(PipeVnode)),
             FdKind::Console => {
@@ -457,68 +459,30 @@ impl Vfs {
                 Ok(Box::new(ConsoleVnode::new(device, kroot)))
             }
             FdKind::Socket => Ok(Box::new(SocketVnode)),
-            FdKind::File => {
-                // Any SegFs can rebuild a file vnode: the descriptor
-                // state names the object directly.
-                for f in &mut self.filesystems {
-                    if f.as_any_mut()
-                        .downcast_mut::<crate::segfs::SegFs>()
-                        .is_some()
-                    {
-                        return f.vnode_from_state(ctx, state);
-                    }
-                }
-                Err(UnixError::Corrupt("file descriptor with no segfs mounted"))
-            }
-            FdKind::Dev => {
-                for f in &mut self.filesystems {
-                    if f.as_any_mut()
-                        .downcast_mut::<crate::devfs::DevFs>()
-                        .is_some()
-                    {
-                        return f.vnode_from_state(ctx, state);
-                    }
-                }
-                Err(UnixError::Corrupt("dev descriptor with no devfs mounted"))
-            }
-            FdKind::Proc => {
-                for f in &mut self.filesystems {
-                    if f.as_any_mut()
-                        .downcast_mut::<crate::procfs::ProcFs>()
-                        .is_some()
-                    {
-                        return f.vnode_from_state(ctx, state);
-                    }
-                }
-                Err(UnixError::Corrupt("proc descriptor with no procfs mounted"))
-            }
+            // Any SegFs can rebuild a file vnode: the descriptor state
+            // names the object directly.
+            FdKind::File => self.rebuild::<SegFs>(ctx, state, "file descriptor with no segfs"),
+            FdKind::Dev => self.rebuild::<DevFs>(ctx, state, "dev descriptor with no devfs"),
+            FdKind::Proc => self.rebuild::<ProcFs>(ctx, state, "proc descriptor with no procfs"),
             FdKind::Metrics => {
-                for f in &mut self.filesystems {
-                    if f.as_any_mut()
-                        .downcast_mut::<crate::metricsfs::MetricsFs>()
-                        .is_some()
-                    {
-                        return f.vnode_from_state(ctx, state);
-                    }
-                }
-                Err(UnixError::Corrupt(
-                    "metrics descriptor with no metricsfs mounted",
-                ))
+                self.rebuild::<MetricsFs>(ctx, state, "metrics descriptor with no metricsfs")
             }
             FdKind::Persist => {
-                for f in &mut self.filesystems {
-                    if f.as_any_mut()
-                        .downcast_mut::<crate::persistfs::PersistFs>()
-                        .is_some()
-                    {
-                        return f.vnode_from_state(ctx, state);
-                    }
-                }
-                Err(UnixError::Corrupt(
-                    "persist descriptor with no persistfs mounted",
-                ))
+                self.rebuild::<PersistFs>(ctx, state, "persist descriptor with no persistfs")
             }
         }
+    }
+
+    /// Asks the registered filesystem of type `F` to rebuild a vnode.
+    fn rebuild<F: Filesystem + 'static>(
+        &mut self,
+        ctx: &mut VfsCtx,
+        state: &FdState,
+        missing: &'static str,
+    ) -> Result<Box<dyn Vnode>> {
+        self.find_fs_mut::<F>()
+            .ok_or(UnixError::Corrupt(missing))?
+            .vnode_from_state(ctx, state)
     }
 }
 

@@ -18,14 +18,16 @@
 //! batch (a single boundary crossing).
 
 use crate::env::UnixError;
-use crate::fdtable::{FdState, FD_POSITION_OFFSET, FD_STATE_LEN};
+use crate::fdtable::{FdKind, FdState, FD_POSITION_OFFSET, FD_STATE_LEN};
 use crate::fs::FileStat;
+use crate::process::{Pid, Process, ProcessState};
 use histar_kernel::abi::Handle;
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::serialize::encode_object;
 use histar_kernel::syscall::SyscallError;
 use histar_kernel::{Kernel, Machine};
+use std::collections::BTreeMap;
 
 type Result<T> = core::result::Result<T, UnixError>;
 
@@ -35,22 +37,42 @@ pub const PIPE_CAPACITY: u64 = 64 * 1024;
 /// count.
 pub const PIPE_HEADER: u64 = 24;
 
-/// The mutable state a vnode operation runs against: the simulated
-/// machine and the calling process's thread.  Every kernel call a vnode
-/// makes goes through `trap_*`/`submit_calls` on this thread, so the
-/// kernel's label checks always apply to the actual caller.
+/// The state a vnode operation runs against: the simulated machine, the
+/// calling process's thread, and the library's live process table.  Every
+/// kernel call a vnode makes goes through `trap_*`/`submit_calls` on this
+/// thread, so the kernel's label checks always apply to the actual caller.
 #[derive(Debug)]
 pub struct VfsCtx<'a> {
     /// The machine the environment runs on.
     pub machine: &'a mut Machine,
     /// The calling process's thread.
     pub thread: ObjectId,
+    /// The process table `/proc` and `/metrics/tasks` render from (built
+    /// by [`UnixEnv::vfs_ctx`](crate::env::UnixEnv::vfs_ctx)).
+    pub processes: &'a BTreeMap<Pid, Process>,
 }
 
-impl VfsCtx<'_> {
+impl<'a> VfsCtx<'a> {
     /// The kernel, mutably — the path every syscall takes.
     pub fn kernel(&mut self) -> &mut Kernel {
         self.machine.kernel_mut()
+    }
+
+    /// The processes `/proc` and `/metrics/tasks` serve: everything in the
+    /// table that has not been reaped, in pid order.
+    pub fn live_processes(&self) -> impl Iterator<Item = &'a Process> {
+        self.processes
+            .values()
+            .filter(|p| p.state != ProcessState::Reaped)
+    }
+
+    /// One served process, or the `NotFound` a reaped or unknown pid reads
+    /// as.
+    pub fn live_process(&self, pid: Pid) -> Result<&'a Process> {
+        self.processes
+            .get(&pid)
+            .filter(|p| p.state != ProcessState::Reaped)
+            .ok_or_else(|| UnixError::NotFound(format!("{pid}")))
     }
 }
 
@@ -180,6 +202,76 @@ pub trait Vnode: core::fmt::Debug {
 
     /// Drops any capability handles the vnode cached for `ctx.thread`.
     fn release(&mut self, _ctx: &mut VfsCtx) {}
+}
+
+// ------------------------------------------------- pseudo-file snapshots --
+
+/// An open `/proc` or `/metrics` pseudo-file: an open-time snapshot of the
+/// rendered text.  Every read re-runs the kernel label check against the
+/// node's gate container (the descriptor's `target_container`) before
+/// serving bytes, batched with the descriptor's seek update.
+#[derive(Debug)]
+pub struct SnapshotVnode {
+    /// The rendered text.
+    pub(crate) content: Vec<u8>,
+    /// The node's name, when a denial must read as the `NotFound` a
+    /// missing entry produces (the per-activity `/metrics` namespaces), so
+    /// revocation-by-relabeling is as silent as never having existed.
+    pub(crate) absence: Option<String>,
+}
+
+impl Vnode for SnapshotVnode {
+    fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>> {
+        // `len` is untrusted: clamp before any arithmetic can overflow.
+        let start = (state.position as usize).min(self.content.len());
+        let end = (start as u64)
+            .saturating_add(len)
+            .min(self.content.len() as u64) as usize;
+        // The label gate and the seek update cross the boundary as one
+        // batch; the gate must pass before bytes are served.
+        let thread = ctx.thread;
+        let calls = vec![
+            Syscall::ContainerList {
+                container: state.target_container,
+            },
+            fd.position_update(end as u64),
+        ];
+        let mut results = ctx.kernel().submit_calls(thread, calls).into_iter();
+        let gate = results.next().expect("label gate completes");
+        let seek = results.next().expect("seek update completes");
+        if let Err(e) = gate {
+            // Batches have no rollback: undo the optimistic seek update
+            // so a denied read does not move the shared position.
+            undo_seek(ctx, fd, state.position);
+            return Err(match &self.absence {
+                Some(name) => UnixError::NotFound(name.clone()),
+                None => e.into(),
+            });
+        }
+        seek?;
+        Ok(self.content[start..end].to_vec())
+    }
+
+    fn write(
+        &mut self,
+        _ctx: &mut VfsCtx,
+        _fd: &FdRef,
+        state: &FdState,
+        _data: &[u8],
+    ) -> Result<u64> {
+        Err(UnixError::ReadOnly(match state.kind {
+            FdKind::Proc => "procfs",
+            _ => "metricsfs",
+        }))
+    }
+
+    fn stat(&mut self, _ctx: &mut VfsCtx, state: &FdState) -> Result<FileStat> {
+        Ok(FileStat {
+            object: state.target,
+            is_dir: false,
+            len: self.content.len() as u64,
+        })
+    }
 }
 
 // ---------------------------------------------------------------- pipes --
