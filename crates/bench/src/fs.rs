@@ -136,7 +136,7 @@ pub struct FsMeasurement {
     /// recorder's `recover` spans, sorted by total descending.
     pub recovery_phases: Vec<(&'static str, u64, u64)>,
     /// Dispatch counters over the read+write phases only (batch-size
-    /// histogram, handle traffic).
+    /// histogram).
     pub io_dispatch: DispatchStats,
 }
 
@@ -492,11 +492,6 @@ pub fn run(params: FsBenchParams) -> (Table, BenchJson) {
     json.histogram(
         "io.batch_hist",
         &m.io_dispatch.batch_size_hist,
-        (m.read.elapsed + m.write.elapsed).as_nanos(),
-    );
-    json.metric(
-        "io.handle_resolutions",
-        m.io_dispatch.handle_resolutions as f64,
         (m.read.elapsed + m.write.elapsed).as_nanos(),
     );
     (table, json)

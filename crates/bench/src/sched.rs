@@ -587,11 +587,6 @@ pub fn run(params: SchedBenchParams) -> (Table, BenchJson) {
         fabric.elapsed.as_nanos(),
     );
     json.metric(
-        "fabric.handle_resolutions",
-        fabric.dispatch.handle_resolutions as f64,
-        fabric.elapsed.as_nanos(),
-    );
-    json.metric(
         "max_users.users",
         max_users.users as f64,
         max_users.elapsed.as_nanos(),
@@ -639,12 +634,6 @@ mod tests {
         assert_eq!(m.completed, 12, "6 logins per node across 2 nodes");
         assert!(m.syscalls > 0);
         assert!(m.elapsed > SimDuration::ZERO);
-        // The echo RPCs ride netd, whose packet path names the device and
-        // buffers by capability handle.
-        assert!(
-            m.dispatch.handle_resolutions > 0,
-            "netd's hot path must resolve handle-encoded arguments"
-        );
     }
 
     #[test]

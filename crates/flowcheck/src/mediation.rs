@@ -4,9 +4,7 @@
 //! The engine reads the `syscalls! { … }` table (the one list of the ABI:
 //! the dispatch arms every `Kernel::dispatch` / batched-ABI call funnels
 //! through are expanded from its rows), takes the `sys_*` handler each row
-//! names plus the batched handle ops (`handle_open` / `handle_close` from
-//! `dispatch_batch_collect`), and analyzes each target body as a token
-//! stream:
+//! names, and analyzes each target body as a token stream:
 //!
 //! * **Checks** are calls whose job is a label decision:
 //!   `check_observe`, `check_modify`, `check_entry`, `check_spawn`,
@@ -16,9 +14,8 @@
 //!   (category-ownership tests).
 //! * **Heap accesses** reach the kernel's only id-keyed state: the
 //!   object table `self.objects` (every object's runtime state — queues,
-//!   handles, watchers, holder counts — lives inside its object), the
-//!   category-translation pair `self.remote_bindings` /
-//!   `self.remote_index`, and the typed accessors
+//!   watchers — lives inside its object), the category-translation pair
+//!   `self.remote_bindings` / `self.remote_index`, and the typed accessors
 //!   `obj`/`obj_mut`/`typed`/`container`/`thread`/`thread_mut`/`dealloc`.
 //!   Accessors keyed by the calling thread itself (`tid` literal) are
 //!   *self accesses*: a thread may always touch its own state (§3 of the
@@ -133,28 +130,6 @@ pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>, exemptions: &mut V
             });
         }
         entry_points.insert(sys);
-    }
-
-    // Batched ABI path: handle ops invoked from dispatch_batch_collect
-    // (or any dispatch_* fn) are entry points too.
-    for f in files {
-        for item in &f.fns {
-            if !item.name.starts_with("dispatch") {
-                continue;
-            }
-            for i in item.body_open..item.body_close {
-                let t = &f.tokens[i];
-                if (t.text == "handle_open"
-                    || t.text == "handle_close"
-                    || t.text == "handle_open_reuse")
-                    && i >= 2
-                    && matches_seq(&f.tokens, i - 2, &["self", "."])
-                    && f.tokens.get(i + 1).map(|t| t.text.as_str()) == Some("(")
-                {
-                    entry_points.insert(t.text.clone());
-                }
-            }
-        }
     }
 
     // Analyze every entry point (plus transitive delegates).
@@ -327,7 +302,7 @@ fn verdict_dropped(toks: &[crate::lex::Token], i: usize) -> bool {
 }
 
 /// Scans a fn body for the first check, first heap access, record access,
-/// and sys_*/handle_* delegation calls.
+/// and sys_* delegation calls.
 fn scan_body(f: &SourceFile, open: usize, close: usize) -> BodyScan {
     let mut scan = BodyScan {
         first_check: None,
@@ -386,7 +361,7 @@ fn scan_body(f: &SourceFile, open: usize, close: usize) -> BodyScan {
             continue;
         }
 
-        if (t.starts_with("sys_") || t.starts_with("handle_")) && next_is(toks, i, "(") {
+        if t.starts_with("sys_") && next_is(toks, i, "(") {
             scan.delegates.push(t.clone());
         }
     }

@@ -156,8 +156,8 @@ pub struct ThreadBody {
     pub local_segment: Option<ObjectId>,
     /// Alerts queued for delivery.
     pub pending_alerts: Vec<Alert>,
-    /// Completion queue, handle table and syscall count: runtime state,
-    /// never serialized (a decoded thread starts with a fresh one).  The
+    /// Completion queue and syscall count: runtime state, never
+    /// serialized (a decoded thread starts with a fresh one).  The
     /// scheduler's wake probe reads this queue's and `pending_alerts`'
     /// emptiness directly.
     pub(crate) runtime: Box<ThreadRuntime>,

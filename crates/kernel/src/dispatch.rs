@@ -21,10 +21,9 @@
 //! visible in one stream.
 //!
 //! The ABI is spelled once, in the `syscalls!` table below: the [`Syscall`]
-//! enum, [`SYSCALL_NAMES`], the dispatch arms, handle resolution and every
-//! `trap_*` wrapper are expanded from its rows.
+//! enum, [`SYSCALL_NAMES`], the dispatch arms and every `trap_*` wrapper are
+//! expanded from its rows.
 
-use crate::abi::{Completion, CompletionKind, SqEntry, SqOp, SubmissionQueue};
 use crate::bodies::{Alert, Mapping};
 use crate::kernel::{GateEntryResult, Kernel, PageFaultResolution, RemoteCategoryName};
 use crate::object::{ContainerEntry, ObjectId, ObjectType, METADATA_LEN};
@@ -33,47 +32,10 @@ use histar_label::{Category, Label};
 use histar_obs::{Histogram, Span};
 use std::collections::VecDeque;
 
-/// The container entries inside one syscall argument — the only thing
-/// handle resolution may rewrite.  The rule is per argument *type*, not per
-/// call: every `ContainerEntry`, `Option<ContainerEntry>` and
-/// `Mapping::segment` resolves, in argument order, so a new entry-bearing
-/// syscall names objects by handle without being listed anywhere.
-trait EntryArgs {
-    fn visit_entries(&mut self, _f: &mut impl FnMut(&mut ContainerEntry)) {}
-}
-
-impl EntryArgs for ContainerEntry {
-    fn visit_entries(&mut self, f: &mut impl FnMut(&mut ContainerEntry)) {
-        f(self)
-    }
-}
-
-impl<T: EntryArgs> EntryArgs for Option<T> {
-    fn visit_entries(&mut self, f: &mut impl FnMut(&mut ContainerEntry)) {
-        if let Some(arg) = self {
-            arg.visit_entries(f)
-        }
-    }
-}
-
-impl EntryArgs for Mapping {
-    fn visit_entries(&mut self, f: &mut impl FnMut(&mut ContainerEntry)) {
-        f(&mut self.segment)
-    }
-}
-
-macro_rules! no_entries {
-    ($($ty:ty),*) => { $(impl EntryArgs for $ty {})* };
-}
-no_entries! {
-    ObjectId, Label, Category, RemoteCategoryName, String, bool, u8, u64, i64,
-    Vec<u8>, Vec<u64>, [u8; METADATA_LEN]
-}
-
 /// Expands the syscall table below into everything that has to agree about
 /// the ABI: the [`Syscall`] enum, [`SYSCALL_NAMES`] / [`SYSCALL_COUNT`],
-/// [`Syscall::index`], the entry visitor behind handle resolution,
-/// `Kernel::dispatch_inner`, and every `Kernel::trap_*` wrapper.
+/// [`Syscall::index`], `Kernel::dispatch_inner`, and every
+/// `Kernel::trap_*` wrapper.
 ///
 /// Row grammar:
 ///
@@ -167,16 +129,6 @@ macro_rules! syscalls {
             /// The call's name (stable, used in traces and stats dumps).
             pub fn name(&self) -> &'static str {
                 SYSCALL_NAMES[self.index()]
-            }
-
-            /// Calls `f` on every container-entry argument, in argument
-            /// order — the entries handle resolution rewrites.
-            pub fn for_each_entry_mut(&mut self, mut f: impl FnMut(&mut ContainerEntry)) {
-                match self {$(
-                    Syscall::$Variant $({ $($arg),+ })? => {
-                        $($( $arg.visit_entries(&mut f); )+)?
-                    }
-                )*}
             }
         }
 
@@ -688,8 +640,7 @@ pub struct DispatchStats {
     /// Boundary crossings: submission batches drained (a single `trap_*`
     /// call is a 1-entry batch).
     pub batches: u64,
-    /// Total submission entries across all batches (syscalls plus handle
-    /// operations).
+    /// Total syscalls across all batches.
     pub batch_entries: u64,
     /// Histogram of batch sizes; bucket boundaries are
     /// [`BATCH_HIST_BUCKETS`].
@@ -698,18 +649,6 @@ pub struct DispatchStats {
     /// read them — silent loss of audit history.  The dispatch-equivalence
     /// tests assert this stays zero when the trace is sized to the run.
     pub trace_dropped: u64,
-    /// Capability handles installed.
-    pub handle_opens: u64,
-    /// Capability handles explicitly closed.
-    pub handle_closes: u64,
-    /// Capability handles revoked by `obj_unref`/deallocation.
-    pub handle_revocations: u64,
-    /// Handle-encoded syscall arguments resolved at dispatch (how often
-    /// the hot path named objects by handle instead of raw entry).
-    pub handle_resolutions: u64,
-    /// Handle-open requests satisfied by an already-installed handle for
-    /// the same container link (the fd hot path's steady state).
-    pub handle_reuses: u64,
 }
 
 /// Upper bounds (inclusive) of the batch-size histogram buckets; the last
@@ -726,11 +665,6 @@ impl Default for DispatchStats {
             batch_entries: 0,
             batch_size_hist: Histogram::new(&BATCH_HIST_BUCKETS),
             trace_dropped: 0,
-            handle_opens: 0,
-            handle_closes: 0,
-            handle_revocations: 0,
-            handle_resolutions: 0,
-            handle_reuses: 0,
         }
     }
 }
@@ -805,11 +739,6 @@ impl DispatchStats {
         out.trace_dropped = op(self.trace_dropped, other.trace_dropped);
         out.batches = op(self.batches, other.batches);
         out.batch_entries = op(self.batch_entries, other.batch_entries);
-        out.handle_opens = op(self.handle_opens, other.handle_opens);
-        out.handle_closes = op(self.handle_closes, other.handle_closes);
-        out.handle_revocations = op(self.handle_revocations, other.handle_revocations);
-        out.handle_resolutions = op(self.handle_resolutions, other.handle_resolutions);
-        out.handle_reuses = op(self.handle_reuses, other.handle_reuses);
         out
     }
 
@@ -832,11 +761,6 @@ impl histar_obs::MetricSource for DispatchStats {
         set.counter("dispatch.batches", self.batches);
         set.counter("dispatch.batch_entries", self.batch_entries);
         set.counter("dispatch.trace_dropped", self.trace_dropped);
-        set.counter("dispatch.handle_opens", self.handle_opens);
-        set.counter("dispatch.handle_closes", self.handle_closes);
-        set.counter("dispatch.handle_revocations", self.handle_revocations);
-        set.counter("dispatch.handle_resolutions", self.handle_resolutions);
-        set.counter("dispatch.handle_reuses", self.handle_reuses);
         set.histogram("dispatch.batch_size", &self.batch_size_hist);
     }
 }
@@ -927,14 +851,11 @@ impl SyscallTrace {
 }
 
 impl Kernel {
-    /// Executes one trapped system call on behalf of thread `tid`.
-    ///
-    /// Since the batched ABI landed, this is a shim over a 1-entry
-    /// submission batch: the call crosses the boundary alone, pays the
-    /// full trap cost, and its result is returned directly instead of
-    /// being pushed onto the completion queue.  Per-call label checks,
-    /// [`DispatchStats`] counters and audit-trace records are identical
-    /// either way.
+    /// Executes one trapped system call on behalf of thread `tid`: the
+    /// call crosses the boundary alone, pays the full trap cost, and its
+    /// result is returned directly.  Per-call label checks,
+    /// [`DispatchStats`] counters and audit-trace records are identical to
+    /// the same call inside a [`Kernel::submit_calls`] batch.
     pub fn dispatch(
         &mut self,
         tid: ObjectId,
@@ -947,54 +868,30 @@ impl Kernel {
         result
     }
 
-    /// Drains one submission batch for thread `tid`: every entry executes
-    /// in submission order against the same label checks, per-syscall
-    /// counters and audit trace as a one-per-trap stream, but the whole
-    /// batch pays the kernel entry/exit (trap) cost once — each entry
-    /// after the first is charged only the cheap decode cost.  One
-    /// [`Completion`] per entry is pushed onto the thread's completion
-    /// queue, in order, once the batch finishes.  A batch does not stop on
-    /// errors (each entry's completion carries its own result), so entries
-    /// with user-level data dependencies belong in separate batches.
+    /// Submits `calls` as one batch and returns their results directly, in
+    /// submission order.  Every call executes against the same label
+    /// checks, per-syscall counters and audit trace as a one-per-trap
+    /// stream, but the whole batch pays the kernel entry/exit (trap) cost
+    /// once — each call after the first is charged only the cheap decode
+    /// cost.  A batch does not stop on errors (each call carries its own
+    /// result), so calls with user-level data dependencies belong in
+    /// separate batches.
     ///
-    /// Returns the number of entries processed.  If the batch itself tears
-    /// the calling thread down (an entry unrefs the thread's last link),
-    /// its completions die with the thread — nobody is left to reap them.
-    pub fn dispatch_batch<I>(&mut self, tid: ObjectId, entries: I) -> usize
-    where
-        I: IntoIterator<Item = SqEntry>,
-    {
-        let done = self.dispatch_batch_collect(tid, entries);
-        let n = done.len();
-        for completion in done {
-            self.push_completion(tid, completion);
-        }
-        n
-    }
-
-    /// The batch execution loop, returning the completions directly
-    /// instead of routing them through the thread's completion queue —
-    /// the queue vanishes with the thread if an entry deallocates the
-    /// caller mid-batch, so synchronous callers take results from here.
-    fn dispatch_batch_collect<I>(&mut self, tid: ObjectId, entries: I) -> Vec<Completion>
-    where
-        I: IntoIterator<Item = SqEntry>,
-    {
+    /// The thread's completion queue is not involved, so notifications
+    /// already queued (or pushed by an alert *inside* this batch) stay
+    /// queued, and a batch that tears down the calling thread (a call
+    /// unrefs the thread's last link) still reports every call's result.
+    pub fn submit_calls(
+        &mut self,
+        tid: ObjectId,
+        calls: Vec<Syscall>,
+    ) -> Vec<Result<SyscallResult, SyscallError>> {
         self.begin_batch();
         let span_start = self.recorder().is_enabled().then(|| self.now().as_nanos());
-        let mut done = Vec::new();
-        for SqEntry { user_data, op } in entries {
-            let kind = match op {
-                SqOp::Call(call) => CompletionKind::Call(self.dispatch_one(tid, call)),
-                SqOp::HandleOpen { entry } => {
-                    CompletionKind::HandleOpened(self.handle_open(tid, entry))
-                }
-                SqOp::HandleClose { handle } => {
-                    CompletionKind::HandleClosed(self.handle_close(tid, handle))
-                }
-            };
-            done.push(Completion { user_data, kind });
-        }
+        let done: Vec<_> = calls
+            .into_iter()
+            .map(|call| self.dispatch_one(tid, call))
+            .collect();
         self.end_batch();
         self.dispatch_stats_mut().record_batch(done.len() as u64);
         if let Some(start) = span_start {
@@ -1011,57 +908,20 @@ impl Kernel {
         done
     }
 
-    /// Drains a user-side [`SubmissionQueue`] in one boundary crossing.
-    /// Completions land on `tid`'s completion queue and are reaped with
-    /// [`Kernel::reap_completion`]/[`Kernel::reap_completions`].
-    pub fn submit(&mut self, tid: ObjectId, sq: &mut SubmissionQueue) -> usize {
-        self.dispatch_batch(tid, sq.drain())
-    }
-
-    /// Submits `calls` as one batch and returns their results directly,
-    /// in submission order — the synchronous multi-call pattern library
-    /// hot paths use for argument spills.  The thread's completion queue
-    /// is bypassed entirely, so completions already queued (e.g. alert
-    /// notifications, or ones pushed by an alert *inside* this batch)
-    /// stay queued, and a batch that tears down the calling thread still
-    /// reports every entry's result.
-    pub fn submit_calls(
-        &mut self,
-        tid: ObjectId,
-        calls: Vec<Syscall>,
-    ) -> Vec<Result<SyscallResult, SyscallError>> {
-        let entries: Vec<SqEntry> = calls
-            .into_iter()
-            .enumerate()
-            .map(|(i, call)| SqEntry {
-                user_data: i as u64,
-                op: SqOp::Call(call),
-            })
-            .collect();
-        self.dispatch_batch_collect(tid, entries)
-            .into_iter()
-            .map(Completion::into_call_result)
-            .collect()
-    }
-
-    /// One submitted entry, executed under the current batch's cost
-    /// accounting: handle-encoded arguments are resolved against `tid`'s
-    /// handle table, the per-syscall counters are bumped, the `sys_*`
+    /// One call, executed under the current batch's cost accounting: the
+    /// per-thread and per-syscall counters are bumped, the `sys_*`
     /// implementation runs, and the audit trace is appended.
     fn dispatch_one(
         &mut self,
         tid: ObjectId,
         call: Syscall,
     ) -> Result<SyscallResult, SyscallError> {
-        let mut call = call;
         let index = call.index();
         let name = call.name();
         let span_start = self.recorder().is_enabled().then(|| self.now().as_nanos());
         self.dispatch_stats_mut().invocations[index] += 1;
-        let result = match self.resolve_handle_args(tid, &mut call) {
-            Ok(()) => self.dispatch_inner(tid, call),
-            Err(e) => Err(e),
-        };
+        self.count_thread_call(tid);
+        let result = self.dispatch_inner(tid, call);
         if result.is_err() {
             self.dispatch_stats_mut().errors[index] += 1;
         }
@@ -1084,40 +944,6 @@ impl Kernel {
             });
         }
         result
-    }
-
-    /// Counts the call against `tid` and substitutes handle-encoded
-    /// `ContainerEntry` arguments with the entries installed in `tid`'s
-    /// handle table.  A stale or unknown handle fails the call with
-    /// [`SyscallError::BadHandle`] before any object is touched; the
-    /// substituted entry is still re-validated by the `sys_*`
-    /// implementation like any raw entry, so handles add a naming
-    /// indirection, never a checking shortcut.
-    fn resolve_handle_args(
-        &mut self,
-        tid: ObjectId,
-        call: &mut Syscall,
-    ) -> Result<(), SyscallError> {
-        let handles = self.begin_thread_call(tid);
-        let mut resolved = 0;
-        let mut stale = None;
-        call.for_each_entry_mut(|entry| {
-            // Nothing resolves past the first stale handle.
-            if let (None, Some(h)) = (stale, entry.as_handle()) {
-                match handles.and_then(|t| t.resolve(h)) {
-                    Some(installed) => {
-                        *entry = installed;
-                        resolved += 1;
-                    }
-                    None => stale = Some(h),
-                }
-            }
-        });
-        if let Some(h) = stale {
-            return Err(SyscallError::BadHandle(h.raw()));
-        }
-        self.dispatch_stats_mut().handle_resolutions += resolved;
-        Ok(())
     }
 }
 

@@ -6,7 +6,7 @@
 //! touching any state, counts itself in [`SyscallStats`], and charges its
 //! CPU cost to the machine clock (when one is attached).
 
-use crate::abi::{Completion, CompletionKind, Handle, HandleTable, KERNEL_USER_DATA};
+use crate::abi::Completion;
 use crate::bodies::{
     AddressSpaceBody, Alert, ContainerBody, DeviceBody, GateBody, Mapping, ObjectBody, SegmentBody,
     ThreadBody, ThreadState,
@@ -47,11 +47,6 @@ pub struct KObject {
     /// deallocated.  Registered via `segment_watch`; this is how blocking
     /// pipe/socket reads park without polling.
     pub(crate) watchers: Vec<ObjectId>,
-    /// Threads holding live handles naming this object, with a count per
-    /// thread — the reverse of every thread's handle table, so the
-    /// unref/dealloc revocation sweeps visit exactly the holders and
-    /// severing one link stays O(holders) with 10⁵ threads resident.
-    pub(crate) holders: BTreeMap<ObjectId, u64>,
 }
 
 impl KObject {
@@ -61,7 +56,6 @@ impl KObject {
             header,
             body,
             watchers: Vec::new(),
-            holders: BTreeMap::new(),
         }
     }
 }
@@ -162,10 +156,6 @@ pub struct Kernel {
     /// can correlate a span with its audit-trace record even after ring
     /// eviction.
     dispatch_seq: u64,
-    /// Live threads that ever installed a capability handle (the
-    /// `kernel.threads_with_handles` gauge, counted at first install and
-    /// at thread death rather than scanned).
-    threads_with_handles: u64,
     /// Threads whose wake conditions may have changed since the scheduler
     /// last looked (completion pushed, explicitly woken, or deallocated),
     /// in event order.  The scheduler drains this instead of scanning its
@@ -214,7 +204,6 @@ impl Kernel {
             trace: None,
             recorder: Recorder::disabled(),
             dispatch_seq: 0,
-            threads_with_handles: 0,
             sched_dirty: Vec::new(),
             sched_dirty_set: std::collections::BTreeSet::new(),
             sched_metrics: MetricSet::new(),
@@ -315,14 +304,12 @@ impl Kernel {
         seq
     }
 
-    /// The calling thread's side of one dispatched syscall, in one probe
-    /// of the thread object: counts the call against `tid` and hands back
-    /// its handle table for argument resolution.  `None`, and nothing
-    /// counted, when `tid` names no live thread.
-    pub(crate) fn begin_thread_call(&mut self, tid: ObjectId) -> Option<&HandleTable> {
-        let (_, body) = self.thread_mut(tid).ok()?;
-        body.runtime.syscalls += 1;
-        Some(&body.runtime.handles)
+    /// Counts one dispatched syscall against `tid`; nothing is counted when
+    /// `tid` names no live thread.
+    pub(crate) fn count_thread_call(&mut self, tid: ObjectId) {
+        if let Ok((_, body)) = self.thread_mut(tid) {
+            body.runtime.syscalls += 1;
+        }
     }
 
     /// Dispatched-syscall count for one thread (zero if it never trapped,
@@ -356,7 +343,6 @@ impl Kernel {
         set.collect(&self.dispatch_stats);
         set.collect(&self.label_cache.stats());
         set.gauge("kernel.objects", self.object_count() as u64);
-        set.gauge("kernel.threads_with_handles", self.threads_with_handles);
         if let Some(trace) = &self.trace {
             set.counter("trace.recorded", trace.total_recorded());
             set.counter("trace.dropped", trace.dropped());
@@ -401,15 +387,9 @@ impl Kernel {
     // ----- internal helpers ---------------------------------------------
 
     fn fresh_id(&mut self) -> ObjectId {
-        loop {
-            let id = self.id_cipher.encrypt(self.id_counter) & OBJECT_ID_MASK;
-            self.id_counter += 1;
-            // The all-ones ID is reserved as the handle namespace (see
-            // `object::HANDLE_NAMESPACE`); no real object may carry it.
-            if id != crate::object::HANDLE_NAMESPACE.raw() {
-                return ObjectId::from_raw(id);
-            }
-        }
+        let id = self.id_cipher.encrypt(self.id_counter) & OBJECT_ID_MASK;
+        self.id_counter += 1;
+        ObjectId::from_raw(id)
     }
 
     fn charge(&mut self, d: SimDuration) {
@@ -624,130 +604,7 @@ impl Kernel {
         self.charge(quantum);
     }
 
-    // ----- capability handles and completion queues (ABI edge) ----------
-
-    /// Resolves a container entry into a capability handle for thread
-    /// `tid`, performing the standard reachability check: the thread must
-    /// be able to observe the entry's container and the container must
-    /// hold a link to the object.  A thread can therefore never install a
-    /// handle for an object it could not traverse to.
-    pub fn handle_open(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<Handle, SyscallError> {
-        // Handle installation is a ring operation, not a syscall: it is
-        // not counted in `SyscallStats.syscalls`, but the reachability
-        // check below performs (and counts) a real label check.
-        let (header, body) = self.thread(tid)?;
-        if body.state == ThreadState::Halted {
-            return Err(SyscallError::ThreadHalted(tid));
-        }
-        let tl = header.label.clone();
-        self.charge_boundary();
-        self.check_entry(&tl, entry)?;
-        self.dispatch_stats.handle_opens += 1;
-        *self.obj_mut(entry.object)?.holders.entry(tid).or_insert(0) += 1;
-        let handles = &mut self.thread_mut(tid)?.1.runtime.handles;
-        let first = !handles.ever_used();
-        let handle = handles.install(entry);
-        self.threads_with_handles += first as u64;
-        Ok(handle)
-    }
-
-    /// `tid`'s handle table, if `tid` is a live thread.
-    fn handles(&self, tid: ObjectId) -> Option<&HandleTable> {
-        self.thread(tid).ok().map(|(_, body)| &body.runtime.handles)
-    }
-
-    /// Releases `n` of the live handles `tid` held for `object`.
-    fn holders_release(&mut self, object: ObjectId, tid: ObjectId, n: u64) {
-        let Ok(obj) = self.obj_mut(object) else {
-            return;
-        };
-        if let Some(count) = obj.holders.get_mut(&tid) {
-            *count = count.saturating_sub(n);
-            if *count == 0 {
-                obj.holders.remove(&tid);
-            }
-        }
-    }
-
-    /// Like [`Kernel::handle_open`], but reuses an already-installed live
-    /// handle when `tid` holds one for exactly this entry, skipping the
-    /// redundant reachability check (the installed handle is proof the
-    /// check passed, and it is revoked the moment the link is severed).
-    /// The fd hot path calls this on every descriptor operation, so the
-    /// steady state costs one table probe instead of a label check.
-    pub fn handle_open_reuse(
-        &mut self,
-        tid: ObjectId,
-        entry: ContainerEntry,
-    ) -> Result<Handle, SyscallError> {
-        if let Some(h) = self.handles(tid).and_then(|t| t.find(entry)) {
-            self.dispatch_stats.handle_reuses += 1;
-            return Ok(h);
-        }
-        self.handle_open(tid, entry)
-    }
-
-    /// Drops a handle from `tid`'s handle table.  Returns whether the
-    /// handle was live.
-    // flowcheck: exempt(drops an entry from the calling thread's own handle table; revoking your own capability observes nothing)
-    pub fn handle_close(&mut self, tid: ObjectId, handle: Handle) -> bool {
-        self.charge_boundary();
-        self.dispatch_stats.handle_closes += 1;
-        let revoked = self
-            .thread_mut(tid)
-            .ok()
-            .and_then(|(_, body)| body.runtime.handles.revoke(handle));
-        if let Some(entry) = revoked {
-            self.holders_release(entry.object, tid, 1);
-        }
-        revoked.is_some()
-    }
-
-    /// The entry a handle currently resolves to for `tid`, if live.
-    pub fn handle_entry(&self, tid: ObjectId, handle: Handle) -> Option<ContainerEntry> {
-        self.handles(tid).and_then(|t| t.resolve(handle))
-    }
-
-    /// Number of live handles installed for `tid`.
-    pub fn handle_count(&self, tid: ObjectId) -> usize {
-        self.handles(tid).map_or(0, |t| t.len())
-    }
-
-    /// Revokes, across every thread, handles installed through exactly
-    /// this severed container link.  Served from the object's holder
-    /// counts: only the threads actually holding a handle for it are
-    /// visited, so the sweep is O(holders), not O(threads) — with 10⁵
-    /// resident threads an unref touching nobody's handles costs one probe.
-    fn revoke_handles_for_entry(&mut self, entry: ContainerEntry) {
-        let Ok(obj) = self.obj(entry.object) else {
-            return;
-        };
-        let tids: Vec<ObjectId> = obj.holders.keys().copied().collect();
-        for tid in tids {
-            let revoked = self.revoke_in_thread(tid, |t| t.revoke_entry(entry));
-            // The thread may still hold handles for the same object
-            // through a different link, so release only what was revoked.
-            self.holders_release(entry.object, tid, revoked);
-        }
-    }
-
-    /// Runs one revocation on `tid`'s handle table and counts what it
-    /// revoked (nothing, when the holder thread is already gone).
-    fn revoke_in_thread(
-        &mut self,
-        tid: ObjectId,
-        f: impl FnOnce(&mut HandleTable) -> usize,
-    ) -> u64 {
-        let revoked = self
-            .thread_mut(tid)
-            .map_or(0, |(_, body)| f(&mut body.runtime.handles) as u64);
-        self.dispatch_stats.handle_revocations += revoked;
-        revoked
-    }
+    // ----- completion queues (ABI edge) ---------------------------------
 
     /// Pushes a completion onto `tid`'s completion queue and marks the
     /// thread sched-dirty: if it is parked on an empty queue, the
@@ -765,7 +622,7 @@ impl Kernel {
 
     /// Registers a one-shot readiness watch for `tid` on the object named
     /// by `entry`.  When the object is next written (`segment_write`) or
-    /// deallocated, the kernel pushes an [`CompletionKind::ObjectReady`]
+    /// deallocated, the kernel pushes a [`Completion::ObjectReady`]
     /// completion to `tid` — the wake half of blocking `read(2)`/`poll`.
     ///
     /// The watch is observe-checked: watching an object you cannot read
@@ -792,13 +649,7 @@ impl Kernel {
     /// that died while parked is skipped by `push_completion`.
     fn notify_watchers(&mut self, object: ObjectId, watchers: Vec<ObjectId>) {
         for tid in watchers {
-            self.push_completion(
-                tid,
-                Completion {
-                    user_data: KERNEL_USER_DATA,
-                    kind: CompletionKind::ObjectReady { object },
-                },
-            );
+            self.push_completion(tid, Completion::ObjectReady { object });
         }
     }
 
@@ -1051,22 +902,19 @@ impl Kernel {
     ) -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
         let (tl, _) = self.calling_thread(tid)?;
         let result = (|| -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
-            let store = self.store.as_mut().ok_or(SyscallError::NoStore)?;
-            let lo = lo.max(histar_store::PERSIST_KEY_BASE);
-            let keys = store.keys_in_range(lo, hi);
-            let mut raw = Vec::with_capacity(keys.len());
-            for key in keys {
-                match store.get(key) {
-                    Ok(bytes) => raw.push((key, bytes)),
-                    Err(_) => return Err(SyscallError::CorruptRecord(key)),
-                }
-            }
+            let store = self.store.as_ref().ok_or(SyscallError::NoStore)?;
+            let keys = store.keys_in_range(lo.max(histar_store::PERSIST_KEY_BASE), hi);
             let mut out = Vec::new();
             let mut copied = 0u64;
-            for (key, bytes) in raw {
+            // One record at a time, so `max` bounds the records fetched
+            // (and disk-read), not just the ones returned.
+            for key in keys {
                 if out.len() as u64 >= max {
                     break;
                 }
+                let Some(bytes) = self.persist_record(key)? else {
+                    continue;
+                };
                 let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
                 if self.check_record_observe(&tl, key, &rlabel).is_err() {
                     continue;
@@ -1304,36 +1152,20 @@ impl Kernel {
             return;
         };
         self.stats.objects_deallocated += 1;
-        // Every holder's handles naming this object, through any link, are
-        // revoked; O(holders), like the by-entry sweep.
-        for tid in obj.holders.into_keys() {
-            self.revoke_in_thread(tid, |t| t.revoke_object(id));
-        }
         // Threads watching this object wake (reads see EOF / a dead fd
         // rather than sleeping forever), and the scheduler gets a chance
         // to retire the object if it was itself a parked thread.
         self.notify_watchers(id, obj.watchers);
         self.sched_mark_dirty(id);
-        match obj.body {
-            // A dead thread's runtime state went with `obj`; what is left
-            // is its count on the objects it held handles for.
-            ObjectBody::Thread(t) => {
-                self.threads_with_handles -= t.runtime.handles.ever_used() as u64;
-                for (object, count) in t.runtime.handles.live_holdings() {
-                    self.holders_release(object, id, count);
-                }
-            }
-            ObjectBody::Container(c) => {
-                for child in c.links {
-                    if let Some(child_obj) = self.objects.get_mut(&child) {
-                        child_obj.header.links = child_obj.header.links.saturating_sub(1);
-                        if child_obj.header.links == 0 {
-                            self.dealloc(child);
-                        }
+        if let ObjectBody::Container(c) = obj.body {
+            for child in c.links {
+                if let Some(child_obj) = self.objects.get_mut(&child) {
+                    child_obj.header.links = child_obj.header.links.saturating_sub(1);
+                    if child_obj.header.links == 0 {
+                        self.dealloc(child);
                     }
                 }
             }
-            _ => {}
         }
     }
 
@@ -1464,10 +1296,6 @@ impl Kernel {
                 o.header.links = o.header.links.saturating_sub(1);
                 o.header.links
             };
-            // The link is severed: every capability handle installed
-            // through it is revoked, so no thread can keep naming the
-            // object along a path that no longer exists.
-            self.revoke_handles_for_entry(entry);
             if remaining == 0 {
                 self.dealloc(entry.object);
             }
@@ -2320,13 +2148,7 @@ impl Kernel {
             // The alert is also announced on the target's completion
             // queue, so a thread blocked on an empty queue wakes without
             // polling `self_take_alert` every quantum.
-            self.push_completion(
-                target.object,
-                Completion {
-                    user_data: KERNEL_USER_DATA,
-                    kind: CompletionKind::AlertPending { code },
-                },
-            );
+            self.push_completion(target.object, Completion::AlertPending { code });
             Ok(())
         })();
         result.inspect_err(|_| self.stats.errors += 1)
@@ -2347,7 +2169,7 @@ impl Kernel {
             let q = &mut body.runtime.completions;
             if let Some(i) = q
                 .iter()
-                .position(|c| matches!(c.kind, CompletionKind::AlertPending { .. }))
+                .position(|c| matches!(c, Completion::AlertPending { .. }))
             {
                 q.remove(i);
             }

@@ -30,12 +30,12 @@
 //!   recovery.
 //! * [`dispatch`] — the trap-style syscall ABI: a [`dispatch::Syscall`]
 //!   value per entry point, decoded and executed only by
-//!   [`Kernel::dispatch`](kernel::Kernel::dispatch) /
-//!   [`Kernel::dispatch_batch`](kernel::Kernel::dispatch_batch), with
-//!   per-syscall stats and a bounded audit trace.
-//! * [`abi`] — the batched submission/completion lanes over dispatch
-//!   (io_uring-style: one trap cost per batch) and per-thread capability
-//!   [`abi::Handle`]s installed via reachability-checked resolution.
+//!   [`Kernel::dispatch`](kernel::Kernel::dispatch) (one call per trap) /
+//!   [`Kernel::submit_calls`](kernel::Kernel::submit_calls) (one trap cost
+//!   per batch), with per-syscall stats and a bounded audit trace.
+//! * [`abi`] — the other direction of that edge: the per-thread
+//!   completion queue of kernel-pushed [`abi::Completion`]s (alert
+//!   pending, watched object ready).
 //! * [`sched`] — a deterministic round-robin [`sched::Scheduler`] stepping
 //!   user-level programs one quantum at a time over any
 //!   [`sched::SchedContext`], plus `Machine::run_until`.
@@ -53,10 +53,7 @@ pub mod sched;
 pub mod serialize;
 pub mod syscall;
 
-pub use abi::{
-    Completion, CompletionKind, Handle, HandleTable, SqEntry, SqOp, SubmissionQueue,
-    KERNEL_USER_DATA,
-};
+pub use abi::Completion;
 pub use dispatch::{DispatchStats, Syscall, SyscallResult, SyscallTrace, TraceRecord};
 pub use kernel::Kernel;
 pub use machine::{Machine, MachineConfig};

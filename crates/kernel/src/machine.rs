@@ -410,6 +410,44 @@ mod tests {
     }
 
     #[test]
+    fn persist_scan_fetches_no_more_than_max_records() {
+        const RECORDS: u64 = 200;
+        let mut m = Machine::boot(MachineConfig::default());
+        let tid = m.kernel_thread();
+        let base = histar_store::PERSIST_KEY_BASE;
+        for i in 0..RECORDS {
+            m.kernel_mut()
+                .sys_persist_put(
+                    tid,
+                    base + i,
+                    Some(Label::unrestricted()),
+                    0,
+                    &[i as u8; 32],
+                )
+                .unwrap();
+        }
+        m.snapshot();
+        // The records are on disk only, so every fetch is a counted
+        // object read.
+        m.store_mut().evict_clean();
+        let reads = m.store().stats().objects_read;
+        let checks = m.kernel().stats().label_checks;
+        let got = m
+            .kernel_mut()
+            .sys_persist_scan(tid, base, base + RECORDS, 1)
+            .unwrap();
+        assert_eq!(got, vec![(base, vec![0u8; 32])]);
+        assert_eq!(m.store().stats().objects_read - reads, 1);
+        assert_eq!(m.kernel().stats().label_checks - checks, 1);
+        // The bound is on records returned: a full scan still sees all.
+        let all = m
+            .kernel_mut()
+            .sys_persist_scan(tid, base, base + RECORDS, u64::MAX)
+            .unwrap();
+        assert_eq!(all.len() as u64, RECORDS);
+    }
+
+    #[test]
     fn unsnapshotted_changes_are_lost_on_crash() {
         let mut m = Machine::boot(MachineConfig::default());
         let tid = m.kernel_thread();

@@ -22,12 +22,6 @@ pub const METADATA_LEN: usize = 64;
 /// The reserved quota value meaning "unlimited" (the root container).
 pub const QUOTA_INFINITE: u64 = u64::MAX;
 
-/// The reserved object ID used as the "container" of handle-encoded
-/// [`ContainerEntry`]s (see [`crate::abi::Handle::entry`]).  The kernel's
-/// ID allocator never hands this value to a real object, so a
-/// handle-encoded entry can always be told apart from a raw one.
-pub const HANDLE_NAMESPACE: ObjectId = ObjectId(OBJECT_ID_MASK);
-
 /// A unique, 61-bit kernel object identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(u64);
@@ -156,16 +150,6 @@ impl ContainerEntry {
         ContainerEntry {
             container,
             object: container,
-        }
-    }
-
-    /// Decodes a handle-encoded entry (see
-    /// [`crate::abi::Handle::entry`]); `None` for ordinary entries.
-    pub fn as_handle(self) -> Option<crate::abi::Handle> {
-        if self.container == HANDLE_NAMESPACE && self.object.0 <= u32::MAX as u64 {
-            Some(crate::abi::Handle(self.object.0 as u32))
-        } else {
-            None
         }
     }
 }

@@ -396,7 +396,7 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
 
     /// Parks a thread in its shard's wait set and marks it sched-dirty so
     /// the next wake pass re-checks it once: a completion or alert that
-    /// landed during the thread's final quantum (submit-then-block) must
+    /// landed during the thread's final quantum (watch-then-block) must
     /// not be lost just because the event preceded the park.
     fn park(&mut self, ctx: &mut Ctx, tid: ObjectId) {
         self.park_seq += 1;
@@ -923,7 +923,7 @@ mod tests {
                 let completions = m.kernel_mut().reap_completions(tid);
                 if completions
                     .iter()
-                    .any(|c| matches!(c.kind, crate::abi::CompletionKind::AlertPending { .. }))
+                    .any(|c| matches!(c, crate::abi::Completion::AlertPending { .. }))
                 {
                     let alert = m.kernel_mut().trap_self_take_alert(tid).unwrap();
                     assert_eq!(alert.map(|a| a.code), Some(44));
@@ -970,31 +970,58 @@ mod tests {
 
     #[test]
     fn submit_then_block_wakes_on_completion() {
-        // The async pattern: a program submits a batch during its quantum,
-        // blocks, and is woken by the completions on its queue (not by an
-        // alert).
+        // A program submits a batch that registers a watch, blocks, and is
+        // woken by the completion the kernel pushes when the watched
+        // segment is written (not by an alert).
         let mut m = Machine::boot(MachineConfig::default());
-        let t = spawn_thread(&mut m, "submitter");
+        let root = m.kernel().root_container();
+        let watcher = spawn_thread(&mut m, "watcher");
+        let writer = spawn_thread(&mut m, "writer");
+        let boot = m.kernel_thread();
+        let seg = m
+            .kernel_mut()
+            .trap_segment_create(boot, root, Label::unrestricted(), 8, "watched")
+            .unwrap();
+        let entry = ContainerEntry::new(root, seg);
         let mut sched: Scheduler<Machine> = Scheduler::new(cfg(2, 10));
         let mut submitted = false;
         sched.spawn(
-            t,
+            watcher,
             Box::new(move |m: &mut Machine, tid| {
                 if !submitted {
                     submitted = true;
-                    let mut sq = crate::abi::SubmissionQueue::new();
-                    sq.call(crate::dispatch::Syscall::CreateCategory);
-                    sq.call(crate::dispatch::Syscall::SelfGetLabel);
-                    assert_eq!(m.kernel_mut().submit(tid, &mut sq), 2);
+                    let done = m.kernel_mut().submit_calls(
+                        tid,
+                        vec![
+                            crate::dispatch::Syscall::SegmentLen { entry },
+                            crate::dispatch::Syscall::SegmentWatch { entry },
+                        ],
+                    );
+                    assert!(done.iter().all(Result::is_ok), "{done:?}");
                     Step::Block
                 } else {
-                    let done = m.kernel_mut().reap_completions(tid);
-                    assert_eq!(done.len(), 2);
-                    assert!(done
-                        .iter()
-                        .all(|c| matches!(&c.kind, crate::abi::CompletionKind::Call(Ok(_)))));
+                    assert_eq!(
+                        m.kernel_mut().reap_completions(tid),
+                        vec![crate::abi::Completion::ObjectReady { object: seg }]
+                    );
                     Step::Done
                 }
+            }),
+        );
+        // Whichever thread the rotation runs first, the write lands after
+        // the watch: the writer spends its first quantum yielding.
+        let mut yielded = false;
+        sched.spawn(
+            writer,
+            Box::new(move |m: &mut Machine, tid| {
+                if !yielded {
+                    yielded = true;
+                    return Step::Yield;
+                }
+                m.kernel_mut()
+                    .trap_segment_write(tid, entry, 0, b"x")
+                    .unwrap();
+                Step::Done
             }),
         );
         let report = m.run_until(&mut sched, RunLimit::to_completion());

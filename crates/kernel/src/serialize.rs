@@ -284,7 +284,7 @@ fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, Serial
             for _ in 0..n {
                 pending_alerts.push(Alert { code: d.get_u64()? });
             }
-            // Runtime state (completions, handles) is never encoded: a
+            // Runtime state (completions) is never encoded: a
             // decoded thread starts with a fresh record.
             ObjectBody::Thread(ThreadBody {
                 address_space,

@@ -78,10 +78,6 @@ pub enum SyscallError {
     RootContainer,
     /// The call is malformed (bad argument, out-of-range offset, ...).
     InvalidArgument(&'static str),
-    /// A handle-encoded argument names no live handle in the calling
-    /// thread's handle table (never installed, closed, or revoked when the
-    /// link it was resolved through was unreferenced).
-    BadHandle(u32),
     /// A persist-record call reached a kernel with no single-level store
     /// attached (standalone kernels used in pure label tests).
     NoStore,
@@ -161,7 +157,6 @@ impl core::fmt::Display for SyscallError {
                 write!(f, "operation not permitted on the root container")
             }
             SyscallError::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
-            SyscallError::BadHandle(h) => write!(f, "stale or unknown handle h{h}"),
             SyscallError::NoStore => write!(f, "no single-level store attached to this kernel"),
             SyscallError::NoSuchRecord(k) => write!(f, "no such persist record: {k:#x}"),
             SyscallError::CannotObserveRecord(k) => {

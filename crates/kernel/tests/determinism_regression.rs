@@ -8,19 +8,17 @@
 //! 1. binding enumeration order is identical across identically built
 //!    kernels (and is sorted by category),
 //! 2. audit traces of identical runs are identical record-for-record,
-//! 3. snapshot disk images stay byte-identical under a binding- and
-//!    handle-heavy workload (the other migrated maps: handles,
-//!    completions, watchers).
+//! 3. snapshot disk images stay byte-identical under a binding-heavy
+//!    workload.
 
 use histar_kernel::object::ContainerEntry;
 use histar_kernel::{Machine, MachineConfig};
 use histar_label::{Label, Level};
 
-/// A deterministic workload touching every migrated map: category
-/// bindings (remote_bindings/remote_index), capability handles
-/// (handles), blocking watches and completions (watchers/completions),
-/// and enough objects that hash order would scramble with high
-/// probability if any of them regressed to a HashMap.
+/// A deterministic workload over the migrated binding maps
+/// (remote_bindings/remote_index) and enough objects that hash order
+/// would scramble with high probability if any of them regressed to a
+/// HashMap.
 fn build() -> Machine {
     let mut m = Machine::boot(MachineConfig::default());
     m.kernel_mut().enable_syscall_trace(4096);

@@ -11,7 +11,7 @@
 //! resulting object counts.  A coverage check guarantees no syscall variant
 //! is left untested.
 
-use histar_kernel::abi::{CompletionKind, SqEntry, SqOp, SubmissionQueue};
+use histar_kernel::abi::Completion;
 use histar_kernel::bodies::{DeviceBody, Mapping, MappingFlags};
 use histar_kernel::dispatch::{Syscall, SyscallResult, SYSCALL_COUNT, SYSCALL_NAMES};
 use histar_kernel::kernel::RemoteCategoryName;
@@ -691,9 +691,6 @@ fn run_sequence_in_batches(sizes: &[usize], via_trap: bool) -> SequenceObservati
     let calls: Vec<Syscall> = cases(&fx).into_iter().map(|(call, _)| call).collect();
     assert_eq!(calls.len(), SYSCALL_COUNT);
     k.enable_syscall_trace(4 * SYSCALL_COUNT);
-    // The setup's thread_alert left a notification on boot's completion
-    // queue; drain it so only this sequence's completions are reaped.
-    let _ = k.reap_completions(fx.boot);
 
     let mut results = Vec::with_capacity(calls.len());
     let mut sizes_cycle = sizes.iter().copied().cycle();
@@ -707,18 +704,9 @@ fn run_sequence_in_batches(sizes: &[usize], via_trap: bool) -> SequenceObservati
                 results.push(k.dispatch(fx.boot, call.clone()));
             }
         } else {
-            let entries: Vec<SqEntry> = chunk
-                .iter()
-                .enumerate()
-                .map(|(i, call)| SqEntry {
-                    user_data: i as u64,
-                    op: SqOp::Call(call.clone()),
-                })
-                .collect();
-            assert_eq!(k.dispatch_batch(fx.boot, entries), n);
-            for completion in k.reap_completions(fx.boot) {
-                results.push(completion.into_call_result());
-            }
+            let done = k.submit_calls(fx.boot, chunk.to_vec());
+            assert_eq!(done.len(), n);
+            results.extend(done);
         }
     }
 
@@ -772,220 +760,6 @@ fn any_batch_split_is_equivalent_to_one_call_per_trap() {
 }
 
 #[test]
-fn handle_encoded_calls_are_equivalent_to_raw_entries() {
-    let (_, fx_probe) = setup();
-    let mut entry_bearing = 0;
-    for (i, (call, _)) in cases(&fx_probe).into_iter().enumerate() {
-        let name = call.name();
-        let mut entries = Vec::new();
-        call.clone().for_each_entry_mut(|e| entries.push(*e));
-        if entries.is_empty() {
-            continue;
-        }
-        entry_bearing += 1;
-
-        // Both kernels install the same handles (an install is
-        // reachability-checked, so it moves the counters); only B names
-        // the call's arguments through them.
-        let (mut ka, fxa) = setup();
-        let (mut kb, fxb) = setup();
-        for e in &entries {
-            ka.handle_open(fxa.boot, *e).unwrap();
-        }
-        let mut by_handle = call.clone();
-        by_handle.for_each_entry_mut(|e| *e = kb.handle_open(fxb.boot, *e).unwrap().entry());
-        let ra = ka.dispatch(fxa.boot, call.clone());
-        let rb = kb.dispatch(fxb.boot, by_handle);
-        assert_eq!(ra, rb, "{name}: handle naming must not change the result");
-        assert_eq!(ka.stats(), kb.stats(), "{name}: identical label checks");
-        assert_eq!(ka.object_count(), kb.object_count(), "{name}");
-        assert_eq!(ka.dispatch_stats().handle_resolutions, 0, "{name}");
-        assert_eq!(
-            kb.dispatch_stats().handle_resolutions,
-            entries.len() as u64,
-            "{name}: every entry argument resolves"
-        );
-
-        // A stale handle fails the call before anything is touched.
-        let (mut kc, fxc) = setup();
-        let mut stale = call;
-        stale.for_each_entry_mut(|e| {
-            let h = kc.handle_open(fxc.boot, *e).unwrap();
-            assert!(kc.handle_close(fxc.boot, h));
-            *e = h.entry();
-        });
-        let (stats, dstats) = (kc.stats(), kc.dispatch_stats());
-        let err = kc.dispatch(fxc.boot, stale).unwrap_err();
-        assert!(matches!(err, SyscallError::BadHandle(_)), "{name}: {err:?}");
-        assert_eq!(kc.stats(), stats, "{name}: no label check may run");
-        let after = kc.dispatch_stats();
-        assert_eq!(after.handle_resolutions, dstats.handle_resolutions);
-        assert_eq!(after.errors[i], 1, "{name}: the error is counted once");
-        assert_eq!(after.total_errors(), dstats.total_errors() + 1);
-    }
-    assert!(entry_bearing >= 26, "the sweep must not pass vacuously");
-
-    let (mut kb, fxb) = setup();
-    let checks = kb.stats().label_checks;
-    kb.handle_open(fxb.boot, entry(&fxb, fxb.seg)).unwrap();
-    assert!(
-        kb.stats().label_checks > checks,
-        "handle install is reachability-checked"
-    );
-    // A thread that could not traverse to an object cannot install a
-    // handle for it: reachability is checked at install time.
-    let secret = Label::builder().set(fxb.cat_unbound, Level::L3).build();
-    let hidden_dir = kb
-        .sys_container_create(fxb.boot, fxb.root, secret, "hidden", 0, 1 << 16)
-        .unwrap();
-    let peer_err = kb
-        .handle_open(fxb.peer, ContainerEntry::new(hidden_dir, fxb.seg))
-        .unwrap_err();
-    assert!(
-        matches!(peer_err, SyscallError::CannotObserve(_)),
-        "unreachable container must be refused, got {peer_err:?}"
-    );
-}
-
-#[test]
-fn handle_open_reuse_hits_the_reverse_index_not_a_rescan() {
-    let (mut k, fx) = setup();
-    // Fill the thread's table with many unrelated handles (one per
-    // sibling object), the regime where the old linear slot scan hurt.
-    let mut others = Vec::new();
-    for i in 0..64 {
-        let seg = k
-            .sys_segment_create(
-                fx.boot,
-                fx.root,
-                Label::unrestricted(),
-                16,
-                &format!("s{i}"),
-            )
-            .unwrap();
-        others.push(k.handle_open(fx.boot, entry(&fx, seg)).unwrap());
-    }
-    let e_seg = entry(&fx, fx.seg);
-    let reuses_before = k.dispatch_stats().handle_reuses;
-    let first = k.handle_open_reuse(fx.boot, e_seg).unwrap();
-    assert_eq!(
-        k.dispatch_stats().handle_reuses,
-        reuses_before,
-        "first resolution installs, it does not reuse"
-    );
-    // Every subsequent resolution of the same entry reuses the installed
-    // handle — the `handle_reuses` stat counts exactly those index hits.
-    for round in 1..=10 {
-        let again = k.handle_open_reuse(fx.boot, e_seg).unwrap();
-        assert_eq!(again, first);
-        assert_eq!(k.dispatch_stats().handle_reuses, reuses_before + round);
-    }
-    // Closing the handle empties the index slot; the next open installs
-    // fresh instead of reusing a stale one.
-    assert!(k.handle_close(fx.boot, first));
-    let fresh = k.handle_open_reuse(fx.boot, e_seg).unwrap();
-    assert_eq!(
-        k.dispatch_stats().handle_reuses,
-        reuses_before + 10,
-        "a closed handle must not be reused"
-    );
-    assert_eq!(k.handle_entry(fx.boot, fresh), Some(e_seg));
-}
-
-#[test]
-fn handles_are_revoked_on_unref() {
-    let (mut k, fx) = setup();
-    let e_seg = entry(&fx, fx.seg);
-    let h = k.handle_open(fx.boot, e_seg).unwrap();
-    assert_eq!(k.handle_entry(fx.boot, h), Some(e_seg));
-
-    // Unreferencing the link revokes every handle installed through it.
-    k.trap_obj_unref(fx.boot, e_seg).unwrap();
-    assert_eq!(k.handle_entry(fx.boot, h), None);
-    let err = k
-        .dispatch(fx.boot, Syscall::SegmentLen { entry: h.entry() })
-        .unwrap_err();
-    assert_eq!(err, SyscallError::BadHandle(h.raw()));
-    // The failed call is still audited/counted like any other error.
-    assert_eq!(k.dispatch_stats().count("segment_len"), Some(1));
-    assert_eq!(k.dispatch_stats().total_errors(), 1);
-}
-
-#[test]
-fn revocation_reaches_every_holder_through_the_holder_index() {
-    // The kernel keeps a reverse index from object to the threads holding
-    // handles on it, so a revocation sweep visits the holders instead of
-    // every thread in the system.  The sweep must stay exact under the
-    // index's edge cases: multiple handles from one thread, holders on
-    // other threads, closed handles, and holder threads that died.
-    let (mut k, fx) = setup();
-    let e_seg = entry(&fx, fx.seg);
-    let boot_h1 = k.handle_open(fx.boot, e_seg).unwrap();
-    let boot_h2 = k.handle_open(fx.boot, e_seg).unwrap();
-    let peer_h = k.handle_open(fx.peer, e_seg).unwrap();
-
-    // Closing one of boot's handles must not release the other.
-    assert!(k.handle_close(fx.boot, boot_h1));
-    assert_eq!(k.handle_entry(fx.boot, boot_h2), Some(e_seg));
-
-    // Unref revokes the survivors on BOTH holder threads.
-    k.trap_obj_unref(fx.boot, e_seg).unwrap();
-    assert_eq!(k.handle_entry(fx.boot, boot_h2), None);
-    assert_eq!(k.handle_entry(fx.peer, peer_h), None);
-
-    // A holder thread that dies drops out of the index: revoking the
-    // object afterwards must not trip over the dead thread's entries.
-    let seg2 = k
-        .sys_segment_create(fx.boot, fx.root, Label::unrestricted(), 16, "s2")
-        .unwrap();
-    let e_seg2 = entry(&fx, seg2);
-    let _peer_h2 = k.handle_open(fx.peer, e_seg2).unwrap();
-    k.trap_obj_unref(fx.boot, ContainerEntry::new(fx.root, fx.peer))
-        .unwrap();
-    k.trap_obj_unref(fx.boot, e_seg2).unwrap();
-    let boot_h3_err = k.handle_open(fx.boot, e_seg2).unwrap_err();
-    assert!(
-        matches!(boot_h3_err, SyscallError::NotInContainer { .. }),
-        "the unref severed the segment's link, got {boot_h3_err:?}"
-    );
-}
-
-#[test]
-fn mixed_batches_interleave_calls_and_handle_ops() {
-    let (mut k, fx) = setup();
-    let _ = k.reap_completions(fx.boot);
-    let mut sq = SubmissionQueue::new();
-    let open_token = sq.open_handle(entry(&fx, fx.seg));
-    let read_token = sq.call(Syscall::SegmentRead {
-        entry: entry(&fx, fx.seg),
-        offset: 0,
-        len: 13,
-    });
-    assert_eq!(k.submit(fx.boot, &mut sq), 2);
-    let completions = k.reap_completions(fx.boot);
-    assert_eq!(completions.len(), 2);
-    assert_eq!(completions[0].user_data, open_token);
-    let h = match &completions[0].kind {
-        CompletionKind::HandleOpened(Ok(h)) => *h,
-        other => panic!("expected a handle, got {other:?}"),
-    };
-    assert_eq!(completions[1].user_data, read_token);
-
-    // Use the fresh handle in a follow-up batch, then close it.
-    let mut sq = SubmissionQueue::new();
-    sq.call(Syscall::SegmentLen { entry: h.entry() });
-    sq.close_handle(h);
-    k.submit(fx.boot, &mut sq);
-    let completions = k.reap_completions(fx.boot);
-    assert_eq!(
-        completions[0].kind,
-        CompletionKind::Call(Ok(SyscallResult::U64(256))),
-    );
-    assert_eq!(completions[1].kind, CompletionKind::HandleClosed(true));
-    assert_eq!(k.handle_count(fx.boot), 0);
-}
-
-#[test]
 fn submit_calls_skips_kernel_notifications_pushed_mid_batch() {
     // An entry inside the batch can alert the submitting thread itself,
     // interleaving a kernel-originated AlertPending completion between
@@ -1010,11 +784,11 @@ fn submit_calls_skips_kernel_notifications_pushed_mid_batch() {
     assert_eq!(results[1], Ok(SyscallResult::Unit));
     assert!(matches!(results[2], Ok(SyscallResult::Label(_))));
     let left = k.reap_completions(fx.boot);
-    assert_eq!(left.len(), 1, "the alert notification stays queued");
-    assert!(matches!(
-        left[0].kind,
-        CompletionKind::AlertPending { code: 7 }
-    ));
+    assert_eq!(
+        left,
+        vec![Completion::AlertPending { code: 7 }],
+        "the alert notification stays queued"
+    );
 }
 
 #[test]
@@ -1024,7 +798,6 @@ fn batch_that_tears_down_its_own_thread_still_reports_every_result() {
     // still return one aligned result per entry, and the dead thread's
     // queue must not be resurrected for completions nobody can reap.
     let (mut k, fx) = setup();
-    k.handle_open(fx.boot, entry(&fx, fx.seg)).unwrap();
     let objects_before = k.object_count();
     let results = k.submit_calls(
         fx.boot,
@@ -1048,7 +821,6 @@ fn batch_that_tears_down_its_own_thread_still_reports_every_result() {
     // The thread's runtime state is part of the thread: nothing outlives it.
     assert_eq!(k.completion_count(fx.boot), 0);
     assert_eq!(k.thread_syscalls(fx.boot), 0);
-    assert_eq!(k.handle_count(fx.boot), 0);
 }
 
 #[test]
@@ -1063,9 +835,10 @@ fn dispatch_on_an_id_that_is_not_a_thread_fails_typed_and_leaves_no_state() {
             ),
             "{err:?}"
         );
-        let mut sq = SubmissionQueue::new();
-        sq.call(Syscall::SelfGetLabel);
-        assert_eq!(k.submit(bogus, &mut sq), 1);
+        assert_eq!(
+            k.submit_calls(bogus, vec![Syscall::SelfGetLabel]),
+            [Err(err)]
+        );
         assert_eq!(k.thread_syscalls(bogus), 0);
         assert_eq!(k.completion_count(bogus), 0);
     }

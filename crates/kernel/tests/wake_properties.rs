@@ -4,14 +4,13 @@
 //! the three facts it summarises: the thread's scheduling state, whether
 //! its alert list is empty and whether its completion queue is empty.
 //! Random interleavings of every operation that touches one of the three —
-//! alerts posted and taken, batches completing, completions reaped one at a
+//! alerts posted and taken, batches submitted, completions reaped one at a
 //! time or all at once, watched segments written, threads parked, woken,
 //! halted and deallocated — are checked after every step.
 //!
 //! The generator is the xorshift64* harness of
 //! `crates/label/tests/label_properties.rs`, so the suite runs offline.
 
-use histar_kernel::abi::SubmissionQueue;
 use histar_kernel::bodies::{ObjectBody, ThreadState};
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::kernel::WakeReason;
@@ -118,11 +117,8 @@ fn wake_eligibility_is_the_answer_read_off_the_thread() {
                     let _ = k.trap_self_take_alert(tid);
                 }
                 3 => {
-                    let mut sq = SubmissionQueue::new();
-                    for _ in 0..=rng.below(3) {
-                        sq.call(Syscall::SelfGetLabel);
-                    }
-                    k.submit(tid, &mut sq);
+                    let n = 1 + rng.below(3) as usize;
+                    k.submit_calls(tid, vec![Syscall::SelfGetLabel; n]);
                 }
                 4 => {
                     let _ = k.reap_completion(tid);

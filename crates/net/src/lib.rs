@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use histar_kernel::abi::{Handle, SubmissionQueue};
 use histar_kernel::bodies::DeviceBody;
 use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::Syscall;
@@ -55,13 +54,6 @@ pub struct Netd {
     pub tx_buffer: ContainerEntry,
     /// Receive buffer netd publishes incoming frames in, labelled `{i 2, 1}`.
     pub rx_buffer: ContainerEntry,
-    /// netd's capability handle for the device (valid on netd's thread
-    /// only; installed at start via reachability-checked resolution).
-    pub device_handle: Handle,
-    /// netd's capability handle for the transmit buffer.
-    pub tx_handle: Handle,
-    /// netd's capability handle for the receive buffer.
-    pub rx_handle: Handle,
     /// Container holding accept queues and connection segments, labelled
     /// `{i 2, 1}` so the (tainted) netd can create objects in it and any
     /// `i`-tainted peer can name entries through it.
@@ -180,21 +172,6 @@ impl Netd {
         let device_entry = ContainerEntry::new(kroot, device);
         let tx_entry = ContainerEntry::new(kroot, tx_buffer);
         let rx_entry = ContainerEntry::new(kroot, rx_buffer);
-        // netd resolves its three hot objects into capability handles once
-        // (one batch, reachability-checked); every per-packet call then
-        // names them by handle instead of raw ⟨container, object⟩ pairs.
-        let mut sq = SubmissionQueue::new();
-        sq.open_handle(device_entry);
-        sq.open_handle(tx_entry);
-        sq.open_handle(rx_entry);
-        kernel.submit(thread, &mut sq);
-        let mut handles = kernel
-            .reap_completions(thread)
-            .into_iter()
-            .map(|c| c.into_handle_result().map_err(UnixError::from));
-        let device_handle = handles.next().expect("three completions")?;
-        let tx_handle = handles.next().expect("three completions")?;
-        let rx_handle = handles.next().expect("three completions")?;
         Ok(Netd {
             pid,
             device,
@@ -204,9 +181,6 @@ impl Netd {
             device_entry,
             tx_buffer: tx_entry,
             rx_buffer: rx_entry,
-            device_handle,
-            tx_handle,
-            rx_handle,
             conns,
         })
     }
@@ -457,18 +431,17 @@ impl Netd {
         for r in kernel.submit_calls(client_thread, client_calls) {
             r?;
         }
-        // netd drains its buffer onto the device, naming the buffer and
-        // the device by capability handle.  The payload read cannot share
-        // the length read's batch (user-level data dependency), but the
-        // transmit is driven by kernel state the read established, so read
-        // and transmit stay one trap apart at most.
+        // netd drains its buffer onto the device.  The payload read cannot
+        // share the length read's batch (user-level data dependency), but
+        // the transmit is driven by kernel state the read established, so
+        // read and transmit stay one trap apart at most.
         let len = u64::from_le_bytes(
-            kernel.trap_segment_read(netd_thread, self.tx_handle.entry(), 0, 8)?[..8]
+            kernel.trap_segment_read(netd_thread, self.tx_buffer, 0, 8)?[..8]
                 .try_into()
                 .expect("8 bytes"),
         );
-        let frame = kernel.trap_segment_read(netd_thread, self.tx_handle.entry(), 8, len)?;
-        kernel.trap_net_transmit(netd_thread, self.device_handle.entry(), frame)?;
+        let frame = kernel.trap_segment_read(netd_thread, self.tx_buffer, 8, len)?;
+        kernel.trap_net_transmit(netd_thread, self.device_entry, frame)?;
         Ok(())
     }
 
@@ -484,7 +457,7 @@ impl Netd {
         let calls: Vec<Syscall> = frames
             .into_iter()
             .map(|frame| Syscall::NetTransmit {
-                device: self.device_handle.entry(),
+                device: self.device_entry,
                 frame,
             })
             .collect();
@@ -506,7 +479,7 @@ impl Netd {
         let kernel = env.machine_mut().kernel_mut();
         let calls: Vec<Syscall> = (0..max)
             .map(|_| Syscall::NetReceive {
-                device: self.device_handle.entry(),
+                device: self.device_entry,
             })
             .collect();
         let mut frames = Vec::new();
@@ -530,13 +503,13 @@ impl Netd {
         let client_thread = env.process(client)?.thread;
         let netd_thread = env.process(self.pid)?.thread;
         let kernel = env.machine_mut().kernel_mut();
-        let Some(frame) = kernel.trap_net_receive(netd_thread, self.device_handle.entry())? else {
+        let Some(frame) = kernel.trap_net_receive(netd_thread, self.device_entry)? else {
             return Ok(None);
         };
         // netd publishes the frame in the {i 2, 1} receive buffer.
         let mut msg = (frame.len() as u64).to_le_bytes().to_vec();
         msg.extend_from_slice(&frame);
-        kernel.trap_segment_write(netd_thread, self.rx_handle.entry(), 0, &msg)?;
+        kernel.trap_segment_write(netd_thread, self.rx_buffer, 0, &msg)?;
         // The client's taint raise (if it does not own i) and its length
         // read share one submission batch; only the payload read, whose
         // size is computed user-side from the length, needs a second trap.

@@ -120,7 +120,7 @@ const DEV_RNG_SEED: u64 = 0x0dd5_eed5;
 /// One live (per-thread) view of an open descriptor: the resolved
 /// location of its descriptor segment and the vnode serving its I/O.
 /// Keyed by `(thread, descriptor segment)` — each process sharing a
-/// descriptor keeps its own vnode (capability handles are per-thread),
+/// descriptor keeps its own vnode (and its own cached file length),
 /// while the shared state (seek position, flags, refs) stays in the
 /// descriptor segment.
 #[derive(Debug)]
@@ -940,9 +940,9 @@ impl UnixEnv {
     }
 
     /// Ensures a live `(thread, descriptor segment)` cache entry exists:
-    /// resolves the descriptor segment's location (caching a capability
-    /// handle for it) and rebuilds the vnode from the stored state if
-    /// this thread has not touched the descriptor before.
+    /// resolves the descriptor segment's location and rebuilds the vnode
+    /// from the stored state if this thread has not touched the
+    /// descriptor before.
     fn ensure_open_fd(
         &mut self,
         thread: ObjectId,
@@ -953,12 +953,7 @@ impl UnixEnv {
             return Ok(());
         }
         let entry = self.locate_fd_segment(thread, container, seg)?;
-        let handle = self
-            .machine
-            .kernel_mut()
-            .handle_open_reuse(thread, entry)
-            .ok();
-        let fd_ref = FdRef { seg, entry, handle };
+        let fd_ref = FdRef { seg, entry };
         let (mut ctx, vfs, open_vnodes) = self.split(thread);
         let state = vnode::read_fd_state(&mut ctx, &fd_ref)?;
         let vnode = vfs.vnode_from_state(&mut ctx, &state)?;
@@ -991,14 +986,6 @@ impl UnixEnv {
         let ofd = open_vnodes
             .get_mut(&(thread, seg))
             .expect("ensure_open_fd installed the entry");
-        // The descriptor-segment handle is primed on first I/O (not at
-        // open), so open/close-only descriptors never pay for one.
-        if ofd.fd_ref.handle.is_none() {
-            ofd.fd_ref.handle = ctx
-                .kernel()
-                .handle_open_reuse(thread, ofd.fd_ref.entry)
-                .ok();
-        }
         let state = vnode::read_fd_state(&mut ctx, &ofd.fd_ref)?;
         f(&mut ctx, &ofd.fd_ref, ofd.vnode.as_mut(), &state)
     }
@@ -1030,11 +1017,7 @@ impl UnixEnv {
             self.open_vnodes.insert(
                 (thread, fd_seg),
                 OpenFd {
-                    fd_ref: FdRef {
-                        seg: fd_seg,
-                        entry,
-                        handle: None,
-                    },
+                    fd_ref: FdRef { seg: fd_seg, entry },
                     vnode,
                     meta: state,
                 },
@@ -1051,11 +1034,7 @@ impl UnixEnv {
             (p.thread, p.process_container)
         };
         let entry = self.locate_fd_segment(thread, container, seg)?;
-        let fd_ref = FdRef {
-            seg,
-            entry,
-            handle: None,
-        };
+        let fd_ref = FdRef { seg, entry };
         let mut ctx = self.vfs_ctx(thread);
         vnode::update_fd_state(&mut ctx, &fd_ref, |st| {
             if delta < 0 {
@@ -1113,34 +1092,23 @@ impl UnixEnv {
             Some(ofd) => ofd.fd_ref,
             None => {
                 let entry = self.locate_fd_segment(thread, container, seg)?;
-                FdRef {
-                    seg,
-                    entry,
-                    handle: None,
-                }
+                FdRef { seg, entry }
             }
         };
         let (mut ctx, vfs, _) = self.split(thread);
         let state =
             vnode::update_fd_state(&mut ctx, &fd_ref, |st| st.refs = st.refs.saturating_sub(1))?;
-        let mut vnode = match cached {
-            Some(ofd) => Some(ofd.vnode),
+        if state.refs == 0 {
             // Only the last-close hook needs a vnode; building one can
             // legitimately fail (label-gated /proc state), in which case
             // there is nothing to clean up anyway.
-            None if state.refs == 0 => vfs.vnode_from_state(&mut ctx, &state).ok(),
-            None => None,
-        };
-        if let Some(vnode) = vnode.as_mut() {
-            if state.refs == 0 {
+            let vnode = match cached {
+                Some(ofd) => Some(ofd.vnode),
+                None => vfs.vnode_from_state(&mut ctx, &state).ok(),
+            };
+            if let Some(mut vnode) = vnode {
                 let _ = vnode.on_last_close(&mut ctx, &state);
             }
-            vnode.release(&mut ctx);
-        }
-        if let Some(h) = fd_ref.handle {
-            ctx.kernel().handle_close(thread, h);
-        }
-        if state.refs == 0 {
             self.fd_homes.remove(&seg);
         }
         Ok(())
@@ -1221,9 +1189,12 @@ impl UnixEnv {
             let p = self.process(from)?;
             p.fds.get(fd).ok_or(UnixError::BadFd(fd))?
         };
+        // Resolve the receiver before touching the count: a reference
+        // raised for a process that does not exist is never dropped, and
+        // a shared pipe write end would then never reach last-close.
+        self.process(to)?;
         self.adjust_fd_refs(from, seg, 1)?;
-        let new_fd = self.process_mut(to)?.fds.allocate(seg);
-        Ok(new_fd)
+        Ok(self.process_mut(to)?.fds.allocate(seg))
     }
 
     /// Reads a descriptor's current state (one segment read, no vnode).
@@ -1234,12 +1205,7 @@ impl UnixEnv {
             (p.thread, p.process_container, seg)
         };
         let entry = self.locate_fd_segment(thread, container, seg)?;
-        let fd_ref = FdRef {
-            seg,
-            entry,
-            handle: None,
-        };
-        vnode::read_fd_state(&mut self.vfs_ctx(thread), &fd_ref)
+        vnode::read_fd_state(&mut self.vfs_ctx(thread), &FdRef { seg, entry })
     }
 
     /// Blocking read: `Ok(Some(bytes))` on progress (empty = EOF),

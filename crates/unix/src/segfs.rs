@@ -7,20 +7,17 @@
 //! mounted at once (`UnixEnv::mount` overlays another container, e.g. a
 //! daemon's exported namespace, as its own `SegFs`).
 //!
-//! [`SegVnode`] is the hot path: it caches the typed capability
-//! [`Handle`] to its backing segment (installed through the kernel's
-//! reachability check, revoked with the link) plus the segment's length,
-//! so a steady-state `read`/`write` issues its data operation and the
-//! descriptor seek-update as ONE two-entry submission batch — a single
-//! boundary crossing instead of the seven the match-on-`FdKind` code
-//! paid.
+//! [`SegVnode`] is the hot path: it caches its backing segment's length
+//! (and nothing else), so a steady-state `read`/`write` issues its data
+//! operation and the descriptor seek-update as ONE two-entry
+//! `submit_calls` batch — a single boundary crossing instead of the seven
+//! the match-on-`FdKind` code paid.
 
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
 use crate::fs::{DirEntry, Directory, FileStat, OpenFlags};
 use crate::vfs::{ensure_quota, Filesystem, FsNode, CREATE_HEADROOM, DIRECTORY_QUOTA};
 use crate::vnode::{FdRef, VfsCtx, Vnode};
-use histar_kernel::abi::Handle;
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::kernel::PAGE_SIZE;
 use histar_kernel::object::{ContainerEntry, ObjectId, METADATA_LEN};
@@ -337,15 +334,12 @@ pub fn write_directory(ctx: &mut VfsCtx, dir: ObjectId, d: &Directory) -> Result
 /// of the whole Unix library.
 #[derive(Debug)]
 pub struct SegVnode {
-    /// The raw container entry naming the backing segment.
+    /// The container entry naming the backing segment.
     entry: ContainerEntry,
-    /// Cached per-thread capability handle for `entry`.
-    handle: Option<Handle>,
-    /// Cached segment length.  Invalidated on handle loss and
-    /// revalidated at end-of-file, so a reader that hits EOF observes
-    /// growth by other descriptors; a concurrent *truncate* through a
-    /// different descriptor surfaces as a failed in-batch read, which
-    /// also refreshes the cache and retries.
+    /// Cached segment length.  Revalidated at end-of-file, so a reader
+    /// that hits EOF observes growth by other descriptors; a concurrent
+    /// *truncate* through a different descriptor surfaces as a failed
+    /// in-batch read, which also refreshes the cache and retries.
     cached_len: Option<u64>,
 }
 
@@ -354,24 +348,7 @@ impl SegVnode {
     pub fn new(entry: ContainerEntry) -> SegVnode {
         SegVnode {
             entry,
-            handle: None,
             cached_len: None,
-        }
-    }
-
-    /// The entry I/O names the backing segment by: the cached capability
-    /// handle when one is installed, the raw entry otherwise.
-    fn io_entry(&self) -> ContainerEntry {
-        self.handle.map(Handle::entry).unwrap_or(self.entry)
-    }
-
-    /// Installs (or reuses) the capability handle for the backing
-    /// segment — after this, steady-state I/O never re-resolves the raw
-    /// `ContainerEntry`.
-    fn prime_handle(&mut self, ctx: &mut VfsCtx) {
-        if self.handle.is_none() {
-            let thread = ctx.thread;
-            self.handle = ctx.kernel().handle_open_reuse(thread, self.entry).ok();
         }
     }
 
@@ -386,13 +363,7 @@ impl SegVnode {
 
     fn fetch_len(&mut self, ctx: &mut VfsCtx) -> Result<u64> {
         let thread = ctx.thread;
-        let len = match ctx.kernel().trap_segment_len(thread, self.io_entry()) {
-            Err(SyscallError::BadHandle(_)) => {
-                self.handle = None;
-                ctx.kernel().trap_segment_len(thread, self.entry)?
-            }
-            other => other?,
-        };
+        let len = ctx.kernel().trap_segment_len(thread, self.entry)?;
         self.cached_len = Some(len);
         Ok(len)
     }
@@ -400,7 +371,6 @@ impl SegVnode {
 
 impl Vnode for SegVnode {
     fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>> {
-        self.prime_handle(ctx);
         if len == 0 {
             // A zero-length read still label-checks (the length fetch),
             // like read(2) with a zero count still validates the fd.
@@ -428,7 +398,7 @@ impl Vnode for SegVnode {
             let thread = ctx.thread;
             let calls = vec![
                 Syscall::SegmentRead {
-                    entry: self.io_entry(),
+                    entry: self.entry,
                     offset: start,
                     len: n,
                 },
@@ -441,12 +411,6 @@ impl Vnode for SegVnode {
                 Ok(r) => {
                     seek?;
                     return Ok(r.into_bytes());
-                }
-                Err(SyscallError::BadHandle(_)) if attempts == 0 => {
-                    // Handle revoked under us: drop it and retry raw.
-                    self.handle = None;
-                    self.cached_len = None;
-                    attempts += 1;
                 }
                 Err(SyscallError::InvalidArgument(_)) if attempts == 0 => {
                     // The cached length was stale (the file shrank).
@@ -463,7 +427,6 @@ impl Vnode for SegVnode {
     }
 
     fn write(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, data: &[u8]) -> Result<u64> {
-        self.prime_handle(ctx);
         // Appends position at the real end of file — fetched fresh, since
         // appending after stale metadata would overwrite data.
         let pos = if state.flags & FLAG_APPEND != 0 {
@@ -477,7 +440,7 @@ impl Vnode for SegVnode {
             let thread = ctx.thread;
             let calls = vec![
                 Syscall::SegmentWrite {
-                    entry: self.io_entry(),
+                    entry: self.entry,
                     offset: pos,
                     data: data.to_vec(),
                 },
@@ -493,10 +456,6 @@ impl Vnode for SegVnode {
                         self.cached_len = Some(len.max(end));
                     }
                     return Ok(data.len() as u64);
-                }
-                Err(SyscallError::BadHandle(_)) if attempts == 0 => {
-                    self.handle = None;
-                    attempts += 1;
                 }
                 Err(SyscallError::QuotaExceeded {
                     requested,
@@ -534,7 +493,6 @@ impl Vnode for SegVnode {
     }
 
     fn stat(&mut self, ctx: &mut VfsCtx, state: &FdState) -> Result<FileStat> {
-        self.prime_handle(ctx);
         let len = self.fetch_len(ctx)?;
         Ok(FileStat {
             object: state.target,
@@ -546,12 +504,5 @@ impl Vnode for SegVnode {
     fn fsync_pages(&mut self, ctx: &mut VfsCtx, state: &FdState, pages: &[u64]) -> Result<()> {
         crate::vnode::sync_object_to_store(ctx.machine, state.target, Some(pages));
         Ok(())
-    }
-
-    fn release(&mut self, ctx: &mut VfsCtx) {
-        if let Some(h) = self.handle.take() {
-            let thread = ctx.thread;
-            ctx.kernel().handle_close(thread, h);
-        }
     }
 }

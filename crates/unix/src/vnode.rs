@@ -10,22 +10,19 @@
 //!
 //! Descriptor state still lives in the *descriptor segment* (§5.3): a
 //! vnode never caches the seek position, because `dup` and `fork` share
-//! positions by sharing that segment.  What a vnode may cache is pure
-//! naming: the typed capability [`Handle`] to its backing segment and to
-//! the descriptor segment, so steady-state I/O names both objects without
-//! re-resolving a [`ContainerEntry`], and the hot read/write paths submit
-//! their data operation and the descriptor seek-update as ONE submission
-//! batch (a single boundary crossing).
+//! positions by sharing that segment.  A file vnode caches its backing
+//! segment's *length* and nothing else; both segments are named by their
+//! [`ContainerEntry`] on every call, and the hot read/write paths submit
+//! their data operation and the descriptor seek-update as ONE
+//! `submit_calls` batch (a single boundary crossing).
 
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FD_POSITION_OFFSET, FD_STATE_LEN};
 use crate::fs::FileStat;
 use crate::process::{Pid, Process, ProcessState};
-use histar_kernel::abi::Handle;
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::serialize::encode_object;
-use histar_kernel::syscall::SyscallError;
 use histar_kernel::{Kernel, Machine};
 use std::collections::BTreeMap;
 
@@ -77,30 +74,21 @@ impl<'a> VfsCtx<'a> {
 }
 
 /// The resolved location of one descriptor segment, as seen by one
-/// thread: the raw container entry it was found through and (when the
-/// kernel granted one) a cached capability handle for it.
+/// thread: the container entry it was found through.
 #[derive(Clone, Copy, Debug)]
 pub struct FdRef {
     /// The descriptor segment's object ID.
     pub seg: ObjectId,
     /// The container entry the segment is reachable through.
     pub entry: ContainerEntry,
-    /// Cached per-thread capability handle for `entry`.
-    pub handle: Option<Handle>,
 }
 
 impl FdRef {
-    /// The entry I/O should name the descriptor segment by: the cached
-    /// handle when present, the raw entry otherwise.
-    pub fn io_entry(&self) -> ContainerEntry {
-        self.handle.map(Handle::entry).unwrap_or(self.entry)
-    }
-
     /// The batched syscall that stores a new seek position into the
     /// descriptor segment (the second entry of the hot-path batches).
     pub fn position_update(&self, position: u64) -> Syscall {
         Syscall::SegmentWrite {
-            entry: self.io_entry(),
+            entry: self.entry,
             offset: FD_POSITION_OFFSET,
             data: position.to_le_bytes().to_vec(),
         }
@@ -123,17 +111,9 @@ pub fn undo_seek(ctx: &mut VfsCtx, fd: &FdRef, position: u64) {
 /// Reads and decodes the descriptor state from its segment (one trap).
 pub fn read_fd_state(ctx: &mut VfsCtx, fd: &FdRef) -> Result<FdState> {
     let thread = ctx.thread;
-    let bytes = match ctx
+    let bytes = ctx
         .kernel()
-        .trap_segment_read(thread, fd.io_entry(), 0, FD_STATE_LEN)
-    {
-        Err(SyscallError::BadHandle(_)) => {
-            // The cached handle was revoked; fall back to the raw entry.
-            ctx.kernel()
-                .trap_segment_read(thread, fd.entry, 0, FD_STATE_LEN)?
-        }
-        other => other?,
-    };
+        .trap_segment_read(thread, fd.entry, 0, FD_STATE_LEN)?;
     FdState::decode(&bytes).ok_or(UnixError::Corrupt("fd segment"))
 }
 
@@ -148,7 +128,7 @@ pub fn update_fd_state(
     update(&mut state);
     let thread = ctx.thread;
     ctx.kernel()
-        .trap_segment_write(thread, fd.io_entry(), 0, &state.encode())?;
+        .trap_segment_write(thread, fd.entry, 0, &state.encode())?;
     Ok(state)
 }
 
@@ -199,9 +179,6 @@ pub trait Vnode: core::fmt::Debug {
     fn on_last_close(&mut self, _ctx: &mut VfsCtx, _state: &FdState) -> Result<()> {
         Ok(())
     }
-
-    /// Drops any capability handles the vnode cached for `ctx.thread`.
-    fn release(&mut self, _ctx: &mut VfsCtx) {}
 }
 
 // ------------------------------------------------- pseudo-file snapshots --

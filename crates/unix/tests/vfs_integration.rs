@@ -291,6 +291,52 @@ fn failed_io_does_not_move_the_shared_position() {
     assert_eq!(&full[4..8], &rest[..]);
 }
 
+/// A file's name is its container entry, checked on every call: reading
+/// through a descriptor whose file was unlinked is refused by the kernel
+/// once — no second attempt under another name — and the shared position
+/// stays where the last good read left it.
+#[test]
+fn read_through_unlinked_file_fails_once_and_keeps_the_position() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/f", b"0123456789", None).unwrap();
+    let fd = env.open(init, "/f", OpenFlags::read_only()).unwrap();
+    assert_eq!(env.read(init, fd, 4).unwrap(), b"0123");
+    env.unlink(init, "/f").unwrap();
+
+    env.machine_mut().kernel_mut().enable_syscall_trace(64);
+    let err = env.read(init, fd, 4).unwrap_err();
+    assert!(matches!(err, UnixError::Kernel(_)), "{err:?}");
+    let failed: Vec<&str> = env
+        .machine()
+        .kernel()
+        .syscall_trace()
+        .unwrap()
+        .records()
+        .filter(|r| !r.ok)
+        .map(|r| r.syscall)
+        .collect();
+    assert_eq!(failed, ["segment_read"]);
+    assert_eq!(env.fd_snapshot(init, fd).unwrap().position, 4);
+}
+
+/// Regression: sharing a descriptor with a process that does not exist
+/// must not raise its reference count — the count would never drop, and
+/// a shared pipe write end would never reach last-close.
+#[test]
+fn failed_share_fd_leaves_the_refcount_unchanged() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let (_rfd, wfd) = env.pipe(init).unwrap();
+    let refs = env.fd_snapshot(init, wfd).unwrap().refs;
+    let nobody = init + 1000;
+    assert!(matches!(
+        env.share_fd(init, wfd, nobody),
+        Err(UnixError::NoSuchProcess(p)) if p == nobody
+    ));
+    assert_eq!(env.fd_snapshot(init, wfd).unwrap().refs, refs);
+}
+
 /// Regression: oversized /proc reads with a nonzero position must not
 /// overflow (they used to panic computing `start + len`).
 #[test]

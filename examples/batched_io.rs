@@ -1,10 +1,11 @@
-//! The batched submission/completion ABI in action: capability handles,
-//! multi-call batches, and the amortized trap cost.
+//! The batched syscall ABI in action: multi-call batches and the amortized
+//! trap cost.
 //!
-//! A thread resolves its hot objects into typed `Handle`s once, then pushes
-//! whole argument spills through one boundary crossing per batch.  Every
-//! per-call label check and audit record is identical to the one-trap-per-
-//! call stream — only the charged kernel entry/exit cost amortizes.
+//! A thread pushes whole argument spills through one boundary crossing per
+//! `submit_calls` batch, naming every object by its container entry
+//! `⟨D, O⟩`.  Every per-call label check and audit record is identical to
+//! the one-trap-per-call stream — only the charged kernel entry/exit cost
+//! amortizes.
 //!
 //! Run with `cargo run --release --example batched_io`.
 
@@ -41,61 +42,62 @@ fn main() {
         .collect();
     let (log, scratch) = (ids[0], ids[1]);
 
-    // One more trap: resolve both into capability handles.  The kernel
-    // performs the reachability check (observe the container, link
-    // present) at install time; a thread can never install a handle for
-    // an object it could not traverse to.
-    let mut sq = SubmissionQueue::new();
-    sq.open_handle(ContainerEntry::new(root, log));
-    sq.open_handle(ContainerEntry::new(root, scratch));
-    kernel.submit(tid, &mut sq);
-    let handles: Vec<Handle> = kernel
-        .reap_completions(tid)
-        .into_iter()
-        .map(|c| c.into_handle_result().expect("reachable entries"))
-        .collect();
-    let (log_h, scratch_h) = (handles[0], handles[1]);
-    println!("handles installed: log={log_h}, scratch={scratch_h}");
+    let (log_e, scratch_e) = (
+        ContainerEntry::new(root, log),
+        ContainerEntry::new(root, scratch),
+    );
 
-    // A whole write/read spill as one batch, naming objects by handle.
+    // A whole write/read spill as one batch.
+    let before = kernel.now();
     let results = kernel.submit_calls(
         tid,
         vec![
             Syscall::SegmentWrite {
-                entry: log_h.entry(),
+                entry: log_e,
                 offset: 0,
                 data: b"batched".to_vec(),
             },
             Syscall::SegmentWrite {
-                entry: scratch_h.entry(),
+                entry: scratch_e,
                 offset: 0,
                 data: b"abi".to_vec(),
             },
             Syscall::SegmentRead {
-                entry: log_h.entry(),
+                entry: log_e,
                 offset: 0,
                 len: 7,
             },
         ],
     );
+    let batched = kernel.now() - before;
     assert_eq!(
         results[2],
         Ok(SyscallResult::Bytes(b"batched".to_vec())),
         "the read observes the write submitted earlier in the same batch"
     );
 
-    // Revocation: unref the scratch segment; its handle dies with the link.
+    // The same three calls, one trap each: same results, same checks,
+    // three kernel entries instead of one.
+    let before = kernel.now();
     kernel
-        .trap_obj_unref(tid, ContainerEntry::new(root, scratch))
+        .trap_segment_write(tid, log_e, 0, b"batched")
         .unwrap();
-    let stale = kernel.dispatch(
-        tid,
-        Syscall::SegmentLen {
-            entry: scratch_h.entry(),
-        },
+    kernel
+        .trap_segment_write(tid, scratch_e, 0, b"abi")
+        .unwrap();
+    assert_eq!(
+        kernel.trap_segment_read(tid, log_e, 0, 7).unwrap(),
+        b"batched"
     );
-    assert!(matches!(stale, Err(SyscallError::BadHandle(_))));
-    println!("stale handle refused: {:?}", stale.unwrap_err());
+    let trapped = kernel.now() - before;
+    println!("three calls: {batched} as one batch, {trapped} one trap each");
+
+    // A name is only as good as its link: unref the scratch segment and
+    // the entry that named it is refused by the same check that admitted
+    // it.
+    kernel.trap_obj_unref(tid, scratch_e).unwrap();
+    let stale = kernel.dispatch(tid, Syscall::SegmentLen { entry: scratch_e });
+    println!("severed link refused: {}", stale.unwrap_err());
 
     let stats = kernel.dispatch_stats();
     println!(

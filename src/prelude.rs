@@ -2,7 +2,7 @@
 
 pub use histar_exporter::{Fabric, GlobalCategory};
 pub use histar_kernel::{
-    abi::{Completion, CompletionKind, Handle, SqEntry, SqOp, SubmissionQueue},
+    abi::Completion,
     machine::{Machine, MachineConfig},
     object::{ContainerEntry, ObjectId},
     sched::{RunLimit, Scheduler, Step},
