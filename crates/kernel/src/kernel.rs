@@ -949,7 +949,8 @@ impl Kernel {
                         self.store
                             .as_mut()
                             .expect("persist_record verified the store")
-                            .sync_object(key);
+                            .sync_object(key)
+                            .map_err(|_| SyscallError::NoSuchRecord(key))?;
                     }
                     None => self
                         .store
@@ -2570,6 +2571,15 @@ impl Kernel {
     /// Looks up an object directly (kernel-internal / persistence).
     pub fn raw_object(&self, id: ObjectId) -> Option<&KObject> {
         self.objects.get(&id)
+    }
+
+    /// An object beside the attached store: the pair a range flush holds
+    /// at once, writing bytes it borrows from the object.
+    pub fn raw_object_and_store(
+        &mut self,
+        id: ObjectId,
+    ) -> (Option<&KObject>, Option<&mut SingleLevelStore>) {
+        (self.objects.get(&id), self.store.as_mut())
     }
 
     /// Replaces the entire object table (used by recovery).

@@ -193,15 +193,13 @@ impl Machine {
     /// object table is a `HashMap` whose iteration order must never leak
     /// into the persistent layout.
     pub fn snapshot(&mut self) {
-        // Write (or refresh) every live object, sorted by ID.
-        let mut objects: Vec<(u64, Vec<u8>)> = self
-            .kernel
-            .objects()
-            .map(|(id, obj)| (id.raw(), encode_object(obj)))
-            .collect();
-        objects.sort_unstable_by_key(|(id, _)| *id);
-        let live: BTreeSet<u64> = objects.iter().map(|(id, _)| *id).collect();
-        for (id, bytes) in objects {
+        // Write (or refresh) every live object, sorted by ID, one at a
+        // time: each encoding moves into the store before the next is
+        // built, so the transient footprint is one object, not the machine.
+        let live: BTreeSet<u64> = self.kernel.objects().map(|(id, _)| id.raw()).collect();
+        for &id in &live {
+            let obj = self.kernel.raw_object(ObjectId::from_raw(id));
+            let bytes = encode_object(obj.expect("listed as live above"));
             self.store_mut().put(id, bytes);
         }
         // Remove objects that no longer exist in the kernel (sorted, for

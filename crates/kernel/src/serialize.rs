@@ -370,6 +370,22 @@ fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, Serial
     })
 }
 
+/// A segment's encoding split where its payload starts: the *prefix* —
+/// header plus the payload's 8-byte length word, a hundred-odd bytes — and
+/// the payload borrowed from the object.  `prefix ‖ payload` is exactly
+/// [`encode_object`]'s output, so byte `n` of the segment sits at offset
+/// `prefix.len() + n` of its stored record; a range flush needs nothing
+/// else.  `None` for every other object type.
+pub fn segment_prefix(obj: &KObject) -> Option<(Vec<u8>, &[u8])> {
+    let ObjectBody::Segment(s) = &obj.body else {
+        return None;
+    };
+    let mut e = Encoder::new();
+    encode_header(&mut e, &obj.header);
+    e.put_u64(s.bytes.len() as u64);
+    Some((e.finish(), &s.bytes))
+}
+
 /// Serializes a whole kernel object.
 pub fn encode_object(obj: &KObject) -> Vec<u8> {
     let mut e = Encoder::new();
@@ -477,6 +493,23 @@ mod tests {
                 bytes: (0..255u8).collect(),
             }),
         ));
+    }
+
+    #[test]
+    fn segment_prefix_and_payload_concatenate_to_the_encoding() {
+        let seg = KObject::new(
+            header(ObjectType::Segment),
+            ObjectBody::Segment(SegmentBody {
+                bytes: (0..255u8).cycle().take(10_000).collect(),
+            }),
+        );
+        let (prefix, payload) = segment_prefix(&seg).unwrap();
+        assert_eq!([&prefix[..], payload].concat(), encode_object(&seg));
+        let gate = KObject::new(
+            header(ObjectType::Gate),
+            ObjectBody::Gate(GateBody::new(sample_label(), 1)),
+        );
+        assert!(segment_prefix(&gate).is_none());
     }
 
     #[test]

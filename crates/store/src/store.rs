@@ -140,6 +140,66 @@ impl std::error::Error for StoreError {}
 /// 8 bytes of object ID plus the 8-byte body length prefix.
 const RECORD_HEADER: u64 = 16;
 
+/// Where each object's record lives on disk: three B+-trees keyed by
+/// object ID (separate because that is the checkpoint's on-disk format)
+/// and the allocator their extents come from.  A field group of its own so
+/// a home write can borrow it, and the disk, beside the cache or log entry
+/// the body is copied from.
+#[derive(Debug)]
+struct HomeMap {
+    /// Object ID → home-location offset on disk.
+    loc: BPlusTree,
+    /// Object ID → allocated extent length at the home location.
+    extent_len: BPlusTree,
+    /// Object ID → body length as last written to the home location.
+    body_len: BPlusTree,
+    alloc: ExtentAllocator,
+}
+
+impl HomeMap {
+    /// The object's home extent, if it has one.
+    fn extent(&self, id: u64) -> Option<Extent> {
+        Some(Extent::new(self.loc.get(id)?, self.extent_len.get(id)?))
+    }
+
+    /// Forgets the object's home location and frees its extent.
+    fn release(&mut self, id: u64) {
+        if let Some(extent) = self.extent(id) {
+            self.alloc.free(extent);
+            self.loc.remove(id);
+            self.extent_len.remove(id);
+            self.body_len.remove(id);
+        }
+    }
+
+    /// Writes one object record to a (possibly new) home location.
+    ///
+    /// Record layout: `object id (8) || body length (8) || body`.  The
+    /// header and the borrowed body reach the disk as one write.
+    fn write(&mut self, disk: &mut SimDisk, id: u64, body: &[u8]) {
+        let body_len = body.len() as u64;
+        let need = RECORD_HEADER + body_len;
+        // Reuse the existing extent if the new record still fits; otherwise
+        // allocate a fresh one (delayed allocation).
+        let extent = match self.extent(id).filter(|extent| extent.len >= need) {
+            Some(extent) => extent,
+            None => {
+                self.release(id);
+                self.alloc
+                    .alloc(need.max(BLOCK_SIZE))
+                    .expect("simulated disk out of space")
+            }
+        };
+        let mut header = [0u8; RECORD_HEADER as usize];
+        header[..8].copy_from_slice(&id.to_le_bytes());
+        header[8..].copy_from_slice(&body_len.to_le_bytes());
+        disk.write_vectored(extent.offset, &[&header, body]);
+        self.loc.insert(id, extent.offset);
+        self.extent_len.insert(id, extent.len);
+        self.body_len.insert(id, body_len);
+    }
+}
+
 /// The single-level store.
 ///
 /// The store holds the authoritative serialized form of every kernel object.
@@ -150,13 +210,7 @@ pub struct SingleLevelStore {
     config: StoreConfig,
     disk: SimDisk,
     wal: WriteAheadLog,
-    alloc: ExtentAllocator,
-    /// Object ID → home-location offset on disk.
-    object_loc: BPlusTree,
-    /// Object ID → allocated extent length at the home location.
-    object_extent_len: BPlusTree,
-    /// Object ID → body length as last written to the home location.
-    object_body_len: BPlusTree,
+    homes: HomeMap,
     /// In-memory object cache.
     cache: BTreeMap<u64, Vec<u8>>,
     /// Objects modified since they were last written to disk.
@@ -183,6 +237,24 @@ pub struct SingleLevelStore {
     recorder: Recorder,
 }
 
+/// The `(record offset, bytes)` range of each `BLOCK_SIZE` page of `body`
+/// named in `pages`, for [`SingleLevelStore::flush_ranges`]: page `p`
+/// covers `body[p·BLOCK_SIZE..]` (the last page possibly short; pages
+/// past the end are dropped) and sits `base` bytes into the record —
+/// `base` being whatever precedes `body` in the object's encoding.
+pub fn page_ranges<'a>(body: &'a [u8], base: u64, pages: &[u64]) -> Vec<(u64, &'a [u8])> {
+    pages
+        .iter()
+        .filter_map(|page| {
+            let start = page
+                .checked_mul(BLOCK_SIZE)
+                .filter(|start| *start < body.len() as u64)?;
+            let end = body.len().min((start + BLOCK_SIZE) as usize);
+            Some((base + start, &body[start as usize..end]))
+        })
+        .collect()
+}
+
 /// Magic number identifying a formatted superblock ("HISTAR!!").
 const SUPERBLOCK_MAGIC: u64 = 0x4849_5354_4152_2121;
 
@@ -193,10 +265,12 @@ impl SingleLevelStore {
         let data_start = config.superblock_len + config.log_region_len;
         SingleLevelStore {
             wal: WriteAheadLog::new(config.superblock_len, config.log_region_len),
-            alloc: ExtentAllocator::new(data_start, config.disk.capacity),
-            object_loc: BPlusTree::new(),
-            object_extent_len: BPlusTree::new(),
-            object_body_len: BPlusTree::new(),
+            homes: HomeMap {
+                loc: BPlusTree::new(),
+                extent_len: BPlusTree::new(),
+                body_len: BPlusTree::new(),
+                alloc: ExtentAllocator::new(data_start, config.disk.capacity),
+            },
             cache: BTreeMap::new(),
             dirty: BTreeSet::new(),
             deleted: BTreeSet::new(),
@@ -296,7 +370,7 @@ impl SingleLevelStore {
         self.dirty.insert(id);
         self.deleted.remove(&id);
         if self.config.sync_policy == SyncPolicy::PerOperation {
-            self.sync_object(id);
+            self.sync_object(id).expect("inserted above");
         }
     }
 
@@ -308,12 +382,10 @@ impl SingleLevelStore {
         if self.deleted.contains(&id) {
             return Err(StoreError::NoSuchObject(id));
         }
-        let offset = self
-            .object_loc
-            .get(id)
-            .ok_or(StoreError::NoSuchObject(id))?;
+        let offset = self.homes.loc.get(id).ok_or(StoreError::NoSuchObject(id))?;
         let body_len = self
-            .object_body_len
+            .homes
+            .body_len
             .get(id)
             .ok_or(StoreError::Corrupt("object map missing body length"))?;
         let raw = self.disk.read(offset, RECORD_HEADER + body_len);
@@ -335,7 +407,7 @@ impl SingleLevelStore {
         if self.deleted.contains(&id) {
             return false;
         }
-        self.cache.contains_key(&id) || self.object_loc.contains(id)
+        self.cache.contains_key(&id) || self.homes.loc.contains(id)
     }
 
     /// Deletes an object.
@@ -343,28 +415,23 @@ impl SingleLevelStore {
         self.cache.remove(&id);
         self.dirty.remove(&id);
         self.deleted.insert(id);
-        self.drop_home(id);
+        self.homes.release(id);
         if self.config.sync_policy == SyncPolicy::PerOperation {
             self.append_log(LogRecord::DeleteObject(id));
-        }
-    }
-
-    fn drop_home(&mut self, id: u64) {
-        if let (Some(off), Some(len)) = (self.object_loc.get(id), self.object_extent_len.get(id)) {
-            self.alloc.free(Extent::new(off, len));
-            self.object_loc.remove(id);
-            self.object_extent_len.remove(id);
-            self.object_body_len.remove(id);
         }
     }
 
     /// Synchronously logs the current contents of one object (the HiStar
     /// per-file `fsync` path): an append to the sequential write-ahead log,
     /// with the log applied in batches.
-    pub fn sync_object(&mut self, id: u64) {
-        if let Some(data) = self.cache.get(&id).cloned() {
-            self.append_log(LogRecord::PutObject(id, data));
-        }
+    ///
+    /// Fails, logging nothing, when the object is not resident: there is
+    /// no current contents to log, and the caller must not be told it is
+    /// durable.
+    pub fn sync_object(&mut self, id: u64) -> Result<(), StoreError> {
+        let data = self.cache.get(&id).ok_or(StoreError::NoSuchObject(id))?;
+        self.append_log(LogRecord::PutObject(id, data.clone()));
+        Ok(())
     }
 
     /// Synchronously logs the *deletion* of an object: the durable
@@ -385,7 +452,8 @@ impl SingleLevelStore {
             return Vec::new();
         }
         let mut keys: BTreeSet<u64> = self
-            .object_loc
+            .homes
+            .loc
             .range(lo, hi)
             .into_iter()
             .map(|(k, _)| k)
@@ -402,18 +470,21 @@ impl SingleLevelStore {
     /// on exactly which objects have home locations, and no two home
     /// extents overlap.  Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.object_loc
+        self.homes
+            .loc
             .check_invariants()
             .map_err(|e| format!("object_loc: {e}"))?;
-        self.object_extent_len
+        self.homes
+            .extent_len
             .check_invariants()
             .map_err(|e| format!("object_extent_len: {e}"))?;
-        self.object_body_len
+        self.homes
+            .body_len
             .check_invariants()
             .map_err(|e| format!("object_body_len: {e}"))?;
-        let locs = self.object_loc.iter();
-        let extent_lens = self.object_extent_len.iter();
-        let body_lens = self.object_body_len.iter();
+        let locs = self.homes.loc.iter();
+        let extent_lens = self.homes.extent_len.iter();
+        let body_lens = self.homes.body_len.iter();
         if locs.len() != extent_lens.len() || locs.len() != body_lens.len() {
             return Err(format!(
                 "object maps disagree: {} locations, {} extent lengths, {} body lengths",
@@ -546,9 +617,10 @@ impl SingleLevelStore {
             let idx = self.preapplied;
             self.preapplied += 1;
             examined += 1;
-            let LogRecord::PutObject(id, data) = self.wal.pending()[idx].clone() else {
+            let LogRecord::PutObject(id, data) = &self.wal.pending()[idx] else {
                 continue;
             };
+            let id = *id;
             // Skip records superseded later in the log: fsync-heavy
             // workloads re-sync the same objects, and only the newest
             // version is worth homing.
@@ -559,17 +631,18 @@ impl SingleLevelStore {
             if superseded {
                 continue;
             }
-            let fits = match (self.object_loc.get(id), self.object_extent_len.get(id)) {
-                (Some(_), Some(elen)) => elen >= RECORD_HEADER + data.len() as u64,
-                _ => false,
-            };
+            let fits = self
+                .homes
+                .extent(id)
+                .is_some_and(|extent| extent.len >= RECORD_HEADER + data.len() as u64);
             if !fits {
                 continue;
             }
-            self.write_home(id, &data);
+            self.homes.write(&mut self.disk, id, data);
+            self.stats.objects_written += 1;
             // The home copy is current, so the eventual checkpoint can
             // skip this object — unless the cache has moved on since.
-            if self.cache.get(&id).is_some_and(|cached| *cached == data) {
+            if self.cache.get(&id).is_some_and(|cached| cached == data) {
                 self.dirty.remove(&id);
             }
             written += 1;
@@ -579,82 +652,109 @@ impl SingleLevelStore {
         }
     }
 
-    /// Writes one object record to a (possibly new) home location.
+    /// Flushes byte ranges of an already-persistent object's record in
+    /// place, without checkpointing the entire system state (the LFS
+    /// large-file random-write path, §7.1).  The caller describes the
+    /// object's current encoding without building it: its total length,
+    /// its first `prefix.len()` bytes, and `(offset into the encoding,
+    /// bytes)` for each range to make durable.
     ///
-    /// Record layout: `object id (8) || body length (8) || body`.
-    fn write_home(&mut self, id: u64, data: &[u8]) {
-        let mut e = Encoder::new();
-        e.put_u64(id).put_bytes(data);
-        let record = e.finish();
-        let need = record.len() as u64;
-
-        // Reuse the existing extent if the new record still fits; otherwise
-        // allocate a fresh one (delayed allocation).
-        let reuse = match (self.object_loc.get(id), self.object_extent_len.get(id)) {
-            (Some(off), Some(len)) if len >= need => Some(Extent::new(off, len)),
-            (Some(off), Some(len)) => {
-                self.alloc.free(Extent::new(off, len));
-                self.object_loc.remove(id);
-                self.object_extent_len.remove(id);
-                self.object_body_len.remove(id);
-                None
-            }
-            _ => None,
-        };
-        let extent = reuse.unwrap_or_else(|| {
-            self.alloc
-                .alloc(need.max(BLOCK_SIZE))
-                .expect("simulated disk out of space")
-        });
-        self.disk.write(extent.offset, &record);
-        self.object_loc.insert(id, extent.offset);
-        self.object_extent_len.insert(id, extent.len);
-        self.object_body_len.insert(id, data.len() as u64);
-        self.stats.objects_written += 1;
-    }
-
-    /// Flushes specific pages of an already-persistent object in place,
-    /// without checkpointing the entire system state (the LFS large-file
-    /// random-write path, §7.1).
+    /// Costs one disk write per range plus one flush, and patches the
+    /// resident cache copy with the same bytes, so home and cache move
+    /// together and the object is exactly as dirty afterwards as before.
     ///
-    /// The object's size must not have changed since it was last written to
-    /// its home location; otherwise the caller must fall back to
+    /// Refused, before anything is written, unless the object has a home
+    /// record and a resident copy of exactly `encoded_len` bytes that
+    /// already starts with `prefix`, no version of it waits in the log,
+    /// and every range lies inside it: the caller must then fall back to
     /// [`SingleLevelStore::sync_object`] or a checkpoint.
-    pub fn sync_pages_in_place(&mut self, id: u64, pages: &[u64]) -> Result<usize, StoreError> {
-        let data = self
-            .cache
-            .get(&id)
-            .cloned()
-            .ok_or(StoreError::NoSuchObject(id))?;
-        let off = self
-            .object_loc
-            .get(id)
-            .ok_or(StoreError::NoSuchObject(id))?;
-        let body_len = self
-            .object_body_len
-            .get(id)
-            .ok_or(StoreError::NoSuchObject(id))?;
-        if body_len != data.len() as u64 {
+    pub fn flush_ranges(
+        &mut self,
+        id: u64,
+        encoded_len: u64,
+        prefix: &[u8],
+        ranges: &[(u64, &[u8])],
+    ) -> Result<(), StoreError> {
+        let cached = self.cache.get(&id).ok_or(StoreError::NoSuchObject(id))?;
+        if cached.len() as u64 != encoded_len {
             return Err(StoreError::InvalidOperation(
                 "object size changed since last home write",
             ));
         }
-        let mut written = 0;
-        for &page in pages {
-            let start = (page * BLOCK_SIZE) as usize;
-            if start >= data.len() {
-                continue;
-            }
-            let end = core::cmp::min(start + BLOCK_SIZE as usize, data.len());
-            self.disk
-                .write(off + RECORD_HEADER + start as u64, &data[start..end]);
-            written += 1;
+        if !cached.starts_with(prefix) {
+            return Err(StoreError::InvalidOperation(
+                "record prefix changed since last home write",
+            ));
+        }
+        self.write_ranges_home(id, encoded_len, ranges)?;
+        let cached = self.cache.get_mut(&id).expect("checked resident above");
+        for (offset, bytes) in ranges {
+            cached[*offset as usize..][..bytes.len()].copy_from_slice(bytes);
+        }
+        Ok(())
+    }
+
+    /// [`SingleLevelStore::flush_ranges`] for a caller that already `put`
+    /// the new contents: flushes whole pages (`BLOCK_SIZE`-aligned, the
+    /// last one possibly short) of the resident copy, skipping pages past
+    /// its end, and returns how many it wrote.
+    pub fn sync_pages_in_place(&mut self, id: u64, pages: &[u64]) -> Result<usize, StoreError> {
+        // The ranges borrow the resident copy, which sits out of the map
+        // for the duration of the write (a move, not a copy).
+        let data = self.cache.remove(&id).ok_or(StoreError::NoSuchObject(id))?;
+        let ranges = page_ranges(&data, 0, pages);
+        let written = self
+            .write_ranges_home(id, data.len() as u64, &ranges)
+            .map(|()| ranges.len());
+        self.cache.insert(id, data);
+        written
+    }
+
+    /// The disk half of an in-place flush: checks the home record against
+    /// `encoded_len` and every range against the record, then issues one
+    /// write per range and one flush.  Never touches `dirty`: only the
+    /// ranges named are known to match the home copy.
+    fn write_ranges_home(
+        &mut self,
+        id: u64,
+        encoded_len: u64,
+        ranges: &[(u64, &[u8])],
+    ) -> Result<(), StoreError> {
+        let home = self.homes.loc.get(id).ok_or(StoreError::NoSuchObject(id))?;
+        let body_len = self
+            .homes
+            .body_len
+            .get(id)
+            .ok_or(StoreError::NoSuchObject(id))?;
+        if body_len != encoded_len {
+            return Err(StoreError::InvalidOperation(
+                "object size changed since last home write",
+            ));
+        }
+        // Recovery replays the log over the home copy, so a logged version
+        // of this object would mask whatever is flushed here.
+        let logged = |r: &LogRecord| matches!(r, LogRecord::PutObject(i, _) | LogRecord::DeleteObject(i) if *i == id);
+        if self.wal.pending().iter().any(logged) || self.staged.iter().flatten().any(logged) {
+            return Err(StoreError::InvalidOperation(
+                "object has log records not yet applied",
+            ));
+        }
+        let inside = |(offset, bytes): &(u64, &[u8])| {
+            offset
+                .checked_add(bytes.len() as u64)
+                .is_some_and(|end| end <= encoded_len)
+        };
+        if !ranges.iter().all(inside) {
+            return Err(StoreError::InvalidOperation(
+                "range past the end of the record",
+            ));
+        }
+        for (offset, bytes) in ranges {
+            self.disk.write(home + RECORD_HEADER + offset, bytes);
         }
         self.disk.flush();
         self.stats.inplace_flushes += 1;
-        // The home copy now reflects the cached pages the caller flushed.
-        self.dirty.remove(&id);
-        Ok(written)
+        Ok(())
     }
 
     /// Takes a full checkpoint: every dirty object is written to its home
@@ -666,17 +766,16 @@ impl SingleLevelStore {
         // 0. The metadata blob from the previous checkpoint can be recycled
         //    now; the superblock will be rewritten before this call returns.
         if let Some(prev) = self.prev_meta.take() {
-            self.alloc.free(prev);
+            self.homes.alloc.free(prev);
         }
 
         // 1. Write dirty objects and drop records of deleted objects.
-        let dirty: Vec<u64> = self.dirty.iter().copied().collect();
-        for id in dirty {
-            if let Some(data) = self.cache.get(&id).cloned() {
-                self.write_home(id, &data);
+        for id in std::mem::take(&mut self.dirty) {
+            if let Some(data) = self.cache.get(&id) {
+                self.homes.write(&mut self.disk, id, data);
+                self.stats.objects_written += 1;
             }
         }
-        self.dirty.clear();
         self.deleted.clear();
 
         // 2. Serialize metadata (object maps + free list) into a fresh
@@ -687,9 +786,9 @@ impl SingleLevelStore {
         //    size depends on the free list, so serialize twice: once to
         //    measure, then (after allocating, which changes the free list
         //    by at most one entry) with the final free list.
-        let loc_bytes = self.object_loc.serialize();
-        let extent_len_bytes = self.object_extent_len.serialize();
-        let body_len_bytes = self.object_body_len.serialize();
+        let loc_bytes = self.homes.loc.serialize();
+        let extent_len_bytes = self.homes.extent_len.serialize();
+        let body_len_bytes = self.homes.body_len.serialize();
         let build_blob = |alloc: &ExtentAllocator| {
             let free_list = alloc.free_list();
             let mut free_enc = Encoder::new();
@@ -704,12 +803,13 @@ impl SingleLevelStore {
                 .put_bytes(&free_enc.finish());
             frame(&e.finish())
         };
-        let probe_len = build_blob(&self.alloc).len() as u64;
+        let probe_len = build_blob(&self.homes.alloc).len() as u64;
         let meta_extent = self
+            .homes
             .alloc
             .alloc((probe_len + 64).max(BLOCK_SIZE))
             .expect("disk out of space for checkpoint metadata");
-        let meta_blob = build_blob(&self.alloc);
+        let meta_blob = build_blob(&self.homes.alloc);
         assert!(
             meta_blob.len() as u64 <= meta_extent.len,
             "checkpoint metadata outgrew its extent"
@@ -728,7 +828,7 @@ impl SingleLevelStore {
             .put_u64(meta_extent.offset)
             .put_u64(meta_blob.len() as u64)
             .put_u64(meta_extent.len)
-            .put_u64(self.alloc.high_water());
+            .put_u64(self.homes.alloc.high_water());
         self.disk.write(0, &frame(&sb.finish()));
         self.disk.flush();
 
@@ -836,7 +936,7 @@ impl SingleLevelStore {
             .get_bytes()
             .map_err(|_| StoreError::Corrupt("free list"))?;
 
-        let (object_loc, object_extent_len, object_body_len) = match config.replay_mode {
+        let (loc, extent_len, body_len) = match config.replay_mode {
             ReplayMode::Batched => (
                 BPlusTree::deserialize(&loc_bytes),
                 BPlusTree::deserialize(&extent_len_bytes),
@@ -864,10 +964,12 @@ impl SingleLevelStore {
         let mut store = SingleLevelStore {
             config,
             wal,
-            alloc,
-            object_loc,
-            object_extent_len,
-            object_body_len,
+            homes: HomeMap {
+                loc,
+                extent_len,
+                body_len,
+                alloc,
+            },
             cache: BTreeMap::new(),
             dirty: BTreeSet::new(),
             deleted: BTreeSet::new(),
@@ -886,8 +988,8 @@ impl SingleLevelStore {
         // checkpoint, so a pre-applied home record never shadows a newer
         // logged version.
         if let Some((base, buf)) = preload {
-            for (id, off) in store.object_loc.iter() {
-                let Some(body_len) = store.object_body_len.get(id) else {
+            for (id, off) in store.homes.loc.iter() {
+                let Some(body_len) = store.homes.body_len.get(id) else {
                     continue;
                 };
                 if off < base {
@@ -959,7 +1061,7 @@ impl SingleLevelStore {
                     .collect();
                 for (id, latest, saw_delete) in folded {
                     if saw_delete {
-                        store.drop_home(id);
+                        store.homes.release(id);
                     }
                     match latest {
                         Some(data) => {
@@ -985,7 +1087,7 @@ impl SingleLevelStore {
                         LogRecord::DeleteObject(id) => {
                             store.cache.remove(id);
                             store.deleted.insert(*id);
-                            store.drop_home(*id);
+                            store.homes.release(*id);
                         }
                         LogRecord::CheckpointMarker { .. } => {}
                     }
@@ -1005,7 +1107,7 @@ impl SingleLevelStore {
     /// All object IDs currently known to the store (cached or on disk).
     pub fn object_ids(&self) -> Vec<u64> {
         let mut ids: BTreeSet<u64> = self.cache.keys().copied().collect();
-        for (id, _) in self.object_loc.iter() {
+        for (id, _) in self.homes.loc.iter() {
             ids.insert(id);
         }
         for id in &self.deleted {
@@ -1104,12 +1206,12 @@ mod tests {
         let mut s = SingleLevelStore::format(config, SimClock::new());
         s.checkpoint();
         s.put(1, vec![0xa1; 64]);
-        s.sync_object(1);
+        s.sync_object(1).unwrap();
         let mut r1 = SingleLevelStore::recover(config, s.into_disk()).unwrap();
         assert_eq!(r1.get(1).unwrap(), vec![0xa1; 64]);
         // New synced work after the first recovery reuses the log region.
         r1.put(2, vec![0xb2; 64]);
-        r1.sync_object(2);
+        r1.sync_object(2).unwrap();
         let mut r2 = SingleLevelStore::recover(config, r1.into_disk()).unwrap();
         assert_eq!(r2.get(1).unwrap(), vec![0xa1; 64], "first-life sync");
         assert_eq!(r2.get(2).unwrap(), vec![0xb2; 64], "second-life sync");
@@ -1221,6 +1323,69 @@ mod tests {
         ));
     }
 
+    /// Regression: an in-place flush used to mark the whole object clean,
+    /// so the pages it had *not* flushed were skipped by the next
+    /// checkpoint and lost to eviction.
+    #[test]
+    fn partial_in_place_flush_leaves_the_object_dirty() {
+        let mut s = store(SyncPolicy::Async);
+        let v1 = vec![1u8; 8 * BLOCK_SIZE as usize];
+        s.put(7, v1.clone());
+        s.checkpoint();
+        let mut v2 = v1;
+        v2[10] = 0xaa;
+        v2[5 * BLOCK_SIZE as usize + 10] = 0xbb;
+        s.put(7, v2.clone());
+        assert_eq!(s.sync_pages_in_place(7, &[0]).unwrap(), 1);
+        s.checkpoint();
+        s.evict_clean();
+        assert_eq!(s.get(7).unwrap(), v2, "page 5 must reach home too");
+    }
+
+    #[test]
+    fn flush_ranges_patches_home_and_cache_together_or_not_at_all() {
+        let mut s = store(SyncPolicy::Async);
+        let mut body = vec![3u8; 20_000];
+        body[..4].copy_from_slice(b"HEAD");
+        s.put(9, body.clone());
+        s.checkpoint();
+
+        // A clean object stays clean: home and cache got the same bytes.
+        s.flush_ranges(9, 20_000, b"HEAD", &[(100, b"abc"), (19_997, b"xyz")])
+            .unwrap();
+        body[100..103].copy_from_slice(b"abc");
+        body[19_997..].copy_from_slice(b"xyz");
+        assert_eq!(s.get(9).unwrap(), body);
+        s.evict_clean();
+        assert_eq!(s.cached_objects(), 0);
+        assert_eq!(s.get(9).unwrap(), body);
+
+        // Every refusal happens before the first disk operation.
+        let before = (s.disk_stats(), s.stats());
+        for (len, prefix, range) in [
+            (20_001, &b"HEAD"[..], (0, &b"x"[..])),       // size changed
+            (20_000, &b"head"[..], (0, &b"x"[..])),       // prefix changed
+            (20_000, &b"HEAD"[..], (19_999, &b"xy"[..])), // past the record
+            (20_000, &b"HEAD"[..], (u64::MAX, &b"x"[..])),
+        ] {
+            assert!(matches!(
+                s.flush_ranges(9, len, prefix, &[range]),
+                Err(StoreError::InvalidOperation(_))
+            ));
+        }
+        s.put(10, vec![0u8; 64]); // no home record yet
+        assert_eq!(
+            s.flush_ranges(10, 64, b"", &[(0, b"x")]),
+            Err(StoreError::NoSuchObject(10))
+        );
+        assert_eq!(
+            s.flush_ranges(11, 64, b"", &[]),
+            Err(StoreError::NoSuchObject(11))
+        );
+        assert_eq!((s.disk_stats(), s.stats()), before);
+        assert_eq!(s.get(9).unwrap(), body);
+    }
+
     #[test]
     fn recover_rejects_unformatted_disk() {
         let disk = SimDisk::new(DiskConfig::default(), SimClock::new());
@@ -1261,13 +1426,13 @@ mod tests {
         let mut s = store(SyncPolicy::Async);
         s.put(1, vec![1u8; 100]);
         s.checkpoint();
-        let small_extent = s.object_extent_len.get(1).unwrap();
+        let small_extent = s.homes.extent_len.get(1).unwrap();
         assert!(small_extent < 100_016);
         s.put(1, vec![2u8; 100_000]);
         s.checkpoint();
-        let big_loc = s.object_loc.get(1).unwrap();
+        let big_loc = s.homes.loc.get(1).unwrap();
         assert!(
-            s.object_extent_len.get(1).unwrap() >= 100_016,
+            s.homes.extent_len.get(1).unwrap() >= 100_016,
             "grown object needs a larger extent"
         );
         s.evict_clean();
@@ -1275,7 +1440,7 @@ mod tests {
         // Shrinking keeps it in place (the extent is large enough).
         s.put(1, vec![3u8; 50]);
         s.checkpoint();
-        assert_eq!(s.object_loc.get(1).unwrap(), big_loc);
+        assert_eq!(s.homes.loc.get(1).unwrap(), big_loc);
         s.evict_clean();
         assert_eq!(s.get(1).unwrap(), vec![3u8; 50]);
     }

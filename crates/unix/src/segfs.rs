@@ -240,7 +240,7 @@ impl Filesystem for SegFs {
             ids.push(entry.object);
         }
         for id in ids {
-            crate::vnode::sync_object_to_store(ctx.machine, id, None);
+            crate::vnode::sync_object_to_store(ctx.machine, id, None)?;
         }
         Ok(())
     }
@@ -502,7 +502,10 @@ impl Vnode for SegVnode {
     }
 
     fn fsync_pages(&mut self, ctx: &mut VfsCtx, state: &FdState, pages: &[u64]) -> Result<()> {
-        crate::vnode::sync_object_to_store(ctx.machine, state.target, Some(pages));
-        Ok(())
+        Ok(crate::vnode::sync_object_to_store(
+            ctx.machine,
+            state.target,
+            Some(pages),
+        )?)
     }
 }

@@ -22,8 +22,10 @@ use crate::fs::FileStat;
 use crate::process::{Pid, Process, ProcessState};
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::object::{ContainerEntry, ObjectId};
-use histar_kernel::serialize::encode_object;
+use histar_kernel::serialize::{encode_object, segment_prefix};
+use histar_kernel::syscall::SyscallError;
 use histar_kernel::{Kernel, Machine};
+use histar_store::page_ranges;
 use std::collections::BTreeMap;
 
 type Result<T> = core::result::Result<T, UnixError>;
@@ -701,21 +703,38 @@ pub fn init_socket_segment(ctx: &mut VfsCtx, entry: ContainerEntry) -> Result<()
 
 // ---------------------------------------------------- durability helper --
 
-/// Serializes one kernel object into the single-level store and syncs it
-/// (the `fsync` primitive shared by path-level and descriptor-level
-/// sync).
-pub fn sync_object_to_store(machine: &mut Machine, id: ObjectId, pages: Option<&[u64]>) {
-    if let Some(obj) = machine.kernel().raw_object(id) {
-        let bytes = encode_object(obj);
-        let store = machine.store_mut();
-        store.put(id.raw(), bytes);
-        match pages {
-            Some(pages) => {
-                if store.sync_pages_in_place(id.raw(), pages).is_err() {
-                    store.sync_object(id.raw());
-                }
-            }
-            None => store.sync_object(id.raw()),
+/// Makes one kernel object durable in the single-level store (the `fsync`
+/// primitive shared by path-level and descriptor-level sync).
+///
+/// With `pages` — 4 KiB pages of a *file*, i.e. of a segment's payload —
+/// only those bytes move: they are borrowed from the segment and flushed
+/// into its home record, where the payload starts one encoded prefix in.
+/// Whenever the store refuses that (no home record yet, the encoding
+/// changed length, a header field changed, a logged version would mask
+/// the flush) and for every other sync, the whole object is encoded,
+/// stored and logged.  An object that no longer
+/// exists is an error, not a durable nothing.
+pub fn sync_object_to_store(
+    machine: &mut Machine,
+    id: ObjectId,
+    pages: Option<&[u64]>,
+) -> core::result::Result<(), SyscallError> {
+    let (obj, store) = machine.kernel_mut().raw_object_and_store(id);
+    let obj = obj.ok_or(SyscallError::NoSuchObject(id))?;
+    let store = store.expect("a machine's kernel has a store");
+    if let Some((pages, (prefix, payload))) = pages.and_then(|p| Some((p, segment_prefix(obj)?))) {
+        let base = prefix.len() as u64;
+        let ranges = page_ranges(payload, base, pages);
+        let encoded_len = base + payload.len() as u64;
+        if store
+            .flush_ranges(id.raw(), encoded_len, &prefix, &ranges)
+            .is_ok()
+        {
+            return Ok(());
         }
     }
+    store.put(id.raw(), encode_object(obj));
+    store
+        .sync_object(id.raw())
+        .map_err(|_| SyscallError::NoSuchObject(id))
 }

@@ -320,6 +320,104 @@ fn read_through_unlinked_file_fails_once_and_keeps_the_position() {
     assert_eq!(env.fd_snapshot(init, fd).unwrap().position, 4);
 }
 
+/// The bytes of one segment, straight from the kernel's object table.
+fn segment_bytes(machine: &histar_kernel::Machine, id: histar_kernel::object::ObjectId) -> Vec<u8> {
+    match &machine
+        .kernel()
+        .raw_object(id)
+        .expect("segment exists")
+        .body
+    {
+        histar_kernel::bodies::ObjectBody::Segment(s) => s.bytes.clone(),
+        other => panic!("not a segment: {other:?}"),
+    }
+}
+
+/// Regression: `fsync_pages` names pages of the *file*, but the store
+/// addressed them as pages of the segment's *record*, whose payload
+/// starts one encoded header later — so the tail of every page-aligned
+/// write was acknowledged and never written.  Every byte written and
+/// page-synced must be in the segment a crash recovers, at aligned and
+/// unaligned offsets alike.
+#[test]
+fn fsync_pages_makes_every_written_byte_of_the_named_pages_durable() {
+    const LEN: usize = 64 * 1024;
+    const WRITE: usize = 8192;
+    for off in [0, 8192, 20480, 512, 12800, 30208, LEN - WRITE] {
+        let mut env = UnixEnv::boot();
+        let init = env.init_pid();
+        let fd = env
+            .open(init, "/heap", OpenFlags::read_write_create())
+            .unwrap();
+        env.write(init, fd, &vec![0x11; LEN]).unwrap();
+        env.sync_all();
+        let fresh: Vec<u8> = (0..WRITE).map(|i| 0x80 | (i % 113) as u8).collect();
+        env.lseek(init, fd, off as u64).unwrap();
+        env.write(init, fd, &fresh).unwrap();
+        let pages: Vec<u64> = (off as u64 / 4096..=(off + WRITE - 1) as u64 / 4096).collect();
+        env.fsync_pages(init, fd, &pages).unwrap();
+
+        let seg = env.fstat(init, fd).unwrap().object;
+        let acked = segment_bytes(env.machine(), seg);
+        assert_eq!(acked[off..off + WRITE], fresh[..]);
+        let recovered = env.into_machine().crash_and_recover().unwrap();
+        let durable = segment_bytes(&recovered, seg);
+        let lost = (0..LEN).filter(|&i| durable[i] != acked[i]).count();
+        assert_eq!(lost, 0, "write at {off}: {lost} acknowledged bytes lost");
+    }
+}
+
+/// Regression: a whole-file `fsync` leaves a version of the segment in the
+/// write-ahead log, and recovery replays the log over the home record — so
+/// pages flushed in place *after* it were acknowledged and then masked by
+/// the older logged version.  The page sync must go through the log too
+/// while a logged version is pending.
+#[test]
+fn fsync_pages_after_a_logged_fsync_is_not_masked_by_log_replay() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let fd = env
+        .open(init, "/heap", OpenFlags::read_write_create())
+        .unwrap();
+    env.write(init, fd, &[0x11; 16384]).unwrap();
+    env.sync_all();
+    for (fill, page_sync) in [(0x22, false), (0x33, true)] {
+        env.lseek(init, fd, 0).unwrap();
+        env.write(init, fd, &[fill; 4096]).unwrap();
+        if page_sync {
+            env.fsync_pages(init, fd, &[0]).unwrap();
+        } else {
+            env.fsync_path(init, "/heap").unwrap();
+        }
+    }
+    let seg = env.fstat(init, fd).unwrap().object;
+    let acked = segment_bytes(env.machine(), seg);
+    let recovered = env.into_machine().crash_and_recover().unwrap();
+    assert_eq!(segment_bytes(&recovered, seg)[..8], acked[..8]);
+    assert_eq!(acked[0], 0x33);
+}
+
+/// An `fsync` that cannot make anything durable says so: the object behind
+/// a still-open descriptor is gone once its last name is unlinked, and a
+/// page sync through that descriptor reports it instead of acknowledging.
+#[test]
+fn fsync_of_a_vanished_object_is_an_error_not_an_acknowledgement() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/f", &[7u8; 8192], None).unwrap();
+    env.sync_all();
+    let fd = env
+        .open(init, "/f", OpenFlags::read_write_create())
+        .unwrap();
+    let seg = env.fstat(init, fd).unwrap().object;
+    env.unlink(init, "/f").unwrap();
+
+    let flushes = env.machine().store().stats().inplace_flushes;
+    let err = env.fsync_pages(init, fd, &[0, 1]).unwrap_err();
+    assert_eq!(err, UnixError::Kernel(SyscallError::NoSuchObject(seg)));
+    assert_eq!(env.machine().store().stats().inplace_flushes, flushes);
+}
+
 /// Regression: sharing a descriptor with a process that does not exist
 /// must not raise its reference count — the count would never drop, and
 /// a shared pipe write end would never reach last-close.
