@@ -7,30 +7,29 @@
 //! recovered segment compared byte for byte with what had been
 //! acknowledged (see [`histar_bench::crash::run_heap_flush`]).
 //!
-//! Usage: `heap_flush [--seeds N] [--rewrites N]` (defaults: 8 seeds of 48
-//! rewrites).  Exits nonzero on the first lost or invented byte.
+//! Usage: `heap_flush [--seeds N]` (default: 8 seeds).  Exits nonzero on
+//! the first lost or invented byte.
 
 use histar_bench::crash::run_heap_flush;
 use std::process::ExitCode;
 
+/// Rewrites per seed.
+const REWRITES: usize = 48;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut seeds, mut rewrites) = (8u64, 48usize);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = it.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--seeds", Some(v)) => seeds = v,
-            ("--rewrites", Some(v)) => rewrites = v as usize,
-            _ => {
-                eprintln!("usage: heap_flush [--seeds N] [--rewrites N]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let seeds = match args.as_slice() {
+        [] => Some(8u64),
+        [flag, n] if flag == "--seeds" => n.parse().ok(),
+        _ => None,
+    };
+    let Some(seeds) = seeds else {
+        eprintln!("usage: heap_flush [--seeds N]");
+        return ExitCode::FAILURE;
+    };
 
     for seed in 1..=seeds {
-        match run_heap_flush(seed, rewrites) {
+        match run_heap_flush(seed, REWRITES) {
             Ok(report) => println!(
                 "heap_flush: seed {seed}: OK — {} crashes after acknowledged page syncs \
                  ({} flushed in place), {} segment bytes verified",

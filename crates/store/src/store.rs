@@ -255,6 +255,23 @@ pub fn page_ranges<'a>(body: &'a [u8], base: u64, pages: &[u64]) -> Vec<(u64, &'
         .collect()
 }
 
+/// The disk half of an in-place flush, once nothing refuses it: one write
+/// per range into the record at `home`, then one flush.  It is handed the
+/// disk and the counters, not the store, so neither caller can mark the
+/// object clean here: only the ranges named are known to match home.
+fn write_ranges_home(
+    disk: &mut SimDisk,
+    stats: &mut StoreStats,
+    home: u64,
+    ranges: &[(u64, &[u8])],
+) {
+    for (offset, bytes) in ranges {
+        disk.write(home + RECORD_HEADER + offset, bytes);
+    }
+    disk.flush();
+    stats.inplace_flushes += 1;
+}
+
 /// Magic number identifying a formatted superblock ("HISTAR!!").
 const SUPERBLOCK_MAGIC: u64 = 0x4849_5354_4152_2121;
 
@@ -668,6 +685,13 @@ impl SingleLevelStore {
     /// already starts with `prefix`, no version of it waits in the log,
     /// and every range lies inside it: the caller must then fall back to
     /// [`SingleLevelStore::sync_object`] or a checkpoint.
+    ///
+    /// The log condition is a cliff, not a one-off: the fallback itself
+    /// logs the object, so once one sync of an object has gone through
+    /// the log (it grew, its prefix changed, `fsync` named the whole
+    /// file) every later page flush of it is refused, and logs the whole
+    /// object again, until the next checkpoint folds the log.  Finding
+    /// out costs a scan of the pending records (at most `apply_batch`).
     pub fn flush_ranges(
         &mut self,
         id: u64,
@@ -676,17 +700,13 @@ impl SingleLevelStore {
         ranges: &[(u64, &[u8])],
     ) -> Result<(), StoreError> {
         let cached = self.cache.get(&id).ok_or(StoreError::NoSuchObject(id))?;
-        if cached.len() as u64 != encoded_len {
+        if cached.len() as u64 != encoded_len || !cached.starts_with(prefix) {
             return Err(StoreError::InvalidOperation(
-                "object size changed since last home write",
+                "resident copy is not the encoding described",
             ));
         }
-        if !cached.starts_with(prefix) {
-            return Err(StoreError::InvalidOperation(
-                "record prefix changed since last home write",
-            ));
-        }
-        self.write_ranges_home(id, encoded_len, ranges)?;
+        let home = self.flushable_home(id, encoded_len, ranges)?;
+        write_ranges_home(&mut self.disk, &mut self.stats, home, ranges);
         let cached = self.cache.get_mut(&id).expect("checked resident above");
         for (offset, bytes) in ranges {
             cached[*offset as usize..][..bytes.len()].copy_from_slice(bytes);
@@ -699,34 +719,26 @@ impl SingleLevelStore {
     /// last one possibly short) of the resident copy, skipping pages past
     /// its end, and returns how many it wrote.
     pub fn sync_pages_in_place(&mut self, id: u64, pages: &[u64]) -> Result<usize, StoreError> {
-        // The ranges borrow the resident copy, which sits out of the map
-        // for the duration of the write (a move, not a copy).
-        let data = self.cache.remove(&id).ok_or(StoreError::NoSuchObject(id))?;
-        let ranges = page_ranges(&data, 0, pages);
-        let written = self
-            .write_ranges_home(id, data.len() as u64, &ranges)
-            .map(|()| ranges.len());
-        self.cache.insert(id, data);
-        written
+        let cached = self.cache.get(&id).ok_or(StoreError::NoSuchObject(id))?;
+        let ranges = page_ranges(cached, 0, pages);
+        let home = self.flushable_home(id, cached.len() as u64, &ranges)?;
+        // `ranges` borrows the resident copy; the write borrows the disk.
+        write_ranges_home(&mut self.disk, &mut self.stats, home, &ranges);
+        Ok(ranges.len())
     }
 
-    /// The disk half of an in-place flush: checks the home record against
-    /// `encoded_len` and every range against the record, then issues one
-    /// write per range and one flush.  Never touches `dirty`: only the
-    /// ranges named are known to match the home copy.
-    fn write_ranges_home(
-        &mut self,
+    /// Every refusal of an in-place flush that does not concern the
+    /// resident copy, checked without writing anything: the disk offset of
+    /// the object's home record if that record holds `encoded_len` bytes,
+    /// nothing in the log would mask it, and every range lies inside it.
+    fn flushable_home(
+        &self,
         id: u64,
         encoded_len: u64,
         ranges: &[(u64, &[u8])],
-    ) -> Result<(), StoreError> {
+    ) -> Result<u64, StoreError> {
         let home = self.homes.loc.get(id).ok_or(StoreError::NoSuchObject(id))?;
-        let body_len = self
-            .homes
-            .body_len
-            .get(id)
-            .ok_or(StoreError::NoSuchObject(id))?;
-        if body_len != encoded_len {
+        if self.homes.body_len.get(id) != Some(encoded_len) {
             return Err(StoreError::InvalidOperation(
                 "object size changed since last home write",
             ));
@@ -749,12 +761,7 @@ impl SingleLevelStore {
                 "range past the end of the record",
             ));
         }
-        for (offset, bytes) in ranges {
-            self.disk.write(home + RECORD_HEADER + offset, bytes);
-        }
-        self.disk.flush();
-        self.stats.inplace_flushes += 1;
-        Ok(())
+        Ok(home)
     }
 
     /// Takes a full checkpoint: every dirty object is written to its home

@@ -712,8 +712,8 @@ pub fn init_socket_segment(ctx: &mut VfsCtx, entry: ContainerEntry) -> Result<()
 /// Whenever the store refuses that (no home record yet, the encoding
 /// changed length, a header field changed, a logged version would mask
 /// the flush) and for every other sync, the whole object is encoded,
-/// stored and logged.  An object that no longer
-/// exists is an error, not a durable nothing.
+/// stored and logged.  An object that no longer exists is an error, not a
+/// durable nothing.
 pub fn sync_object_to_store(
     machine: &mut Machine,
     id: ObjectId,
