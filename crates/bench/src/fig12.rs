@@ -7,7 +7,7 @@
 use histar_apps as _;
 use histar_baseline::BaselineOs;
 use histar_sim::{DiskConfig, OsFlavor, SimClock, SimDuration, SimRng};
-use histar_store::{SingleLevelStore, StoreConfig, SyncPolicy};
+use histar_store::{SingleLevelStore, StoreConfig};
 use histar_unix::fs::OpenFlags;
 use histar_unix::process::ExitStatus;
 use histar_unix::UnixEnv;
@@ -95,11 +95,6 @@ pub fn histar_lfs_small(files: usize, size: usize, mode: SyncMode) -> LfsSmallRe
     let mut env = UnixEnv::boot();
     let init = env.init_pid();
     env.mkdir(init, "/lfs", None).expect("mkdir /lfs");
-    if mode == SyncMode::PerFile {
-        env.machine_mut()
-            .store_mut()
-            .set_sync_policy(SyncPolicy::PerOperation);
-    }
     let payload = vec![0x42u8; size];
 
     let start = env.machine().clock().now();

@@ -13,10 +13,12 @@
 //!   because it created them — and on this node, the exporter is exactly the
 //!   party entitled to speak for remote categories.
 //!
-//! The kernel's category-translation table (`sys_category_bind_remote` and
-//! friends) is the authoritative bidirectional map between local categories
-//! and self-certifying global names; the exporter drives it but cannot
-//! falsify it, since binding requires ownership.
+//! The bidirectional map between local categories and self-certifying
+//! global names is the exporter's own data, as in DStar: the kernel knows
+//! nothing about other machines, and what protects the map is that only
+//! the exporter's address space holds it.  The kernel's part is the grant
+//! gate — the exporter names only categories it was granted (and has seen
+//! its own thread own) or shadows it created itself.
 
 use crate::wire::{
     label_to_global, open, peel, public_from_secret, seal, shared_key, DelegationCert, ErrorCode,
@@ -32,7 +34,7 @@ use histar_unix::gatecall::{
 };
 use histar_unix::process::{ExitStatus, Pid};
 use histar_unix::{UnixEnv, UnixError};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 type Result<T> = core::result::Result<T, ExporterError>;
 
@@ -63,6 +65,11 @@ pub struct Exporter {
     /// peer is refused; peers are introduced out of band (the fabric's
     /// bootstrap, standing in for a key-distribution step).
     peers: HashMap<ExporterId, u64>,
+    /// Category translation: local category → global name, write-once.
+    names: BTreeMap<Category, GlobalCategory>,
+    /// Inverse of `names`; together they are a partial bijection, so a
+    /// label translated out and back can never silently change category.
+    locals: BTreeMap<GlobalCategory, Category>,
     services: Vec<(String, RemoteService)>,
 }
 
@@ -122,6 +129,8 @@ impl Exporter {
             next_seq: 1,
             certs: Vec::new(),
             peers: HashMap::new(),
+            names: BTreeMap::new(),
+            locals: BTreeMap::new(),
             services: Vec::new(),
         })
     }
@@ -216,42 +225,52 @@ impl Exporter {
 
     // ----- category translation ------------------------------------------
 
+    /// Records `category ↔ global`.  Re-binding the same pair is a no-op;
+    /// a category never changes name and a name is claimed by one category
+    /// only, which is what makes translation a partial bijection.
+    fn bind(&mut self, category: Category, global: GlobalCategory) -> Result<()> {
+        match (self.names.get(&category), self.locals.get(&global)) {
+            (Some(bound), _) if *bound != global => Err(ExporterError::Protocol(format!(
+                "category {category} is already bound to {bound}"
+            ))),
+            (_, Some(claimant)) if *claimant != category => Err(ExporterError::Protocol(format!(
+                "{global} is already bound to category {claimant}"
+            ))),
+            _ => {
+                self.names.insert(category, global);
+                self.locals.insert(global, category);
+                Ok(())
+            }
+        }
+    }
+
     /// Exports a category owned by `owner`: the owner grants the exporter
     /// ownership through a gate (the kernel checks the grant), and the
-    /// exporter binds the category to a fresh self-certifying global name.
+    /// exporter — having seen its own thread own the category — binds it
+    /// to a fresh self-certifying global name.
     pub fn export_category(
         &mut self,
         env: &mut UnixEnv,
         owner: Pid,
         category: Category,
     ) -> Result<GlobalCategory> {
-        let thread = env.process(self.pid)?.thread;
-        if let Some(name) = env
-            .machine_mut()
-            .kernel_mut()
-            .trap_category_get_remote(thread, category)
-            .map_err(UnixError::from)?
-        {
-            return Ok(GlobalCategory::from_kernel_name(name));
+        if let Some(&global) = self.names.get(&category) {
+            return Ok(global);
         }
-        let exporter_owns = env
-            .machine()
-            .kernel()
-            .thread_label(thread)
-            .map_err(UnixError::from)?
-            .owns(category);
-        if !exporter_owns {
+        if !owns(env, self.pid, category)? {
             grant_categories(env, owner, self.pid, &[category])?;
+            if !owns(env, self.pid, category)? {
+                return Err(ExporterError::NotOwner(format!(
+                    "the exporter was not granted category {category}"
+                )));
+            }
         }
         let global = GlobalCategory {
             home: self.id,
             id: self.next_export_id,
         };
         self.next_export_id += 1;
-        env.machine_mut()
-            .kernel_mut()
-            .trap_category_bind_remote(thread, category, global.as_kernel_name())
-            .map_err(UnixError::from)?;
+        self.bind(category, global)?;
         Ok(global)
     }
 
@@ -264,12 +283,7 @@ impl Exporter {
         env: &mut UnixEnv,
         global: GlobalCategory,
     ) -> Result<Category> {
-        let thread = env.process(self.pid)?.thread;
-        let kernel = env.machine_mut().kernel_mut();
-        if let Some(local) = kernel
-            .trap_category_resolve_remote(thread, global.as_kernel_name())
-            .map_err(UnixError::from)?
-        {
+        if let Some(&local) = self.locals.get(&global) {
             return Ok(local);
         }
         if global.home == self.id {
@@ -277,12 +291,12 @@ impl Exporter {
                 "{global} claims this exporter as home but was never exported"
             )));
         }
-        let shadow = kernel
-            .trap_create_category(thread)
-            .map_err(UnixError::from)?;
-        kernel
-            .trap_category_bind_remote(thread, shadow, global.as_kernel_name())
-            .map_err(UnixError::from)?;
+        let thread = env.process(self.pid)?.thread;
+        let shadow = env
+            .machine_mut()
+            .kernel_mut()
+            .trap_create_category(thread)?;
+        self.bind(shadow, global)?;
         Ok(shadow)
     }
 
@@ -300,58 +314,20 @@ impl Exporter {
         label: &Label,
         auto_export_owner: Option<Pid>,
     ) -> Result<GlobalLabel> {
-        let thread = env.process(self.pid)?.thread;
-        // Resolve (and where legal, create) bindings first.
-        for (c, _) in label.entries().collect::<Vec<_>>() {
-            let bound = env
-                .machine_mut()
-                .kernel_mut()
-                .trap_category_get_remote(thread, c)
-                .map_err(UnixError::from)?;
-            if bound.is_some() {
-                continue;
-            }
-            let exporter_owns = env
-                .machine()
-                .kernel()
-                .thread_label(thread)
-                .map_err(UnixError::from)?
-                .owns(c);
-            let owner_owns = match auto_export_owner {
-                Some(owner) => {
-                    let t = env.process(owner)?.thread;
-                    env.machine()
-                        .kernel()
-                        .thread_label(t)
-                        .map_err(UnixError::from)?
-                        .owns(c)
-                }
-                None => false,
-            };
-            if exporter_owns {
-                self.export_category(env, self.pid, c)?;
-            } else if let (true, Some(owner)) = (owner_owns, auto_export_owner) {
-                self.export_category(env, owner, c)?;
-            } else {
-                return Err(ExporterError::NotExportable(format!(
-                    "category {c} has no global name and its owner has not authorized this exporter"
-                )));
-            }
-        }
-        let mut resolved: Vec<(Category, GlobalCategory)> = Vec::new();
-        for (c, _) in label.entries() {
-            let name = env
-                .machine_mut()
-                .kernel_mut()
-                .trap_category_get_remote(thread, c)
-                .map_err(UnixError::from)?
-                .expect("bound above");
-            resolved.push((c, GlobalCategory::from_kernel_name(name)));
-        }
         label_to_global(label, |c| {
-            resolved.iter().find(|(lc, _)| *lc == c).map(|(_, g)| *g)
+            if let Some(&global) = self.names.get(&c) {
+                return Ok(global);
+            }
+            if owns(env, self.pid, c)? {
+                return self.export_category(env, self.pid, c);
+            }
+            match auto_export_owner {
+                Some(owner) if owns(env, owner, c)? => self.export_category(env, owner, c),
+                _ => Err(ExporterError::NotExportable(format!(
+                    "category {c} has no global name and its owner has not authorized this exporter"
+                ))),
+            }
         })
-        .ok_or_else(|| ExporterError::Protocol("label translation lost an entry".into()))
     }
 
     /// Translates a wire label into local categories, allocating shadows as
@@ -403,28 +379,15 @@ impl Exporter {
         let global_label = self.outbound_label(env, label, Some(caller))?;
 
         // Claims: the caller must own what it claims, locally and now.
-        let caller_label = env
-            .machine()
-            .kernel()
-            .thread_label(caller_thread)
-            .map_err(UnixError::from)?;
         let mut global_claims = Vec::new();
         let mut certs = Vec::new();
         for &c in claims {
-            if !caller_label.owns(c) {
+            if !owns(env, caller, c)? {
                 return Err(ExporterError::NotOwner(format!(
                     "caller does not own claimed category {c}"
                 )));
             }
-            let name = env
-                .machine_mut()
-                .kernel_mut()
-                .trap_category_get_remote(exporter_thread, c)
-                .map_err(UnixError::from)?;
-            let global = match name {
-                Some(n) => GlobalCategory::from_kernel_name(n),
-                None => self.export_category(env, caller, c)?,
-            };
+            let global = self.export_category(env, caller, c)?;
             if global.home != self.id {
                 // A remote-homed claim needs the delegation the home
                 // exporter granted us; forward it as evidence.
@@ -809,6 +772,12 @@ impl Exporter {
     }
 }
 
+/// Whether `pid`'s thread owns `category` right now.
+fn owns(env: &UnixEnv, pid: Pid, category: Category) -> Result<bool> {
+    let thread = env.process(pid)?.thread;
+    Ok(env.machine().kernel().thread_label(thread)?.owns(category))
+}
+
 /// Maps a kernel label refusal to the wire error class that tells the remote
 /// caller "the kernel said no", keeping every other failure distinct.
 fn label_refusal(e: UnixError) -> ExporterError {
@@ -822,5 +791,38 @@ fn label_refusal(e: UnixError) -> ExporterError {
             | SyscallError::VerifyLabel,
         ) => ExporterError::RemoteLabelCheck(e.to_string()),
         _ => ExporterError::Unix(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Fabric;
+
+    #[test]
+    fn bind_is_idempotent_write_once_and_one_to_one() {
+        let mut fabric = Fabric::new(1);
+        let e = &mut fabric.nodes[0].exporter;
+        let (c, c2) = (Category::from_raw(7), Category::from_raw(8));
+        let home = e.id();
+        let (name, other_name) = (
+            GlobalCategory { home, id: 7 },
+            GlobalCategory { home, id: 8 },
+        );
+        // The binding resolves both ways.
+        e.bind(c, name).unwrap();
+        assert_eq!(e.names.get(&c), Some(&name));
+        assert_eq!(e.locals.get(&name), Some(&c));
+        // Idempotent rebinding is fine; changing the name is not.
+        e.bind(c, name).unwrap();
+        assert!(matches!(
+            e.bind(c, other_name),
+            Err(ExporterError::Protocol(_))
+        ));
+        // A second category cannot claim an already-bound name.
+        assert!(matches!(e.bind(c2, name), Err(ExporterError::Protocol(_))));
+        // Refusals leave the table as it was.
+        assert_eq!(e.names.len(), 1);
+        assert_eq!(e.locals.len(), 1);
     }
 }

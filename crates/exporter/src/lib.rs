@@ -10,11 +10,13 @@
 //!   self-certifying: it pins the only exporter entitled to speak for the
 //!   category, so two kernels that have never met agree on what a label
 //!   means without a trusted naming authority.
-//! * **Translation** — each kernel keeps a bidirectional table between
-//!   local categories and global names (`sys_category_bind_remote`).
-//!   Binding requires *ownership* of the category, levels are copied
-//!   verbatim, and bindings are write-once, so translation is a partial
-//!   bijection that can never weaken a label (no taint laundering).
+//! * **Translation** — each exporter keeps a private bidirectional table
+//!   between local categories and global names; the kernel knows nothing
+//!   about other machines.  The exporter binds only categories it was
+//!   *granted* ownership of (through a kernel-checked gate) or shadows it
+//!   created, levels are copied verbatim, and bindings are write-once, so
+//!   translation is a partial bijection that can never weaken a label (no
+//!   taint laundering).
 //! * **Delegation** ([`DelegationCert`]) — exercising ownership (`⋆`) of a
 //!   category from another node requires a certificate minted by the
 //!   category's home exporter.  Without it, the receiving exporter grants

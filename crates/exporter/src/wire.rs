@@ -124,28 +124,12 @@ impl core::fmt::Display for ExporterId {
 }
 
 /// The globally meaningful, self-certifying name of a category.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct GlobalCategory {
     /// The exporter that owns (speaks for) the category.
     pub home: ExporterId,
     /// The category's identifier within its home exporter's namespace.
     pub id: u64,
-}
-
-impl GlobalCategory {
-    /// The kernel's representation of this name (for the category-translation
-    /// syscalls).
-    pub fn as_kernel_name(self) -> (u64, u64) {
-        (self.home.0, self.id)
-    }
-
-    /// Reconstructs a global name from the kernel's representation.
-    pub fn from_kernel_name(name: (u64, u64)) -> GlobalCategory {
-        GlobalCategory {
-            home: ExporterId(name.0),
-            id: name.1,
-        }
-    }
 }
 
 impl core::fmt::Display for GlobalCategory {
@@ -472,12 +456,12 @@ pub fn open(channel_key: u64, tag: u64, body: &[u8]) -> Option<RpcMessage> {
 }
 
 /// Translates a local label to global names using a resolver from local
-/// categories to global ones.  Returns `None` (not exportable) if any
-/// non-default entry has no global name.
-pub fn label_to_global<F>(label: &Label, mut resolve: F) -> Option<GlobalLabel>
-where
-    F: FnMut(histar_label::Category) -> Option<GlobalCategory>,
-{
+/// categories to global ones.  Fails (not exportable) with the resolver's
+/// error if any non-default entry has no global name.
+pub fn label_to_global<E>(
+    label: &Label,
+    mut resolve: impl FnMut(histar_label::Category) -> Result<GlobalCategory, E>,
+) -> Result<GlobalLabel, E> {
     let mut out = GlobalLabel {
         default: label.default_level().encode(),
         entries: Vec::with_capacity(label.len()),
@@ -485,7 +469,7 @@ where
     for (c, lvl) in label.entries() {
         out.entries.push((resolve(c)?, lvl.encode()));
     }
-    Some(out)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -610,14 +594,15 @@ mod tests {
             .set(Category::from_raw(1), Level::L3)
             .set(Category::from_raw(2), Level::L0)
             .build();
-        let g = label_to_global(&l, |c| Some(GlobalCategory { home, id: c.raw() })).unwrap();
+        let g = label_to_global(&l, |c| Ok::<_, ()>(GlobalCategory { home, id: c.raw() })).unwrap();
         assert_eq!(g.level(GlobalCategory { home, id: 1 }), Some(Level::L3));
         assert_eq!(g.level(GlobalCategory { home, id: 2 }), Some(Level::L0));
         assert_eq!(g.level(GlobalCategory { home, id: 99 }), Some(Level::L1));
         // An unexportable entry poisons the whole label rather than being
         // silently dropped — dropping taint would be laundering.
         assert!(label_to_global(&l, |c| (c.raw() == 1)
-            .then_some(GlobalCategory { home, id: 1 }))
-        .is_none());
+            .then_some(GlobalCategory { home, id: 1 })
+            .ok_or(()))
+        .is_err());
     }
 }

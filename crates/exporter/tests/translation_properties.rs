@@ -146,6 +146,80 @@ fn unexportable_taint_cannot_leave_the_machine() {
 }
 
 #[test]
+fn exporting_requires_a_grant_the_kernel_accepts() {
+    // The exporter names only categories it was granted.  An `owner` that
+    // does not own the category cannot build the grant gate — the kernel
+    // refuses it — so no name appears and the taint stays unexportable.
+    let mut fabric = Fabric::new(1);
+    let init = fabric.nodes[0].init();
+    let n = &mut fabric.nodes[0];
+    let owner = n.env.spawn(init, "/bin/owner", None).unwrap();
+    let impostor = n.env.spawn(init, "/bin/impostor", None).unwrap();
+    let thread = n.env.process(owner).unwrap().thread;
+    let cat = n
+        .env
+        .machine_mut()
+        .kernel_mut()
+        .trap_create_category(thread)
+        .unwrap();
+    let label = Label::builder().set(cat, Level::L3).build();
+
+    let err = n
+        .exporter
+        .export_category(&mut n.env, impostor, cat)
+        .unwrap_err();
+    assert!(
+        matches!(err, ExporterError::Unix(_)),
+        "expected the kernel's refusal of the grant gate, got {err}"
+    );
+    let err = n
+        .exporter
+        .outbound_label(&mut n.env, &label, None)
+        .unwrap_err();
+    assert!(matches!(err, ExporterError::NotExportable(_)), "{err}");
+
+    // The real owner's grant lands, and the name is stable from then on.
+    let global = n.exporter.export_category(&mut n.env, owner, cat).unwrap();
+    let wire = n.exporter.outbound_label(&mut n.env, &label, None).unwrap();
+    assert_eq!(wire.entries, vec![(global, Level::L3.encode())]);
+    assert_eq!(
+        n.exporter
+            .export_category(&mut n.env, impostor, cat)
+            .unwrap(),
+        global,
+        "an existing binding is returned, never re-minted"
+    );
+}
+
+#[test]
+fn translating_a_bound_label_is_not_a_kernel_call() {
+    // The translation table is exporter data: once a label's categories
+    // are bound, translating it in either direction crosses no trap.
+    let mut fabric = Fabric::new(2);
+    let init = fabric.nodes[0].init();
+    let thread = fabric.nodes[0].env.process(init).unwrap().thread;
+    let mut b = Label::builder();
+    for lvl in [Level::L0, Level::L2, Level::L3] {
+        let kernel = fabric.nodes[0].env.machine_mut().kernel_mut();
+        b = b.set(kernel.trap_create_category(thread).unwrap(), lvl);
+    }
+    let label = b.build();
+    // First crossing binds all three names on both nodes.
+    assert_eq!(fabric.round_trip_label(0, 1, &label, init).unwrap(), label);
+
+    let traps =
+        |fabric: &Fabric, node: usize| fabric.nodes[node].env.machine().kernel().dispatch_stats();
+    let (before0, before1) = (traps(&fabric, 0), traps(&fabric, 1));
+    let n = &mut fabric.nodes[0];
+    let wire = n.exporter.outbound_label(&mut n.env, &label, None).unwrap();
+    let n = &mut fabric.nodes[1];
+    let shadow = n.exporter.import_label(&mut n.env, &wire).unwrap();
+    assert_eq!(shadow.len(), 3);
+    assert_eq!(traps(&fabric, 0).invocations, before0.invocations);
+    assert_eq!(traps(&fabric, 1).invocations, before1.invocations);
+}
+
+#[test]
 fn remote_ownership_requires_a_delegation_certificate() {
     let mut fabric = Fabric::new(2);
 

@@ -1,9 +1,9 @@
 //! Must pass: runtime state reached through the calling thread's own
 //! object (`thread_mut(tid)`) is self access;
-//! the ownership test (`owns`) mediates the category bind.
+//! the ownership test (`owns`) mediates the object-table access.
 syscalls! {
     Take take sys_take trap_take -> Alert(Option<Alert>);
-    Bind bind sys_bind trap_bind (category: Category, name: Name) -> Unit(());
+    Retire retire sys_retire trap_retire (category: Category, id: ObjectId) -> Unit(());
 }
 
 impl Kernel {
@@ -13,12 +13,12 @@ impl Kernel {
         Ok(body.runtime.completions.pop_front())
     }
 
-    fn sys_bind(&mut self, tid: ObjectId, category: Category, name: Name) -> R {
+    fn sys_retire(&mut self, tid: ObjectId, category: Category, id: ObjectId) -> R {
         let (tl, _) = self.calling_thread(tid)?;
         if !tl.owns(category) {
             return Err(E::NotOwner);
         }
-        self.remote_bindings.insert(category, name);
+        self.objects.remove(&id);
         Ok(())
     }
 }

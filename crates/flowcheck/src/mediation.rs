@@ -14,8 +14,7 @@
 //!   (category-ownership tests).
 //! * **Heap accesses** reach the kernel's only id-keyed state: the
 //!   object table `self.objects` (every object's runtime state — queues,
-//!   watchers — lives inside its object), the category-translation pair
-//!   `self.remote_bindings` / `self.remote_index`, and the typed accessors
+//!   watchers — lives inside its object) and the typed accessors
 //!   `obj`/`obj_mut`/`typed`/`container`/`thread`/`thread_mut`/`dealloc`.
 //!   Accessors keyed by the calling thread itself (`tid` literal) are
 //!   *self accesses*: a thread may always touch its own state (§3 of the
@@ -60,9 +59,9 @@ const CHECK_CALLS: &[&str] = &[
     "can_allocate",
 ];
 
-/// `self.<field>` uses that count as heap access: every id-keyed
+/// `self.<field>` uses that count as heap access: the one id-keyed
 /// collection `struct Kernel` holds.
-const STATE_FIELDS: &[&str] = &["objects", "remote_bindings", "remote_index"];
+const STATE_FIELDS: &[&str] = &["objects"];
 
 /// `self.<accessor>(arg, …)`: heap access unless the first argument is
 /// the literal `tid` (the calling thread's own state).

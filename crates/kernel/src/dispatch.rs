@@ -25,7 +25,7 @@
 //! expanded from its rows.
 
 use crate::bodies::{Alert, Mapping};
-use crate::kernel::{GateEntryResult, Kernel, PageFaultResolution, RemoteCategoryName};
+use crate::kernel::{GateEntryResult, Kernel, PageFaultResolution};
 use crate::object::{ContainerEntry, ObjectId, ObjectType, METADATA_LEN};
 use crate::syscall::SyscallError;
 use histar_label::{Category, Label};
@@ -439,24 +439,6 @@ syscalls! {
         /// The gate to query.
         gate: ContainerEntry,
     ) -> Label(Label);
-    /// `sys_category_bind_remote`.
-    CategoryBindRemote category_bind_remote sys_category_bind_remote trap_category_bind_remote (
-        /// The local category.
-        category: Category,
-        /// Its self-certifying global name.
-        name: RemoteCategoryName,
-    ) -> Unit(());
-    /// `sys_category_get_remote`.
-    CategoryGetRemote category_get_remote sys_category_get_remote trap_category_get_remote (
-        /// The local category.
-        category: Category,
-    ) -> RemoteName(Option<RemoteCategoryName>);
-    /// `sys_category_resolve_remote`.
-    CategoryResolveRemote category_resolve_remote
-        sys_category_resolve_remote trap_category_resolve_remote (
-        /// The global name to resolve.
-        name: RemoteCategoryName,
-    ) -> ResolvedCategory(Option<Category>);
     /// `sys_net_mac`.
     NetMac net_mac sys_net_mac trap_net_mac (
         /// The device, named through a container entry.
@@ -568,10 +550,6 @@ pub enum SyscallResult {
     GateEntry(GateEntryResult),
     /// An alert, if one was pending.
     Alert(Option<Alert>),
-    /// A category's global name, if bound.
-    RemoteName(Option<RemoteCategoryName>),
-    /// The local category a global name resolves to, if any.
-    ResolvedCategory(Option<Category>),
     /// A device MAC address.
     Mac([u8; 6]),
     /// A received frame, if one was queued.
@@ -1079,7 +1057,6 @@ mod tests {
         assert!(quota >= 32);
         assert!(k.trap_container_list(tid, root).unwrap().contains(&seg));
         assert_eq!(k.trap_self_take_alert(tid).unwrap(), None);
-        assert_eq!(k.trap_category_get_remote(tid, cat).unwrap(), None);
         let meta = k.trap_obj_get_metadata(tid, se).unwrap();
         assert_eq!(meta, [0u8; METADATA_LEN]);
         // Self-label round trip through the dispatcher.

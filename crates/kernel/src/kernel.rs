@@ -28,7 +28,7 @@ use histar_store::SingleLevelStore;
 // per-syscall lookups; every iteration site sorts before order becomes
 // visible) — allowed here and at each use, and listed by flowcheck.
 #[allow(clippy::disallowed_types)]
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Size of one page, matching the simulated hardware.
 pub const PAGE_SIZE: u64 = 4096;
@@ -114,13 +114,6 @@ pub struct PageFaultResolution {
     pub writable: bool,
 }
 
-/// The globally meaningful name of a category as exported off-machine: the
-/// hash of the owning exporter's public key plus a per-exporter identifier.
-/// The pair is self-certifying — it names both the category and the only
-/// exporter entitled to speak for it — so label checks survive the network
-/// hop without a trusted naming authority.
-pub type RemoteCategoryName = (u64, u64);
-
 /// The HiStar kernel.
 #[derive(Debug)]
 pub struct Kernel {
@@ -137,12 +130,6 @@ pub struct Kernel {
     /// The address space of the most recently active thread, used to decide
     /// whether a switch can use the cheap `invlpg` path.
     last_address_space: Option<ContainerEntry>,
-    /// Category-translation table maintained for exporters: local category →
-    /// self-certifying global name.  Bindings are immutable once set, so a
-    /// label translated out and back can never silently change category.
-    remote_bindings: BTreeMap<Category, RemoteCategoryName>,
-    /// Reverse index of `remote_bindings` (global name → local category).
-    remote_index: BTreeMap<RemoteCategoryName, Category>,
     /// Per-syscall counters for calls crossing the dispatch boundary.
     dispatch_stats: DispatchStats,
     /// The bounded audit trace of dispatched syscalls, when enabled.
@@ -198,8 +185,6 @@ impl Kernel {
             cost: CostModel::for_flavor(OsFlavor::HiStar),
             stats: SyscallStats::default(),
             last_address_space: None,
-            remote_bindings: BTreeMap::new(),
-            remote_index: BTreeMap::new(),
             dispatch_stats: DispatchStats::default(),
             trace: None,
             recorder: Recorder::disabled(),
@@ -2332,95 +2317,6 @@ impl Kernel {
         result.inspect_err(|_| self.stats.errors += 1)
     }
 
-    // ----- category translation (exporter support) ---------------------------
-
-    /// Binds a local category to its self-certifying global name, so that
-    /// label checks survive the network hop between machines.
-    ///
-    /// Only a thread *owning* the category may assert its global identity —
-    /// this is what keeps the translation table trustworthy: an exporter can
-    /// only export categories whose owners granted it `⋆`, and a malicious
-    /// process cannot re-point someone else's category at a name it controls.
-    /// Bindings are write-once; rebinding to a different name (or binding a
-    /// second local category to an already-claimed name) is refused, which
-    /// guarantees that translation is a partial bijection.
-    pub fn sys_category_bind_remote(
-        &mut self,
-        tid: ObjectId,
-        category: Category,
-        name: RemoteCategoryName,
-    ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            if !tl.owns(category) {
-                return Err(SyscallError::NotCategoryOwner(category));
-            }
-            match self.remote_bindings.get(&category) {
-                Some(existing) if *existing == name => return Ok(()), // idempotent
-                Some(_) => {
-                    return Err(SyscallError::InvalidArgument(
-                        "category is already bound to a different global name",
-                    ))
-                }
-                None => {}
-            }
-            if let Some(other) = self.remote_index.get(&name) {
-                if *other != category {
-                    return Err(SyscallError::InvalidArgument(
-                        "global name is already bound to a different category",
-                    ));
-                }
-            }
-            self.remote_bindings.insert(category, name);
-            self.remote_index.insert(name, category);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
-    }
-
-    /// Looks up a category's global name.  Global names are self-certifying
-    /// and deliberately public (they are what appears on the wire), so no
-    /// label check is needed beyond the calling thread being runnable.
-    // flowcheck: exempt(global names are self-certifying public handles; the binding table carries no payload)
-    pub fn sys_category_get_remote(
-        &mut self,
-        tid: ObjectId,
-        category: Category,
-    ) -> Result<Option<RemoteCategoryName>, SyscallError> {
-        self.calling_thread(tid)?;
-        Ok(self.remote_bindings.get(&category).copied())
-    }
-
-    /// Resolves a global name back to the local category bound to it.
-    // flowcheck: exempt(reverse lookup of a self-certifying public name; the binding table carries no payload)
-    pub fn sys_category_resolve_remote(
-        &mut self,
-        tid: ObjectId,
-        name: RemoteCategoryName,
-    ) -> Result<Option<Category>, SyscallError> {
-        self.calling_thread(tid)?;
-        Ok(self.remote_index.get(&name).copied())
-    }
-
-    /// All category ↔ global-name bindings (persistence, diagnostics).
-    pub fn remote_bindings(&self) -> impl Iterator<Item = (Category, RemoteCategoryName)> + '_ {
-        self.remote_bindings.iter().map(|(c, n)| (*c, *n))
-    }
-
-    /// Restores the translation table after recovery.  Crate-internal: it
-    /// bypasses the ownership check and the write-once rule, which is only
-    /// sound when replaying bindings that were validated when first created
-    /// into a freshly recovered kernel — exactly what machine recovery does.
-    pub(crate) fn restore_remote_bindings(
-        &mut self,
-        bindings: impl IntoIterator<Item = (Category, RemoteCategoryName)>,
-    ) {
-        for (c, n) in bindings {
-            self.remote_bindings.insert(c, n);
-            self.remote_index.insert(n, c);
-        }
-    }
-
     // ----- devices (§4, §5.7) ------------------------------------------------
 
     /// Bootstrap path: creates a device object directly in a container.
@@ -3189,45 +3085,6 @@ mod tests {
         let e = ContainerEntry::new(k.root_container(), local);
         k.sys_segment_write(tid, e, 0, b"scratch").unwrap();
         assert_eq!(k.sys_segment_read(tid, e, 0, 7).unwrap(), b"scratch");
-    }
-
-    #[test]
-    fn category_binding_requires_ownership() {
-        let (mut k, tid) = boot();
-        let c = k.sys_create_category(tid).unwrap();
-        let name = (0xabcd, 7);
-        // A thread that does not own the category cannot bind it.
-        let root = k.root_container();
-        let other = k
-            .sys_thread_create(
-                tid,
-                root,
-                Label::unrestricted(),
-                Label::default_clearance(),
-                0,
-                "other",
-            )
-            .unwrap();
-        assert_eq!(
-            k.sys_category_bind_remote(other, c, name),
-            Err(SyscallError::NotCategoryOwner(c))
-        );
-        // The owner can, and the binding resolves both ways.
-        k.sys_category_bind_remote(tid, c, name).unwrap();
-        assert_eq!(k.sys_category_get_remote(tid, c).unwrap(), Some(name));
-        assert_eq!(k.sys_category_resolve_remote(tid, name).unwrap(), Some(c));
-        // Idempotent rebinding is fine; changing the name is not.
-        k.sys_category_bind_remote(tid, c, name).unwrap();
-        assert!(matches!(
-            k.sys_category_bind_remote(tid, c, (0xabcd, 8)),
-            Err(SyscallError::InvalidArgument(_))
-        ));
-        // A second category cannot claim an already-bound name.
-        let c2 = k.sys_create_category(tid).unwrap();
-        assert!(matches!(
-            k.sys_category_bind_remote(tid, c2, name),
-            Err(SyscallError::InvalidArgument(_))
-        ));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use histar_label::Label;
 use histar_sim::{SimClock, SimDuration};
 use histar_store::codec::{Decoder, Encoder};
 use histar_store::records::is_persist_key;
-use histar_store::{SingleLevelStore, StoreConfig, StoreError, SyncPolicy};
+use histar_store::{SingleLevelStore, StoreConfig, StoreError};
 // HashMap appears only as the recovery builder for the kernel's object
 // table (insert-only; never iterated).
 #[allow(clippy::disallowed_types)]
@@ -179,11 +179,6 @@ impl Machine {
         self.console_device
     }
 
-    /// Changes the store's synchronous-update policy.
-    pub fn set_sync_policy(&mut self, policy: SyncPolicy) {
-        self.store_mut().set_sync_policy(policy);
-    }
-
     /// Serializes the entire object table into the single-level store and
     /// takes a checkpoint.  This is the periodic system-wide snapshot; after
     /// it returns, a crash loses nothing.
@@ -226,15 +221,6 @@ impl Machine {
             .put_u64(self.net_device.map_or(u64::MAX, ObjectId::raw))
             .put_u64(self.console_device.map_or(u64::MAX, ObjectId::raw))
             .put_u64(self.config.seed);
-        // The category-translation table: a category's global name must
-        // survive a crash, or a recovered node would re-export its
-        // categories under fresh names and strand every remote reference.
-        let mut bindings: Vec<_> = self.kernel.remote_bindings().collect();
-        bindings.sort_unstable_by_key(|(cat, _)| cat.raw());
-        e.put_u64(bindings.len() as u64);
-        for (cat, (exporter, id)) in bindings {
-            e.put_u64(cat.raw()).put_u64(exporter).put_u64(id);
-        }
         let meta = e.finish();
         self.store_mut().put(MACHINE_META_KEY, meta);
         self.store_mut().checkpoint();
@@ -304,17 +290,6 @@ impl Machine {
         let net_raw = read(&mut d)?;
         let console_raw = read(&mut d)?;
         let seed = read(&mut d)?;
-        // Category-translation bindings (absent in pre-exporter snapshots).
-        let mut bindings = Vec::new();
-        if d.remaining() > 0 {
-            let n = read(&mut d)?;
-            for _ in 0..n {
-                let cat = histar_label::Category::from_raw(read(&mut d)?);
-                let exporter = read(&mut d)?;
-                let id = read(&mut d)?;
-                bindings.push((cat, (exporter, id)));
-            }
-        }
 
         #[allow(clippy::disallowed_types)]
         let mut objects: HashMap<ObjectId, KObject> = HashMap::new();
@@ -334,7 +309,6 @@ impl Machine {
 
         let mut kernel = Kernel::new(seed, Some(clock.clone()));
         kernel.restore_objects(root, objects, id_counter, cat_counter, seed);
-        kernel.restore_remote_bindings(bindings);
         kernel.attach_store(store);
         recorder.record(histar_obs::Span {
             cat: "recover",
@@ -494,29 +468,6 @@ mod tests {
             .kernel_mut()
             .sys_segment_read(tid, ContainerEntry::new(root, seg), 0, 1)
             .is_err());
-    }
-
-    #[test]
-    fn remote_category_bindings_survive_recovery() {
-        let mut m = Machine::boot(MachineConfig::default());
-        let tid = m.kernel_thread();
-        let cat = m.kernel_mut().sys_create_category(tid).unwrap();
-        let name = (0x1234_5678, 42);
-        m.kernel_mut()
-            .sys_category_bind_remote(tid, cat, name)
-            .unwrap();
-        m.snapshot();
-        let mut m2 = m.crash_and_recover().unwrap();
-        assert_eq!(
-            m2.kernel_mut().sys_category_get_remote(tid, cat).unwrap(),
-            Some(name)
-        );
-        assert_eq!(
-            m2.kernel_mut()
-                .sys_category_resolve_remote(tid, name)
-                .unwrap(),
-            Some(cat)
-        );
     }
 
     #[test]

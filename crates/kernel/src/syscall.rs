@@ -71,9 +71,6 @@ pub enum SyscallError {
     },
     /// The thread is halted and cannot perform system calls.
     ThreadHalted(ObjectId),
-    /// The calling thread does not own (`⋆`) the category the call needs
-    /// ownership of (e.g. binding a category to its global exporter name).
-    NotCategoryOwner(histar_label::Category),
     /// The root container cannot be unreferenced or given a finite quota.
     RootContainer,
     /// The call is malformed (bad argument, out-of-range offset, ...).
@@ -150,9 +147,6 @@ impl core::fmt::Display for SyscallError {
                 )
             }
             SyscallError::ThreadHalted(id) => write!(f, "thread {id} is halted"),
-            SyscallError::NotCategoryOwner(c) => {
-                write!(f, "calling thread does not own category {c}")
-            }
             SyscallError::RootContainer => {
                 write!(f, "operation not permitted on the root container")
             }

@@ -14,7 +14,6 @@
 use histar_kernel::abi::Completion;
 use histar_kernel::bodies::{DeviceBody, Mapping, MappingFlags};
 use histar_kernel::dispatch::{Syscall, SyscallResult, SYSCALL_COUNT, SYSCALL_NAMES};
-use histar_kernel::kernel::RemoteCategoryName;
 use histar_kernel::object::{ContainerEntry, ObjectId, METADATA_LEN};
 use histar_kernel::syscall::{SyscallError, SyscallStats};
 use histar_kernel::Kernel;
@@ -29,8 +28,7 @@ struct Fx {
     boot: ObjectId,
     peer: ObjectId,
     cat: Category,
-    cat_unbound: Category,
-    bound_name: RemoteCategoryName,
+    cat2: Category,
     dir: ObjectId,
     seg: ObjectId,
     fixed: ObjectId,
@@ -65,9 +63,7 @@ fn setup() -> (Kernel, Fx) {
         )
         .unwrap();
     let cat = k.sys_create_category(boot).unwrap();
-    let cat_unbound = k.sys_create_category(boot).unwrap();
-    let bound_name: RemoteCategoryName = (0xaaaa, 1);
-    k.sys_category_bind_remote(boot, cat, bound_name).unwrap();
+    let cat2 = k.sys_create_category(boot).unwrap();
     let dir = k
         .sys_container_create(boot, root, Label::unrestricted(), "dir", 0, 1 << 20)
         .unwrap();
@@ -150,8 +146,7 @@ fn setup() -> (Kernel, Fx) {
             boot,
             peer,
             cat,
-            cat_unbound,
-            bound_name,
+            cat2,
             dir,
             seg,
             fixed,
@@ -177,11 +172,8 @@ fn cases(fx: &Fx) -> Vec<(Syscall, Direct)> {
     let e_gate = entry(fx, fx.gate);
     let e_dev = entry(fx, fx.dev);
     let e_peer = entry(fx, fx.peer);
-    let tainted = Label::builder()
-        .own(fx.cat)
-        .set(fx.cat_unbound, Level::L2)
-        .build();
-    let raised_clearance = Label::default_clearance().with(fx.cat_unbound, Level::L3);
+    let tainted = Label::builder().own(fx.cat).set(fx.cat2, Level::L2).build();
+    let raised_clearance = Label::default_clearance().with(fx.cat2, Level::L3);
     let gate_request = fx.gate_label.clone();
     let new_mapping = Mapping {
         va: 0x20_0000,
@@ -508,32 +500,6 @@ fn cases(fx: &Fx) -> Vec<(Syscall, Direct)> {
         (
             Syscall::GateClearance { gate: e_gate },
             Box::new(move |k, fx| k.sys_gate_clearance(fx.boot, e_gate).map(R::Label)),
-        ),
-        (
-            Syscall::CategoryBindRemote {
-                category: fx.cat_unbound,
-                name: (0xbbbb, 2),
-            },
-            Box::new(|k, fx| {
-                k.sys_category_bind_remote(fx.boot, fx.cat_unbound, (0xbbbb, 2))
-                    .map(|()| R::Unit)
-            }),
-        ),
-        (
-            Syscall::CategoryGetRemote { category: fx.cat },
-            Box::new(|k, fx| {
-                k.sys_category_get_remote(fx.boot, fx.cat)
-                    .map(R::RemoteName)
-            }),
-        ),
-        (
-            Syscall::CategoryResolveRemote {
-                name: fx.bound_name,
-            },
-            Box::new(|k, fx| {
-                k.sys_category_resolve_remote(fx.boot, fx.bound_name)
-                    .map(R::ResolvedCategory)
-            }),
         ),
         (
             Syscall::NetMac { device: e_dev },

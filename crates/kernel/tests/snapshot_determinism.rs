@@ -13,17 +13,14 @@ use histar_kernel::object::ContainerEntry;
 use histar_kernel::{Machine, MachineConfig};
 use histar_label::{Label, Level};
 
-/// Builds a machine with a few dozen objects, some deletions, a category
-/// binding, and two snapshots (the second exercising the stale sweep).
+/// Builds a machine with a few dozen objects, some deletions, a category,
+/// and two snapshots (the second exercising the stale sweep).
 fn build() -> Machine {
     let mut m = Machine::boot(MachineConfig::default());
     let tid = m.kernel_thread();
     let root = m.kernel().root_container();
 
     let cat = m.kernel_mut().trap_create_category(tid).unwrap();
-    m.kernel_mut()
-        .trap_category_bind_remote(tid, cat, (0x5151, 9))
-        .unwrap();
 
     let dir = m
         .kernel_mut()

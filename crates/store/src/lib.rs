@@ -36,7 +36,5 @@ pub mod wal;
 pub use bptree::BPlusTree;
 pub use extent::{Extent, ExtentAllocator};
 pub use records::{is_persist_key, RecordKind, PERSIST_KEY_BASE};
-pub use store::{
-    page_ranges, ReplayMode, SingleLevelStore, StoreConfig, StoreError, StoreStats, SyncPolicy,
-};
+pub use store::{page_ranges, ReplayMode, SingleLevelStore, StoreConfig, StoreError, StoreStats};
 pub use wal::{LogRecord, WalStats, WriteAheadLog};

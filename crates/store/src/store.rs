@@ -16,21 +16,6 @@ use histar_sim::disk::BLOCK_SIZE;
 use histar_sim::{DiskConfig, SimClock, SimDisk};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How synchronous updates are made durable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// Updates stay in memory until an explicit checkpoint (or the periodic
-    /// snapshot).  This is the "async" row of the LFS benchmarks.
-    Async,
-    /// Every synchronous operation appends to the write-ahead log, which is
-    /// applied in batches.  This is HiStar's per-file `fsync` behaviour.
-    PerOperation,
-    /// Nothing is written until [`SingleLevelStore::checkpoint`] is called
-    /// once for the whole batch — the paper's "group sync" mode, which is
-    /// only possible because of the single-level store.
-    GroupSync,
-}
-
 /// How recovery rebuilds state from the checkpoint and the log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayMode {
@@ -61,8 +46,6 @@ pub struct StoreConfig {
     /// records, modelling the paper's observation of one application per
     /// ~1,000 synchronous operations.
     pub apply_batch: usize,
-    /// Synchronous-update policy.
-    pub sync_policy: SyncPolicy,
     /// Recovery replay strategy.
     pub replay_mode: ReplayMode,
 }
@@ -74,7 +57,6 @@ impl Default for StoreConfig {
             superblock_len: 4096,
             log_region_len: 128 * 1024,
             apply_batch: 1000,
-            sync_policy: SyncPolicy::Async,
             replay_mode: ReplayMode::Batched,
         }
     }
@@ -326,17 +308,6 @@ impl SingleLevelStore {
         });
     }
 
-    /// The current synchronous-update policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.config.sync_policy
-    }
-
-    /// Changes the synchronous-update policy (used by the benchmarks to run
-    /// the same workload under different durability modes).
-    pub fn set_sync_policy(&mut self, policy: SyncPolicy) {
-        self.config.sync_policy = policy;
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> StoreStats {
         self.stats
@@ -386,9 +357,6 @@ impl SingleLevelStore {
         self.cache.insert(id, data);
         self.dirty.insert(id);
         self.deleted.remove(&id);
-        if self.config.sync_policy == SyncPolicy::PerOperation {
-            self.sync_object(id).expect("inserted above");
-        }
     }
 
     /// Reads an object's serialized bytes, from cache or disk.
@@ -433,9 +401,6 @@ impl SingleLevelStore {
         self.dirty.remove(&id);
         self.deleted.insert(id);
         self.homes.release(id);
-        if self.config.sync_policy == SyncPolicy::PerOperation {
-            self.append_log(LogRecord::DeleteObject(id));
-        }
     }
 
     /// Synchronously logs the current contents of one object (the HiStar
@@ -452,9 +417,8 @@ impl SingleLevelStore {
     }
 
     /// Synchronously logs the *deletion* of an object: the durable
-    /// counterpart of [`SingleLevelStore::delete`] under the async policy,
-    /// used when an unlink must survive a crash without waiting for the
-    /// next checkpoint.
+    /// counterpart of [`SingleLevelStore::delete`], used when an unlink
+    /// must survive a crash without waiting for the next checkpoint.
     pub fn sync_delete(&mut self, id: u64) {
         self.append_log(LogRecord::DeleteObject(id));
     }
@@ -1128,17 +1092,13 @@ impl SingleLevelStore {
 mod tests {
     use super::*;
 
-    fn store(policy: SyncPolicy) -> SingleLevelStore {
-        let config = StoreConfig {
-            sync_policy: policy,
-            ..StoreConfig::default()
-        };
-        SingleLevelStore::format(config, SimClock::new())
+    fn store() -> SingleLevelStore {
+        SingleLevelStore::format(StoreConfig::default(), SimClock::new())
     }
 
     #[test]
     fn put_get_delete() {
-        let mut s = store(SyncPolicy::Async);
+        let mut s = store();
         s.put(1, vec![1, 2, 3]);
         s.put(2, vec![4; 10_000]);
         assert_eq!(s.get(1).unwrap(), vec![1, 2, 3]);
@@ -1186,14 +1146,12 @@ mod tests {
 
     #[test]
     fn per_operation_sync_survives_crash_via_log() {
-        let config = StoreConfig {
-            sync_policy: SyncPolicy::PerOperation,
-            ..StoreConfig::default()
-        };
+        let config = StoreConfig::default();
         let mut s = SingleLevelStore::format(config, SimClock::new());
         s.checkpoint();
         for i in 0..50u64 {
             s.put(i, vec![i as u8; 100]);
+            s.sync_object(i).unwrap();
         }
         // No checkpoint after the puts; the log alone must carry them.
         let disk = s.into_disk();
@@ -1240,7 +1198,7 @@ mod tests {
 
     #[test]
     fn keys_in_range_unions_cache_and_disk_minus_deletions() {
-        let mut s = store(SyncPolicy::Async);
+        let mut s = store();
         s.put(10, vec![1]);
         s.put(20, vec![2]);
         s.checkpoint();
@@ -1257,13 +1215,13 @@ mod tests {
     #[test]
     fn log_application_batches() {
         let config = StoreConfig {
-            sync_policy: SyncPolicy::PerOperation,
             apply_batch: 10,
             ..StoreConfig::default()
         };
         let mut s = SingleLevelStore::format(config, SimClock::new());
         for i in 0..35u64 {
             s.put(i, vec![0u8; 64]);
+            s.sync_object(i).unwrap();
         }
         assert!(
             s.stats().log_applications >= 3,
@@ -1274,7 +1232,7 @@ mod tests {
 
     #[test]
     fn group_sync_writes_nothing_until_checkpoint() {
-        let mut s = store(SyncPolicy::GroupSync);
+        let mut s = store();
         for i in 0..100u64 {
             s.put(i, vec![7u8; 1024]);
         }
@@ -1286,7 +1244,7 @@ mod tests {
 
     #[test]
     fn eviction_and_reread() {
-        let mut s = store(SyncPolicy::Async);
+        let mut s = store();
         s.put(42, vec![9u8; 5000]);
         s.checkpoint();
         s.evict_clean();
@@ -1297,7 +1255,7 @@ mod tests {
 
     #[test]
     fn in_place_page_sync() {
-        let mut s = store(SyncPolicy::Async);
+        let mut s = store();
         let big = vec![1u8; 1024 * 1024];
         s.put(7, big.clone());
         s.checkpoint();
@@ -1335,7 +1293,7 @@ mod tests {
     /// checkpoint and lost to eviction.
     #[test]
     fn partial_in_place_flush_leaves_the_object_dirty() {
-        let mut s = store(SyncPolicy::Async);
+        let mut s = store();
         let v1 = vec![1u8; 8 * BLOCK_SIZE as usize];
         s.put(7, v1.clone());
         s.checkpoint();
@@ -1351,7 +1309,7 @@ mod tests {
 
     #[test]
     fn flush_ranges_patches_home_and_cache_together_or_not_at_all() {
-        let mut s = store(SyncPolicy::Async);
+        let mut s = store();
         let mut body = vec![3u8; 20_000];
         body[..4].copy_from_slice(b"HEAD");
         s.put(9, body.clone());
@@ -1404,7 +1362,7 @@ mod tests {
 
     #[test]
     fn object_ids_lists_everything() {
-        let mut s = store(SyncPolicy::Async);
+        let mut s = store();
         s.put(5, vec![1]);
         s.put(9, vec![2]);
         s.checkpoint();
@@ -1415,7 +1373,7 @@ mod tests {
 
     #[test]
     fn multiple_checkpoints_advance_sequence() {
-        let mut s = store(SyncPolicy::Async);
+        let mut s = store();
         s.put(1, vec![1]);
         s.checkpoint();
         s.put(2, vec![2]);
@@ -1430,7 +1388,7 @@ mod tests {
 
     #[test]
     fn growing_object_moves_to_new_extent() {
-        let mut s = store(SyncPolicy::Async);
+        let mut s = store();
         s.put(1, vec![1u8; 100]);
         s.checkpoint();
         let small_extent = s.homes.extent_len.get(1).unwrap();
@@ -1454,15 +1412,14 @@ mod tests {
 
     #[test]
     fn delete_then_recreate_after_recovery() {
-        let config = StoreConfig {
-            sync_policy: SyncPolicy::PerOperation,
-            ..StoreConfig::default()
-        };
+        let config = StoreConfig::default();
         let mut s = SingleLevelStore::format(config, SimClock::new());
         s.put(1, vec![1]);
         s.checkpoint();
         s.delete(1);
+        s.sync_delete(1);
         s.put(1, vec![2]);
+        s.sync_object(1).unwrap();
         let disk = s.into_disk();
         let mut r = SingleLevelStore::recover(config, disk).unwrap();
         assert_eq!(r.get(1).unwrap(), vec![2]);

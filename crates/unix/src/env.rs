@@ -1463,8 +1463,7 @@ impl UnixEnv {
 
     /// `fsync`: makes one file (and the directory naming it) durable.  Under
     /// the single-level store this serializes the kernel objects into the
-    /// store; with the per-operation policy that is a sequential append to
-    /// the write-ahead log.
+    /// store and appends them to the sequential write-ahead log.
     pub fn fsync_path(&mut self, pid: Pid, path: &str) -> Result<()> {
         self.vfs_op(pid, |vfs, ctx, cwd| vfs.fsync_path(ctx, cwd, path))
     }
