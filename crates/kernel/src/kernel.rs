@@ -28,7 +28,8 @@ use histar_store::SingleLevelStore;
 // per-syscall lookups; every iteration site sorts before order becomes
 // visible) — allowed here and at each use, and listed by flowcheck.
 #[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
+use std::collections::hash_map::{DefaultHasher, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// Size of one page, matching the simulated hardware.
 pub const PAGE_SIZE: u64 = 4096;
@@ -117,8 +118,12 @@ pub struct PageFaultResolution {
 /// The HiStar kernel.
 #[derive(Debug)]
 pub struct Kernel {
+    /// Hashed with a constant key.  `HashMap`'s default hasher draws a seed
+    /// per process, a dropped kernel frees its objects in hash order, and
+    /// that order decides the host allocator's layout for whatever runs
+    /// next — so host time would differ between two runs of one binary.
     #[allow(clippy::disallowed_types)]
-    objects: HashMap<ObjectId, KObject>,
+    objects: HashMap<ObjectId, KObject, BuildHasherDefault<DefaultHasher>>,
     root: ObjectId,
     categories: CategoryAllocator,
     id_cipher: FeistelCipher,
@@ -2479,16 +2484,15 @@ impl Kernel {
     }
 
     /// Replaces the entire object table (used by recovery).
-    #[allow(clippy::disallowed_types)]
     pub fn restore_objects(
         &mut self,
         root: ObjectId,
-        objects: HashMap<ObjectId, KObject>,
+        objects: Vec<(ObjectId, KObject)>,
         id_counter: u64,
         category_counter: u64,
         seed: u64,
     ) {
-        self.objects = objects;
+        self.objects = objects.into_iter().collect();
         self.root = root;
         self.id_counter = id_counter;
         self.id_cipher = FeistelCipher::new(seed ^ 0xbeef);

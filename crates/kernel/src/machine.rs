@@ -7,7 +7,7 @@
 //! snapshot (§3); there are no boot scripts.
 
 use crate::bodies::DeviceBody;
-use crate::kernel::{KObject, Kernel};
+use crate::kernel::Kernel;
 use crate::object::ObjectId;
 use crate::serialize::{decode_object, encode_object};
 use crate::syscall::SyscallError;
@@ -16,10 +16,7 @@ use histar_sim::{SimClock, SimDuration};
 use histar_store::codec::{Decoder, Encoder};
 use histar_store::records::is_persist_key;
 use histar_store::{SingleLevelStore, StoreConfig, StoreError};
-// HashMap appears only as the recovery builder for the kernel's object
-// table (insert-only; never iterated).
-#[allow(clippy::disallowed_types)]
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Store key (outside the 61-bit object-ID space) holding machine metadata.
 const MACHINE_META_KEY: u64 = 1 << 62;
@@ -291,8 +288,7 @@ impl Machine {
         let console_raw = read(&mut d)?;
         let seed = read(&mut d)?;
 
-        #[allow(clippy::disallowed_types)]
-        let mut objects: HashMap<ObjectId, KObject> = HashMap::new();
+        let mut objects = Vec::new();
         for id in store.object_ids() {
             // Skip the machine metadata blob and the persist record
             // namespace: persist records are not kernel objects — they are
@@ -304,7 +300,7 @@ impl Machine {
             let bytes = store.get(id)?;
             let obj = decode_object(&bytes)
                 .map_err(|e| MachineError::Corrupt(format!("object {id:#x}: {e}")))?;
-            objects.insert(ObjectId::from_raw(id), obj);
+            objects.push((ObjectId::from_raw(id), obj));
         }
 
         let mut kernel = Kernel::new(seed, Some(clock.clone()));

@@ -15,7 +15,8 @@
 //! acts on the first and charges simulated time by the second.
 
 use crate::label::Label;
-use std::collections::HashMap;
+use std::collections::hash_map::{DefaultHasher, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// An opaque token identifying an interned, immutable label: its index in
 /// the cache that minted it.
@@ -85,8 +86,11 @@ pub struct LabelCache {
     /// Every distinct label seen, indexed by its id.  The key in `ids` is a
     /// handle to the same shared entries, as is the label the caller keeps.
     labels: Vec<Label>,
-    ids: HashMap<Label, LabelId>,
-    cmp: HashMap<(LabelId, LabelId), Known>,
+    /// Both maps hash with a constant key: `HashMap`'s default hasher draws
+    /// a seed per process, and the order a dropped cache releases its
+    /// labels in would then shape the host allocator differently each run.
+    ids: HashMap<Label, LabelId, BuildHasherDefault<DefaultHasher>>,
+    cmp: HashMap<(LabelId, LabelId), Known, BuildHasherDefault<DefaultHasher>>,
     hits: u64,
     misses: u64,
 }

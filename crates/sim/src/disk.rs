@@ -14,7 +14,8 @@
 //!   actually round-trip data through the "disk".
 
 use crate::clock::{SimClock, SimDuration};
-use std::collections::HashMap;
+use std::collections::hash_map::{DefaultHasher, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// Size of one disk sector/block in bytes.
 pub const BLOCK_SIZE: u64 = 4096;
@@ -104,7 +105,11 @@ impl histar_obs::MetricSource for DiskStats {
 pub struct SimDisk {
     config: DiskConfig,
     clock: SimClock,
-    blocks: HashMap<u64, Vec<u8>>,
+    /// Hashed with a constant key.  `HashMap`'s default hasher draws a seed
+    /// per process, a dropped disk frees its blocks in hash order, and that
+    /// order decides the host allocator's layout for whatever runs next —
+    /// so host time would differ between two runs of one binary.
+    blocks: HashMap<u64, Vec<u8>, BuildHasherDefault<DefaultHasher>>,
     head_pos: u64,
     lookahead_end: u64,
     dirty: u64,
@@ -117,7 +122,7 @@ impl SimDisk {
         SimDisk {
             config,
             clock,
-            blocks: HashMap::new(),
+            blocks: HashMap::default(),
             head_pos: 0,
             lookahead_end: 0,
             dirty: 0,
