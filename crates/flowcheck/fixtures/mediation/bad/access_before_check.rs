@@ -4,10 +4,9 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_peek(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
-        let (tl, _) = self.calling_thread(tid)?;
+    fn sys_peek(&mut self, t: &Caller, entry: ContainerEntry) -> R {
         let data = self.obj(entry.object)?.payload.clone();
-        self.check_observe(&tl, entry.object)?;
+        self.check_observe(&t.label, entry.object)?;
         Ok(data)
     }
 }

@@ -8,11 +8,10 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_read(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
-        let (tl, _) = self.calling_thread(tid)?;
-        self.check_observe(&tl, entry.container)?;
+    fn sys_read(&mut self, t: &Caller, entry: ContainerEntry) -> R {
+        self.check_observe(&t.label, entry.container)?;
         let olabel = self.label_of(entry.object)?;
-        self.count_label_check(&olabel, &tl, true, Access::Observe);
+        self.count_label_check(&olabel, &t.label, true, Access::Observe);
         self.obj(entry.object).map(|o| o.size())
     }
 

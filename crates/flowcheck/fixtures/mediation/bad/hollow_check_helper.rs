@@ -5,9 +5,8 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_read(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
-        let (tl, _) = self.calling_thread(tid)?;
-        self.check_observe(&tl, entry.object)?;
+    fn sys_read(&mut self, t: &Caller, entry: ContainerEntry) -> R {
+        self.check_observe(&t.label, entry.object)?;
         self.obj(entry.object).map(|o| o.size())
     }
 

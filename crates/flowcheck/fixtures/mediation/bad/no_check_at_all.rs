@@ -4,9 +4,9 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_steal(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
+    fn sys_steal(&mut self, t: &Caller, entry: ContainerEntry) -> R {
         let (_, body) = self.obj_mut(entry.object)?;
-        body.owner = tid;
+        body.owner = t.tid;
         Ok(())
     }
 }

@@ -1,12 +1,12 @@
-//! Must fail: a copy-pasted row routes `trap_peek` to `sys_read` — the
-//! wrapper's name promises one call and the dispatch arm runs another.
+//! Must fail: the handler is checked, but it is `pub fn` — code outside
+//! the crate could call it without trapping, so the call would be neither
+//! charged, counted, refused for a halted caller, nor audited.
 syscalls! {
     Read read sys_read trap_read (entry: ContainerEntry) -> U64(u64);
-    Peek peek sys_read trap_peek (entry: ContainerEntry) -> U64(u64);
 }
 
 impl Kernel {
-    fn sys_read(&mut self, t: &Caller, entry: ContainerEntry) -> R {
+    pub fn sys_read(&mut self, t: &Caller, entry: ContainerEntry) -> R {
         self.check_observe(&t.label, entry.object)?;
         self.obj(entry.object).map(|o| o.size())
     }

@@ -5,8 +5,7 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_persist_peek(&mut self, tid: ObjectId, key: u64) -> R {
-        self.calling_thread(tid)?;
+    fn sys_persist_peek(&mut self, t: &Caller, key: u64) -> R {
         let bytes = self.persist_record(key)?.ok_or(E::NoSuchRecord(key))?;
         let (_, payload) = Self::persist_unframe(key, &bytes)?;
         Ok(payload.to_vec())

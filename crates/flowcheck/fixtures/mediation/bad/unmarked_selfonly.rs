@@ -6,7 +6,7 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_whoami(&mut self, tid: ObjectId) -> R {
-        Ok(tid)
+    fn sys_whoami(&mut self, t: &Caller) -> R {
+        Ok(t.tid)
     }
 }

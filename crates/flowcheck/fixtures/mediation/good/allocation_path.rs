@@ -8,9 +8,8 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_segment_create(&mut self, tid: ObjectId, container: ObjectId, label: Label) -> R {
-        let (tl, tc) = self.calling_thread(tid)?;
-        let id = self.create_object(&tl, &tc, container, label, KObjectBody::segment())?;
+    pub(crate) fn sys_segment_create(&mut self, t: &Caller, container: ObjectId, label: Label) -> R {
+        let id = self.create_object(&t.label, &t.clearance, container, label, KObjectBody::segment())?;
         Ok(id)
     }
 }

@@ -4,10 +4,9 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_read(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
-        let (tl, _) = self.calling_thread(tid)?;
-        self.check_entry(&tl, entry)?;
-        self.check_observe(&tl, entry.object)?;
+    pub(crate) fn sys_read(&mut self, t: &Caller, entry: ContainerEntry) -> R {
+        self.check_entry(&t.label, entry)?;
+        self.check_observe(&t.label, entry.object)?;
         self.obj(entry.object).map(|o| o.size())
     }
 

@@ -5,13 +5,12 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_read_alias(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
-        self.sys_read(tid, entry)
+    pub(crate) fn sys_read_alias(&mut self, t: &Caller, entry: ContainerEntry) -> R {
+        self.sys_read(t, entry)
     }
 
-    fn sys_read(&mut self, tid: ObjectId, entry: ContainerEntry) -> R {
-        let (tl, _) = self.calling_thread(tid)?;
-        self.check_observe(&tl, entry.object)?;
+    pub(crate) fn sys_read(&mut self, t: &Caller, entry: ContainerEntry) -> R {
+        self.check_observe(&t.label, entry.object)?;
         self.obj(entry.object).map(|o| o.size())
     }
 }

@@ -5,7 +5,7 @@ syscalls! {
 
 impl Kernel {
     // flowcheck: exempt(returns the caller's own id; self-only metadata)
-    fn sys_whoami(&mut self, tid: ObjectId) -> R {
-        Ok(tid)
+    pub(crate) fn sys_whoami(&mut self, t: &Caller) -> R {
+        Ok(t.tid)
     }
 }

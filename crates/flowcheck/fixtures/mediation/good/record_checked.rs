@@ -5,11 +5,10 @@ syscalls! {
 }
 
 impl Kernel {
-    fn sys_persist_read(&mut self, tid: ObjectId, key: u64) -> R {
-        let (tl, _) = self.calling_thread(tid)?;
+    pub(crate) fn sys_persist_read(&mut self, t: &Caller, key: u64) -> R {
         let bytes = self.persist_record(key)?.ok_or(E::NoSuchRecord(key))?;
         let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-        self.check_record_observe(&tl, &rlabel)?;
+        self.check_record_observe(&t.label, &rlabel)?;
         Ok(payload.to_vec())
     }
 }

@@ -1,5 +1,5 @@
 //! Must pass: runtime state reached through the calling thread's own
-//! object (`thread_mut(tid)`) is self access;
+//! object (`thread_mut(t.tid)`) is self access;
 //! the ownership test (`owns`) mediates the object-table access.
 syscalls! {
     Take take sys_take trap_take -> Alert(Option<Alert>);
@@ -8,14 +8,13 @@ syscalls! {
 
 impl Kernel {
     // flowcheck: exempt(pops the caller's own completion queue)
-    fn sys_take(&mut self, tid: ObjectId) -> R {
-        let (_, body) = self.thread_mut(tid)?;
+    pub(crate) fn sys_take(&mut self, t: &Caller) -> R {
+        let (_, body) = self.thread_mut(t.tid)?;
         Ok(body.runtime.completions.pop_front())
     }
 
-    fn sys_retire(&mut self, tid: ObjectId, category: Category, id: ObjectId) -> R {
-        let (tl, _) = self.calling_thread(tid)?;
-        if !tl.owns(category) {
+    pub(crate) fn sys_retire(&mut self, t: &Caller, category: Category, id: ObjectId) -> R {
+        if !t.label.owns(category) {
             return Err(E::NotOwner);
         }
         self.objects.remove(&id);

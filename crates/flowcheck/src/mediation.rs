@@ -3,8 +3,12 @@
 //!
 //! The engine reads the `syscalls! { … }` table (the one list of the ABI:
 //! the dispatch arms every `Kernel::dispatch` / batched-ABI call funnels
-//! through are expanded from its rows), takes the `sys_*` handler each row
-//! names, and analyzes each target body as a token stream:
+//! through are expanded from its rows) and takes the `sys_*` handler each
+//! row names.  A handler declared `pub fn` is a finding by itself: the
+//! trap is where a call is charged, counted, refused for a halted caller
+//! and audited, so a handler reachable from outside the crate is a way in
+//! that skips all of it.  Each handler body is then analyzed as a token
+//! stream:
 //!
 //! * **Checks** are calls whose job is a label decision:
 //!   `check_observe`, `check_modify`, `check_entry`, `check_spawn`,
@@ -14,11 +18,12 @@
 //!   (category-ownership tests).
 //! * **Heap accesses** reach the kernel's only id-keyed state: the
 //!   object table `self.objects` (every object's runtime state — queues,
-//!   watchers — lives inside its object) and the typed accessors
-//!   `obj`/`obj_mut`/`typed`/`container`/`thread`/`thread_mut`/`dealloc`.
-//!   Accessors keyed by the calling thread itself (`tid` literal) are
-//!   *self accesses*: a thread may always touch its own state (§3 of the
-//!   paper: observing yourself leaks nothing new).
+//!   watchers — lives inside its object) and the accessors over it
+//!   (`obj`/`obj_mut`, the typed `container`/`thread`/`segment`/… pairs,
+//!   `dealloc`).  Accessors keyed by the calling thread itself (`t.tid`,
+//!   the id in the handler's `Caller`) are *self accesses*: a thread may
+//!   always touch its own state (§3 of the paper: observing yourself
+//!   leaks nothing new).
 //! * **Record accesses** reach the single-level store: `self.store` and
 //!   `self.persist_record`. Record labels ride *inside* the record, so
 //!   lexical check-before-access cannot hold (the record must be read to
@@ -64,18 +69,29 @@ const CHECK_CALLS: &[&str] = &[
 const STATE_FIELDS: &[&str] = &["objects"];
 
 /// `self.<accessor>(arg, …)`: heap access unless the first argument is
-/// the literal `tid` (the calling thread's own state).
+/// [`SELF_KEY`] (the calling thread's own state).
 const ACCESSORS: &[&str] = &[
     "obj",
     "obj_mut",
-    "typed",
     "container",
+    "container_mut",
     "thread",
     "thread_mut",
+    "segment",
+    "segment_mut",
+    "address_space",
+    "address_space_mut",
+    "gate",
+    "device",
+    "device_mut",
     "thread_label",
     "thread_clearance",
     "dealloc",
 ];
+
+/// How a handler spells the calling thread's own id: the `tid` of the
+/// `Caller` the trap hands it as `t`.
+const SELF_KEY: &[&str] = &["t", ".", "tid"];
 
 /// Trusted helpers whose own bodies must contain a real label comparison.
 const CHECK_HELPERS: &[&str] = &[
@@ -150,6 +166,16 @@ pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>, exemptions: &mut V
             });
             continue;
         };
+        if item.is_pub {
+            findings.push(Finding {
+                rule: "mediation",
+                file: f.path.clone(),
+                line: item.line,
+                message: format!(
+                    "`{name}` is `pub fn`: a handler reachable from outside the crate bypasses the trap (use `pub(crate) fn`)"
+                ),
+            });
+        }
         let scan = scan_body(f, item.body_open, item.body_close);
         for d in &scan.delegates {
             queue.push(d.clone());
@@ -351,9 +377,8 @@ fn scan_body(f: &SourceFile, open: usize, close: usize) -> BodyScan {
         }
 
         if ACCESSORS.contains(&t.as_str()) && next_is(toks, i, "(") {
-            // `self.obj(tid)` / `self.thread_mut(tid)` are self accesses.
-            let first_arg = toks.get(i + 2).map(|t| t.text.as_str());
-            let self_keyed = first_arg == Some("tid");
+            // `self.obj(t.tid)` / `self.thread_mut(t.tid)` are self accesses.
+            let self_keyed = matches_seq(toks, i + 2, SELF_KEY);
             if !self_keyed && scan.first_heap.is_none() {
                 scan.first_heap = Some((i, toks[i].line, format!("self.{t}()")));
             }

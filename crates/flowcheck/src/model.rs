@@ -13,6 +13,9 @@ use crate::lex::{ExemptMarker, Lexed, Token};
 pub struct FnItem {
     pub name: String,
     pub line: u32,
+    /// Declared plain `pub fn`: callable from outside its crate.
+    /// (`pub(crate) fn` and `fn` are not.)
+    pub is_pub: bool,
     /// Token index of the body's opening `{`.
     pub body_open: usize,
     /// Token index of the body's closing `}`.
@@ -154,6 +157,7 @@ fn find_fns(tokens: &[Token], test_ranges: &[(usize, usize)]) -> Vec<FnItem> {
                 out.push(FnItem {
                     name,
                     line,
+                    is_pub: i >= 1 && tokens[i - 1].text == "pub",
                     body_open: open,
                     body_close: close,
                 });
@@ -185,6 +189,13 @@ mod tests {
         let f = SourceFile::parse("x.rs", "impl K { fn a(&self) { 1 } fn b() -> u8 { 2 } }");
         let names: Vec<&str> = f.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
+    }
+
+    #[test]
+    fn only_plain_pub_is_pub() {
+        let f = SourceFile::parse("x.rs", "pub fn a() {} pub(crate) fn b() {} fn c() {}");
+        let public: Vec<bool> = f.fns.iter().map(|f| f.is_pub).collect();
+        assert_eq!(public, [true, false, false]);
     }
 
     #[test]

@@ -64,7 +64,16 @@ fn dropped_verdict_is_the_finding_in_its_fixture() {
     let a = analyze_fixture("mediation", &path);
     assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
     assert!(a.findings[0].message.contains("verdict is dropped"));
-    assert_eq!(a.findings[0].line, 15);
+    assert_eq!(a.findings[0].line, 14);
+}
+
+#[test]
+fn a_pub_handler_is_the_finding_in_its_fixture() {
+    let path = fixture_dir("mediation", "bad").join("pub_handler.rs");
+    let a = analyze_fixture("mediation", &path);
+    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+    assert!(a.findings[0].message.contains("`sys_read` is `pub fn`"));
+    assert_eq!(a.findings[0].line, 9);
 }
 
 #[test]

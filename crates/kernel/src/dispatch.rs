@@ -4,28 +4,31 @@
 //! Real HiStar threads reach the kernel through one trap instruction; every
 //! call crosses the same boundary, where it can be checked, counted and
 //! audited.  This module reproduces that boundary for the simulated kernel:
-//! a [`Syscall`] value names one of the `sys_*` entry points ([`SYSCALL_COUNT`] of them) together
-//! with its arguments, and [`Kernel::dispatch`] is the only place where the
-//! value is decoded and executed.  Dispatch charges the call's CPU cost
-//! (via the underlying `sys_*` implementation), maintains per-syscall
-//! counters in [`DispatchStats`], and — when tracing is enabled — appends a
+//! a [`Syscall`] value names one of the system calls ([`SYSCALL_COUNT`] of
+//! them) together with its arguments, and `dispatch_one` is the only place
+//! where the value is decoded and executed.  It is also the only place the
+//! protocol of a call is spelled: charge the boundary crossing and count
+//! the call, find the calling thread (once) and refuse a missing or halted
+//! one, run the row's `sys_*` handler, count a failure — in
+//! [`SyscallStats`](crate::syscall::SyscallStats) and per row in
+//! [`DispatchStats`], together — and, when tracing is enabled, append a
 //! [`TraceRecord`] to a bounded ring buffer, giving the machine a
-//! replayable `(tick, thread, syscall, result)` audit stream.
+//! replayable `(tick, thread, syscall, result)` audit stream.  The
+//! handlers are crate-private bodies with no prologue of their own, so
+//! that stream is the kernel's whole input: no call arrives off it.
 //!
 //! The `trap_*` methods are the user-level calling convention: thin typed
 //! wrappers that build the [`Syscall`] value, trap through
-//! [`Kernel::dispatch`], and unwrap the typed [`SyscallResult`].  All
-//! library layers (`histar-unix`, `histar-auth`, `histar-apps`,
-//! `histar-net`, `histar-exporter`) use these instead of calling the
-//! `sys_*` methods directly, so the whole system's kernel interaction is
-//! visible in one stream.
+//! [`Kernel::dispatch`], and unwrap the typed [`SyscallResult`].  Every
+//! layer above the kernel (`histar-unix`, `histar-auth`, `histar-apps`,
+//! `histar-net`, `histar-exporter`) and every test uses these.
 //!
 //! The ABI is spelled once, in the `syscalls!` table below: the [`Syscall`]
 //! enum, [`SYSCALL_NAMES`], the dispatch arms and every `trap_*` wrapper are
 //! expanded from its rows.
 
 use crate::bodies::{Alert, Mapping};
-use crate::kernel::{GateEntryResult, Kernel, PageFaultResolution};
+use crate::kernel::{Caller, GateEntryResult, Kernel, PageFaultResolution};
 use crate::object::{ContainerEntry, ObjectId, ObjectType, METADATA_LEN};
 use crate::syscall::SyscallError;
 use histar_label::{Category, Label};
@@ -96,7 +99,7 @@ macro_rules! syscalls {
         /// One system call with its arguments — what a real thread would
         /// place in registers before trapping.
         ///
-        /// Every variant corresponds 1:1 to a `sys_*` method on [`Kernel`];
+        /// Every variant corresponds 1:1 to a `sys_*` handler on [`Kernel`];
         /// the calling thread is supplied separately to [`Kernel::dispatch`].
         #[derive(Clone, Debug, PartialEq)]
         pub enum Syscall {$(
@@ -135,12 +138,12 @@ macro_rules! syscalls {
         impl Kernel {
             fn dispatch_inner(
                 &mut self,
-                tid: ObjectId,
+                caller: &Caller,
                 call: Syscall,
             ) -> Result<SyscallResult, SyscallError> {
                 match call {$(
                     Syscall::$Variant $({ $($arg),+ })? => self
-                        .$sys(tid $($(, syscalls!(@lend $arg $(, $owned)?))+)?)
+                        .$sys(caller $($(, syscalls!(@lend $arg $(, $owned)?))+)?)
                         .map(syscalls!(@wrap $Res)),
                 )*}
             }
@@ -149,9 +152,9 @@ macro_rules! syscalls {
         /// The `trap_*` calling convention: typed wrappers over
         /// [`Kernel::dispatch`].
         ///
-        /// Each method mirrors the corresponding `sys_*` signature exactly,
-        /// but the call crosses the dispatch boundary, so it is counted and
-        /// traced.
+        /// Each method takes the calling thread's id and the row's
+        /// arguments; the call crosses the dispatch boundary, so it is
+        /// charged, counted and traced.
         impl Kernel {$(
             #[doc = concat!("Traps `", stringify!($sys), "`.")]
             #[allow(clippy::too_many_arguments)]
@@ -605,10 +608,10 @@ impl SyscallResult {
 /// Per-syscall invocation and error counters maintained by
 /// [`Kernel::dispatch`].
 ///
-/// Unlike [`SyscallStats`](crate::syscall::SyscallStats) (which aggregates
-/// kernel activity wherever it originates, including direct `sys_*` calls in
-/// kernel unit tests), these counters see exactly the trapped stream — one
-/// increment per [`Kernel::dispatch`].
+/// These split by row the calls and failures
+/// [`SyscallStats`](crate::syscall::SyscallStats) totals: both are bumped
+/// at the same point of the one dispatch path, so `total()` equals its
+/// `syscalls` and `total_errors()` its `errors`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Invocations per syscall, indexed like [`SYSCALL_NAMES`].
@@ -840,7 +843,7 @@ impl Kernel {
         call: Syscall,
     ) -> Result<SyscallResult, SyscallError> {
         self.begin_batch();
-        let result = self.dispatch_one(tid, call);
+        let result = self.dispatch_one(tid, call, true);
         self.end_batch();
         self.dispatch_stats_mut().record_batch(1);
         result
@@ -868,7 +871,8 @@ impl Kernel {
         let span_start = self.recorder().is_enabled().then(|| self.now().as_nanos());
         let done: Vec<_> = calls
             .into_iter()
-            .map(|call| self.dispatch_one(tid, call))
+            .enumerate()
+            .map(|(i, call)| self.dispatch_one(tid, call, i == 0))
             .collect();
         self.end_batch();
         self.dispatch_stats_mut().record_batch(done.len() as u64);
@@ -886,22 +890,26 @@ impl Kernel {
         done
     }
 
-    /// One call, executed under the current batch's cost accounting: the
-    /// per-thread and per-syscall counters are bumped, the `sys_*`
-    /// implementation runs, and the audit trace is appended.
+    /// One call, start to finish — the only way into a `sys_*` handler.
+    /// [`Kernel::enter`] counts the call, charges the crossing (the full
+    /// trap for the first call of a batch, the decode cost after) and
+    /// produces the calling thread or refuses it; the row's handler runs;
+    /// a failure from either is counted once, in both stats; the audit
+    /// record and span are appended.
     fn dispatch_one(
         &mut self,
         tid: ObjectId,
         call: Syscall,
+        first_of_batch: bool,
     ) -> Result<SyscallResult, SyscallError> {
         let index = call.index();
         let name = call.name();
         let span_start = self.recorder().is_enabled().then(|| self.now().as_nanos());
-        self.dispatch_stats_mut().invocations[index] += 1;
-        self.count_thread_call(tid);
-        let result = self.dispatch_inner(tid, call);
+        let result = self
+            .enter(tid, index, first_of_batch)
+            .and_then(|caller| self.dispatch_inner(&caller, call));
         if result.is_err() {
-            self.dispatch_stats_mut().errors[index] += 1;
+            self.count_error(index);
         }
         let tick = self.now().as_nanos();
         let ok = result.is_ok();
@@ -970,24 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_equals_direct_call() {
-        let (mut ka, tida) = boot();
-        let (mut kb, tidb) = boot();
-        let ra = ka.sys_create_category(tida).unwrap();
-        let rb = kb.trap_create_category(tidb).unwrap();
-        assert_eq!(ra, rb, "same seed, same allocation stream");
-        assert_eq!(
-            ka.thread_label(tida).unwrap(),
-            kb.thread_label(tidb).unwrap()
-        );
-        // The aggregate kernel counters agree; only the dispatch counters
-        // differ (the direct call bypasses the trap boundary).
-        assert_eq!(ka.stats(), kb.stats());
-        assert_eq!(ka.dispatch_stats().total(), 0);
-        assert_eq!(kb.dispatch_stats().total(), 1);
-    }
-
-    #[test]
     fn trace_ring_buffer_is_bounded_and_ordered() {
         let (mut k, tid) = boot();
         k.enable_syscall_trace(4);
@@ -1008,8 +998,6 @@ mod tests {
             assert_eq!(r.tid, tid);
             assert!(r.ok);
         }
-        k.disable_syscall_trace();
-        assert!(k.syscall_trace().is_none());
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! The kernel proper: object table plus the system-call surface.
+//! The kernel proper: object table plus the system-call handlers.
 //!
-//! Every public `sys_*` method corresponds to a HiStar system call and is
-//! invoked on behalf of a *calling thread* named by its object ID.  Each
-//! call performs exactly the label checks the paper specifies before
-//! touching any state, counts itself in [`SyscallStats`], and charges its
-//! CPU cost to the machine clock (when one is attached).
+//! Every `sys_*` method is the body of one HiStar system call, run on
+//! behalf of the calling thread the trap found (a `Caller`).  A handler
+//! performs exactly the label checks the paper specifies before touching
+//! any state and charges what its own work costs; everything a call owes
+//! for being a call — the boundary crossing, the counters, refusing a
+//! halted caller, counting a failure — is the trap's business
+//! (`Kernel::enter` here and `dispatch_one` in `dispatch.rs`), so the
+//! handlers are reachable only through [`Kernel::dispatch`] and
+//! [`Kernel::submit_calls`].
 
 use crate::abi::Completion;
 use crate::bodies::{
@@ -115,6 +119,17 @@ pub struct PageFaultResolution {
     pub writable: bool,
 }
 
+/// The calling thread as the trap found it: looked up once per call by
+/// [`Kernel::enter`], which has already refused a missing, non-thread or
+/// halted caller.  Handlers read the caller's label and clearance from
+/// here (as they stood on entry) and name its own object by `tid`.
+pub(crate) struct Caller {
+    pub(crate) tid: ObjectId,
+    pub(crate) label: Label,
+    pub(crate) clearance: Label,
+    pub(crate) local_segment: Option<ObjectId>,
+}
+
 /// The HiStar kernel.
 #[derive(Debug)]
 pub struct Kernel {
@@ -159,17 +174,57 @@ pub struct Kernel {
     /// lives outside the kernel, but its counters belong to the machine's
     /// metrics registry so `/metrics/sched` can serve them).
     sched_metrics: MetricSet,
-    /// True while a submission batch is being drained: the first call
-    /// charges the full trap cost, the rest only the batched decode cost.
-    in_batch: bool,
-    /// Whether the current batch has charged its trap cost yet.
-    batch_trap_charged: bool,
     /// The machine's single-level store, when this kernel is part of a
     /// [`Machine`](crate::Machine).  The persist-record syscalls operate
     /// on it directly — data in the persist namespace bypasses the object
     /// heap entirely — and having it here lets those calls ride the same
     /// batched submission path (and audit trace) as every other syscall.
     store: Option<SingleLevelStore>,
+}
+
+/// The typed views of the object table: `get(id)` (and `get_mut(id)`, for
+/// the types a handler changes in place) returns the object's header
+/// beside its body as the row's type, or [`SyscallError::WrongType`] —
+/// the one place a type mismatch is spelled.
+macro_rules! typed_accessors {
+    ($($Variant:ident($Body:ty): $get:ident $(, $get_mut:ident)?;)*) => {
+        impl Kernel {$(
+            fn $get(&self, id: ObjectId) -> Result<(&ObjectHeader, &$Body), SyscallError> {
+                let o = self.obj(id)?;
+                match &o.body {
+                    ObjectBody::$Variant(body) => Ok((&o.header, body)),
+                    _ => Err(SyscallError::WrongType {
+                        found: o.header.object_type,
+                        expected: ObjectType::$Variant,
+                    }),
+                }
+            }
+            $(
+                fn $get_mut(
+                    &mut self,
+                    id: ObjectId,
+                ) -> Result<(&mut ObjectHeader, &mut $Body), SyscallError> {
+                    let o = self.obj_mut(id)?;
+                    match &mut o.body {
+                        ObjectBody::$Variant(body) => Ok((&mut o.header, body)),
+                        _ => Err(SyscallError::WrongType {
+                            found: o.header.object_type,
+                            expected: ObjectType::$Variant,
+                        }),
+                    }
+                }
+            )?
+        )*}
+    };
+}
+
+typed_accessors! {
+    Container(ContainerBody): container, container_mut;
+    Thread(ThreadBody): thread, thread_mut;
+    Segment(SegmentBody): segment, segment_mut;
+    AddressSpace(AddressSpaceBody): address_space, address_space_mut;
+    Gate(GateBody): gate;
+    Device(DeviceBody): device, device_mut;
 }
 
 impl Kernel {
@@ -197,8 +252,6 @@ impl Kernel {
             sched_dirty: Vec::new(),
             sched_dirty_set: std::collections::BTreeSet::new(),
             sched_metrics: MetricSet::new(),
-            in_batch: false,
-            batch_trap_charged: false,
             store: None,
         };
         let root_id = kernel.fresh_id();
@@ -247,11 +300,6 @@ impl Kernel {
         self.trace = Some(SyscallTrace::new(capacity));
     }
 
-    /// Stops tracing and discards the buffer.
-    pub fn disable_syscall_trace(&mut self) {
-        self.trace = None;
-    }
-
     /// The current audit trace, if tracing is enabled.
     pub fn syscall_trace(&self) -> Option<&SyscallTrace> {
         self.trace.as_ref()
@@ -292,14 +340,6 @@ impl Kernel {
         let seq = self.dispatch_seq;
         self.dispatch_seq += 1;
         seq
-    }
-
-    /// Counts one dispatched syscall against `tid`; nothing is counted when
-    /// `tid` names no live thread.
-    pub(crate) fn count_thread_call(&mut self, tid: ObjectId) {
-        if let Ok((_, body)) = self.thread_mut(tid) {
-            body.runtime.syscalls += 1;
-        }
     }
 
     /// Dispatched-syscall count for one thread (zero if it never trapped,
@@ -388,44 +428,61 @@ impl Kernel {
         }
     }
 
-    fn charge_syscall(&mut self) {
+    /// The trap's prologue, run once per call before its handler: counts
+    /// the call (kernel total and row `index` together), charges the
+    /// boundary crossing — the kernel is entered once per batch, so only
+    /// the batch's first call pays the full trap cost and the rest the
+    /// per-entry decode cost — and looks the calling thread up, once,
+    /// counting the call against it and refusing a caller that is missing,
+    /// not a thread, or halted.
+    pub(crate) fn enter(
+        &mut self,
+        tid: ObjectId,
+        index: usize,
+        first_of_batch: bool,
+    ) -> Result<Caller, SyscallError> {
         self.stats.syscalls += 1;
-        self.charge_boundary();
-    }
-
-    /// Charges one boundary crossing.  Inside a submission batch the
-    /// kernel is entered once: the first operation pays the full trap
-    /// cost, the rest only the per-entry decode cost.  Counters are
-    /// unaffected — only charged time amortizes.
-    fn charge_boundary(&mut self) {
-        let c = if self.in_batch && self.batch_trap_charged {
-            self.cost.syscall_batched_entry
-        } else {
-            self.batch_trap_charged = true;
+        self.dispatch_stats.invocations[index] += 1;
+        let crossing = if first_of_batch {
             self.cost.syscall
+        } else {
+            self.cost.syscall_batched_entry
         };
-        self.charge(c);
+        self.charge(crossing);
+        let (header, body) = self.thread_mut(tid)?;
+        body.runtime.syscalls += 1;
+        if body.state == ThreadState::Halted {
+            return Err(SyscallError::ThreadHalted(tid));
+        }
+        Ok(Caller {
+            tid,
+            label: header.label.clone(),
+            clearance: body.clearance.clone(),
+            local_segment: body.local_segment,
+        })
     }
 
-    /// Enters batch mode: the next `charge_syscall` pays the full trap
-    /// cost, subsequent ones only the decode cost, until `end_batch`.
-    /// The store opens a group-commit window for the same span, so every
-    /// `persist_sync` in the batch rides one shared WAL frame.
+    /// Counts one failed call: like the call itself in `enter`, in the
+    /// kernel total and the row's own count together, so the two cannot
+    /// disagree.
+    pub(crate) fn count_error(&mut self, index: usize) {
+        self.stats.errors += 1;
+        self.dispatch_stats.errors[index] += 1;
+    }
+
+    /// Opens the store's group-commit window for one boundary crossing, so
+    /// every `persist_sync` in the batch rides one shared WAL frame.
     pub(crate) fn begin_batch(&mut self) {
-        self.in_batch = true;
-        self.batch_trap_charged = false;
         if let Some(store) = self.store.as_mut() {
             store.begin_sync_group();
         }
     }
 
-    /// Leaves batch mode.  Closing the store's group-commit window flushes
-    /// the coalesced syncs as one multi-record frame — this runs BEFORE
-    /// any completion is delivered, so a sync is acked only after the
-    /// shared append is durable.
+    /// Closes the store's group-commit window, flushing the coalesced
+    /// syncs as one multi-record frame — this runs BEFORE any result is
+    /// returned, so a sync is acked only after the shared append is
+    /// durable.
     pub(crate) fn end_batch(&mut self) {
-        self.in_batch = false;
-        self.batch_trap_charged = false;
         if let Some(store) = self.store.as_mut() {
             store.end_sync_group();
         }
@@ -439,66 +496,6 @@ impl Kernel {
         self.objects
             .get_mut(&id)
             .ok_or(SyscallError::NoSuchObject(id))
-    }
-
-    /// Returns the object if it has the expected type.
-    fn typed(&self, id: ObjectId, expected: ObjectType) -> Result<&KObject, SyscallError> {
-        let o = self.obj(id)?;
-        if o.header.object_type != expected {
-            return Err(SyscallError::WrongType {
-                found: o.header.object_type,
-                expected,
-            });
-        }
-        Ok(o)
-    }
-
-    fn container(&self, id: ObjectId) -> Result<(&ObjectHeader, &ContainerBody), SyscallError> {
-        let o = self.typed(id, ObjectType::Container)?;
-        match &o.body {
-            ObjectBody::Container(c) => Ok((&o.header, c)),
-            _ => unreachable!("typed() checked the object type"),
-        }
-    }
-
-    fn thread(&self, id: ObjectId) -> Result<(&ObjectHeader, &ThreadBody), SyscallError> {
-        let o = self.typed(id, ObjectType::Thread)?;
-        match &o.body {
-            ObjectBody::Thread(t) => Ok((&o.header, t)),
-            _ => unreachable!("typed() checked the object type"),
-        }
-    }
-
-    fn thread_mut(
-        &mut self,
-        id: ObjectId,
-    ) -> Result<(&mut ObjectHeader, &mut ThreadBody), SyscallError> {
-        let o = self.obj_mut(id)?;
-        match &mut o.body {
-            ObjectBody::Thread(t) => Ok((&mut o.header, t)),
-            _ => Err(SyscallError::WrongType {
-                found: o.header.object_type,
-                expected: ObjectType::Thread,
-            }),
-        }
-    }
-
-    /// Fetches the calling thread's label and clearance, verifying the
-    /// thread exists and is runnable.  Also accounts for the syscall.
-    fn calling_thread(&mut self, tid: ObjectId) -> Result<(Label, Label), SyscallError> {
-        self.charge_syscall();
-        let (header, body) = match self.thread(tid) {
-            Ok(x) => x,
-            Err(e) => {
-                self.stats.errors += 1;
-                return Err(e);
-            }
-        };
-        if body.state == ThreadState::Halted {
-            self.stats.errors += 1;
-            return Err(SyscallError::ThreadHalted(tid));
-        }
-        Ok((header.label.clone(), body.clearance.clone()))
     }
 
     /// The label of any thread (kernel-internal, no checks).
@@ -610,25 +607,24 @@ impl Kernel {
 
     // ----- readiness watches (blocking I/O) -----------------------------
 
-    /// Registers a one-shot readiness watch for `tid` on the object named
-    /// by `entry`.  When the object is next written (`segment_write`) or
-    /// deallocated, the kernel pushes a [`Completion::ObjectReady`]
-    /// completion to `tid` — the wake half of blocking `read(2)`/`poll`.
+    /// Registers a one-shot readiness watch for the caller on the object
+    /// named by `entry`.  When the object is next written (`segment_write`)
+    /// or deallocated, the kernel pushes a [`Completion::ObjectReady`]
+    /// completion to the caller — the wake half of blocking
+    /// `read(2)`/`poll`.
     ///
     /// The watch is observe-checked: watching an object you cannot read
     /// would turn its write activity into a covert channel.
-    pub fn sys_segment_watch(
+    pub(crate) fn sys_segment_watch(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
     ) -> Result<(), SyscallError> {
-        self.charge_syscall();
-        let tl = self.thread_label(tid)?;
-        self.check_entry(&tl, entry)?;
-        self.check_observe(&tl, entry.object)?;
+        self.check_entry(&t.label, entry)?;
+        self.check_observe(&t.label, entry.object)?;
         let list = &mut self.obj_mut(entry.object)?.watchers;
-        if !list.contains(&tid) {
-            list.push(tid);
+        if !list.contains(&t.tid) {
+            list.push(t.tid);
         }
         Ok(())
     }
@@ -643,22 +639,10 @@ impl Kernel {
         }
     }
 
-    /// Whether `tid` has unreaped completions (scheduler wake condition: a
-    /// thread blocked on an empty completion queue is woken when one
-    /// arrives).
-    pub fn completion_pending(&self, tid: ObjectId) -> bool {
-        self.completion_count(tid) != 0
-    }
-
     /// Number of unreaped completions for `tid`.
     pub fn completion_count(&self, tid: ObjectId) -> usize {
         self.thread(tid)
             .map_or(0, |(_, body)| body.runtime.completions.len())
-    }
-
-    /// Removes and returns `tid`'s oldest unreaped completion.
-    pub fn reap_completion(&mut self, tid: ObjectId) -> Option<Completion> {
-        self.thread_mut(tid).ok()?.1.runtime.completions.pop_front()
     }
 
     /// Removes and returns all of `tid`'s unreaped completions, oldest
@@ -767,114 +751,102 @@ impl Kernel {
     /// pass the modify check against it; `offset`/`data` splice into the
     /// payload, growing it (zero-filled) as needed.  A new record takes
     /// `label`, validated by the allocation rule `L_T ⊑ L ⊑ C_T`.
-    pub fn sys_persist_put(
+    pub(crate) fn sys_persist_put(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         key: u64,
         label: Option<Label>,
         offset: u64,
         data: &[u8],
     ) -> Result<(), SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            if !is_persist_key(key) {
-                return Err(SyscallError::InvalidArgument(
-                    "key outside the persist record namespace",
-                ));
+        if !is_persist_key(key) {
+            return Err(SyscallError::InvalidArgument(
+                "key outside the persist record namespace",
+            ));
+        }
+        let end = offset
+            .checked_add(data.len() as u64)
+            .filter(|&e| e <= Self::PERSIST_RECORD_MAX)
+            .ok_or(SyscallError::InvalidArgument(
+                "persist record write out of range",
+            ))?;
+        let (rlabel, mut payload) = match self.persist_record(key)? {
+            Some(bytes) => {
+                let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
+                self.check_record_modify(&t.label, key, &rlabel)?;
+                (rlabel, payload)
             }
-            let end = offset
-                .checked_add(data.len() as u64)
-                .filter(|&e| e <= Self::PERSIST_RECORD_MAX)
-                .ok_or(SyscallError::InvalidArgument(
-                    "persist record write out of range",
+            None => {
+                let label = label.ok_or(SyscallError::InvalidArgument(
+                    "creating a persist record requires a label",
                 ))?;
-            let (rlabel, mut payload) = match self.persist_record(key)? {
-                Some(bytes) => {
-                    let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-                    self.check_record_modify(&tl, key, &rlabel)?;
-                    (rlabel, payload)
+                if label.contains_star() {
+                    return Err(SyscallError::OwnershipNotAllowed(ObjectType::Segment));
                 }
-                None => {
-                    let label = label.ok_or(SyscallError::InvalidArgument(
-                        "creating a persist record requires a label",
-                    ))?;
-                    if label.contains_star() {
-                        return Err(SyscallError::OwnershipNotAllowed(ObjectType::Segment));
-                    }
-                    tl.can_allocate(&tc, &label)?;
-                    (label, Vec::new())
-                }
-            };
-            if end as usize > payload.len() {
-                payload.resize(end as usize, 0);
+                t.label.can_allocate(&t.clearance, &label)?;
+                (label, Vec::new())
             }
-            payload[offset as usize..end as usize].copy_from_slice(data);
-            let copy_cost = self.cost.copy(data.len() as u64);
-            self.charge(copy_cost);
-            let framed = Self::persist_frame(&rlabel, &payload);
-            self.store
-                .as_mut()
-                .expect("persist_record verified the store")
-                .put(key, framed);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        };
+        if end as usize > payload.len() {
+            payload.resize(end as usize, 0);
+        }
+        payload[offset as usize..end as usize].copy_from_slice(data);
+        let copy_cost = self.cost.copy(data.len() as u64);
+        self.charge(copy_cost);
+        let framed = Self::persist_frame(&rlabel, &payload);
+        self.store
+            .as_mut()
+            .expect("persist_record verified the store")
+            .put(key, framed);
+        Ok(())
     }
 
     /// Reads bytes out of a persist record (label-checked against the
     /// label stored *in* the record — the check a tainted reader fails
     /// even after the record was recovered from the write-ahead log).
     /// `len == u64::MAX` reads to the end of the payload.
-    pub fn sys_persist_read(
+    pub(crate) fn sys_persist_read(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         key: u64,
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Vec<u8>, SyscallError> {
-            let bytes = self
-                .persist_record(key)?
-                .ok_or(SyscallError::NoSuchRecord(key))?;
-            let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-            self.check_record_observe(&tl, key, &rlabel)?;
-            if offset > payload.len() as u64 {
-                return Err(SyscallError::InvalidArgument("read beyond end of record"));
-            }
-            let end = if len == u64::MAX {
-                payload.len() as u64
-            } else {
-                offset
-                    .checked_add(len)
-                    .filter(|&e| e <= payload.len() as u64)
-                    .ok_or(SyscallError::InvalidArgument("read beyond end of record"))?
-            };
-            let copy_cost = self.cost.copy(end - offset);
-            self.charge(copy_cost);
-            Ok(payload[offset as usize..end as usize].to_vec())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        let bytes = self
+            .persist_record(key)?
+            .ok_or(SyscallError::NoSuchRecord(key))?;
+        let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
+        self.check_record_observe(&t.label, key, &rlabel)?;
+        if offset > payload.len() as u64 {
+            return Err(SyscallError::InvalidArgument("read beyond end of record"));
+        }
+        let end = if len == u64::MAX {
+            payload.len() as u64
+        } else {
+            offset
+                .checked_add(len)
+                .filter(|&e| e <= payload.len() as u64)
+                .ok_or(SyscallError::InvalidArgument("read beyond end of record"))?
+        };
+        let copy_cost = self.cost.copy(end - offset);
+        self.charge(copy_cost);
+        Ok(payload[offset as usize..end as usize].to_vec())
     }
 
     /// Removes a persist record (modify-checked against its label).  The
     /// deletion becomes durable at the next sync of the key or the next
     /// checkpoint.
-    pub fn sys_persist_delete(&mut self, tid: ObjectId, key: u64) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            let bytes = self
-                .persist_record(key)?
-                .ok_or(SyscallError::NoSuchRecord(key))?;
-            let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
-            self.check_record_modify(&tl, key, &rlabel)?;
-            self.store
-                .as_mut()
-                .expect("persist_record verified the store")
-                .delete(key);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+    pub(crate) fn sys_persist_delete(&mut self, t: &Caller, key: u64) -> Result<(), SyscallError> {
+        let bytes = self
+            .persist_record(key)?
+            .ok_or(SyscallError::NoSuchRecord(key))?;
+        let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
+        self.check_record_modify(&t.label, key, &rlabel)?;
+        self.store
+            .as_mut()
+            .expect("persist_record verified the store")
+            .delete(key);
+        Ok(())
     }
 
     /// Range-scans the persist namespace, returning `(key, payload)` for
@@ -883,75 +855,71 @@ impl Kernel {
     /// observe are skipped, never partially revealed; keys below the
     /// persist namespace are unreachable through this call by
     /// construction.
-    pub fn sys_persist_scan(
+    pub(crate) fn sys_persist_scan(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         lo: u64,
         hi: u64,
         max: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
-            let store = self.store.as_ref().ok_or(SyscallError::NoStore)?;
-            let keys = store.keys_in_range(lo.max(histar_store::PERSIST_KEY_BASE), hi);
-            let mut out = Vec::new();
-            let mut copied = 0u64;
-            // One record at a time, so `max` bounds the records fetched
-            // (and disk-read), not just the ones returned.
-            for key in keys {
-                if out.len() as u64 >= max {
-                    break;
-                }
-                let Some(bytes) = self.persist_record(key)? else {
-                    continue;
-                };
-                let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-                if self.check_record_observe(&tl, key, &rlabel).is_err() {
-                    continue;
-                }
-                copied += payload.len() as u64;
-                out.push((key, payload));
+        let store = self.store.as_ref().ok_or(SyscallError::NoStore)?;
+        let keys = store.keys_in_range(lo.max(histar_store::PERSIST_KEY_BASE), hi);
+        let mut out = Vec::new();
+        let mut copied = 0u64;
+        // One record at a time, so `max` bounds the records fetched
+        // (and disk-read), not just the ones returned.
+        for key in keys {
+            if out.len() as u64 >= max {
+                break;
             }
-            let copy_cost = self.cost.copy(copied);
-            self.charge(copy_cost);
-            Ok(out)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            let Some(bytes) = self.persist_record(key)? else {
+                continue;
+            };
+            let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
+            if self.check_record_observe(&t.label, key, &rlabel).is_err() {
+                continue;
+            }
+            copied += payload.len() as u64;
+            out.push((key, payload));
+        }
+        let copy_cost = self.cost.copy(copied);
+        self.charge(copy_cost);
+        Ok(out)
     }
 
     /// Makes the named records durable: one sequential write-ahead-log
     /// append per record (§7.1's `fsync` path), batched and applied by the
     /// store.  A key with no record logs a durable *deletion*, so an
     /// unlink followed by a sync cannot resurrect after a crash.
-    pub fn sys_persist_sync(&mut self, tid: ObjectId, keys: &[u64]) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            for &key in keys {
-                if !is_persist_key(key) {
-                    return Err(SyscallError::InvalidArgument(
-                        "key outside the persist record namespace",
-                    ));
-                }
-                match self.persist_record(key)? {
-                    Some(bytes) => {
-                        let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
-                        self.check_record_observe(&tl, key, &rlabel)?;
-                        self.store
-                            .as_mut()
-                            .expect("persist_record verified the store")
-                            .sync_object(key)
-                            .map_err(|_| SyscallError::NoSuchRecord(key))?;
-                    }
-                    None => self
-                        .store
+    pub(crate) fn sys_persist_sync(
+        &mut self,
+        t: &Caller,
+        keys: &[u64],
+    ) -> Result<(), SyscallError> {
+        for &key in keys {
+            if !is_persist_key(key) {
+                return Err(SyscallError::InvalidArgument(
+                    "key outside the persist record namespace",
+                ));
+            }
+            match self.persist_record(key)? {
+                Some(bytes) => {
+                    let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
+                    self.check_record_observe(&t.label, key, &rlabel)?;
+                    self.store
                         .as_mut()
                         .expect("persist_record verified the store")
-                        .sync_delete(key),
+                        .sync_object(key)
+                        .map_err(|_| SyscallError::NoSuchRecord(key))?;
                 }
+                None => self
+                    .store
+                    .as_mut()
+                    .expect("persist_record verified the store")
+                    .sync_delete(key),
             }
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        }
+        Ok(())
     }
 
     /// The label a persist record carries.  Like `obj_get_label`, the
@@ -959,20 +927,16 @@ impl Kernel {
     /// decisions (e.g. labeling new extents of an existing file), not
     /// protected content.
     // flowcheck: exempt(reads only the record's label, which is the metadata needed to decide labeling; payload stays sealed)
-    pub fn sys_persist_get_label(
+    pub(crate) fn sys_persist_get_label(
         &mut self,
-        tid: ObjectId,
+        _t: &Caller,
         key: u64,
     ) -> Result<Label, SyscallError> {
-        self.calling_thread(tid)?;
-        let result = (|| -> Result<Label, SyscallError> {
-            let bytes = self
-                .persist_record(key)?
-                .ok_or(SyscallError::NoSuchRecord(key))?;
-            let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
-            Ok(rlabel)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        let bytes = self
+            .persist_record(key)?
+            .ok_or(SyscallError::NoSuchRecord(key))?;
+        let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
+        Ok(rlabel)
     }
 
     /// Counts, charges and answers one access check of a thread labelled
@@ -1053,7 +1017,7 @@ impl Kernel {
         self.check_observe(tl, entry.container)?;
         if entry.container == entry.object {
             // ⟨D, D⟩ is always valid once D is readable.
-            self.typed(entry.container, ObjectType::Container)?;
+            self.container(entry.container)?;
             return Ok(());
         }
         let (_, cbody) = self.container(entry.container)?;
@@ -1116,21 +1080,13 @@ impl Kernel {
         self.objects.insert(id, KObject::new(header, body));
 
         // Charge the container.
-        let parent_container = container;
-        {
-            let cobj = self.obj_mut(parent_container)?;
-            cobj.header.usage += quota;
-            match &mut cobj.body {
-                ObjectBody::Container(c) => c.link(id),
-                _ => unreachable!("container() checked the type"),
-            }
-        }
+        let (cheader, cbody) = self.container_mut(container)?;
+        cheader.usage += quota;
+        cbody.link(id);
         // New containers inherit the avoid mask and record their parent.
-        if let Ok(o) = self.obj_mut(id) {
-            if let ObjectBody::Container(c) = &mut o.body {
-                c.parent = Some(parent_container);
-                c.avoid_types |= avoid;
-            }
+        if let Ok((_, c)) = self.container_mut(id) {
+            c.parent = Some(container);
+            c.avoid_types |= avoid;
         }
         self.stats.objects_created += 1;
         Ok(id)
@@ -1165,300 +1121,247 @@ impl Kernel {
     /// `cat_t create_category(void)`: allocates a fresh category, granting
     /// the calling thread ownership (`⋆`) and clearance `3` in it.
     // flowcheck: exempt(allocates a fresh category owned by the caller; touches only the caller's own label and clearance)
-    pub fn sys_create_category(&mut self, tid: ObjectId) -> Result<Category, SyscallError> {
-        let (label, clearance) = self.calling_thread(tid)?;
+    pub(crate) fn sys_create_category(&mut self, t: &Caller) -> Result<Category, SyscallError> {
         let cat = self.categories.alloc();
-        let new_label = label.with(cat, Level::Star);
-        let new_clearance = clearance.with(cat, Level::L3);
-        let (header, body) = self.thread_mut(tid)?;
-        header.label = new_label;
-        body.clearance = new_clearance;
+        let (header, body) = self.thread_mut(t.tid)?;
+        header.label = t.label.with(cat, Level::Star);
+        body.clearance = t.clearance.with(cat, Level::L3);
         Ok(cat)
     }
 
     /// `self_set_label(L)`: sets the calling thread's label, subject to
     /// `L_T ⊑ L ⊑ C_T`.
-    pub fn sys_self_set_label(&mut self, tid: ObjectId, new: Label) -> Result<(), SyscallError> {
-        let (label, clearance) = self.calling_thread(tid)?;
+    pub(crate) fn sys_self_set_label(
+        &mut self,
+        t: &Caller,
+        new: Label,
+    ) -> Result<(), SyscallError> {
         self.stats.label_checks += 2;
-        let c = self.cost.label_check(label.len() + new.len(), false);
+        let c = self.cost.label_check(t.label.len() + new.len(), false);
         self.charge(c);
-        if let Err(e) = label.check_set_label(&clearance, &new) {
-            self.stats.errors += 1;
-            return Err(e.into());
-        }
-        let (header, _) = self.thread_mut(tid)?;
+        t.label.check_set_label(&t.clearance, &new)?;
+        let (header, _) = self.thread_mut(t.tid)?;
         header.label = new;
         Ok(())
     }
 
     /// `self_set_clearance(C)`: sets the calling thread's clearance, subject
     /// to `L_T ⊑ C ⊑ (C_T ⊔ L_T^J)`.
-    pub fn sys_self_set_clearance(
+    pub(crate) fn sys_self_set_clearance(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         new: Label,
     ) -> Result<(), SyscallError> {
-        let (label, clearance) = self.calling_thread(tid)?;
         self.stats.label_checks += 2;
-        let c = self.cost.label_check(clearance.len() + new.len(), false);
+        let c = self.cost.label_check(t.clearance.len() + new.len(), false);
         self.charge(c);
-        if let Err(e) = label.check_set_clearance(&clearance, &new) {
-            self.stats.errors += 1;
-            return Err(e.into());
-        }
-        let (_, body) = self.thread_mut(tid)?;
+        t.label.check_set_clearance(&t.clearance, &new)?;
+        let (_, body) = self.thread_mut(t.tid)?;
         body.clearance = new;
         Ok(())
     }
 
     /// Returns the calling thread's own label.
     // flowcheck: exempt(returns the calling thread's own label; self-observation leaks nothing)
-    pub fn sys_self_get_label(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
-        let (label, _) = self.calling_thread(tid)?;
-        Ok(label)
+    pub(crate) fn sys_self_get_label(&mut self, t: &Caller) -> Result<Label, SyscallError> {
+        Ok(t.label.clone())
     }
 
     /// Returns the calling thread's own clearance.
     // flowcheck: exempt(returns the calling thread's own clearance; self-observation leaks nothing)
-    pub fn sys_self_get_clearance(&mut self, tid: ObjectId) -> Result<Label, SyscallError> {
-        let (_, clearance) = self.calling_thread(tid)?;
-        Ok(clearance)
+    pub(crate) fn sys_self_get_clearance(&mut self, t: &Caller) -> Result<Label, SyscallError> {
+        Ok(t.clearance.clone())
     }
 
     // ----- containers and quotas (§3.2, §3.3) ----------------------------
 
     /// `container_create(D, L, descrip, avoid_types, quota)`.
-    pub fn sys_container_create(
+    pub(crate) fn sys_container_create(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         parent: ObjectId,
         label: Label,
         descrip: &str,
         avoid_types: u8,
         quota: u64,
     ) -> Result<ObjectId, SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
         let body = ObjectBody::Container(ContainerBody::with_links(
             Vec::new(),
             Some(parent),
             avoid_types,
         ));
-        self.create_object(&tl, &tc, parent, label, quota, descrip, body)
-            .inspect_err(|_| self.stats.errors += 1)
+        self.create_object(&t.label, &t.clearance, parent, label, quota, descrip, body)
     }
 
     /// Unreferences an object from a container; the object is deallocated
     /// when its last link disappears (recursively for containers).
-    pub fn sys_obj_unref(
+    pub(crate) fn sys_obj_unref(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
         if entry.object == self.root {
-            self.stats.errors += 1;
             return Err(SyscallError::RootContainer);
         }
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_modify(&tl, entry.container)?;
-            let quota = self.obj(entry.object)?.header.quota;
-            {
-                let cobj = self.obj_mut(entry.container)?;
-                let unlinked = match &mut cobj.body {
-                    ObjectBody::Container(c) => c.unlink(entry.object),
-                    _ => {
-                        return Err(SyscallError::WrongType {
-                            found: cobj.header.object_type,
-                            expected: ObjectType::Container,
-                        })
-                    }
-                };
-                if !unlinked {
-                    return Err(SyscallError::NotInContainer {
-                        container: entry.container,
-                        object: entry.object,
-                    });
-                }
-                cobj.header.usage = cobj.header.usage.saturating_sub(quota);
-            }
-            let remaining = {
-                let o = self.obj_mut(entry.object)?;
-                o.header.links = o.header.links.saturating_sub(1);
-                o.header.links
-            };
-            if remaining == 0 {
-                self.dealloc(entry.object);
-            }
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_modify(&t.label, entry.container)?;
+        let quota = self.obj(entry.object)?.header.quota;
+        let (cheader, cbody) = self.container_mut(entry.container)?;
+        if !cbody.unlink(entry.object) {
+            return Err(SyscallError::NotInContainer {
+                container: entry.container,
+                object: entry.object,
+            });
+        }
+        cheader.usage = cheader.usage.saturating_sub(quota);
+        let remaining = {
+            let o = self.obj_mut(entry.object)?;
+            o.header.links = o.header.links.saturating_sub(1);
+            o.header.links
+        };
+        if remaining == 0 {
+            self.dealloc(entry.object);
+        }
+        Ok(())
     }
 
     /// Adds an additional hard link to an object (`⟨D_src, O⟩` into `D_dst`).
     ///
     /// The thread must be able to write `D_dst`, its clearance must admit
     /// the object's label, and the object's quota must be fixed (§3.3).
-    pub fn sys_hard_link(
+    pub(crate) fn sys_hard_link(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
         dst: ObjectId,
     ) -> Result<(), SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, dst)?;
-            let (olabel, quota, fixed) = {
-                let o = self.obj(entry.object)?;
-                (
-                    o.header.label.clone(),
-                    o.header.quota,
-                    o.header.flags.fixed_quota,
-                )
-            };
-            if !fixed {
-                return Err(SyscallError::QuotaNotFixed(entry.object));
-            }
-            // Clearance must be high enough to allocate at the object's
-            // label: L_S ⊑ C_T.
-            self.stats.label_checks += 1;
-            if !olabel.leq(&tc) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelExceedsClearance,
-                ));
-            }
-            // Double-charge the object's quota to the destination container.
-            let (dheader, _) = self.container(dst)?;
-            let available = dheader.quota_remaining();
-            if available != QUOTA_INFINITE && quota > available {
-                return Err(SyscallError::QuotaExceeded {
-                    container: dst,
-                    requested: quota,
-                    available,
-                });
-            }
-            {
-                let dobj = self.obj_mut(dst)?;
-                dobj.header.usage += quota;
-                match &mut dobj.body {
-                    ObjectBody::Container(c) => c.link(entry.object),
-                    _ => unreachable!("container() checked the type"),
-                }
-            }
-            self.obj_mut(entry.object)?.header.links += 1;
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, entry)?;
+        self.check_modify(&t.label, dst)?;
+        let (olabel, quota, fixed) = {
+            let o = self.obj(entry.object)?;
+            (
+                o.header.label.clone(),
+                o.header.quota,
+                o.header.flags.fixed_quota,
+            )
+        };
+        if !fixed {
+            return Err(SyscallError::QuotaNotFixed(entry.object));
+        }
+        // Clearance must be high enough to allocate at the object's
+        // label: L_S ⊑ C_T.
+        self.stats.label_checks += 1;
+        if !olabel.leq(&t.clearance) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelExceedsClearance,
+            ));
+        }
+        // Double-charge the object's quota to the destination container.
+        let (dheader, dbody) = self.container_mut(dst)?;
+        let available = dheader.quota_remaining();
+        if available != QUOTA_INFINITE && quota > available {
+            return Err(SyscallError::QuotaExceeded {
+                container: dst,
+                requested: quota,
+                available,
+            });
+        }
+        dheader.usage += quota;
+        dbody.link(entry.object);
+        self.obj_mut(entry.object)?.header.links += 1;
+        Ok(())
     }
 
     /// Returns a container's spare quota (`quota - usage`), or `u64::MAX`
     /// for the root container.  Requires observe access, since the answer
     /// reveals information about the container's contents.
-    pub fn sys_container_quota_avail(
+    pub(crate) fn sys_container_quota_avail(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         container: ObjectId,
     ) -> Result<u64, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<u64, SyscallError> {
-            self.check_observe(&tl, container)?;
-            let (header, _) = self.container(container)?;
-            Ok(header.quota_remaining())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_observe(&t.label, container)?;
+        let (header, _) = self.container(container)?;
+        Ok(header.quota_remaining())
     }
 
     /// `container_get_parent(D)`: the parent container of `D`.
-    pub fn sys_container_get_parent(
+    pub(crate) fn sys_container_get_parent(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         container: ObjectId,
     ) -> Result<ObjectId, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.check_observe(&tl, container)?;
-            let (_, body) = self.container(container)?;
-            body.parent.ok_or(SyscallError::RootContainer)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_observe(&t.label, container)?;
+        let (_, body) = self.container(container)?;
+        body.parent.ok_or(SyscallError::RootContainer)
     }
 
     /// Lists the object IDs linked into a container (requires read access).
-    pub fn sys_container_list(
+    pub(crate) fn sys_container_list(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         container: ObjectId,
     ) -> Result<Vec<ObjectId>, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Vec<ObjectId>, SyscallError> {
-            self.check_observe(&tl, container)?;
-            let (_, body) = self.container(container)?;
-            Ok(body.links.clone())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_observe(&t.label, container)?;
+        let (_, body) = self.container(container)?;
+        Ok(body.links.clone())
     }
 
     /// `quota_move(D, O, n)`: moves `n` bytes of quota from container `D`
     /// to object `O` (or back, for negative `n`).
-    pub fn sys_quota_move(
+    pub(crate) fn sys_quota_move(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         container: ObjectId,
         object: ObjectId,
         n: i64,
     ) -> Result<(), SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_modify(&tl, container)?;
-            let (_, cbody) = self.container(container)?;
-            if !cbody.contains(object) {
-                return Err(SyscallError::NotInContainer { container, object });
+        self.check_modify(&t.label, container)?;
+        let (_, cbody) = self.container(container)?;
+        if !cbody.contains(object) {
+            return Err(SyscallError::NotInContainer { container, object });
+        }
+        // L_T ⊑ L_O ⊑ C_T.
+        let olabel = self.obj(object)?.header.label.clone();
+        self.stats.label_checks += 2;
+        t.label.can_allocate(&t.clearance, &olabel)?;
+        let (fixed, oquota, ousage) = {
+            let o = self.obj(object)?;
+            (o.header.flags.fixed_quota, o.header.quota, o.header.usage)
+        };
+        if fixed {
+            return Err(SyscallError::QuotaFixed(object));
+        }
+        if n >= 0 {
+            let n = n as u64;
+            let (cheader, _) = self.container(container)?;
+            let available = cheader.quota_remaining();
+            if available != QUOTA_INFINITE && n > available {
+                return Err(SyscallError::QuotaExceeded {
+                    container,
+                    requested: n,
+                    available,
+                });
             }
-            // L_T ⊑ L_O ⊑ C_T.
-            let olabel = self.obj(object)?.header.label.clone();
-            self.stats.label_checks += 2;
-            tl.can_allocate(&tc, &olabel)?;
-            let (fixed, oquota, ousage) = {
-                let o = self.obj(object)?;
-                (o.header.flags.fixed_quota, o.header.quota, o.header.usage)
-            };
-            if fixed {
-                return Err(SyscallError::QuotaFixed(object));
-            }
-            if n >= 0 {
-                let n = n as u64;
-                let (cheader, _) = self.container(container)?;
-                let available = cheader.quota_remaining();
-                if available != QUOTA_INFINITE && n > available {
-                    return Err(SyscallError::QuotaExceeded {
-                        container,
-                        requested: n,
-                        available,
-                    });
-                }
-                self.obj_mut(object)?.header.quota = oquota.saturating_add(n);
-                let c = self.obj_mut(container)?;
-                if c.header.quota != QUOTA_INFINITE {
-                    c.header.usage += n;
-                } else {
-                    c.header.usage = c.header.usage.saturating_add(n);
-                }
+            self.obj_mut(object)?.header.quota = oquota.saturating_add(n);
+            let c = self.obj_mut(container)?;
+            if c.header.quota != QUOTA_INFINITE {
+                c.header.usage += n;
             } else {
-                let take = n.unsigned_abs();
-                // Returning quota reveals whether O has |n| spare bytes, so
-                // the caller must also be able to observe O.
-                self.check_observe(&tl, object)?;
-                if oquota.saturating_sub(ousage) < take {
-                    return Err(SyscallError::QuotaUnderflow(object));
-                }
-                self.obj_mut(object)?.header.quota = oquota - take;
-                let c = self.obj_mut(container)?;
-                c.header.usage = c.header.usage.saturating_sub(take);
+                c.header.usage = c.header.usage.saturating_add(n);
             }
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        } else {
+            let take = n.unsigned_abs();
+            // Returning quota reveals whether O has |n| spare bytes, so
+            // the caller must also be able to observe O.
+            self.check_observe(&t.label, object)?;
+            if oquota.saturating_sub(ousage) < take {
+                return Err(SyscallError::QuotaUnderflow(object));
+            }
+            self.obj_mut(object)?.header.quota = oquota - take;
+            let c = self.obj_mut(container)?;
+            c.header.usage = c.header.usage.saturating_sub(take);
+        }
+        Ok(())
     }
 
     // ----- object metadata ------------------------------------------------
@@ -1467,124 +1370,99 @@ impl Kernel {
     ///
     /// For non-thread objects, readability of the container suffices; for
     /// threads, the caller must additionally satisfy `L_{T'}^J ⊑ L_T^J`.
-    pub fn sys_obj_get_label(
+    pub(crate) fn sys_obj_get_label(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
     ) -> Result<Label, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Label, SyscallError> {
-            self.check_entry(&tl, entry)?;
-            let o = self.obj(entry.object)?;
-            let label = o.header.label.clone();
-            if o.header.object_type == ObjectType::Thread {
-                self.stats.label_checks += 1;
-                if !label.leq_high_both(&tl) {
-                    return Err(SyscallError::CannotObserve(entry.object));
-                }
+        self.check_entry(&t.label, entry)?;
+        let o = self.obj(entry.object)?;
+        let label = o.header.label.clone();
+        if o.header.object_type == ObjectType::Thread {
+            self.stats.label_checks += 1;
+            if !label.leq_high_both(&t.label) {
+                return Err(SyscallError::CannotObserve(entry.object));
             }
-            Ok(label)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        }
+        Ok(label)
     }
 
     /// Reads an object's descriptive string and type through a container
     /// entry.
-    pub fn sys_obj_get_info(
+    pub(crate) fn sys_obj_get_info(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
     ) -> Result<(ObjectType, String, u64), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(ObjectType, String, u64), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            let o = self.obj(entry.object)?;
-            Ok((
-                o.header.object_type,
-                o.header.descrip.clone(),
-                o.header.quota,
-            ))
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, entry)?;
+        let o = self.obj(entry.object)?;
+        Ok((
+            o.header.object_type,
+            o.header.descrip.clone(),
+            o.header.quota,
+        ))
     }
 
     /// Reads an object's 64-byte metadata area (requires observe).
-    pub fn sys_obj_get_metadata(
+    pub(crate) fn sys_obj_get_metadata(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
     ) -> Result<[u8; METADATA_LEN], SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<[u8; METADATA_LEN], SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_observe(&tl, entry.object)?;
-            Ok(self.obj(entry.object)?.header.metadata)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, entry)?;
+        self.check_observe(&t.label, entry.object)?;
+        Ok(self.obj(entry.object)?.header.metadata)
     }
 
     /// Writes an object's 64-byte metadata area (requires modify).
-    pub fn sys_obj_set_metadata(
+    pub(crate) fn sys_obj_set_metadata(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
         metadata: [u8; METADATA_LEN],
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, entry.object)?;
-            self.obj_mut(entry.object)?.header.metadata = metadata;
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, entry)?;
+        self.check_modify(&t.label, entry.object)?;
+        self.obj_mut(entry.object)?.header.metadata = metadata;
+        Ok(())
     }
 
     /// Irrevocably marks an object immutable (requires modify first).
-    pub fn sys_obj_set_immutable(
+    pub(crate) fn sys_obj_set_immutable(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, entry.object)?;
-            self.obj_mut(entry.object)?.header.flags.immutable = true;
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, entry)?;
+        self.check_modify(&t.label, entry.object)?;
+        self.obj_mut(entry.object)?.header.flags.immutable = true;
+        Ok(())
     }
 
     /// Irrevocably fixes an object's quota so it may be hard-linked into
     /// additional containers.
-    pub fn sys_obj_set_fixed_quota(
+    pub(crate) fn sys_obj_set_fixed_quota(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, entry.object)?;
-            self.obj_mut(entry.object)?.header.flags.fixed_quota = true;
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, entry)?;
+        self.check_modify(&t.label, entry.object)?;
+        self.obj_mut(entry.object)?.header.flags.fixed_quota = true;
+        Ok(())
     }
 
     // ----- segments --------------------------------------------------------
 
     /// Creates a segment of `len` zero bytes in `container`.
-    pub fn sys_segment_create(
+    pub(crate) fn sys_segment_create(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         container: ObjectId,
         label: Label,
         len: u64,
         descrip: &str,
     ) -> Result<ObjectId, SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
         // Zeroing freshly allocated pages is charged explicitly; HiStar has
         // no pre-zeroed page pool (§7.1).
         let pages = len.div_ceil(PAGE_SIZE);
@@ -1592,327 +1470,238 @@ impl Kernel {
         self.charge(zero_cost);
         let quota = (len.max(1)).div_ceil(PAGE_SIZE) * PAGE_SIZE;
         let body = ObjectBody::Segment(SegmentBody::zeroed(len as usize));
-        self.create_object(&tl, &tc, container, label, quota, descrip, body)
-            .inspect_err(|_| self.stats.errors += 1)
+        self.create_object(
+            &t.label,
+            &t.clearance,
+            container,
+            label,
+            quota,
+            descrip,
+            body,
+        )
     }
 
     /// Resizes a segment (zero-filling growth), within its quota.
-    pub fn sys_segment_resize(
+    pub(crate) fn sys_segment_resize(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
         len: u64,
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, entry)?;
-            self.check_modify(&tl, entry.object)?;
-            let grow_pages;
-            {
-                let o = self.obj_mut(entry.object)?;
-                let quota = o.header.quota;
-                match &mut o.body {
-                    ObjectBody::Segment(s) => {
-                        if len > quota {
-                            return Err(SyscallError::QuotaExceeded {
-                                container: entry.container,
-                                requested: len,
-                                available: quota,
-                            });
-                        }
-                        let old = s.len() as u64;
-                        grow_pages = len.saturating_sub(old).div_ceil(PAGE_SIZE);
-                        s.resize(len as usize);
-                        o.header.usage = len;
-                    }
-                    _ => {
-                        return Err(SyscallError::WrongType {
-                            found: o.header.object_type,
-                            expected: ObjectType::Segment,
-                        })
-                    }
-                }
-            }
-            let zero_cost = self.cost.page_zero * grow_pages;
-            self.charge(zero_cost);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, entry)?;
+        self.check_modify(&t.label, entry.object)?;
+        let (header, s) = self.segment_mut(entry.object)?;
+        if len > header.quota {
+            return Err(SyscallError::QuotaExceeded {
+                container: entry.container,
+                requested: len,
+                available: header.quota,
+            });
+        }
+        let grow_pages = len.saturating_sub(s.len() as u64).div_ceil(PAGE_SIZE);
+        s.resize(len as usize);
+        header.usage = len;
+        let zero_cost = self.cost.page_zero * grow_pages;
+        self.charge(zero_cost);
+        Ok(())
     }
 
     /// Reads bytes from a segment (models a load through a mapping; the same
     /// label checks as a read page fault apply).
-    pub fn sys_segment_read(
+    pub(crate) fn sys_segment_read(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Vec<u8>, SyscallError> {
-            let local = self.thread(tid)?.1.local_segment;
-            if local != Some(entry.object) {
-                self.check_entry(&tl, entry)?;
-                self.check_observe(&tl, entry.object)?;
-            }
-            let copy_cost = self.cost.copy(len);
-            self.charge(copy_cost);
-            let o = self.obj(entry.object)?;
-            match &o.body {
-                ObjectBody::Segment(s) => {
-                    let start = offset as usize;
-                    let end = (offset + len) as usize;
-                    if end > s.len() {
-                        return Err(SyscallError::InvalidArgument("read beyond end of segment"));
-                    }
-                    Ok(s.bytes[start..end].to_vec())
-                }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::Segment,
-                }),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        if t.local_segment != Some(entry.object) {
+            self.check_entry(&t.label, entry)?;
+            self.check_observe(&t.label, entry.object)?;
+        }
+        let copy_cost = self.cost.copy(len);
+        self.charge(copy_cost);
+        let (_, s) = self.segment(entry.object)?;
+        let start = offset as usize;
+        let end = (offset + len) as usize;
+        if end > s.len() {
+            return Err(SyscallError::InvalidArgument("read beyond end of segment"));
+        }
+        Ok(s.bytes[start..end].to_vec())
     }
 
     /// Writes bytes into a segment (models a store through a mapping).
     ///
     /// The calling thread's local segment is always writable by that thread,
     /// regardless of its current taint (§3.4).
-    pub fn sys_segment_write(
+    pub(crate) fn sys_segment_write(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
         offset: u64,
         data: &[u8],
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Vec<ObjectId>, SyscallError> {
-            let local = self.thread(tid)?.1.local_segment;
-            if local != Some(entry.object) {
-                self.check_entry(&tl, entry)?;
-                self.check_modify(&tl, entry.object)?;
-            }
-            let copy_cost = self.cost.copy(data.len() as u64);
-            self.charge(copy_cost);
-            let o = self.obj_mut(entry.object)?;
-            let quota = o.header.quota;
-            match &mut o.body {
-                ObjectBody::Segment(s) => {
-                    let end = offset + data.len() as u64;
-                    if end > quota {
-                        return Err(SyscallError::QuotaExceeded {
-                            container: entry.container,
-                            requested: end,
-                            available: quota,
-                        });
-                    }
-                    if end as usize > s.len() {
-                        s.resize(end as usize);
-                        o.header.usage = end;
-                    }
-                    s.bytes[offset as usize..end as usize].copy_from_slice(data);
-                    Ok(std::mem::take(&mut o.watchers))
-                }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::Segment,
-                }),
-            }
-        })();
+        if t.local_segment != Some(entry.object) {
+            self.check_entry(&t.label, entry)?;
+            self.check_modify(&t.label, entry.object)?;
+        }
+        let copy_cost = self.cost.copy(data.len() as u64);
+        self.charge(copy_cost);
+        let (header, s) = self.segment_mut(entry.object)?;
+        let end = offset + data.len() as u64;
+        if end > header.quota {
+            return Err(SyscallError::QuotaExceeded {
+                container: entry.container,
+                requested: end,
+                available: header.quota,
+            });
+        }
+        if end as usize > s.len() {
+            s.resize(end as usize);
+            header.usage = end;
+        }
+        s.bytes[offset as usize..end as usize].copy_from_slice(data);
         // Readiness: wake anyone parked waiting for this segment to make
         // progress (blocked pipe/socket readers and pollers).
-        result
-            .map(|watchers| self.notify_watchers(entry.object, watchers))
-            .inspect_err(|_| self.stats.errors += 1)
+        let watchers = std::mem::take(&mut self.obj_mut(entry.object)?.watchers);
+        self.notify_watchers(entry.object, watchers);
+        Ok(())
     }
 
     /// Returns the length of a segment (requires observe).
-    pub fn sys_segment_len(
+    pub(crate) fn sys_segment_len(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         entry: ContainerEntry,
     ) -> Result<u64, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<u64, SyscallError> {
-            let local = self.thread(tid)?.1.local_segment;
-            if local != Some(entry.object) {
-                self.check_entry(&tl, entry)?;
-                self.check_observe(&tl, entry.object)?;
-            }
-            let o = self.obj(entry.object)?;
-            match &o.body {
-                ObjectBody::Segment(s) => Ok(s.len() as u64),
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::Segment,
-                }),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        if t.local_segment != Some(entry.object) {
+            self.check_entry(&t.label, entry)?;
+            self.check_observe(&t.label, entry.object)?;
+        }
+        Ok(self.segment(entry.object)?.1.len() as u64)
     }
 
     /// Copies a segment into `dst_container` under a (possibly different)
     /// label — the "efficient copies with different labels" of §3, used for
     /// taint-forking address spaces and segments.
-    pub fn sys_segment_copy(
+    pub(crate) fn sys_segment_copy(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         src: ContainerEntry,
         dst_container: ObjectId,
         label: Label,
         descrip: &str,
     ) -> Result<ObjectId, SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.check_entry(&tl, src)?;
-            self.check_observe(&tl, src.object)?;
-            let bytes = {
-                let o = self.obj(src.object)?;
-                match &o.body {
-                    ObjectBody::Segment(s) => s.bytes.clone(),
-                    _ => {
-                        return Err(SyscallError::WrongType {
-                            found: o.header.object_type,
-                            expected: ObjectType::Segment,
-                        })
-                    }
-                }
-            };
-            let pages = (bytes.len() as u64).div_ceil(PAGE_SIZE);
-            let copy_cost = self.cost.page_copy * pages;
-            self.charge(copy_cost);
-            let quota = (bytes.len().max(1) as u64).div_ceil(PAGE_SIZE) * PAGE_SIZE;
-            let body = ObjectBody::Segment(SegmentBody { bytes });
-            self.create_object(&tl, &tc, dst_container, label, quota, descrip, body)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, src)?;
+        self.check_observe(&t.label, src.object)?;
+        let bytes = self.segment(src.object)?.1.bytes.clone();
+        let pages = (bytes.len() as u64).div_ceil(PAGE_SIZE);
+        let copy_cost = self.cost.page_copy * pages;
+        self.charge(copy_cost);
+        let quota = (bytes.len().max(1) as u64).div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let body = ObjectBody::Segment(SegmentBody { bytes });
+        self.create_object(
+            &t.label,
+            &t.clearance,
+            dst_container,
+            label,
+            quota,
+            descrip,
+            body,
+        )
     }
 
     // ----- address spaces (§3.4) -------------------------------------------
 
     /// Creates an empty address space.
-    pub fn sys_as_create(
+    pub(crate) fn sys_as_create(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         container: ObjectId,
         label: Label,
         descrip: &str,
     ) -> Result<ObjectId, SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
         let body = ObjectBody::AddressSpace(AddressSpaceBody::default());
-        self.create_object(&tl, &tc, container, label, PAGE_SIZE, descrip, body)
-            .inspect_err(|_| self.stats.errors += 1)
+        self.create_object(
+            &t.label,
+            &t.clearance,
+            container,
+            label,
+            PAGE_SIZE,
+            descrip,
+            body,
+        )
     }
 
     /// Copies an address space (and its mapping list) under a new label —
     /// used when a tainted thread forks a writable copy of its environment.
-    pub fn sys_as_copy(
+    pub(crate) fn sys_as_copy(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         src: ContainerEntry,
         dst_container: ObjectId,
         label: Label,
         descrip: &str,
     ) -> Result<ObjectId, SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.check_entry(&tl, src)?;
-            self.check_observe(&tl, src.object)?;
-            let mappings = {
-                let o = self.obj(src.object)?;
-                match &o.body {
-                    ObjectBody::AddressSpace(a) => a.mappings.clone(),
-                    _ => {
-                        return Err(SyscallError::WrongType {
-                            found: o.header.object_type,
-                            expected: ObjectType::AddressSpace,
-                        })
-                    }
-                }
-            };
-            let body = ObjectBody::AddressSpace(AddressSpaceBody { mappings });
-            self.create_object(&tl, &tc, dst_container, label, PAGE_SIZE, descrip, body)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, src)?;
+        self.check_observe(&t.label, src.object)?;
+        let mappings = self.address_space(src.object)?.1.mappings.clone();
+        let body = ObjectBody::AddressSpace(AddressSpaceBody { mappings });
+        self.create_object(
+            &t.label,
+            &t.clearance,
+            dst_container,
+            label,
+            PAGE_SIZE,
+            descrip,
+            body,
+        )
     }
 
     /// Adds (or replaces) a mapping in an address space.
-    pub fn sys_as_map(
+    pub(crate) fn sys_as_map(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         aspace: ContainerEntry,
         mapping: Mapping,
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, aspace)?;
-            self.check_modify(&tl, aspace.object)?;
-            if !mapping.va.is_multiple_of(PAGE_SIZE) {
-                return Err(SyscallError::InvalidArgument("va must be page-aligned"));
-            }
-            let o = self.obj_mut(aspace.object)?;
-            match &mut o.body {
-                ObjectBody::AddressSpace(a) => {
-                    a.map(mapping);
-                    Ok(())
-                }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::AddressSpace,
-                }),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, aspace)?;
+        self.check_modify(&t.label, aspace.object)?;
+        if !mapping.va.is_multiple_of(PAGE_SIZE) {
+            return Err(SyscallError::InvalidArgument("va must be page-aligned"));
+        }
+        self.address_space_mut(aspace.object)?.1.map(mapping);
+        Ok(())
     }
 
     /// Removes a mapping from an address space.
-    pub fn sys_as_unmap(
+    pub(crate) fn sys_as_unmap(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         aspace: ContainerEntry,
         va: u64,
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, aspace)?;
-            self.check_modify(&tl, aspace.object)?;
-            let o = self.obj_mut(aspace.object)?;
-            match &mut o.body {
-                ObjectBody::AddressSpace(a) => {
-                    a.unmap(va);
-                    Ok(())
-                }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::AddressSpace,
-                }),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, aspace)?;
+        self.check_modify(&t.label, aspace.object)?;
+        self.address_space_mut(aspace.object)?.1.unmap(va);
+        Ok(())
     }
 
     /// `self_set_as`: switches the calling thread to a different address
     /// space.
-    pub fn sys_self_set_as(
+    pub(crate) fn sys_self_set_as(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         aspace: ContainerEntry,
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, aspace)?;
-            // Using an address space requires observing it.
-            self.check_observe(&tl, aspace.object)?;
-            self.typed(aspace.object, ObjectType::AddressSpace)?;
-            self.account_context_switch(Some(aspace));
-            let (_, body) = self.thread_mut(tid)?;
-            body.address_space = Some(aspace);
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, aspace)?;
+        // Using an address space requires observing it.
+        self.check_observe(&t.label, aspace.object)?;
+        self.address_space(aspace.object)?;
+        self.account_context_switch(Some(aspace));
+        let (_, body) = self.thread_mut(t.tid)?;
+        body.address_space = Some(aspace);
+        Ok(())
     }
 
     fn account_context_switch(&mut self, new_as: Option<ContainerEntry>) {
@@ -1929,54 +1718,50 @@ impl Kernel {
 
     /// Simulates a memory access by the thread at virtual address `va`,
     /// walking its address space exactly as the page-fault handler would.
-    pub fn sys_page_fault(
+    pub(crate) fn sys_page_fault(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         va: u64,
         write: bool,
     ) -> Result<PageFaultResolution, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
         self.stats.page_faults += 1;
         let fault_cost = self.cost.page_fault;
         self.charge(fault_cost);
-        let result = (|| -> Result<PageFaultResolution, SyscallError> {
-            let aspace_entry = self
-                .thread(tid)?
-                .1
-                .address_space
-                .ok_or(SyscallError::PageFault { va, write })?;
-            self.check_observe(&tl, aspace_entry.object)?;
-            let mapping = {
-                let o = self.obj(aspace_entry.object)?;
-                match &o.body {
-                    ObjectBody::AddressSpace(a) => a.lookup(va).copied(),
-                    _ => None,
-                }
-            }
+        let aspace_entry = self
+            .thread(t.tid)?
+            .1
+            .address_space
             .ok_or(SyscallError::PageFault { va, write })?;
-            if write && !mapping.flags.write || !write && !mapping.flags.read {
+        self.check_observe(&t.label, aspace_entry.object)?;
+        let mapping = {
+            let o = self.obj(aspace_entry.object)?;
+            match &o.body {
+                ObjectBody::AddressSpace(a) => a.lookup(va).copied(),
+                _ => None,
+            }
+        }
+        .ok_or(SyscallError::PageFault { va, write })?;
+        if write && !mapping.flags.write || !write && !mapping.flags.read {
+            return Err(SyscallError::PageFault { va, write });
+        }
+        // The kernel checks that T can read D and O; for writes it also
+        // checks that T can modify O.
+        self.check_observe(&t.label, mapping.segment.container)
+            .map_err(|_| SyscallError::PageFault { va, write })?;
+        self.check_observe(&t.label, mapping.segment.object)
+            .map_err(|_| SyscallError::PageFault { va, write })?;
+        if write {
+            let olabel = self.obj(mapping.segment.object)?.header.label.clone();
+            self.stats.label_checks += 1;
+            if !t.label.leq(&olabel) {
                 return Err(SyscallError::PageFault { va, write });
             }
-            // The kernel checks that T can read D and O; for writes it also
-            // checks that T can modify O.
-            self.check_observe(&tl, mapping.segment.container)
-                .map_err(|_| SyscallError::PageFault { va, write })?;
-            self.check_observe(&tl, mapping.segment.object)
-                .map_err(|_| SyscallError::PageFault { va, write })?;
-            if write {
-                let olabel = self.obj(mapping.segment.object)?.header.label.clone();
-                self.stats.label_checks += 1;
-                if !tl.leq(&olabel) {
-                    return Err(SyscallError::PageFault { va, write });
-                }
-            }
-            Ok(PageFaultResolution {
-                segment: mapping.segment,
-                offset: mapping.offset + (va - mapping.va),
-                writable: mapping.flags.write,
-            })
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        }
+        Ok(PageFaultResolution {
+            segment: mapping.segment,
+            offset: mapping.offset + (va - mapping.va),
+            writable: mapping.flags.write,
+        })
     }
 
     // ----- threads ---------------------------------------------------------
@@ -1987,49 +1772,45 @@ impl Kernel {
     /// The new thread gets a one-page thread-local segment in the same
     /// container.
     #[allow(clippy::too_many_arguments)]
-    pub fn sys_thread_create(
+    pub(crate) fn sys_thread_create(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         container: ObjectId,
         label: Label,
         clearance: Label,
         entry_point: u64,
         descrip: &str,
     ) -> Result<ObjectId, SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.stats.label_checks += 3;
-            tl.check_spawn(&tc, &label, &clearance)?;
-            let mut thread_body = ThreadBody::new(clearance);
-            thread_body.entry_point = entry_point;
-            // Inherit the parent's address space by default.
-            thread_body.address_space = self.thread(tid)?.1.address_space;
-            let new_tid = self.create_object(
-                &tl,
-                &tc,
-                container,
-                label.clone(),
-                PAGE_SIZE,
-                descrip,
-                ObjectBody::Thread(thread_body),
-            )?;
-            // Thread-local segment: one page, private to the thread.
-            let local_label = label.drop_ownership(Level::L1);
-            let local = self.create_object(
-                &tl,
-                &tc,
-                container,
-                local_label,
-                PAGE_SIZE,
-                &format!("tls:{descrip}"),
-                ObjectBody::Segment(SegmentBody::zeroed(PAGE_SIZE as usize)),
-            )?;
-            if let Ok((_, body)) = self.thread_mut(new_tid) {
-                body.local_segment = Some(local);
-            }
-            Ok(new_tid)
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.stats.label_checks += 3;
+        t.label.check_spawn(&t.clearance, &label, &clearance)?;
+        let mut thread_body = ThreadBody::new(clearance);
+        thread_body.entry_point = entry_point;
+        // Inherit the parent's address space by default.
+        thread_body.address_space = self.thread(t.tid)?.1.address_space;
+        let new_tid = self.create_object(
+            &t.label,
+            &t.clearance,
+            container,
+            label.clone(),
+            PAGE_SIZE,
+            descrip,
+            ObjectBody::Thread(thread_body),
+        )?;
+        // Thread-local segment: one page, private to the thread.
+        let local_label = label.drop_ownership(Level::L1);
+        let local = self.create_object(
+            &t.label,
+            &t.clearance,
+            container,
+            local_label,
+            PAGE_SIZE,
+            &format!("tls:{descrip}"),
+            ObjectBody::Segment(SegmentBody::zeroed(PAGE_SIZE as usize)),
+        )?;
+        if let Ok((_, body)) = self.thread_mut(new_tid) {
+            body.local_segment = Some(local);
+        }
+        Ok(new_tid)
     }
 
     /// Bootstrap path: creates the first thread of the machine without a
@@ -2067,89 +1848,73 @@ impl Kernel {
         self.objects
             .insert(id, KObject::new(header, ObjectBody::Thread(body)));
         // Link both into the container and charge quota.
-        let cobj = self.obj_mut(container)?;
-        cobj.header.usage += 2 * PAGE_SIZE;
-        match &mut cobj.body {
-            ObjectBody::Container(c) => {
-                c.link(id);
-                c.link(local_id);
-            }
-            _ => {
-                return Err(SyscallError::WrongType {
-                    found: cobj.header.object_type,
-                    expected: ObjectType::Container,
-                })
-            }
-        }
+        let (cheader, cbody) = self.container_mut(container)?;
+        cheader.usage += 2 * PAGE_SIZE;
+        cbody.link(id);
+        cbody.link(local_id);
         self.stats.objects_created += 2;
         Ok(id)
     }
 
     /// The calling thread's thread-local segment.
     // flowcheck: exempt(returns the id of the caller's own thread-local segment; self-only metadata)
-    pub fn sys_self_local_segment(&mut self, tid: ObjectId) -> Result<ObjectId, SyscallError> {
-        self.calling_thread(tid)?;
-        self.thread(tid)?
-            .1
-            .local_segment
+    pub(crate) fn sys_self_local_segment(&mut self, t: &Caller) -> Result<ObjectId, SyscallError> {
+        t.local_segment
             .ok_or(SyscallError::InvalidArgument("thread has no local segment"))
     }
 
     /// Halts the calling thread; it can never run (or make syscalls) again.
     // flowcheck: exempt(halts the calling thread itself; a thread may always give up its own CPU)
-    pub fn sys_self_halt(&mut self, tid: ObjectId) -> Result<(), SyscallError> {
-        self.calling_thread(tid)?;
-        let (_, body) = self.thread_mut(tid)?;
+    pub(crate) fn sys_self_halt(&mut self, t: &Caller) -> Result<(), SyscallError> {
+        let (_, body) = self.thread_mut(t.tid)?;
         body.state = ThreadState::Halted;
         Ok(())
     }
 
     /// Sends an alert to another thread: the caller must be able to write
     /// the target's address space and observe the target (§3.4).
-    pub fn sys_thread_alert(
+    pub(crate) fn sys_thread_alert(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         target: ContainerEntry,
         code: u64,
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, target)?;
-            let target_as = {
-                let (_, tbody) = self.thread(target.object)?;
-                tbody.address_space
-            };
-            if let Some(aspace) = target_as {
-                self.check_modify(&tl, aspace.object)?;
-            } else {
-                return Err(SyscallError::InvalidArgument(
-                    "target thread has no address space",
-                ));
-            }
-            // The alert also lets the target learn something about the
-            // sender, so the sender must be allowed to convey information to
-            // it: L_T ⊑ L_{T'}^J.
-            let target_label = self.obj(target.object)?.header.label.clone();
-            self.stats.label_checks += 1;
-            if !tl.leq_high_rhs(&target_label) {
-                return Err(SyscallError::CannotModify(target.object));
-            }
-            let (_, body) = self.thread_mut(target.object)?;
-            body.pending_alerts.push(Alert { code });
-            // The alert is also announced on the target's completion
-            // queue, so a thread blocked on an empty queue wakes without
-            // polling `self_take_alert` every quantum.
-            self.push_completion(target.object, Completion::AlertPending { code });
-            Ok(())
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, target)?;
+        let target_as = {
+            let (_, tbody) = self.thread(target.object)?;
+            tbody.address_space
+        };
+        if let Some(aspace) = target_as {
+            self.check_modify(&t.label, aspace.object)?;
+        } else {
+            return Err(SyscallError::InvalidArgument(
+                "target thread has no address space",
+            ));
+        }
+        // The alert also lets the target learn something about the
+        // sender, so the sender must be allowed to convey information to
+        // it: L_T ⊑ L_{T'}^J.
+        let target_label = self.obj(target.object)?.header.label.clone();
+        self.stats.label_checks += 1;
+        if !t.label.leq_high_rhs(&target_label) {
+            return Err(SyscallError::CannotModify(target.object));
+        }
+        let (_, body) = self.thread_mut(target.object)?;
+        body.pending_alerts.push(Alert { code });
+        // The alert is also announced on the target's completion
+        // queue, so a thread blocked on an empty queue wakes without
+        // polling `self_take_alert` every quantum.
+        self.push_completion(target.object, Completion::AlertPending { code });
+        Ok(())
     }
 
     /// Removes and returns the oldest pending alert for the calling thread.
     // flowcheck: exempt(pops the caller's own alert queue; alerts were label-checked when posted by thread_alert)
-    pub fn sys_self_take_alert(&mut self, tid: ObjectId) -> Result<Option<Alert>, SyscallError> {
-        self.calling_thread(tid)?;
-        let (_, body) = self.thread_mut(tid)?;
+    pub(crate) fn sys_self_take_alert(
+        &mut self,
+        t: &Caller,
+    ) -> Result<Option<Alert>, SyscallError> {
+        let (_, body) = self.thread_mut(t.tid)?;
         if body.pending_alerts.is_empty() {
             Ok(None)
         } else {
@@ -2169,12 +1934,12 @@ impl Kernel {
     }
 
     /// Reads another thread's label, subject to `L_{T'}^J ⊑ L_T^J`.
-    pub fn sys_thread_get_label(
+    pub(crate) fn sys_thread_get_label(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         target: ContainerEntry,
     ) -> Result<Label, SyscallError> {
-        self.sys_obj_get_label(tid, target)
+        self.sys_obj_get_label(t, target)
     }
 
     // ----- gates (§3.5) ------------------------------------------------------
@@ -2182,9 +1947,9 @@ impl Kernel {
     /// Creates a gate.  The gate's label (which may contain `⋆`) and
     /// clearance must satisfy `L_T ⊑ L_G ⊑ C_G ⊑ C_T`.
     #[allow(clippy::too_many_arguments)]
-    pub fn sys_gate_create(
+    pub(crate) fn sys_gate_create(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         container: ObjectId,
         label: Label,
         clearance: Label,
@@ -2193,38 +1958,34 @@ impl Kernel {
         closure_args: Vec<u64>,
         descrip: &str,
     ) -> Result<ObjectId, SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<ObjectId, SyscallError> {
-            self.stats.label_checks += 3;
-            if !tl.leq(&label) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelNotMonotonic,
-                ));
-            }
-            if !label.leq(&clearance) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::ClearanceBelowLabel,
-                ));
-            }
-            if !clearance.leq(&tc) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelExceedsClearance,
-                ));
-            }
-            let mut gate = GateBody::new(clearance, entry_point);
-            gate.address_space = address_space;
-            gate.closure_args = closure_args;
-            self.create_object(
-                &tl,
-                &tc,
-                container,
-                label,
-                PAGE_SIZE,
-                descrip,
-                ObjectBody::Gate(gate),
-            )
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.stats.label_checks += 3;
+        if !t.label.leq(&label) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelNotMonotonic,
+            ));
+        }
+        if !label.leq(&clearance) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::ClearanceBelowLabel,
+            ));
+        }
+        if !clearance.leq(&t.clearance) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelExceedsClearance,
+            ));
+        }
+        let mut gate = GateBody::new(clearance, entry_point);
+        gate.address_space = address_space;
+        gate.closure_args = closure_args;
+        self.create_object(
+            &t.label,
+            &t.clearance,
+            container,
+            label,
+            PAGE_SIZE,
+            descrip,
+            ObjectBody::Gate(gate),
+        )
     }
 
     /// Invokes a gate.  The calling thread specifies the label `requested`
@@ -2233,93 +1994,78 @@ impl Kernel {
     ///
     /// Permitted when `L_T ⊑ C_G`, `L_T ⊑ L_V`, and
     /// `(L_T^J ⊔ L_G^J)^⋆ ⊑ L_R ⊑ C_R ⊑ (C_T ⊔ C_G)`.
-    pub fn sys_gate_enter(
+    pub(crate) fn sys_gate_enter(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         gate: ContainerEntry,
         requested: Label,
         requested_clearance: Label,
         verify: Label,
     ) -> Result<GateEntryResult, SyscallError> {
-        let (tl, tc) = self.calling_thread(tid)?;
-        let result = (|| -> Result<GateEntryResult, SyscallError> {
-            self.check_entry(&tl, gate)?;
-            let (glabel, gclearance, gbody) = {
-                let o = self.typed(gate.object, ObjectType::Gate)?;
-                match &o.body {
-                    ObjectBody::Gate(g) => (o.header.label.clone(), g.clearance.clone(), g.clone()),
-                    _ => unreachable!("typed() checked the object type"),
-                }
-            };
-            self.stats.label_checks += 5;
-            let lc = self.cost.label_check(tl.len() + glabel.len(), false);
-            self.charge(lc);
-            if !tl.leq(&gclearance) {
-                return Err(SyscallError::GateClearance(gate.object));
-            }
-            if !tl.leq(&verify) {
-                return Err(SyscallError::VerifyLabel);
-            }
-            let floor = tl.ownership_union(&glabel);
-            if !floor.leq(&requested) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelNotMonotonic,
-                ));
-            }
-            if !requested.leq(&requested_clearance) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::ClearanceBelowLabel,
-                ));
-            }
-            let clearance_bound = tc.lub(&gclearance);
-            if !requested_clearance.leq(&clearance_bound) {
-                return Err(SyscallError::Label(
-                    histar_label::LabelError::LabelExceedsClearance,
-                ));
-            }
+        self.check_entry(&t.label, gate)?;
+        let (glabel, gclearance, gbody) = {
+            let (header, g) = self.gate(gate.object)?;
+            (header.label.clone(), g.clearance.clone(), g.clone())
+        };
+        self.stats.label_checks += 5;
+        let lc = self.cost.label_check(t.label.len() + glabel.len(), false);
+        self.charge(lc);
+        if !t.label.leq(&gclearance) {
+            return Err(SyscallError::GateClearance(gate.object));
+        }
+        if !t.label.leq(&verify) {
+            return Err(SyscallError::VerifyLabel);
+        }
+        let floor = t.label.ownership_union(&glabel);
+        if !floor.leq(&requested) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelNotMonotonic,
+            ));
+        }
+        if !requested.leq(&requested_clearance) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::ClearanceBelowLabel,
+            ));
+        }
+        let clearance_bound = t.clearance.lub(&gclearance);
+        if !requested_clearance.leq(&clearance_bound) {
+            return Err(SyscallError::Label(
+                histar_label::LabelError::LabelExceedsClearance,
+            ));
+        }
 
-            self.stats.gate_invocations += 1;
-            let gate_cost = self.cost.gate_overhead;
-            self.charge(gate_cost);
-            self.account_context_switch(gbody.address_space);
+        self.stats.gate_invocations += 1;
+        let gate_cost = self.cost.gate_overhead;
+        self.charge(gate_cost);
+        self.account_context_switch(gbody.address_space);
 
-            {
-                let (header, body) = self.thread_mut(tid)?;
-                header.label = requested.clone();
-                body.clearance = requested_clearance.clone();
-                if gbody.address_space.is_some() {
-                    body.address_space = gbody.address_space;
-                }
-                body.entry_point = gbody.entry_point;
+        {
+            let (header, body) = self.thread_mut(t.tid)?;
+            header.label = requested.clone();
+            body.clearance = requested_clearance.clone();
+            if gbody.address_space.is_some() {
+                body.address_space = gbody.address_space;
             }
-            Ok(GateEntryResult {
-                label: requested,
-                clearance: requested_clearance,
-                address_space: gbody.address_space,
-                entry_point: gbody.entry_point,
-                stack_pointer: gbody.stack_pointer,
-                closure_args: gbody.closure_args,
-            })
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+            body.entry_point = gbody.entry_point;
+        }
+        Ok(GateEntryResult {
+            label: requested,
+            clearance: requested_clearance,
+            address_space: gbody.address_space,
+            entry_point: gbody.entry_point,
+            stack_pointer: gbody.stack_pointer,
+            closure_args: gbody.closure_args,
+        })
     }
 
     /// Reads a gate's clearance (for callers deciding how to invoke it).
-    pub fn sys_gate_clearance(
+    pub(crate) fn sys_gate_clearance(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         gate: ContainerEntry,
     ) -> Result<Label, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Label, SyscallError> {
-            self.check_entry(&tl, gate)?;
-            let o = self.typed(gate.object, ObjectType::Gate)?;
-            match &o.body {
-                ObjectBody::Gate(g) => Ok(g.clearance.clone()),
-                _ => unreachable!("typed() checked the object type"),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, gate)?;
+        Ok(self.gate(gate.object)?.1.clearance.clone())
     }
 
     // ----- devices (§4, §5.7) ------------------------------------------------
@@ -2339,93 +2085,52 @@ impl Kernel {
         header.links = 1;
         self.objects
             .insert(id, KObject::new(header, ObjectBody::Device(body)));
-        let cobj = self.obj_mut(container)?;
-        cobj.header.usage += PAGE_SIZE;
-        match &mut cobj.body {
-            ObjectBody::Container(c) => c.link(id),
-            _ => {
-                return Err(SyscallError::WrongType {
-                    found: cobj.header.object_type,
-                    expected: ObjectType::Container,
-                })
-            }
-        }
+        let (cheader, cbody) = self.container_mut(container)?;
+        cheader.usage += PAGE_SIZE;
+        cbody.link(id);
         self.stats.objects_created += 1;
         Ok(id)
     }
 
     /// Returns the MAC address of a network device (requires observe).
-    pub fn sys_net_mac(
+    pub(crate) fn sys_net_mac(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         device: ContainerEntry,
     ) -> Result<[u8; 6], SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<[u8; 6], SyscallError> {
-            self.check_entry(&tl, device)?;
-            self.check_observe(&tl, device.object)?;
-            let o = self.typed(device.object, ObjectType::Device)?;
-            match &o.body {
-                ObjectBody::Device(d) => Ok(d.mac),
-                _ => unreachable!("typed() checked the object type"),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, device)?;
+        self.check_observe(&t.label, device.object)?;
+        Ok(self.device(device.object)?.1.mac)
     }
 
     /// Queues a frame for transmission (requires modify on the device).
-    pub fn sys_net_transmit(
+    pub(crate) fn sys_net_transmit(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         device: ContainerEntry,
         frame: Vec<u8>,
     ) -> Result<(), SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<(), SyscallError> {
-            self.check_entry(&tl, device)?;
-            self.check_modify(&tl, device.object)?;
-            let o = self.obj_mut(device.object)?;
-            match &mut o.body {
-                ObjectBody::Device(d) => {
-                    d.tx_queue.push(frame);
-                    Ok(())
-                }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::Device,
-                }),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, device)?;
+        self.check_modify(&t.label, device.object)?;
+        self.device_mut(device.object)?.1.tx_queue.push(frame);
+        Ok(())
     }
 
     /// Takes the next received frame, if any (requires modify on the device,
     /// since consuming a frame changes its state).
-    pub fn sys_net_receive(
+    pub(crate) fn sys_net_receive(
         &mut self,
-        tid: ObjectId,
+        t: &Caller,
         device: ContainerEntry,
     ) -> Result<Option<Vec<u8>>, SyscallError> {
-        let (tl, _) = self.calling_thread(tid)?;
-        let result = (|| -> Result<Option<Vec<u8>>, SyscallError> {
-            self.check_entry(&tl, device)?;
-            self.check_modify(&tl, device.object)?;
-            let o = self.obj_mut(device.object)?;
-            match &mut o.body {
-                ObjectBody::Device(d) => {
-                    if d.rx_queue.is_empty() {
-                        Ok(None)
-                    } else {
-                        Ok(Some(d.rx_queue.remove(0)))
-                    }
-                }
-                _ => Err(SyscallError::WrongType {
-                    found: o.header.object_type,
-                    expected: ObjectType::Device,
-                }),
-            }
-        })();
-        result.inspect_err(|_| self.stats.errors += 1)
+        self.check_entry(&t.label, device)?;
+        self.check_modify(&t.label, device.object)?;
+        let (_, d) = self.device_mut(device.object)?;
+        if d.rx_queue.is_empty() {
+            Ok(None)
+        } else {
+            Ok(Some(d.rx_queue.remove(0)))
+        }
     }
 
     /// Simulation hook (not a system call): delivers a frame "from the
@@ -2435,30 +2140,14 @@ impl Kernel {
         device: ObjectId,
         frame: Vec<u8>,
     ) -> Result<(), SyscallError> {
-        let o = self.obj_mut(device)?;
-        match &mut o.body {
-            ObjectBody::Device(d) => {
-                d.rx_queue.push(frame);
-                Ok(())
-            }
-            _ => Err(SyscallError::WrongType {
-                found: o.header.object_type,
-                expected: ObjectType::Device,
-            }),
-        }
+        self.device_mut(device)?.1.rx_queue.push(frame);
+        Ok(())
     }
 
     /// Simulation hook (not a system call): drains frames the machine has
     /// transmitted, as the physical wire would.
     pub fn device_drain_tx(&mut self, device: ObjectId) -> Result<Vec<Vec<u8>>, SyscallError> {
-        let o = self.obj_mut(device)?;
-        match &mut o.body {
-            ObjectBody::Device(d) => Ok(std::mem::take(&mut d.tx_queue)),
-            _ => Err(SyscallError::WrongType {
-                found: o.header.object_type,
-                expected: ObjectType::Device,
-            }),
-        }
+        Ok(std::mem::take(&mut self.device_mut(device)?.1.tx_queue))
     }
 
     // ----- introspection used by the store / machine -------------------------
@@ -2540,29 +2229,29 @@ mod tests {
     #[test]
     fn create_category_grants_ownership_and_clearance() {
         let (mut k, tid) = boot();
-        let c = k.sys_create_category(tid).unwrap();
+        let c = k.trap_create_category(tid).unwrap();
         let label = k.thread_label(tid).unwrap();
         let clearance = k.thread_clearance(tid).unwrap();
         assert!(label.owns(c));
         assert_eq!(clearance.level(c), Level::L3);
         // Another category is distinct.
-        let c2 = k.sys_create_category(tid).unwrap();
+        let c2 = k.trap_create_category(tid).unwrap();
         assert_ne!(c, c2);
     }
 
     #[test]
     fn self_set_label_respects_clearance() {
         let (mut k, tid) = boot();
-        let c = k.sys_create_category(tid).unwrap();
+        let c = k.trap_create_category(tid).unwrap();
         // Tainting to 3 in an owned category is allowed (clearance 3 there).
         let lbl = k.thread_label(tid).unwrap().with(c, Level::L3);
-        k.sys_self_set_label(tid, lbl.clone()).unwrap();
+        k.trap_self_set_label(tid, lbl.clone()).unwrap();
         assert_eq!(k.thread_label(tid).unwrap(), lbl);
         // Tainting to 3 in an unowned category exceeds the {2} clearance.
         let other = Category::from_raw(12345);
         let too_high = lbl.with(other, Level::L3);
         assert!(matches!(
-            k.sys_self_set_label(tid, too_high),
+            k.trap_self_set_label(tid, too_high),
             Err(SyscallError::Label(_))
         ));
     }
@@ -2572,16 +2261,16 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let seg = k
-            .sys_segment_create(tid, root, Label::unrestricted(), 100, "data")
+            .trap_segment_create(tid, root, Label::unrestricted(), 100, "data")
             .unwrap();
         let e = entry(&k, seg);
-        k.sys_segment_write(tid, e, 10, b"hello").unwrap();
-        assert_eq!(k.sys_segment_read(tid, e, 10, 5).unwrap(), b"hello");
-        assert_eq!(k.sys_segment_len(tid, e).unwrap(), 100);
-        k.sys_segment_resize(tid, e, 200).unwrap();
-        assert_eq!(k.sys_segment_len(tid, e).unwrap(), 200);
+        k.trap_segment_write(tid, e, 10, b"hello").unwrap();
+        assert_eq!(k.trap_segment_read(tid, e, 10, 5).unwrap(), b"hello");
+        assert_eq!(k.trap_segment_len(tid, e).unwrap(), 100);
+        k.trap_segment_resize(tid, e, 200).unwrap();
+        assert_eq!(k.trap_segment_len(tid, e).unwrap(), 200);
         // Reads past the end are rejected.
-        assert!(k.sys_segment_read(tid, e, 190, 100).is_err());
+        assert!(k.trap_segment_read(tid, e, 190, 100).is_err());
     }
 
     #[test]
@@ -2589,18 +2278,18 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         // An owner creates a secret segment tainted in its category.
-        let c = k.sys_create_category(tid).unwrap();
+        let c = k.trap_create_category(tid).unwrap();
         let secret_label = Label::builder().set(c, Level::L3).build();
         let seg = k
-            .sys_segment_create(tid, root, secret_label, 10, "secret")
+            .trap_segment_create(tid, root, secret_label, 10, "secret")
             .unwrap();
         let e = entry(&k, seg);
         // The owner can read it.
-        assert!(k.sys_segment_read(tid, e, 0, 1).is_ok());
+        assert!(k.trap_segment_read(tid, e, 0, 1).is_ok());
 
         // A second, unprivileged thread cannot.
         let other = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -2610,32 +2299,32 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            k.sys_segment_read(other, e, 0, 1),
+            k.trap_segment_read(other, e, 0, 1),
             Err(SyscallError::CannotObserve(seg))
         );
         // It can taint itself up to clearance 2... which is still below 3,
         // so even after self-tainting the read fails.
         let tainted = Label::builder().set(c, Level::L2).build();
-        k.sys_self_set_label(other, tainted).unwrap();
-        assert!(k.sys_segment_read(other, e, 0, 1).is_err());
+        k.trap_self_set_label(other, tainted).unwrap();
+        assert!(k.trap_segment_read(other, e, 0, 1).is_err());
     }
 
     #[test]
     fn low_integrity_thread_cannot_write_high_integrity_segment() {
         let (mut k, tid) = boot();
         let root = k.root_container();
-        let c = k.sys_create_category(tid).unwrap();
+        let c = k.trap_create_category(tid).unwrap();
         // {c0, 1}: only owners of c may modify.
         let protected = Label::builder().set(c, Level::L0).build();
         let seg = k
-            .sys_segment_create(tid, root, protected, 10, "protected")
+            .trap_segment_create(tid, root, protected, 10, "protected")
             .unwrap();
         let e = entry(&k, seg);
         // The owner can write.
-        k.sys_segment_write(tid, e, 0, b"x").unwrap();
+        k.trap_segment_write(tid, e, 0, b"x").unwrap();
         // An unprivileged thread can read but not write.
         let other = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -2644,9 +2333,9 @@ mod tests {
                 "other",
             )
             .unwrap();
-        assert!(k.sys_segment_read(other, e, 0, 1).is_ok());
+        assert!(k.trap_segment_read(other, e, 0, 1).is_ok());
         assert_eq!(
-            k.sys_segment_write(other, e, 0, b"y"),
+            k.trap_segment_write(other, e, 0, b"y"),
             Err(SyscallError::CannotModify(seg))
         );
     }
@@ -2656,16 +2345,16 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let dir = k
-            .sys_container_create(tid, root, Label::unrestricted(), "dir", 0, 1 << 20)
+            .trap_container_create(tid, root, Label::unrestricted(), "dir", 0, 1 << 20)
             .unwrap();
         let seg = k
-            .sys_segment_create(tid, dir, Label::unrestricted(), 4096, "file")
+            .trap_segment_create(tid, dir, Label::unrestricted(), 4096, "file")
             .unwrap();
-        assert_eq!(k.sys_container_get_parent(tid, dir).unwrap(), root);
-        assert!(k.sys_container_list(tid, dir).unwrap().contains(&seg));
+        assert_eq!(k.trap_container_get_parent(tid, dir).unwrap(), root);
+        assert!(k.trap_container_list(tid, dir).unwrap().contains(&seg));
         // Unreferencing the directory drops the whole subtree.
         let count_before = k.object_count();
-        k.sys_obj_unref(tid, entry(&k, dir)).unwrap();
+        k.trap_obj_unref(tid, entry(&k, dir)).unwrap();
         assert_eq!(k.object_count(), count_before - 2);
         assert!(k.raw_object(seg).is_none());
     }
@@ -2675,22 +2364,22 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let small = k
-            .sys_container_create(tid, root, Label::unrestricted(), "small", 0, 8192)
+            .trap_container_create(tid, root, Label::unrestricted(), "small", 0, 8192)
             .unwrap();
         // A 4-KiB segment fits.
         let _seg = k
-            .sys_segment_create(tid, small, Label::unrestricted(), 4096, "a")
+            .trap_segment_create(tid, small, Label::unrestricted(), 4096, "a")
             .unwrap();
         // Another 8-KiB segment does not.
         assert!(matches!(
-            k.sys_segment_create(tid, small, Label::unrestricted(), 8192, "b"),
+            k.trap_segment_create(tid, small, Label::unrestricted(), 8192, "b"),
             Err(SyscallError::QuotaExceeded { .. })
         ));
         // Moving quota into the container's child makes room... first grow
         // the container itself from the root.
-        k.sys_quota_move(tid, root, small, 8192).unwrap();
+        k.trap_quota_move(tid, root, small, 8192).unwrap();
         assert!(k
-            .sys_segment_create(tid, small, Label::unrestricted(), 8192, "b")
+            .trap_segment_create(tid, small, Label::unrestricted(), 8192, "b")
             .is_ok());
     }
 
@@ -2699,7 +2388,7 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let no_threads = k
-            .sys_container_create(
+            .trap_container_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -2709,10 +2398,10 @@ mod tests {
             )
             .unwrap();
         let sub = k
-            .sys_container_create(tid, no_threads, Label::unrestricted(), "sub", 0, 1 << 16)
+            .trap_container_create(tid, no_threads, Label::unrestricted(), "sub", 0, 1 << 16)
             .unwrap();
         assert!(matches!(
-            k.sys_thread_create(
+            k.trap_thread_create(
                 tid,
                 sub,
                 Label::unrestricted(),
@@ -2724,7 +2413,7 @@ mod tests {
         ));
         // Segments are still allowed.
         assert!(k
-            .sys_segment_create(tid, sub, Label::unrestricted(), 16, "s")
+            .trap_segment_create(tid, sub, Label::unrestricted(), 16, "s")
             .is_ok());
     }
 
@@ -2735,11 +2424,11 @@ mod tests {
         // Clearance above the parent's clearance is rejected.
         let too_high = Label::new(Level::L3);
         assert!(k
-            .sys_thread_create(tid, root, Label::unrestricted(), too_high, 0, "t")
+            .trap_thread_create(tid, root, Label::unrestricted(), too_high, 0, "t")
             .is_err());
         // A properly bounded child works and inherits the address space.
         let child = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -2756,13 +2445,13 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let seg = k
-            .sys_segment_create(tid, root, Label::unrestricted(), 8192, "text")
+            .trap_segment_create(tid, root, Label::unrestricted(), 8192, "text")
             .unwrap();
         let aspace = k
-            .sys_as_create(tid, root, Label::unrestricted(), "as")
+            .trap_as_create(tid, root, Label::unrestricted(), "as")
             .unwrap();
         let ae = entry(&k, aspace);
-        k.sys_as_map(
+        k.trap_as_map(
             tid,
             ae,
             Mapping {
@@ -2774,18 +2463,18 @@ mod tests {
             },
         )
         .unwrap();
-        k.sys_self_set_as(tid, ae).unwrap();
-        let r = k.sys_page_fault(tid, 0x10_1000, false).unwrap();
+        k.trap_self_set_as(tid, ae).unwrap();
+        let r = k.trap_page_fault(tid, 0x10_1000, false).unwrap();
         assert_eq!(r.segment.object, seg);
         assert_eq!(r.offset, 4096);
         assert!(r.writable);
         // An unmapped address faults to the user handler.
         assert!(matches!(
-            k.sys_page_fault(tid, 0x20_0000, false),
+            k.trap_page_fault(tid, 0x20_0000, false),
             Err(SyscallError::PageFault { .. })
         ));
         // A write fault on a read-only mapping is refused.
-        k.sys_as_map(
+        k.trap_as_map(
             tid,
             ae,
             Mapping {
@@ -2798,7 +2487,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            k.sys_page_fault(tid, 0x20_0000, true),
+            k.trap_page_fault(tid, 0x20_0000, true),
             Err(SyscallError::PageFault { write: true, .. })
         ));
     }
@@ -2809,7 +2498,7 @@ mod tests {
         let root = k.root_container();
         // A "daemon" thread owning category d creates a gate granting d.
         let daemon = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -2818,10 +2507,10 @@ mod tests {
                 "daemon",
             )
             .unwrap();
-        let d = k.sys_create_category(daemon).unwrap();
+        let d = k.trap_create_category(daemon).unwrap();
         let gate_label = k.thread_label(daemon).unwrap(); // owns d
         let gate = k
-            .sys_gate_create(
+            .trap_gate_create(
                 tid_owner(&k, daemon),
                 root,
                 gate_label,
@@ -2835,7 +2524,7 @@ mod tests {
 
         // An unprivileged client invokes the gate, requesting ownership of d.
         let client = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -2846,7 +2535,7 @@ mod tests {
             .unwrap();
         let requested = Label::builder().own(d).build();
         let res = k
-            .sys_gate_enter(
+            .trap_gate_enter(
                 client,
                 entry(&k, gate),
                 requested.clone(),
@@ -2862,7 +2551,7 @@ mod tests {
         let bogus = Category::from_raw(999_999);
         let too_much = Label::builder().own(d).own(bogus).build();
         let client2 = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -2872,7 +2561,7 @@ mod tests {
             )
             .unwrap();
         assert!(k
-            .sys_gate_enter(
+            .trap_gate_enter(
                 client2,
                 entry(&k, gate),
                 too_much,
@@ -2891,14 +2580,14 @@ mod tests {
     fn gate_clearance_gates_entry() {
         let (mut k, tid) = boot();
         let root = k.root_container();
-        let d = k.sys_create_category(tid).unwrap();
+        let d = k.trap_create_category(tid).unwrap();
         // The gate requires ownership of d to invoke: clearance {d0, 2}.
         let gate_clearance = Label::builder()
             .set(d, Level::L0)
             .default_level(Level::L2)
             .build();
         let gate = k
-            .sys_gate_create(
+            .trap_gate_create(
                 tid,
                 root,
                 k.thread_label(tid).unwrap(),
@@ -2911,7 +2600,7 @@ mod tests {
             .unwrap();
         // A thread without d cannot invoke it (its label {1} ⋢ {d0,2}).
         let outsider = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -2921,7 +2610,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            k.sys_gate_enter(
+            k.trap_gate_enter(
                 outsider,
                 entry(&k, gate),
                 Label::unrestricted(),
@@ -2938,11 +2627,11 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let aspace = k
-            .sys_as_create(tid, root, Label::unrestricted(), "as")
+            .trap_as_create(tid, root, Label::unrestricted(), "as")
             .unwrap();
-        k.sys_self_set_as(tid, entry(&k, aspace)).unwrap();
+        k.trap_self_set_as(tid, entry(&k, aspace)).unwrap();
         let peer = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -2952,12 +2641,12 @@ mod tests {
             )
             .unwrap();
         // peer inherits tid's address space, which it can write; alert works.
-        k.sys_thread_alert(peer, entry(&k, tid), 15).unwrap();
+        k.trap_thread_alert(peer, entry(&k, tid), 15).unwrap();
         assert_eq!(
-            k.sys_self_take_alert(tid).unwrap(),
+            k.trap_self_take_alert(tid).unwrap(),
             Some(crate::bodies::Alert { code: 15 })
         );
-        assert_eq!(k.sys_self_take_alert(tid).unwrap(), None);
+        assert_eq!(k.trap_self_take_alert(tid).unwrap(), None);
     }
 
     #[test]
@@ -2965,16 +2654,16 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let seg = k
-            .sys_segment_create(tid, root, Label::unrestricted(), 10, "ro")
+            .trap_segment_create(tid, root, Label::unrestricted(), 10, "ro")
             .unwrap();
         let e = entry(&k, seg);
-        k.sys_obj_set_immutable(tid, e).unwrap();
+        k.trap_obj_set_immutable(tid, e).unwrap();
         assert_eq!(
-            k.sys_segment_write(tid, e, 0, b"x"),
+            k.trap_segment_write(tid, e, 0, b"x"),
             Err(SyscallError::Immutable(seg))
         );
         // Reads still work.
-        assert!(k.sys_segment_read(tid, e, 0, 1).is_ok());
+        assert!(k.trap_segment_read(tid, e, 0, 1).is_ok());
     }
 
     #[test]
@@ -2982,22 +2671,23 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         let dir = k
-            .sys_container_create(tid, root, Label::unrestricted(), "dir", 0, 1 << 20)
+            .trap_container_create(tid, root, Label::unrestricted(), "dir", 0, 1 << 20)
             .unwrap();
         let seg = k
-            .sys_segment_create(tid, root, Label::unrestricted(), 10, "shared")
+            .trap_segment_create(tid, root, Label::unrestricted(), 10, "shared")
             .unwrap();
         let e = entry(&k, seg);
         assert_eq!(
-            k.sys_hard_link(tid, e, dir),
+            k.trap_hard_link(tid, e, dir),
             Err(SyscallError::QuotaNotFixed(seg))
         );
-        k.sys_obj_set_fixed_quota(tid, e).unwrap();
-        k.sys_hard_link(tid, e, dir).unwrap();
+        k.trap_obj_set_fixed_quota(tid, e).unwrap();
+        k.trap_hard_link(tid, e, dir).unwrap();
         // The object now survives removal of one link.
-        k.sys_obj_unref(tid, e).unwrap();
+        k.trap_obj_unref(tid, e).unwrap();
         assert!(k.raw_object(seg).is_some());
-        k.sys_obj_unref(tid, ContainerEntry::new(dir, seg)).unwrap();
+        k.trap_obj_unref(tid, ContainerEntry::new(dir, seg))
+            .unwrap();
         assert!(k.raw_object(seg).is_none());
     }
 
@@ -3006,7 +2696,7 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         assert_eq!(
-            k.sys_obj_unref(tid, ContainerEntry::self_entry(root)),
+            k.trap_obj_unref(tid, ContainerEntry::self_entry(root)),
             Err(SyscallError::RootContainer)
         );
     }
@@ -3016,9 +2706,9 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         // Create netd-ish categories and the device label {nr3, nw0, i2, 1}.
-        let nr = k.sys_create_category(tid).unwrap();
-        let nw = k.sys_create_category(tid).unwrap();
-        let i = k.sys_create_category(tid).unwrap();
+        let nr = k.trap_create_category(tid).unwrap();
+        let nw = k.trap_create_category(tid).unwrap();
+        let i = k.trap_create_category(tid).unwrap();
         let dev_label = Label::builder()
             .set(nr, Level::L3)
             .set(nw, Level::L0)
@@ -3034,14 +2724,14 @@ mod tests {
             .unwrap();
         let de = entry(&k, dev);
         // The owner of nr/nw (which also owns i here) can use the device.
-        k.sys_net_transmit(tid, de, vec![0xaa]).unwrap();
+        k.trap_net_transmit(tid, de, vec![0xaa]).unwrap();
         k.device_inject_rx(dev, vec![0xbb]).unwrap();
-        assert_eq!(k.sys_net_receive(tid, de).unwrap(), Some(vec![0xbb]));
-        assert_eq!(k.sys_net_mac(tid, de).unwrap(), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(k.trap_net_receive(tid, de).unwrap(), Some(vec![0xbb]));
+        assert_eq!(k.trap_net_mac(tid, de).unwrap(), [1, 2, 3, 4, 5, 6]);
         assert_eq!(k.device_drain_tx(dev).unwrap(), vec![vec![0xaa]]);
         // An unprivileged thread cannot even observe the device (nr 3).
         let other = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -3050,8 +2740,8 @@ mod tests {
                 "other",
             )
             .unwrap();
-        assert!(k.sys_net_mac(other, de).is_err());
-        assert!(k.sys_net_transmit(other, de, vec![1]).is_err());
+        assert!(k.trap_net_mac(other, de).is_err());
+        assert!(k.trap_net_transmit(other, de, vec![1]).is_err());
     }
 
     #[test]
@@ -3059,8 +2749,8 @@ mod tests {
         let (mut k, tid) = boot();
         let before = k.stats();
         let root = k.root_container();
-        let _ = k.sys_segment_create(tid, root, Label::unrestricted(), 10, "s");
-        let _ = k.sys_self_get_label(tid);
+        let _ = k.trap_segment_create(tid, root, Label::unrestricted(), 10, "s");
+        let _ = k.trap_self_get_label(tid);
         let after = k.stats();
         let delta = after.since(&before);
         assert_eq!(delta.syscalls, 2);
@@ -3069,26 +2759,16 @@ mod tests {
     }
 
     #[test]
-    fn halted_thread_cannot_syscall() {
-        let (mut k, tid) = boot();
-        k.sys_self_halt(tid).unwrap();
-        assert_eq!(
-            k.sys_self_get_label(tid),
-            Err(SyscallError::ThreadHalted(tid))
-        );
-    }
-
-    #[test]
     fn thread_local_segment_is_always_writable() {
         let (mut k, tid) = boot();
-        let local = k.sys_self_local_segment(tid).unwrap();
+        let local = k.trap_self_local_segment(tid).unwrap();
         // Even after tainting itself, the thread can use its local segment.
-        let c = k.sys_create_category(tid).unwrap();
+        let c = k.trap_create_category(tid).unwrap();
         let tainted = k.thread_label(tid).unwrap().with(c, Level::L3);
-        k.sys_self_set_label(tid, tainted).unwrap();
+        k.trap_self_set_label(tid, tainted).unwrap();
         let e = ContainerEntry::new(k.root_container(), local);
-        k.sys_segment_write(tid, e, 0, b"scratch").unwrap();
-        assert_eq!(k.sys_segment_read(tid, e, 0, 7).unwrap(), b"scratch");
+        k.trap_segment_write(tid, e, 0, b"scratch").unwrap();
+        assert_eq!(k.trap_segment_read(tid, e, 0, 7).unwrap(), b"scratch");
     }
 
     #[test]
@@ -3096,18 +2776,18 @@ mod tests {
         let (mut k, tid) = boot();
         let root = k.root_container();
         // A private container readable only by owners of category c.
-        let c = k.sys_create_category(tid).unwrap();
+        let c = k.trap_create_category(tid).unwrap();
         let private = Label::builder().set(c, Level::L3).build();
         let dir = k
-            .sys_container_create(tid, root, private, "private-dir", 0, 1 << 20)
+            .trap_container_create(tid, root, private, "private-dir", 0, 1 << 20)
             .unwrap();
         let seg = k
-            .sys_segment_create(tid, dir, Label::unrestricted(), 10, "leaf")
+            .trap_segment_create(tid, dir, Label::unrestricted(), 10, "leaf")
             .unwrap();
         // Another thread cannot name the segment through the private
         // container, even though the segment itself is unrestricted.
         let other = k
-            .sys_thread_create(
+            .trap_thread_create(
                 tid,
                 root,
                 Label::unrestricted(),
@@ -3117,7 +2797,7 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(
-            k.sys_segment_read(other, ContainerEntry::new(dir, seg), 0, 1),
+            k.trap_segment_read(other, ContainerEntry::new(dir, seg), 0, 1),
             Err(SyscallError::CannotObserve(_))
         ));
     }

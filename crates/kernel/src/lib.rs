@@ -22,7 +22,8 @@
 //! * [`bodies`] — the per-type payloads of the six object types.
 //! * [`syscall`] — the error type and syscall statistics.
 //! * [`kernel`] — the [`Kernel`] itself: object table plus the syscall
-//!   implementations with their label checks.
+//!   handlers with their label checks (crate-private: the trap in
+//!   [`dispatch`] is the only way in).
 //! * [`serialize`] — binary encoding of kernel objects for the single-level
 //!   store.
 //! * [`machine`] — a [`machine::Machine`] bundles a kernel with a
@@ -32,7 +33,8 @@
 //!   value per entry point, decoded and executed only by
 //!   [`Kernel::dispatch`](kernel::Kernel::dispatch) (one call per trap) /
 //!   [`Kernel::submit_calls`](kernel::Kernel::submit_calls) (one trap cost
-//!   per batch), with per-syscall stats and a bounded audit trace.
+//!   per batch); the one place a call is charged, counted, refused for a
+//!   halted caller and appended to the bounded audit trace.
 //! * [`abi`] — the other direction of that edge: the per-thread
 //!   completion queue of kernel-pushed [`abi::Completion`]s (alert
 //!   pending, watched object ready).

@@ -352,15 +352,15 @@ mod tests {
         let root = m.kernel().root_container();
 
         // Create a category, a tainted segment and write to it.
-        let cat = m.kernel_mut().sys_create_category(tid).unwrap();
+        let cat = m.kernel_mut().trap_create_category(tid).unwrap();
         let secret_label = Label::builder().set(cat, Level::L3).build();
         let seg = m
             .kernel_mut()
-            .sys_segment_create(tid, root, secret_label.clone(), 64, "secret notes")
+            .trap_segment_create(tid, root, secret_label.clone(), 64, "secret notes")
             .unwrap();
         let entry = ContainerEntry::new(root, seg);
         m.kernel_mut()
-            .sys_segment_write(tid, entry, 0, b"top secret")
+            .trap_segment_write(tid, entry, 0, b"top secret")
             .unwrap();
 
         m.snapshot();
@@ -369,10 +369,13 @@ mod tests {
         // The thread still owns the category and the segment still exists
         // with its label and contents.
         assert!(m2.kernel().thread_label(tid).unwrap().owns(cat));
-        let data = m2.kernel_mut().sys_segment_read(tid, entry, 0, 10).unwrap();
+        let data = m2
+            .kernel_mut()
+            .trap_segment_read(tid, entry, 0, 10)
+            .unwrap();
         assert_eq!(data, b"top secret");
         assert_eq!(
-            m2.kernel_mut().sys_obj_get_label(tid, entry).unwrap(),
+            m2.kernel_mut().trap_obj_get_label(tid, entry).unwrap(),
             secret_label
         );
     }
@@ -385,7 +388,7 @@ mod tests {
         let base = histar_store::PERSIST_KEY_BASE;
         for i in 0..RECORDS {
             m.kernel_mut()
-                .sys_persist_put(
+                .trap_persist_put(
                     tid,
                     base + i,
                     Some(Label::unrestricted()),
@@ -402,7 +405,7 @@ mod tests {
         let checks = m.kernel().stats().label_checks;
         let got = m
             .kernel_mut()
-            .sys_persist_scan(tid, base, base + RECORDS, 1)
+            .trap_persist_scan(tid, base, base + RECORDS, 1)
             .unwrap();
         assert_eq!(got, vec![(base, vec![0u8; 32])]);
         assert_eq!(m.store().stats().objects_read - reads, 1);
@@ -410,7 +413,7 @@ mod tests {
         // The bound is on records returned: a full scan still sees all.
         let all = m
             .kernel_mut()
-            .sys_persist_scan(tid, base, base + RECORDS, u64::MAX)
+            .trap_persist_scan(tid, base, base + RECORDS, u64::MAX)
             .unwrap();
         assert_eq!(all.len() as u64, RECORDS);
     }
@@ -423,12 +426,12 @@ mod tests {
         m.snapshot();
         let seg = m
             .kernel_mut()
-            .sys_segment_create(tid, root, Label::unrestricted(), 16, "ephemeral")
+            .trap_segment_create(tid, root, Label::unrestricted(), 16, "ephemeral")
             .unwrap();
         let mut m2 = m.crash_and_recover().unwrap();
         assert!(
             m2.kernel_mut()
-                .sys_segment_read(tid, ContainerEntry::new(root, seg), 0, 1)
+                .trap_segment_read(tid, ContainerEntry::new(root, seg), 0, 1)
                 .is_err(),
             "object created after the snapshot must not survive"
         );
@@ -438,10 +441,10 @@ mod tests {
     fn category_allocation_continues_after_recovery() {
         let mut m = Machine::boot(MachineConfig::default());
         let tid = m.kernel_thread();
-        let c1 = m.kernel_mut().sys_create_category(tid).unwrap();
+        let c1 = m.kernel_mut().trap_create_category(tid).unwrap();
         m.snapshot();
         let mut m2 = m.crash_and_recover().unwrap();
-        let c2 = m2.kernel_mut().sys_create_category(tid).unwrap();
+        let c2 = m2.kernel_mut().trap_create_category(tid).unwrap();
         assert_ne!(c1, c2, "recovered allocator must not reuse category names");
     }
 
@@ -452,17 +455,17 @@ mod tests {
         let root = m.kernel().root_container();
         let seg = m
             .kernel_mut()
-            .sys_segment_create(tid, root, Label::unrestricted(), 16, "tmp")
+            .trap_segment_create(tid, root, Label::unrestricted(), 16, "tmp")
             .unwrap();
         m.snapshot();
         m.kernel_mut()
-            .sys_obj_unref(tid, ContainerEntry::new(root, seg))
+            .trap_obj_unref(tid, ContainerEntry::new(root, seg))
             .unwrap();
         m.snapshot();
         let mut m2 = m.crash_and_recover().unwrap();
         assert!(m2
             .kernel_mut()
-            .sys_segment_read(tid, ContainerEntry::new(root, seg), 0, 1)
+            .trap_segment_read(tid, ContainerEntry::new(root, seg), 0, 1)
             .is_err());
     }
 
@@ -480,7 +483,7 @@ mod tests {
         let tid = m.kernel_thread();
         let before = m.uptime();
         for _ in 0..100 {
-            m.kernel_mut().sys_self_get_label(tid).unwrap();
+            m.kernel_mut().trap_self_get_label(tid).unwrap();
         }
         assert!(m.uptime() > before, "syscalls must consume simulated time");
     }

@@ -4,9 +4,9 @@
 //! the three facts it summarises: the thread's scheduling state, whether
 //! its alert list is empty and whether its completion queue is empty.
 //! Random interleavings of every operation that touches one of the three —
-//! alerts posted and taken, batches submitted, completions reaped one at a
-//! time or all at once, watched segments written, threads parked, woken,
-//! halted and deallocated — are checked after every step.
+//! alerts posted and taken, batches submitted, completions reaped, watched
+//! segments written, threads parked, woken, halted and deallocated — are
+//! checked after every step.
 //!
 //! The generator is the xorshift64* harness of
 //! `crates/label/tests/label_properties.rs`, so the suite runs offline.
@@ -78,19 +78,19 @@ fn wake_eligibility_is_the_answer_read_off_the_thread() {
             )
             .unwrap();
         let aspace = k
-            .sys_as_create(boot, root, Label::unrestricted(), "as")
+            .trap_as_create(boot, root, Label::unrestricted(), "as")
             .unwrap();
-        k.sys_self_set_as(boot, ContainerEntry::new(root, aspace))
+        k.trap_self_set_as(boot, ContainerEntry::new(root, aspace))
             .unwrap();
         let seg = k
-            .sys_segment_create(boot, root, Label::unrestricted(), 64, "watched")
+            .trap_segment_create(boot, root, Label::unrestricted(), 64, "watched")
             .unwrap();
         let seg_entry = ContainerEntry::new(root, seg);
         // Children inherit boot's address space, so alerts reach them.
         let mut tids = vec![boot];
         for i in 1..THREADS {
             let t = k
-                .sys_thread_create(
+                .trap_thread_create(
                     boot,
                     root,
                     Label::unrestricted(),
@@ -120,10 +120,7 @@ fn wake_eligibility_is_the_answer_read_off_the_thread() {
                     let n = 1 + rng.below(3) as usize;
                     k.submit_calls(tid, vec![Syscall::SelfGetLabel; n]);
                 }
-                4 => {
-                    let _ = k.reap_completion(tid);
-                }
-                5 => {
+                4 | 5 => {
                     let _ = k.reap_completions(tid);
                 }
                 6 => {

@@ -41,11 +41,6 @@ impl SimRng {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// A uniformly distributed f64 in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Fills a byte buffer with pseudo-random data.
     pub fn fill(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(8);
@@ -101,10 +96,6 @@ mod tests {
         let mut rng = SimRng::new(42);
         for _ in 0..10_000 {
             assert!(rng.next_below(17) < 17);
-        }
-        for _ in 0..1_000 {
-            let f = rng.next_f64();
-            assert!((0.0..1.0).contains(&f));
         }
     }
 

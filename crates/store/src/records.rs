@@ -92,12 +92,6 @@ pub fn extent_key(ino: u32, index: u64) -> u64 {
     record_key(RecordKind::Extent, ((ino as u64) << SLOT_BITS) | index)
 }
 
-/// The half-open key range covering every extent of file inode `ino`.
-pub fn extent_range(ino: u32) -> (u64, u64) {
-    let lo = extent_key(ino, 0);
-    (lo, lo + (1 << SLOT_BITS))
-}
-
 /// The slot (dirent) or index (extent) encoded in a record key.
 pub fn key_slot(key: u64) -> u64 {
     key & MAX_SLOT
@@ -124,12 +118,9 @@ mod tests {
         assert!(dirent_key(8, 0) >= hi);
         assert!(dirent_key(6, MAX_SLOT) < lo);
 
-        let (lo, hi) = extent_range(3);
-        assert!(extent_key(3, 0) >= lo && extent_key(3, MAX_SLOT) < hi);
-        assert!(extent_key(4, 0) >= hi);
         // Dirents and extents of the same numeric owner never collide.
         let (dlo, dhi) = dirent_range(3);
-        assert!(lo >= dhi || hi <= dlo);
+        assert!(extent_key(3, 0) >= dhi || extent_key(3, MAX_SLOT) < dlo);
     }
 
     #[test]

@@ -324,14 +324,6 @@ impl UnixEnv {
         self.process_mut(pid)
     }
 
-    /// Number of live (non-reaped) processes.
-    pub fn process_count(&self) -> usize {
-        self.processes
-            .values()
-            .filter(|p| p.state != ProcessState::Reaped)
-            .count()
-    }
-
     /// The context one VFS/vnode operation on `thread` runs against — the
     /// machine plus the live process table `/proc` and `/metrics/tasks`
     /// render from — alongside the environment's other halves, borrowed
@@ -1546,7 +1538,6 @@ mod tests {
     fn boot_creates_init_and_root() {
         let (env, init) = env();
         assert_eq!(init, 1);
-        assert_eq!(env.process_count(), 1);
         assert_eq!(env.getcwd(init).unwrap(), "/");
     }
 

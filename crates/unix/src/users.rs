@@ -30,27 +30,12 @@ impl User {
             .build()
     }
 
-    /// The clearance such a thread typically carries: `{ur 3, uw 3, 2}`.
-    pub fn privilege_clearance(&self) -> Label {
-        Label::builder()
-            .set(self.read_cat, Level::L3)
-            .set(self.write_cat, Level::L3)
-            .default_level(Level::L2)
-            .build()
-    }
-
     /// The label of the user's private files: `{ur 3, uw 0, 1}`.
     pub fn private_file_label(&self) -> Label {
         Label::builder()
             .set(self.read_cat, Level::L3)
             .set(self.write_cat, Level::L0)
             .build()
-    }
-
-    /// The label of files the user writes but anyone may read:
-    /// `{uw 0, 1}`.
-    pub fn protected_file_label(&self) -> Label {
-        Label::builder().set(self.write_cat, Level::L0).build()
     }
 }
 
@@ -120,20 +105,6 @@ mod tests {
         let anon = Label::unrestricted();
         assert!(!anon.can_observe(&files));
         assert!(!anon.can_modify(&files));
-        // Protected (world-readable) files: readable but not writable.
-        let prot = bob.protected_file_label();
-        assert!(anon.can_observe(&prot));
-        assert!(!anon.can_modify(&prot));
-    }
-
-    #[test]
-    fn clearance_admits_own_taint() {
-        let bob = user("bob", 1, 2);
-        // Bob's thread may taint itself up to ur3 to read files shared at
-        // that level.
-        let cl = bob.privilege_clearance();
-        assert_eq!(cl.level(bob.read_cat), Level::L3);
-        assert_eq!(cl.default_level(), Level::L2);
     }
 
     #[test]

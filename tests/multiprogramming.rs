@@ -26,6 +26,14 @@ fn stream_digest(trace: &[TraceRecord]) -> u64 {
     h
 }
 
+/// Every call and every failure of a run is counted once: the kernel's
+/// totals are the per-row dispatch counts summed.
+fn assert_totals_agree(kernel: &histar::kernel::Kernel) {
+    let (totals, rows) = (kernel.stats(), kernel.dispatch_stats());
+    assert_eq!(totals.syscalls, rows.total());
+    assert_eq!(totals.errors, rows.total_errors());
+}
+
 fn trace_of(world: &histar::apps::multilogin::LoginWorld) -> Vec<TraceRecord> {
     world
         .env
@@ -81,6 +89,7 @@ fn hundred_interleaved_logins_replay_identically() {
     assert_eq!(t1, t2);
     assert_eq!(t1.len(), 7338);
     assert_eq!(stream_digest(&t1), 0x96bd_bdf6_d78e_7f3f);
+    assert_totals_agree(w1.env.machine().kernel());
 }
 
 /// The sharded run queues keep the determinism contract at every width:
@@ -179,6 +188,7 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     );
     assert_eq!(kernel.stats().label_checks, 10588);
     assert_eq!(kernel.stats().label_cache_hits, cache.hits);
+    assert_totals_agree(kernel);
 
     // A different seed reorders the wake interleaving but serves exactly
     // the same burst.
