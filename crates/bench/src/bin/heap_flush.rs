@@ -32,8 +32,8 @@ fn main() -> ExitCode {
         match run_heap_flush(seed, REWRITES) {
             Ok(report) => println!(
                 "heap_flush: seed {seed}: OK — {} crashes after acknowledged page syncs \
-                 ({} flushed in place), {} segment bytes verified",
-                report.crashes, report.in_place, report.bytes_verified
+                 ({} flushed in place), {} two-file group syncs, {} segment bytes verified",
+                report.crashes, report.in_place, report.group_syncs, report.bytes_verified
             ),
             Err(e) => {
                 eprintln!("heap_flush: FAIL — {e}");

@@ -125,44 +125,76 @@ fn record_boundaries(region: &[u8], used: u64) -> Vec<u64> {
     cuts
 }
 
+/// What both torn-log sweeps learn from one pristine run of the workload
+/// (it is deterministic, so re-running it reproduces this exact disk).
+struct TornPlan {
+    manifest: Vec<ManifestEntry>,
+    config: MachineConfig,
+    /// Bytes of the log region the run used.
+    used: u64,
+    /// The cut positions to exercise (byte offsets into the log region).
+    cuts: Vec<u64>,
+}
+
+impl TornPlan {
+    /// Every record boundary plus a torn position inside each record,
+    /// thinned to `max_cuts` (0 = all): the extremes and a deterministic
+    /// spread in between.
+    fn new(seed: u64, max_cuts: usize) -> Result<TornPlan, String> {
+        let (env, manifest) = run_workload(seed);
+        let config = MachineConfig {
+            seed,
+            ..MachineConfig::default()
+        };
+        let used = env.machine().store().wal_used();
+        let mut disk = env.into_machine().into_disk();
+        let region = disk.read(config.store.superblock_len, used.max(16));
+        let boundaries = record_boundaries(&region, used);
+        if boundaries.len() < manifest.len() {
+            return Err(format!(
+                "expected at least {} log records, found {} boundaries",
+                manifest.len(),
+                boundaries.len() - 1
+            ));
+        }
+        let mut cuts: Vec<u64> = Vec::new();
+        for w in boundaries.windows(2) {
+            cuts.push(w[0]);
+            cuts.push(w[0] + (w[1] - w[0]) / 2);
+        }
+        cuts.push(*boundaries.last().expect("at least the zero boundary"));
+        if max_cuts > 0 && cuts.len() > max_cuts {
+            let step = cuts.len().div_ceil(max_cuts);
+            cuts = cuts.iter().copied().step_by(step).collect();
+        }
+        Ok(TornPlan {
+            manifest,
+            config,
+            used,
+            cuts,
+        })
+    }
+
+    /// The workload's disk after a crash that tore the tail of the log off
+    /// mid-write: the log zeroed from `cut` to the end of the used region.
+    fn torn_disk(&self, cut: u64) -> histar_sim::SimDisk {
+        let (env, _) = run_workload(self.config.seed);
+        let mut disk = env.into_machine().into_disk();
+        if cut < self.used {
+            let zeros = vec![0u8; (self.used - cut) as usize];
+            disk.write(self.config.store.superblock_len + cut, &zeros);
+        }
+        disk
+    }
+}
+
 /// Runs the full torn-WAL sweep for one seed.  `max_cuts` bounds how many
 /// cut points are exercised (0 = all), so the tier-1 unit test stays
 /// quick while the CI job sweeps everything.
 pub fn run_torn_wal(seed: u64, max_cuts: usize) -> Result<TornReport, String> {
-    // One pristine run to learn the log layout.
-    let (env, manifest) = run_workload(seed);
-    let machine_config = MachineConfig {
-        seed,
-        ..MachineConfig::default()
-    };
-    let region_start = machine_config.store.superblock_len;
-    let used = env.machine().store().wal_used();
-    let mut disk = env.into_machine().into_disk();
-    let region = disk.read(region_start, used.max(16));
-
-    let boundaries = record_boundaries(&region, used);
-    if boundaries.len() < manifest.len() {
-        return Err(format!(
-            "expected at least {} log records, found {} boundaries",
-            manifest.len(),
-            boundaries.len() - 1
-        ));
-    }
-    // Every boundary, plus a torn position inside each record.
-    let mut cuts: Vec<u64> = Vec::new();
-    for w in boundaries.windows(2) {
-        cuts.push(w[0]);
-        cuts.push(w[0] + (w[1] - w[0]) / 2);
-    }
-    cuts.push(*boundaries.last().expect("at least the zero boundary"));
-    if max_cuts > 0 && cuts.len() > max_cuts {
-        // Keep the extremes and a deterministic spread in between.
-        let step = cuts.len().div_ceil(max_cuts);
-        cuts = cuts.iter().copied().step_by(step).collect();
-    }
-
+    let plan = TornPlan::new(seed, max_cuts)?;
     let mut report = TornReport {
-        cuts: cuts.len(),
+        cuts: plan.cuts.len(),
         ..TornReport::default()
     };
     // Every recovery of the sweep records its phases into one shared
@@ -170,16 +202,10 @@ pub fn run_torn_wal(seed: u64, max_cuts: usize) -> Result<TornReport, String> {
     // on-panic hook prints the last spans leading up to the failure.
     let recorder = Recorder::with_capacity(1 << 16);
     histar_obs::hook::arm_crash_dump("torn_wal", &recorder, 32);
-    for &cut in &cuts {
-        let (env, _) = run_workload(seed);
-        let mut disk2 = env.into_machine().into_disk();
-        // Zero the log from the cut to the end of the used region: a
-        // crash that tore the tail of the log off mid-write.
-        if cut < used {
-            disk2.write(region_start + cut, &vec![0u8; (used - cut) as usize]);
-        }
-        let mut machine = Machine::recover_traced(machine_config, disk2, recorder.clone())
-            .map_err(|e| format!("cut {cut}: recovery failed: {e}"))?;
+    for &cut in &plan.cuts {
+        let mut machine =
+            Machine::recover_traced(plan.config, plan.torn_disk(cut), recorder.clone())
+                .map_err(|e| format!("cut {cut}: recovery failed: {e}"))?;
         machine
             .store()
             .check_invariants()
@@ -190,7 +216,7 @@ pub fn run_torn_wal(seed: u64, max_cuts: usize) -> Result<TornReport, String> {
         let mut env = UnixEnv::on_machine(machine);
         let init = env.init_pid();
 
-        for entry in &manifest {
+        for entry in &plan.manifest {
             match entry.synced_at {
                 Some(offset) if offset <= cut => {
                     let got = env.read_file_as(init, &entry.path).map_err(|e| {
@@ -274,55 +300,20 @@ pub struct EquivalenceReport {
 /// whose recovered secret files refuse an unprivileged reader under both
 /// modes.  `max_cuts` bounds the sweep exactly as in [`run_torn_wal`].
 pub fn run_replay_equivalence(seed: u64, max_cuts: usize) -> Result<EquivalenceReport, String> {
-    // One pristine run to learn the log layout (the workload is
-    // deterministic, so re-running it reproduces this exact disk).
-    let (env, manifest) = run_workload(seed);
-    let base_config = MachineConfig {
-        seed,
-        ..MachineConfig::default()
-    };
-    let region_start = base_config.store.superblock_len;
-    let used = env.machine().store().wal_used();
-    let mut disk = env.into_machine().into_disk();
-    let region = disk.read(region_start, used.max(16));
-
-    let boundaries = record_boundaries(&region, used);
-    if boundaries.len() < manifest.len() {
-        return Err(format!(
-            "expected at least {} log records, found {} boundaries",
-            manifest.len(),
-            boundaries.len() - 1
-        ));
-    }
-    let mut cuts: Vec<u64> = Vec::new();
-    for w in boundaries.windows(2) {
-        cuts.push(w[0]);
-        cuts.push(w[0] + (w[1] - w[0]) / 2);
-    }
-    cuts.push(*boundaries.last().expect("at least the zero boundary"));
-    if max_cuts > 0 && cuts.len() > max_cuts {
-        let step = cuts.len().div_ceil(max_cuts);
-        cuts = cuts.iter().copied().step_by(step).collect();
-    }
-
+    let plan = TornPlan::new(seed, max_cuts)?;
     let mut report = EquivalenceReport {
-        cuts: cuts.len(),
+        cuts: plan.cuts.len(),
         ..EquivalenceReport::default()
     };
-    for &cut in &cuts {
+    for &cut in &plan.cuts {
         let mut images: Vec<Vec<(u64, Vec<u8>)>> = Vec::new();
         let mut secret_ok = true;
         for mode in [ReplayMode::Batched, ReplayMode::RecordByRecord] {
             // The workload is deterministic, so each mode starts from a
             // bit-identical crashed disk.
-            let (env, _) = run_workload(seed);
-            let mut disk = env.into_machine().into_disk();
-            if cut < used {
-                disk.write(region_start + cut, &vec![0u8; (used - cut) as usize]);
-            }
-            let mut config = base_config;
+            let mut config = plan.config;
             config.store.replay_mode = mode;
-            let machine = Machine::recover(config, disk)
+            let machine = Machine::recover(config, plan.torn_disk(cut))
                 .map_err(|e| format!("cut {cut} ({mode:?}): recovery failed: {e}"))?;
             machine
                 .store()
@@ -401,19 +392,24 @@ pub struct HeapFlushReport {
     /// How many of them the store flushed in place (the rest took the
     /// whole-object fallback).
     pub in_place: usize,
+    /// Whole-file syncs of the file together with its sibling through one
+    /// `fsync_paths`.
+    pub group_syncs: usize,
     /// Segment bytes compared across all recoveries.
     pub bytes_verified: u64,
 }
 
 /// The heap-file half of the `crash-recovery` gate: a seeded run of
 /// aligned and unaligned rewrites of one file, some page-synced and some
-/// not, with the occasional growth, whole-file `fsync` and snapshot in
+/// not, with the occasional growth, whole-file `fsync` (alone, or together
+/// with a rewritten sibling through one `fsync_paths`) and snapshot in
 /// between.  After every acknowledged `fsync_pages` the machine is crashed
 /// (recovered from a copy of its disk, so the run continues) and the
 /// recovered segment must equal, byte for byte, a page-granular shadow of
 /// what has been acknowledged: a synced page holds what the file held when
 /// it was synced, an unsynced one what it held at the last whole-object
 /// sync — nothing acknowledged is lost and nothing unacknowledged appears.
+/// The sibling must recover as last synced, too.
 pub fn run_heap_flush(seed: u64, rewrites: usize) -> Result<HeapFlushReport, String> {
     use histar_kernel::bodies::ObjectBody;
     use histar_sim::disk::BLOCK_SIZE;
@@ -436,13 +432,20 @@ pub fn run_heap_flush(seed: u64, rewrites: usize) -> Result<HeapFlushReport, Str
         .open(init, "/heap", OpenFlags::read_write_create())
         .map_err(unix)?;
     env.write(init, fd, &rng.bytes(len)).map_err(unix)?;
+    // A small sibling in the same directory, only ever rewritten whole and
+    // synced in the same group as the file.
+    let sibling_len = 1 + rng.next_below(8 * 1024) as usize;
+    env.write_file_as(init, "/sibling", &rng.bytes(sibling_len), None)
+        .map_err(unix)?;
     env.sync_all();
     let seg = env.fstat(init, fd).map_err(unix)?.object;
-    let segment = |machine: &Machine| match machine.kernel().raw_object(seg).map(|o| &o.body) {
+    let sibling = env.stat(init, "/sibling").map_err(unix)?.object;
+    let segment = |machine: &Machine, seg| match machine.kernel().raw_object(seg).map(|o| &o.body) {
         Some(ObjectBody::Segment(s)) => Ok(s.bytes.clone()),
-        _ => Err(format!("seed {seed:#x}: the file's segment is gone")),
+        _ => Err(format!("seed {seed:#x}: the segment of a file is gone")),
     };
-    let mut durable = segment(env.machine())?;
+    let mut durable = segment(env.machine(), seg)?;
+    let mut sibling_durable = segment(env.machine(), sibling)?;
     let mut live_len = durable.len();
 
     let mut report = HeapFlushReport::default();
@@ -466,12 +469,24 @@ pub fn run_heap_flush(seed: u64, rewrites: usize) -> Result<HeapFlushReport, Str
             0 => continue, // written, never synced
             1 => {
                 env.fsync_path(init, "/heap").map_err(unix)?;
-                durable = segment(env.machine())?;
+                durable = segment(env.machine(), seg)?;
                 continue;
             }
             2 => {
                 env.sync_all();
-                durable = segment(env.machine())?;
+                durable = segment(env.machine(), seg)?;
+                continue;
+            }
+            3 => {
+                // Both files in one group: the directory and its segment
+                // are named by both paths and synced once.
+                env.write_file_as(init, "/sibling", &rng.bytes(sibling_len), None)
+                    .map_err(unix)?;
+                env.fsync_paths(init, &["/heap", "/sibling"])
+                    .map_err(unix)?;
+                durable = segment(env.machine(), seg)?;
+                sibling_durable = segment(env.machine(), sibling)?;
+                report.group_syncs += 1;
                 continue;
             }
             _ => {}
@@ -481,7 +496,7 @@ pub fn run_heap_flush(seed: u64, rewrites: usize) -> Result<HeapFlushReport, Str
             .collect();
         let flushes = env.machine().store().stats().inplace_flushes;
         env.fsync_pages(init, fd, &pages).map_err(unix)?;
-        let live = segment(env.machine())?;
+        let live = segment(env.machine(), seg)?;
         if env.machine().store().stats().inplace_flushes > flushes {
             report.in_place += 1;
             for &p in &pages {
@@ -500,7 +515,12 @@ pub fn run_heap_flush(seed: u64, rewrites: usize) -> Result<HeapFlushReport, Str
             .store()
             .check_invariants()
             .map_err(|e| format!("seed {seed:#x} step {step}: {e}"))?;
-        let got = segment(&recovered)?;
+        if segment(&recovered, sibling)? != sibling_durable {
+            return Err(format!(
+                "seed {seed:#x} step {step}: the sibling did not recover as last synced"
+            ));
+        }
+        let got = segment(&recovered, seg)?;
         if got != durable {
             let lost = got.iter().zip(&durable).filter(|(a, b)| a != b).count();
             return Err(format!(
@@ -528,6 +548,7 @@ mod tests {
             0 < report.in_place && report.in_place < report.crashes,
             "both the in-place path and the fallback must be exercised: {report:?}"
         );
+        assert!(report.group_syncs > 0, "got {report:?}");
     }
 
     #[test]

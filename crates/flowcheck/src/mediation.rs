@@ -24,12 +24,16 @@
 //!   the id in the handler's `Caller`) are *self accesses*: a thread may
 //!   always touch its own state (§3 of the paper: observing yourself
 //!   leaks nothing new).
-//! * **Record accesses** reach the single-level store: `self.store` and
-//!   `self.persist_record`. Record labels ride *inside* the record, so
-//!   lexical check-before-access cannot hold (the record must be read to
-//!   learn its label); for the record class the rule instead requires a
-//!   `check_record_*` call somewhere in the body before the payload can
-//!   legally flow out.
+//! * **Record accesses** reach the single-level store: `self.store`,
+//!   `self.store_mut()` and `self.persist_record()`. Record labels ride
+//!   *inside* the record, so lexical check-before-access cannot hold (the
+//!   record must be read to learn its label); for the record class the
+//!   rule instead requires a `check_record_*` call somewhere in the body
+//!   before the payload can legally flow out.  The one other way to the
+//!   store is an *object* handler writing an object into it (`obj_sync`):
+//!   the label that governs is the object's, so a store use lexically
+//!   after both a `check_entry` and a `check_modify` is mediated and not a
+//!   record access at all.
 //!
 //! Verdicts per entry point: a body with a flagged access needs a check
 //! lexically before the first heap access (record class: anywhere), or a
@@ -337,6 +341,9 @@ fn scan_body(f: &SourceFile, open: usize, close: usize) -> BodyScan {
         delegates: Vec::new(),
     };
     let toks = &f.tokens;
+    // An object handler's write rule: the entry was verified and the
+    // object modify-checked.  Store uses after both are mediated.
+    let (mut entry_checked, mut modify_checked) = (false, false);
     for i in open..close {
         let t = &toks[i].text;
 
@@ -354,6 +361,8 @@ fn scan_body(f: &SourceFile, open: usize, close: usize) -> BodyScan {
             if t.starts_with("check_record") || t == "can_allocate" {
                 scan.has_record_check = true;
             }
+            entry_checked |= t == "check_entry";
+            modify_checked |= t == "check_modify";
             continue;
         }
 
@@ -362,8 +371,10 @@ fn scan_body(f: &SourceFile, open: usize, close: usize) -> BodyScan {
             continue;
         }
 
-        if t == "store" || (t == "persist_record" && next_is(toks, i, "(")) {
-            if scan.has_record.is_none() {
+        if t == "store"
+            || (matches!(t.as_str(), "store_mut" | "persist_record") && next_is(toks, i, "("))
+        {
+            if scan.has_record.is_none() && !(entry_checked && modify_checked) {
                 scan.has_record = Some((toks[i].line, format!("self.{t}")));
             }
             continue;

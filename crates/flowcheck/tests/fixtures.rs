@@ -77,6 +77,29 @@ fn a_pub_handler_is_the_finding_in_its_fixture() {
 }
 
 #[test]
+fn an_object_handler_reaches_the_store_only_after_both_its_checks() {
+    let path = fixture_dir("mediation", "bad").join("store_before_check.rs");
+    let a = analyze_fixture("mediation", &path);
+    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+    assert!(a.findings[0]
+        .message
+        .contains("`sys_obj_sync` reaches store records (`self.store`)"));
+    assert_eq!(a.findings[0].line, 10);
+
+    // The passing handler minus either check is the same finding: an
+    // entry check alone proves the name, a modify check alone the label.
+    let path = fixture_dir("mediation", "good").join("object_sync.rs");
+    let good = std::fs::read_to_string(path).unwrap();
+    for check in ["check_entry", "check_modify"] {
+        let line = good.lines().find(|l| l.contains(check)).unwrap();
+        let without = SourceFile::parse("x.rs", &good.replace(line, ""));
+        let a = flowcheck::analyze(&[without], &[]);
+        assert_eq!(a.findings.len(), 1, "without {check}: {:?}", a.findings);
+        assert!(a.findings[0].message.contains("reaches store records"));
+    }
+}
+
+#[test]
 fn table_findings_name_the_row_or_the_missing_table() {
     let path = fixture_dir("mediation", "bad").join("row_name_mismatch.rs");
     let a = analyze_fixture("mediation", &path);

@@ -15,7 +15,12 @@
 //! [`TraceRecord`] to a bounded ring buffer, giving the machine a
 //! replayable `(tick, thread, syscall, result)` audit stream.  The
 //! handlers are crate-private bodies with no prologue of their own, so
-//! that stream is the kernel's whole input: no call arrives off it.
+//! that stream is the kernel's whole input: no call arrives off it.  That
+//! includes durability: the store is written from above the kernel only
+//! by the `persist_*` rows and `obj_sync` (`Kernel::store_mut` and
+//! `take_store` are crate-private), so what a crash preserves is a
+//! function of the stream too — the [`Machine`](crate::Machine)'s
+//! `snapshot` being the one operator action beside it.
 //!
 //! The `trap_*` methods are the user-level calling convention: thin typed
 //! wrappers that build the [`Syscall`] value, trap through
@@ -516,6 +521,16 @@ syscalls! {
     SegmentWatch segment_watch sys_segment_watch trap_segment_watch (
         /// The segment, named through a container entry.
         entry: ContainerEntry,
+    ) -> Unit(());
+    /// `sys_obj_sync`: make one kernel object durable in the single-level
+    /// store — HiStar's `fsync` primitive for data living in the object
+    /// heap (a write, so modify-checked).
+    ObjSync obj_sync sys_obj_sync trap_obj_sync (
+        /// The object, named through a container entry.
+        entry: ContainerEntry,
+        /// The 4 KiB pages of a segment's payload to flush in place, or
+        /// `None` to log the whole object.
+        pages: Option<Vec<u64>>,
     ) -> Unit(());
 }
 
@@ -1020,11 +1035,12 @@ mod tests {
         // Row position is the index; `tests/dispatch_equivalence.rs` checks
         // index and name for a value of every variant.
         assert_eq!(Syscall::CreateCategory.index(), 0);
-        let last = Syscall::SegmentWatch {
+        let last = Syscall::ObjSync {
             entry: ContainerEntry::self_entry(ObjectId::from_raw(1)),
+            pages: None,
         };
         assert_eq!(last.index(), SYSCALL_COUNT - 1);
-        assert_eq!(last.name(), "segment_watch");
+        assert_eq!(last.name(), "obj_sync");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::object::{
     ContainerEntry, ObjectHeader, ObjectId, ObjectType, METADATA_LEN, OBJECT_ID_MASK,
     QUOTA_INFINITE,
 };
+use crate::serialize::{encode_object, segment_prefix};
 use crate::syscall::{SyscallError, SyscallStats};
 use histar_label::category::FeistelCipher;
 use histar_label::{Category, CategoryAllocator, Label, LabelCache, Level};
@@ -27,7 +28,7 @@ use histar_obs::{MetricSet, Recorder};
 use histar_sim::{CostModel, OsFlavor, SimClock, SimDuration};
 use histar_store::codec::{Decoder, Encoder};
 use histar_store::records::is_persist_key;
-use histar_store::SingleLevelStore;
+use histar_store::{page_ranges, SingleLevelStore};
 // The object table is the one sanctioned HashMap in this crate (hot
 // per-syscall lookups; every iteration site sorts before order becomes
 // visible) — allowed here and at each use, and listed by flowcheck.
@@ -177,8 +178,9 @@ pub struct Kernel {
     /// The machine's single-level store, when this kernel is part of a
     /// [`Machine`](crate::Machine).  The persist-record syscalls operate
     /// on it directly — data in the persist namespace bypasses the object
-    /// heap entirely — and having it here lets those calls ride the same
-    /// batched submission path (and audit trace) as every other syscall.
+    /// heap entirely — `obj_sync` writes heap objects into it, and having
+    /// it here lets those calls ride the same batched submission path (and
+    /// audit trace) as every other syscall.
     store: Option<SingleLevelStore>,
 }
 
@@ -471,7 +473,8 @@ impl Kernel {
     }
 
     /// Opens the store's group-commit window for one boundary crossing, so
-    /// every `persist_sync` in the batch rides one shared WAL frame.
+    /// every `persist_sync` and logged `obj_sync` in the batch rides one
+    /// shared WAL frame.
     pub(crate) fn begin_batch(&mut self) {
         if let Some(store) = self.store.as_mut() {
             store.begin_sync_group();
@@ -656,8 +659,8 @@ impl Kernel {
     // ----- the single-level store and persist records -------------------
 
     /// Attaches the machine's single-level store.  From here on the
-    /// persist-record syscalls are live; without a store they fail with
-    /// [`SyscallError::NoStore`].
+    /// persist-record syscalls and `obj_sync` are live; without a store
+    /// they fail with [`SyscallError::NoStore`].
     pub fn attach_store(&mut self, store: SingleLevelStore) {
         let mut store = store;
         store.set_recorder(self.recorder.clone());
@@ -666,7 +669,7 @@ impl Kernel {
 
     /// Detaches and returns the store (crash simulation: the machine keeps
     /// the disk, the kernel's memory is lost).
-    pub fn take_store(&mut self) -> Option<SingleLevelStore> {
+    pub(crate) fn take_store(&mut self) -> Option<SingleLevelStore> {
         self.store.take()
     }
 
@@ -675,9 +678,12 @@ impl Kernel {
         self.store.as_ref()
     }
 
-    /// The attached store, mutably.
-    pub fn store_mut(&mut self) -> Option<&mut SingleLevelStore> {
-        self.store.as_mut()
+    /// The attached store, mutably, or the [`SyscallError::NoStore`] every
+    /// store-backed call refuses with.  Crate-private: above the kernel the
+    /// store is written through `persist_*` / `obj_sync` traps only, and
+    /// the [`Machine`](crate::Machine) is the operator's console.
+    pub(crate) fn store_mut(&mut self) -> Result<&mut SingleLevelStore, SyscallError> {
+        self.store.as_mut().ok_or(SyscallError::NoStore)
     }
 
     /// Upper bound on one persist record's payload (a record is one
@@ -706,7 +712,7 @@ impl Kernel {
 
     /// Reads a record's raw framed bytes, or `None` if absent.
     fn persist_record(&mut self, key: u64) -> Result<Option<Vec<u8>>, SyscallError> {
-        let store = self.store.as_mut().ok_or(SyscallError::NoStore)?;
+        let store = self.store_mut()?;
         if !store.contains(key) {
             return Ok(None);
         }
@@ -794,10 +800,7 @@ impl Kernel {
         let copy_cost = self.cost.copy(data.len() as u64);
         self.charge(copy_cost);
         let framed = Self::persist_frame(&rlabel, &payload);
-        self.store
-            .as_mut()
-            .expect("persist_record verified the store")
-            .put(key, framed);
+        self.store_mut()?.put(key, framed);
         Ok(())
     }
 
@@ -842,10 +845,7 @@ impl Kernel {
             .ok_or(SyscallError::NoSuchRecord(key))?;
         let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
         self.check_record_modify(&t.label, key, &rlabel)?;
-        self.store
-            .as_mut()
-            .expect("persist_record verified the store")
-            .delete(key);
+        self.store_mut()?.delete(key);
         Ok(())
     }
 
@@ -862,7 +862,7 @@ impl Kernel {
         hi: u64,
         max: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
-        let store = self.store.as_ref().ok_or(SyscallError::NoStore)?;
+        let store = self.store_mut()?;
         let keys = store.keys_in_range(lo.max(histar_store::PERSIST_KEY_BASE), hi);
         let mut out = Vec::new();
         let mut copied = 0u64;
@@ -905,21 +905,66 @@ impl Kernel {
             match self.persist_record(key)? {
                 Some(bytes) => {
                     let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
-                    self.check_record_observe(&t.label, key, &rlabel)?;
-                    self.store
-                        .as_mut()
-                        .expect("persist_record verified the store")
+                    self.check_record_modify(&t.label, key, &rlabel)?;
+                    self.store_mut()?
                         .sync_object(key)
                         .map_err(|_| SyscallError::NoSuchRecord(key))?;
                 }
-                None => self
-                    .store
-                    .as_mut()
-                    .expect("persist_record verified the store")
-                    .sync_delete(key),
+                None => self.store_mut()?.sync_delete(key),
             }
         }
         Ok(())
+    }
+
+    /// Makes one kernel object durable in the single-level store: §7.1's
+    /// `fsync`, for data living in the object heap.  Which version of an
+    /// object survives a crash is state, so this is a write — the caller
+    /// names the object through a container it can read and must pass the
+    /// modify check on the object itself, exactly as for `segment_write`.
+    ///
+    /// With `pages` — 4 KiB pages of a *file*, i.e. of a segment's payload —
+    /// only those bytes move: they are borrowed from the segment and flushed
+    /// into its home record, where the payload starts one encoded prefix in.
+    /// Whenever the store refuses that (no home record yet, the encoding
+    /// changed length, a header field changed, a logged or staged version
+    /// would mask the flush) and for every other sync, the whole object is
+    /// encoded, stored and logged — inside a batch, into the batch's one
+    /// group-commit frame.  Beyond the crossing and the two checks it
+    /// charges nothing itself: the disk charges the writes and the flush.
+    pub(crate) fn sys_obj_sync(
+        &mut self,
+        t: &Caller,
+        entry: ContainerEntry,
+        pages: Option<Vec<u64>>,
+    ) -> Result<(), SyscallError> {
+        self.check_entry(&t.label, entry)?;
+        self.check_modify(&t.label, entry.object)?;
+        let id = entry.object;
+        // The flush writes bytes it borrows from the object: the table and
+        // the store are held at once, as the two disjoint fields they are.
+        let obj = self
+            .objects
+            .get(&id)
+            .ok_or(SyscallError::NoSuchObject(id))?;
+        let store = self.store.as_mut().ok_or(SyscallError::NoStore)?;
+        if let Some((pages, (prefix, payload))) = pages
+            .as_deref()
+            .and_then(|p| Some((p, segment_prefix(obj)?)))
+        {
+            let base = prefix.len() as u64;
+            let ranges = page_ranges(payload, base, pages);
+            let encoded_len = base + payload.len() as u64;
+            if store
+                .flush_ranges(id.raw(), encoded_len, &prefix, &ranges)
+                .is_ok()
+            {
+                return Ok(());
+            }
+        }
+        store.put(id.raw(), encode_object(obj));
+        store
+            .sync_object(id.raw())
+            .map_err(|_| SyscallError::NoSuchObject(id))
     }
 
     /// The label a persist record carries.  Like `obj_get_label`, the
@@ -2161,15 +2206,6 @@ impl Kernel {
     /// Looks up an object directly (kernel-internal / persistence).
     pub fn raw_object(&self, id: ObjectId) -> Option<&KObject> {
         self.objects.get(&id)
-    }
-
-    /// An object beside the attached store: the pair a range flush holds
-    /// at once, writing bytes it borrows from the object.
-    pub fn raw_object_and_store(
-        &mut self,
-        id: ObjectId,
-    ) -> (Option<&KObject>, Option<&mut SingleLevelStore>) {
-        (self.objects.get(&id), self.store.as_mut())
     }
 
     /// Replaces the entire object table (used by recovery).

@@ -77,9 +77,12 @@ impl std::error::Error for MachineError {}
 /// A simulated HiStar machine.
 ///
 /// The single-level store lives *inside* the kernel (attached at boot):
-/// the persist-record syscalls operate on it directly, so keyed records —
-/// the `/persist` filesystem's inodes, dirents and extents — reach disk
-/// through the same dispatch boundary as every other syscall.
+/// the persist-record syscalls and `obj_sync` operate on it directly, so
+/// keyed records — the `/persist` filesystem's inodes, dirents and extents
+/// — and synced heap objects reach disk through the same dispatch boundary
+/// as every other syscall.  The machine is the operator's console beside
+/// that boundary: only it can reach the store mutably ([`Machine::store_mut`]),
+/// snapshot, or crash.
 #[derive(Debug)]
 pub struct Machine {
     kernel: Kernel,

@@ -376,7 +376,7 @@ fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, Serial
 /// [`encode_object`]'s output, so byte `n` of the segment sits at offset
 /// `prefix.len() + n` of its stored record; a range flush needs nothing
 /// else.  `None` for every other object type.
-pub fn segment_prefix(obj: &KObject) -> Option<(Vec<u8>, &[u8])> {
+pub(crate) fn segment_prefix(obj: &KObject) -> Option<(Vec<u8>, &[u8])> {
     let ObjectBody::Segment(s) = &obj.body else {
         return None;
     };

@@ -75,8 +75,9 @@ pub enum SyscallError {
     RootContainer,
     /// The call is malformed (bad argument, out-of-range offset, ...).
     InvalidArgument(&'static str),
-    /// A persist-record call reached a kernel with no single-level store
-    /// attached (standalone kernels used in pure label tests).
+    /// A persist-record call or `obj_sync` reached a kernel with no
+    /// single-level store attached (standalone kernels used in pure label
+    /// tests).
     NoStore,
     /// The named persist record does not exist in the store.
     NoSuchRecord(u64),

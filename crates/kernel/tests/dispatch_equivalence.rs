@@ -10,12 +10,12 @@
 //! coverage check guarantees no syscall row is left untested.
 
 use histar_kernel::abi::Completion;
-use histar_kernel::bodies::{DeviceBody, Mapping, MappingFlags};
+use histar_kernel::bodies::{DeviceBody, Mapping, MappingFlags, ObjectBody};
 use histar_kernel::dispatch::{Syscall, SyscallResult, SYSCALL_COUNT, SYSCALL_NAMES};
 use histar_kernel::kernel::PAGE_SIZE;
 use histar_kernel::object::{ContainerEntry, ObjectId, ObjectType, METADATA_LEN};
 use histar_kernel::syscall::{SyscallError, SyscallStats};
-use histar_kernel::Kernel;
+use histar_kernel::{Kernel, Machine, MachineConfig};
 use histar_label::{Category, Label, Level};
 use histar_sim::{CostModel, OsFlavor, SimClock};
 use histar_store::records::inode_key;
@@ -323,6 +323,10 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
         },
         Syscall::PersistGetLabel { key: fx.pkey },
         Syscall::SegmentWatch { entry: e_seg },
+        Syscall::ObjSync {
+            entry: e_fixed,
+            pages: Some(vec![0]),
+        },
     ]
 }
 
@@ -635,6 +639,27 @@ fn failing_calls_dispatch_identically_too() {
     );
     assert!(matches!(refused, Err(SyscallError::QuotaExceeded { .. })));
     let bare = k.trap_container_list(fx.boot, tight).unwrap()[0];
+    // What `peer` (no categories) may not do: read a container tainted
+    // `cat 3`, or write a segment `cat 0` protects.
+    let vault = k
+        .trap_container_create(
+            fx.boot,
+            fx.root,
+            Label::unrestricted().with(fx.cat, Level::L3),
+            "vault",
+            0,
+            1 << 16,
+        )
+        .unwrap();
+    let read_only = k
+        .trap_segment_create(
+            fx.boot,
+            fx.root,
+            Label::unrestricted().with(fx.cat, Level::L0),
+            64,
+            "ro",
+        )
+        .unwrap();
 
     let failures = [
         (
@@ -690,15 +715,191 @@ fn failing_calls_dispatch_identically_too() {
             Syscall::SelfLocalSegment,
             SyscallError::InvalidArgument("thread has no local segment"),
         ),
+        (
+            "sync through a container that does not hold the object",
+            fx.boot,
+            Syscall::ObjSync {
+                entry: ContainerEntry::new(fx.dir, fx.seg),
+                pages: None,
+            },
+            SyscallError::NotInContainer {
+                container: fx.dir,
+                object: fx.seg,
+            },
+        ),
+        (
+            "sync through an unreadable container",
+            fx.peer,
+            Syscall::ObjSync {
+                entry: ContainerEntry::new(vault, fx.seg),
+                pages: Some(vec![0]),
+            },
+            SyscallError::CannotObserve(vault),
+        ),
+        (
+            "sync by a read-only caller",
+            fx.peer,
+            Syscall::ObjSync {
+                entry: entry(&fx, read_only),
+                pages: None,
+            },
+            SyscallError::CannotModify(read_only),
+        ),
     ];
     for (what, tid, call, error) in failures {
         let (stats, rows, objects) = (k.stats(), k.dispatch_stats(), k.object_count());
+        let wal = k.store().unwrap().wal_stats();
         let name = call.name();
         assert_eq!(k.dispatch(tid, call), Err(error), "{what}");
         assert_eq!(k.stats().errors, stats.errors + 1, "{what}: kernel total");
         let counted = k.dispatch_stats().since(&rows);
         assert_eq!(counted.nonzero(), [(name, 1, 1)], "{what}: row counts");
         assert_eq!(k.object_count(), objects, "{what}: object table untouched");
+        assert_eq!(
+            k.store().unwrap().wal_stats(),
+            wal,
+            "{what}: nothing logged"
+        );
         assert_totals_agree(&k);
     }
+
+    // Without a store there is nothing to sync into — said after the
+    // checks, so a refused caller learns nothing about the machine.
+    let mut bare_kernel = Kernel::new(1, None);
+    let root = bare_kernel.root_container();
+    let tid = bare_kernel
+        .bootstrap_thread(
+            root,
+            Label::unrestricted(),
+            Label::default_clearance(),
+            "init",
+        )
+        .unwrap();
+    assert_eq!(
+        bare_kernel.trap_obj_sync(tid, ContainerEntry::self_entry(root), None),
+        Err(SyscallError::NoStore)
+    );
+}
+
+/// A machine holding one three-page segment that has a home record (it was
+/// snapshotted) and whose page 1 has been rewritten since.
+fn machine_with_a_homed_segment() -> (Machine, ObjectId, ContainerEntry) {
+    let mut m = Machine::boot(MachineConfig::default());
+    let tid = m.kernel_thread();
+    let root = m.kernel().root_container();
+    let k = m.kernel_mut();
+    let seg = k
+        .trap_segment_create(tid, root, Label::unrestricted(), 3 * PAGE_SIZE, "file")
+        .unwrap();
+    let e = ContainerEntry::new(root, seg);
+    k.trap_segment_write(tid, e, 0, &vec![0xaa; 3 * PAGE_SIZE as usize])
+        .unwrap();
+    m.snapshot();
+    m.kernel_mut()
+        .trap_segment_write(tid, e, PAGE_SIZE, &[0xbb; PAGE_SIZE as usize])
+        .unwrap();
+    (m, tid, e)
+}
+
+fn segment_bytes(m: &Machine, seg: ObjectId) -> Vec<u8> {
+    match &m.kernel().raw_object(seg).expect("the segment exists").body {
+        ObjectBody::Segment(s) => s.bytes.clone(),
+        other => panic!("not a segment: {other:?}"),
+    }
+}
+
+#[test]
+fn obj_sync_succeeds_identically_alone_and_in_a_batch() {
+    // The sweeps above reach `obj_sync` after `self_halt`, as a refusal.
+    // Its two success shapes — pages flushed in place into the home record
+    // a snapshot left, then the whole object logged — must also be the same
+    // call whether each traps alone or both share a batch: same results,
+    // same checks, same audit stream, same disk writes.
+    let observe = |batched: bool| {
+        let (mut m, tid, e) = machine_with_a_homed_segment();
+        let before = (m.store().stats(), m.store().wal_stats());
+        let disk = m.store().disk_stats();
+        let k = m.kernel_mut();
+        k.enable_syscall_trace(8);
+        let calls = vec![
+            Syscall::ObjSync {
+                entry: e,
+                pages: Some(vec![1]),
+            },
+            Syscall::ObjSync {
+                entry: e,
+                pages: None,
+            },
+        ];
+        let results = if batched {
+            k.submit_calls(tid, calls)
+        } else {
+            calls.into_iter().map(|c| k.dispatch(tid, c)).collect()
+        };
+        assert_eq!(results, [Ok(SyscallResult::Unit), Ok(SyscallResult::Unit)]);
+        assert_totals_agree(k);
+        let trace: Vec<_> = k
+            .syscall_trace()
+            .unwrap()
+            .records()
+            .map(|r| (r.seq, r.tid, r.syscall, r.ok))
+            .collect();
+        assert_eq!(
+            trace,
+            [(0, tid, "obj_sync", true), (1, tid, "obj_sync", true)]
+        );
+        let stats = k.stats();
+        let (store, wal) = (m.store().stats(), m.store().wal_stats());
+        // One in-place flush, then one one-record frame: two disk flushes.
+        assert_eq!(store.inplace_flushes, before.0.inplace_flushes + 1);
+        assert_eq!(wal.frames, before.1.frames + 1);
+        assert_eq!(wal.appends, before.1.appends + 1);
+        let now = m.store().disk_stats();
+        assert_eq!(now.flushes, disk.flushes + 2);
+        (stats, store, wal, now.writes, now.bytes_written)
+    };
+    assert_eq!(observe(true), observe(false));
+}
+
+#[test]
+fn a_page_sync_batched_behind_a_whole_sync_of_the_same_object_survives_a_crash() {
+    // The hazard a batchable sync creates: the whole-object sync *stages*
+    // the version it saw, the write changes page 0, and the page sync must
+    // not flush in place — at the end of the batch the staged frame would
+    // be logged after it, and replay would mask the new page with the old
+    // version.  The store refuses the flush while a staged version waits,
+    // so the page sync logs the object again and one frame carries both.
+    let (mut m, tid, e) = machine_with_a_homed_segment();
+    let (store, wal) = (m.store().stats(), m.store().wal_stats());
+    let results = m.kernel_mut().submit_calls(
+        tid,
+        vec![
+            Syscall::ObjSync {
+                entry: e,
+                pages: None,
+            },
+            Syscall::SegmentWrite {
+                entry: e,
+                offset: 0,
+                data: vec![0xcc; PAGE_SIZE as usize],
+            },
+            Syscall::ObjSync {
+                entry: e,
+                pages: Some(vec![0]),
+            },
+        ],
+    );
+    assert_eq!(results, vec![Ok(SyscallResult::Unit); 3]);
+    assert_eq!(m.store().stats().inplace_flushes, store.inplace_flushes);
+    let logged = m.store().wal_stats();
+    assert_eq!(logged.frames, wal.frames + 1, "one group-commit frame");
+    assert_eq!(logged.appends, wal.appends + 2, "carrying both versions");
+
+    let live = segment_bytes(&m, e.object);
+    let recovered =
+        Machine::recover(MachineConfig::default(), m.store().disk().crash_copy()).unwrap();
+    recovered.store().check_invariants().unwrap();
+    let got = segment_bytes(&recovered, e.object);
+    assert_eq!(got[..PAGE_SIZE as usize], [0xcc; PAGE_SIZE as usize]);
+    assert_eq!(got, live, "every acknowledged byte survives");
 }

@@ -51,14 +51,10 @@ impl DevFs {
         DevFs { seed, opens: 0 }
     }
 
-    fn vnode_for(&mut self, ctx: &mut VfsCtx, node: u64) -> Result<Box<dyn Vnode>> {
+    fn vnode_for(&mut self, node: u64) -> Result<Box<dyn Vnode>> {
         self.opens = self.opens.wrapping_add(1);
         Ok(match node {
-            NODE_CONSOLE => {
-                let device = ctx.machine.console_device();
-                let kroot = ctx.machine.kernel().root_container();
-                Box::new(ConsoleVnode::new(device, kroot))
-            }
+            NODE_CONSOLE => Box::new(ConsoleVnode),
             NODE_NULL => Box::new(DevVnode::Null),
             NODE_ZERO => Box::new(DevVnode::Zero),
             NODE_URANDOM => Box::new(DevVnode::Urandom(SimRng::new(
@@ -140,11 +136,11 @@ impl Filesystem for DevFs {
             },
             refs: 1,
         };
-        Ok((state, self.vnode_for(ctx, node.node)?))
+        Ok((state, self.vnode_for(node.node)?))
     }
 
-    fn vnode_from_state(&mut self, ctx: &mut VfsCtx, state: &FdState) -> Result<Box<dyn Vnode>> {
-        self.vnode_for(ctx, state.target.raw())
+    fn vnode_from_state(&mut self, _ctx: &mut VfsCtx, state: &FdState) -> Result<Box<dyn Vnode>> {
+        self.vnode_for(state.target.raw())
     }
 
     fn as_any_mut(&mut self) -> &mut dyn core::any::Any {

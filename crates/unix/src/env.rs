@@ -26,7 +26,7 @@ use crate::process::{ExitStatus, Pid, Process, ProcessState};
 use crate::procfs::ProcFs;
 use crate::segfs::SegFs;
 use crate::users::{User, UserTable};
-use crate::vfs::{ensure_quota, Vfs};
+use crate::vfs::{ensure_quota, SyncTarget, Vfs};
 use crate::vnode::{self, create_pipe, FdRef, VfsCtx, Vnode};
 use histar_kernel::bodies::{Mapping, MappingFlags};
 use histar_kernel::kernel::PAGE_SIZE;
@@ -34,7 +34,7 @@ use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::syscall::SyscallError;
 use histar_kernel::{Machine, MachineConfig, Syscall, SyscallResult};
 use histar_label::{Category, Label, Level};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Errors returned by the Unix library.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -168,7 +168,8 @@ impl UnixEnv {
         let processes = BTreeMap::new();
         let (root_fs, persistfs) = {
             let mut ctx = VfsCtx {
-                machine: &mut machine,
+                console: machine.console_device(),
+                kernel: machine.kernel_mut(),
                 thread: boot_thread,
                 processes: &processes,
             };
@@ -325,7 +326,7 @@ impl UnixEnv {
     }
 
     /// The context one VFS/vnode operation on `thread` runs against — the
-    /// machine plus the live process table `/proc` and `/metrics/tasks`
+    /// kernel plus the live process table `/proc` and `/metrics/tasks`
     /// render from — alongside the environment's other halves, borrowed
     /// disjointly so a caller can drive the mount layer or a cached vnode
     /// with it.
@@ -339,7 +340,8 @@ impl UnixEnv {
         &mut BTreeMap<(ObjectId, ObjectId), OpenFd>,
     ) {
         let ctx = VfsCtx {
-            machine: &mut self.machine,
+            console: self.machine.console_device(),
+            kernel: self.machine.kernel_mut(),
             thread,
             processes: &self.processes,
         };
@@ -1453,34 +1455,41 @@ impl UnixEnv {
 
     // ----- durability (§7.1) -----------------------------------------------------
 
-    /// `fsync`: makes one file (and the directory naming it) durable.  Under
-    /// the single-level store this serializes the kernel objects into the
-    /// store and appends them to the sequential write-ahead log.
+    /// `fsync`: makes one file (and the directory naming it) durable —
+    /// [`UnixEnv::fsync_paths`] of the one path.
     pub fn fsync_path(&mut self, pid: Pid, path: &str) -> Result<()> {
-        self.vfs_op(pid, |vfs, ctx, cwd| vfs.fsync_path(ctx, cwd, path))
+        self.fsync_paths(pid, &[path])
     }
 
-    /// `fsync` over several paths at once — the group-commit entry point.
-    /// Store-backed paths are resolved to their record keys, deduplicated,
-    /// and synced with ONE `persist_sync`, so the whole group shares a
-    /// single WAL frame and is acked together once that frame is durable.
-    /// Paths on filesystems without a store-backed sync fall back to an
-    /// individual `fsync` each.
+    /// `fsync` over several paths at once — the group-commit entry point,
+    /// and the library's one way to make a path durable.  Every path is
+    /// resolved to its [`SyncTarget`]s, whichever filesystem owns it;
+    /// duplicates are dropped (first seen wins the place); the records are
+    /// synced with ONE `persist_sync`, so the whole group shares a single
+    /// WAL frame and is acked together once that frame is durable, and
+    /// each kernel object with one `obj_sync` — a heap file's `fsync` is
+    /// three traps and three log frames (directory, directory segment,
+    /// file).  The kernel checks every target against the caller; the
+    /// first refusal is returned.
     pub fn fsync_paths(&mut self, pid: Pid, paths: &[&str]) -> Result<()> {
         self.vfs_op(pid, |vfs, ctx, cwd| {
-            let mut keys: Vec<u64> = Vec::new();
-            let mut seen = std::collections::BTreeSet::new();
+            let (mut keys, mut objects, mut seen) = (Vec::new(), Vec::new(), BTreeSet::new());
             for path in paths {
-                match vfs.sync_keys_path(ctx, cwd, path)? {
-                    Some(path_keys) => {
-                        keys.extend(path_keys.into_iter().filter(|k| seen.insert(*k)));
+                for target in vfs.sync_targets_path(ctx, cwd, path)? {
+                    if seen.insert(target) {
+                        match target {
+                            SyncTarget::Record(key) => keys.push(key),
+                            SyncTarget::Object(entry) => objects.push(entry),
+                        }
                     }
-                    None => vfs.fsync_path(ctx, cwd, path)?,
                 }
             }
+            let thread = ctx.thread;
             if !keys.is_empty() {
-                let thread = ctx.thread;
                 ctx.kernel().trap_persist_sync(thread, keys)?;
+            }
+            for entry in objects {
+                ctx.kernel().trap_obj_sync(thread, entry, None)?;
             }
             Ok(())
         })
@@ -1490,8 +1499,8 @@ impl UnixEnv {
     /// pages of the backing segment in place, without writing any metadata —
     /// the fast path for random writes to large existing files.
     pub fn fsync_pages(&mut self, pid: Pid, fd: Fd, pages: &[u64]) -> Result<()> {
-        self.with_fd(pid, fd, |ctx, _fd_ref, vnode, state| {
-            vnode.fsync_pages(ctx, state, pages)
+        self.with_fd(pid, fd, |ctx, _fd_ref, vnode, _state| {
+            vnode.fsync_pages(ctx, pages)
         })
     }
 

@@ -7,10 +7,11 @@
 //! paper's durability story directly: its inodes, directory entries and
 //! file extents are keyed records in the store's B+-tree (the
 //! [`histar_store::records`] namespace), bypassing the in-kernel object
-//! heap for cold data.  `fsync` resolves a file to its record keys and
-//! issues one `persist_sync`; the store group-commits every sync in the
-//! same syscall batch into a single multi-record WAL frame, acked only
-//! after the shared append lands (§5's group sync).
+//! heap for cold data.  `fsync` resolves a file to its record keys
+//! ([`Filesystem::sync_targets`]) and the environment issues one
+//! modify-checked `persist_sync` for the group; the store group-commits
+//! every sync in the same syscall batch into a single multi-record WAL
+//! frame, acked only after the shared append lands (§5's group sync).
 //! Recovery replays the log back into a mountable tree, so a crash
 //! between writes loses at most unsynced data — and never labels, because
 //! **each record carries its label** and the kernel re-checks it on every
@@ -41,7 +42,7 @@
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
 use crate::fs::{DirEntry, FileStat, OpenFlags};
-use crate::vfs::{Filesystem, FsNode};
+use crate::vfs::{Filesystem, FsNode, SyncTarget};
 use crate::vnode::{FdRef, VfsCtx, Vnode};
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::object::ObjectId;
@@ -567,16 +568,7 @@ impl Filesystem for PersistFs {
         Ok(Box::new(PersistVnode::new(state.target.raw() as u32)))
     }
 
-    fn fsync(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<()> {
-        let keys = self
-            .sync_keys(ctx, dir, name)?
-            .expect("PersistFs always has sync keys");
-        let thread = ctx.thread;
-        ctx.kernel().trap_persist_sync(thread, keys)?;
-        Ok(())
-    }
-
-    fn sync_keys(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<Option<Vec<u64>>> {
+    fn sync_targets(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<Vec<SyncTarget>> {
         let dir = dir as u32;
         Self::read_dir_inode(ctx, dir)?;
         let (dirent_key, d) = Self::find_dirent(ctx, dir, name)?
@@ -588,7 +580,7 @@ impl Filesystem for PersistFs {
         };
         let mut keys = vec![META_KEY, inode_key(dir), dirent_key, inode_key(d.ino)];
         keys.extend(Self::extent_keys(d.ino, len));
-        Ok(Some(keys))
+        Ok(keys.into_iter().map(SyncTarget::Record).collect())
     }
 
     fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
@@ -806,7 +798,7 @@ impl Vnode for PersistVnode {
         })
     }
 
-    fn fsync_pages(&mut self, ctx: &mut VfsCtx, _state: &FdState, pages: &[u64]) -> Result<()> {
+    fn fsync_pages(&mut self, ctx: &mut VfsCtx, pages: &[u64]) -> Result<()> {
         // `fdatasync`: the touched extents plus the inode, each one WAL
         // append.  Pages and extents share the 4 KiB granularity.
         let mut keys = vec![inode_key(self.ino)];

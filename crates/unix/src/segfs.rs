@@ -16,7 +16,7 @@
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
 use crate::fs::{DirEntry, Directory, FileStat, OpenFlags};
-use crate::vfs::{ensure_quota, Filesystem, FsNode, CREATE_HEADROOM, DIRECTORY_QUOTA};
+use crate::vfs::{ensure_quota, Filesystem, FsNode, SyncTarget, CREATE_HEADROOM, DIRECTORY_QUOTA};
 use crate::vnode::{FdRef, VfsCtx, Vnode};
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::kernel::PAGE_SIZE;
@@ -231,18 +231,15 @@ impl Filesystem for SegFs {
         ))))
     }
 
-    fn fsync(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<()> {
+    fn sync_targets(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<Vec<SyncTarget>> {
         let dir = ObjectId::from_raw(dir);
-        let d = read_directory(ctx, dir)?;
-        let dirseg = dirseg_of(ctx, dir)?;
-        let mut ids = vec![dir, dirseg];
-        if let Some(entry) = d.lookup(name) {
-            ids.push(entry.object);
-        }
-        for id in ids {
-            crate::vnode::sync_object_to_store(ctx.machine, id, None)?;
-        }
-        Ok(())
+        let file = read_directory(ctx, dir)?.lookup(name).map(|e| e.object);
+        let ids = [Some(dir), Some(dirseg_of(ctx, dir)?), file];
+        Ok(ids
+            .into_iter()
+            .flatten()
+            .map(|id| SyncTarget::Object(ContainerEntry::new(dir, id)))
+            .collect())
     }
 
     fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
@@ -501,11 +498,10 @@ impl Vnode for SegVnode {
         })
     }
 
-    fn fsync_pages(&mut self, ctx: &mut VfsCtx, state: &FdState, pages: &[u64]) -> Result<()> {
-        Ok(crate::vnode::sync_object_to_store(
-            ctx.machine,
-            state.target,
-            Some(pages),
-        )?)
+    fn fsync_pages(&mut self, ctx: &mut VfsCtx, pages: &[u64]) -> Result<()> {
+        let thread = ctx.thread;
+        Ok(ctx
+            .kernel()
+            .trap_obj_sync(thread, self.entry, Some(pages.to_vec()))?)
     }
 }

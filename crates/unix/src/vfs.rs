@@ -16,14 +16,17 @@
 //! Label enforcement stays in the kernel: every lookup/readdir/open a
 //! filesystem performs issues system calls on the calling thread, so a
 //! caller that may not observe a directory (or a `/proc` entry) gets
-//! `CannotObserve` from the kernel, not from this library.
+//! `CannotObserve` from the kernel, not from this library.  Durability is
+//! no exception: a filesystem *names* what an `fsync` must make durable
+//! ([`Filesystem::sync_targets`], the one sync seam) and the environment
+//! traps `persist_sync` / `obj_sync` for it.
 
 use crate::env::UnixError;
 use crate::fdtable::FdState;
 use crate::fs::{join_path, DirEntry, FileStat, OpenFlags};
 use crate::vnode::{VfsCtx, Vnode};
 use histar_kernel::kernel::PAGE_SIZE;
-use histar_kernel::object::ObjectId;
+use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_label::Label;
 
 type Result<T> = core::result::Result<T, UnixError>;
@@ -44,9 +47,21 @@ pub struct FsNode {
     pub is_dir: bool,
 }
 
+/// One thing an `fsync` makes durable, named as the kernel call that
+/// syncs it takes it (see [`Filesystem::sync_targets`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SyncTarget {
+    /// A persist record, by key: synced together with every other record
+    /// of the group by one `persist_sync`.
+    Record(u64),
+    /// A kernel object, by container entry: synced by one `obj_sync`.
+    Object(ContainerEntry),
+}
+
 /// One mountable filesystem.  All methods run on behalf of `ctx.thread`;
-/// implementations must only reach kernel state through system calls so
-/// the kernel's label checks always apply to the actual caller.
+/// implementations only reach kernel state through system calls — a
+/// [`VfsCtx`] hands them the kernel's trap interface and nothing beside it
+/// — so the kernel's label checks always apply to the actual caller.
 pub trait Filesystem: core::fmt::Debug {
     /// A short name for diagnostics (`"segfs"`, `"procfs"`, `"devfs"`).
     fn fs_name(&self) -> &'static str;
@@ -111,18 +126,24 @@ pub trait Filesystem: core::fmt::Debug {
     /// dropped); `state` is the decoded descriptor segment.
     fn vnode_from_state(&mut self, ctx: &mut VfsCtx, state: &FdState) -> Result<Box<dyn Vnode>>;
 
-    /// Makes `name` under `dir` (and the directory naming it) durable.
-    fn fsync(&mut self, _ctx: &mut VfsCtx, _dir: u64, _name: &str) -> Result<()> {
-        Ok(())
-    }
-
-    /// The store keys `fsync` of `name` under `dir` would make durable,
-    /// or `Ok(None)` if this filesystem has no store-backed sync step
-    /// (the default).  Callers syncing several paths collect each path's
-    /// keys and issue ONE `persist_sync`, so the whole group rides a
-    /// single WAL frame (group commit) instead of one append per file.
-    fn sync_keys(&mut self, _ctx: &mut VfsCtx, _dir: u64, _name: &str) -> Result<Option<Vec<u64>>> {
-        Ok(None)
+    /// What an `fsync` of `name` under `dir` must make durable — the file
+    /// and the directory naming it — as the arguments of the kernel's two
+    /// sync calls; empty (the default) for a filesystem with nothing in
+    /// the store.  The filesystem only *names* the targets:
+    /// [`UnixEnv::fsync_paths`](crate::env::UnixEnv::fsync_paths) gathers
+    /// them over all its paths and traps, so durability has one way into
+    /// the kernel and every target is modify-checked there against the
+    /// caller.  A caller that may write a file but not its directory
+    /// therefore gets the kernel's refusal for the directory's targets
+    /// (the first error, in order): making a directory's current version
+    /// the one that survives a crash is a write to the directory.
+    fn sync_targets(
+        &mut self,
+        _ctx: &mut VfsCtx,
+        _dir: u64,
+        _name: &str,
+    ) -> Result<Vec<SyncTarget>> {
+        Ok(Vec::new())
     }
 
     /// Downcast hook (how [`Vfs::find_fs_mut`] finds a filesystem by type,
@@ -419,23 +440,16 @@ impl Vfs {
             .map_err(|e| annotate_path(e, &rf.comps))
     }
 
-    /// `fsync` on a path.
-    pub fn fsync_path(&mut self, ctx: &mut VfsCtx, cwd: &str, path: &str) -> Result<()> {
-        let r = self.resolve_parent(ctx, cwd, path)?;
-        self.filesystems[r.fs].fsync(ctx, r.dir, &r.name)
-    }
-
-    /// The store keys an `fsync` of `path` would sync, or `None` when the
-    /// owning filesystem has no store-backed sync (see
-    /// [`Filesystem::sync_keys`]).
-    pub fn sync_keys_path(
+    /// What an `fsync` of `path` must make durable (see
+    /// [`Filesystem::sync_targets`]).
+    pub fn sync_targets_path(
         &mut self,
         ctx: &mut VfsCtx,
         cwd: &str,
         path: &str,
-    ) -> Result<Option<Vec<u64>>> {
+    ) -> Result<Vec<SyncTarget>> {
         let r = self.resolve_parent(ctx, cwd, path)?;
-        self.filesystems[r.fs].sync_keys(ctx, r.dir, &r.name)
+        self.filesystems[r.fs].sync_targets(ctx, r.dir, &r.name)
     }
 
     /// Rebuilds the vnode for a decoded descriptor state.  File-backed
@@ -453,11 +467,7 @@ impl Vfs {
         use crate::{procfs::ProcFs, segfs::SegFs};
         match state.kind {
             FdKind::PipeRead | FdKind::PipeWrite => Ok(Box::new(PipeVnode)),
-            FdKind::Console => {
-                let device = ctx.machine.console_device();
-                let kroot = ctx.machine.kernel().root_container();
-                Ok(Box::new(ConsoleVnode::new(device, kroot)))
-            }
+            FdKind::Console => Ok(Box::new(ConsoleVnode)),
             FdKind::Socket => Ok(Box::new(SocketVnode)),
             // Any SegFs can rebuild a file vnode: the descriptor state
             // names the object directly.

@@ -22,10 +22,7 @@ use crate::fs::FileStat;
 use crate::process::{Pid, Process, ProcessState};
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::object::{ContainerEntry, ObjectId};
-use histar_kernel::serialize::{encode_object, segment_prefix};
-use histar_kernel::syscall::SyscallError;
-use histar_kernel::{Kernel, Machine};
-use histar_store::page_ranges;
+use histar_kernel::Kernel;
 use std::collections::BTreeMap;
 
 type Result<T> = core::result::Result<T, UnixError>;
@@ -36,14 +33,21 @@ pub const PIPE_CAPACITY: u64 = 64 * 1024;
 /// count.
 pub const PIPE_HEADER: u64 = 24;
 
-/// The state a vnode operation runs against: the simulated machine, the
-/// calling process's thread, and the library's live process table.  Every
-/// kernel call a vnode makes goes through `trap_*`/`submit_calls` on this
-/// thread, so the kernel's label checks always apply to the actual caller.
+/// The state a vnode operation runs against: the kernel, the calling
+/// process's thread, and the library's live process table.  Every kernel
+/// call a vnode makes goes through `trap_*`/`submit_calls` on this thread,
+/// so the kernel's label checks always apply to the actual caller — and
+/// the context holds the kernel, not the machine, so nothing below the
+/// environment can name the store, a snapshot or a crash: a filesystem's
+/// only way to make anything durable is a trapped `obj_sync` /
+/// `persist_sync`.
 #[derive(Debug)]
 pub struct VfsCtx<'a> {
-    /// The machine the environment runs on.
-    pub machine: &'a mut Machine,
+    /// The kernel the environment's machine runs.
+    pub(crate) kernel: &'a mut Kernel,
+    /// The machine's boot console device, if configured (what a
+    /// [`ConsoleVnode`] transmits to).
+    pub(crate) console: Option<ObjectId>,
     /// The calling process's thread.
     pub thread: ObjectId,
     /// The process table `/proc` and `/metrics/tasks` render from (built
@@ -54,7 +58,7 @@ pub struct VfsCtx<'a> {
 impl<'a> VfsCtx<'a> {
     /// The kernel, mutably — the path every syscall takes.
     pub fn kernel(&mut self) -> &mut Kernel {
-        self.machine.kernel_mut()
+        self.kernel
     }
 
     /// The processes `/proc` and `/metrics/tasks` serve: everything in the
@@ -172,7 +176,7 @@ pub trait Vnode: core::fmt::Debug {
 
     /// Makes specific pages of the backing object durable in place
     /// (`fdatasync`); only file-backed vnodes support it.
-    fn fsync_pages(&mut self, _ctx: &mut VfsCtx, _state: &FdState, _pages: &[u64]) -> Result<()> {
+    fn fsync_pages(&mut self, _ctx: &mut VfsCtx, _pages: &[u64]) -> Result<()> {
         Err(UnixError::Unsupported("fsync on a non-file descriptor"))
     }
 
@@ -505,18 +509,8 @@ pub fn create_pipe(ctx: &mut VfsCtx, container: ObjectId) -> Result<(FdState, Fd
 /// The console/TTY: writes are transmitted to the boot console device
 /// (label-checked by the kernel's device transmit path); reads return
 /// end-of-file.
-#[derive(Debug)]
-pub struct ConsoleVnode {
-    device: Option<ObjectId>,
-    kroot: ObjectId,
-}
-
-impl ConsoleVnode {
-    /// A console vnode for the machine's boot console device.
-    pub fn new(device: Option<ObjectId>, kroot: ObjectId) -> ConsoleVnode {
-        ConsoleVnode { device, kroot }
-    }
-}
+#[derive(Debug, Default)]
+pub struct ConsoleVnode;
 
 impl Vnode for ConsoleVnode {
     fn read(
@@ -536,9 +530,9 @@ impl Vnode for ConsoleVnode {
         _state: &FdState,
         data: &[u8],
     ) -> Result<u64> {
-        if let Some(console) = self.device {
+        if let Some(console) = ctx.console {
             let thread = ctx.thread;
-            let entry = ContainerEntry::new(self.kroot, console);
+            let entry = ContainerEntry::new(ctx.kernel().root_container(), console);
             ctx.kernel()
                 .trap_net_transmit(thread, entry, data.to_vec())?;
         }
@@ -699,42 +693,4 @@ pub fn init_socket_segment(ctx: &mut VfsCtx, entry: ContainerEntry) -> Result<()
     ctx.kernel()
         .trap_segment_write(thread, entry, 0, &headers)?;
     Ok(())
-}
-
-// ---------------------------------------------------- durability helper --
-
-/// Makes one kernel object durable in the single-level store (the `fsync`
-/// primitive shared by path-level and descriptor-level sync).
-///
-/// With `pages` — 4 KiB pages of a *file*, i.e. of a segment's payload —
-/// only those bytes move: they are borrowed from the segment and flushed
-/// into its home record, where the payload starts one encoded prefix in.
-/// Whenever the store refuses that (no home record yet, the encoding
-/// changed length, a header field changed, a logged version would mask
-/// the flush) and for every other sync, the whole object is encoded,
-/// stored and logged.  An object that no longer exists is an error, not a
-/// durable nothing.
-pub fn sync_object_to_store(
-    machine: &mut Machine,
-    id: ObjectId,
-    pages: Option<&[u64]>,
-) -> core::result::Result<(), SyscallError> {
-    let (obj, store) = machine.kernel_mut().raw_object_and_store(id);
-    let obj = obj.ok_or(SyscallError::NoSuchObject(id))?;
-    let store = store.expect("a machine's kernel has a store");
-    if let Some((pages, (prefix, payload))) = pages.and_then(|p| Some((p, segment_prefix(obj)?))) {
-        let base = prefix.len() as u64;
-        let ranges = page_ranges(payload, base, pages);
-        let encoded_len = base + payload.len() as u64;
-        if store
-            .flush_ranges(id.raw(), encoded_len, &prefix, &ranges)
-            .is_ok()
-        {
-            return Ok(());
-        }
-    }
-    store.put(id.raw(), encode_object(obj));
-    store
-        .sync_object(id.raw())
-        .map_err(|_| SyscallError::NoSuchObject(id))
 }

@@ -399,7 +399,8 @@ fn fsync_pages_after_a_logged_fsync_is_not_masked_by_log_replay() {
 
 /// An `fsync` that cannot make anything durable says so: the object behind
 /// a still-open descriptor is gone once its last name is unlinked, and a
-/// page sync through that descriptor reports it instead of acknowledging.
+/// page sync through that descriptor reports it instead of acknowledging —
+/// with the kernel's entry error, the same a forged id would get.
 #[test]
 fn fsync_of_a_vanished_object_is_an_error_not_an_acknowledgement() {
     let mut env = UnixEnv::boot();
@@ -414,8 +415,42 @@ fn fsync_of_a_vanished_object_is_an_error_not_an_acknowledgement() {
 
     let flushes = env.machine().store().stats().inplace_flushes;
     let err = env.fsync_pages(init, fd, &[0, 1]).unwrap_err();
-    assert_eq!(err, UnixError::Kernel(SyscallError::NoSuchObject(seg)));
+    assert_eq!(
+        err,
+        UnixError::Kernel(SyscallError::NotInContainer {
+            container: env.fs_root(),
+            object: seg,
+        })
+    );
     assert_eq!(env.machine().store().stats().inplace_flushes, flushes);
+}
+
+/// `fsync` is one trap per target: a heap file's sync is the directory,
+/// its directory segment and the file — three `obj_sync` calls, three log
+/// frames — and two files of one directory synced through one
+/// `fsync_paths` share the directory's two targets: four traps, not six.
+#[test]
+fn fsync_paths_syncs_each_target_once_through_its_own_trap() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.mkdir(init, "/d", None).unwrap();
+    env.write_file_as(init, "/d/a", b"a", None).unwrap();
+    env.write_file_as(init, "/d/b", b"b", None).unwrap();
+    let count = |env: &UnixEnv| {
+        let traps = env.machine().kernel().dispatch_stats().count("obj_sync");
+        (traps.unwrap(), env.machine().store().wal_stats().frames)
+    };
+
+    let (traps, frames) = count(&env);
+    env.fsync_path(init, "/d/a").unwrap();
+    assert_eq!(count(&env), (traps + 3, frames + 3));
+    env.fsync_paths(init, &["/d/a", "/d/b"]).unwrap();
+    assert_eq!(count(&env), (traps + 7, frames + 7));
+    // A `/persist` path beside them adds one `persist_sync` and no object.
+    env.write_file_as(init, "/persist/p", b"p", None).unwrap();
+    env.fsync_paths(init, &["/d/a", "/persist/p", "/d/a"])
+        .unwrap();
+    assert_eq!(count(&env), (traps + 10, frames + 11));
 }
 
 /// Regression: sharing a descriptor with a process that does not exist

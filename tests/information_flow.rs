@@ -485,3 +485,238 @@ fn compromised_worker_cannot_leak_alice_files_to_bobs_connection() {
         "the worker must not have written any segment after its first denial"
     );
 }
+
+/// A process with no privilege forges `FdKind::File` descriptors — the
+/// numbers are no secret — for a secret segment in a container it cannot
+/// read, for an id that names nothing, and for a thread, each also named
+/// through its *own* container.  `fsync_pages` on every one of them is a
+/// trap like `read`, refused with the same error `read` gets, so a real
+/// id and a made-up one are indistinguishable; nothing reaches the disk,
+/// and every attempt is on the audit record.
+#[test]
+fn forged_file_descriptors_cannot_sync_what_they_cannot_name() {
+    use histar::kernel::object::ObjectId;
+    use histar::kernel::TraceRecord;
+    use histar::unix::fdtable::{FdKind, FdState};
+
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let init_thread = env.process(init).unwrap().thread;
+    let kroot = env.machine().kernel().root_container();
+    let kernel = env.kernel_mut();
+    let h = kernel.trap_create_category(init_thread).unwrap();
+    let secret_label = Label::unrestricted().with(h, Level::L3);
+    let vault = kernel
+        .trap_container_create(
+            init_thread,
+            kroot,
+            secret_label.clone(),
+            "vault",
+            0,
+            1 << 16,
+        )
+        .unwrap();
+    let secret = kernel
+        .trap_segment_create(init_thread, vault, secret_label, 4096, "secret")
+        .unwrap();
+    kernel
+        .trap_segment_write(
+            init_thread,
+            histar::kernel::object::ContainerEntry::new(vault, secret),
+            0,
+            b"the secret",
+        )
+        .unwrap();
+
+    let mallory = env.spawn(init, "/bin/mallory", None).unwrap();
+    let (mallory_thread, own) = {
+        let p = env.process(mallory).unwrap();
+        (p.thread, p.process_container)
+    };
+    let made_up = ObjectId::from_raw(0x0bad_c0de);
+    let forged: Vec<_> = [vault, own]
+        .into_iter()
+        .flat_map(|container| [secret, made_up, init_thread].map(|target| (container, target)))
+        .map(|(target_container, target)| {
+            let state = FdState {
+                kind: FdKind::File,
+                target,
+                target_container,
+                position: 0,
+                flags: 0,
+                refs: 1,
+            };
+            (state, env.install_descriptor(mallory, state).unwrap())
+        })
+        .collect();
+
+    env.kernel_mut().enable_syscall_trace(1 << 12);
+    let disk_before = {
+        let store = env.machine().store();
+        (store.disk_stats(), store.wal_stats(), store.stats())
+    };
+    for (state, fd) in &forged {
+        let denied = env.read(mallory, *fd, 16).unwrap_err();
+        let expected = if state.target_container == vault {
+            SyscallError::CannotObserve(vault)
+        } else {
+            SyscallError::NotInContainer {
+                container: own,
+                object: state.target,
+            }
+        };
+        assert_eq!(denied, UnixError::Kernel(expected), "read of {state:?}");
+        assert_eq!(
+            env.fsync_pages(mallory, *fd, &[0]).unwrap_err(),
+            denied,
+            "fsync_pages of {state:?} must be refused exactly as read is"
+        );
+    }
+    let store = env.machine().store();
+    assert_eq!(
+        (store.disk_stats(), store.wal_stats(), store.stats()),
+        disk_before,
+        "a refused sync writes, flushes and logs nothing"
+    );
+
+    let syncs: Vec<TraceRecord> = env
+        .machine()
+        .kernel()
+        .syscall_trace()
+        .expect("tracing enabled")
+        .records()
+        .filter(|r| r.syscall == "obj_sync")
+        .copied()
+        .collect();
+    assert_eq!(syncs.len(), forged.len(), "one audit record per attempt");
+    assert!(syncs.iter().all(|r| r.tid == mallory_thread && !r.ok));
+}
+
+/// A machine with an unprivileged process `lo` and a process `hi` tainted
+/// `{h 2}` in a fresh category: `hi` may read what `lo` writes, never
+/// write it.  Returns `hi`'s thread too.
+fn boot_with_lo_and_tainted_hi() -> (
+    UnixEnv,
+    histar::unix::process::Pid,
+    histar::unix::process::Pid,
+    histar::kernel::object::ObjectId,
+) {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let init_thread = env.process(init).unwrap().thread;
+    let h = env.kernel_mut().trap_create_category(init_thread).unwrap();
+    env.process_record_mut(init)
+        .unwrap()
+        .extra_ownership
+        .push(h);
+    let lo = env.spawn(init, "/bin/lo", None).unwrap();
+    let hi = env
+        .spawn_with_label(init, "/bin/hi", vec![], vec![(h, Level::L2)])
+        .unwrap();
+    let hi_thread = env.process(hi).unwrap().thread;
+    (env, lo, hi, hi_thread)
+}
+
+/// Durability is a write.  `lo` makes version `A` of a `/persist` file
+/// durable and rewrites it to `B` without syncing; `hi`, tainted `{h 2}`,
+/// may read the file but not write it — and so may not choose which
+/// version survives a crash either: its `persist_sync` of exactly the
+/// file's records is refused like its write, on the audit record, and the
+/// crash recovers `A`.  (Under the observe rule the sync succeeded and the
+/// crash recovered `B`: one bit per record per crash to a reader that
+/// never held `h`.)
+#[test]
+fn a_reader_cannot_choose_which_version_of_a_persist_file_survives_a_crash() {
+    use histar::store::records::{extent_key, inode_key, META_KEY};
+
+    let (mut env, lo, hi, hi_thread) = boot_with_lo_and_tainted_hi();
+
+    env.write_file_as(lo, "/persist/f", b"version A", None)
+        .unwrap();
+    env.fsync_path(lo, "/persist/f").unwrap();
+    env.write_file_as(lo, "/persist/f", b"version B", None)
+        .unwrap();
+    let ino = env.stat(lo, "/persist/f").unwrap().object.raw() as u32;
+
+    // hi reads the live file, and is refused the write.
+    assert_eq!(env.read_file_as(hi, "/persist/f").unwrap(), b"version B");
+    assert!(matches!(
+        env.write_file_as(hi, "/persist/f", b"version C", None),
+        Err(UnixError::Kernel(SyscallError::CannotModifyRecord(_)))
+    ));
+    // The sync is refused the same way: aimed at the file's own records,
+    // and through the library (whose first target is the superblock).
+    env.kernel_mut().enable_syscall_trace(1 << 12);
+    let keys = vec![inode_key(ino), extent_key(ino, 0)];
+    assert_eq!(
+        env.kernel_mut().trap_persist_sync(hi_thread, keys),
+        Err(SyscallError::CannotModifyRecord(inode_key(ino)))
+    );
+    assert_eq!(
+        env.fsync_path(hi, "/persist/f"),
+        Err(UnixError::Kernel(SyscallError::CannotModifyRecord(
+            META_KEY
+        )))
+    );
+    let trace = env.machine().kernel().syscall_trace().unwrap();
+    let refused = trace
+        .records()
+        .filter(|r| r.tid == hi_thread && r.syscall == "persist_sync")
+        .inspect(|r| assert!(!r.ok, "no persist_sync of hi's may succeed"))
+        .count();
+    assert_eq!(refused, 2);
+
+    let recovered = env.into_machine().crash_and_recover().unwrap();
+    let mut env = UnixEnv::on_machine(recovered);
+    let init = env.init_pid();
+    assert_eq!(env.read_file_as(init, "/persist/f").unwrap(), b"version A");
+}
+
+/// The same for a heap file, whose `fsync` is `obj_sync`: `hi` can read
+/// `/f` but its sync of the file's segment — or of the path, whose first
+/// target is the directory — is refused like a write, and the crash
+/// recovers the version `lo` made durable.
+#[test]
+fn a_reader_cannot_choose_which_version_of_a_heap_file_survives_a_crash() {
+    use histar::kernel::bodies::ObjectBody;
+    use histar::kernel::object::ContainerEntry;
+
+    let (mut env, lo, hi, hi_thread) = boot_with_lo_and_tainted_hi();
+
+    env.write_file_as(lo, "/f", b"version A", None).unwrap();
+    env.fsync_path(lo, "/f").unwrap();
+    env.write_file_as(lo, "/f", b"version B", None).unwrap();
+    let root = env.fs_root();
+    let seg = env.stat(lo, "/f").unwrap().object;
+
+    assert_eq!(env.read_file_as(hi, "/f").unwrap(), b"version B");
+    assert!(matches!(
+        env.write_file_as(hi, "/f", b"version C", None),
+        Err(UnixError::Kernel(SyscallError::CannotModify(_)))
+    ));
+    env.kernel_mut().enable_syscall_trace(1 << 12);
+    assert_eq!(
+        env.kernel_mut()
+            .trap_obj_sync(hi_thread, ContainerEntry::new(root, seg), None),
+        Err(SyscallError::CannotModify(seg))
+    );
+    assert_eq!(
+        env.fsync_path(hi, "/f"),
+        Err(UnixError::Kernel(SyscallError::CannotModify(root)))
+    );
+    let trace = env.machine().kernel().syscall_trace().unwrap();
+    let refused = trace
+        .records()
+        .filter(|r| r.tid == hi_thread && r.syscall == "obj_sync")
+        .inspect(|r| assert!(!r.ok, "no obj_sync of hi's may succeed"))
+        .count();
+    assert_eq!(refused, 2);
+
+    // `on_machine` formats a fresh `/` on a recovered machine, so the
+    // recovered segment is read where it lies.
+    let recovered = env.into_machine().crash_and_recover().unwrap();
+    match &recovered.kernel().raw_object(seg).unwrap().body {
+        ObjectBody::Segment(s) => assert_eq!(s.bytes, b"version A"),
+        other => panic!("not a segment: {other:?}"),
+    }
+}
