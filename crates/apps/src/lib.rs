@@ -140,9 +140,6 @@ pub fn deploy_clamav(env: &mut UnixEnv, username: &str) -> Result<ClamAvDeployme
         .machine_mut()
         .kernel_mut()
         .trap_create_category(wrap_thread)?;
-    env.process_record_mut(wrap)?
-        .extra_ownership
-        .push(isolation);
 
     // Private /tmp for the scanner, writable at taint level 3 in v.
     let tmp_label = Label::builder()

@@ -17,7 +17,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use histar_label::{Category, Label, Level};
+use histar_kernel::Syscall;
+use histar_label::{Label, Level};
 use histar_unix::process::Pid;
 use histar_unix::users::User;
 use histar_unix::{UnixEnv, UnixError};
@@ -153,24 +154,24 @@ impl AuthSystem {
         // labelled {pi_r 3, uw 0, 1} — readable only under the password
         // taint, writable only with the user's privilege.
         let kernel = env.machine_mut().kernel_mut();
-        let saved_label = kernel.thread_label(login_thread)?;
-        let saved_clearance = kernel.thread_clearance(login_thread)?;
-        // Both per-login categories are allocated in one submission batch.
-        let mut allocs = kernel
+        // The label to come back to and both per-login categories ride one
+        // submission batch.
+        let mut head = kernel
             .submit_calls(
                 login_thread,
                 vec![
-                    histar_kernel::Syscall::CreateCategory,
-                    histar_kernel::Syscall::CreateCategory,
+                    Syscall::SelfGetLabel,
+                    Syscall::SelfGetClearance,
+                    Syscall::CreateCategory,
+                    Syscall::CreateCategory,
                 ],
             )
             .into_iter();
-        let mut next_cat = || -> Result<Category> {
-            let r = allocs.next().expect("one completion per submitted call")?;
-            Ok(r.into_category())
-        };
-        let pi_r = next_cat()?;
-        let _session_w = next_cat()?;
+        let mut next = || head.next().expect("one completion per submitted call");
+        let saved_label = next()?.into_label();
+        let saved_clearance = next()?.into_label();
+        let pi_r = next()?.into_category();
+        let _session_w = next()?.into_category();
 
         // Step 3: the check runs tainted pi_r 3.  Login itself *owns* pi_r
         // (it allocated the category), so the taint restricts the user's
@@ -179,10 +180,7 @@ impl AuthSystem {
         // everything it can write while tainted pi_r 3 is unreadable to the
         // untainted world.  The only information that escapes the check is
         // the one-bit outcome, released through the grant gate.
-        let check_gate_label = kernel
-            .thread_label(login_thread)?
-            .drop_ownership(Level::L1)
-            .with(pi_r, Level::L3);
+        let check_gate_label = saved_label.drop_ownership(Level::L1).with(pi_r, Level::L3);
         debug_assert!(!check_gate_label.can_modify(&Label::unrestricted()));
 
         let (outcome, grant) = {
@@ -207,10 +205,10 @@ impl AuthSystem {
         for r in kernel.submit_calls(
             login_thread,
             vec![
-                histar_kernel::Syscall::SelfSetLabel {
+                Syscall::SelfSetLabel {
                     label: saved_label.clone(),
                 },
-                histar_kernel::Syscall::SelfSetClearance {
+                Syscall::SelfSetClearance {
                     clearance: saved_clearance.clone(),
                 },
             ],
@@ -219,17 +217,8 @@ impl AuthSystem {
         }
         match grant {
             Some(user) => {
-                let granted_label = saved_label
-                    .with(user.read_cat, Level::Star)
-                    .with(user.write_cat, Level::Star);
-                let granted_clearance = saved_clearance
-                    .with(user.read_cat, Level::L3)
-                    .with(user.write_cat, Level::L3);
-                grant_via_owner(env, login, &user, granted_label, granted_clearance)?;
-                let proc = env.process_record_mut(login)?;
-                proc.user = Some(user.name.clone());
-                proc.extra_ownership.push(user.read_cat);
-                proc.extra_ownership.push(user.write_cat);
+                grant_via_owner(env, login, &user, saved_label, saved_clearance)?;
+                env.process_record_mut(login)?.user = Some(user.name.clone());
                 self.log.append(&format!("login success: {username}"));
                 Ok(LoginOutcome::Granted)
             }
@@ -248,16 +237,17 @@ impl AuthSystem {
 }
 
 /// The grant step: a single-use gate owned by the holder of the user's
-/// categories re-labels the login thread.  In this reproduction the user's
-/// categories were allocated by init (which plays the role of the account
-/// creator / the user's authentication-service owner), so init's thread
-/// creates the grant gate.
+/// categories re-labels the login thread — from `label` / `clearance`,
+/// which it holds on arrival, to the same plus the user's `ur`/`uw`.  In
+/// this reproduction the user's categories were allocated by init (which
+/// plays the role of the account creator / the user's
+/// authentication-service owner), so init's thread creates the grant gate.
 fn grant_via_owner(
     env: &mut UnixEnv,
     login: Pid,
     user: &User,
-    granted_label: Label,
-    granted_clearance: Label,
+    label: Label,
+    clearance: Label,
 ) -> Result<()> {
     let init = env.init_pid();
     let (init_thread, init_container) = {
@@ -267,7 +257,7 @@ fn grant_via_owner(
     let login_thread = env.process(login)?.thread;
     let kernel = env.machine_mut().kernel_mut();
     let gate_label = kernel
-        .thread_label(init_thread)?
+        .trap_self_get_label(init_thread)?
         .with(user.read_cat, Level::Star)
         .with(user.write_cat, Level::Star);
     let gate_clearance = Label::default_clearance()
@@ -284,14 +274,13 @@ fn grant_via_owner(
         &format!("grant gate for {}", user.name),
     )?;
     let entry = histar_kernel::object::ContainerEntry::new(init_container, gate);
-    let verify = kernel.thread_label(login_thread)?;
-    kernel.trap_gate_enter(
-        login_thread,
-        entry,
-        granted_label,
-        granted_clearance,
-        verify,
-    )?;
+    let granted_label = label
+        .with(user.read_cat, Level::Star)
+        .with(user.write_cat, Level::Star);
+    let granted_clearance = clearance
+        .with(user.read_cat, Level::L3)
+        .with(user.write_cat, Level::L3);
+    kernel.trap_gate_enter(login_thread, entry, granted_label, granted_clearance, label)?;
     // The per-login grant gate is single-use.
     let _ = kernel.trap_obj_unref(init_thread, entry);
     Ok(())
@@ -317,18 +306,28 @@ mod tests {
         let (mut env, mut auth, sshd) = setup();
         let bob = env.user("bob").unwrap();
         let thread = env.process(sshd).unwrap().thread;
-        assert!(!env
-            .machine()
-            .kernel()
-            .thread_label(thread)
-            .unwrap()
-            .owns(bob.read_cat));
+        let before = env.machine().kernel().thread_label(thread).unwrap();
+        let before_clearance = env.machine().kernel().thread_clearance(thread).unwrap();
+        assert!(!before.owns(bob.read_cat));
 
         let outcome = auth.login(&mut env, sshd, "bob", "hunter2").unwrap();
         assert_eq!(outcome, LoginOutcome::Granted);
+        // Login never re-reads its label: what it asked the grant gate for
+        // is derived from what it held on the way in, and the kernel holds
+        // exactly that — the old label plus `ur`/`uw`, nothing lingering.
         let label = env.machine().kernel().thread_label(thread).unwrap();
-        assert!(label.owns(bob.read_cat));
-        assert!(label.owns(bob.write_cat));
+        assert_eq!(
+            label,
+            before
+                .with(bob.read_cat, Level::Star)
+                .with(bob.write_cat, Level::Star)
+        );
+        assert_eq!(
+            env.machine().kernel().thread_clearance(thread).unwrap(),
+            before_clearance
+                .with(bob.read_cat, Level::L3)
+                .with(bob.write_cat, Level::L3)
+        );
         // The login is recorded by the logging service.
         assert!(auth.log.entries().iter().any(|e| e.contains("success")));
         // `/proc` renders from the live process table, so the new user
@@ -350,6 +349,7 @@ mod tests {
         let (mut env, mut auth, sshd) = setup();
         let bob = env.user("bob").unwrap();
         let thread = env.process(sshd).unwrap().thread;
+        let before = env.machine().kernel().thread_label(thread).unwrap();
         assert_eq!(
             auth.login(&mut env, sshd, "bob", "wrong").unwrap(),
             LoginOutcome::BadPassword
@@ -364,7 +364,7 @@ mod tests {
         // The thread's label is exactly what it was: no password taint
         // lingers (login owned pi_r and untainted itself).
         let label = env.machine().kernel().thread_label(thread).unwrap();
-        assert_eq!(label, env.process(sshd).unwrap().thread_label());
+        assert_eq!(label, before);
     }
 
     #[test]

@@ -734,9 +734,9 @@ impl Exporter {
         // keeps the taint: only the category's real owner, back on its home
         // node, decides about untainting.)
         let residual = env
-            .machine()
-            .kernel()
-            .thread_label(worker_thread)
+            .machine_mut()
+            .kernel_mut()
+            .trap_self_get_label(worker_thread)
             .map_err(UnixError::from)?
             .drop_ownership(Level::L1);
         let reply_label = request_label.lub(&residual);
@@ -773,9 +773,9 @@ impl Exporter {
 }
 
 /// Whether `pid`'s thread owns `category` right now.
-fn owns(env: &UnixEnv, pid: Pid, category: Category) -> Result<bool> {
+fn owns(env: &mut UnixEnv, pid: Pid, category: Category) -> Result<bool> {
     let thread = env.process(pid)?.thread;
-    Ok(env.machine().kernel().thread_label(thread)?.owns(category))
+    Ok(env.kernel_mut().trap_self_get_label(thread)?.owns(category))
 }
 
 /// Maps a kernel label refusal to the wire error class that tells the remote

@@ -263,7 +263,7 @@ impl Fabric {
         };
         let kernel = n.env.machine_mut().kernel_mut();
         let label = kernel
-            .thread_label(thread)
+            .trap_self_get_label(thread)
             .map_err(histar_unix::UnixError::from)?;
         let gate = kernel
             .trap_gate_create(
@@ -336,9 +336,8 @@ impl Fabric {
                 let thread = self.nodes[from].env.process(caller)?.thread;
                 self.nodes[from]
                     .env
-                    .machine()
-                    .kernel()
-                    .thread_label(thread)
+                    .kernel_mut()
+                    .trap_self_get_label(thread)
                     .map_err(histar_unix::UnixError::from)?
                     .drop_ownership(Level::L1)
             }

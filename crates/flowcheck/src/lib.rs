@@ -1,5 +1,5 @@
-//! flowcheck: static analysis for the two invariants everything else in
-//! this repo leans on.
+//! flowcheck: static analysis for the invariants everything else in this
+//! repo leans on.
 //!
 //! 1. **Mediation** — every syscall dispatch arm that reaches object
 //!    state is dominated by a label check (HiStar's "all information flow
@@ -9,10 +9,14 @@
 //!    collection in unordered fashion or consults wall-clock time / OS
 //!    RNG (the replay-identical-trace and snapshot-byte-stability test
 //!    strategies assume this).
+//! 3. **Boundary** — no untrusted library crate reads a thread's label
+//!    or clearance off the kernel; it traps (`self_get_label`) like any
+//!    other thread.
 //!
 //! See `ARCHITECTURE.md` § "Static analysis" for the rule definitions and
 //! the exemption-marker grammar.
 
+pub mod boundary;
 pub mod determinism;
 pub mod lex;
 pub mod mediation;
@@ -25,6 +29,9 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose code affects audit traces, snapshots, or the WAL.
 pub const TRACE_AFFECTING_CRATES: &[&str] = &["kernel", "net", "exporter", "unix", "store"];
+
+/// The untrusted library: crates that see the kernel through traps only.
+pub const LIBRARY_CRATES: &[&str] = &["unix", "net", "auth", "exporter", "httpd", "apps"];
 
 /// Result of one analysis run.
 #[derive(Debug, Default)]
@@ -90,12 +97,19 @@ pub fn rust_files(dir: &Path) -> Vec<PathBuf> {
 
 /// Analyzes the repository rooted at `root`: mediation over the kernel
 /// crate, determinism over every trace-affecting crate's `src/` tree
-/// (tests and benches are observers, not trace-affecting).
+/// (tests and benches are observers, not trace-affecting), the boundary
+/// rule over every library crate's.
 pub fn analyze_repo(root: &Path) -> std::io::Result<Analysis> {
     let mut mediation_files = Vec::new();
     let mut determinism_files = Vec::new();
+    let mut library_files = Vec::new();
 
-    for krate in TRACE_AFFECTING_CRATES {
+    let crates: std::collections::BTreeSet<&str> = TRACE_AFFECTING_CRATES
+        .iter()
+        .chain(LIBRARY_CRATES)
+        .copied()
+        .collect();
+    for krate in crates {
         let src = root.join("crates").join(krate).join("src");
         for path in rust_files(&src) {
             let text = std::fs::read_to_string(&path)?;
@@ -105,11 +119,18 @@ pub fn analyze_repo(root: &Path) -> std::io::Result<Analysis> {
                 .to_string_lossy()
                 .replace('\\', "/");
             let parsed = SourceFile::parse(&rel, &text);
-            if *krate == "kernel" {
+            if krate == "kernel" {
                 mediation_files.push(parsed.clone());
             }
-            determinism_files.push(parsed);
+            if LIBRARY_CRATES.contains(&krate) {
+                library_files.push(parsed.clone());
+            }
+            if TRACE_AFFECTING_CRATES.contains(&krate) {
+                determinism_files.push(parsed);
+            }
         }
     }
-    Ok(analyze(&mediation_files, &determinism_files))
+    let mut a = analyze(&mediation_files, &determinism_files);
+    boundary::run(&library_files, &mut a.findings);
+    Ok(a)
 }

@@ -8,6 +8,7 @@
 //! * `flowcheck --rule mediation FILE…` — run one rule family over the
 //!   given files (fixture mode); exit 1 on any finding.
 //! * `flowcheck --rule determinism FILE…` — likewise.
+//! * `flowcheck --rule boundary FILE…` — likewise.
 
 use flowcheck::model::SourceFile;
 use flowcheck::report;
@@ -32,7 +33,7 @@ fn main() -> ExitCode {
                 exemptions_out = args.get(i).cloned();
             }
             "--help" | "-h" => {
-                eprintln!("usage: flowcheck [--exemptions-out FILE] [--rule mediation|determinism FILE...]");
+                eprintln!("usage: flowcheck [--exemptions-out FILE] [--rule mediation|determinism|boundary FILE...]");
                 return ExitCode::SUCCESS;
             }
             other => files.push(other.to_string()),
@@ -54,8 +55,15 @@ fn main() -> ExitCode {
         match rule.as_str() {
             "mediation" => flowcheck::analyze(&parsed, &[]),
             "determinism" => flowcheck::analyze(&[], &parsed),
+            "boundary" => {
+                let mut a = flowcheck::Analysis::default();
+                flowcheck::boundary::run(&parsed, &mut a.findings);
+                a
+            }
             other => {
-                eprintln!("flowcheck: unknown rule `{other}` (want mediation|determinism)");
+                eprintln!(
+                    "flowcheck: unknown rule `{other}` (want mediation|determinism|boundary)"
+                );
                 return ExitCode::FAILURE;
             }
         }

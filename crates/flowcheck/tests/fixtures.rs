@@ -18,6 +18,11 @@ fn analyze_fixture(rule: &str, path: &Path) -> flowcheck::Analysis {
     match rule {
         "mediation" => flowcheck::analyze(std::slice::from_ref(&parsed), &[]),
         "determinism" => flowcheck::analyze(&[], std::slice::from_ref(&parsed)),
+        "boundary" => {
+            let mut a = flowcheck::Analysis::default();
+            flowcheck::boundary::run(std::slice::from_ref(&parsed), &mut a.findings);
+            a
+        }
         other => panic!("unknown rule {other}"),
     }
 }
@@ -163,6 +168,19 @@ fn determinism_good_fixtures_all_pass() {
             path.display(),
             a.findings
         );
+    }
+}
+
+#[test]
+fn a_console_read_is_the_finding_and_a_test_may_make_one() {
+    for (path, a) in run_dir("boundary", "bad") {
+        assert_eq!(a.findings.len(), 1, "{}: {:?}", path.display(), a.findings);
+        assert_eq!(a.findings[0].rule, "boundary");
+        assert!(a.findings[0].message.contains("`.thread_label(`"));
+        assert_eq!(a.findings[0].line, 5);
+    }
+    for (path, a) in run_dir("boundary", "good") {
+        assert!(a.ok(), "{}: {:?}", path.display(), a.findings);
     }
 }
 

@@ -501,12 +501,14 @@ impl Kernel {
             .ok_or(SyscallError::NoSuchObject(id))
     }
 
-    /// The label of any thread (kernel-internal, no checks).
+    /// The label of any thread, unchecked.  Console: tests and harnesses;
+    /// library code is kept off this by flowcheck and traps `self_get_label`.
     pub fn thread_label(&self, tid: ObjectId) -> Result<Label, SyscallError> {
         Ok(self.thread(tid)?.0.label.clone())
     }
 
-    /// The clearance of any thread (kernel-internal, no checks).
+    /// The clearance of any thread, unchecked.  Console: tests and harnesses;
+    /// library code is kept off this by flowcheck and traps `self_get_clearance`.
     pub fn thread_clearance(&self, tid: ObjectId) -> Result<Label, SyscallError> {
         Ok(self.thread(tid)?.1.clearance.clone())
     }

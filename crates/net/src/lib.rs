@@ -199,7 +199,7 @@ impl Netd {
     fn ensure_net_taint(&self, env: &mut UnixEnv, pid: Pid) -> Result<()> {
         let thread = env.process(pid)?.thread;
         let kernel = env.machine_mut().kernel_mut();
-        let label = kernel.thread_label(thread)?;
+        let label = kernel.trap_self_get_label(thread)?;
         if !label.owns(self.taint) && label.level(self.taint).as_low() < Level::L2.as_low() {
             kernel.trap_self_set_label(thread, label.with(self.taint, Level::L2))?;
         }
@@ -414,7 +414,7 @@ impl Netd {
         // The client's side is one submission batch: the taint raise (the
         // paper's web browser runs at `{i 2, 1}`, unless it owns `i`) and
         // the write that conveys the payload to netd.
-        let label = kernel.thread_label(client_thread)?;
+        let label = kernel.trap_self_get_label(client_thread)?;
         let mut client_calls = Vec::with_capacity(2);
         if !label.owns(self.taint) && label.level(self.taint).as_low() < Level::L2.as_low() {
             client_calls.push(Syscall::SelfSetLabel {
@@ -513,7 +513,7 @@ impl Netd {
         // The client's taint raise (if it does not own i) and its length
         // read share one submission batch; only the payload read, whose
         // size is computed user-side from the length, needs a second trap.
-        let label = kernel.thread_label(client_thread)?;
+        let label = kernel.trap_self_get_label(client_thread)?;
         let mut client_calls = Vec::with_capacity(2);
         if !label.owns(self.taint) && label.level(self.taint).as_low() < Level::L2.as_low() {
             client_calls.push(Syscall::SelfSetLabel {
@@ -681,10 +681,14 @@ impl VpnIsolation {
         // The client owns i and v, so it may clear the taint it picked up
         // while reading a device (this is the untainting step of OpenVPN's
         // taint swap).
-        let p = env.process(self.client)?.clone();
-        let thread = p.thread;
+        let thread = env.process(self.client)?.thread;
         let kernel = env.machine_mut().kernel_mut();
-        kernel.trap_self_set_label(thread, p.thread_label())?;
+        let owned = kernel
+            .trap_self_get_label(thread)?
+            .owned_categories()
+            .fold(Label::builder(), |b, c| b.own(c))
+            .build();
+        kernel.trap_self_set_label(thread, owned)?;
         Ok(())
     }
 }

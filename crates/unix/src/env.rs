@@ -81,6 +81,18 @@ impl From<SyscallError> for UnixError {
     }
 }
 
+/// The next completion of a `submit_calls` batch, unwrapped to the value its
+/// row returns.  Taking a batch's completions in submission order through
+/// `?` reports its first error in that order, as a fail-stop sequence of
+/// lone traps would.
+pub(crate) fn take<T>(
+    results: &mut impl Iterator<Item = core::result::Result<SyscallResult, SyscallError>>,
+    into: fn(SyscallResult) -> T,
+) -> Result<T> {
+    let r = results.next().expect("one completion per submitted call")?;
+    Ok(into(r))
+}
+
 impl core::fmt::Display for UnixError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
@@ -229,11 +241,6 @@ impl UnixEnv {
                     PAGE_SIZE,
                 )
                 .expect("creating the metrics gate cannot fail at boot");
-            env.processes
-                .get_mut(&init)
-                .expect("init exists at boot")
-                .extra_ownership
-                .push(mr);
             let metricsfs = env.vfs.add_filesystem(Box::new(MetricsFs::new(gate)));
             env.vfs.mount("/metrics", metricsfs);
         }
@@ -369,9 +376,6 @@ impl UnixEnv {
             read_cat,
             write_cat,
         };
-        let init = self.process_mut(self.init_pid)?;
-        init.extra_ownership.push(read_cat);
-        init.extra_ownership.push(write_cat);
         self.users.add(user.clone());
         Ok(user)
     }
@@ -439,25 +443,27 @@ impl UnixEnv {
     /// Forks a process: the child gets copies of the parent's text, heap and
     /// stack segments and shares its open file descriptors.
     pub fn fork(&mut self, parent: Pid) -> Result<Pid> {
-        #[allow(clippy::type_complexity)]
-        let (creator, user, executable, cwd, extra, fds): (
-            ObjectId,
-            Option<String>,
-            String,
-            String,
-            Vec<Category>,
-            Vec<(Fd, ObjectId)>,
-        ) = {
+        let (creator, user, executable, cwd, own, fds) = {
             let p = self.process(parent)?;
             (
                 p.thread,
                 p.user.clone(),
                 p.executable.clone(),
                 p.cwd.clone(),
-                p.extra_ownership.clone(),
-                p.fds.iter().collect(),
+                [p.read_cat, p.write_cat],
+                p.fds.iter().collect::<Vec<(Fd, ObjectId)>>(),
             )
         };
+        // The child owns what its parent owns right now — user privileges,
+        // grants received through gates, categories it allocated — except
+        // the parent's own `pr`/`pw`: processes stay isolated.
+        let extra = self
+            .machine
+            .kernel_mut()
+            .trap_self_get_label(creator)?
+            .owned_categories()
+            .filter(|c| !own.contains(c))
+            .collect();
         let child = self.create_process(creator, Some(parent), user, &executable, extra, &[])?;
 
         // Copy the parent's memory image into the child's segments.
@@ -633,10 +639,20 @@ impl UnixEnv {
         // Invoking the signal gate requires passing its clearance check; we
         // then deliver the alert with the privilege the gate carries.
         let kernel = self.machine.kernel_mut();
-        let tl = kernel.thread_label(sender_thread)?;
-        let tc = kernel.thread_clearance(sender_thread)?;
         let gate_entry = ContainerEntry::new(target_container, signal_gate);
-        let glabel = kernel.trap_obj_get_label(sender_thread, gate_entry)?;
+        let mut probe = kernel
+            .submit_calls(
+                sender_thread,
+                vec![
+                    Syscall::SelfGetLabel,
+                    Syscall::SelfGetClearance,
+                    Syscall::ObjGetLabel { entry: gate_entry },
+                ],
+            )
+            .into_iter();
+        let tl = take(&mut probe, SyscallResult::into_label)?;
+        let tc = take(&mut probe, SyscallResult::into_label)?;
+        let glabel = take(&mut probe, SyscallResult::into_label)?;
         let requested = tl.ownership_union(&glabel);
         kernel.trap_gate_enter(sender_thread, gate_entry, requested, tc.clone(), tl.clone())?;
         // Running in the gate's privilege, alert the target thread.
@@ -672,12 +688,23 @@ impl UnixEnv {
         let kroot = self.machine.kernel().root_container();
         let kernel = self.machine.kernel_mut();
 
-        let saved_label = kernel.thread_label(creator)?;
-        let saved_clearance = kernel.thread_clearance(creator)?;
-
-        // Allocate the process's secrecy and integrity categories.
-        let pr = kernel.trap_create_category(creator)?;
-        let pw = kernel.trap_create_category(creator)?;
+        // The label and clearance the creator comes back to, and the
+        // process's secrecy and integrity categories: one batch.
+        let mut head = kernel
+            .submit_calls(
+                creator,
+                vec![
+                    Syscall::SelfGetLabel,
+                    Syscall::SelfGetClearance,
+                    Syscall::CreateCategory,
+                    Syscall::CreateCategory,
+                ],
+            )
+            .into_iter();
+        let saved_label = take(&mut head, SyscallResult::into_label)?;
+        let saved_clearance = take(&mut head, SyscallResult::into_label)?;
+        let pr = take(&mut head, SyscallResult::into_category)?;
+        let pw = take(&mut head, SyscallResult::into_category)?;
 
         // A process launched pre-tainted (e.g. the virus scanner tainted
         // `v 3`) needs that taint on everything it must be able to write:
@@ -825,7 +852,6 @@ impl UnixEnv {
             fds: FdTable::new(),
             cwd,
             state: ProcessState::Running,
-            extra_ownership,
             signal_handlers: Vec::new(),
         };
         self.processes.insert(pid, process);
@@ -1001,7 +1027,9 @@ impl UnixEnv {
         // The descriptor segment carries the opening thread's taint (but not
         // its ownership) so that tainted processes can still maintain their
         // own descriptor state.
-        let fd_label = kernel.thread_label(thread)?.drop_ownership(Level::L1);
+        let fd_label = kernel
+            .trap_self_get_label(thread)?
+            .drop_ownership(Level::L1);
         let fd_seg =
             kernel.trap_segment_create(thread, container, fd_label, 0, "file descriptor")?;
         let entry = ContainerEntry::new(container, fd_seg);

@@ -9,8 +9,20 @@
 //! additionally allocate a taint category `t` and enter the service tainted
 //! `t 3`, donating a resource container labelled `{t 3, r 0, 1}` for any
 //! allocations the tainted call needs.
+//!
+//! The protocol never reads a label off the kernel.  It asks for the
+//! calling thread's label and clearance by trap, twice per call — in the
+//! batch that allocates `r` (what to come back to) and in the batch that
+//! reads the return gate (what the service left) — and derives every other
+//! value from what it just set: `create_category` leaves its caller owning
+//! the new category with clearance 3 in it, and a gate entry returns the
+//! label it installed.  A derived label is only ever presented to
+//! `gate_create` / `gate_enter`, which refuse ownership the thread does not
+//! hold and labels above its clearance, so a wrong derivation is a refused
+//! call, not a flow.  The tests below pin the syscall list of a call and
+//! hold each derived value equal to the kernel's own.
 
-use crate::env::{UnixEnv, UnixError};
+use crate::env::{take, UnixEnv, UnixError};
 use crate::process::Pid;
 use histar_kernel::kernel::GateEntryResult;
 use histar_kernel::object::{ContainerEntry, ObjectId};
@@ -42,7 +54,7 @@ pub fn create_service_gate(
         (p.thread, p.process_container)
     };
     let kernel = env.machine_mut().kernel_mut();
-    let label = kernel.thread_label(thread)?;
+    let label = kernel.trap_self_get_label(thread)?;
     let gate = kernel.trap_gate_create(
         thread,
         container,
@@ -62,7 +74,6 @@ pub fn create_service_gate(
 /// State saved across a gate call so the caller can return to itself.
 #[derive(Debug)]
 pub struct GateSession {
-    caller: Pid,
     caller_thread: ObjectId,
     saved_label: Label,
     saved_clearance: Label,
@@ -121,22 +132,37 @@ fn enter_service_inner(
         (p.thread, p.internal_container, p.process_container)
     };
     let kernel = env.machine_mut().kernel_mut();
-    let saved_label = kernel.thread_label(caller_thread)?;
-    let saved_clearance = kernel.thread_clearance(caller_thread)?;
 
-    // Return category, and — for a private call — the taint category,
-    // allocated up front so the return gate's clearance can admit the
-    // tainted thread on its way back.
-    let return_category = kernel.trap_create_category(caller_thread)?;
-    let taint = if taint_call {
-        Some(kernel.trap_create_category(caller_thread)?)
-    } else {
-        None
-    };
+    // The label and clearance to come back to, the return category, and —
+    // for a private call — the taint category, allocated up front so the
+    // return gate's clearance can admit the tainted thread on its way
+    // back: one batch.  `create_category` leaves its caller owning the new
+    // category with clearance 3 in it, so what the thread holds afterwards
+    // is derived here, not read back.
+    let mut head = vec![
+        Syscall::SelfGetLabel,
+        Syscall::SelfGetClearance,
+        Syscall::CreateCategory,
+    ];
+    if taint_call {
+        head.push(Syscall::CreateCategory);
+    }
+    let mut head = kernel.submit_calls(caller_thread, head).into_iter();
+    let saved_label = take(&mut head, SyscallResult::into_label)?;
+    let saved_clearance = take(&mut head, SyscallResult::into_label)?;
+    let return_category = take(&mut head, SyscallResult::into_category)?;
+    let taint = taint_call
+        .then(|| take(&mut head, SyscallResult::into_category))
+        .transpose()?;
+    let mut current_label = saved_label.with(return_category, Level::Star);
+    let mut current_clearance = saved_clearance.with(return_category, Level::L3);
+    if let Some(t) = taint {
+        current_label = current_label.with(t, Level::Star);
+        current_clearance = current_clearance.with(t, Level::L3);
+    }
 
     // Return gate (Figure 7): label carries everything the caller owns, and
     // the clearance requires the return category to invoke it.
-    let label_with_r = kernel.thread_label(caller_thread)?;
     let mut return_gate_clearance_builder = Label::builder()
         .set(return_category, Level::L0)
         .default_level(Level::L2);
@@ -148,7 +174,7 @@ fn enter_service_inner(
     }
     // A caller that is already tainted needs that taint admitted by the
     // return gate too, or the gate cannot even be created (`L_G ⊑ C_G`).
-    for (c, lvl) in label_with_r.entries() {
+    for (c, lvl) in current_label.entries() {
         if !lvl.is_star() && c != return_category {
             return_gate_clearance_builder = return_gate_clearance_builder.set(c, lvl);
         }
@@ -159,7 +185,7 @@ fn enter_service_inner(
     // batch (one trap cost, every label check unchanged).
     let mut spill = vec![Syscall::GateCreate {
         container: caller_container,
-        label: label_with_r.clone(),
+        label: current_label.clone(),
         clearance: return_gate_clearance_builder.build(),
         address_space: None,
         entry_point: 0,
@@ -183,56 +209,28 @@ fn enter_service_inner(
         entry: service.gate,
     });
     spill.push(Syscall::GateClearance { gate: service.gate });
-    let mut results = kernel.submit_calls(caller_thread, spill).into_iter();
-    let mut next = || results.next().expect("one completion per submitted call");
-
-    let gate_result = next();
-    let rc_result = taint.map(|_| next());
-    let label_result = next();
-    let clearance_result = next();
+    let spilled = kernel.submit_calls(caller_thread, spill);
     // The batch does not stop on errors, so an entry may have created an
-    // object even though an earlier one failed; release anything the
-    // aborted call would orphan before propagating the first error.
-    let created = |r: &core::result::Result<SyscallResult, histar_kernel::SyscallError>| match r {
-        Ok(SyscallResult::ObjectId(id)) => Some(*id),
-        _ => None,
-    };
-    if gate_result.is_err()
-        || rc_result.as_ref().is_some_and(|r| r.is_err())
-        || label_result.is_err()
-        || clearance_result.is_err()
-    {
-        if let Some(gate) = created(&gate_result) {
-            let _ =
-                kernel.trap_obj_unref(caller_thread, ContainerEntry::new(caller_container, gate));
+    // object even though another failed; release anything the aborted call
+    // would orphan.  The creating entries come first, each beside the
+    // container it allocates in; a read's result is never an object id.
+    if spilled.iter().any(|r| r.is_err()) {
+        for (r, home) in spilled.iter().zip([caller_container, internal_container]) {
+            if let Ok(SyscallResult::ObjectId(id)) = r {
+                let _ = kernel.trap_obj_unref(caller_thread, ContainerEntry::new(home, *id));
+            }
         }
-        if let Some(rc) = rc_result.as_ref().and_then(created) {
-            let _ =
-                kernel.trap_obj_unref(caller_thread, ContainerEntry::new(internal_container, rc));
-        }
-        // First error in sequential order, matching the old fail-stop path.
-        for r in [
-            Some(gate_result),
-            rc_result,
-            Some(label_result),
-            Some(clearance_result),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            r?;
-        }
-        unreachable!("at least one result was an error");
     }
-    let ok = "errors handled above";
-    let return_gate = gate_result.expect(ok).into_object_id();
-    let resource_container =
-        rc_result.map(|r| ContainerEntry::new(internal_container, r.expect(ok).into_object_id()));
+    let mut spilled = spilled.into_iter();
+    let return_gate = take(&mut spilled, SyscallResult::into_object_id)?;
+    let resource_container = taint
+        .map(|_| take(&mut spilled, SyscallResult::into_object_id))
+        .transpose()?
+        .map(|rc| ContainerEntry::new(internal_container, rc));
+    let gate_label = take(&mut spilled, SyscallResult::into_label)?;
+    let gate_clearance = take(&mut spilled, SyscallResult::into_label)?;
     // Request label: keep everything we own (including r and t ownership at
     // this point), add the gate's ownership, and drop to taint level 3 in t.
-    let gate_label = label_result.expect(ok).into_label();
-    let gate_clearance = clearance_result.expect(ok).into_label();
-    let current_label = kernel.thread_label(caller_thread)?;
     let mut requested = current_label.ownership_union(&gate_label);
     if let Some(t) = taint {
         requested = requested.with(t, Level::L3);
@@ -240,7 +238,7 @@ fn enter_service_inner(
     for &(c, lvl) in taint_entries {
         requested = requested.with(c, lvl);
     }
-    let requested_clearance = kernel.thread_clearance(caller_thread)?.lub(&gate_clearance);
+    let requested_clearance = current_clearance.lub(&gate_clearance);
     let entry = kernel.trap_gate_enter(
         caller_thread,
         service.gate,
@@ -250,7 +248,6 @@ fn enter_service_inner(
     )?;
 
     Ok(GateSession {
-        caller,
         caller_thread,
         saved_label,
         saved_clearance,
@@ -267,7 +264,6 @@ fn enter_service_inner(
 /// label and clearance, and the per-call objects are released.
 pub fn return_from_service(env: &mut UnixEnv, session: GateSession) -> Result<()> {
     let GateSession {
-        caller,
         caller_thread,
         saved_label,
         saved_clearance,
@@ -281,25 +277,35 @@ pub fn return_from_service(env: &mut UnixEnv, session: GateSession) -> Result<()
     // Invoke the return gate; the floor of the entry label is the union of
     // the current (service-side) ownership and the return gate's ownership,
     // which includes everything the caller originally owned plus r.
-    let gate_label = kernel.trap_obj_get_label(caller_thread, return_gate)?;
-    let current = kernel.thread_label(caller_thread)?;
+    let mut probe = kernel
+        .submit_calls(
+            caller_thread,
+            vec![
+                Syscall::ObjGetLabel { entry: return_gate },
+                Syscall::SelfGetLabel,
+                Syscall::SelfGetClearance,
+            ],
+        )
+        .into_iter();
+    let gate_label = take(&mut probe, SyscallResult::into_label)?;
+    let current = take(&mut probe, SyscallResult::into_label)?;
+    let current_clearance = take(&mut probe, SyscallResult::into_label)?;
     let requested = current.ownership_union(&gate_label);
-    let requested_clearance = kernel
-        .thread_clearance(caller_thread)?
-        .lub(&saved_clearance);
-    kernel.trap_gate_enter(
-        caller_thread,
-        return_gate,
-        requested,
-        requested_clearance,
-        current,
-    )?;
+    let requested_clearance = current_clearance.lub(&saved_clearance);
+    let after_return = kernel
+        .trap_gate_enter(
+            caller_thread,
+            return_gate,
+            requested,
+            requested_clearance,
+            current,
+        )?
+        .label;
 
     // Back home: drop the per-call categories and objects.  Taint acquired
     // during the call in categories the caller does not own cannot be
     // dropped (that would be an information leak), so the restored label is
     // the saved label raised by any such residual taint.
-    let after_return = kernel.thread_label(caller_thread)?;
     let mut restore_label = saved_label.clone();
     let mut restore_clearance = saved_clearance.clone();
     for (c, lvl) in after_return.entries() {
@@ -341,7 +347,6 @@ pub fn return_from_service(env: &mut UnixEnv, session: GateSession) -> Result<()
             return Err(e.clone().into());
         }
     }
-    let _ = caller;
     Ok(())
 }
 
@@ -388,7 +393,7 @@ pub fn create_grant_gate(
 ) -> Result<ContainerEntry> {
     let from_thread = env.process(from)?.thread;
     let kernel = env.machine_mut().kernel_mut();
-    let mut gate_label = kernel.thread_label(from_thread)?;
+    let mut gate_label = kernel.trap_self_get_label(from_thread)?;
     let mut gate_clearance = Label::default_clearance();
     for &c in categories {
         gate_label = gate_label.with(c, Level::Star);
@@ -424,23 +429,22 @@ pub fn enter_grant_gate(
     let owner_thread = env.process(owner)?.thread;
     let to_thread = env.process(to)?.thread;
     let kernel = env.machine_mut().kernel_mut();
-    let mut requested = kernel.thread_label(to_thread)?;
-    let mut requested_clearance = kernel.thread_clearance(to_thread)?;
+    let mut own = kernel
+        .submit_calls(
+            to_thread,
+            vec![Syscall::SelfGetLabel, Syscall::SelfGetClearance],
+        )
+        .into_iter();
+    let verify = take(&mut own, SyscallResult::into_label)?;
+    let mut requested = verify.clone();
+    let mut requested_clearance = take(&mut own, SyscallResult::into_label)?;
     for &c in categories {
         requested = requested.with(c, Level::Star);
         requested_clearance = requested_clearance.with(c, Level::L3);
     }
-    let verify = kernel.thread_label(to_thread)?;
     kernel.trap_gate_enter(to_thread, entry, requested, requested_clearance, verify)?;
     // The grant gate is single-use.
     let _ = kernel.trap_obj_unref(owner_thread, entry);
-
-    let proc = env.process_record_mut(to)?;
-    for &c in categories {
-        if !proc.extra_ownership.contains(&c) {
-            proc.extra_ownership.push(c);
-        }
-    }
     Ok(())
 }
 
@@ -458,16 +462,20 @@ pub fn drop_categories(env: &mut UnixEnv, pid: Pid, categories: &[Category]) -> 
     }
     let thread = env.process(pid)?.thread;
     let kernel = env.machine_mut().kernel_mut();
-    let mut label = kernel.thread_label(thread)?;
-    let mut clearance = kernel.thread_clearance(thread)?;
+    let mut own = kernel
+        .submit_calls(
+            thread,
+            vec![Syscall::SelfGetLabel, Syscall::SelfGetClearance],
+        )
+        .into_iter();
+    let mut label = take(&mut own, SyscallResult::into_label)?;
+    let mut clearance = take(&mut own, SyscallResult::into_label)?;
     for &c in categories {
         label = label.without(c);
         clearance = clearance.without(c);
     }
     kernel.trap_self_set_label(thread, label)?;
     kernel.trap_self_set_clearance(thread, clearance)?;
-    let proc = env.process_record_mut(pid)?;
-    proc.extra_ownership.retain(|c| !categories.contains(c));
     Ok(())
 }
 
@@ -478,7 +486,7 @@ pub fn drop_categories(env: &mut UnixEnv, pid: Pid, categories: &[Category]) -> 
 pub fn raise_taint_for(env: &mut UnixEnv, pid: Pid, target: &Label) -> Result<()> {
     let thread = env.process(pid)?.thread;
     let kernel = env.machine_mut().kernel_mut();
-    let current = kernel.thread_label(thread)?;
+    let current = kernel.trap_self_get_label(thread)?;
     let raised = current.raise_for_observe(target);
     if raised != current {
         kernel.trap_self_set_label(thread, raised)?;
@@ -489,6 +497,8 @@ pub fn raise_taint_for(env: &mut UnixEnv, pid: Pid, target: &Label) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use histar_kernel::bodies::ObjectBody;
+    use histar_kernel::object::ObjectType;
     use histar_kernel::syscall::SyscallError;
 
     fn setup() -> (UnixEnv, Pid, Pid, ServiceGate) {
@@ -590,7 +600,6 @@ mod tests {
         grant_categories(&mut env, alice, bob, &[c]).unwrap();
         let label = env.machine().kernel().thread_label(bob_thread).unwrap();
         assert!(label.owns(c));
-        assert!(env.process(bob).unwrap().extra_ownership.contains(&c));
 
         // A process that does not own the category cannot grant it: the
         // kernel refuses to create the gate.
@@ -659,6 +668,211 @@ mod tests {
             env.machine().kernel().object_count(),
             objects_before,
             "failed gate calls must not leak spill objects"
+        );
+    }
+
+    /// The `(syscall, ok)` records one call leaves in the audit trace.
+    fn traced(env: &mut UnixEnv, call: impl FnOnce(&mut UnixEnv)) -> Vec<(&'static str, bool)> {
+        env.machine_mut().kernel_mut().enable_syscall_trace(64);
+        call(env);
+        let trace = env.machine().kernel().syscall_trace().unwrap();
+        trace.records().map(|r| (r.syscall, r.ok)).collect()
+    }
+
+    #[test]
+    fn a_gate_call_is_exactly_these_syscalls() {
+        // The whole protocol, pinned: four batches and two gate entries,
+        // with the thread's own label and clearance asked for twice — on
+        // the way in (what to come back to) and on the way out (what the
+        // service left) — and nowhere else.
+        let (mut env, _init, client, service) = setup();
+        let mut session = None;
+        let enter = traced(&mut env, |env| {
+            session = Some(enter_service(env, client, &service, false).unwrap());
+        });
+        assert_eq!(
+            enter,
+            [
+                ("self_get_label", true),
+                ("self_get_clearance", true),
+                ("create_category", true),
+                ("gate_create", true),
+                ("obj_get_label", true),
+                ("gate_clearance", true),
+                ("gate_enter", true),
+            ]
+        );
+        let leave = traced(&mut env, |env| {
+            return_from_service(env, session.take().unwrap()).unwrap();
+        });
+        assert_eq!(
+            leave,
+            [
+                ("obj_get_label", true),
+                ("self_get_label", true),
+                ("self_get_clearance", true),
+                ("gate_enter", true),
+                ("self_set_label", true),
+                ("self_set_clearance", true),
+                ("obj_unref", true),
+            ]
+        );
+
+        // A private call allocates the taint category in the head batch,
+        // donates the resource container in the spill, and releases it in
+        // the cleanup: three more entries, no more crossings.
+        let enter = traced(&mut env, |env| {
+            session = Some(enter_service(env, client, &service, true).unwrap());
+        });
+        assert_eq!(
+            enter,
+            [
+                ("self_get_label", true),
+                ("self_get_clearance", true),
+                ("create_category", true),
+                ("create_category", true),
+                ("gate_create", true),
+                ("container_create", true),
+                ("obj_get_label", true),
+                ("gate_clearance", true),
+                ("gate_enter", true),
+            ]
+        );
+        let batches = env.machine().kernel().dispatch_stats().batches;
+        let leave = traced(&mut env, |env| {
+            return_from_service(env, session.take().unwrap()).unwrap();
+        });
+        assert_eq!(
+            leave,
+            [
+                ("obj_get_label", true),
+                ("self_get_label", true),
+                ("self_get_clearance", true),
+                ("gate_enter", true),
+                ("self_set_label", true),
+                ("self_set_clearance", true),
+                ("obj_unref", true),
+                ("obj_unref", true),
+            ]
+        );
+        assert_eq!(env.machine().kernel().dispatch_stats().batches, batches + 3);
+    }
+
+    /// The label and clearance of `thread`, read off the console.
+    fn console(env: &UnixEnv, thread: ObjectId) -> (Label, Label) {
+        let kernel = env.machine().kernel();
+        (
+            kernel.thread_label(thread).unwrap(),
+            kernel.thread_clearance(thread).unwrap(),
+        )
+    }
+
+    fn label_of(env: &UnixEnv, object: ObjectId) -> Label {
+        let object = env.machine().kernel().raw_object(object).unwrap();
+        object.header.label.clone()
+    }
+
+    #[test]
+    fn derived_labels_equal_the_kernels_at_every_step() {
+        let (mut env, init, client, service) = setup();
+        let client_thread = env.process(client).unwrap().thread;
+        let client_container = env.process(client).unwrap().process_container;
+        let daemon_thread = env.process(service.provider).unwrap().thread;
+        let (before, before_clearance) = console(&env, client_thread);
+
+        // Head batch and spill, stopped there by a service whose clearance
+        // refuses the caller: the return gate the aborted call leaves
+        // behind carries the label the library derived from the head
+        // batch, and it is the label the kernel holds for the thread.
+        let kernel = env.machine_mut().kernel_mut();
+        let s = kernel.trap_create_category(daemon_thread).unwrap();
+        let guarded = kernel
+            .trap_gate_create(
+                daemon_thread,
+                service.gate.container,
+                Label::builder().own(s).build(),
+                Label::default_clearance().with(s, Level::L0),
+                None,
+                0,
+                vec![],
+                "guarded service",
+            )
+            .unwrap();
+        let guarded = ServiceGate {
+            gate: ContainerEntry::new(service.gate.container, guarded),
+            provider: service.provider,
+        };
+        assert!(matches!(
+            enter_service(&mut env, client, &guarded, true),
+            Err(UnixError::Kernel(SyscallError::GateClearance(_)))
+        ));
+        let (held, held_clearance) = console(&env, client_thread);
+        let fresh: Vec<Category> = held
+            .owned_categories()
+            .filter(|&c| !before.owns(c))
+            .collect();
+        assert_eq!(fresh.len(), 2, "the return and taint categories");
+        let container = env.machine().kernel().raw_object(client_container).unwrap();
+        let ObjectBody::Container(links) = &container.body else {
+            panic!("a process container is a container");
+        };
+        let leaked: Vec<Label> = links
+            .links()
+            .iter()
+            .filter(|&&id| {
+                let o = env.machine().kernel().raw_object(id).unwrap();
+                o.header.object_type == ObjectType::Gate && o.header.descrip == "return gate"
+            })
+            .map(|&id| label_of(&env, id))
+            .collect();
+        assert_eq!(leaked, core::slice::from_ref(&held));
+        // `create_category`'s effect, which the derivation stands on.
+        assert_eq!(
+            held_clearance,
+            fresh
+                .iter()
+                .fold(before_clearance.clone(), |c, &f| c.with(f, Level::L3))
+        );
+        drop_categories(&mut env, client, &fresh).unwrap();
+        assert_eq!(
+            console(&env, client_thread),
+            (before.clone(), before_clearance.clone())
+        );
+
+        // Entry: the kernel adopted what the library asked for, and what it
+        // asked for is what it held, plus the gate's ownership, tainted.
+        let session = enter_service(&mut env, client, &service, true).unwrap();
+        let (r, t) = (session.return_category, session.taint.unwrap());
+        let held = before.with(r, Level::Star).with(t, Level::Star);
+        let held_clearance = before_clearance.with(r, Level::L3).with(t, Level::L3);
+        assert_eq!(session.saved_label, before);
+        assert_eq!(session.saved_clearance, before_clearance);
+        assert_eq!(label_of(&env, session.return_gate.object), held);
+        let inside = held
+            .ownership_union(&label_of(&env, service.gate.object))
+            .with(t, Level::L3);
+        assert_eq!(
+            console(&env, client_thread),
+            (inside.clone(), held_clearance.clone())
+        );
+        assert_eq!(
+            (&session.entry.label, &session.entry.clearance),
+            (&inside, &held_clearance)
+        );
+
+        // The service raises its own taint inside the call, in a category
+        // neither side owns.  Return and cleanup: the caller comes back to
+        // exactly what it held, raised by that taint and nothing else.
+        let init_thread = env.process(init).unwrap().thread;
+        let kernel = env.machine_mut().kernel_mut();
+        let c = kernel.trap_create_category(init_thread).unwrap();
+        kernel
+            .trap_self_set_label(client_thread, inside.with(c, Level::L2))
+            .unwrap();
+        return_from_service(&mut env, session).unwrap();
+        assert_eq!(
+            console(&env, client_thread),
+            (before.with(c, Level::L2), before_clearance)
         );
     }
 

@@ -6,6 +6,10 @@
 //! holding everything private (address space, text/heap/stack segments, file
 //! descriptor segments), and a pair of categories `pr`/`pw` protecting the
 //! process's secrecy and integrity.
+//!
+//! The record kept here holds ids and paths, never a label: what a
+//! process's thread holds lives in the kernel's thread object and nowhere
+//! else, and the library asks for it (`self_get_label`) when it needs it.
 
 use crate::fdtable::FdTable;
 use histar_kernel::object::ObjectId;
@@ -106,24 +110,11 @@ pub struct Process {
     pub cwd: String,
     /// Lifecycle state.
     pub state: ProcessState,
-    /// Extra categories this process's thread owns beyond `pr`/`pw` (user
-    /// privileges, grants received through gates).
-    pub extra_ownership: Vec<Category>,
     /// Signal handlers installed by the process: signal number → handler id.
     pub signal_handlers: Vec<(u64, u64)>,
 }
 
 impl Process {
-    /// The label of the process's thread(s): `{pr ⋆, pw ⋆, ..., 1}` plus any
-    /// extra owned categories.
-    pub fn thread_label(&self) -> Label {
-        let mut b = Label::builder().own(self.read_cat).own(self.write_cat);
-        for &c in &self.extra_ownership {
-            b = b.own(c);
-        }
-        b.build()
-    }
-
     /// The label of the process container and exit segment: `{pw 0, 1}`.
     pub fn external_label(&self) -> Label {
         Label::builder().set(self.write_cat, Level::L0).build()
@@ -199,7 +190,6 @@ mod tests {
             fds: FdTable::new(),
             cwd: "/".to_string(),
             state: ProcessState::Running,
-            extra_ownership: vec![Category::from_raw(50)],
             signal_handlers: Vec::new(),
         }
     }
@@ -207,22 +197,20 @@ mod tests {
     #[test]
     fn figure6_labels() {
         let p = sample_process();
-        let thread = p.thread_label();
-        assert!(thread.owns(p.read_cat));
-        assert!(thread.owns(p.write_cat));
-        assert!(thread.owns(Category::from_raw(50)));
+        // The thread a process is born with owns its `pr`/`pw`.
+        let thread = Label::builder().own(p.read_cat).own(p.write_cat).build();
 
         // Other processes can read the exit status but not write it.
         let external = p.external_label();
         let stranger = Label::unrestricted();
         assert!(stranger.can_observe(&external));
         assert!(!stranger.can_modify(&external));
-        assert!(p.thread_label().can_modify(&external));
+        assert!(thread.can_modify(&external));
 
         // The internal container is invisible to strangers.
         let internal = p.internal_label();
         assert!(!stranger.can_observe(&internal));
-        assert!(p.thread_label().can_modify(&internal));
+        assert!(thread.can_modify(&internal));
     }
 
     #[test]

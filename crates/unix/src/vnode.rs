@@ -471,7 +471,7 @@ pub fn create_pipe(ctx: &mut VfsCtx, container: ObjectId) -> Result<(FdState, Fd
     let thread = ctx.thread;
     let kernel = ctx.kernel();
     let pipe_label = kernel
-        .thread_label(thread)?
+        .trap_self_get_label(thread)?
         .drop_ownership(histar_label::Level::L1);
     let pipe_seg = kernel.trap_segment_create(
         thread,

@@ -104,10 +104,6 @@ fn tainted_observer_cannot_stat_untainted_proc_entry() {
     // A taint category owned by init; the observer starts tainted in it.
     let init_thread = env.process(init).unwrap().thread;
     let taint = env.kernel_mut().trap_create_category(init_thread).unwrap();
-    env.process_record_mut(init)
-        .unwrap()
-        .extra_ownership
-        .push(taint);
     let observer = env
         .spawn_with_label(init, "/bin_observer", vec![], vec![(taint, Level::L3)])
         .unwrap();
@@ -1013,6 +1009,41 @@ fn metrics_reads_recheck_labels_and_deny_as_absence() {
     assert!(!rest.is_empty());
     env.close(child, fd).unwrap();
     env.close(parent, fd).unwrap();
+}
+
+/// `fork` gives the child what its parent's thread owns *now*, read from
+/// the one place that knows — the kernel's thread object — and not from a
+/// list the library keeps beside it.  A category the parent allocated with
+/// a bare `create_category` was on no such list, so the child used to be
+/// born without it; a category the parent has renounced must not come back.
+#[test]
+fn fork_hands_the_child_what_the_parent_owns_now() {
+    use histar_unix::gatecall::{drop_categories, grant_categories};
+
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let owns = |env: &UnixEnv, pid, c| {
+        let thread = env.process(pid).unwrap().thread;
+        env.machine().kernel().thread_label(thread).unwrap().owns(c)
+    };
+
+    // Allocated by the parent's own thread and recorded nowhere else.
+    let p = env.spawn(init, "/bin_p", None).unwrap();
+    let p_thread = env.process(p).unwrap().thread;
+    let c = env.kernel_mut().trap_create_category(p_thread).unwrap();
+    let child = env.fork(p).unwrap();
+    assert!(owns(&env, child, c), "child owns: false");
+    // Processes stay isolated: the parent's own `pr`/`pw` are not inherited.
+    let parent_pr = env.process(p).unwrap().read_cat;
+    assert!(!owns(&env, child, parent_pr));
+
+    // Received through a gate, then renounced: the child does not get it.
+    let q = env.spawn(init, "/bin_q", None).unwrap();
+    grant_categories(&mut env, p, q, &[c]).unwrap();
+    assert!(owns(&env, q, c));
+    drop_categories(&mut env, q, &[c]).unwrap();
+    let child = env.fork(q).unwrap();
+    assert!(!owns(&env, child, c));
 }
 
 /// Shared world for the blocking-semantics test below: two scheduled

@@ -58,10 +58,6 @@ fn main() {
     // --- /proc and label filtering ----------------------------------------
     let init_thread = env.process(init).unwrap().thread;
     let taint = env.kernel_mut().trap_create_category(init_thread).unwrap();
-    env.process_record_mut(init)
-        .unwrap()
-        .extra_ownership
-        .push(taint);
     let observer = env
         .spawn_with_label(init, "/bin/observer", vec![], vec![(taint, Level::L3)])
         .unwrap();

@@ -239,10 +239,6 @@ fn proc_entries_are_label_filtered() {
     // A taint category owned by init; the observer starts tainted in it.
     let init_thread = env.process(init).unwrap().thread;
     let taint = env.kernel_mut().trap_create_category(init_thread).unwrap();
-    env.process_record_mut(init)
-        .unwrap()
-        .extra_ownership
-        .push(taint);
     let observer = env
         .spawn_with_label(init, "/bin/observer", vec![], vec![(taint, Level::L3)])
         .unwrap();
@@ -605,10 +601,6 @@ fn boot_with_lo_and_tainted_hi() -> (
     let init = env.init_pid();
     let init_thread = env.process(init).unwrap().thread;
     let h = env.kernel_mut().trap_create_category(init_thread).unwrap();
-    env.process_record_mut(init)
-        .unwrap()
-        .extra_ownership
-        .push(h);
     let lo = env.spawn(init, "/bin/lo", None).unwrap();
     let hi = env
         .spawn_with_label(init, "/bin/hi", vec![], vec![(h, Level::L2)])

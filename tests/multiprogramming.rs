@@ -26,6 +26,21 @@ fn stream_digest(trace: &[TraceRecord]) -> u64 {
     h
 }
 
+/// The stream as it was before the library asked the kernel for its own
+/// label (ISSUE 21): `self_get_label` / `self_get_clearance` records
+/// dropped, `seq` renumbered from the first record.  Those two rows check
+/// nothing and change nothing, so everything else a run does — and the
+/// label-check bill — must be what it was without them.
+fn without_own_label_reads(trace: &[TraceRecord]) -> Vec<TraceRecord> {
+    let first = trace.first().map_or(0, |r| r.seq);
+    trace
+        .iter()
+        .filter(|r| !matches!(r.syscall, "self_get_label" | "self_get_clearance"))
+        .zip(first..)
+        .map(|(r, seq)| TraceRecord { seq, ..*r })
+        .collect()
+}
+
 /// Every call and every failure of a run is counted once: the kernel's
 /// totals are the per-row dispatch counts summed.
 fn assert_totals_agree(kernel: &histar::kernel::Kernel) {
@@ -87,8 +102,14 @@ fn hundred_interleaved_logins_replay_identically() {
     let (t1, t2) = (trace_of(&w1), trace_of(&w2));
     assert!(!t1.is_empty());
     assert_eq!(t1, t2);
-    assert_eq!(t1.len(), 7338);
-    assert_eq!(stream_digest(&t1), 0x96bd_bdf6_d78e_7f3f);
+    // The projection's pins predate ISSUE 21 and did not move with it; the
+    // full stream's were re-pinned there, when the library's untrapped
+    // reads of its own label became 1,067 trapped ones.
+    let before = without_own_label_reads(&t1);
+    assert_eq!(before.len(), 7338);
+    assert_eq!(stream_digest(&before), 0x96bd_bdf6_d78e_7f3f);
+    assert_eq!(t1.len(), 8405);
+    assert_eq!(stream_digest(&t1), 0xb880_9d46_8ace_b07d);
     assert_totals_agree(w1.env.machine().kernel());
 }
 
@@ -169,8 +190,13 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     let (t1, t2) = (httpd_trace(&w1), httpd_trace(&w2));
     assert!(!t1.is_empty());
     assert_eq!(t1, t2);
-    assert_eq!(t1.len(), 5359);
-    assert_eq!(stream_digest(&t1), 0x31e4_8f36_435c_5bff);
+    // As above: the projection holds the pre-ISSUE-21 pins, the full
+    // stream carries 1,136 reads of the caller's own label.
+    let before = without_own_label_reads(&t1);
+    assert_eq!(before.len(), 5359);
+    assert_eq!(stream_digest(&before), 0x31e4_8f36_435c_5bff);
+    assert_eq!(t1.len(), 6495);
+    assert_eq!(stream_digest(&t1), 0xe99a_1cc6_47a4_bf61);
 
     // The label-check bill is part of simulated time (a cache hit is
     // charged less than a miss), so it is pinned: a faster label
