@@ -154,6 +154,13 @@ pub fn run(params: HttpdBenchParams) -> (Table, BenchJson) {
         report.sched.completion_wakeups as f64,
         ticks,
     );
+    // The bound on every daemon's label, as the kernel saw it: the most
+    // entries any one label check compared.  O(users), not O(clients).
+    json.metric(
+        "label_check_max_entries",
+        report.kernel.label_check_max_entries as f64,
+        ticks,
+    );
     (table, json)
 }
 

@@ -24,6 +24,23 @@
 //!   socket), and any taint it picks up from another user's data makes
 //!   every connection write fail the kernel's label check.
 //!
+//! A connection's pair `c_r`/`c_w` is owned only across its hand-off
+//! (§6.1 *passes* ownership through gates; nobody keeps it).  netd mints
+//! the pair, grants it to the client, leaves it in a grant gate guarded by
+//! the listener's category and sheds it; the launcher takes it from that
+//! gate when it accepts, for the one `handle_request` that reads the
+//! request line, leaves it in a second grant gate guarded by the user's
+//! `uw` and sheds it; the worker takes it from there when it *starts* the
+//! job and sheds it when the response is out.  So the launcher accepts and
+//! serves one connection at a time, a worker holds one pair however deep
+//! its job queue is, and every daemon's label is bounded by the users it
+//! serves, never by the clients waiting: the kernel's
+//! `kernel.label_check_max_entries` gauge reads the same after 500 clients
+//! and after 1,500.  What is not bounded by a constant: the launcher owns
+//! `ur`/`uw` of every user it has logged in (§6.1's per-connection httpd
+//! would call the auth gate itself), and a connection whose request has
+//! not arrived yet costs the launcher its pair while it waits.
+//!
 //! Everything runs as programs under the deterministic scheduler on
 //! *real blocking I/O*: a client parked on an empty connection, a worker
 //! parked on an empty job pipe and the launcher parked on an empty accept
@@ -55,9 +72,8 @@ use histar_unix::{gatecall, Fd, UnixEnv, UnixError};
 /// Result alias for web-server operations.
 pub type Result<T> = core::result::Result<T, UnixError>;
 
-/// Connections accepted per launcher quantum before yielding the CPU.
-const ACCEPT_BATCH: usize = 256;
-/// Ready connections dispatched per launcher quantum before yielding.
+/// Connections the launcher serves per quantum — fresh off the accept
+/// queue or out of `pending` — before yielding the CPU.
 const SERVE_BATCH: usize = 256;
 
 /// One per-user worker process, as the launcher tracks it.
@@ -67,6 +83,10 @@ pub struct WorkerHandle {
     pub pid: Pid,
     /// The launcher's write end of the worker's job pipe.
     pub job_wfd: Fd,
+    /// The user's `uw`: it write-protects the job pipe and guards every
+    /// grant gate queued for this worker, so only this user's privilege
+    /// can forge a job or take a queued connection.
+    pub guard: Category,
 }
 
 /// The shared world the scheduled server, workers and clients mutate.
@@ -186,7 +206,12 @@ pub struct HttpdReport {
 
 // ----- the launcher: the trusted component ---------------------------------
 
-/// One accepted connection the launcher has not yet read a request from.
+/// One accepted connection whose request line has not arrived yet.  The
+/// launcher keeps the connection's pair while it waits here — polling the
+/// connection is an observation, and only owners of `c_r` may make it — so
+/// each pending connection costs the launcher's label two entries.  A
+/// client that writes its request in the quantum it connects in (every
+/// client of the burst) never lands here.
 #[derive(Clone, Copy)]
 struct PendingConn {
     fd: Fd,
@@ -208,20 +233,62 @@ fn launcher_program(launcher: Pid, listen_fd: Fd) -> Program<HttpdWorld> {
             }
             return Step::Done;
         }
+        let mut budget = SERVE_BATCH;
 
-        // Drain the accept queue, bounded per quantum.  The final
-        // `Ok(None)` registers a readiness watch on the queue segment, so
-        // a later connect wakes the parked launcher.
-        let mut queue_drained = false;
-        for _ in 0..ACCEPT_BATCH {
-            match world.netd.accept(&mut world.env, launcher, listen_fd) {
-                Ok(Some(acc)) => {
-                    pending.push(PendingConn {
-                        fd: acc.fd,
-                        taint_cat: acc.taint_cat,
-                        write_cat: acc.write_cat,
-                    });
+        // Connections still waiting for their request come first.  One
+        // batched syscall decides readiness of all of them; if none is
+        // ready the same call arms a watch per connection, so parking at
+        // the end of the quantum is safe.  If some are, the rest have no
+        // watch armed and the launcher must come back to poll again.
+        let mut repoll = false;
+        if !pending.is_empty() {
+            let fds: Vec<Fd> = pending.iter().map(|p| p.fd).collect();
+            match world.env.poll_block(launcher, &fds) {
+                Ok(Some(ready)) => {
+                    repoll = true;
+                    // Descending index order keeps `swap_remove` from
+                    // disturbing unprocessed entries.
+                    let ready_idx: Vec<usize> = (0..pending.len())
+                        .rev()
+                        .filter(|&i| ready[i])
+                        .take(budget)
+                        .collect();
+                    budget -= ready_idx.len();
+                    for i in ready_idx {
+                        match handle_request(world, launcher, pending[i]) {
+                            Ok(true) => {
+                                pending.swap_remove(i);
+                            }
+                            Ok(false) => {} // spurious readiness: stays pending
+                            Err(e) => {
+                                world.fail(launcher, e);
+                                pending.swap_remove(i);
+                            }
+                        }
+                    }
                 }
+                Ok(None) => {}
+                Err(e) => {
+                    world.fail(launcher, e);
+                    return Step::Done;
+                }
+            }
+        }
+
+        // Then accept and serve one connection at a time: the pair an
+        // `accept` grants is handed on (or refused) and shed by
+        // `handle_request` before the next `accept` grants another, so the
+        // launcher's label does not grow with the length of the queue.  The
+        // final `Ok(None)` registers a readiness watch on the queue
+        // segment, so a later connect wakes the parked launcher.
+        let mut queue_drained = false;
+        while budget > 0 {
+            let conn = match world.netd.accept(&mut world.env, launcher, listen_fd) {
+                Ok(Some(acc)) => PendingConn {
+                    fd: acc.fd,
+                    taint_cat: acc.taint_cat,
+                    write_cat: acc.write_cat,
+                },
                 Ok(None) => {
                     queue_drained = true;
                     break;
@@ -231,58 +298,22 @@ fn launcher_program(launcher: Pid, listen_fd: Fd) -> Program<HttpdWorld> {
                     queue_drained = true;
                     break;
                 }
-            }
-        }
-
-        if pending.is_empty() {
-            return if queue_drained {
-                Step::Block
-            } else {
-                Step::Yield
             };
-        }
-
-        // One batched syscall decides readiness of every pending
-        // connection; if none is ready the same batch parks us with a
-        // watch per connection.
-        let fds: Vec<Fd> = pending.iter().map(|p| p.fd).collect();
-        let ready = match world.env.poll_block(launcher, &fds) {
-            Ok(Some(ready)) => ready,
-            Ok(None) => {
-                return if queue_drained {
-                    Step::Block
-                } else {
-                    Step::Yield
-                };
-            }
-            Err(e) => {
-                world.fail(launcher, e);
-                return Step::Done;
-            }
-        };
-
-        // Dispatch the ready connections, bounded per quantum.  Descending
-        // index order keeps `swap_remove` from disturbing unprocessed
-        // entries.
-        let ready_idx: Vec<usize> = (0..pending.len())
-            .rev()
-            .filter(|&i| ready[i])
-            .take(SERVE_BATCH)
-            .collect();
-        for i in ready_idx {
-            let conn = pending[i];
+            budget -= 1;
             match handle_request(world, launcher, conn) {
-                Ok(true) => {
-                    pending.swap_remove(i);
-                }
-                Ok(false) => {} // spurious readiness: stays pending
-                Err(e) => {
-                    world.fail(launcher, e);
-                    pending.swap_remove(i);
-                }
+                Ok(true) => {}
+                // Connected, request still to come: the read armed a watch
+                // on the connection, and `pending` is polled next quantum.
+                Ok(false) => pending.push(conn),
+                Err(e) => world.fail(launcher, e),
             }
         }
-        Step::Yield
+
+        if queue_drained && !repoll {
+            Step::Block
+        } else {
+            Step::Yield
+        }
     })
 }
 
@@ -339,16 +370,22 @@ fn handle_request(world: &mut HttpdWorld, launcher: Pid, conn: PendingConn) -> R
     }
 
     let worker = ensure_worker(world, launcher, &user)?;
-    // Hand the connection to the worker: grant it the connection's two
-    // categories, give it its own descriptor for the connection segment
-    // (a fresh descriptor in the worker's own tainted container — the
-    // worker could not update descriptor state living in the launcher's
-    // untainted one), and queue the job.
-    gatecall::grant_categories(
+    // Hand the connection to the worker: leave the connection's two
+    // categories in a grant gate only this user's privilege can enter
+    // (guarded by `uw`, in netd's roomy connections container — the
+    // mechanism netd uses for the acceptor), give the worker its own
+    // descriptor for the connection segment (a fresh descriptor in the
+    // worker's own tainted container — the worker could not update
+    // descriptor state living in the launcher's untainted one), and queue
+    // the job with the gate's name on it.  The worker takes the pair when
+    // it starts the job, so a deep job queue costs its label nothing.
+    let pair = [conn.taint_cat, conn.write_cat];
+    let gate = gatecall::create_grant_gate(
         &mut world.env,
         launcher,
-        worker.pid,
-        &[conn.taint_cat, conn.write_cat],
+        world.netd.conns,
+        &pair,
+        Some(worker.guard),
     )?;
     let state = world.env.fd_snapshot(launcher, conn.fd)?;
     let wfd = world.env.install_descriptor(
@@ -363,13 +400,14 @@ fn handle_request(world: &mut HttpdWorld, launcher: Pid, conn: PendingConn) -> R
         },
     )?;
     let job = format!(
-        "{wfd} {} {} {path}\n",
+        "{wfd} {} {} {} {path}\n",
         conn.taint_cat.raw(),
-        conn.write_cat.raw()
+        conn.write_cat.raw(),
+        gate.object.raw()
     );
     world.env.write(launcher, worker.job_wfd, job.as_bytes())?;
-    // Handed off: the worker owns the pair now, the launcher renounces it.
-    gatecall::drop_categories(&mut world.env, launcher, &[conn.taint_cat, conn.write_cat])?;
+    // Handed off: the pair waits in the gate, the launcher renounces it.
+    gatecall::drop_categories(&mut world.env, launcher, &pair)?;
     Ok(true)
 }
 
@@ -456,6 +494,7 @@ fn ensure_worker(world: &mut HttpdWorld, launcher: Pid, user: &str) -> Result<Wo
     let handle = WorkerHandle {
         pid: worker,
         job_wfd,
+        guard: account.write_cat,
     };
     world.workers.insert(user.to_string(), handle);
     Ok(handle)
@@ -463,14 +502,25 @@ fn ensure_worker(world: &mut HttpdWorld, launcher: Pid, user: &str) -> Result<Wo
 
 // ----- the worker: one user's privilege only -------------------------------
 
-/// One job as the worker parses it off the pipe: the granted connection
-/// descriptor, the connection's two categories (to renounce once the
-/// response is out), and the request path.
+/// One job as the worker parses it off the pipe: the connection
+/// descriptor, the connection's two categories (to take when the job
+/// starts and renounce once the response is out), the grant gate they
+/// wait in, and the request path.
 struct Job {
     fd: Fd,
     taint_cat: Category,
     write_cat: Category,
+    grant_gate: ObjectId,
     path: String,
+}
+
+/// Starts a queued job: the worker enters the grant gate the launcher
+/// left for it — its `uw` passes the guard — and leaves owning the
+/// connection's pair; the single-use gate is unref'd on the way out.
+fn start_job(world: &mut HttpdWorld, pid: Pid, job: &Job) -> Result<()> {
+    let gate = ContainerEntry::new(world.netd.conns, job.grant_gate);
+    let pair = [job.taint_cat, job.write_cat];
+    gatecall::enter_grant_gate(&mut world.env, pid, gate, pid, &pair)
 }
 
 /// Closes a finished connection and sheds its two categories from the
@@ -517,6 +567,10 @@ fn worker_program(pid: Pid, job_rfd: Fd, home: String) -> Program<HttpdWorld> {
         // Serve queued jobs: read the user's file through the VFS and
         // write the response back through the granted connection.
         while let Some(job) = jobs.pop_front() {
+            if let Err(e) = start_job(world, pid, &job) {
+                world.fail(pid, e);
+                return Step::Done;
+            }
             let response = match world.env.read_file_as(pid, &format!("{home}/{}", job.path)) {
                 Ok(body) => {
                     let mut r = b"200 ".to_vec();
@@ -563,9 +617,10 @@ fn worker_program(pid: Pid, job_rfd: Fd, home: String) -> Program<HttpdWorld> {
                 while let Some(nl) = inbox.iter().position(|&b| b == b'\n') {
                     let line: Vec<u8> = inbox.drain(..=nl).collect();
                     let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-                    let mut parts = line.splitn(4, ' ');
-                    if let (Some(fd), Some(cr), Some(cw), Some(path)) = (
+                    let mut parts = line.splitn(5, ' ');
+                    if let (Some(fd), Some(cr), Some(cw), Some(gate), Some(path)) = (
                         parts.next().and_then(|s| s.parse::<Fd>().ok()),
+                        parts.next().and_then(|s| s.parse::<u64>().ok()),
                         parts.next().and_then(|s| s.parse::<u64>().ok()),
                         parts.next().and_then(|s| s.parse::<u64>().ok()),
                         parts.next(),
@@ -574,6 +629,7 @@ fn worker_program(pid: Pid, job_rfd: Fd, home: String) -> Program<HttpdWorld> {
                             fd,
                             taint_cat: Category::from_raw(cr),
                             write_cat: Category::from_raw(cw),
+                            grant_gate: ObjectId::from_raw(gate),
                             path: path.to_string(),
                         });
                     }
@@ -758,7 +814,8 @@ fn percentile(sorted: &[u64], q: f64) -> SimDuration {
     SimDuration::from_nanos(sorted[idx.min(sorted.len() - 1)])
 }
 
-/// Runs the full scenario to completion and reports what happened.
+/// Runs a built world until every program retired, and says why the last
+/// slice stopped.
 ///
 /// The scheduler is run in slices: a program cannot admit the programs it
 /// spawned (the launcher spawning a worker) to the scheduler itself, so
@@ -766,14 +823,9 @@ fn percentile(sorted: &[u64], q: f64) -> SimDuration {
 /// expected request resolved, the driver flips `shutdown` and wakes the
 /// parked launcher (the external-wake path: a parked thread is still
 /// reachable), which hangs up the job pipes so the workers retire.
-pub fn run_httpd(params: HttpdParams) -> Result<(HttpdWorld, HttpdReport)> {
-    let (mut world, mut sched) = build_httpd(params)?;
-    let kernel_before = world.env.machine().kernel().stats();
-    let dispatch_before = world.env.machine().kernel().dispatch_stats();
-    let start = world.env.machine().kernel().now();
-
-    let stop = loop {
-        let report = sched.run(&mut world, RunLimit::to_completion());
+fn drive(world: &mut HttpdWorld, sched: &mut Scheduler<HttpdWorld>) -> Result<StopReason> {
+    loop {
+        let report = sched.run(world, RunLimit::to_completion());
         let newly: Vec<(ObjectId, Program<HttpdWorld>)> = world.spawned.drain(..).collect();
         let admitted = newly.len();
         for (tid, program) in newly {
@@ -792,9 +844,20 @@ pub fn run_httpd(params: HttpdParams) -> Result<(HttpdWorld, HttpdReport)> {
             }
             // AllComplete is the healthy exit; anything else is a genuine
             // deadlock or exhaustion, surfaced rather than spun on.
-            stop => break stop,
+            stop => return Ok(stop),
         }
-    };
+    }
+}
+
+/// Runs the full scenario to completion ([`build_httpd`], then the driver
+/// loop) and reports what happened.
+pub fn run_httpd(params: HttpdParams) -> Result<(HttpdWorld, HttpdReport)> {
+    let (mut world, mut sched) = build_httpd(params)?;
+    let kernel_before = world.env.machine().kernel().stats();
+    let dispatch_before = world.env.machine().kernel().dispatch_stats();
+    let start = world.env.machine().kernel().now();
+
+    let stop = drive(&mut world, &mut sched)?;
 
     let elapsed = world.env.machine().kernel().now() - start;
     let kernel = world.env.machine().kernel().stats().since(&kernel_before);
@@ -832,7 +895,269 @@ pub fn run_httpd(params: HttpdParams) -> Result<(HttpdWorld, HttpdReport)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use histar_kernel::bodies::ObjectBody;
+    use histar_kernel::syscall::SyscallError;
     use histar_kernel::TraceRecord;
+
+    fn label_of(world: &HttpdWorld, pid: Pid) -> Label {
+        let thread = world.env.process(pid).unwrap().thread;
+        world.env.machine().kernel().thread_label(thread).unwrap()
+    }
+
+    /// The label a worker is born with: the network taint and ownership of
+    /// its user's and its own process's categories — no connection's.
+    fn worker_birth_label(world: &HttpdWorld, user: &str) -> Label {
+        let account = world.env.user(user).unwrap();
+        let p = world.env.process(world.workers[user].pid).unwrap();
+        Label::builder()
+            .set(world.netd.taint, Level::L2)
+            .own(account.read_cat)
+            .own(account.write_cat)
+            .own(p.read_cat)
+            .own(p.write_cat)
+            .build()
+    }
+
+    /// A burst of `clients` over 16 users, run to completion: the world,
+    /// the launcher's label before the first request, and the largest
+    /// label check of the run.
+    fn burst(clients: usize) -> (HttpdWorld, Label, u64) {
+        let (mut world, mut sched) = build_httpd(HttpdParams {
+            clients,
+            users: 16,
+            seed: 7,
+            ..HttpdParams::default()
+        })
+        .unwrap();
+        let boot = label_of(&world, world.launcher);
+        let stop = drive(&mut world, &mut sched).unwrap();
+        assert_eq!(stop, StopReason::AllComplete);
+        assert!(world.failures.is_empty(), "failures: {:?}", world.failures);
+        assert_eq!(world.served, clients as u64);
+        let largest = world.env.machine().kernel().stats().label_check_max_entries;
+        (world, boot, largest)
+    }
+
+    #[test]
+    fn label_sizes_are_bounded_by_the_users_not_the_clients() {
+        let (world, boot, at_500) = burst(500);
+        let (_, _, at_1500) = burst(1_500);
+        assert_eq!(at_500, at_1500, "the largest label check grew with load");
+        // What is left is the launcher's: `ur`/`uw` of every logged-in
+        // user, on both sides of a `self_set_label`.
+        let users = world.workers.len() as u64;
+        assert_eq!(users, 16);
+        assert!(at_1500 <= 4 * users + 32, "got {at_1500}");
+
+        // Nobody still holds a connection's categories: the launcher's
+        // label is what it booted with plus its users', each worker's is
+        // the one it was born with.
+        let mut launcher = boot;
+        for user in world.workers.keys() {
+            let account = world.env.user(user).unwrap();
+            launcher = launcher
+                .with(account.read_cat, Level::Star)
+                .with(account.write_cat, Level::Star);
+            assert_eq!(
+                label_of(&world, world.workers[user].pid),
+                worker_birth_label(&world, user),
+                "{user}'s worker"
+            );
+        }
+        assert_eq!(label_of(&world, world.launcher), launcher);
+    }
+
+    /// A world with no scheduled clients and one request per entry of
+    /// `users` pushed through the launcher by hand: each client connects
+    /// and writes its request line, the launcher accepts it and hands it
+    /// to that user's worker — whose program waits, never yet run, in
+    /// `world.spawned`.  Returns the clients' connection descriptors.
+    fn queued_by_hand(users: &[usize]) -> (HttpdWorld, Vec<(Pid, Fd)>) {
+        let (mut world, _sched) = build_httpd(HttpdParams {
+            clients: 0,
+            users: 2,
+            trace_capacity: 1 << 16,
+            ..HttpdParams::default()
+        })
+        .unwrap();
+        let (init, launcher, netd) = (world.env.init_pid(), world.launcher, world.netd);
+        let mut conns = Vec::new();
+        for (i, u) in users.iter().enumerate() {
+            let client = netd
+                .spawn_tainted(&mut world.env, init, &format!("/usr/bin/client-{i}"))
+                .unwrap();
+            let fd = netd
+                .connect(&mut world.env, client, &world.listener)
+                .unwrap();
+            let request = format!("user{u} pw-user{u} index.html\n");
+            world.env.write(client, fd, request.as_bytes()).unwrap();
+            conns.push((client, fd));
+            let acc = netd
+                .accept(&mut world.env, launcher, world.listener.fd)
+                .unwrap()
+                .expect("a connection is queued");
+            let conn = PendingConn {
+                fd: acc.fd,
+                taint_cat: acc.taint_cat,
+                write_cat: acc.write_cat,
+            };
+            assert!(handle_request(&mut world, launcher, conn).unwrap());
+        }
+        (world, conns)
+    }
+
+    /// The grant gates waiting in netd's connections container whose
+    /// clearance is guarded by `guard`.
+    fn queued_gates(world: &HttpdWorld, guard: Category) -> Vec<ContainerEntry> {
+        let kernel = world.env.machine().kernel();
+        let conns = kernel.raw_object(world.netd.conns).unwrap();
+        let ObjectBody::Container(links) = &conns.body else {
+            panic!("netd's connections container is a container");
+        };
+        let mut gates: Vec<ContainerEntry> = links
+            .links()
+            .iter()
+            .filter(|&&id| match &kernel.raw_object(id).unwrap().body {
+                ObjectBody::Gate(g) => g.clearance.level(guard) == Level::L0,
+                _ => false,
+            })
+            .map(|&id| ContainerEntry::new(world.netd.conns, id))
+            .collect();
+        gates.sort();
+        gates
+    }
+
+    #[test]
+    fn a_queued_connection_is_out_of_another_users_reach() {
+        let (mut world, _conns) = queued_by_hand(&[0, 1]);
+        let guard_a = world.workers["user0"].guard;
+        let gates = queued_gates(&world, guard_a);
+        assert_eq!(gates.len(), 1, "user0's one queued connection");
+        let gate_label = {
+            let gate = world.env.machine().kernel().raw_object(gates[0].object);
+            gate.unwrap().header.label.clone()
+        };
+        let pair: Vec<Category> = gate_label
+            .owned_categories()
+            .filter(|&c| c != guard_a)
+            .collect();
+        assert_eq!(pair.len(), 2, "the gate holds the pair: {gate_label:?}");
+
+        // user1's worker asks for user0's connection: its `1` in user0's
+        // `uw` is above the gate clearance's `0`, so the kernel refuses the
+        // entry — and the refusal is on the audit trace.
+        let worker_b = world.workers["user1"].pid;
+        let thread_b = world.env.process(worker_b).unwrap().thread;
+        let kernel = world.env.kernel_mut();
+        let label = kernel.thread_label(thread_b).unwrap();
+        let clearance = kernel.thread_clearance(thread_b).unwrap();
+        let (wanted, wanted_clearance) = pair
+            .iter()
+            .fold((label.clone(), clearance), |(l, c), &cat| {
+                (l.with(cat, Level::Star), c.with(cat, Level::L3))
+            });
+        assert_eq!(
+            kernel.trap_gate_enter(thread_b, gates[0], wanted, wanted_clearance, label.clone()),
+            Err(SyscallError::GateClearance(gates[0].object))
+        );
+        let last = kernel.syscall_trace().unwrap().records().last().copied();
+        let last = last.expect("tracing is on");
+        assert_eq!(
+            (last.tid, last.syscall, last.ok),
+            (thread_b, "gate_enter", false)
+        );
+        assert_eq!(kernel.thread_label(thread_b).unwrap(), label);
+    }
+
+    #[test]
+    fn a_worker_owns_a_connections_pair_only_while_it_serves_it() {
+        let (mut world, conns) = queued_by_hand(&[0, 0, 0]);
+        let worker = world.workers["user0"];
+        let born = worker_birth_label(&world, "user0");
+        assert_eq!(queued_gates(&world, worker.guard).len(), 3);
+        assert_eq!(label_of(&world, worker.pid), born, "three jobs on the pipe");
+
+        // First quantum: the worker reads the three job lines into its
+        // queue and yields.  The queue is full and no job has started.
+        let (tid, mut program) = world.spawned.pop().expect("user0's worker");
+        assert!(matches!(program(&mut world, tid), Step::Yield));
+        assert_eq!(label_of(&world, worker.pid), born, "three jobs queued");
+        assert_eq!(queued_gates(&world, worker.guard).len(), 3);
+
+        // Second quantum: each job in turn enters its gate, is served, and
+        // sheds its pair; then the worker parks on the empty pipe.
+        assert!(matches!(program(&mut world, tid), Step::Block));
+        assert_eq!(label_of(&world, worker.pid), born, "three jobs done");
+        assert!(queued_gates(&world, worker.guard).is_empty());
+        assert!(world.failures.is_empty(), "failures: {:?}", world.failures);
+        for (client, fd) in conns {
+            let page = world.env.read(client, fd, 4096).unwrap();
+            assert!(page.starts_with(b"200 <html>user0"), "got {page:?}");
+        }
+    }
+
+    #[test]
+    fn a_request_that_arrives_after_its_connection_is_still_served() {
+        // The burst's clients connect and write in one quantum, so the
+        // launcher always finds the request behind the accept.  This one
+        // connects, waits until the launcher has accepted (its label shows
+        // the pair it keeps while the connection is pending), and only
+        // then writes.
+        let (mut world, mut sched) = build_httpd(HttpdParams {
+            clients: 0,
+            users: 1,
+            ..HttpdParams::default()
+        })
+        .unwrap();
+        world.expected = 1;
+        let idle = label_of(&world, world.launcher).len();
+        let init = world.env.init_pid();
+        let client = world
+            .netd
+            .spawn_tainted(&mut world.env, init, "/usr/bin/slow-client")
+            .unwrap();
+        let thread = world.env.process(client).unwrap().thread;
+        let (mut fd, mut waited, mut wrote) = (None, 0, false);
+        let program: Program<HttpdWorld> = Box::new(move |world, _tid| {
+            let Some(fd) = fd else {
+                let netd = world.netd;
+                fd = Some(
+                    netd.connect(&mut world.env, client, &world.listener)
+                        .unwrap(),
+                );
+                return Step::Yield;
+            };
+            if !wrote {
+                if label_of(world, world.launcher).len() < idle + 2 {
+                    waited += 1;
+                    assert!(waited < 100, "the launcher never accepted");
+                    return Step::Yield;
+                }
+                let request = b"user0 pw-user0 index.html\n";
+                world.env.write(client, fd, request).unwrap();
+                wrote = true;
+                return Step::Yield;
+            }
+            match world.env.read_blocking(client, fd, 4096).unwrap() {
+                None => Step::Block,
+                Some(page) => {
+                    assert!(page.starts_with(b"200 <html>user0"), "got {page:?}");
+                    world.latencies.push(0);
+                    Step::Done
+                }
+            }
+        });
+        sched.spawn(thread, program);
+        assert_eq!(
+            drive(&mut world, &mut sched).unwrap(),
+            StopReason::AllComplete
+        );
+        assert!(world.failures.is_empty(), "failures: {:?}", world.failures);
+        assert_eq!((world.served, world.latencies.len()), (1, 1));
+        // The pending pair went with the hand-off; `ur`/`uw` came with the
+        // login.
+        assert_eq!(label_of(&world, world.launcher).len(), idle + 2);
+    }
 
     #[test]
     fn serves_every_client_its_own_users_page() {

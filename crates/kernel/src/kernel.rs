@@ -1016,9 +1016,17 @@ impl Kernel {
         if cached {
             self.stats.label_cache_hits += 1;
         }
-        let c = self.cost.label_check(ol.len() + tl.len(), cached);
-        self.charge(c);
+        self.charge_label_check(ol.len() + tl.len(), cached);
         verdict
+    }
+
+    /// Charges one label check comparing `entries` label entries (both
+    /// operands together) and keeps the largest such total seen.
+    fn charge_label_check(&mut self, entries: usize, cached: bool) {
+        let seen = &mut self.stats.label_check_max_entries;
+        *seen = (*seen).max(entries as u64);
+        let c = self.cost.label_check(entries, cached);
+        self.charge(c);
     }
 
     /// "No read up": may a thread labelled `tl` observe object `o`?
@@ -1184,8 +1192,7 @@ impl Kernel {
         new: Label,
     ) -> Result<(), SyscallError> {
         self.stats.label_checks += 2;
-        let c = self.cost.label_check(t.label.len() + new.len(), false);
-        self.charge(c);
+        self.charge_label_check(t.label.len() + new.len(), false);
         t.label.check_set_label(&t.clearance, &new)?;
         let (header, _) = self.thread_mut(t.tid)?;
         header.label = new;
@@ -1200,8 +1207,7 @@ impl Kernel {
         new: Label,
     ) -> Result<(), SyscallError> {
         self.stats.label_checks += 2;
-        let c = self.cost.label_check(t.clearance.len() + new.len(), false);
-        self.charge(c);
+        self.charge_label_check(t.clearance.len() + new.len(), false);
         t.label.check_set_clearance(&t.clearance, &new)?;
         let (_, body) = self.thread_mut(t.tid)?;
         body.clearance = new;
@@ -2055,8 +2061,7 @@ impl Kernel {
             (header.label.clone(), g.clearance.clone(), g.clone())
         };
         self.stats.label_checks += 5;
-        let lc = self.cost.label_check(t.label.len() + glabel.len(), false);
-        self.charge(lc);
+        self.charge_label_check(t.label.len() + glabel.len(), false);
         if !t.label.leq(&gclearance) {
             return Err(SyscallError::GateClearance(gate.object));
         }

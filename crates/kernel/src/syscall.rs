@@ -190,6 +190,10 @@ pub struct SyscallStats {
     pub context_switches: u64,
     /// Context switches that used the cheap `invlpg` path.
     pub invlpg_switches: u64,
+    /// The most label entries (both operands together) any one charged
+    /// label check compared: a level, not a count.  A daemon whose label
+    /// grows with the clients it has served shows here.
+    pub label_check_max_entries: u64,
 }
 
 impl histar_obs::MetricSource for SyscallStats {
@@ -204,12 +208,17 @@ impl histar_obs::MetricSource for SyscallStats {
         set.counter("kernel.gate_invocations", self.gate_invocations);
         set.counter("kernel.context_switches", self.context_switches);
         set.counter("kernel.invlpg_switches", self.invlpg_switches);
+        set.gauge(
+            "kernel.label_check_max_entries",
+            self.label_check_max_entries,
+        );
     }
 }
 
 impl SyscallStats {
     /// Difference between two snapshots (`self - earlier`), for measuring a
-    /// region of execution.
+    /// region of execution.  `label_check_max_entries` is a level and
+    /// carries the later value.
     pub fn since(&self, earlier: &SyscallStats) -> SyscallStats {
         SyscallStats {
             syscalls: self.syscalls - earlier.syscalls,
@@ -222,6 +231,7 @@ impl SyscallStats {
             gate_invocations: self.gate_invocations - earlier.gate_invocations,
             context_switches: self.context_switches - earlier.context_switches,
             invlpg_switches: self.invlpg_switches - earlier.invlpg_switches,
+            label_check_max_entries: self.label_check_max_entries,
         }
     }
 }
@@ -266,9 +276,11 @@ mod tests {
             syscalls: 25,
             label_checks: 11,
             objects_created: 2,
+            label_check_max_entries: 78,
             ..Default::default()
         };
         let d = b.since(&a);
+        assert_eq!(d.label_check_max_entries, 78, "a level, not a difference");
         assert_eq!(d.syscalls, 15);
         assert_eq!(d.label_checks, 6);
         assert_eq!(d.objects_created, 2);

@@ -951,6 +951,50 @@ mod tests {
     }
 
     #[test]
+    fn a_queued_connection_gate_grants_the_pair_and_not_the_device() {
+        // netd owns the device's `nr`/`nw`; the gate it queues for the
+        // acceptor must not.  A server that enters it asking for `nr ⋆` on
+        // top of the connection's pair is refused, and the honest entry
+        // `accept` makes leaves the server owning the pair alone.
+        let (mut env, init, netd) = setup();
+        let server = netd.spawn_tainted(&mut env, init, "/sbin/httpd").unwrap();
+        let client = netd.spawn_tainted(&mut env, init, "/usr/bin/curl").unwrap();
+        let listener = netd.listen(&mut env, server).unwrap();
+        netd.connect(&mut env, client, &listener).unwrap();
+
+        let server_thread = env.process(server).unwrap().thread;
+        let handoff = {
+            let mut ctx = env.vfs_ctx(server_thread);
+            net_queue::dequeue(&mut ctx, listener.queue).unwrap()
+        };
+        let (c_r, c_w) = (
+            Category::from_raw(handoff.taint_cat),
+            Category::from_raw(handoff.write_cat),
+        );
+        let kernel = env.machine_mut().kernel_mut();
+        let label = kernel.thread_label(server_thread).unwrap();
+        let clearance = kernel.thread_clearance(server_thread).unwrap();
+        let pair = label.with(c_r, Level::Star).with(c_w, Level::Star);
+        let gate = ContainerEntry::new(handoff.container, handoff.grant_gate);
+        let refused = kernel.trap_gate_enter(
+            server_thread,
+            gate,
+            pair.with(netd.nr, Level::Star),
+            clearance.with(c_r, Level::L3).with(c_w, Level::L3),
+            label.clone(),
+        );
+        assert!(
+            matches!(refused, Err(SyscallError::Label(_))),
+            "got {refused:?}"
+        );
+        assert_eq!(kernel.thread_label(server_thread).unwrap(), label);
+
+        gatecall::enter_grant_gate(&mut env, netd.pid, gate, server, &[c_r, c_w]).unwrap();
+        let kernel = env.machine().kernel();
+        assert_eq!(kernel.thread_label(server_thread).unwrap(), pair);
+    }
+
+    #[test]
     fn vpn_isolates_the_two_networks() {
         let mut env = UnixEnv::boot();
         let init = env.init_pid();

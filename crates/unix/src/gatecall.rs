@@ -20,13 +20,23 @@
 //! `gate_create` / `gate_enter`, which refuse ownership the thread does not
 //! hold and labels above its clearance, so a wrong derivation is a refused
 //! call, not a flow.  The tests below pin the syscall list of a call and
-//! hold each derived value equal to the kernel's own.
+//! hold each derived value equal to the kernel's own.  A call whose entry
+//! the kernel refuses gives back everything it took on the way — `r`, `t`,
+//! the return gate, the donated container — before it reports the refusal.
+//!
+//! The same file packages the one-way use of a gate: a *grant gate*
+//! ([`grant_categories`], or [`create_grant_gate`] + [`enter_grant_gate`]
+//! when the two sides run at different times) moves ownership of named
+//! categories from one thread to another.  Its label is the creator's
+//! taint, `⋆` for what it grants and `⋆` for its guard — never the
+//! creator's whole label, because the entry rule lets the entering thread
+//! ask for every `⋆` a gate's label holds.
 
 use crate::env::{take, UnixEnv, UnixError};
 use crate::process::Pid;
 use histar_kernel::kernel::GateEntryResult;
 use histar_kernel::object::{ContainerEntry, ObjectId};
-use histar_kernel::{Syscall, SyscallResult};
+use histar_kernel::{Kernel, Syscall, SyscallResult};
 use histar_label::{Category, Label, Level};
 
 type Result<T> = core::result::Result<T, UnixError>;
@@ -212,14 +222,24 @@ fn enter_service_inner(
     let spilled = kernel.submit_calls(caller_thread, spill);
     // The batch does not stop on errors, so an entry may have created an
     // object even though another failed; release anything the aborted call
-    // would orphan.  The creating entries come first, each beside the
-    // container it allocates in; a read's result is never an object id.
+    // would orphan, and the `r`/`t` stars of the head batch with it.  The
+    // creating entries come first, each beside the container it allocates
+    // in; a read's result is never an object id.
     if spilled.iter().any(|r| r.is_err()) {
-        for (r, home) in spilled.iter().zip([caller_container, internal_container]) {
-            if let Ok(SyscallResult::ObjectId(id)) = r {
-                let _ = kernel.trap_obj_unref(caller_thread, ContainerEntry::new(home, *id));
-            }
-        }
+        let created = spilled
+            .iter()
+            .zip([caller_container, internal_container])
+            .filter_map(|(r, home)| match r {
+                Ok(SyscallResult::ObjectId(id)) => Some(ContainerEntry::new(home, *id)),
+                _ => None,
+            });
+        let _ = release_call(
+            kernel,
+            caller_thread,
+            saved_label.clone(),
+            saved_clearance.clone(),
+            created,
+        );
     }
     let mut spilled = spilled.into_iter();
     let return_gate = take(&mut spilled, SyscallResult::into_object_id)?;
@@ -239,24 +259,71 @@ fn enter_service_inner(
         requested = requested.with(c, lvl);
     }
     let requested_clearance = current_clearance.lub(&gate_clearance);
-    let entry = kernel.trap_gate_enter(
+    let return_gate = ContainerEntry::new(caller_container, return_gate);
+    let entry = match kernel.trap_gate_enter(
         caller_thread,
         service.gate,
         requested,
         requested_clearance,
         saved_label.clone(),
-    )?;
+    ) {
+        Ok(entry) => entry,
+        Err(refused) => {
+            // The thread never left: it still holds `r` (and `t`), and the
+            // per-call objects exist.  Give all of it back, best-effort —
+            // the caller is owed the refusal, not the cleanup's verdict.
+            let _ = release_call(
+                kernel,
+                caller_thread,
+                saved_label,
+                saved_clearance,
+                [Some(return_gate), resource_container]
+                    .into_iter()
+                    .flatten(),
+            );
+            return Err(refused.into());
+        }
+    };
 
     Ok(GateSession {
         caller_thread,
         saved_label,
         saved_clearance,
         return_category,
-        return_gate: ContainerEntry::new(caller_container, return_gate),
+        return_gate,
         taint,
         resource_container,
         entry,
     })
+}
+
+/// Ends a gate call on the caller's side, as one submission batch: the
+/// label and clearance to go back to, then the per-call objects.  The two
+/// restorations must succeed; the unrefs are best-effort — a thread that
+/// acquired persistent taint during the call may no longer be able to
+/// modify its own (untainted) process container, in which case the
+/// per-call objects are reclaimed when the process itself is deallocated.
+/// This is the paper's §5.8 trade-off — reclaiming tainted resources needs
+/// an explicit untainting gate.
+fn release_call(
+    kernel: &mut Kernel,
+    thread: ObjectId,
+    label: Label,
+    clearance: Label,
+    objects: impl Iterator<Item = ContainerEntry>,
+) -> Result<()> {
+    let mut cleanup = vec![
+        Syscall::SelfSetLabel { label },
+        Syscall::SelfSetClearance { clearance },
+    ];
+    cleanup.extend(objects.map(|entry| Syscall::ObjUnref { entry }));
+    let results = kernel.submit_calls(thread, cleanup);
+    for restore in &results[..2] {
+        if let Err(e) = restore {
+            return Err(e.clone().into());
+        }
+    }
+    Ok(())
 }
 
 /// Returns from a gate call: the thread invokes the return gate (which only
@@ -322,32 +389,15 @@ pub fn return_from_service(env: &mut UnixEnv, session: GateSession) -> Result<()
     if restore_clearance.level(return_category) == Level::L2 {
         restore_clearance = restore_clearance.without(return_category);
     }
-    // Label restoration and per-call cleanup ride one submission batch.
-    // Cleanup is best-effort: a thread that acquired persistent taint during
-    // the call may no longer be able to modify its own (untainted) process
-    // container, in which case the per-call objects are reclaimed when the
-    // process itself is deallocated.  This is the paper's §5.8 trade-off —
-    // reclaiming tainted resources needs an explicit untainting gate.
-    let mut cleanup = vec![
-        Syscall::SelfSetLabel {
-            label: restore_label,
-        },
-        Syscall::SelfSetClearance {
-            clearance: restore_clearance,
-        },
-        Syscall::ObjUnref { entry: return_gate },
-    ];
-    if let Some(rc) = resource_container {
-        cleanup.push(Syscall::ObjUnref { entry: rc });
-    }
-    let results = kernel.submit_calls(caller_thread, cleanup);
-    // The label restorations must succeed; the unrefs are best-effort.
-    for restore in &results[..2] {
-        if let Err(e) = restore {
-            return Err(e.clone().into());
-        }
-    }
-    Ok(())
+    release_call(
+        kernel,
+        caller_thread,
+        restore_label,
+        restore_clearance,
+        [Some(return_gate), resource_container]
+            .into_iter()
+            .flatten(),
+    )
 }
 
 /// Transfers ownership of `categories` from `from`'s thread to `to`'s thread
@@ -357,8 +407,10 @@ pub fn return_from_service(env: &mut UnixEnv, session: GateSession) -> Result<()
 /// The kernel checks everything: `from` must actually own the categories
 /// (gate creation fails otherwise, since the gate label must satisfy
 /// `L_T ⊑ L_G`), and `to` gains exactly the requested `⋆` entries because the
-/// gate-entry floor `(L_T^J ⊔ L_G^J)^⋆` admits them.  Exporters use this on
-/// both sides of a cross-node RPC: a client grants its exporter the
+/// gate-entry floor `(L_T^J ⊔ L_G^J)^⋆` admits them.  The gate's label is
+/// `from`'s taint plus `⋆` for `categories` and nothing else `from` owns
+/// (see [`create_grant_gate`]), so `to` cannot ask for more.  Exporters use
+/// this on both sides of a cross-node RPC: a client grants its exporter the
 /// categories it exports, and the receiving exporter grants a worker the
 /// delegated privileges a remote caller proved it holds.
 pub fn grant_categories(
@@ -378,7 +430,23 @@ pub fn grant_categories(
 /// The creation half of [`grant_categories`], for grants where the two
 /// sides run at different times: builds the single-use grant gate in
 /// `container` and returns its entry, without anyone entering it yet.
-/// netd uses this at connect time — the acceptor only shows up later.
+/// netd uses this at connect time — the acceptor only shows up later —
+/// and httpd's launcher when it queues a job for a worker.
+///
+/// A grant gate carries only what it grants.  Its label `L_G` is exactly
+///
+/// * `from`'s non-`⋆` entries — its taint, which `L_T ⊑ L_G` requires and
+///   which the entering thread therefore picks up;
+/// * `⋆` for each of `categories`;
+/// * `⋆` for `guard`, when there is one (`L_G ⊑ C_G` needs it under the
+///   guard's `0`; whoever passes the guard owns it already),
+///
+/// and its clearance `C_G` is `{categories 3, guard 0, 2}`.  Everything
+/// else `from` owns stays out: the entry rule's floor `(L_T^J ⊔ L_G^J)^⋆`
+/// lets the entering thread ask for *any* `⋆` the gate's label holds, so a
+/// gate built from `from`'s whole label would hand every category `from`
+/// owns to whoever entered and asked — netd's `nr`/`nw` to an acceptor, a
+/// client's whole label to its exporter.
 ///
 /// A gate that *waits* to be entered is a stealable capability unless it
 /// is guarded: passing `guard` pins that category to `0` in the gate's
@@ -393,13 +461,15 @@ pub fn create_grant_gate(
 ) -> Result<ContainerEntry> {
     let from_thread = env.process(from)?.thread;
     let kernel = env.machine_mut().kernel_mut();
-    let mut gate_label = kernel.trap_self_get_label(from_thread)?;
+    let own = kernel.trap_self_get_label(from_thread)?;
+    let mut gate_label = own.drop_ownership(own.default_level());
     let mut gate_clearance = Label::default_clearance();
     for &c in categories {
         gate_label = gate_label.with(c, Level::Star);
         gate_clearance = gate_clearance.with(c, Level::L3);
     }
     if let Some(g) = guard {
+        gate_label = gate_label.with(g, Level::Star);
         gate_clearance = gate_clearance.with(g, Level::L0);
     }
     let gate = kernel.trap_gate_create(
@@ -418,7 +488,8 @@ pub fn create_grant_gate(
 /// The entry half of [`grant_categories`]: `to`'s thread enters a grant
 /// gate made by [`create_grant_gate`], gaining `⋆` for `categories` while
 /// keeping its current label otherwise, and `owner`'s thread unrefs the
-/// single-use gate.
+/// single-use gate — the creator, or `to` itself where it can write the
+/// gate's container (httpd's workers clean up after themselves).
 pub fn enter_grant_gate(
     env: &mut UnixEnv,
     owner: Pid,
@@ -497,8 +568,6 @@ pub fn raise_taint_for(env: &mut UnixEnv, pid: Pid, target: &Label) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histar_kernel::bodies::ObjectBody;
-    use histar_kernel::object::ObjectType;
     use histar_kernel::syscall::SyscallError;
 
     fn setup() -> (UnixEnv, Pid, Pid, ServiceGate) {
@@ -662,6 +731,8 @@ mod tests {
             gate: ContainerEntry::new(service.gate.container, ObjectId::from_raw(0x5add)),
             provider: service.provider,
         };
+        let client_thread = env.process(client).unwrap().thread;
+        let held = console(&env, client_thread);
         let objects_before = env.machine().kernel().object_count();
         assert!(enter_service(&mut env, client, &bogus, true).is_err());
         assert_eq!(
@@ -669,6 +740,7 @@ mod tests {
             objects_before,
             "failed gate calls must not leak spill objects"
         );
+        assert_eq!(console(&env, client_thread), held, "nor the r/t stars");
     }
 
     /// The `(syscall, ok)` records one call leaves in the audit trace.
@@ -773,17 +845,12 @@ mod tests {
     }
 
     #[test]
-    fn derived_labels_equal_the_kernels_at_every_step() {
-        let (mut env, init, client, service) = setup();
-        let client_thread = env.process(client).unwrap().thread;
-        let client_container = env.process(client).unwrap().process_container;
+    fn a_refused_gate_entry_leaves_the_caller_as_it_was() {
+        let (mut env, _init, client, service) = setup();
+        let p = env.process(client).unwrap().clone();
+        // A second gate of the daemon's whose clearance pins a fresh
+        // category of the daemon's to `0`: no client passes `L_T ⊑ C_G`.
         let daemon_thread = env.process(service.provider).unwrap().thread;
-        let (before, before_clearance) = console(&env, client_thread);
-
-        // Head batch and spill, stopped there by a service whose clearance
-        // refuses the caller: the return gate the aborted call leaves
-        // behind carries the label the library derived from the head
-        // batch, and it is the label the kernel holds for the thread.
         let kernel = env.machine_mut().kernel_mut();
         let s = kernel.trap_create_category(daemon_thread).unwrap();
         let guarded = kernel
@@ -802,42 +869,124 @@ mod tests {
             gate: ContainerEntry::new(service.gate.container, guarded),
             provider: service.provider,
         };
-        assert!(matches!(
-            enter_service(&mut env, client, &guarded, true),
-            Err(UnixError::Kernel(SyscallError::GateClearance(_)))
-        ));
-        let (held, held_clearance) = console(&env, client_thread);
-        let fresh: Vec<Category> = held
-            .owned_categories()
-            .filter(|&c| !before.owns(c))
-            .collect();
-        assert_eq!(fresh.len(), 2, "the return and taint categories");
-        let container = env.machine().kernel().raw_object(client_container).unwrap();
-        let ObjectBody::Container(links) = &container.body else {
-            panic!("a process container is a container");
-        };
-        let leaked: Vec<Label> = links
-            .links()
-            .iter()
-            .filter(|&&id| {
-                let o = env.machine().kernel().raw_object(id).unwrap();
-                o.header.object_type == ObjectType::Gate && o.header.descrip == "return gate"
+        let usage = |env: &UnixEnv| {
+            [p.process_container, p.internal_container].map(|c| {
+                let c = env.machine().kernel().raw_object(c).unwrap();
+                c.header.usage
             })
-            .map(|&id| label_of(&env, id))
-            .collect();
-        assert_eq!(leaked, core::slice::from_ref(&held));
-        // `create_category`'s effect, which the derivation stands on.
+        };
+        let held = console(&env, p.thread);
+        let (used, objects) = (usage(&env), env.machine().kernel().object_count());
+        for i in 0..100 {
+            // Plain and private calls alike: the private one also donates a
+            // resource container, which has to go back too.
+            assert!(matches!(
+                enter_service(&mut env, client, &guarded, i % 2 == 0),
+                Err(UnixError::Kernel(SyscallError::GateClearance(_)))
+            ));
+        }
+        assert_eq!(console(&env, p.thread), held);
+        assert_eq!(usage(&env), used);
+        assert_eq!(env.machine().kernel().object_count(), objects);
+    }
+
+    #[test]
+    fn a_grant_gate_carries_only_what_it_grants() {
+        let mut env = UnixEnv::boot();
+        let init = env.init_pid();
+        let alice = env.spawn(init, "/bin/alice", None).unwrap();
+        let bob = env.spawn(init, "/bin/bob", None).unwrap();
+        let alice_thread = env.process(alice).unwrap().thread;
+        let bob_thread = env.process(bob).unwrap().thread;
+        // A container both can name.
+        let shared = env.process(alice).unwrap().process_container;
+        let kernel = env.machine_mut().kernel_mut();
+        let x = kernel.trap_create_category(alice_thread).unwrap();
+        let y = kernel.trap_create_category(alice_thread).unwrap();
+        let gate = create_grant_gate(&mut env, alice, shared, &[x], None).unwrap();
         assert_eq!(
-            held_clearance,
-            fresh
-                .iter()
-                .fold(before_clearance.clone(), |c, &f| c.with(f, Level::L3))
+            label_of(&env, gate.object),
+            Label::builder().own(x).build(),
+            "an untainted creator's grant gate is the grant and nothing else"
         );
-        drop_categories(&mut env, client, &fresh).unwrap();
+
+        // Bob asks for `y` as well.  The floor `(L_T^J ⊔ L_G^J)^⋆` holds
+        // `y` at 1 — neither Bob nor the gate owns it — so a request for
+        // `y ⋆` is below the floor, and Bob leaves with nothing.
+        let (before, before_clearance) = console(&env, bob_thread);
+        let greedy = before.with(x, Level::Star).with(y, Level::Star);
+        let kernel = env.machine_mut().kernel_mut();
+        assert!(kernel
+            .trap_gate_enter(
+                bob_thread,
+                gate,
+                greedy,
+                before_clearance.with(x, Level::L3),
+                before.clone(),
+            )
+            .is_err());
         assert_eq!(
-            console(&env, client_thread),
+            console(&env, bob_thread),
             (before.clone(), before_clearance.clone())
         );
+
+        // The honest entry still works, and grants exactly `x`.
+        enter_grant_gate(&mut env, alice, gate, bob, &[x]).unwrap();
+        assert_eq!(
+            console(&env, bob_thread),
+            (
+                before.with(x, Level::Star),
+                before_clearance.with(x, Level::L3)
+            )
+        );
+        assert!(env.machine().kernel().raw_object(gate.object).is_none());
+    }
+
+    #[test]
+    fn a_guarded_grant_gate_admits_its_guards_owner_and_nobody_else() {
+        let mut env = UnixEnv::boot();
+        let init = env.init_pid();
+        let alice = env.spawn(init, "/bin/alice", None).unwrap();
+        let bob = env.spawn(init, "/bin/bob", None).unwrap();
+        let carol = env.spawn(init, "/bin/carol", None).unwrap();
+        let alice_thread = env.process(alice).unwrap().thread;
+        let bob_thread = env.process(bob).unwrap().thread;
+        let carol_thread = env.process(carol).unwrap().thread;
+        let shared = env.process(alice).unwrap().process_container;
+        let kernel = env.machine_mut().kernel_mut();
+        let x = kernel.trap_create_category(alice_thread).unwrap();
+        let guard = kernel.trap_create_category(alice_thread).unwrap();
+        grant_categories(&mut env, alice, bob, &[guard]).unwrap();
+        let gate = create_grant_gate(&mut env, alice, shared, &[x], Some(guard)).unwrap();
+        assert_eq!(
+            label_of(&env, gate.object),
+            Label::builder().own(x).own(guard).build()
+        );
+
+        // Carol does not own the guard: her `1` in it is above the gate
+        // clearance's `0`, whatever she asks for.
+        let (label, clearance) = console(&env, carol_thread);
+        let kernel = env.machine_mut().kernel_mut();
+        assert!(matches!(
+            kernel.trap_gate_enter(
+                carol_thread,
+                gate,
+                label.with(x, Level::Star),
+                clearance.with(x, Level::L3),
+                label,
+            ),
+            Err(SyscallError::GateClearance(_))
+        ));
+        enter_grant_gate(&mut env, alice, gate, bob, &[x]).unwrap();
+        assert!(console(&env, bob_thread).0.owns(x));
+        assert!(!console(&env, carol_thread).0.owns(x));
+    }
+
+    #[test]
+    fn derived_labels_equal_the_kernels_at_every_step() {
+        let (mut env, init, client, service) = setup();
+        let client_thread = env.process(client).unwrap().thread;
+        let (before, before_clearance) = console(&env, client_thread);
 
         // Entry: the kernel adopted what the library asked for, and what it
         // asked for is what it held, plus the gate's ownership, tainted.

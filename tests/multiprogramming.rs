@@ -190,29 +190,40 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     let (t1, t2) = (httpd_trace(&w1), httpd_trace(&w2));
     assert!(!t1.is_empty());
     assert_eq!(t1, t2);
-    // As above: the projection holds the pre-ISSUE-21 pins, the full
-    // stream carries 1,136 reads of the caller's own label.
+    // Re-pinned by ISSUE 22 (bounded labels), which changed who calls
+    // what and when on the web path and nothing else — the login stream
+    // above did not move.  The launcher serves each connection as it
+    // accepts it, so its one `poll` over a 48-deep `pending` is gone —
+    // the burst's clients write before they yield, so nothing ever waits
+    // there (projection 5,359 → 5,307 records: `segment_read` −50, the 48
+    // ring-header probes among them, `segment_len` −1, `segment_watch`
+    // −1); a connection's pair is taken by the *worker* entering a queued
+    // gate when it starts the job, where the launcher's thread used to
+    // push it at queue time (same rows, other thread, other order); and
+    // the full stream carries 1,135 reads of the caller's own label, one
+    // fewer.
     let before = without_own_label_reads(&t1);
-    assert_eq!(before.len(), 5359);
-    assert_eq!(stream_digest(&before), 0x31e4_8f36_435c_5bff);
-    assert_eq!(t1.len(), 6495);
-    assert_eq!(stream_digest(&t1), 0xe99a_1cc6_47a4_bf61);
+    assert_eq!(before.len(), 5307);
+    assert_eq!(stream_digest(&before), 0xb56d_5d74_5368_f879);
+    assert_eq!(t1.len(), 6442);
+    assert_eq!(stream_digest(&t1), 0x0949_7539_d029_0e10);
 
     // The label-check bill is part of simulated time (a cache hit is
     // charged less than a miss), so it is pinned: a faster label
     // representation or cache must reproduce these counts exactly.
-    // Last re-pinned when capability handles were retired (ISSUE 15):
-    // the burst's 207 handle opens were one reachability check each (206
-    // cache hits, 1 miss), so checks 10795 - 207, hits 7144 - 206, misses
-    // 1315 - 1, interned unchanged.
+    // Last re-pinned by ISSUE 22: labels on the web path stopped growing
+    // with the queue, so fewer distinct labels exist to intern (539 → 486)
+    // and compare (misses 1,314 → 1,102, hits 6,938 → 7,046), and the
+    // 52 calls of the launcher's poll took their two checks each with
+    // them (checks 10,588 → 10,484).
     let kernel = w1.env.machine().kernel();
     let cache = kernel.label_cache_stats();
     assert_eq!(
         (cache.hits, cache.misses, cache.interned),
-        (6938, 1314, 539),
+        (7046, 1102, 486),
         "label cache hits/misses/interned"
     );
-    assert_eq!(kernel.stats().label_checks, 10588);
+    assert_eq!(kernel.stats().label_checks, 10484);
     assert_eq!(kernel.stats().label_cache_hits, cache.hits);
     assert_totals_agree(kernel);
 
