@@ -12,6 +12,9 @@
 //! 3. **Boundary** — no untrusted library crate reads a thread's label
 //!    or clearance off the kernel; it traps (`self_get_label`) like any
 //!    other thread.
+//! 4. **Boundary, the other way** — every row of the syscall table is
+//!    called by that library outside its tests; a row only tests call is
+//!    kernel surface nobody needs.
 //!
 //! See `ARCHITECTURE.md` § "Static analysis" for the rule definitions and
 //! the exemption-marker grammar.
@@ -98,7 +101,7 @@ pub fn rust_files(dir: &Path) -> Vec<PathBuf> {
 /// Analyzes the repository rooted at `root`: mediation over the kernel
 /// crate, determinism over every trace-affecting crate's `src/` tree
 /// (tests and benches are observers, not trace-affecting), the boundary
-/// rule over every library crate's.
+/// rules over every library crate's (rule 4 with the kernel's table).
 pub fn analyze_repo(root: &Path) -> std::io::Result<Analysis> {
     let mut mediation_files = Vec::new();
     let mut determinism_files = Vec::new();
@@ -132,5 +135,6 @@ pub fn analyze_repo(root: &Path) -> std::io::Result<Analysis> {
     }
     let mut a = analyze(&mediation_files, &determinism_files);
     boundary::run(&library_files, &mut a.findings);
+    boundary::unused_rows(&mediation_files, &library_files, &mut a.findings);
     Ok(a)
 }

@@ -58,6 +58,7 @@ fn main() -> ExitCode {
             "boundary" => {
                 let mut a = flowcheck::Analysis::default();
                 flowcheck::boundary::run(&parsed, &mut a.findings);
+                flowcheck::boundary::unused_rows(&parsed, &parsed, &mut a.findings);
                 a
             }
             other => {

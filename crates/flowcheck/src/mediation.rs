@@ -137,7 +137,7 @@ pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>, exemptions: &mut V
         });
         return;
     };
-    for (line, [name, sys, trap]) in rows {
+    for (line, [_, name, sys, trap]) in rows {
         if sys != format!("sys_{name}") || trap != format!("trap_{name}") {
             findings.push(Finding {
                 rule: "mediation",
@@ -421,12 +421,12 @@ fn find_method<'a>(
 }
 
 /// The rows of the `syscalls! { … }` invocation, if the file has a
-/// non-empty one: each row's line and its `name sys_name trap_name`
-/// identifiers (a row is `Variant name sys_name trap_name (args…) ->
-/// Result(Ty);`). Only the invocation is `syscalls ! {` — the definition
-/// is `macro_rules ! syscalls` and the macro's internal calls use
-/// parentheses.
-fn table_rows(f: &SourceFile) -> Option<Vec<(u32, [String; 3])>> {
+/// non-empty one: each row's line and its `Variant name sys_name
+/// trap_name` identifiers (a row is `Variant name sys_name trap_name
+/// (args…) -> Result(Ty);`). Only the invocation is `syscalls ! {` — the
+/// definition is `macro_rules ! syscalls` and the macro's internal calls
+/// use parentheses.
+pub(crate) fn table_rows(f: &SourceFile) -> Option<Vec<(u32, [String; 4])>> {
     let toks = &f.tokens;
     let open = (0..toks.len()).find(|&i| matches_seq(toks, i, &["syscalls", "!", "{"]))? + 2;
     let mut rows = Vec::new();
@@ -439,7 +439,7 @@ fn table_rows(f: &SourceFile) -> Option<Vec<(u32, [String; 3])>> {
             ";" if depth == 0 => {
                 if i >= start + 4 {
                     let ident = |k: usize| toks[start + k].text.clone();
-                    rows.push((toks[start].line, [ident(1), ident(2), ident(3)]));
+                    rows.push((toks[start].line, [ident(0), ident(1), ident(2), ident(3)]));
                 }
                 start = i + 1;
             }

@@ -20,7 +20,9 @@ fn analyze_fixture(rule: &str, path: &Path) -> flowcheck::Analysis {
         "determinism" => flowcheck::analyze(&[], std::slice::from_ref(&parsed)),
         "boundary" => {
             let mut a = flowcheck::Analysis::default();
-            flowcheck::boundary::run(std::slice::from_ref(&parsed), &mut a.findings);
+            let files = std::slice::from_ref(&parsed);
+            flowcheck::boundary::run(files, &mut a.findings);
+            flowcheck::boundary::unused_rows(files, files, &mut a.findings);
             a
         }
         other => panic!("unknown rule {other}"),
@@ -173,15 +175,31 @@ fn determinism_good_fixtures_all_pass() {
 
 #[test]
 fn a_console_read_is_the_finding_and_a_test_may_make_one() {
-    for (path, a) in run_dir("boundary", "bad") {
-        assert_eq!(a.findings.len(), 1, "{}: {:?}", path.display(), a.findings);
-        assert_eq!(a.findings[0].rule, "boundary");
-        assert!(a.findings[0].message.contains("`.thread_label(`"));
-        assert_eq!(a.findings[0].line, 5);
-    }
+    let path = fixture_dir("boundary", "bad").join("console_read.rs");
+    let a = analyze_fixture("boundary", &path);
+    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+    assert_eq!(a.findings[0].rule, "boundary");
+    assert!(a.findings[0].message.contains("`.thread_label(`"));
+    assert_eq!(a.findings[0].line, 5);
     for (path, a) in run_dir("boundary", "good") {
         assert!(a.ok(), "{}: {:?}", path.display(), a.findings);
     }
+}
+
+#[test]
+fn a_row_only_a_test_calls_is_the_finding_in_its_fixture() {
+    let path = fixture_dir("boundary", "bad").join("row_without_a_caller.rs");
+    let a = analyze_fixture("boundary", &path);
+    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+    assert_eq!(a.findings[0].rule, "boundary");
+    assert!(a.findings[0]
+        .message
+        .contains("`trap_peek` or builds `Syscall::Peek`"));
+    assert_eq!(a.findings[0].line, 6);
+    // Either spelling is a caller: the good twin traps one row and
+    // batches the other.
+    let path = fixture_dir("boundary", "good").join("every_row_called.rs");
+    assert!(analyze_fixture("boundary", &path).ok());
 }
 
 #[test]

@@ -965,6 +965,25 @@ mod tests {
             );
         }
         assert_eq!(label_of(&world, world.launcher), launcher);
+
+        // Nor does anybody still hold a closed connection's descriptor:
+        // the descriptor segments linked in the launcher's and each
+        // worker's process container are the ones its table has open.
+        let kernel = world.env.machine().kernel();
+        let workers = world.workers.values().map(|w| w.pid);
+        for pid in std::iter::once(world.launcher).chain(workers) {
+            let process = world.env.process(pid).unwrap();
+            let container = kernel.raw_object(process.process_container).unwrap();
+            let ObjectBody::Container(links) = &container.body else {
+                panic!("a process container is a container");
+            };
+            let linked = links
+                .links()
+                .iter()
+                .filter(|&&id| kernel.raw_object(id).unwrap().header.descrip == "file descriptor")
+                .count();
+            assert_eq!(linked, process.fds.open_count(), "pid {pid}");
+        }
     }
 
     /// A world with no scheduled clients and one request per entry of

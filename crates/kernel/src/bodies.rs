@@ -43,6 +43,9 @@ impl SegmentBody {
 
 /// A container: hierarchical holder of hard links (§3.2).
 ///
+/// A container may hold several links to one object: each `hard_link` is a
+/// link of its own, charged on its own and removed by its own `obj_unref`.
+///
 /// Membership is probed on every syscall's `check_entry`, so the
 /// insertion-ordered link list carries a sorted index alongside it:
 /// `contains` is O(log n) however many threads a burst links into one
@@ -52,8 +55,9 @@ impl SegmentBody {
 pub struct ContainerBody {
     /// Hard links to objects, in insertion order.
     pub(crate) links: Vec<ObjectId>,
-    /// Membership index over `links` (invariant: identical contents).
-    index: std::collections::BTreeSet<ObjectId>,
+    /// Membership index over `links`: how many links each object has here
+    /// (invariant: the counts of `links`).
+    index: std::collections::BTreeMap<ObjectId, u32>,
     /// Object ID of the parent container (`None` only for the root).
     pub parent: Option<ObjectId>,
     /// Bitmask of [`ObjectType::mask_bit`]s that may *not* be created in
@@ -69,18 +73,20 @@ impl ContainerBody {
         parent: Option<ObjectId>,
         avoid_types: u8,
     ) -> ContainerBody {
-        let index = links.iter().copied().collect();
-        ContainerBody {
-            links,
-            index,
+        let mut body = ContainerBody {
             parent,
             avoid_types,
+            ..ContainerBody::default()
+        };
+        for id in links {
+            body.link(id);
         }
+        body
     }
 
     /// Returns true if the container holds a link to `id`.
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.index.contains(&id)
+        self.index.contains_key(&id)
     }
 
     /// The linked objects, in insertion order.
@@ -88,27 +94,29 @@ impl ContainerBody {
         &self.links
     }
 
-    /// Adds a hard link (idempotent).
+    /// Adds one hard link.
     pub fn link(&mut self, id: ObjectId) {
-        if self.index.insert(id) {
-            self.links.push(id);
-        }
+        *self.index.entry(id).or_insert(0) += 1;
+        self.links.push(id);
     }
 
-    /// Removes a hard link, returning true if it was present.  The ordered
+    /// Removes one hard link, returning true if there was one.  The ordered
     /// list shifts (O(n) memmove); the hot path is `contains`, not unlink.
     pub fn unlink(&mut self, id: ObjectId) -> bool {
-        if self.index.remove(&id) {
-            let pos = self
-                .links
-                .iter()
-                .position(|&x| x == id)
-                .expect("index and links agree");
-            self.links.remove(pos);
-            true
-        } else {
-            false
+        let Some(count) = self.index.get_mut(&id) else {
+            return false;
+        };
+        *count -= 1;
+        if *count == 0 {
+            self.index.remove(&id);
         }
+        let pos = self
+            .links
+            .iter()
+            .position(|&x| x == id)
+            .expect("index and links agree");
+        self.links.remove(pos);
+        true
     }
 
     /// Whether objects of `ty` may be created under this container.
@@ -151,9 +159,6 @@ pub struct ThreadBody {
     pub entry_point: u64,
     /// Current scheduling state.
     pub state: ThreadState,
-    /// Object ID of the thread-local segment (always writable by the
-    /// thread; mapped via a reserved object ID in real HiStar).
-    pub local_segment: Option<ObjectId>,
     /// Alerts queued for delivery.
     pub pending_alerts: Vec<Alert>,
     /// Completion queue and syscall count: runtime state, never
@@ -171,7 +176,6 @@ impl ThreadBody {
             address_space: None,
             entry_point: 0,
             state: ThreadState::Runnable,
-            local_segment: None,
             pending_alerts: Vec::new(),
             runtime: Box::default(),
         }
@@ -241,24 +245,10 @@ pub struct AddressSpaceBody {
 }
 
 impl AddressSpaceBody {
-    /// Finds the mapping covering virtual address `va`, if any.
-    pub fn lookup(&self, va: u64) -> Option<&Mapping> {
-        self.mappings
-            .iter()
-            .find(|m| va >= m.va && va < m.va + m.npages * 4096)
-    }
-
     /// Inserts or replaces the mapping starting at `mapping.va`.
     pub fn map(&mut self, mapping: Mapping) {
-        self.unmap(mapping.va);
+        self.mappings.retain(|m| m.va != mapping.va);
         self.mappings.push(mapping);
-    }
-
-    /// Removes the mapping starting at `va`, returning true if one existed.
-    pub fn unmap(&mut self, va: u64) -> bool {
-        let before = self.mappings.len();
-        self.mappings.retain(|m| m.va != va);
-        self.mappings.len() != before
     }
 }
 
@@ -423,13 +413,15 @@ mod tests {
         let a = ObjectId::from_raw(1);
         let b = ObjectId::from_raw(2);
         c.link(a);
-        c.link(a); // idempotent
+        c.link(a); // a second link of its own
         c.link(b);
-        assert_eq!(c.links.len(), 2);
+        assert_eq!(c.links, [a, a, b]);
+        assert!(c.unlink(a));
         assert!(c.contains(a));
         assert!(c.unlink(a));
         assert!(!c.unlink(a));
         assert!(!c.contains(a));
+        assert_eq!(c.links, [b]);
     }
 
     #[test]
@@ -459,10 +451,7 @@ mod tests {
             npages: 1,
             flags: MappingFlags::ro(),
         });
-        assert_eq!(aspace.lookup(0x1000).unwrap().segment, ce(1, 2));
-        assert_eq!(aspace.lookup(0x2fff).unwrap().segment, ce(1, 2));
-        assert!(aspace.lookup(0x3000).is_none());
-        assert_eq!(aspace.lookup(0x4000).unwrap().flags, MappingFlags::ro());
+        assert_eq!(aspace.mappings.len(), 2);
         // Re-mapping the same VA replaces the old mapping.
         aspace.map(Mapping {
             va: 0x1000,
@@ -471,10 +460,10 @@ mod tests {
             npages: 1,
             flags: MappingFlags::rx(),
         });
-        assert_eq!(aspace.lookup(0x1000).unwrap().segment, ce(1, 9));
         assert_eq!(aspace.mappings.len(), 2);
-        assert!(aspace.unmap(0x4000));
-        assert!(!aspace.unmap(0x4000));
+        let at = |va| aspace.mappings.iter().find(|m| m.va == va).unwrap();
+        assert_eq!(at(0x1000).segment, ce(1, 9));
+        assert_eq!(at(0x4000).flags, MappingFlags::ro());
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! expanded from its rows.
 
 use crate::bodies::{Alert, Mapping};
-use crate::kernel::{Caller, GateEntryResult, Kernel, PageFaultResolution};
-use crate::object::{ContainerEntry, ObjectId, ObjectType, METADATA_LEN};
+use crate::kernel::{Caller, GateEntryResult, Kernel};
+use crate::object::{ContainerEntry, ObjectId, METADATA_LEN};
 use crate::syscall::SyscallError;
 use histar_label::{Category, Label};
 use histar_obs::{Histogram, Span};
@@ -71,21 +71,10 @@ macro_rules! syscalls {
     (@lend $arg:ident) => { $arg };
     (@lend $arg:ident, $owned:ty) => { &$arg };
     (@wrap Unit) => { |()| SyscallResult::Unit };
-    (@wrap Info) => {
-        |(object_type, descrip, quota)| SyscallResult::Info { object_type, descrip, quota }
-    };
     (@wrap $Res:ident) => { SyscallResult::$Res };
     (@unwrap Unit, $result:expr, $mismatch:expr) => {
         match $result {
             SyscallResult::Unit => Ok(()),
-            _ => $mismatch,
-        }
-    };
-    (@unwrap Info, $result:expr, $mismatch:expr) => {
-        match $result {
-            SyscallResult::Info { object_type, descrip, quota } => {
-                Ok((object_type, descrip, quota))
-            }
             _ => $mismatch,
         }
     };
@@ -257,11 +246,6 @@ syscalls! {
         /// The object, named through a container entry.
         entry: ContainerEntry,
     ) -> Label(Label);
-    /// `sys_obj_get_info`.
-    ObjGetInfo obj_get_info sys_obj_get_info trap_obj_get_info (
-        /// The object, named through a container entry.
-        entry: ContainerEntry,
-    ) -> Info((ObjectType, String, u64));
     /// `sys_obj_get_metadata`.
     ObjGetMetadata obj_get_metadata sys_obj_get_metadata trap_obj_get_metadata (
         /// The object, named through a container entry.
@@ -345,17 +329,6 @@ syscalls! {
         /// Descriptive string.
         descrip: &str => String,
     ) -> ObjectId(ObjectId);
-    /// `sys_as_copy`.
-    AsCopy as_copy sys_as_copy trap_as_copy (
-        /// Source address space.
-        src: ContainerEntry,
-        /// Destination container.
-        dst_container: ObjectId,
-        /// Label of the copy.
-        label: Label,
-        /// Descriptive string.
-        descrip: &str => String,
-    ) -> ObjectId(ObjectId);
     /// `sys_as_map`.
     AsMap as_map sys_as_map trap_as_map (
         /// The address space, named through a container entry.
@@ -363,25 +336,11 @@ syscalls! {
         /// The mapping to insert or replace.
         mapping: Mapping,
     ) -> Unit(());
-    /// `sys_as_unmap`.
-    AsUnmap as_unmap sys_as_unmap trap_as_unmap (
-        /// The address space, named through a container entry.
-        aspace: ContainerEntry,
-        /// Virtual address of the mapping to remove.
-        va: u64,
-    ) -> Unit(());
     /// `sys_self_set_as`.
     SelfSetAs self_set_as sys_self_set_as trap_self_set_as (
         /// The address space to switch to.
         aspace: ContainerEntry,
     ) -> Unit(());
-    /// `sys_page_fault`.
-    PageFault page_fault sys_page_fault trap_page_fault (
-        /// The faulting virtual address.
-        va: u64,
-        /// Whether the access was a write.
-        write: bool,
-    ) -> PageFault(PageFaultResolution);
     /// `sys_thread_create`.
     ThreadCreate thread_create sys_thread_create trap_thread_create (
         /// The container the thread is created in.
@@ -395,9 +354,6 @@ syscalls! {
         /// Descriptive string.
         descrip: &str => String,
     ) -> ObjectId(ObjectId);
-    /// `sys_self_local_segment`.
-    SelfLocalSegment self_local_segment sys_self_local_segment trap_self_local_segment
-        -> ObjectId(ObjectId);
     /// `sys_self_halt`.
     SelfHalt self_halt sys_self_halt trap_self_halt -> Unit(());
     /// `sys_thread_alert`.
@@ -447,11 +403,6 @@ syscalls! {
         /// The gate to query.
         gate: ContainerEntry,
     ) -> Label(Label);
-    /// `sys_net_mac`.
-    NetMac net_mac sys_net_mac trap_net_mac (
-        /// The device, named through a container entry.
-        device: ContainerEntry,
-    ) -> Mac([u8; 6]);
     /// `sys_net_transmit`.
     NetTransmit net_transmit sys_net_transmit trap_net_transmit (
         /// The device, named through a container entry.
@@ -543,33 +494,20 @@ pub enum SyscallResult {
     Category(Category),
     /// A label (thread label, clearance, object label).
     Label(Label),
-    /// An object ID (created object, parent container, local segment).
+    /// An object ID (created object, parent container).
     ObjectId(ObjectId),
     /// A plain number (quota, segment length).
     U64(u64),
     /// A list of object IDs (container listing).
     ObjectIds(Vec<ObjectId>),
-    /// Object type, description and quota (`obj_get_info`).
-    Info {
-        /// The object's type.
-        object_type: ObjectType,
-        /// The object's descriptive string.
-        descrip: String,
-        /// The object's quota.
-        quota: u64,
-    },
     /// A 64-byte metadata area.
     Metadata([u8; METADATA_LEN]),
     /// Raw bytes (segment reads).
     Bytes(Vec<u8>),
-    /// A resolved page fault.
-    PageFault(PageFaultResolution),
     /// The outcome of a gate entry.
     GateEntry(GateEntryResult),
     /// An alert, if one was pending.
     Alert(Option<Alert>),
-    /// A device MAC address.
-    Mac([u8; 6]),
     /// A received frame, if one was queued.
     Frame(Option<Vec<u8>>),
     /// Persist records from a range scan: `(key, payload)` pairs.
@@ -1032,6 +970,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), SYSCALL_COUNT, "names must be unique");
+        assert_eq!(SYSCALL_COUNT, 44);
         // Row position is the index; `tests/dispatch_equivalence.rs` checks
         // index and name for a value of every variant.
         assert_eq!(Syscall::CreateCategory.index(), 0);
@@ -1055,10 +994,6 @@ mod tests {
             .unwrap();
         let se = ContainerEntry::new(root, seg);
         assert_eq!(k.trap_segment_len(tid, se).unwrap(), 32);
-        let (ty, descrip, quota) = k.trap_obj_get_info(tid, se).unwrap();
-        assert_eq!(ty, ObjectType::Segment);
-        assert_eq!(descrip, "s");
-        assert!(quota >= 32);
         assert!(k.trap_container_list(tid, root).unwrap().contains(&seg));
         assert_eq!(k.trap_self_take_alert(tid).unwrap(), None);
         let meta = k.trap_obj_get_metadata(tid, se).unwrap();

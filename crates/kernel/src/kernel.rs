@@ -109,17 +109,6 @@ enum Access {
     Modify,
 }
 
-/// Where a page fault resolved to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PageFaultResolution {
-    /// The mapped segment.
-    pub segment: ContainerEntry,
-    /// Byte offset within the segment corresponding to the faulting address.
-    pub offset: u64,
-    /// Whether the mapping permits writes.
-    pub writable: bool,
-}
-
 /// The calling thread as the trap found it: looked up once per call by
 /// [`Kernel::enter`], which has already refused a missing, non-thread or
 /// halted caller.  Handlers read the caller's label and clearance from
@@ -128,7 +117,6 @@ pub(crate) struct Caller {
     pub(crate) tid: ObjectId,
     pub(crate) label: Label,
     pub(crate) clearance: Label,
-    pub(crate) local_segment: Option<ObjectId>,
 }
 
 /// The HiStar kernel.
@@ -184,23 +172,25 @@ pub struct Kernel {
     store: Option<SingleLevelStore>,
 }
 
-/// The typed views of the object table: `get(id)` (and `get_mut(id)`, for
-/// the types a handler changes in place) returns the object's header
-/// beside its body as the row's type, or [`SyscallError::WrongType`] —
-/// the one place a type mismatch is spelled.
+/// The typed views of the object table: `get(id)` and `get_mut(id)` (each
+/// generated for the types a handler reads or changes in place) return the
+/// object's header beside its body as the row's type, or
+/// [`SyscallError::WrongType`] — the one place a type mismatch is spelled.
 macro_rules! typed_accessors {
-    ($($Variant:ident($Body:ty): $get:ident $(, $get_mut:ident)?;)*) => {
+    ($($Variant:ident($Body:ty): $($get:ident)? $(, $get_mut:ident)?;)*) => {
         impl Kernel {$(
-            fn $get(&self, id: ObjectId) -> Result<(&ObjectHeader, &$Body), SyscallError> {
-                let o = self.obj(id)?;
-                match &o.body {
-                    ObjectBody::$Variant(body) => Ok((&o.header, body)),
-                    _ => Err(SyscallError::WrongType {
-                        found: o.header.object_type,
-                        expected: ObjectType::$Variant,
-                    }),
+            $(
+                fn $get(&self, id: ObjectId) -> Result<(&ObjectHeader, &$Body), SyscallError> {
+                    let o = self.obj(id)?;
+                    match &o.body {
+                        ObjectBody::$Variant(body) => Ok((&o.header, body)),
+                        _ => Err(SyscallError::WrongType {
+                            found: o.header.object_type,
+                            expected: ObjectType::$Variant,
+                        }),
+                    }
                 }
-            }
+            )?
             $(
                 fn $get_mut(
                     &mut self,
@@ -226,7 +216,7 @@ typed_accessors! {
     Segment(SegmentBody): segment, segment_mut;
     AddressSpace(AddressSpaceBody): address_space, address_space_mut;
     Gate(GateBody): gate;
-    Device(DeviceBody): device, device_mut;
+    Device(DeviceBody): , device_mut;
 }
 
 impl Kernel {
@@ -460,7 +450,6 @@ impl Kernel {
             tid,
             label: header.label.clone(),
             clearance: body.clearance.clone(),
-            local_segment: body.local_segment,
         })
     }
 
@@ -1440,22 +1429,6 @@ impl Kernel {
         Ok(label)
     }
 
-    /// Reads an object's descriptive string and type through a container
-    /// entry.
-    pub(crate) fn sys_obj_get_info(
-        &mut self,
-        t: &Caller,
-        entry: ContainerEntry,
-    ) -> Result<(ObjectType, String, u64), SyscallError> {
-        self.check_entry(&t.label, entry)?;
-        let o = self.obj(entry.object)?;
-        Ok((
-            o.header.object_type,
-            o.header.descrip.clone(),
-            o.header.quota,
-        ))
-    }
-
     /// Reads an object's 64-byte metadata area (requires observe).
     pub(crate) fn sys_obj_get_metadata(
         &mut self,
@@ -1568,10 +1541,8 @@ impl Kernel {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>, SyscallError> {
-        if t.local_segment != Some(entry.object) {
-            self.check_entry(&t.label, entry)?;
-            self.check_observe(&t.label, entry.object)?;
-        }
+        self.check_entry(&t.label, entry)?;
+        self.check_observe(&t.label, entry.object)?;
         let copy_cost = self.cost.copy(len);
         self.charge(copy_cost);
         let (_, s) = self.segment(entry.object)?;
@@ -1584,9 +1555,6 @@ impl Kernel {
     }
 
     /// Writes bytes into a segment (models a store through a mapping).
-    ///
-    /// The calling thread's local segment is always writable by that thread,
-    /// regardless of its current taint (§3.4).
     pub(crate) fn sys_segment_write(
         &mut self,
         t: &Caller,
@@ -1594,10 +1562,8 @@ impl Kernel {
         offset: u64,
         data: &[u8],
     ) -> Result<(), SyscallError> {
-        if t.local_segment != Some(entry.object) {
-            self.check_entry(&t.label, entry)?;
-            self.check_modify(&t.label, entry.object)?;
-        }
+        self.check_entry(&t.label, entry)?;
+        self.check_modify(&t.label, entry.object)?;
         let copy_cost = self.cost.copy(data.len() as u64);
         self.charge(copy_cost);
         let (header, s) = self.segment_mut(entry.object)?;
@@ -1627,10 +1593,8 @@ impl Kernel {
         t: &Caller,
         entry: ContainerEntry,
     ) -> Result<u64, SyscallError> {
-        if t.local_segment != Some(entry.object) {
-            self.check_entry(&t.label, entry)?;
-            self.check_observe(&t.label, entry.object)?;
-        }
+        self.check_entry(&t.label, entry)?;
+        self.check_observe(&t.label, entry.object)?;
         Ok(self.segment(entry.object)?.1.len() as u64)
     }
 
@@ -1686,31 +1650,6 @@ impl Kernel {
         )
     }
 
-    /// Copies an address space (and its mapping list) under a new label —
-    /// used when a tainted thread forks a writable copy of its environment.
-    pub(crate) fn sys_as_copy(
-        &mut self,
-        t: &Caller,
-        src: ContainerEntry,
-        dst_container: ObjectId,
-        label: Label,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        self.check_entry(&t.label, src)?;
-        self.check_observe(&t.label, src.object)?;
-        let mappings = self.address_space(src.object)?.1.mappings.clone();
-        let body = ObjectBody::AddressSpace(AddressSpaceBody { mappings });
-        self.create_object(
-            &t.label,
-            &t.clearance,
-            dst_container,
-            label,
-            PAGE_SIZE,
-            descrip,
-            body,
-        )
-    }
-
     /// Adds (or replaces) a mapping in an address space.
     pub(crate) fn sys_as_map(
         &mut self,
@@ -1724,19 +1663,6 @@ impl Kernel {
             return Err(SyscallError::InvalidArgument("va must be page-aligned"));
         }
         self.address_space_mut(aspace.object)?.1.map(mapping);
-        Ok(())
-    }
-
-    /// Removes a mapping from an address space.
-    pub(crate) fn sys_as_unmap(
-        &mut self,
-        t: &Caller,
-        aspace: ContainerEntry,
-        va: u64,
-    ) -> Result<(), SyscallError> {
-        self.check_entry(&t.label, aspace)?;
-        self.check_modify(&t.label, aspace.object)?;
-        self.address_space_mut(aspace.object)?.1.unmap(va);
         Ok(())
     }
 
@@ -1769,61 +1695,10 @@ impl Kernel {
         self.last_address_space = new_as;
     }
 
-    /// Simulates a memory access by the thread at virtual address `va`,
-    /// walking its address space exactly as the page-fault handler would.
-    pub(crate) fn sys_page_fault(
-        &mut self,
-        t: &Caller,
-        va: u64,
-        write: bool,
-    ) -> Result<PageFaultResolution, SyscallError> {
-        self.stats.page_faults += 1;
-        let fault_cost = self.cost.page_fault;
-        self.charge(fault_cost);
-        let aspace_entry = self
-            .thread(t.tid)?
-            .1
-            .address_space
-            .ok_or(SyscallError::PageFault { va, write })?;
-        self.check_observe(&t.label, aspace_entry.object)?;
-        let mapping = {
-            let o = self.obj(aspace_entry.object)?;
-            match &o.body {
-                ObjectBody::AddressSpace(a) => a.lookup(va).copied(),
-                _ => None,
-            }
-        }
-        .ok_or(SyscallError::PageFault { va, write })?;
-        if write && !mapping.flags.write || !write && !mapping.flags.read {
-            return Err(SyscallError::PageFault { va, write });
-        }
-        // The kernel checks that T can read D and O; for writes it also
-        // checks that T can modify O.
-        self.check_observe(&t.label, mapping.segment.container)
-            .map_err(|_| SyscallError::PageFault { va, write })?;
-        self.check_observe(&t.label, mapping.segment.object)
-            .map_err(|_| SyscallError::PageFault { va, write })?;
-        if write {
-            let olabel = self.obj(mapping.segment.object)?.header.label.clone();
-            self.stats.label_checks += 1;
-            if !t.label.leq(&olabel) {
-                return Err(SyscallError::PageFault { va, write });
-            }
-        }
-        Ok(PageFaultResolution {
-            segment: mapping.segment,
-            offset: mapping.offset + (va - mapping.va),
-            writable: mapping.flags.write,
-        })
-    }
-
     // ----- threads ---------------------------------------------------------
 
     /// Creates a new thread in `container` with the given label and
     /// clearance, subject to `L_T ⊑ L_{T'} ⊑ C_{T'} ⊑ C_T`.
-    ///
-    /// The new thread gets a one-page thread-local segment in the same
-    /// container.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sys_thread_create(
         &mut self,
@@ -1840,30 +1715,15 @@ impl Kernel {
         thread_body.entry_point = entry_point;
         // Inherit the parent's address space by default.
         thread_body.address_space = self.thread(t.tid)?.1.address_space;
-        let new_tid = self.create_object(
+        self.create_object(
             &t.label,
             &t.clearance,
             container,
-            label.clone(),
+            label,
             PAGE_SIZE,
             descrip,
             ObjectBody::Thread(thread_body),
-        )?;
-        // Thread-local segment: one page, private to the thread.
-        let local_label = label.drop_ownership(Level::L1);
-        let local = self.create_object(
-            &t.label,
-            &t.clearance,
-            container,
-            local_label,
-            PAGE_SIZE,
-            &format!("tls:{descrip}"),
-            ObjectBody::Segment(SegmentBody::zeroed(PAGE_SIZE as usize)),
-        )?;
-        if let Ok((_, body)) = self.thread_mut(new_tid) {
-            body.local_segment = Some(local);
-        }
-        Ok(new_tid)
+        )
     }
 
     /// Bootstrap path: creates the first thread of the machine without a
@@ -1876,44 +1736,16 @@ impl Kernel {
         descrip: &str,
     ) -> Result<ObjectId, SyscallError> {
         let id = self.fresh_id();
-        let mut header =
-            ObjectHeader::new(id, ObjectType::Thread, label.clone(), PAGE_SIZE, descrip);
+        let mut header = ObjectHeader::new(id, ObjectType::Thread, label, PAGE_SIZE, descrip);
         header.links = 1;
-        let mut body = ThreadBody::new(clearance);
-        // Thread-local segment for the bootstrap thread.
-        let local_id = self.fresh_id();
-        let mut local_header = ObjectHeader::new(
-            local_id,
-            ObjectType::Segment,
-            label.drop_ownership(Level::L1),
-            PAGE_SIZE,
-            &format!("tls:{descrip}"),
-        );
-        local_header.links = 1;
-        body.local_segment = Some(local_id);
-        self.objects.insert(
-            local_id,
-            KObject::new(
-                local_header,
-                ObjectBody::Segment(SegmentBody::zeroed(PAGE_SIZE as usize)),
-            ),
-        );
-        self.objects
-            .insert(id, KObject::new(header, ObjectBody::Thread(body)));
-        // Link both into the container and charge quota.
+        let body = ObjectBody::Thread(ThreadBody::new(clearance));
+        self.objects.insert(id, KObject::new(header, body));
+        // Link it into the container and charge quota.
         let (cheader, cbody) = self.container_mut(container)?;
-        cheader.usage += 2 * PAGE_SIZE;
+        cheader.usage += PAGE_SIZE;
         cbody.link(id);
-        cbody.link(local_id);
-        self.stats.objects_created += 2;
+        self.stats.objects_created += 1;
         Ok(id)
-    }
-
-    /// The calling thread's thread-local segment.
-    // flowcheck: exempt(returns the id of the caller's own thread-local segment; self-only metadata)
-    pub(crate) fn sys_self_local_segment(&mut self, t: &Caller) -> Result<ObjectId, SyscallError> {
-        t.local_segment
-            .ok_or(SyscallError::InvalidArgument("thread has no local segment"))
     }
 
     /// Halts the calling thread; it can never run (or make syscalls) again.
@@ -2144,17 +1976,6 @@ impl Kernel {
         Ok(id)
     }
 
-    /// Returns the MAC address of a network device (requires observe).
-    pub(crate) fn sys_net_mac(
-        &mut self,
-        t: &Caller,
-        device: ContainerEntry,
-    ) -> Result<[u8; 6], SyscallError> {
-        self.check_entry(&t.label, device)?;
-        self.check_observe(&t.label, device.object)?;
-        Ok(self.device(device.object)?.1.mac)
-    }
-
     /// Queues a frame for transmission (requires modify on the device).
     pub(crate) fn sys_net_transmit(
         &mut self,
@@ -2264,7 +2085,7 @@ mod tests {
     #[test]
     fn bootstrap_creates_root_and_thread() {
         let (k, tid) = boot();
-        assert_eq!(k.object_count(), 3); // root + thread + tls
+        assert_eq!(k.object_count(), 2); // root + thread
         assert_eq!(k.thread_label(tid).unwrap(), Label::unrestricted());
         assert_eq!(k.thread_clearance(tid).unwrap(), Label::default_clearance());
     }
@@ -2484,58 +2305,6 @@ mod tests {
     }
 
     #[test]
-    fn address_space_and_page_fault() {
-        let (mut k, tid) = boot();
-        let root = k.root_container();
-        let seg = k
-            .trap_segment_create(tid, root, Label::unrestricted(), 8192, "text")
-            .unwrap();
-        let aspace = k
-            .trap_as_create(tid, root, Label::unrestricted(), "as")
-            .unwrap();
-        let ae = entry(&k, aspace);
-        k.trap_as_map(
-            tid,
-            ae,
-            Mapping {
-                va: 0x10_0000,
-                segment: entry(&k, seg),
-                offset: 0,
-                npages: 2,
-                flags: crate::bodies::MappingFlags::rw(),
-            },
-        )
-        .unwrap();
-        k.trap_self_set_as(tid, ae).unwrap();
-        let r = k.trap_page_fault(tid, 0x10_1000, false).unwrap();
-        assert_eq!(r.segment.object, seg);
-        assert_eq!(r.offset, 4096);
-        assert!(r.writable);
-        // An unmapped address faults to the user handler.
-        assert!(matches!(
-            k.trap_page_fault(tid, 0x20_0000, false),
-            Err(SyscallError::PageFault { .. })
-        ));
-        // A write fault on a read-only mapping is refused.
-        k.trap_as_map(
-            tid,
-            ae,
-            Mapping {
-                va: 0x20_0000,
-                segment: entry(&k, seg),
-                offset: 0,
-                npages: 1,
-                flags: crate::bodies::MappingFlags::ro(),
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            k.trap_page_fault(tid, 0x20_0000, true),
-            Err(SyscallError::PageFault { write: true, .. })
-        ));
-    }
-
-    #[test]
     fn gate_transfers_privilege() {
         let (mut k, tid) = boot();
         let root = k.root_container();
@@ -2735,6 +2504,36 @@ mod tests {
     }
 
     #[test]
+    fn two_links_in_one_container_are_charged_and_dropped_one_by_one() {
+        let (mut k, tid) = boot();
+        let root = k.root_container();
+        let dir = k
+            .trap_container_create(tid, root, Label::unrestricted(), "dir", 0, 1 << 20)
+            .unwrap();
+        let seg = k
+            .trap_segment_create(tid, dir, Label::unrestricted(), 10, "shared")
+            .unwrap();
+        let e = ContainerEntry::new(dir, seg);
+        let spare = k.trap_container_quota_avail(tid, dir).unwrap();
+        k.trap_obj_set_fixed_quota(tid, e).unwrap();
+        k.trap_hard_link(tid, e, dir).unwrap();
+        assert_eq!(k.trap_container_list(tid, dir).unwrap(), [seg, seg]);
+        assert_eq!(
+            k.trap_container_quota_avail(tid, dir).unwrap(),
+            spare - PAGE_SIZE
+        );
+        k.trap_obj_unref(tid, e).unwrap();
+        assert_eq!(k.trap_segment_len(tid, e).unwrap(), 10);
+        assert_eq!(k.trap_container_quota_avail(tid, dir).unwrap(), spare);
+        k.trap_obj_unref(tid, e).unwrap();
+        assert!(k.raw_object(seg).is_none());
+        assert_eq!(
+            k.trap_container_quota_avail(tid, dir).unwrap(),
+            spare + PAGE_SIZE
+        );
+    }
+
+    #[test]
     fn unref_root_is_rejected() {
         let (mut k, tid) = boot();
         let root = k.root_container();
@@ -2770,7 +2569,6 @@ mod tests {
         k.trap_net_transmit(tid, de, vec![0xaa]).unwrap();
         k.device_inject_rx(dev, vec![0xbb]).unwrap();
         assert_eq!(k.trap_net_receive(tid, de).unwrap(), Some(vec![0xbb]));
-        assert_eq!(k.trap_net_mac(tid, de).unwrap(), [1, 2, 3, 4, 5, 6]);
         assert_eq!(k.device_drain_tx(dev).unwrap(), vec![vec![0xaa]]);
         // An unprivileged thread cannot even observe the device (nr 3).
         let other = k
@@ -2783,7 +2581,7 @@ mod tests {
                 "other",
             )
             .unwrap();
-        assert!(k.trap_net_mac(other, de).is_err());
+        assert!(k.trap_net_receive(other, de).is_err());
         assert!(k.trap_net_transmit(other, de, vec![1]).is_err());
     }
 
@@ -2799,19 +2597,6 @@ mod tests {
         assert_eq!(delta.syscalls, 2);
         assert_eq!(delta.objects_created, 1);
         assert!(delta.label_checks >= 1);
-    }
-
-    #[test]
-    fn thread_local_segment_is_always_writable() {
-        let (mut k, tid) = boot();
-        let local = k.trap_self_local_segment(tid).unwrap();
-        // Even after tainting itself, the thread can use its local segment.
-        let c = k.trap_create_category(tid).unwrap();
-        let tainted = k.thread_label(tid).unwrap().with(c, Level::L3);
-        k.trap_self_set_label(tid, tainted).unwrap();
-        let e = ContainerEntry::new(k.root_container(), local);
-        k.trap_segment_write(tid, e, 0, b"scratch").unwrap();
-        assert_eq!(k.trap_segment_read(tid, e, 0, 7).unwrap(), b"scratch");
     }
 
     #[test]

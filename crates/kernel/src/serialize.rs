@@ -190,14 +190,6 @@ fn encode_body(e: &mut Encoder, body: &ObjectBody) {
                 ThreadState::Blocked => 1,
                 ThreadState::Halted => 2,
             });
-            match t.local_segment {
-                None => {
-                    e.put_u8(0);
-                }
-                Some(s) => {
-                    e.put_u8(1).put_u64(s.raw());
-                }
-            }
             e.put_u64(t.pending_alerts.len() as u64);
             for a in &t.pending_alerts {
                 e.put_u64(a.code);
@@ -274,11 +266,6 @@ fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, Serial
                 2 => ThreadState::Halted,
                 other => return Err(SerializeError::BadTag("thread state", other)),
             };
-            let local_segment = match d.get_u8()? {
-                0 => None,
-                1 => Some(ObjectId::from_raw(d.get_u64()?)),
-                other => return Err(SerializeError::BadTag("local segment", other)),
-            };
             let n = d.get_u64()? as usize;
             let mut pending_alerts = Vec::with_capacity(n);
             for _ in 0..n {
@@ -290,7 +277,6 @@ fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, Serial
                 address_space,
                 entry_point,
                 state,
-                local_segment,
                 pending_alerts,
                 ..ThreadBody::new(clearance)
             })
@@ -454,7 +440,6 @@ mod tests {
                 assert_eq!(a.address_space, b.address_space);
                 assert_eq!(a.entry_point, b.entry_point);
                 assert_eq!(a.state, b.state);
-                assert_eq!(a.local_segment, b.local_segment);
                 assert_eq!(a.pending_alerts, b.pending_alerts);
             }
             (ObjectBody::AddressSpace(a), ObjectBody::AddressSpace(b)) => {
@@ -530,7 +515,6 @@ mod tests {
         t.address_space = Some(ContainerEntry::new(oid(4), oid(5)));
         t.entry_point = 0xfeed;
         t.state = ThreadState::Blocked;
-        t.local_segment = Some(oid(6));
         t.pending_alerts = vec![Alert { code: 9 }, Alert { code: 17 }];
         round_trip(KObject::new(
             header(ObjectType::Thread),

@@ -61,14 +61,6 @@ pub enum SyscallError {
     /// The verify label supplied at gate invocation is not below the
     /// thread's label.
     VerifyLabel,
-    /// Access to memory that no mapping covers, or with the wrong
-    /// permission; the user-level page-fault handler decides what happens.
-    PageFault {
-        /// Faulting virtual address.
-        va: u64,
-        /// Whether the access was a write.
-        write: bool,
-    },
     /// The thread is halted and cannot perform system calls.
     ThreadHalted(ObjectId),
     /// The root container cannot be unreferenced or given a finite quota.
@@ -140,13 +132,6 @@ impl core::fmt::Display for SyscallError {
                 write!(f, "gate {id} clearance does not admit the calling thread")
             }
             SyscallError::VerifyLabel => write!(f, "verify label exceeds the thread label"),
-            SyscallError::PageFault { va, write } => {
-                write!(
-                    f,
-                    "page fault at {va:#x} ({})",
-                    if *write { "write" } else { "read" }
-                )
-            }
             SyscallError::ThreadHalted(id) => write!(f, "thread {id} is halted"),
             SyscallError::RootContainer => {
                 write!(f, "operation not permitted on the root container")
@@ -178,8 +163,6 @@ pub struct SyscallStats {
     pub label_checks: u64,
     /// Label comparisons answered by the immutable-label cache.
     pub label_cache_hits: u64,
-    /// Page faults handled.
-    pub page_faults: u64,
     /// Objects created.
     pub objects_created: u64,
     /// Objects deallocated.
@@ -202,7 +185,6 @@ impl histar_obs::MetricSource for SyscallStats {
         set.counter("kernel.errors", self.errors);
         set.counter("kernel.label_checks", self.label_checks);
         set.counter("kernel.label_cache_hits", self.label_cache_hits);
-        set.counter("kernel.page_faults", self.page_faults);
         set.counter("kernel.objects_created", self.objects_created);
         set.counter("kernel.objects_deallocated", self.objects_deallocated);
         set.counter("kernel.gate_invocations", self.gate_invocations);
@@ -225,7 +207,6 @@ impl SyscallStats {
             errors: self.errors - earlier.errors,
             label_checks: self.label_checks - earlier.label_checks,
             label_cache_hits: self.label_cache_hits - earlier.label_cache_hits,
-            page_faults: self.page_faults - earlier.page_faults,
             objects_created: self.objects_created - earlier.objects_created,
             objects_deallocated: self.objects_deallocated - earlier.objects_deallocated,
             gate_invocations: self.gate_invocations - earlier.gate_invocations,
@@ -251,12 +232,6 @@ mod tests {
         assert!(msg.contains("quota"));
         assert!(msg.contains("100"));
         assert!(SyscallError::RootContainer.to_string().contains("root"));
-        assert!(SyscallError::PageFault {
-            va: 0x1000,
-            write: true
-        }
-        .to_string()
-        .contains("write"));
     }
 
     #[test]

@@ -205,7 +205,6 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
             delta: 4096,
         },
         Syscall::ObjGetLabel { entry: e_seg },
-        Syscall::ObjGetInfo { entry: e_seg },
         Syscall::ObjGetMetadata { entry: e_seg },
         Syscall::ObjSetMetadata {
             entry: e_seg,
@@ -245,25 +244,11 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
             label: Label::unrestricted(),
             descrip: "as2".into(),
         },
-        Syscall::AsCopy {
-            src: e_as,
-            dst_container: fx.root,
-            label: Label::unrestricted(),
-            descrip: "asc".into(),
-        },
         Syscall::AsMap {
             aspace: e_as,
             mapping: new_mapping,
         },
-        Syscall::AsUnmap {
-            aspace: e_as,
-            va: 0x10_0000,
-        },
         Syscall::SelfSetAs { aspace: e_as },
-        Syscall::PageFault {
-            va: 0x10_0000,
-            write: false,
-        },
         Syscall::ThreadCreate {
             container: fx.root,
             label: Label::unrestricted(),
@@ -271,7 +256,6 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
             entry_point: 9,
             descrip: "t2".into(),
         },
-        Syscall::SelfLocalSegment,
         Syscall::SelfHalt,
         Syscall::ThreadAlert {
             target: e_peer,
@@ -295,7 +279,6 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
             verify: Label::unrestricted(),
         },
         Syscall::GateClearance { gate: e_gate },
-        Syscall::NetMac { device: e_dev },
         Syscall::NetTransmit {
             device: e_dev,
             frame: vec![0xee],
@@ -616,29 +599,6 @@ fn failing_calls_dispatch_identically_too() {
     let (mut k, fx) = setup();
     let e_seg = entry(&fx, fx.seg);
     let bogus = ContainerEntry::new(fx.root, ObjectId::from_raw(0x7777));
-    // A thread with no local segment: its container had quota for one
-    // page-sized object — the thread — but not for the thread-local
-    // segment beside it.
-    let tight = k
-        .trap_container_create(
-            fx.boot,
-            fx.root,
-            Label::unrestricted(),
-            "tight",
-            0,
-            2 * PAGE_SIZE - 1,
-        )
-        .unwrap();
-    let refused = k.trap_thread_create(
-        fx.boot,
-        tight,
-        Label::unrestricted(),
-        Label::default_clearance(),
-        0,
-        "bare",
-    );
-    assert!(matches!(refused, Err(SyscallError::QuotaExceeded { .. })));
-    let bare = k.trap_container_list(fx.boot, tight).unwrap()[0];
     // What `peer` (no categories) may not do: read a container tainted
     // `cat 3`, or write a segment `cat 0` protects.
     let vault = k
@@ -710,10 +670,13 @@ fn failing_calls_dispatch_identically_too() {
             },
         ),
         (
-            "no local segment",
-            bare,
-            Syscall::SelfLocalSegment,
-            SyscallError::InvalidArgument("thread has no local segment"),
+            "hard link of a segment whose quota is not fixed",
+            fx.boot,
+            Syscall::HardLink {
+                entry: e_seg,
+                dst: fx.dir,
+            },
+            SyscallError::QuotaNotFixed(fx.seg),
         ),
         (
             "sync through a container that does not hold the object",
@@ -857,6 +820,84 @@ fn obj_sync_succeeds_identically_alone_and_in_a_batch() {
         let now = m.store().disk_stats();
         assert_eq!(now.flushes, disk.flushes + 2);
         (stats, store, wal, now.writes, now.bytes_written)
+    };
+    assert_eq!(observe(true), observe(false));
+}
+
+#[test]
+fn a_shared_descriptors_links_and_a_forks_copy_dispatch_identically() {
+    // The shapes the Unix library makes of `hard_link`, `obj_unref` and
+    // `segment_copy` (§5.3's descriptor lifetime, `fork`'s memory copy): a
+    // fixed-quota segment linked into a second container survives the
+    // unref of its first link and dies at the second; a copy lands in
+    // another container under a different label.  Alone or in one batch:
+    // same results, same checks, same audit stream.
+    let observe = |batched: bool| {
+        let (mut k, fx) = setup();
+        let (first, second) = (entry(&fx, fx.fixed), ContainerEntry::new(fx.dir, fx.fixed));
+        let secret = Label::unrestricted().with(fx.cat, Level::L3);
+        let read = |entry| Syscall::SegmentRead {
+            entry,
+            offset: 0,
+            len: 1,
+        };
+        let calls = vec![
+            Syscall::HardLink {
+                entry: first,
+                dst: fx.dir,
+            },
+            Syscall::ObjUnref { entry: first },
+            read(second),
+            Syscall::SegmentCopy {
+                src: second,
+                dst_container: fx.dir,
+                label: secret.clone(),
+                descrip: "copy".into(),
+            },
+            Syscall::ObjUnref { entry: second },
+            read(second),
+        ];
+        k.enable_syscall_trace(8);
+        let results = if batched {
+            k.submit_calls(fx.boot, calls)
+        } else {
+            calls.into_iter().map(|c| k.dispatch(fx.boot, c)).collect()
+        };
+        assert_eq!(
+            results[..3],
+            [
+                Ok(SyscallResult::Unit),
+                Ok(SyscallResult::Unit),
+                Ok(SyscallResult::Bytes(vec![0]))
+            ]
+        );
+        let Ok(SyscallResult::ObjectId(copy)) = results[3] else {
+            panic!("segment_copy: {:?}", results[3]);
+        };
+        let copied = k.raw_object(copy).expect("the copy outlives its source");
+        assert_eq!(copied.header.label, secret);
+        assert_eq!(
+            k.trap_container_list(fx.boot, fx.dir).unwrap(),
+            [copy],
+            "the copy is what is left in the second container"
+        );
+        assert_eq!(results[4], Ok(SyscallResult::Unit));
+        assert!(k.raw_object(fx.fixed).is_none(), "freed with its last link");
+        assert_eq!(
+            results[5],
+            Err(SyscallError::NotInContainer {
+                container: fx.dir,
+                object: fx.fixed
+            })
+        );
+        assert_totals_agree(&k);
+        let trace: Vec<_> = k
+            .syscall_trace()
+            .unwrap()
+            .records()
+            .map(|r| (r.seq, r.syscall, r.ok))
+            .collect();
+        (results, k.stats(), k.object_count(), trace)
     };
     assert_eq!(observe(true), observe(false));
 }

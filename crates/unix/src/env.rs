@@ -14,10 +14,11 @@
 //! and every descriptor dispatches through its [`Vnode`], which owns the
 //! batched hot path.  What remains in this file is the process machinery
 //! (§5.2) and the descriptor-segment bookkeeping that must straddle
-//! processes (`dup`/`fork` sharing, reference counts).
+//! processes (`dup`/`fork` sharing: reference counts, and the hard link
+//! each process holds to every descriptor it has open, §5.3).
 
 use crate::devfs::DevFs;
-use crate::fdtable::{Fd, FdState, FdTable, FLAG_NONBLOCK};
+use crate::fdtable::{Fd, FdState, FdTable, FLAG_NONBLOCK, FLAG_TARGET_BESIDE};
 use crate::fs::DirEntry;
 use crate::fs::{join_path, FileStat, OpenFlags};
 use crate::metricsfs::MetricsFs;
@@ -129,15 +130,13 @@ const STACK_PAGES: u64 = 4;
 /// Seed for `/dev/urandom` streams.
 const DEV_RNG_SEED: u64 = 0x0dd5_eed5;
 
-/// One live (per-thread) view of an open descriptor: the resolved
-/// location of its descriptor segment and the vnode serving its I/O.
-/// Keyed by `(thread, descriptor segment)` — each process sharing a
+/// One live (per-thread) view of an open descriptor: the vnode serving
+/// its I/O.  Keyed by `(thread, descriptor segment)` — each process sharing a
 /// descriptor keeps its own vnode (and its own cached file length),
 /// while the shared state (seek position, flags, refs) stays in the
 /// descriptor segment.
 #[derive(Debug)]
 struct OpenFd {
-    fd_ref: FdRef,
     vnode: Box<dyn Vnode>,
     /// Snapshot of the descriptor state at open.  The *identity* fields
     /// (kind, target, flags) never change after install, so readiness
@@ -159,11 +158,6 @@ pub struct UnixEnv {
     fs_root: ObjectId,
     init_pid: Pid,
     open_vnodes: BTreeMap<(ObjectId, ObjectId), OpenFd>,
-    /// Library bookkeeping: the container each descriptor segment was
-    /// created in, so sharing a descriptor across processes resolves in
-    /// O(1) instead of scanning every process container.  Purely a cache —
-    /// a stale or missing entry falls back to the scan.
-    fd_homes: BTreeMap<ObjectId, ObjectId>,
 }
 
 impl UnixEnv {
@@ -214,11 +208,10 @@ impl UnixEnv {
             fs_root,
             init_pid: 1,
             open_vnodes: BTreeMap::new(),
-            fd_homes: BTreeMap::new(),
         };
         // PID 1.
         let init = env
-            .create_process(boot_thread, None, None, "/sbin/init", Vec::new(), &[])
+            .create_process(None, None, "/sbin/init", Vec::new(), &[], None)
             .expect("creating init cannot fail on a fresh machine");
         env.init_pid = init;
         // `/metrics`: global counter files are gated by a container
@@ -395,7 +388,6 @@ impl UnixEnv {
     /// builds the process directly rather than going through fork + exec,
     /// which is roughly 3× cheaper.
     pub fn spawn(&mut self, parent: Pid, path: &str, user: Option<&str>) -> Result<Pid> {
-        let creator = self.process(parent)?.thread;
         let user = match user {
             Some(name) => Some(self.user(name)?),
             None => None,
@@ -405,12 +397,12 @@ impl UnixEnv {
             None => Vec::new(),
         };
         let pid = self.create_process(
-            creator,
             Some(parent),
             user.as_ref().map(|u| u.name.clone()),
             path,
             extra,
             &[],
+            None,
         )?;
         Ok(pid)
     }
@@ -429,28 +421,28 @@ impl UnixEnv {
         extra_ownership: Vec<Category>,
         extra_taint: Vec<(Category, Level)>,
     ) -> Result<Pid> {
-        let creator = self.process(parent)?.thread;
         self.create_process(
-            creator,
             Some(parent),
             None,
             path,
             extra_ownership,
             &extra_taint,
+            None,
         )
     }
 
     /// Forks a process: the child gets copies of the parent's text, heap and
     /// stack segments and shares its open file descriptors.
     pub fn fork(&mut self, parent: Pid) -> Result<Pid> {
-        let (creator, user, executable, cwd, own, fds) = {
+        let (creator, user, executable, own, image, fds) = {
             let p = self.process(parent)?;
             (
                 p.thread,
                 p.user.clone(),
                 p.executable.clone(),
-                p.cwd.clone(),
                 [p.read_cat, p.write_cat],
+                [p.text_segment, p.heap_segment, p.stack_segment]
+                    .map(|seg| ContainerEntry::new(p.internal_container, seg)),
                 p.fds.iter().collect::<Vec<(Fd, ObjectId)>>(),
             )
         };
@@ -464,38 +456,12 @@ impl UnixEnv {
             .owned_categories()
             .filter(|c| !own.contains(c))
             .collect();
-        let child = self.create_process(creator, Some(parent), user, &executable, extra, &[])?;
-
-        // Copy the parent's memory image into the child's segments.
-        let parent_proc = self.process(parent)?.clone();
-        let child_proc = self.process(child)?.clone();
-        for (src, dst) in [
-            (parent_proc.text_segment, child_proc.text_segment),
-            (parent_proc.heap_segment, child_proc.heap_segment),
-            (parent_proc.stack_segment, child_proc.stack_segment),
-        ] {
-            self.copy_segment_contents(
-                parent_proc.thread,
-                parent_proc.internal_container,
-                src,
-                child_proc.thread,
-                child_proc.internal_container,
-                dst,
-            )?;
-        }
-
-        // Share file descriptors: the child references the same descriptor
-        // segments and each descriptor's reference count goes up by one.
-        {
-            let mut child_table = FdTable::new();
-            for (fd, seg) in &fds {
-                child_table.install(*fd, *seg);
-            }
-            self.process_mut(child)?.fds = child_table;
-            self.process_mut(child)?.cwd = cwd;
-        }
-        for (_, seg) in fds {
-            self.adjust_fd_refs(parent, seg, 1)?;
+        let child =
+            self.create_process(Some(parent), user, &executable, extra, &[], Some(image))?;
+        // Share file descriptors, number for number.
+        for (fd, seg) in fds {
+            self.share_descriptor(parent, seg, child)?;
+            self.process_mut(child)?.fds.install(fd, seg);
         }
         Ok(child)
     }
@@ -527,7 +493,22 @@ impl UnixEnv {
             image.len().max(1) as u64,
             "text",
         )?;
-        kernel.trap_segment_write(thread, ContainerEntry::new(internal, text), 0, &image)?;
+        // The image is written once: from here on the text is immutable.
+        let text_entry = ContainerEntry::new(internal, text);
+        let loaded = kernel.submit_calls(
+            thread,
+            vec![
+                Syscall::SegmentWrite {
+                    entry: text_entry,
+                    offset: 0,
+                    data: image,
+                },
+                Syscall::ObjSetImmutable { entry: text_entry },
+            ],
+        );
+        for r in loaded {
+            r?;
+        }
         let heap = kernel.trap_segment_create(
             thread,
             internal,
@@ -678,13 +659,18 @@ impl UnixEnv {
 
     fn create_process(
         &mut self,
-        creator: ObjectId,
         parent: Option<Pid>,
         user: Option<String>,
         executable: &str,
         extra_ownership: Vec<Category>,
         extra_taint: &[(Category, Level)],
+        image: Option<[ContainerEntry; 3]>,
     ) -> Result<Pid> {
+        // The parent's thread creates everything; init's is the boot thread.
+        let creator = match parent {
+            Some(parent) => self.process(parent)?.thread,
+            None => self.machine.kernel_thread(),
+        };
         let kroot = self.machine.kernel().root_container();
         let kernel = self.machine.kernel_mut();
 
@@ -800,27 +786,22 @@ impl UnixEnv {
             internal_label.clone(),
             "address space",
         )?;
-        let text = kernel.trap_segment_create(
-            creator,
-            internal_container,
-            internal_label.clone(),
-            PAGE_SIZE,
-            "text",
-        )?;
-        let heap = kernel.trap_segment_create(
-            creator,
-            internal_container,
-            internal_label.clone(),
-            HEAP_PAGES * PAGE_SIZE,
-            "heap",
-        )?;
-        let stack = kernel.trap_segment_create(
-            creator,
-            internal_container,
-            internal_label,
-            STACK_PAGES * PAGE_SIZE,
-            "stack",
-        )?;
+        // The memory image: zeroed for a fresh process; for `fork`, the
+        // creator's own text, heap and stack copied at the child's label.
+        let mut segment = |i: usize, descrip: &str, len: u64| {
+            let label = internal_label.clone();
+            match image {
+                Some(src) => {
+                    kernel.trap_segment_copy(creator, src[i], internal_container, label, descrip)
+                }
+                None => {
+                    kernel.trap_segment_create(creator, internal_container, label, len, descrip)
+                }
+            }
+        };
+        let text = segment(0, "text", PAGE_SIZE)?;
+        let heap = segment(1, "heap", HEAP_PAGES * PAGE_SIZE)?;
+        let stack = segment(2, "stack", STACK_PAGES * PAGE_SIZE)?;
 
         // The creator drops the new process's categories again: from here on
         // only the new process's own thread owns them.
@@ -897,72 +878,11 @@ impl UnixEnv {
         Ok(())
     }
 
-    fn copy_segment_contents(
-        &mut self,
-        src_thread: ObjectId,
-        src_container: ObjectId,
-        src: ObjectId,
-        dst_thread: ObjectId,
-        dst_container: ObjectId,
-        dst: ObjectId,
-    ) -> Result<()> {
-        let kernel = self.machine.kernel_mut();
-        let len = kernel.trap_segment_len(src_thread, ContainerEntry::new(src_container, src))?;
-        if len == 0 {
-            return Ok(());
-        }
-        let data = kernel.trap_segment_read(
-            src_thread,
-            ContainerEntry::new(src_container, src),
-            0,
-            len,
-        )?;
-        kernel.trap_segment_write(
-            dst_thread,
-            ContainerEntry::new(dst_container, dst),
-            0,
-            &data,
-        )?;
-        Ok(())
-    }
-
     // ----- descriptor plumbing ----------------------------------------------
 
-    /// Finds a container entry through which `thread` can name a (possibly
-    /// shared) descriptor segment.  After `fork`, a descriptor segment
-    /// created by the parent is still linked only in the parent's process
-    /// container, so the child names it through that container instead.
-    fn locate_fd_segment(
-        &mut self,
-        thread: ObjectId,
-        preferred_container: ObjectId,
-        fd_seg: ObjectId,
-    ) -> Result<ContainerEntry> {
-        let home = self.fd_homes.get(&fd_seg).copied();
-        let kernel = self.machine.kernel_mut();
-        if let Some(home) = home {
-            let entry = ContainerEntry::new(home, fd_seg);
-            if kernel.trap_segment_len(thread, entry).is_ok() {
-                return Ok(entry);
-            }
-        }
-        let entry = ContainerEntry::new(preferred_container, fd_seg);
-        if kernel.trap_segment_len(thread, entry).is_ok() {
-            return Ok(entry);
-        }
-        for p in self.processes.values() {
-            let cand = ContainerEntry::new(p.process_container, fd_seg);
-            if kernel.trap_segment_len(thread, cand).is_ok() {
-                return Ok(cand);
-            }
-        }
-        Err(UnixError::Corrupt("shared fd segment not reachable"))
-    }
-
     /// Ensures a live `(thread, descriptor segment)` cache entry exists:
-    /// resolves the descriptor segment's location and rebuilds the vnode
-    /// from the stored state if this thread has not touched the
-    /// descriptor before.
+    /// rebuilds the vnode from the stored state if this thread has not
+    /// touched the descriptor before.
     fn ensure_open_fd(
         &mut self,
         thread: ObjectId,
@@ -972,19 +892,10 @@ impl UnixEnv {
         if self.open_vnodes.contains_key(&(thread, seg)) {
             return Ok(());
         }
-        let entry = self.locate_fd_segment(thread, container, seg)?;
-        let fd_ref = FdRef { seg, entry };
         let (mut ctx, vfs, open_vnodes) = self.split(thread);
-        let state = vnode::read_fd_state(&mut ctx, &fd_ref)?;
+        let state = vnode::read_fd_state(&mut ctx, &FdRef::new(container, seg))?;
         let vnode = vfs.vnode_from_state(&mut ctx, &state)?;
-        open_vnodes.insert(
-            (thread, seg),
-            OpenFd {
-                fd_ref,
-                vnode,
-                meta: state,
-            },
-        );
+        open_vnodes.insert((thread, seg), OpenFd { vnode, meta: state });
         Ok(())
     }
 
@@ -1002,12 +913,13 @@ impl UnixEnv {
             (p.thread, p.process_container, seg)
         };
         self.ensure_open_fd(thread, container, seg)?;
+        let fd_ref = FdRef::new(container, seg);
         let (mut ctx, _, open_vnodes) = self.split(thread);
         let ofd = open_vnodes
             .get_mut(&(thread, seg))
             .expect("ensure_open_fd installed the entry");
-        let state = vnode::read_fd_state(&mut ctx, &ofd.fd_ref)?;
-        f(&mut ctx, &ofd.fd_ref, ofd.vnode.as_mut(), &state)
+        let state = vnode::read_fd_state(&mut ctx, &fd_ref)?;
+        f(&mut ctx, &fd_ref, ofd.vnode.as_mut(), &state)
     }
 
     /// Creates the descriptor segment for `state` and installs it in the
@@ -1032,39 +944,70 @@ impl UnixEnv {
             .drop_ownership(Level::L1);
         let fd_seg =
             kernel.trap_segment_create(thread, container, fd_label, 0, "file descriptor")?;
+        // The state, and the fixed quota that lets every process the
+        // descriptor is shared with hold a hard link of its own (§5.3).
         let entry = ContainerEntry::new(container, fd_seg);
-        kernel.trap_segment_write(thread, entry, 0, &state.encode())?;
-        self.fd_homes.insert(fd_seg, container);
+        let calls = vec![
+            Syscall::SegmentWrite {
+                entry,
+                offset: 0,
+                data: state.encode(),
+            },
+            Syscall::ObjSetFixedQuota { entry },
+        ];
+        for r in kernel.submit_calls(thread, calls) {
+            r?;
+        }
         if let Some(vnode) = vnode {
-            self.open_vnodes.insert(
-                (thread, fd_seg),
-                OpenFd {
-                    fd_ref: FdRef { seg: fd_seg, entry },
-                    vnode,
-                    meta: state,
-                },
-            );
+            self.open_vnodes
+                .insert((thread, fd_seg), OpenFd { vnode, meta: state });
         }
         let fd = self.process_mut(pid)?.fds.allocate(fd_seg);
         Ok(fd)
     }
 
-    /// Adjusts a shared descriptor's reference count on behalf of `pid`.
-    fn adjust_fd_refs(&mut self, pid: Pid, seg: ObjectId, delta: i64) -> Result<FdState> {
-        let (thread, container) = {
-            let p = self.process(pid)?;
+    /// Gives `to` its own reference to a descriptor `from` holds open.
+    /// Unless one of `to`'s numbers already names the descriptor, `to`'s
+    /// thread hard-links the descriptor segment — and a `pipe()` buffer
+    /// beside it — out of `from`'s process container into its own, all or
+    /// nothing; then `from` counts one more open.  The caller allocates
+    /// the number.
+    fn share_descriptor(&mut self, from: Pid, seg: ObjectId, to: Pid) -> Result<()> {
+        let (from_thread, from_container) = {
+            let p = self.process(from)?;
             (p.thread, p.process_container)
         };
-        let entry = self.locate_fd_segment(thread, container, seg)?;
-        let fd_ref = FdRef { seg, entry };
-        let mut ctx = self.vfs_ctx(thread);
-        vnode::update_fd_state(&mut ctx, &fd_ref, |st| {
-            if delta < 0 {
-                st.refs = st.refs.saturating_sub(delta.unsigned_abs() as u32);
-            } else {
-                st.refs += delta as u32;
+        let (to_thread, to_container, held) = {
+            let p = self.process(to)?;
+            (p.thread, p.process_container, p.fds.names(seg))
+        };
+        let fd_ref = FdRef::new(from_container, seg);
+        let mut state = vnode::read_fd_state(&mut self.vfs_ctx(from_thread), &fd_ref)?;
+        let kernel = self.machine.kernel_mut();
+        if !held {
+            let mut links = vec![fd_ref.entry];
+            if state.flags & FLAG_TARGET_BESIDE != 0 {
+                links.push(fd_ref.target_entry(&state));
             }
-        })
+            let calls = links
+                .iter()
+                .map(|&entry| Syscall::HardLink {
+                    entry,
+                    dst: to_container,
+                })
+                .collect();
+            let results = kernel.submit_calls(to_thread, calls);
+            if let Some(Err(refused)) = results.iter().find(|r| r.is_err()) {
+                for (link, _) in links.iter().zip(&results).filter(|(_, r)| r.is_ok()) {
+                    let mine = ContainerEntry::new(to_container, link.object);
+                    let _ = kernel.trap_obj_unref(to_thread, mine);
+                }
+                return Err(refused.clone().into());
+            }
+        }
+        state.refs += 1;
+        kernel.trap_segment_write(from_thread, fd_ref.entry, 0, &state.encode())?;
+        Ok(())
     }
 
     // ----- descriptor operations (thin wrappers over the vnode layer) -------
@@ -1094,8 +1037,10 @@ impl UnixEnv {
         self.install_fd(pid, state, Some(vnode))
     }
 
-    /// Closes a descriptor; the descriptor segment is dropped when the last
-    /// process sharing it closes it.
+    /// Closes a descriptor.  With the process's last number for it goes the
+    /// process's hard link to the descriptor segment (and to a `pipe()`
+    /// buffer beside it); the kernel frees each with its last link, so a
+    /// shared descriptor lives until every process has closed it.
     ///
     /// Closing must never require re-opening the vnode: an inherited
     /// `/proc` descriptor, for example, is rebuilt through a label check
@@ -1104,22 +1049,16 @@ impl UnixEnv {
     /// descriptor segment; a vnode is only consulted (and built on
     /// demand, best-effort) for the last-close hook.
     pub fn close(&mut self, pid: Pid, fd: Fd) -> Result<()> {
-        let (thread, container, seg) = {
+        let (thread, container, seg, last_here) = {
             let p = self.process_mut(pid)?;
             let seg = p.fds.remove(fd).ok_or(UnixError::BadFd(fd))?;
-            (p.thread, p.process_container, seg)
+            (p.thread, p.process_container, seg, !p.fds.names(seg))
         };
         let cached = self.open_vnodes.remove(&(thread, seg));
-        let fd_ref = match &cached {
-            Some(ofd) => ofd.fd_ref,
-            None => {
-                let entry = self.locate_fd_segment(thread, container, seg)?;
-                FdRef { seg, entry }
-            }
-        };
+        let fd_ref = FdRef::new(container, seg);
         let (mut ctx, vfs, _) = self.split(thread);
-        let state =
-            vnode::update_fd_state(&mut ctx, &fd_ref, |st| st.refs = st.refs.saturating_sub(1))?;
+        let mut state = vnode::read_fd_state(&mut ctx, &fd_ref)?;
+        state.refs = state.refs.saturating_sub(1);
         if state.refs == 0 {
             // Only the last-close hook needs a vnode; building one can
             // legitimately fail (label-gated /proc state), in which case
@@ -1129,9 +1068,26 @@ impl UnixEnv {
                 None => vfs.vnode_from_state(&mut ctx, &state).ok(),
             };
             if let Some(mut vnode) = vnode {
-                let _ = vnode.on_last_close(&mut ctx, &state);
+                let _ = vnode.on_last_close(&mut ctx, &fd_ref, &state);
             }
-            self.fd_homes.remove(&seg);
+        }
+        let mut calls = vec![Syscall::SegmentWrite {
+            entry: fd_ref.entry,
+            offset: 0,
+            data: state.encode(),
+        }];
+        if last_here {
+            calls.push(Syscall::ObjUnref {
+                entry: fd_ref.entry,
+            });
+            if state.flags & FLAG_TARGET_BESIDE != 0 {
+                calls.push(Syscall::ObjUnref {
+                    entry: fd_ref.target_entry(&state),
+                });
+            }
+        }
+        for r in ctx.kernel().submit_calls(thread, calls) {
+            r?;
         }
         Ok(())
     }
@@ -1139,11 +1095,13 @@ impl UnixEnv {
     /// Duplicates a descriptor (both numbers share the same descriptor
     /// segment, hence offset and flags).
     pub fn dup(&mut self, pid: Pid, fd: Fd) -> Result<Fd> {
-        let seg = {
+        let (thread, container, seg) = {
             let p = self.process(pid)?;
-            p.fds.get(fd).ok_or(UnixError::BadFd(fd))?
+            let seg = p.fds.get(fd).ok_or(UnixError::BadFd(fd))?;
+            (p.thread, p.process_container, seg)
         };
-        self.adjust_fd_refs(pid, seg, 1)?;
+        let fd_ref = FdRef::new(container, seg);
+        vnode::update_fd_state(&mut self.vfs_ctx(thread), &fd_ref, |st| st.refs += 1)?;
         let new_fd = self.process_mut(pid)?.fds.allocate(seg);
         Ok(new_fd)
     }
@@ -1203,19 +1161,17 @@ impl UnixEnv {
     }
 
     /// Shares an open descriptor with another process (the launcher →
-    /// worker handoff): bumps the shared descriptor segment's refcount and
-    /// allocates a number for it in the target's table.  Both processes
-    /// now see the same seek position and flags, exactly like `fork`.
+    /// worker handoff): the receiver links the descriptor segment into its
+    /// own container, the shared refcount goes up and a number is allocated
+    /// in the target's table.  Both processes now see the same seek
+    /// position and flags, exactly like `fork`, and either may outlive the
+    /// other.  A refused share leaves no link and no reference behind.
     pub fn share_fd(&mut self, from: Pid, fd: Fd, to: Pid) -> Result<Fd> {
         let seg = {
             let p = self.process(from)?;
             p.fds.get(fd).ok_or(UnixError::BadFd(fd))?
         };
-        // Resolve the receiver before touching the count: a reference
-        // raised for a process that does not exist is never dropped, and
-        // a shared pipe write end would then never reach last-close.
-        self.process(to)?;
-        self.adjust_fd_refs(from, seg, 1)?;
+        self.share_descriptor(from, seg, to)?;
         Ok(self.process_mut(to)?.fds.allocate(seg))
     }
 
@@ -1226,8 +1182,7 @@ impl UnixEnv {
             let seg = p.fds.get(fd).ok_or(UnixError::BadFd(fd))?;
             (p.thread, p.process_container, seg)
         };
-        let entry = self.locate_fd_segment(thread, container, seg)?;
-        vnode::read_fd_state(&mut self.vfs_ctx(thread), &FdRef { seg, entry })
+        vnode::read_fd_state(&mut self.vfs_ctx(thread), &FdRef::new(container, seg))
     }
 
     /// Blocking read: `Ok(Some(bytes))` on progress (empty = EOF),
@@ -1244,9 +1199,9 @@ impl UnixEnv {
             match vnode.read(ctx, fd_ref, state, len) {
                 Ok(data) => Ok(Some(data)),
                 Err(UnixError::WouldBlock) if state.flags & FLAG_NONBLOCK == 0 => {
-                    let watch = ContainerEntry::new(state.target_container, state.target);
                     let thread = ctx.thread;
-                    ctx.kernel().trap_segment_watch(thread, watch)?;
+                    ctx.kernel()
+                        .trap_segment_watch(thread, fd_ref.target_entry(state))?;
                     Ok(None)
                 }
                 Err(e) => Err(e),
@@ -1265,9 +1220,9 @@ impl UnixEnv {
             match vnode.write(ctx, fd_ref, state, data) {
                 Ok(n) => Ok(Some(n)),
                 Err(UnixError::WouldBlock) if state.flags & FLAG_NONBLOCK == 0 => {
-                    let watch = ContainerEntry::new(state.target_container, state.target);
                     let thread = ctx.thread;
-                    ctx.kernel().trap_segment_watch(thread, watch)?;
+                    ctx.kernel()
+                        .trap_segment_watch(thread, fd_ref.target_entry(state))?;
                     Ok(None)
                 }
                 Err(e) => Err(e),
@@ -1316,7 +1271,7 @@ impl UnixEnv {
                 let meta = &self.open_vnodes[&(thread, seg)].meta;
                 vnode::readiness_probe(meta).map(|(header, capacity, write_side)| {
                     (
-                        ContainerEntry::new(meta.target_container, meta.target),
+                        FdRef::new(container, seg).target_entry(meta),
                         header,
                         capacity,
                         write_side,

@@ -5,7 +5,9 @@
 //! object — lives in a *file descriptor segment*.  Sharing a descriptor
 //! across processes (e.g. across `fork`) just means mapping the same
 //! descriptor segment; the descriptor is deallocated when every process has
-//! closed it, because containers double-charge and hard-link it.
+//! closed it, because every process holding it open hard-links it into its
+//! own process container (double-charged, its quota fixed) and drops that
+//! link with its last descriptor number for it.
 
 use histar_kernel::object::ObjectId;
 use histar_store::codec::{Decoder, Encoder};
@@ -88,13 +90,17 @@ pub struct FdState {
     /// Object ID of the underlying object (file segment, pipe segment,
     /// device, or socket state segment).
     pub target: ObjectId,
-    /// Container in which the target is linked (so the entry can be named).
+    /// Container in which the target is linked (so the entry can be named;
+    /// see [`FLAG_TARGET_BESIDE`] for the one exception).
     pub target_container: ObjectId,
     /// Current seek position (files only).
     pub position: u64,
     /// Open flags (append, nonblock, ...), as a bitmask.
     pub flags: u32,
-    /// Reference count: how many processes hold this descriptor open.
+    /// Reference count: how many descriptor numbers, in every process
+    /// together, name this descriptor.  It says when a close is the *last*
+    /// close (a pipe end hanging up); storage is not its business — each
+    /// process's hard link to the segment keeps that.
     pub refs: u32,
 }
 
@@ -123,6 +129,12 @@ pub const FLAG_SOCK_SERVER: u32 = 1 << 4;
 /// Flag bit (sockets): a listening socket; `target` is the accept-queue
 /// segment netd enqueues new connections into, not a connection.
 pub const FLAG_SOCK_LISTEN: u32 = 1 << 5;
+/// Flag bit (`pipe()` ends): the target is linked beside the descriptor
+/// segment — every process holding the descriptor hard-links the pipe
+/// buffer into its own process container too, once per end, and names it
+/// there — so `target_container` is unused and the buffer, like the
+/// descriptor, outlives whichever process created it.
+pub const FLAG_TARGET_BESIDE: u32 = 1 << 6;
 
 impl FdState {
     /// Serializes the descriptor state into the bytes stored in its segment.
@@ -198,6 +210,11 @@ impl FdTable {
     /// Looks up the descriptor segment for a number.
     pub fn get(&self, fd: Fd) -> Option<ObjectId> {
         self.entries.get(fd as usize).copied().flatten()
+    }
+
+    /// True if some open descriptor number names `segment`.
+    pub fn names(&self, segment: ObjectId) -> bool {
+        self.entries.contains(&Some(segment))
     }
 
     /// Removes a descriptor, returning its segment.

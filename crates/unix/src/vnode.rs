@@ -17,7 +17,7 @@
 //! `submit_calls` batch (a single boundary crossing).
 
 use crate::env::UnixError;
-use crate::fdtable::{FdKind, FdState, FD_POSITION_OFFSET, FD_STATE_LEN};
+use crate::fdtable::{FdKind, FdState, FD_POSITION_OFFSET, FD_STATE_LEN, FLAG_TARGET_BESIDE};
 use crate::fs::FileStat;
 use crate::process::{Pid, Process, ProcessState};
 use histar_kernel::dispatch::Syscall;
@@ -79,17 +79,24 @@ impl<'a> VfsCtx<'a> {
     }
 }
 
-/// The resolved location of one descriptor segment, as seen by one
-/// thread: the container entry it was found through.
+/// One process's name for a descriptor segment: the entry in its own
+/// process container, where the process holds a hard link to the segment
+/// for as long as one of its descriptor numbers names it (§5.3).
 #[derive(Clone, Copy, Debug)]
 pub struct FdRef {
-    /// The descriptor segment's object ID.
-    pub seg: ObjectId,
-    /// The container entry the segment is reachable through.
+    /// `⟨the process's container, the descriptor segment⟩`.
     pub entry: ContainerEntry,
 }
 
 impl FdRef {
+    /// The descriptor segment `seg` as the process owning
+    /// `process_container` names it.
+    pub fn new(process_container: ObjectId, seg: ObjectId) -> FdRef {
+        FdRef {
+            entry: ContainerEntry::new(process_container, seg),
+        }
+    }
+
     /// The batched syscall that stores a new seek position into the
     /// descriptor segment (the second entry of the hot-path batches).
     pub fn position_update(&self, position: u64) -> Syscall {
@@ -99,6 +106,21 @@ impl FdRef {
             data: position.to_le_bytes().to_vec(),
         }
     }
+
+    /// The entry the descriptor's target is named through: the container
+    /// the state records, or, for a `pipe()` end, this process's own.
+    pub fn target_entry(&self, state: &FdState) -> ContainerEntry {
+        if state.flags & FLAG_TARGET_BESIDE != 0 {
+            ContainerEntry::new(self.entry.container, state.target)
+        } else {
+            recorded_target(state)
+        }
+    }
+}
+
+/// `⟨target_container, target⟩`, as the descriptor state records it.
+fn recorded_target(state: &FdState) -> ContainerEntry {
+    ContainerEntry::new(state.target_container, state.target)
 }
 
 /// Restores a descriptor's seek position after a failed batched I/O.
@@ -123,8 +145,7 @@ pub fn read_fd_state(ctx: &mut VfsCtx, fd: &FdRef) -> Result<FdState> {
     FdState::decode(&bytes).ok_or(UnixError::Corrupt("fd segment"))
 }
 
-/// Read-modify-writes the descriptor state (used by the cold paths:
-/// `close`/`dup`/`fork` reference counting).
+/// Read-modify-writes the descriptor state (`dup`'s reference count).
 pub fn update_fd_state(
     ctx: &mut VfsCtx,
     fd: &FdRef,
@@ -182,7 +203,7 @@ pub trait Vnode: core::fmt::Debug {
 
     /// Called when the last reference to the descriptor is closed (e.g. a
     /// pipe write end signalling end-of-file).
-    fn on_last_close(&mut self, _ctx: &mut VfsCtx, _state: &FdState) -> Result<()> {
+    fn on_last_close(&mut self, _ctx: &mut VfsCtx, _fd: &FdRef, _state: &FdState) -> Result<()> {
         Ok(())
     }
 }
@@ -265,10 +286,6 @@ impl Vnode for SnapshotVnode {
 /// together as one batch.
 #[derive(Debug, Default)]
 pub struct PipeVnode;
-
-fn pipe_entry(state: &FdState) -> ContainerEntry {
-    ContainerEntry::new(state.target_container, state.target)
-}
 
 pub(crate) fn decode_pipe_header(header: &[u8]) -> (u64, u64, u64) {
     let rpos = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
@@ -415,9 +432,9 @@ impl Ring {
 }
 
 impl PipeVnode {
-    fn ring(state: &FdState) -> Ring {
+    fn ring(fd: &FdRef, state: &FdState) -> Ring {
         Ring {
-            entry: pipe_entry(state),
+            entry: fd.target_entry(state),
             header: 0,
             data: PIPE_HEADER,
             capacity: PIPE_CAPACITY,
@@ -426,47 +443,38 @@ impl PipeVnode {
 }
 
 impl Vnode for PipeVnode {
-    fn read(
-        &mut self,
-        ctx: &mut VfsCtx,
-        _fd: &FdRef,
-        state: &FdState,
-        len: u64,
-    ) -> Result<Vec<u8>> {
+    fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>> {
         if state.kind.is_pipe_write() {
             return Err(UnixError::Unsupported("read from pipe write end"));
         }
-        PipeVnode::ring(state).read(ctx, len)
+        PipeVnode::ring(fd, state).read(ctx, len)
     }
 
-    fn write(
-        &mut self,
-        ctx: &mut VfsCtx,
-        _fd: &FdRef,
-        state: &FdState,
-        data: &[u8],
-    ) -> Result<u64> {
+    fn write(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, data: &[u8]) -> Result<u64> {
         if !state.kind.is_pipe_write() {
             return Err(UnixError::Unsupported("write to pipe read end"));
         }
-        PipeVnode::ring(state).write(ctx, data)
+        PipeVnode::ring(fd, state).write(ctx, data)
     }
 
     fn seek(&mut self, _ctx: &mut VfsCtx, _fd: &FdRef, _position: u64) -> Result<()> {
         Err(UnixError::Unsupported("seek on a non-file descriptor"))
     }
 
-    fn on_last_close(&mut self, ctx: &mut VfsCtx, state: &FdState) -> Result<()> {
+    fn on_last_close(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState) -> Result<()> {
         if state.kind.is_pipe_write() {
-            PipeVnode::ring(state).adjust_writers(ctx, -1)?;
+            PipeVnode::ring(fd, state).adjust_writers(ctx, -1)?;
         }
         Ok(())
     }
 }
 
-/// Creates a pipe segment inside `container` and returns the descriptor
-/// states for its read and write ends.
-pub fn create_pipe(ctx: &mut VfsCtx, container: ObjectId) -> Result<(FdState, FdState)> {
+/// Creates a pipe buffer in the calling process's `process_container` and
+/// returns the descriptor states for its read and write ends.  The buffer
+/// is linked there twice, once per end, with its quota fixed: each end's
+/// descriptor carries one link of the buffer wherever it is shared and
+/// drops it where it is closed ([`FLAG_TARGET_BESIDE`]).
+pub fn create_pipe(ctx: &mut VfsCtx, process_container: ObjectId) -> Result<(FdState, FdState)> {
     use crate::fdtable::{FdKind, FLAG_RDONLY, FLAG_WRONLY};
     let thread = ctx.thread;
     let kernel = ctx.kernel();
@@ -475,31 +483,40 @@ pub fn create_pipe(ctx: &mut VfsCtx, container: ObjectId) -> Result<(FdState, Fd
         .drop_ownership(histar_label::Level::L1);
     let pipe_seg = kernel.trap_segment_create(
         thread,
-        container,
+        process_container,
         pipe_label,
         PIPE_HEADER + PIPE_CAPACITY,
         "pipe",
     )?;
-    // Header: read pos = 0, write pos = 0, writers = 1.
-    kernel.trap_segment_write(
-        thread,
-        ContainerEntry::new(container, pipe_seg),
-        0,
-        &encode_pipe_header(0, 0, 1),
-    )?;
-    let base = FdState {
+    let entry = ContainerEntry::new(process_container, pipe_seg);
+    let calls = vec![
+        // Header: read pos = 0, write pos = 0, writers = 1.
+        Syscall::SegmentWrite {
+            entry,
+            offset: 0,
+            data: encode_pipe_header(0, 0, 1),
+        },
+        Syscall::ObjSetFixedQuota { entry },
+        Syscall::HardLink {
+            entry,
+            dst: process_container,
+        },
+    ];
+    for r in kernel.submit_calls(thread, calls) {
+        r?;
+    }
+    let read_end = FdState {
         kind: FdKind::PipeRead,
         target: pipe_seg,
-        target_container: container,
+        target_container: process_container,
         position: 0,
-        flags: FLAG_RDONLY,
+        flags: FLAG_RDONLY | FLAG_TARGET_BESIDE,
         refs: 1,
     };
-    let read_end = base;
     let write_end = FdState {
         kind: FdKind::PipeWrite,
-        flags: FLAG_WRONLY,
-        ..base
+        flags: FLAG_WRONLY | FLAG_TARGET_BESIDE,
+        ..read_end
     };
     Ok((read_end, write_end))
 }
@@ -589,7 +606,7 @@ pub fn socket_rx_ring(state: &FdState) -> Ring {
     } else {
         1
     };
-    socket_ring(pipe_entry(state), i)
+    socket_ring(recorded_target(state), i)
 }
 
 /// The ring a descriptor *transmits* into.
@@ -600,7 +617,7 @@ pub fn socket_tx_ring(state: &FdState) -> Ring {
     } else {
         0
     };
-    socket_ring(pipe_entry(state), i)
+    socket_ring(recorded_target(state), i)
 }
 
 impl Vnode for SocketVnode {
@@ -636,7 +653,7 @@ impl Vnode for SocketVnode {
         Err(UnixError::Unsupported("seek on a non-file descriptor"))
     }
 
-    fn on_last_close(&mut self, ctx: &mut VfsCtx, state: &FdState) -> Result<()> {
+    fn on_last_close(&mut self, ctx: &mut VfsCtx, _fd: &FdRef, state: &FdState) -> Result<()> {
         use crate::fdtable::FLAG_SOCK_LISTEN;
         if state.flags & FLAG_SOCK_LISTEN == 0 {
             // Hang up our transmit direction: the peer's next read sees

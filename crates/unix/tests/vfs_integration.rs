@@ -8,6 +8,7 @@ use histar_kernel::syscall::SyscallError;
 use histar_kernel::Kernel;
 use histar_label::{Label, Level};
 use histar_unix::fs::OpenFlags;
+use histar_unix::process::ExitStatus;
 use histar_unix::{UnixEnv, UnixError};
 
 /// Crashes the environment's machine and rebuilds a fresh environment on
@@ -42,10 +43,9 @@ fn dup_and_fork_share_seek_position_through_the_fd_segment() {
     assert_eq!(env.read(init, fd, 2).unwrap(), b"ij");
 
     // A forked child shares the same descriptor segment: its reads
-    // continue from the parent's position and vice versa — even though
-    // the child's thread resolves the segment through the *parent's*
-    // process container and keeps its own vnode (and capability
-    // handles).
+    // continue from the parent's position and vice versa — the child
+    // names the segment through its own hard link, in its own process
+    // container, and keeps its own vnode.
     env.lseek(init, fd, 4).unwrap();
     let child = env.fork(init).unwrap();
     assert_eq!(env.read(child, fd, 2).unwrap(), b"ef");
@@ -451,7 +451,9 @@ fn fsync_paths_syncs_each_target_once_through_its_own_trap() {
 
 /// Regression: sharing a descriptor with a process that does not exist
 /// must not raise its reference count — the count would never drop, and
-/// a shared pipe write end would never reach last-close.
+/// a shared pipe write end would never reach last-close.  Nor may a share
+/// the kernel refuses half-way leave a link behind: the receiver here has
+/// room for the descriptor segment's page but not for the pipe buffer.
 #[test]
 fn failed_share_fd_leaves_the_refcount_unchanged() {
     let mut env = UnixEnv::boot();
@@ -464,6 +466,170 @@ fn failed_share_fd_leaves_the_refcount_unchanged() {
         Err(UnixError::NoSuchProcess(p)) if p == nobody
     ));
     assert_eq!(env.fd_snapshot(init, wfd).unwrap().refs, refs);
+
+    let cramped = env.spawn(init, "/bin/cramped", None).unwrap();
+    let (thread, container) = {
+        let p = env.process(cramped).unwrap();
+        (p.thread, p.process_container)
+    };
+    let kernel = env.kernel_mut();
+    let spare = kernel
+        .trap_container_quota_avail(thread, container)
+        .unwrap();
+    kernel
+        .trap_segment_create(
+            thread,
+            container,
+            Label::unrestricted(),
+            spare - 2 * 4096,
+            "ballast",
+        )
+        .unwrap();
+    let linked = kernel.trap_container_list(thread, container).unwrap();
+    let spare = kernel
+        .trap_container_quota_avail(thread, container)
+        .unwrap();
+    assert!((4096..2 * 4096 + 1).contains(&spare));
+    assert!(matches!(
+        env.share_fd(init, wfd, cramped),
+        Err(UnixError::Kernel(SyscallError::QuotaExceeded { .. }))
+    ));
+    assert_eq!(env.fd_snapshot(init, wfd).unwrap().refs, refs);
+    let kernel = env.kernel_mut();
+    assert_eq!(
+        kernel.trap_container_list(thread, container).unwrap(),
+        linked,
+        "no link left behind"
+    );
+    assert_eq!(
+        kernel
+            .trap_container_quota_avail(thread, container)
+            .unwrap(),
+        spare
+    );
+    assert_eq!(env.process(cramped).unwrap().fds.open_count(), 0);
+}
+
+/// §5.3: "a shared descriptor segment is only deallocated when it has been
+/// closed and unreferenced by every process."  A descriptor a child
+/// inherited works after the process that opened it has exited and been
+/// reaped — same position, clean close — and the close that drops the
+/// last link frees the segment.
+#[test]
+fn an_inherited_descriptor_outlives_its_opener() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/data", b"shared position", None)
+        .unwrap();
+    let mid = env.spawn(init, "/bin/mid", None).unwrap();
+    let fd = env.open(mid, "/data", OpenFlags::read_only()).unwrap();
+    assert_eq!(env.read(mid, fd, 7).unwrap(), b"shared ");
+    let child = env.fork(mid).unwrap();
+    env.exit(mid, ExitStatus::Exited(0)).unwrap();
+    env.wait(init, mid).unwrap();
+
+    assert_eq!(env.read(child, fd, 5).unwrap(), b"posit");
+    let objects = env.machine().kernel().object_count();
+    env.close(child, fd).unwrap();
+    assert_eq!(env.machine().kernel().object_count(), objects - 1);
+}
+
+/// The same for a pipe whose creator is reaped while a forked child holds
+/// the write end and another process the read end: the bytes arrive, and
+/// end-of-file arrives with the child's close.
+#[test]
+fn a_pipe_outlives_the_process_that_created_it() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let mid = env.spawn(init, "/bin/mid", None).unwrap();
+    let (rfd, wfd) = env.pipe(mid).unwrap();
+    let reader_fd = env.share_fd(mid, rfd, init).unwrap();
+    let child = env.fork(mid).unwrap();
+    env.exit(mid, ExitStatus::Exited(0)).unwrap();
+    env.wait(init, mid).unwrap();
+
+    assert_eq!(env.write(child, wfd, b"hello").unwrap(), 5);
+    assert_eq!(env.read(init, reader_fd, 64).unwrap(), b"hello");
+    assert_eq!(
+        env.read(init, reader_fd, 64),
+        Err(UnixError::WouldBlock),
+        "the child still holds the write end"
+    );
+    let objects = env.machine().kernel().object_count();
+    env.close(child, wfd).unwrap();
+    env.close(child, rfd).unwrap();
+    assert_eq!(env.read(init, reader_fd, 64).unwrap(), b"", "end of file");
+    env.close(init, reader_fd).unwrap();
+    assert_eq!(
+        env.machine().kernel().object_count(),
+        objects - 3,
+        "both descriptor segments and the buffer"
+    );
+}
+
+/// A descriptor handed over with `share_fd` is the receiver's own: the
+/// sharer may close its number first.
+#[test]
+fn a_shared_descriptor_survives_the_sharers_close() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/data", b"shared position", None)
+        .unwrap();
+    let a = env.spawn(init, "/bin/a", None).unwrap();
+    let b = env.spawn(init, "/bin/b", None).unwrap();
+    let fd = env.open(a, "/data", OpenFlags::read_only()).unwrap();
+    assert_eq!(env.read(a, fd, 7).unwrap(), b"shared ");
+    let shared = env.share_fd(a, fd, b).unwrap();
+    env.close(a, fd).unwrap();
+    assert_eq!(env.read(b, shared, 5).unwrap(), b"posit");
+    let objects = env.machine().kernel().object_count();
+    env.close(b, shared).unwrap();
+    assert_eq!(env.machine().kernel().object_count(), objects - 1);
+}
+
+/// `close` gives everything back: a process can open and close for ever.
+/// (The descriptor segment used never to be unreferenced, so the 8,187th
+/// `open` in one process failed with `QuotaExceeded`.)
+#[test]
+fn close_returns_the_descriptor_segment_and_its_quota() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/f", b"x", None).unwrap();
+    let (thread, container) = {
+        let p = env.process(init).unwrap();
+        (p.thread, p.process_container)
+    };
+    let held = |env: &mut UnixEnv| {
+        let spare = env
+            .kernel_mut()
+            .trap_container_quota_avail(thread, container)
+            .unwrap();
+        (env.machine().kernel().object_count(), spare)
+    };
+    let before = held(&mut env);
+    for _ in 0..20_000 {
+        let fd = env.open(init, "/f", OpenFlags::read_only()).unwrap();
+        env.close(init, fd).unwrap();
+    }
+    assert_eq!(held(&mut env), before);
+
+    // `dup` shares one link: the first close keeps it, the second frees.
+    let fd = env.open(init, "/f", OpenFlags::read_only()).unwrap();
+    let dup = env.dup(init, fd).unwrap();
+    env.close(init, fd).unwrap();
+    assert_eq!(env.read(init, dup, 1).unwrap(), b"x");
+    assert_ne!(held(&mut env), before);
+    env.close(init, dup).unwrap();
+    assert_eq!(held(&mut env), before);
+
+    // `exit` closes what is open — a pipe's buffer included.
+    let child = env.spawn(init, "/bin/leaky", None).unwrap();
+    let objects = env.machine().kernel().object_count();
+    env.open(child, "/f", OpenFlags::read_only()).unwrap();
+    env.pipe(child).unwrap();
+    assert_eq!(env.machine().kernel().object_count(), objects + 4);
+    env.exit(child, ExitStatus::Exited(0)).unwrap();
+    assert_eq!(env.machine().kernel().object_count(), objects);
 }
 
 /// Regression: oversized /proc reads with a nonzero position must not

@@ -712,3 +712,101 @@ fn a_reader_cannot_choose_which_version_of_a_heap_file_survives_a_crash() {
         other => panic!("not a segment: {other:?}"),
     }
 }
+
+/// Every entry `thread` can name: the containers it can list, walked from
+/// the kernel root.
+fn entries_named_by(
+    env: &mut UnixEnv,
+    thread: histar::kernel::object::ObjectId,
+) -> Vec<histar::kernel::object::ContainerEntry> {
+    use histar::kernel::object::ContainerEntry;
+    let kernel = env.kernel_mut();
+    let mut to_list = vec![kernel.root_container()];
+    let mut named = Vec::new();
+    while let Some(container) = to_list.pop() {
+        // Only a container the thread may observe lists.
+        for object in kernel
+            .trap_container_list(thread, container)
+            .unwrap_or_default()
+        {
+            named.push(ContainerEntry::new(container, object));
+            to_list.push(object);
+        }
+    }
+    named
+}
+
+/// No write down, checked over everything there is rather than over one
+/// object someone thought of.  `high` has read a `{h 3}` secret and owns
+/// nothing; whatever it can name, a write of the secret lands only in an
+/// object labelled at least `{h 3}`, and no byte of it is in anything the
+/// untainted `low` can read.  (A thread used to come with a thread-local
+/// segment, labelled at thread creation, linked in the thread's own
+/// container and exempt from every check when its own thread used it:
+/// `high` wrote the secret there and `low` read it back in four calls.)
+#[test]
+fn nothing_a_tainted_thread_can_write_is_readable_below_it() {
+    use histar::kernel::object::ContainerEntry;
+    const SECRET: &[u8; 16] = b"TOP-SECRET-BYTES";
+
+    // A populated machine: processes, directories, open descriptors, a pipe.
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let shell = env.spawn(init, "/bin/sh", None).unwrap();
+    env.write_file_as(shell, "/notes", b"nothing to see", None)
+        .unwrap();
+    env.open(shell, "/notes", histar::unix::fs::OpenFlags::read_only())
+        .unwrap();
+    env.pipe(shell).unwrap();
+
+    let owner = env.process(init).unwrap().thread;
+    let kernel = env.kernel_mut();
+    let kroot = kernel.root_container();
+    let h = kernel.trap_create_category(owner).unwrap();
+    let tainted = Label::unrestricted().with(h, Level::L3);
+    let secret = kernel
+        .trap_segment_create(owner, kroot, tainted.clone(), 16, "secret")
+        .unwrap();
+    let secret = ContainerEntry::new(kroot, secret);
+    kernel.trap_segment_write(owner, secret, 0, SECRET).unwrap();
+    let mut thread = |clearance: Label, descrip: &str| {
+        kernel
+            .trap_thread_create(owner, kroot, Label::unrestricted(), clearance, 0, descrip)
+            .unwrap()
+    };
+    let high = thread(Label::default_clearance().with(h, Level::L3), "high");
+    let low = thread(Label::default_clearance(), "low");
+    kernel.trap_self_set_label(high, tainted.clone()).unwrap();
+    assert_eq!(
+        kernel.trap_segment_read(high, secret, 0, 16).unwrap(),
+        SECRET
+    );
+
+    let named = entries_named_by(&mut env, high);
+    assert!(named.len() > 20, "the walk found the machine: {named:?}");
+    let mut took_the_write = 0;
+    for &entry in &named {
+        let kernel = env.kernel_mut();
+        if kernel.trap_segment_write(high, entry, 0, SECRET).is_ok() {
+            let label = &kernel.raw_object(entry.object).unwrap().header.label;
+            assert!(
+                tainted.leq(label),
+                "{entry:?}, labelled {label}, took a write from a thread tainted {tainted}"
+            );
+            took_the_write += 1;
+        }
+    }
+    assert_eq!(took_the_write, 1, "the secret segment itself");
+
+    for entry in entries_named_by(&mut env, low) {
+        let kernel = env.kernel_mut();
+        let Ok(len) = kernel.trap_segment_len(low, entry) else {
+            continue;
+        };
+        let bytes = kernel.trap_segment_read(low, entry, 0, len).unwrap();
+        assert!(
+            !bytes.windows(SECRET.len()).any(|w| w == SECRET),
+            "low reads the secret out of {entry:?}"
+        );
+    }
+}

@@ -102,14 +102,20 @@ fn hundred_interleaved_logins_replay_identically() {
     let (t1, t2) = (trace_of(&w1), trace_of(&w2));
     assert!(!t1.is_empty());
     assert_eq!(t1, t2);
-    // The projection's pins predate ISSUE 21 and did not move with it; the
-    // full stream's were re-pinned there, when the library's untrapped
-    // reads of its own label became 1,067 trapped ones.
+    // Both re-pinned by ISSUE 24 (descriptors live by hard links).  Two
+    // rows moved, by the same 178 — the run's descriptors, each opened and
+    // closed by one process: `obj_set_fixed_quota` 0 → 178 (`install_fd`
+    // fixes the quota in the batch that writes the state) and `obj_unref`
+    // 289 → 467 (`close` drops the process's link, so the kernel frees the
+    // segment).  No other row's count moved; every thread id did, because
+    // a thread no longer comes with a thread-local segment taking the id
+    // after its own.  The full stream still carries the 1,067 reads of the
+    // caller's own label ISSUE 21 added.
     let before = without_own_label_reads(&t1);
-    assert_eq!(before.len(), 7338);
-    assert_eq!(stream_digest(&before), 0x96bd_bdf6_d78e_7f3f);
-    assert_eq!(t1.len(), 8405);
-    assert_eq!(stream_digest(&t1), 0xb880_9d46_8ace_b07d);
+    assert_eq!(before.len(), 7694);
+    assert_eq!(stream_digest(&before), 0x9604_3a70_c4b7_f22b);
+    assert_eq!(t1.len(), 8761);
+    assert_eq!(stream_digest(&t1), 0xeef5_f18f_fe37_4171);
     assert_totals_agree(w1.env.machine().kernel());
 }
 
@@ -202,11 +208,19 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     // push it at queue time (same rows, other thread, other order); and
     // the full stream carries 1,135 reads of the caller's own label, one
     // fewer.
+    // Re-pinned by ISSUE 24 (descriptors live by hard links; no
+    // thread-local segment, so every thread id moved): projection 5,307 →
+    // 5,408 records, three rows — `obj_set_fixed_quota` 0 → 200 (one per
+    // descriptor installed), `obj_unref` 148 → 300 (one per descriptor a
+    // process closes for good), `segment_len` 251 → 0 (it was only ever
+    // the probe that located a descriptor segment; a process now names a
+    // descriptor through its own container).  Nothing was forked or
+    // shared, so `hard_link` does not appear.
     let before = without_own_label_reads(&t1);
-    assert_eq!(before.len(), 5307);
-    assert_eq!(stream_digest(&before), 0xb56d_5d74_5368_f879);
-    assert_eq!(t1.len(), 6442);
-    assert_eq!(stream_digest(&t1), 0x0949_7539_d029_0e10);
+    assert_eq!(before.len(), 5408);
+    assert_eq!(stream_digest(&before), 0xfb40_b6bf_ee56_1596);
+    assert_eq!(t1.len(), 6543);
+    assert_eq!(stream_digest(&t1), 0x44b1_9c8f_899f_1638);
 
     // The label-check bill is part of simulated time (a cache hit is
     // charged less than a miss), so it is pinned: a faster label
@@ -215,15 +229,18 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     // with the queue, so fewer distinct labels exist to intern (539 → 486)
     // and compare (misses 1,314 → 1,102, hits 6,938 → 7,046), and the
     // 52 calls of the launcher's poll took their two checks each with
-    // them (checks 10,588 → 10,484).
+    // them (checks 10,588 → 10,484).  ISSUE 24, over the whole run: 205
+    // `obj_set_fixed_quota` × 2 checks + 156 more `obj_unref` × 1 − 251
+    // `segment_len` × 2 − the 55 container checks that created a
+    // thread-local segment beside each thread = +9, every one a cache hit.
     let kernel = w1.env.machine().kernel();
     let cache = kernel.label_cache_stats();
     assert_eq!(
         (cache.hits, cache.misses, cache.interned),
-        (7046, 1102, 486),
+        (7055, 1102, 486),
         "label cache hits/misses/interned"
     );
-    assert_eq!(kernel.stats().label_checks, 10484);
+    assert_eq!(kernel.stats().label_checks, 10493);
     assert_eq!(kernel.stats().label_cache_hits, cache.hits);
     assert_totals_agree(kernel);
 
