@@ -441,7 +441,7 @@ pub fn run_heap_flush(seed: u64, rewrites: usize) -> Result<HeapFlushReport, Str
     let seg = env.fstat(init, fd).map_err(unix)?.object;
     let sibling = env.stat(init, "/sibling").map_err(unix)?.object;
     let segment = |machine: &Machine, seg| match machine.kernel().raw_object(seg).map(|o| &o.body) {
-        Some(ObjectBody::Segment(s)) => Ok(s.bytes.clone()),
+        Some(ObjectBody::Segment(s)) => Ok(s.to_vec()),
         _ => Err(format!("seed {seed:#x}: the segment of a file is gone")),
     };
     let mut durable = segment(env.machine(), seg)?;

@@ -9,37 +9,108 @@
 use crate::abi::ThreadRuntime;
 use crate::object::{ContainerEntry, ObjectId, ObjectType};
 use histar_label::Label;
+use std::borrow::Cow;
+
+/// One page of zeros, lent out for the parts of a segment never written.
+static ZERO_PAGE: [u8; 4096] = [0; 4096];
 
 /// A segment: a variable-length byte array, similar to a file.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Demand-zero: `bytes` holds the prefix up to the highest byte ever
+/// written, and every byte in `bytes.len()..len` reads as zero, so a
+/// segment costs host memory for what was written to it, not for its
+/// length.  Equality compares contents, not representation.
+#[derive(Clone, Debug, Default)]
 pub struct SegmentBody {
-    /// The segment's contents.
-    pub bytes: Vec<u8>,
+    bytes: Vec<u8>,
+    len: usize,
 }
 
 impl SegmentBody {
-    /// Creates a zero-filled segment of `len` bytes.
+    /// Creates a zero-filled segment of `len` bytes (allocating nothing).
     pub fn zeroed(len: usize) -> SegmentBody {
         SegmentBody {
-            bytes: vec![0u8; len],
+            bytes: Vec::new(),
+            len,
         }
     }
 
     /// Current length in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// True if the segment is empty.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
-    /// Resizes the segment, zero-filling any new space.
+    /// The written prefix; every byte after it, up to `len`, is zero.
+    pub(crate) fn written(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Resizes the segment: growth reads as zeros, and a shrink drops the
+    /// written bytes past the new end so a later grow cannot revive them.
     pub fn resize(&mut self, len: usize) {
-        self.bytes.resize(len, 0);
+        self.bytes.truncate(len);
+        self.len = len;
+    }
+
+    /// Bytes `start..end` (`start <= end <= len`): borrowed from the
+    /// written prefix or the zero page where one of them covers the range,
+    /// assembled otherwise.
+    pub(crate) fn range(&self, start: usize, end: usize) -> Cow<'_, [u8]> {
+        let w = self.bytes.len();
+        if end <= w {
+            Cow::Borrowed(&self.bytes[start..end])
+        } else if start >= w && end - start <= ZERO_PAGE.len() {
+            Cow::Borrowed(&ZERO_PAGE[..end - start])
+        } else {
+            let mut out = self.bytes[start.min(w)..].to_vec();
+            out.resize(end - start, 0);
+            Cow::Owned(out)
+        }
+    }
+
+    /// Copies `data` in at `offset`, growing the segment (and the written
+    /// prefix only up to the write's end) if it ends past `len`.
+    pub(crate) fn write(&mut self, offset: usize, data: &[u8]) {
+        let end = offset + data.len();
+        if end > self.bytes.len() {
+            self.bytes.resize(end, 0);
+        }
+        self.bytes[offset..end].copy_from_slice(data);
+        self.len = self.len.max(end);
+    }
+
+    /// The whole contents, zeros included.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.range(0, self.len).into_owned()
     }
 }
+
+impl From<Vec<u8>> for SegmentBody {
+    fn from(bytes: Vec<u8>) -> SegmentBody {
+        let len = bytes.len();
+        SegmentBody { bytes, len }
+    }
+}
+
+impl PartialEq for SegmentBody {
+    fn eq(&self, other: &SegmentBody) -> bool {
+        let (long, short) = if self.bytes.len() >= other.bytes.len() {
+            (&self.bytes, &other.bytes)
+        } else {
+            (&other.bytes, &self.bytes)
+        };
+        self.len == other.len
+            && long.starts_with(short)
+            && long[short.len()..].iter().all(|&b| b == 0)
+    }
+}
+
+impl Eq for SegmentBody {}
 
 /// A container: hierarchical holder of hard links (§3.2).
 ///
@@ -374,7 +445,7 @@ impl ObjectBody {
     /// accounting.
     pub fn storage_bytes(&self) -> u64 {
         match self {
-            ObjectBody::Segment(s) => s.bytes.len() as u64,
+            ObjectBody::Segment(s) => s.len() as u64,
             ObjectBody::Container(c) => 64 + 8 * c.links.len() as u64,
             ObjectBody::Thread(_) => 512,
             ObjectBody::AddressSpace(a) => 64 + 48 * a.mappings.len() as u64,
@@ -398,13 +469,35 @@ mod tests {
         let mut s = SegmentBody::default();
         assert!(s.is_empty());
         s.resize(10);
-        s.bytes[5] = 7;
+        s.write(5, &[7]);
         s.resize(20);
         assert_eq!(s.len(), 20);
-        assert_eq!(s.bytes[5], 7);
-        assert_eq!(s.bytes[15], 0);
+        assert_eq!(s.written().len(), 6, "the written prefix ends at the write");
+        assert_eq!(s.to_vec(), [&[0; 5][..], &[7], &[0; 14]].concat());
         s.resize(3);
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn segment_shrink_then_grow_reads_zeros_where_the_old_bytes_were() {
+        let mut s = SegmentBody::zeroed(8192);
+        assert!(s.written().is_empty(), "a fresh segment holds no bytes");
+        s.write(100, &[0xaa; 5000]);
+        s.resize(200);
+        s.resize(8192);
+        let mut model = vec![0u8; 8192];
+        model[100..200].fill(0xaa);
+        assert_eq!(s.to_vec(), model);
+        assert_eq!(s.range(4096, 8192), &[0u8; 4096][..]);
+        assert_eq!(s.range(150, 250), &model[150..250]);
+        // Equality is by contents: a written zero equals a demand-zero one.
+        let mut z = SegmentBody::zeroed(16);
+        z.write(0, &[0; 4]);
+        assert_eq!(z, SegmentBody::zeroed(16));
+        assert_eq!(SegmentBody::from(vec![0; 16]), SegmentBody::zeroed(16));
+        assert_ne!(SegmentBody::zeroed(15), SegmentBody::zeroed(16));
+        z.write(3, &[1]);
+        assert_ne!(z, SegmentBody::zeroed(16));
     }
 
     #[test]

@@ -914,8 +914,9 @@ impl Kernel {
     /// modify check on the object itself, exactly as for `segment_write`.
     ///
     /// With `pages` — 4 KiB pages of a *file*, i.e. of a segment's payload —
-    /// only those bytes move: they are borrowed from the segment and flushed
-    /// into its home record, where the payload starts one encoded prefix in.
+    /// only those bytes move: they are borrowed from the segment (past its
+    /// written prefix, from the zero page) and flushed into its home
+    /// record, where the payload starts one encoded prefix in.
     /// Whenever the store refuses that (no home record yet, the encoding
     /// changed length, a header field changed, a logged or staged version
     /// would mask the flush) and for every other sync, the whole object is
@@ -938,13 +939,14 @@ impl Kernel {
             .get(&id)
             .ok_or(SyscallError::NoSuchObject(id))?;
         let store = self.store.as_mut().ok_or(SyscallError::NoStore)?;
-        if let Some((pages, (prefix, payload))) = pages
+        if let Some((pages, (prefix, seg))) = pages
             .as_deref()
             .and_then(|p| Some((p, segment_prefix(obj)?)))
         {
             let base = prefix.len() as u64;
-            let ranges = page_ranges(payload, base, pages);
-            let encoded_len = base + payload.len() as u64;
+            let bytes = page_ranges(seg.len(), base, pages, |s, e| seg.range(s, e));
+            let ranges: Vec<(u64, &[u8])> = bytes.iter().map(|(o, b)| (*o, &b[..])).collect();
+            let encoded_len = base + seg.len() as u64;
             if store
                 .flush_ranges(id.raw(), encoded_len, &prefix, &ranges)
                 .is_ok()
@@ -1489,14 +1491,13 @@ impl Kernel {
         len: u64,
         descrip: &str,
     ) -> Result<ObjectId, SyscallError> {
-        // Zeroing freshly allocated pages is charged explicitly; HiStar has
-        // no pre-zeroed page pool (§7.1).
-        let pages = len.div_ceil(PAGE_SIZE);
-        let zero_cost = self.cost.page_zero * pages;
-        self.charge(zero_cost);
-        let quota = (len.max(1)).div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let quota = len
+            .max(1)
+            .checked_next_multiple_of(PAGE_SIZE)
+            .ok_or(SyscallError::InvalidArgument("segment length out of range"))?;
+        // The body is demand-zero: a refused create allocates nothing.
         let body = ObjectBody::Segment(SegmentBody::zeroed(len as usize));
-        self.create_object(
+        let id = self.create_object(
             &t.label,
             &t.clearance,
             container,
@@ -1504,7 +1505,12 @@ impl Kernel {
             quota,
             descrip,
             body,
-        )
+        )?;
+        // Zeroing freshly allocated pages is charged explicitly; HiStar has
+        // no pre-zeroed page pool (§7.1).
+        let zero_cost = self.cost.page_zero * len.div_ceil(PAGE_SIZE);
+        self.charge(zero_cost);
+        Ok(id)
     }
 
     /// Resizes a segment (zero-filling growth), within its quota.
@@ -1543,15 +1549,17 @@ impl Kernel {
     ) -> Result<Vec<u8>, SyscallError> {
         self.check_entry(&t.label, entry)?;
         self.check_observe(&t.label, entry.object)?;
+        let (_, s) = self.segment(entry.object)?;
+        let end = offset
+            .checked_add(len)
+            .filter(|end| *end <= s.len() as u64)
+            .ok_or(SyscallError::InvalidArgument("read beyond end of segment"))?;
+        let bytes = s.range(offset as usize, end as usize).into_owned();
+        // Charged once the read is known to happen: a refused length
+        // moves no clock.
         let copy_cost = self.cost.copy(len);
         self.charge(copy_cost);
-        let (_, s) = self.segment(entry.object)?;
-        let start = offset as usize;
-        let end = (offset + len) as usize;
-        if end > s.len() {
-            return Err(SyscallError::InvalidArgument("read beyond end of segment"));
-        }
-        Ok(s.bytes[start..end].to_vec())
+        Ok(bytes)
     }
 
     /// Writes bytes into a segment (models a store through a mapping).
@@ -1567,7 +1575,9 @@ impl Kernel {
         let copy_cost = self.cost.copy(data.len() as u64);
         self.charge(copy_cost);
         let (header, s) = self.segment_mut(entry.object)?;
-        let end = offset + data.len() as u64;
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or(SyscallError::InvalidArgument("write offset overflows"))?;
         if end > header.quota {
             return Err(SyscallError::QuotaExceeded {
                 container: entry.container,
@@ -1576,10 +1586,9 @@ impl Kernel {
             });
         }
         if end as usize > s.len() {
-            s.resize(end as usize);
             header.usage = end;
         }
-        s.bytes[offset as usize..end as usize].copy_from_slice(data);
+        s.write(offset as usize, data);
         // Readiness: wake anyone parked waiting for this segment to make
         // progress (blocked pipe/socket readers and pollers).
         let watchers = std::mem::take(&mut self.obj_mut(entry.object)?.watchers);
@@ -1611,12 +1620,12 @@ impl Kernel {
     ) -> Result<ObjectId, SyscallError> {
         self.check_entry(&t.label, src)?;
         self.check_observe(&t.label, src.object)?;
-        let bytes = self.segment(src.object)?.1.bytes.clone();
-        let pages = (bytes.len() as u64).div_ceil(PAGE_SIZE);
-        let copy_cost = self.cost.page_copy * pages;
+        let body = self.segment(src.object)?.1.clone();
+        let len = body.len() as u64;
+        let copy_cost = self.cost.page_copy * len.div_ceil(PAGE_SIZE);
         self.charge(copy_cost);
-        let quota = (bytes.len().max(1) as u64).div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        let body = ObjectBody::Segment(SegmentBody { bytes });
+        let quota = len.max(1).div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let body = ObjectBody::Segment(body);
         self.create_object(
             &t.label,
             &t.clearance,

@@ -164,7 +164,7 @@ fn decode_header(d: &mut Decoder<'_>) -> Result<ObjectHeader, SerializeError> {
 fn encode_body(e: &mut Encoder, body: &ObjectBody) {
     match body {
         ObjectBody::Segment(s) => {
-            e.put_bytes(&s.bytes);
+            e.put_bytes_padded(s.written(), s.len());
         }
         ObjectBody::Container(c) => {
             e.put_u64(c.links.len() as u64);
@@ -239,9 +239,7 @@ fn encode_body(e: &mut Encoder, body: &ObjectBody) {
 
 fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, SerializeError> {
     Ok(match ty {
-        ObjectType::Segment => ObjectBody::Segment(SegmentBody {
-            bytes: d.get_bytes()?,
-        }),
+        ObjectType::Segment => ObjectBody::Segment(SegmentBody::from(d.get_bytes()?)),
         ObjectType::Container => {
             let n = d.get_u64()? as usize;
             let mut links = Vec::with_capacity(n);
@@ -358,18 +356,18 @@ fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, Serial
 
 /// A segment's encoding split where its payload starts: the *prefix* —
 /// header plus the payload's 8-byte length word, a hundred-odd bytes — and
-/// the payload borrowed from the object.  `prefix ‖ payload` is exactly
-/// [`encode_object`]'s output, so byte `n` of the segment sits at offset
-/// `prefix.len() + n` of its stored record; a range flush needs nothing
-/// else.  `None` for every other object type.
-pub(crate) fn segment_prefix(obj: &KObject) -> Option<(Vec<u8>, &[u8])> {
+/// the segment whose contents are the payload.  `prefix ‖ contents` is
+/// exactly [`encode_object`]'s output, so byte `n` of the segment sits at
+/// offset `prefix.len() + n` of its stored record; a range flush needs
+/// nothing else.  `None` for every other object type.
+pub(crate) fn segment_prefix(obj: &KObject) -> Option<(Vec<u8>, &SegmentBody)> {
     let ObjectBody::Segment(s) = &obj.body else {
         return None;
     };
     let mut e = Encoder::new();
     encode_header(&mut e, &obj.header);
-    e.put_u64(s.bytes.len() as u64);
-    Some((e.finish(), &s.bytes))
+    e.put_u64(s.len() as u64);
+    Some((e.finish(), s))
 }
 
 /// Serializes a whole kernel object.
@@ -474,22 +472,20 @@ mod tests {
     fn segment_round_trip() {
         round_trip(KObject::new(
             header(ObjectType::Segment),
-            ObjectBody::Segment(SegmentBody {
-                bytes: (0..255u8).collect(),
-            }),
+            ObjectBody::Segment(SegmentBody::from((0..255u8).collect::<Vec<u8>>())),
         ));
     }
 
     #[test]
     fn segment_prefix_and_payload_concatenate_to_the_encoding() {
-        let seg = KObject::new(
-            header(ObjectType::Segment),
-            ObjectBody::Segment(SegmentBody {
-                bytes: (0..255u8).cycle().take(10_000).collect(),
-            }),
-        );
+        let mut body = SegmentBody::from((0..255u8).cycle().take(10_000).collect::<Vec<u8>>());
+        // A zero tail past the written prefix encodes as the zeros it reads.
+        body.resize(20_000);
+        let seg = KObject::new(header(ObjectType::Segment), ObjectBody::Segment(body));
         let (prefix, payload) = segment_prefix(&seg).unwrap();
-        assert_eq!([&prefix[..], payload].concat(), encode_object(&seg));
+        let encoded = encode_object(&seg);
+        assert_eq!([&prefix[..], &payload.to_vec()].concat(), encoded);
+        assert!(encoded[prefix.len() + 10_000..].iter().all(|&b| b == 0));
         let gate = KObject::new(
             header(ObjectType::Gate),
             ObjectBody::Gate(GateBody::new(sample_label(), 1)),
@@ -572,7 +568,7 @@ mod tests {
     fn corrupt_input_is_rejected() {
         let obj = KObject::new(
             header(ObjectType::Segment),
-            ObjectBody::Segment(SegmentBody { bytes: vec![1; 64] }),
+            ObjectBody::Segment(SegmentBody::from(vec![1; 64])),
         );
         let bytes = encode_object(&obj);
         assert!(decode_object(&bytes[..bytes.len() / 2]).is_err());

@@ -37,8 +37,15 @@ impl Encoder {
 
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.put_u64(v.len() as u64);
+        self.put_bytes_padded(v, v.len())
+    }
+
+    /// Appends a length-prefixed byte string of `len` bytes: `v`, then
+    /// zeros written straight into the buffer (`v.len() <= len`).
+    pub fn put_bytes_padded(&mut self, v: &[u8], len: usize) -> &mut Self {
+        self.put_u64(len as u64);
         self.buf.extend_from_slice(v);
+        self.buf.resize(self.buf.len() + (len - v.len()), 0);
         self
     }
 

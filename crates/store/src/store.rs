@@ -219,20 +219,27 @@ pub struct SingleLevelStore {
     recorder: Recorder,
 }
 
-/// The `(record offset, bytes)` range of each `BLOCK_SIZE` page of `body`
-/// named in `pages`, for [`SingleLevelStore::flush_ranges`]: page `p`
-/// covers `body[p·BLOCK_SIZE..]` (the last page possibly short; pages
-/// past the end are dropped) and sits `base` bytes into the record —
-/// `base` being whatever precedes `body` in the object's encoding.
-pub fn page_ranges<'a>(body: &'a [u8], base: u64, pages: &[u64]) -> Vec<(u64, &'a [u8])> {
+/// The `(record offset, bytes)` range of each `BLOCK_SIZE` page named in
+/// `pages` of a body `len` bytes long, for
+/// [`SingleLevelStore::flush_ranges`]: page `p` covers bytes
+/// `p·BLOCK_SIZE..` (the last page possibly short; pages past the end are
+/// dropped), which `bytes(start, end)` supplies, and sits `base` bytes
+/// into the record — `base` being whatever precedes the body in the
+/// object's encoding.
+pub fn page_ranges<B>(
+    len: usize,
+    base: u64,
+    pages: &[u64],
+    bytes: impl Fn(usize, usize) -> B,
+) -> Vec<(u64, B)> {
     pages
         .iter()
         .filter_map(|page| {
             let start = page
                 .checked_mul(BLOCK_SIZE)
-                .filter(|start| *start < body.len() as u64)?;
-            let end = body.len().min((start + BLOCK_SIZE) as usize);
-            Some((base + start, &body[start as usize..end]))
+                .filter(|start| *start < len as u64)?;
+            let end = len.min((start + BLOCK_SIZE) as usize);
+            Some((base + start, bytes(start as usize, end)))
         })
         .collect()
 }
@@ -684,7 +691,7 @@ impl SingleLevelStore {
     /// its end, and returns how many it wrote.
     pub fn sync_pages_in_place(&mut self, id: u64, pages: &[u64]) -> Result<usize, StoreError> {
         let cached = self.cache.get(&id).ok_or(StoreError::NoSuchObject(id))?;
-        let ranges = page_ranges(cached, 0, pages);
+        let ranges = page_ranges(cached.len(), 0, pages, |s, e| &cached[s..e]);
         let home = self.flushable_home(id, cached.len() as u64, &ranges)?;
         // `ranges` borrows the resident copy; the write borrows the disk.
         write_ranges_home(&mut self.disk, &mut self.stats, home, &ranges);

@@ -215,10 +215,9 @@ fn every_flushed_range_is_durable_and_every_refusal_is_free() {
                     let pages: Vec<u64> = (0..rng.below(4))
                         .map(|_| rng.below(len / BLOCK_SIZE + 3))
                         .collect();
-                    let ranges = model
-                        .cache
-                        .get(&id)
-                        .map_or(Vec::new(), |d| page_ranges(d, 0, &pages));
+                    let ranges = model.cache.get(&id).map_or(Vec::new(), |d| {
+                        page_ranges(d.len(), 0, &pages, |s, e| &d[s..e])
+                    });
                     let verdict = model.flush_verdict(id, len, &[], &ranges);
                     let before = (store.disk_stats(), store.stats());
                     match store.sync_pages_in_place(id, &pages) {

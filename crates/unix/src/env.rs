@@ -1785,7 +1785,7 @@ mod tests {
             .kernel()
             .objects()
             .filter_map(|(_, o)| match &o.body {
-                histar_kernel::bodies::ObjectBody::Segment(s) => Some(s.bytes.clone()),
+                histar_kernel::bodies::ObjectBody::Segment(s) => Some(s.to_vec()),
                 _ => None,
             })
             .collect();

@@ -3,67 +3,24 @@
 //!
 //! * `fsync_pages` is O(pages): flushing three pages of a 16 MiB file
 //!   borrows them from the segment and allocates a few hundred bytes of
-//!   bookkeeping, never a copy of the file.
+//!   bookkeeping, never a copy of the file — also for pages in the zero
+//!   tail a resize added, which are lent by one static zero page.
 //! * `sync_all` is one-copy: the snapshot holds one object's encoding at a
 //!   time and the checkpoint writes it to disk from where it lies, so the
 //!   transient footprint is the largest object, not the machine.
 //!
 //! The counters are process-wide, so this binary holds exactly one test.
 
+mod counting;
+
+use counting::{LIVE, PEAK, REQUESTED};
+use histar_kernel::object::ContainerEntry;
 use histar_unix::fs::OpenFlags;
 use histar_unix::UnixEnv;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Bytes requested since the start (a `realloc` counts its whole new size).
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
-/// Bytes currently allocated, and the highest that has been.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-impl Counting {
-    fn grew(requested: usize, by: usize) {
-        REQUESTED.fetch_add(requested, Relaxed);
-        let live = LIVE.fetch_add(by, Relaxed) + by;
-        PEAK.fetch_max(live, Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain statistics and
-// never influence the pointers returned.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` obligations are passed through.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            Counting::grew(layout.size(), layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        // SAFETY: `p` was returned by `System` for this `layout`.
-        unsafe { System.dealloc(p, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `p` was returned by `System` for this `layout`, and the
-        // caller guarantees `new_size` is valid for its alignment.
-        let q = unsafe { System.realloc(p, layout, new_size) };
-        if !q.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-            Counting::grew(new_size, new_size);
-        }
-        q
-    }
-}
+use std::sync::atomic::Ordering::Relaxed;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: counting::Counting = counting::Counting;
 
 const FILE_LEN: usize = 16 << 20;
 const CHUNK: usize = 1 << 20;
@@ -114,4 +71,34 @@ fn page_sync_allocates_per_page_and_snapshot_holds_one_object_at_a_time() {
         "sync_all peaked {transient} bytes above its steady state"
     );
     assert!(LIVE.load(Relaxed) <= steady + (1 << 20));
+
+    // Grow the file by 16 pages nothing writes; once a snapshot has given
+    // the longer encoding a home, three pages of the tail flush in place.
+    let tail = 16 * 4096;
+    let thread = env.process(init).unwrap().thread;
+    let dir = env.stat(init, "/bench").unwrap().object;
+    let seg = env.fstat(init, fd).unwrap().object;
+    let k = env.machine_mut().kernel_mut();
+    k.trap_quota_move(thread, dir, seg, tail as i64).unwrap();
+    k.trap_segment_resize(
+        thread,
+        ContainerEntry::new(dir, seg),
+        (FILE_LEN + tail) as u64,
+    )
+    .unwrap();
+    env.sync_all();
+    let pages: Vec<u64> = (0..3).map(|p| (FILE_LEN / 4096 + 5 + p) as u64).collect();
+    let flushes = env.machine().store().stats().inplace_flushes;
+    let requested = REQUESTED.load(Relaxed);
+    env.fsync_pages(init, fd, &pages).unwrap();
+    let requested = REQUESTED.load(Relaxed) - requested;
+    assert_eq!(
+        env.machine().store().stats().inplace_flushes,
+        flushes + 1,
+        "the tail sync must have taken the in-place path"
+    );
+    assert!(
+        requested < 64 << 10,
+        "fsync_pages of 3 tail pages requested {requested} bytes"
+    );
 }

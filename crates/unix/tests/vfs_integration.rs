@@ -324,7 +324,7 @@ fn segment_bytes(machine: &histar_kernel::Machine, id: histar_kernel::object::Ob
         .expect("segment exists")
         .body
     {
-        histar_kernel::bodies::ObjectBody::Segment(s) => s.bytes.clone(),
+        histar_kernel::bodies::ObjectBody::Segment(s) => s.to_vec(),
         other => panic!("not a segment: {other:?}"),
     }
 }

@@ -184,7 +184,7 @@ fn persistence_across_crash() {
         .objects()
         .filter_map(|(_, o)| match &o.body {
             histar::kernel::bodies::ObjectBody::Segment(s) => {
-                Some((o.header.label.clone(), s.bytes.clone()))
+                Some((o.header.label.clone(), s.to_vec()))
             }
             _ => None,
         })
@@ -708,7 +708,7 @@ fn a_reader_cannot_choose_which_version_of_a_heap_file_survives_a_crash() {
     // recovered segment is read where it lies.
     let recovered = env.into_machine().crash_and_recover().unwrap();
     match &recovered.kernel().raw_object(seg).unwrap().body {
-        ObjectBody::Segment(s) => assert_eq!(s.bytes, b"version A"),
+        ObjectBody::Segment(s) => assert_eq!(s.to_vec(), b"version A"),
         other => panic!("not a segment: {other:?}"),
     }
 }
