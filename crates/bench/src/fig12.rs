@@ -273,7 +273,7 @@ impl Default for Fig12Params {
 }
 
 impl Fig12Params {
-    /// A tiny parameter set for unit tests and Criterion runs.
+    /// A tiny parameter set for unit tests.
     pub fn smoke() -> Fig12Params {
         Fig12Params {
             ipc_rounds: 200,

@@ -33,7 +33,7 @@ impl Default for Fig13Params {
 }
 
 impl Fig13Params {
-    /// Tiny parameters for tests and Criterion runs.
+    /// Tiny parameters for unit tests.
     pub fn smoke() -> Fig13Params {
         Fig13Params {
             build_files: 4,

@@ -8,8 +8,7 @@
 //! emitted alongside, making the batched seek-update (data op + descriptor
 //! position write in ONE batch) visible in `BENCH_fs.json`.
 
-use crate::report::{BenchJson, Row, Table};
-use histar_kernel::DispatchStats;
+use crate::report::{per_sec, BenchJson};
 use histar_obs::Recorder;
 use histar_sim::SimDuration;
 use histar_unix::fs::OpenFlags;
@@ -44,7 +43,7 @@ pub struct FsBenchParams {
 pub const IO_SIZE: u64 = 4096;
 
 impl FsBenchParams {
-    /// Quick parameters for tests and CI smoke runs.
+    /// Quick parameters for tests.
     pub fn smoke() -> FsBenchParams {
         FsBenchParams {
             open_ops: 200,
@@ -60,7 +59,7 @@ impl FsBenchParams {
         }
     }
 
-    /// The parameters the `fs_bench` binary reports.
+    /// The parameters of the committed baseline.
     pub fn full() -> FsBenchParams {
         FsBenchParams {
             open_ops: 2_000,
@@ -77,73 +76,32 @@ impl FsBenchParams {
     }
 }
 
-/// One measured phase: iterations and the simulated time they consumed.
-#[derive(Clone, Copy, Debug)]
-pub struct FsPhase {
-    /// Iterations completed.
-    pub ops: u64,
-    /// Simulated time consumed.
-    pub elapsed: SimDuration,
-}
-
-impl FsPhase {
-    /// Operations per simulated second.
-    pub fn ops_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs
-        }
+/// Runs `op` `iters` times and returns the simulated time it took.
+fn timed(env: &mut UnixEnv, iters: u64, mut op: impl FnMut(&mut UnixEnv, u64)) -> SimDuration {
+    let start = env.machine().clock().now();
+    for i in 0..iters {
+        op(env, i);
     }
-
-    /// Mean simulated time per operation.
-    pub fn per_op(&self) -> SimDuration {
-        match self.elapsed.as_nanos().checked_div(self.ops) {
-            Some(ns) => SimDuration::from_nanos(ns),
-            None => SimDuration::ZERO,
-        }
-    }
+    env.machine().clock().now() - start
 }
 
-/// The full measurement: per-phase throughput plus the dispatch counters
-/// accumulated over the read+write (hot-path) phases.
-#[derive(Clone, Debug)]
-pub struct FsMeasurement {
-    /// open+close a pre-existing file.
-    pub open_close: FsPhase,
-    /// Sequential 4 KiB reads through one descriptor.
-    pub read: FsPhase,
-    /// Sequential 4 KiB writes through one descriptor.
-    pub write: FsPhase,
-    /// readdir of a populated directory.
-    pub readdir: FsPhase,
-    /// Sequential 4 KiB reads through a `/persist` descriptor (extent
-    /// records in the single-level store, one batch per read).
-    pub persist_read: FsPhase,
-    /// Sequential 4 KiB overwrites through a `/persist` descriptor.
-    pub persist_write: FsPhase,
-    /// Crash → recover → remount → read-back round trips.
-    pub recover_mount: FsPhase,
-    /// fsync-heavy `/persist` workload: many files rewritten and synced
-    /// together, each round group-committed into one WAL frame.
-    pub persist_sync: FsPhase,
-    /// Mean records per physical WAL frame over the fsync phase
-    /// (Δappends / Δframes from the store's own counters).
-    pub wal_mean_flush_batch: f64,
-    /// Per-phase recovery tick totals over the recover_mount iterations —
-    /// `(phase, total simulated ns, occurrences)` from the flight
-    /// recorder's `recover` spans, sorted by total descending.
-    pub recovery_phases: Vec<(&'static str, u64, u64)>,
-    /// Dispatch counters over the read+write phases only (batch-size
-    /// histogram).
-    pub io_dispatch: DispatchStats,
+/// Appends `<phase>.ops_per_sec` for `ops` operations that took `elapsed`.
+fn throughput(json: &mut BenchJson, phase: &str, ops: u64, elapsed: SimDuration) {
+    let rate = per_sec(ops, elapsed);
+    json.metric(&format!("{phase}.ops_per_sec"), rate, elapsed.as_nanos());
 }
 
-/// Runs the benchmark on a freshly booted environment.
-pub fn measure(params: FsBenchParams) -> FsMeasurement {
+/// Runs the benchmark on a freshly booted environment and returns the
+/// `BENCH_fs.json` report.
+pub fn run(params: FsBenchParams) -> BenchJson {
+    let mut json = BenchJson::new("fs");
     let mut env = UnixEnv::boot();
     let init = env.init_pid();
+    let read_only = OpenFlags::read_only();
+    let write_only = OpenFlags {
+        write: true,
+        ..Default::default()
+    };
 
     // Fixture: one big file for the I/O phases, one populated directory.
     env.mkdir(init, "/bench", None).expect("mkdir /bench");
@@ -159,144 +117,97 @@ pub fn measure(params: FsBenchParams) -> FsMeasurement {
             .expect("populate dir");
     }
 
-    let clock_now = |env: &UnixEnv| env.machine().clock().now();
-
-    // Phase: open+close.
-    let start = clock_now(&env);
-    for _ in 0..params.open_ops {
-        let fd = env
-            .open(init, "/bench/big", OpenFlags::read_only())
-            .expect("open");
+    let elapsed = timed(&mut env, params.open_ops, |env, _| {
+        let fd = env.open(init, "/bench/big", read_only).expect("open");
         env.close(init, fd).expect("close");
-    }
-    let open_close = FsPhase {
-        ops: params.open_ops,
-        elapsed: clock_now(&env) - start,
-    };
+    });
+    throughput(&mut json, "open_close", params.open_ops, elapsed);
 
-    // Phase: sequential reads (the descriptor advances through the file;
-    // every iteration re-reads descriptor state and updates the seek
-    // position, like a real read(2) loop).
+    // Sequential reads (the descriptor advances through the file; every
+    // iteration re-reads descriptor state and updates the seek position,
+    // like a real read(2) loop), then sequential overwrites of the same
+    // file.  The dispatch counters cover both.
     let dispatch_before = env.machine().kernel().dispatch_stats();
     let fd = env
-        .open(init, "/bench/big", OpenFlags::read_only())
+        .open(init, "/bench/big", read_only)
         .expect("open for reads");
-    let start = clock_now(&env);
-    for _ in 0..params.read_ops {
+    let read = timed(&mut env, params.read_ops, |env, _| {
         let data = env.read(init, fd, IO_SIZE).expect("read");
         assert_eq!(data.len() as u64, IO_SIZE, "fixture sized for read count");
-    }
-    let read = FsPhase {
-        ops: params.read_ops,
-        elapsed: clock_now(&env) - start,
-    };
+    });
+    throughput(&mut json, "read", params.read_ops, read);
     env.close(init, fd).expect("close read fd");
 
-    // Phase: sequential overwrites of the same file.
     let fd = env
-        .open(
-            init,
-            "/bench/big",
-            OpenFlags {
-                write: true,
-                ..Default::default()
-            },
-        )
+        .open(init, "/bench/big", write_only)
         .expect("open for writes");
     let buf = vec![0x5au8; IO_SIZE as usize];
-    let start = clock_now(&env);
-    for _ in 0..params.write_ops {
-        let n = env.write(init, fd, &buf).expect("write");
-        assert_eq!(n, IO_SIZE);
-    }
-    let write = FsPhase {
-        ops: params.write_ops,
-        elapsed: clock_now(&env) - start,
-    };
+    let write = timed(&mut env, params.write_ops, |env, _| {
+        assert_eq!(env.write(init, fd, &buf).expect("write"), IO_SIZE);
+    });
+    throughput(&mut json, "write", params.write_ops, write);
     env.close(init, fd).expect("close write fd");
-    let io_dispatch = env
+    let io = env
         .machine()
         .kernel()
         .dispatch_stats()
         .since(&dispatch_before);
 
-    // Phase: readdir.
-    let start = clock_now(&env);
-    for _ in 0..params.readdir_ops {
+    let elapsed = timed(&mut env, params.readdir_ops, |env, _| {
         let entries = env.readdir(init, "/bench/dir").expect("readdir");
         assert_eq!(entries.len() as u64, params.dir_entries);
-    }
-    let readdir = FsPhase {
-        ops: params.readdir_ops,
-        elapsed: clock_now(&env) - start,
-    };
+    });
+    throughput(&mut json, "readdir", params.readdir_ops, elapsed);
 
     // Fixture for the persist phases: one big file under /persist whose
     // extents live in the single-level store, not the object heap.
     let persist_size = params.persist_read_ops.max(1) * IO_SIZE;
-    env.write_file_as(
-        init,
-        "/persist/bench_big",
-        &vec![0xcdu8; persist_size as usize],
-        None,
-    )
-    .expect("create /persist/bench_big");
+    let persist_bytes = vec![0xcdu8; persist_size as usize];
+    env.write_file_as(init, "/persist/bench_big", &persist_bytes, None)
+        .expect("create /persist/bench_big");
 
-    // Phase: sequential /persist reads (extent read + seek update, one
-    // batch per iteration).
+    // Sequential /persist reads (extent read + seek update, one batch per
+    // iteration), then sequential overwrites.
     let fd = env
-        .open(init, "/persist/bench_big", OpenFlags::read_only())
+        .open(init, "/persist/bench_big", read_only)
         .expect("open persist for reads");
-    let start = clock_now(&env);
-    for _ in 0..params.persist_read_ops {
+    let elapsed = timed(&mut env, params.persist_read_ops, |env, _| {
         let data = env.read(init, fd, IO_SIZE).expect("persist read");
         assert_eq!(data.len() as u64, IO_SIZE);
-    }
-    let persist_read = FsPhase {
-        ops: params.persist_read_ops,
-        elapsed: clock_now(&env) - start,
-    };
+    });
+    throughput(&mut json, "persist_read", params.persist_read_ops, elapsed);
     env.close(init, fd).expect("close persist read fd");
 
-    // Phase: sequential /persist overwrites.
     let fd = env
-        .open(
-            init,
-            "/persist/bench_big",
-            OpenFlags {
-                write: true,
-                ..Default::default()
-            },
-        )
+        .open(init, "/persist/bench_big", write_only)
         .expect("open persist for writes");
-    let start = clock_now(&env);
-    for _ in 0..params.persist_write_ops {
-        let n = env.write(init, fd, &buf).expect("persist write");
-        assert_eq!(n, IO_SIZE);
-    }
-    let persist_write = FsPhase {
-        ops: params.persist_write_ops,
-        elapsed: clock_now(&env) - start,
-    };
+    let elapsed = timed(&mut env, params.persist_write_ops, |env, _| {
+        assert_eq!(env.write(init, fd, &buf).expect("persist write"), IO_SIZE);
+    });
+    throughput(
+        &mut json,
+        "persist_write",
+        params.persist_write_ops,
+        elapsed,
+    );
     env.close(init, fd).expect("close persist write fd");
 
-    // Phase: crash → recover → remount → read one fsynced file back.
-    // This prices the full recovery path: superblock + checkpoint
-    // metadata decode, write-ahead-log replay, object-table restore and
-    // the /persist reattach.
+    // Crash → recover → remount → read one fsynced file back.  This prices
+    // the full recovery path: superblock + checkpoint metadata decode,
+    // write-ahead-log replay, object-table restore and the /persist
+    // reattach; the flight recorder's `recover` spans split it by phase.
     env.write_file_as(init, "/persist/marker", b"recover me", None)
         .expect("create marker");
     env.fsync_path(init, "/persist/marker")
         .expect("fsync marker");
     let recorder = Recorder::with_capacity(1 << 16);
-    let start = clock_now(&env);
-    let mut env = env;
+    let start = env.machine().clock().now();
     for _ in 0..params.recover_iters {
         let machine = env
             .into_machine()
             .crash_and_recover_traced(recorder.clone())
             .expect("crash recovery");
-        env = histar_unix::UnixEnv::on_machine(machine);
+        env = UnixEnv::on_machine(machine);
         // The shared ring is for *recovery* phases: detach it before the
         // read-back's dispatch traffic can evict them.
         env.kernel_mut().disable_flight_recorder();
@@ -306,18 +217,19 @@ pub fn measure(params: FsBenchParams) -> FsMeasurement {
             .expect("marker survives");
         assert_eq!(back, b"recover me");
     }
-    let recover_mount = FsPhase {
-        ops: params.recover_iters,
-        elapsed: clock_now(&env) - start,
-    };
-    let recovery_phases = recorder.phase_totals("recover");
+    let elapsed = env.machine().clock().now() - start;
+    throughput(&mut json, "recover_mount", params.recover_iters, elapsed);
+    for (phase, total_ns, _count) in recorder.phase_totals("recover") {
+        let name = format!("recover_mount.phase.{phase}");
+        json.metric(&name, total_ns as f64, total_ns);
+    }
 
-    // Phase: fsync-heavy /persist workload.  Every round rewrites all the
-    // small files and syncs them with ONE `fsync_paths` call: the library
+    // fsync-heavy /persist workload.  Every round rewrites all the small
+    // files and syncs them with ONE `fsync_paths` call: the library
     // resolves each file to its record keys, issues a single persist_sync,
     // and the store group-commits the whole round into one multi-record
     // WAL frame (§5's group sync) — the per-frame seek is amortised over
-    // every file in the round, which the mean-flush-batch counter makes
+    // every file in the round, which the mean-flush-batch row makes
     // visible.
     let init = env.init_pid();
     let sync_paths: Vec<String> = (0..params.persist_sync_files)
@@ -329,172 +241,27 @@ pub fn measure(params: FsBenchParams) -> FsMeasurement {
     }
     let sync_refs: Vec<&str> = sync_paths.iter().map(String::as_str).collect();
     let wal_before = env.machine().store().wal_stats();
-    let start = clock_now(&env);
-    for round in 0..params.persist_sync_rounds {
+    let elapsed = timed(&mut env, params.persist_sync_rounds, |env, round| {
         let payload = [(round & 0xff) as u8; 64];
         for path in &sync_paths {
             env.write_file_as(init, path, &payload, None)
                 .expect("rewrite sync file");
         }
         env.fsync_paths(init, &sync_refs).expect("fsync round");
-    }
-    let persist_sync = FsPhase {
-        ops: params.persist_sync_files * params.persist_sync_rounds,
-        elapsed: clock_now(&env) - start,
-    };
+    });
+    let synced = params.persist_sync_files * params.persist_sync_rounds;
+    throughput(&mut json, "persist_sync", synced, elapsed);
     let wal_after = env.machine().store().wal_stats();
-    let frames = wal_after.frames - wal_before.frames;
-    let wal_mean_flush_batch = if frames == 0 {
-        0.0
-    } else {
-        (wal_after.appends - wal_before.appends) as f64 / frames as f64
-    };
+    let appends = (wal_after.appends - wal_before.appends) as f64;
+    let frames = (wal_after.frames - wal_before.frames) as f64;
+    let batch = if frames == 0.0 { 0.0 } else { appends / frames };
+    json.metric("wal.mean_flush_batch", batch, elapsed.as_nanos());
 
-    FsMeasurement {
-        open_close,
-        read,
-        write,
-        readdir,
-        persist_read,
-        persist_write,
-        recover_mount,
-        persist_sync,
-        wal_mean_flush_batch,
-        recovery_phases,
-        io_dispatch,
-    }
-}
-
-/// Runs a flight-recorder-enabled mini I/O pass — segment and `/persist`
-/// reads and writes, an fsync, and one traced crash/recover round trip —
-/// and returns the chrome-trace JSON dump: the `TRACE_fs.json` artifact
-/// CI uploads so the batched I/O hot path and the recovery phases can be
-/// inspected in a trace viewer.
-pub fn chrome_trace() -> String {
-    let mut env = UnixEnv::boot();
-    let recorder = env.kernel_mut().enable_flight_recorder(1 << 16);
-    let init = env.init_pid();
-    env.mkdir(init, "/bench", None).expect("mkdir /bench");
-    env.reserve_quota(init, "/bench", 64 * 1024 * 1024)
-        .expect("reserve quota");
-    env.write_file_as(
-        init,
-        "/bench/traced",
-        &vec![0xabu8; (64 * IO_SIZE) as usize],
-        None,
-    )
-    .expect("create /bench/traced");
-    let fd = env
-        .open(init, "/bench/traced", OpenFlags::read_only())
-        .expect("open traced file");
-    for _ in 0..64 {
-        env.read(init, fd, IO_SIZE).expect("traced read");
-    }
-    env.close(init, fd).expect("close traced fd");
-    env.write_file_as(init, "/persist/traced", b"traced bytes", None)
-        .expect("create /persist/traced");
-    env.fsync_path(init, "/persist/traced").expect("fsync");
-    // One traced recovery so the dump also shows the wal/recover phases.
-    let machine = env
-        .into_machine()
-        .crash_and_recover_traced(recorder.clone())
-        .expect("traced crash recovery");
-    drop(machine);
-    recorder.chrome_trace_json()
-}
-
-/// Runs the benchmark and renders the table + `BENCH_fs.json` report.
-pub fn run(params: FsBenchParams) -> (Table, BenchJson) {
-    let m = measure(params);
-
-    let mut table = Table::new("File-system throughput through the VFS (simulated time)");
-    table.push(Row::new("open+close, per op").measure("HiStar", m.open_close.per_op()));
-    table.push(Row::new("read 4 KiB, per op").measure("HiStar", m.read.per_op()));
-    table.push(Row::new("write 4 KiB, per op").measure("HiStar", m.write.per_op()));
-    table.push(Row::new("readdir, per op").measure("HiStar", m.readdir.per_op()));
-    table.push(Row::new("/persist read 4 KiB, per op").measure("HiStar", m.persist_read.per_op()));
-    table
-        .push(Row::new("/persist write 4 KiB, per op").measure("HiStar", m.persist_write.per_op()));
-    table.push(
-        Row::new("crash+recover+remount, per op").measure("HiStar", m.recover_mount.per_op()),
-    );
-    table.push(
-        Row::new("/persist fsync (grouped), per op").measure("HiStar", m.persist_sync.per_op()),
-    );
-    table.push(Row::new("I/O-phase mean batch size").measure(
-        "HiStar",
-        SimDuration::from_nanos((m.io_dispatch.mean_batch_size() * 100.0) as u64),
-    ));
-
-    let mut json = BenchJson::new("fs");
-    json.metric(
-        "open_close.ops_per_sec",
-        m.open_close.ops_per_sec(),
-        m.open_close.elapsed.as_nanos(),
-    );
-    json.metric(
-        "read.ops_per_sec",
-        m.read.ops_per_sec(),
-        m.read.elapsed.as_nanos(),
-    );
-    json.metric(
-        "write.ops_per_sec",
-        m.write.ops_per_sec(),
-        m.write.elapsed.as_nanos(),
-    );
-    json.metric(
-        "readdir.ops_per_sec",
-        m.readdir.ops_per_sec(),
-        m.readdir.elapsed.as_nanos(),
-    );
-    json.metric(
-        "persist_read.ops_per_sec",
-        m.persist_read.ops_per_sec(),
-        m.persist_read.elapsed.as_nanos(),
-    );
-    json.metric(
-        "persist_write.ops_per_sec",
-        m.persist_write.ops_per_sec(),
-        m.persist_write.elapsed.as_nanos(),
-    );
-    json.metric(
-        "recover_mount.ops_per_sec",
-        m.recover_mount.ops_per_sec(),
-        m.recover_mount.elapsed.as_nanos(),
-    );
-    for (phase, total_ns, _count) in &m.recovery_phases {
-        json.metric(
-            &format!("recover_mount.phase.{phase}"),
-            *total_ns as f64,
-            *total_ns,
-        );
-    }
-    json.metric(
-        "persist_sync.ops_per_sec",
-        m.persist_sync.ops_per_sec(),
-        m.persist_sync.elapsed.as_nanos(),
-    );
-    json.metric(
-        "wal.mean_flush_batch",
-        m.wal_mean_flush_batch,
-        m.persist_sync.elapsed.as_nanos(),
-    );
-    json.metric(
-        "io.mean_batch_size",
-        m.io_dispatch.mean_batch_size(),
-        (m.read.elapsed + m.write.elapsed).as_nanos(),
-    );
-    json.metric(
-        "io.batches",
-        m.io_dispatch.batches as f64,
-        (m.read.elapsed + m.write.elapsed).as_nanos(),
-    );
-    json.histogram(
-        "io.batch_hist",
-        &m.io_dispatch.batch_size_hist,
-        (m.read.elapsed + m.write.elapsed).as_nanos(),
-    );
-    (table, json)
+    let ticks = (read + write).as_nanos();
+    json.metric("io.mean_batch_size", io.mean_batch_size(), ticks);
+    json.metric("io.batches", io.batches as f64, ticks);
+    json.histogram("io.batch_hist", &io.batch_size_hist, ticks);
+    json
 }
 
 #[cfg(test)]
@@ -503,9 +270,7 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_all_metrics() {
-        let (table, json) = run(FsBenchParams::smoke());
-        assert_eq!(table.rows.len(), 9);
-        let doc = json.render();
+        let doc = run(FsBenchParams::smoke()).render();
         for metric in [
             "open_close.ops_per_sec",
             "read.ops_per_sec",
@@ -528,13 +293,13 @@ mod tests {
 
     #[test]
     fn grouped_fsync_coalesces_records_into_frames() {
-        let m = measure(FsBenchParams::smoke());
+        let batch = run(FsBenchParams::smoke()).value("wal.mean_flush_batch");
         // Each round syncs 8 files' record keys through one persist_sync:
         // the WAL must be averaging well more than one record per frame.
+        let batch = batch.expect("wal.mean_flush_batch row");
         assert!(
-            m.wal_mean_flush_batch > 2.0,
-            "fsync rounds were not group-committed: mean flush batch {}",
-            m.wal_mean_flush_batch
+            batch > 2.0,
+            "fsync rounds were not group-committed: mean flush batch {batch}"
         );
     }
 }

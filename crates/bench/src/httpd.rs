@@ -12,8 +12,8 @@
 //! Reported numbers are *simulated* time, like every other harness in
 //! this crate.
 
-use crate::report::{BenchJson, Row, Table};
-use histar_httpd::{run_httpd, HttpdParams, HttpdReport};
+use crate::report::BenchJson;
+use histar_httpd::{run_httpd, HttpdParams};
 
 /// Parameters of the web-server benchmark.
 #[derive(Clone, Copy, Debug)]
@@ -27,7 +27,7 @@ pub struct HttpdBenchParams {
 }
 
 impl HttpdBenchParams {
-    /// Quick parameters for tests and CI smoke runs.
+    /// Quick parameters for tests and the committed baseline.
     pub fn smoke() -> HttpdBenchParams {
         HttpdBenchParams {
             clients: 400,
@@ -36,8 +36,8 @@ impl HttpdBenchParams {
         }
     }
 
-    /// The parameters the `httpd_bench` binary reports: the paper-scale
-    /// burst of ten thousand concurrent clients.
+    /// The scale target `baselines --full` runs: the paper-scale burst of
+    /// ten thousand concurrent clients.
     pub fn full() -> HttpdBenchParams {
         HttpdBenchParams {
             clients: 10_000,
@@ -54,9 +54,9 @@ const QUANTA_PER_REQUEST: u64 = 16;
 /// Fixed quanta allowance for boot, worker spawning and shutdown.
 const QUANTA_FLOOR: u64 = 512;
 
-/// Runs the scenario and returns the report, asserting the structural
-/// properties the benchmark exists to demonstrate.
-pub fn measure(params: HttpdBenchParams) -> HttpdReport {
+/// Runs the scenario, asserts the structural properties the benchmark
+/// exists to demonstrate, and returns the `BENCH_httpd.json` report.
+pub fn run(params: HttpdBenchParams) -> BenchJson {
     let (world, report) = run_httpd(HttpdParams {
         clients: params.clients,
         users: params.users,
@@ -94,74 +94,25 @@ pub fn measure(params: HttpdBenchParams) -> HttpdReport {
         report.sched.completion_wakeups > 0,
         "wakes must come from kernel readiness completions"
     );
-    report
-}
-
-/// Runs a smaller flight-recorder-enabled pass and returns its
-/// chrome-trace JSON dump — the `TRACE_httpd.json` artifact CI uploads so
-/// per-request spans can be inspected in a trace viewer.
-pub fn chrome_trace(params: HttpdBenchParams) -> String {
-    let (world, _report) = run_httpd(HttpdParams {
-        clients: params.clients.min(64),
-        users: params.users,
-        wrong_every: 0,
-        seed: params.seed,
-        trace_capacity: 0,
-        recorder_capacity: 1 << 16,
-    })
-    .expect("httpd scenario");
-    world.env.machine().kernel().recorder().chrome_trace_json()
-}
-
-/// Runs the benchmark and renders the table plus the machine-readable
-/// report.
-pub fn run(params: HttpdBenchParams) -> (Table, BenchJson) {
-    let report = measure(params);
-
-    let mut table = Table::new(&format!(
-        "httpd: {} concurrent clients, {} users, blocking I/O (quantum 50us)",
-        params.clients, params.users
-    ));
-    table.push(Row::new("total simulated time").measure("HiStar", report.elapsed));
-    table.push(Row::new("p50 request latency").measure("HiStar", report.p50_latency));
-    table.push(Row::new("p99 request latency").measure("HiStar", report.p99_latency));
 
     let ticks = report.elapsed.as_nanos();
     let mut json = BenchJson::new("httpd");
     json.metric("requests_per_sec", report.requests_per_sec, ticks);
-    json.metric(
-        "p50_latency_ns",
-        report.p50_latency.as_nanos() as f64,
-        ticks,
-    );
-    json.metric(
-        "p99_latency_ns",
-        report.p99_latency.as_nanos() as f64,
-        ticks,
-    );
-    json.metric(
-        "concurrent_clients_high_water",
-        report.high_water as f64,
-        ticks,
-    );
-    json.metric(
-        "quanta_per_request",
-        report.sched.quanta as f64 / report.served.max(1) as f64,
-        ticks,
-    );
-    json.metric(
-        "completion_wakeups",
-        report.sched.completion_wakeups as f64,
-        ticks,
-    );
+    let p50 = report.p50_latency.as_nanos() as f64;
+    json.metric("p50_latency_ns", p50, ticks);
+    let p99 = report.p99_latency.as_nanos() as f64;
+    json.metric("p99_latency_ns", p99, ticks);
+    let high_water = report.high_water as f64;
+    json.metric("concurrent_clients_high_water", high_water, ticks);
+    let quanta = report.sched.quanta as f64 / report.served.max(1) as f64;
+    json.metric("quanta_per_request", quanta, ticks);
+    let wakeups = report.sched.completion_wakeups as f64;
+    json.metric("completion_wakeups", wakeups, ticks);
     // The bound on every daemon's label, as the kernel saw it: the most
     // entries any one label check compared.  O(users), not O(clients).
-    json.metric(
-        "label_check_max_entries",
-        report.kernel.label_check_max_entries as f64,
-        ticks,
-    );
-    (table, json)
+    let entries = report.kernel.label_check_max_entries as f64;
+    json.metric("label_check_max_entries", entries, ticks);
+    json
 }
 
 #[cfg(test)]
@@ -170,19 +121,10 @@ mod tests {
 
     #[test]
     fn smoke_configuration_holds_the_structural_assertions() {
-        let report = measure(HttpdBenchParams::smoke());
-        assert_eq!(report.served, 400);
-        assert!(report.requests_per_sec > 0.0);
-        assert!(report.p99_latency >= report.p50_latency);
-    }
-
-    #[test]
-    fn chrome_trace_contains_request_spans() {
-        let trace = chrome_trace(HttpdBenchParams::smoke());
-        assert!(
-            trace.contains("\"request\""),
-            "trace: {}",
-            &trace[..200.min(trace.len())]
-        );
+        let json = run(HttpdBenchParams::smoke());
+        let v = |name| json.value(name).unwrap_or_else(|| panic!("no {name}"));
+        assert_eq!(v("concurrent_clients_high_water"), 400.0);
+        assert!(v("requests_per_sec") > 0.0);
+        assert!(v("p99_latency_ns") >= v("p50_latency_ns"));
     }
 }

@@ -1,4 +1,4 @@
-//! Table formatting and paper-vs-measured bookkeeping.
+//! Paper-figure tables and the `BENCH_<name>.json` reports.
 
 use histar_sim::SimDuration;
 
@@ -83,8 +83,8 @@ impl Table {
 }
 
 /// Machine-readable benchmark output: one `BENCH_<name>.json` file per
-/// harness run, so CI can track the perf trajectory without parsing the
-/// human tables.
+/// harness run.  CI compares the `baselines` bin's reports byte for byte
+/// with `baselines/`.
 ///
 /// Schema: `{"name": ..., "ticks": <total simulated ns>, "metrics":
 /// [{"metric": ..., "value": ..., "ticks": ...}, ...]}`.  `value` carries
@@ -138,6 +138,14 @@ impl BenchJson {
     pub fn metric(&mut self, metric: &str, value: f64, ticks: u64) -> &mut BenchJson {
         self.metrics.push((metric.to_string(), value, ticks));
         self
+    }
+
+    /// The value of the first metric named `metric`, if any.
+    pub fn value(&self, metric: &str) -> Option<f64> {
+        self.metrics
+            .iter()
+            .find(|(m, _, _)| m == metric)
+            .map(|&(_, v, _)| v)
     }
 
     /// Appends one metric per nonzero bucket of `hist`, named
@@ -220,26 +228,10 @@ impl BenchJson {
     }
 }
 
-/// Writes an arbitrary artifact (e.g. a chrome-trace JSON dump) next to the
-/// `BENCH_*.json` reports, honoring `$BENCH_OUT_DIR`.  The name is
-/// sanitized the same way as benchmark names.
-pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::env::var_os("BENCH_OUT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let safe: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let path = dir.join(safe);
-    std::fs::write(&path, contents)?;
-    Ok(path)
+/// `count` events over `elapsed` simulated time, per simulated second.  An
+/// empty interval divides to a non-finite value, which renders as `0`.
+pub fn per_sec(count: u64, elapsed: SimDuration) -> f64 {
+    count as f64 / elapsed.as_secs_f64()
 }
 
 #[cfg(test)]

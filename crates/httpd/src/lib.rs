@@ -1249,6 +1249,26 @@ mod tests {
     }
 
     #[test]
+    fn chrome_trace_contains_request_spans() {
+        let (world, report) = run_httpd(HttpdParams {
+            clients: 64,
+            users: 8,
+            wrong_every: 0,
+            seed: 0x4177,
+            trace_capacity: 0,
+            recorder_capacity: 1 << 16,
+        })
+        .unwrap();
+        assert_eq!(report.served, 64);
+        let trace = world.env.machine().kernel().recorder().chrome_trace_json();
+        assert!(
+            trace.contains("\"request\""),
+            "trace: {}",
+            &trace[..200.min(trace.len())]
+        );
+    }
+
+    #[test]
     fn same_seed_replays_identical_run() {
         let params = HttpdParams {
             clients: 30,

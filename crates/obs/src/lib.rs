@@ -19,9 +19,9 @@
 //!   when a crash harness panics.
 //!
 //! Nothing in this crate advances the simulated clock: recording a metric
-//! or a span is free in simulated time, which is exactly the invariant the
-//! `obs_bench` CI gate enforces (tracing-enabled syscalls/sec within 3% of
-//! tracing-disabled).
+//! or a span is free in simulated time.  `histar-bench`'s `sched` harness
+//! enforces it exactly: its traced login pass must match the untraced one
+//! in elapsed ticks and syscall count.
 //!
 //! Labels are enforced one layer up: the registry and recorder hold plain
 //! numbers, and the `/metrics` filesystem in the Unix library decides, per

@@ -6,8 +6,8 @@
 //! number tying it back to the audit trace or batch counter.  The
 //! [`Recorder`] is a cheaply cloneable handle (the kernel, the store and
 //! the exporter all hold one) over a shared ring; a disabled recorder's
-//! `record` is a no-op, which is what keeps tracing's overhead inside the
-//! CI gate's 3% budget.
+//! `record` is a no-op, so instrumentation points cost an untraced run
+//! almost nothing; recording never charges simulated time either way.
 //!
 //! Spans dump as chrome-trace JSON (`chrome://tracing`, Perfetto) for
 //! offline profiling, and aggregate into per-phase totals — the profile
