@@ -297,8 +297,19 @@ mod tests {
 
     #[test]
     fn tracing_is_free_on_simulated_time() {
-        // `single_node` itself asserts the traced pass matches the untraced
-        // one exactly; here, that the traced pass really traced.
+        // Spans and counters never touch the cost model, so the same seed
+        // yields bit-identical simulated time with tracing on.
+        let params = SchedBenchParams::smoke();
+        let (_, untraced) = logins(params, 0);
+        let (_, traced) = logins(params, TRACE_CAPACITY);
+        assert_eq!(traced.elapsed, untraced.elapsed);
+        assert_eq!(traced.syscalls, untraced.syscalls);
+    }
+
+    #[test]
+    fn enabled_run_captures_spans_and_registry() {
+        let (world, _) = logins(SchedBenchParams::smoke(), 0);
+        assert_eq!(world.env.machine().kernel().recorder().total_recorded(), 0);
         let v = smoke(single_node);
         assert!(v("tracing.spans_recorded") > 0.0, "recorder saw dispatches");
         assert_eq!(v("tracing.spans_dropped"), 0.0);
@@ -310,9 +321,19 @@ mod tests {
     }
 
     #[test]
+    fn fabric_echo_completes_every_round_trip() {
+        // `fabric_echo` asserts each reply equals its request; here, that
+        // both batch sizes ran to the end and took simulated time.
+        let v = smoke(|_, json| fabric_echo(json));
+        for batch in [1, 32] {
+            let rate = v(&format!("fabric.echo.b{batch}.calls_per_sec"));
+            assert!(rate.is_finite() && rate > 0.0, "batch {batch}: {rate}");
+        }
+    }
+
+    #[test]
     fn fabric_echo_batching_reduces_per_call_cost() {
         let v = smoke(|_, json| fabric_echo(json));
-        assert!(v("fabric.echo.b1.calls_per_sec") > 0.0);
         assert!(v("fabric.echo.b32.calls_per_sec") > v("fabric.echo.b1.calls_per_sec"));
     }
 
