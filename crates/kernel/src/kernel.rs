@@ -25,7 +25,7 @@ use crate::syscall::{SyscallError, SyscallStats};
 use histar_label::category::FeistelCipher;
 use histar_label::{Category, CategoryAllocator, Label, LabelCache, Level};
 use histar_obs::{MetricSet, Recorder};
-use histar_sim::{CostModel, OsFlavor, SimClock, SimDuration};
+use histar_sim::{CostModel, OsFlavor, SimBuildHasher, SimClock, SimDuration};
 use histar_store::codec::{Decoder, Encoder};
 use histar_store::records::is_persist_key;
 use histar_store::{page_ranges, SingleLevelStore};
@@ -33,8 +33,7 @@ use histar_store::{page_ranges, SingleLevelStore};
 // per-syscall lookups; every iteration site sorts before order becomes
 // visible) — allowed here and at each use, and listed by flowcheck.
 #[allow(clippy::disallowed_types)]
-use std::collections::hash_map::{DefaultHasher, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::HashMap;
 
 /// Size of one page, matching the simulated hardware.
 pub const PAGE_SIZE: u64 = 4096;
@@ -122,12 +121,13 @@ pub(crate) struct Caller {
 /// The HiStar kernel.
 #[derive(Debug)]
 pub struct Kernel {
-    /// Hashed with a constant key.  `HashMap`'s default hasher draws a seed
-    /// per process, a dropped kernel frees its objects in hash order, and
-    /// that order decides the host allocator's layout for whatever runs
-    /// next — so host time would differ between two runs of one binary.
+    /// Hashed with the unkeyed `SimHasher`, not `HashMap`'s per-process
+    /// seed: a dropped kernel frees its objects in hash order, and that
+    /// order decides the host allocator's layout for whatever runs next.
+    /// Every trap looks its caller up here; the ids are Feistel-encrypted,
+    /// so one multiply per lookup spreads them.
     #[allow(clippy::disallowed_types)]
-    objects: HashMap<ObjectId, KObject, BuildHasherDefault<DefaultHasher>>,
+    objects: HashMap<ObjectId, KObject, SimBuildHasher>,
     root: ObjectId,
     categories: CategoryAllocator,
     id_cipher: FeistelCipher,

@@ -15,8 +15,8 @@
 //! acts on the first and charges simulated time by the second.
 
 use crate::label::Label;
-use std::collections::hash_map::{DefaultHasher, HashMap};
-use std::hash::BuildHasherDefault;
+use histar_sim::SimBuildHasher;
+use std::collections::HashMap;
 
 /// An opaque token identifying an interned, immutable label: its index in
 /// the cache that minted it.
@@ -78,19 +78,19 @@ impl histar_obs::MetricSource for CacheStats {
 
 /// A comparison cache over interned immutable labels.
 ///
-/// The cache is not itself thread-safe; the kernel wraps it in its own lock
-/// (label checks already execute under the kernel lock in this
-/// reproduction).
+/// The cache is not thread-safe, and need not be: the kernel that owns it
+/// runs on one thread.
 #[derive(Debug, Default)]
 pub struct LabelCache {
     /// Every distinct label seen, indexed by its id.  The key in `ids` is a
     /// handle to the same shared entries, as is the label the caller keeps.
     labels: Vec<Label>,
-    /// Both maps hash with a constant key: `HashMap`'s default hasher draws
-    /// a seed per process, and the order a dropped cache releases its
-    /// labels in would then shape the host allocator differently each run.
-    ids: HashMap<Label, LabelId, BuildHasherDefault<DefaultHasher>>,
-    cmp: HashMap<(LabelId, LabelId), Known, BuildHasherDefault<DefaultHasher>>,
+    /// Both maps hash with the unkeyed `SimHasher`: `HashMap`'s default
+    /// hasher draws a seed per process, and the order a dropped cache
+    /// releases its labels in would then shape the host allocator
+    /// differently each run.
+    ids: HashMap<Label, LabelId, SimBuildHasher>,
+    cmp: HashMap<(LabelId, LabelId), Known, SimBuildHasher>,
     hits: u64,
     misses: u64,
 }

@@ -7,7 +7,9 @@
 //! `Label::builder().set(w, L0).set(r, L3).default_level(L1).build()`.
 //!
 //! A `Label` is a handle: the exceptions live in one shared, immutable
-//! allocation, so `clone()` is a reference-count bump, and the structural
+//! allocation, so `clone()` is a reference-count bump (an `Rc`'s, not an
+//! `Arc`'s: the simulator is single-threaded, and the kernel clones the
+//! caller's label and clearance on every trap), and the structural
 //! hash is computed once, when the label is built, so `Hash` is O(1) and
 //! `Eq` rejects almost every unequal pair without reading the entries.
 //! Every two-label operation is one linear merge of the two sorted slices.
@@ -18,7 +20,8 @@ use crate::level::{CheckLevel, Level};
 use core::cmp::{max, Ordering};
 use core::fmt;
 use core::hash::{Hash, Hasher};
-use std::sync::Arc;
+use histar_sim::SimHasher;
+use std::rc::Rc;
 
 type Entry = (Category, Level);
 
@@ -36,7 +39,7 @@ pub struct Label {
     /// Non-default entries, sorted by category, with no entry equal to the
     /// default level (a normal form that makes `Eq`/`Hash` structural).
     /// `None` when there are none, so `{1}` costs no allocation.
-    entries: Option<Arc<[Entry]>>,
+    entries: Option<Rc<[Entry]>>,
 }
 
 impl PartialEq for Label {
@@ -58,16 +61,15 @@ impl Label {
     /// The one constructor: `entries` must be sorted by category, without
     /// duplicates and without entries at the default level.
     fn from_sorted(default: Level, entries: Vec<Entry>) -> Label {
-        let hash = entries
-            .iter()
-            .fold(u64::from(default.encode()), |h, &(c, l)| {
-                (h.rotate_left(5) ^ c.pack_with_level(l.encode()))
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            });
-        let entries = (!entries.is_empty()).then(|| Arc::from(entries));
+        let mut hash = SimHasher::default();
+        hash.write_u64(default.encode().into());
+        for &(c, l) in &entries {
+            hash.write_u64(c.pack_with_level(l.encode()));
+        }
+        let entries = (!entries.is_empty()).then(|| Rc::from(entries));
         Label {
             default,
-            hash,
+            hash: hash.finish(),
             entries,
         }
     }

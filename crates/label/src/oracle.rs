@@ -191,10 +191,10 @@ fn check_set_clearance_matches_the_per_category_definition() {
 /// equal under `Hash`.
 #[test]
 fn structural_eq_and_hash_agree_across_construction_routes() {
-    use std::collections::hash_map::DefaultHasher;
+    use histar_sim::SimHasher;
     use std::hash::{Hash, Hasher};
     let hash_of = |l: &Label| {
-        let mut h = DefaultHasher::new();
+        let mut h = SimHasher::default();
         l.hash(&mut h);
         h.finish()
     };

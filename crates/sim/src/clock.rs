@@ -1,8 +1,8 @@
 //! The virtual clock that simulated components charge time to.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A span of simulated time, stored in nanoseconds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -86,13 +86,13 @@ impl SimDuration {
 impl core::ops::Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        self.saturating_add(rhs)
     }
 }
 
 impl core::ops::AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = self.saturating_add(rhs);
     }
 }
 
@@ -140,10 +140,13 @@ impl fmt::Display for SimDuration {
 ///
 /// Handles are cheap to clone and all refer to the same underlying counter,
 /// so the kernel, disk, network and workload code can all charge time to a
-/// single machine-wide clock.
+/// single machine-wide clock.  The clock is single-threaded by design: the
+/// counter is a plain `Cell` behind an `Rc`, because the kernel charges it
+/// on every trap and nothing runs the simulator on a second thread.  It
+/// saturates at `u64::MAX` ns rather than wrap, so it never runs backwards.
 #[derive(Clone, Debug, Default)]
 pub struct SimClock {
-    nanos: Arc<AtomicU64>,
+    nanos: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -154,16 +157,14 @@ impl SimClock {
 
     /// Current simulated time since boot.
     pub fn now(&self) -> SimDuration {
-        SimDuration::from_nanos(self.nanos.load(Ordering::Relaxed))
+        SimDuration::from_nanos(self.nanos.get())
     }
 
     /// Advances the clock by `d` and returns the new time.
     pub fn advance(&self, d: SimDuration) -> SimDuration {
-        let new = self
-            .nanos
-            .fetch_add(d.as_nanos(), Ordering::Relaxed)
-            .wrapping_add(d.as_nanos());
-        SimDuration::from_nanos(new)
+        let new = self.now() + d;
+        self.nanos.set(new.as_nanos());
+        new
     }
 
     /// Measures the simulated time consumed by `f`.
@@ -196,6 +197,11 @@ mod tests {
         assert_eq!((a * 3).as_micros(), 30);
         let total: SimDuration = [a, b, b].into_iter().sum();
         assert_eq!(total.as_micros(), 18);
+        let max = SimDuration::from_nanos(u64::MAX);
+        assert_eq!(a + max, max, "addition saturates");
+        let mut acc = max;
+        acc += a;
+        assert_eq!(acc, max);
     }
 
     #[test]
@@ -206,6 +212,17 @@ mod tests {
         clock.advance(SimDuration::from_micros(5));
         other.advance(SimDuration::from_micros(7));
         assert_eq!(clock.now().as_micros(), 12);
+    }
+
+    /// A saturated charge (`CostModel::copy` caps at `u64::MAX` ns) pins
+    /// the clock at the end of time instead of wrapping it back to zero.
+    #[test]
+    fn clock_saturates_instead_of_running_backwards() {
+        let clock = SimClock::new();
+        clock.advance(SimDuration::from_nanos(1));
+        let end = clock.advance(SimDuration::from_nanos(u64::MAX));
+        assert_eq!(end.as_nanos(), u64::MAX);
+        assert_eq!(clock.now().as_nanos(), u64::MAX);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   actually round-trip data through the "disk".
 
 use crate::clock::{SimClock, SimDuration};
-use std::collections::hash_map::{DefaultHasher, HashMap};
-use std::hash::BuildHasherDefault;
+use crate::hash::SimBuildHasher;
+use std::collections::HashMap;
 
 /// Size of one disk sector/block in bytes.
 pub const BLOCK_SIZE: u64 = 4096;
@@ -105,11 +105,10 @@ impl histar_obs::MetricSource for DiskStats {
 pub struct SimDisk {
     config: DiskConfig,
     clock: SimClock,
-    /// Hashed with a constant key.  `HashMap`'s default hasher draws a seed
-    /// per process, a dropped disk frees its blocks in hash order, and that
-    /// order decides the host allocator's layout for whatever runs next —
-    /// so host time would differ between two runs of one binary.
-    blocks: HashMap<u64, Vec<u8>, BuildHasherDefault<DefaultHasher>>,
+    /// Keyed by block number and hashed with the unkeyed `SimHasher`: a
+    /// dropped disk frees its blocks in hash order, and that order decides
+    /// the host allocator's layout for whatever runs next.
+    blocks: HashMap<u64, Vec<u8>, SimBuildHasher>,
     head_pos: u64,
     lookahead_end: u64,
     dirty: u64,

@@ -17,9 +17,13 @@
 //! * [`net::SimNetwork`] — a latency/bandwidth pipe modelling the 100 Mbps
 //!   Ethernet used in Figure 13.
 //! * [`rng::SimRng`] — a small deterministic PRNG for workload generation.
+//! * [`hash::SimHasher`] — the unkeyed multiply hasher every simulator
+//!   `HashMap` uses.
 //!
 //! Everything here is deterministic: the same workload produces the same
 //! simulated time on every run, which keeps the benchmark harness stable.
+//! It is also single-threaded by design, like everything built on it: no
+//! crate spawns a thread, so nothing here pays for atomics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,11 +31,13 @@
 pub mod clock;
 pub mod cost;
 pub mod disk;
+pub mod hash;
 pub mod net;
 pub mod rng;
 
 pub use clock::{SimClock, SimDuration};
 pub use cost::{CostModel, OsFlavor};
 pub use disk::{DiskConfig, DiskStats, SimDisk};
+pub use hash::{SimBuildHasher, SimHasher};
 pub use net::{LinkConfig, NetConfig, SimNetwork, Topology};
 pub use rng::SimRng;
