@@ -6,8 +6,8 @@ syscalls! {
 
 impl Kernel {
     fn sys_persist_peek(&mut self, t: &Caller, key: u64) -> R {
-        let bytes = self.persist_record(key)?.ok_or(E::NoSuchRecord(key))?;
-        let (_, payload) = Self::persist_unframe(key, &bytes)?;
+        let (record, _) = self.persist_record(key)?;
+        let (_, payload) = record.ok_or(E::NoSuchRecord(key))?;
         Ok(payload.to_vec())
     }
 }

@@ -6,9 +6,9 @@ syscalls! {
 
 impl Kernel {
     pub(crate) fn sys_persist_read(&mut self, t: &Caller, key: u64) -> R {
-        let bytes = self.persist_record(key)?.ok_or(E::NoSuchRecord(key))?;
-        let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-        self.check_record_observe(&t.label, &rlabel)?;
+        let (record, mut checks) = self.persist_record(key)?;
+        let (rlabel, payload) = record.ok_or(E::NoSuchRecord(key))?;
+        checks.check_record_observe(&t.label, key, &rlabel)?;
         Ok(payload.to_vec())
     }
 }

@@ -27,7 +27,9 @@
 //! * the iteration initializes a `let [mut] x = …` binding that is later
 //!   sorted (`x.sort…`) in the same fn;
 //! * a `// flowcheck: exempt(reason)` marker on the line or the line
-//!   above (these are printed in the exemption list).
+//!   above (these are printed in the exemption list, each named
+//!   `path::fn` after the fn it sits in — so an edit elsewhere in the file
+//!   leaves the list alone — or `path:line` outside any fn).
 
 use crate::model::{matches_seq, SourceFile};
 use crate::report::{Exemption, Finding};
@@ -87,7 +89,7 @@ fn check_file(f: &SourceFile, findings: &mut Vec<Finding>, exemptions: &mut Vec<
             if let Some(m) = f.marker_near_line(t.line) {
                 exemptions.push(Exemption {
                     rule: "determinism",
-                    name: format!("{}:{}", f.path, t.line),
+                    name: exemption_name(f, i),
                     file: f.path.clone(),
                     reason: m.reason.clone(),
                 });
@@ -225,7 +227,7 @@ fn judge_iteration(
     if let Some(m) = f.marker_near_line(line) {
         exemptions.push(Exemption {
             rule: "determinism",
-            name: format!("{}:{}", f.path, line),
+            name: exemption_name(f, idx),
             file: f.path.clone(),
             reason: m.reason.clone(),
         });
@@ -240,6 +242,19 @@ fn judge_iteration(
             "unordered iteration over hash collection `{recv}` (`{verb}`); sort, use BTreeMap/BTreeSet, or mark `// flowcheck: exempt(reason)`"
         ),
     });
+}
+
+/// How the exemption list names the marked site at token `idx`:
+/// `path::name` of the innermost fn whose body holds it, else `path:line`.
+fn exemption_name(f: &SourceFile, idx: usize) -> String {
+    f.fns
+        .iter()
+        .filter(|item| item.body_open < idx && idx < item.body_close)
+        .max_by_key(|item| item.body_open)
+        .map_or_else(
+            || format!("{}:{}", f.path, f.tokens[idx].line),
+            |item| format!("{}::{}", f.path, item.name),
+        )
 }
 
 /// If the statement containing `idx` starts `let [mut] NAME =`, returns
@@ -393,6 +408,17 @@ mod tests {
         let (fi, ex) = run_one(src);
         assert!(fi.is_empty(), "{fi:?}");
         assert_eq!(ex.len(), 1);
+        assert_eq!(ex[0].name, "t.rs::f", "named by its fn, not its line");
+    }
+
+    #[test]
+    fn marker_outside_any_fn_is_named_by_line() {
+        let src =
+            "fn f() {}\n// flowcheck: exempt(a type alias, never read)\ntype Clock = Instant;";
+        let (fi, ex) = run_one(src);
+        assert!(fi.is_empty(), "{fi:?}");
+        assert_eq!(ex.len(), 1, "{ex:?}");
+        assert_eq!(ex[0].name, "t.rs:3");
     }
 
     #[test]

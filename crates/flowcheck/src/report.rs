@@ -18,7 +18,8 @@ pub struct Finding {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exemption {
     pub rule: &'static str,
-    /// Syscall name (mediation) or `file:line` (determinism).
+    /// Syscall name (mediation), or `file::fn` of the fn the marker sits
+    /// in (determinism; `file:line` outside any fn).
     pub name: String,
     pub file: String,
     pub reason: String,

@@ -219,4 +219,11 @@ fn exempt_fixtures_surface_their_markers() {
     let a = analyze_fixture("determinism", &path);
     assert!(a.ok());
     assert_eq!(a.exemptions.len(), 1, "{:?}", a.exemptions);
+    // Named by the fn it sits in, so lines added above it move nothing.
+    assert_eq!(
+        a.exemptions[0].name,
+        format!("{}::objects", path.display()),
+        "{:?}",
+        a.exemptions
+    );
 }

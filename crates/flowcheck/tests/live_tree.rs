@@ -39,6 +39,20 @@ fn committed_exemption_list_is_exact() {
     );
 }
 
+/// The one determinism exemption is named by the fn it sits in, so an
+/// edit anywhere above it in `kernel.rs` leaves the committed list alone.
+#[test]
+fn the_determinism_exemption_is_named_by_its_fn() {
+    let a = flowcheck::analyze_repo(&workspace_root()).unwrap();
+    let names: Vec<&str> = a
+        .exemptions
+        .iter()
+        .filter(|e| e.rule == "determinism")
+        .map(|e| e.name.as_str())
+        .collect();
+    assert_eq!(names, ["crates/kernel/src/kernel.rs::objects"]);
+}
+
 #[test]
 fn exemption_list_is_stable_across_runs() {
     let root = workspace_root();

@@ -420,9 +420,10 @@ syscalls! {
     PersistPut persist_put sys_persist_put trap_persist_put (
         /// The record key (must lie in the persist namespace).
         key: u64,
-        /// Label for a newly created record (ignored when the record
-        /// exists — a record's label is immutable, like any non-thread
-        /// kernel object's).
+        /// Label for a newly created record.  A record's label is
+        /// immutable, like any non-thread kernel object's: for an
+        /// existing record it may be omitted, and one that differs is
+        /// refused with `InvalidArgument` (after the modify check).
         label: Option<Label>,
         /// Byte offset of the write within the record payload.
         offset: u64,

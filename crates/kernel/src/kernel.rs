@@ -118,6 +118,96 @@ pub(crate) struct Caller {
     pub(crate) clearance: Label,
 }
 
+/// The kernel state a label check reads and charges — the comparison
+/// cache, the counters and the clock — borrowed apart from the rest of
+/// the kernel, so a persist record's label can be checked while its
+/// payload is still lent from the store (see [`Kernel::persist_record`]).
+struct LabelChecks<'k> {
+    cache: &'k mut LabelCache,
+    stats: &'k mut SyscallStats,
+    cost: &'k CostModel,
+    clock: Option<&'k SimClock>,
+}
+
+impl LabelChecks<'_> {
+    /// Counts, charges and answers one access check of a thread labelled
+    /// `tl` on an object labelled `ol`.  An immutable object label takes
+    /// its verdict from the comparison cache (§4); a thread object's label
+    /// can change, so that check is computed and never cached.
+    fn count_label_check(
+        &mut self,
+        ol: &Label,
+        tl: &Label,
+        immutable: bool,
+        access: Access,
+    ) -> bool {
+        self.stats.label_checks += 1;
+        let direct = || match access {
+            Access::Observe => tl.can_observe(ol),
+            Access::Modify => tl.can_modify(ol),
+        };
+        let (verdict, cached) = if immutable {
+            let (o, t) = (self.cache.intern(ol), self.cache.intern(tl));
+            let memo = match access {
+                Access::Observe => self.cache.leq_high_rhs(o, t),
+                Access::Modify => self.cache.can_modify(t, o),
+            };
+            debug_assert_eq!(memo.verdict, direct());
+            (memo.verdict, memo.hit)
+        } else {
+            (direct(), false)
+        };
+        if cached {
+            self.stats.label_cache_hits += 1;
+        }
+        self.charge_label_check(ol.len() + tl.len(), cached);
+        verdict
+    }
+
+    /// Charges one label check comparing `entries` label entries (both
+    /// operands together) and keeps the largest such total seen.
+    fn charge_label_check(&mut self, entries: usize, cached: bool) {
+        let seen = &mut self.stats.label_check_max_entries;
+        *seen = (*seen).max(entries as u64);
+        if let Some(clock) = self.clock {
+            clock.advance(self.cost.label_check(entries, cached));
+        }
+    }
+
+    /// "No read up" for persist records: record labels are immutable, so
+    /// the comparison is memoizable exactly like a segment's.
+    fn check_record_observe(
+        &mut self,
+        tl: &Label,
+        key: u64,
+        rlabel: &Label,
+    ) -> Result<(), SyscallError> {
+        if self.count_label_check(rlabel, tl, true, Access::Observe) {
+            Ok(())
+        } else {
+            Err(SyscallError::CannotObserveRecord(key))
+        }
+    }
+
+    /// "No write down" for persist records.
+    fn check_record_modify(
+        &mut self,
+        tl: &Label,
+        key: u64,
+        rlabel: &Label,
+    ) -> Result<(), SyscallError> {
+        if self.count_label_check(rlabel, tl, true, Access::Modify) {
+            Ok(())
+        } else {
+            Err(SyscallError::CannotModifyRecord(key))
+        }
+    }
+}
+
+/// One persist record as [`Kernel::persist_record`] finds it — its label
+/// and lent payload, if it exists — and the checks to decide on it with.
+type PersistRecord<'k> = (Option<(Label, &'k [u8])>, LabelChecks<'k>);
+
 /// The HiStar kernel.
 #[derive(Debug)]
 pub struct Kernel {
@@ -691,63 +781,41 @@ impl Kernel {
         e.finish()
     }
 
-    fn persist_unframe(key: u64, bytes: &[u8]) -> Result<(Label, Vec<u8>), SyscallError> {
-        let mut d = Decoder::new(bytes);
-        let label =
-            crate::serialize::decode_label(&mut d).map_err(|_| SyscallError::CorruptRecord(key))?;
-        let payload = d
-            .get_bytes()
-            .map_err(|_| SyscallError::CorruptRecord(key))?;
-        Ok((label, payload))
-    }
-
-    /// Reads a record's raw framed bytes, or `None` if absent.
-    fn persist_record(&mut self, key: u64) -> Result<Option<Vec<u8>>, SyscallError> {
-        let store = self.store_mut()?;
-        if !store.contains(key) {
-            return Ok(None);
-        }
-        store
-            .get(key)
-            .map(Some)
-            .map_err(|_| SyscallError::CorruptRecord(key))
-    }
-
-    /// "No read up" for persist records: record labels are immutable, so
-    /// the comparison is memoizable exactly like a segment's.
-    fn check_record_observe(
-        &mut self,
-        tl: &Label,
-        key: u64,
-        rlabel: &Label,
-    ) -> Result<(), SyscallError> {
-        if self.count_label_check(rlabel, tl, true, Access::Observe) {
-            Ok(())
-        } else {
-            Err(SyscallError::CannotObserveRecord(key))
-        }
-    }
-
-    /// "No write down" for persist records.
-    fn check_record_modify(
-        &mut self,
-        tl: &Label,
-        key: u64,
-        rlabel: &Label,
-    ) -> Result<(), SyscallError> {
-        if self.count_label_check(rlabel, tl, true, Access::Modify) {
-            Ok(())
-        } else {
-            Err(SyscallError::CannotModifyRecord(key))
-        }
+    /// Looks record `key` up once: its label, decoded from the stored
+    /// frame, and its payload, lent from the store's cache rather than
+    /// copied (`None` if there is no such record) — beside the label
+    /// checks, which borrow the rest of the kernel, so a handler checks
+    /// the label first and then copies out only the bytes it returns.
+    fn persist_record(&mut self, key: u64) -> Result<PersistRecord<'_>, SyscallError> {
+        let checks = LabelChecks {
+            cache: &mut self.label_cache,
+            stats: &mut self.stats,
+            cost: &self.cost,
+            clock: self.clock.as_ref(),
+        };
+        let store = self.store.as_mut().ok_or(SyscallError::NoStore)?;
+        let corrupt = SyscallError::CorruptRecord(key);
+        let record = match store.resident(key) {
+            Ok(None) => None,
+            Ok(Some(frame)) => {
+                let mut d = Decoder::new(frame);
+                match (crate::serialize::decode_label(&mut d), d.get_slice()) {
+                    (Ok(label), Ok(payload)) => Some((label, payload)),
+                    _ => return Err(corrupt),
+                }
+            }
+            Err(_) => return Err(corrupt),
+        };
+        Ok((record, checks))
     }
 
     /// Creates or updates a labeled record in the persist namespace.
     ///
     /// An existing record keeps its (immutable) label — the caller must
-    /// pass the modify check against it; `offset`/`data` splice into the
-    /// payload, growing it (zero-filled) as needed.  A new record takes
-    /// `label`, validated by the allocation rule `L_T ⊑ L ⊑ C_T`.
+    /// pass the modify check against it, and a `label` it passes must be
+    /// that label; `offset`/`data` splice into the payload, growing it
+    /// (zero-filled) as needed.  A new record takes `label`, validated by
+    /// the allocation rule `L_T ⊑ L ⊑ C_T`.
     pub(crate) fn sys_persist_put(
         &mut self,
         t: &Caller,
@@ -767,11 +835,16 @@ impl Kernel {
             .ok_or(SyscallError::InvalidArgument(
                 "persist record write out of range",
             ))?;
-        let (rlabel, mut payload) = match self.persist_record(key)? {
-            Some(bytes) => {
-                let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-                self.check_record_modify(&t.label, key, &rlabel)?;
-                (rlabel, payload)
+        let (record, mut checks) = self.persist_record(key)?;
+        let (rlabel, old) = match record {
+            Some((rlabel, old)) => {
+                checks.check_record_modify(&t.label, key, &rlabel)?;
+                if label.is_some_and(|l| l != rlabel) {
+                    return Err(SyscallError::InvalidArgument(
+                        "a persist record keeps the label it was created with",
+                    ));
+                }
+                (rlabel, old)
             }
             None => {
                 let label = label.ok_or(SyscallError::InvalidArgument(
@@ -781,13 +854,15 @@ impl Kernel {
                     return Err(SyscallError::OwnershipNotAllowed(ObjectType::Segment));
                 }
                 t.label.can_allocate(&t.clearance, &label)?;
-                (label, Vec::new())
+                (label, &[][..])
             }
         };
-        if end as usize > payload.len() {
-            payload.resize(end as usize, 0);
-        }
-        payload[offset as usize..end as usize].copy_from_slice(data);
+        let (offset, end) = (offset as usize, end as usize);
+        let mut payload = Vec::with_capacity(end.max(old.len()));
+        payload.extend_from_slice(&old[..offset.min(old.len())]);
+        payload.resize(offset, 0);
+        payload.extend_from_slice(data);
+        payload.extend_from_slice(old.get(end..).unwrap_or_default());
         let copy_cost = self.cost.copy(data.len() as u64);
         self.charge(copy_cost);
         let framed = Self::persist_frame(&rlabel, &payload);
@@ -806,11 +881,9 @@ impl Kernel {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>, SyscallError> {
-        let bytes = self
-            .persist_record(key)?
-            .ok_or(SyscallError::NoSuchRecord(key))?;
-        let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-        self.check_record_observe(&t.label, key, &rlabel)?;
+        let (record, mut checks) = self.persist_record(key)?;
+        let (rlabel, payload) = record.ok_or(SyscallError::NoSuchRecord(key))?;
+        checks.check_record_observe(&t.label, key, &rlabel)?;
         if offset > payload.len() as u64 {
             return Err(SyscallError::InvalidArgument("read beyond end of record"));
         }
@@ -822,20 +895,19 @@ impl Kernel {
                 .filter(|&e| e <= payload.len() as u64)
                 .ok_or(SyscallError::InvalidArgument("read beyond end of record"))?
         };
+        let out = payload[offset as usize..end as usize].to_vec();
         let copy_cost = self.cost.copy(end - offset);
         self.charge(copy_cost);
-        Ok(payload[offset as usize..end as usize].to_vec())
+        Ok(out)
     }
 
     /// Removes a persist record (modify-checked against its label).  The
     /// deletion becomes durable at the next sync of the key or the next
     /// checkpoint.
     pub(crate) fn sys_persist_delete(&mut self, t: &Caller, key: u64) -> Result<(), SyscallError> {
-        let bytes = self
-            .persist_record(key)?
-            .ok_or(SyscallError::NoSuchRecord(key))?;
-        let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
-        self.check_record_modify(&t.label, key, &rlabel)?;
+        let (record, mut checks) = self.persist_record(key)?;
+        let (rlabel, _) = record.ok_or(SyscallError::NoSuchRecord(key))?;
+        checks.check_record_modify(&t.label, key, &rlabel)?;
         self.store_mut()?.delete(key);
         Ok(())
     }
@@ -853,8 +925,9 @@ impl Kernel {
         hi: u64,
         max: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
-        let store = self.store_mut()?;
-        let keys = store.keys_in_range(lo.max(histar_store::PERSIST_KEY_BASE), hi);
+        let keys = self
+            .store_mut()?
+            .keys_in_range(lo.max(histar_store::PERSIST_KEY_BASE), hi);
         let mut out = Vec::new();
         let mut copied = 0u64;
         // One record at a time, so `max` bounds the records fetched
@@ -863,15 +936,15 @@ impl Kernel {
             if out.len() as u64 >= max {
                 break;
             }
-            let Some(bytes) = self.persist_record(key)? else {
+            let (record, mut checks) = self.persist_record(key)?;
+            let Some((rlabel, payload)) = record else {
                 continue;
             };
-            let (rlabel, payload) = Self::persist_unframe(key, &bytes)?;
-            if self.check_record_observe(&t.label, key, &rlabel).is_err() {
+            if checks.check_record_observe(&t.label, key, &rlabel).is_err() {
                 continue;
             }
             copied += payload.len() as u64;
-            out.push((key, payload));
+            out.push((key, payload.to_vec()));
         }
         let copy_cost = self.cost.copy(copied);
         self.charge(copy_cost);
@@ -893,10 +966,10 @@ impl Kernel {
                     "key outside the persist record namespace",
                 ));
             }
-            match self.persist_record(key)? {
-                Some(bytes) => {
-                    let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
-                    self.check_record_modify(&t.label, key, &rlabel)?;
+            let (record, mut checks) = self.persist_record(key)?;
+            match record {
+                Some((rlabel, _)) => {
+                    checks.check_record_modify(&t.label, key, &rlabel)?;
                     self.store_mut()?
                         .sync_object(key)
                         .map_err(|_| SyscallError::NoSuchRecord(key))?;
@@ -970,17 +1043,22 @@ impl Kernel {
         _t: &Caller,
         key: u64,
     ) -> Result<Label, SyscallError> {
-        let bytes = self
-            .persist_record(key)?
-            .ok_or(SyscallError::NoSuchRecord(key))?;
-        let (rlabel, _) = Self::persist_unframe(key, &bytes)?;
+        let (record, _) = self.persist_record(key)?;
+        let (rlabel, _) = record.ok_or(SyscallError::NoSuchRecord(key))?;
         Ok(rlabel)
     }
 
-    /// Counts, charges and answers one access check of a thread labelled
-    /// `tl` on an object labelled `ol`.  An immutable object label takes its
-    /// verdict from the comparison cache (§4); a thread object's label can
-    /// change, so that check is computed and never cached.
+    /// The label checks over this kernel's cache, counters and clock.
+    fn label_checks(&mut self) -> LabelChecks<'_> {
+        LabelChecks {
+            cache: &mut self.label_cache,
+            stats: &mut self.stats,
+            cost: &self.cost,
+            clock: self.clock.as_ref(),
+        }
+    }
+
+    /// [`LabelChecks::count_label_check`] on this kernel.
     fn count_label_check(
         &mut self,
         ol: &Label,
@@ -988,36 +1066,13 @@ impl Kernel {
         immutable: bool,
         access: Access,
     ) -> bool {
-        self.stats.label_checks += 1;
-        let direct = || match access {
-            Access::Observe => tl.can_observe(ol),
-            Access::Modify => tl.can_modify(ol),
-        };
-        let (verdict, cached) = if immutable {
-            let (o, t) = (self.label_cache.intern(ol), self.label_cache.intern(tl));
-            let memo = match access {
-                Access::Observe => self.label_cache.leq_high_rhs(o, t),
-                Access::Modify => self.label_cache.can_modify(t, o),
-            };
-            debug_assert_eq!(memo.verdict, direct());
-            (memo.verdict, memo.hit)
-        } else {
-            (direct(), false)
-        };
-        if cached {
-            self.stats.label_cache_hits += 1;
-        }
-        self.charge_label_check(ol.len() + tl.len(), cached);
-        verdict
+        self.label_checks()
+            .count_label_check(ol, tl, immutable, access)
     }
 
-    /// Charges one label check comparing `entries` label entries (both
-    /// operands together) and keeps the largest such total seen.
+    /// [`LabelChecks::charge_label_check`] on this kernel.
     fn charge_label_check(&mut self, entries: usize, cached: bool) {
-        let seen = &mut self.stats.label_check_max_entries;
-        *seen = (*seen).max(entries as u64);
-        let c = self.cost.label_check(entries, cached);
-        self.charge(c);
+        self.label_checks().charge_label_check(entries, cached);
     }
 
     /// "No read up": may a thread labelled `tl` observe object `o`?

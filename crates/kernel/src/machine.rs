@@ -277,8 +277,10 @@ impl Machine {
         let clock = disk.clock().clone();
         let mut store = SingleLevelStore::recover_traced(config.store, disk, recorder.clone())?;
         let restore_start = clock.now().as_nanos();
-        let meta_bytes = store.get(MACHINE_META_KEY)?;
-        let mut d = Decoder::new(&meta_bytes);
+        let meta_bytes = store
+            .resident(MACHINE_META_KEY)?
+            .ok_or(StoreError::NoSuchObject(MACHINE_META_KEY))?;
+        let mut d = Decoder::new(meta_bytes);
         let read = |d: &mut Decoder<'_>| -> Result<u64, MachineError> {
             d.get_u64()
                 .map_err(|e| MachineError::Corrupt(format!("machine metadata: {e}")))
@@ -300,8 +302,8 @@ impl Machine {
             if id == MACHINE_META_KEY || is_persist_key(id) {
                 continue;
             }
-            let bytes = store.get(id)?;
-            let obj = decode_object(&bytes)
+            let bytes = store.resident(id)?.ok_or(StoreError::NoSuchObject(id))?;
+            let obj = decode_object(bytes)
                 .map_err(|e| MachineError::Corrupt(format!("object {id:#x}: {e}")))?;
             objects.push((ObjectId::from_raw(id), obj));
         }
@@ -419,6 +421,45 @@ mod tests {
             .trap_persist_scan(tid, base, base + RECORDS, u64::MAX)
             .unwrap();
         assert_eq!(all.len() as u64, RECORDS);
+    }
+
+    /// A record keeps the label it was created with, and a put that names
+    /// another one is refused: otherwise a thread writing its secret into
+    /// a record someone planted at `{1}` would publish it.
+    #[test]
+    fn persist_put_refuses_to_relabel_an_existing_record() {
+        let mut m = Machine::boot(MachineConfig::default());
+        let tid = m.kernel_thread();
+        let key = histar_store::PERSIST_KEY_BASE + 7;
+        let k = m.kernel_mut();
+        k.trap_persist_put(tid, key, Some(Label::unrestricted()), 0, b"planted")
+            .unwrap();
+        let c = k.trap_create_category(tid).unwrap();
+        let secret = Label::builder().set(c, Level::L3).build();
+        assert_eq!(
+            k.trap_persist_put(tid, key, Some(secret), 0, b"secret"),
+            Err(SyscallError::InvalidArgument(
+                "a persist record keeps the label it was created with"
+            ))
+        );
+        assert_eq!(
+            k.trap_persist_get_label(tid, key).unwrap(),
+            Label::unrestricted()
+        );
+        assert_eq!(
+            k.trap_persist_read(tid, key, 0, u64::MAX).unwrap(),
+            b"planted"
+        );
+        // Naming the record's own label, or none, still splices: in place,
+        // at the end, and past it over a zero gap.
+        k.trap_persist_put(tid, key, Some(Label::unrestricted()), 0, b"PL")
+            .unwrap();
+        k.trap_persist_put(tid, key, None, 7, b"!").unwrap();
+        k.trap_persist_put(tid, key, None, 10, b"?").unwrap();
+        assert_eq!(
+            k.trap_persist_read(tid, key, 0, u64::MAX).unwrap(),
+            b"PLanted!\0\0?"
+        );
     }
 
     #[test]

@@ -140,18 +140,28 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// Reads a length-prefixed byte string.
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+    /// Reads a length-prefixed byte string, lent from the input.
+    pub fn get_slice(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.get_u64()? as usize;
         if len > self.remaining() {
             return Err(DecodeError::BadLength);
         }
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    /// Reads a length-prefixed byte string.
+    pub fn get_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+        Ok(self.get_slice()?.to_vec())
+    }
+
+    /// Reads a length-prefixed UTF-8 string, lent from the input.
+    pub fn get_str_slice(&mut self) -> Result<&'a str, DecodeError> {
+        core::str::from_utf8(self.get_slice()?).map_err(|_| DecodeError::BadUtf8)
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, DecodeError> {
-        String::from_utf8(self.get_bytes()?).map_err(|_| DecodeError::BadUtf8)
+        Ok(self.get_str_slice()?.to_owned())
     }
 }
 
@@ -174,12 +184,12 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Unwraps a frame produced by [`frame`], verifying its checksum.  Returns
-/// the payload and the number of bytes consumed.
-pub fn unframe(data: &[u8]) -> Result<(Vec<u8>, usize), DecodeError> {
+/// the payload, lent from `data`, and the number of bytes consumed.
+pub fn unframe(data: &[u8]) -> Result<(&[u8], usize), DecodeError> {
     let mut d = Decoder::new(data);
-    let payload = d.get_bytes()?;
+    let payload = d.get_slice()?;
     let sum = d.get_u64()?;
-    if checksum(&payload) != sum {
+    if checksum(payload) != sum {
         return Err(DecodeError::BadChecksum);
     }
     Ok((payload, d.pos))

@@ -14,6 +14,7 @@ use crate::wal::{LogRecord, WriteAheadLog};
 use histar_obs::{Recorder, Span};
 use histar_sim::disk::BLOCK_SIZE;
 use histar_sim::{DiskConfig, SimClock, SimDisk};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How recovery rebuilds state from the checkpoint and the log.
@@ -366,15 +367,21 @@ impl SingleLevelStore {
         self.deleted.remove(&id);
     }
 
-    /// Reads an object's serialized bytes, from cache or disk.
-    pub fn get(&mut self, id: u64) -> Result<Vec<u8>, StoreError> {
-        if let Some(data) = self.cache.get(&id) {
-            return Ok(data.clone());
-        }
+    /// An object's serialized bytes, lent from the cache, or `None` if the
+    /// object does not exist: every read of the store is this one lookup.
+    /// A miss reads the home record from disk and caches it (one
+    /// `objects_read`); a hit touches nothing else.
+    pub fn resident(&mut self, id: u64) -> Result<Option<&[u8]>, StoreError> {
+        let slot = match self.cache.entry(id) {
+            Entry::Occupied(hit) => return Ok(Some(hit.into_mut().as_slice())),
+            Entry::Vacant(slot) => slot,
+        };
         if self.deleted.contains(&id) {
-            return Err(StoreError::NoSuchObject(id));
+            return Ok(None);
         }
-        let offset = self.homes.loc.get(id).ok_or(StoreError::NoSuchObject(id))?;
+        let Some(offset) = self.homes.loc.get(id) else {
+            return Ok(None);
+        };
         let body_len = self
             .homes
             .body_len
@@ -390,16 +397,15 @@ impl SingleLevelStore {
             .get_bytes()
             .map_err(|_| StoreError::Corrupt("object body"))?;
         self.stats.objects_read += 1;
-        self.cache.insert(id, data.clone());
-        Ok(data)
+        Ok(Some(slot.insert(data)))
     }
 
-    /// Returns true if an object exists (in memory or on disk).
-    pub fn contains(&self, id: u64) -> bool {
-        if self.deleted.contains(&id) {
-            return false;
-        }
-        self.cache.contains_key(&id) || self.homes.loc.contains(id)
+    /// Reads an object's serialized bytes, from cache or disk: an owned
+    /// copy of [`SingleLevelStore::resident`].
+    pub fn get(&mut self, id: u64) -> Result<Vec<u8>, StoreError> {
+        self.resident(id)?
+            .map(<[u8]>::to_vec)
+            .ok_or(StoreError::NoSuchObject(id))
     }
 
     /// Deletes an object.
@@ -439,25 +445,24 @@ impl SingleLevelStore {
         if lo >= hi {
             return Vec::new();
         }
-        let mut keys: BTreeSet<u64> = self
-            .homes
-            .loc
-            .range(lo, hi)
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        keys.extend(self.cache.range(lo..hi).map(|(k, _)| *k));
-        for id in self.deleted.range(lo..hi) {
-            keys.remove(id);
-        }
-        keys.into_iter().collect()
+        live_keys(
+            self.homes.loc.range(lo, hi).into_iter().map(|(k, _)| k),
+            self.cache.range(lo..hi).map(|(k, _)| *k),
+            self.deleted.range(lo..hi).copied(),
+        )
     }
 
-    /// Structural consistency check used by the crash-recovery gate: the
-    /// three object-map B+-trees satisfy their tree invariants and agree
-    /// on exactly which objects have home locations, and no two home
-    /// extents overlap.  Returns the first violation found.
+    /// Structural consistency check used by the crash-recovery gate: no
+    /// object is both cached and deleted (a read asks the cache before the
+    /// deletions and a key listing subtracts the deletions, so the two
+    /// agree only while the sets are disjoint), the three object-map
+    /// B+-trees satisfy their tree invariants and agree on exactly which
+    /// objects have home locations, and no two home extents overlap.
+    /// Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if let Some(id) = self.deleted.iter().find(|id| self.cache.contains_key(id)) {
+            return Err(format!("object {id:#x} is both cached and deleted"));
+        }
         self.homes
             .loc
             .check_invariants()
@@ -857,7 +862,7 @@ impl SingleLevelStore {
         let raw_sb = disk.read(0, config.superblock_len.min(4096));
         let (sb_payload, _) =
             unframe(&raw_sb).map_err(|_| StoreError::Corrupt("superblock frame"))?;
-        let mut d = Decoder::new(&sb_payload);
+        let mut d = Decoder::new(sb_payload);
         let magic = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
         if magic != SUPERBLOCK_MAGIC {
             return Err(StoreError::Corrupt("superblock magic"));
@@ -890,43 +895,47 @@ impl SingleLevelStore {
             phase(&recorder, "preload", t1, t2);
         }
 
-        let raw_meta: Vec<u8> = match &preload {
+        let read_meta;
+        let raw_meta: &[u8] = match &preload {
             Some((base, buf))
                 if meta_off >= *base && meta_off + meta_len <= base + buf.len() as u64 =>
             {
-                buf[(meta_off - base) as usize..(meta_off - base + meta_len) as usize].to_vec()
+                &buf[(meta_off - base) as usize..(meta_off - base + meta_len) as usize]
             }
-            _ => disk.read(meta_off, meta_len),
+            _ => {
+                read_meta = disk.read(meta_off, meta_len);
+                &read_meta
+            }
         };
         let (meta_payload, _) =
-            unframe(&raw_meta).map_err(|_| StoreError::Corrupt("checkpoint metadata"))?;
-        let mut d = Decoder::new(&meta_payload);
+            unframe(raw_meta).map_err(|_| StoreError::Corrupt("checkpoint metadata"))?;
+        let mut d = Decoder::new(meta_payload);
         let loc_bytes = d
-            .get_bytes()
+            .get_slice()
             .map_err(|_| StoreError::Corrupt("object map"))?;
         let extent_len_bytes = d
-            .get_bytes()
+            .get_slice()
             .map_err(|_| StoreError::Corrupt("object extent lengths"))?;
         let body_len_bytes = d
-            .get_bytes()
+            .get_slice()
             .map_err(|_| StoreError::Corrupt("object body lengths"))?;
         let free_bytes = d
-            .get_bytes()
+            .get_slice()
             .map_err(|_| StoreError::Corrupt("free list"))?;
 
         let (loc, extent_len, body_len) = match config.replay_mode {
             ReplayMode::Batched => (
-                BPlusTree::deserialize(&loc_bytes),
-                BPlusTree::deserialize(&extent_len_bytes),
-                BPlusTree::deserialize(&body_len_bytes),
+                BPlusTree::deserialize(loc_bytes),
+                BPlusTree::deserialize(extent_len_bytes),
+                BPlusTree::deserialize(body_len_bytes),
             ),
             ReplayMode::RecordByRecord => (
-                BPlusTree::deserialize_point_inserts(&loc_bytes),
-                BPlusTree::deserialize_point_inserts(&extent_len_bytes),
-                BPlusTree::deserialize_point_inserts(&body_len_bytes),
+                BPlusTree::deserialize_point_inserts(loc_bytes),
+                BPlusTree::deserialize_point_inserts(extent_len_bytes),
+                BPlusTree::deserialize_point_inserts(body_len_bytes),
             ),
         };
-        let mut d = Decoder::new(&free_bytes);
+        let mut d = Decoder::new(free_bytes);
         let n = d.get_u64().map_err(|_| StoreError::Corrupt("free list"))? as usize;
         let mut free = Vec::with_capacity(n);
         for _ in 0..n {
@@ -1018,8 +1027,11 @@ impl SingleLevelStore {
                 // Fold to one operation per object.  A DeleteObject's home
                 // drop must still happen even when a later put supersedes
                 // it — the per-record path frees the extent eagerly, and
-                // the allocator state must come out identical.
-                let mut fold: BTreeMap<u64, (Option<&Vec<u8>>, bool)> = BTreeMap::new();
+                // the allocator state must come out identical.  The
+                // resumed log keeps its records (pre-apply writes them
+                // home), so each surviving version is copied into the
+                // cache once, straight from the fold.
+                let mut fold: BTreeMap<u64, (Option<&[u8]>, bool)> = BTreeMap::new();
                 for rec in &after_marker {
                     match rec {
                         LogRecord::PutObject(id, data) => {
@@ -1033,18 +1045,14 @@ impl SingleLevelStore {
                         LogRecord::CheckpointMarker { .. } => {}
                     }
                 }
-                let folded: Vec<(u64, Option<Vec<u8>>, bool)> = fold
-                    .into_iter()
-                    .map(|(id, (latest, saw_delete))| (id, latest.cloned(), saw_delete))
-                    .collect();
-                for (id, latest, saw_delete) in folded {
+                for (id, (latest, saw_delete)) in fold {
                     if saw_delete {
                         store.homes.release(id);
                     }
                     match latest {
                         Some(data) => {
                             store.deleted.remove(&id);
-                            store.cache.insert(id, data);
+                            store.cache.insert(id, data.to_vec());
                             store.dirty.insert(id);
                         }
                         None => {
@@ -1084,14 +1092,37 @@ impl SingleLevelStore {
 
     /// All object IDs currently known to the store (cached or on disk).
     pub fn object_ids(&self) -> Vec<u64> {
-        let mut ids: BTreeSet<u64> = self.cache.keys().copied().collect();
-        for (id, _) in self.homes.loc.iter() {
-            ids.insert(id);
+        live_keys(
+            self.homes.loc.iter().into_iter().map(|(k, _)| k),
+            self.cache.keys().copied(),
+            self.deleted.iter().copied(),
+        )
+    }
+}
+
+/// The keys of two ascending sources (the home map and the cache), merged
+/// in one pass into one ascending list without repeats, minus the
+/// ascending `deleted` keys.
+fn live_keys(
+    homed: impl Iterator<Item = u64>,
+    cached: impl Iterator<Item = u64>,
+    deleted: impl Iterator<Item = u64>,
+) -> Vec<u64> {
+    let (mut homed, mut cached, mut deleted) =
+        (homed.peekable(), cached.peekable(), deleted.peekable());
+    let mut out = Vec::new();
+    loop {
+        let key = match (homed.peek(), cached.peek()) {
+            (Some(&h), Some(&c)) => h.min(c),
+            (Some(&k), None) | (None, Some(&k)) => k,
+            (None, None) => return out,
+        };
+        homed.next_if_eq(&key);
+        cached.next_if_eq(&key);
+        while deleted.next_if(|&d| d < key).is_some() {}
+        if deleted.next_if_eq(&key).is_none() {
+            out.push(key);
         }
-        for id in &self.deleted {
-            ids.remove(id);
-        }
-        ids.into_iter().collect()
     }
 }
 
@@ -1110,9 +1141,9 @@ mod tests {
         s.put(2, vec![4; 10_000]);
         assert_eq!(s.get(1).unwrap(), vec![1, 2, 3]);
         assert_eq!(s.get(2).unwrap().len(), 10_000);
-        assert!(s.contains(1));
+        assert!(s.resident(1).unwrap().is_some());
         s.delete(1);
-        assert!(!s.contains(1));
+        assert_eq!(s.resident(1), Ok(None));
         assert_eq!(s.get(1), Err(StoreError::NoSuchObject(1)));
     }
 
@@ -1130,7 +1161,7 @@ mod tests {
         assert_eq!(r.sequence(), 1);
         for i in 0..200u64 {
             if i == 3 {
-                assert!(!r.contains(i));
+                assert_eq!(r.resident(i), Ok(None));
             } else {
                 assert_eq!(r.get(i).unwrap(), vec![i as u8; (i as usize % 700) + 1]);
             }
@@ -1146,8 +1177,12 @@ mod tests {
         s.put(2, vec![2]); // never synced
         let disk = s.into_disk();
         let mut r = SingleLevelStore::recover(config, disk).unwrap();
-        assert!(r.contains(1));
-        assert!(!r.contains(2), "unsynced object must not survive the crash");
+        assert!(r.resident(1).unwrap().is_some());
+        assert_eq!(
+            r.resident(2),
+            Ok(None),
+            "unsynced object must not survive the crash"
+        );
         assert_eq!(r.get(1).unwrap(), vec![1]);
     }
 
@@ -1199,7 +1234,11 @@ mod tests {
         s.delete(9);
         s.sync_delete(9);
         let mut r = SingleLevelStore::recover(config, s.into_disk()).unwrap();
-        assert!(!r.contains(9), "durably deleted object must not return");
+        assert_eq!(
+            r.resident(9),
+            Ok(None),
+            "durably deleted object must not return"
+        );
         assert_eq!(r.get(9), Err(StoreError::NoSuchObject(9)));
     }
 
@@ -1217,6 +1256,33 @@ mod tests {
         // Inverted and empty ranges are harmless.
         assert_eq!(s.keys_in_range(50, 10), Vec::<u64>::new());
         assert_eq!(s.keys_in_range(10, 10), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn resident_lends_the_cached_bytes_and_a_miss_reads_once() {
+        let mut s = store();
+        s.put(42, vec![9u8; 5000]);
+        s.checkpoint();
+        s.evict_clean();
+        assert_eq!(s.resident(42).unwrap(), Some(&[9u8; 5000][..]));
+        assert_eq!(s.stats().objects_read, 1);
+        assert_eq!(s.resident(42).unwrap().map(<[u8]>::len), Some(5000));
+        assert_eq!(s.stats().objects_read, 1, "a hit reads nothing");
+        s.delete(42);
+        assert_eq!(s.resident(42), Ok(None));
+        assert_eq!(s.resident(43), Ok(None));
+        assert_eq!(s.stats().objects_read, 1);
+    }
+
+    #[test]
+    fn an_object_both_cached_and_deleted_is_reported() {
+        let mut s = store();
+        s.put(7, vec![1]);
+        s.delete(8);
+        s.check_invariants().unwrap();
+        s.deleted.insert(7);
+        let err = s.check_invariants().unwrap_err();
+        assert!(err.contains("0x7 is both cached and deleted"), "{err}");
     }
 
     #[test]

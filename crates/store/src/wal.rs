@@ -295,7 +295,7 @@ impl WriteAheadLog {
                     if payload.is_empty() {
                         break;
                     }
-                    let mut d = Decoder::new(&payload);
+                    let mut d = Decoder::new(payload);
                     let mut records = Vec::new();
                     let mut intact = true;
                     while d.remaining() > 0 {

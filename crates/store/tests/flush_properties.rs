@@ -157,7 +157,11 @@ fn check(seed: u64, step: usize, store: &mut SingleLevelStore, model: &Model) {
     for id in 0..IDS {
         match model.durable(id) {
             Some(data) => assert!(recovered.get(id).unwrap() == *data, "{at}: object {id}"),
-            None => assert!(!recovered.contains(id), "{at}: object {id} is not durable"),
+            None => assert_eq!(
+                recovered.resident(id),
+                Ok(None),
+                "{at}: object {id} is not durable"
+            ),
         }
     }
 }

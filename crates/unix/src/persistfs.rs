@@ -114,12 +114,24 @@ impl Dirent {
         e.finish()
     }
 
-    fn decode(bytes: &[u8]) -> Option<Dirent> {
+    /// Decodes a record as `(name, ino, is_dir)`, the name lent from
+    /// `bytes`: what a lookup compares against without building a
+    /// `Dirent` per entry.
+    fn decode_lent(bytes: &[u8]) -> Option<(&str, u32, bool)> {
         let mut d = Decoder::new(bytes);
-        let name = d.get_str().ok()?;
+        let name = d.get_str_slice().ok()?;
         let ino = u32::try_from(d.get_u64().ok()?).ok()?;
         let is_dir = d.get_u8().ok()? != 0;
-        Some(Dirent { name, ino, is_dir })
+        Some((name, ino, is_dir))
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Dirent> {
+        let (name, ino, is_dir) = Dirent::decode_lent(bytes)?;
+        Some(Dirent {
+            name: name.to_owned(),
+            ino,
+            is_dir,
+        })
     }
 }
 
@@ -225,12 +237,16 @@ impl PersistFs {
         Ok(inode)
     }
 
-    /// All dirents of `dir`, as `(slot key, dirent)` pairs.
-    fn scan_dirents(ctx: &mut VfsCtx, dir: u32) -> Result<Vec<(u64, Dirent)>> {
+    /// The dirent records of `dir`, as `(slot key, payload)` pairs.
+    fn dirent_records(ctx: &mut VfsCtx, dir: u32) -> Result<Vec<(u64, Vec<u8>)>> {
         let (lo, hi) = dirent_range(dir);
         let thread = ctx.thread;
-        let records = ctx.kernel().trap_persist_scan(thread, lo, hi, SCAN_MAX)?;
-        records
+        Ok(ctx.kernel().trap_persist_scan(thread, lo, hi, SCAN_MAX)?)
+    }
+
+    /// All dirents of `dir`, as `(slot key, dirent)` pairs.
+    fn scan_dirents(ctx: &mut VfsCtx, dir: u32) -> Result<Vec<(u64, Dirent)>> {
+        Self::dirent_records(ctx, dir)?
             .into_iter()
             .map(|(key, payload)| {
                 Dirent::decode(&payload)
@@ -240,10 +256,26 @@ impl PersistFs {
             .collect()
     }
 
+    /// The first dirent of `dir` named `name`.  Every record is still
+    /// decoded, so a corrupt one fails the lookup wherever it lies, but
+    /// names are compared where they lie and only the hit is built.
     fn find_dirent(ctx: &mut VfsCtx, dir: u32, name: &str) -> Result<Option<(u64, Dirent)>> {
-        Ok(Self::scan_dirents(ctx, dir)?
-            .into_iter()
-            .find(|(_, d)| d.name == name))
+        let mut hit = None;
+        for (key, payload) in Self::dirent_records(ctx, dir)? {
+            let (entry, ino, is_dir) =
+                Dirent::decode_lent(&payload).ok_or(UnixError::Corrupt("persist dirent record"))?;
+            if hit.is_none() && entry == name {
+                hit = Some((
+                    key,
+                    Dirent {
+                        name: entry.to_owned(),
+                        ino,
+                        is_dir,
+                    },
+                ));
+            }
+        }
+        Ok(hit)
     }
 
     /// Allocates a fresh inode number from the superblock record.

@@ -664,6 +664,55 @@ fn a_reader_cannot_choose_which_version_of_a_persist_file_survives_a_crash() {
     assert_eq!(env.read_file_as(init, "/persist/f").unwrap(), b"version A");
 }
 
+/// A planted record cannot relabel a file.  Inode numbers are sequential
+/// and anyone may create a persist record at a label it can allocate, so
+/// `lo` plants a `{1}` record at the inode the next file will get.  When
+/// `init` then creates a secret file there, the kernel refuses to write
+/// under a label other than the record's (it used to keep the planted
+/// `{1}` silently, and every extent of the file then took the inode's
+/// label): the create fails and `lo` reads nothing.
+#[test]
+fn a_planted_persist_record_cannot_publish_the_file_created_over_it() {
+    use histar::store::records::{inode_key, META_KEY};
+
+    let (mut env, lo, _, _) = boot_with_lo_and_tainted_hi();
+    let init = env.init_pid();
+    let init_thread = env.process(init).unwrap().thread;
+    let lo_thread = env.process(lo).unwrap().thread;
+    let c = env.kernel_mut().trap_create_category(init_thread).unwrap();
+    let secret = Label::builder().set(c, Level::L3).build();
+
+    let meta = env
+        .kernel_mut()
+        .trap_persist_read(lo_thread, META_KEY, 8, 8)
+        .unwrap();
+    let next_ino = u64::from_le_bytes(meta.try_into().unwrap()) as u32;
+    env.kernel_mut()
+        .trap_persist_put(
+            lo_thread,
+            inode_key(next_ino),
+            Some(Label::unrestricted()),
+            0,
+            &[],
+        )
+        .unwrap();
+
+    assert_eq!(
+        env.write_file_as(init, "/persist/secret", b"top secret", Some(secret)),
+        Err(UnixError::Kernel(SyscallError::InvalidArgument(
+            "a persist record keeps the label it was created with"
+        )))
+    );
+    assert!(env.read_file_as(lo, "/persist/secret").is_err());
+    assert_eq!(
+        env.kernel_mut()
+            .trap_persist_read(lo_thread, inode_key(next_ino), 0, u64::MAX)
+            .unwrap(),
+        Vec::<u8>::new(),
+        "the planted record is untouched"
+    );
+}
+
 /// The same for a heap file, whose `fsync` is `obj_sync`: `hi` can read
 /// `/f` but its sync of the file's segment — or of the path, whose first
 /// target is the directory — is refused like a write, and the crash
