@@ -3,8 +3,9 @@
 //! For each seed, a deterministic workload fills `/persist` with fsynced
 //! (and one deliberately unsynced) files, then the write-ahead log is
 //! truncated at every record boundary — and torn mid-record — before
-//! recovery.  Each recovered machine must satisfy the store's B+-tree
-//! invariants, serve every file whose fsync preceded the cut byte-exact,
+//! recovery.  Each recovered machine must satisfy the store's invariants
+//! (object map and free space), serve every file whose fsync preceded the
+//! cut byte-exact,
 //! and keep refusing unprivileged readers of the recovered secret file.
 //!
 //! Usage: `torn_wal [--seed N]... [--max-cuts N]` (defaults: three seeds,

@@ -8,8 +8,8 @@
 //! record — zeroes the log from the cut onward, recovers the machine,
 //! remounts `/persist`, and asserts:
 //!
-//! 1. the store's B+-tree object maps satisfy their structural
-//!    invariants after replaying the truncated log;
+//! 1. the store's object map and free list satisfy their invariants
+//!    after replaying the truncated log;
 //! 2. every file whose fsync completed at or before the cut is present
 //!    with exactly its original contents (durability is prefix-closed);
 //! 3. the secret file, *whenever* it survives, still refuses an

@@ -768,7 +768,7 @@ impl Kernel {
     }
 
     /// Upper bound on one persist record's payload (a record is one
-    /// B+-tree value; file data is split into extents far below this).
+    /// store object; file data is split into extents far below this).
     pub const PERSIST_RECORD_MAX: u64 = 16 * 1024 * 1024;
 
     /// Frames a persist record for the store: label, then length-prefixed

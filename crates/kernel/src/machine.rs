@@ -265,7 +265,7 @@ impl Machine {
     }
 
     /// [`Machine::recover`] with flight recording: the store emits a span
-    /// per recovery phase (superblock, B+-tree rebuild, WAL replay), the
+    /// per recovery phase (superblock, object-map rebuild, WAL replay), the
     /// machine adds its own object-restore phase, and the recorder stays
     /// installed on the recovered kernel so post-recovery activity lands
     /// in the same trace.

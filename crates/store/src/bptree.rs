@@ -1,486 +1,44 @@
-//! A B+-tree with fixed-size keys and values.
+//! A map from `u64` keys to `u64` values, for the benchmark's probes.
 //!
-//! The paper notes that the on-disk structures use B+-trees whose keys and
-//! values are fixed-size — object IDs and disk offsets — "which
-//! significantly simplifies their implementation".  We follow the same
-//! simplification: keys and values are `u64`.
-//!
-//! The tree supports insertion, point lookup, deletion, and ordered range
-//! iteration.  Deletion removes entries in place without rebalancing
-//! (underfull leaves are permitted and merged away when their parent next
-//! splits or when the tree is rebuilt at checkpoint time); this keeps the
-//! code small while preserving correctness of lookups and ordering, and it
-//! mirrors the "delayed" maintenance the real implementation performs at
-//! snapshot time.
+//! The store keeps its own maps in `std::collections`.  This newtype
+//! exists only because the frozen benchmark's `store.bptree_insert_host_ns`
+//! and `store.bptree_range_host_ns` probes call `BPlusTree::new`, `insert`
+//! and `range`; it keeps exactly those until the probes retire.
 
-/// Maximum number of keys in a node before it splits.
-const ORDER: usize = 64;
+use std::collections::BTreeMap;
 
-/// A B+-tree mapping `u64` keys to `u64` values.
-#[derive(Clone, Debug)]
-pub struct BPlusTree {
-    root: Node,
-    len: usize,
-}
-
-#[derive(Clone, Debug)]
-enum Node {
-    Leaf {
-        keys: Vec<u64>,
-        values: Vec<u64>,
-    },
-    Internal {
-        /// `keys[i]` is the smallest key reachable under `children[i + 1]`.
-        keys: Vec<u64>,
-        children: Vec<Node>,
-    },
-}
-
-impl Default for BPlusTree {
-    fn default() -> Self {
-        BPlusTree::new()
-    }
-}
+/// A `u64 → u64` map under the name the benchmark's probes use.
+#[derive(Clone, Debug, Default)]
+pub struct BPlusTree(BTreeMap<u64, u64>);
 
 impl BPlusTree {
-    /// Creates an empty tree.
+    /// Creates an empty map.
     pub fn new() -> BPlusTree {
-        BPlusTree {
-            root: Node::Leaf {
-                keys: Vec::new(),
-                values: Vec::new(),
-            },
-            len: 0,
-        }
-    }
-
-    /// Number of entries in the tree.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns true if the tree has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Looks up the value for `key`.
-    pub fn get(&self, key: u64) -> Option<u64> {
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf { keys, values } => {
-                    return keys.binary_search(&key).ok().map(|i| values[i]);
-                }
-                Node::Internal { keys, children } => {
-                    let idx = match keys.binary_search(&key) {
-                        Ok(i) => i + 1,
-                        Err(i) => i,
-                    };
-                    node = &children[idx];
-                }
-            }
-        }
-    }
-
-    /// Returns true if `key` is present.
-    pub fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
+        BPlusTree::default()
     }
 
     /// Inserts a key/value pair, returning the previous value if any.
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-        let (old, split) = Self::insert_rec(&mut self.root, key, value);
-        if let Some((sep, right)) = split {
-            let left = std::mem::replace(
-                &mut self.root,
-                Node::Leaf {
-                    keys: Vec::new(),
-                    values: Vec::new(),
-                },
-            );
-            self.root = Node::Internal {
-                keys: vec![sep],
-                children: vec![left, right],
-            };
-        }
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+        self.0.insert(key, value)
     }
 
-    fn insert_rec(node: &mut Node, key: u64, value: u64) -> (Option<u64>, Option<(u64, Node)>) {
-        match node {
-            Node::Leaf { keys, values } => {
-                let old = match keys.binary_search(&key) {
-                    Ok(i) => {
-                        let prev = values[i];
-                        values[i] = value;
-                        return (Some(prev), None);
-                    }
-                    Err(i) => {
-                        keys.insert(i, key);
-                        values.insert(i, value);
-                        None
-                    }
-                };
-                if keys.len() > ORDER {
-                    let mid = keys.len() / 2;
-                    let right_keys = keys.split_off(mid);
-                    let right_values = values.split_off(mid);
-                    let sep = right_keys[0];
-                    (
-                        old,
-                        Some((
-                            sep,
-                            Node::Leaf {
-                                keys: right_keys,
-                                values: right_values,
-                            },
-                        )),
-                    )
-                } else {
-                    (old, None)
-                }
-            }
-            Node::Internal { keys, children } => {
-                let idx = match keys.binary_search(&key) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                let (old, split) = Self::insert_rec(&mut children[idx], key, value);
-                if let Some((sep, right)) = split {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                    if keys.len() > ORDER {
-                        let mid = keys.len() / 2;
-                        let sep_up = keys[mid];
-                        let right_keys = keys.split_off(mid + 1);
-                        keys.pop(); // remove the separator promoted upward
-                        let right_children = children.split_off(mid + 1);
-                        return (
-                            old,
-                            Some((
-                                sep_up,
-                                Node::Internal {
-                                    keys: right_keys,
-                                    children: right_children,
-                                },
-                            )),
-                        );
-                    }
-                }
-                (old, None)
-            }
-        }
-    }
-
-    /// Removes `key`, returning its value if it was present.
-    pub fn remove(&mut self, key: u64) -> Option<u64> {
-        let removed = Self::remove_rec(&mut self.root, key);
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    fn remove_rec(node: &mut Node, key: u64) -> Option<u64> {
-        match node {
-            Node::Leaf { keys, values } => match keys.binary_search(&key) {
-                Ok(i) => {
-                    keys.remove(i);
-                    Some(values.remove(i))
-                }
-                Err(_) => None,
-            },
-            Node::Internal { keys, children } => {
-                let idx = match keys.binary_search(&key) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                Self::remove_rec(&mut children[idx], key)
-            }
-        }
-    }
-
-    /// Returns the smallest entry whose key is `>= key`, if any.
-    pub fn lower_bound(&self, key: u64) -> Option<(u64, u64)> {
-        Self::lower_bound_rec(&self.root, key)
-    }
-
-    fn lower_bound_rec(node: &Node, key: u64) -> Option<(u64, u64)> {
-        match node {
-            Node::Leaf { keys, values } => {
-                let idx = keys.partition_point(|&k| k < key);
-                if idx < keys.len() {
-                    Some((keys[idx], values[idx]))
-                } else {
-                    None
-                }
-            }
-            Node::Internal { keys, children } => {
-                let start = match keys.binary_search(&key) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                // Deletions may leave the chosen subtree without a
-                // qualifying key even though its right siblings have one,
-                // so scan rightward until a match is found.
-                for child in &children[start..] {
-                    if let Some(found) = Self::lower_bound_rec(child, key) {
-                        return Some(found);
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// Iterates over all `(key, value)` pairs in ascending key order.
-    pub fn iter(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.len);
-        Self::collect(&self.root, &mut out);
-        out
-    }
-
-    /// Iterates over all pairs with key in `[lo, hi)`, descending only
-    /// into subtrees that can intersect the range (the readdir scan of the
-    /// persistent filesystem rides on this, so it must not touch the whole
-    /// tree).
+    /// Every pair with key in `[lo, hi)`, in ascending key order (none
+    /// when `lo >= hi`).
     pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        Self::collect_range(&self.root, lo, hi, &mut out);
-        out
-    }
-
-    fn collect_range(node: &Node, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
         if lo >= hi {
-            return;
+            return Vec::new();
         }
-        match node {
-            Node::Leaf { keys, values } => {
-                let start = keys.partition_point(|&k| k < lo);
-                let end = keys.partition_point(|&k| k < hi);
-                out.extend(
-                    keys[start..end]
-                        .iter()
-                        .copied()
-                        .zip(values[start..end].iter().copied()),
-                );
-            }
-            Node::Internal { keys, children } => {
-                // Child i covers keys in [keys[i-1], keys[i]); the first
-                // child whose upper bound exceeds `lo` is the first that
-                // can intersect, and children whose lower bound reaches
-                // `hi` are pruned.
-                let first = keys.partition_point(|&k| k <= lo);
-                for (i, child) in children.iter().enumerate().skip(first) {
-                    if i > 0 && keys[i - 1] >= hi {
-                        break;
-                    }
-                    Self::collect_range(child, lo, hi, out);
-                }
-            }
-        }
-    }
-
-    fn collect(node: &Node, out: &mut Vec<(u64, u64)>) {
-        match node {
-            Node::Leaf { keys, values } => {
-                out.extend(keys.iter().copied().zip(values.iter().copied()));
-            }
-            Node::Internal { children, .. } => {
-                for c in children {
-                    Self::collect(c, out);
-                }
-            }
-        }
-    }
-
-    /// Height of the tree (1 for a single leaf).
-    pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node = &self.root;
-        while let Node::Internal { children, .. } = node {
-            h += 1;
-            node = &children[0];
-        }
-        h
-    }
-
-    /// Structural invariant check, used by crash-recovery tests: every
-    /// node's keys are strictly increasing, internal separators bound
-    /// their subtrees, internal nodes have `keys.len() + 1` children, and
-    /// the leaf sequence is globally sorted.  Returns a description of the
-    /// first violation found.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        fn walk(node: &Node, lo: Option<u64>, hi: Option<u64>) -> Result<usize, String> {
-            match node {
-                Node::Leaf { keys, values } => {
-                    if keys.len() != values.len() {
-                        return Err(format!(
-                            "leaf key/value length mismatch: {} vs {}",
-                            keys.len(),
-                            values.len()
-                        ));
-                    }
-                    for w in keys.windows(2) {
-                        if w[0] >= w[1] {
-                            return Err(format!("leaf keys not strictly increasing: {w:?}"));
-                        }
-                    }
-                    for &k in keys {
-                        if lo.is_some_and(|lo| k < lo) || hi.is_some_and(|hi| k >= hi) {
-                            return Err(format!("leaf key {k} outside separator bounds"));
-                        }
-                    }
-                    Ok(keys.len())
-                }
-                Node::Internal { keys, children } => {
-                    if children.len() != keys.len() + 1 {
-                        return Err(format!(
-                            "internal node has {} keys but {} children",
-                            keys.len(),
-                            children.len()
-                        ));
-                    }
-                    for w in keys.windows(2) {
-                        if w[0] >= w[1] {
-                            return Err(format!("separators not strictly increasing: {w:?}"));
-                        }
-                    }
-                    let mut total = 0;
-                    for (i, child) in children.iter().enumerate() {
-                        let child_lo = if i == 0 { lo } else { Some(keys[i - 1]) };
-                        let child_hi = if i == keys.len() { hi } else { Some(keys[i]) };
-                        total += walk(child, child_lo, child_hi)?;
-                    }
-                    Ok(total)
-                }
-            }
-        }
-        let counted = walk(&self.root, None, None)?;
-        if counted != self.len {
-            return Err(format!(
-                "length counter {} disagrees with {} entries reachable",
-                self.len, counted
-            ));
-        }
-        Ok(())
-    }
-
-    /// Serializes the tree contents as a flat sorted list of key/value
-    /// pairs (16 bytes per entry), suitable for writing at checkpoint time.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len * 16);
-        for (k, v) in self.iter() {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Rebuilds a tree from the output of [`BPlusTree::serialize`].
-    ///
-    /// Checkpoint blobs are already sorted (serialization walks the tree
-    /// in key order), so the rebuild is a bottom-up [`BPlusTree::bulk_load`]
-    /// rather than N point inserts; unsorted input falls back to inserts.
-    pub fn deserialize(data: &[u8]) -> BPlusTree {
-        let pairs = Self::decode_pairs(data);
-        if pairs.windows(2).all(|w| w[0].0 < w[1].0) {
-            Self::bulk_load(&pairs)
-        } else {
-            let mut tree = BPlusTree::new();
-            for (k, v) in pairs {
-                tree.insert(k, v);
-            }
-            tree
-        }
-    }
-
-    /// Rebuilds a tree with one point insert per entry — the legacy replay
-    /// strategy, kept for the batched-vs-record-by-record recovery
-    /// equivalence harness.
-    pub fn deserialize_point_inserts(data: &[u8]) -> BPlusTree {
-        let mut tree = BPlusTree::new();
-        for (k, v) in Self::decode_pairs(data) {
-            tree.insert(k, v);
-        }
-        tree
-    }
-
-    fn decode_pairs(data: &[u8]) -> Vec<(u64, u64)> {
-        data.chunks_exact(16)
-            .map(|chunk| {
-                let k = u64::from_le_bytes(chunk[0..8].try_into().expect("chunk is 16 bytes"));
-                let v = u64::from_le_bytes(chunk[8..16].try_into().expect("chunk is 16 bytes"));
-                (k, v)
-            })
-            .collect()
-    }
-
-    /// Builds a tree bottom-up from sorted, duplicate-free pairs: leaves
-    /// are filled in order, then each internal level chunks the one below,
-    /// with separators taken as the minimum key of the right sibling (the
-    /// same bound [`BPlusTree::get`]'s descent assumes).  O(n) instead of
-    /// O(n log n) point inserts, and no rebalancing churn.
-    pub fn bulk_load(pairs: &[(u64, u64)]) -> BPlusTree {
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
-            "bulk_load input must be sorted and duplicate-free"
-        );
-        if pairs.is_empty() {
-            return BPlusTree::new();
-        }
-        // (min key of subtree, subtree) for the level under construction.
-        let mut level: Vec<(u64, Node)> = pairs
-            .chunks(ORDER)
-            .map(|c| {
-                (
-                    c[0].0,
-                    Node::Leaf {
-                        keys: c.iter().map(|&(k, _)| k).collect(),
-                        values: c.iter().map(|&(_, v)| v).collect(),
-                    },
-                )
-            })
-            .collect();
-        while level.len() > 1 {
-            let mut next: Vec<(u64, Node)> = Vec::with_capacity(level.len().div_ceil(ORDER));
-            let mut iter = level.into_iter();
-            loop {
-                let group: Vec<(u64, Node)> = iter.by_ref().take(ORDER).collect();
-                if group.is_empty() {
-                    break;
-                }
-                let min = group[0].0;
-                let keys: Vec<u64> = group[1..].iter().map(|&(k, _)| k).collect();
-                let children: Vec<Node> = group.into_iter().map(|(_, n)| n).collect();
-                next.push((min, Node::Internal { keys, children }));
-            }
-            level = next;
-        }
-        let (_, root) = level.pop().expect("non-empty input builds a root");
-        BPlusTree {
-            root,
-            len: pairs.len(),
-        }
+        self.0.range(lo..hi).map(|(&k, &v)| (k, v)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     #[test]
     fn empty_tree() {
-        let t = BPlusTree::new();
-        assert!(t.is_empty());
-        assert_eq!(t.get(1), None);
-        assert_eq!(t.iter(), vec![]);
-        assert_eq!(t.height(), 1);
+        assert_eq!(BPlusTree::new().range(0, u64::MAX), vec![]);
     }
 
     #[test]
@@ -489,54 +47,11 @@ mod tests {
         assert_eq!(t.insert(5, 50), None);
         assert_eq!(t.insert(3, 30), None);
         assert_eq!(t.insert(5, 55), Some(50));
-        assert_eq!(t.get(5), Some(55));
-        assert_eq!(t.get(3), Some(30));
-        assert_eq!(t.get(4), None);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.range(0, 10), vec![(3, 30), (5, 55)]);
     }
 
     #[test]
-    fn many_inserts_split_and_stay_sorted() {
-        let mut t = BPlusTree::new();
-        // Insert in a scrambled order.
-        for i in 0..10_000u64 {
-            let k = (i * 7919) % 10_007;
-            t.insert(k, k * 2);
-        }
-        assert!(t.height() > 1, "tree should have split");
-        let items = t.iter();
-        assert_eq!(items.len(), t.len());
-        for w in items.windows(2) {
-            assert!(w[0].0 < w[1].0, "keys must be strictly increasing");
-        }
-        for i in 0..10_000u64 {
-            let k = (i * 7919) % 10_007;
-            assert_eq!(t.get(k), Some(k * 2));
-        }
-    }
-
-    #[test]
-    fn remove_works() {
-        let mut t = BPlusTree::new();
-        for i in 0..1000u64 {
-            t.insert(i, i + 1);
-        }
-        for i in (0..1000u64).step_by(2) {
-            assert_eq!(t.remove(i), Some(i + 1));
-        }
-        assert_eq!(t.remove(0), None);
-        assert_eq!(t.len(), 500);
-        for i in 0..1000u64 {
-            if i % 2 == 0 {
-                assert_eq!(t.get(i), None);
-            } else {
-                assert_eq!(t.get(i), Some(i + 1));
-            }
-        }
-    }
-
-    #[test]
-    fn range_and_lower_bound() {
+    fn range_is_half_open() {
         let mut t = BPlusTree::new();
         for i in (0..100u64).map(|i| i * 10) {
             t.insert(i, i);
@@ -545,83 +60,8 @@ mod tests {
             t.range(95, 135),
             vec![(100, 100), (110, 110), (120, 120), (130, 130)]
         );
-        assert_eq!(t.lower_bound(95), Some((100, 100)));
-        assert_eq!(t.lower_bound(100), Some((100, 100)));
-        assert_eq!(t.lower_bound(991), None);
-        assert_eq!(t.lower_bound(0), Some((0, 0)));
-    }
-
-    #[test]
-    fn serialize_round_trip() {
-        let mut t = BPlusTree::new();
-        for i in 0..5000u64 {
-            t.insert(i * 3, i);
-        }
-        let bytes = t.serialize();
-        assert_eq!(bytes.len(), 5000 * 16);
-        let t2 = BPlusTree::deserialize(&bytes);
-        assert_eq!(t2.len(), t.len());
-        assert_eq!(t2.iter(), t.iter());
-    }
-
-    #[test]
-    fn bulk_load_matches_point_inserts() {
-        for n in [0usize, 1, 63, 64, 65, 4096, 10_000] {
-            let pairs: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 3, i + 7)).collect();
-            let bulk = BPlusTree::bulk_load(&pairs);
-            bulk.check_invariants()
-                .unwrap_or_else(|e| panic!("bulk_load({n}) invariants: {e}"));
-            let mut inserted = BPlusTree::new();
-            for &(k, v) in &pairs {
-                inserted.insert(k, v);
-            }
-            assert_eq!(bulk.len(), inserted.len());
-            assert_eq!(bulk.iter(), inserted.iter());
-            assert_eq!(bulk.serialize(), inserted.serialize());
-            if n > 0 {
-                assert_eq!(bulk.get(pairs[n / 2].0), Some(pairs[n / 2].1));
-                assert_eq!(bulk.lower_bound(pairs[n - 1].0 + 1), None);
-            }
-        }
-    }
-
-    #[test]
-    fn deserialize_strategies_agree() {
-        let mut t = BPlusTree::new();
-        for i in 0..3000u64 {
-            t.insert(i * 11, i);
-        }
-        let bytes = t.serialize();
-        let bulk = BPlusTree::deserialize(&bytes);
-        let point = BPlusTree::deserialize_point_inserts(&bytes);
-        bulk.check_invariants().unwrap();
-        point.check_invariants().unwrap();
-        assert_eq!(bulk.iter(), point.iter());
-        assert_eq!(bulk.serialize(), point.serialize());
-    }
-
-    #[test]
-    fn matches_std_btreemap_on_mixed_workload() {
-        let mut t = BPlusTree::new();
-        let mut reference = BTreeMap::new();
-        let mut x: u64 = 12345;
-        for step in 0..50_000u64 {
-            // Cheap LCG for a deterministic mixed workload.
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let key = x % 3000;
-            match step % 3 {
-                0 | 1 => {
-                    assert_eq!(t.insert(key, step), reference.insert(key, step));
-                }
-                _ => {
-                    assert_eq!(t.remove(key), reference.remove(&key));
-                }
-            }
-        }
-        assert_eq!(t.len(), reference.len());
-        let items: Vec<(u64, u64)> = reference.into_iter().collect();
-        assert_eq!(t.iter(), items);
+        assert_eq!(t.range(100, 110), vec![(100, 100)]);
+        assert_eq!(t.range(130, 130), vec![]);
+        assert_eq!(t.range(135, 95), vec![]);
     }
 }

@@ -1,14 +1,14 @@
 //! Free disk-space management.
 //!
-//! The store tracks free space as *extents* (contiguous byte ranges) using
-//! two B+-trees: one indexed by extent size, used to find an
-//! appropriately-sized extent quickly, and one indexed by extent location,
-//! used to coalesce adjacent extents when space is freed (§4).  Disk space
-//! allocation is delayed until an object is written to disk, which makes it
-//! easier to allocate contiguous extents; the allocator itself only hands
-//! out ranges.
-
-use crate::bptree::BPlusTree;
+//! The store tracks free space as *extents* (contiguous byte ranges) in one
+//! list sorted by offset, with adjacent extents always coalesced — the form
+//! a checkpoint stores it in.  The paper indexes free extents by size and
+//! by location in two B+-trees (§4); here the list stays a handful of
+//! extents long in every workload measured, so `alloc` scans it for the
+//! best fit and `free` binary-searches it for the neighbours to merge
+//! with.  Disk space allocation is delayed until an object is written to
+//! disk, which makes it easier to allocate contiguous extents; the
+//! allocator itself only hands out ranges.
 
 /// A contiguous range of free (or allocated) disk space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,28 +31,23 @@ impl Extent {
     }
 }
 
-/// Free-space allocator backed by two B+-trees.
-///
-/// *By-size* tree: key is `size << 20 | (fingerprint of offset)` so that
-/// extents of equal size get distinct keys; value is the offset.
-/// *By-location* tree: key is the offset, value is the length.
+/// Best-fit free-space allocator over one offset-sorted free list.
 #[derive(Debug)]
 pub struct ExtentAllocator {
-    by_location: BPlusTree,
-    by_size: BPlusTree,
+    /// Free extents: sorted by offset, non-empty, and never adjacent.
+    free: Vec<Extent>,
     total_free: u64,
     capacity: u64,
 }
 
-/// Number of low bits reserved to disambiguate same-size extents in the
-/// by-size index.
+/// Number of low bits of a [`size_key`] that carry the offset fingerprint.
 const SIZE_KEY_SHIFT: u32 = 24;
 
+/// The best-fit order: the smallest adequate length first and, among equal
+/// lengths, the lowest fingerprint (the top bits of the offset's Fibonacci
+/// hash), then the lowest offset.  Every home offset, and so every seek
+/// and tick of the model, follows from this order.
 fn size_key(len: u64, offset: u64) -> u64 {
-    // Same-size extents are ordered by a hash of their offset so that the
-    // by-size tree never has duplicate keys.  The offset fingerprint is
-    // recoverable only through the by-location tree, which is fine — the
-    // value field carries the real offset.
     (len << SIZE_KEY_SHIFT) | (offset.wrapping_mul(0x9E3779B97F4A7C15) >> (64 - SIZE_KEY_SHIFT))
 }
 
@@ -61,16 +56,8 @@ impl ExtentAllocator {
     /// `data_start` (space before `data_start` is reserved for superblocks
     /// and the log).
     pub fn new(data_start: u64, capacity: u64) -> ExtentAllocator {
-        let mut alloc = ExtentAllocator {
-            by_location: BPlusTree::new(),
-            by_size: BPlusTree::new(),
-            total_free: 0,
-            capacity,
-        };
-        if capacity > data_start {
-            alloc.insert_free(Extent::new(data_start, capacity - data_start));
-        }
-        alloc
+        let all = Extent::new(data_start, capacity.saturating_sub(data_start));
+        ExtentAllocator::from_free_list(capacity, &[all])
     }
 
     /// Total free bytes.
@@ -85,40 +72,31 @@ impl ExtentAllocator {
 
     /// Number of distinct free extents (a fragmentation metric).
     pub fn fragments(&self) -> usize {
-        self.by_location.len()
+        self.free.len()
     }
 
-    fn insert_free(&mut self, e: Extent) {
-        if e.len == 0 {
-            return;
-        }
-        self.by_location.insert(e.offset, e.len);
-        self.by_size.insert(size_key(e.len, e.offset), e.offset);
-        self.total_free += e.len;
-    }
-
-    fn remove_free(&mut self, e: Extent) {
-        self.by_location.remove(e.offset);
-        self.by_size.remove(size_key(e.len, e.offset));
-        self.total_free -= e.len;
-    }
-
-    /// Allocates an extent of at least `len` bytes (best-fit on the by-size
-    /// tree).  Returns `None` if no single free extent is large enough.
+    /// Allocates an extent of exactly `len` bytes from the start of the
+    /// best-fitting free extent (see [`size_key`]).  Returns `None` if no
+    /// single free extent is large enough.
     pub fn alloc(&mut self, len: u64) -> Option<Extent> {
         if len == 0 {
             return Some(Extent::new(0, 0));
         }
-        // Smallest size-key ≥ (len << SHIFT) is the best-fit extent.
-        let (key, offset) = self.by_size.lower_bound(len << SIZE_KEY_SHIFT)?;
-        let actual_len = key >> SIZE_KEY_SHIFT;
-        debug_assert!(actual_len >= len);
-        let whole = Extent::new(offset, actual_len);
-        self.remove_free(whole);
-        if actual_len > len {
-            self.insert_free(Extent::new(offset + len, actual_len - len));
+        let (i, fit) = self
+            .free
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, e)| e.len >= len)
+            .min_by_key(|(_, e)| (size_key(e.len, e.offset), e.offset))?;
+        let got = Extent::new(fit.offset, len);
+        if fit.len == len {
+            self.free.remove(i);
+        } else {
+            fit.offset += len;
+            fit.len -= len;
         }
-        Some(Extent::new(offset, len))
+        self.total_free -= len;
+        Some(got)
     }
 
     /// Frees an extent, coalescing with free neighbours.
@@ -131,50 +109,25 @@ impl ExtentAllocator {
         if extent.len == 0 {
             return;
         }
+        let i = self.free.partition_point(|e| e.offset < extent.offset);
+        let prev = i.checked_sub(1).map(|p| self.free[p]);
+        let next = self.free.get(i).copied();
+        debug_assert!(
+            prev.is_none_or(|p| p.end() <= extent.offset)
+                && next.is_none_or(|n| extent.end() <= n.offset),
+            "double free or overlap at offset {}",
+            extent.offset
+        );
+        self.total_free += extent.len;
         let mut merged = extent;
-
-        // Coalesce with the following extent, if adjacent.
-        if let Some((next_off, next_len)) = self.by_location.lower_bound(extent.offset) {
-            debug_assert!(
-                next_off >= merged.end() || next_off + next_len <= merged.offset,
-                "double free or overlap at offset {next_off}"
-            );
-            if next_off == merged.end() {
-                self.remove_free(Extent::new(next_off, next_len));
-                merged.len += next_len;
-            }
+        if next.is_some_and(|n| n.offset == extent.end()) {
+            merged.len += self.free.remove(i).len;
         }
-
-        // Coalesce with the preceding extent, if adjacent.  The by-location
-        // tree has no "predecessor" query, so scan the range just before the
-        // freed offset; extents are bounded by the capacity so this range is
-        // cheap to compute via lower_bound from 0 only when small.  We use a
-        // bounded backwards probe: find the largest key < offset by scanning
-        // the range [0, offset) lazily from the closest candidates.
-        if let Some((prev_off, prev_len)) = self.predecessor(extent.offset) {
-            if prev_off + prev_len == merged.offset {
-                self.remove_free(Extent::new(prev_off, prev_len));
-                merged = Extent::new(prev_off, prev_len + merged.len);
-            } else {
-                debug_assert!(
-                    prev_off + prev_len <= merged.offset,
-                    "double free or overlap before offset {}",
-                    merged.offset
-                );
-            }
+        if prev.is_some_and(|p| p.end() == extent.offset) {
+            self.free[i - 1].len += merged.len;
+        } else {
+            self.free.insert(i, merged);
         }
-
-        self.insert_free(merged);
-    }
-
-    /// Largest free extent starting strictly before `offset`.
-    fn predecessor(&self, offset: u64) -> Option<(u64, u64)> {
-        // The by-location tree is keyed by offset; take the greatest entry
-        // below `offset`.  BPlusTree has no reverse iterator, so use range
-        // collection over [0, offset) and take the last element.  Free lists
-        // are small relative to object counts, and this path only runs on
-        // deallocation, so the linear cost is acceptable for the simulator.
-        self.by_location.range(0, offset).into_iter().next_back()
     }
 
     /// One past the highest allocated byte: if the topmost free extent
@@ -182,33 +135,58 @@ impl ExtentAllocator {
     /// The superblock records this so recovery can preload the whole live
     /// data region in a single read.
     pub fn high_water(&self) -> u64 {
-        match self.free_list().last() {
+        match self.free.last() {
             Some(last) if last.end() == self.capacity => last.offset,
             _ => self.capacity,
         }
     }
 
     /// All free extents in ascending offset order (used by checkpointing).
-    pub fn free_list(&self) -> Vec<Extent> {
-        self.by_location
-            .iter()
-            .into_iter()
-            .map(|(off, len)| Extent::new(off, len))
-            .collect()
+    pub fn free_list(&self) -> &[Extent] {
+        &self.free
     }
 
-    /// Rebuilds an allocator from a saved free list.
+    /// Rebuilds an allocator from a saved free list, which must be sorted
+    /// and coalesced as [`ExtentAllocator::free_list`] returns it
+    /// ([`ExtentAllocator::check_invariants`] reports one that is not).
     pub fn from_free_list(capacity: u64, free: &[Extent]) -> ExtentAllocator {
-        let mut alloc = ExtentAllocator {
-            by_location: BPlusTree::new(),
-            by_size: BPlusTree::new(),
-            total_free: 0,
+        let free: Vec<Extent> = free.iter().copied().filter(|e| e.len > 0).collect();
+        ExtentAllocator {
+            total_free: free.iter().map(|e| e.len).sum(),
+            free,
             capacity,
-        };
-        for &e in free {
-            alloc.insert_free(e);
         }
-        alloc
+    }
+
+    /// Consistency check: the free extents are non-empty, inside the
+    /// capacity, sorted, disjoint and coalesced, and `free_bytes` is their
+    /// sum.  Returns the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let capacity = self.capacity;
+        let outside = |e: &&Extent| {
+            capacity
+                .checked_sub(e.offset)
+                .is_none_or(|room| e.len > room)
+        };
+        if let Some(e) = self.free.iter().find(|e| e.len == 0 || outside(e)) {
+            return Err(format!(
+                "free extent {e:?} is empty or ends past the capacity {capacity:#x}"
+            ));
+        }
+        if let Some(w) = self.free.windows(2).find(|w| w[0].end() >= w[1].offset) {
+            return Err(format!(
+                "free extents {:?} and {:?} are unsorted, overlapping or not coalesced",
+                w[0], w[1]
+            ));
+        }
+        let sum: u64 = self.free.iter().map(|e| e.len).sum();
+        if sum != self.total_free {
+            return Err(format!(
+                "free_bytes reads {} but the free extents sum to {sum}",
+                self.total_free
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -261,6 +239,26 @@ mod tests {
         assert_eq!(got.offset, big.offset);
     }
 
+    /// Regression: the by-size index this list replaced keyed a free
+    /// extent by `size_key` alone, so of two equal-length extents whose
+    /// fingerprints collide the second overwrote the first, which
+    /// `free_bytes` still counted but `alloc` could never hand out.
+    #[test]
+    fn equal_extents_with_colliding_fingerprints_are_both_allocated() {
+        let mut a = ExtentAllocator::new(0, 48 << 20);
+        a.alloc(48 << 20).unwrap();
+        // Offsets F(37) = 24,157,817 bytes apart: φ-hashing is weakest at
+        // Fibonacci distances.
+        let (x, y) = (Extent::new(0, 4096), Extent::new(24_157_817, 4096));
+        assert_eq!(size_key(x.len, x.offset), size_key(y.len, y.offset));
+        a.free(x);
+        a.free(y);
+        assert_eq!(a.alloc(4096), Some(x), "the tie goes to the lower offset");
+        assert_eq!(a.alloc(4096), Some(y));
+        assert_eq!(a.free_bytes(), 0);
+        assert_eq!(a.alloc(1), None);
+    }
+
     #[test]
     fn exhaustion_returns_none() {
         let mut a = ExtentAllocator::new(0, 10_000);
@@ -293,7 +291,7 @@ mod tests {
         let _e2 = a.alloc(4321).unwrap();
         a.free(e1);
         let list = a.free_list();
-        let b = ExtentAllocator::from_free_list(50_000, &list);
+        let b = ExtentAllocator::from_free_list(50_000, list);
         assert_eq!(b.free_bytes(), a.free_bytes());
         assert_eq!(b.free_list(), list);
     }
@@ -334,5 +332,24 @@ mod tests {
         let e1 = a.alloc(4096).unwrap();
         let e2 = a.alloc(4096).unwrap();
         assert_eq!(e1.end(), e2.offset);
+    }
+
+    #[test]
+    fn a_malformed_free_list_is_reported() {
+        let ok = ExtentAllocator::from_free_list(100, &[Extent::new(0, 10), Extent::new(20, 10)]);
+        ok.check_invariants().unwrap();
+        for (free, what) in [
+            (&[Extent::new(20, 10), Extent::new(0, 10)][..], "unsorted"),
+            (
+                &[Extent::new(0, 10), Extent::new(10, 10)][..],
+                "not coalesced",
+            ),
+            (&[Extent::new(95, 10)][..], "past the capacity"),
+        ] {
+            let err = ExtentAllocator::from_free_list(100, free)
+                .check_invariants()
+                .unwrap_err();
+            assert!(err.contains(what), "{free:?}: {err}");
+        }
     }
 }

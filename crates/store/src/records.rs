@@ -9,7 +9,8 @@
 //! stale.  Within the namespace, bits 56..61 select a record *kind* and
 //! the low 56 bits identify the record, laid out so that one directory's
 //! entries (and one file's extents) are contiguous in key order — a
-//! B+-tree range scan enumerates them without touching anything else.
+//! range scan of the object map enumerates them without touching anything
+//! else.
 //!
 //! ```text
 //! 63   62..61  60..56   55..24        23..0

@@ -7,7 +7,6 @@
 //! log or checkpoint the entire system state, and the paper's "group sync"
 //! mode checkpoints once at the end of a batch of operations (§7.1).
 
-use crate::bptree::BPlusTree;
 use crate::codec::{frame, unframe, Decoder, Encoder};
 use crate::extent::{Extent, ExtentAllocator};
 use crate::wal::{LogRecord, WriteAheadLog};
@@ -20,13 +19,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// How recovery rebuilds state from the checkpoint and the log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayMode {
-    /// Read the log in large chunks, bulk-load the B+-trees bottom-up,
-    /// preload the live data region in one read, and fold the replayed
-    /// records per object.  The default.
+    /// Read the log in large chunks, preload the live data region in one
+    /// read, and fold the replayed records per object.  The default.
     Batched,
-    /// Read the whole log region in one I/O and rebuild the trees with one
-    /// point insert per entry — the legacy strategy, kept so the
-    /// equivalence harness can prove both paths recover identical state.
+    /// Read the whole log region in one I/O and replay it one record at a
+    /// time — the legacy strategy, kept so the equivalence harness can
+    /// prove both paths recover identical state.
     RecordByRecord,
 }
 
@@ -123,35 +121,39 @@ impl std::error::Error for StoreError {}
 /// 8 bytes of object ID plus the 8-byte body length prefix.
 const RECORD_HEADER: u64 = 16;
 
-/// Where each object's record lives on disk: three B+-trees keyed by
-/// object ID (separate because that is the checkpoint's on-disk format)
-/// and the allocator their extents come from.  A field group of its own so
-/// a home write can borrow it, and the disk, beside the cache or log entry
-/// the body is copied from.
+/// Where one object's record lives on disk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Home {
+    /// Disk offset of the record.
+    offset: u64,
+    /// Length of the extent allocated there.
+    extent_len: u64,
+    /// Body length as last written there.
+    body_len: u64,
+}
+
+impl Home {
+    fn extent(&self) -> Extent {
+        Extent::new(self.offset, self.extent_len)
+    }
+}
+
+/// Where each object's record lives on disk, and the allocator the
+/// extents come from.  A field group of its own so a home write can borrow
+/// it, and the disk, beside the cache or log entry the body is copied
+/// from.
 #[derive(Debug)]
 struct HomeMap {
-    /// Object ID → home-location offset on disk.
-    loc: BPlusTree,
-    /// Object ID → allocated extent length at the home location.
-    extent_len: BPlusTree,
-    /// Object ID → body length as last written to the home location.
-    body_len: BPlusTree,
+    /// Object ID → its home record.
+    by_id: BTreeMap<u64, Home>,
     alloc: ExtentAllocator,
 }
 
 impl HomeMap {
-    /// The object's home extent, if it has one.
-    fn extent(&self, id: u64) -> Option<Extent> {
-        Some(Extent::new(self.loc.get(id)?, self.extent_len.get(id)?))
-    }
-
     /// Forgets the object's home location and frees its extent.
     fn release(&mut self, id: u64) {
-        if let Some(extent) = self.extent(id) {
-            self.alloc.free(extent);
-            self.loc.remove(id);
-            self.extent_len.remove(id);
-            self.body_len.remove(id);
+        if let Some(home) = self.by_id.remove(&id) {
+            self.alloc.free(home.extent());
         }
     }
 
@@ -164,23 +166,104 @@ impl HomeMap {
         let need = RECORD_HEADER + body_len;
         // Reuse the existing extent if the new record still fits; otherwise
         // allocate a fresh one (delayed allocation).
-        let extent = match self.extent(id).filter(|extent| extent.len >= need) {
-            Some(extent) => extent,
-            None => {
+        let offset = match self.by_id.get_mut(&id) {
+            Some(home) if home.extent_len >= need => {
+                home.body_len = body_len;
+                home.offset
+            }
+            _ => {
                 self.release(id);
-                self.alloc
+                let extent = self
+                    .alloc
                     .alloc(need.max(BLOCK_SIZE))
-                    .expect("simulated disk out of space")
+                    .expect("simulated disk out of space");
+                let home = Home {
+                    offset: extent.offset,
+                    extent_len: extent.len,
+                    body_len,
+                };
+                self.by_id.insert(id, home);
+                home.offset
             }
         };
         let mut header = [0u8; RECORD_HEADER as usize];
         header[..8].copy_from_slice(&id.to_le_bytes());
         header[8..].copy_from_slice(&body_len.to_le_bytes());
-        disk.write_vectored(extent.offset, &[&header, body]);
-        self.loc.insert(id, extent.offset);
-        self.extent_len.insert(id, extent.len);
-        self.body_len.insert(id, body_len);
+        disk.write_vectored(offset, &[&header, body]);
     }
+}
+
+/// The checkpoint's image of the home map: three lists — `(id, offset)`,
+/// `(id, extent length)` and `(id, body length)` — each of 16-byte
+/// little-endian pairs in ascending id order, written in one pass.
+fn encode_homes(by_id: &BTreeMap<u64, Home>) -> [Vec<u8>; 3] {
+    let mut lists = [(); 3].map(|_| Vec::with_capacity(by_id.len() * 16));
+    for (id, home) in by_id {
+        let values = [home.offset, home.extent_len, home.body_len];
+        for (list, value) in lists.iter_mut().zip(values) {
+            list.extend_from_slice(&id.to_le_bytes());
+            list.extend_from_slice(&value.to_le_bytes());
+        }
+    }
+    lists
+}
+
+/// One list of [`encode_homes`], refused unless it is whole pairs in
+/// strictly ascending id order.
+fn decode_pairs(list: &[u8]) -> Result<Vec<(u64, u64)>, StoreError> {
+    let pairs = list.chunks_exact(16);
+    if !pairs.remainder().is_empty() {
+        return Err(StoreError::Corrupt("home list is not whole pairs"));
+    }
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let pairs: Vec<(u64, u64)> = pairs.map(|p| (word(&p[..8]), word(&p[8..]))).collect();
+    if pairs.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(StoreError::Corrupt("home list ids not ascending"));
+    }
+    Ok(pairs)
+}
+
+/// The home map from the three lists of [`encode_homes`], refused unless
+/// each is well formed and all three name the same ids.
+fn decode_homes(lists: [&[u8]; 3]) -> Result<BTreeMap<u64, Home>, StoreError> {
+    let [offsets, extent_lens, body_lens] = lists.map(decode_pairs);
+    let (offsets, extent_lens, body_lens) = (offsets?, extent_lens?, body_lens?);
+    if offsets.len() != extent_lens.len() || offsets.len() != body_lens.len() {
+        return Err(StoreError::Corrupt("home lists disagree"));
+    }
+    offsets
+        .into_iter()
+        .zip(extent_lens)
+        .zip(body_lens)
+        .map(|(((id, offset), (id2, extent_len)), (id3, body_len))| {
+            if id != id2 || id != id3 {
+                return Err(StoreError::Corrupt("home lists disagree"));
+            }
+            let home = Home {
+                offset,
+                extent_len,
+                body_len,
+            };
+            Ok((id, home))
+        })
+        .collect()
+}
+
+/// The framed checkpoint metadata blob: the three home lists of
+/// [`encode_homes`], then the free list as a count and `(offset, length)`
+/// pairs.
+fn meta_blob(homes: &[Vec<u8>; 3], free: &[Extent]) -> Vec<u8> {
+    let mut free_enc = Encoder::new();
+    free_enc.put_u64(free.len() as u64);
+    for e in free {
+        free_enc.put_u64(e.offset).put_u64(e.len);
+    }
+    let mut e = Encoder::new();
+    for list in homes {
+        e.put_bytes(list);
+    }
+    e.put_bytes(&free_enc.finish());
+    frame(&e.finish())
 }
 
 /// The single-level store.
@@ -273,9 +356,7 @@ impl SingleLevelStore {
         SingleLevelStore {
             wal: WriteAheadLog::new(config.superblock_len, config.log_region_len),
             homes: HomeMap {
-                loc: BPlusTree::new(),
-                extent_len: BPlusTree::new(),
-                body_len: BPlusTree::new(),
+                by_id: BTreeMap::new(),
                 alloc: ExtentAllocator::new(data_start, config.disk.capacity),
             },
             cache: BTreeMap::new(),
@@ -379,15 +460,10 @@ impl SingleLevelStore {
         if self.deleted.contains(&id) {
             return Ok(None);
         }
-        let Some(offset) = self.homes.loc.get(id) else {
+        let Some(home) = self.homes.by_id.get(&id) else {
             return Ok(None);
         };
-        let body_len = self
-            .homes
-            .body_len
-            .get(id)
-            .ok_or(StoreError::Corrupt("object map missing body length"))?;
-        let raw = self.disk.read(offset, RECORD_HEADER + body_len);
+        let raw = self.disk.read(home.offset, RECORD_HEADER + home.body_len);
         let mut d = Decoder::new(&raw);
         let stored_id = d.get_u64().map_err(|_| StoreError::Corrupt("object id"))?;
         if stored_id != id {
@@ -446,70 +522,56 @@ impl SingleLevelStore {
             return Vec::new();
         }
         live_keys(
-            self.homes.loc.range(lo, hi).into_iter().map(|(k, _)| k),
+            self.homes.by_id.range(lo..hi).map(|(k, _)| *k),
             self.cache.range(lo..hi).map(|(k, _)| *k),
             self.deleted.range(lo..hi).copied(),
         )
     }
 
-    /// Structural consistency check used by the crash-recovery gate: no
+    /// Structural consistency check used by the crash-recovery gates: no
     /// object is both cached and deleted (a read asks the cache before the
     /// deletions and a key listing subtracts the deletions, so the two
-    /// agree only while the sets are disjoint), the three object-map
-    /// B+-trees satisfy their tree invariants and agree on exactly which
-    /// objects have home locations, and no two home extents overlap.
-    /// Returns the first violation found.
+    /// agree only while the sets are disjoint); every home record's body
+    /// fits its extent; the free list is well formed (see
+    /// [`ExtentAllocator::check_invariants`]) and lies above the log; and
+    /// no two of the home extents, the free extents and the live
+    /// checkpoint's metadata extent overlap.  Returns the first violation
+    /// found.
     pub fn check_invariants(&self) -> Result<(), String> {
         if let Some(id) = self.deleted.iter().find(|id| self.cache.contains_key(id)) {
             return Err(format!("object {id:#x} is both cached and deleted"));
         }
+        let free = self.homes.alloc.free_list();
         self.homes
-            .loc
+            .alloc
             .check_invariants()
-            .map_err(|e| format!("object_loc: {e}"))?;
-        self.homes
-            .extent_len
-            .check_invariants()
-            .map_err(|e| format!("object_extent_len: {e}"))?;
-        self.homes
-            .body_len
-            .check_invariants()
-            .map_err(|e| format!("object_body_len: {e}"))?;
-        let locs = self.homes.loc.iter();
-        let extent_lens = self.homes.extent_len.iter();
-        let body_lens = self.homes.body_len.iter();
-        if locs.len() != extent_lens.len() || locs.len() != body_lens.len() {
+            .map_err(|e| format!("free list: {e}"))?;
+        let data_start = self.config.superblock_len + self.config.log_region_len;
+        if let Some(e) = free.first().filter(|e| e.offset < data_start) {
             return Err(format!(
-                "object maps disagree: {} locations, {} extent lengths, {} body lengths",
-                locs.len(),
-                extent_lens.len(),
-                body_lens.len()
+                "free extent {e:?} starts below the data region at {data_start:#x}"
             ));
         }
-        let mut extents: Vec<(u64, u64)> = Vec::with_capacity(locs.len());
-        for (((id, off), (id2, elen)), (id3, blen)) in
-            locs.iter().zip(extent_lens.iter()).zip(body_lens.iter())
-        {
-            if id != id2 || id != id3 {
+        // Every extent in use or free, with what holds it.
+        let mut extents: Vec<(Extent, &str, Option<u64>)> = Vec::new();
+        for (&id, home) in &self.homes.by_id {
+            if home.body_len + RECORD_HEADER > home.extent_len {
                 return Err(format!(
-                    "object maps key mismatch: {id:#x}/{id2:#x}/{id3:#x}"
+                    "object {id:#x}: body length {} does not fit extent {}",
+                    home.body_len, home.extent_len
                 ));
             }
-            if blen + RECORD_HEADER > *elen {
-                return Err(format!(
-                    "object {id:#x}: body length {blen} does not fit extent {elen}"
-                ));
-            }
-            extents.push((*off, *elen));
+            extents.push((home.extent(), "object", Some(id)));
         }
-        extents.sort_unstable();
-        for w in extents.windows(2) {
-            if w[0].0 + w[0].1 > w[1].0 {
-                return Err(format!(
-                    "home extents overlap: [{:#x}+{:#x}) and [{:#x}+{:#x})",
-                    w[0].0, w[0].1, w[1].0, w[1].1
-                ));
-            }
+        extents.extend(free.iter().map(|&e| (e, "free extent", None)));
+        extents.extend(self.prev_meta.map(|e| (e, "checkpoint metadata", None)));
+        extents.sort_unstable_by_key(|&(e, ..)| e.offset);
+        if let Some(w) = extents.windows(2).find(|w| w[0].0.end() > w[1].0.offset) {
+            let name = |&(e, what, id): &(Extent, &str, Option<u64>)| {
+                let id = id.map_or(String::new(), |id| format!(" {id:#x}"));
+                format!("{what}{id} [{:#x}, {:#x})", e.offset, e.end())
+            };
+            return Err(format!("{} overlaps {}", name(&w[0]), name(&w[1])));
         }
         Ok(())
     }
@@ -571,7 +633,7 @@ impl SingleLevelStore {
 
     /// Folds every pending log record into a full checkpoint, truncating
     /// the log.  (Historically this wrote pending objects home and reset
-    /// the log head while the B+-trees lived only in memory — a crash
+    /// the log head while the maps lived only in memory — a crash
     /// after truncation then lost the maps that located the freshly homed
     /// records.  A checkpoint makes the fold itself durable.)
     pub fn apply_log(&mut self) {
@@ -626,8 +688,9 @@ impl SingleLevelStore {
             }
             let fits = self
                 .homes
-                .extent(id)
-                .is_some_and(|extent| extent.len >= RECORD_HEADER + data.len() as u64);
+                .by_id
+                .get(&id)
+                .is_some_and(|home| home.extent_len >= RECORD_HEADER + data.len() as u64);
             if !fits {
                 continue;
             }
@@ -713,8 +776,12 @@ impl SingleLevelStore {
         encoded_len: u64,
         ranges: &[(u64, &[u8])],
     ) -> Result<u64, StoreError> {
-        let home = self.homes.loc.get(id).ok_or(StoreError::NoSuchObject(id))?;
-        if self.homes.body_len.get(id) != Some(encoded_len) {
+        let home = self
+            .homes
+            .by_id
+            .get(&id)
+            .ok_or(StoreError::NoSuchObject(id))?;
+        if home.body_len != encoded_len {
             return Err(StoreError::InvalidOperation(
                 "object size changed since last home write",
             ));
@@ -737,7 +804,7 @@ impl SingleLevelStore {
                 "range past the end of the record",
             ));
         }
-        Ok(home)
+        Ok(home.offset)
     }
 
     /// Takes a full checkpoint: every dirty object is written to its home
@@ -769,35 +836,19 @@ impl SingleLevelStore {
         //    size depends on the free list, so serialize twice: once to
         //    measure, then (after allocating, which changes the free list
         //    by at most one entry) with the final free list.
-        let loc_bytes = self.homes.loc.serialize();
-        let extent_len_bytes = self.homes.extent_len.serialize();
-        let body_len_bytes = self.homes.body_len.serialize();
-        let build_blob = |alloc: &ExtentAllocator| {
-            let free_list = alloc.free_list();
-            let mut free_enc = Encoder::new();
-            free_enc.put_u64(free_list.len() as u64);
-            for e in &free_list {
-                free_enc.put_u64(e.offset).put_u64(e.len);
-            }
-            let mut e = Encoder::new();
-            e.put_bytes(&loc_bytes)
-                .put_bytes(&extent_len_bytes)
-                .put_bytes(&body_len_bytes)
-                .put_bytes(&free_enc.finish());
-            frame(&e.finish())
-        };
-        let probe_len = build_blob(&self.homes.alloc).len() as u64;
+        let homes = encode_homes(&self.homes.by_id);
+        let probe_len = meta_blob(&homes, self.homes.alloc.free_list()).len() as u64;
         let meta_extent = self
             .homes
             .alloc
             .alloc((probe_len + 64).max(BLOCK_SIZE))
             .expect("disk out of space for checkpoint metadata");
-        let meta_blob = build_blob(&self.homes.alloc);
+        let blob = meta_blob(&homes, self.homes.alloc.free_list());
         assert!(
-            meta_blob.len() as u64 <= meta_extent.len,
+            blob.len() as u64 <= meta_extent.len,
             "checkpoint metadata outgrew its extent"
         );
-        self.disk.write(meta_extent.offset, &meta_blob);
+        self.disk.write(meta_extent.offset, &blob);
 
         // 3. Superblock points at the metadata blob.  It also records the
         //    allocator's high-water mark (computed after the metadata
@@ -809,7 +860,7 @@ impl SingleLevelStore {
         sb.put_u64(SUPERBLOCK_MAGIC)
             .put_u64(self.sequence)
             .put_u64(meta_extent.offset)
-            .put_u64(meta_blob.len() as u64)
+            .put_u64(blob.len() as u64)
             .put_u64(meta_extent.len)
             .put_u64(self.homes.alloc.high_water());
         self.disk.write(0, &frame(&sb.finish()));
@@ -837,8 +888,8 @@ impl SingleLevelStore {
     }
 
     /// [`SingleLevelStore::recover`] with per-phase flight recording: each
-    /// recovery phase (superblock read, data-region preload, B+-tree
-    /// rebuild, WAL replay) emits a `recover` span into `recorder`, and
+    /// recovery phase (superblock read, data-region preload, object-map
+    /// and free-list rebuild, WAL replay) emits a `recover` span into `recorder`, and
     /// the recorder stays installed on the recovered store.
     pub fn recover_traced(
         config: StoreConfig,
@@ -923,18 +974,7 @@ impl SingleLevelStore {
             .get_slice()
             .map_err(|_| StoreError::Corrupt("free list"))?;
 
-        let (loc, extent_len, body_len) = match config.replay_mode {
-            ReplayMode::Batched => (
-                BPlusTree::deserialize(loc_bytes),
-                BPlusTree::deserialize(extent_len_bytes),
-                BPlusTree::deserialize(body_len_bytes),
-            ),
-            ReplayMode::RecordByRecord => (
-                BPlusTree::deserialize_point_inserts(loc_bytes),
-                BPlusTree::deserialize_point_inserts(extent_len_bytes),
-                BPlusTree::deserialize_point_inserts(body_len_bytes),
-            ),
-        };
+        let by_id = decode_homes([loc_bytes, extent_len_bytes, body_len_bytes])?;
         let mut d = Decoder::new(free_bytes);
         let n = d.get_u64().map_err(|_| StoreError::Corrupt("free list"))? as usize;
         let mut free = Vec::with_capacity(n);
@@ -944,6 +984,9 @@ impl SingleLevelStore {
             free.push(Extent::new(off, len));
         }
         let alloc = ExtentAllocator::from_free_list(config.disk.capacity, &free);
+        alloc
+            .check_invariants()
+            .map_err(|_| StoreError::Corrupt("free list"))?;
         let t3 = disk.clock().now().as_nanos();
         phase(&recorder, "btree_rebuild", t2, t3);
 
@@ -951,12 +994,7 @@ impl SingleLevelStore {
         let mut store = SingleLevelStore {
             config,
             wal,
-            homes: HomeMap {
-                loc,
-                extent_len,
-                body_len,
-                alloc,
-            },
+            homes: HomeMap { by_id, alloc },
             cache: BTreeMap::new(),
             dirty: BTreeSet::new(),
             deleted: BTreeSet::new(),
@@ -975,15 +1013,12 @@ impl SingleLevelStore {
         // checkpoint, so a pre-applied home record never shadows a newer
         // logged version.
         if let Some((base, buf)) = preload {
-            for (id, off) in store.homes.loc.iter() {
-                let Some(body_len) = store.homes.body_len.get(id) else {
-                    continue;
-                };
-                if off < base {
+            for (&id, home) in &store.homes.by_id {
+                if home.offset < base {
                     continue;
                 }
-                let lo = (off - base) as usize;
-                let Some(hi) = lo.checked_add((RECORD_HEADER + body_len) as usize) else {
+                let lo = (home.offset - base) as usize;
+                let Some(hi) = lo.checked_add((RECORD_HEADER + home.body_len) as usize) else {
                     continue;
                 };
                 if hi > buf.len() {
@@ -1093,7 +1128,7 @@ impl SingleLevelStore {
     /// All object IDs currently known to the store (cached or on disk).
     pub fn object_ids(&self) -> Vec<u64> {
         live_keys(
-            self.homes.loc.iter().into_iter().map(|(k, _)| k),
+            self.homes.by_id.keys().copied(),
             self.cache.keys().copied(),
             self.deleted.iter().copied(),
         )
@@ -1286,6 +1321,86 @@ mod tests {
     }
 
     #[test]
+    fn a_free_extent_over_a_home_record_is_reported() {
+        let mut s = store();
+        s.put(7, vec![1; 100]);
+        s.checkpoint();
+        s.check_invariants().unwrap();
+        let home = s.homes.by_id[&7].extent();
+        s.homes.alloc.free(home);
+        let err = s.check_invariants().unwrap_err();
+        assert!(
+            err.contains("object 0x7") && err.contains("free extent"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn home_lists_must_be_whole_ascending_and_agree() {
+        let home = |offset| Home {
+            offset,
+            extent_len: 4096,
+            body_len: 10,
+        };
+        let homes = BTreeMap::from([(3, home(4096)), (9, home(8192))]);
+        let [offsets, extent_lens, body_lens] = encode_homes(&homes);
+        assert_eq!(
+            decode_homes([&offsets[..], &extent_lens[..], &body_lens[..]]),
+            Ok(homes)
+        );
+        let swapped = [&offsets[16..], &offsets[..16]].concat();
+        let renamed = encode_homes(&BTreeMap::from([(3, home(4096)), (10, home(8192))]));
+        for (lists, what) in [
+            (
+                [&offsets[..31], &extent_lens[..], &body_lens[..]],
+                "home list is not whole pairs",
+            ),
+            (
+                [&swapped[..], &extent_lens[..], &body_lens[..]],
+                "home list ids not ascending",
+            ),
+            (
+                [&offsets[..], &extent_lens[..], &body_lens[16..]],
+                "home lists disagree",
+            ),
+            (
+                [&offsets[..], &extent_lens[..], &renamed[2][..]],
+                "home lists disagree",
+            ),
+        ] {
+            assert_eq!(decode_homes(lists), Err(StoreError::Corrupt(what)));
+        }
+    }
+
+    #[test]
+    fn recover_rejects_home_lists_that_disagree() {
+        let config = StoreConfig::default();
+        let mut s = SingleLevelStore::format(config, SimClock::new());
+        s.put(3, vec![3]);
+        s.put(9, vec![9]);
+        s.checkpoint();
+        // The checkpoint's metadata rewritten in place, its body-length
+        // list naming object 10 where the other two name 9: correctly
+        // framed and just as long, so only the lists are wrong.
+        let mut renamed = s.homes.by_id.clone();
+        let home = renamed.remove(&9).unwrap();
+        renamed.insert(10, home);
+        let [offsets, extent_lens, _] = encode_homes(&s.homes.by_id);
+        let [_, _, body_lens] = encode_homes(&renamed);
+        let blob = meta_blob(
+            &[offsets, extent_lens, body_lens],
+            s.homes.alloc.free_list(),
+        );
+        let meta = s.prev_meta.unwrap();
+        let mut disk = s.into_disk();
+        disk.write(meta.offset, &blob);
+        assert_eq!(
+            SingleLevelStore::recover(config, disk).err(),
+            Some(StoreError::Corrupt("home lists disagree"))
+        );
+    }
+
+    #[test]
     fn log_application_batches() {
         let config = StoreConfig {
             apply_batch: 10,
@@ -1464,13 +1579,13 @@ mod tests {
         let mut s = store();
         s.put(1, vec![1u8; 100]);
         s.checkpoint();
-        let small_extent = s.homes.extent_len.get(1).unwrap();
+        let small_extent = s.homes.by_id[&1].extent_len;
         assert!(small_extent < 100_016);
         s.put(1, vec![2u8; 100_000]);
         s.checkpoint();
-        let big_loc = s.homes.loc.get(1).unwrap();
+        let big_loc = s.homes.by_id[&1].offset;
         assert!(
-            s.homes.extent_len.get(1).unwrap() >= 100_016,
+            s.homes.by_id[&1].extent_len >= 100_016,
             "grown object needs a larger extent"
         );
         s.evict_clean();
@@ -1478,7 +1593,7 @@ mod tests {
         // Shrinking keeps it in place (the extent is large enough).
         s.put(1, vec![3u8; 50]);
         s.checkpoint();
-        assert_eq!(s.homes.loc.get(1).unwrap(), big_loc);
+        assert_eq!(s.homes.by_id[&1].offset, big_loc);
         s.evict_clean();
         assert_eq!(s.get(1).unwrap(), vec![3u8; 50]);
     }

@@ -21,7 +21,7 @@
 //!   directories as containers with a directory segment.
 //! * [`persistfs`] — the store-backed persistent filesystem at
 //!   `/persist`: inodes, dirents and extents as labeled records in the
-//!   single-level store's B+-tree; `fsync` is a write-ahead-log append
+//!   single-level store's object map; `fsync` is a write-ahead-log append
 //!   and recovery replays the log into a mountable tree.
 //! * [`procfs`] — label-filtered per-process state under `/proc`.
 //! * [`devfs`] — `/dev`: console, null, zero, urandom.

@@ -5,7 +5,7 @@
 //! checkpointing the object hierarchy; everything else survives only as a
 //! side effect of whole-machine snapshots.  PersistFs gives files the
 //! paper's durability story directly: its inodes, directory entries and
-//! file extents are keyed records in the store's B+-tree (the
+//! file extents are keyed records in the store's object map (the
 //! [`histar_store::records`] namespace), bypassing the in-kernel object
 //! heap for cold data.  `fsync` resolves a file to its record keys
 //! ([`Filesystem::sync_targets`]) and the environment issues one

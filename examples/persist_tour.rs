@@ -1,6 +1,6 @@
 //! A tour of PersistFs, the store-backed persistent filesystem at
 //! `/persist`: durable files whose inodes, directory entries and extents
-//! are labeled records in the single-level store's B+-tree, with `fsync`
+//! are labeled records in the single-level store's object map, with `fsync`
 //! as a write-ahead-log append and crash recovery that replays the log
 //! back into a mountable tree — labels included.
 //!

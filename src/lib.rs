@@ -7,7 +7,8 @@
 //!
 //! * [`label`] — Asbestos-style labels, categories and the flow lattice.
 //! * [`sim`] — deterministic simulation substrate (clock, disk, cost model).
-//! * [`store`] — single-level store: B+-trees, write-ahead log, checkpoints.
+//! * [`store`] — single-level store: object map, extent allocator,
+//!   write-ahead log, checkpoints.
 //! * [`kernel`] — the six kernel object types and the system-call surface.
 //! * [`unix`] — the untrusted user-level Unix emulation library.
 //! * [`net`] — netd, the simulated network device, and VPN isolation.
