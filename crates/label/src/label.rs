@@ -61,12 +61,17 @@ impl Label {
     /// The one constructor: `entries` must be sorted by category, without
     /// duplicates and without entries at the default level.
     fn from_sorted(default: Level, entries: Vec<Entry>) -> Label {
+        Label::from_shared(default, (!entries.is_empty()).then(|| Rc::from(entries)))
+    }
+
+    /// [`Label::from_sorted`] for entries already shared (`None`, never an
+    /// empty slice, when there are none).
+    fn from_shared(default: Level, entries: Option<Rc<[Entry]>>) -> Label {
         let mut hash = SimHasher::default();
         hash.write_u64(default.encode().into());
-        for &(c, l) in &entries {
+        for &(c, l) in entries.as_deref().unwrap_or(&[]) {
             hash.write_u64(c.pack_with_level(l.encode()));
         }
-        let entries = (!entries.is_empty()).then(|| Rc::from(entries));
         Label {
             default,
             hash: hash.finish(),
@@ -134,14 +139,32 @@ impl Label {
         self.entries.is_none()
     }
 
-    /// Returns a copy of this label with `category` set to `level`.
+    /// Returns a copy of this label with `category` set to `level`: the
+    /// same handle when that changes nothing, else one allocation, the
+    /// entries before `category`, its new entry (none at the default
+    /// level) and the entries after it copied straight into place.
     pub fn with(&self, category: Category, level: Level) -> Label {
-        LabelBuilder {
-            default: self.default,
-            entries: self.slice().to_vec(),
+        if self.level(category) == level {
+            return self.clone();
         }
-        .set(category, level)
-        .build()
+        let entries = self.slice();
+        let (before, after) = match entries.binary_search_by_key(&category, |e| e.0) {
+            Ok(idx) => (&entries[..idx], &entries[idx + 1..]),
+            Err(idx) => entries.split_at(idx),
+        };
+        let set = (level != self.default).then_some((category, level));
+        let len = before.len() + usize::from(set.is_some()) + after.len();
+        // A chain of slices and an `Option` has a trusted length, so the
+        // `Rc<[Entry]>` is allocated once at its final size.
+        let shared = (len > 0).then(|| {
+            before
+                .iter()
+                .copied()
+                .chain(set)
+                .chain(after.iter().copied())
+                .collect()
+        });
+        Label::from_shared(self.default, shared)
     }
 
     /// Returns a copy of this label with `category` restored to the default.
@@ -852,6 +875,38 @@ mod tests {
         assert_eq!(l.level(c(5)), Level::L3);
         let l2 = l.without(c(5));
         assert_eq!(l2, Label::unrestricted());
+    }
+
+    /// `with` builds what the builder builds, for the category present or
+    /// absent and the new level the default, the one it has, or another;
+    /// a `with` that changes nothing hands back the same entries.
+    #[test]
+    fn with_agrees_with_the_builder() {
+        let base = [(2, Level::L0), (5, Level::Star), (9, Level::L3)];
+        for default in [Level::L1, Level::L2] {
+            let l = lbl(&base, default);
+            for cat in [1, 2, 5, 7, 9, 12] {
+                for level in [default, l.level(c(cat)), Level::L0, Level::L3, Level::Star] {
+                    let mut b = Label::builder().default_level(default);
+                    for &(k, v) in &base {
+                        b = b.set(c(k), v);
+                    }
+                    let want = b.set(c(cat), level).build();
+                    let got = l.with(c(cat), level);
+                    assert_eq!(got, want, "{l} with c{cat} at {level:?}");
+                    assert_eq!(
+                        got.entries().collect::<Vec<_>>(),
+                        want.entries().collect::<Vec<_>>()
+                    );
+                    if level == l.level(c(cat)) {
+                        assert!(core::ptr::eq(got.slice(), l.slice()));
+                    }
+                }
+            }
+        }
+        let one = lbl(&[(4, Level::L3)], Level::L1);
+        assert!(one.without(c(4)).is_empty(), "the last entry removed");
+        assert_eq!(one.without(c(4)), Label::unrestricted());
     }
 
     #[test]

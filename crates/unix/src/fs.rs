@@ -4,12 +4,16 @@
 //! directory is a container holding a *directory segment* that maps names to
 //! object IDs, and permissions are nothing but the labels on those kernel
 //! objects, enforced by the kernel rather than by this library.  This module
-//! defines the on-segment directory format, path manipulation and open
-//! flags; the directory operations live in [`SegFs`](crate::segfs::SegFs)
-//! and the mount table in [`Vfs`](crate::vfs::Vfs).
+//! defines path manipulation, open flags and the directory segment's
+//! format: [`DirImage`] reads a segment where its bytes lie and builds each
+//! edit's next image in one pass, with no owned copy of the directory; only
+//! `readdir` builds owned [`DirEntry`]s.  The directory operations live in
+//! [`SegFs`](crate::segfs::SegFs) and the mount table in
+//! [`Vfs`](crate::vfs::Vfs).
 
-use histar_kernel::object::ObjectId;
-use histar_store::codec::{Decoder, Encoder};
+use crate::{Result, UnixError};
+use histar_kernel::object::{ObjectId, OBJECT_ID_MASK};
+use histar_store::codec::Decoder;
 
 /// Flags for [`UnixEnv::open`](crate::env::UnixEnv::open).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,7 +60,7 @@ impl OpenFlags {
     }
 }
 
-/// One entry in a directory segment.
+/// One entry of a directory listing, owned: what `readdir` returns.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirEntry {
     /// The file or subdirectory name (no slashes).
@@ -67,108 +71,170 @@ pub struct DirEntry {
     pub is_dir: bool,
 }
 
-/// The decoded contents of a directory segment.
+/// A directory segment's bytes, read and edited where they lie: the working
+/// form of a SegFs directory.
 ///
-/// A generation counter is incremented by every update, letting readers that
-/// cannot take the directory mutex detect concurrent modification and retry
-/// (§5.1).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Directory {
-    /// Update generation counter.
-    pub generation: u64,
-    /// The directory's entries, unordered.
-    pub entries: Vec<DirEntry>,
+/// The image is a `u64` generation, a `u64` entry count, then one record
+/// per entry — the name as a length-prefixed UTF-8 string, the object ID
+/// as a `u64`, and an `is_dir` byte — in the store's little-endian codec.
+/// Bytes past the last record are ignored, and an all-zero segment (how a
+/// fresh directory starts) is the empty directory.  Every edit bumps the
+/// generation, letting readers that cannot take the directory mutex detect
+/// concurrent modification and retry (§5.1), and writes the records
+/// exactly: trailing bytes are dropped.
+///
+/// Directory segments are writable by anything the kernel's labels admit,
+/// so the bytes are untrusted input.  Every walk validates every record —
+/// the framing, the UTF-8 of each name, the 61-bit object-ID range — and a
+/// malformed record anywhere fails the whole operation with
+/// [`UnixError::Corrupt`] rather than panicking or answering from part of
+/// the directory.
+pub struct DirImage<'a> {
+    generation: u64,
+    count: u64,
+    /// Everything after the header: the records, then any trailing bytes.
+    records: &'a [u8],
 }
 
-impl Directory {
-    /// Creates an empty directory image.
-    pub fn new() -> Directory {
-        Directory::default()
-    }
+fn corrupt() -> UnixError {
+    UnixError::Corrupt("directory segment")
+}
 
-    /// Looks up an entry by name.
-    pub fn lookup(&self, name: &str) -> Option<&DirEntry> {
-        self.entries.iter().find(|e| e.name == name)
-    }
-
-    /// Inserts or replaces an entry, bumping the generation counter.
-    pub fn insert(&mut self, entry: DirEntry) {
-        self.entries.retain(|e| e.name != entry.name);
-        self.entries.push(entry);
-        self.generation += 1;
-    }
-
-    /// Removes an entry by name, bumping the generation counter; returns the
-    /// removed entry.
-    pub fn remove(&mut self, name: &str) -> Option<DirEntry> {
-        let idx = self.entries.iter().position(|e| e.name == name)?;
-        self.generation += 1;
-        Some(self.entries.remove(idx))
-    }
-
-    /// Renames an entry within this directory (the paper's atomic rename
-    /// under the directory mutex), returning false if `from` does not exist.
-    pub fn rename(&mut self, from: &str, to: &str) -> bool {
-        if self.lookup(from).is_none() {
-            return false;
-        }
-        self.entries.retain(|e| e.name != to);
-        for e in &mut self.entries {
-            if e.name == from {
-                e.name = to.to_string();
-                break;
-            }
-        }
-        self.generation += 1;
-        true
-    }
-
-    /// Serializes the directory into segment bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_u64(self.generation);
-        e.put_u64(self.entries.len() as u64);
-        for entry in &self.entries {
-            e.put_str(&entry.name);
-            e.put_u64(entry.object.raw());
-            e.put_u8(u8::from(entry.is_dir));
-        }
-        e.finish()
-    }
-
-    /// Decodes a directory segment (empty segments decode to an empty
-    /// directory, which is how freshly created directories start out).
-    ///
-    /// Directory segments are writable by anything the kernel's labels
-    /// admit, so the bytes are untrusted input: malformed framing,
-    /// non-UTF-8 names and out-of-range object IDs are all rejected with
-    /// `None` (the library reports corruption) rather than panicking.
-    pub fn decode(bytes: &[u8]) -> Option<Directory> {
-        if bytes.iter().all(|&b| b == 0) {
-            return Some(Directory::new());
-        }
+impl<'a> DirImage<'a> {
+    /// Reads an image's header; the records are validated as they are
+    /// walked.
+    pub fn new(bytes: &'a [u8]) -> Result<DirImage<'a>> {
+        // An all-zero segment reads as generation 0 with no entries.
+        let zero = bytes.iter().all(|&b| b == 0);
+        let bytes = if zero { &[0; 16] } else { bytes };
         let mut d = Decoder::new(bytes);
-        let generation = d.get_u64().ok()?;
-        let n = d.get_u64().ok()? as usize;
-        let mut entries = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let name = d.get_str().ok()?;
-            let raw = d.get_u64().ok()?;
-            if raw > histar_kernel::object::OBJECT_ID_MASK {
-                return None;
+        let (generation, count) = (d.get_u64(), d.get_u64());
+        Ok(DirImage {
+            generation: generation.map_err(|_| corrupt())?,
+            count: count.map_err(|_| corrupt())?,
+            records: &bytes[16..],
+        })
+    }
+
+    /// Every entry as `(name, object, is_dir)`, in image order, lent from
+    /// the image; a malformed record ends the walk with an error.
+    pub fn entries(&self) -> impl Iterator<Item = Result<(&'a str, ObjectId, bool)>> {
+        let (mut d, mut left) = (Decoder::new(self.records), self.count);
+        core::iter::from_fn(move || {
+            left = left.checked_sub(1)?;
+            match (d.get_str_slice(), d.get_u64(), d.get_u8()) {
+                (Ok(name), Ok(raw), Ok(is_dir)) if raw <= OBJECT_ID_MASK => {
+                    Some(Ok((name, ObjectId::from_raw(raw), is_dir != 0)))
+                }
+                _ => {
+                    left = 0;
+                    Some(Err(corrupt()))
+                }
             }
-            let object = ObjectId::from_raw(raw);
-            let is_dir = d.get_u8().ok()? != 0;
-            entries.push(DirEntry {
-                name,
+        })
+    }
+
+    /// The first entry named `name`, as `(object, is_dir)`, after checking
+    /// every record.
+    pub fn lookup(&self, name: &str) -> Result<Option<(ObjectId, bool)>> {
+        self.entries().try_fold(None, |hit, entry| {
+            let (entry, object, is_dir) = entry?;
+            Ok(hit.or((entry == name).then_some((object, is_dir))))
+        })
+    }
+
+    /// The owned listing `readdir` returns.
+    pub fn listing(&self) -> Result<Vec<DirEntry>> {
+        let mut out = Vec::with_capacity(self.count.min(1024) as usize);
+        for entry in self.entries() {
+            let (name, object, is_dir) = entry?;
+            out.push(DirEntry {
+                name: name.to_owned(),
                 object,
                 is_dir,
             });
         }
-        Some(Directory {
-            generation,
-            entries,
-        })
+        Ok(out)
+    }
+
+    /// The next image with `name` naming `object`: every entry already
+    /// named `name` is dropped and the new one appended.
+    pub fn insert(&self, name: &str, object: ObjectId, is_dir: bool) -> Result<Vec<u8>> {
+        let keep = |entry, _| (entry != name).then_some(entry);
+        self.splice(keep, Some((name, object, is_dir)))
+    }
+
+    /// The next image without the first entry named `name`, and the object
+    /// that entry named; `None` if there is none.
+    pub fn remove(&self, name: &str) -> Result<Option<(Vec<u8>, ObjectId)>> {
+        let mut hit = None;
+        let image = self.splice(
+            |entry, object| {
+                let first = hit.is_none() && entry == name;
+                hit = hit.or(first.then_some(object));
+                (!first).then_some(entry)
+            },
+            None,
+        )?;
+        Ok(hit.map(|object| (image, object)))
+    }
+
+    /// The next image with the first entry named `from` renamed `to` in
+    /// its place and every entry already named `to` dropped, and the object
+    /// the first dropped one named, unless it is the renamed object itself;
+    /// `None` if `from` is missing.  `from` and `to` differ: renaming a
+    /// name onto itself changes nothing, so it is not an edit.
+    pub fn rename(&self, from: &str, to: &str) -> Result<Option<(Vec<u8>, Option<ObjectId>)>> {
+        let (mut moved, mut replaced) = (None, None);
+        let image = self.splice(
+            |entry, object| {
+                if entry == to {
+                    replaced = replaced.or(Some(object));
+                    return None;
+                }
+                let first = moved.is_none() && entry == from;
+                moved = moved.or(first.then_some(object));
+                Some(if first { to } else { entry })
+            },
+            None,
+        )?;
+        Ok(moved.map(|moved| (image, replaced.filter(|&r| r != moved))))
+    }
+
+    /// Builds the next image: the generation bumped, each entry kept under
+    /// the name `edit` gives it or dropped where it gives none, then
+    /// `append`; re-encoded, so the bytes are what an encode of the edited
+    /// directory writes.
+    fn splice<'n>(
+        &self,
+        mut edit: impl FnMut(&'n str, ObjectId) -> Option<&'n str>,
+        append: Option<(&str, ObjectId, bool)>,
+    ) -> Result<Vec<u8>>
+    where
+        'a: 'n,
+    {
+        let mut out = Vec::with_capacity(self.records.len() + 64);
+        out.extend_from_slice(&self.generation.wrapping_add(1).to_le_bytes());
+        out.extend_from_slice(&[0; 8]);
+        let mut count = 0u64;
+        let mut put = |out: &mut Vec<u8>, name: &str, object: ObjectId, is_dir: bool| {
+            out.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&object.raw().to_le_bytes());
+            out.push(u8::from(is_dir));
+            count += 1;
+        };
+        for entry in self.entries() {
+            let (name, object, is_dir) = entry?;
+            if let Some(name) = edit(name, object) {
+                put(&mut out, name, object, is_dir);
+            }
+        }
+        if let Some((name, object, is_dir)) = append {
+            put(&mut out, name, object, is_dir);
+        }
+        out[8..16].copy_from_slice(&count.to_le_bytes());
+        Ok(out)
     }
 }
 
@@ -208,79 +274,83 @@ mod tests {
         ObjectId::from_raw(n)
     }
 
+    /// The image after each edit, with the edit's own checks.
+    fn insert(image: &[u8], name: &str, n: u64, is_dir: bool) -> Vec<u8> {
+        DirImage::new(image)
+            .unwrap()
+            .insert(name, oid(n), is_dir)
+            .unwrap()
+    }
+
+    fn lookup(image: &[u8], name: &str) -> Option<(ObjectId, bool)> {
+        DirImage::new(image).unwrap().lookup(name).unwrap()
+    }
+
     #[test]
     fn directory_encode_decode_round_trip() {
-        let mut d = Directory::new();
-        d.insert(DirEntry {
-            name: "passwd".to_string(),
-            object: oid(5),
-            is_dir: false,
-        });
-        d.insert(DirEntry {
-            name: "home".to_string(),
-            object: oid(9),
-            is_dir: true,
-        });
-        let decoded = Directory::decode(&d.encode()).unwrap();
-        assert_eq!(decoded, d);
-        // A zeroed (fresh) segment is an empty directory.
-        assert_eq!(Directory::decode(&[0u8; 64]).unwrap(), Directory::new());
+        let d = insert(&insert(&[], "passwd", 5, false), "home", 9, true);
+        let listing = DirImage::new(&d).unwrap().listing().unwrap();
+        let names: Vec<_> = listing
+            .iter()
+            .map(|e| (e.name.as_str(), e.object, e.is_dir))
+            .collect();
+        assert_eq!(names, [("passwd", oid(5), false), ("home", oid(9), true)]);
+        // A zeroed (fresh) segment is an empty directory, and trailing
+        // bytes are not part of the image.
+        assert!(DirImage::new(&[0u8; 64])
+            .unwrap()
+            .listing()
+            .unwrap()
+            .is_empty());
+        let mut padded = d.clone();
+        padded.extend_from_slice(&[7; 9]);
+        assert_eq!(insert(&padded, "x", 1, false), insert(&d, "x", 1, false));
     }
 
     #[test]
     fn directory_operations_bump_generation() {
-        let mut d = Directory::new();
-        assert_eq!(d.generation, 0);
-        d.insert(DirEntry {
-            name: "a".to_string(),
-            object: oid(1),
-            is_dir: false,
-        });
-        assert_eq!(d.generation, 1);
-        assert!(d.lookup("a").is_some());
-        assert!(d.rename("a", "b"));
-        assert_eq!(d.generation, 2);
-        assert!(d.lookup("a").is_none());
-        assert_eq!(d.lookup("b").unwrap().object, oid(1));
-        assert!(!d.rename("missing", "c"));
-        assert!(d.remove("b").is_some());
-        assert!(d.remove("b").is_none());
-        assert_eq!(d.generation, 3);
+        let generation = |image: &[u8]| u64::from_le_bytes(image[..8].try_into().unwrap());
+        assert_eq!(generation(&[0; 16]), 0);
+        let d = insert(&[0; 16], "a", 1, false);
+        assert_eq!(generation(&d), 1);
+        assert!(lookup(&d, "a").is_some());
+        let (d, replaced) = DirImage::new(&d)
+            .unwrap()
+            .rename("a", "b")
+            .unwrap()
+            .unwrap();
+        assert_eq!((generation(&d), replaced), (2, None));
+        assert!(lookup(&d, "a").is_none());
+        assert_eq!(lookup(&d, "b"), Some((oid(1), false)));
+        assert!(DirImage::new(&d)
+            .unwrap()
+            .rename("missing", "c")
+            .unwrap()
+            .is_none());
+        let (d, removed) = DirImage::new(&d).unwrap().remove("b").unwrap().unwrap();
+        assert_eq!(removed, oid(1));
+        assert!(DirImage::new(&d).unwrap().remove("b").unwrap().is_none());
+        assert_eq!(generation(&d), 3);
     }
 
     #[test]
     fn insert_replaces_same_name() {
-        let mut d = Directory::new();
-        d.insert(DirEntry {
-            name: "x".to_string(),
-            object: oid(1),
-            is_dir: false,
-        });
-        d.insert(DirEntry {
-            name: "x".to_string(),
-            object: oid(2),
-            is_dir: false,
-        });
-        assert_eq!(d.entries.len(), 1);
-        assert_eq!(d.lookup("x").unwrap().object, oid(2));
+        let d = insert(&insert(&[], "x", 1, false), "x", 2, false);
+        assert_eq!(DirImage::new(&d).unwrap().entries().count(), 1);
+        assert_eq!(lookup(&d, "x"), Some((oid(2), false)));
     }
 
     #[test]
     fn rename_overwrites_destination() {
-        let mut d = Directory::new();
-        d.insert(DirEntry {
-            name: "a".to_string(),
-            object: oid(1),
-            is_dir: false,
-        });
-        d.insert(DirEntry {
-            name: "b".to_string(),
-            object: oid(2),
-            is_dir: false,
-        });
-        assert!(d.rename("a", "b"));
-        assert_eq!(d.entries.len(), 1);
-        assert_eq!(d.lookup("b").unwrap().object, oid(1));
+        let d = insert(&insert(&[], "a", 1, false), "b", 2, false);
+        let (d, replaced) = DirImage::new(&d)
+            .unwrap()
+            .rename("a", "b")
+            .unwrap()
+            .unwrap();
+        assert_eq!(replaced, Some(oid(2)));
+        assert_eq!(DirImage::new(&d).unwrap().entries().count(), 1);
+        assert_eq!(lookup(&d, "b"), Some((oid(1), false)));
     }
 
     #[test]

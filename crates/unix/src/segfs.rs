@@ -15,7 +15,7 @@
 
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
-use crate::fs::{DirEntry, Directory, FileStat, OpenFlags};
+use crate::fs::{DirEntry, DirImage, FileStat, OpenFlags};
 use crate::vfs::{ensure_quota, Filesystem, FsNode, SyncTarget, CREATE_HEADROOM, DIRECTORY_QUOTA};
 use crate::vnode::{FdRef, VfsCtx, Vnode};
 use histar_kernel::dispatch::Syscall;
@@ -56,8 +56,9 @@ impl SegFs {
         self.root
     }
 
-    fn read_dir(&mut self, ctx: &mut VfsCtx, dir: u64) -> Result<Directory> {
-        read_directory(ctx, ObjectId::from_raw(dir))
+    /// The entry named `name` in `dir`, as `(object, is_dir)`.
+    fn find(ctx: &mut VfsCtx, dir: ObjectId, name: &str) -> Result<Option<(ObjectId, bool)>> {
+        DirImage::new(&read_directory(ctx, dir)?)?.lookup(name)
     }
 }
 
@@ -71,18 +72,16 @@ impl Filesystem for SegFs {
     }
 
     fn lookup(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<FsNode> {
-        let d = self.read_dir(ctx, dir)?;
-        let entry = d
-            .lookup(name)
+        let (object, is_dir) = Self::find(ctx, ObjectId::from_raw(dir), name)?
             .ok_or_else(|| UnixError::NotFound(name.to_string()))?;
         Ok(FsNode {
-            node: entry.object.raw(),
-            is_dir: entry.is_dir,
+            node: object.raw(),
+            is_dir,
         })
     }
 
     fn readdir(&mut self, ctx: &mut VfsCtx, dir: u64) -> Result<Vec<DirEntry>> {
-        Ok(self.read_dir(ctx, dir)?.entries)
+        DirImage::new(&read_directory(ctx, ObjectId::from_raw(dir))?)?.listing()
     }
 
     fn stat(&mut self, ctx: &mut VfsCtx, dir: u64, node: FsNode) -> Result<FileStat> {
@@ -109,31 +108,26 @@ impl Filesystem for SegFs {
         label: Option<Label>,
     ) -> Result<u64> {
         let dir = ObjectId::from_raw(dir);
-        let mut d = read_directory(ctx, dir)?;
-        if d.lookup(name).is_some() {
+        let bytes = read_directory(ctx, dir)?;
+        let image = DirImage::new(&bytes)?;
+        if image.lookup(name)?.is_some() {
             return Err(UnixError::Exists(name.to_string()));
         }
         let label = label.unwrap_or_else(Label::unrestricted);
         let new_dir = make_directory_in(ctx, dir, label, name)?;
-        d.insert(DirEntry {
-            name: name.to_string(),
-            object: new_dir,
-            is_dir: true,
-        });
-        write_directory(ctx, dir, &d)?;
+        write_directory(ctx, dir, &image.insert(name, new_dir, true)?)?;
         Ok(new_dir.raw())
     }
 
     fn unlink(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<()> {
         let dir = ObjectId::from_raw(dir);
-        let mut d = read_directory(ctx, dir)?;
-        let entry = d
-            .remove(name)
+        let (image, object) = DirImage::new(&read_directory(ctx, dir)?)?
+            .remove(name)?
             .ok_or_else(|| UnixError::NotFound(name.to_string()))?;
-        write_directory(ctx, dir, &d)?;
+        write_directory(ctx, dir, &image)?;
         let thread = ctx.thread;
         ctx.kernel()
-            .trap_obj_unref(thread, ContainerEntry::new(dir, entry.object))?;
+            .trap_obj_unref(thread, ContainerEntry::new(dir, object))?;
         Ok(())
     }
 
@@ -149,11 +143,22 @@ impl Filesystem for SegFs {
             return Err(UnixError::Unsupported("cross-directory rename"));
         }
         let dir = ObjectId::from_raw(dir_from);
-        let mut d = read_directory(ctx, dir)?;
-        if !d.rename(from, to) {
-            return Err(UnixError::NotFound(from.to_string()));
+        let bytes = read_directory(ctx, dir)?;
+        let image = DirImage::new(&bytes)?;
+        let missing = || UnixError::NotFound(from.to_string());
+        if from == to {
+            // Renaming a name onto itself changes nothing (POSIX).
+            return image.lookup(from)?.map(drop).ok_or_else(missing);
         }
-        write_directory(ctx, dir, &d)
+        let (next, replaced) = image.rename(from, to)?.ok_or_else(missing)?;
+        write_directory(ctx, dir, &next)?;
+        // The replaced entry's object goes as it would by `unlink`.
+        if let Some(object) = replaced {
+            let thread = ctx.thread;
+            ctx.kernel()
+                .trap_obj_unref(thread, ContainerEntry::new(dir, object))?;
+        }
+        Ok(())
     }
 
     fn open(
@@ -165,14 +170,12 @@ impl Filesystem for SegFs {
         label: Option<Label>,
     ) -> Result<(FdState, Box<dyn Vnode>)> {
         let dir = ObjectId::from_raw(dir);
-        let mut d = read_directory(ctx, dir)?;
+        let bytes = read_directory(ctx, dir)?;
+        let image = DirImage::new(&bytes)?;
         let mut known_len: Option<u64> = None;
-        let file_seg = match d.lookup(name) {
-            Some(entry) if entry.is_dir => {
-                return Err(UnixError::IsADirectory(name.to_string()));
-            }
-            Some(entry) => {
-                let seg = entry.object;
+        let file_seg = match image.lookup(name)? {
+            Some((_, true)) => return Err(UnixError::IsADirectory(name.to_string())),
+            Some((seg, false)) => {
                 if flags.truncate {
                     let thread = ctx.thread;
                     ctx.kernel()
@@ -191,12 +194,7 @@ impl Filesystem for SegFs {
                 let seg = ctx
                     .kernel()
                     .trap_segment_create(thread, dir, label, 0, name)?;
-                d.insert(DirEntry {
-                    name: name.to_string(),
-                    object: seg,
-                    is_dir: false,
-                });
-                write_directory(ctx, dir, &d)?;
+                write_directory(ctx, dir, &image.insert(name, seg, false)?)?;
                 known_len = Some(0);
                 seg
             }
@@ -233,7 +231,7 @@ impl Filesystem for SegFs {
 
     fn sync_targets(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<Vec<SyncTarget>> {
         let dir = ObjectId::from_raw(dir);
-        let file = read_directory(ctx, dir)?.lookup(name).map(|e| e.object);
+        let file = Self::find(ctx, dir, name)?.map(|(object, _)| object);
         let ids = [Some(dir), Some(dirseg_of(ctx, dir)?), file];
         Ok(ids
             .into_iter()
@@ -288,23 +286,22 @@ pub fn dirseg_of(ctx: &mut VfsCtx, dir: ObjectId) -> Result<ObjectId> {
     Ok(ObjectId::from_raw(raw))
 }
 
-/// Reads and decodes a directory container's directory segment.
-pub fn read_directory(ctx: &mut VfsCtx, dir: ObjectId) -> Result<Directory> {
+/// Reads a directory container's directory segment: the image
+/// [`DirImage`] reads and edits in place.
+pub fn read_directory(ctx: &mut VfsCtx, dir: ObjectId) -> Result<Vec<u8>> {
     let dirseg = dirseg_of(ctx, dir)?;
     let thread = ctx.thread;
     let kernel = ctx.kernel();
     let entry = ContainerEntry::new(dir, dirseg);
     let len = kernel.trap_segment_len(thread, entry)?;
-    let bytes = kernel.trap_segment_read(thread, entry, 0, len)?;
-    Directory::decode(&bytes).ok_or(UnixError::Corrupt("directory segment"))
+    Ok(kernel.trap_segment_read(thread, entry, 0, len)?)
 }
 
-/// Encodes and writes back a directory image, growing the directory
-/// segment's quota from the directory's ancestors when it fills up.
-pub fn write_directory(ctx: &mut VfsCtx, dir: ObjectId, d: &Directory) -> Result<()> {
+/// Writes back a directory image, growing the directory segment's quota
+/// from the directory's ancestors when it fills up.
+pub fn write_directory(ctx: &mut VfsCtx, dir: ObjectId, bytes: &[u8]) -> Result<()> {
     let dirseg = dirseg_of(ctx, dir)?;
     let entry = ContainerEntry::new(dir, dirseg);
-    let bytes = d.encode();
     let thread = ctx.thread;
     if let Err(SyscallError::QuotaExceeded {
         requested,
@@ -321,7 +318,7 @@ pub fn write_directory(ctx: &mut VfsCtx, dir: ObjectId, d: &Directory) -> Result
         ctx.kernel()
             .trap_segment_resize(thread, entry, bytes.len() as u64)?;
     }
-    ctx.kernel().trap_segment_write(thread, entry, 0, &bytes)?;
+    ctx.kernel().trap_segment_write(thread, entry, 0, bytes)?;
     Ok(())
 }
 

@@ -1,11 +1,13 @@
-//! A counting global allocator for the allocation tests: requested, live
-//! and peak bytes, process-wide — so each binary using it holds exactly
+//! A counting global allocator for the allocation tests: allocation calls,
+//! requested, live and peak bytes, process-wide — so each binary using it holds exactly
 //! one test.  Install it with
 //! `#[global_allocator] static ALLOCATOR: counting::Counting = counting::Counting;`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
+/// Allocation calls since the start (`alloc` and `realloc` alike).
+pub static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 /// Bytes requested since the start (a `realloc` counts its whole new size).
 pub static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 /// Bytes currently allocated, and the highest that has been.
@@ -16,6 +18,7 @@ pub struct Counting;
 
 impl Counting {
     fn grew(requested: usize, by: usize) {
+        ALLOCS.fetch_add(1, Relaxed);
         REQUESTED.fetch_add(requested, Relaxed);
         let live = LIVE.fetch_add(by, Relaxed) + by;
         PEAK.fetch_max(live, Relaxed);

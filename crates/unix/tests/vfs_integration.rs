@@ -1359,3 +1359,48 @@ fn scheduler_counters_are_served_at_metrics_sched() {
     // Only sched.* counters live here; the kernel file keeps its own.
     assert!(!text.contains("kernel.syscalls"));
 }
+
+/// Renaming a name onto itself succeeds and changes nothing, as in POSIX
+/// (it used to drop the entry and strand the file's segment).
+#[test]
+fn rename_onto_itself_keeps_the_file() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/tmp_a", b"still here", None)
+        .unwrap();
+    let listing = env.readdir(init, "/").unwrap();
+    env.rename(init, "/tmp_a", "/tmp_a").unwrap();
+    assert_eq!(env.read_file_as(init, "/tmp_a").unwrap(), b"still here");
+    assert_eq!(env.readdir(init, "/").unwrap(), listing);
+    assert!(matches!(
+        env.rename(init, "/missing", "/missing"),
+        Err(UnixError::NotFound(_))
+    ));
+}
+
+/// A rename onto an existing name frees what that name held, as `unlink`
+/// of it would: the object count and the directory's spare quota return
+/// to where they were before the replaced file existed.
+#[test]
+fn rename_over_a_file_frees_the_replaced_one() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.mkdir(init, "/d", None).unwrap();
+    env.write_file_as(init, "/d/a", b"four", None).unwrap();
+    let dir = env.stat(init, "/d").unwrap().object;
+    let thread = env.process(init).unwrap().thread;
+    let held = |env: &mut UnixEnv| {
+        let spare = env
+            .kernel_mut()
+            .trap_container_quota_avail(thread, dir)
+            .unwrap();
+        (env.machine().kernel().object_count(), spare)
+    };
+    let before = held(&mut env);
+    env.write_file_as(init, "/d/b", &vec![7; 100_000], None)
+        .unwrap();
+    assert_ne!(held(&mut env), before);
+    env.rename(init, "/d/a", "/d/b").unwrap();
+    assert_eq!(env.read_file_as(init, "/d/b").unwrap(), b"four");
+    assert_eq!(held(&mut env), before);
+}
