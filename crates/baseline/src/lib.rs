@@ -16,7 +16,7 @@
 
 use histar_sim::disk::BLOCK_SIZE;
 use histar_sim::{CostModel, DiskConfig, OsFlavor, SimClock, SimDisk, SimDuration};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A monolithic-kernel Unix model (Linux-like or OpenBSD-like).
 #[derive(Debug)]
@@ -27,13 +27,13 @@ pub struct BaselineOs {
     clock: SimClock,
     disk: SimDisk,
     /// In-memory page cache: path → contents.
-    files: HashMap<String, Vec<u8>>,
+    files: BTreeMap<String, Vec<u8>>,
     /// Next free byte on disk for newly allocated files.
     alloc_cursor: u64,
     /// Journal head (sequential region near the start of the disk).
     journal_cursor: u64,
     /// Path → on-disk offset for files that have been written back.
-    layout: HashMap<String, u64>,
+    layout: BTreeMap<String, u64>,
     /// Whether the file system is in-memory only (OpenBSD mfs in the paper).
     memory_fs: bool,
 }
@@ -63,10 +63,10 @@ impl BaselineOs {
             cost: CostModel::for_flavor(flavor),
             disk: SimDisk::new(disk_config, clock.clone()),
             clock,
-            files: HashMap::new(),
+            files: BTreeMap::new(),
             alloc_cursor: 128 * 1024 * 1024,
             journal_cursor: 4096,
-            layout: HashMap::new(),
+            layout: BTreeMap::new(),
             memory_fs,
         }
     }

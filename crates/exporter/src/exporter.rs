@@ -34,7 +34,7 @@ use histar_unix::gatecall::{
 };
 use histar_unix::process::{ExitStatus, Pid};
 use histar_unix::{UnixEnv, UnixError};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 type Result<T> = core::result::Result<T, ExporterError>;
 
@@ -64,7 +64,7 @@ pub struct Exporter {
     /// Known peers: identity → public key.  Traffic from (or to) an unknown
     /// peer is refused; peers are introduced out of band (the fabric's
     /// bootstrap, standing in for a key-distribution step).
-    peers: HashMap<ExporterId, u64>,
+    peers: BTreeMap<ExporterId, u64>,
     /// Category translation: local category → global name, write-once.
     names: BTreeMap<Category, GlobalCategory>,
     /// Inverse of `names`; together they are a partial bijection, so a
@@ -128,7 +128,7 @@ impl Exporter {
             next_export_id: 1,
             next_seq: 1,
             certs: Vec::new(),
-            peers: HashMap::new(),
+            peers: BTreeMap::new(),
             names: BTreeMap::new(),
             locals: BTreeMap::new(),
             services: Vec::new(),

@@ -8,8 +8,8 @@
 //!
 //! Comments and string/char literals are stripped (tokens never come from
 //! inside them), but `// flowcheck: exempt(<reason>)` markers are captured
-//! with their line numbers so the rule engines can match exemptions to
-//! the item or statement they annotate.
+//! with their line numbers so the mediation engine can match exemptions
+//! to the handler they annotate.
 
 /// One lexical token with the 1-based source line it starts on.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,7 +7,6 @@
 //!   exemption list to FILE (CI commits/diffs this).
 //! * `flowcheck --rule mediation FILE…` — run one rule family over the
 //!   given files (fixture mode); exit 1 on any finding.
-//! * `flowcheck --rule determinism FILE…` — likewise.
 //! * `flowcheck --rule boundary FILE…` — likewise.
 
 use flowcheck::model::SourceFile;
@@ -33,7 +32,9 @@ fn main() -> ExitCode {
                 exemptions_out = args.get(i).cloned();
             }
             "--help" | "-h" => {
-                eprintln!("usage: flowcheck [--exemptions-out FILE] [--rule mediation|determinism|boundary FILE...]");
+                eprintln!(
+                    "usage: flowcheck [--exemptions-out FILE] [--rule mediation|boundary FILE...]"
+                );
                 return ExitCode::SUCCESS;
             }
             other => files.push(other.to_string()),
@@ -53,8 +54,7 @@ fn main() -> ExitCode {
             }
         }
         match rule.as_str() {
-            "mediation" => flowcheck::analyze(&parsed, &[]),
-            "determinism" => flowcheck::analyze(&[], &parsed),
+            "mediation" => flowcheck::analyze(&parsed),
             "boundary" => {
                 let mut a = flowcheck::Analysis::default();
                 flowcheck::boundary::run(&parsed, &mut a.findings);
@@ -62,9 +62,7 @@ fn main() -> ExitCode {
                 a
             }
             other => {
-                eprintln!(
-                    "flowcheck: unknown rule `{other}` (want mediation|determinism|boundary)"
-                );
+                eprintln!("flowcheck: unknown rule `{other}` (want mediation|boundary)");
                 return ExitCode::FAILURE;
             }
         }

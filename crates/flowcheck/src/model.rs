@@ -1,9 +1,9 @@
 //! A brace-matched outline over the token stream: `fn` items with body
 //! ranges, with `#[cfg(test)] mod … { … }` blocks masked out.
 //!
-//! Test modules are the *observers* of the deterministic system, not part
-//! of it — a test harness may iterate a scratch `HashMap` freely — so both
-//! rule engines analyze only non-test code.
+//! Test modules are the *observers* of the system, not part of it — a
+//! test may read any thread's label off the kernel — so the rule engines
+//! analyze only non-test code.
 
 use crate::lex::{ExemptMarker, Lexed, Token};
 
@@ -56,14 +56,6 @@ impl SourceFile {
     /// Looks up a fn item by name (first match).
     pub fn find_fn(&self, name: &str) -> Option<&FnItem> {
         self.fns.iter().find(|f| f.name == name)
-    }
-
-    /// True if an exempt marker sits on `line` or the line directly above
-    /// (markers may annotate a statement from the preceding line).
-    pub fn marker_near_line(&self, line: u32) -> Option<&ExemptMarker> {
-        self.markers
-            .iter()
-            .find(|m| m.line == line || m.line + 1 == line)
     }
 
     /// True if an exempt marker sits inside the fn body's line span or in

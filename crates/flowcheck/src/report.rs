@@ -1,7 +1,7 @@
 //! Findings (violations) and the printed exemption list.
 //!
-//! The exemption list is the auditable TCB surface: every syscall or
-//! iteration site that bypasses a rule, with the reviewer-facing reason
+//! The exemption list is the auditable TCB surface: every syscall that
+//! bypasses the mediation rule, with the reviewer-facing reason
 //! from its `// flowcheck: exempt(…)` marker. Output is sorted so the
 //! committed list is byte-stable across runs.
 
@@ -18,8 +18,7 @@ pub struct Finding {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exemption {
     pub rule: &'static str,
-    /// Syscall name (mediation), or `file::fn` of the fn the marker sits
-    /// in (determinism; `file:line` outside any fn).
+    /// The exempted syscall's name.
     pub name: String,
     pub file: String,
     pub reason: String,

@@ -52,7 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use histar_auth::{AuthService, AuthSystem, LoginOutcome};
 use histar_kernel::object::{ContainerEntry, ObjectId};
@@ -102,11 +102,11 @@ pub struct HttpdWorld {
     /// The launcher's listening socket.
     pub listener: Listener,
     /// Per-user workers, spawned lazily on first authenticated request.
-    pub workers: HashMap<String, WorkerHandle>,
+    pub workers: BTreeMap<String, WorkerHandle>,
     /// Passwords of users the launcher has authenticated (first request
     /// per user goes through the auth gates; later requests are checked
     /// against the cached credential).
-    creds: HashMap<String, String>,
+    creds: BTreeMap<String, String>,
     /// Programs spawned by running programs, admitted to the scheduler
     /// between run slices (a program cannot reach the scheduler itself).
     spawned: Vec<(ObjectId, Program<HttpdWorld>)>,
@@ -774,8 +774,8 @@ pub fn build_httpd(params: HttpdParams) -> Result<(HttpdWorld, Scheduler<HttpdWo
         auth,
         launcher,
         listener,
-        workers: HashMap::new(),
-        creds: HashMap::new(),
+        workers: BTreeMap::new(),
+        creds: BTreeMap::new(),
         spawned: Vec::new(),
         shutdown: false,
         expected: params.clients as u64,

@@ -562,10 +562,9 @@ impl SyscallResult {
 /// Per-syscall invocation and error counters maintained by
 /// [`Kernel::dispatch`].
 ///
-/// These split by row the calls and failures
-/// [`SyscallStats`](crate::syscall::SyscallStats) totals: both are bumped
-/// at the same point of the one dispatch path, so `total()` equals its
-/// `syscalls` and `total_errors()` its `errors`.
+/// These are the one count of calls and failures: `total()` is
+/// [`SyscallStats`](crate::syscall::SyscallStats)'s `syscalls`, and
+/// `total_errors()` its `errors`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Invocations per syscall, indexed like [`SYSCALL_NAMES`].
@@ -575,8 +574,6 @@ pub struct DispatchStats {
     /// Boundary crossings: submission batches drained (a single `trap_*`
     /// call is a 1-entry batch).
     pub batches: u64,
-    /// Total syscalls across all batches.
-    pub batch_entries: u64,
     /// Histogram of batch sizes; bucket boundaries are
     /// [`BATCH_HIST_BUCKETS`].
     pub batch_size_hist: Histogram<{ BATCH_HIST_BUCKETS.len() }>,
@@ -597,7 +594,6 @@ impl Default for DispatchStats {
             invocations: [0; SYSCALL_COUNT],
             errors: [0; SYSCALL_COUNT],
             batches: 0,
-            batch_entries: 0,
             batch_size_hist: Histogram::new(&BATCH_HIST_BUCKETS),
             trace_dropped: 0,
         }
@@ -637,7 +633,7 @@ impl DispatchStats {
         if self.batches == 0 {
             0.0
         } else {
-            self.batch_entries as f64 / self.batches as f64
+            self.total() as f64 / self.batches as f64
         }
     }
 
@@ -645,11 +641,12 @@ impl DispatchStats {
     /// trap cost and the batched-entry decode cost: every batch pays
     /// `trap_ns` once and `entry_ns` for each further entry.
     pub fn amortized_trap_ns(&self, trap_ns: u64, entry_ns: u64) -> f64 {
-        if self.batch_entries == 0 {
+        let entries = self.total();
+        if entries == 0 {
             return trap_ns as f64;
         }
-        let total = self.batches * trap_ns + (self.batch_entries - self.batches) * entry_ns;
-        total as f64 / self.batch_entries as f64
+        let total = self.batches * trap_ns + (entries - self.batches) * entry_ns;
+        total as f64 / entries as f64
     }
 
     pub(crate) fn record_batch(&mut self, entries: u64) {
@@ -657,7 +654,6 @@ impl DispatchStats {
             return;
         }
         self.batches += 1;
-        self.batch_entries += entries;
         self.batch_size_hist.record(entries);
     }
 
@@ -673,7 +669,6 @@ impl DispatchStats {
         out.batch_size_hist = self.batch_size_hist.zip_with(&other.batch_size_hist, &op);
         out.trace_dropped = op(self.trace_dropped, other.trace_dropped);
         out.batches = op(self.batches, other.batches);
-        out.batch_entries = op(self.batch_entries, other.batch_entries);
         out
     }
 
@@ -694,7 +689,7 @@ impl histar_obs::MetricSource for DispatchStats {
         set.counter("dispatch.calls", self.total());
         set.counter("dispatch.errors", self.total_errors());
         set.counter("dispatch.batches", self.batches);
-        set.counter("dispatch.batch_entries", self.batch_entries);
+        set.counter("dispatch.batch_entries", self.total());
         set.counter("dispatch.trace_dropped", self.trace_dropped);
         set.histogram("dispatch.batch_size", &self.batch_size_hist);
     }
@@ -848,7 +843,7 @@ impl Kernel {
     /// [`Kernel::enter`] counts the call, charges the crossing (the full
     /// trap for the first call of a batch, the decode cost after) and
     /// produces the calling thread or refuses it; the row's handler runs;
-    /// a failure from either is counted once, in both stats; the audit
+    /// a failure from either is counted once, against the row; the audit
     /// record and span are appended.
     fn dispatch_one(
         &mut self,

@@ -25,15 +25,10 @@ use crate::syscall::{SyscallError, SyscallStats};
 use histar_label::category::FeistelCipher;
 use histar_label::{Category, CategoryAllocator, Label, LabelCache, Level};
 use histar_obs::{MetricSet, Recorder};
-use histar_sim::{CostModel, OsFlavor, SimBuildHasher, SimClock, SimDuration};
+use histar_sim::{CostModel, OsFlavor, SimClock, SimDuration, SimHashMap};
 use histar_store::codec::{Decoder, Encoder};
 use histar_store::records::is_persist_key;
 use histar_store::{page_ranges, SingleLevelStore};
-// The object table is the one sanctioned HashMap in this crate (hot
-// per-syscall lookups; every iteration site sorts before order becomes
-// visible) — allowed here and at each use, and listed by flowcheck.
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
 
 /// Size of one page, matching the simulated hardware.
 pub const PAGE_SIZE: u64 = 4096;
@@ -211,13 +206,15 @@ type PersistRecord<'k> = (Option<(Label, &'k [u8])>, LabelChecks<'k>);
 /// The HiStar kernel.
 #[derive(Debug)]
 pub struct Kernel {
-    /// Hashed with the unkeyed `SimHasher`, not `HashMap`'s per-process
-    /// seed: a dropped kernel frees its objects in hash order, and that
-    /// order decides the host allocator's layout for whatever runs next.
-    /// Every trap looks its caller up here; the ids are Feistel-encrypted,
-    /// so one multiply per lookup spreads them.
-    #[allow(clippy::disallowed_types)]
-    objects: HashMap<ObjectId, KObject, SimBuildHasher>,
+    /// A `SimHashMap`: hashed with the unkeyed `SimHasher`, so its order
+    /// is the same in every process, yet it is no order any output may
+    /// show — `objects()` yields it as is, and every caller that turns it
+    /// into bytes or a trace sorts by id first (`Machine::snapshot`).  A
+    /// dropped kernel frees its objects in that order, which decides the
+    /// host allocator's layout for whatever runs next.  Every trap looks
+    /// its caller up here; the ids are Feistel-encrypted, so one multiply
+    /// per lookup spreads them.
+    objects: SimHashMap<ObjectId, KObject>,
     root: ObjectId,
     categories: CategoryAllocator,
     id_cipher: FeistelCipher,
@@ -358,9 +355,14 @@ impl Kernel {
         self.root
     }
 
-    /// Kernel activity counters.
+    /// Kernel activity counters.  The call and error totals are the sums
+    /// of the dispatch rows, the one place a call is counted.
     pub fn stats(&self) -> SyscallStats {
-        self.stats
+        SyscallStats {
+            syscalls: self.dispatch_stats.total(),
+            errors: self.dispatch_stats.total_errors(),
+            ..self.stats
+        }
     }
 
     /// Per-syscall counters for the trapped (dispatched) call stream.
@@ -451,7 +453,7 @@ impl Kernel {
     /// snapshot charges no simulated time.
     pub fn metrics(&self) -> MetricSet {
         let mut set = MetricSet::new();
-        set.collect(&self.stats);
+        set.collect(&self.stats());
         set.collect(&self.dispatch_stats);
         set.collect(&self.label_cache.stats());
         set.gauge("kernel.objects", self.object_count() as u64);
@@ -511,7 +513,7 @@ impl Kernel {
     }
 
     /// The trap's prologue, run once per call before its handler: counts
-    /// the call (kernel total and row `index` together), charges the
+    /// the call against row `index`, charges the
     /// boundary crossing — the kernel is entered once per batch, so only
     /// the batch's first call pays the full trap cost and the rest the
     /// per-entry decode cost — and looks the calling thread up, once,
@@ -523,7 +525,6 @@ impl Kernel {
         index: usize,
         first_of_batch: bool,
     ) -> Result<Caller, SyscallError> {
-        self.stats.syscalls += 1;
         self.dispatch_stats.invocations[index] += 1;
         let crossing = if first_of_batch {
             self.cost.syscall
@@ -543,11 +544,9 @@ impl Kernel {
         })
     }
 
-    /// Counts one failed call: like the call itself in `enter`, in the
-    /// kernel total and the row's own count together, so the two cannot
-    /// disagree.
+    /// Counts one failed call against row `index`, like the call itself
+    /// in `enter`.
     pub(crate) fn count_error(&mut self, index: usize) {
-        self.stats.errors += 1;
         self.dispatch_stats.errors[index] += 1;
     }
 
@@ -2089,9 +2088,9 @@ impl Kernel {
 
     // ----- introspection used by the store / machine -------------------------
 
-    /// Iterates over all objects (used by snapshotting).
+    /// Iterates over all objects in table order, which is no order an
+    /// output may show: sort by id first (used by snapshotting).
     pub fn objects(&self) -> impl Iterator<Item = (&ObjectId, &KObject)> {
-        // flowcheck: exempt(hot object table stays a HashMap; every consumer sorts by id before order becomes visible — see Machine::snapshot)
         self.objects.iter()
     }
 

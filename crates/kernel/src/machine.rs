@@ -185,8 +185,9 @@ impl Machine {
     ///
     /// Objects are emitted in ascending ID order, so two snapshots of
     /// identical kernel state produce byte-identical disk images — the
-    /// object table is a `HashMap` whose iteration order must never leak
-    /// into the persistent layout.
+    /// object table is a hash map, whose order follows the history of its
+    /// inserts and removes rather than the state, and must never leak into
+    /// the persistent layout.
     pub fn snapshot(&mut self) {
         // Write (or refresh) every live object, sorted by ID, one at a
         // time: each encoding moves into the store before the next is

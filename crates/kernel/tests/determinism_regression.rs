@@ -84,7 +84,7 @@ fn binding_heavy_snapshots_are_byte_identical() {
 /// the host allocator's heap for whatever the process builds next.  Under
 /// `HashMap`'s per-instance seed two identical kernels disagreed on it, and
 /// the repo benchmark's `lfs_large` ran at 165k or 280k ops/s by the seed
-/// its process drew; the table hashes with a constant key instead.
+/// its process drew; the table is a `SimHashMap`, hashed without a key.
 #[test]
 fn object_table_order_is_a_function_of_the_boot_script() {
     // Unsorted on purpose: the table's order is the thing under test.

@@ -1,13 +1,14 @@
 //! Snapshot byte-stability: two machines built by the same deterministic
 //! script must produce byte-identical disk images when snapshotted.
 //!
-//! The kernel's object table is a `HashMap`, whose iteration order differs
-//! between map instances even within one process; `Machine::snapshot` must
-//! therefore emit objects in sorted-ID order (and sweep stale store
-//! objects in sorted order) so the persistent layout never depends on
-//! hashing.  This test builds the same state twice — including object
-//! deletions, so the stale-object sweep runs — and compares the raw disk
-//! blocks.
+//! The kernel's object table is a `SimHashMap`: unkeyed, so two runs of
+//! one script iterate it alike, but its order follows the history of
+//! inserts and removes, and two kernels can reach one state by different
+//! histories.  `Machine::snapshot` therefore emits objects in sorted-ID
+//! order (and sweeps stale store objects in sorted order) so the
+//! persistent layout depends on the state alone.  This test builds the
+//! same state twice — including object deletions, so the stale-object
+//! sweep runs — and compares the raw disk blocks.
 
 use histar_kernel::object::ContainerEntry;
 use histar_kernel::{Machine, MachineConfig};

@@ -15,8 +15,7 @@
 //! acts on the first and charges simulated time by the second.
 
 use crate::label::Label;
-use histar_sim::SimBuildHasher;
-use std::collections::HashMap;
+use histar_sim::SimHashMap;
 
 /// An opaque token identifying an interned, immutable label: its index in
 /// the cache that minted it.
@@ -41,8 +40,6 @@ struct Known {
     leq: Option<bool>,
     /// `a ⊑ b^J`, the observation check.
     leq_high_rhs: Option<bool>,
-    /// `a^J ⊑ b^J`.
-    leq_high_both: Option<bool>,
     /// `b ⊑ a`: the write half of "can `b` modify `a`", kept beside the
     /// observe half `a ⊑ b^J` so that a modify check is one lookup.
     geq: Option<bool>,
@@ -85,12 +82,11 @@ pub struct LabelCache {
     /// Every distinct label seen, indexed by its id.  The key in `ids` is a
     /// handle to the same shared entries, as is the label the caller keeps.
     labels: Vec<Label>,
-    /// Both maps hash with the unkeyed `SimHasher`: `HashMap`'s default
-    /// hasher draws a seed per process, and the order a dropped cache
-    /// releases its labels in would then shape the host allocator
-    /// differently each run.
-    ids: HashMap<Label, LabelId, SimBuildHasher>,
-    cmp: HashMap<(LabelId, LabelId), Known, SimBuildHasher>,
+    /// Both maps are `SimHashMap`s, hashed without a per-process seed:
+    /// the order a dropped cache releases its labels in shapes the host
+    /// allocator for whatever runs next, the same way every run.
+    ids: SimHashMap<Label, LabelId>,
+    cmp: SimHashMap<(LabelId, LabelId), Known>,
     hits: u64,
     misses: u64,
 }
@@ -161,16 +157,6 @@ impl LabelCache {
         self.memo((a, b), |k| &mut k.leq_high_rhs, Label::leq_high_rhs, false)
     }
 
-    /// Memoized `a^J ⊑ b^J`.
-    pub fn leq_high_both(&mut self, a: LabelId, b: LabelId) -> Memo {
-        self.memo(
-            (a, b),
-            |k| &mut k.leq_high_both,
-            Label::leq_high_both,
-            false,
-        )
-    }
-
     /// Memoized `thread ⊑ object ⊑ thread^J` (the "can `thread` modify
     /// `object`" check).  It is one check: the hit or miss is that of
     /// [`LabelCache::leq_high_rhs`]`(object, thread)`.
@@ -198,7 +184,7 @@ mod tests {
     use super::*;
     use crate::oracle::Rng;
     use crate::{Category, Level};
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn c(n: u64) -> Category {
         Category::from_raw(n)
@@ -241,10 +227,6 @@ mod tests {
         let o = cache.intern(&obj);
         assert_eq!(cache.leq_high_rhs(o, t).verdict, obj.leq_high_rhs(&thread));
         assert_eq!(cache.leq(t, o).verdict, thread.leq(&obj));
-        assert_eq!(
-            cache.leq_high_both(o, t).verdict,
-            obj.leq_high_both(&thread)
-        );
     }
 
     #[test]
@@ -295,9 +277,13 @@ mod tests {
         ignore = "20,000 steps; the small tests cover the representation"
     )]
     fn verdicts_and_hit_sequence_match_a_naive_model() {
-        // The model keys on plain data, not on `Label`'s own `Eq`/`Hash`.
-        type Plain = (Level, Vec<(Category, Level)>);
-        let plain = |l: &Label| -> Plain { (l.default_level(), l.entries().collect()) };
+        // The model keys on plain data, not on `Label`'s own `Eq`/`Hash`;
+        // levels by their encoding, since `Level` has no order.
+        type Plain = (u8, Vec<(Category, u8)>);
+        let plain = |l: &Label| -> Plain {
+            let entries = l.entries().map(|(c, lv)| (c, lv.encode())).collect();
+            (l.default_level().encode(), entries)
+        };
 
         let mut rng = Rng::new(0xcac4e);
         let mut pool: Vec<Label> = (0..24).map(|_| rng.label(6, 6)).collect();
@@ -309,26 +295,21 @@ mod tests {
                 .fold(Label::new(default), |l, (c, lv)| l.with(c, lv));
             pool.push(rebuilt);
         }
-        let distinct: HashSet<Plain> = pool.iter().map(plain).collect();
+        let distinct: BTreeSet<Plain> = pool.iter().map(plain).collect();
 
         let mut cache = LabelCache::new();
-        let mut compared: HashSet<(Plain, Plain, &str)> = HashSet::new();
+        let mut compared: BTreeSet<(Plain, Plain, &str)> = BTreeSet::new();
         let (mut hits, mut misses) = (0, 0);
         for _ in 0..20_000 {
             let a = &pool[rng.below(pool.len() as u64) as usize];
             let b = &pool[rng.below(pool.len() as u64) as usize];
             let (ia, ib) = (cache.intern(a), cache.intern(b));
-            let (memo, direct, event) = match rng.below(4) {
+            let (memo, direct, event) = match rng.below(3) {
                 0 => (cache.leq(ia, ib), a.leq(b), (a, b, "leq")),
                 1 => (
                     cache.leq_high_rhs(ia, ib),
                     a.leq_high_rhs(b),
                     (a, b, "leq_high_rhs"),
-                ),
-                2 => (
-                    cache.leq_high_both(ia, ib),
-                    a.leq_high_both(b),
-                    (a, b, "leq_high_both"),
                 ),
                 // Thread `a` modifying object `b` is the event `b ⊑ a^J`;
                 // `a ⊑ b` beside it is no event and disturbs none.

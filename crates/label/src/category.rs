@@ -221,7 +221,7 @@ impl CategoryAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn category_fits_61_bits() {
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn feistel_is_a_permutation_on_small_sample() {
         let cipher = FeistelCipher::new(42);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for i in 0..10_000u64 {
             let e = cipher.encrypt(i);
             assert!(e <= CATEGORY_MASK, "ciphertext must stay in 61 bits");
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn allocator_yields_distinct_categories() {
         let mut alloc = CategoryAllocator::new(1);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for _ in 0..5000 {
             assert!(seen.insert(alloc.alloc()));
         }

@@ -445,53 +445,6 @@ impl Netd {
         Ok(())
     }
 
-    /// Transmits several already-encoded wire frames in a single
-    /// submission batch on netd's own thread (one trap cost for the whole
-    /// burst) — the device-side half of batched tx.
-    pub fn transmit_frames(&self, env: &mut UnixEnv, frames: Vec<Vec<u8>>) -> Result<()> {
-        if frames.is_empty() {
-            return Ok(());
-        }
-        let netd_thread = env.process(self.pid)?.thread;
-        let kernel = env.machine_mut().kernel_mut();
-        let calls: Vec<Syscall> = frames
-            .into_iter()
-            .map(|frame| Syscall::NetTransmit {
-                device: self.device_entry,
-                frame,
-            })
-            .collect();
-        for r in kernel.submit_calls(netd_thread, calls) {
-            r?;
-        }
-        Ok(())
-    }
-
-    /// Takes up to `max` frames off the device in a single submission
-    /// batch on netd's own thread — the device-side half of batched rx.
-    /// Returns the frames in arrival order (shorter than `max` when the
-    /// device ran dry).
-    pub fn drain_device(&self, env: &mut UnixEnv, max: usize) -> Result<Vec<Vec<u8>>> {
-        if max == 0 {
-            return Ok(Vec::new());
-        }
-        let netd_thread = env.process(self.pid)?.thread;
-        let kernel = env.machine_mut().kernel_mut();
-        let calls: Vec<Syscall> = (0..max)
-            .map(|_| Syscall::NetReceive {
-                device: self.device_entry,
-            })
-            .collect();
-        let mut frames = Vec::new();
-        for r in kernel.submit_calls(netd_thread, calls) {
-            match r?.into_frame() {
-                Some(frame) => frames.push(frame),
-                None => break,
-            }
-        }
-        Ok(frames)
-    }
-
     /// Receives the next pending frame for a client.
     ///
     /// netd's thread takes the frame off the device and publishes it in the
@@ -744,42 +697,6 @@ mod tests {
         // A malformed frame decodes to None rather than garbage.
         assert_eq!(Netd::decode_batch(b"xx"), None);
         assert_eq!(Netd::decode_batch(&[1, 0, 0, 0]), None);
-    }
-
-    #[test]
-    fn device_side_batching_transmits_and_drains_in_one_trap() {
-        let (mut env, _init, netd) = setup();
-        let batches_before = env.machine().kernel().dispatch_stats().batches;
-
-        // Three frames out in one submission batch.
-        netd.transmit_frames(
-            &mut env,
-            vec![b"f1".to_vec(), b"f2".to_vec(), b"f3".to_vec()],
-        )
-        .unwrap();
-        assert_eq!(
-            netd.wire_collect(&mut env).unwrap(),
-            vec![b"f1".to_vec(), b"f2".to_vec(), b"f3".to_vec()]
-        );
-
-        // Two frames pending, drained with headroom: both arrive, in
-        // order, and the first empty receive ends the batch's harvest.
-        netd.wire_deliver(&mut env, b"r1".to_vec()).unwrap();
-        netd.wire_deliver(&mut env, b"r2".to_vec()).unwrap();
-        let frames = netd.drain_device(&mut env, 4).unwrap();
-        assert_eq!(frames, vec![b"r1".to_vec(), b"r2".to_vec()]);
-        assert_eq!(
-            netd.drain_device(&mut env, 4).unwrap(),
-            Vec::<Vec<u8>>::new()
-        );
-        assert_eq!(
-            netd.drain_device(&mut env, 0).unwrap(),
-            Vec::<Vec<u8>>::new()
-        );
-
-        // Each burst crossed the boundary once (plus the empty drain).
-        let batches = env.machine().kernel().dispatch_stats().batches - batches_before;
-        assert_eq!(batches, 3, "transmit burst, drain, empty drain");
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   actually round-trip data through the "disk".
 
 use crate::clock::{SimClock, SimDuration};
-use crate::hash::SimBuildHasher;
-use std::collections::HashMap;
+use crate::hash::SimHashMap;
 
 /// Size of one disk sector/block in bytes.
 pub const BLOCK_SIZE: u64 = 4096;
@@ -108,7 +107,7 @@ pub struct SimDisk {
     /// Keyed by block number and hashed with the unkeyed `SimHasher`: a
     /// dropped disk frees its blocks in hash order, and that order decides
     /// the host allocator's layout for whatever runs next.
-    blocks: HashMap<u64, Vec<u8>, SimBuildHasher>,
+    blocks: SimHashMap<u64, Vec<u8>>,
     head_pos: u64,
     lookahead_end: u64,
     dirty: u64,
@@ -121,7 +120,7 @@ impl SimDisk {
         SimDisk {
             config,
             clock,
-            blocks: HashMap::default(),
+            blocks: SimHashMap::default(),
             head_pos: 0,
             lookahead_end: 0,
             dirty: 0,

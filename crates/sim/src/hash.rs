@@ -1,4 +1,4 @@
-//! The one hasher behind the simulator's hash maps.
+//! The one hasher behind the simulator's hash maps, and the one hash map.
 //!
 //! `HashMap`'s default hasher draws a seed per process.  The model never
 //! sees a map's order, but the host does: a dropped world frees its
@@ -16,6 +16,13 @@
 //! few, while a table indexes by the low bits; so [`Hasher::finish`]
 //! rotates the high bits down, as rustc-hash 2 does.  Without that, keys
 //! with a common stride (4 KiB-aligned offsets) would share one bucket.
+//!
+//! [`SimHashMap`] is the only hash map the workspace can name.  The root
+//! `clippy.toml` bans std's `HashMap`, `HashSet` and `RandomState`, and
+//! every other package inherits that ban at `forbid`, which no `#[allow]`
+//! lifts; this crate sets it to `deny`, so the alias below is the one
+//! place that allows it.  A table that hashes is a `SimHashMap`; anything
+//! else keeps a `BTreeMap` or `BTreeSet`, whose order is the keys'.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -28,8 +35,13 @@ pub struct SimHasher {
     hash: u64,
 }
 
-/// Builds [`SimHasher`]s: the `S` parameter of every simulator `HashMap`.
+/// Builds [`SimHasher`]s: the `S` parameter of [`SimHashMap`].
 pub type SimBuildHasher = BuildHasherDefault<SimHasher>;
+
+/// std's `HashMap` over the unkeyed [`SimHasher`]: the same table and
+/// order in every process.  Build one with `SimHashMap::default()`.
+#[allow(clippy::disallowed_types)]
+pub type SimHashMap<K, V> = std::collections::HashMap<K, V, SimBuildHasher>;
 
 impl SimHasher {
     fn add(&mut self, word: u64) {

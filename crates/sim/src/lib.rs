@@ -17,8 +17,9 @@
 //! * [`net::SimNetwork`] — a latency/bandwidth pipe modelling the 100 Mbps
 //!   Ethernet used in Figure 13.
 //! * [`rng::SimRng`] — a small deterministic PRNG for workload generation.
-//! * [`hash::SimHasher`] — the unkeyed multiply hasher every simulator
-//!   `HashMap` uses.
+//! * [`hash::SimHashMap`] — std's `HashMap` over the unkeyed multiply
+//!   hasher [`hash::SimHasher`]: the one hash map the workspace's lints
+//!   let any crate name.
 //!
 //! Everything here is deterministic: the same workload produces the same
 //! simulated time on every run, which keeps the benchmark harness stable.
@@ -38,6 +39,6 @@ pub mod rng;
 pub use clock::{SimClock, SimDuration};
 pub use cost::{CostModel, OsFlavor};
 pub use disk::{DiskConfig, DiskStats, SimDisk};
-pub use hash::{SimBuildHasher, SimHasher};
+pub use hash::{SimHashMap, SimHasher};
 pub use net::{LinkConfig, NetConfig, SimNetwork, Topology};
 pub use rng::SimRng;

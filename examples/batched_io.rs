@@ -103,7 +103,7 @@ fn main() {
     println!(
         "batches: {}, entries: {}, mean batch size: {:.2}",
         stats.batches,
-        stats.batch_entries,
+        stats.total(),
         stats.mean_batch_size()
     );
     println!("audit trace records one entry per call, seq continuous across batches:");

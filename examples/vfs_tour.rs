@@ -97,7 +97,7 @@ fn main() {
     println!(
         "read {total} bytes: {} boundary crossings for {} calls (mean batch size {:.2})",
         io.batches,
-        io.batch_entries,
+        io.total(),
         io.mean_batch_size()
     );
     assert!(io.mean_batch_size() > 1.2, "seek updates ride data batches");
