@@ -19,6 +19,7 @@
 
 use histar_kernel::Syscall;
 use histar_label::{Label, Level};
+use histar_unix::gatecall::grant_categories;
 use histar_unix::process::Pid;
 use histar_unix::users::User;
 use histar_unix::{UnixEnv, UnixError};
@@ -205,11 +206,9 @@ impl AuthSystem {
         for r in kernel.submit_calls(
             login_thread,
             vec![
-                Syscall::SelfSetLabel {
-                    label: saved_label.clone(),
-                },
+                Syscall::SelfSetLabel { label: saved_label },
                 Syscall::SelfSetClearance {
-                    clearance: saved_clearance.clone(),
+                    clearance: saved_clearance,
                 },
             ],
         ) {
@@ -217,7 +216,12 @@ impl AuthSystem {
         }
         match grant {
             Some(user) => {
-                grant_via_owner(env, login, &user, saved_label, saved_clearance)?;
+                // The grant step: the holder of the user's categories —
+                // init, which allocated them as the account creator —
+                // hands `ur`/`uw` to login through a single-use grant gate
+                // that carries nothing else it owns.
+                let init = env.init_pid();
+                grant_categories(env, init, login, &[user.read_cat, user.write_cat])?;
                 env.process_record_mut(login)?.user = Some(user.name.clone());
                 self.log.append(&format!("login success: {username}"));
                 Ok(LoginOutcome::Granted)
@@ -234,56 +238,6 @@ impl AuthSystem {
     pub fn retries_left(&self, username: &str) -> Option<u32> {
         self.lookup(username).map(|s| s.retries_left)
     }
-}
-
-/// The grant step: a single-use gate owned by the holder of the user's
-/// categories re-labels the login thread — from `label` / `clearance`,
-/// which it holds on arrival, to the same plus the user's `ur`/`uw`.  In
-/// this reproduction the user's categories were allocated by init (which
-/// plays the role of the account creator / the user's
-/// authentication-service owner), so init's thread creates the grant gate.
-fn grant_via_owner(
-    env: &mut UnixEnv,
-    login: Pid,
-    user: &User,
-    label: Label,
-    clearance: Label,
-) -> Result<()> {
-    let init = env.init_pid();
-    let (init_thread, init_container) = {
-        let p = env.process(init)?;
-        (p.thread, p.process_container)
-    };
-    let login_thread = env.process(login)?.thread;
-    let kernel = env.machine_mut().kernel_mut();
-    let gate_label = kernel
-        .trap_self_get_label(init_thread)?
-        .with(user.read_cat, Level::Star)
-        .with(user.write_cat, Level::Star);
-    let gate_clearance = Label::default_clearance()
-        .with(user.read_cat, Level::L3)
-        .with(user.write_cat, Level::L3);
-    let gate = kernel.trap_gate_create(
-        init_thread,
-        init_container,
-        gate_label,
-        gate_clearance,
-        None,
-        0,
-        vec![],
-        &format!("grant gate for {}", user.name),
-    )?;
-    let entry = histar_kernel::object::ContainerEntry::new(init_container, gate);
-    let granted_label = label
-        .with(user.read_cat, Level::Star)
-        .with(user.write_cat, Level::Star);
-    let granted_clearance = clearance
-        .with(user.read_cat, Level::L3)
-        .with(user.write_cat, Level::L3);
-    kernel.trap_gate_enter(login_thread, entry, granted_label, granted_clearance, label)?;
-    // The per-login grant gate is single-use.
-    let _ = kernel.trap_obj_unref(init_thread, entry);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -312,9 +266,9 @@ mod tests {
 
         let outcome = auth.login(&mut env, sshd, "bob", "hunter2").unwrap();
         assert_eq!(outcome, LoginOutcome::Granted);
-        // Login never re-reads its label: what it asked the grant gate for
-        // is derived from what it held on the way in, and the kernel holds
-        // exactly that — the old label plus `ur`/`uw`, nothing lingering.
+        // The grant gate carries only `ur`/`uw`, so the kernel holds
+        // exactly the old label plus those two — nothing of init's, and
+        // nothing of the login's own per-attempt categories lingering.
         let label = env.machine().kernel().thread_label(thread).unwrap();
         assert_eq!(
             label,

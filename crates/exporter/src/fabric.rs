@@ -15,7 +15,7 @@ use histar_kernel::machine::{Machine, MachineConfig};
 use histar_label::{Category, Label, Level};
 use histar_net::Netd;
 use histar_obs::Span;
-use histar_unix::gatecall::{grant_categories, raise_taint_for, ServiceGate};
+use histar_unix::gatecall::{create_guarded_service_gate, grant_categories, raise_taint_for};
 use histar_unix::process::Pid;
 use histar_unix::UnixEnv;
 
@@ -257,30 +257,7 @@ impl Fabric {
         handler: Handler,
     ) -> Result<()> {
         let n = &mut self.nodes[node];
-        let (thread, container) = {
-            let p = n.env.process(provider)?;
-            (p.thread, p.process_container)
-        };
-        let kernel = n.env.machine_mut().kernel_mut();
-        let label = kernel
-            .trap_self_get_label(thread)
-            .map_err(histar_unix::UnixError::from)?;
-        let gate = kernel
-            .trap_gate_create(
-                thread,
-                container,
-                label,
-                clearance,
-                None,
-                0x7100,
-                vec![],
-                name,
-            )
-            .map_err(histar_unix::UnixError::from)?;
-        let gate = ServiceGate {
-            gate: histar_kernel::object::ContainerEntry::new(container, gate),
-            provider,
-        };
+        let gate = create_guarded_service_gate(&mut n.env, provider, 0x7100, name, clearance)?;
         n.exporter.register_service(name, gate, handler);
         Ok(())
     }

@@ -77,6 +77,36 @@ fn the_determinism_bans_stand() {
     assert_eq!(read("crates/sim/src/hash.rs").matches(needle).count(), 1);
 }
 
+/// Every gate the library creates comes from `gatecall`, the one module
+/// that decides what a gate's label and clearance carry: a gate spelled
+/// from a whole label anywhere else hands every `⋆` in it to whoever
+/// enters.
+#[test]
+fn gates_are_created_in_one_place() {
+    use flowcheck::model::{matches_seq, SourceFile};
+    let root = workspace_root();
+    let trap = concat!("trap_", "gate_create");
+    let row = ["Syscall", ":", ":", concat!("Gate", "Create")];
+    let dirs = flowcheck::LIBRARY_CRATES
+        .iter()
+        .map(|krate| root.join("crates").join(krate).join("src"))
+        .chain([root.join("src")]);
+    let creators: Vec<String> = dirs
+        .flat_map(|dir| flowcheck::rust_files(&dir))
+        .map(|path| {
+            let rel = path.strip_prefix(&root).unwrap().display().to_string();
+            SourceFile::parse(&rel, &std::fs::read_to_string(&path).unwrap())
+        })
+        .filter(|f| {
+            (0..f.tokens.len()).any(|i| {
+                !f.in_test_range(i) && (f.tokens[i].text == trap || matches_seq(&f.tokens, i, &row))
+            })
+        })
+        .map(|f| f.path)
+        .collect();
+    assert_eq!(creators, ["crates/unix/src/gatecall.rs"]);
+}
+
 #[test]
 fn exemption_list_is_stable_across_runs() {
     let root = workspace_root();

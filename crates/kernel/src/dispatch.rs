@@ -549,14 +549,6 @@ impl SyscallResult {
             other => panic!("expected a Bytes completion, got {other:?}"),
         }
     }
-
-    /// Unwraps a received-frame result; panics on any other variant.
-    pub fn into_frame(self) -> Option<Vec<u8>> {
-        match self {
-            SyscallResult::Frame(f) => f,
-            other => panic!("expected a Frame completion, got {other:?}"),
-        }
-    }
 }
 
 /// Per-syscall invocation and error counters maintained by
@@ -888,7 +880,9 @@ mod tests {
     use histar_label::Level;
 
     fn boot() -> (Kernel, ObjectId) {
-        let mut k = Kernel::new(42, None);
+        let clock = histar_sim::SimClock::new();
+        let store = histar_store::SingleLevelStore::format(Default::default(), clock.clone());
+        let mut k = Kernel::new(42, clock, store);
         let root = k.root_container();
         let tid = k
             .bootstrap_thread(

@@ -121,7 +121,7 @@ struct LabelChecks<'k> {
     cache: &'k mut LabelCache,
     stats: &'k mut SyscallStats,
     cost: &'k CostModel,
-    clock: Option<&'k SimClock>,
+    clock: &'k SimClock,
 }
 
 impl LabelChecks<'_> {
@@ -164,9 +164,7 @@ impl LabelChecks<'_> {
     fn charge_label_check(&mut self, entries: usize, cached: bool) {
         let seen = &mut self.stats.label_check_max_entries;
         *seen = (*seen).max(entries as u64);
-        if let Some(clock) = self.clock {
-            clock.advance(self.cost.label_check(entries, cached));
-        }
+        self.clock.advance(self.cost.label_check(entries, cached));
     }
 
     /// "No read up" for persist records: record labels are immutable, so
@@ -220,7 +218,7 @@ pub struct Kernel {
     id_cipher: FeistelCipher,
     id_counter: u64,
     label_cache: LabelCache,
-    clock: Option<SimClock>,
+    clock: SimClock,
     cost: CostModel,
     stats: SyscallStats,
     /// The address space of the most recently active thread, used to decide
@@ -250,13 +248,12 @@ pub struct Kernel {
     /// lives outside the kernel, but its counters belong to the machine's
     /// metrics registry so `/metrics/sched` can serve them).
     sched_metrics: MetricSet,
-    /// The machine's single-level store, when this kernel is part of a
-    /// [`Machine`](crate::Machine).  The persist-record syscalls operate
+    /// The machine's single-level store.  The persist-record syscalls operate
     /// on it directly — data in the persist namespace bypasses the object
     /// heap entirely — `obj_sync` writes heap objects into it, and having
     /// it here lets those calls ride the same batched submission path (and
     /// audit trace) as every other syscall.
-    store: Option<SingleLevelStore>,
+    store: SingleLevelStore,
 }
 
 /// The typed views of the object table: `get(id)` and `get_mut(id)` (each
@@ -311,8 +308,11 @@ impl Kernel {
     ///
     /// `seed` keys the object-ID and category-name ciphers (deterministic
     /// for a given seed); `clock` is the machine clock costs are charged to
-    /// (pass `None` for pure functional tests).
-    pub fn new(seed: u64, clock: Option<SimClock>) -> Kernel {
+    /// and `store` the single-level store the persist-record syscalls and
+    /// `obj_sync` write into.
+    pub fn new(seed: u64, clock: SimClock, mut store: SingleLevelStore) -> Kernel {
+        let recorder = Recorder::disabled();
+        store.set_recorder(recorder.clone());
         let mut kernel = Kernel {
             objects: Default::default(),
             root: ObjectId::from_raw(0),
@@ -326,12 +326,12 @@ impl Kernel {
             last_address_space: None,
             dispatch_stats: DispatchStats::default(),
             trace: None,
-            recorder: Recorder::disabled(),
+            recorder,
             dispatch_seq: 0,
             sched_dirty: Vec::new(),
             sched_dirty_set: std::collections::BTreeSet::new(),
             sched_metrics: MetricSet::new(),
-            store: None,
+            store,
         };
         let root_id = kernel.fresh_id();
         let mut header = ObjectHeader::new(
@@ -400,18 +400,14 @@ impl Kernel {
     /// replacing any previous recorder.  Returns a handle to the new ring.
     pub fn enable_flight_recorder(&mut self, capacity: usize) -> Recorder {
         self.recorder = Recorder::with_capacity(capacity);
-        if let Some(store) = self.store.as_mut() {
-            store.set_recorder(self.recorder.clone());
-        }
+        self.store.set_recorder(self.recorder.clone());
         self.recorder.clone()
     }
 
     /// Installs an externally created recorder (e.g. the one that already
     /// holds a machine's recovery spans), replacing any previous one.
     pub fn install_recorder(&mut self, recorder: Recorder) {
-        if let Some(store) = self.store.as_mut() {
-            store.set_recorder(recorder.clone());
-        }
+        self.store.set_recorder(recorder.clone());
         self.recorder = recorder;
     }
 
@@ -449,8 +445,8 @@ impl Kernel {
 
     /// One snapshot of every counter the kernel and its attached subsystems
     /// maintain: syscall + dispatch stats, the label-comparison cache, and
-    /// (when a store is attached) store/WAL/disk counters.  Collecting a
-    /// snapshot charges no simulated time.
+    /// store/WAL/disk counters.  Collecting a snapshot charges no simulated
+    /// time.
     pub fn metrics(&self) -> MetricSet {
         let mut set = MetricSet::new();
         set.collect(&self.stats());
@@ -463,11 +459,9 @@ impl Kernel {
         }
         set.counter("spans.recorded", self.recorder.total_recorded());
         set.counter("spans.dropped", self.recorder.dropped());
-        if let Some(store) = &self.store {
-            set.collect(&store.stats());
-            set.collect(&store.wal_stats());
-            set.collect(&store.disk_stats());
-        }
+        set.collect(&self.store.stats());
+        set.collect(&self.store.wal_stats());
+        set.collect(&self.store.disk_stats());
         set.extend(&self.sched_metrics);
         set
     }
@@ -480,12 +474,9 @@ impl Kernel {
         self.sched_metrics = set;
     }
 
-    /// Simulated time since boot (zero when no clock is attached).
+    /// Simulated time since boot.
     pub fn now(&self) -> SimDuration {
-        self.clock
-            .as_ref()
-            .map(|c| c.now())
-            .unwrap_or(SimDuration::ZERO)
+        self.clock.now()
     }
 
     /// Number of live objects (including the root container).
@@ -507,9 +498,7 @@ impl Kernel {
     }
 
     fn charge(&mut self, d: SimDuration) {
-        if let Some(clock) = &self.clock {
-            clock.advance(d);
-        }
+        self.clock.advance(d);
     }
 
     /// The trap's prologue, run once per call before its handler: counts
@@ -554,9 +543,7 @@ impl Kernel {
     /// every `persist_sync` and logged `obj_sync` in the batch rides one
     /// shared WAL frame.
     pub(crate) fn begin_batch(&mut self) {
-        if let Some(store) = self.store.as_mut() {
-            store.begin_sync_group();
-        }
+        self.store.begin_sync_group();
     }
 
     /// Closes the store's group-commit window, flushing the coalesced
@@ -564,9 +551,7 @@ impl Kernel {
     /// returned, so a sync is acked only after the shared append is
     /// durable.
     pub(crate) fn end_batch(&mut self) {
-        if let Some(store) = self.store.as_mut() {
-            store.end_sync_group();
-        }
+        self.store.end_sync_group();
     }
 
     fn obj(&self, id: ObjectId) -> Result<&KObject, SyscallError> {
@@ -738,32 +723,22 @@ impl Kernel {
 
     // ----- the single-level store and persist records -------------------
 
-    /// Attaches the machine's single-level store.  From here on the
-    /// persist-record syscalls and `obj_sync` are live; without a store
-    /// they fail with [`SyscallError::NoStore`].
-    pub fn attach_store(&mut self, store: SingleLevelStore) {
-        let mut store = store;
-        store.set_recorder(self.recorder.clone());
-        self.store = Some(store);
+    /// Consumes the kernel, returning its store (crash simulation: the
+    /// machine keeps the disk, the kernel's memory is lost).
+    pub(crate) fn into_store(self) -> SingleLevelStore {
+        self.store
     }
 
-    /// Detaches and returns the store (crash simulation: the machine keeps
-    /// the disk, the kernel's memory is lost).
-    pub(crate) fn take_store(&mut self) -> Option<SingleLevelStore> {
-        self.store.take()
+    /// The machine's single-level store.
+    pub fn store(&self) -> &SingleLevelStore {
+        &self.store
     }
 
-    /// The attached store, if any.
-    pub fn store(&self) -> Option<&SingleLevelStore> {
-        self.store.as_ref()
-    }
-
-    /// The attached store, mutably, or the [`SyscallError::NoStore`] every
-    /// store-backed call refuses with.  Crate-private: above the kernel the
-    /// store is written through `persist_*` / `obj_sync` traps only, and
-    /// the [`Machine`](crate::Machine) is the operator's console.
-    pub(crate) fn store_mut(&mut self) -> Result<&mut SingleLevelStore, SyscallError> {
-        self.store.as_mut().ok_or(SyscallError::NoStore)
+    /// The store, mutably.  Crate-private: above the kernel the store is
+    /// written through `persist_*` / `obj_sync` traps only, and the
+    /// [`Machine`](crate::Machine) is the operator's console.
+    pub(crate) fn store_mut(&mut self) -> &mut SingleLevelStore {
+        &mut self.store
     }
 
     /// Upper bound on one persist record's payload (a record is one
@@ -790,9 +765,9 @@ impl Kernel {
             cache: &mut self.label_cache,
             stats: &mut self.stats,
             cost: &self.cost,
-            clock: self.clock.as_ref(),
+            clock: &self.clock,
         };
-        let store = self.store.as_mut().ok_or(SyscallError::NoStore)?;
+        let store = &mut self.store;
         let corrupt = SyscallError::CorruptRecord(key);
         let record = match store.resident(key) {
             Ok(None) => None,
@@ -865,7 +840,7 @@ impl Kernel {
         let copy_cost = self.cost.copy(data.len() as u64);
         self.charge(copy_cost);
         let framed = Self::persist_frame(&rlabel, &payload);
-        self.store_mut()?.put(key, framed);
+        self.store_mut().put(key, framed);
         Ok(())
     }
 
@@ -907,7 +882,7 @@ impl Kernel {
         let (record, mut checks) = self.persist_record(key)?;
         let (rlabel, _) = record.ok_or(SyscallError::NoSuchRecord(key))?;
         checks.check_record_modify(&t.label, key, &rlabel)?;
-        self.store_mut()?.delete(key);
+        self.store_mut().delete(key);
         Ok(())
     }
 
@@ -925,7 +900,7 @@ impl Kernel {
         max: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
         let keys = self
-            .store_mut()?
+            .store_mut()
             .keys_in_range(lo.max(histar_store::PERSIST_KEY_BASE), hi);
         let mut out = Vec::new();
         let mut copied = 0u64;
@@ -969,11 +944,11 @@ impl Kernel {
             match record {
                 Some((rlabel, _)) => {
                     checks.check_record_modify(&t.label, key, &rlabel)?;
-                    self.store_mut()?
+                    self.store_mut()
                         .sync_object(key)
                         .map_err(|_| SyscallError::NoSuchRecord(key))?;
                 }
-                None => self.store_mut()?.sync_delete(key),
+                None => self.store_mut().sync_delete(key),
             }
         }
         Ok(())
@@ -1010,7 +985,7 @@ impl Kernel {
             .objects
             .get(&id)
             .ok_or(SyscallError::NoSuchObject(id))?;
-        let store = self.store.as_mut().ok_or(SyscallError::NoStore)?;
+        let store = &mut self.store;
         if let Some((pages, (prefix, seg))) = pages
             .as_deref()
             .and_then(|p| Some((p, segment_prefix(obj)?)))
@@ -1053,7 +1028,7 @@ impl Kernel {
             cache: &mut self.label_cache,
             stats: &mut self.stats,
             cost: &self.cost,
-            clock: self.clock.as_ref(),
+            clock: &self.clock,
         }
     }
 
@@ -2124,11 +2099,14 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use histar_store::StoreConfig;
 
     /// Boots a bare kernel with one unrestricted thread in the root
     /// container and returns `(kernel, thread id)`.
     fn boot() -> (Kernel, ObjectId) {
-        let mut k = Kernel::new(42, None);
+        let clock = SimClock::new();
+        let store = SingleLevelStore::format(StoreConfig::default(), clock.clone());
+        let mut k = Kernel::new(42, clock, store);
         let root = k.root_container();
         let tid = k
             .bootstrap_thread(

@@ -89,8 +89,8 @@ pub struct Machine {
     clock: SimClock,
     config: MachineConfig,
     kernel_thread: ObjectId,
-    net_device: Option<ObjectId>,
-    console_device: Option<ObjectId>,
+    net_device: ObjectId,
+    console_device: ObjectId,
 }
 
 impl Machine {
@@ -99,8 +99,7 @@ impl Machine {
     pub fn boot(config: MachineConfig) -> Machine {
         let clock = SimClock::new();
         let store = SingleLevelStore::format(config.store, clock.clone());
-        let mut kernel = Kernel::new(config.seed, Some(clock.clone()));
-        kernel.attach_store(store);
+        let mut kernel = Kernel::new(config.seed, clock.clone(), store);
         let root = kernel.root_container();
         let kernel_thread = kernel
             .bootstrap_thread(
@@ -116,11 +115,11 @@ impl Machine {
                 .boot_create_device(root, Label::unrestricted(), body, name)
                 .expect("boot device creation cannot fail on a fresh kernel")
         };
-        let net_device = Some(boot_device(
+        let net_device = boot_device(
             DeviceBody::network([0x52, 0x54, 0x00, 0x12, 0x34, 0x56]),
             "eth0",
-        ));
-        let console_device = Some(boot_device(DeviceBody::console(), "console"));
+        );
+        let console_device = boot_device(DeviceBody::console(), "console");
 
         Machine {
             kernel,
@@ -152,16 +151,14 @@ impl Machine {
         &mut self.kernel
     }
 
-    /// The single-level store (attached to the kernel).
+    /// The single-level store (held by the kernel).
     pub fn store(&self) -> &SingleLevelStore {
-        self.kernel.store().expect("a machine's kernel has a store")
+        self.kernel.store()
     }
 
     /// The single-level store, mutably.
     pub fn store_mut(&mut self) -> &mut SingleLevelStore {
-        self.kernel
-            .store_mut()
-            .expect("a machine's kernel has a store")
+        self.kernel.store_mut()
     }
 
     /// The initial kernel thread created at boot.
@@ -169,13 +166,13 @@ impl Machine {
         self.kernel_thread
     }
 
-    /// The boot-time network device, if configured.
-    pub fn net_device(&self) -> Option<ObjectId> {
+    /// The boot-time network device.
+    pub fn net_device(&self) -> ObjectId {
         self.net_device
     }
 
-    /// The boot-time console device, if configured.
-    pub fn console_device(&self) -> Option<ObjectId> {
+    /// The boot-time console device.
+    pub fn console_device(&self) -> ObjectId {
         self.console_device
     }
 
@@ -219,8 +216,8 @@ impl Machine {
             .put_u64(id_counter)
             .put_u64(cat_counter)
             .put_u64(self.kernel_thread.raw())
-            .put_u64(self.net_device.map_or(u64::MAX, ObjectId::raw))
-            .put_u64(self.console_device.map_or(u64::MAX, ObjectId::raw))
+            .put_u64(self.net_device.raw())
+            .put_u64(self.console_device.raw())
             .put_u64(self.config.seed);
         let meta = e.finish();
         self.store_mut().put(MACHINE_META_KEY, meta);
@@ -250,11 +247,7 @@ impl Machine {
     /// Consumes the machine, returning the raw disk image (for crash
     /// harnesses that mutilate the write-ahead log before recovering).
     pub fn into_disk(self) -> histar_sim::SimDisk {
-        let mut kernel = self.kernel;
-        kernel
-            .take_store()
-            .expect("a machine's kernel has a store")
-            .into_disk()
+        self.kernel.into_store().into_disk()
     }
 
     /// Recovers a machine from an existing disk image.
@@ -290,8 +283,8 @@ impl Machine {
         let id_counter = read(&mut d)?;
         let cat_counter = read(&mut d)?;
         let kernel_thread = ObjectId::from_raw(read(&mut d)?);
-        let net_raw = read(&mut d)?;
-        let console_raw = read(&mut d)?;
+        let net_device = ObjectId::from_raw(read(&mut d)?);
+        let console_device = ObjectId::from_raw(read(&mut d)?);
         let seed = read(&mut d)?;
 
         let mut objects = Vec::new();
@@ -309,9 +302,8 @@ impl Machine {
             objects.push((ObjectId::from_raw(id), obj));
         }
 
-        let mut kernel = Kernel::new(seed, Some(clock.clone()));
+        let mut kernel = Kernel::new(seed, clock.clone(), store);
         kernel.restore_objects(root, objects, id_counter, cat_counter, seed);
-        kernel.attach_store(store);
         recorder.record(histar_obs::Span {
             cat: "recover",
             name: "object_restore",
@@ -327,8 +319,8 @@ impl Machine {
             clock,
             config: MachineConfig { seed, ..config },
             kernel_thread,
-            net_device: (net_raw != u64::MAX).then(|| ObjectId::from_raw(net_raw)),
-            console_device: (console_raw != u64::MAX).then(|| ObjectId::from_raw(console_raw)),
+            net_device,
+            console_device,
         })
     }
 }
@@ -336,14 +328,16 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::ContainerEntry;
+    use crate::object::{ContainerEntry, ObjectType};
     use histar_label::Level;
 
     #[test]
     fn boot_creates_devices_and_thread() {
         let m = Machine::boot(MachineConfig::default());
-        assert!(m.net_device().is_some());
-        assert!(m.console_device().is_some());
+        for device in [m.net_device(), m.console_device()] {
+            let header = &m.kernel().raw_object(device).unwrap().header;
+            assert_eq!(header.object_type, ObjectType::Device);
+        }
         assert_eq!(
             m.kernel().thread_label(m.kernel_thread()).unwrap(),
             Label::unrestricted()

@@ -76,7 +76,7 @@ impl SchedContext for Machine {
 /// Default number of run-queue shards.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Default quantum charged per program step.
+/// CPU time charged per program step (one quantum).
 pub const DEFAULT_QUANTUM: SimDuration = SimDuration::from_micros(50);
 
 /// Construction-time parameters for a [`Scheduler`], built fluently:
@@ -89,8 +89,6 @@ pub struct SchedConfig {
     /// Seed fixing every tie-break: shard assignment, shard visit order
     /// and admission-batch shuffles.
     pub seed: u64,
-    /// CPU time charged per program step.
-    pub quantum: SimDuration,
     /// Number of run-queue shards (at least 1).
     pub shards: usize,
 }
@@ -99,14 +97,13 @@ impl Default for SchedConfig {
     fn default() -> SchedConfig {
         SchedConfig {
             seed: 0,
-            quantum: DEFAULT_QUANTUM,
             shards: DEFAULT_SHARDS,
         }
     }
 }
 
 impl SchedConfig {
-    /// The default configuration (seed 0, 50µs quantum, 8 shards).
+    /// The default configuration (seed 0, 8 shards).
     pub fn new() -> SchedConfig {
         SchedConfig::default()
     }
@@ -114,12 +111,6 @@ impl SchedConfig {
     /// Sets the scheduler seed.
     pub fn seed(mut self, seed: u64) -> SchedConfig {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the quantum charged per program step.
-    pub fn quantum(mut self, quantum: SimDuration) -> SchedConfig {
-        self.quantum = quantum;
         self
     }
 
@@ -341,11 +332,6 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
         self.config
     }
 
-    /// The configured quantum.
-    pub fn quantum(&self) -> SimDuration {
-        self.config.quantum
-    }
-
     /// Admits the pending batch: seeded-shuffle, then hash each thread to
     /// its shard.  The shuffle is the scheduler's only use of randomness
     /// and is fully determined by the seed and the spawn order; the shard
@@ -544,7 +530,7 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
                         seq: self.stats.context_switches,
                     });
                 }
-                kernel.sched_charge(self.config.quantum);
+                kernel.sched_charge(DEFAULT_QUANTUM);
                 (kernel.recorder().clone(), quantum_start)
             };
             self.last_run = Some(tid);
@@ -682,15 +668,13 @@ mod tests {
         (bytes, report)
     }
 
-    fn cfg(seed: u64, quantum_us: u64) -> SchedConfig {
-        SchedConfig::new()
-            .seed(seed)
-            .quantum(SimDuration::from_micros(quantum_us))
+    fn cfg(seed: u64) -> SchedConfig {
+        SchedConfig::new().seed(seed)
     }
 
     #[test]
     fn round_robin_interleaves_and_completes() {
-        let (bytes, report) = interleaving(cfg(7, 100));
+        let (bytes, report) = interleaving(cfg(7));
         assert_eq!(report.stop, StopReason::AllComplete);
         assert_eq!(report.stats.quanta, 9);
         assert_eq!(report.stats.completed, 3);
@@ -707,12 +691,12 @@ mod tests {
 
     #[test]
     fn same_seed_same_interleaving_different_seed_may_differ() {
-        let (a1, _) = interleaving(cfg(7, 100));
-        let (a2, _) = interleaving(cfg(7, 100));
+        let (a1, _) = interleaving(cfg(7));
+        let (a2, _) = interleaving(cfg(7));
         assert_eq!(a1, a2, "scheduling must be deterministic per seed");
         // Across all seeds and shard counts the multiset of work is
         // identical.
-        for other in [cfg(8, 100), cfg(7, 100).shards(1), cfg(7, 100).shards(16)] {
+        for other in [cfg(8), cfg(7).shards(1), cfg(7).shards(16)] {
             let (b, _) = interleaving(other);
             let mut sa = a1.clone();
             let mut sb = b.clone();
@@ -730,7 +714,7 @@ mod tests {
         // run, under-counting switches and under-charging simulated time.
         let mut m = Machine::boot(MachineConfig::default());
         let t = spawn_thread(&mut m, "spinner");
-        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1, 10));
+        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1));
         assert_eq!(sched.config().seed, 1);
         assert_eq!(sched.config().shards, DEFAULT_SHARDS);
         sched.spawn(t, Box::new(|_m, _tid| Step::Yield));
@@ -752,7 +736,7 @@ mod tests {
     fn run_publishes_metrics_to_kernel_registry() {
         let mut m = Machine::boot(MachineConfig::default());
         let t = spawn_thread(&mut m, "t");
-        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(3, 10).shards(4));
+        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(3).shards(4));
         sched.spawn(t, Box::new(|_m, _tid| Step::Done));
         m.run_until(&mut sched, RunLimit::to_completion());
         let set = m.kernel().metrics();
@@ -778,7 +762,7 @@ mod tests {
         let ae = ContainerEntry::new(root, aspace);
         m.kernel_mut().trap_self_set_as(sleeper, ae).unwrap();
 
-        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1, 10));
+        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1));
         let woke = std::rc::Rc::new(std::cell::Cell::new(false));
         let woke2 = woke.clone();
         sched.spawn(
@@ -822,7 +806,7 @@ mod tests {
     fn all_blocked_is_detected_not_spun() {
         let mut m = Machine::boot(MachineConfig::default());
         let t = spawn_thread(&mut m, "forever");
-        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1, 10));
+        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1));
         sched.spawn(t, Box::new(|_m, _tid| Step::Block));
         let report = m.run_until(&mut sched, RunLimit::to_completion());
         assert_eq!(report.stop, StopReason::AllBlocked);
@@ -849,7 +833,7 @@ mod tests {
             .trap_self_set_as(sleeper, ContainerEntry::new(root, aspace))
             .unwrap();
 
-        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(5, 10));
+        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(5));
         let mut taken = 0u32;
         sched.spawn(
             sleeper,
@@ -913,7 +897,7 @@ mod tests {
             .trap_self_set_as(sleeper, ContainerEntry::new(root, aspace))
             .unwrap();
 
-        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(9, 10));
+        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(9));
         let sleeper_steps = std::rc::Rc::new(std::cell::Cell::new(0u64));
         let steps = sleeper_steps.clone();
         sched.spawn(
@@ -983,7 +967,7 @@ mod tests {
             .trap_segment_create(boot, root, Label::unrestricted(), 8, "watched")
             .unwrap();
         let entry = ContainerEntry::new(root, seg);
-        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(2, 10));
+        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(2));
         let mut submitted = false;
         sched.spawn(
             watcher,
@@ -1034,7 +1018,7 @@ mod tests {
     fn quantum_budget_is_respected() {
         let mut m = Machine::boot(MachineConfig::default());
         let t = spawn_thread(&mut m, "spinner");
-        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1, 10));
+        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1));
         sched.spawn(t, Box::new(|_m, _tid| Step::Yield));
         let report = m.run_until(&mut sched, RunLimit::quanta(5));
         assert_eq!(report.stop, StopReason::QuantaExhausted);

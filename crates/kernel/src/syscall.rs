@@ -67,10 +67,6 @@ pub enum SyscallError {
     RootContainer,
     /// The call is malformed (bad argument, out-of-range offset, ...).
     InvalidArgument(&'static str),
-    /// A persist-record call or `obj_sync` reached a kernel with no
-    /// single-level store attached (standalone kernels used in pure label
-    /// tests).
-    NoStore,
     /// The named persist record does not exist in the store.
     NoSuchRecord(u64),
     /// A label check failed: the calling thread may not observe the
@@ -137,7 +133,6 @@ impl core::fmt::Display for SyscallError {
                 write!(f, "operation not permitted on the root container")
             }
             SyscallError::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
-            SyscallError::NoStore => write!(f, "no single-level store attached to this kernel"),
             SyscallError::NoSuchRecord(k) => write!(f, "no such persist record: {k:#x}"),
             SyscallError::CannotObserveRecord(k) => {
                 write!(f, "label check: cannot observe persist record {k:#x}")

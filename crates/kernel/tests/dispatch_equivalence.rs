@@ -50,12 +50,8 @@ fn entry(fx: &Fx, o: ObjectId) -> ContainerEntry {
 /// Builds one kernel with a rich, fully deterministic state touching every
 /// object type.
 fn setup() -> (Kernel, Fx) {
-    let mut k = Kernel::new(0x0d15_ea5e, Some(SimClock::new()));
-    // A deterministic store so the persist-record syscalls are live.
-    k.attach_store(SingleLevelStore::format(
-        StoreConfig::default(),
-        SimClock::new(),
-    ));
+    let store = SingleLevelStore::format(StoreConfig::default(), SimClock::new());
+    let mut k = Kernel::new(0x0d15_ea5e, SimClock::new(), store);
     let root = k.root_container();
     let boot = k
         .bootstrap_thread(
@@ -746,37 +742,16 @@ fn failing_calls_dispatch_identically_too() {
     ];
     for (what, tid, call, error) in failures {
         let (stats, rows, objects) = (k.stats(), k.dispatch_stats(), k.object_count());
-        let wal = k.store().unwrap().wal_stats();
+        let wal = k.store().wal_stats();
         let name = call.name();
         assert_eq!(k.dispatch(tid, call), Err(error), "{what}");
         assert_eq!(k.stats().errors, stats.errors + 1, "{what}: kernel total");
         let counted = k.dispatch_stats().since(&rows);
         assert_eq!(counted.nonzero(), [(name, 1, 1)], "{what}: row counts");
         assert_eq!(k.object_count(), objects, "{what}: object table untouched");
-        assert_eq!(
-            k.store().unwrap().wal_stats(),
-            wal,
-            "{what}: nothing logged"
-        );
+        assert_eq!(k.store().wal_stats(), wal, "{what}: nothing logged");
         assert_totals_agree(&k);
     }
-
-    // Without a store there is nothing to sync into — said after the
-    // checks, so a refused caller learns nothing about the machine.
-    let mut bare_kernel = Kernel::new(1, None);
-    let root = bare_kernel.root_container();
-    let tid = bare_kernel
-        .bootstrap_thread(
-            root,
-            Label::unrestricted(),
-            Label::default_clearance(),
-            "init",
-        )
-        .unwrap();
-    assert_eq!(
-        bare_kernel.trap_obj_sync(tid, ContainerEntry::self_entry(root), None),
-        Err(SyscallError::NoStore)
-    );
 }
 
 /// A machine holding one three-page segment that has a home record (it was

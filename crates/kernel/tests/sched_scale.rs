@@ -7,7 +7,6 @@ use histar_kernel::object::ContainerEntry;
 use histar_kernel::sched::{RunLimit, SchedConfig, Scheduler, Step, StopReason};
 use histar_kernel::{Machine, MachineConfig, ObjectId, TraceRecord};
 use histar_label::Label;
-use histar_sim::SimDuration;
 
 fn spawn_thread(m: &mut Machine, name: &str) -> ObjectId {
     let boot = m.kernel_thread();
@@ -70,10 +69,7 @@ fn traced_run(config: SchedConfig) -> Vec<TraceRecord> {
 #[test]
 fn audit_trace_is_byte_identical_per_seed_at_every_shard_count() {
     for shards in [1, 4, 16] {
-        let config = SchedConfig::new()
-            .seed(0x5ca1e)
-            .quantum(SimDuration::from_micros(25))
-            .shards(shards);
+        let config = SchedConfig::new().seed(0x5ca1e).shards(shards);
         let t1 = traced_run(config);
         let t2 = traced_run(config);
         assert!(!t1.is_empty());

@@ -23,6 +23,7 @@ use histar_kernel::syscall::SyscallError;
 use histar_kernel::{Kernel, Machine, MachineConfig};
 use histar_label::Label;
 use histar_sim::SimClock;
+use histar_store::{SingleLevelStore, StoreConfig};
 
 const SEEDS: u64 = 40;
 const STEPS: usize = 400;
@@ -297,7 +298,9 @@ fn segment_bodies_read_encode_and_flush_as_a_plain_byte_vector() {
 }
 
 fn kernel_with_a_segment() -> (Kernel, ObjectId, ContainerEntry) {
-    let mut k = Kernel::new(7, Some(SimClock::new()));
+    let clock = SimClock::new();
+    let store = SingleLevelStore::format(StoreConfig::default(), clock.clone());
+    let mut k = Kernel::new(7, clock, store);
     let root = k.root_container();
     let tid = k
         .bootstrap_thread(

@@ -17,6 +17,8 @@ use histar_kernel::kernel::WakeReason;
 use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::Kernel;
 use histar_label::Label;
+use histar_sim::SimClock;
+use histar_store::{SingleLevelStore, StoreConfig};
 
 const SEEDS: u64 = 40;
 const STEPS: usize = 400;
@@ -67,7 +69,9 @@ fn wake_eligibility_is_the_answer_read_off_the_thread() {
     let mut seen = [0usize; 5];
     for seed in 1..=SEEDS {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut k = Kernel::new(seed, None);
+        let clock = SimClock::new();
+        let store = SingleLevelStore::format(StoreConfig::default(), clock.clone());
+        let mut k = Kernel::new(seed, clock, store);
         let root = k.root_container();
         let boot = k
             .bootstrap_thread(

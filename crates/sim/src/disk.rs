@@ -36,8 +36,6 @@ pub struct DiskConfig {
     pub read_lookahead: bool,
     /// How many bytes beyond the last access the look-ahead covers.
     pub lookahead_window: u64,
-    /// Whether a volatile write cache absorbs writes until `flush`.
-    pub write_cache: bool,
 }
 
 impl Default for DiskConfig {
@@ -49,7 +47,6 @@ impl Default for DiskConfig {
             bandwidth: 58 * 1024 * 1024,
             read_lookahead: true,
             lookahead_window: 512 * 1024,
-            write_cache: false,
         }
     }
 }
@@ -110,7 +107,6 @@ pub struct SimDisk {
     blocks: SimHashMap<u64, Vec<u8>>,
     head_pos: u64,
     lookahead_end: u64,
-    dirty: u64,
     stats: DiskStats,
 }
 
@@ -123,7 +119,6 @@ impl SimDisk {
             blocks: SimHashMap::default(),
             head_pos: 0,
             lookahead_end: 0,
-            dirty: 0,
             stats: DiskStats::default(),
         }
     }
@@ -263,13 +258,7 @@ impl SimDisk {
             offset + len <= self.config.capacity,
             "write beyond end of device"
         );
-        let cost = if self.config.write_cache {
-            // Absorbed by the cache; paid at flush time.
-            self.dirty += len;
-            self.transfer_time(len)
-        } else {
-            self.positioning_time(offset, false) + self.transfer_time(len)
-        };
+        let cost = self.positioning_time(offset, false) + self.transfer_time(len);
         self.charge(cost);
         self.head_pos = offset + len;
         self.stats.writes += 1;
@@ -293,17 +282,12 @@ impl SimDisk {
         }
     }
 
-    /// Forces any cached writes to stable storage.
+    /// Issues a cache-flush command.  Writes reach the platter as they
+    /// are issued (the drive has no write cache), so a flush costs one
+    /// command round-trip.
     pub fn flush(&mut self) {
         self.stats.flushes += 1;
-        if self.config.write_cache && self.dirty > 0 {
-            let cost = self.config.seek + self.config.rotational + self.transfer_time(self.dirty);
-            self.dirty = 0;
-            self.charge(cost);
-        } else {
-            // Even an empty flush costs a command round-trip.
-            self.charge(SimDuration::from_micros(50));
-        }
+        self.charge(SimDuration::from_micros(50));
     }
 }
 
@@ -406,22 +390,6 @@ mod tests {
         // 100 MB at 58 MB/s is ~1.7 s; allow generous slack for the initial
         // positioning but it must be in the low seconds.
         assert!(took > 1.0 && took < 4.0, "sequential write took {took}");
-    }
-
-    #[test]
-    fn write_cache_defers_cost_to_flush() {
-        let cfg = DiskConfig {
-            write_cache: true,
-            ..DiskConfig::default()
-        };
-        let mut d = SimDisk::new(cfg, SimClock::new());
-        for i in 0..100u64 {
-            d.write(i * 1000 * BLOCK_SIZE, &[1u8; 512]);
-        }
-        let before_flush = d.clock().now();
-        assert!(before_flush.as_millis() < 100, "writes absorbed by cache");
-        d.flush();
-        assert!(d.stats().flushes == 1);
     }
 
     #[test]

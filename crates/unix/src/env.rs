@@ -21,6 +21,7 @@ use crate::devfs::DevFs;
 use crate::fdtable::{Fd, FdState, FdTable, FLAG_NONBLOCK, FLAG_TARGET_BESIDE};
 use crate::fs::DirEntry;
 use crate::fs::{join_path, FileStat, OpenFlags};
+use crate::gatecall;
 use crate::metricsfs::MetricsFs;
 use crate::persistfs::PersistFs;
 use crate::process::{ExitStatus, Pid, Process, ProcessState};
@@ -432,32 +433,21 @@ impl UnixEnv {
     }
 
     /// Forks a process: the child gets copies of the parent's text, heap and
-    /// stack segments and shares its open file descriptors.
+    /// stack segments, owns what the parent owns, and shares its open file
+    /// descriptors.
     pub fn fork(&mut self, parent: Pid) -> Result<Pid> {
-        let (creator, user, executable, own, image, fds) = {
+        let (user, executable, image, fds) = {
             let p = self.process(parent)?;
             (
-                p.thread,
                 p.user.clone(),
                 p.executable.clone(),
-                [p.read_cat, p.write_cat],
                 [p.text_segment, p.heap_segment, p.stack_segment]
                     .map(|seg| ContainerEntry::new(p.internal_container, seg)),
                 p.fds.iter().collect::<Vec<(Fd, ObjectId)>>(),
             )
         };
-        // The child owns what its parent owns right now — user privileges,
-        // grants received through gates, categories it allocated — except
-        // the parent's own `pr`/`pw`: processes stay isolated.
-        let extra = self
-            .machine
-            .kernel_mut()
-            .trap_self_get_label(creator)?
-            .owned_categories()
-            .filter(|c| !own.contains(c))
-            .collect();
         let child =
-            self.create_process(Some(parent), user, &executable, extra, &[], Some(image))?;
+            self.create_process(Some(parent), user, &executable, vec![], &[], Some(image))?;
         // Share file descriptors, number for number.
         for (fd, seg) in fds {
             self.share_descriptor(parent, seg, child)?;
@@ -662,7 +652,7 @@ impl UnixEnv {
         parent: Option<Pid>,
         user: Option<String>,
         executable: &str,
-        extra_ownership: Vec<Category>,
+        mut extra_ownership: Vec<Category>,
         extra_taint: &[(Category, Level)],
         image: Option<[ContainerEntry; 3]>,
     ) -> Result<Pid> {
@@ -691,6 +681,15 @@ impl UnixEnv {
         let saved_clearance = take(&mut head, SyscallResult::into_label)?;
         let pr = take(&mut head, SyscallResult::into_category)?;
         let pw = take(&mut head, SyscallResult::into_category)?;
+        // A forked child owns what its parent owns right now — user
+        // privileges, grants received through gates, categories it
+        // allocated — except the parent's own `pr`/`pw`: processes stay
+        // isolated.
+        if let Some(parent) = parent.filter(|_| image.is_some()) {
+            let p = &self.processes[&parent];
+            let own = [p.read_cat, p.write_cat];
+            extra_ownership.extend(saved_label.owned_categories().filter(|c| !own.contains(c)));
+        }
 
         // A process launched pre-tainted (e.g. the virus scanner tainted
         // `v 3`) needs that taint on everything it must be able to write:
@@ -754,29 +753,19 @@ impl UnixEnv {
             0,
             &format!("thread {executable}"),
         )?;
-        // Signal gate, invocable by holders of the user's write category (or
-        // anyone, for user-less system processes).  A pre-tainted process's
-        // gate carries the taint, so its clearance must admit it.
-        let mut signal_gate_clearance =
-            match (&user, self.users.lookup(user.as_deref().unwrap_or(""))) {
-                (Some(_), Some(u)) => Label::builder()
-                    .set(u.write_cat, Level::L0)
-                    .default_level(Level::L2)
-                    .build(),
-                _ => Label::default_clearance(),
-            };
-        for &(c, lvl) in extra_taint {
-            signal_gate_clearance = signal_gate_clearance.with(c, lvl);
-        }
-        let signal_gate = kernel.trap_gate_create(
+        // Signal gate, guarded by the user's write category (open to
+        // anyone, for user-less system processes).
+        let guard = user
+            .as_deref()
+            .and_then(|name| self.users.lookup(name))
+            .map(|u| u.write_cat);
+        let signal_gate = gatecall::create_signal_gate(
+            kernel,
             creator,
             process_container,
-            thread_label.clone(),
-            signal_gate_clearance,
-            None,
-            0,
-            vec![],
-            "signal gate",
+            &thread_label,
+            [pr, pw],
+            guard,
         )?;
 
         // Address space and the initial memory image.
@@ -1495,14 +1484,11 @@ impl UnixEnv {
 
     /// Drains everything written to the console device (for examples/tests).
     pub fn console_output(&mut self) -> Vec<Vec<u8>> {
-        match self.machine.console_device() {
-            Some(dev) => self
-                .machine
-                .kernel_mut()
-                .device_drain_tx(dev)
-                .unwrap_or_default(),
-            None => Vec::new(),
-        }
+        let dev = self.machine.console_device();
+        self.machine
+            .kernel_mut()
+            .device_drain_tx(dev)
+            .unwrap_or_default()
     }
 }
 

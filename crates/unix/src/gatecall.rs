@@ -50,14 +50,29 @@ pub struct ServiceGate {
     pub provider: Pid,
 }
 
-/// Creates a service gate in a daemon's process container.  The gate label
-/// carries the daemon's ownership (its `pr`/`pw` and any user categories),
-/// which is what the invoking client thread temporarily gains.
+/// Creates a service gate in a daemon's process container that any
+/// thread may enter: [`create_guarded_service_gate`] with the default
+/// clearance.
 pub fn create_service_gate(
+    env: &mut UnixEnv,
+    provider: Pid,
+    entry: u64,
+    descrip: &str,
+) -> Result<ServiceGate> {
+    create_guarded_service_gate(env, provider, entry, descrip, Label::default_clearance())
+}
+
+/// Creates a service gate in a daemon's process container.  The gate label
+/// carries the daemon's whole label — its `pr`/`pw` and any user
+/// categories — by design (Figure 7): that is what the invoking client
+/// thread temporarily gains to run the service.  `clearance` decides who
+/// may enter: `{s 0, 2}` admits only threads owning `s`.
+pub fn create_guarded_service_gate(
     env: &mut UnixEnv,
     provider: Pid,
     entry_point: u64,
     descrip: &str,
+    clearance: Label,
 ) -> Result<ServiceGate> {
     let (thread, container) = {
         let p = env.process(provider)?;
@@ -69,7 +84,7 @@ pub fn create_service_gate(
         thread,
         container,
         label,
-        Label::default_clearance(),
+        clearance,
         None,
         entry_point,
         vec![],
@@ -433,25 +448,8 @@ pub fn grant_categories(
 /// netd uses this at connect time — the acceptor only shows up later —
 /// and httpd's launcher when it queues a job for a worker.
 ///
-/// A grant gate carries only what it grants.  Its label `L_G` is exactly
-///
-/// * `from`'s non-`⋆` entries — its taint, which `L_T ⊑ L_G` requires and
-///   which the entering thread therefore picks up;
-/// * `⋆` for each of `categories`;
-/// * `⋆` for `guard`, when there is one (`L_G ⊑ C_G` needs it under the
-///   guard's `0`; whoever passes the guard owns it already),
-///
-/// and its clearance `C_G` is `{categories 3, guard 0, 2}`.  Everything
-/// else `from` owns stays out: the entry rule's floor `(L_T^J ⊔ L_G^J)^⋆`
-/// lets the entering thread ask for *any* `⋆` the gate's label holds, so a
-/// gate built from `from`'s whole label would hand every category `from`
-/// owns to whoever entered and asked — netd's `nr`/`nw` to an acceptor, a
-/// client's whole label to its exporter.
-///
-/// A gate that *waits* to be entered is a stealable capability unless it
-/// is guarded: passing `guard` pins that category to `0` in the gate's
-/// clearance, so only threads owning `guard` pass the kernel's
-/// `L_T ⊑ C_G` entry check — everyone else's default `1` is refused.
+/// A grant gate carries only what it grants: its label and clearance are
+/// [`grant_gate_labels`] of `from`'s label.
 pub fn create_grant_gate(
     env: &mut UnixEnv,
     from: Pid,
@@ -462,27 +460,94 @@ pub fn create_grant_gate(
     let from_thread = env.process(from)?.thread;
     let kernel = env.machine_mut().kernel_mut();
     let own = kernel.trap_self_get_label(from_thread)?;
-    let mut gate_label = own.drop_ownership(own.default_level());
-    let mut gate_clearance = Label::default_clearance();
-    for &c in categories {
-        gate_label = gate_label.with(c, Level::Star);
-        gate_clearance = gate_clearance.with(c, Level::L3);
-    }
-    if let Some(g) = guard {
-        gate_label = gate_label.with(g, Level::Star);
-        gate_clearance = gate_clearance.with(g, Level::L0);
-    }
+    let (label, clearance) = grant_gate_labels(&own, categories, Level::L3, guard);
     let gate = kernel.trap_gate_create(
         from_thread,
         container,
-        gate_label,
-        gate_clearance,
+        label,
+        clearance,
         None,
         0,
         vec![],
         "category grant gate",
     )?;
     Ok(ContainerEntry::new(container, gate))
+}
+
+/// What a gate that hands out `grants` carries, for a creator labelled
+/// `own` — the one rule every such gate follows ([`create_grant_gate`]
+/// and [`create_signal_gate`]).  The label `L_G` is exactly
+///
+/// * `own`'s non-`⋆` entries — the creator's taint, which `L_T ⊑ L_G`
+///   requires and which the entering thread therefore picks up;
+/// * `⋆` for each of `grants`;
+/// * `⋆` for `guard`, when there is one (`L_G ⊑ C_G` needs it under the
+///   guard's `0`; whoever passes the guard owns it already),
+///
+/// and the clearance `C_G` is `{grants reach, guard 0, 2}`, raised to
+/// admit the taint.  `reach` is the clearance the entering thread may
+/// take in what it is granted: `3` for a grant it keeps, the default `2`
+/// where it only borrows the categories.
+///
+/// Everything else the creator owns stays out: the entry rule's floor
+/// `(L_T^J ⊔ L_G^J)^⋆` lets the entering thread ask for *any* `⋆` the
+/// gate's label holds, so a gate built from the creator's whole label
+/// would hand every category it owns to whoever entered and asked —
+/// netd's `nr`/`nw` to an acceptor, a client's whole label to its
+/// exporter, init's every user pair to a login.
+///
+/// A gate that *waits* to be entered is a stealable capability unless it
+/// is guarded: `guard` pinned to `0` in the clearance lets only threads
+/// owning it pass the kernel's `L_T ⊑ C_G` entry check — everyone else's
+/// default `1` is refused.
+fn grant_gate_labels(
+    own: &Label,
+    grants: &[Category],
+    reach: Level,
+    guard: Option<Category>,
+) -> (Label, Label) {
+    let carried = |c: Category| grants.contains(&c) || guard == Some(c);
+    // A creator that owns nothing else — a process spawned owning only
+    // its own pair — lends its label as is, without an allocation.
+    let lent = own.owned_categories().all(carried).then(|| own.clone());
+    let mut label = lent.unwrap_or_else(|| own.drop_ownership(own.default_level()));
+    let mut clearance = Label::default_clearance().lub(&label);
+    let guard = guard.map(|g| (g, Level::L0));
+    for (c, level) in grants.iter().map(|&c| (c, reach)).chain(guard) {
+        label = label.with(c, Level::Star);
+        clearance = clearance.with(c, level);
+    }
+    (label, clearance)
+}
+
+/// Creates a process's signal gate (§5.6) in its process container.
+/// `creator` is the thread building the process, which holds the
+/// process's label `process` while it does.  The gate follows
+/// [`grant_gate_labels`]: the process's taint, `⋆` for its own `pr`/`pw`
+/// — what [`UnixEnv::kill`] borrows to alert its thread, so no more than
+/// the default clearance in them — and, for a user's process, the user's
+/// `uw` as its guard, so only threads owning `uw` may signal it.  Nothing
+/// else the process owns rides along.  A user-less process has no guard:
+/// any thread may enter its gate and leave owning its `pr`/`pw`.
+pub(crate) fn create_signal_gate(
+    kernel: &mut Kernel,
+    creator: ObjectId,
+    container: ObjectId,
+    process: &Label,
+    own: [Category; 2],
+    guard: Option<Category>,
+) -> Result<ObjectId> {
+    let (label, clearance) = grant_gate_labels(process, &own, Level::L2, guard);
+    Ok(kernel.trap_gate_create(
+        creator,
+        container,
+        label,
+        clearance,
+        None,
+        0,
+        vec![],
+        "signal gate",
+    )?)
 }
 
 /// The entry half of [`grant_categories`]: `to`'s thread enters a grant
@@ -500,15 +565,8 @@ pub fn enter_grant_gate(
     let owner_thread = env.process(owner)?.thread;
     let to_thread = env.process(to)?.thread;
     let kernel = env.machine_mut().kernel_mut();
-    let mut own = kernel
-        .submit_calls(
-            to_thread,
-            vec![Syscall::SelfGetLabel, Syscall::SelfGetClearance],
-        )
-        .into_iter();
-    let verify = take(&mut own, SyscallResult::into_label)?;
+    let (verify, mut requested_clearance) = own_labels(kernel, to_thread)?;
     let mut requested = verify.clone();
-    let mut requested_clearance = take(&mut own, SyscallResult::into_label)?;
     for &c in categories {
         requested = requested.with(c, Level::Star);
         requested_clearance = requested_clearance.with(c, Level::L3);
@@ -517,6 +575,14 @@ pub fn enter_grant_gate(
     // The grant gate is single-use.
     let _ = kernel.trap_obj_unref(owner_thread, entry);
     Ok(())
+}
+
+/// `thread`'s own label and clearance, asked for by trap in one batch.
+fn own_labels(kernel: &mut Kernel, thread: ObjectId) -> Result<(Label, Label)> {
+    let calls = vec![Syscall::SelfGetLabel, Syscall::SelfGetClearance];
+    let mut own = kernel.submit_calls(thread, calls).into_iter();
+    let label = take(&mut own, SyscallResult::into_label)?;
+    Ok((label, take(&mut own, SyscallResult::into_label)?))
 }
 
 /// Renounces ownership of `categories`: drops their `⋆` from `pid`'s
@@ -533,14 +599,7 @@ pub fn drop_categories(env: &mut UnixEnv, pid: Pid, categories: &[Category]) -> 
     }
     let thread = env.process(pid)?.thread;
     let kernel = env.machine_mut().kernel_mut();
-    let mut own = kernel
-        .submit_calls(
-            thread,
-            vec![Syscall::SelfGetLabel, Syscall::SelfGetClearance],
-        )
-        .into_iter();
-    let mut label = take(&mut own, SyscallResult::into_label)?;
-    let mut clearance = take(&mut own, SyscallResult::into_label)?;
+    let (mut label, mut clearance) = own_labels(kernel, thread)?;
     for &c in categories {
         label = label.without(c);
         clearance = clearance.without(c);

@@ -45,9 +45,9 @@ pub const PIPE_HEADER: u64 = 24;
 pub struct VfsCtx<'a> {
     /// The kernel the environment's machine runs.
     pub(crate) kernel: &'a mut Kernel,
-    /// The machine's boot console device, if configured (what a
-    /// [`ConsoleVnode`] transmits to).
-    pub(crate) console: Option<ObjectId>,
+    /// The machine's boot console device (what a [`ConsoleVnode`]
+    /// transmits to).
+    pub(crate) console: ObjectId,
     /// The calling process's thread.
     pub thread: ObjectId,
     /// The process table `/proc` and `/metrics/tasks` render from (built
@@ -547,12 +547,10 @@ impl Vnode for ConsoleVnode {
         _state: &FdState,
         data: &[u8],
     ) -> Result<u64> {
-        if let Some(console) = ctx.console {
-            let thread = ctx.thread;
-            let entry = ContainerEntry::new(ctx.kernel().root_container(), console);
-            ctx.kernel()
-                .trap_net_transmit(thread, entry, data.to_vec())?;
-        }
+        let thread = ctx.thread;
+        let entry = ContainerEntry::new(ctx.kernel().root_container(), ctx.console);
+        ctx.kernel()
+            .trap_net_transmit(thread, entry, data.to_vec())?;
         Ok(data.len() as u64)
     }
 

@@ -859,3 +859,72 @@ fn nothing_a_tainted_thread_can_write_is_readable_below_it() {
         );
     }
 }
+
+/// What a thread holds after entering `target`'s signal gate the way
+/// `kill` does — asking for everything the gate's label lets it own.
+fn label_after_entering_signal_gate(
+    env: &mut UnixEnv,
+    sender: histar::unix::process::Pid,
+    target: histar::unix::process::Pid,
+) -> Label {
+    use histar::kernel::object::ContainerEntry;
+    let thread = env.process(sender).unwrap().thread;
+    let t = env.process(target).unwrap().clone();
+    let gate = ContainerEntry::new(t.process_container, t.signal_gate);
+    let kernel = env.machine_mut().kernel_mut();
+    let label = kernel.trap_self_get_label(thread).unwrap();
+    let clearance = kernel.trap_self_get_clearance(thread).unwrap();
+    let gate_label = kernel.trap_obj_get_label(thread, gate).unwrap();
+    let requested = label.ownership_union(&gate_label);
+    kernel
+        .trap_gate_enter(thread, gate, requested, clearance, label)
+        .unwrap()
+        .label
+}
+
+/// A signal gate carries the process's own `pr`/`pw`, not what it was
+/// spawned owning: a daemon spawned owning netd's `i` does not hand `i`
+/// to an unprivileged thread that enters its signal gate.
+#[test]
+fn a_signal_gate_does_not_hand_out_what_its_process_was_spawned_owning() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let netd = Netd::start(&mut env, init, "internet").unwrap();
+    let daemon = env
+        .spawn_with_label(init, "/usr/sbin/httpd", vec![netd.taint], vec![])
+        .unwrap();
+    let nobody = env.spawn(init, "/bin/nobody", None).unwrap();
+    let got = label_after_entering_signal_gate(&mut env, nobody, daemon);
+    assert!(
+        !got.owns(netd.taint),
+        "entering the gate granted i: {got:?}"
+    );
+    // The one thing it does hand out, to anyone, is the daemon's own pair
+    // (a user-less process's gate is unguarded).
+    let d = env.process(daemon).unwrap();
+    assert!(got.owns(d.read_cat) && got.owns(d.write_cat));
+    // And `kill` still works through it.
+    env.kill(nobody, daemon, 15).unwrap();
+    assert_eq!(env.take_signal(daemon).unwrap(), Some(15));
+}
+
+/// A user's signal gate is guarded by `uw`, and passing the guard grants
+/// the process's pair, not the user's read category: a thread that holds
+/// only bob's `uw` leaves bob's shell's gate without bob's `ur`.
+#[test]
+fn holding_a_users_write_category_does_not_buy_their_read_category() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let bob = env.create_user("bob").unwrap();
+    let shell = env.spawn(init, "/bin/sh", Some("bob")).unwrap();
+    let writer = env.spawn(init, "/bin/writer", None).unwrap();
+    // Without `uw` the guard refuses entry outright.
+    assert!(env.kill(writer, shell, 15).is_err());
+    histar::unix::gatecall::grant_categories(&mut env, init, writer, &[bob.write_cat]).unwrap();
+    let got = label_after_entering_signal_gate(&mut env, writer, shell);
+    assert!(
+        !got.owns(bob.read_cat),
+        "entering the gate granted ur: {got:?}"
+    );
+    assert!(got.owns(bob.write_cat));
+}

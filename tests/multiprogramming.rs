@@ -111,11 +111,16 @@ fn hundred_interleaved_logins_replay_identically() {
     // a thread no longer comes with a thread-local segment taking the id
     // after its own.  The full stream still carries the 1,067 reads of the
     // caller's own label ISSUE 21 added.
+    // The full stream re-pinned when auth's grant step moved onto
+    // `gatecall::grant_categories`: 8,761 → 8,939 records, +178
+    // = 2 × 89 granted logins, each a `self_get_label` +
+    // `self_get_clearance` batch `enter_grant_gate` reads before it
+    // enters.  The projection, which drops exactly those reads, holds.
     let before = without_own_label_reads(&t1);
     assert_eq!(before.len(), 7694);
     assert_eq!(stream_digest(&before), 0x9604_3a70_c4b7_f22b);
-    assert_eq!(t1.len(), 8761);
-    assert_eq!(stream_digest(&t1), 0xeef5_f18f_fe37_4171);
+    assert_eq!(t1.len(), 8939);
+    assert_eq!(stream_digest(&t1), 0x1335_c873_5f74_54aa);
     assert_totals_agree(w1.env.machine().kernel());
 }
 
@@ -216,11 +221,15 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     // the probe that located a descriptor segment; a process now names a
     // descriptor through its own container).  Nothing was forked or
     // shared, so `hard_link` does not appear.
+    // The full stream re-pinned when auth's grant step moved onto
+    // `gatecall::grant_categories`: 6,543 → 6,551 records, +8 = 2 × 4
+    // granted logins, each an own-label read batch `enter_grant_gate`
+    // makes before it enters; the projection holds.
     let before = without_own_label_reads(&t1);
     assert_eq!(before.len(), 5408);
     assert_eq!(stream_digest(&before), 0xfb40_b6bf_ee56_1596);
-    assert_eq!(t1.len(), 6543);
-    assert_eq!(stream_digest(&t1), 0x44b1_9c8f_899f_1638);
+    assert_eq!(t1.len(), 6551);
+    assert_eq!(stream_digest(&t1), 0xe801_11a5_8535_c9d2);
 
     // The label-check bill is part of simulated time (a cache hit is
     // charged less than a miss), so it is pinned: a faster label
