@@ -3,16 +3,21 @@
 //!
 //! A seeded workload writes labeled files into `/persist`, fsyncing some
 //! of them and recording the write-ahead-log high-water mark after each
-//! sync.  The harness then re-runs the identical workload once per *cut
-//! point* — every log record boundary, plus a torn position inside each
-//! record — zeroes the log from the cut onward, recovers the machine,
-//! remounts `/persist`, and asserts:
+//! sync; between the fsyncs it renames one file within its directory,
+//! moves another into a second directory and unlinks a third, each of
+//! which rewrites a directory record.  The harness then re-runs the
+//! identical workload once per *cut point* — every log record boundary,
+//! plus a torn position inside each record — zeroes the log from the cut
+//! onward, recovers the machine, remounts `/persist`, and asserts:
 //!
 //! 1. the store's object map and free list satisfy their invariants
 //!    after replaying the truncated log;
 //! 2. every file whose fsync completed at or before the cut is present
 //!    with exactly its original contents (durability is prefix-closed);
-//! 3. the secret file, *whenever* it survives, still refuses an
+//! 3. a renamed file reads back under exactly one of its names — the new
+//!    one once the rename is in the log — and an unlinked file never
+//!    reappears once its unlink is;
+//! 4. the secret file, *whenever* it survives, still refuses an
 //!    unprivileged reader — labels recover with the data or not at all.
 
 use histar_kernel::{Machine, MachineConfig, SyscallError};
@@ -22,12 +27,15 @@ use histar_store::ReplayMode;
 use histar_unix::{UnixEnv, UnixError};
 
 /// One file the workload created, with the log offset that made it
-/// durable (`None` for the deliberately unsynced file).
-#[derive(Clone, Debug)]
+/// durable (`None` for the deliberately unsynced file), and the later
+/// rename or unlink of it with the log offset that made that durable.
+#[derive(Clone, Debug, Default)]
 struct ManifestEntry {
     path: String,
     content: Vec<u8>,
     synced_at: Option<u64>,
+    renamed: Option<(String, u64)>,
+    unlinked_at: Option<u64>,
 }
 
 /// What one full torn-WAL sweep observed.
@@ -73,7 +81,10 @@ fn run_workload(seed: u64) -> (UnixEnv, Vec<ManifestEntry>) {
         path: "/persist/home/secret".into(),
         content: secret,
         synced_at: Some(env.machine().store().wal_used()),
+        ..ManifestEntry::default()
     });
+    env.mkdir(init, "/persist/moved", None).unwrap();
+    env.fsync_path(init, "/persist/moved").unwrap();
 
     // Public files of varied sizes (including multi-extent), each fsynced
     // in turn so every record boundary is a meaningful cut point.
@@ -91,7 +102,26 @@ fn run_workload(seed: u64) -> (UnixEnv, Vec<ManifestEntry>) {
             path,
             content,
             synced_at: Some(env.machine().store().wal_used()),
+            ..ManifestEntry::default()
         });
+        // Between the fsyncs, each a directory rewrite durable at once: a
+        // rename within `/persist`, a move out of it, an unlink.
+        let (from, to) = match i {
+            2 => ("/persist/f1", Some("/persist/g1")),
+            3 => ("/persist/f2", Some("/persist/moved/f2")),
+            4 => ("/persist/f3", None),
+            _ => continue,
+        };
+        match to {
+            Some(to) => env.rename(init, from, to).unwrap(),
+            None => env.unlink(init, from).unwrap(),
+        }
+        let at = env.machine().store().wal_used();
+        let edited = manifest.iter_mut().find(|e| e.path == from).unwrap();
+        match to {
+            Some(to) => edited.renamed = Some((to.into(), at)),
+            None => edited.unlinked_at = Some(at),
+        }
     }
 
     // One file that is written but never synced: it must be cleanly
@@ -101,9 +131,19 @@ fn run_workload(seed: u64) -> (UnixEnv, Vec<ManifestEntry>) {
     manifest.push(ManifestEntry {
         path: "/persist/unsynced".into(),
         content: b"ephemeral".to_vec(),
-        synced_at: None,
+        ..ManifestEntry::default()
     });
     (env, manifest)
+}
+
+/// Whether `path` is listed after the crash at `cut`; a name whose inode
+/// is missing is an error.
+fn listed(env: &mut UnixEnv, cut: u64, path: &str) -> Result<bool, String> {
+    match env.stat(env.init_pid(), path) {
+        Ok(_) => Ok(true),
+        Err(UnixError::NotFound(_)) => Ok(false),
+        Err(e) => Err(format!("cut {cut}: {path} names no readable inode: {e}")),
+    }
 }
 
 /// The record-boundary offsets of the log region `[0, used)`.
@@ -217,20 +257,48 @@ pub fn run_torn_wal(seed: u64, max_cuts: usize) -> Result<TornReport, String> {
         let init = env.init_pid();
 
         for entry in &plan.manifest {
+            if let Some(at) = entry.unlinked_at.filter(|&at| at <= cut) {
+                if listed(&mut env, cut, &entry.path)? {
+                    return Err(format!(
+                        "cut {cut}: {} reappeared after its unlink at log offset {at}",
+                        entry.path
+                    ));
+                }
+                continue;
+            }
+            let path = match &entry.renamed {
+                None => entry.path.as_str(),
+                Some((to, at)) => {
+                    let mut found = Vec::new();
+                    for name in [entry.path.as_str(), to.as_str()] {
+                        if listed(&mut env, cut, name)? {
+                            found.push(name);
+                        }
+                    }
+                    // Durable by this cut, the file is under exactly one
+                    // name: the new one once the rename is in the log.
+                    let durable = entry.synced_at.is_some_and(|offset| offset <= cut);
+                    let expect = if *at <= cut { to.as_str() } else { &entry.path };
+                    if found.len() > 1 || (durable && found != [expect]) {
+                        return Err(format!(
+                            "cut {cut}: {} renamed to {to} at log offset {at} reads \
+                             back under {found:?}",
+                            entry.path
+                        ));
+                    }
+                    found.first().copied().unwrap_or(expect)
+                }
+            };
             match entry.synced_at {
                 Some(offset) if offset <= cut => {
-                    let got = env.read_file_as(init, &entry.path).map_err(|e| {
+                    let got = env.read_file_as(init, path).map_err(|e| {
                         format!(
-                            "cut {cut}: {} was fsynced at log offset {offset} but \
-                             is unreadable after recovery: {e}",
-                            entry.path
+                            "cut {cut}: {path} was fsynced at log offset {offset} but \
+                             is unreadable after recovery: {e}"
                         )
                     })?;
                     if got != entry.content {
-                        return Err(format!(
-                            "cut {cut}: {} recovered with wrong contents",
-                            entry.path
-                        ));
+                        return Err(format!("cut {cut}: {path} recovered with wrong contents"));
                     }
                     report.files_verified += 1;
                 }
@@ -241,7 +309,7 @@ pub fn run_torn_wal(seed: u64, max_cuts: usize) -> Result<TornReport, String> {
                     // zero-filled holes — but bytes that are neither the
                     // original data nor zeros mean the log replayed
                     // garbage.
-                    if let Ok(got) = env.read_file_as(init, &entry.path) {
+                    if let Ok(got) = env.read_file_as(init, path) {
                         let sparse_ok = got.len() == entry.content.len()
                             && got
                                 .iter()
@@ -249,8 +317,7 @@ pub fn run_torn_wal(seed: u64, max_cuts: usize) -> Result<TornReport, String> {
                                 .all(|(g, c)| g == c || *g == 0);
                         if !(entry.content.starts_with(&got) || sparse_ok) {
                             return Err(format!(
-                                "cut {cut}: {} recovered with corrupt contents",
-                                entry.path
+                                "cut {cut}: {path} recovered with corrupt contents"
                             ));
                         }
                     }

@@ -444,16 +444,6 @@ syscalls! {
         /// The record key.
         key: u64,
     ) -> Unit(());
-    /// `sys_persist_scan`: range-scan the persist namespace, returning
-    /// each observable record's key and payload.
-    PersistScan persist_scan sys_persist_scan trap_persist_scan (
-        /// Inclusive lower key bound.
-        lo: u64,
-        /// Exclusive upper key bound.
-        hi: u64,
-        /// Maximum number of records to return.
-        max: u64,
-    ) -> Records(Vec<(u64, Vec<u8>)>);
     /// `sys_persist_sync`: make the named records durable (a write-ahead
     /// log append per record — HiStar's `fsync` primitive for data living
     /// directly in the store).
@@ -511,8 +501,6 @@ pub enum SyscallResult {
     Alert(Option<Alert>),
     /// A received frame, if one was queued.
     Frame(Option<Vec<u8>>),
-    /// Persist records from a range scan: `(key, payload)` pairs.
-    Records(Vec<(u64, Vec<u8>)>),
 }
 
 impl SyscallResult {
@@ -960,7 +948,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), SYSCALL_COUNT, "names must be unique");
-        assert_eq!(SYSCALL_COUNT, 44);
+        assert_eq!(SYSCALL_COUNT, 43);
         // Row position is the index; `tests/dispatch_equivalence.rs` checks
         // index and name for a value of every variant.
         assert_eq!(Syscall::CreateCategory.index(), 0);

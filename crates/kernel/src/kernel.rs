@@ -886,45 +886,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Range-scans the persist namespace, returning `(key, payload)` for
-    /// every record in `[lo, hi)` whose label the calling thread may
-    /// observe (at most `max` of them).  Records the thread may not
-    /// observe are skipped, never partially revealed; keys below the
-    /// persist namespace are unreachable through this call by
-    /// construction.
-    pub(crate) fn sys_persist_scan(
-        &mut self,
-        t: &Caller,
-        lo: u64,
-        hi: u64,
-        max: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, SyscallError> {
-        let keys = self
-            .store_mut()
-            .keys_in_range(lo.max(histar_store::PERSIST_KEY_BASE), hi);
-        let mut out = Vec::new();
-        let mut copied = 0u64;
-        // One record at a time, so `max` bounds the records fetched
-        // (and disk-read), not just the ones returned.
-        for key in keys {
-            if out.len() as u64 >= max {
-                break;
-            }
-            let (record, mut checks) = self.persist_record(key)?;
-            let Some((rlabel, payload)) = record else {
-                continue;
-            };
-            if checks.check_record_observe(&t.label, key, &rlabel).is_err() {
-                continue;
-            }
-            copied += payload.len() as u64;
-            out.push((key, payload.to_vec()));
-        }
-        let copy_cost = self.cost.copy(copied);
-        self.charge(copy_cost);
-        Ok(out)
-    }
-
     /// Makes the named records durable: one sequential write-ahead-log
     /// append per record (§7.1's `fsync` path), batched and applied by the
     /// store.  A key with no record logs a durable *deletion*, so an

@@ -19,7 +19,7 @@ use histar_kernel::{Kernel, Machine, MachineConfig};
 use histar_label::{Category, Label, Level};
 use histar_sim::{CostModel, OsFlavor, SimClock};
 use histar_store::records::inode_key;
-use histar_store::{SingleLevelStore, StoreConfig, PERSIST_KEY_BASE};
+use histar_store::{SingleLevelStore, StoreConfig};
 
 /// Deterministic fixture shared by every kernel `setup` builds.
 struct Fx {
@@ -325,11 +325,6 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
             len: u64::MAX,
         },
         Syscall::PersistDelete { key: fx.pkey },
-        Syscall::PersistScan {
-            lo: PERSIST_KEY_BASE,
-            hi: u64::MAX,
-            max: 64,
-        },
         Syscall::PersistSync {
             keys: vec![fx.pkey],
         },

@@ -18,9 +18,8 @@
 //!   applied in batches.
 //! * [`codec`] — the small binary encoding used for on-disk records.
 //! * [`records`] — the typed record namespace: reserved keys for data
-//!   (such as the `/persist` filesystem's inodes, directory entries and
-//!   extents) that lives directly in the store, outside the kernel object
-//!   heap, laid out so range scans enumerate one directory or one file.
+//!   (such as the `/persist` filesystem's inodes and extents) that lives
+//!   directly in the store, outside the kernel object heap.
 //! * [`bptree::BPlusTree`] — a `u64 → u64` map kept only for the
 //!   benchmark's `store.bptree_*` probes.
 

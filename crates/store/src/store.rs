@@ -512,22 +512,6 @@ impl SingleLevelStore {
         self.append_log(LogRecord::DeleteObject(id));
     }
 
-    /// All keys currently present in `[lo, hi)` — the union of the
-    /// on-disk object map and the in-memory cache, minus deletions.  This
-    /// is the range-scan entry point the persistent filesystem's readdir
-    /// and extent walks use; the key layout in [`crate::records`] makes
-    /// one directory (or one file) a contiguous key range.
-    pub fn keys_in_range(&self, lo: u64, hi: u64) -> Vec<u64> {
-        if lo >= hi {
-            return Vec::new();
-        }
-        live_keys(
-            self.homes.by_id.range(lo..hi).map(|(k, _)| *k),
-            self.cache.range(lo..hi).map(|(k, _)| *k),
-            self.deleted.range(lo..hi).copied(),
-        )
-    }
-
     /// Structural consistency check used by the crash-recovery gates: no
     /// object is both cached and deleted (a read asks the cache before the
     /// deletions and a key listing subtracts the deletions, so the two
@@ -1275,22 +1259,6 @@ mod tests {
             "durably deleted object must not return"
         );
         assert_eq!(r.get(9), Err(StoreError::NoSuchObject(9)));
-    }
-
-    #[test]
-    fn keys_in_range_unions_cache_and_disk_minus_deletions() {
-        let mut s = store();
-        s.put(10, vec![1]);
-        s.put(20, vec![2]);
-        s.checkpoint();
-        s.put(15, vec![3]); // cache only
-        s.delete(20); // deleted after checkpoint
-        assert_eq!(s.keys_in_range(0, 100), vec![10, 15]);
-        assert_eq!(s.keys_in_range(11, 16), vec![15]);
-        assert_eq!(s.keys_in_range(16, 100), Vec::<u64>::new());
-        // Inverted and empty ranges are harmless.
-        assert_eq!(s.keys_in_range(50, 10), Vec::<u64>::new());
-        assert_eq!(s.keys_in_range(10, 10), Vec::<u64>::new());
     }
 
     #[test]

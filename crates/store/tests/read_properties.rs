@@ -1,6 +1,5 @@
 //! Seeded property test for the store's read side: the one lookup
-//! (`resident`) and the merged key listings (`keys_in_range`,
-//! `object_ids`).
+//! (`resident`) and the merged key listing (`object_ids`).
 //!
 //! A plain oracle — what exists now, what is cached and dirty, what the
 //! last checkpoint holds and what the log has appended since — is driven
@@ -8,8 +7,7 @@
 //! `put`, `delete`, `sync_object`, `sync_delete`, `checkpoint`,
 //! `evict_clean` and crash-recover.  After every step:
 //!
-//! * `keys_in_range` over a random range, and `object_ids`, equal the
-//!   oracle's key set;
+//! * `object_ids` equals the oracle's key set;
 //! * `resident` of a random id returns the oracle's bytes (or `None`),
 //!   and a miss adds exactly one `objects_read` while a hit adds none;
 //! * `check_invariants` holds.
@@ -115,17 +113,6 @@ fn check(
         .unwrap_or_else(|e| panic!("{at}: {e}"));
     let keys: Vec<u64> = oracle.live.keys().copied().collect();
     assert_eq!(store.object_ids(), keys, "{at}: object_ids");
-    let (lo, hi) = (rng.below(IDS + 4), rng.below(IDS + 4));
-    let want: Vec<u64> = keys
-        .iter()
-        .copied()
-        .filter(|k| (lo..hi).contains(k))
-        .collect();
-    assert_eq!(
-        store.keys_in_range(lo, hi),
-        want,
-        "{at}: keys in [{lo}, {hi})"
-    );
 
     let id = rng.below(IDS + 2);
     let reads = store.stats().objects_read;

@@ -8,7 +8,9 @@
 //! format: [`DirImage`] reads a segment where its bytes lie and builds each
 //! edit's next image in one pass, with no owned copy of the directory; only
 //! `readdir` builds owned [`DirEntry`]s.  The directory operations live in
-//! [`SegFs`](crate::segfs::SegFs) and the mount table in
+//! [`SegFs`](crate::segfs::SegFs) and
+//! [`PersistFs`](crate::persistfs::PersistFs), which keeps the same image
+//! in a directory's store record, and the mount table in
 //! [`Vfs`](crate::vfs::Vfs).
 
 use crate::{Result, UnixError};
@@ -72,7 +74,7 @@ pub struct DirEntry {
 }
 
 /// A directory segment's bytes, read and edited where they lie: the working
-/// form of a SegFs directory.
+/// form of a directory on SegFs and on PersistFs.
 ///
 /// The image is a `u64` generation, a `u64` entry count, then one record
 /// per entry — the name as a length-prefixed UTF-8 string, the object ID
@@ -157,11 +159,26 @@ impl<'a> DirImage<'a> {
         Ok(out)
     }
 
-    /// The next image with `name` naming `object`: every entry already
-    /// named `name` is dropped and the new one appended.
-    pub fn insert(&self, name: &str, object: ObjectId, is_dir: bool) -> Result<Vec<u8>> {
-        let keep = |entry, _| (entry != name).then_some(entry);
-        self.splice(keep, Some((name, object, is_dir)))
+    /// The next image with `name` naming `object` — every entry already
+    /// named `name` dropped and the new one appended — and the object the
+    /// first dropped one named; refused as [`DirImage::rename`] refuses a
+    /// replacement.
+    pub fn insert(
+        &self,
+        name: &str,
+        object: ObjectId,
+        is_dir: bool,
+    ) -> Result<(Vec<u8>, Option<ObjectId>)> {
+        let mut replaced = None;
+        let image = self.splice(
+            |entry, old, old_is_dir| {
+                let hit = entry == name;
+                replaced = replaced.or(hit.then_some((old, old_is_dir)));
+                (!hit).then_some(entry)
+            },
+            Some((name, object, is_dir)),
+        )?;
+        Ok((image, replaceable(name, is_dir, replaced)?))
     }
 
     /// The next image without the first entry named `name`, and the object
@@ -169,7 +186,7 @@ impl<'a> DirImage<'a> {
     pub fn remove(&self, name: &str) -> Result<Option<(Vec<u8>, ObjectId)>> {
         let mut hit = None;
         let image = self.splice(
-            |entry, object| {
+            |entry, object, _| {
                 let first = hit.is_none() && entry == name;
                 hit = hit.or(first.then_some(object));
                 (!first).then_some(entry)
@@ -184,21 +201,30 @@ impl<'a> DirImage<'a> {
     /// the first dropped one named, unless it is the renamed object itself;
     /// `None` if `from` is missing.  `from` and `to` differ: renaming a
     /// name onto itself changes nothing, so it is not an edit.
+    ///
+    /// A rename may replace only a file, and only with a file: replacing
+    /// a directory is [`UnixError::IsADirectory`] (it would take its whole
+    /// subtree with it), and a directory over a file is
+    /// [`UnixError::NotADirectory`].
     pub fn rename(&self, from: &str, to: &str) -> Result<Option<(Vec<u8>, Option<ObjectId>)>> {
         let (mut moved, mut replaced) = (None, None);
         let image = self.splice(
-            |entry, object| {
+            |entry, object, is_dir| {
                 if entry == to {
-                    replaced = replaced.or(Some(object));
+                    replaced = replaced.or(Some((object, is_dir)));
                     return None;
                 }
                 let first = moved.is_none() && entry == from;
-                moved = moved.or(first.then_some(object));
+                moved = moved.or(first.then_some((object, is_dir)));
                 Some(if first { to } else { entry })
             },
             None,
         )?;
-        Ok(moved.map(|moved| (image, replaced.filter(|&r| r != moved))))
+        let Some((moved, is_dir)) = moved else {
+            return Ok(None);
+        };
+        let replaced = replaceable(to, is_dir, replaced.filter(|&(r, _)| r != moved))?;
+        Ok(Some((image, replaced)))
     }
 
     /// Builds the next image: the generation bumped, each entry kept under
@@ -207,7 +233,7 @@ impl<'a> DirImage<'a> {
     /// directory writes.
     fn splice<'n>(
         &self,
-        mut edit: impl FnMut(&'n str, ObjectId) -> Option<&'n str>,
+        mut edit: impl FnMut(&'n str, ObjectId, bool) -> Option<&'n str>,
         append: Option<(&str, ObjectId, bool)>,
     ) -> Result<Vec<u8>>
     where
@@ -226,7 +252,7 @@ impl<'a> DirImage<'a> {
         };
         for entry in self.entries() {
             let (name, object, is_dir) = entry?;
-            if let Some(name) = edit(name, object) {
+            if let Some(name) = edit(name, object, is_dir) {
                 put(&mut out, name, object, is_dir);
             }
         }
@@ -235,6 +261,20 @@ impl<'a> DirImage<'a> {
         }
         out[8..16].copy_from_slice(&count.to_le_bytes());
         Ok(out)
+    }
+}
+
+/// The rename rule's check on the entry a new name replaces: only a file,
+/// and only by a file (`is_dir` is the newcomer's).
+fn replaceable(
+    name: &str,
+    is_dir: bool,
+    replaced: Option<(ObjectId, bool)>,
+) -> Result<Option<ObjectId>> {
+    match replaced {
+        Some((_, true)) => Err(UnixError::IsADirectory(name.to_string())),
+        Some(_) if is_dir => Err(UnixError::NotADirectory(name.to_string())),
+        replaced => Ok(replaced.map(|(object, _)| object)),
     }
 }
 
@@ -280,6 +320,7 @@ mod tests {
             .unwrap()
             .insert(name, oid(n), is_dir)
             .unwrap()
+            .0
     }
 
     fn lookup(image: &[u8], name: &str) -> Option<(ObjectId, bool)> {
@@ -351,6 +392,31 @@ mod tests {
         assert_eq!(replaced, Some(oid(2)));
         assert_eq!(DirImage::new(&d).unwrap().entries().count(), 1);
         assert_eq!(lookup(&d, "b"), Some((oid(1), false)));
+    }
+
+    #[test]
+    fn rename_replaces_only_a_file_with_a_file() {
+        let d = insert(
+            &insert(&insert(&[], "f", 1, false), "g", 2, false),
+            "d",
+            3,
+            true,
+        );
+        let image = DirImage::new(&d).unwrap();
+        assert!(matches!(
+            image.rename("f", "d"),
+            Err(UnixError::IsADirectory(_))
+        ));
+        assert!(matches!(
+            image.rename("d", "f"),
+            Err(UnixError::NotADirectory(_))
+        ));
+        assert!(matches!(
+            image.insert("d", oid(4), false),
+            Err(UnixError::IsADirectory(_))
+        ));
+        assert_eq!(image.rename("f", "g").unwrap().unwrap().1, Some(oid(2)));
+        assert_eq!(image.rename("d", "e").unwrap().unwrap().1, None);
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //! * [`segfs`] — the paper's file system (§5.1): files as segments,
 //!   directories as containers with a directory segment.
 //! * [`persistfs`] — the store-backed persistent filesystem at
-//!   `/persist`: inodes, dirents and extents as labeled records in the
-//!   single-level store's object map; `fsync` is a write-ahead-log append
-//!   and recovery replays the log into a mountable tree.
+//!   `/persist`: inodes and extents as labeled records in the
+//!   single-level store's object map, a directory as one inode record
+//!   holding its entries in the [`fs::DirImage`] format; `fsync` is a
+//!   write-ahead-log append and recovery replays the log into a
+//!   mountable tree.
 //! * [`procfs`] — label-filtered per-process state under `/proc`.
 //! * [`devfs`] — `/dev`: console, null, zero, urandom.
-//! * [`fs`] — the on-segment directory format, path helpers, open flags.
+//! * [`fs`] — the directory format both filesystems use, path helpers,
+//!   open flags.
 //! * [`fdtable`] — file descriptors as segments shared across processes.
 //! * [`users`] — per-user read/write categories (no superuser anywhere).
 //! * [`gatecall`] — the service-gate / return-gate convention (Figure 7),

@@ -18,20 +18,27 @@
 //! `lookup`/`read`/`write`, exactly as it checks a segment's label for
 //! [`SegFs`](crate::segfs::SegFs).
 //!
-//! Record layout (all records live in the persist key namespace, whose
+//! Record layout (three kinds, all in the persist key namespace, whose
 //! keys the snapshot engine neither decodes as kernel objects nor sweeps
-//! as stale):
+//! as stale; nothing walks a key range):
 //!
 //! * **meta** (`META_KEY`): magic, next inode number.  Label: the root
 //!   directory's label.
-//! * **inode** (`inode_key(ino)`): `is_dir`, byte length, next dirent
-//!   slot.  Label: the file or directory's label — the one every access
-//!   is checked against.
-//! * **dirent** (`dirent_key(dir, slot)`): name, child inode, `is_dir`.
-//!   Label: the *directory's* label, so listing a directory is exactly as
-//!   restricted as observing it.
+//! * **inode** (`inode_key(ino)`): `is_dir`, byte length.  A directory's
+//!   inode record goes on with its entries as a [`DirImage`] — the
+//!   directory-segment format SegFs uses — so a directory is one record,
+//!   as in the paper a directory is one object (§5.1).  Label: the file or
+//!   directory's label — the one every access is checked against, so
+//!   listing a directory is exactly as restricted as observing it.
 //! * **extent** (`extent_key(ino, index)`): one [`EXTENT_SIZE`]-byte
 //!   chunk of file data.  Label: the file's label.
+//!
+//! Durability: creating a file or directory syncs its inode and the
+//! superblock at once, so a directory record that a later sync logs never
+//! names a missing inode.  `fsync` logs the directory record, the inode
+//! and the extents; unlink and rename are durable at once.  A file written
+//! but never synced, that no later directory sync names, is absent after a
+//! crash.
 //!
 //! The hot path keeps PR 3's shape: [`PersistVnode`] issues its extent
 //! reads/writes and the descriptor seek-update as ONE submission batch —
@@ -41,7 +48,7 @@
 
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
-use crate::fs::{DirEntry, FileStat, OpenFlags};
+use crate::fs::{DirEntry, DirImage, FileStat, OpenFlags};
 use crate::vfs::{Filesystem, FsNode, SyncTarget};
 use crate::vnode::{FdRef, VfsCtx, Vnode};
 use histar_kernel::dispatch::Syscall;
@@ -49,7 +56,7 @@ use histar_kernel::object::ObjectId;
 use histar_kernel::syscall::SyscallError;
 use histar_label::Label;
 use histar_store::codec::{Decoder, Encoder};
-use histar_store::records::{dirent_range, extent_key, inode_key, META_KEY};
+use histar_store::records::{extent_key, inode_key, META_KEY};
 
 type Result<T> = core::result::Result<T, UnixError>;
 
@@ -63,27 +70,24 @@ pub const ROOT_INO: u32 = 1;
 /// Magic identifying a formatted PersistFs superblock ("PRSTFS1\0").
 const PERSIST_MAGIC: u64 = 0x5052_5354_4653_3100;
 
-/// Scan limit for directory listings and extent walks.
-const SCAN_MAX: u64 = 1 << 24;
+/// Bytes of the header every inode record starts with; a directory's
+/// [`DirImage`] follows it.
+const INODE_LEN: usize = 9;
 
 // -------------------------------------------------- record codecs ------
 
-/// A decoded inode record.
+/// A decoded inode header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Inode {
     is_dir: bool,
     /// Byte length (files; directories keep 0).
     len: u64,
-    /// Next dirent slot to hand out (directories).
-    next_slot: u64,
 }
 
 impl Inode {
     fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.put_u8(u8::from(self.is_dir))
-            .put_u64(self.len)
-            .put_u64(self.next_slot);
+        e.put_u8(u8::from(self.is_dir)).put_u64(self.len);
         e.finish()
     }
 
@@ -92,47 +96,18 @@ impl Inode {
         Some(Inode {
             is_dir: d.get_u8().ok()? != 0,
             len: d.get_u64().ok()?,
-            next_slot: d.get_u64().ok()?,
         })
     }
 }
 
-/// A decoded directory-entry record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Dirent {
-    name: String,
-    ino: u32,
-    is_dir: bool,
+/// The entries of a directory whose inode record is `record`.
+fn dir_image(record: &[u8]) -> Result<DirImage<'_>> {
+    DirImage::new(&record[INODE_LEN..])
 }
 
-impl Dirent {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_str(&self.name)
-            .put_u64(self.ino as u64)
-            .put_u8(u8::from(self.is_dir));
-        e.finish()
-    }
-
-    /// Decodes a record as `(name, ino, is_dir)`, the name lent from
-    /// `bytes`: what a lookup compares against without building a
-    /// `Dirent` per entry.
-    fn decode_lent(bytes: &[u8]) -> Option<(&str, u32, bool)> {
-        let mut d = Decoder::new(bytes);
-        let name = d.get_str_slice().ok()?;
-        let ino = u32::try_from(d.get_u64().ok()?).ok()?;
-        let is_dir = d.get_u8().ok()? != 0;
-        Some((name, ino, is_dir))
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Dirent> {
-        let (name, ino, is_dir) = Dirent::decode_lent(bytes)?;
-        Some(Dirent {
-            name: name.to_owned(),
-            ino,
-            is_dir,
-        })
-    }
+/// The inode number a directory entry names.
+fn entry_ino(object: ObjectId) -> Result<u32> {
+    u32::try_from(object.raw()).map_err(|_| UnixError::Corrupt("persist directory entry"))
 }
 
 fn encode_meta(next_ino: u32) -> Vec<u8> {
@@ -185,7 +160,6 @@ impl PersistFs {
                 let root = Inode {
                     is_dir: true,
                     len: 0,
-                    next_slot: 0,
                 };
                 kernel.trap_persist_put(
                     thread,
@@ -201,12 +175,18 @@ impl PersistFs {
         }
     }
 
-    fn read_inode(ctx: &mut VfsCtx, ino: u32) -> Result<Inode> {
+    /// Inode `ino`'s header and its whole record's bytes.
+    fn read_record(ctx: &mut VfsCtx, ino: u32) -> Result<(Inode, Vec<u8>)> {
         let thread = ctx.thread;
         let bytes = ctx
             .kernel()
             .trap_persist_read(thread, inode_key(ino), 0, u64::MAX)?;
-        Inode::decode(&bytes).ok_or(UnixError::Corrupt("persist inode record"))
+        let inode = Inode::decode(&bytes).ok_or(UnixError::Corrupt("persist inode record"))?;
+        Ok((inode, bytes))
+    }
+
+    fn read_inode(ctx: &mut VfsCtx, ino: u32) -> Result<Inode> {
+        Ok(Self::read_record(ctx, ino)?.0)
     }
 
     fn write_inode(ctx: &mut VfsCtx, ino: u32, label: Option<Label>, inode: &Inode) -> Result<()> {
@@ -216,7 +196,7 @@ impl PersistFs {
         Ok(())
     }
 
-    /// The label an inode record carries (needed to label new dirents and
+    /// The label an inode record carries (needed to label new inodes and
     /// extents consistently with their owner).
     fn inode_label(ctx: &mut VfsCtx, ino: u32) -> Result<Label> {
         let thread = ctx.thread;
@@ -225,57 +205,28 @@ impl PersistFs {
             .trap_persist_get_label(thread, inode_key(ino))?)
     }
 
-    /// Reads directory `dir`'s inode, failing if it is not a directory.
-    /// This is the observe check every directory operation starts with:
-    /// a caller that may not observe the directory's label gets the
-    /// kernel's refusal here, before any entry is revealed.
-    fn read_dir_inode(ctx: &mut VfsCtx, dir: u32) -> Result<Inode> {
-        let inode = Self::read_inode(ctx, dir)?;
+    /// Directory `dir`'s record, failing if it is not a directory; its
+    /// entries are [`dir_image`] of it.  This is the observe check every
+    /// directory operation starts with: a caller that may not observe the
+    /// directory's label gets the kernel's refusal here, before any entry
+    /// is revealed.
+    fn read_dir(ctx: &mut VfsCtx, dir: u32) -> Result<Vec<u8>> {
+        let (inode, record) = Self::read_record(ctx, dir)?;
         if !inode.is_dir {
             return Err(UnixError::NotADirectory(format!("inode {dir}")));
         }
-        Ok(inode)
+        Ok(record)
     }
 
-    /// The dirent records of `dir`, as `(slot key, payload)` pairs.
-    fn dirent_records(ctx: &mut VfsCtx, dir: u32) -> Result<Vec<(u64, Vec<u8>)>> {
-        let (lo, hi) = dirent_range(dir);
+    /// Replaces the entries of directory `dir`, whose record was `record`,
+    /// with `image`.  A put cannot shrink a record, so a shorter image
+    /// zero-fills the old tail, which [`DirImage`] ignores.
+    fn write_dir(ctx: &mut VfsCtx, dir: u32, record: &[u8], mut image: Vec<u8>) -> Result<()> {
+        image.resize(image.len().max(record.len() - INODE_LEN), 0);
         let thread = ctx.thread;
-        Ok(ctx.kernel().trap_persist_scan(thread, lo, hi, SCAN_MAX)?)
-    }
-
-    /// All dirents of `dir`, as `(slot key, dirent)` pairs.
-    fn scan_dirents(ctx: &mut VfsCtx, dir: u32) -> Result<Vec<(u64, Dirent)>> {
-        Self::dirent_records(ctx, dir)?
-            .into_iter()
-            .map(|(key, payload)| {
-                Dirent::decode(&payload)
-                    .map(|d| (key, d))
-                    .ok_or(UnixError::Corrupt("persist dirent record"))
-            })
-            .collect()
-    }
-
-    /// The first dirent of `dir` named `name`.  Every record is still
-    /// decoded, so a corrupt one fails the lookup wherever it lies, but
-    /// names are compared where they lie and only the hit is built.
-    fn find_dirent(ctx: &mut VfsCtx, dir: u32, name: &str) -> Result<Option<(u64, Dirent)>> {
-        let mut hit = None;
-        for (key, payload) in Self::dirent_records(ctx, dir)? {
-            let (entry, ino, is_dir) =
-                Dirent::decode_lent(&payload).ok_or(UnixError::Corrupt("persist dirent record"))?;
-            if hit.is_none() && entry == name {
-                hit = Some((
-                    key,
-                    Dirent {
-                        name: entry.to_owned(),
-                        ino,
-                        is_dir,
-                    },
-                ));
-            }
-        }
-        Ok(hit)
+        ctx.kernel()
+            .trap_persist_put(thread, inode_key(dir), None, INODE_LEN as u64, &image)?;
+        Ok(())
     }
 
     /// Allocates a fresh inode number from the superblock record.
@@ -297,37 +248,30 @@ impl PersistFs {
         Ok(next)
     }
 
-    /// Inserts `dirent` under `dir`, taking the next slot from the
-    /// directory inode.  Returns the new dirent's record key.
-    fn insert_dirent(ctx: &mut VfsCtx, dir: u32, dirent: &Dirent) -> Result<u64> {
-        let mut dnode = Self::read_dir_inode(ctx, dir)?;
-        let slot = dnode.next_slot;
-        dnode.next_slot += 1;
-        let dlabel = Self::inode_label(ctx, dir)?;
-        let key = histar_store::records::dirent_key(dir, slot);
+    /// Creates `name` in directory `dir`, whose record is `record`: a
+    /// fresh inode labeled `label` (by default, as the directory is),
+    /// synced with the superblock before the directory names it, so no
+    /// directory record a later sync logs names an inode a crash loses.
+    fn create_node(
+        ctx: &mut VfsCtx,
+        dir: u32,
+        record: &[u8],
+        name: &str,
+        is_dir: bool,
+        label: Option<Label>,
+    ) -> Result<u32> {
+        let label = match label {
+            Some(l) => l,
+            None => Self::inode_label(ctx, dir)?,
+        };
+        let ino = Self::alloc_ino(ctx)?;
+        Self::write_inode(ctx, ino, Some(label), &Inode { is_dir, len: 0 })?;
         let thread = ctx.thread;
-        // Dirent creation and the slot-counter update cross together.
-        let results = ctx.kernel().submit_calls(
-            thread,
-            vec![
-                Syscall::PersistPut {
-                    key,
-                    label: Some(dlabel),
-                    offset: 0,
-                    data: dirent.encode(),
-                },
-                Syscall::PersistPut {
-                    key: inode_key(dir),
-                    label: None,
-                    offset: 0,
-                    data: dnode.encode(),
-                },
-            ],
-        );
-        for r in results {
-            r?;
-        }
-        Ok(key)
+        ctx.kernel()
+            .trap_persist_sync(thread, vec![META_KEY, inode_key(ino)])?;
+        let (image, _) = dir_image(record)?.insert(name, ObjectId::from_raw(ino as u64), is_dir)?;
+        Self::write_dir(ctx, dir, record, image)?;
+        Ok(ino)
     }
 
     /// The extent keys a file of length `len` can occupy (extents never
@@ -338,34 +282,34 @@ impl PersistFs {
             .collect()
     }
 
-    /// Removes a file or empty directory: its dirent, inode and extents.
-    /// The removals are made durable immediately (a deletion that could
-    /// silently resurrect after a crash would un-delete secrets).
-    fn remove_node(ctx: &mut VfsCtx, dirent_key: u64, d: &Dirent) -> Result<()> {
+    /// Deletes the records at `keys` in one batch.  Holes never
+    /// materialized an extent record; everything else must delete cleanly.
+    fn delete_records(ctx: &mut VfsCtx, keys: &[u64]) -> Result<()> {
         let thread = ctx.thread;
-        if d.is_dir && !Self::scan_dirents(ctx, d.ino)?.is_empty() {
-            return Err(UnixError::Unsupported(
-                "unlink of a non-empty /persist directory",
-            ));
-        }
-        let len = Self::read_inode(ctx, d.ino)?.len;
-        let mut doomed = vec![dirent_key, inode_key(d.ino)];
-        doomed.extend(Self::extent_keys(d.ino, len));
-        let calls: Vec<Syscall> = doomed
-            .iter()
-            .map(|&key| Syscall::PersistDelete { key })
-            .collect();
-        for r in ctx.kernel().submit_calls(thread, calls) {
-            // Holes never materialized an extent record; everything else
-            // must delete cleanly.
-            if let Err(e) = r {
-                if !matches!(e, SyscallError::NoSuchRecord(_)) {
-                    return Err(e.into());
-                }
+        let calls = keys.iter().map(|&key| Syscall::PersistDelete { key });
+        for r in ctx.kernel().submit_calls(thread, calls.collect()) {
+            match r {
+                Ok(_) | Err(SyscallError::NoSuchRecord(_)) => {}
+                Err(e) => return Err(e.into()),
             }
         }
-        // Durable tombstones: one WAL append per removed record.
-        ctx.kernel().trap_persist_sync(thread, doomed)?;
+        Ok(())
+    }
+
+    /// Makes a name change durable at once: deletes `doomed` — the inode
+    /// and length of the node the change unnamed, if any — with its
+    /// extents, and logs the tombstones with `dirs`, the edited directory
+    /// records, in one sync.  A deletion that could silently resurrect
+    /// after a crash would un-delete secrets.
+    fn commit(ctx: &mut VfsCtx, mut dirs: Vec<u64>, doomed: Option<(u32, u64)>) -> Result<()> {
+        if let Some((ino, len)) = doomed {
+            let mut keys = vec![inode_key(ino)];
+            keys.extend(Self::extent_keys(ino, len));
+            Self::delete_records(ctx, &keys)?;
+            dirs.extend(keys);
+        }
+        let thread = ctx.thread;
+        ctx.kernel().trap_persist_sync(thread, dirs)?;
         Ok(())
     }
 }
@@ -380,26 +324,18 @@ impl Filesystem for PersistFs {
     }
 
     fn lookup(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<FsNode> {
-        Self::read_dir_inode(ctx, dir as u32)?;
-        match Self::find_dirent(ctx, dir as u32, name)? {
-            Some((_, d)) => Ok(FsNode {
-                node: d.ino as u64,
-                is_dir: d.is_dir,
-            }),
-            None => Err(UnixError::NotFound(name.to_string())),
-        }
+        let record = Self::read_dir(ctx, dir as u32)?;
+        let (object, is_dir) = dir_image(&record)?
+            .lookup(name)?
+            .ok_or_else(|| UnixError::NotFound(name.to_string()))?;
+        Ok(FsNode {
+            node: entry_ino(object)?.into(),
+            is_dir,
+        })
     }
 
     fn readdir(&mut self, ctx: &mut VfsCtx, dir: u64) -> Result<Vec<DirEntry>> {
-        Self::read_dir_inode(ctx, dir as u32)?;
-        Ok(Self::scan_dirents(ctx, dir as u32)?
-            .into_iter()
-            .map(|(_, d)| DirEntry {
-                name: d.name,
-                object: ObjectId::from_raw(d.ino as u64),
-                is_dir: d.is_dir,
-            })
-            .collect())
+        dir_image(&Self::read_dir(ctx, dir as u32)?)?.listing()
     }
 
     fn stat(&mut self, ctx: &mut VfsCtx, _dir: u64, node: FsNode) -> Result<FileStat> {
@@ -419,42 +355,28 @@ impl Filesystem for PersistFs {
         label: Option<Label>,
     ) -> Result<u64> {
         let dir = dir as u32;
-        Self::read_dir_inode(ctx, dir)?;
-        if Self::find_dirent(ctx, dir, name)?.is_some() {
+        let record = Self::read_dir(ctx, dir)?;
+        if dir_image(&record)?.lookup(name)?.is_some() {
             return Err(UnixError::Exists(name.to_string()));
         }
-        let label = match label {
-            Some(l) => l,
-            None => Self::inode_label(ctx, dir)?,
-        };
-        let ino = Self::alloc_ino(ctx)?;
-        Self::write_inode(
-            ctx,
-            ino,
-            Some(label),
-            &Inode {
-                is_dir: true,
-                len: 0,
-                next_slot: 0,
-            },
-        )?;
-        Self::insert_dirent(
-            ctx,
-            dir,
-            &Dirent {
-                name: name.to_string(),
-                ino,
-                is_dir: true,
-            },
-        )?;
-        Ok(ino as u64)
+        Ok(Self::create_node(ctx, dir, &record, name, true, label)? as u64)
     }
 
     fn unlink(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<()> {
-        Self::read_dir_inode(ctx, dir as u32)?;
-        let (key, d) = Self::find_dirent(ctx, dir as u32, name)?
+        let dir = dir as u32;
+        let record = Self::read_dir(ctx, dir)?;
+        let (image, object) = dir_image(&record)?
+            .remove(name)?
             .ok_or_else(|| UnixError::NotFound(name.to_string()))?;
-        Self::remove_node(ctx, key, &d)
+        let ino = entry_ino(object)?;
+        let (inode, node) = Self::read_record(ctx, ino)?;
+        if inode.is_dir && dir_image(&node)?.entries().next().is_some() {
+            return Err(UnixError::Unsupported(
+                "unlink of a non-empty /persist directory",
+            ));
+        }
+        Self::write_dir(ctx, dir, &record, image)?;
+        Self::commit(ctx, vec![inode_key(dir)], Some((ino, inode.len)))
     }
 
     fn rename(
@@ -465,44 +387,48 @@ impl Filesystem for PersistFs {
         dir_to: u64,
         to: &str,
     ) -> Result<()> {
-        Self::read_dir_inode(ctx, dir_from as u32)?;
-        Self::read_dir_inode(ctx, dir_to as u32)?;
-        let (old_key, d) = Self::find_dirent(ctx, dir_from as u32, from)?
-            .ok_or_else(|| UnixError::NotFound(from.to_string()))?;
-        // Renaming onto an existing entry replaces it (files and empty
-        // directories only, like the segment filesystem's rename).
-        if let Some((target_key, target)) = Self::find_dirent(ctx, dir_to as u32, to)? {
-            if target.ino != d.ino {
-                Self::remove_node(ctx, target_key, &target)?;
+        let (dir_from, dir_to) = (dir_from as u32, dir_to as u32);
+        let missing = || UnixError::NotFound(from.to_string());
+        let source = Self::read_dir(ctx, dir_from)?;
+        let target = if dir_to == dir_from {
+            None
+        } else {
+            Some(Self::read_dir(ctx, dir_to)?)
+        };
+        let image = dir_image(&source)?;
+        // Each edited directory with its record and next image.  One sync
+        // logs them all in one log frame, so a crash shows the whole
+        // rename or none of it.
+        let (edits, replaced) = match &target {
+            // Renaming a name onto itself changes nothing (POSIX).
+            None if from == to => return image.lookup(from)?.map(drop).ok_or_else(missing),
+            None => {
+                let (next, replaced) = image.rename(from, to)?.ok_or_else(missing)?;
+                (vec![(dir_from, &source, next)], replaced)
             }
+            Some(target) => {
+                let (object, is_dir) = image.lookup(from)?.ok_or_else(missing)?;
+                let (arrival, replaced) = dir_image(target)?.insert(to, object, is_dir)?;
+                let (departure, _) = image.remove(from)?.ok_or_else(missing)?;
+                let edits = vec![(dir_to, target, arrival), (dir_from, &source, departure)];
+                (edits, replaced)
+            }
+        };
+        // What the rename replaced is a file (the rename rule), deleted as
+        // `unlink` deletes it; its length is read before any edit.
+        let doomed = match replaced {
+            Some(object) => {
+                let ino = entry_ino(object)?;
+                Some((ino, Self::read_inode(ctx, ino)?.len))
+            }
+            None => None,
+        };
+        let mut dirs = Vec::with_capacity(edits.len());
+        for (dir, record, next) in edits {
+            Self::write_dir(ctx, dir, record, next)?;
+            dirs.push(inode_key(dir));
         }
-        let thread = ctx.thread;
-        ctx.kernel().trap_persist_delete(thread, old_key)?;
-        let new_key = Self::insert_dirent(
-            ctx,
-            dir_to as u32,
-            &Dirent {
-                name: to.to_string(),
-                ino: d.ino,
-                is_dir: d.is_dir,
-            },
-        )?;
-        // The rename is made durable as a unit: the new entry (and the
-        // moved inode) are logged BEFORE the old entry's tombstone, so a
-        // crash torn inside this sync shows the file at both names — a
-        // benign duplicate — never at neither.  Syncing only the
-        // tombstone would let a crash orphan a fully-fsynced file.
-        ctx.kernel().trap_persist_sync(
-            thread,
-            vec![
-                inode_key(dir_to as u32),
-                new_key,
-                inode_key(d.ino),
-                inode_key(dir_from as u32),
-                old_key,
-            ],
-        )?;
-        Ok(())
+        Self::commit(ctx, dirs, doomed)
     }
 
     fn open(
@@ -514,63 +440,28 @@ impl Filesystem for PersistFs {
         label: Option<Label>,
     ) -> Result<(FdState, Box<dyn Vnode>)> {
         let dir = dir as u32;
-        Self::read_dir_inode(ctx, dir)?;
+        let record = Self::read_dir(ctx, dir)?;
         let mut known_len: Option<u64> = None;
-        let ino = match Self::find_dirent(ctx, dir, name)? {
-            Some((_, d)) if d.is_dir => return Err(UnixError::IsADirectory(name.to_string())),
-            Some((_, d)) => {
+        let ino = match dir_image(&record)?.lookup(name)? {
+            Some((_, true)) => return Err(UnixError::IsADirectory(name.to_string())),
+            Some((object, false)) => {
+                let ino = entry_ino(object)?;
                 if flags.truncate {
                     // Drop the extents and reset the length.
-                    let mut inode = Self::read_inode(ctx, d.ino)?;
-                    let thread = ctx.thread;
-                    let calls: Vec<Syscall> = Self::extent_keys(d.ino, inode.len)
-                        .into_iter()
-                        .map(|key| Syscall::PersistDelete { key })
-                        .collect();
-                    for r in ctx.kernel().submit_calls(thread, calls) {
-                        // A hole never materialized an extent record.
-                        if let Err(e) = r {
-                            if !matches!(e, SyscallError::NoSuchRecord(_)) {
-                                return Err(e.into());
-                            }
-                        }
-                    }
+                    let mut inode = Self::read_inode(ctx, ino)?;
+                    Self::delete_records(ctx, &Self::extent_keys(ino, inode.len))?;
                     inode.len = 0;
-                    Self::write_inode(ctx, d.ino, None, &inode)?;
+                    Self::write_inode(ctx, ino, None, &inode)?;
                     known_len = Some(0);
                 }
-                d.ino
+                ino
             }
             None => {
                 if !flags.create {
                     return Err(UnixError::NotFound(name.to_string()));
                 }
-                let label = match label {
-                    Some(l) => l,
-                    None => Self::inode_label(ctx, dir)?,
-                };
-                let ino = Self::alloc_ino(ctx)?;
-                Self::write_inode(
-                    ctx,
-                    ino,
-                    Some(label),
-                    &Inode {
-                        is_dir: false,
-                        len: 0,
-                        next_slot: 0,
-                    },
-                )?;
-                Self::insert_dirent(
-                    ctx,
-                    dir,
-                    &Dirent {
-                        name: name.to_string(),
-                        ino,
-                        is_dir: false,
-                    },
-                )?;
                 known_len = Some(0);
-                ino
+                Self::create_node(ctx, dir, &record, name, false, label)?
             }
         };
         let mut fd_flags = 0u32;
@@ -602,16 +493,18 @@ impl Filesystem for PersistFs {
 
     fn sync_targets(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<Vec<SyncTarget>> {
         let dir = dir as u32;
-        Self::read_dir_inode(ctx, dir)?;
-        let (dirent_key, d) = Self::find_dirent(ctx, dir, name)?
+        let record = Self::read_dir(ctx, dir)?;
+        let (object, is_dir) = dir_image(&record)?
+            .lookup(name)?
             .ok_or_else(|| UnixError::NotFound(name.to_string()))?;
-        let len = if d.is_dir {
+        let ino = entry_ino(object)?;
+        let len = if is_dir {
             0
         } else {
-            Self::read_inode(ctx, d.ino)?.len
+            Self::read_inode(ctx, ino)?.len
         };
-        let mut keys = vec![META_KEY, inode_key(dir), dirent_key, inode_key(d.ino)];
-        keys.extend(Self::extent_keys(d.ino, len));
+        let mut keys = vec![inode_key(dir), inode_key(ino)];
+        keys.extend(Self::extent_keys(ino, len));
         Ok(keys.into_iter().map(SyncTarget::Record).collect())
     }
 
@@ -799,7 +692,6 @@ impl Vnode for PersistVnode {
                 data: Inode {
                     is_dir: false,
                     len: end,
-                    next_slot: 0,
                 }
                 .encode(),
             });
@@ -852,17 +744,10 @@ mod tests {
         let i = Inode {
             is_dir: true,
             len: 77,
-            next_slot: 3,
         };
+        assert_eq!(i.encode().len(), INODE_LEN);
         assert_eq!(Inode::decode(&i.encode()), Some(i));
         assert_eq!(Inode::decode(&[1, 2]), None);
-        let d = Dirent {
-            name: "notes.txt".into(),
-            ino: 9,
-            is_dir: false,
-        };
-        assert_eq!(Dirent::decode(&d.encode()), Some(d));
-        assert_eq!(Dirent::decode(&[]), None);
         assert_eq!(decode_meta(&encode_meta(5)), Some(5));
         assert_eq!(decode_meta(&encode_meta(5)[..8]), None);
         assert_eq!(decode_meta(&[0u8; 16]), None);

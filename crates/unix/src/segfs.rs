@@ -115,7 +115,7 @@ impl Filesystem for SegFs {
         }
         let label = label.unwrap_or_else(Label::unrestricted);
         let new_dir = make_directory_in(ctx, dir, label, name)?;
-        write_directory(ctx, dir, &image.insert(name, new_dir, true)?)?;
+        write_directory(ctx, dir, &image.insert(name, new_dir, true)?.0)?;
         Ok(new_dir.raw())
     }
 
@@ -194,7 +194,7 @@ impl Filesystem for SegFs {
                 let seg = ctx
                     .kernel()
                     .trap_segment_create(thread, dir, label, 0, name)?;
-                write_directory(ctx, dir, &image.insert(name, seg, false)?)?;
+                write_directory(ctx, dir, &image.insert(name, seg, false)?.0)?;
                 known_len = Some(0);
                 seg
             }

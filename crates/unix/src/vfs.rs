@@ -425,10 +425,17 @@ impl Vfs {
     /// Renames `from` to `to`.  Both paths must resolve into the *same*
     /// mounted filesystem: a rename would otherwise have to move bytes
     /// between unrelated object namespaces, so it fails with
-    /// [`UnixError::CrossMount`] before either directory is touched.
+    /// [`UnixError::CrossMount`] before either directory is touched.  A
+    /// directory cannot move into its own subtree: that would cut the
+    /// subtree off from the root.
     pub fn rename(&mut self, ctx: &mut VfsCtx, cwd: &str, from: &str, to: &str) -> Result<()> {
         let rf = self.resolve_parent(ctx, cwd, from)?;
         let rt = self.resolve_parent(ctx, cwd, to)?;
+        if rt.comps.len() > rf.comps.len() && rt.comps.starts_with(&rf.comps) {
+            return Err(UnixError::Unsupported(
+                "rename into the renamed path's subtree",
+            ));
+        }
         if rf.fs != rt.fs {
             return Err(UnixError::CrossMount {
                 from: join_path(&rf.comps),

@@ -1,6 +1,8 @@
-//! Property tests for the directory-segment format: round-trips over
-//! adversarial names, rejection of malformed encodings, and the in-place
-//! image edits SegFs makes, step for step against an owned codec.
+//! Property tests for the directory format (a SegFs directory segment, a
+//! `/persist` directory's record after its inode header): round-trips
+//! over adversarial names, rejection of malformed encodings, and the
+//! image edits both filesystems make — the rename rule included — step
+//! for step against an owned codec.
 //!
 //! The owned [`Directory`] below is the format's oracle: a decode into one
 //! `String` per name, edits on a `Vec`, and an encode.  The library never
@@ -27,6 +29,13 @@ struct Directory {
 impl Directory {
     fn lookup(&self, name: &str) -> Option<&DirEntry> {
         self.entries.iter().find(|e| e.name == name)
+    }
+
+    /// The rename rule: naming `mover` `name` may replace only a file,
+    /// and only with a file.
+    fn refuses(&self, name: &str, mover: &DirEntry) -> bool {
+        self.lookup(name)
+            .is_some_and(|e| e.object != mover.object && (e.is_dir || mover.is_dir))
     }
 
     fn insert(&mut self, entry: DirEntry) {
@@ -165,16 +174,17 @@ fn assert_agrees(bytes: &[u8]) {
         return assert_rejected(bytes);
     };
     assert_eq!(read_image(bytes).unwrap(), oracle);
-    let edited = DirImage::new(bytes)
-        .unwrap()
-        .insert("new", oid(1), false)
-        .unwrap();
-    oracle.insert(DirEntry {
+    let edited = DirImage::new(bytes).unwrap().insert("new", oid(1), false);
+    let entry = DirEntry {
         name: "new".to_string(),
         object: oid(1),
         is_dir: false,
-    });
-    assert_eq!(edited, oracle.encode());
+    };
+    if oracle.refuses("new", &entry) {
+        return assert!(matches!(edited, Err(UnixError::IsADirectory(_))));
+    }
+    oracle.insert(entry);
+    assert_eq!(edited.unwrap().0, oracle.encode());
 }
 
 #[test]
@@ -319,12 +329,21 @@ fn image_edits_equal_the_owned_codec_step_for_step() {
                 0 => {
                     let (name, object) = (pick(&mut rng), oid(rng.next_u64()));
                     let is_dir = rng.next_below(2) == 1;
-                    oracle.insert(DirEntry {
+                    let entry = DirEntry {
                         name: name.clone(),
                         object,
                         is_dir,
-                    });
-                    Some(image.insert(&name, object, is_dir).unwrap())
+                    };
+                    let next = image.insert(&name, object, is_dir);
+                    if oracle.refuses(&name, &entry) {
+                        assert!(next.is_err(), "iteration {iter} step {step}");
+                        None
+                    } else {
+                        let (next, replaced) = next.unwrap();
+                        assert_eq!(replaced, oracle.lookup(&name).map(|e| e.object));
+                        oracle.insert(entry);
+                        Some(next)
+                    }
                 }
                 1 => {
                     let name = pick(&mut rng);
@@ -336,6 +355,15 @@ fn image_edits_equal_the_owned_codec_step_for_step() {
                 2 => {
                     let (from, to) = (pick(&mut rng), pick(&mut rng));
                     let before = oracle.clone();
+                    let refused = (from != to)
+                        && before.lookup(&from).is_some_and(|m| before.refuses(&to, m));
+                    if refused {
+                        assert!(
+                            image.rename(&from, &to).is_err(),
+                            "iteration {iter} step {step}"
+                        );
+                        continue;
+                    }
                     let moved = oracle.rename(&from, &to);
                     if from == to {
                         assert_eq!(image.lookup(&from).unwrap().is_some(), moved);

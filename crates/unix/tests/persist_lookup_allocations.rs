@@ -1,13 +1,14 @@
 //! What a `/persist` lookup costs the host, counted — the borrowed read
 //! side pinned without a clock.
 //!
-//! Finding a name in a directory walks every dirent record (the model
-//! charges that scan, so it stays O(entries)), but the walk lends what it
-//! can: the kernel copies each observable payload out of the store once,
-//! and the library compares names where they lie, building an owned entry
-//! only for the hit.  Reading one small file of a 500-entry directory
-//! therefore requests a bounded number of bytes — a per-entry clone of
-//! each record, or a `String` per name, would blow the bound.
+//! A `/persist` directory is one record, and finding a name in it walks
+//! every entry (the model charges that walk, so it stays O(entries)), but
+//! the walk lends what it can: the kernel copies the directory's record
+//! out of the store once per read of it, and the library compares names
+//! where they lie in that copy (`fs::DirImage`), building nothing per
+//! entry.  Reading one small file of a 500-entry directory therefore
+//! requests a bounded number of bytes — a copy per entry, or a `String`
+//! per name, would blow the bound.
 //!
 //! The counters are process-wide, so this binary holds exactly one test.
 

@@ -442,11 +442,14 @@ fn fsync_paths_syncs_each_target_once_through_its_own_trap() {
     assert_eq!(count(&env), (traps + 3, frames + 3));
     env.fsync_paths(init, &["/d/a", "/d/b"]).unwrap();
     assert_eq!(count(&env), (traps + 7, frames + 7));
-    // A `/persist` path beside them adds one `persist_sync` and no object.
+    // A `/persist` path beside them adds one `persist_sync` and no object;
+    // creating it logged one frame of its own (its inode and the
+    // superblock).
     env.write_file_as(init, "/persist/p", b"p", None).unwrap();
+    assert_eq!(count(&env), (traps + 7, frames + 8));
     env.fsync_paths(init, &["/d/a", "/persist/p", "/d/a"])
         .unwrap();
-    assert_eq!(count(&env), (traps + 10, frames + 11));
+    assert_eq!(count(&env), (traps + 10, frames + 12));
 }
 
 /// Regression: sharing a descriptor with a process that does not exist
@@ -907,8 +910,8 @@ fn persist_private_directory_is_label_gated() {
 
 /// Regression: a rename must be durable as a unit.  Renaming a fully
 /// fsynced file and crashing used to log only the old entry's tombstone,
-/// orphaning the file from both directories; now the new entry (and the
-/// moved inode) are logged with it.
+/// orphaning the file from both directories; now both directory records
+/// are logged together.
 #[test]
 fn persist_rename_then_crash_keeps_the_file_reachable() {
     let mut env = UnixEnv::boot();
@@ -1403,4 +1406,90 @@ fn rename_over_a_file_frees_the_replaced_one() {
     env.rename(init, "/d/a", "/d/b").unwrap();
     assert_eq!(env.read_file_as(init, "/d/b").unwrap(), b"four");
     assert_eq!(held(&mut env), before);
+}
+
+/// A rename may replace only a file, and only with a file, on both
+/// mounts.  Renaming a file over a non-empty heap directory used to
+/// unref the directory with its whole subtree, and a directory renamed
+/// over a file replaced that file.
+#[test]
+fn rename_replaces_only_a_file_and_only_with_a_file() {
+    for root in ["", "/persist"] {
+        let mut env = UnixEnv::boot();
+        let init = env.init_pid();
+        let p = |name: &str| format!("{root}/{name}");
+        let top = if root.is_empty() { "/" } else { root };
+        env.mkdir(init, &p("d"), None).unwrap();
+        env.write_file_as(init, &p("d/precious"), b"keep", None)
+            .unwrap();
+        env.mkdir(init, &p("e"), None).unwrap();
+        env.write_file_as(init, &p("f"), b"file", None).unwrap();
+        let objects = env.machine().kernel().object_count();
+        let listing = env.readdir(init, top).unwrap();
+
+        for dir in ["d", "e"] {
+            assert!(
+                matches!(
+                    env.rename(init, &p("f"), &p(dir)),
+                    Err(UnixError::IsADirectory(_))
+                ),
+                "{root}: file over directory {dir}"
+            );
+        }
+        assert!(
+            matches!(
+                env.rename(init, &p("e"), &p("f")),
+                Err(UnixError::NotADirectory(_))
+            ),
+            "{root}: directory over file"
+        );
+        assert_eq!(env.machine().kernel().object_count(), objects, "{root}");
+        assert_eq!(env.readdir(init, top).unwrap(), listing, "{root}");
+        assert_eq!(env.read_file_as(init, &p("d/precious")).unwrap(), b"keep");
+        assert_eq!(env.read_file_as(init, &p("f")).unwrap(), b"file");
+    }
+    // Across directories, on the mount that moves names between them.
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.mkdir(init, "/persist/d", None).unwrap();
+    env.mkdir(init, "/persist/d/sub", None).unwrap();
+    env.write_file_as(init, "/persist/f", b"file", None)
+        .unwrap();
+    assert!(matches!(
+        env.rename(init, "/persist/f", "/persist/d/sub"),
+        Err(UnixError::IsADirectory(_))
+    ));
+    assert!(matches!(
+        env.rename(init, "/persist/d/sub", "/persist/f"),
+        Err(UnixError::NotADirectory(_))
+    ));
+    assert_eq!(env.read_file_as(init, "/persist/f").unwrap(), b"file");
+    assert!(env.stat(init, "/persist/d/sub").unwrap().is_dir);
+}
+
+/// A directory cannot move into its own subtree.  Renaming `/persist/a`
+/// to `/persist/a/b/a` used to succeed, after which `/persist` listed
+/// nothing and the cut-off subtree's records stayed in the store for
+/// good.
+#[test]
+fn rename_into_its_own_subtree_is_refused() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.mkdir(init, "/persist/a", None).unwrap();
+    env.mkdir(init, "/persist/a/b", None).unwrap();
+    let listing = env.readdir(init, "/persist").unwrap();
+    for to in ["/persist/a/b/a", "/persist/a/x", "/persist/./a/b/../y"] {
+        assert!(
+            matches!(
+                env.rename(init, "/persist/a", to),
+                Err(UnixError::Unsupported(_))
+            ),
+            "{to}"
+        );
+    }
+    assert_eq!(env.readdir(init, "/persist").unwrap(), listing);
+    assert!(env.stat(init, "/persist/a/b").unwrap().is_dir);
+    // A name that merely starts with the same characters is no descendant.
+    env.rename(init, "/persist/a", "/persist/ab").unwrap();
+    assert!(env.stat(init, "/persist/ab/b").unwrap().is_dir);
 }

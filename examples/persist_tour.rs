@@ -1,8 +1,9 @@
 //! A tour of PersistFs, the store-backed persistent filesystem at
-//! `/persist`: durable files whose inodes, directory entries and extents
-//! are labeled records in the single-level store's object map, with `fsync`
-//! as a write-ahead-log append and crash recovery that replays the log
-//! back into a mountable tree — labels included.
+//! `/persist`: durable files whose inodes and extents are labeled records
+//! in the single-level store's object map — a directory is one record, its
+//! inode followed by its entries — with `fsync` as a write-ahead-log append
+//! and crash recovery that replays the log back into a mountable tree —
+//! labels included.
 //!
 //! Run with `cargo run --release --example persist_tour`.
 

@@ -619,7 +619,8 @@ fn boot_with_lo_and_tainted_hi() -> (
 /// never held `h`.)
 #[test]
 fn a_reader_cannot_choose_which_version_of_a_persist_file_survives_a_crash() {
-    use histar::store::records::{extent_key, inode_key, META_KEY};
+    use histar::store::records::{extent_key, inode_key};
+    use histar::unix::persistfs::ROOT_INO;
 
     let (mut env, lo, hi, hi_thread) = boot_with_lo_and_tainted_hi();
 
@@ -637,7 +638,8 @@ fn a_reader_cannot_choose_which_version_of_a_persist_file_survives_a_crash() {
         Err(UnixError::Kernel(SyscallError::CannotModifyRecord(_)))
     ));
     // The sync is refused the same way: aimed at the file's own records,
-    // and through the library (whose first target is the superblock).
+    // and through the library (whose first target is the record of the
+    // file's directory).
     env.kernel_mut().enable_syscall_trace(1 << 12);
     let keys = vec![inode_key(ino), extent_key(ino, 0)];
     assert_eq!(
@@ -647,7 +649,7 @@ fn a_reader_cannot_choose_which_version_of_a_persist_file_survives_a_crash() {
     assert_eq!(
         env.fsync_path(hi, "/persist/f"),
         Err(UnixError::Kernel(SyscallError::CannotModifyRecord(
-            META_KEY
+            inode_key(ROOT_INO)
         )))
     );
     let trace = env.machine().kernel().syscall_trace().unwrap();
