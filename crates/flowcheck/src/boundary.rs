@@ -22,11 +22,14 @@
 //! user would; the first such row that was read closely hid a write-down.
 //! Detection is lexical like rule 2: outside `#[cfg(test)]`, some library
 //! file calls `.trap_<name>(` or names `Syscall::<Variant>`. A row without either
-//! is a finding, and like rule 2 it has no exemption marker: use the call
-//! as the paper does, or delete the row.
+//! is a finding, and like rule 2 it has no exemption: use the call as the
+//! paper does, or delete the row. The same pass reads each row's four
+//! spellings, `Variant name sys_name trap_name`, and holds the last three
+//! to one call (`macro_rules!` cannot paste identifiers, so the table
+//! spells them out): a row whose wrapper promises one call while its
+//! dispatch arm runs another is a finding too.
 
-use crate::mediation::table_rows;
-use crate::model::{matches_seq, SourceFile};
+use crate::model::{match_brace, matches_seq, SourceFile};
 use crate::report::Finding;
 use std::collections::BTreeSet;
 
@@ -60,10 +63,17 @@ pub fn run(files: &[SourceFile], findings: &mut Vec<Finding>) {
 }
 
 /// Rule 3 over the `syscalls!` table found in `kernel` (no table, nothing
-/// to check — rule 1 reports a missing table) and the library sources.
+/// to check — `analyze_repo` reports a missing one) and the library
+/// sources.
 pub fn unused_rows(kernel: &[SourceFile], library: &[SourceFile], findings: &mut Vec<Finding>) {
     let Some((table, rows)) = kernel.iter().find_map(|f| Some((f, table_rows(f)?))) else {
         return;
+    };
+    let finding = |line: u32, message: String| Finding {
+        rule: "boundary",
+        file: table.path.clone(),
+        line,
+        message,
     };
     let mut named: BTreeSet<&str> = BTreeSet::new();
     for f in library {
@@ -77,17 +87,49 @@ pub fn unused_rows(kernel: &[SourceFile], library: &[SourceFile], findings: &mut
             }
         }
     }
-    for (line, [variant, _, _, trap]) in &rows {
+    for (line, [variant, name, sys, trap]) in &rows {
+        if *sys != format!("sys_{name}") || *trap != format!("trap_{name}") {
+            let message =
+                format!("table row `{name}` routes `{trap}` to `{sys}`; a row must spell one call");
+            findings.push(finding(*line, message));
+        }
         if !named.contains(variant.as_str()) && !named.contains(trap.as_str()) {
-            findings.push(Finding {
-                rule: "boundary",
-                file: table.path.clone(),
-                line: *line,
-                message: format!(
+            findings.push(finding(
+                *line,
+                format!(
                     "no library code calls `{trap}` or builds `Syscall::{variant}` outside \
                      tests; a row earns its place with a caller, or goes"
                 ),
-            });
+            ));
         }
     }
+}
+
+/// The rows of the `syscalls! { … }` invocation, if the file has a
+/// non-empty one: each row's line and its `Variant name sys_name
+/// trap_name` identifiers (a row is `Variant name sys_name trap_name
+/// (args…) -> Result(Ty);`). Only the invocation is `syscalls ! {` — the
+/// definition is `macro_rules ! syscalls` and the macro's internal calls
+/// use parentheses.
+pub fn table_rows(f: &SourceFile) -> Option<Vec<(u32, [String; 4])>> {
+    let toks = &f.tokens;
+    let open = (0..toks.len()).find(|&i| matches_seq(toks, i, &["syscalls", "!", "{"]))? + 2;
+    let mut rows = Vec::new();
+    let mut depth = 0usize;
+    let mut start = open + 1;
+    for i in open + 1..match_brace(toks, open) {
+        match toks[i].text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth = depth.saturating_sub(1),
+            ";" if depth == 0 => {
+                if i >= start + 4 {
+                    let ident = |k: usize| toks[start + k].text.clone();
+                    rows.push((toks[start].line, [ident(0), ident(1), ident(2), ident(3)]));
+                }
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    (!rows.is_empty()).then_some(rows)
 }

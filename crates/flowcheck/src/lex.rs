@@ -1,15 +1,13 @@
-//! A minimal Rust tokenizer: just enough structure for flowcheck's two
-//! rule engines.
+//! A minimal Rust tokenizer: just enough structure for flowcheck's
+//! boundary rules.
 //!
 //! The analyzer deliberately avoids a full parser (and any external
-//! parsing crate): both rules are expressible over a token stream plus a
-//! brace-matched outline of `fn` items, and a hand-rolled lexer keeps the
+//! parsing crate): both rules are expressible over a token stream with
+//! its `#[cfg(test)]` modules masked, and a hand-rolled lexer keeps the
 //! tool dependency-free so it builds in hermetic CI environments.
 //!
-//! Comments and string/char literals are stripped (tokens never come from
-//! inside them), but `// flowcheck: exempt(<reason>)` markers are captured
-//! with their line numbers so the mediation engine can match exemptions
-//! to the handler they annotate.
+//! Comments and string/char literals are stripped: tokens never come from
+//! inside them.
 
 /// One lexical token with the 1-based source line it starts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,28 +16,13 @@ pub struct Token {
     pub line: u32,
 }
 
-/// An `// flowcheck: exempt(<reason>)` marker found in a comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExemptMarker {
-    pub line: u32,
-    pub reason: String,
-}
-
-/// The lexed form of one source file.
-#[derive(Debug, Clone)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub markers: Vec<ExemptMarker>,
-}
-
 /// Tokenizes Rust source. Identifiers (including keywords) and integer
 /// literals become single tokens; every punctuation character is its own
 /// token (`::` is two `:` tokens). Lifetimes lex as `'` followed by the
 /// identifier, which no rule pattern matches, so they are inert.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Token> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
-    let mut markers = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
 
@@ -52,13 +35,8 @@ pub fn lex(src: &str) -> Lexed {
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                let start = i;
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
-                }
-                let comment = &src[start..i];
-                if let Some(m) = parse_marker(comment, line) {
-                    markers.push(m);
                 }
             }
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
@@ -177,7 +155,7 @@ pub fn lex(src: &str) -> Lexed {
         }
     }
 
-    Lexed { tokens, markers }
+    tokens
 }
 
 fn push(tokens: &mut Vec<Token>, text: &str, line: u32) {
@@ -198,21 +176,6 @@ fn is_raw_string_start(bytes: &[u8], i: usize) -> bool {
     j < bytes.len() && bytes[j] == b'"'
 }
 
-/// Parses `// flowcheck: exempt(<reason>)` out of a line comment.
-fn parse_marker(comment: &str, line: u32) -> Option<ExemptMarker> {
-    let body = comment.trim_start_matches('/').trim();
-    let rest = body.strip_prefix("flowcheck:")?.trim();
-    let rest = rest.strip_prefix("exempt(")?;
-    let reason = rest.strip_suffix(')')?.trim();
-    if reason.is_empty() {
-        return None;
-    }
-    Some(ExemptMarker {
-        line,
-        reason: reason.to_string(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +183,7 @@ mod tests {
     #[test]
     fn lexes_idents_and_punct() {
         let l = lex("self.objects.get(&id)");
-        let texts: Vec<&str> = l.tokens.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = l.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(
             texts,
             ["self", ".", "objects", ".", "get", "(", "&", "id", ")"]
@@ -230,30 +193,21 @@ mod tests {
     #[test]
     fn strips_comments_and_strings() {
         let l = lex("let x = \"HashMap.iter()\"; // HashMap\n/* iter */ y");
-        let texts: Vec<&str> = l.tokens.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = l.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, ["let", "x", "=", ";", "y"]);
-        assert!(l.markers.is_empty());
-    }
-
-    #[test]
-    fn captures_exempt_markers() {
-        let l = lex("a\n// flowcheck: exempt(self-only metadata)\nb");
-        assert_eq!(l.markers.len(), 1);
-        assert_eq!(l.markers[0].line, 2);
-        assert_eq!(l.markers[0].reason, "self-only metadata");
     }
 
     #[test]
     fn tracks_lines() {
         let l = lex("a\nb\n\nc");
-        let lines: Vec<u32> = l.tokens.iter().map(|t| t.line).collect();
+        let lines: Vec<u32> = l.iter().map(|t| t.line).collect();
         assert_eq!(lines, [1, 2, 4]);
     }
 
     #[test]
     fn raw_strings_and_lifetimes() {
         let l = lex("r#\"HashMap\"# fn f<'a>(x: &'a str) {}");
-        let texts: Vec<&str> = l.tokens.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = l.iter().map(|t| t.text.as_str()).collect();
         assert!(!texts.contains(&"HashMap"));
         assert!(texts.contains(&"fn"));
     }

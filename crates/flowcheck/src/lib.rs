@@ -1,32 +1,32 @@
-//! flowcheck: static analysis for the invariants everything else in this
-//! repo leans on.
+//! flowcheck: static analysis for the boundary between the kernel and the
+//! untrusted library above it.
 //!
-//! 1. **Mediation** — every syscall dispatch arm that reaches object
-//!    state is dominated by a label check (HiStar's "all information flow
-//!    is explicit" claim, OSDI '06 §3), and every deliberate exception is
-//!    an enumerated, reviewable exemption.
 //! 2. **Boundary** — no untrusted library crate reads a thread's label
 //!    or clearance off the kernel; it traps (`self_get_label`) like any
 //!    other thread.
 //! 3. **Boundary, the other way** — every row of the syscall table is
 //!    called by that library outside its tests; a row only tests call is
-//!    kernel surface nobody needs.
+//!    kernel surface nobody needs.  Each row spells one call.
 //!
-//! Determinism is no rule here: the compiler enforces it.  The root
-//! `clippy.toml` bans std's hash maps, sets and seeds, wall-clock time and
-//! thread-safe sharing, at `forbid` in every package but `histar-sim`.
+//! The numbering keeps the history: rules 1 and the old rule 2 are the
+//! compiler's now.  Mediation (every syscall reaches an object only after
+//! its label check, §3) is a type: the kernel's handlers live outside the
+//! module that owns the object table and reach an object only through the
+//! proof a check returns (`crates/kernel/src/kernel/checked.rs`;
+//! `crates/kernel/tests/mediation_mutants.rs` holds that a dropped check
+//! does not compile).  Determinism is clippy's: the root `clippy.toml`
+//! bans std's hash maps, sets and seeds, wall-clock time and thread-safe
+//! sharing, at `forbid` in every package but `histar-sim`.
 //!
-//! See `ARCHITECTURE.md` § "Static analysis" for the rule definitions and
-//! the exemption-marker grammar.
+//! See `ARCHITECTURE.md` § "Static analysis" for the rule definitions.
 
 pub mod boundary;
 pub mod lex;
-pub mod mediation;
 pub mod model;
 pub mod report;
 
 use model::SourceFile;
-use report::{Exemption, Finding};
+use report::Finding;
 use std::path::{Path, PathBuf};
 
 /// The untrusted library: crates that see the kernel through traps only.
@@ -36,21 +36,12 @@ pub const LIBRARY_CRATES: &[&str] = &["unix", "net", "auth", "exporter", "httpd"
 #[derive(Debug, Default)]
 pub struct Analysis {
     pub findings: Vec<Finding>,
-    pub exemptions: Vec<Exemption>,
 }
 
 impl Analysis {
     pub fn ok(&self) -> bool {
         self.findings.is_empty()
     }
-}
-
-/// Runs the mediation rule over the kernel sources (dispatch + syscall
-/// bodies).
-pub fn analyze(mediation_files: &[SourceFile]) -> Analysis {
-    let mut a = Analysis::default();
-    mediation::run(mediation_files, &mut a.findings, &mut a.exemptions);
-    a
 }
 
 /// Walks up from `start` to the workspace root (the directory whose
@@ -91,11 +82,11 @@ pub fn rust_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Analyzes the repository rooted at `root`: mediation over the kernel
-/// crate's `src/` tree, the boundary rules over every library crate's
-/// (rule 3 with the kernel's table).
+/// Analyzes the repository rooted at `root`: the boundary rules over every
+/// library crate's `src/` tree, rule 3 against the `syscalls!` table in
+/// the kernel crate's.
 pub fn analyze_repo(root: &Path) -> std::io::Result<Analysis> {
-    let mut mediation_files = Vec::new();
+    let mut kernel_files = Vec::new();
     let mut library_files = Vec::new();
 
     for &krate in std::iter::once(&"kernel").chain(LIBRARY_CRATES) {
@@ -109,14 +100,25 @@ pub fn analyze_repo(root: &Path) -> std::io::Result<Analysis> {
                 .replace('\\', "/");
             let parsed = SourceFile::parse(&rel, &text);
             if krate == "kernel" {
-                mediation_files.push(parsed);
+                kernel_files.push(parsed);
             } else {
                 library_files.push(parsed);
             }
         }
     }
-    let mut a = analyze(&mediation_files);
+    let mut a = Analysis::default();
+    if !kernel_files
+        .iter()
+        .any(|f| boundary::table_rows(f).is_some())
+    {
+        a.findings.push(Finding {
+            rule: "boundary",
+            file: "crates/kernel/src".into(),
+            line: 0,
+            message: "no `syscalls!` table found: the syscall choke point is missing".into(),
+        });
+    }
     boundary::run(&library_files, &mut a.findings);
-    boundary::unused_rows(&mediation_files, &library_files, &mut a.findings);
+    boundary::unused_rows(&kernel_files, &library_files, &mut a.findings);
     Ok(a)
 }

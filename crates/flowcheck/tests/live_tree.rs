@@ -1,7 +1,5 @@
-//! The live tree must pass every rule, and the committed
-//! exemption list must match what the analyzer prints, byte for byte.
-//! A drifted list means someone added (or removed) TCB surface without
-//! re-committing the audit artifact.
+//! The live tree must pass every rule, and the bans that replaced the
+//! lexical rules with compile errors must stand.
 
 use std::path::Path;
 
@@ -17,25 +15,6 @@ fn live_tree_passes_both_rules() {
         a.ok(),
         "live tree has flowcheck violations:\n{}",
         flowcheck::report::render_findings(&a.findings)
-    );
-    assert!(
-        !a.exemptions.is_empty(),
-        "the kernel has known self-only syscalls; an empty exemption list \
-         means markers stopped being honored"
-    );
-}
-
-#[test]
-fn committed_exemption_list_is_exact() {
-    let root = workspace_root();
-    let a = flowcheck::analyze_repo(&root).unwrap();
-    let rendered = flowcheck::report::render_exemptions(&a.exemptions);
-    let committed = std::fs::read_to_string(root.join("flowcheck_exemptions.txt"))
-        .expect("flowcheck_exemptions.txt must be committed at the repo root");
-    assert_eq!(
-        rendered, committed,
-        "exemption list drifted; regenerate with \
-         `cargo run -p flowcheck -- --exemptions-out flowcheck_exemptions.txt`"
     );
 }
 
@@ -105,15 +84,4 @@ fn gates_are_created_in_one_place() {
         .map(|f| f.path)
         .collect();
     assert_eq!(creators, ["crates/unix/src/gatecall.rs"]);
-}
-
-#[test]
-fn exemption_list_is_stable_across_runs() {
-    let root = workspace_root();
-    let a1 = flowcheck::analyze_repo(&root).unwrap();
-    let a2 = flowcheck::analyze_repo(&root).unwrap();
-    assert_eq!(
-        flowcheck::report::render_exemptions(&a1.exemptions),
-        flowcheck::report::render_exemptions(&a2.exemptions),
-    );
 }

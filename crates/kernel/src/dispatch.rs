@@ -33,7 +33,7 @@
 //! expanded from its rows.
 
 use crate::bodies::{Alert, Mapping};
-use crate::kernel::{Caller, GateEntryResult, Kernel};
+use crate::kernel::{Caller, GateEntryResult, Kernel, Sys};
 use crate::object::{ContainerEntry, ObjectId, METADATA_LEN};
 use crate::syscall::SyscallError;
 use histar_label::{Category, Label};
@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 
 /// Expands the syscall table below into everything that has to agree about
 /// the ABI: the [`Syscall`] enum, [`SYSCALL_NAMES`] / [`SYSCALL_COUNT`],
-/// [`Syscall::index`], `Kernel::dispatch_inner`, and every
+/// [`Syscall::index`], `Sys::dispatch_inner`, and every
 /// `Kernel::trap_*` wrapper.
 ///
 /// Row grammar:
@@ -53,9 +53,11 @@ use std::collections::VecDeque;
 /// ```
 ///
 /// * `Variant` is the [`Syscall`] variant, `name` the stable string in
-///   traces and stats, `sys_name` the hand-written handler in `kernel.rs`,
-///   `trap_name` the generated wrapper (flowcheck checks the three
-///   spellings agree; `macro_rules!` cannot paste identifiers).
+///   traces and stats, `sys_name` the hand-written handler — a method of
+///   `Sys` in `syscalls.rs`, which reaches objects only through the proofs
+///   its label checks return — and `trap_name` the generated wrapper
+///   (flowcheck checks the three spellings agree; `macro_rules!` cannot
+///   paste identifiers).
 /// * A row without an argument list is a *unit* variant.  Each argument is
 ///   a documented variant field.  `arg: B => O` means the wrapper takes
 ///   `B` (`&str`, `&[u8]`), the variant owns an `O` built with `O::from`,
@@ -93,7 +95,7 @@ macro_rules! syscalls {
         /// One system call with its arguments — what a real thread would
         /// place in registers before trapping.
         ///
-        /// Every variant corresponds 1:1 to a `sys_*` handler on [`Kernel`];
+        /// Every variant corresponds 1:1 to a `sys_*` handler in `syscalls.rs`;
         /// the calling thread is supplied separately to [`Kernel::dispatch`].
         #[derive(Clone, Debug, PartialEq)]
         pub enum Syscall {$(
@@ -129,7 +131,7 @@ macro_rules! syscalls {
             }
         }
 
-        impl Kernel {
+        impl Sys {
             fn dispatch_inner(
                 &mut self,
                 caller: &Caller,
@@ -172,7 +174,7 @@ macro_rules! syscalls {
 }
 
 // The syscall table: the one list of the ABI.  Adding a syscall is one row
-// here plus its `sys_*` handler in `kernel.rs`; the row grammar is
+// here plus its `sys_*` handler in `syscalls.rs`; the row grammar is
 // documented on `syscalls!` above.
 syscalls! {
     /// `sys_create_category`.
@@ -836,7 +838,7 @@ impl Kernel {
         let span_start = self.recorder().is_enabled().then(|| self.now().as_nanos());
         let result = self
             .enter(tid, index, first_of_batch)
-            .and_then(|caller| self.dispatch_inner(&caller, call));
+            .and_then(|(caller, sys)| sys.dispatch_inner(&caller, call));
         if result.is_err() {
             self.count_error(index);
         }

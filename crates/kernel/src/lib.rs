@@ -21,9 +21,12 @@
 //! * [`object`] — object IDs, headers, flags, container entries.
 //! * [`bodies`] — the per-type payloads of the six object types.
 //! * [`syscall`] — the error type and syscall statistics.
-//! * [`kernel`] — the [`Kernel`] itself: object table plus the syscall
-//!   handlers with their label checks (crate-private: the trap in
-//!   [`dispatch`] is the only way in).
+//! * [`kernel`] — the [`Kernel`] itself: the trap, the console, and the
+//!   [`kernel::Sys`] state a call may reach, with the proof types its label
+//!   checks return (`kernel::checked`).
+//! * `syscalls` — the 43 `sys_*` handlers, methods of `Sys` outside the
+//!   `kernel` module, so each reaches an object only through a proof
+//!   (crate-private: the trap in [`dispatch`] is the only way in).
 //! * [`serialize`] — binary encoding of kernel objects for the single-level
 //!   store.
 //! * [`machine`] — a [`machine::Machine`] bundles a kernel with a
@@ -44,6 +47,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A `pub fn` handler takes the crate-private `Caller`: an error here, so
+// no handler is reachable from outside the crate, around the trap.
+#![deny(private_interfaces)]
 
 pub mod abi;
 pub mod bodies;
@@ -54,6 +60,7 @@ pub mod object;
 pub mod sched;
 pub mod serialize;
 pub mod syscall;
+mod syscalls;
 
 pub use abi::Completion;
 pub use dispatch::{DispatchStats, Syscall, SyscallResult, SyscallTrace, TraceRecord};
