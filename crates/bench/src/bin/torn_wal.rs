@@ -3,10 +3,12 @@
 //! For each seed, a deterministic workload fills `/persist` with fsynced
 //! (and one deliberately unsynced) files, then the write-ahead log is
 //! truncated at every record boundary — and torn mid-record — before
-//! recovery.  Each recovered machine must satisfy the store's invariants
-//! (object map and free space), serve every file whose fsync preceded the
-//! cut byte-exact,
-//! and keep refusing unprivileged readers of the recovered secret file.
+//! recovery; at every record boundary a second disk keeps its whole log
+//! but has one bit rotten in the frame starting there, and replay must
+//! stop at that frame.  Each recovered machine must satisfy the store's
+//! invariants (object map and free space), serve every file whose fsync
+//! preceded the cut byte-exact, and keep refusing unprivileged readers of
+//! the recovered secret file.
 //!
 //! Usage: `torn_wal [--seed N]... [--max-cuts N]` (defaults: three seeds,
 //! all cuts).  Exits nonzero on the first violated guarantee.
@@ -49,9 +51,9 @@ fn main() -> ExitCode {
         match run_torn_wal(seed, max_cuts) {
             Ok(report) => {
                 println!(
-                    "torn_wal: seed {seed:#x}: OK — {} cuts, {} file recoveries verified, \
-                     {} label checks on the recovered secret",
-                    report.cuts, report.files_verified, report.secret_checks
+                    "torn_wal: seed {seed:#x}: OK — {} cuts, {} rots, {} file recoveries \
+                     verified, {} label checks on the recovered secret",
+                    report.cuts, report.rots, report.files_verified, report.secret_checks
                 );
                 // Where recovery time went, from the flight recorder's
                 // per-phase spans (summed over every cut's recovery).

@@ -19,9 +19,17 @@
 //!    reappears once its unlink is;
 //! 4. the secret file, *whenever* it survives, still refuses an
 //!    unprivileged reader — labels recover with the data or not at all.
+//!
+//! The log also *rots*: at every record-boundary cut the harness recovers
+//! a second disk, whose log is intact except for one seeded bit flipped in
+//! the frame that starts at the cut (its length, payload or checksum).
+//! Replay must stop at that frame — the recovered log ends exactly at the
+//! cut, never skipping ahead to the intact frames after it — and the same
+//! four guarantees must hold as for a tear at the cut.
 
 use histar_kernel::{Machine, MachineConfig, SyscallError};
 use histar_obs::Recorder;
+use histar_sim::SimRng;
 use histar_store::codec::unframe;
 use histar_store::ReplayMode;
 use histar_unix::{UnixEnv, UnixError};
@@ -43,6 +51,9 @@ struct ManifestEntry {
 pub struct TornReport {
     /// Cut positions exercised (byte offsets into the log region).
     pub cuts: usize,
+    /// Record-boundary cuts also recovered with one bit rotten in the
+    /// frame starting there.
+    pub rots: usize,
     /// Files found intact across all cuts.
     pub files_verified: usize,
     /// Cuts at which the secret file had recovered and was label-checked.
@@ -172,6 +183,9 @@ struct TornPlan {
     config: MachineConfig,
     /// Bytes of the log region the run used.
     used: u64,
+    /// `(start, end)` of every frame the run wrote, the terminator after
+    /// the last record included.
+    frames: Vec<(u64, u64)>,
     /// The cut positions to exercise (byte offsets into the log region).
     cuts: Vec<u64>,
 }
@@ -197,6 +211,8 @@ impl TornPlan {
                 boundaries.len() - 1
             ));
         }
+        let mut frames: Vec<(u64, u64)> = boundaries.windows(2).map(|w| (w[0], w[1])).collect();
+        frames.push((used, used + 16));
         let mut cuts: Vec<u64> = Vec::new();
         for w in boundaries.windows(2) {
             cuts.push(w[0]);
@@ -211,6 +227,7 @@ impl TornPlan {
             manifest,
             config,
             used,
+            frames,
             cuts,
         })
     }
@@ -226,6 +243,129 @@ impl TornPlan {
         }
         disk
     }
+
+    /// The workload's disk after the log rotted: one seeded bit flipped in
+    /// the frame that starts at `cut`, every other byte intact.  `None`
+    /// unless `cut` is a record boundary.  Also returns the flipped bit's
+    /// offset from the cut.
+    fn rotten_disk(&self, cut: u64) -> Option<(histar_sim::SimDisk, u64)> {
+        let &(start, end) = self.frames.iter().find(|(start, _)| *start == cut)?;
+        let bit = SimRng::new(self.config.seed ^ cut.rotate_left(32)).next_below(8 * (end - start));
+        let (env, _) = run_workload(self.config.seed);
+        let mut disk = env.into_machine().into_disk();
+        let at = self.config.store.superblock_len + start + bit / 8;
+        let mut byte = disk.read(at, 1);
+        byte[0] ^= 1 << (bit % 8);
+        disk.write(at, &byte);
+        Some((disk, bit))
+    }
+}
+
+/// The guarantees every crash at `cut` must keep (the module doc's four),
+/// checked on the machine recovered from it.
+fn verify_recovered(
+    plan: &TornPlan,
+    cut: u64,
+    mut machine: Machine,
+    report: &mut TornReport,
+) -> Result<(), String> {
+    machine
+        .store()
+        .check_invariants()
+        .map_err(|e| format!("cut {cut}: store invariants violated: {e}"))?;
+    // The shared ring is for *recovery* phases: detach it before the
+    // recovered machine's ordinary dispatch traffic can evict them.
+    machine.kernel_mut().disable_flight_recorder();
+    let mut env = UnixEnv::on_machine(machine);
+    let init = env.init_pid();
+
+    for entry in &plan.manifest {
+        if let Some(at) = entry.unlinked_at.filter(|&at| at <= cut) {
+            if listed(&mut env, cut, &entry.path)? {
+                return Err(format!(
+                    "cut {cut}: {} reappeared after its unlink at log offset {at}",
+                    entry.path
+                ));
+            }
+            continue;
+        }
+        let path = match &entry.renamed {
+            None => entry.path.as_str(),
+            Some((to, at)) => {
+                let mut found = Vec::new();
+                for name in [entry.path.as_str(), to.as_str()] {
+                    if listed(&mut env, cut, name)? {
+                        found.push(name);
+                    }
+                }
+                // Durable by this cut, the file is under exactly one
+                // name: the new one once the rename is in the log.
+                let durable = entry.synced_at.is_some_and(|offset| offset <= cut);
+                let expect = if *at <= cut { to.as_str() } else { &entry.path };
+                if found.len() > 1 || (durable && found != [expect]) {
+                    return Err(format!(
+                        "cut {cut}: {} renamed to {to} at log offset {at} reads \
+                         back under {found:?}",
+                        entry.path
+                    ));
+                }
+                found.first().copied().unwrap_or(expect)
+            }
+        };
+        match entry.synced_at {
+            Some(offset) if offset <= cut => {
+                let got = env.read_file_as(init, path).map_err(|e| {
+                    format!(
+                        "cut {cut}: {path} was fsynced at log offset {offset} but \
+                         is unreadable after recovery: {e}"
+                    )
+                })?;
+                if got != entry.content {
+                    return Err(format!("cut {cut}: {path} recovered with wrong contents"));
+                }
+                report.files_verified += 1;
+            }
+            _ => {
+                // Not durable by this cut: absence is fine, and a
+                // partially recovered file (the cut landed inside its
+                // fsync) may be visible as a prefix or with
+                // zero-filled holes — but bytes that are neither the
+                // original data nor zeros mean the log replayed
+                // garbage.
+                if let Ok(got) = env.read_file_as(init, path) {
+                    let sparse_ok = got.len() == entry.content.len()
+                        && got
+                            .iter()
+                            .zip(&entry.content)
+                            .all(|(g, c)| g == c || *g == 0);
+                    if !(entry.content.starts_with(&got) || sparse_ok) {
+                        return Err(format!("cut {cut}: {path} recovered with corrupt contents"));
+                    }
+                }
+            }
+        }
+    }
+
+    // Whenever the secret file recovered, its label must have
+    // recovered with it: an unprivileged reader is still refused by
+    // the kernel's record label check.
+    if env.stat(init, "/persist/home/secret").is_ok() {
+        let snoop = env
+            .spawn(init, "/bin_snoop", None)
+            .map_err(|e| format!("cut {cut}: spawn failed: {e}"))?;
+        match env.read_file_as(snoop, "/persist/home/secret") {
+            Err(UnixError::Kernel(SyscallError::CannotObserveRecord(_))) => {
+                report.secret_checks += 1;
+            }
+            other => {
+                return Err(format!(
+                    "cut {cut}: tainted reader observed the recovered \
+                     secret file (or failed oddly): {other:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Runs the full torn-WAL sweep for one seed.  `max_cuts` bounds how many
@@ -243,107 +383,24 @@ pub fn run_torn_wal(seed: u64, max_cuts: usize) -> Result<TornReport, String> {
     let recorder = Recorder::with_capacity(1 << 16);
     histar_obs::hook::arm_crash_dump("torn_wal", &recorder, 32);
     for &cut in &plan.cuts {
-        let mut machine =
-            Machine::recover_traced(plan.config, plan.torn_disk(cut), recorder.clone())
-                .map_err(|e| format!("cut {cut}: recovery failed: {e}"))?;
-        machine
-            .store()
-            .check_invariants()
-            .map_err(|e| format!("cut {cut}: store invariants violated: {e}"))?;
-        // The shared ring is for *recovery* phases: detach it before the
-        // recovered machine's ordinary dispatch traffic can evict them.
-        machine.kernel_mut().disable_flight_recorder();
-        let mut env = UnixEnv::on_machine(machine);
-        let init = env.init_pid();
-
-        for entry in &plan.manifest {
-            if let Some(at) = entry.unlinked_at.filter(|&at| at <= cut) {
-                if listed(&mut env, cut, &entry.path)? {
-                    return Err(format!(
-                        "cut {cut}: {} reappeared after its unlink at log offset {at}",
-                        entry.path
-                    ));
-                }
-                continue;
-            }
-            let path = match &entry.renamed {
-                None => entry.path.as_str(),
-                Some((to, at)) => {
-                    let mut found = Vec::new();
-                    for name in [entry.path.as_str(), to.as_str()] {
-                        if listed(&mut env, cut, name)? {
-                            found.push(name);
-                        }
-                    }
-                    // Durable by this cut, the file is under exactly one
-                    // name: the new one once the rename is in the log.
-                    let durable = entry.synced_at.is_some_and(|offset| offset <= cut);
-                    let expect = if *at <= cut { to.as_str() } else { &entry.path };
-                    if found.len() > 1 || (durable && found != [expect]) {
-                        return Err(format!(
-                            "cut {cut}: {} renamed to {to} at log offset {at} reads \
-                             back under {found:?}",
-                            entry.path
-                        ));
-                    }
-                    found.first().copied().unwrap_or(expect)
-                }
-            };
-            match entry.synced_at {
-                Some(offset) if offset <= cut => {
-                    let got = env.read_file_as(init, path).map_err(|e| {
-                        format!(
-                            "cut {cut}: {path} was fsynced at log offset {offset} but \
-                             is unreadable after recovery: {e}"
-                        )
-                    })?;
-                    if got != entry.content {
-                        return Err(format!("cut {cut}: {path} recovered with wrong contents"));
-                    }
-                    report.files_verified += 1;
-                }
-                _ => {
-                    // Not durable by this cut: absence is fine, and a
-                    // partially recovered file (the cut landed inside its
-                    // fsync) may be visible as a prefix or with
-                    // zero-filled holes — but bytes that are neither the
-                    // original data nor zeros mean the log replayed
-                    // garbage.
-                    if let Ok(got) = env.read_file_as(init, path) {
-                        let sparse_ok = got.len() == entry.content.len()
-                            && got
-                                .iter()
-                                .zip(&entry.content)
-                                .all(|(g, c)| g == c || *g == 0);
-                        if !(entry.content.starts_with(&got) || sparse_ok) {
-                            return Err(format!(
-                                "cut {cut}: {path} recovered with corrupt contents"
-                            ));
-                        }
-                    }
-                }
-            }
+        let machine = Machine::recover_traced(plan.config, plan.torn_disk(cut), recorder.clone())
+            .map_err(|e| format!("cut {cut}: recovery failed: {e}"))?;
+        verify_recovered(&plan, cut, machine, &mut report)?;
+        let Some((disk, bit)) = plan.rotten_disk(cut) else {
+            continue;
+        };
+        let rot =
+            |e: String| format!("{e} (log intact but bit {bit} of the frame at {cut} rotten)");
+        let machine = Machine::recover_traced(plan.config, disk, recorder.clone())
+            .map_err(|e| rot(format!("cut {cut}: recovery failed: {e}")))?;
+        let used = machine.store().wal_used();
+        if used != cut {
+            return Err(rot(format!(
+                "cut {cut}: replay ended at log offset {used}, not at the rotten frame"
+            )));
         }
-
-        // Whenever the secret file recovered, its label must have
-        // recovered with it: an unprivileged reader is still refused by
-        // the kernel's record label check.
-        if env.stat(init, "/persist/home/secret").is_ok() {
-            let snoop = env
-                .spawn(init, "/bin_snoop", None)
-                .map_err(|e| format!("cut {cut}: spawn failed: {e}"))?;
-            match env.read_file_as(snoop, "/persist/home/secret") {
-                Err(UnixError::Kernel(SyscallError::CannotObserveRecord(_))) => {
-                    report.secret_checks += 1;
-                }
-                other => {
-                    return Err(format!(
-                        "cut {cut}: tainted reader observed the recovered \
-                         secret file (or failed oddly): {other:?}"
-                    ));
-                }
-            }
-        }
+        verify_recovered(&plan, cut, machine, &mut report).map_err(rot)?;
+        report.rots += 1;
     }
     report.recovery_phases = recorder.phase_totals("recover");
     histar_obs::hook::disarm_crash_dump("torn_wal");
@@ -480,7 +537,6 @@ pub struct HeapFlushReport {
 pub fn run_heap_flush(seed: u64, rewrites: usize) -> Result<HeapFlushReport, String> {
     use histar_kernel::bodies::ObjectBody;
     use histar_sim::disk::BLOCK_SIZE;
-    use histar_sim::SimRng;
     use histar_unix::fs::OpenFlags;
 
     const PAGE: usize = BLOCK_SIZE as usize;
@@ -622,6 +678,7 @@ mod tests {
     fn torn_wal_sweep_smoke() {
         let report = run_torn_wal(0x5eed, 6).expect("sweep passes");
         assert!(report.cuts >= 4, "got {report:?}");
+        assert!(report.rots >= 2, "got {report:?}");
         assert!(report.files_verified > 0, "got {report:?}");
         assert!(
             report.secret_checks > 0,

@@ -906,9 +906,7 @@ impl SingleLevelStore {
         let meta_off = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
         let meta_len = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
         let meta_alloc_len = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
-        // High-water mark (absent in superblocks written before it existed:
-        // 0 disables the preload).
-        let high_water = d.get_u64().unwrap_or(0);
+        let high_water = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
         let t1 = disk.clock().now().as_nanos();
         phase(&recorder, "superblock", t0, t1);
 
@@ -1365,6 +1363,65 @@ mod tests {
         assert_eq!(
             SingleLevelStore::recover(config, disk).err(),
             Some(StoreError::Corrupt("home lists disagree"))
+        );
+    }
+
+    /// A checkpointed store, its disk, and where its superblock and
+    /// metadata frames lie: `(offset, frame length)` each.
+    fn checkpointed() -> (StoreConfig, SimDisk, [(u64, usize); 2]) {
+        let config = StoreConfig::default();
+        let mut s = SingleLevelStore::format(config, SimClock::new());
+        s.put(3, vec![3; 100]);
+        s.put(9, vec![9; 5000]);
+        s.checkpoint();
+        let meta = s.prev_meta.unwrap().offset;
+        let mut disk = s.into_disk();
+        let frame_len = |disk: &mut SimDisk, at: u64| {
+            let len = u64::from_le_bytes(disk.read(at, 8).try_into().unwrap());
+            16 + len as usize
+        };
+        let frames = [
+            (0, frame_len(&mut disk, 0)),
+            (meta, frame_len(&mut disk, meta)),
+        ];
+        (config, disk, frames)
+    }
+
+    #[test]
+    fn every_bit_flip_of_the_superblock_or_metadata_frame_is_refused() {
+        let (config, mut disk, frames) = checkpointed();
+        assert!(SingleLevelStore::recover(config, disk.crash_copy()).is_ok());
+        for (at, len) in frames {
+            let pristine = disk.read(at, len as u64);
+            for bit in 0..len * 8 {
+                let mut rotten = pristine.clone();
+                rotten[bit / 8] ^= 1 << (bit % 8);
+                let mut copy = disk.crash_copy();
+                copy.write(at, &rotten);
+                match SingleLevelStore::recover(config, copy) {
+                    Err(StoreError::Corrupt(_)) => {}
+                    other => panic!(
+                        "bit {bit} of the frame at {at}: expected Corrupt, got {:?}",
+                        other.map(|s| s.sequence())
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_superblock_without_its_high_water_mark_is_refused() {
+        let (config, mut disk, [_, (meta, meta_len)]) = checkpointed();
+        let mut sb = Encoder::new();
+        sb.put_u64(SUPERBLOCK_MAGIC)
+            .put_u64(1)
+            .put_u64(meta)
+            .put_u64(meta_len as u64)
+            .put_u64(BLOCK_SIZE);
+        disk.write(0, &frame(&sb.finish()));
+        assert_eq!(
+            SingleLevelStore::recover(config, disk).err(),
+            Some(StoreError::Corrupt("superblock"))
         );
     }
 
