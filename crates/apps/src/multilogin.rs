@@ -19,7 +19,7 @@
 
 use histar_auth::{AuthService, AuthSystem, LoginOutcome};
 use histar_kernel::sched::{
-    Program, RunLimit, SchedConfig, SchedContext, ScheduleReport, Scheduler, Step, DEFAULT_SHARDS,
+    Program, RunLimit, SchedConfig, SchedContext, ScheduleReport, Scheduler, Step,
 };
 use histar_kernel::{DispatchStats, Kernel, SyscallStats};
 use histar_label::Label;
@@ -57,8 +57,9 @@ pub struct MultiLoginParams {
     pub users: usize,
     /// Scheduler seed (fixes the interleaving).
     pub seed: u64,
-    /// Run-queue shards in the scheduler (the interleaving is a pure
-    /// function of the `(seed, shards)` pair).
+    /// Ignored: the scheduler has one run queue.  The field stays only
+    /// because the `login_storm` workload of the repo benchmark still sets
+    /// it; it goes with that benchmark's next change.
     pub shards: usize,
     /// Every `wrong_every`-th process presents a wrong password (0 = none),
     /// exercising the failure path under contention.
@@ -76,7 +77,7 @@ impl Default for MultiLoginParams {
             processes: 100,
             users: 8,
             seed: 0x10_91,
-            shards: DEFAULT_SHARDS,
+            shards: 1,
             wrong_every: 7,
             trace_capacity: 0,
             recorder_capacity: 0,
@@ -237,8 +238,7 @@ pub fn build_multilogin(
             .enable_flight_recorder(params.recorder_capacity);
     }
 
-    let mut sched: Scheduler<LoginWorld> =
-        Scheduler::new(SchedConfig::new().seed(params.seed).shards(params.shards));
+    let mut sched: Scheduler<LoginWorld> = Scheduler::new(SchedConfig::new().seed(params.seed));
     let mut world = LoginWorld {
         env,
         auth,
@@ -305,10 +305,10 @@ mod tests {
             processes: 100,
             users: 8,
             seed: 42,
-            shards: DEFAULT_SHARDS,
             wrong_every: 7,
             trace_capacity: 1 << 20,
             recorder_capacity: 1 << 16,
+            ..MultiLoginParams::default()
         };
         let (world, report) = run_multilogin(params).unwrap();
         assert_eq!(report.schedule.stop, StopReason::AllComplete);
@@ -362,10 +362,10 @@ mod tests {
             processes: 24,
             users: 4,
             seed: 1,
-            shards: DEFAULT_SHARDS,
             wrong_every: 0,
             trace_capacity: 0,
             recorder_capacity: 0,
+            ..MultiLoginParams::default()
         };
         let b = MultiLoginParams { seed: 2, ..a };
         let (wa, ra) = run_multilogin(a).unwrap();
@@ -390,10 +390,10 @@ mod tests {
             processes: 10,
             users: 2,
             seed: 3,
-            shards: DEFAULT_SHARDS,
             wrong_every: 0,
             trace_capacity: 0,
             recorder_capacity: 0,
+            ..MultiLoginParams::default()
         })
         .unwrap();
         let k0 = world.env.machine().kernel().stats().syscalls;

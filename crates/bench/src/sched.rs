@@ -13,7 +13,7 @@
 use crate::report::{per_sec, BenchJson};
 use histar_apps::multilogin::{run_multilogin, LoginWorld, MultiLoginParams, MultiLoginReport};
 use histar_exporter::Fabric;
-use histar_kernel::sched::{RunLimit, SchedConfig, Scheduler, Step, StopReason, DEFAULT_SHARDS};
+use histar_kernel::sched::{RunLimit, SchedConfig, Scheduler, Step, StopReason};
 use histar_kernel::{Machine, MachineConfig, SyscallStats};
 use histar_label::Label;
 use histar_sim::{CostModel, LinkConfig, NetConfig, OsFlavor, SimDuration, Topology};
@@ -88,10 +88,10 @@ fn logins(params: SchedBenchParams, capacity: usize) -> (LoginWorld, MultiLoginR
         processes: params.processes,
         users: params.users,
         seed: params.seed,
-        shards: DEFAULT_SHARDS,
         wrong_every: 7,
         trace_capacity: capacity,
         recorder_capacity: capacity,
+        ..MultiLoginParams::default()
     })
     .expect("multilogin scenario")
 }

@@ -910,8 +910,8 @@ impl Kernel {
         set
     }
 
-    /// Stores the scheduler's latest counter snapshot (counters plus
-    /// per-shard queue-depth gauges) so `metrics()` — and therefore
+    /// Stores the scheduler's latest counter snapshot (counters plus the
+    /// run-queue depth and parked gauges) so `metrics()` — and therefore
     /// `/metrics/sched` — serves scheduling alongside every kernel-owned
     /// source.  The scheduler calls this at the end of every `run`.
     pub fn publish_sched_metrics(&mut self, set: MetricSet) {

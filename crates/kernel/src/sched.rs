@@ -1,5 +1,5 @@
-//! A deterministic scheduler over kernel threads, built on sharded run
-//! queues with O(1) wake.
+//! A deterministic scheduler over kernel threads: one FIFO run queue, one
+//! wait set, and O(events) wake.
 //!
 //! The paper's kernel schedules threads; this reproduction historically let
 //! library code drive every thread to completion as nested function calls,
@@ -9,23 +9,23 @@
 //! * every scheduled thread is represented by a **program** — a state
 //!   machine stepped one quantum at a time, issuing its kernel work through
 //!   [`Kernel::dispatch`](crate::kernel::Kernel) on its own thread ID;
-//! * the [`Scheduler`] spreads threads over **shards**: each shard owns its
-//!   own run queue and wait set, a thread's shard is a seeded hash of its
-//!   admission order, and a seed-fixed rotation visits the shards taking
-//!   one quantum from each non-empty queue per revolution.  With one shard
-//!   this degenerates to the classic global round-robin; with many, queue
-//!   and wait-set operations touch only the owning shard, which is what
-//!   lets the wait side hold 10⁵ parked users without any global scan;
+//! * the [`Scheduler`] keeps **one run queue**: a thread that yields goes to
+//!   its tail, and the head runs next.  Threads spawned before the first
+//!   [`Scheduler::run`] form the initial batch, shuffled once by the seed;
+//!   every later spawn joins the tail in spawn order;
 //! * waking is **O(events)**: parked threads are re-examined only when the
 //!   kernel marks them sched-dirty, and eligibility is a single
 //!   [`Kernel::wake_eligibility`] probe that reads the thread object
 //!   (its state, and whether its alert list and completion queue are
-//!   empty) — no derived wake bits, and no walk over either queue;
-//! * scheduling is **deterministic**: shard assignment, shard visit order
-//!   and admission tie-breaks are pure functions of the seed and the spawn
-//!   order, and wakes within a shard apply in park order — so the same
-//!   seed and shard count replay the identical interleaving, and, with
-//!   tracing enabled, the identical syscall audit stream.
+//!   empty) — no derived wake bits, and no walk over either queue.  The
+//!   eligible ones rejoin the tail in park order;
+//! * scheduling is **deterministic** and **gives no thread a say over
+//!   another's order**: the seed fixes the initial batch, and from there
+//!   the relative order of any set of threads' quanta is a function of
+//!   those threads' own steps, the wakes they are sent and the harness's
+//!   actions.  A thread that spawns more threads, blocks, or finishes
+//!   early shifts when others run in simulated time, never the order
+//!   among them.
 //!
 //! Programs run against a caller-supplied context type implementing
 //! [`SchedContext`] (the kernel itself, a whole [`Machine`], or a library
@@ -73,37 +73,23 @@ impl SchedContext for Machine {
     }
 }
 
-/// Default number of run-queue shards.
-pub const DEFAULT_SHARDS: usize = 8;
-
 /// CPU time charged per program step (one quantum).
 pub const DEFAULT_QUANTUM: SimDuration = SimDuration::from_micros(50);
 
 /// Construction-time parameters for a [`Scheduler`], built fluently:
 ///
 /// ```ignore
-/// let sched = Scheduler::new(SchedConfig::new().seed(7).shards(16));
+/// let sched = Scheduler::new(SchedConfig::new().seed(7));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedConfig {
-    /// Seed fixing every tie-break: shard assignment, shard visit order
-    /// and admission-batch shuffles.
+    /// Seed fixing the order of the initial batch (the threads spawned
+    /// before the first [`Scheduler::run`]).
     pub seed: u64,
-    /// Number of run-queue shards (at least 1).
-    pub shards: usize,
-}
-
-impl Default for SchedConfig {
-    fn default() -> SchedConfig {
-        SchedConfig {
-            seed: 0,
-            shards: DEFAULT_SHARDS,
-        }
-    }
 }
 
 impl SchedConfig {
-    /// The default configuration (seed 0, 8 shards).
+    /// The default configuration (seed 0).
     pub fn new() -> SchedConfig {
         SchedConfig::default()
     }
@@ -111,12 +97,6 @@ impl SchedConfig {
     /// Sets the scheduler seed.
     pub fn seed(mut self, seed: u64) -> SchedConfig {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the shard count (clamped to at least 1).
-    pub fn shards(mut self, shards: usize) -> SchedConfig {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -240,44 +220,19 @@ pub struct ScheduleReport {
     pub elapsed: SimDuration,
 }
 
-/// One run-queue shard: a FIFO of runnable threads plus the shard's own
-/// wait set (parked thread → park sequence number).
-#[derive(Default)]
-struct Shard {
-    queue: VecDeque<ObjectId>,
-    waiting: BTreeMap<ObjectId, u64>,
-}
-
-/// SplitMix64: the shard-assignment hash.  A fixed, seedable avalanche so
-/// shard placement is a pure function of (seed, admission index).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A deterministic scheduler over sharded run queues.
+/// A deterministic scheduler over one FIFO run queue.
 ///
 /// `Ctx` is the shared world the programs mutate — see [`SchedContext`].
 pub struct Scheduler<Ctx> {
     config: SchedConfig,
-    rng: SimRng,
-    shards: Vec<Shard>,
-    /// Seed-fixed shard visit order; the rotation cursor walks this.
-    visit: Vec<usize>,
-    cursor: usize,
-    /// Which shard each scheduled thread was assigned to.
-    shard_of: BTreeMap<ObjectId, usize>,
-    /// Threads admitted so far; feeds the shard-assignment hash.
-    admitted: u64,
-    /// Monotonic counter stamping each park, for deterministic wake order.
+    /// Runnable threads, head first.
+    queue: VecDeque<ObjectId>,
+    /// Parked threads → park sequence number, for deterministic wake order.
+    waiting: BTreeMap<ObjectId, u64>,
+    /// Monotonic counter stamping each park.
     park_seq: u64,
-    /// Runnable threads across all shard queues.
-    queued: usize,
-    /// Parked threads across all shard wait sets.
-    parked: usize,
-    pending: Vec<ObjectId>,
+    /// Whether `run` has been called, so the initial batch is settled.
+    started: bool,
     programs: BTreeMap<ObjectId, Program<Ctx>>,
     last_run: Option<ObjectId>,
     stats: SchedStats,
@@ -286,35 +241,24 @@ pub struct Scheduler<Ctx> {
 impl<Ctx: SchedContext> Scheduler<Ctx> {
     /// Creates a scheduler from its configuration.
     pub fn new(config: SchedConfig) -> Scheduler<Ctx> {
-        let shards = config.shards.max(1);
-        let mut visit: Vec<usize> = (0..shards).collect();
-        // The visit order is drawn from its own seeded stream so admission
-        // shuffles are unaffected by the shard count.
-        SimRng::new(config.seed ^ 0x51a2_d0e5).shuffle(&mut visit);
         Scheduler {
             config,
-            rng: SimRng::new(config.seed ^ 0x5ced_5ced),
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            visit,
-            cursor: 0,
-            shard_of: BTreeMap::new(),
-            admitted: 0,
+            queue: VecDeque::new(),
+            waiting: BTreeMap::new(),
             park_seq: 0,
-            queued: 0,
-            parked: 0,
-            pending: Vec::new(),
+            started: false,
             programs: BTreeMap::new(),
             last_run: None,
             stats: SchedStats::default(),
         }
     }
 
-    /// Schedules `program` to run as thread `tid`.  Threads spawned between
-    /// two `run` calls form one admission batch whose queue order is
-    /// decided by the scheduler seed.
+    /// Schedules `program` to run as thread `tid`, at the tail of the run
+    /// queue.  Threads spawned before the first `run` are the initial
+    /// batch, whose order the seed decides.
     pub fn spawn(&mut self, tid: ObjectId, program: Program<Ctx>) {
         self.programs.insert(tid, program);
-        self.pending.push(tid);
+        self.queue.push_back(tid);
     }
 
     /// Number of threads still scheduled (runnable or blocked).
@@ -332,158 +276,91 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
         self.config
     }
 
-    /// Admits the pending batch: seeded-shuffle, then hash each thread to
-    /// its shard.  The shuffle is the scheduler's only use of randomness
-    /// and is fully determined by the seed and the spawn order; the shard
-    /// is a pure function of (seed, admission index).
-    fn admit_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.pending);
-        self.rng.shuffle(&mut batch);
-        for tid in batch {
-            let shard =
-                (splitmix64(self.config.seed ^ self.admitted) % self.shards.len() as u64) as usize;
-            self.admitted += 1;
-            self.shard_of.insert(tid, shard);
-            self.shards[shard].queue.push_back(tid);
-            self.queued += 1;
-        }
-    }
-
-    /// Pops the next thread under the rotation: starting at the cursor,
-    /// the first non-empty shard in the seed-fixed visit order gives up
-    /// its queue head, and the cursor moves past it — one quantum per
-    /// non-empty shard per revolution.
-    fn pop_next(&mut self) -> Option<ObjectId> {
-        if self.queued == 0 {
-            return None;
-        }
-        let n = self.visit.len();
-        for i in 0..n {
-            let at = (self.cursor + i) % n;
-            let shard = self.visit[at];
-            if let Some(tid) = self.shards[shard].queue.pop_front() {
-                self.cursor = (at + 1) % n;
-                self.queued -= 1;
-                return Some(tid);
-            }
-        }
-        None
-    }
-
-    /// Requeues a runnable thread at the tail of its own shard.
-    fn requeue(&mut self, tid: ObjectId) {
-        let shard = self.shard_of[&tid];
-        self.shards[shard].queue.push_back(tid);
-        self.queued += 1;
-    }
-
-    /// Parks a thread in its shard's wait set and marks it sched-dirty so
-    /// the next wake pass re-checks it once: a completion or alert that
-    /// landed during the thread's final quantum (watch-then-block) must
-    /// not be lost just because the event preceded the park.
+    /// Parks a thread in the wait set and marks it sched-dirty so the next
+    /// wake pass re-checks it once: a completion or alert that landed
+    /// during the thread's final quantum (watch-then-block) must not be
+    /// lost just because the event preceded the park.
     fn park(&mut self, ctx: &mut Ctx, tid: ObjectId) {
         self.park_seq += 1;
-        let shard = self.shard_of[&tid];
-        self.shards[shard].waiting.insert(tid, self.park_seq);
-        self.parked += 1;
-        self.stats.parked_high_water = self.stats.parked_high_water.max(self.parked as u64);
+        self.waiting.insert(tid, self.park_seq);
+        let parked = self.waiting.len() as u64;
+        self.stats.parked_high_water = self.stats.parked_high_water.max(parked);
         ctx.sched_kernel().sched_mark_dirty(tid);
     }
 
     /// Drops a thread from the scheduler entirely (halted or deallocated).
     fn retire(&mut self, tid: ObjectId) {
         self.programs.remove(&tid);
-        self.shard_of.remove(&tid);
         self.stats.completed += 1;
     }
 
     /// Re-examines exactly the parked threads whose wake conditions may
     /// have changed — the kernel's sched-dirty list — and moves the
-    /// eligible ones back to their shard's run queue.  Eligibility is one
-    /// [`Kernel::wake_eligibility`] probe per dirtied thread, answered
-    /// from the emptiness of the queues the thread object carries, so the
-    /// pass never walks them.  Shards are visited in the
-    /// seed-fixed order and wakes within a shard apply in park order,
-    /// keeping the interleaving a pure function of (seed, shard count).
-    /// Threads with no event stay parked untouched, so 10⁵ idle users
-    /// cost nothing here.
+    /// eligible ones to the tail of the run queue in park order.
+    /// Eligibility is one [`Kernel::wake_eligibility`] probe per dirtied
+    /// thread, answered from the emptiness of the queues the thread object
+    /// carries, so the pass never walks them.  Threads with no event stay
+    /// parked untouched, so 10⁵ idle users cost nothing here.
     fn wake_waiters(&mut self, ctx: &mut Ctx) {
         let dirty = ctx.sched_kernel().take_sched_dirty();
         if dirty.is_empty() {
             return;
         }
         self.stats.wake_passes += 1;
-        let mut hits: Vec<Vec<(u64, ObjectId)>> = vec![Vec::new(); self.shards.len()];
-        for tid in dirty {
-            if let Some(&shard) = self.shard_of.get(&tid) {
-                if let Some(&seq) = self.shards[shard].waiting.get(&tid) {
-                    hits[shard].push((seq, tid));
+        let mut hits: Vec<(u64, ObjectId)> = dirty
+            .into_iter()
+            .filter_map(|tid| self.waiting.get(&tid).map(|&seq| (seq, tid)))
+            .collect();
+        hits.sort_unstable();
+        for (_, tid) in hits {
+            self.stats.wake_examined += 1;
+            let kernel = ctx.sched_kernel();
+            match kernel.wake_eligibility(tid) {
+                WakeReason::Retired => {
+                    self.waiting.remove(&tid);
+                    self.retire(tid);
+                    continue;
                 }
-            }
-        }
-        for vi in 0..self.visit.len() {
-            let shard = self.visit[vi];
-            let mut shard_hits = std::mem::take(&mut hits[shard]);
-            shard_hits.sort_unstable();
-            for (_, tid) in shard_hits {
-                self.stats.wake_examined += 1;
-                let kernel = ctx.sched_kernel();
-                let unpark = match kernel.wake_eligibility(tid) {
-                    WakeReason::Retired => {
-                        self.shards[shard].waiting.remove(&tid);
-                        self.parked -= 1;
-                        self.retire(tid);
-                        continue;
-                    }
-                    WakeReason::External => {
-                        // Already runnable: an explicit sched_wake.
-                        self.stats.external_wakeups += 1;
-                        true
-                    }
-                    WakeReason::Alert => {
-                        let _ = kernel.sched_wake(tid);
-                        self.stats.alert_wakeups += 1;
-                        true
-                    }
-                    WakeReason::Completion => {
-                        let _ = kernel.sched_wake(tid);
-                        self.stats.completion_wakeups += 1;
-                        true
-                    }
-                    // The event was spurious: stay parked.
-                    WakeReason::Parked => false,
-                };
-                if unpark {
-                    self.shards[shard].waiting.remove(&tid);
-                    self.parked -= 1;
-                    self.shards[shard].queue.push_back(tid);
-                    self.queued += 1;
+                // Already runnable: an explicit sched_wake.
+                WakeReason::External => self.stats.external_wakeups += 1,
+                WakeReason::Alert => {
+                    let _ = kernel.sched_wake(tid);
+                    self.stats.alert_wakeups += 1;
                 }
+                WakeReason::Completion => {
+                    let _ = kernel.sched_wake(tid);
+                    self.stats.completion_wakeups += 1;
+                }
+                // The event was spurious: stay parked.
+                WakeReason::Parked => continue,
             }
+            self.waiting.remove(&tid);
+            self.queue.push_back(tid);
         }
     }
 
-    /// Runs scheduled programs under the shard rotation until `limit` is
-    /// reached, every program completes, or only hopelessly blocked
-    /// threads remain.
+    /// Runs scheduled programs, one quantum each from the head of the run
+    /// queue, until `limit` is reached, every program completes, or only
+    /// hopelessly blocked threads remain.  The first call shuffles the
+    /// initial batch by the seed.
     ///
-    /// Blocked threads live in their shard's wait set, not the run queue:
-    /// they are charged no quanta and never stepped until a completion or
-    /// alert wakes them.  Each `run` is a fresh occupancy of the CPU: the
-    /// first quantum always charges a context switch (`last_run` does not
-    /// leak across invocations).
+    /// Blocked threads live in the wait set, not the run queue: they are
+    /// charged no quanta and never stepped until a completion or alert
+    /// wakes them.  Each `run` is a fresh occupancy of the CPU: the first
+    /// quantum always charges a context switch (`last_run` does not leak
+    /// across invocations).
     pub fn run(&mut self, ctx: &mut Ctx, limit: RunLimit) -> ScheduleReport {
         self.last_run = None;
-        self.admit_pending();
+        if !self.started {
+            self.started = true;
+            SimRng::new(self.config.seed ^ 0x5ced_5ced).shuffle(self.queue.make_contiguous());
+        }
         let start = ctx.sched_kernel().now();
         let before = self.stats;
         let stop = loop {
             self.wake_waiters(ctx);
-            if self.queued == 0 {
-                break if self.parked == 0 {
+            if self.queue.is_empty() {
+                break if self.waiting.is_empty() {
                     StopReason::AllComplete
                 } else {
                     StopReason::AllBlocked
@@ -497,7 +374,7 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
                     break StopReason::DeadlinePassed;
                 }
             }
-            let tid = self.pop_next().expect("queued count checked non-zero");
+            let tid = self.queue.pop_front().expect("run queue checked non-empty");
             match ctx.sched_kernel().wake_eligibility(tid) {
                 // A halted (or deallocated) thread is retired without
                 // running: self_halt and thread teardown are honored here.
@@ -552,7 +429,7 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
             match step {
                 Step::Yield => {
                     self.programs.insert(tid, program);
-                    self.requeue(tid);
+                    self.queue.push_back(tid);
                 }
                 Step::Block => {
                     let _ = ctx.sched_kernel().sched_block(tid);
@@ -563,12 +440,9 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
                     // Halt through the trap boundary so the audit trace
                     // records the thread's exit like any other syscall.
                     let _ = ctx.sched_kernel().trap_self_halt(tid);
-                    self.shard_of.remove(&tid);
                     self.stats.completed += 1;
                 }
             }
-            // Admit any threads the program spawned during its quantum.
-            self.admit_pending();
         };
         self.publish_metrics(ctx);
         let after = self.stats;
@@ -580,15 +454,14 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
         }
     }
 
-    /// Publishes the scheduler's counters and per-shard queue gauges to
-    /// the kernel's metric registry, making them visible at `/metrics`.
+    /// Publishes the scheduler's counters and its queue-depth and parked
+    /// gauges to the kernel's metric registry, making them visible at
+    /// `/metrics`.
     fn publish_metrics(&self, ctx: &mut Ctx) {
         let mut set = histar_obs::MetricSet::new();
         set.collect(&self.stats);
-        for (i, shard) in self.shards.iter().enumerate() {
-            set.gauge_indexed("sched.shard_queue_depth", i, shard.queue.len() as u64);
-            set.gauge_indexed("sched.shard_parked", i, shard.waiting.len() as u64);
-        }
+        set.gauge("sched.queue_depth", self.queue.len() as u64);
+        set.gauge("sched.parked", self.waiting.len() as u64);
         ctx.sched_kernel().publish_sched_metrics(set);
     }
 }
@@ -680,11 +553,13 @@ mod tests {
         assert_eq!(report.stats.completed, 3);
         assert_eq!(report.remaining, 0);
         assert!(report.elapsed > SimDuration::ZERO);
-        // Nine writes, three per writer, strictly interleaved: the first
-        // three bytes are the three distinct tags (the shard rotation takes
-        // one quantum per non-empty shard, never run-to-completion).
+        // Nine writes, three per writer, strictly interleaved: the run
+        // queue takes one quantum per thread per revolution, never
+        // run-to-completion, so every three bytes repeat the first three.
         assert_eq!(bytes.len(), 9);
         let mut first: Vec<u8> = bytes[..3].to_vec();
+        assert_eq!(bytes[3..6], first[..]);
+        assert_eq!(bytes[6..], first[..]);
         first.sort_unstable();
         assert_eq!(first, vec![b'a', b'b', b'c']);
     }
@@ -694,15 +569,40 @@ mod tests {
         let (a1, _) = interleaving(cfg(7));
         let (a2, _) = interleaving(cfg(7));
         assert_eq!(a1, a2, "scheduling must be deterministic per seed");
-        // Across all seeds and shard counts the multiset of work is
-        // identical.
-        for other in [cfg(8), cfg(7).shards(1), cfg(7).shards(16)] {
+        // Across seeds the multiset of work is identical.
+        for other in [cfg(8), cfg(9), cfg(10)] {
             let (b, _) = interleaving(other);
             let mut sa = a1.clone();
             let mut sb = b.clone();
             sa.sort_unstable();
             sb.sort_unstable();
             assert_eq!(sa, sb);
+        }
+    }
+
+    #[test]
+    fn later_batches_join_the_tail_in_spawn_order() {
+        // Only the initial batch is shuffled: once a run has begun, every
+        // seed admits a new batch in the order it was spawned.
+        for seed in 0..8 {
+            let mut m = Machine::boot(MachineConfig::default());
+            let mut sched: Scheduler<Machine> = Scheduler::new(cfg(seed));
+            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            for batch in [b"xyz", b"abc"] {
+                for &tag in batch {
+                    let log = log.clone();
+                    let tid = spawn_thread(&mut m, "t");
+                    sched.spawn(
+                        tid,
+                        Box::new(move |_m, _tid| {
+                            log.borrow_mut().push(tag);
+                            Step::Done
+                        }),
+                    );
+                }
+                m.run_until(&mut sched, RunLimit::to_completion());
+            }
+            assert_eq!(log.borrow()[3..], b"abc"[..], "seed {seed}");
         }
     }
 
@@ -716,7 +616,6 @@ mod tests {
         let t = spawn_thread(&mut m, "spinner");
         let mut sched: Scheduler<Machine> = Scheduler::new(cfg(1));
         assert_eq!(sched.config().seed, 1);
-        assert_eq!(sched.config().shards, DEFAULT_SHARDS);
         sched.spawn(t, Box::new(|_m, _tid| Step::Yield));
         let first = m.run_until(&mut sched, RunLimit::quanta(3));
         assert_eq!(first.stats.quanta, 3);
@@ -736,15 +635,16 @@ mod tests {
     fn run_publishes_metrics_to_kernel_registry() {
         let mut m = Machine::boot(MachineConfig::default());
         let t = spawn_thread(&mut m, "t");
-        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(3).shards(4));
+        let u = spawn_thread(&mut m, "u");
+        let mut sched: Scheduler<Machine> = Scheduler::new(cfg(3));
         sched.spawn(t, Box::new(|_m, _tid| Step::Done));
+        sched.spawn(u, Box::new(|_m, _tid| Step::Block));
         m.run_until(&mut sched, RunLimit::to_completion());
         let set = m.kernel().metrics();
-        assert_eq!(set.get("sched.quanta"), Some(1));
+        assert_eq!(set.get("sched.quanta"), Some(2));
         assert_eq!(set.get("sched.completed"), Some(1));
-        assert_eq!(set.get("sched.shard_queue_depth.0"), Some(0));
-        assert_eq!(set.get("sched.shard_queue_depth.3"), Some(0));
-        assert!(set.get("sched.shard_queue_depth.4").is_none());
+        assert_eq!(set.get("sched.queue_depth"), Some(0));
+        assert_eq!(set.get("sched.parked"), Some(1));
     }
 
     #[test]
@@ -782,9 +682,9 @@ mod tests {
             Box::new(move |m: &mut Machine, tid| {
                 waker_steps += 1;
                 match waker_steps {
-                    // Let the sleeper run (and park) first: the rotation
-                    // guarantees every runnable thread steps once per
-                    // revolution, so by our second quantum it has blocked.
+                    // Let the sleeper run (and park) first: the run queue
+                    // steps every runnable thread once per revolution, so
+                    // by our second quantum it has blocked.
                     1 => Step::Yield,
                     2 => {
                         m.kernel_mut()
@@ -992,7 +892,7 @@ mod tests {
                 }
             }),
         );
-        // Whichever thread the rotation runs first, the write lands after
+        // Whichever thread the seed runs first, the write lands after
         // the watch: the writer spends its first quantum yielding.
         let mut yielded = false;
         sched.spawn(

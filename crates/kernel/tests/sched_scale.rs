@@ -1,7 +1,6 @@
-//! Scale and determinism tests for the sharded scheduler: the audit
-//! trace is byte-identical for a fixed `(seed, shard count)` pair at
-//! every shard width, and waking one thread out of a 10⁵-strong parked
-//! population costs O(events), not O(parked).
+//! Scale and determinism tests for the scheduler: the audit trace is
+//! byte-identical for a fixed seed, and waking one thread out of a
+//! 10⁵-strong parked population costs O(events), not O(parked).
 
 use histar_kernel::object::ContainerEntry;
 use histar_kernel::sched::{RunLimit, SchedConfig, Scheduler, Step, StopReason};
@@ -67,24 +66,17 @@ fn traced_run(config: SchedConfig) -> Vec<TraceRecord> {
 }
 
 #[test]
-fn audit_trace_is_byte_identical_per_seed_at_every_shard_count() {
-    for shards in [1, 4, 16] {
-        let config = SchedConfig::new().seed(0x5ca1e).shards(shards);
-        let t1 = traced_run(config);
-        let t2 = traced_run(config);
-        assert!(!t1.is_empty());
-        assert_eq!(
-            t1, t2,
-            "same (seed, shards={shards}) must replay the identical syscall stream"
-        );
-    }
-    // Different shard counts are different interleavings of the same
-    // work: the multiset of trace records matters less than the fact the
-    // workload still completes — checked inside traced_run — but the
-    // record count is interleaving-independent.
-    let a = traced_run(SchedConfig::new().seed(0x5ca1e).shards(1));
-    let b = traced_run(SchedConfig::new().seed(0x5ca1e).shards(16));
-    assert_eq!(a.len(), b.len());
+fn audit_trace_is_byte_identical_per_seed() {
+    let config = SchedConfig::new().seed(0x5ca1e);
+    let t1 = traced_run(config);
+    let t2 = traced_run(config);
+    assert!(!t1.is_empty());
+    assert_eq!(t1, t2, "same seed must replay the identical syscall stream");
+    // Another seed is another interleaving of the same work: the workload
+    // still completes — checked inside traced_run — and the record count
+    // is interleaving-independent.
+    let other = traced_run(SchedConfig::new().seed(0x5ca1f));
+    assert_eq!(other.len(), t1.len());
 }
 
 #[test]

@@ -42,13 +42,10 @@ pub struct Metric {
 
 impl Metric {
     /// The full rendered name: `name` plus `.bucket.<label>` for histogram
-    /// buckets, or `.<index>` for indexed gauges.
+    /// buckets.
     pub fn full_name(&self) -> String {
         match &self.bucket {
-            Some(b) if self.kind == MetricKind::HistogramBucket => {
-                format!("{}.bucket.{}", self.name, b)
-            }
-            Some(b) => format!("{}.{}", self.name, b),
+            Some(b) => format!("{}.bucket.{}", self.name, b),
             None => self.name.to_string(),
         }
     }
@@ -81,19 +78,6 @@ impl MetricSet {
         self.metrics.push(Metric {
             name,
             bucket: None,
-            kind: MetricKind::Gauge,
-            value,
-        });
-    }
-
-    /// Adds one gauge of a statically-named family distinguished by a
-    /// numeric index (`sched.shard_runnable.3`).  Like histogram bucket
-    /// labels, the dynamic component is derived from a number, never from
-    /// data bytes, so the static-name guarantee holds.
-    pub fn gauge_indexed(&mut self, name: &'static str, index: usize, value: u64) {
-        self.metrics.push(Metric {
-            name,
-            bucket: Some(index.to_string()),
             kind: MetricKind::Gauge,
             value,
         });

@@ -1313,8 +1313,8 @@ fn reader_parked_on_empty_pipe_consumes_zero_quanta_until_woken() {
 
 /// A finished scheduler run publishes its counters into the kernel's
 /// metric registry, so `/metrics/sched` serves them — aggregate counters
-/// and the per-shard queue gauges — behind the same global-file gate as
-/// the other counter files.
+/// and the run-queue depth and parked gauges — behind the same global-file
+/// gate as the other counter files.
 #[test]
 fn scheduler_counters_are_served_at_metrics_sched() {
     let mut env = UnixEnv::boot();
@@ -1331,7 +1331,7 @@ fn scheduler_counters_are_served_at_metrics_sched() {
         }
     }
 
-    let mut sched: Scheduler<W> = Scheduler::new(SchedConfig::new().seed(7).shards(4));
+    let mut sched: Scheduler<W> = Scheduler::new(SchedConfig::new().seed(7));
     let mut steps = 0u32;
     sched.spawn(
         worker_thread,
@@ -1352,9 +1352,8 @@ fn scheduler_counters_are_served_at_metrics_sched() {
     for line in [
         "sched.quanta\t3",
         "sched.completed\t1",
-        "sched.shard_queue_depth.0\t",
-        "sched.shard_queue_depth.3\t",
-        "sched.shard_parked.0\t",
+        "sched.queue_depth\t0",
+        "sched.parked\t0",
         "sched.parked_high_water\t",
     ] {
         assert!(text.contains(line), "missing {line} in: {text}");
