@@ -25,8 +25,7 @@ use crate::wire::{
     ExporterId, GlobalCategory, GlobalLabel, RpcMessage,
 };
 use crate::ExporterError;
-use histar_kernel::bodies::DeviceBody;
-use histar_kernel::object::{ContainerEntry, ObjectId};
+use histar_kernel::object::ContainerEntry;
 use histar_label::{Category, Label, Level};
 use histar_net::Netd;
 use histar_unix::gatecall::{
@@ -56,7 +55,6 @@ pub struct Exporter {
     secret: u64,
     public: u64,
     id: ExporterId,
-    device: ObjectId,
     next_export_id: u64,
     next_seq: u64,
     /// Delegation certificates granted *to* this exporter by remote peers.
@@ -78,7 +76,6 @@ impl core::fmt::Debug for Exporter {
         f.debug_struct("Exporter")
             .field("pid", &self.pid)
             .field("id", &self.id)
-            .field("device", &self.device)
             .field(
                 "services",
                 &self.services.iter().map(|(n, _)| n).collect::<Vec<_>>(),
@@ -100,31 +97,15 @@ pub struct RemoteReply {
 
 impl Exporter {
     /// Starts an exporter on a node: spawns the daemon owning the netd taint
-    /// category and registers its kernel-visible endpoint device.
+    /// category.
     pub fn start(env: &mut UnixEnv, parent: Pid, netd: &Netd, secret: u64) -> Result<Exporter> {
         let id = ExporterId::from_secret(secret);
         let pid = env.spawn_with_label(parent, "/sbin/exporter", vec![netd.taint], vec![])?;
-        let thread = env.process(pid)?.thread;
-        let kroot = env.machine().kernel().root_container();
-        let kernel = env.machine_mut().kernel_mut();
-        // The endpoint device: labelled so only the exporter drives it.
-        let er = kernel.trap_create_category(thread)?;
-        let ew = kernel.trap_create_category(thread)?;
-        let label = Label::builder()
-            .set(er, Level::L3)
-            .set(ew, Level::L0)
-            .build();
-        let idb = id.0.to_le_bytes();
-        let mac = [0x02, 0xd5, idb[0], idb[1], idb[2], idb[3]];
-        let device = kernel
-            .boot_create_device(kroot, label, DeviceBody::exporter(mac), "exporter0")
-            .map_err(UnixError::from)?;
         Ok(Exporter {
             pid,
             secret,
             public: public_from_secret(secret),
             id,
-            device,
             next_export_id: 1,
             next_seq: 1,
             certs: Vec::new(),
@@ -143,11 +124,6 @@ impl Exporter {
     /// The exporter daemon's pid.
     pub fn pid(&self) -> Pid {
         self.pid
-    }
-
-    /// The kernel object ID of the exporter endpoint device.
-    pub fn device(&self) -> ObjectId {
-        self.device
     }
 
     /// The exporter's secret key.  Only the node's own trusted setup path

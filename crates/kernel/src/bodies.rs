@@ -359,10 +359,6 @@ pub enum DeviceKind {
     Network,
     /// A console/TTY used by examples to show user-visible output.
     Console,
-    /// An exporter endpoint: the network interface dedicated to a node's
-    /// exporter daemon, which tunnels label-protected data to other HiStar
-    /// machines (the DStar-style federation layer).
-    Exporter,
 }
 
 /// A device object: the kernel network API is just "get the MAC address,
@@ -395,16 +391,6 @@ impl DeviceBody {
         DeviceBody {
             kind: DeviceKind::Console,
             mac: [0; 6],
-            rx_queue: Vec::new(),
-            tx_queue: Vec::new(),
-        }
-    }
-
-    /// Creates an exporter endpoint device with the given MAC address.
-    pub fn exporter(mac: [u8; 6]) -> DeviceBody {
-        DeviceBody {
-            kind: DeviceKind::Exporter,
-            mac,
             rx_queue: Vec::new(),
             tx_queue: Vec::new(),
         }

@@ -222,7 +222,6 @@ fn encode_body(e: &mut Encoder, body: &ObjectBody) {
             e.put_u8(match dev.kind {
                 DeviceKind::Network => 0,
                 DeviceKind::Console => 1,
-                DeviceKind::Exporter => 2,
             });
             e.put_bytes(&dev.mac);
             e.put_u64(dev.rx_queue.len() as u64);
@@ -327,7 +326,6 @@ fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, Serial
             let kind = match d.get_u8()? {
                 0 => DeviceKind::Network,
                 1 => DeviceKind::Console,
-                2 => DeviceKind::Exporter,
                 other => return Err(SerializeError::BadTag("device kind", other)),
             };
             let mac_vec = d.get_bytes()?;

@@ -65,11 +65,6 @@ impl ExtentAllocator {
         self.total_free
     }
 
-    /// Total managed capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Number of distinct free extents (a fragmentation metric).
     pub fn fragments(&self) -> usize {
         self.free.len()
@@ -127,17 +122,6 @@ impl ExtentAllocator {
             self.free[i - 1].len += merged.len;
         } else {
             self.free.insert(i, merged);
-        }
-    }
-
-    /// One past the highest allocated byte: if the topmost free extent
-    /// runs to the end of the disk, nothing above its start is in use.
-    /// The superblock records this so recovery can preload the whole live
-    /// data region in a single read.
-    pub fn high_water(&self) -> u64 {
-        match self.free.last() {
-            Some(last) if last.end() == self.capacity => last.offset,
-            _ => self.capacity,
         }
     }
 
@@ -302,26 +286,6 @@ mod tests {
         assert_eq!(a.alloc(0), Some(Extent::new(0, 0)));
         a.free(Extent::new(500, 0));
         assert_eq!(a.free_bytes(), 1000);
-    }
-
-    #[test]
-    fn high_water_tracks_topmost_allocation() {
-        let mut a = ExtentAllocator::new(4096, 1_000_000);
-        assert_eq!(a.high_water(), 4096, "empty disk: nothing allocated");
-        let e1 = a.alloc(10_000).unwrap();
-        assert_eq!(a.high_water(), e1.end());
-        let e2 = a.alloc(10_000).unwrap();
-        assert_eq!(a.high_water(), e2.end());
-        // Freeing a middle extent does not lower the mark.
-        a.free(e1);
-        assert_eq!(a.high_water(), e2.end());
-        // Freeing the topmost extent coalesces with the tail and lowers it.
-        a.free(e2);
-        assert_eq!(a.high_water(), 4096);
-        // A fully allocated disk has no tail extent at all.
-        let all = a.alloc(1_000_000 - 4096).unwrap();
-        assert_eq!(a.high_water(), a.capacity());
-        a.free(all);
     }
 
     #[test]

@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// How recovery rebuilds state from the checkpoint and the log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayMode {
-    /// Read the log in large chunks, preload the live data region in one
-    /// read, and fold the replayed records per object.  The default.
+    /// Read the log in large chunks and fold the replayed records per
+    /// object.  The default.
     Batched,
     /// Read the whole log region in one I/O and replay it one record at a
     /// time — the legacy strategy, kept so the equivalence harness can
@@ -38,8 +38,8 @@ pub struct StoreConfig {
     /// Bytes reserved for the write-ahead log region.  Kept small: the log
     /// only needs to cover the window between checkpoints, and recovery
     /// cost is bounded by how much log can accumulate, so a short region
-    /// keeps `recover` fast (pre-apply + checkpoint-on-full keep it from
-    /// overflowing under sustained sync load).
+    /// keeps `recover` fast (a log too full for the next frame is folded
+    /// into a checkpoint first, so it never overflows).
     pub log_region_len: u64,
     /// Apply (fold into a checkpoint) the log after this many pending
     /// records, modelling the paper's observation of one application per
@@ -74,9 +74,6 @@ pub struct StoreStats {
     pub log_applications: u64,
     /// In-place page flushes (large-file sync writes).
     pub inplace_flushes: u64,
-    /// Objects loaded into the cache by recovery's single preload read of
-    /// the live data region (instead of one random read each on demand).
-    pub objects_preloaded: u64,
 }
 
 impl histar_obs::MetricSource for StoreStats {
@@ -86,7 +83,6 @@ impl histar_obs::MetricSource for StoreStats {
         set.counter("store.checkpoints", self.checkpoints);
         set.counter("store.log_applications", self.log_applications);
         set.counter("store.inplace_flushes", self.inplace_flushes);
-        set.counter("store.objects_preloaded", self.objects_preloaded);
     }
 }
 
@@ -293,10 +289,6 @@ pub struct SingleLevelStore {
     /// buffered here and flushed as ONE multi-record frame when the group
     /// closes (see [`SingleLevelStore::begin_sync_group`]).
     staged: Option<Vec<LogRecord>>,
-    /// How many of the WAL's pending records have already been written to
-    /// their home locations by incremental pre-apply (pipelined
-    /// checkpointing); reset when the log truncates.
-    preapplied: usize,
     stats: StoreStats,
     /// Flight recorder for WAL/checkpoint/recovery spans (disabled by
     /// default; the kernel hands its own recorder down on attach).
@@ -365,7 +357,6 @@ impl SingleLevelStore {
             prev_meta: None,
             sequence: 0,
             staged: None,
-            preapplied: 0,
             stats: StoreStats::default(),
             recorder: Recorder::disabled(),
             config,
@@ -612,7 +603,6 @@ impl SingleLevelStore {
         self.wal.append_frame(&mut self.disk, records);
         self.disk.flush();
         self.span("wal", "append", start);
-        self.maybe_preapply();
     }
 
     /// Folds every pending log record into a full checkpoint, truncating
@@ -628,68 +618,6 @@ impl SingleLevelStore {
         self.stats.log_applications += 1;
         self.checkpoint();
         self.span("wal", "apply", start);
-    }
-
-    /// Incremental ("pipelined") checkpointing: once the log region is
-    /// three-quarters full, each append also writes a few of the oldest
-    /// pending records to their home locations.  The eventual checkpoint
-    /// then has little left to do, so the stop-the-world pause stays short
-    /// even under sustained sync load.  Crash-safe because pre-applied
-    /// records remain in the log: replay masks their home copies until the
-    /// next checkpoint commits the maps.  Only records that fit their
-    /// object's existing extent are written — allocating here could reuse
-    /// space freed by a not-yet-durable delete and clobber state an
-    /// earlier checkpoint still owns.
-    fn maybe_preapply(&mut self) {
-        const PREAPPLY_CHUNK: usize = 4;
-        const PREAPPLY_SCAN: usize = 64;
-        if self.wal.used() * 4 <= self.wal.region_len() * 3 {
-            return;
-        }
-        let start = self.tick();
-        let mut written = 0;
-        let mut examined = 0;
-        while written < PREAPPLY_CHUNK
-            && examined < PREAPPLY_SCAN
-            && self.preapplied < self.wal.pending_records()
-        {
-            let idx = self.preapplied;
-            self.preapplied += 1;
-            examined += 1;
-            let LogRecord::PutObject(id, data) = &self.wal.pending()[idx] else {
-                continue;
-            };
-            let id = *id;
-            // Skip records superseded later in the log: fsync-heavy
-            // workloads re-sync the same objects, and only the newest
-            // version is worth homing.
-            let superseded = self.wal.pending()[idx + 1..].iter().any(|r| {
-                matches!(r, LogRecord::PutObject(i, _) if *i == id)
-                    || matches!(r, LogRecord::DeleteObject(i) if *i == id)
-            });
-            if superseded {
-                continue;
-            }
-            let fits = self
-                .homes
-                .by_id
-                .get(&id)
-                .is_some_and(|home| home.extent_len >= RECORD_HEADER + data.len() as u64);
-            if !fits {
-                continue;
-            }
-            self.homes.write(&mut self.disk, id, data);
-            self.stats.objects_written += 1;
-            // The home copy is current, so the eventual checkpoint can
-            // skip this object — unless the cache has moved on since.
-            if self.cache.get(&id).is_some_and(|cached| cached == data) {
-                self.dirty.remove(&id);
-            }
-            written += 1;
-        }
-        if written > 0 {
-            self.span("wal", "preapply", start);
-        }
     }
 
     /// Flushes byte ranges of an already-persistent object's record in
@@ -834,25 +762,19 @@ impl SingleLevelStore {
         );
         self.disk.write(meta_extent.offset, &blob);
 
-        // 3. Superblock points at the metadata blob.  It also records the
-        //    allocator's high-water mark (computed after the metadata
-        //    allocation, so it covers the blob): everything live sits
-        //    below it, letting recovery preload the whole data region in
-        //    one sequential read.
+        // 3. Superblock points at the metadata blob.
         self.sequence += 1;
         let mut sb = Encoder::new();
         sb.put_u64(SUPERBLOCK_MAGIC)
             .put_u64(self.sequence)
             .put_u64(meta_extent.offset)
             .put_u64(blob.len() as u64)
-            .put_u64(meta_extent.len)
-            .put_u64(self.homes.alloc.high_water());
+            .put_u64(meta_extent.len);
         self.disk.write(0, &frame(&sb.finish()));
         self.disk.flush();
 
         // 4. The log contents are now folded into the checkpoint.
         let _ = self.wal.take_pending();
-        self.preapplied = 0;
         self.wal.append(
             &mut self.disk,
             LogRecord::CheckpointMarker {
@@ -872,17 +794,15 @@ impl SingleLevelStore {
     }
 
     /// [`SingleLevelStore::recover`] with per-phase flight recording: each
-    /// recovery phase (superblock read, data-region preload, object-map
-    /// and free-list rebuild, WAL replay) emits a `recover` span into `recorder`, and
-    /// the recorder stays installed on the recovered store.
+    /// recovery phase (superblock read, object-map and free-list rebuild,
+    /// WAL replay) emits a `recover` span into `recorder`, and the recorder
+    /// stays installed on the recovered store.  Nothing else is read: an
+    /// object's home record is read when it is first asked for.
     pub fn recover_traced(
         config: StoreConfig,
         mut disk: SimDisk,
         recorder: Recorder,
     ) -> Result<SingleLevelStore, StoreError> {
-        // Cap on the preload read: a data region bigger than this is
-        // cheaper to fault in on demand than to stream in full.
-        const PRELOAD_MAX: u64 = 1024 * 1024;
         let phase = |recorder: &Recorder, name: &'static str, start: u64, end: u64| {
             recorder.record(Span {
                 cat: "recover",
@@ -906,42 +826,12 @@ impl SingleLevelStore {
         let meta_off = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
         let meta_len = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
         let meta_alloc_len = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
-        let high_water = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
         let t1 = disk.clock().now().as_nanos();
         phase(&recorder, "superblock", t0, t1);
 
-        // Preload: one sequential read covering every live extent, instead
-        // of one random read per object later.  The checkpoint metadata is
-        // usually inside the span, so it costs no extra I/O either.
-        let data_start = config.superblock_len + config.log_region_len;
-        let preload: Option<(u64, Vec<u8>)> = if config.replay_mode == ReplayMode::Batched
-            && high_water > data_start
-            && high_water <= config.disk.capacity
-            && high_water - data_start <= PRELOAD_MAX
-        {
-            Some((data_start, disk.read(data_start, high_water - data_start)))
-        } else {
-            None
-        };
-        let t2 = disk.clock().now().as_nanos();
-        if preload.is_some() {
-            phase(&recorder, "preload", t1, t2);
-        }
-
-        let read_meta;
-        let raw_meta: &[u8] = match &preload {
-            Some((base, buf))
-                if meta_off >= *base && meta_off + meta_len <= base + buf.len() as u64 =>
-            {
-                &buf[(meta_off - base) as usize..(meta_off - base + meta_len) as usize]
-            }
-            _ => {
-                read_meta = disk.read(meta_off, meta_len);
-                &read_meta
-            }
-        };
+        let raw_meta = disk.read(meta_off, meta_len);
         let (meta_payload, _) =
-            unframe(raw_meta).map_err(|_| StoreError::Corrupt("checkpoint metadata"))?;
+            unframe(&raw_meta).map_err(|_| StoreError::Corrupt("checkpoint metadata"))?;
         let mut d = Decoder::new(meta_payload);
         let loc_bytes = d
             .get_slice()
@@ -969,8 +859,8 @@ impl SingleLevelStore {
         alloc
             .check_invariants()
             .map_err(|_| StoreError::Corrupt("free list"))?;
-        let t3 = disk.clock().now().as_nanos();
-        phase(&recorder, "btree_rebuild", t2, t3);
+        let t2 = disk.clock().now().as_nanos();
+        phase(&recorder, "btree_rebuild", t1, t2);
 
         let wal = WriteAheadLog::new(config.superblock_len, config.log_region_len);
         let mut store = SingleLevelStore {
@@ -983,39 +873,10 @@ impl SingleLevelStore {
             prev_meta: Some(Extent::new(meta_off, meta_alloc_len)),
             sequence,
             staged: None,
-            preapplied: 0,
             stats: StoreStats::default(),
             recorder,
             disk,
         };
-
-        // Populate the cache from the preload buffer (pure memory work —
-        // zero simulated time).  Entries are inserted CLEAN; the log
-        // replay below overwrites any of them that moved on since the
-        // checkpoint, so a pre-applied home record never shadows a newer
-        // logged version.
-        if let Some((base, buf)) = preload {
-            for (&id, home) in &store.homes.by_id {
-                if home.offset < base {
-                    continue;
-                }
-                let lo = (home.offset - base) as usize;
-                let Some(hi) = lo.checked_add((RECORD_HEADER + home.body_len) as usize) else {
-                    continue;
-                };
-                if hi > buf.len() {
-                    continue;
-                }
-                let mut d = Decoder::new(&buf[lo..hi]);
-                let Ok(stored_id) = d.get_u64() else { continue };
-                if stored_id != id {
-                    continue;
-                }
-                let Ok(body) = d.get_bytes() else { continue };
-                store.cache.insert(id, body);
-                store.stats.objects_preloaded += 1;
-            }
-        }
 
         // Replay any log records appended after the checkpoint marker for
         // this sequence number (records before it are already reflected in
@@ -1045,8 +906,8 @@ impl SingleLevelStore {
                 // drop must still happen even when a later put supersedes
                 // it — the per-record path frees the extent eagerly, and
                 // the allocator state must come out identical.  The
-                // resumed log keeps its records (pre-apply writes them
-                // home), so each surviving version is copied into the
+                // resumed log keeps its records until the next checkpoint
+                // folds them, so each surviving version is copied into the
                 // cache once, straight from the fold.
                 let mut fold: BTreeMap<u64, (Option<&[u8]>, bool)> = BTreeMap::new();
                 for rec in &after_marker {
@@ -1098,7 +959,7 @@ impl SingleLevelStore {
             }
         }
         store.wal.resume(consumed, after_marker);
-        store.span("recover", "wal_replay", t3);
+        store.span("recover", "wal_replay", t2);
         Ok(store)
     }
 
@@ -1410,19 +1271,28 @@ mod tests {
     }
 
     #[test]
-    fn a_superblock_without_its_high_water_mark_is_refused() {
-        let (config, mut disk, [_, (meta, meta_len)]) = checkpointed();
-        let mut sb = Encoder::new();
-        sb.put_u64(SUPERBLOCK_MAGIC)
-            .put_u64(1)
-            .put_u64(meta)
-            .put_u64(meta_len as u64)
-            .put_u64(BLOCK_SIZE);
-        disk.write(0, &frame(&sb.finish()));
-        assert_eq!(
-            SingleLevelStore::recover(config, disk).err(),
-            Some(StoreError::Corrupt("superblock"))
-        );
+    fn a_superblock_missing_any_of_its_five_fields_is_refused() {
+        let (config, disk, [_, (meta, meta_len)]) = checkpointed();
+        let fields = [SUPERBLOCK_MAGIC, 1, meta, meta_len as u64, BLOCK_SIZE];
+        let with_first = |kept: usize| {
+            let mut sb = Encoder::new();
+            for &field in &fields[..kept] {
+                sb.put_u64(field);
+            }
+            let mut copy = disk.crash_copy();
+            copy.write(0, &frame(&sb.finish()));
+            SingleLevelStore::recover(config, copy)
+        };
+        let whole = with_first(fields.len()).expect("all five fields recover");
+        whole.check_invariants().unwrap();
+        for kept in 0..fields.len() {
+            assert_eq!(
+                with_first(kept).err(),
+                Some(StoreError::Corrupt("superblock")),
+                "{kept} of {} fields",
+                fields.len()
+            );
+        }
     }
 
     #[test]
@@ -1441,6 +1311,54 @@ mod tests {
             "expected ~3 applications, got {}",
             s.stats().log_applications
         );
+    }
+
+    /// A home record is written only at a checkpoint: a log filled past
+    /// three quarters with puts that would each fit their home writes
+    /// nothing but the log until the log is applied.
+    #[test]
+    fn logged_puts_reach_home_only_at_the_checkpoint() {
+        const LEN: usize = 1000;
+        let config = StoreConfig {
+            apply_batch: usize::MAX,
+            ..StoreConfig::default()
+        };
+        let mut s = SingleLevelStore::format(config, SimClock::new());
+        for id in 0..200u64 {
+            s.put(id, vec![0; LEN]);
+        }
+        s.checkpoint();
+        let home_body = |s: &mut SingleLevelStore, id: u64| {
+            let home = s.homes.by_id[&id];
+            s.disk.read(home.offset + RECORD_HEADER, home.body_len)
+        };
+        let written = s.stats().objects_written;
+        let (mut writes, mut log_writes) = (s.disk_stats().writes, None);
+        let mut logged = 0..0u64;
+        let mut past_three_quarters = 0;
+        while past_three_quarters < 4 {
+            let id = logged.end;
+            s.put(id, vec![1; LEN]);
+            s.sync_object(id).unwrap();
+            logged.end += 1;
+            let now = s.disk_stats().writes;
+            let expected = *log_writes.get_or_insert(now - writes);
+            assert_eq!(now - writes, expected, "append {id} wrote only the log");
+            writes = now;
+            if s.wal_used() * 4 > config.log_region_len * 3 {
+                past_three_quarters += 1;
+            }
+        }
+        assert_eq!(s.stats().objects_written, written);
+        assert_eq!(s.stats().log_applications, 0);
+        for id in logged.clone() {
+            assert_eq!(home_body(&mut s, id), vec![0; LEN], "object {id}");
+        }
+        s.apply_log();
+        assert_eq!(s.stats().objects_written, written + logged.end);
+        for id in logged {
+            assert_eq!(home_body(&mut s, id), vec![1; LEN], "object {id}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Random `alloc`s from a few sizes (so equal lengths are common), `free`s
 //! of a random live allocation, and round trips through
 //! `from_free_list(free_list())` run on both.  After every step the extent
-//! returned, `free_list`, `free_bytes`, `fragments` and `high_water`
-//! agree, and `check_invariants` holds.
+//! returned, `free_list`, `free_bytes` and `fragments` agree, and
+//! `check_invariants` holds.
 //!
 //! The generator is the xorshift64* harness of `read_properties.rs`.
 
@@ -100,11 +100,6 @@ impl Bitmap {
         self.set(got, false);
         (Some(got), tied)
     }
-
-    /// One past the last unit in use.
-    fn high_water(&self) -> u64 {
-        self.offset(self.free.iter().rposition(|&f| !f).map_or(0, |i| i + 1))
-    }
 }
 
 /// Over every walk: allocations refused, and allocations that had an
@@ -163,7 +158,6 @@ fn walk(seed: u64, start: u64, unit: u64, units: usize, given_back: &[Extent], s
         let free_bytes: u64 = free.iter().map(|e| e.len).sum();
         assert_eq!(alloc.free_bytes(), free_bytes, "{at}: free bytes");
         assert_eq!(alloc.fragments(), free.len(), "{at}: fragments");
-        assert_eq!(alloc.high_water(), oracle.high_water(), "{at}: high water");
     }
 }
 

@@ -46,8 +46,7 @@ impl Rng {
 }
 
 /// A log region no workload here can fill and no batch limit, so the only
-/// checkpoints are the explicit ones and the oracle stays exact; objects
-/// small enough that recovery preloads every home record.
+/// checkpoints are the explicit ones and the oracle stays exact.
 fn config() -> StoreConfig {
     StoreConfig {
         log_region_len: 8 << 20,
@@ -83,12 +82,13 @@ impl Oracle {
         state
     }
 
-    /// The oracle after a crash and recovery: the durable state, every
-    /// object of it cached (preloaded or replayed), and dirty exactly the
-    /// ones whose last logged record is a put.  The log survives.
+    /// The oracle after a crash and recovery: the durable state, and
+    /// cached and dirty exactly the objects whose last logged record is a
+    /// put (replay caches them).  Recovery reads no home record, so every
+    /// other live object costs one disk read when it is first asked for.
+    /// The log survives.
     fn recover(&mut self) {
         self.live = self.durable();
-        self.cached = self.live.keys().copied().collect();
         let mut last = BTreeMap::new();
         for (id, record) in &self.logged {
             last.insert(*id, record.is_some());
@@ -98,6 +98,7 @@ impl Oracle {
             .filter(|(_, put)| *put)
             .map(|(id, _)| id)
             .collect();
+        self.cached = self.dirty.clone();
     }
 }
 
