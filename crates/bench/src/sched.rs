@@ -244,7 +244,7 @@ pub fn max_users(params: SchedBenchParams, json: &mut BenchJson) {
     let wake_stride = (parked_tids.len() / wakes.max(1)).max(1);
     for w in 0..wakes {
         let tid = parked_tids[w * wake_stride];
-        m.kernel_mut().sched_wake(tid).expect("wake parked user");
+        sched.wake(tid);
     }
     let wake = m.run_until(&mut sched, RunLimit::to_completion());
     assert_eq!(wake.stop, StopReason::AllBlocked, "the rest stay parked");

@@ -839,8 +839,7 @@ fn drive(world: &mut HttpdWorld, sched: &mut Scheduler<HttpdWorld>) -> Result<St
                 if !world.shutdown && world.served + world.denied >= world.expected =>
             {
                 world.shutdown = true;
-                let launcher_thread = world.env.process(world.launcher)?.thread;
-                world.env.kernel_mut().sched_wake(launcher_thread)?;
+                sched.wake(world.env.process(world.launcher)?.thread);
             }
             // AllComplete is the healthy exit; anything else is a genuine
             // deadlock or exhaustion, surfaced rather than spun on.

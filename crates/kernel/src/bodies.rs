@@ -196,13 +196,12 @@ impl ContainerBody {
     }
 }
 
-/// The scheduling state of a thread.
+/// The scheduling state of a thread.  Whether a runnable thread is parked
+/// is the scheduler's business, not the kernel's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ThreadState {
     /// The thread may run.
     Runnable,
-    /// The thread is blocked on a futex word.
-    Blocked,
     /// The thread has been halted and will never run again.
     Halted,
 }

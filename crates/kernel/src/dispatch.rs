@@ -432,7 +432,8 @@ syscalls! {
         /// The bytes to write.
         data: &[u8] => Vec<u8>,
     ) -> Unit(());
-    /// `sys_persist_read`: read bytes out of a persist record.
+    /// `sys_persist_read`: read bytes out of a persist record, with the
+    /// record's label.
     PersistRead persist_read sys_persist_read trap_persist_read (
         /// The record key.
         key: u64,
@@ -440,7 +441,7 @@ syscalls! {
         offset: u64,
         /// Bytes to read (`u64::MAX` reads to the end of the record).
         len: u64,
-    ) -> Bytes(Vec<u8>);
+    ) -> Record((Label, Vec<u8>));
     /// `sys_persist_delete`: remove a persist record.
     PersistDelete persist_delete sys_persist_delete trap_persist_delete (
         /// The record key.
@@ -454,11 +455,6 @@ syscalls! {
         /// deletion instead.
         keys: Vec<u64> => Vec<u64>,
     ) -> Unit(());
-    /// `sys_persist_get_label`: the label a persist record carries.
-    PersistGetLabel persist_get_label sys_persist_get_label trap_persist_get_label (
-        /// The record key.
-        key: u64,
-    ) -> Label(Label);
     /// `sys_segment_watch`: register a one-shot readiness watch on a
     /// segment; the kernel pushes an `ObjectReady` completion when the
     /// segment is next written or deallocated.
@@ -497,6 +493,8 @@ pub enum SyscallResult {
     Metadata([u8; METADATA_LEN]),
     /// Raw bytes (segment reads).
     Bytes(Vec<u8>),
+    /// A persist record's label and bytes.
+    Record((Label, Vec<u8>)),
     /// The outcome of a gate entry.
     GateEntry(GateEntryResult),
     /// An alert, if one was pending.
@@ -950,7 +948,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), SYSCALL_COUNT, "names must be unique");
-        assert_eq!(SYSCALL_COUNT, 43);
+        assert_eq!(SYSCALL_COUNT, 42);
         // Row position is the index; `tests/dispatch_equivalence.rs` checks
         // index and name for a value of every variant.
         assert_eq!(Syscall::CreateCategory.index(), 0);

@@ -11,7 +11,7 @@
 //! `objects`, `store`, `thread_label`, the scheduler hooks and the like) is
 //! for the machine, the scheduler and tests.
 //!
-//! The 43 handlers are methods of `Sys` in the sibling module `syscalls`,
+//! The 42 handlers are methods of `Sys` in the sibling module `syscalls`,
 //! outside this one, so mediation is a type: a handler cannot name the
 //! table or the store (private fields), cannot look an object up by id
 //! (the raw accessors are private to this module), and cannot reach the
@@ -97,9 +97,6 @@ pub struct GateEntryResult {
 pub enum WakeReason {
     /// The thread halted or no longer exists: retire its program.
     Retired,
-    /// The thread is already runnable again (an external `sched_wake`):
-    /// requeue it without charging a wakeup.
-    External,
     /// An undelivered alert is pending: wake it.
     Alert,
     /// An unreaped completion is pending: wake it.
@@ -1015,46 +1012,21 @@ impl Kernel {
         Ok(self.thread(tid)?.1.clearance.clone())
     }
 
-    /// The scheduling state of any thread (scheduler hook, no checks).
-    pub fn thread_state(&self, tid: ObjectId) -> Result<ThreadState, SyscallError> {
-        Ok(self.thread(tid)?.1.state)
-    }
-
     /// What the scheduler should do with a parked thread — the single O(1)
-    /// wake probe.  The answer is read off the thread object: its
-    /// scheduling state, then whether its alert list and its completion
-    /// queue are empty.  Nothing is derived or cached, so there is nothing
-    /// to keep in step.
+    /// wake probe.  The answer is read off the thread object: whether it
+    /// halted, then whether its alert list and its completion queue are
+    /// empty.  Nothing is derived or cached, so there is nothing to keep in
+    /// step.
     pub fn wake_eligibility(&self, tid: ObjectId) -> WakeReason {
         match self.thread(tid) {
             Err(_) => WakeReason::Retired,
-            Ok((_, body)) => match body.state {
-                ThreadState::Halted => WakeReason::Retired,
-                ThreadState::Runnable => WakeReason::External,
-                ThreadState::Blocked => {
-                    // Alerts outrank completions, preserving the wake
-                    // priority the scheduler has always applied.
-                    if !body.pending_alerts.is_empty() {
-                        WakeReason::Alert
-                    } else if !body.runtime.completions.is_empty() {
-                        WakeReason::Completion
-                    } else {
-                        WakeReason::Parked
-                    }
-                }
-            },
+            Ok((_, body)) if body.state == ThreadState::Halted => WakeReason::Retired,
+            // Alerts outrank completions, preserving the wake priority the
+            // scheduler has always applied.
+            Ok((_, body)) if !body.pending_alerts.is_empty() => WakeReason::Alert,
+            Ok((_, body)) if !body.runtime.completions.is_empty() => WakeReason::Completion,
+            Ok(_) => WakeReason::Parked,
         }
-    }
-
-    /// Scheduler hook: marks a blocked thread runnable again (alert arrival
-    /// or explicit wake).  Halted threads stay halted.
-    pub fn sched_wake(&mut self, tid: ObjectId) -> Result<(), SyscallError> {
-        self.sched_mark_dirty(tid);
-        let (_, body) = self.thread_mut(tid)?;
-        if body.state == ThreadState::Blocked {
-            body.state = ThreadState::Runnable;
-        }
-        Ok(())
     }
 
     /// Records that `tid`'s wake conditions may have changed.  The
@@ -1069,16 +1041,6 @@ impl Kernel {
     pub fn take_sched_dirty(&mut self) -> Vec<ObjectId> {
         self.sys.sched_dirty_set.clear();
         std::mem::take(&mut self.sys.sched_dirty)
-    }
-
-    /// Scheduler hook: parks a runnable thread until the next wake.  Halted
-    /// threads stay halted.
-    pub fn sched_block(&mut self, tid: ObjectId) -> Result<(), SyscallError> {
-        let (_, body) = self.thread_mut(tid)?;
-        if body.state == ThreadState::Runnable {
-            body.state = ThreadState::Blocked;
-        }
-        Ok(())
     }
 
     /// Scheduler hook: accounts the context switch onto `tid` (full TLB
@@ -1151,8 +1113,9 @@ impl Kernel {
     }
 
     /// Bootstrap path: creates a device object directly in a container.
-    /// Only machine boot code uses this (devices are discovered by the
-    /// kernel, not created by threads).
+    /// Machine boot code uses this, and so does `Netd::start` for the NIC
+    /// it brings up (devices are discovered by the kernel, not created by
+    /// threads).
     pub fn boot_create_device(
         &mut self,
         container: ObjectId,

@@ -6,8 +6,8 @@
 //! | [`Observed`] | [`Sys::check_observe`] | the object's header and body, read |
 //! | [`Modifiable`] | [`Sys::check_modify`] | the same, written; derefs to [`Observed`] |
 //! | [`Named`] | [`Sys::check_entry`] | the entry's label; a gate's label and body; a thread's address space |
-//! | [`Sealed`] | [`Sys::persist_record`] | the record's label only |
-//! | a payload | [`LabelChecks::check_record_observe`] / [`LabelChecks::check_record_modify`] | the record's bytes |
+//! | [`Sealed`] | [`Sys::persist_record`] | nothing: a record check opens it |
+//! | a label and payload | [`LabelChecks::check_record_observe`] / [`LabelChecks::check_record_modify`] | the record's label and bytes |
 //! | [`Writable`] | [`LabelChecks::check_record_modify`] / [`LabelChecks::check_record_create`] | putting, deleting and syncing the record |
 //!
 //! Each proof carries a `Grant`, and a `Grant` has one maker: the allowed
@@ -39,12 +39,10 @@ pub(crate) struct Modifiable(Observed);
 /// itself).
 pub(crate) struct Named(ContainerEntry, Grant);
 
-/// A persist record as the store holds it: its label, which is public
-/// metadata (`persist_get_label` returns it unchecked, like
-/// `obj_get_label`), and its payload, lent from the store and sealed until
-/// a record check opens it.  A check on the label read would not close the
-/// channel a record's existence is: `persist_read` and `persist_put` reveal
-/// it too.
+/// A persist record as the store holds it: its label and its payload, lent
+/// from the store, both sealed until a record check opens them.  The
+/// record's existence is not sealed: `persist_read`, `persist_put` and
+/// `persist_delete` answer `NoSuchRecord` before any check.
 pub(crate) struct Sealed<'s> {
     key: u64,
     label: Label,
@@ -72,18 +70,6 @@ impl Named {
     /// The named object.
     pub(crate) fn object(&self) -> ObjectId {
         self.0.object
-    }
-}
-
-impl Sealed<'_> {
-    /// The record's label.
-    pub(crate) fn label(&self) -> &Label {
-        &self.label
-    }
-
-    /// The record's label, owned.
-    pub(crate) fn into_label(self) -> Label {
-        self.label
     }
 }
 
@@ -142,9 +128,6 @@ mod verdict {
             } else {
                 (direct(), false)
             };
-            if cached {
-                self.stats.label_cache_hits += 1;
-            }
             self.charge_label_check(ol.len() + tl.len(), cached);
             verdict.then_some(Grant(()))
         }
@@ -180,27 +163,27 @@ impl LabelChecks<'_> {
 
     /// "No read up" for a persist record: record labels are immutable, so
     /// the comparison is memoizable exactly like a segment's.  Unseals the
-    /// payload.
+    /// label and the payload.
     pub(crate) fn check_record_observe<'s>(
         &mut self,
         t: &Caller,
-        record: &Sealed<'s>,
-    ) -> Result<&'s [u8], SyscallError> {
+        record: Sealed<'s>,
+    ) -> Result<(Label, &'s [u8]), SyscallError> {
         let verdict = self.count_label_check(&record.label, t.label(), true, Access::Observe);
         verdict.ok_or(SyscallError::CannotObserveRecord(record.key))?;
-        Ok(record.payload)
+        Ok((record.label, record.payload))
     }
 
-    /// "No write down" for a persist record.  Unseals the payload and
-    /// grants the write.
+    /// "No write down" for a persist record.  Unseals the label and the
+    /// payload, and grants the write.
     pub(crate) fn check_record_modify<'s>(
         &mut self,
         t: &Caller,
-        record: &Sealed<'s>,
-    ) -> Result<(Writable, &'s [u8]), SyscallError> {
+        record: Sealed<'s>,
+    ) -> Result<(Writable, Label, &'s [u8]), SyscallError> {
         let verdict = self.count_label_check(&record.label, t.label(), true, Access::Modify);
         let grant = verdict.ok_or(SyscallError::CannotModifyRecord(record.key))?;
-        Ok((Writable(record.key, grant), record.payload))
+        Ok((Writable(record.key, grant), record.label, record.payload))
     }
 
     /// A new record at `label`: no `⋆` (a record is data, like a

@@ -24,7 +24,7 @@
 //! * [`kernel`] — the [`Kernel`] itself: the trap, the console, and the
 //!   [`kernel::Sys`] state a call may reach, with the proof types its label
 //!   checks return (`kernel::checked`).
-//! * `syscalls` — the 43 `sys_*` handlers, methods of `Sys` outside the
+//! * `syscalls` — the 42 `sys_*` handlers, methods of `Sys` outside the
 //!   `kernel` module, so each reaches an object only through a proof
 //!   (crate-private: the trap in [`dispatch`] is the only way in).
 //! * [`serialize`] — binary encoding of kernel objects for the single-level

@@ -400,12 +400,8 @@ mod tests {
             ))
         );
         assert_eq!(
-            k.trap_persist_get_label(tid, key).unwrap(),
-            Label::unrestricted()
-        );
-        assert_eq!(
             k.trap_persist_read(tid, key, 0, u64::MAX).unwrap(),
-            b"planted"
+            (Label::unrestricted(), b"planted".to_vec())
         );
         // Naming the record's own label, or none, still splices: in place,
         // at the end, and past it over a zero gap.
@@ -414,7 +410,7 @@ mod tests {
         k.trap_persist_put(tid, key, None, 7, b"!").unwrap();
         k.trap_persist_put(tid, key, None, 10, b"?").unwrap();
         assert_eq!(
-            k.trap_persist_read(tid, key, 0, u64::MAX).unwrap(),
+            k.trap_persist_read(tid, key, 0, u64::MAX).unwrap().1,
             b"PLanted!\0\0?"
         );
     }

@@ -14,11 +14,13 @@
 //!   [`Scheduler::run`] form the initial batch, shuffled once by the seed;
 //!   every later spawn joins the tail in spawn order;
 //! * waking is **O(events)**: parked threads are re-examined only when the
-//!   kernel marks them sched-dirty, and eligibility is a single
-//!   [`Kernel::wake_eligibility`] probe that reads the thread object
-//!   (its state, and whether its alert list and completion queue are
-//!   empty) — no derived wake bits, and no walk over either queue.  The
-//!   eligible ones rejoin the tail in park order;
+//!   kernel marks them sched-dirty or [`Scheduler::wake`] names them, and
+//!   eligibility is a single [`Kernel::wake_eligibility`] probe that reads
+//!   the thread object (whether it halted, and whether its alert list and
+//!   completion queue are empty) — no derived wake bits, and no walk over
+//!   either queue.  Which threads are parked is the scheduler's own state:
+//!   the kernel keeps no copy of it.  The eligible ones rejoin the tail in
+//!   park order;
 //! * scheduling is **deterministic** and **gives no thread a say over
 //!   another's order**: the seed fixes the initial batch, and from there
 //!   the relative order of any set of threads' quanta is a function of
@@ -37,7 +39,7 @@ use crate::kernel::{Kernel, WakeReason};
 use crate::machine::Machine;
 use crate::object::ObjectId;
 use histar_sim::{SimDuration, SimRng};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// What a program reports at the end of one quantum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,7 +164,7 @@ pub struct SchedStats {
     /// Blocked threads woken because a completion landed on their
     /// completion queue.
     pub completion_wakeups: u64,
-    /// Parked threads found already runnable (an explicit `sched_wake`).
+    /// Parked threads woken explicitly ([`Scheduler::wake`]).
     pub external_wakeups: u64,
     /// Wake passes that had at least one sched-dirty thread to examine.
     pub wake_passes: u64,
@@ -229,6 +231,8 @@ pub struct Scheduler<Ctx> {
     queue: VecDeque<ObjectId>,
     /// Parked threads → park sequence number, for deterministic wake order.
     waiting: BTreeMap<ObjectId, u64>,
+    /// Parked threads [`Scheduler::wake`] named since the last wake pass.
+    woken: BTreeSet<ObjectId>,
     /// Monotonic counter stamping each park.
     park_seq: u64,
     /// Whether `run` has been called, so the initial batch is settled.
@@ -245,6 +249,7 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
             config,
             queue: VecDeque::new(),
             waiting: BTreeMap::new(),
+            woken: BTreeSet::new(),
             park_seq: 0,
             started: false,
             programs: BTreeMap::new(),
@@ -288,6 +293,15 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
         ctx.sched_kernel().sched_mark_dirty(tid);
     }
 
+    /// Wakes parked thread `tid` whatever it waits for: the next wake pass
+    /// requeues it, in park order with the threads an event woke.  A thread
+    /// that is not parked is unaffected.
+    pub fn wake(&mut self, tid: ObjectId) {
+        if self.waiting.contains_key(&tid) {
+            self.woken.insert(tid);
+        }
+    }
+
     /// Drops a thread from the scheduler entirely (halted or deallocated).
     fn retire(&mut self, tid: ObjectId) {
         self.programs.remove(&tid);
@@ -295,42 +309,38 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
     }
 
     /// Re-examines exactly the parked threads whose wake conditions may
-    /// have changed — the kernel's sched-dirty list — and moves the
-    /// eligible ones to the tail of the run queue in park order.
+    /// have changed — the kernel's sched-dirty list and the threads
+    /// [`Scheduler::wake`] named — and moves the eligible ones to the tail
+    /// of the run queue in park order.
     /// Eligibility is one [`Kernel::wake_eligibility`] probe per dirtied
     /// thread, answered from the emptiness of the queues the thread object
     /// carries, so the pass never walks them.  Threads with no event stay
     /// parked untouched, so 10⁵ idle users cost nothing here.
     fn wake_waiters(&mut self, ctx: &mut Ctx) {
         let dirty = ctx.sched_kernel().take_sched_dirty();
-        if dirty.is_empty() {
+        if dirty.is_empty() && self.woken.is_empty() {
             return;
         }
         self.stats.wake_passes += 1;
         let mut hits: Vec<(u64, ObjectId)> = dirty
             .into_iter()
+            .chain(self.woken.iter().copied())
             .filter_map(|tid| self.waiting.get(&tid).map(|&seq| (seq, tid)))
             .collect();
         hits.sort_unstable();
+        hits.dedup();
         for (_, tid) in hits {
             self.stats.wake_examined += 1;
-            let kernel = ctx.sched_kernel();
-            match kernel.wake_eligibility(tid) {
+            let woken = self.woken.remove(&tid);
+            match ctx.sched_kernel().wake_eligibility(tid) {
                 WakeReason::Retired => {
                     self.waiting.remove(&tid);
                     self.retire(tid);
                     continue;
                 }
-                // Already runnable: an explicit sched_wake.
-                WakeReason::External => self.stats.external_wakeups += 1,
-                WakeReason::Alert => {
-                    let _ = kernel.sched_wake(tid);
-                    self.stats.alert_wakeups += 1;
-                }
-                WakeReason::Completion => {
-                    let _ = kernel.sched_wake(tid);
-                    self.stats.completion_wakeups += 1;
-                }
+                _ if woken => self.stats.external_wakeups += 1,
+                WakeReason::Alert => self.stats.alert_wakeups += 1,
+                WakeReason::Completion => self.stats.completion_wakeups += 1,
                 // The event was spurious: stay parked.
                 WakeReason::Parked => continue,
             }
@@ -345,10 +355,10 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
     /// initial batch by the seed.
     ///
     /// Blocked threads live in the wait set, not the run queue: they are
-    /// charged no quanta and never stepped until a completion or alert
-    /// wakes them.  Each `run` is a fresh occupancy of the CPU: the first
-    /// quantum always charges a context switch (`last_run` does not leak
-    /// across invocations).
+    /// charged no quanta and never stepped until a completion, an alert or
+    /// [`Scheduler::wake`] wakes them.  Each `run` is a fresh occupancy of
+    /// the CPU: the first quantum always charges a context switch
+    /// (`last_run` does not leak across invocations).
     pub fn run(&mut self, ctx: &mut Ctx, limit: RunLimit) -> ScheduleReport {
         self.last_run = None;
         if !self.started {
@@ -375,20 +385,11 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
                 }
             }
             let tid = self.queue.pop_front().expect("run queue checked non-empty");
-            match ctx.sched_kernel().wake_eligibility(tid) {
-                // A halted (or deallocated) thread is retired without
-                // running: self_halt and thread teardown are honored here.
-                WakeReason::Retired => {
-                    self.retire(tid);
-                    continue;
-                }
-                WakeReason::Alert | WakeReason::Completion | WakeReason::Parked => {
-                    // Blocked outside the scheduler's own Step::Block path
-                    // (e.g. a direct sched_block): park it.
-                    self.park(ctx, tid);
-                    continue;
-                }
-                WakeReason::External => {}
+            // A halted (or deallocated) thread is retired without running:
+            // self_halt and thread teardown are honored here.
+            if ctx.sched_kernel().wake_eligibility(tid) == WakeReason::Retired {
+                self.retire(tid);
+                continue;
             }
 
             // Charge the switch onto this thread and its timeslice.
@@ -432,7 +433,6 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
                     self.queue.push_back(tid);
                 }
                 Step::Block => {
-                    let _ = ctx.sched_kernel().sched_block(tid);
                     self.programs.insert(tid, program);
                     self.park(ctx, tid);
                 }

@@ -187,7 +187,6 @@ fn encode_body(e: &mut Encoder, body: &ObjectBody) {
             e.put_u64(t.entry_point);
             e.put_u8(match t.state {
                 ThreadState::Runnable => 0,
-                ThreadState::Blocked => 1,
                 ThreadState::Halted => 2,
             });
             e.put_u64(t.pending_alerts.len() as u64);
@@ -259,7 +258,6 @@ fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, Serial
             let entry_point = d.get_u64()?;
             let state = match d.get_u8()? {
                 0 => ThreadState::Runnable,
-                1 => ThreadState::Blocked,
                 2 => ThreadState::Halted,
                 other => return Err(SerializeError::BadTag("thread state", other)),
             };
@@ -508,7 +506,7 @@ mod tests {
         let mut t = ThreadBody::new(sample_label());
         t.address_space = Some(ContainerEntry::new(oid(4), oid(5)));
         t.entry_point = 0xfeed;
-        t.state = ThreadState::Blocked;
+        t.state = ThreadState::Halted;
         t.pending_alerts = vec![Alert { code: 9 }, Alert { code: 17 }];
         round_trip(KObject::new(
             header(ObjectType::Thread),

@@ -156,8 +156,6 @@ pub struct SyscallStats {
     pub errors: u64,
     /// Label comparisons performed.
     pub label_checks: u64,
-    /// Label comparisons answered by the immutable-label cache.
-    pub label_cache_hits: u64,
     /// Objects created.
     pub objects_created: u64,
     /// Objects deallocated.
@@ -179,7 +177,6 @@ impl histar_obs::MetricSource for SyscallStats {
         set.counter("kernel.syscalls", self.syscalls);
         set.counter("kernel.errors", self.errors);
         set.counter("kernel.label_checks", self.label_checks);
-        set.counter("kernel.label_cache_hits", self.label_cache_hits);
         set.counter("kernel.objects_created", self.objects_created);
         set.counter("kernel.objects_deallocated", self.objects_deallocated);
         set.counter("kernel.gate_invocations", self.gate_invocations);
@@ -201,7 +198,6 @@ impl SyscallStats {
             syscalls: self.syscalls - earlier.syscalls,
             errors: self.errors - earlier.errors,
             label_checks: self.label_checks - earlier.label_checks,
-            label_cache_hits: self.label_cache_hits - earlier.label_cache_hits,
             objects_created: self.objects_created - earlier.objects_created,
             objects_deallocated: self.objects_deallocated - earlier.objects_deallocated,
             gate_invocations: self.gate_invocations - earlier.gate_invocations,

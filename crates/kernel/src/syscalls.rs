@@ -82,13 +82,13 @@ impl Sys {
         let (record, mut checks) = self.persist_record(key)?;
         let (w, rlabel, old) = match record {
             Some(record) => {
-                let (w, old) = checks.check_record_modify(t, &record)?;
-                if label.is_some_and(|l| l != *record.label()) {
+                let (w, rlabel, old) = checks.check_record_modify(t, record)?;
+                if label.is_some_and(|l| l != rlabel) {
                     return Err(SyscallError::InvalidArgument(
                         "a persist record keeps the label it was created with",
                     ));
                 }
-                (w, record.into_label(), old)
+                (w, rlabel, old)
             }
             None => {
                 let label = label.ok_or(SyscallError::InvalidArgument(
@@ -109,20 +109,21 @@ impl Sys {
         Ok(())
     }
 
-    /// Reads bytes out of a persist record (label-checked against the
-    /// label stored *in* the record — the check a tainted reader fails
-    /// even after the record was recovered from the write-ahead log).
-    /// `len == u64::MAX` reads to the end of the payload.
+    /// Reads bytes out of a persist record, with the record's label
+    /// (label-checked against the label stored *in* the record — the check
+    /// a tainted reader fails even after the record was recovered from the
+    /// write-ahead log).  `len == u64::MAX` reads to the end of the
+    /// payload.
     pub(crate) fn sys_persist_read(
         &mut self,
         t: &Caller,
         key: u64,
         offset: u64,
         len: u64,
-    ) -> Result<Vec<u8>, SyscallError> {
+    ) -> Result<(Label, Vec<u8>), SyscallError> {
         let (record, mut checks) = self.persist_record(key)?;
         let record = record.ok_or(SyscallError::NoSuchRecord(key))?;
-        let payload = checks.check_record_observe(t, &record)?;
+        let (label, payload) = checks.check_record_observe(t, record)?;
         if offset > payload.len() as u64 {
             return Err(SyscallError::InvalidArgument("read beyond end of record"));
         }
@@ -137,7 +138,7 @@ impl Sys {
         let out = payload[offset as usize..end as usize].to_vec();
         let copy_cost = self.cost().copy(end - offset);
         self.charge(copy_cost);
-        Ok(out)
+        Ok((label, out))
     }
 
     /// Removes a persist record (modify-checked against its label).  The
@@ -146,7 +147,7 @@ impl Sys {
     pub(crate) fn sys_persist_delete(&mut self, t: &Caller, key: u64) -> Result<(), SyscallError> {
         let (record, mut checks) = self.persist_record(key)?;
         let record = record.ok_or(SyscallError::NoSuchRecord(key))?;
-        let (w, _) = checks.check_record_modify(t, &record)?;
+        let (w, ..) = checks.check_record_modify(t, record)?;
         self.delete_record(&w);
         Ok(())
     }
@@ -169,7 +170,7 @@ impl Sys {
             let (record, mut checks) = self.persist_record(key)?;
             match record {
                 Some(record) => {
-                    let (w, _) = checks.check_record_modify(t, &record)?;
+                    let (w, ..) = checks.check_record_modify(t, record)?;
                     self.sync_record(&w)?;
                 }
                 None => self.sync_deleted(key),
@@ -194,20 +195,6 @@ impl Sys {
         self.check_entry(t, entry)?;
         let m = self.check_modify(t, entry.object)?;
         self.sync_object(&m, pages)
-    }
-
-    /// The label a persist record carries.  Like `obj_get_label`, the
-    /// label itself is metadata a caller needs in order to make labeling
-    /// decisions (e.g. labeling new extents of an existing file), not
-    /// protected content, and a sealed record shows it without a check;
-    /// the payload stays sealed.
-    pub(crate) fn sys_persist_get_label(
-        &mut self,
-        _t: &Caller,
-        key: u64,
-    ) -> Result<Label, SyscallError> {
-        let (record, _) = self.persist_record(key)?;
-        Ok(record.ok_or(SyscallError::NoSuchRecord(key))?.into_label())
     }
 
     // ----- categories and thread labels (§3.1) --------------------------

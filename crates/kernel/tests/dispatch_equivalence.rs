@@ -18,8 +18,7 @@ use histar_kernel::syscall::{SyscallError, SyscallStats};
 use histar_kernel::{Kernel, Machine, MachineConfig};
 use histar_label::{Category, Label, Level};
 use histar_sim::{CostModel, OsFlavor, SimClock};
-use histar_store::records::inode_key;
-use histar_store::{SingleLevelStore, StoreConfig};
+use histar_store::{SingleLevelStore, StoreConfig, PERSIST_KEY_BASE};
 
 /// Deterministic fixture shared by every kernel `setup` builds.
 struct Fx {
@@ -129,7 +128,7 @@ fn setup() -> (Kernel, Fx) {
         )
         .unwrap();
     k.device_inject_rx(dev, vec![0xcc, 0xdd]).unwrap();
-    let pkey = inode_key(42);
+    let pkey = PERSIST_KEY_BASE + 42;
     k.trap_persist_put(
         boot,
         pkey,
@@ -314,7 +313,7 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
         },
         Syscall::NetReceive { device: e_dev },
         Syscall::PersistPut {
-            key: inode_key(43),
+            key: PERSIST_KEY_BASE + 43,
             label: Some(Label::unrestricted()),
             offset: 4,
             data: b"spliced".to_vec(),
@@ -328,7 +327,6 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
         Syscall::PersistSync {
             keys: vec![fx.pkey],
         },
-        Syscall::PersistGetLabel { key: fx.pkey },
         Syscall::SegmentWatch { entry: e_seg },
         Syscall::ObjSync {
             entry: e_fixed,

@@ -61,10 +61,10 @@ const MUTANTS: &[Mutant] = &[
         expect: "E0624",
     },
     Mutant {
-        what: "4. sys_persist_read returns the payload without check_record_observe",
+        what: "4. sys_persist_read returns the label and payload without check_record_observe",
         file: SYSCALLS,
-        find: "        let payload = checks.check_record_observe(t, &record)?;",
-        replace: "        let payload = record.payload;",
+        find: "        let (label, payload) = checks.check_record_observe(t, record)?;",
+        replace: "        let (label, payload) = (record.label, record.payload);",
         expect: "E0616",
     },
     Mutant {

@@ -103,7 +103,7 @@ fn low_log(seed: u64, behaviour: High, extra_high: usize) -> Vec<u8> {
     for (tid, tag) in news.into_iter().zip([b'd', b'e']) {
         sched.spawn(tid, low(&log, tag, 4, None));
     }
-    m.kernel_mut().sched_wake(parker).unwrap();
+    sched.wake(parker);
     let second = m.run_until(&mut sched, RunLimit::to_completion());
     assert_ne!(second.stop, StopReason::QuantaExhausted);
     let log = log.take();

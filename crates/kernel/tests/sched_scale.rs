@@ -117,11 +117,11 @@ fn waking_one_of_a_hundred_thousand_parked_threads_is_o_events() {
     assert_eq!(admit.stop, StopReason::AllBlocked);
     assert_eq!(admit.stats.parked_high_water, USERS as u64);
 
-    // Dirty exactly one thread; the wake pass must examine exactly that
+    // Wake exactly one thread; the wake pass must examine exactly that
     // thread and charge exactly one quantum — never rescan the other
     // 99,999 parked threads.
     let target = tids[USERS / 2];
-    m.kernel_mut().sched_wake(target).unwrap();
+    sched.wake(target);
     let wake = m.run_until(&mut sched, RunLimit::to_completion());
     assert_eq!(wake.stop, StopReason::AllBlocked);
     assert_eq!(wake.stats.completed, 1, "exactly the woken thread retires");
@@ -129,6 +129,6 @@ fn waking_one_of_a_hundred_thousand_parked_threads_is_o_events() {
     assert_eq!(wake.stats.wake_passes, 1);
     assert_eq!(
         wake.stats.wake_examined, 1,
-        "the wake pass examined only the dirtied thread"
+        "the wake pass examined only the woken thread"
     );
 }

@@ -1,12 +1,13 @@
 //! Seeded property test for the scheduler's wake probe.
 //!
 //! `Kernel::wake_eligibility` must always equal the answer computed from
-//! the three facts it summarises: the thread's scheduling state, whether
-//! its alert list is empty and whether its completion queue is empty.
-//! Random interleavings of every operation that touches one of the three —
-//! alerts posted and taken, batches submitted, completions reaped, watched
-//! segments written, threads parked, woken, halted and deallocated — are
-//! checked after every step.
+//! the three facts it summarises: whether the thread halted, whether its
+//! alert list is empty and whether its completion queue is empty.  Random
+//! interleavings of every operation that touches one of the three — alerts
+//! posted and taken, batches submitted, completions reaped, watched
+//! segments written, threads halted and deallocated — are checked after
+//! every step.  (Whether a thread is parked is the scheduler's state, not
+//! the kernel's, so the probe does not read it.)
 //!
 //! The generator is the xorshift64* harness of
 //! `crates/label/tests/label_properties.rs`, so the suite runs offline.
@@ -48,25 +49,20 @@ impl Rng {
 /// The probe's answer, recomputed from primary state through the public
 /// accessors only.
 fn expected(k: &Kernel, tid: ObjectId) -> WakeReason {
-    let Ok(state) = k.thread_state(tid) else {
+    let Some(ObjectBody::Thread(t)) = k.raw_object(tid).map(|o| &o.body) else {
         return WakeReason::Retired;
     };
-    let alerts = match &k.raw_object(tid).expect("thread_state saw it").body {
-        ObjectBody::Thread(t) => t.pending_alerts.len(),
-        other => panic!("{tid:?} is a {:?}", other.object_type()),
-    };
-    match state {
+    match t.state {
         ThreadState::Halted => WakeReason::Retired,
-        ThreadState::Runnable => WakeReason::External,
-        ThreadState::Blocked if alerts > 0 => WakeReason::Alert,
-        ThreadState::Blocked if k.completion_count(tid) > 0 => WakeReason::Completion,
-        ThreadState::Blocked => WakeReason::Parked,
+        ThreadState::Runnable if !t.pending_alerts.is_empty() => WakeReason::Alert,
+        ThreadState::Runnable if k.completion_count(tid) > 0 => WakeReason::Completion,
+        ThreadState::Runnable => WakeReason::Parked,
     }
 }
 
 #[test]
 fn wake_eligibility_is_the_answer_read_off_the_thread() {
-    let mut seen = [0usize; 5];
+    let mut seen = [0usize; 4];
     for seed in 1..=SEEDS {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let clock = SimClock::new();
@@ -113,7 +109,7 @@ fn wake_eligibility_is_the_answer_read_off_the_thread() {
             let other = rng.pick(&tids);
             // Results are irrelevant (calls from halted, dead or blocked
             // threads fail typed); only the probe's agreement matters.
-            match rng.below(12) {
+            match rng.below(9) {
                 0 | 1 => {
                     let _ = k.trap_thread_alert(tid, ContainerEntry::new(root, other), step as u64);
                 }
@@ -132,12 +128,6 @@ fn wake_eligibility_is_the_answer_read_off_the_thread() {
                 }
                 7 => {
                     let _ = k.trap_segment_write(tid, seg_entry, 0, &[step as u8]);
-                }
-                8 | 9 => {
-                    let _ = k.sched_block(tid);
-                }
-                10 => {
-                    let _ = k.sched_wake(tid);
                 }
                 _ => match rng.below(40) {
                     // Rare, and never the last live thread's turn twice.

@@ -312,7 +312,7 @@ impl Netd {
             Some(listener.guard),
         )?;
         let mut ctx = env.vfs_ctx(netd_thread);
-        net_queue::enqueue(
+        let queued = net_queue::enqueue(
             &mut ctx,
             queue,
             &ConnHandoff {
@@ -322,10 +322,12 @@ impl Netd {
                 write_cat: c_w.raw(),
                 grant_gate: grant_gate.object,
             },
-        )?;
+        );
         // Connection state is set up and both grants are arranged: netd
-        // renounces the pair, keeping its own label O(1).
+        // renounces the pair, keeping its own label O(1) — also when the
+        // queue refused the handoff.
         gatecall::drop_categories(env, self.pid, &[c_r, c_w])?;
+        queued?;
         Ok(fd)
     }
 
@@ -820,6 +822,42 @@ mod tests {
         env.close(server, accepted.fd).unwrap();
         assert_eq!(env.read(client, cfd, 64).unwrap(), Vec::<u8>::new());
         env.close(client, cfd).unwrap();
+    }
+
+    /// The acceptor may write its own queue segment, so the queue's ring
+    /// header is input: a hostile one is `Corrupt` for netd's enqueue and
+    /// for the acceptor's dequeue, not an arithmetic panic or a wrapped
+    /// free-space count, and a refused connect leaves netd's label as it
+    /// was.
+    #[test]
+    fn a_hostile_accept_queue_header_is_corrupt_for_connect_and_accept() {
+        let (mut env, init, netd) = setup();
+        let server = netd.spawn_tainted(&mut env, init, "/sbin/httpd").unwrap();
+        let client = netd.spawn_tainted(&mut env, init, "/usr/bin/curl").unwrap();
+        let listener = netd.listen(&mut env, server).unwrap();
+        let server_thread = env.process(server).unwrap().thread;
+        let netd_thread = env.process(netd.pid).unwrap().thread;
+        let netd_label = env.machine().kernel().thread_label(netd_thread).unwrap();
+        let queue_capacity = net_queue::QUEUE_CAPACITY;
+        for (rpos, wpos) in [(10u64, 5u64), (0, queue_capacity + 1)] {
+            let header: Vec<u8> = [rpos, wpos, 1]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            env.kernel_mut()
+                .trap_segment_write(server_thread, listener.queue, 0, &header)
+                .unwrap();
+            assert_eq!(
+                netd.connect(&mut env, client, &listener),
+                Err(UnixError::Corrupt("ring header"))
+            );
+            assert!(matches!(
+                netd.accept(&mut env, server, listener.fd),
+                Err(UnixError::Corrupt("ring header"))
+            ));
+            let label = env.machine().kernel().thread_label(netd_thread).unwrap();
+            assert_eq!(label, netd_label, "netd shed the refused connection's pair");
+        }
     }
 
     #[test]

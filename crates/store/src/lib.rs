@@ -17,8 +17,8 @@
 //!   consistency; synchronous operations append to a sequential log that is
 //!   applied in batches.
 //! * [`codec`] — the small binary encoding used for on-disk records.
-//! * [`records`] — the typed record namespace: reserved keys for data
-//!   (such as the `/persist` filesystem's inodes and extents) that lives
+//! * [`records`] — the persist record namespace: the key bit reserved for
+//!   data (such as the `/persist` filesystem's records) that lives
 //!   directly in the store, outside the kernel object heap.
 //! * [`bptree::BPlusTree`] — a `u64 → u64` map kept only for the
 //!   benchmark's `store.bptree_*` probes.
@@ -34,6 +34,6 @@ pub mod store;
 pub mod wal;
 
 pub use extent::{Extent, ExtentAllocator};
-pub use records::{is_persist_key, RecordKind, PERSIST_KEY_BASE};
+pub use records::{is_persist_key, PERSIST_KEY_BASE};
 pub use store::{page_ranges, ReplayMode, SingleLevelStore, StoreConfig, StoreError, StoreStats};
 pub use wal::{LogRecord, WalStats, WriteAheadLog};

@@ -168,11 +168,12 @@ impl Vnode for DevVnode {
             DevVnode::Urandom(rng) => rng.bytes(n),
         };
         if !data.is_empty() {
+            let end = crate::vnode::access_end(state.position, data.len() as u64)?;
             let thread = ctx.thread;
-            for r in ctx.kernel().submit_calls(
-                thread,
-                vec![fd.position_update(state.position + data.len() as u64)],
-            ) {
+            for r in ctx
+                .kernel()
+                .submit_calls(thread, vec![fd.position_update(end)])
+            {
                 r?;
             }
         }

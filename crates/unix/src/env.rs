@@ -1287,7 +1287,7 @@ impl UnixEnv {
                     let (capacity, write_side) = (*capacity, *write_side);
                     match it.next().expect("one result per probe") {
                         Ok(SyscallResult::Bytes(b)) => {
-                            ready.push(vnode::readiness_from_header(&b, capacity, write_side));
+                            ready.push(vnode::readiness_from_header(&b, capacity, write_side)?);
                         }
                         Ok(_) => return Err(UnixError::Corrupt("poll probe result")),
                         Err(e) => return Err(UnixError::Kernel(e)),

@@ -13,6 +13,7 @@
 //! in a directory's store record, and the mount table in
 //! [`Vfs`](crate::vfs::Vfs).
 
+use crate::fdtable::{FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
 use crate::{Result, UnixError};
 use histar_kernel::object::{ObjectId, OBJECT_ID_MASK};
 use histar_store::codec::Decoder;
@@ -59,6 +60,21 @@ impl OpenFlags {
             create: true,
             ..Default::default()
         }
+    }
+
+    /// The descriptor flag bits an open with these flags starts with.
+    pub fn fd_flags(&self) -> u32 {
+        let mut bits = 0;
+        if self.append {
+            bits |= FLAG_APPEND;
+        }
+        if self.read && !self.write {
+            bits |= FLAG_RDONLY;
+        }
+        if self.write && !self.read {
+            bits |= FLAG_WRONLY;
+        }
+        bits
     }
 }
 

@@ -5,8 +5,8 @@
 //! checkpointing the object hierarchy; everything else survives only as a
 //! side effect of whole-machine snapshots.  PersistFs gives files the
 //! paper's durability story directly: its inodes, directory entries and
-//! file extents are keyed records in the store's object map (the
-//! [`histar_store::records`] namespace), bypassing the in-kernel object
+//! file extents are keyed records in the store's object map (under the
+//! [`histar_store::records`] namespace bit), bypassing the in-kernel object
 //! heap for cold data.  `fsync` resolves a file to its record keys
 //! ([`Filesystem::sync_targets`]) and the environment issues one
 //! modify-checked `persist_sync` for the group; the store group-commits
@@ -16,11 +16,22 @@
 //! between writes loses at most unsynced data — and never labels, because
 //! **each record carries its label** and the kernel re-checks it on every
 //! `lookup`/`read`/`write`, exactly as it checks a segment's label for
-//! [`SegFs`](crate::segfs::SegFs).
+//! [`SegFs`](crate::segfs::SegFs).  A record's label comes back with its
+//! bytes from the checked `persist_read`, which is how this library learns
+//! the label to give a new inode or extent.
 //!
 //! Record layout (three kinds, all in the persist key namespace, whose
 //! keys the snapshot engine neither decodes as kernel objects nor sweeps
-//! as stale; nothing walks a key range):
+//! as stale; nothing walks a key range).  The layout is this module's
+//! alone: the store knows only the namespace bit.
+//!
+//! ```text
+//! 63   62..61  60..56   55..24        23..0
+//! [1]  [0 0]   [kind]   [owner ino]   [extent index]
+//! ```
+//!
+//! An extent index has 24 bits, so a file ends at 2²⁴ extents (64 GiB):
+//! a write past that is refused before any call.
 //!
 //! * **meta** (`META_KEY`): magic, next inode number.  Label: the root
 //!   directory's label.
@@ -47,16 +58,16 @@
 //! crossing.
 
 use crate::env::UnixError;
-use crate::fdtable::{FdKind, FdState, FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
+use crate::fdtable::{FdKind, FdState, FLAG_APPEND};
 use crate::fs::{DirEntry, DirImage, FileStat, OpenFlags};
 use crate::vfs::{Filesystem, FsNode, SyncTarget};
 use crate::vnode::{FdRef, VfsCtx, Vnode};
-use histar_kernel::dispatch::Syscall;
+use histar_kernel::dispatch::{Syscall, SyscallResult};
 use histar_kernel::object::ObjectId;
 use histar_kernel::syscall::SyscallError;
 use histar_label::Label;
 use histar_store::codec::{Decoder, Encoder};
-use histar_store::records::{extent_key, inode_key, META_KEY};
+use histar_store::PERSIST_KEY_BASE;
 
 type Result<T> = core::result::Result<T, UnixError>;
 
@@ -73,6 +84,45 @@ const PERSIST_MAGIC: u64 = 0x5052_5354_4653_3100;
 /// Bytes of the header every inode record starts with; a directory's
 /// [`DirImage`] follows it.
 const INODE_LEN: usize = 9;
+
+// ----------------------------------------------------- record keys ------
+
+/// Bits of a key's payload identifying the extent within its owner.
+const SLOT_BITS: u32 = 24;
+
+/// Maximum extent index representable in a record key.
+const MAX_SLOT: u64 = (1 << SLOT_BITS) - 1;
+
+/// The longest file: every extent index used.
+const MAX_FILE_LEN: u64 = (MAX_SLOT + 1) * EXTENT_SIZE;
+
+/// The kinds of records, in bits 56..61 of the key.
+enum RecordKind {
+    /// One inode: type, length and (in the kernel framing) its label; a
+    /// directory's entries follow.
+    Inode = 1,
+    /// One fixed-size extent of file data, keyed under its file's inode.
+    /// (Kind 2 is unused, so extent keys keep their place.)
+    Extent = 3,
+}
+
+/// The filesystem superblock record (kind 0, payload 0).
+pub const META_KEY: u64 = PERSIST_KEY_BASE;
+
+fn record_key(kind: RecordKind, ino: u32, index: u64) -> u64 {
+    PERSIST_KEY_BASE | ((kind as u64) << 56) | ((ino as u64) << SLOT_BITS) | index
+}
+
+/// The key of inode `ino`.
+pub fn inode_key(ino: u32) -> u64 {
+    record_key(RecordKind::Inode, ino, 0)
+}
+
+/// The key of extent `index` (at most [`MAX_SLOT`]) of file inode `ino`.
+pub fn extent_key(ino: u32, index: u64) -> u64 {
+    debug_assert!(index <= MAX_SLOT, "extent index exceeds 24 bits");
+    record_key(RecordKind::Extent, ino, index)
+}
 
 // -------------------------------------------------- record codecs ------
 
@@ -91,12 +141,15 @@ impl Inode {
         e.finish()
     }
 
+    /// The header, if it is one: a length past [`MAX_FILE_LEN`] has no
+    /// extent keys, so it is corrupt.
     fn decode(bytes: &[u8]) -> Option<Inode> {
         let mut d = Decoder::new(bytes);
-        Some(Inode {
+        let inode = Inode {
             is_dir: d.get_u8().ok()? != 0,
             len: d.get_u64().ok()?,
-        })
+        };
+        (inode.len <= MAX_FILE_LEN).then_some(inode)
     }
 }
 
@@ -144,7 +197,7 @@ impl PersistFs {
             .kernel()
             .trap_persist_read(thread, META_KEY, 0, u64::MAX)
         {
-            Ok(bytes) => {
+            Ok((_, bytes)) => {
                 decode_meta(&bytes).ok_or(UnixError::Corrupt("persistfs superblock"))?;
                 Ok(PersistFs { _private: () })
             }
@@ -175,18 +228,20 @@ impl PersistFs {
         }
     }
 
-    /// Inode `ino`'s header and its whole record's bytes.
-    fn read_record(ctx: &mut VfsCtx, ino: u32) -> Result<(Inode, Vec<u8>)> {
+    /// Inode `ino`'s label, header and whole record's bytes: one checked
+    /// read.
+    fn read_record(ctx: &mut VfsCtx, ino: u32) -> Result<(Label, Inode, Vec<u8>)> {
         let thread = ctx.thread;
-        let bytes = ctx
+        let (label, bytes) = ctx
             .kernel()
             .trap_persist_read(thread, inode_key(ino), 0, u64::MAX)?;
         let inode = Inode::decode(&bytes).ok_or(UnixError::Corrupt("persist inode record"))?;
-        Ok((inode, bytes))
+        Ok((label, inode, bytes))
     }
 
-    fn read_inode(ctx: &mut VfsCtx, ino: u32) -> Result<Inode> {
-        Ok(Self::read_record(ctx, ino)?.0)
+    fn read_inode(ctx: &mut VfsCtx, ino: u32) -> Result<(Label, Inode)> {
+        let (label, inode, _) = Self::read_record(ctx, ino)?;
+        Ok((label, inode))
     }
 
     fn write_inode(ctx: &mut VfsCtx, ino: u32, label: Option<Label>, inode: &Inode) -> Result<()> {
@@ -196,26 +251,17 @@ impl PersistFs {
         Ok(())
     }
 
-    /// The label an inode record carries (needed to label new inodes and
-    /// extents consistently with their owner).
-    fn inode_label(ctx: &mut VfsCtx, ino: u32) -> Result<Label> {
-        let thread = ctx.thread;
-        Ok(ctx
-            .kernel()
-            .trap_persist_get_label(thread, inode_key(ino))?)
-    }
-
-    /// Directory `dir`'s record, failing if it is not a directory; its
-    /// entries are [`dir_image`] of it.  This is the observe check every
-    /// directory operation starts with: a caller that may not observe the
-    /// directory's label gets the kernel's refusal here, before any entry
-    /// is revealed.
-    fn read_dir(ctx: &mut VfsCtx, dir: u32) -> Result<Vec<u8>> {
-        let (inode, record) = Self::read_record(ctx, dir)?;
+    /// Directory `dir`'s label and record, failing if it is not a
+    /// directory; its entries are [`dir_image`] of the record.  This is
+    /// the observe check every directory operation starts with: a caller
+    /// that may not observe the directory's label gets the kernel's
+    /// refusal here, before any entry is revealed.
+    fn read_dir(ctx: &mut VfsCtx, dir: u32) -> Result<(Label, Vec<u8>)> {
+        let (label, inode, record) = Self::read_record(ctx, dir)?;
         if !inode.is_dir {
             return Err(UnixError::NotADirectory(format!("inode {dir}")));
         }
-        Ok(record)
+        Ok((label, record))
     }
 
     /// Replaces the entries of directory `dir`, whose record was `record`,
@@ -239,7 +285,7 @@ impl PersistFs {
     /// the ROADMAP's answer if a workload needs tainted creators.
     fn alloc_ino(ctx: &mut VfsCtx) -> Result<u32> {
         let thread = ctx.thread;
-        let bytes = ctx
+        let (_, bytes) = ctx
             .kernel()
             .trap_persist_read(thread, META_KEY, 0, u64::MAX)?;
         let next = decode_meta(&bytes).ok_or(UnixError::Corrupt("persistfs superblock"))?;
@@ -249,21 +295,17 @@ impl PersistFs {
     }
 
     /// Creates `name` in directory `dir`, whose record is `record`: a
-    /// fresh inode labeled `label` (by default, as the directory is),
-    /// synced with the superblock before the directory names it, so no
-    /// directory record a later sync logs names an inode a crash loses.
+    /// fresh inode labeled `label`, synced with the superblock before the
+    /// directory names it, so no directory record a later sync logs names
+    /// an inode a crash loses.
     fn create_node(
         ctx: &mut VfsCtx,
         dir: u32,
         record: &[u8],
         name: &str,
         is_dir: bool,
-        label: Option<Label>,
+        label: Label,
     ) -> Result<u32> {
-        let label = match label {
-            Some(l) => l,
-            None => Self::inode_label(ctx, dir)?,
-        };
         let ino = Self::alloc_ino(ctx)?;
         Self::write_inode(ctx, ino, Some(label), &Inode { is_dir, len: 0 })?;
         let thread = ctx.thread;
@@ -324,7 +366,7 @@ impl Filesystem for PersistFs {
     }
 
     fn lookup(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<FsNode> {
-        let record = Self::read_dir(ctx, dir as u32)?;
+        let (_, record) = Self::read_dir(ctx, dir as u32)?;
         let (object, is_dir) = dir_image(&record)?
             .lookup(name)?
             .ok_or_else(|| UnixError::NotFound(name.to_string()))?;
@@ -335,11 +377,11 @@ impl Filesystem for PersistFs {
     }
 
     fn readdir(&mut self, ctx: &mut VfsCtx, dir: u64) -> Result<Vec<DirEntry>> {
-        dir_image(&Self::read_dir(ctx, dir as u32)?)?.listing()
+        dir_image(&Self::read_dir(ctx, dir as u32)?.1)?.listing()
     }
 
     fn stat(&mut self, ctx: &mut VfsCtx, _dir: u64, node: FsNode) -> Result<FileStat> {
-        let inode = Self::read_inode(ctx, node.node as u32)?;
+        let (_, inode) = Self::read_inode(ctx, node.node as u32)?;
         Ok(FileStat {
             object: ObjectId::from_raw(node.node),
             is_dir: inode.is_dir,
@@ -355,21 +397,22 @@ impl Filesystem for PersistFs {
         label: Option<Label>,
     ) -> Result<u64> {
         let dir = dir as u32;
-        let record = Self::read_dir(ctx, dir)?;
+        let (dir_label, record) = Self::read_dir(ctx, dir)?;
         if dir_image(&record)?.lookup(name)?.is_some() {
             return Err(UnixError::Exists(name.to_string()));
         }
+        let label = label.unwrap_or(dir_label);
         Ok(Self::create_node(ctx, dir, &record, name, true, label)? as u64)
     }
 
     fn unlink(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<()> {
         let dir = dir as u32;
-        let record = Self::read_dir(ctx, dir)?;
+        let (_, record) = Self::read_dir(ctx, dir)?;
         let (image, object) = dir_image(&record)?
             .remove(name)?
             .ok_or_else(|| UnixError::NotFound(name.to_string()))?;
         let ino = entry_ino(object)?;
-        let (inode, node) = Self::read_record(ctx, ino)?;
+        let (_, inode, node) = Self::read_record(ctx, ino)?;
         if inode.is_dir && dir_image(&node)?.entries().next().is_some() {
             return Err(UnixError::Unsupported(
                 "unlink of a non-empty /persist directory",
@@ -389,11 +432,11 @@ impl Filesystem for PersistFs {
     ) -> Result<()> {
         let (dir_from, dir_to) = (dir_from as u32, dir_to as u32);
         let missing = || UnixError::NotFound(from.to_string());
-        let source = Self::read_dir(ctx, dir_from)?;
+        let (_, source) = Self::read_dir(ctx, dir_from)?;
         let target = if dir_to == dir_from {
             None
         } else {
-            Some(Self::read_dir(ctx, dir_to)?)
+            Some(Self::read_dir(ctx, dir_to)?.1)
         };
         let image = dir_image(&source)?;
         // Each edited directory with its record and next image.  One sync
@@ -419,7 +462,7 @@ impl Filesystem for PersistFs {
         let doomed = match replaced {
             Some(object) => {
                 let ino = entry_ino(object)?;
-                Some((ino, Self::read_inode(ctx, ino)?.len))
+                Some((ino, Self::read_inode(ctx, ino)?.1.len))
             }
             None => None,
         };
@@ -440,50 +483,40 @@ impl Filesystem for PersistFs {
         label: Option<Label>,
     ) -> Result<(FdState, Box<dyn Vnode>)> {
         let dir = dir as u32;
-        let record = Self::read_dir(ctx, dir)?;
-        let mut known_len: Option<u64> = None;
-        let ino = match dir_image(&record)?.lookup(name)? {
+        let (dir_label, record) = Self::read_dir(ctx, dir)?;
+        let vnode = match dir_image(&record)?.lookup(name)? {
             Some((_, true)) => return Err(UnixError::IsADirectory(name.to_string())),
+            Some((object, false)) if !flags.truncate => PersistVnode::new(entry_ino(object)?),
             Some((object, false)) => {
+                // Drop the extents and reset the length.
                 let ino = entry_ino(object)?;
-                if flags.truncate {
-                    // Drop the extents and reset the length.
-                    let mut inode = Self::read_inode(ctx, ino)?;
-                    Self::delete_records(ctx, &Self::extent_keys(ino, inode.len))?;
-                    inode.len = 0;
-                    Self::write_inode(ctx, ino, None, &inode)?;
-                    known_len = Some(0);
+                let (label, mut inode) = Self::read_inode(ctx, ino)?;
+                Self::delete_records(ctx, &Self::extent_keys(ino, inode.len))?;
+                inode.len = 0;
+                Self::write_inode(ctx, ino, None, &inode)?;
+                PersistVnode {
+                    ino,
+                    cached: Some((0, label)),
                 }
-                ino
             }
+            None if !flags.create => return Err(UnixError::NotFound(name.to_string())),
             None => {
-                if !flags.create {
-                    return Err(UnixError::NotFound(name.to_string()));
+                let label = label.unwrap_or(dir_label);
+                let ino = Self::create_node(ctx, dir, &record, name, false, label.clone())?;
+                PersistVnode {
+                    ino,
+                    cached: Some((0, label)),
                 }
-                known_len = Some(0);
-                Self::create_node(ctx, dir, &record, name, false, label)?
             }
         };
-        let mut fd_flags = 0u32;
-        if flags.append {
-            fd_flags |= FLAG_APPEND;
-        }
-        if flags.read && !flags.write {
-            fd_flags |= FLAG_RDONLY;
-        }
-        if flags.write && !flags.read {
-            fd_flags |= FLAG_WRONLY;
-        }
         let state = FdState {
             kind: FdKind::Persist,
-            target: ObjectId::from_raw(ino as u64),
+            target: ObjectId::from_raw(vnode.ino as u64),
             target_container: ObjectId::from_raw(dir as u64),
             position: 0,
-            flags: fd_flags,
+            flags: flags.fd_flags(),
             refs: 1,
         };
-        let mut vnode = PersistVnode::new(ino);
-        vnode.cached_len = known_len;
         Ok((state, Box::new(vnode)))
     }
 
@@ -493,7 +526,7 @@ impl Filesystem for PersistFs {
 
     fn sync_targets(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<Vec<SyncTarget>> {
         let dir = dir as u32;
-        let record = Self::read_dir(ctx, dir)?;
+        let (_, record) = Self::read_dir(ctx, dir)?;
         let (object, is_dir) = dir_image(&record)?
             .lookup(name)?
             .ok_or_else(|| UnixError::NotFound(name.to_string()))?;
@@ -501,7 +534,7 @@ impl Filesystem for PersistFs {
         let len = if is_dir {
             0
         } else {
-            Self::read_inode(ctx, ino)?.len
+            Self::read_inode(ctx, ino)?.1.len
         };
         let mut keys = vec![inode_key(dir), inode_key(ino)];
         keys.extend(Self::extent_keys(ino, len));
@@ -520,55 +553,41 @@ impl Filesystem for PersistFs {
 #[derive(Debug)]
 pub struct PersistVnode {
     ino: u32,
-    /// Cached file label (immutable), fetched once per vnode for labeling
-    /// newly created extents.
-    label: Option<Label>,
-    /// Cached file length.  Revalidated at end-of-file and on a failed
-    /// in-batch extent access, like `SegVnode`'s length cache.
-    cached_len: Option<u64>,
+    /// Cached file length, and the file's (immutable) label, which new
+    /// extents take; the inode read returns both.  Revalidated at
+    /// end-of-file and on a failed in-batch extent access, like
+    /// `SegVnode`'s length cache.
+    cached: Option<(u64, Label)>,
 }
 
 impl PersistVnode {
     /// A vnode for inode `ino`.
     pub fn new(ino: u32) -> PersistVnode {
-        PersistVnode {
-            ino,
-            label: None,
-            cached_len: None,
-        }
+        PersistVnode { ino, cached: None }
     }
 
-    fn len(&mut self, ctx: &mut VfsCtx) -> Result<u64> {
-        if let Some(len) = self.cached_len {
-            return Ok(len);
+    /// The file's length and label, cached or fetched.
+    fn inode(&mut self, ctx: &mut VfsCtx) -> Result<(u64, Label)> {
+        match &self.cached {
+            Some(known) => Ok(known.clone()),
+            None => self.fetch(ctx),
         }
-        self.fetch_len(ctx)
     }
 
     /// Fetches the inode fresh — a label-checked kernel call, so the
     /// first access through any descriptor re-verifies the caller may
     /// observe the file, including after a crash and recovery.
-    fn fetch_len(&mut self, ctx: &mut VfsCtx) -> Result<u64> {
-        let inode = PersistFs::read_inode(ctx, self.ino)?;
-        self.cached_len = Some(inode.len);
-        Ok(inode.len)
-    }
-
-    fn file_label(&mut self, ctx: &mut VfsCtx) -> Result<Label> {
-        if let Some(l) = &self.label {
-            return Ok(l.clone());
-        }
-        let l = PersistFs::inode_label(ctx, self.ino)?;
-        self.label = Some(l.clone());
-        Ok(l)
+    fn fetch(&mut self, ctx: &mut VfsCtx) -> Result<(u64, Label)> {
+        let (label, inode) = PersistFs::read_inode(ctx, self.ino)?;
+        self.cached = Some((inode.len, label.clone()));
+        Ok((inode.len, label))
     }
 
     /// The extent-aligned `(key, offset-within-extent, chunk-length)`
-    /// triples covering `[pos, pos + len)`.
-    fn extent_chunks(&self, pos: u64, len: u64) -> Vec<(u64, u64, u64)> {
+    /// triples covering `[pos, end)`.
+    fn extent_chunks(&self, pos: u64, end: u64) -> Vec<(u64, u64, u64)> {
         let mut out = Vec::new();
         let mut off = pos;
-        let end = pos + len;
         while off < end {
             let index = off / EXTENT_SIZE;
             let within = off % EXTENT_SIZE;
@@ -585,19 +604,19 @@ impl Vnode for PersistVnode {
         if len == 0 {
             // Still label-checks through the inode fetch, like a
             // zero-length read(2) still validates the descriptor.
-            self.len(ctx)?;
+            self.inode(ctx)?;
             return Ok(Vec::new());
         }
         let mut attempts = 0;
         loop {
-            let file_len = self.len(ctx)?;
+            let (file_len, _) = self.inode(ctx)?;
             let start = state.position.min(file_len);
             let n = len.min(file_len - start);
             if n == 0 {
                 // At (cached) end of file: revalidate once so growth via
                 // other descriptors is observed — itself a label-checked
                 // call, so an unauthorized reader still fails here.
-                let fresh = self.fetch_len(ctx)?;
+                let (fresh, _) = self.fetch(ctx)?;
                 if fresh <= start {
                     return Ok(Vec::new());
                 }
@@ -605,7 +624,7 @@ impl Vnode for PersistVnode {
             }
             // The extent reads and the seek-update cross the boundary
             // together: one batch, one trap cost.
-            let chunks = self.extent_chunks(start, n);
+            let chunks = self.extent_chunks(start, start + n);
             let mut calls: Vec<Syscall> = chunks
                 .iter()
                 .map(|&(key, offset, chunk)| Syscall::PersistRead {
@@ -621,7 +640,8 @@ impl Vnode for PersistVnode {
             let mut failed: Option<SyscallError> = None;
             for &(_, _, chunk) in &chunks {
                 match results.next().expect("one completion per chunk") {
-                    Ok(r) => out.extend(r.into_bytes()),
+                    Ok(SyscallResult::Record((_, bytes))) => out.extend(bytes),
+                    Ok(other) => unreachable!("persist_read completed with {other:?}"),
                     // A hole (never-written extent of a sparse file)
                     // reads as zeros.
                     Err(SyscallError::NoSuchRecord(_)) => {
@@ -641,7 +661,7 @@ impl Vnode for PersistVnode {
                 Some(SyscallError::InvalidArgument(_)) if attempts == 0 => {
                     // The cached length was stale (the file shrank under
                     // us); refresh and retry once.
-                    self.cached_len = None;
+                    self.cached = None;
                     attempts += 1;
                 }
                 Some(e) => {
@@ -655,23 +675,25 @@ impl Vnode for PersistVnode {
 
     fn write(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, data: &[u8]) -> Result<u64> {
         let pos = if state.flags & FLAG_APPEND != 0 {
-            self.fetch_len(ctx)?
+            self.fetch(ctx)?.0
         } else {
             state.position
         };
-        let end = pos + data.len() as u64;
-        let mut file_len = self.len(ctx)?;
+        let end = crate::vnode::access_end(pos, data.len() as u64)?;
+        if end > MAX_FILE_LEN {
+            return Err(UnixError::Unsupported("a /persist file ends at 64 GiB"));
+        }
+        let (mut file_len, mut label) = self.inode(ctx)?;
         if end > file_len {
             // The cached length may be stale: another descriptor's vnode
             // can have grown the file since it was cached, and writing
             // the inode from a stale length would *shrink* the
             // authoritative file.  Revalidate before deciding to grow.
-            file_len = self.fetch_len(ctx)?;
+            (file_len, label) = self.fetch(ctx)?;
         }
-        let label = self.file_label(ctx)?;
         // Extent puts, the inode length update (when the file grows) and
         // the descriptor seek-update cross the boundary as ONE batch.
-        let chunks = self.extent_chunks(pos, data.len() as u64);
+        let chunks = self.extent_chunks(pos, end);
         let mut calls: Vec<Syscall> = Vec::with_capacity(chunks.len() + 2);
         let mut consumed = 0usize;
         for &(key, offset, chunk) in &chunks {
@@ -708,13 +730,13 @@ impl Vnode for PersistVnode {
             }
         }
         if grows {
-            self.cached_len = Some(end);
+            self.cached = Some((end, label));
         }
         Ok(data.len() as u64)
     }
 
     fn stat(&mut self, ctx: &mut VfsCtx, state: &FdState) -> Result<FileStat> {
-        let len = self.fetch_len(ctx)?;
+        let (len, _) = self.fetch(ctx)?;
         Ok(FileStat {
             object: state.target,
             is_dir: false,
@@ -738,6 +760,7 @@ impl Vnode for PersistVnode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use histar_store::is_persist_key;
 
     #[test]
     fn record_codecs_round_trip() {
@@ -751,6 +774,22 @@ mod tests {
         assert_eq!(decode_meta(&encode_meta(5)), Some(5));
         assert_eq!(decode_meta(&encode_meta(5)[..8]), None);
         assert_eq!(decode_meta(&[0u8; 16]), None);
+        let huge = Inode {
+            is_dir: false,
+            len: MAX_FILE_LEN + 1,
+        };
+        assert_eq!(Inode::decode(&huge.encode()), None);
+    }
+
+    #[test]
+    fn kinds_partition_the_namespace() {
+        assert!(is_persist_key(META_KEY));
+        assert!(is_persist_key(inode_key(u32::MAX)));
+        assert!(is_persist_key(extent_key(u32::MAX, MAX_SLOT)));
+        assert_ne!(inode_key(3), extent_key(3, 0));
+        assert!(extent_key(3, MAX_SLOT) < extent_key(4, 0));
+        assert!(inode_key(u32::MAX) < extent_key(0, 0));
+        assert!(META_KEY < inode_key(0));
     }
 
     #[test]
@@ -760,7 +799,7 @@ mod tests {
         let c = v.extent_chunks(0, EXTENT_SIZE);
         assert_eq!(c, vec![(extent_key(3, 0), 0, EXTENT_SIZE)]);
         // Straddling two extents.
-        let c = v.extent_chunks(EXTENT_SIZE - 100, 300);
+        let c = v.extent_chunks(EXTENT_SIZE - 100, EXTENT_SIZE + 200);
         assert_eq!(
             c,
             vec![
@@ -769,9 +808,9 @@ mod tests {
             ]
         );
         // Interior offset.
-        let c = v.extent_chunks(EXTENT_SIZE * 2 + 8, 16);
+        let c = v.extent_chunks(EXTENT_SIZE * 2 + 8, EXTENT_SIZE * 2 + 24);
         assert_eq!(c, vec![(extent_key(3, 2), 8, 16)]);
-        let total: u64 = v.extent_chunks(123, 99_999).iter().map(|c| c.2).sum();
+        let total: u64 = v.extent_chunks(123, 100_122).iter().map(|c| c.2).sum();
         assert_eq!(total, 99_999);
     }
 }

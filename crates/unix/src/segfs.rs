@@ -14,7 +14,7 @@
 //! the match-on-`FdKind` code paid.
 
 use crate::env::UnixError;
-use crate::fdtable::{FdKind, FdState, FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
+use crate::fdtable::{FdKind, FdState, FLAG_APPEND};
 use crate::fs::{DirEntry, DirImage, FileStat, OpenFlags};
 use crate::vfs::{ensure_quota, Filesystem, FsNode, SyncTarget, CREATE_HEADROOM, DIRECTORY_QUOTA};
 use crate::vnode::{FdRef, VfsCtx, Vnode};
@@ -199,22 +199,12 @@ impl Filesystem for SegFs {
                 seg
             }
         };
-        let mut fd_flags = 0u32;
-        if flags.append {
-            fd_flags |= FLAG_APPEND;
-        }
-        if flags.read && !flags.write {
-            fd_flags |= FLAG_RDONLY;
-        }
-        if flags.write && !flags.read {
-            fd_flags |= FLAG_WRONLY;
-        }
         let state = FdState {
             kind: FdKind::File,
             target: file_seg,
             target_container: dir,
             position: 0,
-            flags: fd_flags,
+            flags: flags.fd_flags(),
             refs: 1,
         };
         let mut vnode = SegVnode::new(ContainerEntry::new(dir, file_seg));
@@ -428,7 +418,7 @@ impl Vnode for SegVnode {
         } else {
             state.position
         };
-        let end = pos + data.len() as u64;
+        let end = crate::vnode::access_end(pos, data.len() as u64)?;
         let mut attempts = 0;
         loop {
             let thread = ctx.thread;

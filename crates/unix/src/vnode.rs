@@ -22,6 +22,7 @@ use crate::fs::FileStat;
 use crate::process::{Pid, Process, ProcessState};
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::object::{ContainerEntry, ObjectId};
+use histar_kernel::syscall::SyscallError;
 use histar_kernel::Kernel;
 use std::collections::BTreeMap;
 
@@ -134,6 +135,16 @@ pub fn undo_seek(ctx: &mut VfsCtx, fd: &FdRef, position: u64) {
     let _ = ctx
         .kernel()
         .submit_calls(thread, vec![fd.position_update(position)]);
+}
+
+/// The end of an access of `len` bytes at file position `pos`.  A sum past
+/// `u64::MAX` is refused as the kernel refuses such a segment write,
+/// before any call, so the shared position does not move.
+pub(crate) fn access_end(pos: u64, len: u64) -> Result<u64> {
+    pos.checked_add(len)
+        .ok_or(UnixError::Kernel(SyscallError::InvalidArgument(
+            "write offset overflows",
+        )))
 }
 
 /// Reads and decodes the descriptor state from its segment (one trap).
@@ -287,11 +298,20 @@ impl Vnode for SnapshotVnode {
 #[derive(Debug, Default)]
 pub struct PipeVnode;
 
-pub(crate) fn decode_pipe_header(header: &[u8]) -> (u64, u64, u64) {
+/// Decodes the `(rpos, wpos, writers)` header of a ring of `capacity`
+/// bytes.  Anyone holding the segment's write categories can rewrite it,
+/// so it is input: a header with `rpos > wpos`, more than `capacity` bytes
+/// buffered, or no room left to advance `wpos` is corrupt.
+pub(crate) fn decode_pipe_header(header: &[u8], capacity: u64) -> Result<(u64, u64, u64)> {
     let rpos = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
     let wpos = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
     let writers = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-    (rpos, wpos, writers)
+    match wpos.checked_sub(rpos) {
+        Some(buffered) if buffered <= capacity && wpos.checked_add(capacity).is_some() => {
+            Ok((rpos, wpos, writers))
+        }
+        _ => Err(UnixError::Corrupt("ring header")),
+    }
 }
 
 pub(crate) fn encode_pipe_header(rpos: u64, wpos: u64, writers: u64) -> Vec<u8> {
@@ -325,13 +345,13 @@ impl Ring {
         self.header
     }
 
-    /// Decoded `(rpos, wpos, writers)` header (one trap).
+    /// The decoded, validated `(rpos, wpos, writers)` header (one trap).
     pub fn read_header(&self, ctx: &mut VfsCtx) -> Result<(u64, u64, u64)> {
         let thread = ctx.thread;
         let header =
             ctx.kernel()
                 .trap_segment_read(thread, self.entry, self.header, PIPE_HEADER)?;
-        Ok(decode_pipe_header(&header))
+        decode_pipe_header(&header, self.capacity)
     }
 
     /// Consumes up to `len` bytes.  Empty ring: end-of-file when no
@@ -687,14 +707,15 @@ pub fn readiness_probe(state: &FdState) -> Option<(u64, u64, bool)> {
 
 /// Decides readiness from a probed ring header: a read side is ready when
 /// bytes are buffered or every writer hung up (EOF is readable); a write
-/// side is ready when the ring has free space.
-pub fn readiness_from_header(header: &[u8], capacity: u64, write_side: bool) -> bool {
-    let (rpos, wpos, writers) = decode_pipe_header(header);
-    if write_side {
+/// side is ready when the ring has free space.  A corrupt header is
+/// [`UnixError::Corrupt`].
+pub fn readiness_from_header(header: &[u8], capacity: u64, write_side: bool) -> Result<bool> {
+    let (rpos, wpos, writers) = decode_pipe_header(header, capacity)?;
+    Ok(if write_side {
         capacity - (wpos - rpos) > 0
     } else {
         wpos > rpos || writers == 0
-    }
+    })
 }
 
 /// Initializes a fresh connection segment's two ring headers (one writer

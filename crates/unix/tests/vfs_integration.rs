@@ -1492,3 +1492,69 @@ fn rename_into_its_own_subtree_is_refused() {
     env.rename(init, "/persist/a", "/persist/ab").unwrap();
     assert!(env.stat(init, "/persist/ab/b").unwrap().is_dir);
 }
+
+/// A `/persist` extent key has 24 bits of index, so a file ends at 64 GiB.
+/// A write past that used to spill its extent index into the owner bits
+/// and land in the next inode's file (release) or panic (debug); it is
+/// refused before any call, and the position stays where it was.
+#[test]
+fn a_persist_write_past_64_gib_is_refused_and_lands_nowhere() {
+    const LIMIT: u64 = 1 << 36;
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/persist/a", b"aaaa", None)
+        .unwrap();
+    env.write_file_as(init, "/persist/b", b"bbbbbbbb", None)
+        .unwrap();
+    let fd = env
+        .open(init, "/persist/a", OpenFlags::read_write_create())
+        .unwrap();
+    for pos in [LIMIT, LIMIT - 2, u64::MAX / 2] {
+        env.lseek(init, fd, pos).unwrap();
+        assert!(matches!(
+            env.write(init, fd, b"EVIL"),
+            Err(UnixError::Unsupported(_))
+        ));
+        assert_eq!(env.fd_snapshot(init, fd).unwrap().position, pos);
+    }
+    assert_eq!(env.stat(init, "/persist/a").unwrap().len, 4);
+    assert_eq!(env.read_file_as(init, "/persist/b").unwrap(), b"bbbbbbbb");
+    // A write that ends exactly at the limit is the file's last extent.
+    env.lseek(init, fd, LIMIT - 4).unwrap();
+    assert_eq!(env.write(init, fd, b"LAST"), Ok(4));
+    assert_eq!(env.stat(init, "/persist/a").unwrap().len, LIMIT);
+    env.lseek(init, fd, LIMIT - 4).unwrap();
+    assert_eq!(env.read(init, fd, 8).unwrap(), b"LAST");
+    assert_eq!(env.read_file_as(init, "/persist/b").unwrap(), b"bbbbbbbb");
+}
+
+/// A file position near `u64::MAX`: the access's end would overflow.  On
+/// every file system it is the kernel's own refusal of such a write, with
+/// the shared position and the file untouched (a `/persist` file used to
+/// take length 2 from the wrapped sum).
+#[test]
+fn an_access_whose_end_overflows_is_refused_on_every_file_system() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let overflow = Err(UnixError::Kernel(SyscallError::InvalidArgument(
+        "write offset overflows",
+    )));
+    for path in ["/f", "/persist/p", "/dev/zero"] {
+        let device = path.starts_with("/dev/");
+        let flags = if device {
+            OpenFlags::read_only()
+        } else {
+            OpenFlags::write_create()
+        };
+        let fd = env.open(init, path, flags).unwrap();
+        env.lseek(init, fd, u64::MAX - 1).unwrap();
+        if device {
+            assert_eq!(env.read(init, fd, 4).map(drop), overflow, "{path}");
+        } else {
+            assert_eq!(env.write(init, fd, b"EVIL").map(drop), overflow, "{path}");
+            assert_eq!(env.stat(init, path).unwrap().len, 0, "{path}");
+        }
+        let position = env.fd_snapshot(init, fd).unwrap().position;
+        assert_eq!(position, u64::MAX - 1, "{path}");
+    }
+}

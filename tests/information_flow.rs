@@ -619,8 +619,7 @@ fn boot_with_lo_and_tainted_hi() -> (
 /// never held `h`.)
 #[test]
 fn a_reader_cannot_choose_which_version_of_a_persist_file_survives_a_crash() {
-    use histar::store::records::{extent_key, inode_key};
-    use histar::unix::persistfs::ROOT_INO;
+    use histar::unix::persistfs::{extent_key, inode_key, ROOT_INO};
 
     let (mut env, lo, hi, hi_thread) = boot_with_lo_and_tainted_hi();
 
@@ -675,7 +674,7 @@ fn a_reader_cannot_choose_which_version_of_a_persist_file_survives_a_crash() {
 /// label): the create fails and `lo` reads nothing.
 #[test]
 fn a_planted_persist_record_cannot_publish_the_file_created_over_it() {
-    use histar::store::records::{inode_key, META_KEY};
+    use histar::unix::persistfs::{inode_key, META_KEY};
 
     let (mut env, lo, _, _) = boot_with_lo_and_tainted_hi();
     let init = env.init_pid();
@@ -684,7 +683,7 @@ fn a_planted_persist_record_cannot_publish_the_file_created_over_it() {
     let c = env.kernel_mut().trap_create_category(init_thread).unwrap();
     let secret = Label::builder().set(c, Level::L3).build();
 
-    let meta = env
+    let (_, meta) = env
         .kernel_mut()
         .trap_persist_read(lo_thread, META_KEY, 8, 8)
         .unwrap();
@@ -710,7 +709,7 @@ fn a_planted_persist_record_cannot_publish_the_file_created_over_it() {
         env.kernel_mut()
             .trap_persist_read(lo_thread, inode_key(next_ino), 0, u64::MAX)
             .unwrap(),
-        Vec::<u8>::new(),
+        (Label::unrestricted(), Vec::new()),
         "the planted record is untouched"
     );
 }

@@ -237,7 +237,6 @@ fn web_server_wake_order_is_deterministic_per_seed() {
         "label cache hits/misses/interned"
     );
     assert_eq!(kernel.stats().label_checks, 10178);
-    assert_eq!(kernel.stats().label_cache_hits, cache.hits);
     assert_totals_agree(kernel);
 
     // A different seed reorders the wake interleaving but serves exactly
