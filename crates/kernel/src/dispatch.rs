@@ -55,9 +55,10 @@ use std::collections::VecDeque;
 /// * `Variant` is the [`Syscall`] variant, `name` the stable string in
 ///   traces and stats, `sys_name` the hand-written handler — a method of
 ///   `Sys` in `syscalls.rs`, which reaches objects only through the proofs
-///   its label checks return — and `trap_name` the generated wrapper
-///   (flowcheck checks the three spellings agree; `macro_rules!` cannot
-///   paste identifiers).
+///   its label checks return — and `trap_name` the generated wrapper.
+///   `macro_rules!` cannot paste identifiers, so the row spells all three
+///   out, and a `const` assertion per row (`spells`, below) fails the build
+///   unless they are `name`, `sys_name` and `trap_name` of one call.
 /// * A row without an argument list is a *unit* variant.  Each argument is
 ///   a documented variant field.  `arg: B => O` means the wrapper takes
 ///   `B` (`&str`, `&[u8]`), the variant owns an `O` built with `O::from`,
@@ -92,6 +93,15 @@ macro_rules! syscalls {
         $(( $( $(#[$arg_doc:meta])* $arg:ident : $ty:ty $(=> $owned:ty)? ),+ $(,)? ))?
         -> $Res:ident ( $ret:ty );
     )*) => {
+        $(const _: () = assert!(
+            spells(stringify!($sys), "sys_", stringify!($name))
+                && spells(stringify!($trap), "trap_", stringify!($name)),
+            concat!(
+                "row `", stringify!($name), "` must spell `sys_", stringify!($name),
+                "` and `trap_", stringify!($name), "`"
+            ),
+        );)*
+
         /// One system call with its arguments — what a real thread would
         /// place in registers before trapping.
         ///
@@ -171,6 +181,25 @@ macro_rules! syscalls {
             }
         )*}
     };
+}
+
+/// Whether `ident` is `prefix` followed by `name`: the compile-time check
+/// that holds a row's handler and wrapper to the row's call.
+const fn spells(ident: &str, prefix: &str, name: &str) -> bool {
+    let (ident, prefix, name) = (ident.as_bytes(), prefix.as_bytes(), name.as_bytes());
+    let p = prefix.len();
+    if ident.len() != p + name.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < ident.len() {
+        let want = if i < p { prefix[i] } else { name[i - p] };
+        if ident[i] != want {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 // The syscall table: the one list of the ABI.  Adding a syscall is one row

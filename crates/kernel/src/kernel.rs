@@ -1001,13 +1001,15 @@ impl Kernel {
     }
 
     /// The label of any thread, unchecked.  Console: tests and harnesses;
-    /// library code is kept off this by flowcheck and traps `self_get_label`.
+    /// library code traps `self_get_label`, and `tests/static_guarantees.rs`
+    /// keeps it off this.
     pub fn thread_label(&self, tid: ObjectId) -> Result<Label, SyscallError> {
         Ok(self.thread(tid)?.0.label.clone())
     }
 
     /// The clearance of any thread, unchecked.  Console: tests and harnesses;
-    /// library code is kept off this by flowcheck and traps `self_get_clearance`.
+    /// library code traps `self_get_clearance`, and `tests/static_guarantees.rs`
+    /// keeps it off this.
     pub fn thread_clearance(&self, tid: ObjectId) -> Result<Label, SyscallError> {
         Ok(self.thread(tid)?.1.clearance.clone())
     }

@@ -1,5 +1,5 @@
-//! Regression test for the nondeterministic-iteration bugs flowcheck
-//! found (PR 9): a kernel `HashMap` leaked per-instance hash order to its
+//! Regression test for the nondeterministic-iteration bugs a static
+//! analysis found: a kernel `HashMap` leaked per-instance hash order to its
 //! consumers, so two identically built kernels could disagree within one
 //! process.  This test pins the observable guarantees over a
 //! category- and object-heavy workload:

@@ -3,13 +3,15 @@
 //!
 //! The test copies the kernel and the four crates it builds on into a
 //! temporary workspace, checks that the pristine copy passes `cargo check`,
-//! then applies one mutant at a time to `syscalls.rs` or
-//! `kernel/checked.rs` and requires `cargo check` to fail with the error
-//! that names the way around: a private field (E0616), a private method
+//! then applies one mutant at a time to `syscalls.rs`, `kernel/checked.rs`
+//! or `dispatch.rs` and requires `cargo check` to fail with the error that
+//! names the way around: a private field (E0616), a private method
 //! (E0624), a proof built without its private fields (E0423), a grant
 //! whose constructor is private to the one module that mints it (E0603), a
 //! method the handler's `Sys` does not have (E0599), a private field in a
-//! struct literal (E0451), or the crate's denied `private_interfaces` lint.
+//! struct literal (E0451), the crate's denied `private_interfaces` lint,
+//! or a `syscalls!` row whose spellings name two calls (E0080, the row's
+//! `const` assertion).
 //!
 //! Each mutant's text must occur exactly once in the pristine file, so a
 //! handler that changes shape fails here loudly instead of letting its
@@ -31,6 +33,7 @@ struct Mutant {
 
 const SYSCALLS: &str = "crates/kernel/src/syscalls.rs";
 const CHECKED: &str = "crates/kernel/src/kernel/checked.rs";
+const DISPATCH: &str = "crates/kernel/src/dispatch.rs";
 
 const MUTANTS: &[Mutant] = &[
     Mutant {
@@ -132,6 +135,13 @@ const MUTANTS: &[Mutant] = &[
         find: "        let Observed(_, grant) = self.check_observe(t, entry.container)?;",
         replace: "        let grant = verdict::Grant(());",
         expect: "E0603",
+    },
+    Mutant {
+        what: "13. a row routes trap_self_get_label to sys_self_get_clearance",
+        file: DISPATCH,
+        find: "    SelfGetLabel self_get_label sys_self_get_label trap_self_get_label",
+        replace: "    SelfGetLabel self_get_label sys_self_get_clearance trap_self_get_label",
+        expect: "E0080",
     },
 ];
 

@@ -959,8 +959,9 @@ impl UnixEnv {
     /// Unless one of `to`'s numbers already names the descriptor, `to`'s
     /// thread hard-links the descriptor segment — and a `pipe()` buffer
     /// beside it — out of `from`'s process container into its own, all or
-    /// nothing; then `from` counts one more open.  The caller allocates
-    /// the number.
+    /// nothing; then `from` counts one more open.  A count with no room
+    /// left refuses the share before any link.  The caller allocates the
+    /// number.
     fn share_descriptor(&mut self, from: Pid, seg: ObjectId, to: Pid) -> Result<()> {
         let (from_thread, from_container) = {
             let p = self.process(from)?;
@@ -972,6 +973,7 @@ impl UnixEnv {
         };
         let fd_ref = FdRef::new(from_container, seg);
         let mut state = vnode::read_fd_state(&mut self.vfs_ctx(from_thread), &fd_ref)?;
+        vnode::count_open(&mut state)?;
         let kernel = self.machine.kernel_mut();
         if !held {
             let mut links = vec![fd_ref.entry];
@@ -994,7 +996,6 @@ impl UnixEnv {
                 return Err(refused.clone().into());
             }
         }
-        state.refs += 1;
         kernel.trap_segment_write(from_thread, fd_ref.entry, 0, &state.encode())?;
         Ok(())
     }
@@ -1090,7 +1091,11 @@ impl UnixEnv {
             (p.thread, p.process_container, seg)
         };
         let fd_ref = FdRef::new(container, seg);
-        vnode::update_fd_state(&mut self.vfs_ctx(thread), &fd_ref, |st| st.refs += 1)?;
+        let mut ctx = self.vfs_ctx(thread);
+        let mut state = vnode::read_fd_state(&mut ctx, &fd_ref)?;
+        vnode::count_open(&mut state)?;
+        ctx.kernel()
+            .trap_segment_write(thread, fd_ref.entry, 0, &state.encode())?;
         let new_fd = self.process_mut(pid)?.fds.allocate(seg);
         Ok(new_fd)
     }

@@ -156,18 +156,15 @@ pub fn read_fd_state(ctx: &mut VfsCtx, fd: &FdRef) -> Result<FdState> {
     FdState::decode(&bytes).ok_or(UnixError::Corrupt("fd segment"))
 }
 
-/// Read-modify-writes the descriptor state (`dup`'s reference count).
-pub fn update_fd_state(
-    ctx: &mut VfsCtx,
-    fd: &FdRef,
-    update: impl FnOnce(&mut FdState),
-) -> Result<FdState> {
-    let mut state = read_fd_state(ctx, fd)?;
-    update(&mut state);
-    let thread = ctx.thread;
-    ctx.kernel()
-        .trap_segment_write(thread, fd.entry, 0, &state.encode())?;
-    Ok(state)
+/// Counts one more number naming the descriptor.  Every process sharing
+/// it can write the count, so a count with no room left is refused like
+/// an undecodable segment, before anything is linked or written.
+pub(crate) fn count_open(state: &mut FdState) -> Result<()> {
+    state.refs = state
+        .refs
+        .checked_add(1)
+        .ok_or(UnixError::Corrupt("fd segment"))?;
+    Ok(())
 }
 
 /// One open descriptor's behaviour: the object every `FdKind` used to be
@@ -431,21 +428,15 @@ impl Ring {
         Ok(n)
     }
 
-    /// Adjusts the writer count (last close of a write end → EOF for
-    /// readers).
-    fn adjust_writers(&self, ctx: &mut VfsCtx, delta: i64) -> Result<()> {
+    /// Drops one writer (last close of a write end → EOF for readers).
+    fn drop_writer(&self, ctx: &mut VfsCtx) -> Result<()> {
         let (rpos, wpos, writers) = self.read_header(ctx)?;
-        let writers = if delta < 0 {
-            writers.saturating_sub(delta.unsigned_abs())
-        } else {
-            writers + delta as u64
-        };
         let thread = ctx.thread;
         ctx.kernel().trap_segment_write(
             thread,
             self.entry,
             self.header,
-            &encode_pipe_header(rpos, wpos, writers),
+            &encode_pipe_header(rpos, wpos, writers.saturating_sub(1)),
         )?;
         Ok(())
     }
@@ -483,7 +474,7 @@ impl Vnode for PipeVnode {
 
     fn on_last_close(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState) -> Result<()> {
         if state.kind.is_pipe_write() {
-            PipeVnode::ring(fd, state).adjust_writers(ctx, -1)?;
+            PipeVnode::ring(fd, state).drop_writer(ctx)?;
         }
         Ok(())
     }
@@ -676,7 +667,7 @@ impl Vnode for SocketVnode {
         if state.flags & FLAG_SOCK_LISTEN == 0 {
             // Hang up our transmit direction: the peer's next read sees
             // end-of-file instead of blocking forever.
-            socket_tx_ring(state).adjust_writers(ctx, -1)?;
+            socket_tx_ring(state).drop_writer(ctx)?;
         }
         Ok(())
     }

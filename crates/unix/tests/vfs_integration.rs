@@ -3,6 +3,7 @@
 //! cross-mount rename error, and blocking-read semantics under the
 //! deterministic scheduler.
 
+use histar_kernel::object::ContainerEntry;
 use histar_kernel::sched::{RunLimit, SchedConfig, SchedContext, Scheduler, Step, StopReason};
 use histar_kernel::syscall::SyscallError;
 use histar_kernel::Kernel;
@@ -1557,4 +1558,34 @@ fn an_access_whose_end_overflows_is_refused_on_every_file_system() {
         let position = env.fd_snapshot(init, fd).unwrap().position;
         assert_eq!(position, u64::MAX - 1, "{path}");
     }
+}
+
+/// A descriptor's reference count lives in a segment every process
+/// sharing the descriptor can write.  A count with no room left is a
+/// corrupt descriptor: `dup` and `fork` refuse it before any write, link
+/// or new number, instead of wrapping it to 0 (the next `close` would run
+/// the last-close hook while another number still names the descriptor).
+#[test]
+fn a_reference_count_with_no_room_left_is_refused_by_dup_and_fork() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/f", b"x", None).unwrap();
+    let fd = env.open(init, "/f", OpenFlags::read_only()).unwrap();
+    let (thread, entry) = {
+        let p = env.process(init).unwrap();
+        let seg = p.fds.get(fd).unwrap();
+        (p.thread, ContainerEntry::new(p.process_container, seg))
+    };
+    let mut state = env.fd_snapshot(init, fd).unwrap();
+    state.refs = u32::MAX;
+    env.kernel_mut()
+        .trap_segment_write(thread, entry, 0, &state.encode())
+        .unwrap();
+    let open = env.process(init).unwrap().fds.open_count();
+
+    let corrupt = Err(UnixError::Corrupt("fd segment"));
+    assert_eq!(env.dup(init, fd).map(drop), corrupt);
+    assert_eq!(env.fork(init).map(drop), corrupt);
+    assert_eq!(env.fd_snapshot(init, fd).unwrap(), state);
+    assert_eq!(env.process(init).unwrap().fds.open_count(), open);
 }
