@@ -160,7 +160,13 @@ pub enum DevVnode {
 }
 
 impl Vnode for DevVnode {
-    fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>> {
+    fn read(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        len: u64,
+    ) -> Result<Vec<u8>> {
         let n = len.min(DEV_READ_MAX) as usize;
         let data = match self {
             DevVnode::Null => Vec::new(),
@@ -176,6 +182,7 @@ impl Vnode for DevVnode {
             {
                 r?;
             }
+            state.position = end;
         }
         Ok(data)
     }
@@ -184,7 +191,7 @@ impl Vnode for DevVnode {
         &mut self,
         _ctx: &mut VfsCtx,
         _fd: &FdRef,
-        _state: &FdState,
+        _state: &mut FdState,
         data: &[u8],
     ) -> Result<u64> {
         match self {

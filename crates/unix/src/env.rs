@@ -36,6 +36,7 @@ use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::syscall::SyscallError;
 use histar_kernel::{Machine, MachineConfig, Syscall, SyscallResult};
 use histar_label::{Category, Label, Level};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Errors returned by the Unix library.
@@ -132,19 +133,87 @@ const STACK_PAGES: u64 = 4;
 const DEV_RNG_SEED: u64 = 0x0dd5_eed5;
 
 /// One live (per-thread) view of an open descriptor: the vnode serving
-/// its I/O.  Keyed by `(thread, descriptor segment)` — each process sharing a
-/// descriptor keeps its own vnode (and its own cached file length),
-/// while the shared state (seek position, flags, refs) stays in the
-/// descriptor segment.
+/// its I/O and the thread's copy of the descriptor state.  Keyed by
+/// `(thread, descriptor segment)` — each process sharing a descriptor
+/// keeps its own vnode (and its own cached file length) and its own
+/// copy, while the shared state stays in the descriptor segment.
 #[derive(Debug)]
 struct OpenFd {
     vnode: Box<dyn Vnode>,
-    /// Snapshot of the descriptor state at open.  The *identity* fields
-    /// (kind, target, flags) never change after install, so readiness
-    /// polling can consult this copy without re-reading the descriptor
-    /// segment; the mutable fields (position, refs) are still read fresh
-    /// by [`UnixEnv::with_fd`] on every operation.
+    /// This thread's view of the descriptor state, a write-through cache
+    /// of the segment:
+    /// * the identity fields (`kind`, `target`, `target_container`,
+    ///   `flags`) are fixed at the thread's first touch.  A later read of
+    ///   the segment never replaces them, so a sharer that rewrites them
+    ///   changes nothing here.  Nothing changes flags after open (there
+    ///   is no `fcntl`); a call that ever does must update every holder's
+    ///   view;
+    /// * `position` and `refs` are as this thread last read or stored
+    ///   them.  At `refs == 1` this thread holds the only number naming
+    ///   the descriptor, and every path that raises the count (`dup`,
+    ///   `share_descriptor`) runs through the holder and updates its
+    ///   view, so the view *is* the segment and is not read (those two
+    ///   still read the count they raise, so a count with no room left is
+    ///   refused whoever wrote it).  Otherwise another number may have
+    ///   moved the position, and [`current_state`] reads both first.
+    ///   `refs == 0` means "unknown": a failed operation forgets the view
+    ///   that way.
     meta: FdState,
+}
+
+/// The descriptor state after one read of its segment, through
+/// `ctx.thread`'s `view`: only `position` and `refs` come from the read
+/// when there is a view, the whole state when there is none.
+fn read_state(ctx: &mut VfsCtx, fd: &FdRef, view: Option<FdState>) -> Result<FdState> {
+    let fresh = vnode::read_fd_state(ctx, fd)?;
+    Ok(match view {
+        Some(view) => FdState {
+            position: fresh.position,
+            refs: fresh.refs,
+            ..view
+        },
+        None => fresh,
+    })
+}
+
+/// The descriptor state `ctx.thread` acts on: its `view` as it stands
+/// while it is the only holder (`refs == 1`), else [`read_state`].
+fn current_state(ctx: &mut VfsCtx, fd: &FdRef, view: Option<FdState>) -> Result<FdState> {
+    match view {
+        Some(view) if view.refs == 1 => Ok(view),
+        _ => read_state(ctx, fd, view),
+    }
+}
+
+/// This thread's entry for a descriptor, built from one read of the
+/// segment at its first touch; `true` beside it when that read just
+/// happened.
+fn open_fd<'e>(
+    ctx: &mut VfsCtx,
+    vfs: &mut Vfs,
+    open_vnodes: &'e mut BTreeMap<(ObjectId, ObjectId), OpenFd>,
+    fd: &FdRef,
+) -> Result<(&'e mut OpenFd, bool)> {
+    match open_vnodes.entry((ctx.thread, fd.entry.object)) {
+        Entry::Occupied(ofd) => Ok((ofd.into_mut(), false)),
+        Entry::Vacant(slot) => {
+            let state = vnode::read_fd_state(ctx, fd)?;
+            let vnode = vfs.vnode_from_state(ctx, &state)?;
+            Ok((slot.insert(OpenFd { vnode, meta: state }), true))
+        }
+    }
+}
+
+/// The unrefs that drop a holder's link to the descriptor segment and,
+/// for a `pipe()` end as `identity` names it, to the buffer beside it.
+fn unlink_calls(fd: &FdRef, identity: Option<&FdState>) -> Vec<Syscall> {
+    let mut calls = vec![Syscall::ObjUnref { entry: fd.entry }];
+    if let Some(state) = identity.filter(|s| s.flags & FLAG_TARGET_BESIDE != 0) {
+        calls.push(Syscall::ObjUnref {
+            entry: fd.target_entry(state),
+        });
+    }
+    calls
 }
 
 /// The Unix environment (§5): the untrusted library that makes a HiStar
@@ -869,46 +938,32 @@ impl UnixEnv {
 
     // ----- descriptor plumbing ----------------------------------------------
 
-    /// Ensures a live `(thread, descriptor segment)` cache entry exists:
-    /// rebuilds the vnode from the stored state if this thread has not
-    /// touched the descriptor before.
-    fn ensure_open_fd(
-        &mut self,
-        thread: ObjectId,
-        container: ObjectId,
-        seg: ObjectId,
-    ) -> Result<()> {
-        if self.open_vnodes.contains_key(&(thread, seg)) {
-            return Ok(());
-        }
-        let (mut ctx, vfs, open_vnodes) = self.split(thread);
-        let state = vnode::read_fd_state(&mut ctx, &FdRef::new(container, seg))?;
-        let vnode = vfs.vnode_from_state(&mut ctx, &state)?;
-        open_vnodes.insert((thread, seg), OpenFd { vnode, meta: state });
-        Ok(())
-    }
-
-    /// Runs one descriptor operation: reads the (shared) descriptor state
-    /// once, then dispatches to the vnode.
+    /// Runs one descriptor operation on the thread's view of the
+    /// descriptor ([`OpenFd::meta`]), which the segment refreshes only
+    /// when another number may have moved it: an unshared warm read or
+    /// write is the vnode's one batch.  The vnode (or `f`) stores what it
+    /// changes into the view; a failed operation forgets it.
     fn with_fd<T>(
         &mut self,
         pid: Pid,
         fd: Fd,
-        f: impl FnOnce(&mut VfsCtx, &FdRef, &mut dyn Vnode, &FdState) -> Result<T>,
+        f: impl FnOnce(&mut VfsCtx, &FdRef, &mut dyn Vnode, &mut FdState) -> Result<T>,
     ) -> Result<T> {
-        let (thread, container, seg) = {
+        let (thread, fd_ref) = {
             let p = self.process(pid)?;
             let seg = p.fds.get(fd).ok_or(UnixError::BadFd(fd))?;
-            (p.thread, p.process_container, seg)
+            (p.thread, FdRef::new(p.process_container, seg))
         };
-        self.ensure_open_fd(thread, container, seg)?;
-        let fd_ref = FdRef::new(container, seg);
-        let (mut ctx, _, open_vnodes) = self.split(thread);
-        let ofd = open_vnodes
-            .get_mut(&(thread, seg))
-            .expect("ensure_open_fd installed the entry");
-        let state = vnode::read_fd_state(&mut ctx, &fd_ref)?;
-        f(&mut ctx, &fd_ref, ofd.vnode.as_mut(), &state)
+        let (mut ctx, vfs, open_vnodes) = self.split(thread);
+        let (ofd, just_read) = open_fd(&mut ctx, vfs, open_vnodes, &fd_ref)?;
+        if !just_read {
+            ofd.meta = current_state(&mut ctx, &fd_ref, Some(ofd.meta))?;
+        }
+        let result = f(&mut ctx, &fd_ref, ofd.vnode.as_mut(), &mut ofd.meta);
+        if result.is_err() {
+            ofd.meta.refs = 0;
+        }
+        result
     }
 
     /// Creates the descriptor segment for `state` and installs it in the
@@ -972,9 +1027,11 @@ impl UnixEnv {
             (p.thread, p.process_container, p.fds.names(seg))
         };
         let fd_ref = FdRef::new(from_container, seg);
-        let mut state = vnode::read_fd_state(&mut self.vfs_ctx(from_thread), &fd_ref)?;
+        let (mut ctx, _, open_vnodes) = self.split(from_thread);
+        let view = open_vnodes.get_mut(&(from_thread, seg));
+        let mut state = read_state(&mut ctx, &fd_ref, view.as_ref().map(|o| o.meta))?;
         vnode::count_open(&mut state)?;
-        let kernel = self.machine.kernel_mut();
+        let kernel = ctx.kernel();
         if !held {
             let mut links = vec![fd_ref.entry];
             if state.flags & FLAG_TARGET_BESIDE != 0 {
@@ -997,6 +1054,9 @@ impl UnixEnv {
             }
         }
         kernel.trap_segment_write(from_thread, fd_ref.entry, 0, &state.encode())?;
+        if let Some(ofd) = view {
+            ofd.meta = state;
+        }
         Ok(())
     }
 
@@ -1037,7 +1097,10 @@ impl UnixEnv {
     /// the closing process may not pass — but dropping a descriptor is
     /// always allowed.  The refcount is adjusted directly on the
     /// descriptor segment; a vnode is only consulted (and built on
-    /// demand, best-effort) for the last-close hook.
+    /// demand, best-effort) for the last-close hook.  A shared state that
+    /// does not read back still loses this process's link with its last
+    /// number (named as the thread's view names it) before the error is
+    /// reported.
     pub fn close(&mut self, pid: Pid, fd: Fd) -> Result<()> {
         let (thread, container, seg, last_here) = {
             let p = self.process_mut(pid)?;
@@ -1045,9 +1108,21 @@ impl UnixEnv {
             (p.thread, p.process_container, seg, !p.fds.names(seg))
         };
         let cached = self.open_vnodes.remove(&(thread, seg));
+        let view = cached.as_ref().map(|ofd| ofd.meta);
         let fd_ref = FdRef::new(container, seg);
         let (mut ctx, vfs, _) = self.split(thread);
-        let mut state = vnode::read_fd_state(&mut ctx, &fd_ref)?;
+        let mut state = match current_state(&mut ctx, &fd_ref, view) {
+            Ok(state) => state,
+            Err(unreadable) => {
+                if last_here {
+                    let calls = unlink_calls(&fd_ref, view.as_ref());
+                    for r in ctx.kernel().submit_calls(thread, calls) {
+                        r?;
+                    }
+                }
+                return Err(unreadable);
+            }
+        };
         state.refs = state.refs.saturating_sub(1);
         if state.refs == 0 {
             // Only the last-close hook needs a vnode; building one can
@@ -1067,14 +1142,7 @@ impl UnixEnv {
             data: state.encode(),
         }];
         if last_here {
-            calls.push(Syscall::ObjUnref {
-                entry: fd_ref.entry,
-            });
-            if state.flags & FLAG_TARGET_BESIDE != 0 {
-                calls.push(Syscall::ObjUnref {
-                    entry: fd_ref.target_entry(&state),
-                });
-            }
+            calls.extend(unlink_calls(&fd_ref, Some(&state)));
         }
         for r in ctx.kernel().submit_calls(thread, calls) {
             r?;
@@ -1091,11 +1159,15 @@ impl UnixEnv {
             (p.thread, p.process_container, seg)
         };
         let fd_ref = FdRef::new(container, seg);
-        let mut ctx = self.vfs_ctx(thread);
-        let mut state = vnode::read_fd_state(&mut ctx, &fd_ref)?;
+        let (mut ctx, _, open_vnodes) = self.split(thread);
+        let view = open_vnodes.get_mut(&(thread, seg));
+        let mut state = read_state(&mut ctx, &fd_ref, view.as_ref().map(|o| o.meta))?;
         vnode::count_open(&mut state)?;
         ctx.kernel()
             .trap_segment_write(thread, fd_ref.entry, 0, &state.encode())?;
+        if let Some(ofd) = view {
+            ofd.meta = state;
+        }
         let new_fd = self.process_mut(pid)?.fds.allocate(seg);
         Ok(new_fd)
     }
@@ -1116,8 +1188,10 @@ impl UnixEnv {
 
     /// Repositions a file descriptor (absolute seek).
     pub fn lseek(&mut self, pid: Pid, fd: Fd, position: u64) -> Result<()> {
-        self.with_fd(pid, fd, |ctx, fd_ref, vnode, _state| {
-            vnode.seek(ctx, fd_ref, position)
+        self.with_fd(pid, fd, |ctx, fd_ref, vnode, state| {
+            vnode.seek(ctx, fd_ref, position)?;
+            state.position = position;
+            Ok(())
         })
     }
 
@@ -1253,26 +1327,23 @@ impl UnixEnv {
                 .collect::<Result<Vec<_>>>()?;
             (p.thread, p.process_container, segs)
         };
-        for &seg in &segs {
-            self.ensure_open_fd(thread, container, seg)?;
-        }
-        // Probe targets from the cached descriptor metadata: the probe for
-        // each blocking descriptor is a read of its ring header, and all
-        // probes go down in ONE submission batch.
+        // Probe targets from the cached identity: the probe for each
+        // blocking descriptor is a read of its ring header, and all probes
+        // go down in ONE submission batch.
+        let (mut ctx, vfs, open_vnodes) = self.split(thread);
         let probes: Vec<Option<(ContainerEntry, u64, u64, bool)>> = segs
             .iter()
             .map(|&seg| {
-                let meta = &self.open_vnodes[&(thread, seg)].meta;
-                vnode::readiness_probe(meta).map(|(header, capacity, write_side)| {
-                    (
-                        FdRef::new(container, seg).target_entry(meta),
-                        header,
-                        capacity,
-                        write_side,
-                    )
-                })
+                let fd = FdRef::new(container, seg);
+                let (ofd, _) = open_fd(&mut ctx, vfs, open_vnodes, &fd)?;
+                let meta = &ofd.meta;
+                Ok(
+                    vnode::readiness_probe(meta).map(|(header, capacity, write_side)| {
+                        (fd.target_entry(meta), header, capacity, write_side)
+                    }),
+                )
             })
-            .collect();
+            .collect::<Result<_>>()?;
         let calls: Vec<Syscall> = probes
             .iter()
             .flatten()

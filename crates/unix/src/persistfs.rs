@@ -600,7 +600,13 @@ impl PersistVnode {
 }
 
 impl Vnode for PersistVnode {
-    fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>> {
+    fn read(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        len: u64,
+    ) -> Result<Vec<u8>> {
         if len == 0 {
             // Still label-checks through the inode fetch, like a
             // zero-length read(2) still validates the descriptor.
@@ -656,11 +662,15 @@ impl Vnode for PersistVnode {
             match failed {
                 None => {
                     seek?;
+                    state.position = start + n;
                     return Ok(out);
                 }
                 Some(SyscallError::InvalidArgument(_)) if attempts == 0 => {
                     // The cached length was stale (the file shrank under
-                    // us); refresh and retry once.
+                    // us); undo this batch's seek update, as the retry may
+                    // end at end of file without one, then refresh and
+                    // retry once.
+                    crate::vnode::undo_seek(ctx, fd, state.position);
                     self.cached = None;
                     attempts += 1;
                 }
@@ -673,7 +683,13 @@ impl Vnode for PersistVnode {
         }
     }
 
-    fn write(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, data: &[u8]) -> Result<u64> {
+    fn write(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        data: &[u8],
+    ) -> Result<u64> {
         let pos = if state.flags & FLAG_APPEND != 0 {
             self.fetch(ctx)?.0
         } else {
@@ -729,6 +745,7 @@ impl Vnode for PersistVnode {
                 return Err(e.clone().into());
             }
         }
+        state.position = end;
         if grows {
             self.cached = Some((end, label));
         }

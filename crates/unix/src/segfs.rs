@@ -354,7 +354,13 @@ impl SegVnode {
 }
 
 impl Vnode for SegVnode {
-    fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>> {
+    fn read(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        len: u64,
+    ) -> Result<Vec<u8>> {
         if len == 0 {
             // A zero-length read still label-checks (the length fetch),
             // like read(2) with a zero count still validates the fd.
@@ -394,10 +400,14 @@ impl Vnode for SegVnode {
             match data {
                 Ok(r) => {
                     seek?;
+                    state.position = start + n;
                     return Ok(r.into_bytes());
                 }
                 Err(SyscallError::InvalidArgument(_)) if attempts == 0 => {
-                    // The cached length was stale (the file shrank).
+                    // The cached length was stale (the file shrank).  The
+                    // retry may end at end of file without a batch of its
+                    // own, so this one's seek update is undone first.
+                    crate::vnode::undo_seek(ctx, fd, state.position);
                     self.cached_len = None;
                     attempts += 1;
                 }
@@ -410,7 +420,13 @@ impl Vnode for SegVnode {
         }
     }
 
-    fn write(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, data: &[u8]) -> Result<u64> {
+    fn write(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        data: &[u8],
+    ) -> Result<u64> {
         // Appends position at the real end of file — fetched fresh, since
         // appending after stale metadata would overwrite data.
         let pos = if state.flags & FLAG_APPEND != 0 {
@@ -436,6 +452,7 @@ impl Vnode for SegVnode {
             match wrote {
                 Ok(_) => {
                     seek?;
+                    state.position = end;
                     if let Some(len) = self.cached_len {
                         self.cached_len = Some(len.max(end));
                     }

@@ -8,9 +8,11 @@
 //! `read`/`write`/`seek`/`stat` interface, and the kernel's label checks
 //! run inside each implementation's system calls exactly as before.
 //!
-//! Descriptor state still lives in the *descriptor segment* (§5.3): a
-//! vnode never caches the seek position, because `dup` and `fork` share
-//! positions by sharing that segment.  A file vnode caches its backing
+//! Descriptor state lives in the *descriptor segment* (§5.3), because
+//! `dup` and `fork` share positions by sharing that segment.  A vnode
+//! runs against the caller's view of that state (`&mut FdState`, kept by
+//! the environment) and, once its batch has stored a new position, sets
+//! the view's `position` to match.  A file vnode caches its backing
 //! segment's *length* and nothing else; both segments are named by their
 //! [`ContainerEntry`] on every call, and the hot read/write paths submit
 //! their data operation and the descriptor seek-update as ONE
@@ -170,14 +172,29 @@ pub(crate) fn count_open(state: &mut FdState) -> Result<()> {
 /// One open descriptor's behaviour: the object every `FdKind` used to be
 /// hand-dispatched to.  Implementations update descriptor-segment state
 /// (seek position, pipe header) themselves, batching those updates with
-/// their data operation where the ABI allows.
+/// their data operation where the ABI allows.  A `read` or `write` that
+/// stores a new position also sets `state.position` to it, so the
+/// caller's view stays the segment's; on an error the caller forgets its
+/// view instead.
 pub trait Vnode: core::fmt::Debug {
     /// Reads up to `len` bytes at the descriptor's current position.
-    fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>>;
+    fn read(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        len: u64,
+    ) -> Result<Vec<u8>>;
 
     /// Writes `data` at the descriptor's current position, returning the
     /// number of bytes written.
-    fn write(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, data: &[u8]) -> Result<u64>;
+    fn write(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        data: &[u8],
+    ) -> Result<u64>;
 
     /// Repositions the descriptor (absolute seek).  The default stores
     /// the position into the descriptor segment, which is all a seekable
@@ -233,7 +250,13 @@ pub struct SnapshotVnode {
 }
 
 impl Vnode for SnapshotVnode {
-    fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>> {
+    fn read(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        len: u64,
+    ) -> Result<Vec<u8>> {
         // `len` is untrusted: clamp before any arithmetic can overflow.
         let start = (state.position as usize).min(self.content.len());
         let end = (start as u64)
@@ -261,6 +284,7 @@ impl Vnode for SnapshotVnode {
             });
         }
         seek?;
+        state.position = end as u64;
         Ok(self.content[start..end].to_vec())
     }
 
@@ -268,7 +292,7 @@ impl Vnode for SnapshotVnode {
         &mut self,
         _ctx: &mut VfsCtx,
         _fd: &FdRef,
-        state: &FdState,
+        state: &mut FdState,
         _data: &[u8],
     ) -> Result<u64> {
         Err(UnixError::ReadOnly(match state.kind {
@@ -454,14 +478,26 @@ impl PipeVnode {
 }
 
 impl Vnode for PipeVnode {
-    fn read(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, len: u64) -> Result<Vec<u8>> {
+    fn read(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        len: u64,
+    ) -> Result<Vec<u8>> {
         if state.kind.is_pipe_write() {
             return Err(UnixError::Unsupported("read from pipe write end"));
         }
         PipeVnode::ring(fd, state).read(ctx, len)
     }
 
-    fn write(&mut self, ctx: &mut VfsCtx, fd: &FdRef, state: &FdState, data: &[u8]) -> Result<u64> {
+    fn write(
+        &mut self,
+        ctx: &mut VfsCtx,
+        fd: &FdRef,
+        state: &mut FdState,
+        data: &[u8],
+    ) -> Result<u64> {
         if !state.kind.is_pipe_write() {
             return Err(UnixError::Unsupported("write to pipe read end"));
         }
@@ -545,7 +581,7 @@ impl Vnode for ConsoleVnode {
         &mut self,
         _ctx: &mut VfsCtx,
         _fd: &FdRef,
-        _state: &FdState,
+        _state: &mut FdState,
         _len: u64,
     ) -> Result<Vec<u8>> {
         Ok(Vec::new())
@@ -555,7 +591,7 @@ impl Vnode for ConsoleVnode {
         &mut self,
         ctx: &mut VfsCtx,
         _fd: &FdRef,
-        _state: &FdState,
+        _state: &mut FdState,
         data: &[u8],
     ) -> Result<u64> {
         let thread = ctx.thread;
@@ -634,7 +670,7 @@ impl Vnode for SocketVnode {
         &mut self,
         ctx: &mut VfsCtx,
         _fd: &FdRef,
-        state: &FdState,
+        state: &mut FdState,
         len: u64,
     ) -> Result<Vec<u8>> {
         use crate::fdtable::FLAG_SOCK_LISTEN;
@@ -648,7 +684,7 @@ impl Vnode for SocketVnode {
         &mut self,
         ctx: &mut VfsCtx,
         _fd: &FdRef,
-        state: &FdState,
+        state: &mut FdState,
         data: &[u8],
     ) -> Result<u64> {
         use crate::fdtable::FLAG_SOCK_LISTEN;

@@ -1589,3 +1589,156 @@ fn a_reference_count_with_no_room_left_is_refused_by_dup_and_fork() {
     assert_eq!(env.fd_snapshot(init, fd).unwrap(), state);
     assert_eq!(env.process(init).unwrap().fds.open_count(), open);
 }
+
+/// The batches `op` submits: one per boundary crossing.
+fn crossings(env: &mut UnixEnv, op: impl FnOnce(&mut UnixEnv)) -> u64 {
+    let before = env.machine().kernel().dispatch_stats().batches;
+    op(env);
+    env.machine().kernel().dispatch_stats().batches - before
+}
+
+/// The library keeps its own view of a descriptor's state and reads the
+/// segment only when another number may have moved the position: a warm
+/// `read`, `write` or `lseek` on a descriptor no one else holds is the
+/// vnode's one batch, the same after `fork` is two (the state read
+/// first), and once the child closes, one fresh read shows the parent it
+/// is alone again.
+#[test]
+fn descriptor_io_crosses_once_unless_the_descriptor_is_shared() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/f", &[7; 64], None).unwrap();
+    let fd = env
+        .open(init, "/f", OpenFlags::read_write_create())
+        .unwrap();
+    // Warm: the file vnode learns the length once.
+    env.read(init, fd, 4).unwrap();
+
+    let each = |env: &mut UnixEnv| {
+        [
+            crossings(env, |env| {
+                assert_eq!(env.read(init, fd, 4).unwrap(), [7; 4])
+            }),
+            crossings(env, |env| {
+                assert_eq!(env.write(init, fd, b"ab").unwrap(), 2)
+            }),
+            crossings(env, |env| env.lseek(init, fd, 4).unwrap()),
+        ]
+    };
+    assert_eq!(each(&mut env), [1, 1, 1], "unshared");
+    let child = env.fork(init).unwrap();
+    assert_eq!(each(&mut env), [2, 2, 2], "shared with the child");
+    env.close(child, fd).unwrap();
+    assert_eq!(
+        crossings(&mut env, |env| env.lseek(init, fd, 4).unwrap()),
+        2,
+        "one fresh read learns the child is gone"
+    );
+    assert_eq!(each(&mut env), [1, 1, 1], "alone again");
+    assert_eq!(env.fd_snapshot(init, fd).unwrap().position, 4);
+}
+
+/// Whoever shares a descriptor can write anything into its segment.  A
+/// `close` whose shared state no longer decodes still drops the closing
+/// process's link with its last number — and a `pipe()` buffer's beside
+/// it, named as the closer's own view names it — before it reports the
+/// corruption.  (The links used to stay in the closer's container until
+/// the process was reaped.)
+#[test]
+fn a_close_whose_shared_state_does_not_decode_still_drops_the_link() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/f", b"abc", None).unwrap();
+    let fd = env.open(init, "/f", OpenFlags::read_only()).unwrap();
+    let (_rfd, wfd) = env.pipe(init).unwrap();
+    assert_eq!(env.write(init, wfd, b"x").unwrap(), 1);
+    let buffer = env.fd_snapshot(init, wfd).unwrap().target;
+    let child = env.fork(init).unwrap();
+    let (thread, container) = {
+        let p = env.process(init).unwrap();
+        (p.thread, p.process_container)
+    };
+    let links_to = |env: &mut UnixEnv, object| {
+        let linked = env
+            .kernel_mut()
+            .trap_container_list(thread, container)
+            .unwrap();
+        linked.iter().filter(|&&o| o == object).count()
+    };
+    for (number, buffer_links) in [(fd, None), (wfd, Some(1))] {
+        let (child_thread, entry) = {
+            let c = env.process(child).unwrap();
+            let seg = c.fds.get(number).unwrap();
+            (c.thread, ContainerEntry::new(c.process_container, seg))
+        };
+        env.kernel_mut()
+            .trap_segment_write(child_thread, entry, 0, &[0xff])
+            .unwrap();
+        assert_eq!(links_to(&mut env, entry.object), 1);
+        assert_eq!(
+            env.close(init, number),
+            Err(UnixError::Corrupt("fd segment"))
+        );
+        assert_eq!(links_to(&mut env, entry.object), 0, "the closer's link");
+        if let Some(left) = buffer_links {
+            assert_eq!(links_to(&mut env, buffer), left, "the read end's link");
+        }
+    }
+}
+
+/// A sharer that rewrites a descriptor's identity fields changes nothing
+/// for another holder: a fresh read of the segment contributes only
+/// `position` and `refs` to a holder's view.  Here the child sets
+/// `FLAG_APPEND`; the parent's next write still lands at the parent's own
+/// position (it used to append at the end of the file).
+#[test]
+fn a_sharer_that_sets_append_does_not_move_another_holders_write() {
+    use histar_unix::fdtable::FLAG_APPEND;
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/f", b"0123456789", None).unwrap();
+    let fd = env
+        .open(init, "/f", OpenFlags::read_write_create())
+        .unwrap();
+    assert_eq!(env.read(init, fd, 2).unwrap(), b"01");
+    let child = env.fork(init).unwrap();
+    let (child_thread, entry) = {
+        let c = env.process(child).unwrap();
+        let seg = c.fds.get(fd).unwrap();
+        (c.thread, ContainerEntry::new(c.process_container, seg))
+    };
+    let mut state = env.fd_snapshot(child, fd).unwrap();
+    state.flags |= FLAG_APPEND;
+    env.kernel_mut()
+        .trap_segment_write(child_thread, entry, 0, &state.encode())
+        .unwrap();
+
+    assert_eq!(env.write(init, fd, b"ab").unwrap(), 2);
+    assert_eq!(env.read_file_as(init, "/f").unwrap(), b"01ab456789");
+    assert_eq!(env.fd_snapshot(init, fd).unwrap().position, 4);
+}
+
+/// A read whose cached file length went stale — the file was truncated
+/// and rewritten shorter through another descriptor — and that then
+/// finds end of file leaves the position where it was: the retry undoes
+/// the failed batch's seek update (it used to stay, moving the position
+/// past the end).
+#[test]
+fn a_read_at_end_of_a_shrunk_file_keeps_the_position() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/f", b"0123456789", None).unwrap();
+    env.mkdir(init, "/persist/d", None).unwrap();
+    env.write_file_as(init, "/persist/d/f", b"0123456789", None)
+        .unwrap();
+    for path in ["/f", "/persist/d/f"] {
+        let fd = env.open(init, path, OpenFlags::read_only()).unwrap();
+        assert_eq!(env.read(init, fd, 2).unwrap(), b"01");
+        let truncating = env.open(init, path, OpenFlags::write_create()).unwrap();
+        assert_eq!(env.write(init, truncating, b"x").unwrap(), 1);
+        assert_eq!(env.read(init, fd, 4).unwrap(), b"", "{path}");
+        assert_eq!(env.fd_snapshot(init, fd).unwrap().position, 2, "{path}");
+        env.close(init, truncating).unwrap();
+        env.close(init, fd).unwrap();
+    }
+}
