@@ -4,13 +4,16 @@
 //! objects: `console` forwards writes to the boot console device through
 //! the kernel's (label-checked) device transmit path, `null`/`zero` are
 //! pure library behaviour, and `urandom` streams bytes from a
-//! deterministic [`SimRng`] so simulations stay reproducible.
+//! deterministic [`SimRng`] so simulations stay reproducible: each open
+//! numbers its stream, and a device descriptor records that number as its
+//! `target_container`, so a process the descriptor reaches by `fork` or
+//! `share_fd` starts the same stream again from its first byte.
 
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FLAG_RDONLY};
 use crate::fs::{DirEntry, FileStat, OpenFlags};
 use crate::vfs::{Filesystem, FsNode};
-use crate::vnode::{ConsoleVnode, FdRef, VfsCtx, Vnode};
+use crate::vnode::{vnode_for, ConsoleVnode, FdRef, VfsCtx, Vnode};
 use histar_kernel::object::ObjectId;
 use histar_label::Label;
 use histar_sim::SimRng;
@@ -22,6 +25,9 @@ const NODE_CONSOLE: u64 = 1;
 const NODE_NULL: u64 = 2;
 const NODE_ZERO: u64 = 3;
 const NODE_URANDOM: u64 = 4;
+
+/// Seed every `/dev/urandom` stream derives from.
+const DEV_RNG_SEED: u64 = 0x0dd5_eed5;
 
 /// Largest single device read: `/dev/zero` and `/dev/urandom` are
 /// endless, so a read materializes at most this many bytes per call (a
@@ -37,32 +43,23 @@ const NODES: [(&str, u64); 4] = [
 ];
 
 /// The `/dev` filesystem.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DevFs {
-    /// Seed for urandom streams; each open derives its own generator.
-    seed: u64,
-    /// Opens so far (perturbs each urandom stream).
+    /// Opens so far: each open's number names its urandom stream.
     opens: u64,
 }
 
-impl DevFs {
-    /// A device filesystem whose urandom streams derive from `seed`.
-    pub fn new(seed: u64) -> DevFs {
-        DevFs { seed, opens: 0 }
-    }
-
-    fn vnode_for(&mut self, node: u64) -> Result<Box<dyn Vnode>> {
-        self.opens = self.opens.wrapping_add(1);
-        Ok(match node {
-            NODE_CONSOLE => Box::new(ConsoleVnode),
-            NODE_NULL => Box::new(DevVnode::Null),
-            NODE_ZERO => Box::new(DevVnode::Zero),
-            NODE_URANDOM => Box::new(DevVnode::Urandom(SimRng::new(
-                self.seed ^ self.opens.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            ))),
-            _ => return Err(UnixError::Corrupt("devfs node out of range")),
-        })
-    }
+/// The vnode of device `node`; `stream` numbers a urandom stream.
+pub(crate) fn device(node: u64, stream: u64) -> Result<Box<dyn Vnode>> {
+    Ok(match node {
+        NODE_CONSOLE => Box::new(ConsoleVnode),
+        NODE_NULL => Box::new(DevVnode::Null),
+        NODE_ZERO => Box::new(DevVnode::Zero),
+        NODE_URANDOM => Box::new(DevVnode::Urandom(SimRng::new(
+            DEV_RNG_SEED ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        ))),
+        _ => return Err(UnixError::Corrupt("devfs node out of range")),
+    })
 }
 
 impl Filesystem for DevFs {
@@ -119,6 +116,7 @@ impl Filesystem for DevFs {
         _label: Option<Label>,
     ) -> Result<(FdState, Box<dyn Vnode>)> {
         let node = self.lookup(ctx, dir, name)?;
+        self.opens = self.opens.wrapping_add(1);
         let kind = if node.node == NODE_CONSOLE {
             FdKind::Console
         } else {
@@ -127,7 +125,7 @@ impl Filesystem for DevFs {
         let state = FdState {
             kind,
             target: ObjectId::from_raw(node.node),
-            target_container: ObjectId::from_raw(0),
+            target_container: ObjectId::from_raw(self.opens),
             position: 0,
             flags: if node.node == NODE_CONSOLE {
                 0
@@ -136,15 +134,7 @@ impl Filesystem for DevFs {
             },
             refs: 1,
         };
-        Ok((state, self.vnode_for(node.node)?))
-    }
-
-    fn vnode_from_state(&mut self, _ctx: &mut VfsCtx, state: &FdState) -> Result<Box<dyn Vnode>> {
-        self.vnode_for(state.target.raw())
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
+        Ok((state, vnode_for(ctx, &state)?))
     }
 }
 

@@ -129,8 +129,6 @@ const PROCESS_QUOTA: u64 = 64 * 1024 * 1024;
 const HEAP_PAGES: u64 = 16;
 /// Number of pages in a freshly exec'd stack.
 const STACK_PAGES: u64 = 4;
-/// Seed for `/dev/urandom` streams.
-const DEV_RNG_SEED: u64 = 0x0dd5_eed5;
 
 /// One live (per-thread) view of an open descriptor: the vnode serving
 /// its I/O and the thread's copy of the descriptor state.  Keyed by
@@ -190,7 +188,6 @@ fn current_state(ctx: &mut VfsCtx, fd: &FdRef, view: Option<FdState>) -> Result<
 /// happened.
 fn open_fd<'e>(
     ctx: &mut VfsCtx,
-    vfs: &mut Vfs,
     open_vnodes: &'e mut BTreeMap<(ObjectId, ObjectId), OpenFd>,
     fd: &FdRef,
 ) -> Result<(&'e mut OpenFd, bool)> {
@@ -198,7 +195,7 @@ fn open_fd<'e>(
         Entry::Occupied(ofd) => Ok((ofd.into_mut(), false)),
         Entry::Vacant(slot) => {
             let state = vnode::read_fd_state(ctx, fd)?;
-            let vnode = vfs.vnode_from_state(ctx, &state)?;
+            let vnode = vnode::vnode_for(ctx, &state)?;
             Ok((slot.insert(OpenFd { vnode, meta: state }), true))
         }
     }
@@ -228,6 +225,8 @@ pub struct UnixEnv {
     fs_root: ObjectId,
     init_pid: Pid,
     open_vnodes: BTreeMap<(ObjectId, ObjectId), OpenFd>,
+    /// The container gating the global `/metrics` files.
+    metrics_gate: Option<ObjectId>,
 }
 
 impl UnixEnv {
@@ -247,6 +246,7 @@ impl UnixEnv {
                 console: machine.console_device(),
                 kernel: machine.kernel_mut(),
                 thread: boot_thread,
+                metrics_gate: None,
                 processes: &processes,
             };
             // The root directory and its filesystem.
@@ -265,7 +265,7 @@ impl UnixEnv {
         let mut vfs = Vfs::new(Box::new(root_fs));
         let procfs = vfs.add_filesystem(Box::new(ProcFs));
         vfs.mount("/proc", procfs);
-        let devfs = vfs.add_filesystem(Box::new(DevFs::new(DEV_RNG_SEED)));
+        let devfs = vfs.add_filesystem(Box::new(DevFs::default()));
         vfs.mount("/dev", devfs);
         let persistfs = vfs.add_filesystem(Box::new(persistfs));
         vfs.mount("/persist", persistfs);
@@ -278,6 +278,7 @@ impl UnixEnv {
             fs_root,
             init_pid: 1,
             open_vnodes: BTreeMap::new(),
+            metrics_gate: None,
         };
         // PID 1.
         let init = env
@@ -304,7 +305,8 @@ impl UnixEnv {
                     PAGE_SIZE,
                 )
                 .expect("creating the metrics gate cannot fail at boot");
-            let metricsfs = env.vfs.add_filesystem(Box::new(MetricsFs::new(gate)));
+            env.metrics_gate = Some(gate);
+            let metricsfs = env.vfs.add_filesystem(Box::new(MetricsFs::default()));
             env.vfs.mount("/metrics", metricsfs);
         }
         // A store that has never checkpointed cannot recover at all (no
@@ -413,6 +415,7 @@ impl UnixEnv {
             console: self.machine.console_device(),
             kernel: self.machine.kernel_mut(),
             thread,
+            metrics_gate: self.metrics_gate,
             processes: &self.processes,
         };
         (ctx, &mut self.vfs, &mut self.open_vnodes)
@@ -891,7 +894,6 @@ impl UnixEnv {
             fds: FdTable::new(),
             cwd,
             state: ProcessState::Running,
-            signal_handlers: Vec::new(),
         };
         self.processes.insert(pid, process);
         self.map_process_image(pid, address_space, text, heap, stack)?;
@@ -954,8 +956,8 @@ impl UnixEnv {
             let seg = p.fds.get(fd).ok_or(UnixError::BadFd(fd))?;
             (p.thread, FdRef::new(p.process_container, seg))
         };
-        let (mut ctx, vfs, open_vnodes) = self.split(thread);
-        let (ofd, just_read) = open_fd(&mut ctx, vfs, open_vnodes, &fd_ref)?;
+        let (mut ctx, _, open_vnodes) = self.split(thread);
+        let (ofd, just_read) = open_fd(&mut ctx, open_vnodes, &fd_ref)?;
         if !just_read {
             ofd.meta = current_state(&mut ctx, &fd_ref, Some(ofd.meta))?;
         }
@@ -1110,7 +1112,7 @@ impl UnixEnv {
         let cached = self.open_vnodes.remove(&(thread, seg));
         let view = cached.as_ref().map(|ofd| ofd.meta);
         let fd_ref = FdRef::new(container, seg);
-        let (mut ctx, vfs, _) = self.split(thread);
+        let mut ctx = self.vfs_ctx(thread);
         let mut state = match current_state(&mut ctx, &fd_ref, view) {
             Ok(state) => state,
             Err(unreadable) => {
@@ -1130,7 +1132,7 @@ impl UnixEnv {
             // there is nothing to clean up anyway.
             let vnode = match cached {
                 Some(ofd) => Some(ofd.vnode),
-                None => vfs.vnode_from_state(&mut ctx, &state).ok(),
+                None => vnode::vnode_for(&mut ctx, &state).ok(),
             };
             if let Some(mut vnode) = vnode {
                 let _ = vnode.on_last_close(&mut ctx, &fd_ref, &state);
@@ -1330,12 +1332,12 @@ impl UnixEnv {
         // Probe targets from the cached identity: the probe for each
         // blocking descriptor is a read of its ring header, and all probes
         // go down in ONE submission batch.
-        let (mut ctx, vfs, open_vnodes) = self.split(thread);
+        let (mut ctx, _, open_vnodes) = self.split(thread);
         let probes: Vec<Option<(ContainerEntry, u64, u64, bool)>> = segs
             .iter()
             .map(|&seg| {
                 let fd = FdRef::new(container, seg);
-                let (ofd, _) = open_fd(&mut ctx, vfs, open_vnodes, &fd)?;
+                let (ofd, _) = open_fd(&mut ctx, open_vnodes, &fd)?;
                 let meta = &ofd.meta;
                 Ok(
                     vnode::readiness_probe(meta).map(|(header, capacity, write_side)| {
@@ -1448,12 +1450,7 @@ impl UnixEnv {
     pub fn reserve_quota(&mut self, pid: Pid, path: &str, bytes: u64) -> Result<()> {
         self.vfs_op(pid, |vfs, ctx, cwd| {
             let (fs, dir) = vfs.resolve_dir(ctx, cwd, path)?;
-            if vfs
-                .filesystem_mut(fs)
-                .as_any_mut()
-                .downcast_mut::<SegFs>()
-                .is_none()
-            {
+            if vfs.filesystem_mut(fs).fs_name() != "segfs" {
                 return Err(UnixError::Unsupported(
                     "quota reservation on a pseudo filesystem",
                 ));

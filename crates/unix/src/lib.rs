@@ -26,6 +26,9 @@
 //!   write-ahead-log append and recovery replays the log into a
 //!   mountable tree.
 //! * [`procfs`] — label-filtered per-process state under `/proc`.
+//! * [`metricsfs`] — label-gated kernel counters under `/metrics`; both
+//!   pseudo-filesystems follow the one gated-snapshot protocol of the
+//!   private `snapshot` module.
 //! * [`devfs`] — `/dev`: console, null, zero, urandom.
 //! * [`fs`] — the directory format both filesystems use, path helpers,
 //!   open flags.
@@ -48,6 +51,7 @@ pub mod persistfs;
 pub mod process;
 pub mod procfs;
 pub mod segfs;
+mod snapshot;
 pub mod users;
 pub mod vfs;
 pub mod vnode;

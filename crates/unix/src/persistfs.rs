@@ -51,17 +51,19 @@
 //! but never synced, that no later directory sync names, is absent after a
 //! crash.
 //!
-//! The hot path keeps PR 3's shape: [`PersistVnode`] issues its extent
-//! reads/writes and the descriptor seek-update as ONE submission batch —
-//! persist records ride the same batched ABI as every other syscall, so a
-//! steady-state `read(2)` on `/persist` still costs a single boundary
-//! crossing.
+//! The hot path: [`PersistVnode`] issues its extent reads/writes and the
+//! descriptor seek-update as ONE submission batch — persist records ride
+//! the same batched ABI as every other syscall, so a steady-state
+//! `read(2)` on `/persist` costs a single boundary crossing.  Its reads
+//! run the read loop it shares with SegFs ([`read_cached`]); an extent
+//! missing inside a cached length is a stale length until a fresh one
+//! says it is a hole.
 
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FLAG_APPEND};
 use crate::fs::{DirEntry, DirImage, FileStat, OpenFlags};
 use crate::vfs::{Filesystem, FsNode, SyncTarget};
-use crate::vnode::{FdRef, VfsCtx, Vnode};
+use crate::vnode::{read_cached, undo_seek, CachedLength, FdRef, VfsCtx, Vnode};
 use histar_kernel::dispatch::{Syscall, SyscallResult};
 use histar_kernel::object::ObjectId;
 use histar_kernel::syscall::SyscallError;
@@ -520,10 +522,6 @@ impl Filesystem for PersistFs {
         Ok((state, Box::new(vnode)))
     }
 
-    fn vnode_from_state(&mut self, _ctx: &mut VfsCtx, state: &FdState) -> Result<Box<dyn Vnode>> {
-        Ok(Box::new(PersistVnode::new(state.target.raw() as u32)))
-    }
-
     fn sync_targets(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<Vec<SyncTarget>> {
         let dir = dir as u32;
         let (_, record) = Self::read_dir(ctx, dir)?;
@@ -540,10 +538,6 @@ impl Filesystem for PersistFs {
         keys.extend(Self::extent_keys(ino, len));
         Ok(keys.into_iter().map(SyncTarget::Record).collect())
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
 }
 
 // ------------------------------------------------------- the hot path --
@@ -553,10 +547,9 @@ impl Filesystem for PersistFs {
 #[derive(Debug)]
 pub struct PersistVnode {
     ino: u32,
-    /// Cached file length, and the file's (immutable) label, which new
-    /// extents take; the inode read returns both.  Revalidated at
-    /// end-of-file and on a failed in-batch extent access, like
-    /// `SegVnode`'s length cache.
+    /// Cached file length (see [`read_cached`]), and the file's
+    /// (immutable) label, which new extents take; the inode read returns
+    /// both.
     cached: Option<(u64, Label)>,
 }
 
@@ -599,6 +592,56 @@ impl PersistVnode {
     }
 }
 
+impl CachedLength for PersistVnode {
+    fn cached_len(&self) -> Option<u64> {
+        self.cached.as_ref().map(|(len, _)| *len)
+    }
+
+    fn fetch_len(&mut self, ctx: &mut VfsCtx) -> Result<u64> {
+        Ok(self.fetch(ctx)?.0)
+    }
+
+    fn forget_len(&mut self) {
+        self.cached = None;
+    }
+
+    fn read_calls(&self, start: u64, n: u64, then: Syscall) -> Vec<Syscall> {
+        let reads = self.extent_chunks(start, start + n).into_iter();
+        reads
+            .map(|(key, offset, len)| Syscall::PersistRead { key, offset, len })
+            .chain([then])
+            .collect()
+    }
+
+    fn read_bytes(
+        &self,
+        done: Vec<core::result::Result<SyscallResult, SyscallError>>,
+        start: u64,
+        n: u64,
+        fresh: bool,
+    ) -> core::result::Result<Option<Vec<u8>>, SyscallError> {
+        let mut out = Vec::with_capacity(n as usize);
+        for (r, (_, _, chunk)) in done.into_iter().zip(self.extent_chunks(start, start + n)) {
+            match r {
+                Ok(SyscallResult::Record((_, bytes))) => out.extend(bytes),
+                Ok(other) => unreachable!("persist_read completed with {other:?}"),
+                // A missing extent inside a fresh length is a hole (a
+                // never-written extent of a sparse file): zeros.
+                Err(SyscallError::NoSuchRecord(_)) if fresh => {
+                    out.resize(out.len() + chunk as usize, 0);
+                }
+                // Inside a cached length, a missing extent or a read past
+                // an extent's end may be a truncation elsewhere.
+                Err(SyscallError::NoSuchRecord(_) | SyscallError::InvalidArgument(_)) if !fresh => {
+                    return Ok(None)
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(Some(out))
+    }
+}
+
 impl Vnode for PersistVnode {
     fn read(
         &mut self,
@@ -607,80 +650,7 @@ impl Vnode for PersistVnode {
         state: &mut FdState,
         len: u64,
     ) -> Result<Vec<u8>> {
-        if len == 0 {
-            // Still label-checks through the inode fetch, like a
-            // zero-length read(2) still validates the descriptor.
-            self.inode(ctx)?;
-            return Ok(Vec::new());
-        }
-        let mut attempts = 0;
-        loop {
-            let (file_len, _) = self.inode(ctx)?;
-            let start = state.position.min(file_len);
-            let n = len.min(file_len - start);
-            if n == 0 {
-                // At (cached) end of file: revalidate once so growth via
-                // other descriptors is observed — itself a label-checked
-                // call, so an unauthorized reader still fails here.
-                let (fresh, _) = self.fetch(ctx)?;
-                if fresh <= start {
-                    return Ok(Vec::new());
-                }
-                continue;
-            }
-            // The extent reads and the seek-update cross the boundary
-            // together: one batch, one trap cost.
-            let chunks = self.extent_chunks(start, start + n);
-            let mut calls: Vec<Syscall> = chunks
-                .iter()
-                .map(|&(key, offset, chunk)| Syscall::PersistRead {
-                    key,
-                    offset,
-                    len: chunk,
-                })
-                .collect();
-            calls.push(fd.position_update(start + n));
-            let thread = ctx.thread;
-            let mut results = ctx.kernel().submit_calls(thread, calls).into_iter();
-            let mut out = Vec::with_capacity(n as usize);
-            let mut failed: Option<SyscallError> = None;
-            for &(_, _, chunk) in &chunks {
-                match results.next().expect("one completion per chunk") {
-                    Ok(SyscallResult::Record((_, bytes))) => out.extend(bytes),
-                    Ok(other) => unreachable!("persist_read completed with {other:?}"),
-                    // A hole (never-written extent of a sparse file)
-                    // reads as zeros.
-                    Err(SyscallError::NoSuchRecord(_)) => {
-                        out.resize(out.len() + chunk as usize, 0);
-                    }
-                    Err(e) => {
-                        failed.get_or_insert(e);
-                    }
-                }
-            }
-            let seek = results.next().expect("seek update completes");
-            match failed {
-                None => {
-                    seek?;
-                    state.position = start + n;
-                    return Ok(out);
-                }
-                Some(SyscallError::InvalidArgument(_)) if attempts == 0 => {
-                    // The cached length was stale (the file shrank under
-                    // us); undo this batch's seek update, as the retry may
-                    // end at end of file without one, then refresh and
-                    // retry once.
-                    crate::vnode::undo_seek(ctx, fd, state.position);
-                    self.cached = None;
-                    attempts += 1;
-                }
-                Some(e) => {
-                    // A failed read must not move the shared position.
-                    crate::vnode::undo_seek(ctx, fd, state.position);
-                    return Err(e.into());
-                }
-            }
-        }
+        read_cached(self, ctx, fd, state, len)
     }
 
     fn write(
@@ -741,7 +711,7 @@ impl Vnode for PersistVnode {
             if let Err(e) = r {
                 // Batches have no rollback; a denied write must restore
                 // the shared position before reporting.
-                crate::vnode::undo_seek(ctx, fd, state.position);
+                undo_seek(ctx, fd, state.position);
                 return Err(e.clone().into());
             }
         }

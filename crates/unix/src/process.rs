@@ -110,8 +110,6 @@ pub struct Process {
     pub cwd: String,
     /// Lifecycle state.
     pub state: ProcessState,
-    /// Signal handlers installed by the process: signal number → handler id.
-    pub signal_handlers: Vec<(u64, u64)>,
 }
 
 impl Process {
@@ -127,26 +125,6 @@ impl Process {
             .set(self.read_cat, Level::L3)
             .set(self.write_cat, Level::L0)
             .build()
-    }
-
-    /// True if the process is still running.
-    pub fn is_running(&self) -> bool {
-        self.state == ProcessState::Running
-    }
-
-    /// Records a signal handler (replacing any previous handler for the
-    /// same signal).
-    pub fn set_signal_handler(&mut self, signal: u64, handler: u64) {
-        self.signal_handlers.retain(|(s, _)| *s != signal);
-        self.signal_handlers.push((signal, handler));
-    }
-
-    /// Looks up the handler for a signal.
-    pub fn signal_handler(&self, signal: u64) -> Option<u64> {
-        self.signal_handlers
-            .iter()
-            .find(|(s, _)| *s == signal)
-            .map(|(_, h)| *h)
     }
 }
 
@@ -190,7 +168,6 @@ mod tests {
             fds: FdTable::new(),
             cwd: "/".to_string(),
             state: ProcessState::Running,
-            signal_handlers: Vec::new(),
         }
     }
 
@@ -211,25 +188,5 @@ mod tests {
         let internal = p.internal_label();
         assert!(!stranger.can_observe(&internal));
         assert!(thread.can_modify(&internal));
-    }
-
-    #[test]
-    fn signal_handler_registry() {
-        let mut p = sample_process();
-        assert_eq!(p.signal_handler(15), None);
-        p.set_signal_handler(15, 0x1000);
-        p.set_signal_handler(9, 0x2000);
-        assert_eq!(p.signal_handler(15), Some(0x1000));
-        p.set_signal_handler(15, 0x3000);
-        assert_eq!(p.signal_handler(15), Some(0x3000));
-        assert_eq!(p.signal_handlers.len(), 2);
-    }
-
-    #[test]
-    fn lifecycle_flags() {
-        let mut p = sample_process();
-        assert!(p.is_running());
-        p.state = ProcessState::Zombie(ExitStatus::Exited(3));
-        assert!(!p.is_running());
     }
 }

@@ -10,15 +10,15 @@
 //! [`SegVnode`] is the hot path: it caches its backing segment's length
 //! (and nothing else), so a steady-state `read`/`write` issues its data
 //! operation and the descriptor seek-update as ONE two-entry
-//! `submit_calls` batch — a single boundary crossing instead of the seven
-//! the match-on-`FdKind` code paid.
+//! `submit_calls` batch — a single boundary crossing.  Its reads run the
+//! read loop it shares with `/persist` ([`read_cached`]).
 
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FLAG_APPEND};
 use crate::fs::{DirEntry, DirImage, FileStat, OpenFlags};
 use crate::vfs::{ensure_quota, Filesystem, FsNode, SyncTarget, CREATE_HEADROOM, DIRECTORY_QUOTA};
-use crate::vnode::{FdRef, VfsCtx, Vnode};
-use histar_kernel::dispatch::Syscall;
+use crate::vnode::{read_cached, undo_seek, CachedLength, FdRef, VfsCtx, Vnode};
+use histar_kernel::dispatch::{Syscall, SyscallResult};
 use histar_kernel::kernel::PAGE_SIZE;
 use histar_kernel::object::{ContainerEntry, ObjectId, METADATA_LEN};
 use histar_kernel::syscall::SyscallError;
@@ -212,13 +212,6 @@ impl Filesystem for SegFs {
         Ok((state, Box::new(vnode)))
     }
 
-    fn vnode_from_state(&mut self, _ctx: &mut VfsCtx, state: &FdState) -> Result<Box<dyn Vnode>> {
-        Ok(Box::new(SegVnode::new(ContainerEntry::new(
-            state.target_container,
-            state.target,
-        ))))
-    }
-
     fn sync_targets(&mut self, ctx: &mut VfsCtx, dir: u64, name: &str) -> Result<Vec<SyncTarget>> {
         let dir = ObjectId::from_raw(dir);
         let file = Self::find(ctx, dir, name)?.map(|(object, _)| object);
@@ -228,10 +221,6 @@ impl Filesystem for SegFs {
             .flatten()
             .map(|id| SyncTarget::Object(ContainerEntry::new(dir, id)))
             .collect())
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
     }
 }
 
@@ -320,10 +309,7 @@ pub fn write_directory(ctx: &mut VfsCtx, dir: ObjectId, bytes: &[u8]) -> Result<
 pub struct SegVnode {
     /// The container entry naming the backing segment.
     entry: ContainerEntry,
-    /// Cached segment length.  Revalidated at end-of-file, so a reader
-    /// that hits EOF observes growth by other descriptors; a concurrent
-    /// *truncate* through a different descriptor surfaces as a failed
-    /// in-batch read, which also refreshes the cache and retries.
+    /// Cached segment length (see [`read_cached`]).
     cached_len: Option<u64>,
 }
 
@@ -335,14 +321,11 @@ impl SegVnode {
             cached_len: None,
         }
     }
+}
 
-    /// The backing segment's length, from cache when warm (label-checked
-    /// by the kernel when cold).
-    fn len(&mut self, ctx: &mut VfsCtx) -> Result<u64> {
-        if let Some(len) = self.cached_len {
-            return Ok(len);
-        }
-        self.fetch_len(ctx)
+impl CachedLength for SegVnode {
+    fn cached_len(&self) -> Option<u64> {
+        self.cached_len
     }
 
     fn fetch_len(&mut self, ctx: &mut VfsCtx) -> Result<u64> {
@@ -350,6 +333,34 @@ impl SegVnode {
         let len = ctx.kernel().trap_segment_len(thread, self.entry)?;
         self.cached_len = Some(len);
         Ok(len)
+    }
+
+    fn forget_len(&mut self) {
+        self.cached_len = None;
+    }
+
+    fn read_calls(&self, start: u64, n: u64, then: Syscall) -> Vec<Syscall> {
+        let read = Syscall::SegmentRead {
+            entry: self.entry,
+            offset: start,
+            len: n,
+        };
+        vec![read, then]
+    }
+
+    fn read_bytes(
+        &self,
+        done: Vec<core::result::Result<SyscallResult, SyscallError>>,
+        _start: u64,
+        _n: u64,
+        fresh: bool,
+    ) -> core::result::Result<Option<Vec<u8>>, SyscallError> {
+        match done.into_iter().next().expect("read completes") {
+            Ok(r) => Ok(Some(r.into_bytes())),
+            // A read past a stale cached length: the segment shrank.
+            Err(SyscallError::InvalidArgument(_)) if !fresh => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -361,63 +372,7 @@ impl Vnode for SegVnode {
         state: &mut FdState,
         len: u64,
     ) -> Result<Vec<u8>> {
-        if len == 0 {
-            // A zero-length read still label-checks (the length fetch),
-            // like read(2) with a zero count still validates the fd.
-            self.len(ctx)?;
-            return Ok(Vec::new());
-        }
-        let mut attempts = 0;
-        loop {
-            let file_len = self.len(ctx)?;
-            let start = state.position.min(file_len);
-            let n = len.min(file_len - start);
-            if n == 0 {
-                // At (cached) end of file: revalidate once so growth by
-                // other descriptors is observed, then report EOF.  The
-                // revalidation is itself a label-checked kernel call, so
-                // an unauthorized reader still fails here.
-                let fresh = self.fetch_len(ctx)?;
-                if fresh <= start {
-                    return Ok(Vec::new());
-                }
-                continue;
-            }
-            // The data read and the descriptor seek-update cross the
-            // boundary together: one batch, one trap cost.
-            let thread = ctx.thread;
-            let calls = vec![
-                Syscall::SegmentRead {
-                    entry: self.entry,
-                    offset: start,
-                    len: n,
-                },
-                fd.position_update(start + n),
-            ];
-            let mut results = ctx.kernel().submit_calls(thread, calls).into_iter();
-            let data = results.next().expect("read completes");
-            let seek = results.next().expect("seek update completes");
-            match data {
-                Ok(r) => {
-                    seek?;
-                    state.position = start + n;
-                    return Ok(r.into_bytes());
-                }
-                Err(SyscallError::InvalidArgument(_)) if attempts == 0 => {
-                    // The cached length was stale (the file shrank).  The
-                    // retry may end at end of file without a batch of its
-                    // own, so this one's seek update is undone first.
-                    crate::vnode::undo_seek(ctx, fd, state.position);
-                    self.cached_len = None;
-                    attempts += 1;
-                }
-                Err(e) => {
-                    // A failed read must not move the shared position.
-                    crate::vnode::undo_seek(ctx, fd, state.position);
-                    return Err(e.into());
-                }
-            }
-        }
+        read_cached(self, ctx, fd, state, len)
     }
 
     fn write(
@@ -479,14 +434,14 @@ impl Vnode for SegVnode {
                             .map_err(UnixError::from)
                     });
                     if let Err(e) = topped {
-                        crate::vnode::undo_seek(ctx, fd, state.position);
+                        undo_seek(ctx, fd, state.position);
                         return Err(e);
                     }
                     attempts += 1;
                 }
                 Err(e) => {
                     // A failed write must not move the shared position.
-                    crate::vnode::undo_seek(ctx, fd, state.position);
+                    undo_seek(ctx, fd, state.position);
                     return Err(e.into());
                 }
             }

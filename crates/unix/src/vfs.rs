@@ -20,6 +20,12 @@
 //! no exception: a filesystem *names* what an `fsync` must make durable
 //! ([`Filesystem::sync_targets`], the one sync seam) and the environment
 //! traps `persist_sync` / `obj_sync` for it.
+//!
+//! A filesystem builds the vnode of what it opens and nothing else: a
+//! descriptor's vnode is rebuilt from its state alone
+//! ([`vnode_for`](crate::vnode::vnode_for)), so the mount layer never has
+//! to find a filesystem by its type, and a filesystem is told apart only
+//! by [`Filesystem::fs_name`] and [`Filesystem::root_node`].
 
 use crate::env::UnixError;
 use crate::fdtable::FdState;
@@ -121,11 +127,6 @@ pub trait Filesystem: core::fmt::Debug {
         label: Option<Label>,
     ) -> Result<(FdState, Box<dyn Vnode>)>;
 
-    /// Rebuilds the vnode for a descriptor that was opened on this
-    /// filesystem (after `fork`, or when the in-memory vnode cache was
-    /// dropped); `state` is the decoded descriptor segment.
-    fn vnode_from_state(&mut self, ctx: &mut VfsCtx, state: &FdState) -> Result<Box<dyn Vnode>>;
-
     /// What an `fsync` of `name` under `dir` must make durable — the file
     /// and the directory naming it — as the arguments of the kernel's two
     /// sync calls; empty (the default) for a filesystem with nothing in
@@ -145,10 +146,6 @@ pub trait Filesystem: core::fmt::Debug {
     ) -> Result<Vec<SyncTarget>> {
         Ok(Vec::new())
     }
-
-    /// Downcast hook (how [`Vfs::find_fs_mut`] finds a filesystem by type,
-    /// e.g. to reach `segfs`'s quota helpers).
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any;
 }
 
 /// The result of resolving a path to its parent directory: which
@@ -218,22 +215,13 @@ impl Vfs {
         self.filesystems[fs].as_mut()
     }
 
-    /// Finds the first registered filesystem downcastable to `F`.
-    pub fn find_fs_mut<F: 'static>(&mut self) -> Option<&mut F> {
+    /// The ID of an already-registered SegFs rooted at `root`, if any —
+    /// remounting the same container reuses its filesystem instead of
+    /// registering a duplicate.
+    pub fn segfs_with_root(&self, root: ObjectId) -> Option<FsId> {
         self.filesystems
-            .iter_mut()
-            .find_map(|f| f.as_any_mut().downcast_mut::<F>())
-    }
-
-    /// The ID of an already-registered [`SegFs`](crate::segfs::SegFs)
-    /// rooted at `root`, if any — remounting the same container reuses
-    /// its filesystem instead of registering a duplicate.
-    pub fn segfs_with_root(&mut self, root: histar_kernel::object::ObjectId) -> Option<FsId> {
-        self.filesystems.iter_mut().position(|f| {
-            f.as_any_mut()
-                .downcast_mut::<crate::segfs::SegFs>()
-                .is_some_and(|s| s.root_container() == root)
-        })
+            .iter()
+            .position(|f| f.fs_name() == "segfs" && f.root_node() == root.raw())
     }
 
     // ----- path normalization (the one place) ---------------------------
@@ -457,49 +445,6 @@ impl Vfs {
     ) -> Result<Vec<SyncTarget>> {
         let r = self.resolve_parent(ctx, cwd, path)?;
         self.filesystems[r.fs].sync_targets(ctx, r.dir, &r.name)
-    }
-
-    /// Rebuilds the vnode for a decoded descriptor state.  File-backed
-    /// descriptors are owned by the filesystem that can serve their
-    /// object; descriptor kinds that live outside any filesystem (pipes,
-    /// console, sockets) are built here.
-    pub fn vnode_from_state(
-        &mut self,
-        ctx: &mut VfsCtx,
-        state: &FdState,
-    ) -> Result<Box<dyn Vnode>> {
-        use crate::fdtable::FdKind;
-        use crate::vnode::{ConsoleVnode, PipeVnode, SocketVnode};
-        use crate::{devfs::DevFs, metricsfs::MetricsFs, persistfs::PersistFs};
-        use crate::{procfs::ProcFs, segfs::SegFs};
-        match state.kind {
-            FdKind::PipeRead | FdKind::PipeWrite => Ok(Box::new(PipeVnode)),
-            FdKind::Console => Ok(Box::new(ConsoleVnode)),
-            FdKind::Socket => Ok(Box::new(SocketVnode)),
-            // Any SegFs can rebuild a file vnode: the descriptor state
-            // names the object directly.
-            FdKind::File => self.rebuild::<SegFs>(ctx, state, "file descriptor with no segfs"),
-            FdKind::Dev => self.rebuild::<DevFs>(ctx, state, "dev descriptor with no devfs"),
-            FdKind::Proc => self.rebuild::<ProcFs>(ctx, state, "proc descriptor with no procfs"),
-            FdKind::Metrics => {
-                self.rebuild::<MetricsFs>(ctx, state, "metrics descriptor with no metricsfs")
-            }
-            FdKind::Persist => {
-                self.rebuild::<PersistFs>(ctx, state, "persist descriptor with no persistfs")
-            }
-        }
-    }
-
-    /// Asks the registered filesystem of type `F` to rebuild a vnode.
-    fn rebuild<F: Filesystem + 'static>(
-        &mut self,
-        ctx: &mut VfsCtx,
-        state: &FdState,
-        missing: &'static str,
-    ) -> Result<Box<dyn Vnode>> {
-        self.find_fs_mut::<F>()
-            .ok_or(UnixError::Corrupt(missing))?
-            .vnode_from_state(ctx, state)
     }
 }
 

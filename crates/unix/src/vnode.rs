@@ -4,25 +4,37 @@
 //! §5 of the paper insists the Unix file system is *untrusted library
 //! code* over labeled kernel objects.  The vnode trait is where that
 //! library stops special-casing: a regular file, a pipe end, a console, a
-//! `/proc` pseudo-file and a `/dev` node all answer the same
-//! `read`/`write`/`seek`/`stat` interface, and the kernel's label checks
-//! run inside each implementation's system calls exactly as before.
+//! socket, a `/proc` or `/metrics` pseudo-file and a `/dev` node all
+//! answer the same `read`/`write`/`seek`/`stat` interface, and the
+//! kernel's label checks run inside each implementation's system calls
+//! exactly as before.
 //!
 //! Descriptor state lives in the *descriptor segment* (§5.3), because
 //! `dup` and `fork` share positions by sharing that segment.  A vnode
 //! runs against the caller's view of that state (`&mut FdState`, kept by
 //! the environment) and, once its batch has stored a new position, sets
-//! the view's `position` to match.  A file vnode caches its backing
-//! segment's *length* and nothing else; both segments are named by their
-//! [`ContainerEntry`] on every call, and the hot read/write paths submit
-//! their data operation and the descriptor seek-update as ONE
-//! `submit_calls` batch (a single boundary crossing).
+//! the view's `position` to match.  Two decisions are made here, once:
+//!
+//! * **Which vnode serves a descriptor.**  A filesystem's `open` hands
+//!   back the vnode it built; every other holder — a process the
+//!   descriptor reached by `fork` or `share_fd`, or a `close` that must
+//!   run a last-close hook — gets it from [`vnode_for`], one `match` on
+//!   the state's [`FdKind`].
+//! * **When a file vnode may trust its cached length.**  SegFs's and
+//!   PersistFs's file vnodes cache their file's *length* and nothing
+//!   else, and share one read loop, [`read_cached`], which decides it.
 
+use crate::devfs::device;
 use crate::env::UnixError;
 use crate::fdtable::{FdKind, FdState, FD_POSITION_OFFSET, FD_STATE_LEN, FLAG_TARGET_BESIDE};
 use crate::fs::FileStat;
+use crate::metricsfs::MetricsFs;
+use crate::persistfs::PersistVnode;
 use crate::process::{Pid, Process, ProcessState};
-use histar_kernel::dispatch::Syscall;
+use crate::procfs::ProcFs;
+use crate::segfs::SegVnode;
+use crate::snapshot::reopen;
+use histar_kernel::dispatch::{Syscall, SyscallResult};
 use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::syscall::SyscallError;
 use histar_kernel::Kernel;
@@ -53,6 +65,9 @@ pub struct VfsCtx<'a> {
     pub(crate) console: ObjectId,
     /// The calling process's thread.
     pub thread: ObjectId,
+    /// The container whose label gates the global `/metrics` files, once
+    /// the environment has made it.
+    pub metrics_gate: Option<ObjectId>,
     /// The process table `/proc` and `/metrics/tasks` render from (built
     /// by [`UnixEnv::vfs_ctx`](crate::env::UnixEnv::vfs_ctx)).
     pub processes: &'a BTreeMap<Pid, Process>,
@@ -233,80 +248,120 @@ pub trait Vnode: core::fmt::Debug {
     }
 }
 
-// ------------------------------------------------- pseudo-file snapshots --
-
-/// An open `/proc` or `/metrics` pseudo-file: an open-time snapshot of the
-/// rendered text.  Every read re-runs the kernel label check against the
-/// node's gate container (the descriptor's `target_container`) before
-/// serving bytes, batched with the descriptor's seek update.
-#[derive(Debug)]
-pub struct SnapshotVnode {
-    /// The rendered text.
-    pub(crate) content: Vec<u8>,
-    /// The node's name, when a denial must read as the `NotFound` a
-    /// missing entry produces (the per-activity `/metrics` namespaces), so
-    /// revocation-by-relabeling is as silent as never having existed.
-    pub(crate) absence: Option<String>,
+/// The vnode serving a descriptor, built from its state alone: the one
+/// place a vnode is built for a descriptor its filesystem did not just
+/// open.  A file vnode starts with a cold length cache; a `/proc` or
+/// `/metrics` pseudo-file passes the gate its state records and is
+/// rendered afresh; a `/dev/urandom` stream starts again from the seed
+/// its open recorded.
+pub(crate) fn vnode_for(ctx: &mut VfsCtx, state: &FdState) -> Result<Box<dyn Vnode>> {
+    Ok(match state.kind {
+        FdKind::File => Box::new(SegVnode::new(recorded_target(state))),
+        FdKind::Persist => Box::new(PersistVnode::new(state.target.raw() as u32)),
+        FdKind::PipeRead | FdKind::PipeWrite => Box::new(PipeVnode),
+        FdKind::Console => Box::new(ConsoleVnode),
+        FdKind::Socket => Box::new(SocketVnode),
+        FdKind::Dev => device(state.target.raw(), state.target_container.raw())?,
+        FdKind::Proc => reopen::<ProcFs>(ctx, state)?,
+        FdKind::Metrics => reopen::<MetricsFs>(ctx, state)?,
+    })
 }
 
-impl Vnode for SnapshotVnode {
-    fn read(
-        &mut self,
-        ctx: &mut VfsCtx,
-        fd: &FdRef,
-        state: &mut FdState,
-        len: u64,
-    ) -> Result<Vec<u8>> {
-        // `len` is untrusted: clamp before any arithmetic can overflow.
-        let start = (state.position as usize).min(self.content.len());
-        let end = (start as u64)
-            .saturating_add(len)
-            .min(self.content.len() as u64) as usize;
-        // The label gate and the seek update cross the boundary as one
-        // batch; the gate must pass before bytes are served.
-        let thread = ctx.thread;
-        let calls = vec![
-            Syscall::ContainerList {
-                container: state.target_container,
-            },
-            fd.position_update(end as u64),
-        ];
-        let mut results = ctx.kernel().submit_calls(thread, calls).into_iter();
-        let gate = results.next().expect("label gate completes");
-        let seek = results.next().expect("seek update completes");
-        if let Err(e) = gate {
-            // Batches have no rollback: undo the optimistic seek update
-            // so a denied read does not move the shared position.
-            undo_seek(ctx, fd, state.position);
-            return Err(match &self.absence {
-                Some(name) => UnixError::NotFound(name.clone()),
-                None => e.into(),
-            });
+// ------------------------------------------------------- cached length --
+
+/// A file vnode that caches its file's length: what [`read_cached`] asks
+/// of it.
+pub(crate) trait CachedLength {
+    /// The cached length, if there is one.
+    fn cached_len(&self) -> Option<u64>;
+
+    /// Fetches the length fresh — a label-checked kernel call, so an
+    /// unauthorized reader fails here — and caches it.
+    fn fetch_len(&mut self, ctx: &mut VfsCtx) -> Result<u64>;
+
+    /// Drops the cached length.
+    fn forget_len(&mut self);
+
+    /// The calls reading bytes `[start, start + n)`, followed by `then`.
+    fn read_calls(&self, start: u64, n: u64, then: Syscall) -> Vec<Syscall>;
+
+    /// The bytes the read calls' completions carry.  `Ok(None)` says
+    /// they show the length used stale; it is asked only while `fresh` is
+    /// false, i.e. while the length in hand came from the cache.
+    fn read_bytes(
+        &self,
+        done: Vec<core::result::Result<SyscallResult, SyscallError>>,
+        start: u64,
+        n: u64,
+        fresh: bool,
+    ) -> core::result::Result<Option<Vec<u8>>, SyscallError>;
+}
+
+/// The length in hand: the cached one, or a fetch (which `fresh` records).
+fn length<F: CachedLength>(file: &mut F, ctx: &mut VfsCtx, fresh: &mut bool) -> Result<u64> {
+    match file.cached_len() {
+        Some(len) => Ok(len),
+        None => {
+            *fresh = true;
+            file.fetch_len(ctx)
         }
-        seek?;
-        state.position = end as u64;
-        Ok(self.content[start..end].to_vec())
     }
+}
 
-    fn write(
-        &mut self,
-        _ctx: &mut VfsCtx,
-        _fd: &FdRef,
-        state: &mut FdState,
-        _data: &[u8],
-    ) -> Result<u64> {
-        Err(UnixError::ReadOnly(match state.kind {
-            FdKind::Proc => "procfs",
-            _ => "metricsfs",
-        }))
+/// Reads up to `len` bytes of a length-caching file at the descriptor's
+/// position: the read loop SegFs and PersistFs files share.  A warm read
+/// is one batch — the data reads and the seek update.  At (cached) end of
+/// file the length is fetched once more, so growth through other
+/// descriptors shows, before end of file is reported with the position
+/// unchanged.  A batch that shows a cached length stale (the file shrank
+/// through another descriptor) is undone and retried once on a fresh
+/// length.  A zero-length read still fetches a cold length, as read(2)
+/// with a zero count still validates the descriptor.
+pub(crate) fn read_cached<F: CachedLength>(
+    file: &mut F,
+    ctx: &mut VfsCtx,
+    fd: &FdRef,
+    state: &mut FdState,
+    len: u64,
+) -> Result<Vec<u8>> {
+    let mut fresh = false;
+    if len == 0 {
+        length(file, ctx, &mut fresh)?;
+        return Ok(Vec::new());
     }
-
-    fn stat(&mut self, _ctx: &mut VfsCtx, state: &FdState) -> Result<FileStat> {
-        Ok(FileStat {
-            object: state.target,
-            is_dir: false,
-            len: self.content.len() as u64,
-        })
+    loop {
+        let file_len = length(file, ctx, &mut fresh)?;
+        let start = state.position.min(file_len);
+        let n = len.min(file_len - start);
+        if n == 0 {
+            fresh = true;
+            if file.fetch_len(ctx)? <= start {
+                return Ok(Vec::new());
+            }
+            continue;
+        }
+        let calls = file.read_calls(start, n, fd.position_update(start + n));
+        let thread = ctx.thread;
+        let mut done = ctx.kernel().submit_calls(thread, calls);
+        let seek = done.pop().expect("seek update completes");
+        match file.read_bytes(done, start, n, fresh) {
+            Ok(Some(data)) => {
+                seek?;
+                state.position = start + n;
+                return Ok(data);
+            }
+            Ok(None) => {
+                // The retry may end at end of file without a batch of its
+                // own, so this one's seek update is undone first.
+                undo_seek(ctx, fd, state.position);
+                file.forget_len();
+            }
+            Err(e) => {
+                // A failed read must not move the shared position.
+                undo_seek(ctx, fd, state.position);
+                return Err(e.into());
+            }
+        }
     }
 }
 

@@ -1727,18 +1727,250 @@ fn a_sharer_that_sets_append_does_not_move_another_holders_write() {
 fn a_read_at_end_of_a_shrunk_file_keeps_the_position() {
     let mut env = UnixEnv::boot();
     let init = env.init_pid();
-    env.write_file_as(init, "/f", b"0123456789", None).unwrap();
     env.mkdir(init, "/persist/d", None).unwrap();
-    env.write_file_as(init, "/persist/d/f", b"0123456789", None)
-        .unwrap();
-    for path in ["/f", "/persist/d/f"] {
+    // What the truncating open writes: a byte, or nothing at all (the
+    // cached length then names extents that are gone, not holes).
+    for rewrite in [&b"x"[..], b""] {
+        for path in ["/f", "/persist/d/f"] {
+            env.write_file_as(init, path, b"0123456789", None).unwrap();
+            let fd = env.open(init, path, OpenFlags::read_only()).unwrap();
+            assert_eq!(env.read(init, fd, 2).unwrap(), b"01");
+            let truncating = env.open(init, path, OpenFlags::write_create()).unwrap();
+            assert_eq!(
+                env.write(init, truncating, rewrite).unwrap(),
+                rewrite.len() as u64
+            );
+            assert_eq!(env.read(init, fd, 4).unwrap(), b"", "{path} {rewrite:?}");
+            assert_eq!(env.fd_snapshot(init, fd).unwrap().position, 2, "{path}");
+            env.close(init, truncating).unwrap();
+            env.close(init, fd).unwrap();
+        }
+    }
+}
+
+/// What a process's first touch of a descriptor it received must give.
+enum First {
+    /// Exactly these bytes.
+    Serves(Vec<u8>),
+    /// This many bytes (a stream seeded per open).
+    Reads(usize),
+    /// The kernel's refusal to observe.
+    CannotObserve,
+    /// The absence a hidden entry's denial reads as.
+    NotFound,
+}
+
+/// A receiver's first touch: `(env, receiver, its number for the descriptor)`.
+type Touch =
+    Box<dyn Fn(&mut UnixEnv, histar_unix::Pid, histar_unix::Fd) -> Result<Vec<u8>, UnixError>>;
+
+/// One descriptor kind: the parent's descriptor, what a forked child's
+/// first touch gives, what a sibling's first touch after `share_fd` gives,
+/// and the touch.
+struct KindCase {
+    name: &'static str,
+    fd: histar_unix::Fd,
+    after_fork: First,
+    after_share: First,
+    touch: Touch,
+}
+
+fn read4() -> Touch {
+    Box::new(|env, pid, fd| env.read(pid, fd, 4))
+}
+
+/// Opens one descriptor of every kind as init (`init` can open them all)
+/// and moves each seekable one to position 2.
+fn every_kind(env: &mut UnixEnv) -> Vec<KindCase> {
+    use histar_unix::fdtable::{FdState, FLAG_SOCK_SERVER};
+    use histar_unix::FdKind;
+    let init = env.init_pid();
+    let mut cases = Vec::new();
+    let mut case = |name, fd, after_fork, after_share, touch| {
+        cases.push(KindCase {
+            name,
+            fd,
+            after_fork,
+            after_share,
+            touch,
+        })
+    };
+    let opened_at_2 = |env: &mut UnixEnv, path: &str| {
         let fd = env.open(init, path, OpenFlags::read_only()).unwrap();
-        assert_eq!(env.read(init, fd, 2).unwrap(), b"01");
-        let truncating = env.open(init, path, OpenFlags::write_create()).unwrap();
-        assert_eq!(env.write(init, truncating, b"x").unwrap(), 1);
-        assert_eq!(env.read(init, fd, 4).unwrap(), b"", "{path}");
-        assert_eq!(env.fd_snapshot(init, fd).unwrap().position, 2, "{path}");
-        env.close(init, truncating).unwrap();
-        env.close(init, fd).unwrap();
+        env.read(init, fd, 2).unwrap();
+        fd
+    };
+
+    for path in ["/f", "/persist/f"] {
+        env.write_file_as(init, path, b"0123456789", None).unwrap();
+        let fd = opened_at_2(env, path);
+        case(
+            path,
+            fd,
+            First::Serves(b"2345".to_vec()),
+            First::Serves(b"2345".to_vec()),
+            read4(),
+        );
+    }
+
+    let (r, w) = env.pipe(init).unwrap();
+    env.write(init, w, b"ping").unwrap();
+    case(
+        "pipe read end",
+        r,
+        First::Serves(b"ping".to_vec()),
+        First::Serves(b"ping".to_vec()),
+        read4(),
+    );
+    let (r, w) = env.pipe(init).unwrap();
+    let write_then_drain: Touch = Box::new(move |env, pid, fd| {
+        env.write(pid, fd, b"pong")?;
+        env.read(env.init_pid(), r, 4)
+    });
+    case(
+        "pipe write end",
+        w,
+        First::Serves(b"pong".to_vec()),
+        First::Serves(b"pong".to_vec()),
+        write_then_drain,
+    );
+
+    // A connection as netd hands one over: one segment, two rings; the
+    // parent's server end sends, the descriptor handed on is the client.
+    let thread = env.process(init).unwrap().thread;
+    let container = env.process(init).unwrap().process_container;
+    let conn = env
+        .kernel_mut()
+        .trap_segment_create(thread, container, Label::unrestricted(), 0, "conn")
+        .unwrap();
+    histar_unix::vnode::init_socket_segment(
+        &mut env.vfs_ctx(thread),
+        ContainerEntry::new(container, conn),
+    )
+    .unwrap();
+    let end = |flags| FdState {
+        kind: FdKind::Socket,
+        target: conn,
+        target_container: container,
+        position: 0,
+        flags,
+        refs: 1,
+    };
+    let client = env.install_descriptor(init, end(0)).unwrap();
+    let server = env.install_descriptor(init, end(FLAG_SOCK_SERVER)).unwrap();
+    env.write(init, server, b"ping").unwrap();
+    case(
+        "socket",
+        client,
+        First::Serves(b"ping".to_vec()),
+        First::Serves(b"ping".to_vec()),
+        read4(),
+    );
+
+    for (path, first) in [
+        ("/dev/console", Vec::new()),
+        ("/dev/null", Vec::new()),
+        ("/dev/zero", vec![0; 4]),
+    ] {
+        let fd = env.open(init, path, OpenFlags::read_only()).unwrap();
+        case(
+            path,
+            fd,
+            First::Serves(first.clone()),
+            First::Serves(first),
+            read4(),
+        );
+    }
+    let fd = env
+        .open(init, "/dev/urandom", OpenFlags::read_only())
+        .unwrap();
+    case(
+        "/dev/urandom",
+        fd,
+        First::Reads(4),
+        First::Reads(4),
+        read4(),
+    );
+
+    // Another process's `/proc` entry is refused, and its task entry is
+    // absent.  The forked child owns what init owns but init's own
+    // categories, so it passes the global `/metrics` gate; the sibling
+    // does not.  Everyone observes the root directory, so its container
+    // entry serves the same text to all.
+    let fd = opened_at_2(env, &format!("/proc/{init}/status"));
+    case(
+        "/proc/<pid>/status",
+        fd,
+        First::CannotObserve,
+        First::CannotObserve,
+        read4(),
+    );
+    let kernel = env.read_file_as(init, "/metrics/kernel").unwrap();
+    let fd = opened_at_2(env, "/metrics/kernel");
+    case(
+        "/metrics/kernel",
+        fd,
+        First::Serves(kernel[2..6].to_vec()),
+        First::CannotObserve,
+        read4(),
+    );
+    let fd = opened_at_2(env, &format!("/metrics/tasks/{init}"));
+    case(
+        "/metrics/tasks/<pid>",
+        fd,
+        First::NotFound,
+        First::NotFound,
+        read4(),
+    );
+    let path = format!("/metrics/containers/{}", env.fs_root().raw());
+    let root = env.read_file_as(init, &path).unwrap();
+    let fd = opened_at_2(env, &path);
+    let served = First::Serves(root[2..6].to_vec());
+    case(
+        "/metrics/containers/<id>",
+        fd,
+        served,
+        First::Serves(root[2..6].to_vec()),
+        read4(),
+    );
+    cases
+}
+
+/// Every descriptor kind survives `fork` and `share_fd`: the receiver's
+/// first touch rebuilds its vnode from the descriptor state alone, and
+/// then serves what the parent's descriptor serves at the shared position,
+/// or refuses the way that kind refuses.
+#[test]
+fn every_descriptor_kind_serves_or_refuses_after_fork_and_share_fd() {
+    for share in [false, true] {
+        let mut env = UnixEnv::boot();
+        let init = env.init_pid();
+        for case in every_kind(&mut env) {
+            let (pid, fd) = if share {
+                let sibling = env.spawn(init, "/bin/sibling", None).unwrap();
+                (sibling, env.share_fd(init, case.fd, sibling).unwrap())
+            } else {
+                (env.fork(init).unwrap(), case.fd)
+            };
+            let got = (case.touch)(&mut env, pid, fd);
+            let want = if share {
+                &case.after_share
+            } else {
+                &case.after_fork
+            };
+            let how = if share { "share_fd" } else { "fork" };
+            let ok = match (want, &got) {
+                (First::Serves(bytes), Ok(data)) => data == bytes,
+                (First::Reads(n), Ok(data)) => data.len() == *n,
+                (First::CannotObserve, Err(e)) => {
+                    matches!(e, UnixError::Kernel(SyscallError::CannotObserve(_)))
+                }
+                (First::NotFound, Err(e)) => matches!(e, UnixError::NotFound(_)),
+                _ => false,
+            };
+            assert!(ok, "{} after {how}: got {got:?}", case.name);
+            env.close(pid, fd).unwrap();
+            env.close(init, case.fd).unwrap();
+        }
     }
 }
