@@ -171,21 +171,24 @@ impl ContainerBody {
         self.links.push(id);
     }
 
-    /// Removes one hard link, returning true if there was one.  The ordered
-    /// list shifts (O(n) memmove); the hot path is `contains`, not unlink.
+    /// Removes one hard link (the oldest, if `id` has several), returning
+    /// true if there was one.  The ordered list shifts (O(n) memmove); the
+    /// hot path is `contains`, not unlink.  A sole link is searched for
+    /// from the back, where the newest links are: a short-lived object is
+    /// usually one of those.
     pub fn unlink(&mut self, id: ObjectId) -> bool {
         let Some(count) = self.index.get_mut(&id) else {
             return false;
         };
         *count -= 1;
-        if *count == 0 {
+        let mut links = self.links.iter();
+        let pos = if *count == 0 {
             self.index.remove(&id);
+            links.rposition(|&x| x == id)
+        } else {
+            links.position(|&x| x == id)
         }
-        let pos = self
-            .links
-            .iter()
-            .position(|&x| x == id)
-            .expect("index and links agree");
+        .expect("index and links agree");
         self.links.remove(pos);
         true
     }
@@ -500,6 +503,23 @@ mod tests {
         assert!(!c.unlink(a));
         assert!(!c.contains(a));
         assert_eq!(c.links, [b]);
+    }
+
+    #[test]
+    fn unlink_of_a_repeated_link_removes_the_oldest() {
+        let mut c = ContainerBody::default();
+        let a = ObjectId::from_raw(1);
+        let b = ObjectId::from_raw(2);
+        let d = ObjectId::from_raw(3);
+        for id in [a, b, a] {
+            c.link(id);
+        }
+        assert!(c.unlink(a));
+        assert_eq!(c.links, [b, a]);
+        // A sole link goes from wherever it is.
+        c.link(d);
+        assert!(c.unlink(b));
+        assert_eq!(c.links, [a, d]);
     }
 
     #[test]

@@ -42,7 +42,11 @@
 //!   directory's label — the one every access is checked against, so
 //!   listing a directory is exactly as restricted as observing it.
 //! * **extent** (`extent_key(ino, index)`): one [`EXTENT_SIZE`]-byte
-//!   chunk of file data.  Label: the file's label.
+//!   chunk of file data.  Label: the file's label.  A record holds only
+//!   the bytes written into it, so a write that starts past the extent
+//!   holding the end of file zero-pads that extent in the same batch:
+//!   inside a file's length an extent is whole, or the file's last, or
+//!   missing (a hole, read as zeros).
 //!
 //! Durability: creating a file or directory syncs its inode and the
 //! superblock at once, so a directory record that a later sync logs never
@@ -692,6 +696,18 @@ impl Vnode for PersistVnode {
             consumed += chunk as usize;
         }
         let grows = end > file_len;
+        // A write that starts past the extent holding the old end of file
+        // zero-pads that extent, so a read inside the new length finds
+        // zeros there, not the record's end (see the module doc).
+        let old_tail = file_len % EXTENT_SIZE;
+        if old_tail != 0 && pos / EXTENT_SIZE > file_len / EXTENT_SIZE {
+            calls.push(Syscall::PersistPut {
+                key: extent_key(self.ino, file_len / EXTENT_SIZE),
+                label: Some(label.clone()),
+                offset: old_tail,
+                data: vec![0; (EXTENT_SIZE - old_tail) as usize],
+            });
+        }
         if grows {
             calls.push(Syscall::PersistPut {
                 key: inode_key(self.ino),

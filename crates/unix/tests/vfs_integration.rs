@@ -879,6 +879,36 @@ fn persist_multi_extent_files_and_readdir() {
     env.close(init, fd).unwrap();
 }
 
+/// A write past the extent holding a file's end leaves no short extent
+/// inside the new length: the bytes between the old end and the write
+/// read as zeros, across a never-written extent too, and after a crash.
+#[test]
+fn persist_bytes_between_a_short_extent_and_a_later_write_read_as_zeros() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/persist/sparse", b"0123456789", None)
+        .unwrap();
+    let write_only = OpenFlags {
+        write: true,
+        ..Default::default()
+    };
+    let fd = env.open(init, "/persist/sparse", write_only).unwrap();
+    let mut want = b"0123456789".to_vec();
+    for (at, byte) in [(5_000, b'x'), (13_000, b'y')] {
+        env.lseek(init, fd, at).unwrap();
+        env.write(init, fd, &[byte]).unwrap();
+        want.resize(at as usize, 0);
+        want.push(byte);
+        assert_eq!(env.read_file_as(init, "/persist/sparse").unwrap(), want);
+    }
+    env.close(init, fd).unwrap();
+    env.fsync_path(init, "/persist/sparse").unwrap();
+
+    let mut env = crash_and_remount(env);
+    let init = env.init_pid();
+    assert_eq!(env.read_file_as(init, "/persist/sparse").unwrap(), want);
+}
+
 /// A tainted process cannot create records it could not modify, and a
 /// labeled private directory under /persist hides its entries from
 /// unprivileged listers at the kernel, not in the library.
