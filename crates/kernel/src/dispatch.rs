@@ -38,6 +38,7 @@ use crate::object::{ContainerEntry, ObjectId, METADATA_LEN};
 use crate::syscall::SyscallError;
 use histar_label::{Category, Label};
 use histar_obs::{Histogram, Span};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Expands the syscall table below into everything that has to agree about
@@ -49,7 +50,7 @@ use std::collections::VecDeque;
 ///
 /// ```text
 /// /// doc
-/// Variant name sys_name trap_name (arg: Ty, arg: Borrowed => Owned, …) -> Result(RetTy);
+/// Variant name sys_name trap_name (arg: Ty, arg: Borrowed => Field, …) -> Result(RetTy);
 /// ```
 ///
 /// * `Variant` is the [`Syscall`] variant, `name` the stable string in
@@ -60,19 +61,23 @@ use std::collections::VecDeque;
 ///   out, and a `const` assertion per row (`spells`, below) fails the build
 ///   unless they are `name`, `sys_name` and `trap_name` of one call.
 /// * A row without an argument list is a *unit* variant.  Each argument is
-///   a documented variant field.  `arg: B => O` means the wrapper takes
-///   `B` (`&str`, `&[u8]`), the variant owns an `O` built with `O::from`,
-///   and the handler borrows it back as `&O`; plain arguments move through
-///   unchanged.
+///   a documented variant field.  `arg: B => F` means the wrapper takes
+///   `B` and the variant holds an `F` built with `From::from`, which the
+///   handler borrows back as `&F`; plain arguments move through unchanged.
+///   Bytes and strings are lent, never copied: `data: &[u8] => Cow<'a,
+///   [u8]>`, so a trapped write's bytes reach the object in the handler's
+///   one copy, and a library that builds a batch lends its caller's slice
+///   (or moves a buffer it encoded in as `Cow::Owned`).
 /// * `Result` is the [`SyscallResult`] variant carrying the handler's
 ///   `RetTy` (`Unit(())` for calls that return nothing).
 ///
 /// The row position is the call's ABI index.
 macro_rules! syscalls {
-    (@owned $ty:ty) => { $ty };
-    (@owned $ty:ty, $owned:ty) => { $owned };
+    (@field $ty:ty) => { $ty };
+    (@field $ty:ty, $field:ty) => { $field };
     (@lend $arg:ident) => { $arg };
-    (@lend $arg:ident, $owned:ty) => { &$arg };
+    (@lend $arg:ident, $field:ty) => { &$arg };
+    (@from $arg:ident, $field:ty) => { From::from($arg) };
     (@wrap Unit) => { |()| SyscallResult::Unit };
     (@wrap $Res:ident) => { SyscallResult::$Res };
     (@unwrap Unit, $result:expr, $mismatch:expr) => {
@@ -90,7 +95,7 @@ macro_rules! syscalls {
     ($(
         $(#[$doc:meta])*
         $Variant:ident $name:ident $sys:ident $trap:ident
-        $(( $( $(#[$arg_doc:meta])* $arg:ident : $ty:ty $(=> $owned:ty)? ),+ $(,)? ))?
+        $(( $( $(#[$arg_doc:meta])* $arg:ident : $ty:ty $(=> $field:ty)? ),+ $(,)? ))?
         -> $Res:ident ( $ret:ty );
     )*) => {
         $(const _: () = assert!(
@@ -108,11 +113,11 @@ macro_rules! syscalls {
         /// Every variant corresponds 1:1 to a `sys_*` handler in `syscalls.rs`;
         /// the calling thread is supplied separately to [`Kernel::dispatch`].
         #[derive(Clone, Debug, PartialEq)]
-        pub enum Syscall {$(
+        pub enum Syscall<'a> {$(
             $(#[$doc])*
             $Variant $({$(
                 $(#[$arg_doc])*
-                $arg: syscalls!(@owned $ty $(, $owned)?),
+                $arg: syscalls!(@field $ty $(, $field)?),
             )+})?,
         )*}
 
@@ -126,7 +131,7 @@ macro_rules! syscalls {
         /// The names of all system calls, indexed by [`Syscall::index`].
         pub const SYSCALL_NAMES: [&str; SYSCALL_COUNT] = [$(stringify!($name)),*];
 
-        impl Syscall {
+        impl Syscall<'_> {
             /// The call's index into [`SYSCALL_NAMES`] and the per-syscall
             /// stats.
             pub fn index(&self) -> usize {
@@ -145,11 +150,11 @@ macro_rules! syscalls {
             fn dispatch_inner(
                 &mut self,
                 caller: &Caller,
-                call: Syscall,
+                call: Syscall<'_>,
             ) -> Result<SyscallResult, SyscallError> {
                 match call {$(
                     Syscall::$Variant $({ $($arg),+ })? => self
-                        .$sys(caller $($(, syscalls!(@lend $arg $(, $owned)?))+)?)
+                        .$sys(caller $($(, syscalls!(@lend $arg $(, $field)?))+)?)
                         .map(syscalls!(@wrap $Res)),
                 )*}
             }
@@ -169,7 +174,7 @@ macro_rules! syscalls {
                 tid: ObjectId
                 $($(, $arg: $ty)+)?
             ) -> Result<$ret, SyscallError> {
-                let call = Syscall::$Variant $({ $($arg $(: <$owned>::from($arg))?),+ })?;
+                let call = Syscall::$Variant $({ $($arg $(: syscalls!(@from $arg, $field))?),+ })?;
                 // The `dispatch_inner` arm expanded from this same row maps
                 // `$sys`'s value into `SyscallResult::$Res`, so a successful
                 // dispatch of `$Variant` returns no other variant.
@@ -230,7 +235,7 @@ syscalls! {
         /// Label of the new container.
         label: Label,
         /// Descriptive string.
-        descrip: &str => String,
+        descrip: &str => Cow<'a, str>,
         /// Object-type mask forbidden under the new container.
         avoid_types: u8,
         /// Quota charged to the parent.
@@ -308,7 +313,7 @@ syscalls! {
         /// Initial length in bytes.
         len: u64,
         /// Descriptive string.
-        descrip: &str => String,
+        descrip: &str => Cow<'a, str>,
     ) -> ObjectId(ObjectId);
     /// `sys_segment_resize`.
     SegmentResize segment_resize sys_segment_resize trap_segment_resize (
@@ -333,7 +338,7 @@ syscalls! {
         /// Byte offset of the write.
         offset: u64,
         /// The bytes to write.
-        data: &[u8] => Vec<u8>,
+        data: &[u8] => Cow<'a, [u8]>,
     ) -> Unit(());
     /// `sys_segment_len`.
     SegmentLen segment_len sys_segment_len trap_segment_len (
@@ -349,7 +354,7 @@ syscalls! {
         /// Label of the copy.
         label: Label,
         /// Descriptive string.
-        descrip: &str => String,
+        descrip: &str => Cow<'a, str>,
     ) -> ObjectId(ObjectId);
     /// `sys_as_create`.
     AsCreate as_create sys_as_create trap_as_create (
@@ -358,7 +363,7 @@ syscalls! {
         /// The address space's label.
         label: Label,
         /// Descriptive string.
-        descrip: &str => String,
+        descrip: &str => Cow<'a, str>,
     ) -> ObjectId(ObjectId);
     /// `sys_as_map`.
     AsMap as_map sys_as_map trap_as_map (
@@ -383,7 +388,7 @@ syscalls! {
         /// Abstract entry point.
         entry_point: u64,
         /// Descriptive string.
-        descrip: &str => String,
+        descrip: &str => Cow<'a, str>,
     ) -> ObjectId(ObjectId);
     /// `sys_self_halt`.
     SelfHalt self_halt sys_self_halt trap_self_halt -> Unit(());
@@ -416,7 +421,7 @@ syscalls! {
         /// Closure arguments passed to the entry point.
         closure_args: Vec<u64>,
         /// Descriptive string.
-        descrip: &str => String,
+        descrip: &str => Cow<'a, str>,
     ) -> ObjectId(ObjectId);
     /// `sys_gate_enter`.
     GateEnter gate_enter sys_gate_enter trap_gate_enter (
@@ -459,7 +464,7 @@ syscalls! {
         /// Byte offset of the write within the record payload.
         offset: u64,
         /// The bytes to write.
-        data: &[u8] => Vec<u8>,
+        data: &[u8] => Cow<'a, [u8]>,
     ) -> Unit(());
     /// `sys_persist_read`: read bytes out of a persist record, with the
     /// record's label.
@@ -468,7 +473,8 @@ syscalls! {
         key: u64,
         /// Byte offset of the read.
         offset: u64,
-        /// Bytes to read (`u64::MAX` reads to the end of the record).
+        /// Bytes to read; the read stops at the record's end (`u64::MAX`
+        /// reads to it).
         len: u64,
     ) -> Record((Label, Vec<u8>));
     /// `sys_persist_delete`: remove a persist record.
@@ -798,7 +804,7 @@ impl Kernel {
     pub fn dispatch(
         &mut self,
         tid: ObjectId,
-        call: Syscall,
+        call: Syscall<'_>,
     ) -> Result<SyscallResult, SyscallError> {
         self.begin_batch();
         let result = self.dispatch_one(tid, call, true);
@@ -823,7 +829,7 @@ impl Kernel {
     pub fn submit_calls(
         &mut self,
         tid: ObjectId,
-        calls: Vec<Syscall>,
+        calls: Vec<Syscall<'_>>,
     ) -> Vec<Result<SyscallResult, SyscallError>> {
         self.begin_batch();
         let span_start = self.recorder().is_enabled().then(|| self.now().as_nanos());
@@ -857,7 +863,7 @@ impl Kernel {
     fn dispatch_one(
         &mut self,
         tid: ObjectId,
-        call: Syscall,
+        call: Syscall<'_>,
         first_of_batch: bool,
     ) -> Result<SyscallResult, SyscallError> {
         let index = call.index();

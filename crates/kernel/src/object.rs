@@ -176,7 +176,7 @@ pub struct ObjectHeader {
     /// 64 bytes of mutable, user-defined metadata (e.g. modification time).
     pub metadata: [u8; METADATA_LEN],
     /// Descriptive string giving a rough idea of the object's purpose.
-    pub descrip: String,
+    pub descrip: Descrip,
     /// Object flags.
     pub flags: ObjectFlags,
     /// Number of containers holding a hard link to this object.
@@ -194,7 +194,7 @@ impl ObjectHeader {
         quota: u64,
         descrip: &str,
     ) -> ObjectHeader {
-        let descrip = truncate_descrip(descrip);
+        let descrip = Descrip::new(descrip);
         ObjectHeader {
             id,
             label,
@@ -218,17 +218,55 @@ impl ObjectHeader {
     }
 }
 
-/// Truncates a descriptive string to [`DESCRIP_LEN`] bytes on a character
-/// boundary.
-pub fn truncate_descrip(s: &str) -> String {
-    if s.len() <= DESCRIP_LEN {
-        return s.to_string();
+/// An object's descriptive string: at most [`DESCRIP_LEN`] bytes of
+/// UTF-8, held inline in the header like the paper's fixed 32-byte field,
+/// so a header owns no heap string.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Descrip {
+    len: u8,
+    bytes: [u8; DESCRIP_LEN],
+}
+
+impl Descrip {
+    /// Truncates `s` to [`DESCRIP_LEN`] bytes on a character boundary.
+    pub fn new(s: &str) -> Descrip {
+        Descrip::fit(&s[..s.floor_char_boundary(DESCRIP_LEN)]).expect("truncated to DESCRIP_LEN")
     }
-    let mut end = DESCRIP_LEN;
-    while !s.is_char_boundary(end) {
-        end -= 1;
+
+    /// `s` itself, or `None` if it is longer than [`DESCRIP_LEN`] bytes —
+    /// what no [`Descrip::new`] produces, so a decoder refuses it.
+    pub fn fit(s: &str) -> Option<Descrip> {
+        let mut bytes = [0u8; DESCRIP_LEN];
+        bytes.get_mut(..s.len())?.copy_from_slice(s.as_bytes());
+        Some(Descrip {
+            len: s.len() as u8,
+            bytes,
+        })
     }
-    s[..end].to_string()
+
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)]).expect("built from a str")
+    }
+}
+
+impl core::ops::Deref for Descrip {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq<&str> for Descrip {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl core::fmt::Debug for Descrip {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        core::fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 #[cfg(test)]
@@ -271,14 +309,20 @@ mod tests {
 
     #[test]
     fn descrip_truncation() {
-        assert_eq!(truncate_descrip("short"), "short");
+        assert_eq!(Descrip::new("short"), "short");
         let long = "x".repeat(100);
-        assert_eq!(truncate_descrip(&long).len(), DESCRIP_LEN);
+        assert_eq!(Descrip::new(&long).len(), DESCRIP_LEN);
+        assert_eq!(Descrip::new(&long[..DESCRIP_LEN]), Descrip::new(&long));
         // Multi-byte characters are not split.
         let emoji = "é".repeat(40);
-        let t = truncate_descrip(&emoji);
-        assert!(t.len() <= DESCRIP_LEN);
-        assert!(std::str::from_utf8(t.as_bytes()).is_ok());
+        let t = Descrip::new(&emoji);
+        assert_eq!(t.len(), DESCRIP_LEN);
+        assert_eq!(t, "é".repeat(DESCRIP_LEN / 2).as_str());
+        let odd = format!("x{emoji}");
+        assert_eq!(Descrip::new(&odd).len(), DESCRIP_LEN - 1);
+        // Only what `new` produces fits as it is.
+        assert!(Descrip::fit(&long[..DESCRIP_LEN]).is_some());
+        assert!(Descrip::fit(&long[..DESCRIP_LEN + 1]).is_none());
     }
 
     #[test]

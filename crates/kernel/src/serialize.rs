@@ -14,7 +14,7 @@ use crate::bodies::{
 };
 use crate::kernel::KObject;
 use crate::object::{
-    ContainerEntry, ObjectFlags, ObjectHeader, ObjectId, ObjectType, METADATA_LEN,
+    ContainerEntry, Descrip, ObjectFlags, ObjectHeader, ObjectId, ObjectType, METADATA_LEN,
 };
 use histar_label::{Category, Label, Level};
 use histar_store::codec::{DecodeError, Decoder, Encoder};
@@ -26,6 +26,8 @@ pub enum SerializeError {
     Decode(DecodeError),
     /// An enumeration tag had an unknown value.
     BadTag(&'static str, u8),
+    /// A bounded field was longer than its bound: `(field, bytes)`.
+    TooLong(&'static str, usize),
 }
 
 impl From<DecodeError> for SerializeError {
@@ -39,6 +41,7 @@ impl core::fmt::Display for SerializeError {
         match self {
             SerializeError::Decode(e) => write!(f, "decode error: {e}"),
             SerializeError::BadTag(what, v) => write!(f, "bad {what} tag: {v}"),
+            SerializeError::TooLong(what, n) => write!(f, "{what} too long: {n} bytes"),
         }
     }
 }
@@ -138,7 +141,8 @@ fn decode_header(d: &mut Decoder<'_>) -> Result<ObjectHeader, SerializeError> {
     let quota = d.get_u64()?;
     let usage = d.get_u64()?;
     let metadata_vec = d.get_bytes()?;
-    let descrip = d.get_str()?;
+    let descrip = d.get_str_slice()?;
+    let descrip = Descrip::fit(descrip).ok_or(SerializeError::TooLong("descrip", descrip.len()))?;
     let immutable = d.get_u8()? != 0;
     let fixed_quota = d.get_u8()? != 0;
     let links = d.get_u32()?;
@@ -385,6 +389,7 @@ pub fn decode_object(bytes: &[u8]) -> Result<KObject, SerializeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::DESCRIP_LEN;
     use histar_label::Level;
 
     fn oid(n: u64) -> ObjectId {
@@ -571,5 +576,36 @@ mod tests {
         let mut bad_tag = bytes.clone();
         bad_tag[8] = 99; // object type tag lives right after the id
         assert!(decode_object(&bad_tag).is_err());
+    }
+
+    #[test]
+    fn an_overlong_descrip_is_refused() {
+        let obj = KObject::new(
+            header(ObjectType::Segment),
+            ObjectBody::Segment(SegmentBody::from(vec![1; 8])),
+        );
+        let bytes = encode_object(&obj);
+        let mut field = (obj.header.descrip.len() as u64).to_le_bytes().to_vec();
+        field.extend_from_slice(obj.header.descrip.as_bytes());
+        let at = bytes
+            .windows(field.len())
+            .position(|w| w == field)
+            .expect("the descrip field is in the encoding");
+        for n in [DESCRIP_LEN, DESCRIP_LEN + 1, 255] {
+            let mut forged = bytes[..at].to_vec();
+            forged.extend_from_slice(&(n as u64).to_le_bytes());
+            forged.resize(forged.len() + n, b'x');
+            forged.extend_from_slice(&bytes[at + field.len()..]);
+            let decoded = decode_object(&forged);
+            if n == DESCRIP_LEN {
+                assert_eq!(decoded.unwrap().header.descrip, "x".repeat(n).as_str());
+            } else {
+                assert_eq!(
+                    decoded.err(),
+                    Some(SerializeError::TooLong("descrip", n)),
+                    "{n} bytes"
+                );
+            }
+        }
     }
 }

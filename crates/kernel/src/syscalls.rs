@@ -112,8 +112,9 @@ impl Sys {
     /// Reads bytes out of a persist record, with the record's label
     /// (label-checked against the label stored *in* the record — the check
     /// a tainted reader fails even after the record was recovered from the
-    /// write-ahead log).  `len == u64::MAX` reads to the end of the
-    /// payload.
+    /// write-ahead log).  A range running past the payload's end reads
+    /// short, like `read(2)` at end of file: the bytes the record holds,
+    /// none past it (so `len == u64::MAX` reads to the end).
     pub(crate) fn sys_persist_read(
         &mut self,
         t: &Caller,
@@ -124,19 +125,10 @@ impl Sys {
         let (record, mut checks) = self.persist_record(key)?;
         let record = record.ok_or(SyscallError::NoSuchRecord(key))?;
         let (label, payload) = checks.check_record_observe(t, record)?;
-        if offset > payload.len() as u64 {
-            return Err(SyscallError::InvalidArgument("read beyond end of record"));
-        }
-        let end = if len == u64::MAX {
-            payload.len() as u64
-        } else {
-            offset
-                .checked_add(len)
-                .filter(|&e| e <= payload.len() as u64)
-                .ok_or(SyscallError::InvalidArgument("read beyond end of record"))?
-        };
-        let out = payload[offset as usize..end as usize].to_vec();
-        let copy_cost = self.cost().copy(end - offset);
+        let held = payload.len() as u64;
+        let (start, end) = (offset.min(held), offset.saturating_add(len).min(held));
+        let out = payload[start as usize..end as usize].to_vec();
+        let copy_cost = self.cost().copy(end - start);
         self.charge(copy_cost);
         Ok((label, out))
     }

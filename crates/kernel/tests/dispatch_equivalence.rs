@@ -169,7 +169,7 @@ fn setup() -> (Kernel, Fx) {
 /// One call per syscall row, in row order; a row may carry edge cases
 /// right behind its own (the three segment rows' one-call host crashes:
 /// a length past quota, an offset whose end wraps).
-fn cases(fx: &Fx) -> Vec<Syscall> {
+fn cases(fx: &Fx) -> Vec<Syscall<'static>> {
     let e_seg = entry(fx, fx.seg);
     let e_small = ContainerEntry::new(fx.small, fx.small_seg);
     let e_fixed = entry(fx, fx.fixed);
@@ -253,12 +253,12 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
         Syscall::SegmentWrite {
             entry: e_seg,
             offset: 4,
-            data: b"xyz".to_vec(),
+            data: b"xyz"[..].into(),
         },
         Syscall::SegmentWrite {
             entry: e_small,
             offset: u64::MAX - 1,
-            data: vec![1, 2, 3],
+            data: vec![1, 2, 3].into(),
         },
         Syscall::SegmentLen { entry: e_seg },
         Syscall::SegmentCopy {
@@ -316,7 +316,7 @@ fn cases(fx: &Fx) -> Vec<Syscall> {
             key: PERSIST_KEY_BASE + 43,
             label: Some(Label::unrestricted()),
             offset: 4,
-            data: b"spliced".to_vec(),
+            data: b"spliced"[..].into(),
         },
         Syscall::PersistRead {
             key: fx.pkey,
@@ -925,7 +925,7 @@ fn a_page_sync_batched_behind_a_whole_sync_of_the_same_object_survives_a_crash()
             Syscall::SegmentWrite {
                 entry: e,
                 offset: 0,
-                data: vec![0xcc; PAGE_SIZE as usize],
+                data: vec![0xcc; PAGE_SIZE as usize].into(),
             },
             Syscall::ObjSync {
                 entry: e,

@@ -202,7 +202,7 @@ fn segment_bodies_read_encode_and_flush_as_a_plain_byte_vector() {
                     let call = Syscall::SegmentWrite {
                         entry: ContainerEntry::new(root, s.id),
                         offset,
-                        data,
+                        data: data.as_slice().into(),
                     };
                     assert_eq!(m.kernel_mut().dispatch(tid, call), want, "{what}: write");
                 }

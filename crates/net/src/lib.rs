@@ -428,7 +428,7 @@ impl Netd {
         client_calls.push(Syscall::SegmentWrite {
             entry: self.tx_buffer,
             offset: 0,
-            data: msg,
+            data: msg.into(),
         });
         for r in kernel.submit_calls(client_thread, client_calls) {
             r?;

@@ -203,7 +203,7 @@ fn open_fd<'e>(
 
 /// The unrefs that drop a holder's link to the descriptor segment and,
 /// for a `pipe()` end as `identity` names it, to the buffer beside it.
-fn unlink_calls(fd: &FdRef, identity: Option<&FdState>) -> Vec<Syscall> {
+fn unlink_calls(fd: &FdRef, identity: Option<&FdState>) -> Vec<Syscall<'static>> {
     let mut calls = vec![Syscall::ObjUnref { entry: fd.entry }];
     if let Some(state) = identity.filter(|s| s.flags & FLAG_TARGET_BESIDE != 0) {
         calls.push(Syscall::ObjUnref {
@@ -563,7 +563,7 @@ impl UnixEnv {
                 Syscall::SegmentWrite {
                     entry: text_entry,
                     offset: 0,
-                    data: image,
+                    data: image.into(),
                 },
                 Syscall::ObjSetImmutable { entry: text_entry },
             ],
@@ -997,7 +997,7 @@ impl UnixEnv {
             Syscall::SegmentWrite {
                 entry,
                 offset: 0,
-                data: state.encode(),
+                data: state.encode().into(),
             },
             Syscall::ObjSetFixedQuota { entry },
         ];
@@ -1141,7 +1141,7 @@ impl UnixEnv {
         let mut calls = vec![Syscall::SegmentWrite {
             entry: fd_ref.entry,
             offset: 0,
-            data: state.encode(),
+            data: state.encode().into(),
         }];
         if last_here {
             calls.extend(unlink_calls(&fd_ref, Some(&state)));

@@ -215,7 +215,7 @@ fn enter_service_inner(
         address_space: None,
         entry_point: 0,
         closure_args: vec![],
-        descrip: "return gate".to_string(),
+        descrip: "return gate".into(),
     }];
     if let Some(t) = taint {
         let rc_label = Label::builder()
@@ -225,7 +225,7 @@ fn enter_service_inner(
         spill.push(Syscall::ContainerCreate {
             parent: internal_container,
             label: rc_label,
-            descrip: "gate call resources".to_string(),
+            descrip: "gate call resources".into(),
             avoid_types: 0,
             quota: 1 << 20,
         });

@@ -46,7 +46,10 @@
 //!   the bytes written into it, so a write that starts past the extent
 //!   holding the end of file zero-pads that extent in the same batch:
 //!   inside a file's length an extent is whole, or the file's last, or
-//!   missing (a hole, read as zeros).
+//!   missing (a hole, read as zeros).  A read inside a length just
+//!   fetched also reads a short extent's missing tail as zeros: a sync
+//!   of later pages logs the grown inode without the padded extent, so
+//!   after a crash the durable extent may still end where it did.
 //!
 //! Durability: creating a file or directory syncs its inode and the
 //! superblock at once, so a directory record that a later sync logs never
@@ -609,7 +612,7 @@ impl CachedLength for PersistVnode {
         self.cached = None;
     }
 
-    fn read_calls(&self, start: u64, n: u64, then: Syscall) -> Vec<Syscall> {
+    fn read_calls<'a>(&self, start: u64, n: u64, then: Syscall<'a>) -> Vec<Syscall<'a>> {
         let reads = self.extent_chunks(start, start + n).into_iter();
         reads
             .map(|(key, offset, len)| Syscall::PersistRead { key, offset, len })
@@ -627,18 +630,22 @@ impl CachedLength for PersistVnode {
         let mut out = Vec::with_capacity(n as usize);
         for (r, (_, _, chunk)) in done.into_iter().zip(self.extent_chunks(start, start + n)) {
             match r {
-                Ok(SyscallResult::Record((_, bytes))) => out.extend(bytes),
+                // Inside a fresh length, a short extent's missing tail is
+                // zeros (see the module doc); inside a cached length, a
+                // short or missing extent may be a truncation elsewhere.
+                Ok(SyscallResult::Record((_, bytes))) if bytes.len() as u64 == chunk || fresh => {
+                    let want = out.len() + chunk as usize;
+                    out.extend(bytes);
+                    out.resize(want, 0);
+                }
+                Ok(SyscallResult::Record(_)) => return Ok(None),
                 Ok(other) => unreachable!("persist_read completed with {other:?}"),
                 // A missing extent inside a fresh length is a hole (a
                 // never-written extent of a sparse file): zeros.
                 Err(SyscallError::NoSuchRecord(_)) if fresh => {
                     out.resize(out.len() + chunk as usize, 0);
                 }
-                // Inside a cached length, a missing extent or a read past
-                // an extent's end may be a truncation elsewhere.
-                Err(SyscallError::NoSuchRecord(_) | SyscallError::InvalidArgument(_)) if !fresh => {
-                    return Ok(None)
-                }
+                Err(SyscallError::NoSuchRecord(_)) => return Ok(None),
                 Err(e) => return Err(e),
             }
         }
@@ -691,7 +698,7 @@ impl Vnode for PersistVnode {
                 key,
                 label: Some(label.clone()),
                 offset,
-                data: data[consumed..consumed + chunk as usize].to_vec(),
+                data: data[consumed..consumed + chunk as usize].into(),
             });
             consumed += chunk as usize;
         }
@@ -705,7 +712,7 @@ impl Vnode for PersistVnode {
                 key: extent_key(self.ino, file_len / EXTENT_SIZE),
                 label: Some(label.clone()),
                 offset: old_tail,
-                data: vec![0; (EXTENT_SIZE - old_tail) as usize],
+                data: vec![0; (EXTENT_SIZE - old_tail) as usize].into(),
             });
         }
         if grows {
@@ -717,7 +724,8 @@ impl Vnode for PersistVnode {
                     is_dir: false,
                     len: end,
                 }
-                .encode(),
+                .encode()
+                .into(),
             });
         }
         calls.push(fd.position_update(end));

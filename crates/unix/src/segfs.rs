@@ -339,7 +339,7 @@ impl CachedLength for SegVnode {
         self.cached_len = None;
     }
 
-    fn read_calls(&self, start: u64, n: u64, then: Syscall) -> Vec<Syscall> {
+    fn read_calls<'a>(&self, start: u64, n: u64, then: Syscall<'a>) -> Vec<Syscall<'a>> {
         let read = Syscall::SegmentRead {
             entry: self.entry,
             offset: start,
@@ -397,7 +397,7 @@ impl Vnode for SegVnode {
                 Syscall::SegmentWrite {
                     entry: self.entry,
                     offset: pos,
-                    data: data.to_vec(),
+                    data: data.into(),
                 },
                 fd.position_update(end),
             ];

@@ -117,11 +117,11 @@ impl FdRef {
 
     /// The batched syscall that stores a new seek position into the
     /// descriptor segment (the second entry of the hot-path batches).
-    pub fn position_update(&self, position: u64) -> Syscall {
+    pub fn position_update(&self, position: u64) -> Syscall<'static> {
         Syscall::SegmentWrite {
             entry: self.entry,
             offset: FD_POSITION_OFFSET,
-            data: position.to_le_bytes().to_vec(),
+            data: position.to_le_bytes().to_vec().into(),
         }
     }
 
@@ -283,7 +283,7 @@ pub(crate) trait CachedLength {
     fn forget_len(&mut self);
 
     /// The calls reading bytes `[start, start + n)`, followed by `then`.
-    fn read_calls(&self, start: u64, n: u64, then: Syscall) -> Vec<Syscall>;
+    fn read_calls<'a>(&self, start: u64, n: u64, then: Syscall<'a>) -> Vec<Syscall<'a>>;
 
     /// The bytes the read calls' completions carry.  `Ok(None)` says
     /// they show the length used stale; it is asked only while `fresh` is
@@ -460,7 +460,7 @@ impl Ring {
         calls.push(Syscall::SegmentWrite {
             entry: self.entry,
             offset: self.header,
-            data: encode_pipe_header(rpos + n, wpos, writers),
+            data: encode_pipe_header(rpos + n, wpos, writers).into(),
         });
         let thread = ctx.thread;
         let mut results = ctx.kernel().submit_calls(thread, calls).into_iter();
@@ -486,19 +486,19 @@ impl Ring {
         let mut calls = vec![Syscall::SegmentWrite {
             entry: self.entry,
             offset: self.data + start,
-            data: data[..first as usize].to_vec(),
+            data: data[..first as usize].into(),
         }];
         if first < n {
             calls.push(Syscall::SegmentWrite {
                 entry: self.entry,
                 offset: self.data,
-                data: data[first as usize..n as usize].to_vec(),
+                data: data[first as usize..n as usize].into(),
             });
         }
         calls.push(Syscall::SegmentWrite {
             entry: self.entry,
             offset: self.header,
-            data: encode_pipe_header(rpos, wpos + n, writers),
+            data: encode_pipe_header(rpos, wpos + n, writers).into(),
         });
         let thread = ctx.thread;
         for r in ctx.kernel().submit_calls(thread, calls) {
@@ -596,7 +596,7 @@ pub fn create_pipe(ctx: &mut VfsCtx, process_container: ObjectId) -> Result<(FdS
         Syscall::SegmentWrite {
             entry,
             offset: 0,
-            data: encode_pipe_header(0, 0, 1),
+            data: encode_pipe_header(0, 0, 1).into(),
         },
         Syscall::ObjSetFixedQuota { entry },
         Syscall::HardLink {

@@ -909,6 +909,38 @@ fn persist_bytes_between_a_short_extent_and_a_later_write_read_as_zeros() {
     assert_eq!(env.read_file_as(init, "/persist/sparse").unwrap(), want);
 }
 
+/// Regression: `fsync_pages` of a page past the old end of file logs the
+/// grown inode and that page, but not the zero-pad the growing write put
+/// on the old last extent — after a crash that extent still ends where it
+/// did, and a read inside the durable length reads its missing tail as
+/// zeros instead of failing at the record's end.
+#[test]
+fn a_short_extent_left_by_fsync_pages_reads_as_zeros_after_a_crash() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/persist/grown", b"0123456789", None)
+        .unwrap();
+    env.fsync_path(init, "/persist/grown").unwrap();
+    let fd = env
+        .open(init, "/persist/grown", OpenFlags::read_write_create())
+        .unwrap();
+    env.lseek(init, fd, 5_000).unwrap();
+    env.write(init, fd, b"x").unwrap();
+    env.fsync_pages(init, fd, &[1]).unwrap();
+
+    let mut want = b"0123456789".to_vec();
+    want.resize(5_000, 0);
+    want.push(b'x');
+    let mut env = crash_and_remount(env);
+    let init = env.init_pid();
+    assert_eq!(env.read_file_as(init, "/persist/grown").unwrap(), want);
+    let fd = env
+        .open(init, "/persist/grown", OpenFlags::read_only())
+        .unwrap();
+    env.lseek(init, fd, 100).unwrap();
+    assert_eq!(env.read(init, fd, 8).unwrap(), [0; 8]);
+}
+
 /// A tainted process cannot create records it could not modify, and a
 /// labeled private directory under /persist hides its entries from
 /// unprivileged listers at the kernel, not in the library.

@@ -55,12 +55,12 @@ fn main() {
             Syscall::SegmentWrite {
                 entry: log_e,
                 offset: 0,
-                data: b"batched".to_vec(),
+                data: b"batched"[..].into(),
             },
             Syscall::SegmentWrite {
                 entry: scratch_e,
                 offset: 0,
-                data: b"abi".to_vec(),
+                data: b"abi"[..].into(),
             },
             Syscall::SegmentRead {
                 entry: log_e,
