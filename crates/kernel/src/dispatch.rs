@@ -859,7 +859,8 @@ impl Kernel {
     /// trap for the first call of a batch, the decode cost after) and
     /// produces the calling thread or refuses it; the row's handler runs;
     /// a failure from either is counted once, against the row; the audit
-    /// record and span are appended.
+    /// record and span are appended; and the label cache is swept if a
+    /// sweep is due.
     fn dispatch_one(
         &mut self,
         tid: ObjectId,
@@ -893,6 +894,7 @@ impl Kernel {
                 seq,
             });
         }
+        self.sweep_label_cache_if_due();
         result
     }
 }

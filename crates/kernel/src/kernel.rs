@@ -944,9 +944,37 @@ impl Kernel {
         self.sys.objects.len()
     }
 
-    /// The label-comparison cache statistics.
-    pub fn label_cache_stats(&self) -> histar_label::cache::CacheStats {
-        self.sys.label_cache.stats()
+    /// Number of threads in the sched-dirty list, waiting for a scheduler
+    /// to drain it.
+    pub fn sched_dirty_len(&self) -> usize {
+        self.sys.sched_dirty.len()
+    }
+
+    /// The label-comparison cache.
+    pub fn label_cache(&self) -> &LabelCache {
+        &self.sys.label_cache
+    }
+
+    /// Sweeps the label-comparison cache now, as the end of a syscall does
+    /// once a sweep is due: a label no live object carries at this sweep
+    /// or the last leaves the cache, with its pairs.
+    pub fn sweep_label_cache(&mut self) {
+        let Sys {
+            objects,
+            label_cache,
+            ..
+        } = &mut self.sys;
+        label_cache.sweep(objects.values().map(|o| &o.header.label));
+    }
+
+    /// Sweeps the label-comparison cache if enough labels have been
+    /// interned since the last sweep to pay for a walk of every object.
+    /// The kernel keeps no label id across syscalls, so between two is
+    /// where a sweep may renumber them.
+    pub(crate) fn sweep_label_cache_if_due(&mut self) {
+        if self.sys.label_cache.sweep_due(self.sys.objects.len()) {
+            self.sweep_label_cache();
+        }
     }
 
     // ----- the trap --------------------------------------------------------

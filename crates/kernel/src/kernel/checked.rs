@@ -89,10 +89,33 @@ enum Access {
     Modify,
 }
 
+/// How the comparison cache holds the label an access check compares the
+/// caller against.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// Not at all: a thread's label can change, so its check is computed.
+    Never,
+    /// While a live object carries it (an object's immutable label).
+    WhileCarried,
+    /// Always: a persist record's label, which the store carries where the
+    /// cache's sweep does not look.
+    Pinned,
+}
+
+impl Held {
+    /// How the cache holds an object's label.
+    fn of(object_type: ObjectType) -> Held {
+        match object_type {
+            ObjectType::Thread => Held::Never,
+            _ => Held::WhileCarried,
+        }
+    }
+}
+
 /// The one maker of a [`Grant`]: a grant exists only where a label
 /// comparison allowed the access.
 mod verdict {
-    use super::{Access, LabelChecks};
+    use super::{Access, Held, LabelChecks};
     use crate::syscall::SyscallError;
     use histar_label::Label;
 
@@ -102,14 +125,14 @@ mod verdict {
     impl LabelChecks<'_> {
         /// Counts, charges and decides one access check of a thread
         /// labelled `tl` on an object labelled `ol`.  An immutable object
-        /// label takes its verdict from the comparison cache (§4); a
-        /// thread object's label can change, so that check is computed and
-        /// never cached.
+        /// label takes its verdict from the comparison cache (§4), which
+        /// holds it as `held` says; a thread object's label can change, so
+        /// that check is computed and never cached.
         pub(super) fn count_label_check(
             &mut self,
             ol: &Label,
             tl: &Label,
-            immutable: bool,
+            held: Held,
             access: Access,
         ) -> Option<Grant> {
             self.stats.label_checks += 1;
@@ -117,8 +140,11 @@ mod verdict {
                 Access::Observe => tl.can_observe(ol),
                 Access::Modify => tl.can_modify(ol),
             };
-            let (verdict, cached) = if immutable {
+            let (verdict, cached) = if held != Held::Never {
                 let (o, t) = (self.cache.intern(ol), self.cache.intern(tl));
+                if held == Held::Pinned {
+                    self.cache.pin(o);
+                }
                 let memo = match access {
                     Access::Observe => self.cache.leq_high_rhs(o, t),
                     Access::Modify => self.cache.can_modify(t, o),
@@ -169,7 +195,8 @@ impl LabelChecks<'_> {
         t: &Caller,
         record: Sealed<'s>,
     ) -> Result<(Label, &'s [u8]), SyscallError> {
-        let verdict = self.count_label_check(&record.label, t.label(), true, Access::Observe);
+        let verdict =
+            self.count_label_check(&record.label, t.label(), Held::Pinned, Access::Observe);
         verdict.ok_or(SyscallError::CannotObserveRecord(record.key))?;
         Ok((record.label, record.payload))
     }
@@ -181,7 +208,8 @@ impl LabelChecks<'_> {
         t: &Caller,
         record: Sealed<'s>,
     ) -> Result<(Writable, Label, &'s [u8]), SyscallError> {
-        let verdict = self.count_label_check(&record.label, t.label(), true, Access::Modify);
+        let verdict =
+            self.count_label_check(&record.label, t.label(), Held::Pinned, Access::Modify);
         let grant = verdict.ok_or(SyscallError::CannotModifyRecord(record.key))?;
         Ok((Writable(record.key, grant), record.label, record.payload))
     }
@@ -223,16 +251,13 @@ impl Sys {
         t: &Caller,
         oid: ObjectId,
     ) -> Result<Observed, SyscallError> {
-        let (olabel, immutable) = {
+        let (olabel, held) = {
             let o = self.obj(oid)?;
-            (
-                o.header.label.clone(),
-                o.header.object_type != ObjectType::Thread,
-            )
+            (o.header.label.clone(), Held::of(o.header.object_type))
         };
-        let verdict =
-            self.checks()
-                .count_label_check(&olabel, t.label(), immutable, Access::Observe);
+        let verdict = self
+            .checks()
+            .count_label_check(&olabel, t.label(), held, Access::Observe);
         let grant = verdict.ok_or(SyscallError::CannotObserve(oid))?;
         Ok(Observed(oid, grant))
     }
@@ -255,10 +280,9 @@ impl Sys {
         if immutable_flag {
             return Err(SyscallError::Immutable(oid));
         }
-        let immutable = otype != ObjectType::Thread;
         let verdict =
             self.checks()
-                .count_label_check(&olabel, t.label(), immutable, Access::Modify);
+                .count_label_check(&olabel, t.label(), Held::of(otype), Access::Modify);
         let grant = verdict.ok_or(SyscallError::CannotModify(oid))?;
         Ok(Modifiable(Observed(oid, grant)))
     }

@@ -166,9 +166,10 @@ impl Vnode for DevVnode {
         if !data.is_empty() {
             let end = crate::vnode::access_end(state.position, data.len() as u64)?;
             let thread = ctx.thread;
+            let position = end.to_le_bytes();
             for r in ctx
                 .kernel()
-                .submit_calls(thread, vec![fd.position_update(end)])
+                .submit_calls(thread, vec![fd.position_update(&position)])
             {
                 r?;
             }

@@ -728,7 +728,8 @@ impl Vnode for PersistVnode {
                 .into(),
             });
         }
-        calls.push(fd.position_update(end));
+        let position = end.to_le_bytes();
+        calls.push(fd.position_update(&position));
         let thread = ctx.thread;
         let results = ctx.kernel().submit_calls(thread, calls);
         for r in &results {

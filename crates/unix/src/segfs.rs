@@ -390,6 +390,7 @@ impl Vnode for SegVnode {
             state.position
         };
         let end = crate::vnode::access_end(pos, data.len() as u64)?;
+        let position = end.to_le_bytes();
         let mut attempts = 0;
         loop {
             let thread = ctx.thread;
@@ -399,7 +400,7 @@ impl Vnode for SegVnode {
                     offset: pos,
                     data: data.into(),
                 },
-                fd.position_update(end),
+                fd.position_update(&position),
             ];
             let mut results = ctx.kernel().submit_calls(thread, calls).into_iter();
             let wrote = results.next().expect("write completes");

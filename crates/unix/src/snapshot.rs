@@ -215,11 +215,12 @@ impl Vnode for SnapshotVnode {
         // The gate and the seek update cross the boundary as one batch;
         // the gate must pass before bytes are served.
         let thread = ctx.thread;
+        let position = (end as u64).to_le_bytes();
         let calls = vec![
             Syscall::ContainerList {
                 container: state.target_container,
             },
-            fd.position_update(end as u64),
+            fd.position_update(&position),
         ];
         let mut results = ctx.kernel().submit_calls(thread, calls).into_iter();
         let gate = results.next().expect("label gate completes");

@@ -115,13 +115,14 @@ impl FdRef {
         }
     }
 
-    /// The batched syscall that stores a new seek position into the
+    /// The batched syscall that stores a new seek position, encoded by
+    /// `u64::to_le_bytes` on the caller's stack and lent, into the
     /// descriptor segment (the second entry of the hot-path batches).
-    pub fn position_update(&self, position: u64) -> Syscall<'static> {
+    pub fn position_update<'a>(&self, position: &'a [u8; 8]) -> Syscall<'a> {
         Syscall::SegmentWrite {
             entry: self.entry,
             offset: FD_POSITION_OFFSET,
-            data: position.to_le_bytes().to_vec().into(),
+            data: position.as_slice().into(),
         }
     }
 
@@ -149,9 +150,10 @@ fn recorded_target(state: &FdState) -> ContainerEntry {
 /// this write only fails if the descriptor itself is gone.
 pub fn undo_seek(ctx: &mut VfsCtx, fd: &FdRef, position: u64) {
     let thread = ctx.thread;
+    let position = position.to_le_bytes();
     let _ = ctx
         .kernel()
-        .submit_calls(thread, vec![fd.position_update(position)]);
+        .submit_calls(thread, vec![fd.position_update(&position)]);
 }
 
 /// The end of an access of `len` bytes at file position `pos`.  A sum past
@@ -217,9 +219,10 @@ pub trait Vnode: core::fmt::Debug {
     /// override this to refuse.
     fn seek(&mut self, ctx: &mut VfsCtx, fd: &FdRef, position: u64) -> Result<()> {
         let thread = ctx.thread;
+        let position = position.to_le_bytes();
         for r in ctx
             .kernel()
-            .submit_calls(thread, vec![fd.position_update(position)])
+            .submit_calls(thread, vec![fd.position_update(&position)])
         {
             r?;
         }
@@ -340,7 +343,8 @@ pub(crate) fn read_cached<F: CachedLength>(
             }
             continue;
         }
-        let calls = file.read_calls(start, n, fd.position_update(start + n));
+        let end = (start + n).to_le_bytes();
+        let calls = file.read_calls(start, n, fd.position_update(&end));
         let thread = ctx.thread;
         let mut done = ctx.kernel().submit_calls(thread, calls);
         let seek = done.pop().expect("seek update completes");

@@ -6,8 +6,10 @@
 //! the only copy the write makes.
 //!
 //! * A warm 4 KiB overwrite of a SegFs file through `UnixEnv::write`
-//!   requests fewer than 4,096 heap bytes: the segment already holds the
-//!   page, and a copy of the argument alone would be 4,096.
+//!   requests at most [`WARM_OVERWRITE`] heap bytes: the segment already
+//!   holds the page, and the new seek position is lent from the stack, so
+//!   what is left is the batch and its results (560 bytes measured, in
+//!   both profiles); a copy of the argument alone would be 4,096.
 //! * A 1 MiB write to a fresh SegFs file raises the peak live heap by
 //!   less than 1.5 MiB: the segment's megabyte, not it plus a copy.
 //!
@@ -24,6 +26,8 @@ use std::sync::atomic::Ordering::Relaxed;
 static ALLOCATOR: counting::Counting = counting::Counting;
 
 const PAGE: usize = 4096;
+/// The measured 560 bytes of a warm overwrite, plus 10%.
+const WARM_OVERWRITE: usize = 616;
 const MIB: usize = 1 << 20;
 
 #[test]
@@ -45,7 +49,7 @@ fn a_write_copies_its_bytes_once() {
     assert_eq!(env.write(init, fd, &page).unwrap(), PAGE as u64);
     let requested = REQUESTED.load(Relaxed) - before;
     assert!(
-        requested < PAGE,
+        requested <= WARM_OVERWRITE,
         "a warm 4 KiB overwrite requested {requested} heap bytes"
     );
 

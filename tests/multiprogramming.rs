@@ -243,7 +243,7 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     // hit, with the polls above.  The descriptor-state reads the library
     // no longer makes: −1,114 checks, every one a hit.
     let kernel = w1.env.machine().kernel();
-    let cache = kernel.label_cache_stats();
+    let cache = kernel.label_cache().stats();
     assert_eq!(
         (cache.hits, cache.misses, cache.interned),
         (5626, 1102, 486),
