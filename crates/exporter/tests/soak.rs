@@ -22,10 +22,8 @@ const CALLS: usize = 1_000;
 const DRIFT: u64 = CALLS as u64 / 20;
 
 /// Rows that still grow with every call:
-/// * the calling node's live objects: a landed reply is never refunded;
-/// * the serving node's sched-dirty list: with no scheduler to drain it,
-///   each dead per-call worker thread stays in it.
-const GROWING: &[&str] = &["node 0 objects", "node 1 sched_dirty"];
+/// * the calling node's live objects: a landed reply is never refunded.
+const GROWING: &[&str] = &["node 0 objects"];
 
 /// Every row read off one node's kernel.
 fn rows(node: usize, k: &Kernel) -> [(String, u64); 4] {

@@ -50,6 +50,16 @@ impl SegmentBody {
         &self.bytes
     }
 
+    /// The whole contents, lent in order: the written prefix, then the
+    /// zero tail one zero page at a time.
+    pub(crate) fn lend_parts(&self) -> impl Iterator<Item = &[u8]> {
+        let tail = self.len - self.bytes.len();
+        let zeros = (0..tail)
+            .step_by(ZERO_PAGE.len())
+            .map(move |at| &ZERO_PAGE[..(tail - at).min(ZERO_PAGE.len())]);
+        std::iter::once(&self.bytes[..]).chain(zeros)
+    }
+
     /// Resizes the segment: growth reads as zeros, and a shrink drops the
     /// written bytes past the new end so a later grow cannot revive them.
     pub fn resize(&mut self, len: usize) {

@@ -31,7 +31,7 @@ use crate::dispatch::{DispatchStats, SyscallTrace};
 use crate::object::{
     ContainerEntry, ObjectHeader, ObjectId, ObjectType, OBJECT_ID_MASK, QUOTA_INFINITE,
 };
-use crate::serialize::{encode_object, segment_prefix};
+use crate::serialize::{encode_object, lend_object, segment_prefix};
 use crate::syscall::{SyscallError, SyscallStats};
 use histar_label::category::FeistelCipher;
 use histar_label::{Category, CategoryAllocator, Label, LabelCache};
@@ -170,11 +170,15 @@ pub struct Sys {
     /// in event order.  The scheduler drains this instead of scanning its
     /// whole wait set every quantum, so wakes are O(events) not O(parked).
     /// Only threads enter it: a dead segment or container is nothing the
-    /// scheduler waits on, and with no scheduler to drain the list (a
-    /// machine that never runs one) every entry stays.
+    /// scheduler waits on.  And only once `sched_parked`: a wake pass
+    /// looks only at parked threads, so before any is parked a mark could
+    /// only pile up — forever, on a machine no scheduler drains.
     sched_dirty: Vec<ObjectId>,
     /// Dedup set for `sched_dirty`.
     sched_dirty_set: std::collections::BTreeSet<ObjectId>,
+    /// Whether a scheduler has ever parked a thread on this kernel
+    /// ([`Kernel::sched_park`]).
+    sched_parked: bool,
     /// The machine's single-level store.  The persist-record syscalls operate
     /// on it directly — data in the persist namespace bypasses the object
     /// heap entirely — `obj_sync` writes heap objects into it, and having
@@ -302,9 +306,10 @@ impl Sys {
         ObjectId::from_raw(id)
     }
 
-    /// Records that `tid`'s wake conditions may have changed.
+    /// Records that `tid`'s wake conditions may have changed, once a
+    /// scheduler has parked a thread here (before, nothing waits).
     fn sched_mark_dirty(&mut self, tid: ObjectId) {
-        if self.sched_dirty_set.insert(tid) {
+        if self.sched_parked && self.sched_dirty_set.insert(tid) {
             self.sched_dirty.push(tid);
         }
     }
@@ -780,6 +785,7 @@ impl Kernel {
             last_address_space: None,
             sched_dirty: Vec::new(),
             sched_dirty_set: std::collections::BTreeSet::new(),
+            sched_parked: false,
             store,
         };
         let root_id = sys.fresh_id();
@@ -1078,10 +1084,13 @@ impl Kernel {
         }
     }
 
-    /// Records that `tid`'s wake conditions may have changed.  The
-    /// scheduler re-examines exactly these threads instead of scanning its
-    /// whole wait set, which is what keeps 10⁴+ parked clients cheap.
-    pub fn sched_mark_dirty(&mut self, tid: ObjectId) {
+    /// Scheduler hook: `tid` was parked.  From the first park on, this
+    /// kernel records every thread whose wake conditions may have changed
+    /// (the scheduler re-examines exactly these instead of scanning its
+    /// whole wait set, which is what keeps 10⁴+ parked clients cheap), and
+    /// `tid` itself is recorded, so the next wake pass re-checks it once.
+    pub fn sched_park(&mut self, tid: ObjectId) {
+        self.sys.sched_parked = true;
         self.sys.sched_mark_dirty(tid);
     }
 
@@ -1139,6 +1148,20 @@ impl Kernel {
     /// [`Machine`](crate::Machine) is the operator's console.
     pub(crate) fn store_mut(&mut self) -> &mut SingleLevelStore {
         &mut self.sys.store
+    }
+
+    /// Takes the store's checkpoint with every live object lent from the
+    /// object table, in ascending id order (the table's own order follows
+    /// its history, and must never reach the disk's layout): the table and
+    /// the store are held at once, as the two disjoint fields of `Sys`
+    /// they are, so each object goes home from the kernel's own bytes and
+    /// no encoding of a segment's contents is ever built.
+    pub(crate) fn checkpoint_objects(&mut self) {
+        let Sys { objects, store, .. } = &mut self.sys;
+        let mut live: Vec<(u64, &KObject)> =
+            objects.iter().map(|(id, obj)| (id.raw(), &**obj)).collect();
+        live.sort_unstable_by_key(|&(id, _)| id);
+        store.checkpoint_lent(live.into_iter().map(|(id, obj)| (id, lend_object(obj))));
     }
 
     /// Upper bound on one persist record's payload (a record is one
@@ -1409,9 +1432,27 @@ mod tests {
     }
 
     #[test]
+    fn no_thread_becomes_sched_dirty_before_a_scheduler_parks_one() {
+        let (mut k, tid) = boot();
+        let root = k.root_container();
+        let label = Label::unrestricted();
+        let clearance = Label::default_clearance();
+        for _ in 0..3 {
+            let t = k
+                .trap_thread_create(tid, root, label.clone(), clearance.clone(), 0, "t")
+                .unwrap();
+            k.trap_obj_unref(tid, entry(&k, t)).unwrap();
+        }
+        assert_eq!(k.sched_dirty_len(), 0, "no scheduler will ever drain these");
+        k.sched_park(tid);
+        assert_eq!(k.take_sched_dirty(), [tid]);
+    }
+
+    #[test]
     fn only_a_dead_thread_becomes_sched_dirty() {
         let (mut k, tid) = boot();
         let root = k.root_container();
+        k.sched_park(tid);
         k.take_sched_dirty();
         // With no scheduler to drain it, a freed segment or container
         // (subtree included) must leave nothing behind.

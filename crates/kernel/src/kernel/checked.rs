@@ -25,6 +25,7 @@ use crate::syscall::{SyscallError, SyscallStats};
 use histar_label::{Label, LabelCache};
 use histar_sim::{CostModel, SimClock};
 use histar_store::codec::Decoder;
+use std::borrow::Cow;
 use verdict::Grant;
 
 /// "No read up" passed on this object: `L_O ⊑ L_T^J`.
@@ -46,7 +47,7 @@ pub(crate) struct Named(ContainerEntry, Grant);
 pub(crate) struct Sealed<'s> {
     key: u64,
     label: Label,
-    payload: &'s [u8],
+    payload: Cow<'s, [u8]>,
 }
 
 /// A persist record the caller may put, delete or sync.
@@ -194,7 +195,7 @@ impl LabelChecks<'_> {
         &mut self,
         t: &Caller,
         record: Sealed<'s>,
-    ) -> Result<(Label, &'s [u8]), SyscallError> {
+    ) -> Result<(Label, Cow<'s, [u8]>), SyscallError> {
         let verdict =
             self.count_label_check(&record.label, t.label(), Held::Pinned, Access::Observe);
         verdict.ok_or(SyscallError::CannotObserveRecord(record.key))?;
@@ -207,7 +208,7 @@ impl LabelChecks<'_> {
         &mut self,
         t: &Caller,
         record: Sealed<'s>,
-    ) -> Result<(Writable, Label, &'s [u8]), SyscallError> {
+    ) -> Result<(Writable, Label, Cow<'s, [u8]>), SyscallError> {
         let verdict =
             self.count_label_check(&record.label, t.label(), Held::Pinned, Access::Modify);
         let grant = verdict.ok_or(SyscallError::CannotModifyRecord(record.key))?;
@@ -306,8 +307,9 @@ impl Sys {
     }
 
     /// Looks record `key` up once: its label, decoded from the stored
-    /// frame, and its payload, lent from the store's cache rather than
-    /// copied and sealed (`None` if there is no such record) — beside the
+    /// frame, and its payload, lent from the store (borrowed when the
+    /// frame is, the frame's own bytes otherwise — never a second copy)
+    /// and sealed (`None` if there is no such record) — beside the
     /// label checks, which borrow the rest of the kernel, so a handler
     /// checks the label first and then copies out only the bytes it
     /// returns.
@@ -322,15 +324,25 @@ impl Sys {
         let record = match self.store.resident(key) {
             Ok(None) => None,
             Ok(Some(frame)) => {
-                let mut d = Decoder::new(frame);
-                match (crate::serialize::decode_label(&mut d), d.get_slice()) {
-                    (Ok(label), Ok(payload)) => Some(Sealed {
-                        key,
-                        label,
-                        payload,
-                    }),
+                let mut d = Decoder::new(&frame);
+                let (label, len) = match (crate::serialize::decode_label(&mut d), d.get_slice()) {
+                    (Ok(label), Ok(payload)) => (label, payload.len()),
                     _ => return Err(corrupt),
-                }
+                };
+                let end = frame.len() - d.remaining();
+                let payload = match frame {
+                    Cow::Borrowed(frame) => Cow::Borrowed(&frame[end - len..end]),
+                    Cow::Owned(mut frame) => {
+                        frame.truncate(end);
+                        frame.drain(..end - len);
+                        Cow::Owned(frame)
+                    }
+                };
+                Some(Sealed {
+                    key,
+                    label,
+                    payload,
+                })
             }
             Err(_) => return Err(corrupt),
         };

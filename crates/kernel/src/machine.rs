@@ -9,14 +9,13 @@
 use crate::bodies::DeviceBody;
 use crate::kernel::Kernel;
 use crate::object::ObjectId;
-use crate::serialize::{decode_object, encode_object};
+use crate::serialize::decode_object;
 use crate::syscall::SyscallError;
 use histar_label::Label;
 use histar_sim::{SimClock, SimDuration};
 use histar_store::codec::{Decoder, Encoder};
 use histar_store::records::is_persist_key;
 use histar_store::{SingleLevelStore, StoreConfig, StoreError};
-use std::collections::BTreeSet;
 
 /// Store key (outside the 61-bit object-ID space) holding machine metadata.
 const MACHINE_META_KEY: u64 = 1 << 62;
@@ -176,36 +175,35 @@ impl Machine {
         self.console_device
     }
 
-    /// Serializes the entire object table into the single-level store and
-    /// takes a checkpoint.  This is the periodic system-wide snapshot; after
-    /// it returns, a crash loses nothing.
+    /// Writes the entire object table to the single-level store and takes
+    /// a checkpoint.  This is the periodic system-wide snapshot; after it
+    /// returns, a crash loses nothing.
     ///
-    /// Objects are emitted in ascending ID order, so two snapshots of
-    /// identical kernel state produce byte-identical disk images — the
-    /// object table is a hash map, whose order follows the history of its
-    /// inserts and removes rather than the state, and must never leak into
-    /// the persistent layout.
+    /// Nothing is copied into the store: the checkpoint writes each live
+    /// object home from the kernel's own bytes (a segment's contents are
+    /// lent as they lie, only its hundred-odd-byte prefix is encoded), and
+    /// each is then clean, its home record standing for it.  Objects go
+    /// home in ascending ID order, merged with the store's own dirty
+    /// records, so two snapshots of identical kernel state produce
+    /// byte-identical disk images — the object table is a hash map, whose
+    /// order follows the history of its inserts and removes rather than
+    /// the state, and must never leak into the persistent layout.
     pub fn snapshot(&mut self) {
-        // Write (or refresh) every live object, sorted by ID, one at a
-        // time: each encoding moves into the store before the next is
-        // built, so the transient footprint is one object, not the machine.
-        let live: BTreeSet<u64> = self.kernel.objects().map(|(id, _)| id.raw()).collect();
-        for &id in &live {
-            let obj = self.kernel.raw_object(ObjectId::from_raw(id));
-            let bytes = encode_object(obj.expect("listed as live above"));
-            self.store_mut().put(id, bytes);
-        }
-        // Remove objects that no longer exist in the kernel (sorted, for
-        // the same layout-determinism reason).  Keys in the persist record
-        // namespace are not kernel objects — they are owned by the store's
-        // own clients (the `/persist` filesystem) and must never be swept.
-        let mut stale: Vec<u64> = self
+        // Remove objects that no longer exist in the kernel (in ascending
+        // ID order, as `object_ids` lists them, for the same layout-
+        // determinism reason).  Keys in the persist record namespace are
+        // not kernel objects — they are owned by the store's own clients
+        // (the `/persist` filesystem) and must never be swept.
+        let stale: Vec<u64> = self
             .store()
             .object_ids()
             .into_iter()
-            .filter(|id| *id != MACHINE_META_KEY && !is_persist_key(*id) && !live.contains(id))
+            .filter(|&id| {
+                id != MACHINE_META_KEY
+                    && !is_persist_key(id)
+                    && self.kernel.raw_object(ObjectId::from_raw(id)).is_none()
+            })
             .collect();
-        stale.sort_unstable();
         for id in stale {
             self.store_mut().delete(id);
         }
@@ -221,7 +219,7 @@ impl Machine {
             .put_u64(self.config.seed);
         let meta = e.finish();
         self.store_mut().put(MACHINE_META_KEY, meta);
-        self.store_mut().checkpoint();
+        self.kernel.checkpoint_objects();
     }
 
     /// Simulates a crash: the machine is dropped and a new one is recovered
@@ -271,10 +269,8 @@ impl Machine {
         let clock = disk.clock().clone();
         let mut store = SingleLevelStore::recover_traced(config.store, disk, recorder.clone())?;
         let restore_start = clock.now().as_nanos();
-        let meta_bytes = store
-            .resident(MACHINE_META_KEY)?
-            .ok_or(StoreError::NoSuchObject(MACHINE_META_KEY))?;
-        let mut d = Decoder::new(meta_bytes);
+        let meta_bytes = store.get(MACHINE_META_KEY)?;
+        let mut d = Decoder::new(&meta_bytes);
         let read = |d: &mut Decoder<'_>| -> Result<u64, MachineError> {
             d.get_u64()
                 .map_err(|e| MachineError::Corrupt(format!("machine metadata: {e}")))
@@ -296,8 +292,10 @@ impl Machine {
             if id == MACHINE_META_KEY || is_persist_key(id) {
                 continue;
             }
+            // A miss: the bytes read are decoded and dropped, and the
+            // object is left clean — its home record stands for it.
             let bytes = store.resident(id)?.ok_or(StoreError::NoSuchObject(id))?;
-            let obj = decode_object(bytes)
+            let obj = decode_object(&bytes)
                 .map_err(|e| MachineError::Corrupt(format!("object {id:#x}: {e}")))?;
             objects.push((ObjectId::from_raw(id), obj));
         }

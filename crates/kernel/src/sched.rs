@@ -290,7 +290,7 @@ impl<Ctx: SchedContext> Scheduler<Ctx> {
         self.waiting.insert(tid, self.park_seq);
         let parked = self.waiting.len() as u64;
         self.stats.parked_high_water = self.stats.parked_high_water.max(parked);
-        ctx.sched_kernel().sched_mark_dirty(tid);
+        ctx.sched_kernel().sched_park(tid);
     }
 
     /// Wakes parked thread `tid` whatever it waits for: the next wake pass

@@ -18,6 +18,7 @@ use crate::object::{
 };
 use histar_label::{Category, Label, Level};
 use histar_store::codec::{DecodeError, Decoder, Encoder};
+use std::borrow::Cow;
 
 /// Errors from object deserialization.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -370,6 +371,19 @@ pub(crate) fn segment_prefix(obj: &KObject) -> Option<(Vec<u8>, &SegmentBody)> {
     Some((e.finish(), s))
 }
 
+/// [`encode_object`]'s output lent in parts, for a checkpoint to write
+/// without building it: a segment's is its [`segment_prefix`], its
+/// written bytes and its zero tail, borrowed; any other object's is its
+/// whole (small) encoding.
+pub(crate) fn lend_object(obj: &KObject) -> Vec<Cow<'_, [u8]>> {
+    match segment_prefix(obj) {
+        Some((prefix, seg)) => std::iter::once(Cow::Owned(prefix))
+            .chain(seg.lend_parts().map(Cow::Borrowed))
+            .collect(),
+        None => vec![Cow::Owned(encode_object(obj))],
+    }
+}
+
 /// Serializes a whole kernel object.
 pub fn encode_object(obj: &KObject) -> Vec<u8> {
     let mut e = Encoder::new();
@@ -487,11 +501,13 @@ mod tests {
         let encoded = encode_object(&seg);
         assert_eq!([&prefix[..], &payload.to_vec()].concat(), encoded);
         assert!(encoded[prefix.len() + 10_000..].iter().all(|&b| b == 0));
+        assert_eq!(lend_object(&seg).concat(), encoded);
         let gate = KObject::new(
             header(ObjectType::Gate),
             ObjectBody::Gate(GateBody::new(sample_label(), 1)),
         );
         assert!(segment_prefix(&gate).is_none());
+        assert_eq!(lend_object(&gate).concat(), encode_object(&gate));
     }
 
     #[test]

@@ -28,6 +28,7 @@ use crate::object::{ContainerEntry, ObjectId, ObjectType, METADATA_LEN};
 use crate::syscall::SyscallError;
 use histar_label::{Category, Label, LabelError, Level};
 use histar_store::records::is_persist_key;
+use std::borrow::Cow;
 
 impl Sys {
     // ----- readiness watches (blocking I/O) -----------------------------
@@ -94,7 +95,8 @@ impl Sys {
                 let label = label.ok_or(SyscallError::InvalidArgument(
                     "creating a persist record requires a label",
                 ))?;
-                (checks.check_record_create(t, key, &label)?, label, &[][..])
+                let w = checks.check_record_create(t, key, &label)?;
+                (w, label, Cow::Borrowed(&[][..]))
             }
         };
         let (offset, end) = (offset as usize, end as usize);

@@ -15,9 +15,13 @@
 
 use crate::clock::{SimClock, SimDuration};
 use crate::hash::SimHashMap;
+use std::borrow::Cow;
 
 /// Size of one disk sector/block in bytes.
 pub const BLOCK_SIZE: u64 = 4096;
+
+/// What a block never written holds, lent by [`SimDisk::lend_chunks`].
+static ZERO_BLOCK: [u8; BLOCK_SIZE as usize] = [0; BLOCK_SIZE as usize];
 
 /// Configuration for a [`SimDisk`].
 #[derive(Clone, Copy, Debug)]
@@ -219,20 +223,59 @@ impl SimDisk {
         self.stats.reads += 1;
         self.stats.bytes_read += len;
 
-        let mut out = vec![0u8; len as usize];
-        let mut cursor = 0u64;
-        while cursor < len {
-            let abs = offset + cursor;
-            let block = abs / BLOCK_SIZE;
-            let within = (abs % BLOCK_SIZE) as usize;
-            let chunk = core::cmp::min(BLOCK_SIZE - within as u64, len - cursor) as usize;
-            if let Some(data) = self.blocks.get(&block) {
-                out[cursor as usize..cursor as usize + chunk]
-                    .copy_from_slice(&data[within..within + chunk]);
-            }
-            cursor += chunk as u64;
+        let mut out = Vec::with_capacity(len as usize);
+        for chunk in self.lend_chunks(offset, len) {
+            out.extend_from_slice(chunk);
         }
         out
+    }
+
+    /// Bytes `offset..offset + len` as the blocks hold them, lent in
+    /// address order one block's share at a time (never-written blocks
+    /// lend zeros).  Uncharged: no time passes, no read is counted and
+    /// the head does not move — this is not a device operation but the
+    /// caller looking at bytes its model already holds in RAM (the
+    /// store's clean objects, whose in-memory copy *is* their home
+    /// record).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the device capacity.
+    pub fn lend_chunks(&self, offset: u64, len: u64) -> impl Iterator<Item = &[u8]> + '_ {
+        assert!(
+            offset + len <= self.config.capacity,
+            "read beyond end of device"
+        );
+        let end = offset + len;
+        let mut abs = offset;
+        std::iter::from_fn(move || {
+            if abs >= end {
+                return None;
+            }
+            let block = abs / BLOCK_SIZE;
+            let within = (abs % BLOCK_SIZE) as usize;
+            let chunk = (BLOCK_SIZE - within as u64).min(end - abs) as usize;
+            abs += chunk as u64;
+            let data = self
+                .blocks
+                .get(&block)
+                .map_or(&ZERO_BLOCK[..], Vec::as_slice);
+            Some(&data[within..within + chunk])
+        })
+    }
+
+    /// [`SimDisk::lend_chunks`] as one slice: borrowed when the range lies
+    /// in one block, assembled otherwise.  Uncharged.
+    pub fn lend(&self, offset: u64, len: u64) -> Cow<'_, [u8]> {
+        let mut chunks = self.lend_chunks(offset, len);
+        let first = chunks.next().unwrap_or_default();
+        if first.len() as u64 == len {
+            return Cow::Borrowed(first);
+        }
+        let mut out = Vec::with_capacity(len as usize);
+        out.extend_from_slice(first);
+        chunks.for_each(|chunk| out.extend_from_slice(chunk));
+        Cow::Owned(out)
     }
 
     /// Writes `data` at byte `offset`.
@@ -322,6 +365,38 @@ mod tests {
     }
 
     #[test]
+    fn a_lent_range_is_what_a_read_returns_and_costs_nothing() {
+        let mut d = disk();
+        let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        d.write(12_345, &payload);
+        for (offset, len) in [
+            (12_345, 10_000),
+            (12_300, 20_000),
+            (12_400, 100),
+            (12_288, 4096),
+            (1 << 30, 5000),
+            (0, 0),
+        ] {
+            let (stats, now) = (d.stats(), d.clock().now());
+            let lent = d.lend(offset, len).into_owned();
+            let chunks: Vec<&[u8]> = d.lend_chunks(offset, len).collect();
+            assert!(chunks.iter().all(|c| !c.is_empty()));
+            assert_eq!(chunks.concat(), lent);
+            let in_one_block = len <= BLOCK_SIZE - offset % BLOCK_SIZE;
+            assert_eq!(
+                matches!(d.lend(offset, len), Cow::Borrowed(_)),
+                in_one_block
+            );
+            assert_eq!(
+                (d.stats(), d.clock().now()),
+                (stats, now),
+                "a lend is no I/O"
+            );
+            assert_eq!(lent, d.read(offset, len));
+        }
+    }
+
+    #[test]
     fn sequential_reads_avoid_seeks() {
         let mut d = disk();
         d.write(0, &vec![7u8; (BLOCK_SIZE * 64) as usize]);
@@ -375,6 +450,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "writes 100 MB")]
     fn bandwidth_bounds_sequential_transfer() {
         let mut d = disk();
         let mb100 = 100 * 1024 * 1024u64;

@@ -128,6 +128,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "170,000 keys")]
     fn spreads_every_key_shape() {
         for (name, keys) in shapes() {
             assert_eq!(spreads::<SimHasher>(&keys), Ok(()), "{name}");
@@ -137,6 +138,7 @@ mod tests {
     /// The test has teeth: the same step without the final rotation, and
     /// a hasher that passes keys through, each fail some shape.
     #[test]
+    #[cfg_attr(miri, ignore = "170,000 keys")]
     fn a_bare_multiply_and_the_identity_fail() {
         #[derive(Default)]
         struct Bare(SimHasher);

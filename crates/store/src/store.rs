@@ -2,7 +2,9 @@
 //!
 //! On bootup the entire system state is restored from the most recent
 //! on-disk snapshot (§3).  All kernel objects are written to disk at each
-//! snapshot and can be evicted from memory once stably stored.  Synchronous
+//! snapshot and can be evicted from memory once stably stored — here a
+//! stably stored object holds no memory of its own from then on: its home
+//! record is its in-memory copy.  Synchronous
 //! operations (the Unix library's `fsync`) either append to the write-ahead
 //! log or checkpoint the entire system state, and the paper's "group sync"
 //! mode checkpoints once at the end of a batch of operations (§7.1).
@@ -13,7 +15,7 @@ use crate::wal::{LogRecord, WriteAheadLog};
 use histar_obs::{Recorder, Span};
 use histar_sim::disk::BLOCK_SIZE;
 use histar_sim::{DiskConfig, SimClock, SimDisk};
-use std::collections::btree_map::Entry;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How recovery rebuilds state from the checkpoint and the log.
@@ -126,6 +128,12 @@ struct Home {
     extent_len: u64,
     /// Body length as last written there.
     body_len: u64,
+    /// Whether the record is the object's current contents and the
+    /// object is resident: a read lends the record's bytes from the disk.
+    /// Set by a home write and by a read that misses; cleared by `put`
+    /// and `evict_clean`.  Never on disk: a recovered store has nothing
+    /// resident.
+    clean: bool,
 }
 
 impl Home {
@@ -136,8 +144,8 @@ impl Home {
 
 /// Where each object's record lives on disk, and the allocator the
 /// extents come from.  A field group of its own so a home write can borrow
-/// it, and the disk, beside the cache or log entry the body is copied
-/// from.
+/// it, and the disk, beside the dirty bytes or lent parts the body is
+/// copied from.
 #[derive(Debug)]
 struct HomeMap {
     /// Object ID → its home record.
@@ -153,18 +161,21 @@ impl HomeMap {
         }
     }
 
-    /// Writes one object record to a (possibly new) home location.
+    /// Writes one object record to a (possibly new) home location, which
+    /// then stands for the object: it is clean.
     ///
-    /// Record layout: `object id (8) || body length (8) || body`.  The
-    /// header and the borrowed body reach the disk as one write.
-    fn write(&mut self, disk: &mut SimDisk, id: u64, body: &[u8]) {
-        let body_len = body.len() as u64;
+    /// Record layout: `object id (8) || body length (8) || body`, the body
+    /// being the concatenation of `body`'s parts.  The header and the
+    /// borrowed parts reach the disk as one write.
+    fn write(&mut self, disk: &mut SimDisk, id: u64, body: &[&[u8]]) {
+        let body_len = body.iter().map(|part| part.len() as u64).sum::<u64>();
         let need = RECORD_HEADER + body_len;
         // Reuse the existing extent if the new record still fits; otherwise
         // allocate a fresh one (delayed allocation).
         let offset = match self.by_id.get_mut(&id) {
             Some(home) if home.extent_len >= need => {
                 home.body_len = body_len;
+                home.clean = true;
                 home.offset
             }
             _ => {
@@ -177,6 +188,7 @@ impl HomeMap {
                     offset: extent.offset,
                     extent_len: extent.len,
                     body_len,
+                    clean: true,
                 };
                 self.by_id.insert(id, home);
                 home.offset
@@ -185,7 +197,10 @@ impl HomeMap {
         let mut header = [0u8; RECORD_HEADER as usize];
         header[..8].copy_from_slice(&id.to_le_bytes());
         header[8..].copy_from_slice(&body_len.to_le_bytes());
-        disk.write_vectored(offset, &[&header, body]);
+        let mut parts = Vec::with_capacity(1 + body.len());
+        parts.push(&header[..]);
+        parts.extend_from_slice(body);
+        disk.write_vectored(offset, &parts);
     }
 }
 
@@ -239,6 +254,7 @@ fn decode_homes(lists: [&[u8]; 3]) -> Result<BTreeMap<u64, Home>, StoreError> {
                 offset,
                 extent_len,
                 body_len,
+                clean: false,
             };
             Ok((id, home))
         })
@@ -264,19 +280,26 @@ fn meta_blob(homes: &[Vec<u8>; 3], free: &[Extent]) -> Vec<u8> {
 
 /// The single-level store.
 ///
-/// The store holds the authoritative serialized form of every kernel object.
-/// Objects live in an in-memory cache (the machine's RAM) and are written to
-/// disk by checkpoints, by the write-ahead log, or by in-place page flushes.
+/// The store holds each durable byte once.  An object `put` since its last
+/// home write is *dirty*: the store keeps its serialized bytes, and the
+/// next checkpoint writes them home.  A resident object whose home record
+/// is its current contents is *clean*: the store keeps only a mark on its
+/// home-map entry, and a read lends the bytes from the disk's blocks,
+/// charging nothing, since the model counts them as RAM.  Any other object with a home record is
+/// on disk only, and a read of it is a charged disk read that leaves it
+/// clean.  The kernel's own objects need not be `put` at all: a
+/// [`SingleLevelStore::checkpoint_lent`] writes them home from the bytes
+/// the kernel lends.  Records reach disk by checkpoints, by the
+/// write-ahead log, or by in-place page flushes.
 #[derive(Debug)]
 pub struct SingleLevelStore {
     config: StoreConfig,
     disk: SimDisk,
     wal: WriteAheadLog,
     homes: HomeMap,
-    /// In-memory object cache.
-    cache: BTreeMap<u64, Vec<u8>>,
-    /// Objects modified since they were last written to disk.
-    dirty: BTreeSet<u64>,
+    /// The bytes of every object `put` since its last home write: what the
+    /// next checkpoint writes.  (Clean objects are marked in `homes`.)
+    dirty: BTreeMap<u64, Vec<u8>>,
     /// Objects deleted since the last checkpoint.
     deleted: BTreeSet<u64>,
     /// Extent holding the metadata blob of the most recent checkpoint; it is
@@ -351,8 +374,7 @@ impl SingleLevelStore {
                 by_id: BTreeMap::new(),
                 alloc: ExtentAllocator::new(data_start, config.disk.capacity),
             },
-            cache: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            dirty: BTreeMap::new(),
             deleted: BTreeSet::new(),
             prev_meta: None,
             sequence: 0,
@@ -420,64 +442,92 @@ impl SingleLevelStore {
         self.sequence
     }
 
-    /// Number of objects currently resident in the in-memory cache.
+    /// Number of objects currently resident, dirty or clean.
     pub fn cached_objects(&self) -> usize {
-        self.cache.len()
+        self.dirty.len() + self.homes.by_id.values().filter(|h| h.clean).count()
     }
 
-    /// Drops clean objects from the in-memory cache (memory pressure); they
-    /// can be re-read from their home locations on demand.
+    /// Forgets which objects are clean (memory pressure): they can be
+    /// re-read from their home locations on demand, at the price of a
+    /// disk read each.
     pub fn evict_clean(&mut self) {
-        let dirty = &self.dirty;
-        self.cache.retain(|id, _| dirty.contains(id));
+        for home in self.homes.by_id.values_mut() {
+            home.clean = false;
+        }
     }
 
     /// Stores (creates or overwrites) an object's serialized bytes.
     pub fn put(&mut self, id: u64, data: Vec<u8>) {
-        self.cache.insert(id, data);
-        self.dirty.insert(id);
+        self.dirty.insert(id, data);
+        if let Some(home) = self.homes.by_id.get_mut(&id) {
+            home.clean = false;
+        }
         self.deleted.remove(&id);
     }
 
-    /// An object's serialized bytes, lent from the cache, or `None` if the
-    /// object does not exist: every read of the store is this one lookup.
-    /// A miss reads the home record from disk and caches it (one
-    /// `objects_read`); a hit touches nothing else.
-    pub fn resident(&mut self, id: u64) -> Result<Option<&[u8]>, StoreError> {
-        let slot = match self.cache.entry(id) {
-            Entry::Occupied(hit) => return Ok(Some(hit.into_mut().as_slice())),
-            Entry::Vacant(slot) => slot,
+    /// A resident object's bytes without any I/O: a dirty object's,
+    /// borrowed, or a clean one's, lent from its home record.  `None` if
+    /// the object is not resident.
+    fn lend_resident(&self, id: u64) -> Option<Cow<'_, [u8]>> {
+        if let Some(data) = self.dirty.get(&id) {
+            return Some(Cow::Borrowed(data));
+        }
+        let home = self.homes.by_id.get(&id).filter(|home| home.clean)?;
+        Some(self.disk.lend(home.offset + RECORD_HEADER, home.body_len))
+    }
+
+    /// An object's serialized bytes, or `None` if the object does not
+    /// exist: every read of the store is this one lookup.  A resident
+    /// object's bytes are lent without a charge — borrowed if it is dirty,
+    /// lent from its home record if it is clean (borrowed from the disk
+    /// block when the record lies in one, assembled otherwise).  A miss
+    /// reads the home record from disk (one `objects_read`), returns the
+    /// bytes read and leaves the object clean.
+    pub fn resident(&mut self, id: u64) -> Result<Option<Cow<'_, [u8]>>, StoreError> {
+        // `lend_resident`, spelled out: a hit is the common case, and it
+        // takes one map lookup if dirty, two and a block lookup if clean.
+        if let Some(data) = self.dirty.get(&id) {
+            return Ok(Some(Cow::Borrowed(data)));
+        }
+        let Some(&home) = self.homes.by_id.get(&id) else {
+            return Ok(None);
         };
+        if home.clean {
+            let body = self.disk.lend(home.offset + RECORD_HEADER, home.body_len);
+            return Ok(Some(body));
+        }
         if self.deleted.contains(&id) {
             return Ok(None);
         }
-        let Some(home) = self.homes.by_id.get(&id) else {
-            return Ok(None);
-        };
-        let raw = self.disk.read(home.offset, RECORD_HEADER + home.body_len);
+        let mut raw = self.disk.read(home.offset, RECORD_HEADER + home.body_len);
         let mut d = Decoder::new(&raw);
         let stored_id = d.get_u64().map_err(|_| StoreError::Corrupt("object id"))?;
         if stored_id != id {
             return Err(StoreError::Corrupt("object id mismatch"));
         }
-        let data = d
-            .get_bytes()
-            .map_err(|_| StoreError::Corrupt("object body"))?;
+        let body_len = d
+            .get_slice()
+            .map_err(|_| StoreError::Corrupt("object body"))?
+            .len();
         self.stats.objects_read += 1;
-        Ok(Some(slot.insert(data)))
+        if let Some(home) = self.homes.by_id.get_mut(&id) {
+            home.clean = true;
+        }
+        raw.truncate(RECORD_HEADER as usize + body_len);
+        raw.drain(..RECORD_HEADER as usize);
+        Ok(Some(Cow::Owned(raw)))
     }
 
-    /// Reads an object's serialized bytes, from cache or disk: an owned
+    /// Reads an object's serialized bytes, from memory or disk: an owned
     /// copy of [`SingleLevelStore::resident`].
     pub fn get(&mut self, id: u64) -> Result<Vec<u8>, StoreError> {
         self.resident(id)?
-            .map(<[u8]>::to_vec)
+            .map(Cow::into_owned)
             .ok_or(StoreError::NoSuchObject(id))
     }
 
     /// Deletes an object.
     pub fn delete(&mut self, id: u64) {
-        self.cache.remove(&id);
         self.dirty.remove(&id);
         self.deleted.insert(id);
         self.homes.release(id);
@@ -491,8 +541,11 @@ impl SingleLevelStore {
     /// no current contents to log, and the caller must not be told it is
     /// durable.
     pub fn sync_object(&mut self, id: u64) -> Result<(), StoreError> {
-        let data = self.cache.get(&id).ok_or(StoreError::NoSuchObject(id))?;
-        self.append_log(LogRecord::PutObject(id, data.clone()));
+        let data = self
+            .lend_resident(id)
+            .ok_or(StoreError::NoSuchObject(id))?
+            .into_owned();
+        self.append_log(LogRecord::PutObject(id, data));
         Ok(())
     }
 
@@ -504,17 +557,24 @@ impl SingleLevelStore {
     }
 
     /// Structural consistency check used by the crash-recovery gates: no
-    /// object is both cached and deleted (a read asks the cache before the
-    /// deletions and a key listing subtracts the deletions, so the two
-    /// agree only while the sets are disjoint); every home record's body
-    /// fits its extent; the free list is well formed (see
+    /// object is both clean and dirty (a clean object's bytes are its home
+    /// record, a dirty one's are newer); no resident object is deleted (a
+    /// read asks the resident objects before the deletions and a key
+    /// listing subtracts the deletions, so the two agree only while the
+    /// sets are disjoint); every home record's body fits its extent; the
+    /// free list is well formed (see
     /// [`ExtentAllocator::check_invariants`]) and lies above the log; and
     /// no two of the home extents, the free extents and the live
     /// checkpoint's metadata extent overlap.  Returns the first violation
     /// found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let Some(id) = self.deleted.iter().find(|id| self.cache.contains_key(id)) {
-            return Err(format!("object {id:#x} is both cached and deleted"));
+        let clean = |id: &u64| self.homes.by_id.get(id).is_some_and(|home| home.clean);
+        if let Some(id) = self.dirty.keys().find(|id| clean(id)) {
+            return Err(format!("object {id:#x} is both clean and dirty"));
+        }
+        let resident = |id: &&u64| self.dirty.contains_key(id) || clean(id);
+        if let Some(id) = self.deleted.iter().find(resident) {
+            return Err(format!("object {id:#x} is both resident and deleted"));
         }
         let free = self.homes.alloc.free_list();
         self.homes
@@ -588,8 +648,9 @@ impl SingleLevelStore {
         let framed_len = 16 + records.iter().map(LogRecord::encoded_len).sum::<u64>();
         // A frame that could never fit the region, even empty (a huge
         // record or a huge group): the records are already reflected in
-        // the cache, so fold them into a full checkpoint instead — a
-        // strictly stronger durability point than the log append.
+        // the resident objects, so fold them into a full checkpoint
+        // instead — a strictly stronger durability point than the log
+        // append.
         if framed_len + 64 > self.config.log_region_len {
             self.checkpoint();
             return;
@@ -627,14 +688,16 @@ impl SingleLevelStore {
     /// its first `prefix.len()` bytes, and `(offset into the encoding,
     /// bytes)` for each range to make durable.
     ///
-    /// Costs one disk write per range plus one flush, and patches the
-    /// resident cache copy with the same bytes, so home and cache move
-    /// together and the object is exactly as dirty afterwards as before.
+    /// Costs one disk write per range plus one flush.  A dirty object's
+    /// bytes are patched with the same ranges, so it is exactly as dirty
+    /// afterwards as before; a clean object's bytes *are* its home record,
+    /// so it stays clean and nothing but the disk is written.
     ///
     /// Refused, before anything is written, unless the object has a home
-    /// record and a resident copy of exactly `encoded_len` bytes that
-    /// already starts with `prefix`, no version of it waits in the log,
-    /// and every range lies inside it: the caller must then fall back to
+    /// record and is resident as exactly `encoded_len` bytes that already
+    /// start with `prefix` (a clean object is checked against its home
+    /// record, without a charge), no version of it waits in the log, and
+    /// every range lies inside it: the caller must then fall back to
     /// [`SingleLevelStore::sync_object`] or a checkpoint.
     ///
     /// The log condition is a cliff, not a one-off: the fallback itself
@@ -650,36 +713,63 @@ impl SingleLevelStore {
         prefix: &[u8],
         ranges: &[(u64, &[u8])],
     ) -> Result<(), StoreError> {
-        let cached = self.cache.get(&id).ok_or(StoreError::NoSuchObject(id))?;
-        if cached.len() as u64 != encoded_len || !cached.starts_with(prefix) {
+        let described = match (self.dirty.get(&id), self.homes.by_id.get(&id)) {
+            (Some(data), _) => data.len() as u64 == encoded_len && data.starts_with(prefix),
+            (None, Some(home)) if home.clean => {
+                home.body_len == encoded_len
+                    && prefix.len() as u64 <= home.body_len
+                    && *self
+                        .disk
+                        .lend(home.offset + RECORD_HEADER, prefix.len() as u64)
+                        == *prefix
+            }
+            _ => return Err(StoreError::NoSuchObject(id)),
+        };
+        if !described {
             return Err(StoreError::InvalidOperation(
                 "resident copy is not the encoding described",
             ));
         }
         let home = self.flushable_home(id, encoded_len, ranges)?;
         write_ranges_home(&mut self.disk, &mut self.stats, home, ranges);
-        let cached = self.cache.get_mut(&id).expect("checked resident above");
-        for (offset, bytes) in ranges {
-            cached[*offset as usize..][..bytes.len()].copy_from_slice(bytes);
+        if let Some(data) = self.dirty.get_mut(&id) {
+            for (offset, bytes) in ranges {
+                data[*offset as usize..][..bytes.len()].copy_from_slice(bytes);
+            }
         }
         Ok(())
     }
 
     /// [`SingleLevelStore::flush_ranges`] for a caller that already `put`
-    /// the new contents: flushes whole pages (`BLOCK_SIZE`-aligned, the
-    /// last one possibly short) of the resident copy, skipping pages past
-    /// its end, and returns how many it wrote.
+    /// the new contents, or has none newer than the home record: flushes
+    /// whole pages (`BLOCK_SIZE`-aligned, the last one possibly short) of
+    /// the resident object, skipping pages past its end, and returns how
+    /// many it wrote.  A clean object's pages are copied out of its home
+    /// record (O(pages), uncharged) and written back over it.
     pub fn sync_pages_in_place(&mut self, id: u64, pages: &[u64]) -> Result<usize, StoreError> {
-        let cached = self.cache.get(&id).ok_or(StoreError::NoSuchObject(id))?;
-        let ranges = page_ranges(cached.len(), 0, pages, |s, e| &cached[s..e]);
-        let home = self.flushable_home(id, cached.len() as u64, &ranges)?;
-        // `ranges` borrows the resident copy; the write borrows the disk.
+        if let Some(data) = self.dirty.get(&id) {
+            let ranges = page_ranges(data.len(), 0, pages, |s, e| &data[s..e]);
+            let home = self.flushable_home(id, data.len() as u64, &ranges)?;
+            // `ranges` borrows the dirty bytes; the write borrows the disk.
+            write_ranges_home(&mut self.disk, &mut self.stats, home, &ranges);
+            return Ok(ranges.len());
+        }
+        let home = match self.homes.by_id.get(&id) {
+            Some(home) if home.clean => *home,
+            _ => return Err(StoreError::NoSuchObject(id)),
+        };
+        let body = home.offset + RECORD_HEADER;
+        let owned = page_ranges(home.body_len as usize, 0, pages, |s, e| {
+            self.disk.lend(body + s as u64, (e - s) as u64).into_owned()
+        });
+        let ranges: Vec<(u64, &[u8])> = owned.iter().map(|(o, b)| (*o, &b[..])).collect();
+        let home = self.flushable_home(id, home.body_len, &ranges)?;
         write_ranges_home(&mut self.disk, &mut self.stats, home, &ranges);
         Ok(ranges.len())
     }
 
     /// Every refusal of an in-place flush that does not concern the
-    /// resident copy, checked without writing anything: the disk offset of
+    /// resident bytes, checked without writing anything: the disk offset of
     /// the object's home record if that record holds `encoded_len` bytes,
     /// nothing in the log would mask it, and every range lies inside it.
     fn flushable_home(
@@ -722,8 +812,29 @@ impl SingleLevelStore {
     /// Takes a full checkpoint: every dirty object is written to its home
     /// location, the object map and free list are serialized, and the
     /// superblock is updated.  After a checkpoint the system can recover to
-    /// exactly this state.
+    /// exactly this state.  A [`SingleLevelStore::checkpoint_lent`] with
+    /// nothing lent.
     pub fn checkpoint(&mut self) {
+        self.checkpoint_lent(std::iter::empty());
+    }
+
+    /// [`SingleLevelStore::checkpoint`] with objects lent by the caller:
+    /// `lent` yields `(id, parts)` in strictly ascending id order, each
+    /// object's serialized bytes being the concatenation of its parts.
+    /// Each is written home straight from the parts, as if it had been
+    /// `put` just before — merged into the dirty objects in ascending id
+    /// order, a lent object superseding a dirty one of the same id — so
+    /// the disk sees exactly the writes of `put` then `checkpoint`, while
+    /// memory never holds a copy of the lent bytes.  Every object written
+    /// is clean afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lent` is not in strictly ascending id order.
+    pub fn checkpoint_lent<'a>(
+        &mut self,
+        lent: impl IntoIterator<Item = (u64, Vec<Cow<'a, [u8]>>)>,
+    ) {
         let start = self.tick();
         // 0. The metadata blob from the previous checkpoint can be recycled
         //    now; the superblock will be rewritten before this call returns.
@@ -731,12 +842,29 @@ impl SingleLevelStore {
             self.homes.alloc.free(prev);
         }
 
-        // 1. Write dirty objects and drop records of deleted objects.
-        for id in std::mem::take(&mut self.dirty) {
-            if let Some(data) = self.cache.get(&id) {
-                self.homes.write(&mut self.disk, id, data);
-                self.stats.objects_written += 1;
+        // 1. Write dirty and lent objects, in ascending id order, and drop
+        //    records of deleted objects.
+        let mut dirty = std::mem::take(&mut self.dirty).into_iter().peekable();
+        let mut lent = lent.into_iter().peekable();
+        let mut last = None;
+        loop {
+            let id = match (dirty.peek(), lent.peek()) {
+                (Some((d, _)), Some((l, _))) => *d.min(l),
+                (Some((id, _)), None) | (None, Some((id, _))) => *id,
+                (None, None) => break,
+            };
+            assert!(last < Some(id), "lent objects out of ascending id order");
+            last = Some(id);
+            let stored = dirty.next_if(|(d, _)| *d == id);
+            match (lent.next_if(|(l, _)| *l == id), stored) {
+                (Some((_, parts)), _) => {
+                    let parts: Vec<&[u8]> = parts.iter().map(|part| &part[..]).collect();
+                    self.homes.write(&mut self.disk, id, &parts);
+                }
+                (None, Some((_, data))) => self.homes.write(&mut self.disk, id, &[&data]),
+                (None, None) => unreachable!("the id was peeked from one of the two"),
             }
+            self.stats.objects_written += 1;
         }
         self.deleted.clear();
 
@@ -867,8 +995,7 @@ impl SingleLevelStore {
             config,
             wal,
             homes: HomeMap { by_id, alloc },
-            cache: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            dirty: BTreeMap::new(),
             deleted: BTreeSet::new(),
             prev_meta: Some(Extent::new(meta_off, meta_alloc_len)),
             sequence,
@@ -908,7 +1035,7 @@ impl SingleLevelStore {
                 // the allocator state must come out identical.  The
                 // resumed log keeps its records until the next checkpoint
                 // folds them, so each surviving version is copied into the
-                // cache once, straight from the fold.
+                // dirty objects once, straight from the fold.
                 let mut fold: BTreeMap<u64, (Option<&[u8]>, bool)> = BTreeMap::new();
                 for rec in &after_marker {
                     match rec {
@@ -930,11 +1057,10 @@ impl SingleLevelStore {
                     match latest {
                         Some(data) => {
                             store.deleted.remove(&id);
-                            store.cache.insert(id, data.to_vec());
-                            store.dirty.insert(id);
+                            store.dirty.insert(id, data.to_vec());
                         }
                         None => {
-                            store.cache.remove(&id);
+                            store.dirty.remove(&id);
                             store.deleted.insert(id);
                         }
                     }
@@ -945,11 +1071,10 @@ impl SingleLevelStore {
                     match rec {
                         LogRecord::PutObject(id, data) => {
                             store.deleted.remove(id);
-                            store.cache.insert(*id, data.clone());
-                            store.dirty.insert(*id);
+                            store.dirty.insert(*id, data.clone());
                         }
                         LogRecord::DeleteObject(id) => {
-                            store.cache.remove(id);
+                            store.dirty.remove(id);
                             store.deleted.insert(*id);
                             store.homes.release(*id);
                         }
@@ -968,35 +1093,35 @@ impl SingleLevelStore {
         self.disk
     }
 
-    /// All object IDs currently known to the store (cached or on disk).
+    /// All object IDs currently known to the store (in memory or on disk).
     pub fn object_ids(&self) -> Vec<u64> {
         live_keys(
             self.homes.by_id.keys().copied(),
-            self.cache.keys().copied(),
+            self.dirty.keys().copied(),
             self.deleted.iter().copied(),
         )
     }
 }
 
-/// The keys of two ascending sources (the home map and the cache), merged
-/// in one pass into one ascending list without repeats, minus the
-/// ascending `deleted` keys.
+/// The keys of two ascending sources (the home map and the dirty
+/// objects), merged in one pass into one ascending list without repeats,
+/// minus the ascending `deleted` keys.
 fn live_keys(
     homed: impl Iterator<Item = u64>,
-    cached: impl Iterator<Item = u64>,
+    dirty: impl Iterator<Item = u64>,
     deleted: impl Iterator<Item = u64>,
 ) -> Vec<u64> {
-    let (mut homed, mut cached, mut deleted) =
-        (homed.peekable(), cached.peekable(), deleted.peekable());
+    let (mut homed, mut dirty, mut deleted) =
+        (homed.peekable(), dirty.peekable(), deleted.peekable());
     let mut out = Vec::new();
     loop {
-        let key = match (homed.peek(), cached.peek()) {
+        let key = match (homed.peek(), dirty.peek()) {
             (Some(&h), Some(&c)) => h.min(c),
             (Some(&k), None) | (None, Some(&k)) => k,
             (None, None) => return out,
         };
         homed.next_if_eq(&key);
-        cached.next_if_eq(&key);
+        dirty.next_if_eq(&key);
         while deleted.next_if(|&d| d < key).is_some() {}
         if deleted.next_if_eq(&key).is_none() {
             out.push(key);
@@ -1007,6 +1132,9 @@ fn live_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A key above every object id, like the machine's metadata record.
+    const META_KEY: u64 = 1 << 62;
 
     fn store() -> SingleLevelStore {
         SingleLevelStore::format(StoreConfig::default(), SimClock::new())
@@ -1126,9 +1254,12 @@ mod tests {
         s.put(42, vec![9u8; 5000]);
         s.checkpoint();
         s.evict_clean();
-        assert_eq!(s.resident(42).unwrap(), Some(&[9u8; 5000][..]));
+        assert_eq!(s.resident(42).unwrap().as_deref(), Some(&[9u8; 5000][..]));
         assert_eq!(s.stats().objects_read, 1);
-        assert_eq!(s.resident(42).unwrap().map(<[u8]>::len), Some(5000));
+        assert_eq!(
+            s.resident(42).unwrap().as_deref().map(<[u8]>::len),
+            Some(5000)
+        );
         assert_eq!(s.stats().objects_read, 1, "a hit reads nothing");
         s.delete(42);
         assert_eq!(s.resident(42), Ok(None));
@@ -1138,13 +1269,38 @@ mod tests {
 
     #[test]
     fn an_object_both_cached_and_deleted_is_reported() {
-        let mut s = store();
-        s.put(7, vec![1]);
-        s.delete(8);
-        s.check_invariants().unwrap();
-        s.deleted.insert(7);
-        let err = s.check_invariants().unwrap_err();
-        assert!(err.contains("0x7 is both cached and deleted"), "{err}");
+        // Object 7 dirty, object 9 clean, object 8 deleted.
+        let fresh = || {
+            let mut s = store();
+            s.put(7, vec![1]);
+            s.put(9, vec![2]);
+            s.checkpoint();
+            s.put(7, vec![3]);
+            s.delete(8);
+            s.check_invariants().unwrap();
+            s
+        };
+        type Corrupt = fn(&mut SingleLevelStore);
+        let broken: [(Corrupt, &str); 3] = [
+            (
+                |s| _ = s.deleted.insert(7),
+                "0x7 is both resident and deleted",
+            ),
+            (
+                |s| _ = s.deleted.insert(9),
+                "0x9 is both resident and deleted",
+            ),
+            (
+                |s| s.homes.by_id.get_mut(&7).unwrap().clean = true,
+                "0x7 is both clean and dirty",
+            ),
+        ];
+        for (corrupt, what) in broken {
+            let mut s = fresh();
+            corrupt(&mut s);
+            let err = s.check_invariants().unwrap_err();
+            assert!(err.contains(what), "{err}");
+        }
     }
 
     #[test]
@@ -1168,6 +1324,7 @@ mod tests {
             offset,
             extent_len: 4096,
             body_len: 10,
+            clean: false,
         };
         let homes = BTreeMap::from([(3, home(4096)), (9, home(8192))]);
         let [offsets, extent_lens, body_lens] = encode_homes(&homes);
@@ -1371,6 +1528,59 @@ mod tests {
         s.checkpoint();
         assert!(s.disk().stats().writes > 0);
         assert_eq!(s.stats().checkpoints, 1);
+    }
+
+    /// A lent checkpoint is `put` of every lent object then `checkpoint`,
+    /// to the byte and the tick — interleaved with dirty objects, over a
+    /// dirty object of the same id, over an object that moves to a larger
+    /// extent — and afterwards every written object is clean: read without
+    /// a disk operation, holding no bytes in the store.
+    #[test]
+    fn a_lent_checkpoint_writes_what_put_and_checkpoint_write() {
+        let (mut put, mut lent) = (store(), store());
+        for s in [&mut put, &mut lent] {
+            s.put(2, vec![2; 300]);
+            s.put(5, vec![5; 9000]);
+            s.put(META_KEY, vec![7; 40]);
+            s.checkpoint();
+            s.put(3, vec![3; 10]);
+            s.put(5, vec![0; 5]); // superseded by the lent version
+            s.put(8, vec![8; 70]);
+        }
+        let objects: [(u64, Vec<u8>); 3] = [
+            (1, (0..5000u32).map(|i| i as u8).collect()),
+            (5, vec![0x55; 20_000]),
+            (9, Vec::new()),
+        ];
+        for (id, data) in &objects {
+            put.put(*id, data.clone());
+        }
+        put.checkpoint();
+        lent.checkpoint_lent(objects.iter().map(|(id, data)| {
+            let (head, tail) = data.split_at(data.len() / 3);
+            (*id, vec![Cow::Borrowed(head), Cow::Owned(tail.to_vec())])
+        }));
+        assert_eq!(lent.disk().image(), put.disk().image());
+        assert_eq!(lent.disk_stats(), put.disk_stats());
+        assert_eq!(lent.stats(), put.stats());
+        assert_eq!(lent.disk().clock().now(), put.disk().clock().now());
+        assert_eq!(lent.object_ids(), put.object_ids());
+        assert!(lent.dirty.is_empty());
+        assert_eq!(lent.cached_objects(), 7);
+        lent.check_invariants().unwrap();
+        let disk = lent.disk_stats();
+        for (id, data) in &objects {
+            assert_eq!(lent.resident(*id).unwrap().as_deref(), Some(&data[..]));
+        }
+        assert_eq!(lent.get(8).unwrap(), vec![8; 70]);
+        assert_eq!(lent.disk_stats(), disk, "a clean read is no disk operation");
+        assert_eq!(lent.stats().objects_read, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending id order")]
+    fn lent_objects_out_of_order_are_refused() {
+        store().checkpoint_lent([(2, vec![]), (1, vec![])]);
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //!
 //! A small model — what is resident, what each home record holds, what the
 //! log holds — is driven beside a real [`SingleLevelStore`] through random
-//! interleavings of `put`, `checkpoint`, `sync_object`, `evict_clean`,
-//! `get`, `flush_ranges` and `sync_pages_in_place`, with random object
-//! sizes, prefix lengths and range sets.  After every step:
+//! interleavings of `put`, `checkpoint`, a checkpoint with objects lent in
+//! parts (`checkpoint_lent`), `sync_object`, `evict_clean`, `get`,
+//! `flush_ranges` and `sync_pages_in_place`, with random object sizes,
+//! prefix lengths and range sets.  After every step:
 //!
+//! * every resident object reads as the model's bytes without a disk
+//!   operation, and a read of an evicted one is one disk read of its
+//!   whole home record;
 //! * the flush returned exactly what the model predicts, and a refused
 //!   flush (no resident copy, no home record, size or prefix changed, a
 //!   logged version pending, a range past the record) left the disk's and
@@ -21,6 +25,7 @@
 use histar_sim::disk::BLOCK_SIZE;
 use histar_sim::SimClock;
 use histar_store::{page_ranges, SingleLevelStore, StoreConfig, StoreError};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 const SEEDS: u64 = 24;
@@ -110,6 +115,15 @@ impl Model {
         Ok(())
     }
 
+    /// The model after `checkpoint`: every dirty object's resident bytes
+    /// are its home record, and the log is folded.
+    fn checkpoint(&mut self) {
+        for id in std::mem::take(&mut self.dirty) {
+            self.home.insert(id, self.cache[&id].clone());
+        }
+        self.logged.clear();
+    }
+
     fn patch(&mut self, id: u64, ranges: &[(u64, &[u8])]) {
         for copy in [self.cache.get_mut(&id), self.home.get_mut(&id)] {
             let copy = copy.expect("verdict checked both copies exist");
@@ -141,12 +155,14 @@ fn check(seed: u64, step: usize, store: &mut SingleLevelStore, model: &Model) {
     store
         .check_invariants()
         .unwrap_or_else(|e| panic!("{at}: {e}"));
+    let disk = store.disk_stats();
     for (id, data) in &model.cache {
         assert!(
             store.get(*id).unwrap() == *data,
             "{at}: resident copy of {id}"
         );
     }
+    assert_eq!(store.disk_stats(), disk, "{at}: a resident read did I/O");
     if store.sequence() == 0 {
         return; // never checkpointed: nothing to recover from
     }
@@ -175,7 +191,7 @@ fn every_flushed_range_is_durable_and_every_refusal_is_free() {
         let mut model = Model::default();
         for step in 0..STEPS {
             let id = rng.below(IDS);
-            match rng.below(10) {
+            match rng.below(11) {
                 0 | 1 => {
                     // Half the rewrites keep the length, so flushes of a
                     // rewritten object are usually admissible.
@@ -190,10 +206,7 @@ fn every_flushed_range_is_durable_and_every_refusal_is_free() {
                 }
                 2 => {
                     store.checkpoint();
-                    for id in std::mem::take(&mut model.dirty) {
-                        model.home.insert(id, model.cache[&id].clone());
-                    }
-                    model.logged.clear();
+                    model.checkpoint();
                 }
                 3 => {
                     let synced = store.sync_object(id);
@@ -208,10 +221,21 @@ fn every_flushed_range_is_durable_and_every_refusal_is_free() {
                     model.cache.retain(|id, _| dirty.contains(id));
                 }
                 5 => {
-                    // A read of an evicted object makes it resident again.
+                    // A read of an evicted object makes it resident again,
+                    // at the price of one read of its whole home record.
                     if let Some(home) = model.home.get(&id) {
+                        let miss = !model.cache.contains_key(&id);
                         let data = model.cache.entry(id).or_insert_with(|| home.clone());
+                        let before = store.disk_stats();
                         assert!(store.get(id).unwrap() == *data);
+                        let after = store.disk_stats();
+                        let read = (
+                            after.reads - before.reads,
+                            after.bytes_read - before.bytes_read,
+                        );
+                        let record = 16 + data.len() as u64;
+                        assert_eq!(read, if miss { (1, record) } else { (0, 0) });
+                        assert_eq!(after.writes, before.writes);
                     }
                 }
                 6 => {
@@ -242,6 +266,34 @@ fn every_flushed_range_is_durable_and_every_refusal_is_free() {
                             refused.insert(why);
                         }
                     }
+                }
+                10 => {
+                    // Objects lent in up to three parts each, as the
+                    // kernel lends a segment: half keep their length.
+                    let mut lent = BTreeMap::new();
+                    for _ in 0..1 + rng.below(3) {
+                        let id = rng.below(IDS);
+                        let len = match model.cache.get(&id) {
+                            Some(old) if rng.below(2) == 0 => old.len() as u64,
+                            _ => 1 + rng.below(MAX_LEN),
+                        };
+                        lent.insert(id, rng.bytes(len));
+                    }
+                    let cuts: Vec<(usize, usize)> = lent
+                        .values()
+                        .map(|data| {
+                            let a = rng.below(data.len() as u64 + 1) as usize;
+                            let b = rng.below(data.len() as u64 + 1) as usize;
+                            (a.min(b), a.max(b))
+                        })
+                        .collect();
+                    store.checkpoint_lent(lent.iter().zip(cuts).map(|((id, data), (a, b))| {
+                        let parts = [&data[..a], &data[a..b], &data[b..]];
+                        (*id, parts.into_iter().map(Cow::Borrowed).collect())
+                    }));
+                    model.dirty.extend(lent.keys());
+                    model.cache.extend(lent);
+                    model.checkpoint();
                 }
                 _ => {
                     // The caller's view of the object: the resident copy

@@ -1,21 +1,26 @@
 //! Seeded property test for the store's read side: the one lookup
 //! (`resident`) and the merged key listing (`object_ids`).
 //!
-//! A plain oracle — what exists now, what is cached and dirty, what the
-//! last checkpoint holds and what the log has appended since — is driven
-//! beside a real [`SingleLevelStore`] through random interleavings of
-//! `put`, `delete`, `sync_object`, `sync_delete`, `checkpoint`,
+//! A plain oracle — what exists now, what is resident and dirty, what
+//! the last checkpoint holds and what the log has appended since — is
+//! driven beside a real [`SingleLevelStore`] through random interleavings
+//! of `put`, `delete`, `sync_object`, `sync_delete`, `checkpoint`, a
+//! checkpoint with objects lent in parts (`checkpoint_lent`),
 //! `evict_clean` and crash-recover.  After every step:
 //!
 //! * `object_ids` equals the oracle's key set;
+//! * every resident object's bytes are the oracle's, and reading them
+//!   changes no disk counter;
 //! * `resident` of a random id returns the oracle's bytes (or `None`),
-//!   and a miss adds exactly one `objects_read` while a hit adds none;
+//!   and a miss adds exactly one `objects_read` and one disk read of the
+//!   whole home record while a hit adds none;
 //! * `check_invariants` holds.
 //!
 //! The generator is the xorshift64* harness of `flush_properties.rs`.
 
-use histar_sim::SimClock;
+use histar_sim::{DiskStats, SimClock};
 use histar_store::{SingleLevelStore, StoreConfig};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 const SEEDS: u64 = if cfg!(miri) { 2 } else { 32 };
@@ -60,7 +65,8 @@ fn config() -> StoreConfig {
 struct Oracle {
     /// Every object that exists, with its bytes.
     live: BTreeMap<u64, Vec<u8>>,
-    /// Objects a read finds without touching the disk.
+    /// Objects a read finds without touching the disk: dirty ones, and
+    /// clean ones whose home record stands for them.
     cached: BTreeSet<u64>,
     dirty: BTreeSet<u64>,
     /// The state the last checkpoint made durable.
@@ -80,6 +86,14 @@ impl Oracle {
             };
         }
         state
+    }
+
+    /// The oracle after `checkpoint`: everything live is durable and
+    /// nothing is dirty; what was resident stays resident.
+    fn checkpoint(&mut self) {
+        self.checkpointed = self.live.clone();
+        self.logged.clear();
+        self.dirty.clear();
     }
 
     /// The oracle after a crash and recovery: the durable state, and
@@ -115,12 +129,23 @@ fn check(
     let keys: Vec<u64> = oracle.live.keys().copied().collect();
     assert_eq!(store.object_ids(), keys, "{at}: object_ids");
 
+    let disk = store.disk_stats();
+    for id in &oracle.cached {
+        let got = store.resident(*id).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(
+            got.as_deref(),
+            oracle.live.get(id).map(|v| &v[..]),
+            "{at}: {id}"
+        );
+    }
+    assert_eq!(store.disk_stats(), disk, "{at}: a resident read did I/O");
+
     let id = rng.below(IDS + 2);
     let reads = store.stats().objects_read;
     let got = store
         .resident(id)
         .unwrap_or_else(|e| panic!("{at}: resident({id}): {e}"))
-        .map(<[u8]>::to_vec);
+        .map(Cow::into_owned);
     assert_eq!(got.as_ref(), oracle.live.get(&id), "{at}: resident({id})");
     let miss = got.is_some() && !oracle.cached.contains(&id);
     assert_eq!(
@@ -129,10 +154,34 @@ fn check(
         "{at}: resident({id}) read the disk {} times",
         store.stats().objects_read - reads
     );
+    let home_record = got
+        .as_ref()
+        .filter(|_| miss)
+        .map(|data| 16 + data.len() as u64);
+    assert_one_read_or_none(at, disk, store.disk_stats(), home_record);
     seen[usize::from(got.is_some()) + usize::from(miss)] += 1;
     if got.is_some() {
         oracle.cached.insert(id); // a read makes the object resident
     }
+}
+
+/// A lookup's disk cost: none at all, or — for a miss — exactly one read
+/// of the `len`-byte home record, and no write or flush.
+fn assert_one_read_or_none(at: &str, before: DiskStats, after: DiskStats, len: Option<u64>) {
+    let Some(len) = len else {
+        assert_eq!(after, before, "{at}: a lookup without a miss did I/O");
+        return;
+    };
+    assert_eq!(after.reads, before.reads + 1, "{at}: reads");
+    assert_eq!(
+        after.bytes_read,
+        before.bytes_read + len,
+        "{at}: bytes read"
+    );
+    assert!(after.lookahead_hits - before.lookahead_hits <= 1, "{at}");
+    assert!(after.busy > before.busy, "{at}: a read takes time");
+    let untouched = |s: DiskStats| (s.writes, s.bytes_written, s.flushes);
+    assert_eq!(untouched(after), untouched(before), "{at}: a miss wrote");
 }
 
 #[test]
@@ -146,7 +195,7 @@ fn listings_and_lookups_agree_with_a_set_oracle() {
         let mut oracle = Oracle::default();
         for step in 0..STEPS {
             let id = rng.below(IDS);
-            match rng.below(12) {
+            match rng.below(13) {
                 0..=3 => {
                     let len = rng.below(MAX_LEN);
                     let data = rng.bytes(len);
@@ -174,11 +223,30 @@ fn listings_and_lookups_agree_with_a_set_oracle() {
                 }
                 8 => {
                     store.checkpoint();
-                    oracle.checkpointed = oracle.live.clone();
-                    oracle.logged.clear();
-                    oracle.dirty.clear();
+                    oracle.checkpoint();
                 }
-                9 | 10 => {
+                9 => {
+                    // A few objects lent in two parts each, as the kernel
+                    // lends its own: they go home as if just `put`.
+                    let lent: BTreeMap<u64, Vec<u8>> = (0..rng.below(4))
+                        .map(|_| {
+                            let (id, len) = (rng.below(IDS), rng.below(MAX_LEN));
+                            (id, rng.bytes(len))
+                        })
+                        .collect();
+                    let cuts: Vec<usize> = lent
+                        .values()
+                        .map(|data| rng.below(data.len() as u64 + 1) as usize)
+                        .collect();
+                    store.checkpoint_lent(lent.iter().zip(cuts).map(|((id, data), cut)| {
+                        let (head, tail) = data.split_at(cut);
+                        (*id, vec![Cow::Borrowed(head), Cow::Borrowed(tail)])
+                    }));
+                    oracle.cached.extend(lent.keys());
+                    oracle.live.extend(lent);
+                    oracle.checkpoint();
+                }
+                10 | 11 => {
                     store.evict_clean();
                     let dirty = &oracle.dirty;
                     oracle.cached.retain(|id| dirty.contains(id));

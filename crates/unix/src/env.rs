@@ -1510,12 +1510,12 @@ impl UnixEnv {
     /// and the library's one way to make a path durable.  Every path is
     /// resolved to its [`SyncTarget`]s, whichever filesystem owns it;
     /// duplicates are dropped (first seen wins the place); the records are
-    /// synced with ONE `persist_sync`, so the whole group shares a single
-    /// WAL frame and is acked together once that frame is durable, and
-    /// each kernel object with one `obj_sync` — a heap file's `fsync` is
-    /// three traps and three log frames (directory, directory segment,
-    /// file).  The kernel checks every target against the caller; the
-    /// first refusal is returned.
+    /// synced with one `persist_sync` and each kernel object with one
+    /// `obj_sync` (a heap file names three: directory, directory segment,
+    /// file), all in ONE batch, so the whole group shares a single WAL
+    /// frame and is acked together once that frame is durable.  The
+    /// kernel checks every target against the caller; the first refusal,
+    /// in submission order, is returned.
     pub fn fsync_paths(&mut self, pid: Pid, paths: &[&str]) -> Result<()> {
         self.vfs_op(pid, |vfs, ctx, cwd| {
             let (mut keys, mut objects, mut seen) = (Vec::new(), Vec::new(), BTreeSet::new());
@@ -1529,12 +1529,21 @@ impl UnixEnv {
                     }
                 }
             }
-            let thread = ctx.thread;
-            if !keys.is_empty() {
-                ctx.kernel().trap_persist_sync(thread, keys)?;
+            let records = (!keys.is_empty()).then_some(Syscall::PersistSync { keys });
+            let calls: Vec<Syscall<'_>> = records
+                .into_iter()
+                .chain(
+                    objects
+                        .into_iter()
+                        .map(|entry| Syscall::ObjSync { entry, pages: None }),
+                )
+                .collect();
+            if calls.is_empty() {
+                return Ok(());
             }
-            for entry in objects {
-                ctx.kernel().trap_obj_sync(thread, entry, None)?;
+            let thread = ctx.thread;
+            for r in ctx.kernel().submit_calls(thread, calls) {
+                r?;
             }
             Ok(())
         })

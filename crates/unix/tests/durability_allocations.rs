@@ -5,9 +5,10 @@
 //!   borrows them from the segment and allocates a few hundred bytes of
 //!   bookkeeping, never a copy of the file — also for pages in the zero
 //!   tail a resize added, which are lent by one static zero page.
-//! * `sync_all` is one-copy: the snapshot holds one object's encoding at a
-//!   time and the checkpoint writes it to disk from where it lies, so the
-//!   transient footprint is the largest object, not the machine.
+//! * `sync_all` copies nothing: the checkpoint writes each object home
+//!   from the kernel's own bytes, and a stably stored object is its home
+//!   record, so the steady state holds a file twice (its segment and the
+//!   disk image) and a snapshot adds no copy of it, even transiently.
 //!
 //! The counters are process-wide, so this binary holds exactly one test.
 
@@ -35,6 +36,7 @@ fn page_sync_allocates_per_page_and_snapshot_holds_one_object_at_a_time() {
     let fd = env
         .open(init, "/bench/large", OpenFlags::read_write_create())
         .unwrap();
+    let empty = LIVE.load(Relaxed);
     for chunk in 0..FILE_LEN / CHUNK {
         env.write(init, fd, &vec![chunk as u8; CHUNK]).unwrap();
     }
@@ -60,14 +62,19 @@ fn page_sync_allocates_per_page_and_snapshot_holds_one_object_at_a_time() {
         "fsync_pages of 3 pages requested {requested} bytes"
     );
 
-    // The steady state already holds the file three times (segment, store
-    // cache, disk image); a second snapshot may add one encoding of it.
+    // The steady state holds the file twice (segment, disk image), and a
+    // second snapshot adds no copy of it.
     let steady = LIVE.load(Relaxed);
+    let held = steady - empty;
+    assert!(
+        held <= 2 * FILE_LEN + (1 << 20),
+        "a synced {FILE_LEN}-byte file holds {held} bytes"
+    );
     PEAK.store(steady, Relaxed);
     env.sync_all();
     let transient = PEAK.load(Relaxed) - steady;
     assert!(
-        transient <= FILE_LEN + (1 << 20),
+        transient <= 1 << 20,
         "sync_all peaked {transient} bytes above its steady state"
     );
     assert!(LIVE.load(Relaxed) <= steady + (1 << 20));

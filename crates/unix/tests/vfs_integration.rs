@@ -422,10 +422,11 @@ fn fsync_of_a_vanished_object_is_an_error_not_an_acknowledgement() {
     assert_eq!(env.machine().store().stats().inplace_flushes, flushes);
 }
 
-/// `fsync` is one trap per target: a heap file's sync is the directory,
-/// its directory segment and the file — three `obj_sync` calls, three log
-/// frames — and two files of one directory synced through one
-/// `fsync_paths` share the directory's two targets: four traps, not six.
+/// `fsync` is one trap per target, and one log frame per `fsync_paths`: a
+/// heap file's sync is the directory, its directory segment and the file
+/// — three `obj_sync` calls in one batch — and two files of one directory
+/// synced through one `fsync_paths` share the directory's two targets:
+/// four traps, not six.
 #[test]
 fn fsync_paths_syncs_each_target_once_through_its_own_trap() {
     let mut env = UnixEnv::boot();
@@ -440,17 +441,40 @@ fn fsync_paths_syncs_each_target_once_through_its_own_trap() {
 
     let (traps, frames) = count(&env);
     env.fsync_path(init, "/d/a").unwrap();
-    assert_eq!(count(&env), (traps + 3, frames + 3));
+    assert_eq!(count(&env), (traps + 3, frames + 1));
     env.fsync_paths(init, &["/d/a", "/d/b"]).unwrap();
-    assert_eq!(count(&env), (traps + 7, frames + 7));
+    assert_eq!(count(&env), (traps + 7, frames + 2));
     // A `/persist` path beside them adds one `persist_sync` and no object;
     // creating it logged one frame of its own (its inode and the
     // superblock).
     env.write_file_as(init, "/persist/p", b"p", None).unwrap();
-    assert_eq!(count(&env), (traps + 7, frames + 8));
+    assert_eq!(count(&env), (traps + 7, frames + 3));
     env.fsync_paths(init, &["/d/a", "/persist/p", "/d/a"])
         .unwrap();
-    assert_eq!(count(&env), (traps + 10, frames + 12));
+    assert_eq!(count(&env), (traps + 10, frames + 4));
+}
+
+/// Group commit across filesystems' targets: two heap files of one
+/// directory, synced by one `fsync_paths`, are one write-ahead-log frame
+/// holding all four objects (directory, directory segment, both files),
+/// and both files' contents survive a crash.
+#[test]
+fn fsync_paths_of_two_heap_files_writes_one_log_frame() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.mkdir(init, "/d", None).unwrap();
+    env.write_file_as(init, "/d/a", b"first", None).unwrap();
+    env.write_file_as(init, "/d/b", b"second", None).unwrap();
+    let wal = env.machine().store().wal_stats();
+    env.fsync_paths(init, &["/d/a", "/d/b"]).unwrap();
+    let after = env.machine().store().wal_stats();
+    assert_eq!(after.frames - wal.frames, 1, "one fsync_paths, one frame");
+    assert_eq!(after.appends - wal.appends, 4);
+
+    let [a, b] = ["/d/a", "/d/b"].map(|path| env.stat(init, path).unwrap().object);
+    let recovered = env.into_machine().crash_and_recover().unwrap();
+    assert_eq!(segment_bytes(&recovered, a), b"first");
+    assert_eq!(segment_bytes(&recovered, b), b"second");
 }
 
 /// Regression: sharing a descriptor with a process that does not exist
