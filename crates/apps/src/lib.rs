@@ -13,6 +13,7 @@
 pub mod multilogin;
 
 use histar_label::{Label, Level};
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 use histar_unix::fs::OpenFlags;
 use histar_unix::process::{ExitStatus, Pid};
 use histar_unix::{UnixEnv, UnixError};
@@ -39,30 +40,11 @@ impl VirusDb {
         }
     }
 
-    /// Serializes the database for storage in a file.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for sig in &self.signatures {
-            out.extend_from_slice(&(sig.len() as u32).to_le_bytes());
-            out.extend_from_slice(sig);
-        }
-        out
-    }
-
-    /// Decodes a database written by [`VirusDb::encode`].
-    pub fn decode(bytes: &[u8]) -> VirusDb {
-        let mut signatures = Vec::new();
-        let mut pos = 0;
-        while pos + 4 <= bytes.len() {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            pos += 4;
-            if pos + len > bytes.len() {
-                break;
-            }
-            signatures.push(bytes[pos..pos + len].to_vec());
-            pos += len;
-        }
-        VirusDb { signatures }
+    /// Reads the database at `/clamav.cvd` as `pid`.  A database that does
+    /// not decode fails the scan rather than passing every file `CLEAN`.
+    fn load(env: &mut UnixEnv, pid: Pid) -> Result<VirusDb> {
+        let bytes = env.read_file_as(pid, "/clamav.cvd")?;
+        VirusDb::decode(&bytes).map_err(|_| UnixError::Corrupt("virus database"))
     }
 
     /// Scans a byte buffer, returning the matched signature indexes.
@@ -73,6 +55,26 @@ impl VirusDb {
             .filter(|(_, sig)| !sig.is_empty() && data.windows(sig.len()).any(|w| w == &sig[..]))
             .map(|(i, _)| i)
             .collect()
+    }
+}
+
+/// The `.cvd` stand-in: each signature as a `u32` length and its bytes, to
+/// the end of the file.  The update daemon writes it, so a length that
+/// runs past the end is an error, not the end of the database.
+impl Wire<'_> for VirusDb {
+    fn put(&self, e: &mut Encoder) {
+        for sig in &self.signatures {
+            e.put_u32(sig.len() as u32).put_raw(sig);
+        }
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> core::result::Result<VirusDb, DecodeError> {
+        let mut signatures = Vec::new();
+        while d.remaining() > 0 {
+            let len = d.get_u32()?;
+            signatures.push(d.get_raw(len.into())?.to_vec());
+        }
+        Ok(VirusDb { signatures })
     }
 }
 
@@ -181,7 +183,7 @@ pub fn wrap_scan(
 
     // The scanner loads the database (world-readable, so this works even
     // though the scanner is tainted).
-    let db = VirusDb::decode(&env.read_file_as(scanner, "/clamav.cvd")?);
+    let db = VirusDb::load(env, scanner)?;
 
     let mut results = Vec::new();
     for path in paths {
@@ -242,7 +244,7 @@ pub fn scan_benchmark(
     let cost =
         histar_sim::CostModel::for_flavor(histar_sim::OsFlavor::HiStar).compute(file.len() as u64);
     env.machine().clock().advance(cost);
-    let db = VirusDb::decode(&env.read_file_as(pid, "/clamav.cvd")?);
+    let db = VirusDb::load(env, pid)?;
     let _ = db.scan(&file[..file.len().min(1 << 16)]);
     Ok(env.machine().clock().now() - start)
 }
@@ -342,11 +344,36 @@ mod tests {
     #[test]
     fn virus_db_round_trip_and_scan() {
         let db = VirusDb::builtin();
-        let decoded = VirusDb::decode(&db.encode());
+        let decoded = VirusDb::decode(&db.encode()).unwrap();
         assert_eq!(decoded.signatures, db.signatures);
         assert!(db.scan(b"clean data").is_empty());
         assert_eq!(db.scan(b"xxEICAR-STANDARD-ANTIVIRUS-TESTxx"), vec![0]);
-        assert_eq!(VirusDb::decode(&[1, 2]).signatures.len(), 0);
+        assert!(VirusDb::decode(&[1, 2]).is_err());
+    }
+
+    #[test]
+    fn a_database_that_runs_past_its_end_fails_the_scan() {
+        let mut env = UnixEnv::boot();
+        let init = env.init_pid();
+        let deployment = deploy_clamav(&mut env, "bob").unwrap();
+        env.write_file_as(
+            init,
+            "/notes.txt",
+            b"EICAR-STANDARD-ANTIVIRUS-TEST",
+            Some(deployment.user.private_file_label()),
+        )
+        .unwrap();
+        // One whole signature, then a length longer than what follows.
+        let mut db = VirusDb {
+            signatures: vec![b"NEWSIG".to_vec()],
+        }
+        .encode();
+        db.extend_from_slice(&100u32.to_le_bytes());
+        db.extend_from_slice(b"EICAR");
+        let daemon = deployment.update_daemon;
+        env.write_file_as(daemon, "/clamav.cvd", &db, None).unwrap();
+        let report = wrap_scan(&mut env, &deployment, &["/notes.txt"]);
+        assert_eq!(report, Err(UnixError::Corrupt("virus database")));
     }
 
     #[test]

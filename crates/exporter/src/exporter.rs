@@ -166,7 +166,7 @@ impl Exporter {
             .peers
             .get(&sender)
             .ok_or_else(|| ExporterError::Protocol(format!("unknown sender {sender}")))?;
-        let msg = open(shared_key(self.secret, *public), tag, &body).ok_or_else(|| {
+        let msg = open(shared_key(self.secret, *public), tag, body).ok_or_else(|| {
             ExporterError::BadCertificate(format!("envelope from {sender} fails authentication"))
         })?;
         Ok((sender, msg))

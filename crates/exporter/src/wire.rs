@@ -17,7 +17,7 @@
 //! explicitly rejected.
 
 use histar_label::{Label, Level};
-use histar_store::codec::{DecodeError, Decoder, Encoder};
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -159,18 +159,19 @@ impl GlobalLabel {
         }
         Level::decode(self.default)
     }
+}
 
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u8(self.default);
-        e.put_u64(self.entries.len() as u64);
+/// The default level's bits, an entry count, then each entry's category
+/// and level bits.
+impl Wire<'_> for GlobalLabel {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u8(self.default).put_u64(self.entries.len() as u64);
         for (c, lvl) in &self.entries {
-            e.put_u64(c.home.0);
-            e.put_u64(c.id);
-            e.put_u8(*lvl);
+            e.put_u64(c.home.0).put_u64(c.id).put_u8(*lvl);
         }
     }
 
-    fn decode(d: &mut Decoder<'_>) -> Result<GlobalLabel, DecodeError> {
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<GlobalLabel, DecodeError> {
         let default = d.get_u8()?;
         let n = d.get_u64()? as usize;
         let mut entries = Vec::with_capacity(n.min(1024));
@@ -275,8 +276,10 @@ pub enum RpcMessage {
     },
 }
 
-/// Failure classes an exporter reports back to the caller.
+/// Failure classes an exporter reports back to the caller; a code's wire
+/// byte is its discriminant.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// The receiving kernel's label check refused the tunneled call.
     LabelCheck,
@@ -291,33 +294,21 @@ pub enum ErrorCode {
     Internal,
 }
 
-impl ErrorCode {
-    fn encode(self) -> u8 {
-        match self {
-            ErrorCode::LabelCheck => 0,
-            ErrorCode::BadCertificate => 1,
-            ErrorCode::UnknownService => 2,
-            ErrorCode::NotExportable => 3,
-            ErrorCode::Internal => 4,
-        }
-    }
+/// Every code, at the index that is its wire byte (its discriminant).
+const ERROR_CODES: [ErrorCode; 5] = [
+    ErrorCode::LabelCheck,
+    ErrorCode::BadCertificate,
+    ErrorCode::UnknownService,
+    ErrorCode::NotExportable,
+    ErrorCode::Internal,
+];
 
-    fn decode(v: u8) -> Option<ErrorCode> {
-        Some(match v {
-            0 => ErrorCode::LabelCheck,
-            1 => ErrorCode::BadCertificate,
-            2 => ErrorCode::UnknownService,
-            3 => ErrorCode::NotExportable,
-            4 => ErrorCode::Internal,
-            _ => return None,
-        })
-    }
-}
-
-impl RpcMessage {
-    /// Serializes the message for the wire.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+/// A tag byte, then the variant's fields.  The peer node writes it, so an
+/// unknown tag or error code is [`DecodeError::BadValue`], a count is
+/// checked against the bytes left, and bytes after the message are
+/// refused.
+impl Wire<'_> for RpcMessage {
+    fn put(&self, e: &mut Encoder) {
         match self {
             RpcMessage::Call {
                 seq,
@@ -328,22 +319,17 @@ impl RpcMessage {
                 certs,
                 payload,
             } => {
-                e.put_u8(0);
-                e.put_u64(*seq);
-                e.put_u64(sender.0);
+                e.put_u8(0).put_u64(*seq).put_u64(sender.0);
                 e.put_str(service);
-                label.encode(&mut e);
+                label.put(e);
                 e.put_u64(claims.len() as u64);
                 for c in claims {
-                    e.put_u64(c.home.0);
-                    e.put_u64(c.id);
+                    e.put_u64(c.home.0).put_u64(c.id);
                 }
                 e.put_u64(certs.len() as u64);
                 for c in certs {
-                    e.put_u64(c.category.home.0);
-                    e.put_u64(c.category.id);
-                    e.put_u64(c.grantee.0);
-                    e.put_u64(c.tag);
+                    e.put_u64(c.category.home.0).put_u64(c.category.id);
+                    e.put_u64(c.grantee.0).put_u64(c.tag);
                 }
                 e.put_bytes(payload);
             }
@@ -352,30 +338,24 @@ impl RpcMessage {
                 label,
                 payload,
             } => {
-                e.put_u8(1);
-                e.put_u64(*seq);
-                label.encode(&mut e);
+                e.put_u8(1).put_u64(*seq);
+                label.put(e);
                 e.put_bytes(payload);
             }
             RpcMessage::Error { seq, code, message } => {
-                e.put_u8(2);
-                e.put_u64(*seq);
-                e.put_u8(code.encode());
+                e.put_u8(2).put_u64(*seq).put_u8(*code as u8);
                 e.put_str(message);
             }
         }
-        e.finish()
     }
 
-    /// Deserializes a wire message.
-    pub fn decode(bytes: &[u8]) -> Result<RpcMessage, DecodeError> {
-        let mut d = Decoder::new(bytes);
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<RpcMessage, DecodeError> {
         let msg = match d.get_u8()? {
             0 => {
                 let seq = d.get_u64()?;
                 let sender = ExporterId(d.get_u64()?);
-                let service = d.get_str()?;
-                let label = GlobalLabel::decode(&mut d)?;
+                let service = d.get_str_slice()?.to_owned();
+                let label = GlobalLabel::get(d, ())?;
                 let nclaims = d.get_u64()? as usize;
                 let mut claims = Vec::with_capacity(nclaims.min(1024));
                 for _ in 0..nclaims {
@@ -409,15 +389,17 @@ impl RpcMessage {
             }
             1 => RpcMessage::Reply {
                 seq: d.get_u64()?,
-                label: GlobalLabel::decode(&mut d)?,
+                label: GlobalLabel::get(d, ())?,
                 payload: d.get_bytes()?,
             },
             2 => RpcMessage::Error {
                 seq: d.get_u64()?,
-                code: ErrorCode::decode(d.get_u8()?).ok_or(DecodeError::BadLength)?,
-                message: d.get_str()?,
+                code: *ERROR_CODES
+                    .get(usize::from(d.get_u8()?))
+                    .ok_or(DecodeError::BadValue)?,
+                message: d.get_str_slice()?.to_owned(),
             },
-            _ => return Err(DecodeError::BadLength),
+            _ => return Err(DecodeError::BadValue),
         };
         Ok(msg)
     }
@@ -438,11 +420,10 @@ pub fn seal(channel_key: u64, sender: ExporterId, msg: &RpcMessage) -> Vec<u8> {
 /// Splits an envelope into its claimed sender, tag, and body — *without*
 /// verifying anything (the receiver must look up the sender's channel key
 /// first).  Complete verification is [`open`].
-pub fn peel(frame: &[u8]) -> Result<(ExporterId, u64, Vec<u8>), DecodeError> {
+pub fn peel(frame: &[u8]) -> Result<(ExporterId, u64, &[u8]), DecodeError> {
     let mut d = Decoder::new(frame);
-    let sender = ExporterId(d.get_u64()?);
-    let tag = d.get_u64()?;
-    let body = d.get_bytes()?;
+    let (sender, tag, body) = (ExporterId(d.get_u64()?), d.get_u64()?, d.get_slice()?);
+    d.finish()?;
     Ok((sender, tag, body))
 }
 
@@ -540,12 +521,12 @@ mod tests {
         let frame = seal(kab, a, &msg);
         let (sender, tag, body) = peel(&frame).unwrap();
         assert_eq!(sender, a);
-        assert_eq!(open(kab, tag, &body), Some(msg.clone()));
+        assert_eq!(open(kab, tag, body), Some(msg.clone()));
         // The wrong channel key — what a spoofer who is not one of the two
         // endpoints would have — fails verification.
-        assert_eq!(open(shared_key(sc, pb), tag, &body), None);
+        assert_eq!(open(shared_key(sc, pb), tag, body), None);
         // So does a tampered body.
-        let mut mangled = body.clone();
+        let mut mangled = body.to_vec();
         mangled[0] ^= 1;
         assert_eq!(open(kab, tag, &mangled), None);
     }
@@ -581,9 +562,36 @@ mod tests {
             message: "gate clearance does not admit the calling thread".into(),
         };
         assert_eq!(RpcMessage::decode(&err.encode()).unwrap(), err);
+        for code in ERROR_CODES {
+            let err = RpcMessage::Error {
+                seq: 1,
+                code,
+                message: String::new(),
+            };
+            assert_eq!(RpcMessage::decode(&err.encode()), Ok(err));
+        }
 
         assert!(RpcMessage::decode(b"\x09").is_err());
         assert!(RpcMessage::decode(&[]).is_err());
+    }
+
+    /// The peer writes the whole frame: bytes after a message, or after
+    /// an envelope's body, are refused, not ignored.
+    #[test]
+    fn bytes_after_a_message_or_an_envelope_are_refused() {
+        let msg = RpcMessage::Error {
+            seq: 3,
+            code: ErrorCode::Internal,
+            message: "x".into(),
+        };
+        let mut body = msg.encode();
+        assert_eq!(RpcMessage::decode(&body), Ok(msg.clone()));
+        body.push(0);
+        assert!(RpcMessage::decode(&body).is_err());
+        let mut envelope = seal(7, ExporterId::from_secret(1), &msg);
+        assert!(peel(&envelope).is_ok());
+        envelope.push(0);
+        assert!(peel(&envelope).is_err());
     }
 
     #[test]

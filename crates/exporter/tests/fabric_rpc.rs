@@ -4,6 +4,7 @@
 use histar_exporter::{ExporterError, Fabric};
 use histar_label::{Label, Level};
 use histar_sim::{LinkConfig, NetConfig, SimDuration, Topology};
+use histar_store::codec::Wire;
 
 #[test]
 fn echo_round_trip_between_two_nodes() {

@@ -55,7 +55,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use histar_auth::{AuthService, AuthSystem, LoginOutcome};
-use histar_kernel::object::{ContainerEntry, ObjectId};
+use histar_kernel::object::{ContainerEntry, ObjectId, OBJECT_ID_MASK};
 use histar_kernel::sched::{
     Program, RunLimit, SchedConfig, SchedContext, SchedStats, Scheduler, Step, StopReason,
 };
@@ -64,9 +64,10 @@ use histar_label::{Category, Label, Level};
 use histar_net::{Listener, Netd};
 use histar_obs::Span;
 use histar_sim::SimDuration;
+use histar_store::codec::Wire;
 use histar_unix::fdtable::{FdKind, FdState, FLAG_RDONLY, FLAG_SOCK_SERVER, FLAG_WRONLY};
 use histar_unix::process::Pid;
-use histar_unix::vnode::{PIPE_CAPACITY, PIPE_HEADER};
+use histar_unix::vnode::{RingHeader, PIPE_CAPACITY, PIPE_HEADER};
 use histar_unix::{gatecall, Fd, UnixEnv, UnixError};
 
 /// Result alias for web-server operations.
@@ -455,13 +456,11 @@ fn ensure_worker(world: &mut HttpdWorld, launcher: Pid, user: &str) -> Result<Wo
     // Ring header (rpos 0, wpos 0, writers 1): the launcher is the single
     // writer, so an empty pipe blocks the worker rather than reading EOF —
     // until the launcher hangs up at shutdown.
-    let mut header = [0u8; PIPE_HEADER as usize];
-    header[16] = 1;
     kernel.trap_segment_write(
         launcher_thread,
         ContainerEntry::new(conns, pipe_seg),
         0,
-        &header,
+        &RingHeader(0, 0, 1).encode(),
     )?;
     let job_wfd = world.env.install_descriptor(
         launcher,
@@ -618,11 +617,15 @@ fn worker_program(pid: Pid, job_rfd: Fd, home: String) -> Program<HttpdWorld> {
                     let line: Vec<u8> = inbox.drain(..=nl).collect();
                     let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
                     let mut parts = line.splitn(5, ' ');
+                    // A category or gate past 61 bits would panic
+                    // `from_raw`; such a line is dropped like any other
+                    // malformed one.
+                    let name = |s: &str| s.parse::<u64>().ok().filter(|&n| n <= OBJECT_ID_MASK);
                     if let (Some(fd), Some(cr), Some(cw), Some(gate), Some(path)) = (
                         parts.next().and_then(|s| s.parse::<Fd>().ok()),
-                        parts.next().and_then(|s| s.parse::<u64>().ok()),
-                        parts.next().and_then(|s| s.parse::<u64>().ok()),
-                        parts.next().and_then(|s| s.parse::<u64>().ok()),
+                        parts.next().and_then(name),
+                        parts.next().and_then(name),
+                        parts.next().and_then(name),
                         parts.next(),
                     ) {
                         jobs.push_back(Job {
@@ -1112,6 +1115,28 @@ mod tests {
             let page = world.env.read(client, fd, 4096).unwrap();
             assert!(page.starts_with(b"200 <html>user0"), "got {page:?}");
         }
+    }
+
+    /// Any owner of the user's write category can write the job pipe, so a
+    /// job line is input: one naming a category past 61 bits is dropped,
+    /// and the jobs around it are served (it used to panic `from_raw`).
+    #[test]
+    fn a_job_line_naming_a_category_past_61_bits_is_dropped() {
+        let (mut world, conns) = queued_by_hand(&[0]);
+        let worker = world.workers["user0"];
+        let hostile = format!("3 {} 1 1 index.html\n", 1u64 << 61);
+        let launcher = world.launcher;
+        world
+            .env
+            .write(launcher, worker.job_wfd, hostile.as_bytes())
+            .unwrap();
+        let (tid, mut program) = world.spawned.pop().expect("user0's worker");
+        assert!(matches!(program(&mut world, tid), Step::Yield));
+        assert!(matches!(program(&mut world, tid), Step::Block));
+        assert!(world.failures.is_empty(), "failures: {:?}", world.failures);
+        let (client, fd) = conns[0];
+        let page = world.env.read(client, fd, 4096).unwrap();
+        assert!(page.starts_with(b"200 <html>user0"), "got {page:?}");
     }
 
     #[test]

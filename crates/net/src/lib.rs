@@ -21,6 +21,7 @@ use histar_kernel::bodies::DeviceBody;
 use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::Syscall;
 use histar_label::{Category, Label, Level};
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 use histar_unix::fdtable::{
     FdKind, FdState, FLAG_NONBLOCK, FLAG_RDONLY, FLAG_SOCK_LISTEN, FLAG_SOCK_SERVER,
 };
@@ -423,12 +424,10 @@ impl Netd {
                 label: label.with(self.taint, Level::L2),
             });
         }
-        let mut msg = (payload.len() as u64).to_le_bytes().to_vec();
-        msg.extend_from_slice(payload);
         client_calls.push(Syscall::SegmentWrite {
             entry: self.tx_buffer,
             offset: 0,
-            data: msg.into(),
+            data: payload.encode().into(),
         });
         for r in kernel.submit_calls(client_thread, client_calls) {
             r?;
@@ -437,11 +436,7 @@ impl Netd {
         // share the length read's batch (user-level data dependency), but
         // the transmit is driven by kernel state the read established, so
         // read and transmit stay one trap apart at most.
-        let len = u64::from_le_bytes(
-            kernel.trap_segment_read(netd_thread, self.tx_buffer, 0, 8)?[..8]
-                .try_into()
-                .expect("8 bytes"),
-        );
+        let len = message_len(&kernel.trap_segment_read(netd_thread, self.tx_buffer, 0, 8)?)?;
         let frame = kernel.trap_segment_read(netd_thread, self.tx_buffer, 8, len)?;
         kernel.trap_net_transmit(netd_thread, self.device_entry, frame)?;
         Ok(())
@@ -462,9 +457,7 @@ impl Netd {
             return Ok(None);
         };
         // netd publishes the frame in the {i 2, 1} receive buffer.
-        let mut msg = (frame.len() as u64).to_le_bytes().to_vec();
-        msg.extend_from_slice(&frame);
-        kernel.trap_segment_write(netd_thread, self.rx_buffer, 0, &msg)?;
+        kernel.trap_segment_write(netd_thread, self.rx_buffer, 0, &frame.as_slice().encode())?;
         // The client's taint raise (if it does not own i) and its length
         // read share one submission batch; only the payload read, whose
         // size is computed user-side from the length, needs a second trap.
@@ -485,8 +478,7 @@ impl Netd {
         for earlier in results {
             earlier?;
         }
-        let head = header?.into_bytes();
-        let len = u64::from_le_bytes(head[..8].try_into().expect("8 bytes"));
+        let len = message_len(&header?.into_bytes())?;
         let data = kernel.trap_segment_read(client_thread, self.rx_buffer, 8, len)?;
         Ok(Some(data))
     }
@@ -496,37 +488,15 @@ impl Netd {
     /// the per-frame costs of the device and the wire are paid once per
     /// batch instead of once per message.
     pub fn encode_batch(payloads: &[Vec<u8>]) -> Vec<u8> {
-        let mut frame = (payloads.len() as u32).to_le_bytes().to_vec();
-        for p in payloads {
-            frame.extend_from_slice(&(p.len() as u64).to_le_bytes());
-            frame.extend_from_slice(p);
-        }
-        frame
+        Batch(payloads.iter().map(Vec::as_slice).collect()).encode()
     }
 
-    /// Decodes a frame written by [`Netd::encode_batch`].  Returns `None`
-    /// for malformed frames (a truncated or non-batch frame).  Frames come
-    /// off the wire, so every length is validated before it drives an
-    /// allocation or an index.
-    pub fn decode_batch(frame: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let count = u32::from_le_bytes(frame.get(..4)?.try_into().ok()?) as usize;
-        // Each message needs at least its 8-byte length prefix; a count the
-        // frame cannot possibly hold is rejected before any allocation.
-        if count > frame.len().saturating_sub(4) / 8 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(count);
-        let mut pos = 4usize;
-        for _ in 0..count {
-            let len_bytes = frame.get(pos..pos.checked_add(8)?)?;
-            let len = u64::from_le_bytes(len_bytes.try_into().ok()?);
-            pos = pos.checked_add(8)?;
-            let len = usize::try_from(len).ok()?;
-            let end = pos.checked_add(len)?;
-            out.push(frame.get(pos..end)?.to_vec());
-            pos = end;
-        }
-        (pos == frame.len()).then_some(out)
+    /// Decodes a frame written by [`Netd::encode_batch`], lending its
+    /// messages.  Frames come off the wire, so a count the frame cannot
+    /// hold, a length past its end, or bytes after the last message are a
+    /// [`DecodeError`].
+    pub fn decode_batch(frame: &[u8]) -> core::result::Result<Vec<&[u8]>, DecodeError> {
+        Ok(Batch::decode(frame)?.0)
     }
 
     /// Transmits several messages as a single wire frame on behalf of a
@@ -541,18 +511,17 @@ impl Netd {
     /// batched messages.  The client picks up the network taint exactly as
     /// with [`Netd::recv`].
     ///
-    /// A malformed frame is an error, distinct from `Ok(None)` ("nothing
-    /// pending") — otherwise one garbage frame would silently end a drain
-    /// loop with legitimate traffic still queued behind it.
+    /// A malformed frame is `UnixError::Corrupt("batch frame")`, a library
+    /// error distinct from `Ok(None)` ("nothing pending") — otherwise one
+    /// garbage frame would silently end a drain loop with legitimate
+    /// traffic still queued behind it.
     pub fn recv_batch(&self, env: &mut UnixEnv, client: Pid) -> Result<Option<Vec<Vec<u8>>>> {
         let Some(frame) = self.recv(env, client)? else {
             return Ok(None);
         };
         match Netd::decode_batch(&frame) {
-            Some(batch) => Ok(Some(batch)),
-            None => Err(UnixError::Kernel(
-                histar_kernel::syscall::SyscallError::InvalidArgument("malformed batch frame"),
-            )),
+            Ok(batch) => Ok(Some(batch.into_iter().map(<[u8]>::to_vec).collect())),
+            Err(_) => Err(UnixError::Corrupt("batch frame")),
         }
     }
 
@@ -570,6 +539,41 @@ impl Netd {
             .machine_mut()
             .kernel_mut()
             .device_drain_tx(self.device)?)
+    }
+}
+
+/// The length of the message a transmit or receive buffer holds, from its
+/// 8-byte prefix (the message is a [`Wire`] byte string).  Whoever wrote
+/// the buffer chose it; a length past the buffer is refused by the read
+/// that follows.
+fn message_len(head: &[u8]) -> Result<u64> {
+    let len = Decoder::new(head).get_u64();
+    len.map_err(|_| UnixError::Corrupt("netd buffer"))
+}
+
+/// One wire frame of batched messages: a `u32` count, then each message
+/// as a length-prefixed byte string, lent from the frame.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Batch<'a>(pub Vec<&'a [u8]>);
+
+/// Each message needs at least its 8-byte length prefix, so a count the
+/// frame cannot hold is [`DecodeError::BadLength`] before anything is
+/// allocated.
+impl<'a> Wire<'a> for Batch<'a> {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u32(self.0.len() as u32);
+        for m in &self.0 {
+            e.put_bytes(m);
+        }
+    }
+
+    fn get(d: &mut Decoder<'a>, (): ()) -> core::result::Result<Batch<'a>, DecodeError> {
+        let count = d.get_u32()?;
+        if count as usize > d.remaining() / 8 {
+            return Err(DecodeError::BadLength);
+        }
+        let messages = (0..count).map(|_| d.get_slice());
+        Ok(Batch(messages.collect::<core::result::Result<_, _>>()?))
     }
 }
 
@@ -696,9 +700,17 @@ mod tests {
         let thread = env.process(client).unwrap().thread;
         let label = env.machine().kernel().thread_label(thread).unwrap();
         assert_eq!(label.level(netd.taint), Level::L2);
-        // A malformed frame decodes to None rather than garbage.
-        assert_eq!(Netd::decode_batch(b"xx"), None);
-        assert_eq!(Netd::decode_batch(&[1, 0, 0, 0]), None);
+        // A malformed frame is a decode error rather than garbage, and
+        // receiving one is the library's error, not the kernel's.
+        assert_eq!(Netd::decode_batch(b"xx"), Err(DecodeError::UnexpectedEnd));
+        assert_eq!(
+            Netd::decode_batch(&[1, 0, 0, 0]),
+            Err(DecodeError::BadLength)
+        );
+        netd.wire_deliver(&mut env, b"xx".to_vec()).unwrap();
+        let err = netd.recv_batch(&mut env, client).unwrap_err();
+        assert_eq!(err, UnixError::Corrupt("batch frame"));
+        assert_eq!(netd.recv_batch(&mut env, client), Ok(None));
     }
 
     #[test]
@@ -858,6 +870,29 @@ mod tests {
             let label = env.machine().kernel().thread_label(netd_thread).unwrap();
             assert_eq!(label, netd_label, "netd shed the refused connection's pair");
         }
+    }
+
+    /// A queue record is input too: one naming an object or category past
+    /// 61 bits is `Corrupt` for the acceptor (it used to panic building
+    /// the id).
+    #[test]
+    fn a_queue_record_past_61_bits_is_corrupt_for_accept() {
+        let (mut env, init, netd) = setup();
+        let server = netd.spawn_tainted(&mut env, init, "/sbin/httpd").unwrap();
+        let listener = netd.listen(&mut env, server).unwrap();
+        let server_thread = env.process(server).unwrap().thread;
+        let mut queue: Vec<u8> = [0u64, net_queue::QUEUE_ENTRY_LEN, 1]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        queue.extend([0xff; net_queue::QUEUE_ENTRY_LEN as usize]);
+        env.kernel_mut()
+            .trap_segment_write(server_thread, listener.queue, 0, &queue)
+            .unwrap();
+        assert!(matches!(
+            netd.accept(&mut env, server, listener.fd),
+            Err(UnixError::Corrupt("accept-queue record"))
+        ));
     }
 
     #[test]

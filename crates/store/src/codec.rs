@@ -1,10 +1,14 @@
-//! Minimal binary encoding helpers for on-disk records.
+//! Minimal binary encoding helpers for on-disk records and for every
+//! format another principal can write.
 //!
 //! All on-disk structures in the store (log records, the object map, the
 //! checkpoint superblock) are encoded with this little-endian, length-
 //! prefixed format.  It is deliberately tiny: fixed-width integers, byte
 //! strings, and checksummed frames — `len ‖ payload ‖ XXH64(payload)`,
-//! the one checksum on every store disk path.
+//! the one checksum on every store disk path.  The library's shared-segment
+//! and wire formats are [`Wire`] types over the same [`Encoder`] and
+//! [`Decoder`], so the bytes another principal wrote become values in one
+//! place, and that place cannot panic.
 
 /// Writer for the on-disk encoding.
 #[derive(Debug, Default)]
@@ -16,6 +20,13 @@ impl Encoder {
     /// Creates an empty encoder.
     pub fn new() -> Encoder {
         Encoder::default()
+    }
+
+    /// Creates an empty encoder with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Encoder {
+        Encoder {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// Appends a `u8`.
@@ -50,6 +61,12 @@ impl Encoder {
         self
     }
 
+    /// Appends `v` as it is, with no length prefix.
+    pub fn put_raw(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) -> &mut Self {
         self.put_bytes(v.as_bytes())
@@ -58,16 +75,6 @@ impl Encoder {
     /// Finishes encoding, returning the buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Returns true if nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -82,6 +89,12 @@ pub enum DecodeError {
     BadChecksum,
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// A field held a value its format does not admit: an unknown tag, an
+    /// id past 61 bits, or a position past what the reader knows the
+    /// writer had room for.
+    BadValue,
+    /// Bytes followed a complete value in a format that ends there.
+    Trailing,
 }
 
 impl core::fmt::Display for DecodeError {
@@ -91,63 +104,74 @@ impl core::fmt::Display for DecodeError {
             DecodeError::BadLength => write!(f, "length prefix exceeds input"),
             DecodeError::BadChecksum => write!(f, "checksum mismatch"),
             DecodeError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
+            DecodeError::BadValue => write!(f, "field value out of range"),
+            DecodeError::Trailing => write!(f, "trailing bytes after value"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// Reader for the on-disk encoding.
+/// Reader for the on-disk encoding.  Every read is checked: input that
+/// ends early or lies about a length is a [`DecodeError`], never a panic.
 #[derive(Debug)]
 pub struct Decoder<'a> {
+    /// The input not yet read.
     buf: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder over `buf`.
     pub fn new(buf: &'a [u8]) -> Decoder<'a> {
-        Decoder { buf, pos: 0 }
+        Decoder { buf }
     }
 
     /// Bytes remaining.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::UnexpectedEnd);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let (out, rest) = self
+            .buf
+            .split_at_checked(n)
+            .ok_or(DecodeError::UnexpectedEnd)?;
+        self.buf = rest;
         Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| DecodeError::UnexpectedEnd)
     }
 
     /// Reads a `u8`.
     pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads `len` bytes with no prefix, lent from the input: a `len` the
+    /// input cannot hold is [`DecodeError::BadLength`].
+    pub fn get_raw(&mut self, len: u64) -> Result<&'a [u8], DecodeError> {
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        self.take(len).map_err(|_| DecodeError::BadLength)
     }
 
     /// Reads a length-prefixed byte string, lent from the input.
     pub fn get_slice(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = self.get_u64()? as usize;
-        if len > self.remaining() {
-            return Err(DecodeError::BadLength);
-        }
-        self.take(len)
+        let len = self.get_u64()?;
+        self.get_raw(len)
     }
 
     /// Reads a length-prefixed byte string.
@@ -160,9 +184,71 @@ impl<'a> Decoder<'a> {
         core::str::from_utf8(self.get_slice()?).map_err(|_| DecodeError::BadUtf8)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, DecodeError> {
-        Ok(self.get_str_slice()?.to_owned())
+    /// Takes the rest of the input, lent.
+    pub fn rest(&mut self) -> &'a [u8] {
+        core::mem::take(&mut self.buf)
+    }
+
+    /// Checks that the input is used up: [`DecodeError::Trailing`] if not.
+    pub fn finish(&self) -> Result<(), DecodeError> {
+        (self.remaining() == 0)
+            .then_some(())
+            .ok_or(DecodeError::Trailing)
+    }
+}
+
+/// A format another principal can write: a ring header in a shared
+/// segment, a descriptor's state, a frame off the wire.  [`Wire::put`]
+/// writes a value; [`Wire::get`] reads one back through a [`Decoder`], so
+/// it cannot index past its input, and checks every field whose range it
+/// knows, returning a [`DecodeError`], never a panic: a length against the
+/// bytes left, a ring position against the ring's capacity.  `Known` is
+/// what the reader knows before it reads (the capacity); `()`, the
+/// default, for a format that stands alone.  [`Wire::decode`] reads a
+/// whole input and refuses trailing bytes; a format that ignores them
+/// says so and takes them in `get`.
+pub trait Wire<'a, Known: Copy = ()>: Sized {
+    /// The bytes an encoding reserves: a fixed-size format's size.
+    const SIZE: usize = 0;
+
+    /// Appends the encoding of `self`.
+    fn put(&self, e: &mut Encoder);
+
+    /// Reads one value.
+    fn get(d: &mut Decoder<'a>, known: Known) -> Result<Self, DecodeError>;
+
+    /// The encoding of `self`.
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::with_capacity(Self::SIZE);
+        self.put(&mut e);
+        e.finish()
+    }
+
+    /// Reads a value that is all of `bytes`.
+    fn decode_with(bytes: &'a [u8], known: Known) -> Result<Self, DecodeError> {
+        let mut d = Decoder::new(bytes);
+        let value = Self::get(&mut d, known)?;
+        d.finish().map(|()| value)
+    }
+
+    /// Reads a value that is all of `bytes`, for a format that stands
+    /// alone.
+    fn decode(bytes: &'a [u8]) -> Result<Self, DecodeError>
+    where
+        Self: Wire<'a>,
+    {
+        <Self as Wire<'a>>::decode_with(bytes, ())
+    }
+}
+
+/// A length-prefixed byte string, lent from the input.
+impl<'a> Wire<'a> for &'a [u8] {
+    fn put(&self, e: &mut Encoder) {
+        e.put_bytes(self);
+    }
+
+    fn get(d: &mut Decoder<'a>, (): ()) -> Result<&'a [u8], DecodeError> {
+        d.get_slice()
     }
 }
 
@@ -247,11 +333,9 @@ pub fn checksum(data: &[u8]) -> u64 {
 /// Wraps a payload in a checksummed frame: `len || payload || checksum`,
 /// built in one allocation.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out
+    let mut e = Encoder::with_capacity(16 + payload.len());
+    e.put_bytes(payload).put_u64(checksum(payload));
+    e.finish()
 }
 
 /// Unwraps a frame produced by [`frame`], verifying its checksum.  Returns
@@ -263,7 +347,7 @@ pub fn unframe(data: &[u8]) -> Result<(&[u8], usize), DecodeError> {
     if checksum(payload) != sum {
         return Err(DecodeError::BadChecksum);
     }
-    Ok((payload, d.pos))
+    Ok((payload, data.len() - d.remaining()))
 }
 
 #[cfg(test)]
@@ -282,7 +366,7 @@ mod tests {
         assert_eq!(d.get_u8().unwrap(), 7);
         assert_eq!(d.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(d.get_u64().unwrap(), u64::MAX);
-        assert_eq!(d.get_str().unwrap(), "hello");
+        assert_eq!(d.get_str_slice().unwrap(), "hello");
         assert_eq!(d.remaining(), 0);
     }
 
@@ -296,6 +380,21 @@ mod tests {
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.get_bytes(), Err(DecodeError::BadLength));
+    }
+
+    #[test]
+    fn a_wire_value_is_all_of_its_input() {
+        let bytes = b"abc".as_slice().encode();
+        assert_eq!(<&[u8]>::decode(&bytes), Ok(&b"abc"[..]));
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(<&[u8]>::decode(&longer), Err(DecodeError::Trailing));
+        assert_eq!(<&[u8]>::decode(&bytes[..10]), Err(DecodeError::BadLength));
+        let mut d = Decoder::new(&longer);
+        assert_eq!(d.get_raw(u64::MAX), Err(DecodeError::BadLength));
+        assert_eq!(d.get_raw(2), Ok(&bytes[..2]));
+        assert_eq!(d.rest(), &longer[2..]);
+        assert_eq!((d.remaining(), d.finish()), (0, Ok(())));
     }
 
     /// XXH64 (seed 0) of `0, 1, …, n - 1` for `n` in `0..=40`: every
@@ -434,6 +533,6 @@ mod tests {
         e.put_bytes(&[0xff, 0xfe]);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
-        assert_eq!(d.get_str(), Err(DecodeError::BadUtf8));
+        assert_eq!(d.get_str_slice(), Err(DecodeError::BadUtf8));
     }
 }

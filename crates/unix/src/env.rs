@@ -36,6 +36,7 @@ use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::syscall::SyscallError;
 use histar_kernel::{Machine, MachineConfig, Syscall, SyscallResult};
 use histar_label::{Category, Label, Level};
+use histar_store::codec::Wire;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -660,7 +661,7 @@ impl UnixEnv {
             0,
             8,
         )?;
-        let status = ExitStatus::decode(&bytes).ok_or(UnixError::Corrupt("exit segment"))?;
+        let status = ExitStatus::decode(&bytes).map_err(|_| UnixError::Corrupt("exit segment"))?;
         // Reclaim: unreference the child's process container from the
         // kernel root, which drops the whole subtree.
         let kroot = kernel.root_container();

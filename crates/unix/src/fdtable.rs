@@ -9,14 +9,16 @@
 //! own process container (double-charged, its quota fixed) and drops that
 //! link with its last descriptor number for it.
 
-use histar_kernel::object::ObjectId;
-use histar_store::codec::{Decoder, Encoder};
+use histar_kernel::object::{ObjectId, OBJECT_ID_MASK};
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 
 /// A file descriptor number.
 pub type Fd = u32;
 
-/// What an open descriptor refers to.
+/// What an open descriptor refers to; the discriminant is the kind's tag
+/// in a descriptor segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FdKind {
     /// A regular file backed by a segment.
     File,
@@ -46,36 +48,21 @@ pub enum FdKind {
     Metrics,
 }
 
+/// Every kind, at the index that is its tag in a descriptor segment (its
+/// discriminant).
+const FD_KINDS: [FdKind; 9] = [
+    FdKind::File,
+    FdKind::PipeRead,
+    FdKind::PipeWrite,
+    FdKind::Console,
+    FdKind::Socket,
+    FdKind::Dev,
+    FdKind::Proc,
+    FdKind::Persist,
+    FdKind::Metrics,
+];
+
 impl FdKind {
-    fn tag(self) -> u8 {
-        match self {
-            FdKind::File => 0,
-            FdKind::PipeRead => 1,
-            FdKind::PipeWrite => 2,
-            FdKind::Console => 3,
-            FdKind::Socket => 4,
-            FdKind::Dev => 5,
-            FdKind::Proc => 6,
-            FdKind::Persist => 7,
-            FdKind::Metrics => 8,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<FdKind> {
-        Some(match tag {
-            0 => FdKind::File,
-            1 => FdKind::PipeRead,
-            2 => FdKind::PipeWrite,
-            3 => FdKind::Console,
-            4 => FdKind::Socket,
-            5 => FdKind::Dev,
-            6 => FdKind::Proc,
-            7 => FdKind::Persist,
-            8 => FdKind::Metrics,
-            _ => return None,
-        })
-    }
-
     /// True for the write end of a pipe.
     pub fn is_pipe_write(self) -> bool {
         self == FdKind::PipeWrite
@@ -136,36 +123,42 @@ pub const FLAG_SOCK_LISTEN: u32 = 1 << 5;
 /// descriptor, outlives whichever process created it.
 pub const FLAG_TARGET_BESIDE: u32 = 1 << 6;
 
-impl FdState {
-    /// Serializes the descriptor state into the bytes stored in its segment.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_u8(self.kind.tag())
+/// The bytes of a descriptor segment, in the fixed layout above.  Every
+/// process sharing the descriptor can write them, so an unknown kind is
+/// [`DecodeError::BadValue`].
+impl Wire<'_> for FdState {
+    const SIZE: usize = FD_STATE_LEN as usize;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u8(self.kind as u8)
             .put_u64(self.target.raw())
             .put_u64(self.target_container.raw())
             .put_u64(self.position)
             .put_u32(self.flags)
             .put_u32(self.refs);
-        e.finish()
     }
 
-    /// Decodes descriptor state previously produced by [`FdState::encode`].
-    pub fn decode(bytes: &[u8]) -> Option<FdState> {
-        let mut d = Decoder::new(bytes);
-        let kind = FdKind::from_tag(d.get_u8().ok()?)?;
-        let target = ObjectId::from_raw(d.get_u64().ok()?);
-        let target_container = ObjectId::from_raw(d.get_u64().ok()?);
-        let position = d.get_u64().ok()?;
-        let flags = d.get_u32().ok()?;
-        let refs = d.get_u32().ok()?;
-        Some(FdState {
-            kind,
-            target,
-            target_container,
-            position,
-            flags,
-            refs,
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<FdState, DecodeError> {
+        Ok(FdState {
+            kind: *FD_KINDS
+                .get(usize::from(d.get_u8()?))
+                .ok_or(DecodeError::BadValue)?,
+            target: ObjectId::from_raw(get_name(d)?),
+            target_container: ObjectId::from_raw(get_name(d)?),
+            position: d.get_u64()?,
+            flags: d.get_u32()?,
+            refs: d.get_u32()?,
         })
+    }
+}
+
+/// Reads a 61-bit kernel name another principal wrote, an object id or a
+/// category: a `u64` past 61 bits, which `from_raw` would panic on, is
+/// [`DecodeError::BadValue`].
+pub(crate) fn get_name(d: &mut Decoder<'_>) -> Result<u64, DecodeError> {
+    match d.get_u64()? {
+        raw if raw <= OBJECT_ID_MASK => Ok(raw),
+        _ => Err(DecodeError::BadValue),
     }
 }
 
@@ -281,8 +274,8 @@ mod tests {
             flags: FLAG_APPEND | FLAG_NONBLOCK,
             refs: 3,
         };
-        assert_eq!(FdState::decode(&s.encode()), Some(s));
-        assert_eq!(FdState::decode(&[1, 2, 3]), None);
+        assert_eq!(FdState::decode(&s.encode()), Ok(s));
+        assert_eq!(FdState::decode(&[1, 2, 3]), Err(DecodeError::UnexpectedEnd));
     }
 
     #[test]

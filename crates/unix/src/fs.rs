@@ -13,10 +13,10 @@
 //! in a directory's store record, and the mount table in
 //! [`Vfs`](crate::vfs::Vfs).
 
-use crate::fdtable::{FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
+use crate::fdtable::{get_name, FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
 use crate::{Result, UnixError};
-use histar_kernel::object::{ObjectId, OBJECT_ID_MASK};
-use histar_store::codec::Decoder;
+use histar_kernel::object::ObjectId;
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 
 /// Flags for [`UnixEnv::open`](crate::env::UnixEnv::open).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -118,20 +118,43 @@ fn corrupt() -> UnixError {
     UnixError::Corrupt("directory segment")
 }
 
+/// The image's header, then its records lent; they are validated as they
+/// are walked.  The format ignores bytes past the last record, so `get`
+/// takes the rest of the input, and all-zero input is the empty
+/// directory.  `put` writes the generation and the image's valid leading
+/// records: the bytes an edit that keeps every entry writes, but for the
+/// generation's bump.
+impl<'a> Wire<'a> for DirImage<'a> {
+    fn put(&self, e: &mut Encoder) {
+        let entries: Vec<_> = self.entries().map_while(|entry| entry.ok()).collect();
+        put_image(e, self.generation, &entries);
+    }
+
+    fn get(d: &mut Decoder<'a>, (): ()) -> core::result::Result<DirImage<'a>, DecodeError> {
+        let bytes = d.rest();
+        let zero = bytes.iter().all(|&b| b == 0);
+        let mut d = Decoder::new(if zero { &[0; 16] } else { bytes });
+        Ok(DirImage {
+            generation: d.get_u64()?,
+            count: d.get_u64()?,
+            records: d.rest(),
+        })
+    }
+}
+
+/// Writes an image of `entries` at `generation`.
+fn put_image(e: &mut Encoder, generation: u64, entries: &[(&str, ObjectId, bool)]) {
+    e.put_u64(generation).put_u64(entries.len() as u64);
+    for &(name, object, is_dir) in entries {
+        e.put_str(name).put_u64(object.raw()).put_u8(is_dir.into());
+    }
+}
+
 impl<'a> DirImage<'a> {
     /// Reads an image's header; the records are validated as they are
     /// walked.
     pub fn new(bytes: &'a [u8]) -> Result<DirImage<'a>> {
-        // An all-zero segment reads as generation 0 with no entries.
-        let zero = bytes.iter().all(|&b| b == 0);
-        let bytes = if zero { &[0; 16] } else { bytes };
-        let mut d = Decoder::new(bytes);
-        let (generation, count) = (d.get_u64(), d.get_u64());
-        Ok(DirImage {
-            generation: generation.map_err(|_| corrupt())?,
-            count: count.map_err(|_| corrupt())?,
-            records: &bytes[16..],
-        })
+        DirImage::decode(bytes).map_err(|_| corrupt())
     }
 
     /// Every entry as `(name, object, is_dir)`, in image order, lent from
@@ -140,8 +163,8 @@ impl<'a> DirImage<'a> {
         let (mut d, mut left) = (Decoder::new(self.records), self.count);
         core::iter::from_fn(move || {
             left = left.checked_sub(1)?;
-            match (d.get_str_slice(), d.get_u64(), d.get_u8()) {
-                (Ok(name), Ok(raw), Ok(is_dir)) if raw <= OBJECT_ID_MASK => {
+            match (d.get_str_slice(), get_name(&mut d), d.get_u8()) {
+                (Ok(name), Ok(raw), Ok(is_dir)) => {
                     Some(Ok((name, ObjectId::from_raw(raw), is_dir != 0)))
                 }
                 _ => {
@@ -255,28 +278,17 @@ impl<'a> DirImage<'a> {
     where
         'a: 'n,
     {
-        let mut out = Vec::with_capacity(self.records.len() + 64);
-        out.extend_from_slice(&self.generation.wrapping_add(1).to_le_bytes());
-        out.extend_from_slice(&[0; 8]);
-        let mut count = 0u64;
-        let mut put = |out: &mut Vec<u8>, name: &str, object: ObjectId, is_dir: bool| {
-            out.extend_from_slice(&(name.len() as u64).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&object.raw().to_le_bytes());
-            out.push(u8::from(is_dir));
-            count += 1;
-        };
+        let mut kept = Vec::with_capacity(self.count.min(1024) as usize + 1);
         for entry in self.entries() {
             let (name, object, is_dir) = entry?;
             if let Some(name) = edit(name, object, is_dir) {
-                put(&mut out, name, object, is_dir);
+                kept.push((name, object, is_dir));
             }
         }
-        if let Some((name, object, is_dir)) = append {
-            put(&mut out, name, object, is_dir);
-        }
-        out[8..16].copy_from_slice(&count.to_le_bytes());
-        Ok(out)
+        kept.extend(append);
+        let mut e = Encoder::with_capacity(self.records.len() + 64);
+        put_image(&mut e, self.generation.wrapping_add(1), &kept);
+        Ok(e.finish())
     }
 }
 

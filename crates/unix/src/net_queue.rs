@@ -16,8 +16,10 @@
 //! a polling loop.
 
 use crate::env::UnixError;
-use crate::vnode::{encode_pipe_header, Ring, VfsCtx, PIPE_HEADER};
+use crate::fdtable::get_name;
+use crate::vnode::{Ring, RingHeader, VfsCtx, PIPE_HEADER};
 use histar_kernel::object::{ContainerEntry, ObjectId};
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 
 type Result<T> = core::result::Result<T, UnixError>;
 
@@ -50,28 +52,27 @@ pub struct ConnHandoff {
     pub grant_gate: ObjectId,
 }
 
-impl ConnHandoff {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(QUEUE_ENTRY_LEN as usize);
-        out.extend_from_slice(&self.container.raw().to_le_bytes());
-        out.extend_from_slice(&self.segment.raw().to_le_bytes());
-        out.extend_from_slice(&self.taint_cat.to_le_bytes());
-        out.extend_from_slice(&self.write_cat.to_le_bytes());
-        out.extend_from_slice(&self.grant_gate.raw().to_le_bytes());
-        out
+/// A queue record: the five fields as `u64`s, [`QUEUE_ENTRY_LEN`] bytes.
+/// The acceptor may write its own queue, so a name past 61 bits is
+/// [`DecodeError::BadValue`].
+impl Wire<'_> for ConnHandoff {
+    const SIZE: usize = QUEUE_ENTRY_LEN as usize;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(self.container.raw())
+            .put_u64(self.segment.raw())
+            .put_u64(self.taint_cat)
+            .put_u64(self.write_cat)
+            .put_u64(self.grant_gate.raw());
     }
 
-    fn decode(bytes: &[u8]) -> Option<ConnHandoff> {
-        if bytes.len() != QUEUE_ENTRY_LEN as usize {
-            return None;
-        }
-        let u = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("length checked"));
-        Some(ConnHandoff {
-            container: ObjectId::from_raw(u(0)),
-            segment: ObjectId::from_raw(u(8)),
-            taint_cat: u(16),
-            write_cat: u(24),
-            grant_gate: ObjectId::from_raw(u(32)),
+    fn get(d: &mut Decoder<'_>, (): ()) -> core::result::Result<ConnHandoff, DecodeError> {
+        Ok(ConnHandoff {
+            container: ObjectId::from_raw(get_name(d)?),
+            segment: ObjectId::from_raw(get_name(d)?),
+            taint_cat: get_name(d)?,
+            write_cat: get_name(d)?,
+            grant_gate: ObjectId::from_raw(get_name(d)?),
         })
     }
 }
@@ -80,9 +81,9 @@ impl ConnHandoff {
 /// pinned to 1 (netd never hangs up its own queue), so an empty queue is
 /// always `WouldBlock` — never EOF.
 pub fn init_queue_segment(ctx: &mut VfsCtx, queue: ContainerEntry) -> Result<()> {
-    let header = encode_pipe_header(0, 0, 1);
     let thread = ctx.thread;
-    ctx.kernel().trap_segment_write(thread, queue, 0, &header)?;
+    ctx.kernel()
+        .trap_segment_write(thread, queue, 0, &RingHeader(0, 0, 1).encode())?;
     Ok(())
 }
 
@@ -100,7 +101,7 @@ pub fn queue_ring(entry: ContainerEntry) -> Ring {
 /// without room for a whole record reports [`UnixError::WouldBlock`].
 pub fn enqueue(ctx: &mut VfsCtx, queue: ContainerEntry, conn: &ConnHandoff) -> Result<()> {
     let ring = queue_ring(queue);
-    let (rpos, wpos, _) = ring.read_header(ctx)?;
+    let RingHeader(rpos, wpos, _) = ring.read_header(ctx)?;
     if QUEUE_CAPACITY - (wpos - rpos) < QUEUE_ENTRY_LEN {
         return Err(UnixError::WouldBlock);
     }
@@ -114,5 +115,5 @@ pub fn enqueue(ctx: &mut VfsCtx, queue: ContainerEntry, conn: &ConnHandoff) -> R
 /// watch on the queue segment and parks.
 pub fn dequeue(ctx: &mut VfsCtx, queue: ContainerEntry) -> Result<ConnHandoff> {
     let bytes = queue_ring(queue).read(ctx, QUEUE_ENTRY_LEN)?;
-    ConnHandoff::decode(&bytes).ok_or(UnixError::Corrupt("accept-queue record"))
+    ConnHandoff::decode(&bytes).map_err(|_| UnixError::Corrupt("accept-queue record"))
 }

@@ -75,7 +75,7 @@ use histar_kernel::dispatch::{Syscall, SyscallResult};
 use histar_kernel::object::ObjectId;
 use histar_kernel::syscall::SyscallError;
 use histar_label::Label;
-use histar_store::codec::{Decoder, Encoder};
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 use histar_store::PERSIST_KEY_BASE;
 
 type Result<T> = core::result::Result<T, UnixError>;
@@ -135,36 +135,40 @@ pub fn extent_key(ino: u32, index: u64) -> u64 {
 
 // -------------------------------------------------- record codecs ------
 
-/// A decoded inode header.
+/// An inode record's header: a directory byte (0 or 1) and the byte
+/// length, which a file keeps within [`MAX_FILE_LEN`] (a directory keeps
+/// 0).  A directory's [`DirImage`] follows it in the record, so the record
+/// is read with `get`, not `decode`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Inode {
-    is_dir: bool,
+pub struct Inode {
+    /// Whether the inode is a directory.
+    pub is_dir: bool,
     /// Byte length (files; directories keep 0).
-    len: u64,
+    pub len: u64,
 }
 
-impl Inode {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+impl Wire<'_> for Inode {
+    fn put(&self, e: &mut Encoder) {
         e.put_u8(u8::from(self.is_dir)).put_u64(self.len);
-        e.finish()
     }
 
-    /// The header, if it is one: a length past [`MAX_FILE_LEN`] has no
-    /// extent keys, so it is corrupt.
-    fn decode(bytes: &[u8]) -> Option<Inode> {
-        let mut d = Decoder::new(bytes);
-        let inode = Inode {
-            is_dir: d.get_u8().ok()? != 0,
-            len: d.get_u64().ok()?,
-        };
-        (inode.len <= MAX_FILE_LEN).then_some(inode)
+    /// A length past [`MAX_FILE_LEN`] has no extent keys, so it is
+    /// [`DecodeError::BadValue`], as is any other directory byte.
+    fn get(d: &mut Decoder<'_>, (): ()) -> core::result::Result<Inode, DecodeError> {
+        let (dir, len) = (d.get_u8()?, d.get_u64()?);
+        let is_dir = dir == 1;
+        let valid = dir <= 1 && len <= MAX_FILE_LEN;
+        valid
+            .then_some(Inode { is_dir, len })
+            .ok_or(DecodeError::BadValue)
     }
 }
 
 /// The entries of a directory whose inode record is `record`.
 fn dir_image(record: &[u8]) -> Result<DirImage<'_>> {
-    DirImage::new(&record[INODE_LEN..])
+    let mut d = Decoder::new(record);
+    let image = Inode::get(&mut d, ()).and_then(|_| DirImage::get(&mut d, ()));
+    image.map_err(|_| UnixError::Corrupt("directory segment"))
 }
 
 /// The inode number a directory entry names.
@@ -172,18 +176,22 @@ fn entry_ino(object: ObjectId) -> Result<u32> {
     u32::try_from(object.raw()).map_err(|_| UnixError::Corrupt("persist directory entry"))
 }
 
-fn encode_meta(next_ino: u32) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u64(PERSIST_MAGIC).put_u64(next_ino as u64);
-    e.finish()
-}
+/// The superblock record: the magic, then the next inode number
+/// [`PersistFs`] allocates, as a `u64` that must fit a `u32`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Meta(pub u32);
 
-fn decode_meta(bytes: &[u8]) -> Option<u32> {
-    let mut d = Decoder::new(bytes);
-    if d.get_u64().ok()? != PERSIST_MAGIC {
-        return None;
+impl Wire<'_> for Meta {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(PERSIST_MAGIC).put_u64(self.0.into());
     }
-    u32::try_from(d.get_u64().ok()?).ok()
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> core::result::Result<Meta, DecodeError> {
+        match (d.get_u64()?, u32::try_from(d.get_u64()?)) {
+            (PERSIST_MAGIC, Ok(next)) => Ok(Meta(next)),
+            _ => Err(DecodeError::BadValue),
+        }
+    }
 }
 
 // ------------------------------------------------------ the filesystem --
@@ -207,7 +215,7 @@ impl PersistFs {
             .trap_persist_read(thread, META_KEY, 0, u64::MAX)
         {
             Ok((_, bytes)) => {
-                decode_meta(&bytes).ok_or(UnixError::Corrupt("persistfs superblock"))?;
+                Meta::decode(&bytes).map_err(|_| UnixError::Corrupt("persistfs superblock"))?;
                 Ok(PersistFs { _private: () })
             }
             Err(SyscallError::NoSuchRecord(_)) => {
@@ -217,7 +225,7 @@ impl PersistFs {
                     META_KEY,
                     Some(root_label.clone()),
                     0,
-                    &encode_meta(ROOT_INO + 1),
+                    &Meta(ROOT_INO + 1).encode(),
                 )?;
                 let root = Inode {
                     is_dir: true,
@@ -244,7 +252,8 @@ impl PersistFs {
         let (label, bytes) = ctx
             .kernel()
             .trap_persist_read(thread, inode_key(ino), 0, u64::MAX)?;
-        let inode = Inode::decode(&bytes).ok_or(UnixError::Corrupt("persist inode record"))?;
+        let inode = Inode::get(&mut Decoder::new(&bytes), ())
+            .map_err(|_| UnixError::Corrupt("persist inode record"))?;
         Ok((label, inode, bytes))
     }
 
@@ -297,9 +306,10 @@ impl PersistFs {
         let (_, bytes) = ctx
             .kernel()
             .trap_persist_read(thread, META_KEY, 0, u64::MAX)?;
-        let next = decode_meta(&bytes).ok_or(UnixError::Corrupt("persistfs superblock"))?;
+        let Meta(next) =
+            Meta::decode(&bytes).map_err(|_| UnixError::Corrupt("persistfs superblock"))?;
         ctx.kernel()
-            .trap_persist_put(thread, META_KEY, None, 0, &encode_meta(next + 1))?;
+            .trap_persist_put(thread, META_KEY, None, 0, &Meta(next + 1).encode())?;
         Ok(next)
     }
 
@@ -781,16 +791,17 @@ mod tests {
             len: 77,
         };
         assert_eq!(i.encode().len(), INODE_LEN);
-        assert_eq!(Inode::decode(&i.encode()), Some(i));
-        assert_eq!(Inode::decode(&[1, 2]), None);
-        assert_eq!(decode_meta(&encode_meta(5)), Some(5));
-        assert_eq!(decode_meta(&encode_meta(5)[..8]), None);
-        assert_eq!(decode_meta(&[0u8; 16]), None);
+        assert_eq!(Inode::decode(&i.encode()), Ok(i));
+        assert!(Inode::decode(&[1, 2]).is_err());
+        let meta = Meta(5).encode();
+        assert_eq!(Meta::decode(&meta), Ok(Meta(5)));
+        assert!(Meta::decode(&meta[..8]).is_err());
+        assert!(Meta::decode(&[0u8; 16]).is_err());
         let huge = Inode {
             is_dir: false,
             len: MAX_FILE_LEN + 1,
         };
-        assert_eq!(Inode::decode(&huge.encode()), None);
+        assert!(Inode::decode(&huge.encode()).is_err());
     }
 
     #[test]

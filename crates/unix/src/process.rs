@@ -14,6 +14,7 @@
 use crate::fdtable::FdTable;
 use histar_kernel::object::ObjectId;
 use histar_label::{Category, Label, Level};
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 
 /// A process identifier (a Unix-library notion, not a kernel one).
 pub type Pid = u64;
@@ -27,33 +28,31 @@ pub enum ExitStatus {
     Signaled(i32),
 }
 
-impl ExitStatus {
-    /// Encodes the status into the 8 bytes stored in the exit segment.
-    pub fn encode(self) -> [u8; 8] {
-        let (tag, code) = match self {
-            ExitStatus::Exited(c) => (0u32, c),
-            ExitStatus::Signaled(s) => (1u32, s),
+/// The 8 bytes of the exit segment: a `u32` tag (0 exited, 1 signaled)
+/// and the `i32` code.  The child writes them, so any other tag is
+/// [`DecodeError::BadValue`].
+impl Wire<'_> for ExitStatus {
+    const SIZE: usize = 8;
+
+    fn put(&self, e: &mut Encoder) {
+        let (tag, code) = match *self {
+            ExitStatus::Exited(c) => (0, c),
+            ExitStatus::Signaled(s) => (1, s),
         };
-        let mut out = [0u8; 8];
-        out[..4].copy_from_slice(&tag.to_le_bytes());
-        out[4..].copy_from_slice(&code.to_le_bytes());
-        out
+        e.put_u32(tag).put_u32(code as u32);
     }
 
-    /// Decodes a status written by [`ExitStatus::encode`].
-    pub fn decode(bytes: &[u8]) -> Option<ExitStatus> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        let tag = u32::from_le_bytes(bytes[..4].try_into().ok()?);
-        let code = i32::from_le_bytes(bytes[4..8].try_into().ok()?);
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<ExitStatus, DecodeError> {
+        let (tag, code) = (d.get_u32()?, d.get_u32()? as i32);
         match tag {
-            0 => Some(ExitStatus::Exited(code)),
-            1 => Some(ExitStatus::Signaled(code)),
-            _ => None,
+            0 => Ok(ExitStatus::Exited(code)),
+            1 => Ok(ExitStatus::Signaled(code)),
+            _ => Err(DecodeError::BadValue),
         }
     }
+}
 
+impl ExitStatus {
     /// True if the process exited normally with status zero.
     pub fn success(self) -> bool {
         self == ExitStatus::Exited(0)
@@ -140,9 +139,9 @@ mod tests {
             ExitStatus::Exited(-1),
             ExitStatus::Signaled(9),
         ] {
-            assert_eq!(ExitStatus::decode(&s.encode()), Some(s));
+            assert_eq!(ExitStatus::decode(&s.encode()), Ok(s));
         }
-        assert_eq!(ExitStatus::decode(&[1, 2]), None);
+        assert_eq!(ExitStatus::decode(&[1, 2]), Err(DecodeError::UnexpectedEnd));
         assert!(ExitStatus::Exited(0).success());
         assert!(!ExitStatus::Exited(1).success());
         assert!(!ExitStatus::Signaled(0).success());

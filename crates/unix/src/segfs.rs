@@ -23,6 +23,7 @@ use histar_kernel::kernel::PAGE_SIZE;
 use histar_kernel::object::{ContainerEntry, ObjectId, METADATA_LEN};
 use histar_kernel::syscall::SyscallError;
 use histar_label::Label;
+use histar_store::codec::Decoder;
 
 type Result<T> = core::result::Result<T, UnixError>;
 
@@ -258,11 +259,12 @@ pub fn dirseg_of(ctx: &mut VfsCtx, dir: ObjectId) -> Result<ObjectId> {
     let meta = ctx
         .kernel()
         .trap_obj_get_metadata(thread, ContainerEntry::self_entry(dir))?;
-    let raw = u64::from_le_bytes(meta[..8].try_into().expect("metadata is 64 bytes"));
-    if raw == 0 {
-        return Err(UnixError::Corrupt("directory has no directory segment"));
+    // The segment's id is the first `u64`; the rest of the metadata is
+    // unused.
+    match Decoder::new(&meta).get_u64() {
+        Ok(raw) if raw != 0 => Ok(ObjectId::from_raw(raw)),
+        _ => Err(UnixError::Corrupt("directory has no directory segment")),
     }
-    Ok(ObjectId::from_raw(raw))
 }
 
 /// Reads a directory container's directory segment: the image

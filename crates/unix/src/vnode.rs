@@ -38,6 +38,7 @@ use histar_kernel::dispatch::{Syscall, SyscallResult};
 use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_kernel::syscall::SyscallError;
 use histar_kernel::Kernel;
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 use std::collections::BTreeMap;
 
 type Result<T> = core::result::Result<T, UnixError>;
@@ -172,7 +173,7 @@ pub fn read_fd_state(ctx: &mut VfsCtx, fd: &FdRef) -> Result<FdState> {
     let bytes = ctx
         .kernel()
         .trap_segment_read(thread, fd.entry, 0, FD_STATE_LEN)?;
-    FdState::decode(&bytes).ok_or(UnixError::Corrupt("fd segment"))
+    FdState::decode(&bytes).map_err(|_| UnixError::Corrupt("fd segment"))
 }
 
 /// Counts one more number naming the descriptor.  Every process sharing
@@ -378,28 +379,38 @@ pub(crate) fn read_cached<F: CachedLength>(
 #[derive(Debug, Default)]
 pub struct PipeVnode;
 
-/// Decodes the `(rpos, wpos, writers)` header of a ring of `capacity`
-/// bytes.  Anyone holding the segment's write categories can rewrite it,
-/// so it is input: a header with `rpos > wpos`, more than `capacity` bytes
-/// buffered, or no room left to advance `wpos` is corrupt.
-pub(crate) fn decode_pipe_header(header: &[u8], capacity: u64) -> Result<(u64, u64, u64)> {
-    let rpos = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-    let wpos = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let writers = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-    match wpos.checked_sub(rpos) {
-        Some(buffered) if buffered <= capacity && wpos.checked_add(capacity).is_some() => {
-            Ok((rpos, wpos, writers))
+/// A ring's header, `(rpos, wpos, writers)`: read position, write
+/// position and writer count, each a `u64`.  Anyone holding the segment's
+/// write categories can rewrite it, so it is input: a header with `rpos >
+/// wpos`, more than the ring's capacity (what the reader knows) buffered,
+/// or no room
+/// left to advance `wpos` is [`DecodeError::BadValue`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RingHeader(pub u64, pub u64, pub u64);
+
+impl Wire<'_, u64> for RingHeader {
+    const SIZE: usize = PIPE_HEADER as usize;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(self.0).put_u64(self.1).put_u64(self.2);
+    }
+
+    fn get(d: &mut Decoder<'_>, capacity: u64) -> core::result::Result<RingHeader, DecodeError> {
+        let (rpos, wpos) = (d.get_u64()?, d.get_u64()?);
+        match wpos.checked_sub(rpos) {
+            Some(buffered) if buffered <= capacity && wpos.checked_add(capacity).is_some() => {
+                Ok(RingHeader(rpos, wpos, d.get_u64()?))
+            }
+            _ => Err(DecodeError::BadValue),
         }
-        _ => Err(UnixError::Corrupt("ring header")),
     }
 }
 
-pub(crate) fn encode_pipe_header(rpos: u64, wpos: u64, writers: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(PIPE_HEADER as usize);
-    out.extend_from_slice(&rpos.to_le_bytes());
-    out.extend_from_slice(&wpos.to_le_bytes());
-    out.extend_from_slice(&writers.to_le_bytes());
-    out
+impl RingHeader {
+    /// Decodes the header of a ring of `capacity` bytes.
+    pub fn read(bytes: &[u8], capacity: u64) -> Result<RingHeader> {
+        RingHeader::decode_with(bytes, capacity).map_err(|_| UnixError::Corrupt("ring header"))
+    }
 }
 
 /// One byte ring inside a segment: a `PIPE_HEADER`-byte header plus
@@ -425,20 +436,20 @@ impl Ring {
         self.header
     }
 
-    /// The decoded, validated `(rpos, wpos, writers)` header (one trap).
-    pub fn read_header(&self, ctx: &mut VfsCtx) -> Result<(u64, u64, u64)> {
+    /// The decoded, validated header (one trap).
+    pub fn read_header(&self, ctx: &mut VfsCtx) -> Result<RingHeader> {
         let thread = ctx.thread;
         let header =
             ctx.kernel()
                 .trap_segment_read(thread, self.entry, self.header, PIPE_HEADER)?;
-        decode_pipe_header(&header, self.capacity)
+        RingHeader::read(&header, self.capacity)
     }
 
     /// Consumes up to `len` bytes.  Empty ring: end-of-file when no
     /// writers remain, [`UnixError::WouldBlock`] otherwise.  The data
     /// read(s) and the header update cross the boundary as one batch.
     pub(crate) fn read(&self, ctx: &mut VfsCtx, len: u64) -> Result<Vec<u8>> {
-        let (rpos, wpos, writers) = self.read_header(ctx)?;
+        let RingHeader(rpos, wpos, writers) = self.read_header(ctx)?;
         let available = wpos - rpos;
         if available == 0 {
             if writers == 0 {
@@ -464,7 +475,7 @@ impl Ring {
         calls.push(Syscall::SegmentWrite {
             entry: self.entry,
             offset: self.header,
-            data: encode_pipe_header(rpos + n, wpos, writers).into(),
+            data: RingHeader(rpos + n, wpos, writers).encode().into(),
         });
         let thread = ctx.thread;
         let mut results = ctx.kernel().submit_calls(thread, calls).into_iter();
@@ -479,7 +490,7 @@ impl Ring {
     /// Appends up to `data.len()` bytes, returning how many fit.  A full
     /// ring returns [`UnixError::WouldBlock`].
     pub(crate) fn write(&self, ctx: &mut VfsCtx, data: &[u8]) -> Result<u64> {
-        let (rpos, wpos, writers) = self.read_header(ctx)?;
+        let RingHeader(rpos, wpos, writers) = self.read_header(ctx)?;
         let free = self.capacity - (wpos - rpos);
         if free == 0 {
             return Err(UnixError::WouldBlock);
@@ -502,7 +513,7 @@ impl Ring {
         calls.push(Syscall::SegmentWrite {
             entry: self.entry,
             offset: self.header,
-            data: encode_pipe_header(rpos, wpos + n, writers).into(),
+            data: RingHeader(rpos, wpos + n, writers).encode().into(),
         });
         let thread = ctx.thread;
         for r in ctx.kernel().submit_calls(thread, calls) {
@@ -513,13 +524,13 @@ impl Ring {
 
     /// Drops one writer (last close of a write end → EOF for readers).
     fn drop_writer(&self, ctx: &mut VfsCtx) -> Result<()> {
-        let (rpos, wpos, writers) = self.read_header(ctx)?;
+        let RingHeader(rpos, wpos, writers) = self.read_header(ctx)?;
         let thread = ctx.thread;
         ctx.kernel().trap_segment_write(
             thread,
             self.entry,
             self.header,
-            &encode_pipe_header(rpos, wpos, writers.saturating_sub(1)),
+            &RingHeader(rpos, wpos, writers.saturating_sub(1)).encode(),
         )?;
         Ok(())
     }
@@ -600,7 +611,7 @@ pub fn create_pipe(ctx: &mut VfsCtx, process_container: ObjectId) -> Result<(FdS
         Syscall::SegmentWrite {
             entry,
             offset: 0,
-            data: encode_pipe_header(0, 0, 1).into(),
+            data: RingHeader(0, 0, 1).encode().into(),
         },
         Syscall::ObjSetFixedQuota { entry },
         Syscall::HardLink {
@@ -796,7 +807,7 @@ pub fn readiness_probe(state: &FdState) -> Option<(u64, u64, bool)> {
 /// side is ready when the ring has free space.  A corrupt header is
 /// [`UnixError::Corrupt`].
 pub fn readiness_from_header(header: &[u8], capacity: u64, write_side: bool) -> Result<bool> {
-    let (rpos, wpos, writers) = decode_pipe_header(header, capacity)?;
+    let RingHeader(rpos, wpos, writers) = RingHeader::read(header, capacity)?;
     Ok(if write_side {
         capacity - (wpos - rpos) > 0
     } else {
@@ -810,8 +821,7 @@ pub fn readiness_from_header(header: &[u8], capacity: u64, write_side: bool) -> 
 /// only these 48 header bytes materialize until data actually flows.
 pub fn init_socket_segment(ctx: &mut VfsCtx, entry: ContainerEntry) -> Result<()> {
     let thread = ctx.thread;
-    let mut headers = encode_pipe_header(0, 0, 1);
-    headers.extend(encode_pipe_header(0, 0, 1));
+    let headers = [RingHeader(0, 0, 1).encode(), RingHeader(0, 0, 1).encode()].concat();
     ctx.kernel()
         .trap_segment_write(thread, entry, 0, &headers)?;
     Ok(())

@@ -89,7 +89,7 @@ impl Directory {
         let n = d.get_u64().ok()?;
         let mut entries = Vec::new();
         for _ in 0..n {
-            let name = d.get_str().ok()?;
+            let name = d.get_str_slice().ok()?.to_owned();
             let raw = d.get_u64().ok()?;
             if raw > OBJECT_ID_MASK {
                 return None;

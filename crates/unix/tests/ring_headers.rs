@@ -95,3 +95,18 @@ fn install_socket(env: &mut UnixEnv, pid: Pid, container: ObjectId, conn: Object
     )
     .unwrap()
 }
+
+/// `readiness_from_header` is public and takes whatever bytes it is
+/// given: a header shorter than 24 bytes, or longer, is corrupt too (a
+/// short one used to panic on the slice).
+#[test]
+fn a_header_of_the_wrong_length_is_corrupt_for_readiness() {
+    use histar_unix::vnode::readiness_from_header;
+    let sound = header(0, 0, 1);
+    assert_eq!(readiness_from_header(&sound, 64, false), Ok(false));
+    for len in [0, 8, 23, 25] {
+        let mut bytes = sound.clone();
+        bytes.resize(len, 0);
+        assert_eq!(readiness_from_header(&bytes, 64, false), Err(corrupt()));
+    }
+}

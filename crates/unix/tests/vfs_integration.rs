@@ -8,6 +8,7 @@ use histar_kernel::sched::{RunLimit, SchedConfig, SchedContext, Scheduler, Step,
 use histar_kernel::syscall::SyscallError;
 use histar_kernel::Kernel;
 use histar_label::{Label, Level};
+use histar_store::codec::Wire;
 use histar_unix::fs::OpenFlags;
 use histar_unix::process::ExitStatus;
 use histar_unix::{UnixEnv, UnixError};
@@ -1674,6 +1675,50 @@ fn a_reference_count_with_no_room_left_is_refused_by_dup_and_fork() {
     assert_eq!(env.fork(init).map(drop), corrupt);
     assert_eq!(env.fd_snapshot(init, fd).unwrap(), state);
     assert_eq!(env.process(init).unwrap().fds.open_count(), open);
+}
+
+/// A sharer can write any `u64` into a descriptor's target fields.  One
+/// past the kernel's 61-bit object ids is a corrupt descriptor for every
+/// other holder (it used to panic building the id).
+#[test]
+fn a_target_past_61_bits_is_a_corrupt_descriptor_not_a_panic() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/f", b"abc", None).unwrap();
+    let fd = env.open(init, "/f", OpenFlags::read_only()).unwrap();
+    let child = env.fork(init).unwrap();
+    let (thread, entry) = {
+        let c = env.process(child).unwrap();
+        let seg = c.fds.get(fd).unwrap();
+        (c.thread, ContainerEntry::new(c.process_container, seg))
+    };
+    // The target follows the one-byte kind.
+    env.kernel_mut()
+        .trap_segment_write(thread, entry, 1, &[0xff; 8])
+        .unwrap();
+    let corrupt = Err(UnixError::Corrupt("fd segment"));
+    assert_eq!(env.read(init, fd, 3).map(drop), corrupt);
+    assert_eq!(env.dup(init, fd).map(drop), corrupt);
+}
+
+/// A `/persist` inode's first byte says file (0) or directory (1); any
+/// holder of the record's modify label can write another.  That record
+/// is corrupt, where it used to turn the file into a directory.
+#[test]
+fn a_persist_inode_whose_kind_byte_is_neither_is_corrupt() {
+    use histar_unix::persistfs::inode_key;
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    env.write_file_as(init, "/persist/f", b"abc", None).unwrap();
+    let ino = env.stat(init, "/persist/f").unwrap().object.raw() as u32;
+    let thread = env.process(init).unwrap().thread;
+    env.kernel_mut()
+        .trap_persist_put(thread, inode_key(ino), None, 0, &[2])
+        .unwrap();
+    assert_eq!(
+        env.stat(init, "/persist/f"),
+        Err(UnixError::Corrupt("persist inode record"))
+    );
 }
 
 /// The batches `op` submits: one per boundary crossing.

@@ -4,7 +4,7 @@
 
 mod boundary;
 
-use boundary::{console_reads, non_test, uncalled, variant};
+use boundary::{console_reads, names, non_test, uncalled, variant};
 use histar::kernel::dispatch::SYSCALL_NAMES;
 use std::path::Path;
 
@@ -99,4 +99,13 @@ fn a_row_only_a_test_calls_is_the_finding_in_its_fixture() {
     assert!(uncalled(&rows, &[non_test(batched)]).is_empty());
     let longer = "fn poll() { files.map(|&entry| Syscall::PeekAll { entry }) }\n";
     assert_eq!(uncalled(&["peek"], &[longer.to_string()]), ["peek"]);
+}
+
+#[test]
+fn a_hand_decoder_is_the_finding_and_a_test_may_hold_one() {
+    let sliced = "fn len(h: &[u8]) -> u64 { u64::from_le_bytes(h[..8].try_into().unwrap()) }\n";
+    assert!(names(&non_test(sliced), "from_le_bytes"));
+    let codec = "fn len(h: &[u8]) -> Result<u64, DecodeError> { Decoder::new(h).get_u64() }\n\
+                 #[cfg(test)]\nmod tests {\n    fn t(b: [u8; 8]) -> u64 { u64::from_le_bytes(b) }\n}\n";
+    assert!(!names(&non_test(codec), "from_le_bytes"));
 }

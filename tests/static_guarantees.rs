@@ -1,7 +1,7 @@
 //! What the source tree must say where no type says it yet: the library
 //! crates read a thread's label only by trap, call every row of the
-//! syscall table, and create gates in one module, and the determinism
-//! bans stand.
+//! syscall table, create gates in one module and decode foreign bytes
+//! through the store's codec, and the determinism bans stand.
 //!
 //! The searches read each library file's non-test code: the lines before
 //! its first `#[cfg(test)]` line, less `//` comment lines, the cut
@@ -127,6 +127,26 @@ fn gates_are_created_in_one_place() {
         .map(|(path, _)| path)
         .collect();
     assert_eq!(creators, ["crates/unix/src/gatecall.rs"]);
+}
+
+/// Bytes another principal wrote become values through
+/// `store::codec::Wire`, whose `Decoder` cannot read past its input: no
+/// library decoder assembles an integer from a slice by hand. The one
+/// `from_le_bytes` left is the exporter's MAC, which hashes its own
+/// zero-padded words.
+#[test]
+fn library_code_decodes_through_the_codec() {
+    let hand_decoders: Vec<String> = sources(library_dirs())
+        .into_iter()
+        .filter(|(_, text)| names(&non_test(text), "from_le_bytes"))
+        .map(|(path, _)| path)
+        .collect();
+    assert_eq!(hand_decoders, ["crates/exporter/src/wire.rs"]);
+    let wire = sources([PathBuf::from("crates/exporter")])
+        .into_iter()
+        .find(|(path, _)| path.ends_with("wire.rs"))
+        .unwrap();
+    assert_eq!(non_test(&wire.1).matches("from_le_bytes").count(), 1);
 }
 
 /// Determinism is the compiler's job: clippy bans std's seeded hash
