@@ -161,17 +161,13 @@ impl Fabric {
         let serve_start = rpc_span_start(n);
         let mut served = 0u64;
         loop {
-            let batch = match n.netd.recv_batch(&mut n.env, exporter_pid) {
-                Ok(Some(batch)) => batch,
+            let exporter = &mut n.exporter;
+            let serve = |env: &mut UnixEnv, raw: &[u8]| exporter.open_and_dispatch(env, raw);
+            let replies: Vec<Vec<u8>> = match n.netd.recv_batch(&mut n.env, exporter_pid, serve) {
+                Ok(Some(replies)) => replies.into_iter().flatten().collect(),
                 Ok(None) => break,
                 Err(_) => continue, // malformed frame: drop it, keep draining
             };
-            let mut replies = Vec::with_capacity(batch.len());
-            for raw in batch {
-                if let Some(sealed_reply) = n.exporter.open_and_dispatch(&mut n.env, &raw) {
-                    replies.push(sealed_reply);
-                }
-            }
             served += replies.len() as u64;
             if !replies.is_empty() {
                 n.netd
@@ -352,13 +348,17 @@ impl Fabric {
         let mut received = 0u64;
         let mut results: Vec<Option<Result<RemoteReply>>> = (0..seqs.len()).map(|_| None).collect();
         loop {
-            let batch = match n.netd.recv_batch(&mut n.env, exporter_pid) {
-                Ok(Some(batch)) => batch,
+            let exporter = &n.exporter;
+            let opened = match n
+                .netd
+                .recv_batch(&mut n.env, exporter_pid, |_, raw| exporter.open_from(raw))
+            {
+                Ok(Some(opened)) => opened,
                 Ok(None) => break,
                 Err(e) => return Err(ExporterError::Protocol(format!("bad reply frame: {e}"))),
             };
-            for raw in batch {
-                let (sender, msg) = n.exporter.open_from(&raw)?;
+            for opened in opened {
+                let (sender, msg) = opened?;
                 if sender != peer {
                     return Err(ExporterError::Protocol(format!(
                         "reply authenticated as {sender}, expected {peer}"

@@ -31,13 +31,13 @@ use crate::dispatch::{DispatchStats, SyscallTrace};
 use crate::object::{
     ContainerEntry, ObjectHeader, ObjectId, ObjectType, OBJECT_ID_MASK, QUOTA_INFINITE,
 };
-use crate::serialize::{encode_object, lend_object, segment_prefix};
+use crate::serialize::{lend_object, segment_prefix, RecordFrame};
 use crate::syscall::{SyscallError, SyscallStats};
 use histar_label::category::FeistelCipher;
 use histar_label::{Category, CategoryAllocator, Label, LabelCache};
 use histar_obs::{MetricSet, Recorder};
 use histar_sim::{CostModel, OsFlavor, SimClock, SimDuration, SimHashMap};
-use histar_store::codec::Encoder;
+use histar_store::codec::Wire;
 use histar_store::{page_ranges, SingleLevelStore};
 
 mod checked;
@@ -726,20 +726,17 @@ impl Sys {
                 return Ok(());
             }
         }
-        store.put(id.raw(), encode_object(obj));
+        store.put(id.raw(), obj.encode());
         store
             .sync_object(id.raw())
             .map_err(|_| SyscallError::NoSuchObject(id))
     }
 
-    /// Frames a persist record for the store: label, then length-prefixed
-    /// payload.  The label rides inside the record so that every access
-    /// after a crash re-checks exactly what was protected before it.
+    /// Frames a persist record for the store (see [`RecordFrame`]).
     pub(crate) fn put_record(&mut self, w: &Writable, label: &Label, payload: &[u8]) {
-        let mut e = Encoder::new();
-        crate::serialize::encode_label(&mut e, label);
-        e.put_bytes(payload);
-        self.store.put(w.key(), e.finish());
+        let label = label.clone();
+        self.store
+            .put(w.key(), RecordFrame { label, payload }.encode());
     }
 
     /// Removes a writable persist record.
@@ -1200,6 +1197,28 @@ impl Kernel {
         header.links = 1;
         self.sys
             .insert_linked(container, header, ObjectBody::Device(body))
+    }
+
+    /// Creates a machine's boot-time objects in the root container of a
+    /// fresh kernel: the first thread, unrestricted with clearance `{2}`,
+    /// then the network device and the console.  Returns their IDs.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the root is a container, as it is on a fresh kernel.
+    pub fn boot_objects(&mut self) -> [ObjectId; 3] {
+        let root = self.root_container();
+        let create = |k: &mut Kernel| {
+            let clearance = Label::default_clearance();
+            let thread =
+                k.bootstrap_thread(root, Label::unrestricted(), clearance, "boot thread")?;
+            let mut device =
+                |body, name| k.boot_create_device(root, Label::unrestricted(), body, name);
+            let mac = [0x52, 0x54, 0x00, 0x12, 0x34, 0x56];
+            let net = device(DeviceBody::network(mac), "eth0")?;
+            Ok::<_, SyscallError>([thread, net, device(DeviceBody::console(), "console")?])
+        };
+        create(self).expect("a fresh kernel's root is a container")
     }
 
     /// Simulation hook (not a system call): delivers a frame "from the

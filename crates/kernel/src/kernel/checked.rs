@@ -21,10 +21,11 @@
 use super::{Caller, Sys};
 use crate::bodies::ContainerBody;
 use crate::object::{ContainerEntry, ObjectId, ObjectType};
+use crate::serialize::RecordFrame;
 use crate::syscall::{SyscallError, SyscallStats};
 use histar_label::{Label, LabelCache};
 use histar_sim::{CostModel, SimClock};
-use histar_store::codec::Decoder;
+use histar_store::codec::Wire;
 use std::borrow::Cow;
 use verdict::Grant;
 
@@ -320,32 +321,27 @@ impl Sys {
             cost: &self.cost,
             clock: &self.clock,
         };
-        let corrupt = SyscallError::CorruptRecord(key);
+        let corrupt = |_| SyscallError::CorruptRecord(key);
         let record = match self.store.resident(key) {
             Ok(None) => None,
-            Ok(Some(frame)) => {
-                let mut d = Decoder::new(&frame);
-                let (label, len) = match (crate::serialize::decode_label(&mut d), d.get_slice()) {
-                    (Ok(label), Ok(payload)) => (label, payload.len()),
-                    _ => return Err(corrupt),
-                };
-                let end = frame.len() - d.remaining();
-                let payload = match frame {
-                    Cow::Borrowed(frame) => Cow::Borrowed(&frame[end - len..end]),
-                    Cow::Owned(mut frame) => {
-                        frame.truncate(end);
-                        frame.drain(..end - len);
-                        Cow::Owned(frame)
-                    }
-                };
-                Some(Sealed {
-                    key,
-                    label,
-                    payload,
-                })
+            Ok(Some(Cow::Borrowed(frame))) => {
+                let RecordFrame { label, payload } = RecordFrame::decode(frame).map_err(corrupt)?;
+                Some((label, Cow::Borrowed(payload)))
             }
-            Err(_) => return Err(corrupt),
+            Ok(Some(Cow::Owned(mut frame))) => {
+                let RecordFrame { label, payload } =
+                    RecordFrame::decode(&frame).map_err(corrupt)?;
+                let start = frame.len() - payload.len();
+                frame.drain(..start);
+                Some((label, Cow::Owned(frame)))
+            }
+            Err(_) => return Err(SyscallError::CorruptRecord(key)),
         };
+        let record = record.map(|(label, payload)| Sealed {
+            key,
+            label,
+            payload,
+        });
         Ok((record, checks))
     }
 }

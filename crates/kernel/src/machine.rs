@@ -6,19 +6,62 @@
 //! bootup the entire system state is restored from the most recent on-disk
 //! snapshot (§3); there are no boot scripts.
 
-use crate::bodies::DeviceBody;
-use crate::kernel::Kernel;
+use crate::kernel::{KObject, Kernel};
 use crate::object::ObjectId;
-use crate::serialize::decode_object;
 use crate::syscall::SyscallError;
-use histar_label::Label;
 use histar_sim::{SimClock, SimDuration};
-use histar_store::codec::{Decoder, Encoder};
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 use histar_store::records::is_persist_key;
 use histar_store::{SingleLevelStore, StoreConfig, StoreError};
 
 /// Store key (outside the 61-bit object-ID space) holding machine metadata.
 const MACHINE_META_KEY: u64 = 1 << 62;
+
+/// The machine's own record in the store, beside the kernel objects: what
+/// recovery needs before it can restore them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MachineMeta {
+    /// The root container.
+    pub root: ObjectId,
+    /// The object-ID allocator's counter.
+    pub id_counter: u64,
+    /// The category allocator's counter.
+    pub cat_counter: u64,
+    /// The initial kernel thread.
+    pub kernel_thread: ObjectId,
+    /// The boot-time network device.
+    pub net_device: ObjectId,
+    /// The boot-time console device.
+    pub console_device: ObjectId,
+    /// Seed for the object-ID and category ciphers.
+    pub seed: u64,
+}
+
+/// The seven fields, eight bytes each, in declaration order.
+impl Wire<'_> for MachineMeta {
+    const SIZE: usize = 7 * 8;
+
+    fn put(&self, e: &mut Encoder) {
+        self.root.put(e);
+        e.put_u64(self.id_counter).put_u64(self.cat_counter);
+        for id in [self.kernel_thread, self.net_device, self.console_device] {
+            id.put(e);
+        }
+        e.put_u64(self.seed);
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<MachineMeta, DecodeError> {
+        Ok(MachineMeta {
+            root: ObjectId::get(d, ())?,
+            id_counter: d.get_u64()?,
+            cat_counter: d.get_u64()?,
+            kernel_thread: ObjectId::get(d, ())?,
+            net_device: ObjectId::get(d, ())?,
+            console_device: ObjectId::get(d, ())?,
+            seed: d.get_u64()?,
+        })
+    }
+}
 
 /// Configuration for booting a [`Machine`].
 #[derive(Clone, Copy, Debug)]
@@ -99,27 +142,7 @@ impl Machine {
         let clock = SimClock::new();
         let store = SingleLevelStore::format(config.store, clock.clone());
         let mut kernel = Kernel::new(config.seed, clock.clone(), store);
-        let root = kernel.root_container();
-        let kernel_thread = kernel
-            .bootstrap_thread(
-                root,
-                Label::unrestricted(),
-                Label::default_clearance(),
-                "boot thread",
-            )
-            .expect("bootstrap thread creation cannot fail on a fresh kernel");
-
-        let mut boot_device = |body, name| {
-            kernel
-                .boot_create_device(root, Label::unrestricted(), body, name)
-                .expect("boot device creation cannot fail on a fresh kernel")
-        };
-        let net_device = boot_device(
-            DeviceBody::network([0x52, 0x54, 0x00, 0x12, 0x34, 0x56]),
-            "eth0",
-        );
-        let console_device = boot_device(DeviceBody::console(), "console");
-
+        let [kernel_thread, net_device, console_device] = kernel.boot_objects();
         Machine {
             kernel,
             clock,
@@ -201,7 +224,8 @@ impl Machine {
             .filter(|&id| {
                 id != MACHINE_META_KEY
                     && !is_persist_key(id)
-                    && self.kernel.raw_object(ObjectId::from_raw(id)).is_none()
+                    && ObjectId::try_from_raw(id)
+                        .is_none_or(|id| self.kernel.raw_object(id).is_none())
             })
             .collect();
         for id in stale {
@@ -209,16 +233,16 @@ impl Machine {
         }
         // Machine metadata: root, counters, boot-time object IDs.
         let (id_counter, cat_counter) = self.kernel.allocator_counters();
-        let mut e = Encoder::new();
-        e.put_u64(self.kernel.root_container().raw())
-            .put_u64(id_counter)
-            .put_u64(cat_counter)
-            .put_u64(self.kernel_thread.raw())
-            .put_u64(self.net_device.raw())
-            .put_u64(self.console_device.raw())
-            .put_u64(self.config.seed);
-        let meta = e.finish();
-        self.store_mut().put(MACHINE_META_KEY, meta);
+        let meta = MachineMeta {
+            root: self.kernel.root_container(),
+            id_counter,
+            cat_counter,
+            kernel_thread: self.kernel_thread,
+            net_device: self.net_device,
+            console_device: self.console_device,
+            seed: self.config.seed,
+        };
+        self.store_mut().put(MACHINE_META_KEY, meta.encode());
         self.kernel.checkpoint_objects();
     }
 
@@ -269,19 +293,9 @@ impl Machine {
         let clock = disk.clock().clone();
         let mut store = SingleLevelStore::recover_traced(config.store, disk, recorder.clone())?;
         let restore_start = clock.now().as_nanos();
-        let meta_bytes = store.get(MACHINE_META_KEY)?;
-        let mut d = Decoder::new(&meta_bytes);
-        let read = |d: &mut Decoder<'_>| -> Result<u64, MachineError> {
-            d.get_u64()
-                .map_err(|e| MachineError::Corrupt(format!("machine metadata: {e}")))
-        };
-        let root = ObjectId::from_raw(read(&mut d)?);
-        let id_counter = read(&mut d)?;
-        let cat_counter = read(&mut d)?;
-        let kernel_thread = ObjectId::from_raw(read(&mut d)?);
-        let net_device = ObjectId::from_raw(read(&mut d)?);
-        let console_device = ObjectId::from_raw(read(&mut d)?);
-        let seed = read(&mut d)?;
+        let corrupt = |what: String, e: DecodeError| MachineError::Corrupt(format!("{what}: {e}"));
+        let meta = MachineMeta::decode(&store.get(MACHINE_META_KEY)?)
+            .map_err(|e| corrupt("machine metadata".into(), e))?;
 
         let mut objects = Vec::new();
         for id in store.object_ids() {
@@ -295,13 +309,17 @@ impl Machine {
             // A miss: the bytes read are decoded and dropped, and the
             // object is left clean — its home record stands for it.
             let bytes = store.resident(id)?.ok_or(StoreError::NoSuchObject(id))?;
-            let obj = decode_object(&bytes)
-                .map_err(|e| MachineError::Corrupt(format!("object {id:#x}: {e}")))?;
-            objects.push((ObjectId::from_raw(id), obj));
+            let obj = KObject::decode(&bytes).map_err(|e| corrupt(format!("object {id:#x}"), e))?;
+            if obj.header.id.raw() != id {
+                let stored = format!("object {id:#x} stored under the id {}", obj.header.id);
+                return Err(MachineError::Corrupt(stored));
+            }
+            objects.push((obj.header.id, obj));
         }
 
-        let mut kernel = Kernel::new(seed, clock.clone(), store);
-        kernel.restore_objects(root, objects, id_counter, cat_counter, seed);
+        let mut kernel = Kernel::new(meta.seed, clock.clone(), store);
+        let (root, seed) = (meta.root, meta.seed);
+        kernel.restore_objects(root, objects, meta.id_counter, meta.cat_counter, seed);
         recorder.record(histar_obs::Span {
             cat: "recover",
             name: "object_restore",
@@ -316,9 +334,9 @@ impl Machine {
             kernel,
             clock,
             config: MachineConfig { seed, ..config },
-            kernel_thread,
-            net_device,
-            console_device,
+            kernel_thread: meta.kernel_thread,
+            net_device: meta.net_device,
+            console_device: meta.console_device,
         })
     }
 }
@@ -327,7 +345,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::object::{ContainerEntry, ObjectType};
-    use histar_label::Level;
+    use histar_label::{Label, Level};
 
     #[test]
     fn boot_creates_devices_and_thread() {

@@ -37,6 +37,12 @@ impl ObjectId {
         ObjectId(raw)
     }
 
+    /// Constructs an object ID from its raw value, returning `None` if it
+    /// does not fit in 61 bits.
+    pub fn try_from_raw(raw: u64) -> Option<ObjectId> {
+        (raw <= OBJECT_ID_MASK).then_some(ObjectId(raw))
+    }
+
     /// The raw 61-bit value.
     pub fn raw(self) -> u64 {
         self.0

@@ -13,68 +13,31 @@ use crate::bodies::{
     MappingFlags, ObjectBody, SegmentBody, ThreadBody, ThreadState,
 };
 use crate::kernel::KObject;
-use crate::object::{
-    ContainerEntry, Descrip, ObjectFlags, ObjectHeader, ObjectId, ObjectType, METADATA_LEN,
-};
+use crate::object::{ContainerEntry, Descrip, ObjectFlags, ObjectHeader, ObjectId, ObjectType};
 use histar_label::{Category, Label, Level};
-use histar_store::codec::{DecodeError, Decoder, Encoder};
+use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 use std::borrow::Cow;
 
-/// Errors from object deserialization.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SerializeError {
-    /// The underlying byte decoding failed.
-    Decode(DecodeError),
-    /// An enumeration tag had an unknown value.
-    BadTag(&'static str, u8),
-    /// A bounded field was longer than its bound: `(field, bytes)`.
-    TooLong(&'static str, usize),
-}
+/// Each object type beside its tag.
+const OBJECT_TYPES: [(ObjectType, u8); 6] = [
+    (ObjectType::Segment, 1),
+    (ObjectType::Thread, 2),
+    (ObjectType::AddressSpace, 3),
+    (ObjectType::Gate, 4),
+    (ObjectType::Container, 5),
+    (ObjectType::Device, 6),
+];
 
-impl From<DecodeError> for SerializeError {
-    fn from(e: DecodeError) -> SerializeError {
-        SerializeError::Decode(e)
-    }
-}
+/// Each thread state beside its tag.
+const THREAD_STATES: [(ThreadState, u8); 2] =
+    [(ThreadState::Runnable, 0), (ThreadState::Halted, 2)];
 
-impl core::fmt::Display for SerializeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            SerializeError::Decode(e) => write!(f, "decode error: {e}"),
-            SerializeError::BadTag(what, v) => write!(f, "bad {what} tag: {v}"),
-            SerializeError::TooLong(what, n) => write!(f, "{what} too long: {n} bytes"),
-        }
-    }
-}
-
-impl std::error::Error for SerializeError {}
-
-fn object_type_tag(t: ObjectType) -> u8 {
-    match t {
-        ObjectType::Segment => 1,
-        ObjectType::Thread => 2,
-        ObjectType::AddressSpace => 3,
-        ObjectType::Gate => 4,
-        ObjectType::Container => 5,
-        ObjectType::Device => 6,
-    }
-}
-
-fn object_type_from_tag(tag: u8) -> Result<ObjectType, SerializeError> {
-    Ok(match tag {
-        1 => ObjectType::Segment,
-        2 => ObjectType::Thread,
-        3 => ObjectType::AddressSpace,
-        4 => ObjectType::Gate,
-        5 => ObjectType::Container,
-        6 => ObjectType::Device,
-        other => return Err(SerializeError::BadTag("object type", other)),
-    })
-}
+/// Each device kind beside its tag.
+const DEVICE_KINDS: [(DeviceKind, u8); 2] = [(DeviceKind::Network, 0), (DeviceKind::Console, 1)];
 
 /// Encodes a label: default level byte, entry count, then one packed 64-bit
-/// word per entry.
-pub fn encode_label(e: &mut Encoder, label: &Label) {
+/// word per entry, in ascending category order.
+pub fn put_label(e: &mut Encoder, label: &Label) {
     e.put_u8(label.default_level().encode());
     e.put_u64(label.len() as u64);
     for (c, l) in label.entries() {
@@ -82,322 +45,273 @@ pub fn encode_label(e: &mut Encoder, label: &Label) {
     }
 }
 
-/// Decodes a label written by [`encode_label`].
-pub fn decode_label(d: &mut Decoder<'_>) -> Result<Label, SerializeError> {
-    let default =
-        Level::decode(d.get_u8()?).ok_or(SerializeError::BadTag("default level", 0xff))?;
-    let n = d.get_u64()? as usize;
+/// Decodes a label written by [`put_label`]: only its normal form, entries
+/// in strictly ascending category order and none at the default level, so
+/// a label read back re-encodes to the bytes it came from.
+pub fn get_label(d: &mut Decoder<'_>) -> Result<Label, DecodeError> {
+    let level = |bits| Level::decode(bits).ok_or(DecodeError::BadValue);
+    let default = level(d.get_u8()?)?;
+    let n = d.get_u64()?;
     let mut builder = Label::builder().default_level(default);
-    for _ in 0..n {
-        let word = d.get_u64()?;
-        let (c, bits) = Category::unpack_with_level(word);
-        let level = Level::decode(bits).ok_or(SerializeError::BadTag("entry level", bits))?;
-        builder = builder.set(c, level);
+    let mut last: Option<Category> = None;
+    for _ in 0..d.count(n, 8)? {
+        let (c, bits) = Category::unpack_with_level(d.get_u64()?);
+        let l = level(bits)?;
+        if l == default || last >= Some(c) {
+            return Err(DecodeError::BadValue);
+        }
+        builder = builder.set(c, l);
+        last = Some(c);
     }
     Ok(builder.build())
 }
 
-fn encode_opt_entry(e: &mut Encoder, entry: Option<ContainerEntry>) {
-    match entry {
-        None => {
-            e.put_u8(0);
-        }
-        Some(ce) => {
-            e.put_u8(1)
-                .put_u64(ce.container.raw())
-                .put_u64(ce.object.raw());
-        }
+/// A 61-bit name read from bytes is checked here, and only here: a `u64`
+/// past 61 bits, which [`ObjectId::from_raw`] would panic on, is
+/// [`DecodeError::BadValue`].  A category shares the space.
+impl Wire<'_> for ObjectId {
+    const SIZE: usize = 8;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(self.raw());
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<ObjectId, DecodeError> {
+        ObjectId::try_from_raw(d.get_u64()?).ok_or(DecodeError::BadValue)
     }
 }
 
-fn decode_opt_entry(d: &mut Decoder<'_>) -> Result<Option<ContainerEntry>, SerializeError> {
-    match d.get_u8()? {
-        0 => Ok(None),
-        1 => {
-            let c = ObjectId::from_raw(d.get_u64()?);
-            let o = ObjectId::from_raw(d.get_u64()?);
-            Ok(Some(ContainerEntry::new(c, o)))
-        }
-        other => Err(SerializeError::BadTag("optional entry", other)),
+/// The container's id, then the object's.
+impl Wire<'_> for ContainerEntry {
+    const SIZE: usize = 16;
+
+    fn put(&self, e: &mut Encoder) {
+        self.container.put(e);
+        self.object.put(e);
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<ContainerEntry, DecodeError> {
+        let container = ObjectId::get(d, ())?;
+        Ok(ContainerEntry::new(container, ObjectId::get(d, ())?))
     }
 }
 
-fn encode_header(e: &mut Encoder, h: &ObjectHeader) {
-    e.put_u64(h.id.raw());
-    e.put_u8(object_type_tag(h.object_type));
-    encode_label(e, &h.label);
-    e.put_u64(h.quota);
-    e.put_u64(h.usage);
-    e.put_bytes(&h.metadata);
-    e.put_str(&h.descrip);
-    e.put_u8(u8::from(h.flags.immutable));
-    e.put_u8(u8::from(h.flags.fixed_quota));
-    e.put_u32(h.links);
-}
+/// An alert's code.
+impl Wire<'_> for Alert {
+    const SIZE: usize = 8;
 
-fn decode_header(d: &mut Decoder<'_>) -> Result<ObjectHeader, SerializeError> {
-    let id = ObjectId::from_raw(d.get_u64()?);
-    let object_type = object_type_from_tag(d.get_u8()?)?;
-    let label = decode_label(d)?;
-    let quota = d.get_u64()?;
-    let usage = d.get_u64()?;
-    let metadata_vec = d.get_bytes()?;
-    let descrip = d.get_str_slice()?;
-    let descrip = Descrip::fit(descrip).ok_or(SerializeError::TooLong("descrip", descrip.len()))?;
-    let immutable = d.get_u8()? != 0;
-    let fixed_quota = d.get_u8()? != 0;
-    let links = d.get_u32()?;
-    let mut metadata = [0u8; METADATA_LEN];
-    let n = metadata_vec.len().min(METADATA_LEN);
-    metadata[..n].copy_from_slice(&metadata_vec[..n]);
-    Ok(ObjectHeader {
-        id,
-        label,
-        object_type,
-        quota,
-        usage,
-        metadata,
-        descrip,
-        flags: ObjectFlags {
-            immutable,
-            fixed_quota,
-        },
-        links,
-    })
-}
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(self.code);
+    }
 
-fn encode_body(e: &mut Encoder, body: &ObjectBody) {
-    match body {
-        ObjectBody::Segment(s) => {
-            e.put_bytes_padded(s.written(), s.len());
-        }
-        ObjectBody::Container(c) => {
-            e.put_u64(c.links.len() as u64);
-            for l in &c.links {
-                e.put_u64(l.raw());
-            }
-            match c.parent {
-                None => {
-                    e.put_u8(0);
-                }
-                Some(p) => {
-                    e.put_u8(1).put_u64(p.raw());
-                }
-            }
-            e.put_u8(c.avoid_types);
-        }
-        ObjectBody::Thread(t) => {
-            encode_label(e, &t.clearance);
-            encode_opt_entry(e, t.address_space);
-            e.put_u64(t.entry_point);
-            e.put_u8(match t.state {
-                ThreadState::Runnable => 0,
-                ThreadState::Halted => 2,
-            });
-            e.put_u64(t.pending_alerts.len() as u64);
-            for a in &t.pending_alerts {
-                e.put_u64(a.code);
-            }
-        }
-        ObjectBody::AddressSpace(a) => {
-            e.put_u64(a.mappings.len() as u64);
-            for m in &a.mappings {
-                e.put_u64(m.va);
-                e.put_u64(m.segment.container.raw());
-                e.put_u64(m.segment.object.raw());
-                e.put_u64(m.offset);
-                e.put_u64(m.npages);
-                e.put_u8(u8::from(m.flags.read));
-                e.put_u8(u8::from(m.flags.write));
-                e.put_u8(u8::from(m.flags.execute));
-            }
-        }
-        ObjectBody::Gate(g) => {
-            encode_label(e, &g.clearance);
-            encode_opt_entry(e, g.address_space);
-            e.put_u64(g.entry_point);
-            e.put_u64(g.stack_pointer);
-            e.put_u64(g.closure_args.len() as u64);
-            for a in &g.closure_args {
-                e.put_u64(*a);
-            }
-        }
-        ObjectBody::Device(dev) => {
-            e.put_u8(match dev.kind {
-                DeviceKind::Network => 0,
-                DeviceKind::Console => 1,
-            });
-            e.put_bytes(&dev.mac);
-            e.put_u64(dev.rx_queue.len() as u64);
-            for f in &dev.rx_queue {
-                e.put_bytes(f);
-            }
-            e.put_u64(dev.tx_queue.len() as u64);
-            for f in &dev.tx_queue {
-                e.put_bytes(f);
-            }
-        }
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<Alert, DecodeError> {
+        Ok(Alert { code: d.get_u64()? })
     }
 }
 
-fn decode_body(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, SerializeError> {
-    Ok(match ty {
-        ObjectType::Segment => ObjectBody::Segment(SegmentBody::from(d.get_bytes()?)),
-        ObjectType::Container => {
-            let n = d.get_u64()? as usize;
-            let mut links = Vec::with_capacity(n);
-            for _ in 0..n {
-                links.push(ObjectId::from_raw(d.get_u64()?));
-            }
-            let parent = match d.get_u8()? {
-                0 => None,
-                1 => Some(ObjectId::from_raw(d.get_u64()?)),
-                other => return Err(SerializeError::BadTag("container parent", other)),
-            };
-            let avoid_types = d.get_u8()?;
-            ObjectBody::Container(ContainerBody::with_links(links, parent, avoid_types))
+/// Address, segment, offset, page count, then the read, write and
+/// execute flags.
+impl Wire<'_> for Mapping {
+    const SIZE: usize = 8 + 16 + 8 + 8 + 3;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(self.va);
+        self.segment.put(e);
+        e.put_u64(self.offset).put_u64(self.npages);
+        for flag in [self.flags.read, self.flags.write, self.flags.execute] {
+            flag.put(e);
         }
-        ObjectType::Thread => {
-            let clearance = decode_label(d)?;
-            let address_space = decode_opt_entry(d)?;
-            let entry_point = d.get_u64()?;
-            let state = match d.get_u8()? {
-                0 => ThreadState::Runnable,
-                2 => ThreadState::Halted,
-                other => return Err(SerializeError::BadTag("thread state", other)),
-            };
-            let n = d.get_u64()? as usize;
-            let mut pending_alerts = Vec::with_capacity(n);
-            for _ in 0..n {
-                pending_alerts.push(Alert { code: d.get_u64()? });
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<Mapping, DecodeError> {
+        Ok(Mapping {
+            va: d.get_u64()?,
+            segment: ContainerEntry::get(d, ())?,
+            offset: d.get_u64()?,
+            npages: d.get_u64()?,
+            flags: MappingFlags {
+                read: bool::get(d, ())?,
+                write: bool::get(d, ())?,
+                execute: bool::get(d, ())?,
+            },
+        })
+    }
+}
+
+/// Id, type tag, label, quota, usage, the metadata and the descriptive
+/// string (each length-prefixed: exactly 64 bytes and at most 32), the
+/// two flags and the link count.
+impl Wire<'_> for ObjectHeader {
+    fn put(&self, e: &mut Encoder) {
+        self.id.put(e);
+        e.put_tag(&OBJECT_TYPES, &self.object_type);
+        put_label(e, &self.label);
+        e.put_u64(self.quota)
+            .put_u64(self.usage)
+            .put_bytes(&self.metadata)
+            .put_str(&self.descrip);
+        self.flags.immutable.put(e);
+        self.flags.fixed_quota.put(e);
+        e.put_u32(self.links);
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<ObjectHeader, DecodeError> {
+        Ok(ObjectHeader {
+            id: ObjectId::get(d, ())?,
+            object_type: d.get_tag(&OBJECT_TYPES)?,
+            label: get_label(d)?,
+            quota: d.get_u64()?,
+            usage: d.get_u64()?,
+            metadata: Wire::get(d, ())?,
+            descrip: Descrip::fit(d.get_str_slice()?).ok_or(DecodeError::BadValue)?,
+            flags: ObjectFlags {
+                immutable: bool::get(d, ())?,
+                fixed_quota: bool::get(d, ())?,
+            },
+            links: d.get_u32()?,
+        })
+    }
+}
+
+/// The body of an object of the type its header names.
+impl Wire<'_, ObjectType> for ObjectBody {
+    fn put(&self, e: &mut Encoder) {
+        match self {
+            ObjectBody::Segment(s) => {
+                e.put_bytes_padded(s.written(), s.len());
             }
-            // Runtime state (completions) is never encoded: a
-            // decoded thread starts with a fresh record.
-            ObjectBody::Thread(ThreadBody {
-                address_space,
-                entry_point,
-                state,
-                pending_alerts,
-                ..ThreadBody::new(clearance)
-            })
+            ObjectBody::Container(c) => {
+                c.links.put(e);
+                c.parent.put(e);
+                e.put_u8(c.avoid_types);
+            }
+            ObjectBody::Thread(t) => {
+                put_label(e, &t.clearance);
+                t.address_space.put(e);
+                e.put_u64(t.entry_point).put_tag(&THREAD_STATES, &t.state);
+                t.pending_alerts.put(e);
+            }
+            ObjectBody::AddressSpace(a) => a.mappings.put(e),
+            ObjectBody::Gate(g) => {
+                put_label(e, &g.clearance);
+                g.address_space.put(e);
+                e.put_u64(g.entry_point).put_u64(g.stack_pointer);
+                g.closure_args.put(e);
+            }
+            ObjectBody::Device(dev) => {
+                e.put_tag(&DEVICE_KINDS, &dev.kind).put_bytes(&dev.mac);
+                dev.rx_queue.put(e);
+                dev.tx_queue.put(e);
+            }
         }
-        ObjectType::AddressSpace => {
-            let n = d.get_u64()? as usize;
-            let mut mappings = Vec::with_capacity(n);
-            for _ in 0..n {
-                let va = d.get_u64()?;
-                let c = ObjectId::from_raw(d.get_u64()?);
-                let o = ObjectId::from_raw(d.get_u64()?);
-                let offset = d.get_u64()?;
-                let npages = d.get_u64()?;
-                let read = d.get_u8()? != 0;
-                let write = d.get_u8()? != 0;
-                let execute = d.get_u8()? != 0;
-                mappings.push(Mapping {
-                    va,
-                    segment: ContainerEntry::new(c, o),
-                    offset,
-                    npages,
-                    flags: MappingFlags {
-                        read,
-                        write,
-                        execute,
-                    },
-                });
+    }
+
+    fn get(d: &mut Decoder<'_>, ty: ObjectType) -> Result<ObjectBody, DecodeError> {
+        Ok(match ty {
+            ObjectType::Segment => ObjectBody::Segment(SegmentBody::from(d.get_bytes()?)),
+            ObjectType::Container => {
+                let (links, parent) = (Vec::get(d, ())?, Option::get(d, ())?);
+                ObjectBody::Container(ContainerBody::with_links(links, parent, d.get_u8()?))
             }
-            ObjectBody::AddressSpace(AddressSpaceBody { mappings })
-        }
-        ObjectType::Gate => {
-            let clearance = decode_label(d)?;
-            let address_space = decode_opt_entry(d)?;
-            let entry_point = d.get_u64()?;
-            let stack_pointer = d.get_u64()?;
-            let n = d.get_u64()? as usize;
-            let mut closure_args = Vec::with_capacity(n);
-            for _ in 0..n {
-                closure_args.push(d.get_u64()?);
-            }
-            ObjectBody::Gate(GateBody {
-                clearance,
-                address_space,
-                entry_point,
-                stack_pointer,
-                closure_args,
-            })
-        }
-        ObjectType::Device => {
-            let kind = match d.get_u8()? {
-                0 => DeviceKind::Network,
-                1 => DeviceKind::Console,
-                other => return Err(SerializeError::BadTag("device kind", other)),
-            };
-            let mac_vec = d.get_bytes()?;
-            let mut mac = [0u8; 6];
-            let n = mac_vec.len().min(6);
-            mac[..n].copy_from_slice(&mac_vec[..n]);
-            let nrx = d.get_u64()? as usize;
-            let mut rx_queue = Vec::with_capacity(nrx);
-            for _ in 0..nrx {
-                rx_queue.push(d.get_bytes()?);
-            }
-            let ntx = d.get_u64()? as usize;
-            let mut tx_queue = Vec::with_capacity(ntx);
-            for _ in 0..ntx {
-                tx_queue.push(d.get_bytes()?);
-            }
-            ObjectBody::Device(DeviceBody {
-                kind,
-                mac,
-                rx_queue,
-                tx_queue,
-            })
-        }
-    })
+            // Runtime state (completions) is never encoded: a decoded
+            // thread starts with a fresh record.
+            ObjectType::Thread => ObjectBody::Thread(ThreadBody {
+                clearance: get_label(d)?,
+                address_space: Option::get(d, ())?,
+                entry_point: d.get_u64()?,
+                state: d.get_tag(&THREAD_STATES)?,
+                pending_alerts: Vec::get(d, ())?,
+                runtime: Box::default(),
+            }),
+            ObjectType::AddressSpace => ObjectBody::AddressSpace(AddressSpaceBody {
+                mappings: Vec::get(d, ())?,
+            }),
+            ObjectType::Gate => ObjectBody::Gate(GateBody {
+                clearance: get_label(d)?,
+                address_space: Option::get(d, ())?,
+                entry_point: d.get_u64()?,
+                stack_pointer: d.get_u64()?,
+                closure_args: Vec::get(d, ())?,
+            }),
+            ObjectType::Device => ObjectBody::Device(DeviceBody {
+                kind: d.get_tag(&DEVICE_KINDS)?,
+                mac: Wire::get(d, ())?,
+                rx_queue: Vec::get(d, ())?,
+                tx_queue: Vec::get(d, ())?,
+            }),
+        })
+    }
+}
+
+/// A whole kernel object, as the store holds it: its header, then the
+/// body of the type the header names.  The disk is the kernel's input at
+/// boot, so a record that does not decode is an error, never a panic.
+impl Wire<'_> for KObject {
+    fn put(&self, e: &mut Encoder) {
+        self.header.put(e);
+        self.body.put(e);
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<KObject, DecodeError> {
+        let header = ObjectHeader::get(d, ())?;
+        let body = ObjectBody::get(d, header.object_type)?;
+        Ok(KObject::new(header, body))
+    }
+}
+
+/// A persist record as the store holds it: the label it was created with,
+/// then its payload, length-prefixed.  The label rides inside the record
+/// so that every access after a crash re-checks exactly what was
+/// protected before it.
+#[derive(Debug)]
+pub struct RecordFrame<'a> {
+    /// The record's label.
+    pub label: Label,
+    /// The record's bytes, lent from the frame.
+    pub payload: &'a [u8],
+}
+
+impl<'a> Wire<'a> for RecordFrame<'a> {
+    fn put(&self, e: &mut Encoder) {
+        put_label(e, &self.label);
+        e.put_bytes(self.payload);
+    }
+
+    fn get(d: &mut Decoder<'a>, (): ()) -> Result<RecordFrame<'a>, DecodeError> {
+        Ok(RecordFrame {
+            label: get_label(d)?,
+            payload: d.get_slice()?,
+        })
+    }
 }
 
 /// A segment's encoding split where its payload starts: the *prefix* —
 /// header plus the payload's 8-byte length word, a hundred-odd bytes — and
 /// the segment whose contents are the payload.  `prefix ‖ contents` is
-/// exactly [`encode_object`]'s output, so byte `n` of the segment sits at
-/// offset `prefix.len() + n` of its stored record; a range flush needs
+/// exactly the object's [`Wire`] encoding, so byte `n` of the segment sits
+/// at offset `prefix.len() + n` of its stored record; a range flush needs
 /// nothing else.  `None` for every other object type.
 pub(crate) fn segment_prefix(obj: &KObject) -> Option<(Vec<u8>, &SegmentBody)> {
     let ObjectBody::Segment(s) = &obj.body else {
         return None;
     };
     let mut e = Encoder::new();
-    encode_header(&mut e, &obj.header);
+    obj.header.put(&mut e);
     e.put_u64(s.len() as u64);
     Some((e.finish(), s))
 }
 
-/// [`encode_object`]'s output lent in parts, for a checkpoint to write
-/// without building it: a segment's is its [`segment_prefix`], its
-/// written bytes and its zero tail, borrowed; any other object's is its
-/// whole (small) encoding.
+/// The object's encoding lent in parts, for a checkpoint to write without
+/// building it: a segment's is its [`segment_prefix`], its written bytes
+/// and its zero tail, borrowed; any other object's is its whole (small)
+/// encoding.
 pub(crate) fn lend_object(obj: &KObject) -> Vec<Cow<'_, [u8]>> {
     match segment_prefix(obj) {
         Some((prefix, seg)) => std::iter::once(Cow::Owned(prefix))
             .chain(seg.lend_parts().map(Cow::Borrowed))
             .collect(),
-        None => vec![Cow::Owned(encode_object(obj))],
+        None => vec![Cow::Owned(obj.encode())],
     }
-}
-
-/// Serializes a whole kernel object.
-pub fn encode_object(obj: &KObject) -> Vec<u8> {
-    let mut e = Encoder::new();
-    encode_header(&mut e, &obj.header);
-    encode_body(&mut e, &obj.body);
-    e.finish()
-}
-
-/// Deserializes a kernel object written by [`encode_object`].
-pub fn decode_object(bytes: &[u8]) -> Result<KObject, SerializeError> {
-    let mut d = Decoder::new(bytes);
-    let header = decode_header(&mut d)?;
-    let body = decode_body(&mut d, header.object_type)?;
-    Ok(KObject::new(header, body))
 }
 
 #[cfg(test)]
@@ -430,8 +344,8 @@ mod tests {
     }
 
     fn round_trip(obj: KObject) {
-        let bytes = encode_object(&obj);
-        let back = decode_object(&bytes).unwrap();
+        let bytes = obj.encode();
+        let back = KObject::decode(&bytes).unwrap();
         assert_eq!(back.header.id, obj.header.id);
         assert_eq!(back.header.label, obj.header.label);
         assert_eq!(back.header.object_type, obj.header.object_type);
@@ -477,10 +391,10 @@ mod tests {
     fn label_round_trip() {
         let l = sample_label();
         let mut e = Encoder::new();
-        encode_label(&mut e, &l);
+        put_label(&mut e, &l);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
-        assert_eq!(decode_label(&mut d).unwrap(), l);
+        assert_eq!(get_label(&mut d).unwrap(), l);
     }
 
     #[test]
@@ -498,7 +412,7 @@ mod tests {
         body.resize(20_000);
         let seg = KObject::new(header(ObjectType::Segment), ObjectBody::Segment(body));
         let (prefix, payload) = segment_prefix(&seg).unwrap();
-        let encoded = encode_object(&seg);
+        let encoded = seg.encode();
         assert_eq!([&prefix[..], &payload.to_vec()].concat(), encoded);
         assert!(encoded[prefix.len() + 10_000..].iter().all(|&b| b == 0));
         assert_eq!(lend_object(&seg).concat(), encoded);
@@ -507,7 +421,7 @@ mod tests {
             ObjectBody::Gate(GateBody::new(sample_label(), 1)),
         );
         assert!(segment_prefix(&gate).is_none());
-        assert_eq!(lend_object(&gate).concat(), encode_object(&gate));
+        assert_eq!(lend_object(&gate).concat(), gate.encode());
     }
 
     #[test]
@@ -587,11 +501,11 @@ mod tests {
             header(ObjectType::Segment),
             ObjectBody::Segment(SegmentBody::from(vec![1; 64])),
         );
-        let bytes = encode_object(&obj);
-        assert!(decode_object(&bytes[..bytes.len() / 2]).is_err());
+        let bytes = obj.encode();
+        assert!(KObject::decode(&bytes[..bytes.len() / 2]).is_err());
         let mut bad_tag = bytes.clone();
         bad_tag[8] = 99; // object type tag lives right after the id
-        assert!(decode_object(&bad_tag).is_err());
+        assert!(KObject::decode(&bad_tag).is_err());
     }
 
     #[test]
@@ -600,7 +514,7 @@ mod tests {
             header(ObjectType::Segment),
             ObjectBody::Segment(SegmentBody::from(vec![1; 8])),
         );
-        let bytes = encode_object(&obj);
+        let bytes = obj.encode();
         let mut field = (obj.header.descrip.len() as u64).to_le_bytes().to_vec();
         field.extend_from_slice(obj.header.descrip.as_bytes());
         let at = bytes
@@ -612,16 +526,98 @@ mod tests {
             forged.extend_from_slice(&(n as u64).to_le_bytes());
             forged.resize(forged.len() + n, b'x');
             forged.extend_from_slice(&bytes[at + field.len()..]);
-            let decoded = decode_object(&forged);
+            let decoded = KObject::decode(&forged);
             if n == DESCRIP_LEN {
                 assert_eq!(decoded.unwrap().header.descrip, "x".repeat(n).as_str());
             } else {
-                assert_eq!(
-                    decoded.err(),
-                    Some(SerializeError::TooLong("descrip", n)),
-                    "{n} bytes"
-                );
+                assert_eq!(decoded.err(), Some(DecodeError::BadValue), "{n} bytes");
             }
         }
+    }
+
+    fn container() -> KObject {
+        KObject::new(
+            header(ObjectType::Container),
+            ObjectBody::Container(ContainerBody::with_links(vec![oid(1), oid(2)], None, 0)),
+        )
+    }
+
+    /// An id past 61 bits is the record's error, not the kernel's panic:
+    /// `ObjectId::from_raw` asserts the bound.
+    #[test]
+    fn an_object_id_past_61_bits_is_refused() {
+        let mut bytes = container().encode();
+        bytes[..8].fill(0xff);
+        assert_eq!(KObject::decode(&bytes).err(), Some(DecodeError::BadValue));
+    }
+
+    /// A link count the record cannot hold is refused before a list is
+    /// allocated for it: a count of 2⁶¹ or more asks for more than the
+    /// address space.
+    #[test]
+    fn a_link_count_the_record_cannot_hold_is_refused() {
+        let obj = container();
+        let at = obj.header.encode().len();
+        for count in [1 << 61, u64::MAX, 3] {
+            let mut bytes = obj.encode();
+            bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(
+                KObject::decode(&bytes).err(),
+                Some(DecodeError::BadLength),
+                "{count}"
+            );
+        }
+    }
+
+    /// `bytes` with the length-prefixed field `field` (prefix included)
+    /// replaced by a field of `len` bytes: `field`'s bytes, cut or padded
+    /// with 0xee.  Everything around it is left intact.
+    fn refit(bytes: &[u8], field: &[u8], len: usize) -> Vec<u8> {
+        let at = bytes
+            .windows(field.len())
+            .position(|w| w == field)
+            .expect("the field is in the encoding");
+        let mut body = field[8..].to_vec();
+        body.resize(len, 0xee);
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(&(len as u64).to_le_bytes());
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&bytes[at + field.len()..]);
+        out
+    }
+
+    /// A flag byte other than 0 or 1, metadata or a MAC address of the
+    /// wrong length, and bytes after the record are not what the encoder
+    /// writes, so none of them reads as a value.
+    #[test]
+    fn only_what_the_encoder_writes_is_read() {
+        let obj = container();
+        let bytes = obj.encode();
+        let flags = obj.header.encode().len() - 6;
+        let mut flag = bytes.clone();
+        flag[flags] = 2;
+        assert_eq!(KObject::decode(&flag).err(), Some(DecodeError::BadValue));
+        let mut metadata = 64u64.to_le_bytes().to_vec();
+        metadata.extend_from_slice(&obj.header.metadata);
+        for len in [0, 63, 65] {
+            let forged = refit(&bytes, &metadata, len);
+            assert_eq!(KObject::decode(&forged).err(), Some(DecodeError::BadValue));
+        }
+        let mac = [6, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1];
+        let dev = KObject::new(
+            header(ObjectType::Device),
+            ObjectBody::Device(DeviceBody::network([1; 6])),
+        )
+        .encode();
+        for len in [5, 7] {
+            let forged = refit(&dev, &mac, len);
+            assert_eq!(KObject::decode(&forged).err(), Some(DecodeError::BadValue));
+        }
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert_eq!(
+            KObject::decode(&trailing).err(),
+            Some(DecodeError::Trailing)
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! step each live segment's reads, encoding and decode round trip are
 //! checked against the model, and every page sync is checked against the
 //! record it patched — a sync naming every page must leave the store's
-//! copy equal to `encode_object`, zero tail included.
+//! copy equal to the object's encoding, zero tail included.
 //!
 //! The generator is the xorshift64* harness of `wake_properties.rs`, so
 //! the suite runs offline.
@@ -18,11 +18,11 @@ use histar_kernel::bodies::{ObjectBody, SegmentBody};
 use histar_kernel::dispatch::{Syscall, SyscallResult};
 use histar_kernel::kernel::{KObject, PAGE_SIZE};
 use histar_kernel::object::{ContainerEntry, ObjectId};
-use histar_kernel::serialize::{decode_object, encode_object};
 use histar_kernel::syscall::SyscallError;
 use histar_kernel::{Kernel, Machine, MachineConfig};
 use histar_label::Label;
 use histar_sim::SimClock;
+use histar_store::codec::Wire;
 use histar_store::{SingleLevelStore, StoreConfig};
 
 const SEEDS: u64 = 40;
@@ -78,10 +78,11 @@ fn segment(m: &Machine, id: ObjectId) -> &KObject {
 /// The encoding the kernel must produce: the segment's own header over a
 /// body that is simply the model's bytes.
 fn model_encoding(obj: &KObject, bytes: &[u8]) -> Vec<u8> {
-    encode_object(&KObject::new(
+    KObject::new(
         obj.header.clone(),
         ObjectBody::Segment(SegmentBody::from(bytes.to_vec())),
-    ))
+    )
+    .encode()
 }
 
 fn check(m: &Machine, s: &Model, what: &str) {
@@ -90,14 +91,14 @@ fn check(m: &Machine, s: &Model, what: &str) {
         panic!("{what}: not a segment");
     };
     assert_eq!(body.to_vec(), s.bytes, "{what}: contents");
-    let encoded = encode_object(obj);
+    let encoded = obj.encode();
     assert_eq!(encoded, model_encoding(obj, &s.bytes), "{what}: encoding");
-    let back = decode_object(&encoded).expect("an encoding decodes");
+    let back = KObject::decode(&encoded).expect("an encoding decodes");
     let ObjectBody::Segment(back_body) = &back.body else {
         panic!("{what}: decoded to another type");
     };
     assert_eq!(back_body, body, "{what}: decode(encode(x)) == x");
-    assert_eq!(encode_object(&back), encoded, "{what}: re-encoding");
+    assert_eq!(back.encode(), encoded, "{what}: re-encoding");
 }
 
 #[test]
@@ -266,7 +267,7 @@ fn segment_bodies_read_encode_and_flush_as_a_plain_byte_vector() {
                         pages: Some(pages.clone()),
                     };
                     assert_eq!(m.kernel_mut().dispatch(tid, call), Ok(SyscallResult::Unit));
-                    let encoded = encode_object(segment(&m, s.id));
+                    let encoded = segment(&m, s.id).encode();
                     let stored = m.store_mut().get(s.id.raw()).expect("synced");
                     assert_eq!(stored.len(), encoded.len(), "{what}: record length");
                     let base = encoded.len() - s.bytes.len();

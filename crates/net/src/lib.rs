@@ -507,22 +507,27 @@ impl Netd {
         self.send(env, client, &Netd::encode_batch(payloads))
     }
 
-    /// Receives the next pending frame for a client and splits it into the
-    /// batched messages.  The client picks up the network taint exactly as
-    /// with [`Netd::recv`].
+    /// Receives the next pending frame for a client and hands each of its
+    /// batched messages, lent from the frame, to `each` with the
+    /// environment, returning what `each` made of them, in order.  The
+    /// client picks up the network taint exactly as with [`Netd::recv`].
     ///
-    /// A malformed frame is `UnixError::Corrupt("batch frame")`, a library
-    /// error distinct from `Ok(None)` ("nothing pending") — otherwise one
-    /// garbage frame would silently end a drain loop with legitimate
-    /// traffic still queued behind it.
-    pub fn recv_batch(&self, env: &mut UnixEnv, client: Pid) -> Result<Option<Vec<Vec<u8>>>> {
+    /// A malformed frame is `UnixError::Corrupt("batch frame")`, and none
+    /// of its messages is handed on: a library error distinct from
+    /// `Ok(None)` ("nothing pending") — otherwise one garbage frame would
+    /// silently end a drain loop with legitimate traffic still queued
+    /// behind it.
+    pub fn recv_batch<T>(
+        &self,
+        env: &mut UnixEnv,
+        client: Pid,
+        mut each: impl FnMut(&mut UnixEnv, &[u8]) -> T,
+    ) -> Result<Option<Vec<T>>> {
         let Some(frame) = self.recv(env, client)? else {
             return Ok(None);
         };
-        match Netd::decode_batch(&frame) {
-            Ok(batch) => Ok(Some(batch.into_iter().map(<[u8]>::to_vec).collect())),
-            Err(_) => Err(UnixError::Corrupt("batch frame")),
-        }
+        let batch = Netd::decode_batch(&frame).map_err(|_| UnixError::Corrupt("batch frame"))?;
+        Ok(Some(batch.into_iter().map(|m| each(env, m)).collect()))
     }
 
     /// Simulation hook: a frame arrives from the physical wire.
@@ -569,10 +574,7 @@ impl<'a> Wire<'a> for Batch<'a> {
 
     fn get(d: &mut Decoder<'a>, (): ()) -> core::result::Result<Batch<'a>, DecodeError> {
         let count = d.get_u32()?;
-        if count as usize > d.remaining() / 8 {
-            return Err(DecodeError::BadLength);
-        }
-        let messages = (0..count).map(|_| d.get_slice());
+        let messages = (0..d.count(count.into(), 8)?).map(|_| d.get_slice());
         Ok(Batch(messages.collect::<core::result::Result<_, _>>()?))
     }
 }
@@ -693,7 +695,8 @@ mod tests {
         let frames = netd.wire_collect(&mut env).unwrap();
         assert_eq!(frames.len(), 1, "a batch is one wire frame");
         netd.wire_deliver(&mut env, frames[0].clone()).unwrap();
-        let got = netd.recv_batch(&mut env, client).unwrap().unwrap();
+        let got = netd.recv_batch(&mut env, client, |_, m| m.to_vec());
+        let got = got.unwrap().unwrap();
         assert_eq!(got, msgs);
         // The batch path taints the receiving client like any other read
         // from the network.
@@ -708,9 +711,9 @@ mod tests {
             Err(DecodeError::BadLength)
         );
         netd.wire_deliver(&mut env, b"xx".to_vec()).unwrap();
-        let err = netd.recv_batch(&mut env, client).unwrap_err();
+        let err = netd.recv_batch(&mut env, client, |_, _| ()).unwrap_err();
         assert_eq!(err, UnixError::Corrupt("batch frame"));
-        assert_eq!(netd.recv_batch(&mut env, client), Ok(None));
+        assert_eq!(netd.recv_batch(&mut env, client, |_, _| ()), Ok(None));
     }
 
     #[test]

@@ -72,6 +72,14 @@ impl Encoder {
         self.put_bytes(v.as_bytes())
     }
 
+    /// Appends the byte `tags` pairs with `value`: an enum's tags sit in
+    /// one table, which [`Decoder::get_tag`] reads back.  A value the
+    /// table lacks is written as `u8::MAX`, which no table holds.
+    pub fn put_tag<T: PartialEq>(&mut self, tags: &[(T, u8)], value: &T) -> &mut Self {
+        let tag = tags.iter().find(|(v, _)| v == value);
+        self.put_u8(tag.map_or(u8::MAX, |&(_, tag)| tag))
+    }
+
     /// Finishes encoding, returning the buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -184,6 +192,26 @@ impl<'a> Decoder<'a> {
         core::str::from_utf8(self.get_slice()?).map_err(|_| DecodeError::BadUtf8)
     }
 
+    /// Reads a tag byte and returns the value `tags` pairs with it: a tag
+    /// the table lacks is [`DecodeError::BadValue`].
+    pub fn get_tag<T: Copy>(&mut self, tags: &[(T, u8)]) -> Result<T, DecodeError> {
+        let tag = self.get_u8()?;
+        let found = tags.iter().find(|&&(_, t)| t == tag);
+        found.map(|&(v, _)| v).ok_or(DecodeError::BadValue)
+    }
+
+    /// `n`, a count read from the input, of items at least `item_len`
+    /// bytes long each, if the input left can hold them: the one check a
+    /// count passes before anything is allocated for it
+    /// ([`DecodeError::BadLength`] if it fails).
+    pub fn count(&self, n: u64, item_len: usize) -> Result<usize, DecodeError> {
+        let fits = |n: &usize| *n <= self.remaining() / item_len.max(1);
+        usize::try_from(n)
+            .ok()
+            .filter(fits)
+            .ok_or(DecodeError::BadLength)
+    }
+
     /// Takes the rest of the input, lent.
     pub fn rest(&mut self) -> &'a [u8] {
         core::mem::take(&mut self.buf)
@@ -249,6 +277,92 @@ impl<'a> Wire<'a> for &'a [u8] {
 
     fn get(d: &mut Decoder<'a>, (): ()) -> Result<&'a [u8], DecodeError> {
         d.get_slice()
+    }
+}
+
+/// A length-prefixed byte string, owned.
+impl Wire<'_> for Vec<u8> {
+    fn put(&self, e: &mut Encoder) {
+        e.put_bytes(self);
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<Vec<u8>, DecodeError> {
+        d.get_bytes()
+    }
+}
+
+/// A byte string of exactly `N` bytes, length-prefixed: any other length
+/// is [`DecodeError::BadValue`].
+impl<const N: usize> Wire<'_> for [u8; N] {
+    const SIZE: usize = 8 + N;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_bytes(self);
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<[u8; N], DecodeError> {
+        d.get_slice()?.try_into().map_err(|_| DecodeError::BadValue)
+    }
+}
+
+/// A little-endian `u64`.
+impl Wire<'_> for u64 {
+    const SIZE: usize = 8;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(*self);
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<u64, DecodeError> {
+        d.get_u64()
+    }
+}
+
+/// A flag byte: `0` or `1`, any other byte [`DecodeError::BadValue`].
+impl Wire<'_> for bool {
+    const SIZE: usize = 1;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u8(u8::from(*self));
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<bool, DecodeError> {
+        let flag = [false, true].get(usize::from(d.get_u8()?));
+        flag.copied().ok_or(DecodeError::BadValue)
+    }
+}
+
+/// An optional value: a flag, then the value if the flag is set.
+impl<'a, T: Wire<'a>> Wire<'a> for Option<T> {
+    fn put(&self, e: &mut Encoder) {
+        self.is_some().put(e);
+        self.iter().for_each(|v| v.put(e));
+    }
+
+    fn get(d: &mut Decoder<'a>, (): ()) -> Result<Option<T>, DecodeError> {
+        bool::get(d, ())?.then(|| T::get(d, ())).transpose()
+    }
+}
+
+/// A list: a `u64` count, then each item.  Every item takes at least a
+/// byte ([`Wire::SIZE`] bytes if its size is fixed), so the count is held
+/// to the bytes left before the list is allocated.
+impl<'a, T: Wire<'a>> Wire<'a> for Vec<T> {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(self.len() as u64);
+        for item in self {
+            item.put(e);
+        }
+    }
+
+    fn get(d: &mut Decoder<'a>, (): ()) -> Result<Vec<T>, DecodeError> {
+        let n = d.get_u64()?;
+        let n = d.count(n, T::SIZE)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(d, ())?);
+        }
+        Ok(items)
     }
 }
 

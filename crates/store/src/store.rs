@@ -9,7 +9,7 @@
 //! log or checkpoint the entire system state, and the paper's "group sync"
 //! mode checkpoints once at the end of a batch of operations (§7.1).
 
-use crate::codec::{frame, unframe, Decoder, Encoder};
+use crate::codec::{frame, unframe, DecodeError, Decoder, Encoder, Wire};
 use crate::extent::{Extent, ExtentAllocator};
 use crate::wal::{LogRecord, WriteAheadLog};
 use histar_obs::{Recorder, Span};
@@ -119,6 +119,29 @@ impl std::error::Error for StoreError {}
 /// 8 bytes of object ID plus the 8-byte body length prefix.
 const RECORD_HEADER: u64 = 16;
 
+/// The header of an object's home record: the object's id, then the
+/// length of the body that follows it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct HomeHeader {
+    id: u64,
+    body_len: u64,
+}
+
+impl Wire<'_> for HomeHeader {
+    const SIZE: usize = RECORD_HEADER as usize;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(self.id).put_u64(self.body_len);
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<HomeHeader, DecodeError> {
+        Ok(HomeHeader {
+            id: d.get_u64()?,
+            body_len: d.get_u64()?,
+        })
+    }
+}
+
 /// Where one object's record lives on disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Home {
@@ -137,6 +160,17 @@ struct Home {
 }
 
 impl Home {
+    /// A home record of `body_len` bytes of body in `extent`.
+    fn new(extent: Extent, body_len: u64, clean: bool) -> Home {
+        let (offset, extent_len) = (extent.offset, extent.len);
+        Home {
+            offset,
+            extent_len,
+            body_len,
+            clean,
+        }
+    }
+
     fn extent(&self) -> Extent {
         Extent::new(self.offset, self.extent_len)
     }
@@ -184,19 +218,12 @@ impl HomeMap {
                     .alloc
                     .alloc(need.max(BLOCK_SIZE))
                     .expect("simulated disk out of space");
-                let home = Home {
-                    offset: extent.offset,
-                    extent_len: extent.len,
-                    body_len,
-                    clean: true,
-                };
+                let home = Home::new(extent, body_len, true);
                 self.by_id.insert(id, home);
                 home.offset
             }
         };
-        let mut header = [0u8; RECORD_HEADER as usize];
-        header[..8].copy_from_slice(&id.to_le_bytes());
-        header[8..].copy_from_slice(&body_len.to_le_bytes());
+        let header = HomeHeader { id, body_len }.encode();
         let mut parts = Vec::with_capacity(1 + body.len());
         parts.push(&header[..]);
         parts.extend_from_slice(body);
@@ -204,77 +231,145 @@ impl HomeMap {
     }
 }
 
-/// The checkpoint's image of the home map: three lists — `(id, offset)`,
-/// `(id, extent length)` and `(id, body length)` — each of 16-byte
-/// little-endian pairs in ascending id order, written in one pass.
-fn encode_homes(by_id: &BTreeMap<u64, Home>) -> [Vec<u8>; 3] {
-    let mut lists = [(); 3].map(|_| Vec::with_capacity(by_id.len() * 16));
-    for (id, home) in by_id {
-        let values = [home.offset, home.extent_len, home.body_len];
-        for (list, value) in lists.iter_mut().zip(values) {
-            list.extend_from_slice(&id.to_le_bytes());
-            list.extend_from_slice(&value.to_le_bytes());
+/// An extent as the free list holds it: offset, then length.
+impl Wire<'_> for Extent {
+    const SIZE: usize = 16;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(self.offset).put_u64(self.len);
+    }
+
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<Extent, DecodeError> {
+        Ok(Extent::new(d.get_u64()?, d.get_u64()?))
+    }
+}
+
+/// The superblock's payload: a magic number, then the latest
+/// checkpoint's sequence number and where its metadata frame lies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Superblock {
+    /// The checkpoint's sequence number.
+    pub sequence: u64,
+    /// Disk offset of the checkpoint's metadata frame.
+    pub meta_offset: u64,
+    /// Length of the metadata frame.
+    pub meta_len: u64,
+    /// Length of the extent allocated for it.
+    pub meta_extent_len: u64,
+}
+
+/// Magic, sequence, offset, frame length, extent length.  What the reader
+/// knows is the disk's capacity: a wrong magic, or a frame that does not
+/// lie in an extent on the disk, is [`DecodeError::BadValue`].
+impl Wire<'_, u64> for Superblock {
+    const SIZE: usize = 5 * 8;
+
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(SUPERBLOCK_MAGIC)
+            .put_u64(self.sequence)
+            .put_u64(self.meta_offset)
+            .put_u64(self.meta_len)
+            .put_u64(self.meta_extent_len);
+    }
+
+    fn get(d: &mut Decoder<'_>, capacity: u64) -> Result<Superblock, DecodeError> {
+        let magic = d.get_u64()?;
+        let sb = Superblock {
+            sequence: d.get_u64()?,
+            meta_offset: d.get_u64()?,
+            meta_len: d.get_u64()?,
+            meta_extent_len: d.get_u64()?,
+        };
+        let end = sb.meta_offset.checked_add(sb.meta_extent_len);
+        let fits = end.is_some_and(|end| end <= capacity) && sb.meta_len <= sb.meta_extent_len;
+        (magic == SUPERBLOCK_MAGIC && fits)
+            .then_some(sb)
+            .ok_or(DecodeError::BadValue)
+    }
+}
+
+/// A checkpoint's metadata: where each object's home record lies, and
+/// the free list.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CheckpointMap<'m> {
+    homes: Cow<'m, BTreeMap<u64, Home>>,
+    free: Cow<'m, [Extent]>,
+}
+
+/// The home map as three lists — `(id, offset)`, `(id, extent length)`
+/// and `(id, body length)` — each a byte string of 16-byte pairs in
+/// strictly ascending id order, then the free list as a byte string
+/// holding a list of extents.  What the reader knows is the disk's
+/// capacity: lists of other lengths are a [`DecodeError`], and lists that
+/// name different ids, or a home record that does not fit its extent on
+/// the disk, are [`DecodeError::BadValue`].
+impl<'m> Wire<'_, u64> for CheckpointMap<'m> {
+    fn put(&self, e: &mut Encoder) {
+        let fields: [fn(&Home) -> u64; 3] = [|h| h.offset, |h| h.extent_len, |h| h.body_len];
+        for field in fields {
+            e.put_u64(16 * self.homes.len() as u64);
+            for (&id, home) in self.homes.iter() {
+                e.put_u64(id).put_u64(field(home));
+            }
+        }
+        e.put_u64(8 + 16 * self.free.len() as u64)
+            .put_u64(self.free.len() as u64);
+        for extent in self.free.iter() {
+            extent.put(e);
         }
     }
-    lists
-}
 
-/// One list of [`encode_homes`], refused unless it is whole pairs in
-/// strictly ascending id order.
-fn decode_pairs(list: &[u8]) -> Result<Vec<(u64, u64)>, StoreError> {
-    let pairs = list.chunks_exact(16);
-    if !pairs.remainder().is_empty() {
-        return Err(StoreError::Corrupt("home list is not whole pairs"));
-    }
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-    let pairs: Vec<(u64, u64)> = pairs.map(|p| (word(&p[..8]), word(&p[8..]))).collect();
-    if pairs.windows(2).any(|w| w[0].0 >= w[1].0) {
-        return Err(StoreError::Corrupt("home list ids not ascending"));
-    }
-    Ok(pairs)
-}
-
-/// The home map from the three lists of [`encode_homes`], refused unless
-/// each is well formed and all three name the same ids.
-fn decode_homes(lists: [&[u8]; 3]) -> Result<BTreeMap<u64, Home>, StoreError> {
-    let [offsets, extent_lens, body_lens] = lists.map(decode_pairs);
-    let (offsets, extent_lens, body_lens) = (offsets?, extent_lens?, body_lens?);
-    if offsets.len() != extent_lens.len() || offsets.len() != body_lens.len() {
-        return Err(StoreError::Corrupt("home lists disagree"));
-    }
-    offsets
-        .into_iter()
-        .zip(extent_lens)
-        .zip(body_lens)
-        .map(|(((id, offset), (id2, extent_len)), (id3, body_len))| {
-            if id != id2 || id != id3 {
-                return Err(StoreError::Corrupt("home lists disagree"));
-            }
-            let home = Home {
-                offset,
-                extent_len,
-                body_len,
-                clean: false,
-            };
-            Ok((id, home))
+    fn get(d: &mut Decoder<'_>, capacity: u64) -> Result<CheckpointMap<'m>, DecodeError> {
+        let [mut offsets, mut extent_lens, mut body_lens] =
+            [d.get_slice()?, d.get_slice()?, d.get_slice()?].map(Decoder::new);
+        let n = offsets.remaining() / 16;
+        let pair = |l: &mut Decoder<'_>| Ok::<_, DecodeError>((l.get_u64()?, l.get_u64()?));
+        let mut home = || {
+            let (id, offset) = pair(&mut offsets)?;
+            let (id2, extent_len) = pair(&mut extent_lens)?;
+            let (id3, body_len) = pair(&mut body_lens)?;
+            let end = offset.checked_add(extent_len);
+            let fits = end.is_some_and(|end| end <= capacity)
+                && body_len.checked_add(RECORD_HEADER) <= Some(extent_len);
+            let home = Home::new(Extent::new(offset, extent_len), body_len, false);
+            (id == id2 && id == id3 && fits)
+                .then_some((id, home))
+                .ok_or(DecodeError::BadValue)
+        };
+        let mut homes = Vec::with_capacity(n);
+        for _ in 0..n {
+            homes.push(home()?);
+        }
+        for list in [offsets, extent_lens, body_lens] {
+            list.finish()?;
+        }
+        if !homes.is_sorted_by(|a: &(u64, Home), b| a.0 < b.0) {
+            return Err(DecodeError::BadValue);
+        }
+        let free = <Vec<Extent>>::decode(d.get_slice()?)?;
+        Ok(CheckpointMap {
+            homes: Cow::Owned(homes.into_iter().collect()),
+            free: Cow::Owned(free),
         })
-        .collect()
+    }
 }
 
-/// The framed checkpoint metadata blob: the three home lists of
-/// [`encode_homes`], then the free list as a count and `(offset, length)`
-/// pairs.
-fn meta_blob(homes: &[Vec<u8>; 3], free: &[Extent]) -> Vec<u8> {
-    let mut free_enc = Encoder::new();
-    free_enc.put_u64(free.len() as u64);
-    for e in free {
-        free_enc.put_u64(e.offset).put_u64(e.len);
-    }
-    let mut e = Encoder::new();
-    for list in homes {
-        e.put_bytes(list);
-    }
-    e.put_bytes(&free_enc.finish());
+/// The length of a [`CheckpointMap`]'s encoding with `homes` homes and
+/// `free` free extents: five length and count words, three 16-byte pairs
+/// a home and one an extent.
+fn map_len(homes: usize, free: usize) -> usize {
+    5 * 8 + 16 * (3 * homes + free)
+}
+
+/// The framed checkpoint metadata blob (see [`CheckpointMap`]), encoded
+/// into a buffer of its exact size.
+fn meta_blob(homes: &BTreeMap<u64, Home>, free: &[Extent]) -> Vec<u8> {
+    let mut e = Encoder::with_capacity(map_len(homes.len(), free.len()));
+    let map = CheckpointMap {
+        homes: Cow::Borrowed(homes),
+        free: Cow::Borrowed(free),
+    };
+    map.put(&mut e);
     frame(&e.finish())
 }
 
@@ -437,6 +532,13 @@ impl SingleLevelStore {
         self.wal.used()
     }
 
+    /// Where object `id`'s home record lies on disk, header and body, if
+    /// it has one — for crash harnesses that rot records in place.
+    pub fn home_record(&self, id: u64) -> Option<Extent> {
+        let home = self.homes.by_id.get(&id)?;
+        Some(Extent::new(home.offset, RECORD_HEADER + home.body_len))
+    }
+
     /// The latest checkpoint sequence number.
     pub fn sequence(&self) -> u64 {
         self.sequence
@@ -500,20 +602,14 @@ impl SingleLevelStore {
             return Ok(None);
         }
         let mut raw = self.disk.read(home.offset, RECORD_HEADER + home.body_len);
-        let mut d = Decoder::new(&raw);
-        let stored_id = d.get_u64().map_err(|_| StoreError::Corrupt("object id"))?;
-        if stored_id != id {
-            return Err(StoreError::Corrupt("object id mismatch"));
+        let (stored, body_len) = (HomeHeader::get(&mut Decoder::new(&raw), ()), home.body_len);
+        if stored != Ok(HomeHeader { id, body_len }) {
+            return Err(StoreError::Corrupt("object header"));
         }
-        let body_len = d
-            .get_slice()
-            .map_err(|_| StoreError::Corrupt("object body"))?
-            .len();
         self.stats.objects_read += 1;
         if let Some(home) = self.homes.by_id.get_mut(&id) {
             home.clean = true;
         }
-        raw.truncate(RECORD_HEADER as usize + body_len);
         raw.drain(..RECORD_HEADER as usize);
         Ok(Some(Cow::Owned(raw)))
     }
@@ -873,17 +969,17 @@ impl SingleLevelStore {
         //    extent the blob itself occupies — otherwise a recovered
         //    allocator believes the metadata region is free and the next
         //    checkpoint's `free(prev_meta)` double-frees it.  The blob's
-        //    size depends on the free list, so serialize twice: once to
-        //    measure, then (after allocating, which changes the free list
-        //    by at most one entry) with the final free list.
-        let homes = encode_homes(&self.homes.by_id);
-        let probe_len = meta_blob(&homes, self.homes.alloc.free_list()).len() as u64;
+        //    size depends on the free list, so it is measured before
+        //    allocating (which changes the free list by at most one entry)
+        //    and serialized after, with the final free list.
+        let free = self.homes.alloc.free_list().len();
+        let probe_len = 16 + map_len(self.homes.by_id.len(), free) as u64;
         let meta_extent = self
             .homes
             .alloc
             .alloc((probe_len + 64).max(BLOCK_SIZE))
             .expect("disk out of space for checkpoint metadata");
-        let blob = meta_blob(&homes, self.homes.alloc.free_list());
+        let blob = meta_blob(&self.homes.by_id, self.homes.alloc.free_list());
         assert!(
             blob.len() as u64 <= meta_extent.len,
             "checkpoint metadata outgrew its extent"
@@ -892,13 +988,13 @@ impl SingleLevelStore {
 
         // 3. Superblock points at the metadata blob.
         self.sequence += 1;
-        let mut sb = Encoder::new();
-        sb.put_u64(SUPERBLOCK_MAGIC)
-            .put_u64(self.sequence)
-            .put_u64(meta_extent.offset)
-            .put_u64(blob.len() as u64)
-            .put_u64(meta_extent.len);
-        self.disk.write(0, &frame(&sb.finish()));
+        let sb = Superblock {
+            sequence: self.sequence,
+            meta_offset: meta_extent.offset,
+            meta_len: blob.len() as u64,
+            meta_extent_len: meta_extent.len,
+        };
+        self.disk.write(0, &frame(&sb.encode()));
         self.disk.flush();
 
         // 4. The log contents are now folded into the checkpoint.
@@ -942,48 +1038,19 @@ impl SingleLevelStore {
             });
         };
         let t0 = disk.clock().now().as_nanos();
+        let capacity = config.disk.capacity;
         let raw_sb = disk.read(0, config.superblock_len.min(4096));
-        let (sb_payload, _) =
-            unframe(&raw_sb).map_err(|_| StoreError::Corrupt("superblock frame"))?;
-        let mut d = Decoder::new(sb_payload);
-        let magic = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
-        if magic != SUPERBLOCK_MAGIC {
-            return Err(StoreError::Corrupt("superblock magic"));
-        }
-        let sequence = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
-        let meta_off = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
-        let meta_len = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
-        let meta_alloc_len = d.get_u64().map_err(|_| StoreError::Corrupt("superblock"))?;
+        let sb = unframe(&raw_sb)
+            .and_then(|(payload, _)| Superblock::decode_with(payload, capacity))
+            .map_err(|_| StoreError::Corrupt("superblock"))?;
         let t1 = disk.clock().now().as_nanos();
         phase(&recorder, "superblock", t0, t1);
 
-        let raw_meta = disk.read(meta_off, meta_len);
-        let (meta_payload, _) =
-            unframe(&raw_meta).map_err(|_| StoreError::Corrupt("checkpoint metadata"))?;
-        let mut d = Decoder::new(meta_payload);
-        let loc_bytes = d
-            .get_slice()
-            .map_err(|_| StoreError::Corrupt("object map"))?;
-        let extent_len_bytes = d
-            .get_slice()
-            .map_err(|_| StoreError::Corrupt("object extent lengths"))?;
-        let body_len_bytes = d
-            .get_slice()
-            .map_err(|_| StoreError::Corrupt("object body lengths"))?;
-        let free_bytes = d
-            .get_slice()
-            .map_err(|_| StoreError::Corrupt("free list"))?;
-
-        let by_id = decode_homes([loc_bytes, extent_len_bytes, body_len_bytes])?;
-        let mut d = Decoder::new(free_bytes);
-        let n = d.get_u64().map_err(|_| StoreError::Corrupt("free list"))? as usize;
-        let mut free = Vec::with_capacity(n);
-        for _ in 0..n {
-            let off = d.get_u64().map_err(|_| StoreError::Corrupt("free list"))?;
-            let len = d.get_u64().map_err(|_| StoreError::Corrupt("free list"))?;
-            free.push(Extent::new(off, len));
-        }
-        let alloc = ExtentAllocator::from_free_list(config.disk.capacity, &free);
+        let raw_meta = disk.read(sb.meta_offset, sb.meta_len);
+        let map = unframe(&raw_meta)
+            .and_then(|(payload, _)| CheckpointMap::decode_with(payload, capacity))
+            .map_err(|_| StoreError::Corrupt("checkpoint metadata"))?;
+        let alloc = ExtentAllocator::from_free_list(capacity, &map.free);
         alloc
             .check_invariants()
             .map_err(|_| StoreError::Corrupt("free list"))?;
@@ -994,11 +1061,14 @@ impl SingleLevelStore {
         let mut store = SingleLevelStore {
             config,
             wal,
-            homes: HomeMap { by_id, alloc },
+            homes: HomeMap {
+                by_id: map.homes.into_owned(),
+                alloc,
+            },
             dirty: BTreeMap::new(),
             deleted: BTreeSet::new(),
-            prev_meta: Some(Extent::new(meta_off, meta_alloc_len)),
-            sequence,
+            prev_meta: Some(Extent::new(sb.meta_offset, sb.meta_extent_len)),
+            sequence: sb.sequence,
             staged: None,
             stats: StoreStats::default(),
             recorder,
@@ -1021,7 +1091,7 @@ impl SingleLevelStore {
         let mut after_marker = Vec::new();
         for rec in records {
             match rec {
-                LogRecord::CheckpointMarker { sequence: s } if s == sequence => {
+                LogRecord::CheckpointMarker { sequence: s } if s == sb.sequence => {
                     after_marker.clear();
                 }
                 other => after_marker.push(other),
@@ -1318,6 +1388,26 @@ mod tests {
         );
     }
 
+    /// One home list of a [`CheckpointMap`]: `(id, field)` pairs.
+    fn home_list(homes: &BTreeMap<u64, Home>, field: impl Fn(&Home) -> u64) -> Vec<u8> {
+        let mut e = Encoder::new();
+        for (&id, home) in homes {
+            e.put_u64(id).put_u64(field(home));
+        }
+        e.finish()
+    }
+
+    /// A checkpoint map's bytes from its three home lists and an empty
+    /// free list.
+    fn map_bytes(lists: [&[u8]; 3]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        for list in lists {
+            e.put_bytes(list);
+        }
+        e.put_bytes(&Vec::<Extent>::new().encode());
+        e.finish()
+    }
+
     #[test]
     fn home_lists_must_be_whole_ascending_and_agree() {
         let home = |offset| Home {
@@ -1326,33 +1416,31 @@ mod tests {
             body_len: 10,
             clean: false,
         };
+        let capacity = StoreConfig::default().disk.capacity;
         let homes = BTreeMap::from([(3, home(4096)), (9, home(8192))]);
-        let [offsets, extent_lens, body_lens] = encode_homes(&homes);
-        assert_eq!(
-            decode_homes([&offsets[..], &extent_lens[..], &body_lens[..]]),
-            Ok(homes)
-        );
+        let decode = |bytes: &[u8]| CheckpointMap::decode_with(bytes, capacity);
+        let offsets = home_list(&homes, |h| h.offset);
+        let extent_lens = home_list(&homes, |h| h.extent_len);
+        let body_lens = home_list(&homes, |h| h.body_len);
+        let bytes = map_bytes([&offsets[..], &extent_lens[..], &body_lens[..]]);
+        let map = decode(&bytes).unwrap();
+        assert_eq!(*map.homes, homes);
+        assert_eq!(map.encode(), bytes);
+        assert_eq!(bytes.len(), map_len(2, 0));
         let swapped = [&offsets[16..], &offsets[..16]].concat();
-        let renamed = encode_homes(&BTreeMap::from([(3, home(4096)), (10, home(8192))]));
-        for (lists, what) in [
-            (
-                [&offsets[..31], &extent_lens[..], &body_lens[..]],
-                "home list is not whole pairs",
-            ),
-            (
-                [&swapped[..], &extent_lens[..], &body_lens[..]],
-                "home list ids not ascending",
-            ),
-            (
-                [&offsets[..], &extent_lens[..], &body_lens[16..]],
-                "home lists disagree",
-            ),
-            (
-                [&offsets[..], &extent_lens[..], &renamed[2][..]],
-                "home lists disagree",
-            ),
+        let renamed = BTreeMap::from([(3, home(4096)), (10, home(8192))]);
+        let renamed = home_list(&renamed, |h| h.body_len);
+        let past_disk = home_list(&homes, |_| capacity);
+        let too_short = home_list(&homes, |_| 16 + 9);
+        for lists in [
+            [&offsets[..31], &extent_lens[..], &body_lens[..]],
+            [&swapped[..], &extent_lens[..], &body_lens[..]],
+            [&offsets[..], &extent_lens[..], &body_lens[16..]],
+            [&offsets[..], &extent_lens[..], &renamed[..]],
+            [&offsets[..], &past_disk[..], &body_lens[..]],
+            [&offsets[..], &too_short[..], &body_lens[..]],
         ] {
-            assert_eq!(decode_homes(lists), Err(StoreError::Corrupt(what)));
+            assert!(decode(&map_bytes(lists)).is_err());
         }
     }
 
@@ -1369,18 +1457,17 @@ mod tests {
         let mut renamed = s.homes.by_id.clone();
         let home = renamed.remove(&9).unwrap();
         renamed.insert(10, home);
-        let [offsets, extent_lens, _] = encode_homes(&s.homes.by_id);
-        let [_, _, body_lens] = encode_homes(&renamed);
-        let blob = meta_blob(
-            &[offsets, extent_lens, body_lens],
-            s.homes.alloc.free_list(),
-        );
+        let blob = frame(&map_bytes([
+            &home_list(&s.homes.by_id, |h| h.offset),
+            &home_list(&s.homes.by_id, |h| h.extent_len),
+            &home_list(&renamed, |h| h.body_len),
+        ]));
         let meta = s.prev_meta.unwrap();
         let mut disk = s.into_disk();
         disk.write(meta.offset, &blob);
         assert_eq!(
             SingleLevelStore::recover(config, disk).err(),
-            Some(StoreError::Corrupt("home lists disagree"))
+            Some(StoreError::Corrupt("checkpoint metadata"))
         );
     }
 

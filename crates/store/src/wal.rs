@@ -17,7 +17,7 @@
 //! valid frame up to the first corrupt/torn one, reading the region in
 //! large chunks rather than record-by-record.
 
-use crate::codec::{frame, unframe, Decoder, Encoder};
+use crate::codec::{frame, unframe, DecodeError, Decoder, Encoder, Wire};
 use histar_obs::{Histogram, BATCH_SIZE_EDGES};
 use histar_sim::disk::SimDisk;
 
@@ -40,36 +40,36 @@ pub enum LogRecord {
     },
 }
 
-impl LogRecord {
-    /// Appends this record's self-delimiting encoding to `e`, so several
-    /// records can share one frame.
-    fn encode_into(&self, e: &mut Encoder) {
+/// The tag byte before each kind of record.
+const PUT: u8 = 1;
+const DELETE: u8 = 2;
+const MARKER: u8 = 3;
+
+/// A tag byte, then the record's fields: self-delimiting, so several
+/// records can share one frame.  An unknown tag is
+/// [`DecodeError::BadValue`].
+impl Wire<'_> for LogRecord {
+    fn put(&self, e: &mut Encoder) {
         match self {
-            LogRecord::PutObject(id, data) => {
-                e.put_u8(1).put_u64(*id).put_bytes(data);
-            }
-            LogRecord::DeleteObject(id) => {
-                e.put_u8(2).put_u64(*id);
-            }
-            LogRecord::CheckpointMarker { sequence } => {
-                e.put_u8(3).put_u64(*sequence);
-            }
-        }
+            LogRecord::PutObject(id, data) => e.put_u8(PUT).put_u64(*id).put_bytes(data),
+            LogRecord::DeleteObject(id) => e.put_u8(DELETE).put_u64(*id),
+            LogRecord::CheckpointMarker { sequence } => e.put_u8(MARKER).put_u64(*sequence),
+        };
     }
 
-    /// Decodes one record from the front of `d`, consuming exactly its
-    /// bytes.  Returns `None` on an unknown tag or truncated encoding.
-    fn decode_from(d: &mut Decoder<'_>) -> Option<LogRecord> {
-        match d.get_u8().ok()? {
-            1 => Some(LogRecord::PutObject(d.get_u64().ok()?, d.get_bytes().ok()?)),
-            2 => Some(LogRecord::DeleteObject(d.get_u64().ok()?)),
-            3 => Some(LogRecord::CheckpointMarker {
-                sequence: d.get_u64().ok()?,
-            }),
-            _ => None,
-        }
+    fn get(d: &mut Decoder<'_>, (): ()) -> Result<LogRecord, DecodeError> {
+        Ok(match d.get_u8()? {
+            PUT => LogRecord::PutObject(d.get_u64()?, d.get_bytes()?),
+            DELETE => LogRecord::DeleteObject(d.get_u64()?),
+            MARKER => LogRecord::CheckpointMarker {
+                sequence: d.get_u64()?,
+            },
+            _ => return Err(DecodeError::BadValue),
+        })
     }
+}
 
+impl LogRecord {
     /// Bytes this record occupies inside a frame payload.
     pub fn encoded_len(&self) -> u64 {
         match self {
@@ -205,7 +205,7 @@ impl WriteAheadLog {
         assert!(!records.is_empty(), "an empty frame is the log terminator");
         let mut e = Encoder::new();
         for record in &records {
-            record.encode_into(&mut e);
+            record.put(&mut e);
         }
         let framed = frame(&e.finish());
         let len = framed.len() as u64;
@@ -285,36 +285,25 @@ impl WriteAheadLog {
             // many chunks, and `unframe` on a truncated buffer cannot
             // distinguish "need more bytes" from "torn".
             fetch_to(&mut buf, disk, pos + 8);
-            let plen = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap()) as usize;
-            if plen > region || pos + 16 + plen > region {
+            let plen = Decoder::new(buf.get(pos..).unwrap_or_default()).get_u64();
+            let end = plen.map_or(u64::MAX, |plen| plen.saturating_add(pos as u64 + 16));
+            if end > region as u64 {
                 break;
             }
-            fetch_to(&mut buf, disk, pos + 16 + plen);
-            match unframe(&buf[pos..]) {
-                Ok((payload, consumed)) => {
-                    if payload.is_empty() {
-                        break;
-                    }
-                    let mut d = Decoder::new(payload);
-                    let mut records = Vec::new();
-                    let mut intact = true;
-                    while d.remaining() > 0 {
-                        match LogRecord::decode_from(&mut d) {
-                            Some(rec) => records.push(rec),
-                            None => {
-                                intact = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !intact {
-                        break;
-                    }
-                    out.extend(records);
-                    pos += consumed;
-                }
-                Err(_) => break,
+            fetch_to(&mut buf, disk, end as usize);
+            // A frame is all its records or none of them.
+            let Ok((payload, consumed)) = unframe(buf.get(pos..).unwrap_or_default()) else {
+                break;
+            };
+            let mut d = Decoder::new(payload);
+            let records: Result<Vec<LogRecord>, DecodeError> =
+                core::iter::from_fn(|| (d.remaining() > 0).then(|| LogRecord::get(&mut d, ())))
+                    .collect();
+            match records {
+                Ok(records) if !records.is_empty() => out.extend(records),
+                _ => break,
             }
+            pos += consumed;
         }
         (out, pos as u64)
     }

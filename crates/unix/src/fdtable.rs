@@ -9,7 +9,7 @@
 //! own process container (double-charged, its quota fixed) and drops that
 //! link with its last descriptor number for it.
 
-use histar_kernel::object::{ObjectId, OBJECT_ID_MASK};
+use histar_kernel::object::ObjectId;
 use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 
 /// A file descriptor number.
@@ -143,22 +143,12 @@ impl Wire<'_> for FdState {
             kind: *FD_KINDS
                 .get(usize::from(d.get_u8()?))
                 .ok_or(DecodeError::BadValue)?,
-            target: ObjectId::from_raw(get_name(d)?),
-            target_container: ObjectId::from_raw(get_name(d)?),
+            target: ObjectId::get(d, ())?,
+            target_container: ObjectId::get(d, ())?,
             position: d.get_u64()?,
             flags: d.get_u32()?,
             refs: d.get_u32()?,
         })
-    }
-}
-
-/// Reads a 61-bit kernel name another principal wrote, an object id or a
-/// category: a `u64` past 61 bits, which `from_raw` would panic on, is
-/// [`DecodeError::BadValue`].
-pub(crate) fn get_name(d: &mut Decoder<'_>) -> Result<u64, DecodeError> {
-    match d.get_u64()? {
-        raw if raw <= OBJECT_ID_MASK => Ok(raw),
-        _ => Err(DecodeError::BadValue),
     }
 }
 

@@ -13,7 +13,7 @@
 //! in a directory's store record, and the mount table in
 //! [`Vfs`](crate::vfs::Vfs).
 
-use crate::fdtable::{get_name, FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
+use crate::fdtable::{FLAG_APPEND, FLAG_RDONLY, FLAG_WRONLY};
 use crate::{Result, UnixError};
 use histar_kernel::object::ObjectId;
 use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
@@ -163,10 +163,8 @@ impl<'a> DirImage<'a> {
         let (mut d, mut left) = (Decoder::new(self.records), self.count);
         core::iter::from_fn(move || {
             left = left.checked_sub(1)?;
-            match (d.get_str_slice(), get_name(&mut d), d.get_u8()) {
-                (Ok(name), Ok(raw), Ok(is_dir)) => {
-                    Some(Ok((name, ObjectId::from_raw(raw), is_dir != 0)))
-                }
+            match (d.get_str_slice(), ObjectId::get(&mut d, ()), d.get_u8()) {
+                (Ok(name), Ok(object), Ok(is_dir)) => Some(Ok((name, object, is_dir != 0))),
                 _ => {
                     left = 0;
                     Some(Err(corrupt()))

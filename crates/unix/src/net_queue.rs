@@ -16,7 +16,6 @@
 //! a polling loop.
 
 use crate::env::UnixError;
-use crate::fdtable::get_name;
 use crate::vnode::{Ring, RingHeader, VfsCtx, PIPE_HEADER};
 use histar_kernel::object::{ContainerEntry, ObjectId};
 use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
@@ -68,11 +67,11 @@ impl Wire<'_> for ConnHandoff {
 
     fn get(d: &mut Decoder<'_>, (): ()) -> core::result::Result<ConnHandoff, DecodeError> {
         Ok(ConnHandoff {
-            container: ObjectId::from_raw(get_name(d)?),
-            segment: ObjectId::from_raw(get_name(d)?),
-            taint_cat: get_name(d)?,
-            write_cat: get_name(d)?,
-            grant_gate: ObjectId::from_raw(get_name(d)?),
+            container: ObjectId::get(d, ())?,
+            segment: ObjectId::get(d, ())?,
+            taint_cat: ObjectId::get(d, ())?.raw(),
+            write_cat: ObjectId::get(d, ())?.raw(),
+            grant_gate: ObjectId::get(d, ())?,
         })
     }
 }

@@ -155,10 +155,8 @@ impl Wire<'_> for Inode {
     /// A length past [`MAX_FILE_LEN`] has no extent keys, so it is
     /// [`DecodeError::BadValue`], as is any other directory byte.
     fn get(d: &mut Decoder<'_>, (): ()) -> core::result::Result<Inode, DecodeError> {
-        let (dir, len) = (d.get_u8()?, d.get_u64()?);
-        let is_dir = dir == 1;
-        let valid = dir <= 1 && len <= MAX_FILE_LEN;
-        valid
+        let (is_dir, len) = (bool::get(d, ())?, d.get_u64()?);
+        (len <= MAX_FILE_LEN)
             .then_some(Inode { is_dir, len })
             .ok_or(DecodeError::BadValue)
     }

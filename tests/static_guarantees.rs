@@ -1,7 +1,8 @@
 //! What the source tree must say where no type says it yet: the library
 //! crates read a thread's label only by trap, call every row of the
 //! syscall table, create gates in one module and decode foreign bytes
-//! through the store's codec, and the determinism bans stand.
+//! through the store's codec, the kernel and the store read their own
+//! disk through it too, and the determinism bans stand.
 //!
 //! The searches read each library file's non-test code: the lines before
 //! its first `#[cfg(test)]` line, less `//` comment lines, the cut
@@ -147,6 +148,23 @@ fn library_code_decodes_through_the_codec() {
         .find(|(path, _)| path.ends_with("wire.rs"))
         .unwrap();
     assert_eq!(non_test(&wire.1).matches("from_le_bytes").count(), 1);
+}
+
+/// The trusted base reads its own disk the same way: the kernel's object
+/// records, machine metadata and persist-record frames, and the store's
+/// superblock, checkpoint map, home-record headers and log records, are
+/// `Wire` types, so no decoder in either crate assembles an integer from
+/// a slice by hand.  The one file left holding `from_le_bytes` is the
+/// store's codec: the `Decoder` itself, and XXH64 hashing its input.
+#[test]
+fn the_kernel_and_the_store_read_their_disk_through_the_codec() {
+    let crates = ["kernel", "store"].map(|krate| Path::new("crates").join(krate));
+    let hand_decoders: Vec<String> = sources(crates)
+        .into_iter()
+        .filter(|(_, text)| names(&non_test(text), "from_le_bytes"))
+        .map(|(path, _)| path)
+        .collect();
+    assert_eq!(hand_decoders, ["crates/store/src/codec.rs"]);
 }
 
 /// Determinism is the compiler's job: clippy bans std's seeded hash

@@ -1,8 +1,10 @@
-//! Every format another principal can write, fed bytes a generator
-//! chooses.  Each row of the table is a [`Wire`] type with a generator of
-//! its values; one generic driver feeds its decoder every single-bit flip
-//! of a few valid encodings, every truncation of them, and xorshift bytes
-//! of every length around theirs, and holds two oracles:
+//! Every format another principal can write, and every record the
+//! kernel and the store write to their own disk (the machine's input at
+//! boot), fed bytes a generator chooses.  Each row of the table is a
+//! [`Wire`] type with a generator of its values; one generic driver feeds
+//! its decoder every single-bit flip of a few valid encodings, every
+//! truncation of them, and xorshift bytes of every length around theirs,
+//! and holds two oracles:
 //!
 //! - the decoder never panics: it returns a value or a typed error;
 //! - a value it returns re-encodes to the bytes it came from, so it
@@ -17,9 +19,19 @@ use histar::apps::VirusDb;
 use histar::exporter::{
     DelegationCert, ErrorCode, ExporterId, GlobalCategory, GlobalLabel, RpcMessage,
 };
-use histar::kernel::object::{ObjectId, OBJECT_ID_MASK};
+use histar::kernel::bodies::{
+    AddressSpaceBody, Alert, ContainerBody, DeviceBody, GateBody, Mapping, MappingFlags,
+    ObjectBody, SegmentBody, ThreadBody, ThreadState,
+};
+use histar::kernel::kernel::KObject;
+use histar::kernel::machine::MachineMeta;
+use histar::kernel::object::{ContainerEntry, ObjectHeader, ObjectId, OBJECT_ID_MASK};
+use histar::kernel::serialize::RecordFrame;
+use histar::label::{Category, Label, Level};
 use histar::net::Batch;
 use histar::store::codec::{Encoder, Wire};
+use histar::store::store::{CheckpointMap, Superblock};
+use histar::store::{LogRecord, StoreConfig};
 use histar::unix::fdtable::{FdKind, FdState};
 use histar::unix::fs::DirImage;
 use histar::unix::net_queue::ConnHandoff;
@@ -68,6 +80,41 @@ impl Rng {
             .map(|_| self.next() as u8)
             .collect()
     }
+
+    fn flag(&mut self) -> bool {
+        self.below(2) == 1
+    }
+
+    fn id(&mut self) -> ObjectId {
+        ObjectId::from_raw(self.name())
+    }
+
+    fn entry(&mut self) -> Option<ContainerEntry> {
+        self.flag()
+            .then(|| ContainerEntry::new(self.id(), self.id()))
+    }
+
+    fn level(&mut self) -> Level {
+        [Level::L0, Level::L1, Level::L2, Level::L3, Level::Star][self.below(5) as usize]
+    }
+
+    fn label(&mut self) -> Label {
+        let mut builder = Label::builder().default_level(self.level());
+        for _ in 0..self.below(4) {
+            builder = builder.set(Category::from_raw(self.name()), self.level());
+        }
+        builder.build()
+    }
+
+    fn list(&mut self, max: u64) -> Vec<u64> {
+        (0..self.below(max + 1)).map(|_| self.value()).collect()
+    }
+}
+
+/// The capacity of the store's default disk: what the reader of the
+/// superblock and the checkpoint map knows.
+fn capacity() -> u64 {
+    StoreConfig::default().disk.capacity
 }
 
 /// What a format's oracle makes of one input: `Ok(true)` decoded,
@@ -248,8 +295,154 @@ fn rpc_message(rng: &mut Rng) -> Vec<u8> {
     .encode()
 }
 
-/// The table: every format another principal can write.
-fn formats() -> [Format; 12] {
+/// An object record: a generated header over `body`.
+fn object(rng: &mut Rng, body: ObjectBody) -> Vec<u8> {
+    let descrip: String = (0..rng.below(33))
+        .map(|_| (b' ' + rng.below(95) as u8) as char)
+        .collect();
+    let ty = body.object_type();
+    let mut h = ObjectHeader::new(rng.id(), ty, rng.label(), rng.value(), &descrip);
+    h.usage = rng.value();
+    h.metadata = core::array::from_fn(|_| rng.below(4) as u8);
+    h.flags.immutable = rng.flag();
+    h.flags.fixed_quota = rng.flag();
+    h.links = rng.value() as u32;
+    KObject::new(h, body).encode()
+}
+
+fn segment_record(rng: &mut Rng) -> Vec<u8> {
+    let mut body = SegmentBody::from(rng.bytes(24));
+    body.resize(body.len() + rng.below(16) as usize);
+    object(rng, ObjectBody::Segment(body))
+}
+
+fn container_record(rng: &mut Rng) -> Vec<u8> {
+    let links = (0..rng.below(4)).map(|_| rng.id()).collect();
+    let parent = rng.flag().then(|| rng.id());
+    let body = ContainerBody::with_links(links, parent, rng.value() as u8);
+    object(rng, ObjectBody::Container(body))
+}
+
+fn thread_record(rng: &mut Rng) -> Vec<u8> {
+    let mut t = ThreadBody::new(rng.label());
+    t.address_space = rng.entry();
+    t.entry_point = rng.value();
+    t.state = [ThreadState::Runnable, ThreadState::Halted][rng.below(2) as usize];
+    t.pending_alerts = rng.list(3).into_iter().map(|code| Alert { code }).collect();
+    object(rng, ObjectBody::Thread(t))
+}
+
+fn address_space_record(rng: &mut Rng) -> Vec<u8> {
+    let mappings = (0..rng.below(3))
+        .map(|_| Mapping {
+            va: rng.value(),
+            segment: ContainerEntry::new(rng.id(), rng.id()),
+            offset: rng.value(),
+            npages: rng.value(),
+            flags: MappingFlags {
+                read: rng.flag(),
+                write: rng.flag(),
+                execute: rng.flag(),
+            },
+        })
+        .collect();
+    object(rng, ObjectBody::AddressSpace(AddressSpaceBody { mappings }))
+}
+
+fn gate_record(rng: &mut Rng) -> Vec<u8> {
+    let mut g = GateBody::new(rng.label(), rng.value());
+    g.address_space = rng.entry();
+    g.stack_pointer = rng.value();
+    g.closure_args = rng.list(3);
+    object(rng, ObjectBody::Gate(g))
+}
+
+fn device_record(rng: &mut Rng) -> Vec<u8> {
+    let mut d = match rng.flag() {
+        true => DeviceBody::network(core::array::from_fn(|_| rng.next() as u8)),
+        false => DeviceBody::console(),
+    };
+    d.rx_queue = (0..rng.below(3)).map(|_| rng.bytes(12)).collect();
+    d.tx_queue = (0..rng.below(3)).map(|_| rng.bytes(12)).collect();
+    object(rng, ObjectBody::Device(d))
+}
+
+fn machine_meta(rng: &mut Rng) -> Vec<u8> {
+    MachineMeta {
+        root: rng.id(),
+        id_counter: rng.value(),
+        cat_counter: rng.value(),
+        kernel_thread: rng.id(),
+        net_device: rng.id(),
+        console_device: rng.id(),
+        seed: rng.value(),
+    }
+    .encode()
+}
+
+fn record_frame(rng: &mut Rng) -> Vec<u8> {
+    let payload = rng.bytes(32);
+    let label = rng.label();
+    RecordFrame {
+        label,
+        payload: &payload,
+    }
+    .encode()
+}
+
+fn superblock(rng: &mut Rng) -> Vec<u8> {
+    let meta_extent_len = rng.below(1 << 20);
+    Superblock {
+        sequence: rng.value(),
+        meta_offset: rng.below(capacity() - meta_extent_len),
+        meta_len: rng.below(meta_extent_len + 1),
+        meta_extent_len,
+    }
+    .encode()
+}
+
+/// A checkpoint map's bytes, built field by field: its homes are private
+/// to the store.
+fn checkpoint_map(rng: &mut Rng) -> Vec<u8> {
+    let mut id = 0;
+    let homes: Vec<[u64; 4]> = (0..rng.below(4))
+        .map(|_| {
+            id += 1 + rng.below(1 << 20);
+            let extent_len = 16 + rng.below(1 << 16);
+            let offset = rng.below(capacity() - extent_len);
+            [id, offset, extent_len, rng.below(extent_len - 15)]
+        })
+        .collect();
+    let mut e = Encoder::new();
+    for field in 1..4 {
+        e.put_u64(16 * homes.len() as u64);
+        for home in &homes {
+            e.put_u64(home[0]).put_u64(home[field]);
+        }
+    }
+    let free = rng.list(2);
+    e.put_u64(8 + 16 * free.len() as u64)
+        .put_u64(free.len() as u64);
+    for offset in free {
+        e.put_u64(offset).put_u64(rng.value());
+    }
+    e.finish()
+}
+
+fn log_record(rng: &mut Rng) -> Vec<u8> {
+    match rng.below(3) {
+        0 => LogRecord::PutObject(rng.value(), rng.bytes(24)),
+        1 => LogRecord::DeleteObject(rng.value()),
+        _ => LogRecord::CheckpointMarker {
+            sequence: rng.value(),
+        },
+    }
+    .encode()
+}
+
+/// The table: every format another principal can write, then every
+/// record the trusted base writes to its own disk.
+fn formats() -> [Format; 23] {
     [
         Format {
             name: "pipe / socket ring header",
@@ -310,6 +503,61 @@ fn formats() -> [Format; 12] {
             name: "exporter RPC",
             sample: rpc_message,
             check: |b| exact::<RpcMessage, _>(b, ()),
+        },
+        Format {
+            name: "segment record",
+            sample: segment_record,
+            check: |b| exact::<KObject, _>(b, ()),
+        },
+        Format {
+            name: "container record",
+            sample: container_record,
+            check: |b| exact::<KObject, _>(b, ()),
+        },
+        Format {
+            name: "thread record",
+            sample: thread_record,
+            check: |b| exact::<KObject, _>(b, ()),
+        },
+        Format {
+            name: "address-space record",
+            sample: address_space_record,
+            check: |b| exact::<KObject, _>(b, ()),
+        },
+        Format {
+            name: "gate record",
+            sample: gate_record,
+            check: |b| exact::<KObject, _>(b, ()),
+        },
+        Format {
+            name: "device record",
+            sample: device_record,
+            check: |b| exact::<KObject, _>(b, ()),
+        },
+        Format {
+            name: "machine metadata",
+            sample: machine_meta,
+            check: |b| exact::<MachineMeta, _>(b, ()),
+        },
+        Format {
+            name: "persist-record frame",
+            sample: record_frame,
+            check: |b| exact::<RecordFrame, _>(b, ()),
+        },
+        Format {
+            name: "store superblock",
+            sample: superblock,
+            check: |b| exact::<Superblock, _>(b, capacity()),
+        },
+        Format {
+            name: "checkpoint map",
+            sample: checkpoint_map,
+            check: |b| exact::<CheckpointMap, _>(b, capacity()),
+        },
+        Format {
+            name: "log record",
+            sample: log_record,
+            check: |b| exact::<LogRecord, _>(b, ()),
         },
     ]
 }
