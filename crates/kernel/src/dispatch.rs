@@ -902,21 +902,17 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bodies::{ObjectBody, ThreadBody};
     use histar_label::Level;
 
     fn boot() -> (Kernel, ObjectId) {
         let clock = histar_sim::SimClock::new();
         let store = histar_store::SingleLevelStore::format(Default::default(), clock.clone());
-        let mut k = Kernel::new(42, clock, store);
-        let root = k.root_container();
-        let tid = k
-            .bootstrap_thread(
-                root,
-                Label::unrestricted(),
-                Label::default_clearance(),
-                "init",
-            )
-            .unwrap();
+        let init = (
+            "init",
+            ObjectBody::Thread(ThreadBody::new(Label::default_clearance())),
+        );
+        let (k, [tid]) = Kernel::with_root_objects(42, clock, store, [init]);
         (k, tid)
     }
 

@@ -766,7 +766,23 @@ impl Kernel {
     /// for a given seed); `clock` is the machine clock costs are charged to
     /// and `store` the single-level store the persist-record syscalls and
     /// `obj_sync` write into.
-    pub fn new(seed: u64, clock: SimClock, mut store: SingleLevelStore) -> Kernel {
+    pub fn new(seed: u64, clock: SimClock, store: SingleLevelStore) -> Kernel {
+        Kernel::with_root_objects(seed, clock, store, []).0
+    }
+
+    /// A kernel as [`Kernel::new`] makes it whose root container also
+    /// holds one unrestricted object with one page of quota for each
+    /// `(descrip, body)` of `objects`; returns their IDs.  They are linked
+    /// into the root before it enters the object table, so no lookup can
+    /// fail.  A machine's boot-time thread and devices are made this way,
+    /// as is the first thread of a bare kernel, which has no caller to
+    /// create it.
+    pub fn with_root_objects<const N: usize>(
+        seed: u64,
+        clock: SimClock,
+        mut store: SingleLevelStore,
+        objects: [(&str, ObjectBody); N],
+    ) -> (Kernel, [ObjectId; N]) {
         let recorder = Recorder::disabled();
         store.set_recorder(recorder.clone());
         let mut sys = Sys {
@@ -794,22 +810,36 @@ impl Kernel {
             "root container",
         );
         header.links = 1; // the root is always referenced
+        let mut root = ContainerBody::default();
+        let objects = objects.map(|(descrip, body)| {
+            let id = sys.fresh_id();
+            let label = Label::unrestricted();
+            let mut child = ObjectHeader::new(id, body.object_type(), label, PAGE_SIZE, descrip);
+            child.links = 1;
+            header.usage += child.quota;
+            root.link(id);
+            KObject::new(child, body)
+        });
         sys.objects.insert(
             root_id,
-            Box::new(KObject::new(
-                header,
-                ObjectBody::Container(ContainerBody::default()),
-            )),
+            Box::new(KObject::new(header, ObjectBody::Container(root))),
         );
         sys.root = root_id;
-        Kernel {
+        let ids = objects.map(|object| {
+            let id = object.header.id;
+            sys.objects.insert(id, Box::new(object));
+            sys.stats.objects_created += 1;
+            id
+        });
+        let kernel = Kernel {
             sys,
             dispatch_stats: DispatchStats::default(),
             trace: None,
             recorder,
             dispatch_seq: 0,
             sched_metrics: MetricSet::new(),
-        }
+        };
+        (kernel, ids)
     }
 
     /// The root container's object ID.
@@ -1165,26 +1195,9 @@ impl Kernel {
     /// store object; file data is split into extents far below this).
     pub const PERSIST_RECORD_MAX: u64 = 16 * 1024 * 1024;
 
-    /// Bootstrap path: creates the first thread of the machine without a
-    /// calling thread.  Only the machine boot code uses this.
-    pub fn bootstrap_thread(
-        &mut self,
-        container: ObjectId,
-        label: Label,
-        clearance: Label,
-        descrip: &str,
-    ) -> Result<ObjectId, SyscallError> {
-        let id = self.sys.fresh_id();
-        let mut header = ObjectHeader::new(id, ObjectType::Thread, label, PAGE_SIZE, descrip);
-        header.links = 1;
-        let body = ObjectBody::Thread(ThreadBody::new(clearance));
-        self.sys.insert_linked(container, header, body)
-    }
-
     /// Bootstrap path: creates a device object directly in a container.
-    /// Machine boot code uses this, and so does `Netd::start` for the NIC
-    /// it brings up (devices are discovered by the kernel, not created by
-    /// threads).
+    /// `Netd::start` uses this for the NIC it brings up (devices are
+    /// discovered by the kernel, not created by threads).
     pub fn boot_create_device(
         &mut self,
         container: ObjectId,
@@ -1197,28 +1210,6 @@ impl Kernel {
         header.links = 1;
         self.sys
             .insert_linked(container, header, ObjectBody::Device(body))
-    }
-
-    /// Creates a machine's boot-time objects in the root container of a
-    /// fresh kernel: the first thread, unrestricted with clearance `{2}`,
-    /// then the network device and the console.  Returns their IDs.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the root is a container, as it is on a fresh kernel.
-    pub fn boot_objects(&mut self) -> [ObjectId; 3] {
-        let root = self.root_container();
-        let create = |k: &mut Kernel| {
-            let clearance = Label::default_clearance();
-            let thread =
-                k.bootstrap_thread(root, Label::unrestricted(), clearance, "boot thread")?;
-            let mut device =
-                |body, name| k.boot_create_device(root, Label::unrestricted(), body, name);
-            let mac = [0x52, 0x54, 0x00, 0x12, 0x34, 0x56];
-            let net = device(DeviceBody::network(mac), "eth0")?;
-            Ok::<_, SyscallError>([thread, net, device(DeviceBody::console(), "console")?])
-        };
-        create(self).expect("a fresh kernel's root is a container")
     }
 
     /// Simulation hook (not a system call): delivers a frame "from the
@@ -1292,16 +1283,11 @@ mod tests {
     fn boot() -> (Kernel, ObjectId) {
         let clock = SimClock::new();
         let store = SingleLevelStore::format(StoreConfig::default(), clock.clone());
-        let mut k = Kernel::new(42, clock, store);
-        let root = k.root_container();
-        let tid = k
-            .bootstrap_thread(
-                root,
-                Label::unrestricted(),
-                Label::default_clearance(),
-                "init",
-            )
-            .unwrap();
+        let init = (
+            "init",
+            ObjectBody::Thread(ThreadBody::new(Label::default_clearance())),
+        );
+        let (k, [tid]) = Kernel::with_root_objects(42, clock, store, [init]);
         (k, tid)
     }
 

@@ -6,9 +6,11 @@
 //! bootup the entire system state is restored from the most recent on-disk
 //! snapshot (§3); there are no boot scripts.
 
+use crate::bodies::{DeviceBody, ObjectBody, ThreadBody};
 use crate::kernel::{KObject, Kernel};
 use crate::object::ObjectId;
 use crate::syscall::SyscallError;
+use histar_label::Label;
 use histar_sim::{SimClock, SimDuration};
 use histar_store::codec::{DecodeError, Decoder, Encoder, Wire};
 use histar_store::records::is_persist_key;
@@ -141,8 +143,12 @@ impl Machine {
     pub fn boot(config: MachineConfig) -> Machine {
         let clock = SimClock::new();
         let store = SingleLevelStore::format(config.store, clock.clone());
-        let mut kernel = Kernel::new(config.seed, clock.clone(), store);
-        let [kernel_thread, net_device, console_device] = kernel.boot_objects();
+        let thread = ObjectBody::Thread(ThreadBody::new(Label::default_clearance()));
+        let net = ObjectBody::Device(DeviceBody::network([0x52, 0x54, 0x00, 0x12, 0x34, 0x56]));
+        let console = ObjectBody::Device(DeviceBody::console());
+        let boot = [("boot thread", thread), ("eth0", net), ("console", console)];
+        let (kernel, [kernel_thread, net_device, console_device]) =
+            Kernel::with_root_objects(config.seed, clock.clone(), store, boot);
         Machine {
             kernel,
             clock,

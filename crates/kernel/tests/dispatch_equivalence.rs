@@ -10,7 +10,7 @@
 //! coverage check guarantees no syscall row is left untested.
 
 use histar_kernel::abi::Completion;
-use histar_kernel::bodies::{DeviceBody, Mapping, MappingFlags, ObjectBody};
+use histar_kernel::bodies::{DeviceBody, Mapping, MappingFlags, ObjectBody, ThreadBody};
 use histar_kernel::dispatch::{Syscall, SyscallResult, SYSCALL_COUNT, SYSCALL_NAMES};
 use histar_kernel::kernel::PAGE_SIZE;
 use histar_kernel::object::{ContainerEntry, ObjectId, ObjectType, METADATA_LEN};
@@ -50,16 +50,12 @@ fn entry(fx: &Fx, o: ObjectId) -> ContainerEntry {
 /// object type.
 fn setup() -> (Kernel, Fx) {
     let store = SingleLevelStore::format(StoreConfig::default(), SimClock::new());
-    let mut k = Kernel::new(0x0d15_ea5e, SimClock::new(), store);
+    let init = (
+        "init",
+        ObjectBody::Thread(ThreadBody::new(Label::default_clearance())),
+    );
+    let (mut k, [boot]) = Kernel::with_root_objects(0x0d15_ea5e, SimClock::new(), store, [init]);
     let root = k.root_container();
-    let boot = k
-        .bootstrap_thread(
-            root,
-            Label::unrestricted(),
-            Label::default_clearance(),
-            "init",
-        )
-        .unwrap();
     let cat = k.trap_create_category(boot).unwrap();
     let cat2 = k.trap_create_category(boot).unwrap();
     let dir = k

@@ -5,6 +5,7 @@
 //! on H's choice.  An error variant is an output like any other: L learns
 //! H's bit from which error comes back just as well as from a value.
 
+use histar_kernel::bodies::{ObjectBody, ThreadBody};
 use histar_kernel::{ContainerEntry, Kernel, ObjectId, SyscallError};
 use histar_label::{Label, Level};
 use histar_sim::SimClock;
@@ -23,11 +24,12 @@ struct World {
 fn boot() -> World {
     let clock = SimClock::new();
     let store = SingleLevelStore::format(Default::default(), clock.clone());
-    let mut k = Kernel::new(7, clock, store);
+    let p = (
+        "p",
+        ObjectBody::Thread(ThreadBody::new(Label::default_clearance())),
+    );
+    let (mut k, [p]) = Kernel::with_root_objects(7, clock, store, [p]);
     let root = k.root_container();
-    let p = k
-        .bootstrap_thread(root, Label::unrestricted(), Label::default_clearance(), "p")
-        .unwrap();
     let h = k.trap_create_category(p).unwrap();
     let high = Label::builder().set(h, Level::L3).build();
     let high_clearance = Label::builder()

@@ -14,7 +14,7 @@
 //! The generator is the xorshift64* harness of `wake_properties.rs`, so
 //! the suite runs offline.
 
-use histar_kernel::bodies::{ObjectBody, SegmentBody};
+use histar_kernel::bodies::{ObjectBody, SegmentBody, ThreadBody};
 use histar_kernel::dispatch::{Syscall, SyscallResult};
 use histar_kernel::kernel::{KObject, PAGE_SIZE};
 use histar_kernel::object::{ContainerEntry, ObjectId};
@@ -301,16 +301,12 @@ fn segment_bodies_read_encode_and_flush_as_a_plain_byte_vector() {
 fn kernel_with_a_segment() -> (Kernel, ObjectId, ContainerEntry) {
     let clock = SimClock::new();
     let store = SingleLevelStore::format(StoreConfig::default(), clock.clone());
-    let mut k = Kernel::new(7, clock, store);
+    let init = (
+        "init",
+        ObjectBody::Thread(ThreadBody::new(Label::default_clearance())),
+    );
+    let (mut k, [tid]) = Kernel::with_root_objects(7, clock, store, [init]);
     let root = k.root_container();
-    let tid = k
-        .bootstrap_thread(
-            root,
-            Label::unrestricted(),
-            Label::default_clearance(),
-            "init",
-        )
-        .unwrap();
     let seg = k
         .trap_segment_create(tid, root, Label::unrestricted(), 64, "seg")
         .unwrap();

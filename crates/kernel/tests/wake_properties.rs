@@ -12,7 +12,7 @@
 //! The generator is the xorshift64* harness of
 //! `crates/label/tests/label_properties.rs`, so the suite runs offline.
 
-use histar_kernel::bodies::{ObjectBody, ThreadState};
+use histar_kernel::bodies::{ObjectBody, ThreadBody, ThreadState};
 use histar_kernel::dispatch::Syscall;
 use histar_kernel::kernel::WakeReason;
 use histar_kernel::object::{ContainerEntry, ObjectId};
@@ -67,16 +67,12 @@ fn wake_eligibility_is_the_answer_read_off_the_thread() {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let clock = SimClock::new();
         let store = SingleLevelStore::format(StoreConfig::default(), clock.clone());
-        let mut k = Kernel::new(seed, clock, store);
+        let init = (
+            "init",
+            ObjectBody::Thread(ThreadBody::new(Label::default_clearance())),
+        );
+        let (mut k, [boot]) = Kernel::with_root_objects(seed, clock, store, [init]);
         let root = k.root_container();
-        let boot = k
-            .bootstrap_thread(
-                root,
-                Label::unrestricted(),
-                Label::default_clearance(),
-                "init",
-            )
-            .unwrap();
         let aspace = k
             .trap_as_create(boot, root, Label::unrestricted(), "as")
             .unwrap();

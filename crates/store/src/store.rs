@@ -532,13 +532,6 @@ impl SingleLevelStore {
         self.wal.used()
     }
 
-    /// Where object `id`'s home record lies on disk, header and body, if
-    /// it has one — for crash harnesses that rot records in place.
-    pub fn home_record(&self, id: u64) -> Option<Extent> {
-        let home = self.homes.by_id.get(&id)?;
-        Some(Extent::new(home.offset, RECORD_HEADER + home.body_len))
-    }
-
     /// The latest checkpoint sequence number.
     pub fn sequence(&self) -> u64 {
         self.sequence
@@ -1427,20 +1420,52 @@ mod tests {
         assert_eq!(*map.homes, homes);
         assert_eq!(map.encode(), bytes);
         assert_eq!(bytes.len(), map_len(2, 0));
-        let swapped = [&offsets[16..], &offsets[..16]].concat();
+        // Every list in the other order, or naming object 3 twice: the
+        // lists agree, each home fits, and only the order is wrong.
+        let swap = |list: &Vec<u8>| [&list[16..], &list[..16]].concat();
+        let swapped = [&offsets, &extent_lens, &body_lens].map(swap);
+        let twice = BTreeMap::from([(3, home(4096))]);
+        let fields: [fn(&Home) -> u64; 3] = [|h| h.offset, |h| h.extent_len, |h| h.body_len];
+        let twice = fields.map(|field| home_list(&twice, field).repeat(2));
         let renamed = BTreeMap::from([(3, home(4096)), (10, home(8192))]);
         let renamed = home_list(&renamed, |h| h.body_len);
         let past_disk = home_list(&homes, |_| capacity);
         let too_short = home_list(&homes, |_| 16 + 9);
-        for lists in [
-            [&offsets[..31], &extent_lens[..], &body_lens[..]],
-            [&swapped[..], &extent_lens[..], &body_lens[..]],
-            [&offsets[..], &extent_lens[..], &body_lens[16..]],
-            [&offsets[..], &extent_lens[..], &renamed[..]],
-            [&offsets[..], &past_disk[..], &body_lens[..]],
-            [&offsets[..], &too_short[..], &body_lens[..]],
+        for (lists, err) in [
+            (
+                [&offsets[..31], &extent_lens[..], &body_lens[..]],
+                DecodeError::Trailing,
+            ),
+            (
+                [&offsets[..], &extent_lens[..], &body_lens[..16]],
+                DecodeError::UnexpectedEnd,
+            ),
+            (
+                [&swapped[0][..], &swapped[1][..], &swapped[2][..]],
+                DecodeError::BadValue,
+            ),
+            (
+                [&twice[0][..], &twice[1][..], &twice[2][..]],
+                DecodeError::BadValue,
+            ),
+            (
+                [&offsets[..], &extent_lens[..], &body_lens[16..]],
+                DecodeError::BadValue,
+            ),
+            (
+                [&offsets[..], &extent_lens[..], &renamed[..]],
+                DecodeError::BadValue,
+            ),
+            (
+                [&offsets[..], &past_disk[..], &body_lens[..]],
+                DecodeError::BadValue,
+            ),
+            (
+                [&offsets[..], &too_short[..], &body_lens[..]],
+                DecodeError::BadValue,
+            ),
         ] {
-            assert!(decode(&map_bytes(lists)).is_err());
+            assert_eq!(decode(&map_bytes(lists)), Err(err));
         }
     }
 

@@ -17,7 +17,8 @@ use histar_kernel::kernel::KObject;
 use histar_kernel::machine::{Machine, MachineConfig, MachineError};
 use histar_kernel::object::ObjectType;
 use histar_sim::SimDisk;
-use histar_store::codec::Wire;
+use histar_store::codec::{unframe, Decoder, Wire};
+use histar_store::store::Superblock;
 use histar_store::Extent;
 use histar_unix::UnixEnv;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,6 +44,30 @@ impl Rng {
     }
 }
 
+/// Each object's home record as the last checkpoint's map places it.
+/// The superblock frame at offset 0 names the map's frame.  The map's
+/// first list pairs each id with its record's offset, its third with its
+/// body length, and a record is a 16-byte header and the body.
+fn home_records(disk: &SimDisk) -> Vec<(u64, Extent)> {
+    let frame_at = |at, len| {
+        let bytes = disk.lend(at, len);
+        unframe(&bytes).expect("an intact frame").0.to_vec()
+    };
+    let superblock_len = 16 + Decoder::new(&disk.lend(0, 8)).get_u64().unwrap();
+    let sb = Superblock::decode_with(&frame_at(0, superblock_len), disk.config().capacity)
+        .expect("an intact superblock");
+    let map = frame_at(sb.meta_offset, sb.meta_len);
+    let mut d = Decoder::new(&map);
+    let [mut offsets, _, mut body_lens] = [(); 3].map(|()| Decoder::new(d.get_slice().unwrap()));
+    let mut homes = Vec::new();
+    while offsets.remaining() > 0 {
+        let [(id, offset), (_, body_len)] =
+            [&mut offsets, &mut body_lens].map(|l| (l.get_u64().unwrap(), l.get_u64().unwrap()));
+        homes.push((id, Extent::new(offset, 16 + body_len)));
+    }
+    homes
+}
+
 /// A snapshotted environment's disk and the home record of each object.
 fn snapshotted(config: MachineConfig) -> (SimDisk, Vec<(u64, Extent)>) {
     let mut env = UnixEnv::on_machine(Machine::boot(config));
@@ -58,13 +83,8 @@ fn snapshotted(config: MachineConfig) -> (SimDisk, Vec<(u64, Extent)>) {
     env.write_file_as(init, "/persist/dir/f", b"persisted", None)
         .unwrap();
     env.sync_all();
-    let store = env.machine().store();
-    let homes: Vec<(u64, Extent)> = store
-        .object_ids()
-        .into_iter()
-        .filter_map(|id| Some((id, store.home_record(id)?)))
-        .collect();
     let mut machine = env.into_machine();
+    let homes = home_records(machine.store().disk());
     let types: Vec<ObjectType> = homes
         .iter()
         .filter_map(|&(id, _)| KObject::decode(&machine.store_mut().get(id).ok()?).ok())
