@@ -4,22 +4,27 @@
 //! entities cooperate: a *login client* (sshd, the web server, ...), a
 //! *directory service* mapping user names to per-user authentication
 //! services, the *user's own authentication service* (three gates: setup,
-//! check, grant), and a *logging service*.  The password check runs tainted
-//! in a password category `pi_r` allocated by login, so even a malicious
-//! authentication service learns at most one bit about the password: whether
-//! it was correct.
+//! check, grant), and a *logging service*.  In the paper the password
+//! check runs tainted in a password category `pi_r` allocated by login, so
+//! even a malicious authentication service learns at most one bit about
+//! the password: whether it was correct.
 //!
-//! This module reproduces the structure and the label discipline; the
-//! "mutually agreed-upon code" that combines the two parties' privilege to
-//! create the retry-count segment is represented by the setup step inside
-//! [`AuthSystem::login`], which performs exactly that combination.
+//! This module reproduces the directory, the logging service, the retry
+//! count and the grant step.  [`AuthSystem::login`] is the one place a
+//! login is decided, and each user's service process is the one holder of
+//! that user's privilege once the user has logged in: the service process
+//! is spawned at the user's first login owning `ur`/`uw`, the account
+//! creator (init) renounces them at that moment, and every grant comes
+//! from the service through a grant gate.  The password comparison itself
+//! is library code, not a tainted gate call: nothing in the kernel checks
+//! beneath it yet.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use histar_kernel::Syscall;
-use histar_label::{Label, Level};
-use histar_unix::gatecall::grant_categories;
+use core::fmt;
+
+use histar_unix::gatecall::{drop_categories, grant_categories};
 use histar_unix::process::Pid;
 use histar_unix::users::User;
 use histar_unix::{UnixEnv, UnixError};
@@ -50,16 +55,34 @@ impl LogService {
     }
 }
 
-/// One user's authentication service: password hash plus retry accounting.
-#[derive(Clone, Debug)]
+/// One user's authentication service: password hash, retry accounting and,
+/// once the user has logged in, the process that holds the user's
+/// privilege.
+#[derive(Clone)]
 pub struct AuthService {
     /// The user whose categories this service grants.
     pub user: User,
-    /// Salted hash of the user's password (never the password itself).
+    /// Unsalted FNV-1a hash of the user's password (never the password
+    /// itself).
     password_hash: u64,
     /// Remaining password attempts before the service refuses further
     /// checks (the retry-count segment of Figure 10).
     retries_left: u32,
+    /// The service's process, owning the user's `ur`/`uw`: spawned by init
+    /// at the user's first successful login, after which init holds
+    /// neither.
+    process: Option<Pid>,
+}
+
+/// Everything but the password hash: a debug print is no place for it.
+impl fmt::Debug for AuthService {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AuthService")
+            .field("user", &self.user)
+            .field("retries_left", &self.retries_left)
+            .field("process", &self.process)
+            .finish_non_exhaustive()
+    }
 }
 
 fn hash_password(password: &str) -> u64 {
@@ -79,7 +102,49 @@ impl AuthService {
             user,
             password_hash: hash_password(password),
             retries_left: 5,
+            process: None,
         }
+    }
+
+    /// The check step: five wrong passwords in a row lock the account, and
+    /// a correct one resets the count.
+    fn check(&mut self, password: &str) -> LoginOutcome {
+        if self.retries_left == 0 {
+            LoginOutcome::TooManyAttempts
+        } else if hash_password(password) == self.password_hash {
+            self.retries_left = 5;
+            LoginOutcome::Granted
+        } else {
+            self.retries_left -= 1;
+            LoginOutcome::BadPassword
+        }
+    }
+
+    /// The grant step: hands `ur`/`uw` to `login` through a grant gate
+    /// that carries nothing else, unless `login` owns both already.  The
+    /// user's first grant spawns the service process from init, which owns
+    /// the pair as the account's creator and renounces it here.
+    fn grant(&mut self, env: &mut UnixEnv, login: Pid) -> Result<()> {
+        let pair = [self.user.read_cat, self.user.write_cat];
+        let thread = env.process(login)?.thread;
+        let label = env.kernel_mut().trap_self_get_label(thread)?;
+        if pair.iter().all(|&c| label.owns(c)) {
+            return Ok(());
+        }
+        let service = match self.process {
+            Some(pid) => pid,
+            None => {
+                let init = env.init_pid();
+                let name = &self.user.name;
+                let pid = env.spawn(init, &format!("/usr/lib/auth/{name}"), Some(name))?;
+                self.process = Some(pid);
+                drop_categories(env, init, &pair)?;
+                pid
+            }
+        };
+        grant_categories(env, service, login, &pair)?;
+        env.process_record_mut(login)?.user = Some(self.user.name.clone());
+        Ok(())
     }
 }
 
@@ -112,8 +177,16 @@ impl AuthSystem {
     }
 
     /// Registers a user's authentication service (the directory mapping).
-    pub fn register(&mut self, service: AuthService) {
-        self.services.retain(|s| s.user.name != service.user.name);
+    /// Re-registering the same account keeps the service process that
+    /// holds its pair: init renounced it at the first login.
+    pub fn register(&mut self, mut service: AuthService) {
+        let name = &service.user.name;
+        if let Some(i) = self.services.iter().position(|s| &s.user.name == name) {
+            let old = self.services.remove(i);
+            if old.user == service.user {
+                service.process = old.process;
+            }
+        }
         self.services.push(service);
     }
 
@@ -122,19 +195,14 @@ impl AuthSystem {
         self.services.iter().find(|s| s.user.name == username)
     }
 
-    fn lookup_mut(&mut self, username: &str) -> Option<&mut AuthService> {
-        self.services.iter_mut().find(|s| s.user.name == username)
-    }
-
-    /// The full login sequence of Figure 9 on behalf of the process `login`:
+    /// The login sequence of Figure 9 on behalf of the process `login`:
     ///
     /// 1. the directory maps `username` to the user's service;
-    /// 2. login allocates the password category `pi_r` and a session
-    ///    category, bounding what the check step can ever see;
-    /// 3. the check gate verifies the password while tainted `pi_r 3`, so it
-    ///    cannot leak the password anywhere;
-    /// 4. on success the grant gate hands the user's `ur`/`uw` ownership to
-    ///    the login process's thread.
+    /// 2. the service checks the password against its hash and its retry
+    ///    count;
+    /// 3. on success the service's grant gate hands the user's `ur`/`uw`
+    ///    ownership to the login process's thread, unless it owns them
+    ///    already.
     pub fn login(
         &mut self,
         env: &mut UnixEnv,
@@ -142,96 +210,21 @@ impl AuthSystem {
         username: &str,
         password: &str,
     ) -> Result<LoginOutcome> {
-        let login_thread = env.process(login)?.thread;
+        // A login on behalf of no process is an error, not an attempt.
+        env.process(login)?;
         self.log.append(&format!("login attempt: {username}"));
-
-        // Step 1: directory lookup.
-        if self.lookup(username).is_none() {
+        let Some(service) = self.services.iter_mut().find(|s| s.user.name == username) else {
             return Ok(LoginOutcome::UnknownUser);
-        }
-
-        // Step 2: login allocates pi_r (password secrecy) and the session
-        // write category; the retry-count segment of the real system is
-        // labelled {pi_r 3, uw 0, 1} — readable only under the password
-        // taint, writable only with the user's privilege.
-        let kernel = env.machine_mut().kernel_mut();
-        // The label to come back to and both per-login categories ride one
-        // submission batch.
-        let mut head = kernel
-            .submit_calls(
-                login_thread,
-                vec![
-                    Syscall::SelfGetLabel,
-                    Syscall::SelfGetClearance,
-                    Syscall::CreateCategory,
-                    Syscall::CreateCategory,
-                ],
-            )
-            .into_iter();
-        let mut next = || head.next().expect("one completion per submitted call");
-        let saved_label = next()?.into_label();
-        let saved_clearance = next()?.into_label();
-        let pi_r = next()?.into_category();
-        let _session_w = next()?.into_category();
-
-        // Step 3: the check runs tainted pi_r 3.  Login itself *owns* pi_r
-        // (it allocated the category), so the taint restricts the user's
-        // check-gate code, not login: a malicious service observing the
-        // password inside the check cannot export it anywhere, because
-        // everything it can write while tainted pi_r 3 is unreadable to the
-        // untainted world.  The only information that escapes the check is
-        // the one-bit outcome, released through the grant gate.
-        let check_gate_label = saved_label.drop_ownership(Level::L1).with(pi_r, Level::L3);
-        debug_assert!(!check_gate_label.can_modify(&Label::unrestricted()));
-
-        let (outcome, grant) = {
-            let service = self
-                .lookup_mut(username)
-                .expect("looked up above; registry unchanged");
-            if service.retries_left == 0 {
-                (LoginOutcome::TooManyAttempts, None)
-            } else if hash_password(password) == service.password_hash {
-                service.retries_left = 5;
-                (LoginOutcome::Granted, Some(service.user.clone()))
-            } else {
-                service.retries_left -= 1;
-                (LoginOutcome::BadPassword, None)
-            }
         };
-
-        // Step 4: drop the per-login categories (ownership can always be
-        // renounced) and, on success, gain the user's categories through
-        // the grant gate.
-        let kernel = env.machine_mut().kernel_mut();
-        for r in kernel.submit_calls(
-            login_thread,
-            vec![
-                Syscall::SelfSetLabel { label: saved_label },
-                Syscall::SelfSetClearance {
-                    clearance: saved_clearance,
-                },
-            ],
-        ) {
-            r?;
+        let outcome = service.check(password);
+        if outcome == LoginOutcome::Granted {
+            service.grant(env, login)?;
+            self.log.append(&format!("login success: {username}"));
+        } else {
+            self.log
+                .append(&format!("login failure: {username} ({outcome:?})"));
         }
-        match grant {
-            Some(user) => {
-                // The grant step: the holder of the user's categories —
-                // init, which allocated them as the account creator —
-                // hands `ur`/`uw` to login through a single-use grant gate
-                // that carries nothing else it owns.
-                let init = env.init_pid();
-                grant_categories(env, init, login, &[user.read_cat, user.write_cat])?;
-                env.process_record_mut(login)?.user = Some(user.name.clone());
-                self.log.append(&format!("login success: {username}"));
-                Ok(LoginOutcome::Granted)
-            }
-            None => {
-                self.log
-                    .append(&format!("login failure: {username} ({outcome:?})"));
-                Ok(outcome)
-            }
-        }
+        Ok(outcome)
     }
 
     /// Remaining retry budget for a user (test/diagnostic hook).
@@ -243,7 +236,7 @@ impl AuthSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histar_label::Category;
+    use histar_label::{Category, Level};
 
     fn setup() -> (UnixEnv, AuthSystem, Pid) {
         let mut env = UnixEnv::boot();
@@ -268,7 +261,7 @@ mod tests {
         assert_eq!(outcome, LoginOutcome::Granted);
         // The grant gate carries only `ur`/`uw`, so the kernel holds
         // exactly the old label plus those two — nothing of init's, and
-        // nothing of the login's own per-attempt categories lingering.
+        // nothing of the service process's own categories.
         let label = env.machine().kernel().thread_label(thread).unwrap();
         assert_eq!(
             label,
@@ -299,6 +292,63 @@ mod tests {
     }
 
     #[test]
+    fn first_login_moves_the_pair_from_init_to_the_users_service() {
+        let (mut env, mut auth, sshd) = setup();
+        let bob = env.user("bob").unwrap();
+        let init = env.init_pid();
+        let init_thread = env.process(init).unwrap().thread;
+        let init_owns = |env: &UnixEnv| {
+            let label = env.machine().kernel().thread_label(init_thread).unwrap();
+            [bob.read_cat, bob.write_cat].map(|c| label.owns(c))
+        };
+        assert_eq!(init_owns(&env), [true, true]);
+        assert_eq!(
+            auth.login(&mut env, sshd, "bob", "hunter2").unwrap(),
+            LoginOutcome::Granted
+        );
+        assert_eq!(init_owns(&env), [false, false]);
+        // So init can no longer start a process with bob's privilege ...
+        assert!(env.spawn(init, "/bin/sh", Some("bob")).is_err());
+        // ... and every later grant comes from bob's service process.
+        let other = env.spawn(init, "/usr/sbin/sshd", None).unwrap();
+        assert_eq!(
+            auth.login(&mut env, other, "bob", "hunter2").unwrap(),
+            LoginOutcome::Granted
+        );
+        let thread = env.process(other).unwrap().thread;
+        let label = env.machine().kernel().thread_label(thread).unwrap();
+        assert!(label.owns(bob.read_cat) && label.owns(bob.write_cat));
+        // A caller that owns the pair already is granted nothing new: the
+        // login asks for its label and stops there.
+        let before = env.machine().kernel().stats().syscalls;
+        assert_eq!(
+            auth.login(&mut env, other, "bob", "hunter2").unwrap(),
+            LoginOutcome::Granted
+        );
+        assert_eq!(env.machine().kernel().stats().syscalls - before, 1);
+    }
+
+    /// Init dropped the pair at the first login, so the service process
+    /// holding it must outlive a re-registration of the same account (a
+    /// password change): a fresh service with no process could not get
+    /// the pair from anywhere.
+    #[test]
+    fn re_registering_a_logged_in_user_keeps_its_service() {
+        let (mut env, mut auth, sshd) = setup();
+        assert_eq!(
+            auth.login(&mut env, sshd, "bob", "hunter2").unwrap(),
+            LoginOutcome::Granted
+        );
+        let bob = env.user("bob").unwrap();
+        auth.register(AuthService::new(bob, "new password"));
+        let other = env.spawn(env.init_pid(), "/usr/sbin/sshd", None).unwrap();
+        assert_eq!(
+            auth.login(&mut env, other, "bob", "new password").unwrap(),
+            LoginOutcome::Granted
+        );
+    }
+
+    #[test]
     fn wrong_password_grants_nothing_and_burns_a_retry() {
         let (mut env, mut auth, sshd) = setup();
         let bob = env.user("bob").unwrap();
@@ -315,8 +365,6 @@ mod tests {
             .unwrap()
             .owns(bob.read_cat));
         assert_eq!(auth.retries_left("bob"), Some(4));
-        // The thread's label is exactly what it was: no password taint
-        // lingers (login owned pi_r and untainted itself).
         let label = env.machine().kernel().thread_label(thread).unwrap();
         assert_eq!(label, before);
     }
@@ -353,8 +401,16 @@ mod tests {
             write_cat: Category::from_raw(2),
         };
         let service = AuthService::new(bob, "hunter2");
-        let debug = format!("{service:?}");
-        assert!(!debug.contains("hunter2"));
+        let mut system = AuthSystem::new();
+        system.register(service.clone());
+        let hash = hash_password("hunter2");
+        for debug in [format!("{service:?}"), format!("{system:?}")] {
+            assert!(debug.contains("bob"), "got: {debug}");
+            assert!(!debug.contains("hunter2"), "got: {debug}");
+            for shown in [format!("{hash}"), format!("{hash:x}"), format!("{hash:X}")] {
+                assert!(!debug.contains(&shown), "hash printed: {debug}");
+            }
+        }
     }
 
     #[test]

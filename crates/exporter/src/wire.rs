@@ -173,8 +173,9 @@ impl Wire<'_> for GlobalLabel {
 
     fn get(d: &mut Decoder<'_>, (): ()) -> Result<GlobalLabel, DecodeError> {
         let default = d.get_u8()?;
-        let n = d.get_u64()? as usize;
-        let mut entries = Vec::with_capacity(n.min(1024));
+        let n = d.get_u64()?;
+        let n = d.count(n, 17)?;
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let home = ExporterId(d.get_u64()?);
             let id = d.get_u64()?;
@@ -356,15 +357,17 @@ impl Wire<'_> for RpcMessage {
                 let sender = ExporterId(d.get_u64()?);
                 let service = d.get_str_slice()?.to_owned();
                 let label = GlobalLabel::get(d, ())?;
-                let nclaims = d.get_u64()? as usize;
-                let mut claims = Vec::with_capacity(nclaims.min(1024));
+                let nclaims = d.get_u64()?;
+                let nclaims = d.count(nclaims, 16)?;
+                let mut claims = Vec::with_capacity(nclaims);
                 for _ in 0..nclaims {
                     let home = ExporterId(d.get_u64()?);
                     let id = d.get_u64()?;
                     claims.push(GlobalCategory { home, id });
                 }
-                let ncerts = d.get_u64()? as usize;
-                let mut certs = Vec::with_capacity(ncerts.min(1024));
+                let ncerts = d.get_u64()?;
+                let ncerts = d.count(ncerts, 32)?;
+                let mut certs = Vec::with_capacity(ncerts);
                 for _ in 0..ncerts {
                     let home = ExporterId(d.get_u64()?);
                     let id = d.get_u64()?;
@@ -573,6 +576,43 @@ mod tests {
 
         assert!(RpcMessage::decode(b"\x09").is_err());
         assert!(RpcMessage::decode(&[]).is_err());
+    }
+
+    /// Every count the peer writes is checked against the bytes left
+    /// before anything is read or reserved for it: a count the rest of
+    /// the message cannot hold is refused at the count, as
+    /// [`DecodeError::BadLength`], not partway through its items.
+    #[test]
+    fn counts_the_rest_cannot_hold_are_refused_at_the_count() {
+        // One label entry (17 bytes) where the count claims two.
+        let mut e = Encoder::new();
+        e.put_u8(Level::L1.encode()).put_u64(2);
+        e.put_u64(1).put_u64(2).put_u8(Level::L3.encode());
+        assert_eq!(
+            GlobalLabel::decode(&e.finish()),
+            Err(DecodeError::BadLength)
+        );
+        // A call's claims (16 bytes each) and certificates (32 bytes
+        // each): after each count, one claim, the certificate count, one
+        // certificate and an empty payload follow — 64 bytes — so a claim
+        // count of 5 and a certificate count of 2 overrun them.
+        let call = |nclaims: u64, ncerts: u64| {
+            let mut e = Encoder::new();
+            e.put_u8(0).put_u64(1).put_u64(2).put_str("auth.check");
+            GlobalLabel::default().put(&mut e);
+            e.put_u64(nclaims).put_u64(3).put_u64(4);
+            e.put_u64(ncerts)
+                .put_u64(3)
+                .put_u64(4)
+                .put_u64(5)
+                .put_u64(6);
+            e.put_bytes(b"");
+            RpcMessage::decode(&e.finish())
+        };
+        assert!(call(1, 1).is_ok());
+        for (nclaims, ncerts) in [(5, 1), (1, 2), (u64::MAX, 1), (1, u64::MAX)] {
+            assert_eq!(call(nclaims, ncerts), Err(DecodeError::BadLength));
+        }
     }
 
     /// The peer writes the whole frame: bytes after a message, or after

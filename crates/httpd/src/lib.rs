@@ -12,9 +12,10 @@
 //! * the **launcher** is the small trusted component: it owns the network
 //!   taint category `i` (the declassification privilege) and, after a
 //!   user's first authenticated request, the user's own `ur`/`uw`
-//!   categories — acquired through the auth service's gates, exactly like
-//!   any login.  It accepts connections, reads the request line,
-//!   authenticates, and hands the connection to that user's worker.
+//!   categories — granted by the user's auth service, exactly like any
+//!   login.  It accepts connections, reads the request line, logs every
+//!   request in through the auth service (it keeps no password), and
+//!   hands the connection to that user's worker.
 //! * each **worker** runs with one user's privilege only — it owns that
 //!   user's `ur`/`uw`, is tainted `{i 2}` from birth, and serves files
 //!   from `/persist/home/<user>` back through the connection it was
@@ -104,10 +105,6 @@ pub struct HttpdWorld {
     pub listener: Listener,
     /// Per-user workers, spawned lazily on first authenticated request.
     pub workers: BTreeMap<String, WorkerHandle>,
-    /// Passwords of users the launcher has authenticated (first request
-    /// per user goes through the auth gates; later requests are checked
-    /// against the cached credential).
-    creds: BTreeMap<String, String>,
     /// Programs spawned by running programs, admitted to the scheduler
     /// between run slices (a program cannot reach the scheduler itself).
     spawned: Vec<(ObjectId, Program<HttpdWorld>)>,
@@ -347,24 +344,12 @@ fn handle_request(world: &mut HttpdWorld, launcher: Pid, conn: PendingConn) -> R
         }
     };
 
-    // Authentication: the first request for a user walks the auth
-    // service's gates (the launcher's thread gains the user's ur/uw
-    // ownership exactly like a login); later requests are checked against
-    // the credential that succeeded.
-    let authenticated = match world.creds.get(&user) {
-        Some(known) => known == password,
-        None => {
-            let HttpdWorld { env, auth, .. } = world;
-            match auth.login(env, launcher, &user, password)? {
-                LoginOutcome::Granted => {
-                    world.creds.insert(user.clone(), password.to_string());
-                    true
-                }
-                _ => false,
-            }
-        }
-    };
-    if !authenticated {
+    // Authentication: every request is a login through the auth service.
+    // The first for a user gains the launcher's thread the user's ur/uw
+    // ownership exactly like any login; a later one finds it held and
+    // costs the service one label read.
+    let HttpdWorld { env, auth, .. } = world;
+    if auth.login(env, launcher, &user, password)? != LoginOutcome::Granted {
         refuse(world, launcher, conn.fd, b"403 forbidden\n")?;
         gatecall::drop_categories(&mut world.env, launcher, &[conn.taint_cat, conn.write_cat])?;
         return Ok(true);
@@ -778,7 +763,6 @@ pub fn build_httpd(params: HttpdParams) -> Result<(HttpdWorld, Scheduler<HttpdWo
         launcher,
         listener,
         workers: BTreeMap::new(),
-        creds: BTreeMap::new(),
         spawned: Vec::new(),
         shutdown: false,
         expected: params.clients as u64,
@@ -1001,30 +985,56 @@ mod tests {
             ..HttpdParams::default()
         })
         .unwrap();
-        let (init, launcher, netd) = (world.env.init_pid(), world.launcher, world.netd);
-        let mut conns = Vec::new();
-        for (i, u) in users.iter().enumerate() {
-            let client = netd
-                .spawn_tainted(&mut world.env, init, &format!("/usr/bin/client-{i}"))
-                .unwrap();
-            let fd = netd
-                .connect(&mut world.env, client, &world.listener)
-                .unwrap();
-            let request = format!("user{u} pw-user{u} index.html\n");
-            world.env.write(client, fd, request.as_bytes()).unwrap();
-            conns.push((client, fd));
-            let acc = netd
-                .accept(&mut world.env, launcher, world.listener.fd)
-                .unwrap()
-                .expect("a connection is queued");
-            let conn = PendingConn {
-                fd: acc.fd,
-                taint_cat: acc.taint_cat,
-                write_cat: acc.write_cat,
-            };
-            assert!(handle_request(&mut world, launcher, conn).unwrap());
-        }
+        let conns = users
+            .iter()
+            .enumerate()
+            .map(|(i, u)| {
+                request_by_hand(&mut world, i, &format!("user{u} pw-user{u} index.html\n"))
+            })
+            .collect();
         (world, conns)
+    }
+
+    /// Client `i` connects and writes `request`; the launcher accepts the
+    /// connection and handles the request.  Returns the client and its
+    /// connection descriptor.
+    fn request_by_hand(world: &mut HttpdWorld, i: usize, request: &str) -> (Pid, Fd) {
+        let (init, launcher, netd) = (world.env.init_pid(), world.launcher, world.netd);
+        let client = netd
+            .spawn_tainted(&mut world.env, init, &format!("/usr/bin/client-{i}"))
+            .unwrap();
+        let fd = netd
+            .connect(&mut world.env, client, &world.listener)
+            .unwrap();
+        world.env.write(client, fd, request.as_bytes()).unwrap();
+        let acc = netd
+            .accept(&mut world.env, launcher, world.listener.fd)
+            .unwrap()
+            .expect("a connection is queued");
+        let conn = PendingConn {
+            fd: acc.fd,
+            taint_cat: acc.taint_cat,
+            write_cat: acc.write_cat,
+        };
+        assert!(handle_request(world, launcher, conn).unwrap());
+        (client, fd)
+    }
+
+    /// Every request is a login: once the launcher has logged a user in,
+    /// a wrong password for that user still reaches the auth service and
+    /// costs a retry, under the same rule as any other login.
+    #[test]
+    fn a_logged_in_users_wrong_password_reaches_auth() {
+        let (mut world, _conns) = queued_by_hand(&[0]);
+        assert_eq!(world.auth.retries_left("user0"), Some(5));
+        let (client, fd) = request_by_hand(&mut world, 1, "user0 wrong index.html\n");
+        assert_eq!(world.auth.retries_left("user0"), Some(4));
+        assert_eq!(world.denied, 1);
+        let reply = world.env.read(client, fd, 4096).unwrap();
+        assert!(reply.starts_with(b"403"), "got {reply:?}");
+        // The next right password resets the count.
+        request_by_hand(&mut world, 2, "user0 pw-user0 index.html\n");
+        assert_eq!(world.auth.retries_left("user0"), Some(5));
     }
 
     /// The grant gates waiting in netd's connections container whose
@@ -1232,7 +1242,7 @@ mod tests {
         let params = HttpdParams {
             clients: 24,
             users: 8,
-            wrong_every: 8, // 3 wrong clients, spread over distinct users
+            wrong_every: 8, // clients 7, 15 and 23: all three are user7's
             seed: 11,
             trace_capacity: 0,
             recorder_capacity: 0,

@@ -431,8 +431,11 @@ impl UnixEnv {
     // ----- users -----------------------------------------------------------
 
     /// Creates a user account: allocates its `ur`/`uw` categories on the
-    /// init process's thread (which therefore holds the privilege to grant
-    /// them, playing the role of the user's authentication service owner).
+    /// init process's thread.  Init holds them only until the user's
+    /// authentication service takes them over: `histar_auth` spawns that
+    /// service owning the pair at the user's first login and has init
+    /// drop it, after which init can no longer grant them or spawn a
+    /// process as the user.
     pub fn create_user(&mut self, name: &str) -> Result<User> {
         let init_thread = self.process(self.init_pid)?.thread;
         let kernel = self.machine.kernel_mut();

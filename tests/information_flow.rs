@@ -88,6 +88,46 @@ fn authentication_flow() {
         .owns(bob.read_cat));
 }
 
+/// §6.2: no fully-trusted process keeps a user's privilege.  Init, which
+/// allocates each account's `ur`/`uw`, holds them only until the user's
+/// first login; from then on they live in the user's own service, so once
+/// every user has logged in, init's label and clearance are what they
+/// were at boot.
+#[test]
+fn init_keeps_no_logged_in_users_privilege() {
+    let mut env = UnixEnv::boot();
+    let init = env.init_pid();
+    let init_thread = env.process(init).unwrap().thread;
+    let own = |env: &UnixEnv| {
+        let kernel = env.machine().kernel();
+        (
+            kernel.thread_label(init_thread).unwrap(),
+            kernel.thread_clearance(init_thread).unwrap(),
+        )
+    };
+    let boot = own(&env);
+    let mut auth = AuthSystem::new();
+    let names = ["ann", "ben", "cat", "dan"];
+    for name in names {
+        let user = env.create_user(name).unwrap();
+        auth.register(AuthService::new(user, &format!("pw-{name}")));
+    }
+    assert_eq!(own(&env).0.len(), boot.0.len() + 2 * names.len());
+    for name in names {
+        let login = env.spawn(init, "/bin/login", None).unwrap();
+        assert_eq!(
+            auth.login(&mut env, login, name, &format!("pw-{name}"))
+                .unwrap(),
+            LoginOutcome::Granted
+        );
+        let user = env.user(name).unwrap();
+        let thread = env.process(login).unwrap().thread;
+        let label = env.machine().kernel().thread_label(thread).unwrap();
+        assert!(label.owns(user.read_cat) && label.owns(user.write_cat));
+    }
+    assert_eq!(own(&env), boot);
+}
+
 /// Figure 11: VPN isolation keeps the two networks apart end to end.
 #[test]
 fn vpn_isolation_end_to_end() {

@@ -126,11 +126,30 @@ fn hundred_interleaved_logins_replay_identically() {
     // 7,249 and full stream 8,939 → 8,494 records, one row — `segment_read`
     // 1,068 → 623 (−445: the state read before each read, write or close
     // of a descriptor no other number names).  No other row moved.
+    // Re-pinned when auth became the one holder of a user's pair after
+    // the user's first login: projection 7,249 → 7,039 and full stream
+    // 8,494 → 8,213 records.  A login no longer allocates two per-attempt
+    // categories or saves and restores its label around the check (100
+    // attempts × 6 calls: `create_category` −200, `self_get_label`,
+    // `self_get_clearance`, `self_set_label` and `self_set_clearance`
+    // −100 each); each of the 89 grants first reads the login's label
+    // (`self_get_label` +89); and each of the 10 users' first login
+    // spawns that user's service process (19 calls: `as_create` +1,
+    // `as_map` +3, `container_create` +2, `create_category` +2,
+    // `gate_create` +1, `segment_create` +4, `thread_create` +1,
+    // `self_set_as` +1, and one read and one set each of label and
+    // clearance) and init drops the pair (4 calls: one more of each of
+    // those last four).  Row by row: `create_category` 600 → 420,
+    // `self_get_label` 756 → 765, `self_get_clearance` 489 → 409,
+    // `self_set_label` and `self_set_clearance` 300 → 220, `as_create`,
+    // `thread_create` and `self_set_as` 100 → 110, `as_map` 300 → 330,
+    // `container_create` 300 → 320, `gate_create` 289 → 299,
+    // `segment_create` 767 → 807.  No other row moved.
     let before = without_own_label_reads(&t1);
-    assert_eq!(before.len(), 7249);
-    assert_eq!(stream_digest(&before), 0xc442_5783_dd6c_6421);
-    assert_eq!(t1.len(), 8494);
-    assert_eq!(stream_digest(&t1), 0x7fc2_9967_b101_1d5b);
+    assert_eq!(before.len(), 7039);
+    assert_eq!(stream_digest(&before), 0xd3fc_f713_2b6d_0715);
+    assert_eq!(t1.len(), 8213);
+    assert_eq!(stream_digest(&t1), 0x8114_1a9a_2dc5_0440);
     assert_totals_agree(w1.env.machine().kernel());
 }
 
@@ -220,11 +239,24 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     // stream 6,400 → 5,851 records, one row — `segment_read` 1,494 → 945
     // (−549: the state read before each read, write or close of a
     // descriptor no other number names).  No other row moved.
+    // Re-pinned when every request became a login and auth the one
+    // holder of a user's pair after the user's first login: projection
+    // 4,709 → 4,769 and full stream 5,851 → 5,967 records.  Each of the
+    // 4 users' first login spawns the user's service process and init
+    // drops the pair (23 calls each, as in the login stream above) and
+    // no longer allocates two per-attempt categories or saves and
+    // restores its label (−6 calls each); every one of the 48 requests
+    // reads the launcher's label once (`self_get_label` +48).  Row by
+    // row: `as_create`, `thread_create` and `self_set_as` 52 → 56,
+    // `as_map` 156 → 168, `container_create` 104 → 112, `gate_create`,
+    // `self_set_label` and `self_set_clearance` 200 → 204,
+    // `segment_create` 460 → 476, `self_get_clearance` 348 → 352,
+    // `self_get_label` 794 → 846.  No other row moved.
     let before = without_own_label_reads(&t1);
-    assert_eq!(before.len(), 4709);
-    assert_eq!(stream_digest(&before), 0x184b_339e_1f87_6d13);
-    assert_eq!(t1.len(), 5851);
-    assert_eq!(stream_digest(&t1), 0x2317_bc57_d135_c8b2);
+    assert_eq!(before.len(), 4769);
+    assert_eq!(stream_digest(&before), 0x6f04_2080_343e_644d);
+    assert_eq!(t1.len(), 5967);
+    assert_eq!(stream_digest(&t1), 0x548f_216c_1f82_c9a3);
 
     // The label-check bill is part of simulated time (a cache hit is
     // charged less than a miss), so it is pinned: a faster label
@@ -241,15 +273,18 @@ fn web_server_wake_order_is_deterministic_per_seed() {
     // a lookup no longer observe-checks each entry record of the
     // directory it scans.  One FIFO run queue: −12 checks, every one a
     // hit, with the polls above.  The descriptor-state reads the library
-    // no longer makes: −1,114 checks, every one a hit.
+    // no longer makes: −1,114 checks, every one a hit.  The 4 users'
+    // service processes, less the per-attempt categories and label
+    // restores a login no longer makes: +108 checks (hits 5,626 → 5,674,
+    // misses 1,102 → 1,122), and 16 more labels interned (486 → 502).
     let kernel = w1.env.machine().kernel();
     let cache = kernel.label_cache().stats();
     assert_eq!(
         (cache.hits, cache.misses, cache.interned),
-        (5626, 1102, 486),
+        (5674, 1122, 502),
         "label cache hits/misses/interned"
     );
-    assert_eq!(kernel.stats().label_checks, 9064);
+    assert_eq!(kernel.stats().label_checks, 9172);
     assert_totals_agree(kernel);
 
     // A different seed reorders the wake interleaving but serves exactly
